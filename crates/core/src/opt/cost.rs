@@ -114,10 +114,12 @@ impl CostModel {
     }
 
     /// Estimated wall time of the same operator executed across `shards`
-    /// worker shards (Boehm 2017-style): partitioned inputs scan at the
-    /// aggregate executor bandwidth, broadcast sides pay the interconnect
-    /// once per shard, compute divides across shards, and the driver pays a
-    /// fixed dispatch overhead plus the partial-output merge.
+    /// worker shards (Boehm 2017-style): partitioned inputs scan in place at
+    /// the aggregate executor bandwidth (no copy is charged: a shard reads
+    /// its row band where it lies), broadcast sides pay the interconnect
+    /// once per shard, compute divides across the executors that exist
+    /// (shards beyond `dist.executors` share cores and add nothing), and the
+    /// driver pays a fixed dispatch overhead plus the partial-output merge.
     pub fn shard_op_seconds(
         &self,
         dist: &DistConfig,
@@ -130,7 +132,7 @@ impl CostModel {
         let k = shards.max(1) as f64;
         let scan = part_bytes / dist.exec_read_bw;
         let bcast = bcast_bytes * k / dist.net_bw;
-        let compute = flops / (self.compute_bw * k);
+        let compute = flops / (self.compute_bw * k.min(dist.executors.max(1) as f64));
         // Partial outputs flow back over the same interconnect and merge at
         // driver write bandwidth (the merge reads k partials, writes one).
         let merge = out_bytes * k / dist.net_bw + out_bytes / self.write_bw;
@@ -141,14 +143,16 @@ impl CostModel {
 impl DistConfig {
     /// Cost constants for the in-process shard runtime (`runtime::shard`):
     /// shards are threads in one address space, so "network" transfers are
-    /// memcpy-class (an `Arc` clone for broadcasts, buffer copies for
-    /// partition slices and partial merges) and executor scan bandwidth is
-    /// the shared memory bus. Used both by the planner's local-vs-sharded
-    /// choice and by `table6`'s modeled column, so modeled and measured
-    /// execution share one estimator.
+    /// memcpy-class (an `Arc` clone for broadcasts, buffer copies for partial
+    /// merges), partitioned inputs are read in place, and executor scan
+    /// bandwidth is the shared memory bus. Executors are the shards that can
+    /// run at once: no more than the cores this process may use. Used both
+    /// by the planner's local-vs-sharded choice and by `table6`'s modeled
+    /// column, so modeled and measured execution share one estimator.
     pub fn in_process(shards: usize) -> Self {
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         DistConfig {
-            executors: shards.max(1),
+            executors: shards.clamp(1, cores),
             exec_read_bw: 32e9,
             net_bw: 8e9,
             local_budget: fusedml_hop::memory::DEFAULT_LOCAL_BUDGET,

@@ -1,17 +1,32 @@
 //! Row-major dense `f64` matrices.
 
+use crate::buf::Buf;
 use std::fmt;
+use std::sync::Arc;
 
 /// A row-major dense matrix of `f64` values.
 ///
 /// This is the workhorse value type of the runtime. Row-major layout is
 /// load-bearing: the Row template binds fused operators to contiguous row
 /// slices, and the vector-primitive library operates on `&[f64]` row views.
-#[derive(Clone, PartialEq)]
+///
+/// A matrix is either the owner of its buffer or a *row band*: a window of
+/// consecutive rows of another matrix that shares that matrix's buffer. A
+/// band reads like any other matrix; the first mutable access copies its
+/// window out (copy on write), so nothing ever writes through to the parent.
+#[derive(Clone)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,
-    data: Vec<f64>,
+    /// The `rows * cols` cells. A band's parent always owns its cells (a band
+    /// of a band points at the root).
+    data: Buf<f64, DenseMatrix>,
+}
+
+impl PartialEq for DenseMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows && self.cols == other.cols && self.values() == other.values()
+    }
 }
 
 impl DenseMatrix {
@@ -19,42 +34,42 @@ impl DenseMatrix {
     /// does not match `rows * cols`.
     pub fn new(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "dense buffer geometry mismatch");
-        DenseMatrix { rows, cols, data }
+        DenseMatrix { rows, cols, data: Buf::owned(data) }
     }
 
     /// Creates an all-zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        DenseMatrix { rows, cols, data: vec![0.0; rows * cols] }
+        Self::new(rows, cols, vec![0.0; rows * cols])
     }
 
     /// Creates an all-zero matrix whose buffer is drawn from the buffer pool
     /// (and returns to it when the matrix is recycled).
     pub fn zeros_pooled(rows: usize, cols: usize) -> Self {
-        DenseMatrix { rows, cols, data: crate::pool::take_zeroed(rows * cols) }
+        Self::new(rows, cols, crate::pool::take_zeroed(rows * cols))
     }
 
     /// Creates a matrix filled with a constant.
     pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        DenseMatrix { rows, cols, data: vec![value; rows * cols] }
+        Self::new(rows, cols, vec![value; rows * cols])
     }
 
     /// Creates an identity matrix.
     pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
+        let mut data = vec![0.0; n * n];
         for i in 0..n {
-            m.data[i * n + i] = 1.0;
+            data[i * n + i] = 1.0;
         }
-        m
+        Self::new(n, n, data)
     }
 
     /// Creates a column vector from a slice.
     pub fn col_vector(values: &[f64]) -> Self {
-        DenseMatrix { rows: values.len(), cols: 1, data: values.to_vec() }
+        Self::new(values.len(), 1, values.to_vec())
     }
 
     /// Creates a row vector from a slice.
     pub fn row_vector(values: &[f64]) -> Self {
-        DenseMatrix { rows: 1, cols: values.len(), data: values.to_vec() }
+        Self::new(1, values.len(), values.to_vec())
     }
 
     /// Builds a matrix from a nested-array literal (row slices).
@@ -66,7 +81,7 @@ impl DenseMatrix {
             assert_eq!(row.len(), c, "ragged rows");
             data.extend_from_slice(row);
         }
-        DenseMatrix { rows: r, cols: c, data }
+        Self::new(r, c, data)
     }
 
     #[inline]
@@ -90,42 +105,71 @@ impl DenseMatrix {
         self.len() == 0
     }
 
+    /// Rows `[r0, r1)` of `parent` as a matrix that shares `parent`'s buffer:
+    /// O(1), no cell is copied. The band keeps the buffer alive.
+    pub(crate) fn row_band(parent: &Arc<DenseMatrix>, r0: usize, r1: usize) -> DenseMatrix {
+        assert!(r0 <= r1 && r1 <= parent.rows, "row band out of range");
+        let cols = parent.cols;
+        let root = parent.data.parent().unwrap_or(parent);
+        // SAFETY: the window lies in the buffer `root` owns (`parent`'s own,
+        // or the one `parent` is itself a window of). Every method that
+        // writes, moves or frees an owned buffer takes `&mut self` or `self`,
+        // which nobody can get on `root` while this `Arc` clone exists.
+        let data = unsafe { Buf::window(Arc::clone(root), &parent.values()[r0 * cols..r1 * cols]) };
+        DenseMatrix { rows: r1 - r0, cols, data }
+    }
+
+    /// True when the cells live in another matrix's buffer.
+    #[inline]
+    pub(crate) fn is_band(&self) -> bool {
+        self.data.parent().is_some()
+    }
+
     /// Raw row-major value buffer.
     #[inline]
     pub fn values(&self) -> &[f64] {
-        &self.data
+        self.data.as_slice()
     }
 
-    /// Mutable raw row-major value buffer.
+    /// Mutable raw row-major value buffer (a band copies on first write).
     #[inline]
     pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.data
+        self.data.make_mut()
     }
 
-    /// Consumes the matrix, returning its buffer.
+    /// Consumes the matrix, returning its buffer (a band returns a copy of
+    /// its window).
     pub fn into_values(self) -> Vec<f64> {
-        self.data
+        self.data.into_vec()
+    }
+
+    /// Consumes a dying matrix and shelves its buffer in the scoped buffer
+    /// pool. A band shelves nothing of its own; it releases its hold on the
+    /// parent, whose buffer is shelved only if that was the last hold.
+    pub(crate) fn recycle(self) {
+        self.data.recycle(crate::pool::give, DenseMatrix::recycle);
     }
 
     /// Cell accessor (bounds-checked in debug builds only on the multiply).
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f64 {
         debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c]
+        self.values()[r * self.cols + c]
     }
 
     /// Cell mutator.
     #[inline]
     pub fn set(&mut self, r: usize, c: usize, v: f64) {
         debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c] = v;
+        let i = r * self.cols + c;
+        self.values_mut()[i] = v;
     }
 
     /// Contiguous view of row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> &[f64] {
         debug_assert!(r < self.rows);
-        &self.data[r * self.cols..(r + 1) * self.cols]
+        &self.values()[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutable contiguous view of row `r`.
@@ -133,12 +177,12 @@ impl DenseMatrix {
     pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
         debug_assert!(r < self.rows);
         let c = self.cols;
-        &mut self.data[r * c..(r + 1) * c]
+        &mut self.values_mut()[r * c..(r + 1) * c]
     }
 
     /// Number of non-zero cells (exact scan).
     pub fn count_nnz(&self) -> usize {
-        self.data.iter().filter(|&&v| v != 0.0).count()
+        self.values().iter().filter(|&&v| v != 0.0).count()
     }
 
     /// Fraction of non-zero cells in `[0, 1]`.
@@ -162,7 +206,7 @@ impl DenseMatrix {
     pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64 + Sync) {
         let cols = self.cols.max(1);
         let rows = self.rows;
-        crate::par::par_rows_mut(&mut self.data, rows, cols, cols, |_, row| {
+        crate::par::par_rows_mut(self.values_mut(), rows, cols, cols, |_, row| {
             for v in row.iter_mut() {
                 *v = f(*v);
             }

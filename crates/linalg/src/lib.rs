@@ -32,6 +32,7 @@
 // modules (`spill`, the runtime scheduler) re-deny at module level.
 #![allow(clippy::disallowed_methods)]
 
+mod buf;
 pub mod dense;
 pub mod fault;
 pub mod generate;

@@ -141,13 +141,14 @@ impl Matrix {
         self.rows() == 1 && self.cols() == 1
     }
 
-    /// True when this handle is the only reference to the payload — the
-    /// precondition for spilling (dropping a shared payload frees nothing)
-    /// and for in-place reuse.
+    /// True when this handle is the only reference to a payload that owns
+    /// its buffers — the precondition for spilling (dropping a shared payload
+    /// frees nothing) and for in-place reuse. A row band ([`Matrix::row_slice`])
+    /// never qualifies: its buffers belong to the matrix it was cut from.
     pub fn is_uniquely_owned(&self) -> bool {
         match self {
-            Matrix::Dense(m) => Arc::strong_count(m) == 1,
-            Matrix::Sparse(m) => Arc::strong_count(m) == 1,
+            Matrix::Dense(m) => Arc::strong_count(m) == 1 && !m.is_band(),
+            Matrix::Sparse(m) => Arc::strong_count(m) == 1 && !m.is_band(),
         }
     }
 
@@ -163,22 +164,21 @@ impl Matrix {
     /// Consumes a dying matrix, returning its buffers to the scoped buffer
     /// pool when this is the last reference (shared payloads are simply
     /// dropped). Dense matrices recycle their value buffer; sparse matrices
-    /// recycle the CSR value and index buffers. Call sites that know a value
-    /// is dead use this instead of `drop` so the next allocation is a pool
-    /// hit.
+    /// recycle the CSR value and index buffers. A buffer reaches the pool
+    /// only once nothing can read it any more: a row band gives up its hold
+    /// on the matrix it was cut from, and a matrix with live bands keeps its
+    /// buffers until the last of them dies. Call sites that know a value is
+    /// dead use this instead of `drop` so the next allocation is a pool hit.
     pub fn recycle(self) {
         match self {
             Matrix::Dense(a) => {
                 if let Some(d) = Arc::into_inner(a) {
-                    crate::pool::give(d.into_values());
+                    d.recycle();
                 }
             }
             Matrix::Sparse(a) => {
                 if let Some(s) = Arc::into_inner(a) {
-                    let (row_ptr, col_idx, values) = s.into_raw();
-                    crate::pool::give_indices(row_ptr);
-                    crate::pool::give_indices(col_idx);
-                    crate::pool::give(values);
+                    s.recycle();
                 }
             }
         }
@@ -186,38 +186,27 @@ impl Matrix {
 
     /// Attempts to take sole ownership of the dense payload (for in-place
     /// reuse of a dying input as an operator output). Returns the matrix
-    /// unchanged when it is sparse or the payload is shared.
+    /// unchanged when it is sparse, the payload is shared, or it is a row
+    /// band (whose cells are not its own to overwrite).
     pub fn try_into_dense(self) -> Result<DenseMatrix, Matrix> {
         match self {
-            Matrix::Dense(a) => Arc::try_unwrap(a).map_err(Matrix::Dense),
+            Matrix::Dense(a) if !a.is_band() => Arc::try_unwrap(a).map_err(Matrix::Dense),
             other => Err(other),
         }
     }
 
-    /// Extracts rows `[r0, r1)` as a new matrix, preserving the storage
-    /// format. Dense slices copy the row band; CSR slices rebase the row
-    /// pointers and copy the covered triples. This is the shard partitioner:
-    /// a row-partitioned plan slices the main (and any row-aligned sides)
-    /// with it, so per-shard execution sees ordinary matrices.
+    /// Rows `[r0, r1)` as a matrix of the same storage format that shares
+    /// this matrix's buffers: a dense band borrows the value buffer by
+    /// offset, a CSR band borrows `col_idx` / `values` and owns only its
+    /// rebased row pointers, so no cell is copied. This is the shard
+    /// partitioner: a row-partitioned plan slices the main (and any
+    /// row-aligned sides) with it, and per-shard execution sees ordinary
+    /// matrices that scan their partition where it already lies. A band
+    /// copies on its first mutable access and never writes through.
     pub fn row_slice(&self, r0: usize, r1: usize) -> Matrix {
-        assert!(r0 <= r1 && r1 <= self.rows(), "row slice out of range");
         match self {
-            Matrix::Dense(m) => {
-                let c = m.cols();
-                Matrix::dense(DenseMatrix::new(r1 - r0, c, m.values()[r0 * c..r1 * c].to_vec()))
-            }
-            Matrix::Sparse(m) => {
-                let lo = m.row_ptr()[r0];
-                let hi = m.row_ptr()[r1];
-                let row_ptr: Vec<usize> = m.row_ptr()[r0..=r1].iter().map(|&p| p - lo).collect();
-                Matrix::sparse(SparseMatrix::from_csr(
-                    r1 - r0,
-                    m.cols(),
-                    row_ptr,
-                    m.col_indices()[lo..hi].to_vec(),
-                    m.values()[lo..hi].to_vec(),
-                ))
-            }
+            Matrix::Dense(m) => Matrix::dense(DenseMatrix::row_band(m, r0, r1)),
+            Matrix::Sparse(m) => Matrix::sparse(SparseMatrix::row_band(m, r0, r1)),
         }
     }
 
@@ -226,6 +215,7 @@ impl Matrix {
     /// is preserved exactly: all-sparse parts concatenate in CSR (the triples
     /// are copied verbatim, so a sliced-then-merged sparse value is bitwise
     /// identical to the unsliced one), any dense part densifies the result.
+    /// The result's buffers come from the scoped pool.
     pub fn concat_rows(parts: &[Matrix]) -> Matrix {
         assert!(!parts.is_empty(), "concat of zero parts");
         let cols = parts[0].cols();
@@ -233,9 +223,9 @@ impl Matrix {
         let rows: usize = parts.iter().map(|p| p.rows()).sum();
         if parts.iter().all(|p| p.is_sparse()) {
             let nnz: usize = parts.iter().map(|p| p.nnz()).sum();
-            let mut row_ptr = Vec::with_capacity(rows + 1);
-            let mut col_idx = Vec::with_capacity(nnz);
-            let mut values = Vec::with_capacity(nnz);
+            let mut row_ptr = crate::pool::take_indices(rows + 1);
+            let mut col_idx = crate::pool::take_indices(nnz);
+            let mut values = crate::pool::take_values(nnz);
             row_ptr.push(0usize);
             let mut base = 0usize;
             for p in parts {
@@ -247,7 +237,7 @@ impl Matrix {
             }
             Matrix::sparse(SparseMatrix::from_csr(rows, cols, row_ptr, col_idx, values))
         } else {
-            let mut values = Vec::with_capacity(rows * cols);
+            let mut values = crate::pool::take_values(rows * cols);
             for p in parts {
                 match p {
                     Matrix::Dense(m) => values.extend_from_slice(m.values()),
@@ -418,36 +408,212 @@ mod tests {
         assert!(pool.stats().hits > hits_before, "rebuild reuses recycled CSR buffers");
     }
 
+    fn seq_dense(rows: usize, cols: usize) -> Matrix {
+        Matrix::dense(DenseMatrix::new(rows, cols, (0..rows * cols).map(|i| i as f64).collect()))
+    }
+
+    /// A CSR matrix with ragged rows (row `i` holds `i % 4` non-zeros).
+    fn ragged_sparse(rows: usize, cols: usize) -> Matrix {
+        let mut d = DenseMatrix::zeros(rows, cols);
+        for i in 0..rows {
+            for j in 0..i % 4 {
+                d.set(i, (i + 2 * j) % cols, 1.0 + (i * cols + j) as f64);
+            }
+        }
+        Matrix::sparse(SparseMatrix::from_dense(&d))
+    }
+
+    /// True when `inner` lies wholly inside `outer`'s memory.
+    fn lies_within<T>(inner: &[T], outer: &[T]) -> bool {
+        let (o, i) = (outer.as_ptr_range(), inner.as_ptr_range());
+        o.start <= i.start && i.end <= o.end
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn row_slice_then_concat_is_identity_dense() {
-        let d = DenseMatrix::new(7, 3, (0..21).map(|i| i as f64).collect());
-        let m = Matrix::dense(d);
-        let parts = [m.row_slice(0, 3), m.row_slice(3, 5), m.row_slice(5, 7)];
-        let back = Matrix::concat_rows(&parts);
-        assert!(!back.is_sparse());
-        for r in 0..7 {
-            for c in 0..3 {
-                assert_eq!(back.get(r, c), m.get(r, c));
+    fn dense_row_slice_borrows_the_parents_buffer() {
+        let m = seq_dense(7, 3);
+        let band = m.row_slice(2, 5);
+        assert_eq!((band.rows(), band.cols()), (3, 3));
+        let (b, p) = (band.as_dense(), m.as_dense());
+        assert!(lies_within(b.values(), p.values()), "a dense row slice must not copy");
+        assert_eq!(b.values().as_ptr(), p.row(2).as_ptr());
+        assert_eq!(b.values(), &p.values()[6..15]);
+        assert_eq!(b.row(1), p.row(3));
+        assert_eq!(band.get(2, 1), m.get(4, 1));
+    }
+
+    #[test]
+    fn sparse_row_slice_shares_triples_and_counts_its_own_nnz() {
+        let m = ragged_sparse(11, 6);
+        let band = m.row_slice(3, 9);
+        let (b, p) = (band.as_sparse(), m.as_sparse());
+        assert!(lies_within(b.values(), p.values()), "a CSR row slice must not copy values");
+        assert!(lies_within(b.col_indices(), p.col_indices()), "nor column indices");
+        let want: usize = (3..9).map(|r| p.row_nnz(r)).sum();
+        assert!(want > 0 && want < p.nnz());
+        assert_eq!(band.nnz(), want);
+        assert_eq!((b.values().len(), b.col_indices().len()), (want, want));
+        assert_eq!((b.row_ptr()[0], b.row_ptr()[6]), (0, want), "a self-consistent window");
+        assert_eq!(band.size_in_bytes(), 16 * want + 8 * 7);
+        for r in 0..6 {
+            assert_eq!(b.row_cols(r), p.row_cols(r + 3));
+            assert_eq!(b.row_values(r), p.row_values(r + 3));
+        }
+    }
+
+    #[test]
+    fn slice_of_slice_empty_and_ragged_bands() {
+        for m in [seq_dense(10, 4), ragged_sparse(10, 4)] {
+            // A slice of a slice is the direct slice, and still a view of the
+            // root's buffer.
+            let nested = m.row_slice(2, 9).row_slice(1, 4);
+            let direct = m.row_slice(3, 6);
+            assert_eq!(nested.to_dense(), direct.to_dense());
+            assert_eq!(nested.nnz(), direct.nnz());
+            match (&nested, &m) {
+                (Matrix::Dense(n), Matrix::Dense(p)) => {
+                    assert!(lies_within(n.values(), p.values()))
+                }
+                (Matrix::Sparse(n), Matrix::Sparse(p)) => {
+                    assert!(lies_within(n.values(), p.values()));
+                    assert_eq!(&**n, direct.as_sparse());
+                }
+                _ => panic!("row_slice preserves the storage format"),
+            }
+            // Empty bands, at every position including both ends.
+            for r in [0, 4, 10] {
+                let empty = m.row_slice(r, r);
+                assert_eq!((empty.rows(), empty.cols(), empty.nnz()), (0, 4, 0));
+                assert!(empty.to_dense().values().is_empty());
+            }
+            // First and last bands of a ragged 3-way split (4 + 3 + 3 rows).
+            let (first, last) = (m.row_slice(0, 4), m.row_slice(7, 10));
+            for c in 0..4 {
+                assert_eq!(first.get(0, c).to_bits(), m.get(0, c).to_bits());
+                assert_eq!(first.get(3, c).to_bits(), m.get(3, c).to_bits());
+                assert_eq!(last.get(0, c).to_bits(), m.get(7, c).to_bits());
+                assert_eq!(last.get(2, c).to_bits(), m.get(9, c).to_bits());
             }
         }
     }
 
     #[test]
-    fn row_slice_then_concat_is_identity_sparse() {
-        let mut d = DenseMatrix::zeros(9, 5);
-        for i in 0..9 {
-            d.set(i, (i * 2) % 5, 1.0 + i as f64);
-        }
-        let m = Matrix::sparse(SparseMatrix::from_dense(&d));
+    #[should_panic(expected = "out of range")]
+    fn row_slice_past_the_end_panics() {
+        let _ = seq_dense(4, 2).row_slice(2, 5);
+    }
+
+    #[test]
+    fn row_slice_then_concat_is_bitwise_identity_dense() {
+        let m = seq_dense(7, 3);
+        let parts = [m.row_slice(0, 3), m.row_slice(3, 5), m.row_slice(5, 7)];
+        let back = Matrix::concat_rows(&parts);
+        assert!(!back.is_sparse());
+        assert_eq!(bits(back.as_dense().values()), bits(m.as_dense().values()));
+        assert!(!lies_within(back.as_dense().values(), m.as_dense().values()), "concat owns");
+    }
+
+    #[test]
+    fn row_slice_then_concat_is_bitwise_identity_sparse() {
+        let m = ragged_sparse(9, 5);
         let parts = [m.row_slice(0, 2), m.row_slice(2, 2), m.row_slice(2, 9)];
         let back = Matrix::concat_rows(&parts);
         assert!(back.is_sparse(), "all-sparse parts stay CSR");
-        assert_eq!(back.nnz(), m.nnz());
-        for r in 0..9 {
-            for c in 0..5 {
-                assert_eq!(back.get(r, c), m.get(r, c));
+        let (b, p) = (back.as_sparse(), m.as_sparse());
+        assert_eq!(b.row_ptr(), p.row_ptr());
+        assert_eq!(b.col_indices(), p.col_indices());
+        assert_eq!(bits(b.values()), bits(p.values()));
+    }
+
+    #[test]
+    fn writing_to_a_slice_leaves_the_parent_untouched() {
+        let m = seq_dense(6, 2);
+        let before = m.as_dense().values().to_vec();
+        let band = m.row_slice(1, 4);
+        // A view is never handed out for in-place reuse or spilling.
+        assert!(!band.is_uniquely_owned());
+        let band = band.try_into_dense().expect_err("a view's cells are not its own");
+        let Matrix::Dense(arc) = band else { panic!("dense stays dense") };
+        let mut d = Arc::try_unwrap(arc).expect("sole handle to the view");
+        d.values_mut()[0] = -1.0; // copies on write
+        d.set(2, 1, -2.0);
+        d.row_mut(1)[0] = -3.0;
+        assert_eq!(d.values(), &[-1.0, 3.0, -3.0, 5.0, 6.0, -2.0]);
+        assert!(!lies_within(d.values(), m.as_dense().values()));
+        assert_eq!(m.as_dense().values(), &before[..]);
+        // Consuming a view yields a copy of its window.
+        let mut owned = m.row_slice(4, 6).to_dense().into_values();
+        owned[0] = -4.0;
+        assert_eq!(m.as_dense().values(), &before[..]);
+
+        let s = ragged_sparse(8, 5);
+        let before = s.as_sparse().clone();
+        let mut band = s.row_slice(2, 8).to_sparse();
+        let band_nnz = band.nnz();
+        band.values_mut().iter_mut().for_each(|v| *v = -*v);
+        band.row_values_mut(1)[0] = 0.0;
+        band.compact();
+        assert_eq!(band.nnz(), band_nnz - 1, "the stored zero is dropped from the copy only");
+        assert_eq!(s.as_sparse(), &before);
+        assert!(s.is_uniquely_owned(), "dropping every view releases the parent");
+    }
+
+    #[test]
+    fn recycling_never_shelves_a_buffer_that_is_still_shared() {
+        let pool = crate::pool::BufferPool::handle();
+        let _scope = crate::pool::enter(&pool);
+        let scribble = |len: usize| {
+            let mut buf = crate::pool::take_zeroed(len);
+            assert!(buf.iter().all(|&v| v == 0.0), "the pool hands out zeroed buffers");
+            buf.fill(f64::NAN);
+            buf
+        };
+        // Recycle a view while its parent lives: nothing may reach the pool.
+        let m = seq_dense(64, 64);
+        let before = m.as_dense().values().to_vec();
+        m.row_slice(16, 48).recycle();
+        assert_eq!(pool.stats().returns, 0, "a live parent's buffer stays out of the pool");
+        let (_a, _b) = (scribble(64 * 64), scribble(32 * 64));
+        assert_eq!(m.as_dense().values(), &before[..]);
+        // Recycle the parent while a view lives: still nothing; the last
+        // holder (the view) then shelves the whole buffer.
+        let band = m.row_slice(0, 8);
+        m.recycle();
+        assert_eq!(pool.stats().returns, 0, "a live view keeps the buffer out of the pool");
+        assert_eq!(band.as_dense().values(), &before[..8 * 64]);
+        band.recycle();
+        assert_eq!(pool.stats().returns, 1, "the last holder shelves the buffer");
+        let hits = pool.stats().hits;
+        let _c = scribble(64 * 64);
+        assert_eq!(pool.stats().hits, hits + 1, "and the next request reuses it");
+
+        // CSR: the same rule for the shared col_idx / values.
+        let mut d = DenseMatrix::zeros(100, 100);
+        for i in 0..100 {
+            for j in (i % 7..100).step_by(7) {
+                d.set(i, j, 1.0 + i as f64);
             }
         }
+        let s = Matrix::sparse(SparseMatrix::from_dense(&d));
+        let before = s.as_sparse().clone();
+        let returns = pool.stats().returns;
+        s.row_slice(10, 90).recycle();
+        let _d = scribble(before.nnz());
+        assert_eq!(s.as_sparse(), &before);
+        let band = s.row_slice(0, 50);
+        s.recycle();
+        assert!(pool.stats().returns <= returns + 1, "at most the first view's row pointers");
+        assert_eq!(band.as_sparse().row_values(49), before.row_values(49));
+        let returns = pool.stats().returns;
+        band.recycle();
+        assert!(
+            pool.stats().returns >= returns + 2,
+            "col_idx and values shelve with the last view"
+        );
     }
 
     #[test]

@@ -5,21 +5,54 @@
 //! matrix is recycled, so sparse fused-operator outputs reach the same
 //! steady-state zero-allocation behaviour as dense ones.
 
+use crate::buf::Buf;
 use crate::dense::DenseMatrix;
 use crate::pool;
+use std::fmt;
+use std::sync::Arc;
 
 /// A CSR sparse matrix of `f64` values.
 ///
 /// `row_ptr` has `rows + 1` entries; row `r`'s non-zeros live at positions
 /// `row_ptr[r]..row_ptr[r+1]` of `col_idx` / `values`, with `col_idx` strictly
 /// increasing within each row. Zero-valued explicit entries are not stored.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// A matrix is either the owner of its buffers or a *row band*: a window of
+/// consecutive rows of another matrix that shares that matrix's `col_idx` /
+/// `values` and owns only its rebased `row_ptr`. Every accessor presents the
+/// window (`row_ptr()[0] == 0`, `nnz()` counts the band); the first mutable
+/// access copies the window out, so nothing writes through to the parent.
+#[derive(Clone)]
 pub struct SparseMatrix {
     rows: usize,
     cols: usize,
     row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    values: Vec<f64>,
+    /// Both owned, or both windows of the same parent, which owns its
+    /// buffers (a band of a band points at the root).
+    col_idx: Buf<usize, SparseMatrix>,
+    values: Buf<f64, SparseMatrix>,
+}
+
+impl PartialEq for SparseMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+            && self.cols == other.cols
+            && self.row_ptr == other.row_ptr
+            && self.col_indices() == other.col_indices()
+            && self.values() == other.values()
+    }
+}
+
+impl fmt::Debug for SparseMatrix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SparseMatrix")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("row_ptr", &self.row_ptr)
+            .field("col_idx", &self.col_indices())
+            .field("values", &self.values())
+            .finish()
+    }
 }
 
 impl SparseMatrix {
@@ -42,18 +75,28 @@ impl SparseMatrix {
             }),
             "col_idx sorted and in range"
         );
-        SparseMatrix { rows, cols, row_ptr, col_idx, values }
+        Self::from_parts(rows, cols, row_ptr, col_idx, values)
+    }
+
+    fn from_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Self {
+        SparseMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx: Buf::owned(col_idx),
+            values: Buf::owned(values),
+        }
     }
 
     /// Creates an empty (all-zero) sparse matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        SparseMatrix {
-            rows,
-            cols,
-            row_ptr: vec![0; rows + 1],
-            col_idx: Vec::new(),
-            values: Vec::new(),
-        }
+        Self::from_parts(rows, cols, vec![0; rows + 1], Vec::new(), Vec::new())
     }
 
     /// Builds a CSR matrix from (row, col, value) triples; duplicates are
@@ -94,7 +137,7 @@ impl SparseMatrix {
         }
         pool::give_indices(col_idx);
         pool::give(values);
-        SparseMatrix { rows, cols, row_ptr: ptr, col_idx: keep_col, values: keep_val }
+        Self::from_parts(rows, cols, ptr, keep_col, keep_val)
     }
 
     /// Converts a dense matrix to CSR, skipping zero cells. Buffers come from
@@ -116,13 +159,41 @@ impl SparseMatrix {
             }
             row_ptr.push(col_idx.len());
         }
-        SparseMatrix { rows, cols, row_ptr, col_idx, values }
+        Self::from_parts(rows, cols, row_ptr, col_idx, values)
     }
 
-    /// Decomposes into the raw CSR buffers `(row_ptr, col_idx, values)` —
-    /// the recycling path back into the buffer pool.
-    pub fn into_raw(self) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
-        (self.row_ptr, self.col_idx, self.values)
+    /// Rows `[r0, r1)` of `parent` as a matrix that shares `parent`'s
+    /// `col_idx` / `values`: O(rows of the band), no non-zero is copied. Only
+    /// the rebased row pointers are new. The band keeps the parent's buffers
+    /// alive.
+    pub(crate) fn row_band(parent: &Arc<SparseMatrix>, r0: usize, r1: usize) -> SparseMatrix {
+        assert!(r0 <= r1 && r1 <= parent.rows, "row band out of range");
+        let (lo, hi) = (parent.row_ptr[r0], parent.row_ptr[r1]);
+        let row_ptr = parent.row_ptr[r0..=r1].iter().map(|&p| p - lo).collect();
+        let root = parent.values.parent().unwrap_or(parent);
+        // SAFETY: both windows lie in the buffers `root` owns (`parent`'s
+        // own, or those `parent` is itself a window of). Every method that
+        // writes, moves or frees owned buffers takes `&mut self` or `self`,
+        // which nobody can get on `root` while these `Arc` clones exist.
+        let col_idx = unsafe { Buf::window(Arc::clone(root), &parent.col_indices()[lo..hi]) };
+        // SAFETY: as for `col_idx`, just above.
+        let values = unsafe { Buf::window(Arc::clone(root), &parent.values()[lo..hi]) };
+        SparseMatrix { rows: r1 - r0, cols: parent.cols, row_ptr, col_idx, values }
+    }
+
+    /// True when the non-zeros live in another matrix's buffers.
+    #[inline]
+    pub(crate) fn is_band(&self) -> bool {
+        self.values.parent().is_some()
+    }
+
+    /// Consumes a dying matrix and shelves its buffers in the scoped buffer
+    /// pool. A band shelves its row pointers and releases its holds on the
+    /// parent, whose buffers are shelved only if those were the last.
+    pub(crate) fn recycle(self) {
+        pool::give_indices(self.row_ptr);
+        self.col_idx.recycle(pool::give_indices, SparseMatrix::recycle);
+        self.values.recycle(pool::give, SparseMatrix::recycle);
     }
 
     /// Materializes as a dense matrix.
@@ -150,7 +221,7 @@ impl SparseMatrix {
     /// Number of stored non-zeros.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.values.len()
+        self.values().len()
     }
 
     /// Fraction of non-zero cells.
@@ -166,20 +237,20 @@ impl SparseMatrix {
     /// The non-zero column indices of row `r`.
     #[inline]
     pub fn row_cols(&self, r: usize) -> &[usize] {
-        &self.col_idx[self.row_ptr[r]..self.row_ptr[r + 1]]
+        &self.col_indices()[self.row_ptr[r]..self.row_ptr[r + 1]]
     }
 
     /// The non-zero values of row `r`.
     #[inline]
     pub fn row_values(&self, r: usize) -> &[f64] {
-        &self.values[self.row_ptr[r]..self.row_ptr[r + 1]]
+        &self.values()[self.row_ptr[r]..self.row_ptr[r + 1]]
     }
 
     /// Mutable values of row `r` (indices fixed).
     #[inline]
     pub fn row_values_mut(&mut self, r: usize) -> &mut [f64] {
         let (s, e) = (self.row_ptr[r], self.row_ptr[r + 1]);
-        &mut self.values[s..e]
+        &mut self.values.make_mut()[s..e]
     }
 
     /// Number of non-zeros in row `r`.
@@ -196,14 +267,15 @@ impl SparseMatrix {
     /// All raw values (across rows).
     #[inline]
     pub fn values(&self) -> &[f64] {
-        &self.values
+        self.values.as_slice()
     }
 
-    /// All raw values, mutable. Callers must not write zeros (they would
-    /// remain stored); use [`SparseMatrix::compact`] afterwards if they might.
+    /// All raw values, mutable (a band copies on first write). Callers must
+    /// not write zeros (they would remain stored); use
+    /// [`SparseMatrix::compact`] afterwards if they might.
     #[inline]
     pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
+        self.values.make_mut()
     }
 
     /// Raw CSR row pointer array.
@@ -215,7 +287,7 @@ impl SparseMatrix {
     /// Raw CSR column index array.
     #[inline]
     pub fn col_indices(&self) -> &[usize] {
-        &self.col_idx
+        self.col_idx.as_slice()
     }
 
     /// Point lookup via binary search within the row (O(log nnz(r))).
@@ -232,12 +304,12 @@ impl SparseMatrix {
     pub fn compact(&mut self) {
         let mut w = 0usize;
         let mut new_ptr = vec![0usize; self.rows + 1];
+        let (col_idx, values) = (self.col_idx.make_mut(), self.values.make_mut());
         for r in 0..self.rows {
-            let (s, e) = (self.row_ptr[r], self.row_ptr[r + 1]);
-            for p in s..e {
-                if self.values[p] != 0.0 {
-                    self.values[w] = self.values[p];
-                    self.col_idx[w] = self.col_idx[p];
+            for p in self.row_ptr[r]..self.row_ptr[r + 1] {
+                if values[p] != 0.0 {
+                    values[w] = values[p];
+                    col_idx[w] = col_idx[p];
                     w += 1;
                 }
             }
@@ -251,7 +323,7 @@ impl SparseMatrix {
     /// Transposes via a two-pass counting strategy (O(nnz + rows + cols)).
     pub fn transpose(&self) -> SparseMatrix {
         let mut counts = vec![0usize; self.cols + 1];
-        for &c in &self.col_idx {
+        for &c in self.col_indices() {
             counts[c + 1] += 1;
         }
         for i in 0..self.cols {
@@ -269,7 +341,7 @@ impl SparseMatrix {
                 values[pos] = v;
             }
         }
-        SparseMatrix { rows: self.cols, cols: self.rows, row_ptr, col_idx, values }
+        Self::from_parts(self.cols, self.rows, row_ptr, col_idx, values)
     }
 }
 

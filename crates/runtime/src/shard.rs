@@ -5,9 +5,11 @@
 //! kernel scope sharing the engine's buffer pool — pinned NUMA-aware where
 //! the topology is detectable (`/sys/devices/system/node`), falling back to
 //! plain round-robin CPU pinning. The driver row-partitions a fused
-//! operator's bound inputs across the shards, broadcasts row-invariant side
-//! inputs (an `Arc` clone in-process), executes the *same* fused skeletons
-//! (`spoof::execute`) per shard, and merges the partial outputs:
+//! operator's bound inputs across the shards (each worker reads its rows in
+//! place through an O(1) [`Matrix::row_slice`] view; nothing is copied),
+//! broadcasts row-invariant side inputs (an `Arc` clone in-process), executes
+//! the *same* fused skeletons (`spoof::execute`) per shard, and merges the
+//! partial outputs:
 //!
 //! * map-class operators (`NoAgg`, `RowAgg`) concatenate partial rows, which
 //!   is bitwise-identical to local execution because every skeleton's output
@@ -432,23 +434,26 @@ mod affinity {
 // The shard pool
 // ---------------------------------------------------------------------------
 
-/// One sharded-execution request: the full (Arc-shared) inputs plus this
-/// shard's row range. The *worker* slices its own partition — the row-block
-/// copies then run on every shard's pinned CPUs in parallel instead of
-/// serializing on the driver thread.
-struct Request {
+/// What every shard of one [`ShardPool::execute`] reads: the operator and
+/// the full (Arc-shared) inputs. Each worker cuts its own row band out of
+/// them — an O(1) [`Matrix::row_slice`] view, scanned where it already lies.
+struct Job {
     op: Arc<GeneratedOperator>,
     main: Matrix,
-    /// This shard's half-open row range of the main (and partitioned sides).
-    rows: (usize, usize),
     sides: Vec<Matrix>,
-    /// Per side: `true` = slice `rows` out of it, `false` = use broadcast
-    /// whole.
+    /// Per side: `true` = this shard's rows of it, `false` = broadcast whole.
     partition: Vec<bool>,
     scalars: Vec<f64>,
     iter_cols: usize,
+    cancel: AtomicBool,
+}
+
+/// One shard's share of a [`Job`].
+struct Request {
+    job: Arc<Job>,
+    /// This shard's half-open row range of the main (and partitioned sides).
+    rows: (usize, usize),
     shard_ix: usize,
-    cancel: Arc<AtomicBool>,
     inject_panic: bool,
     reply: mpsc::Sender<(usize, Reply, u64)>,
 }
@@ -540,8 +545,8 @@ impl ShardPool {
         self.workers.is_empty()
     }
 
-    /// Executes one fused operator across the shards: slices the main input
-    /// (and partitioned sides) into balanced row blocks, broadcasts the
+    /// Executes one fused operator across the shards: assigns each a balanced
+    /// row block of the main input (and partitioned sides), broadcasts the
     /// rest, collects every shard's reply, and merges the partials per the
     /// spec. First failure wins: one panicked shard cancels its siblings'
     /// outstanding work and surfaces as a single [`ShardError`]; the pool
@@ -559,32 +564,32 @@ impl ShardPool {
     ) -> Result<(Vec<Matrix>, ShardRunStats), ShardError> {
         let rows = main.rows();
         let k = spec.shards.min(self.workers.len()).min(rows).max(1);
-        let cancel = Arc::new(AtomicBool::new(false));
         let (reply_tx, reply_rx) = mpsc::channel();
-        let base = rows / k;
-        let rem = rows % k;
-        let mut broadcast_bytes = 0usize;
+        let (base, rem) = (rows / k, rows % k);
+        let partition: Vec<bool> = spec.sides.iter().map(|d| *d == SideDisp::Partition).collect();
+        let broadcast_bytes: usize = sides
+            .iter()
+            .zip(&partition)
+            .map(|(s, &p)| if p { 0 } else { k * s.size_in_bytes() })
+            .sum();
+        let job = Arc::new(Job {
+            op: Arc::clone(op),
+            main: main.clone(),
+            sides: sides.to_vec(),
+            partition,
+            scalars: scalars.to_vec(),
+            iter_cols,
+            cancel: AtomicBool::new(false),
+        });
         let mut start = 0usize;
         let mut sent = 0usize;
         let mut dead_shard: Option<usize> = None;
-        let partition: Vec<bool> = spec.sides.iter().map(|d| *d == SideDisp::Partition).collect();
         for ix in 0..k {
             let end = start + base + usize::from(ix < rem);
-            for (s, d) in sides.iter().zip(&spec.sides) {
-                if *d == SideDisp::Broadcast {
-                    broadcast_bytes += s.size_in_bytes();
-                }
-            }
             let req = Request {
-                op: Arc::clone(op),
-                main: main.clone(),
+                job: Arc::clone(&job),
                 rows: (start, end),
-                sides: sides.to_vec(),
-                partition: partition.clone(),
-                scalars: scalars.to_vec(),
-                iter_cols,
                 shard_ix: ix,
-                cancel: Arc::clone(&cancel),
                 inject_panic: inject_panic && ix == 0,
                 reply: reply_tx.clone(),
             };
@@ -593,7 +598,7 @@ impl ShardPool {
                 None => false,
             };
             if !delivered {
-                cancel.store(true, Ordering::Relaxed);
+                job.cancel.store(true, Ordering::Relaxed);
                 dead_shard = Some(ix);
                 break;
             }
@@ -611,7 +616,7 @@ impl ShardPool {
             match reply {
                 Reply::Ok(outs) => parts[ix] = Some(outs),
                 Reply::Panicked(message) => {
-                    cancel.store(true, Ordering::Relaxed);
+                    job.cancel.store(true, Ordering::Relaxed);
                     first_err.get_or_insert(ShardError { shard: ix, message });
                 }
                 Reply::Cancelled => {}
@@ -623,34 +628,31 @@ impl ShardPool {
         if let Some(ix) = dead_shard {
             return Err(ShardError { shard: ix, message: "shard worker unavailable".into() });
         }
-        let parts: Vec<Vec<Matrix>> = match parts.into_iter().collect() {
-            Some(p) => p,
-            None => {
-                return Err(ShardError {
-                    shard: 0,
-                    message: "shard reply channel closed early".into(),
-                })
-            }
+        let Some(parts) = parts.into_iter().collect::<Option<Vec<Vec<Matrix>>>>() else {
+            return Err(ShardError {
+                shard: 0,
+                message: "shard reply channel closed early".into(),
+            });
         };
         let partial_bytes: usize =
             parts.iter().flat_map(|p| p.iter().map(Matrix::size_in_bytes)).sum();
+        // Every worker let go of the job before replying; with this last hold
+        // gone the caller's inputs are uniquely held again and can recycle.
+        drop(job);
         let merge_start = Instant::now();
-        let outs = merge_parts(&spec.merge, &parts);
+        let outs = merge_parts(&spec.merge, parts);
         let merge_nanos = merge_start.elapsed().as_nanos() as u64;
-        let used: Vec<u64> = times[..k].to_vec();
-        let max = used.iter().copied().max().unwrap_or(0);
-        let mean = used.iter().sum::<u64>() / k as u64;
+        let max = times.iter().copied().max().unwrap_or(0);
+        let mean = times.iter().sum::<u64>() / k as u64;
         let skew_milli = max.saturating_mul(1000).checked_div(mean).unwrap_or(1000);
-        Ok((
-            outs,
-            ShardRunStats {
-                shards_used: k,
-                broadcast_bytes,
-                partial_bytes,
-                merge_nanos,
-                skew_milli,
-            },
-        ))
+        let stats = ShardRunStats {
+            shards_used: k,
+            broadcast_bytes,
+            partial_bytes,
+            merge_nanos,
+            skew_milli,
+        };
+        Ok((outs, stats))
     }
 }
 
@@ -671,66 +673,62 @@ impl Drop for ShardPool {
 /// request is answered exactly once — ok, panicked (message captured under
 /// `catch_unwind`), or cancelled — so the driver can always count replies.
 fn worker_loop(rx: &mpsc::Receiver<Request>) {
-    while let Ok(req) = rx.recv() {
+    while let Ok(Request { job, rows: (r0, r1), shard_ix, inject_panic, reply }) = rx.recv() {
         let started = Instant::now();
-        let reply = if req.cancel.load(Ordering::Relaxed) {
+        let outcome = if job.cancel.load(Ordering::Relaxed) {
             Reply::Cancelled
         } else {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if req.inject_panic {
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                if inject_panic {
                     panic!("injected shard panic");
                 }
-                // Slice this shard's partition here, on the shard's own
-                // (pinned) CPUs: the row-block copies of all shards run in
-                // parallel instead of serializing on the driver.
-                let (r0, r1) = req.rows;
-                let main = req.main.row_slice(r0, r1);
-                let side_mats: Vec<Matrix> = req
-                    .sides
-                    .iter()
-                    .zip(&req.partition)
-                    .map(|(s, &p)| if p { s.row_slice(r0, r1) } else { s.clone() })
-                    .collect();
-                let sides: Vec<SideInput> = side_mats.iter().map(SideInput::bind).collect();
-                let outs = spoof::execute(
-                    &req.op.spec,
-                    Some(&main),
-                    &sides,
-                    &req.scalars,
-                    main.rows(),
-                    req.iter_cols,
-                );
-                drop(sides);
-                outs
+                // This shard's partition: row bands sharing the job's buffers.
+                let main = job.main.row_slice(r0, r1);
+                let bind = |(s, &p): (&Matrix, &bool)| {
+                    SideInput::bind(&if p { s.row_slice(r0, r1) } else { s.clone() })
+                };
+                let sides: Vec<SideInput> =
+                    job.sides.iter().zip(&job.partition).map(bind).collect();
+                let (spec, rows) = (&job.op.spec, main.rows());
+                spoof::execute(spec, Some(&main), &sides, &job.scalars, rows, job.iter_cols)
             }));
-            match outcome {
+            match ran {
                 Ok(outs) => Reply::Ok(outs),
                 Err(payload) => Reply::Panicked(panic_message(&*payload)),
             }
         };
+        // Let go of the inputs first: once the driver has every reply,
+        // nothing but its own handle shares them.
+        drop(job);
         let nanos = started.elapsed().as_nanos() as u64;
-        let _ = req.reply.send((req.shard_ix, reply, nanos));
+        let _ = reply.send((shard_ix, outcome, nanos));
     }
 }
 
-/// Merges per-shard partial outputs. Concat keeps the partials' shared
-/// format class (all-sparse stays CSR, bitwise-identical to unsharded
-/// execution); element-wise merges fold dense partial aggregates.
-fn merge_parts(plan: &MergePlan, parts: &[Vec<Matrix>]) -> Vec<Matrix> {
+/// Merges per-shard partial outputs, consuming them (their buffers go back
+/// to the pool). Concat keeps the partials' shared format class (all-sparse
+/// stays CSR, bitwise-identical to unsharded execution) and assembles one
+/// pooled buffer; element-wise merges fold every later partial into the
+/// first shard's in place (only a shared or sparse partial is copied).
+fn merge_parts(plan: &MergePlan, parts: Vec<Vec<Matrix>>) -> Vec<Matrix> {
     let n_outs = parts.first().map(Vec::len).unwrap_or(0);
-    match plan {
-        MergePlan::ConcatRows => (0..n_outs)
-            .map(|j| {
-                let ms: Vec<Matrix> = parts.iter().map(|p| p[j].clone()).collect();
-                Matrix::concat_rows(&ms)
-            })
-            .collect(),
-        MergePlan::Elementwise(ops) => (0..n_outs)
-            .map(|j| {
-                let op = ops.get(j).copied().unwrap_or(MergeOp::Add);
-                let mut acc = parts[0][j].to_dense();
-                for p in &parts[1..] {
-                    let d = p[j].to_dense();
+    // Per output, its partials in shard order.
+    let mut per_out: Vec<Vec<Matrix>> = vec![Vec::new(); n_outs];
+    for shard in parts {
+        per_out.iter_mut().zip(shard).for_each(|(ms, m)| ms.push(m));
+    }
+    let merge_one = |(j, ms): (usize, Vec<Matrix>)| match plan {
+        MergePlan::ConcatRows => {
+            let out = Matrix::concat_rows(&ms);
+            ms.into_iter().for_each(Matrix::recycle);
+            out
+        }
+        MergePlan::Elementwise(ops) => {
+            let op = ops.get(j).copied().unwrap_or(MergeOp::Add);
+            let acc = ms
+                .into_iter()
+                .map(|m| m.try_into_dense().unwrap_or_else(|m| m.to_dense()))
+                .reduce(|mut acc, d| {
                     for (a, &b) in acc.values_mut().iter_mut().zip(d.values()) {
                         *a = match op {
                             MergeOp::Add => *a + b,
@@ -738,11 +736,13 @@ fn merge_parts(plan: &MergePlan, parts: &[Vec<Matrix>]) -> Vec<Matrix> {
                             MergeOp::Max => a.max(b),
                         };
                     }
-                }
-                Matrix::dense(acc)
-            })
-            .collect(),
-    }
+                    pool::give(d.into_values());
+                    acc
+                });
+            Matrix::dense(acc.expect("a sharded execution has at least one partial"))
+        }
+    };
+    per_out.into_iter().enumerate().map(merge_one).collect()
 }
 
 #[cfg(test)]
@@ -868,11 +868,11 @@ mod tests {
         let a = vec![Matrix::dense(DenseMatrix::new(1, 3, vec![1.0, 5.0, -2.0]))];
         let b = vec![Matrix::dense(DenseMatrix::new(1, 3, vec![4.0, 2.0, -7.0]))];
         let parts = vec![a, b];
-        let add = merge_parts(&MergePlan::Elementwise(vec![MergeOp::Add]), &parts);
+        let add = merge_parts(&MergePlan::Elementwise(vec![MergeOp::Add]), parts.clone());
         assert_eq!(add[0].as_dense().values(), &[5.0, 7.0, -9.0]);
-        let min = merge_parts(&MergePlan::Elementwise(vec![MergeOp::Min]), &parts);
+        let min = merge_parts(&MergePlan::Elementwise(vec![MergeOp::Min]), parts.clone());
         assert_eq!(min[0].as_dense().values(), &[1.0, 2.0, -7.0]);
-        let max = merge_parts(&MergePlan::Elementwise(vec![MergeOp::Max]), &parts);
+        let max = merge_parts(&MergePlan::Elementwise(vec![MergeOp::Max]), parts);
         assert_eq!(max[0].as_dense().values(), &[4.0, 5.0, -2.0]);
     }
 

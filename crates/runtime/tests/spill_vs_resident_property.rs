@@ -133,9 +133,13 @@ proptest! {
     }
 }
 
-/// Deterministic out-of-core chain on the default worker pool: spills occur,
-/// every spilled value is faulted back (no orphan files), and the tracked
-/// peak sits below the unbounded run's peak.
+/// Deterministic out-of-core chain: spills occur, every spilled value is
+/// faulted back (no orphan files), and the tracked peak sits below the
+/// unbounded run's peak. Both engines run one scheduler worker, because
+/// whether the anchor spills at all is a property of the schedule: with two
+/// workers `sum(anchor)` runs beside the first `sq`, the anchor retires
+/// before the chain needs its bytes, and nothing is ever evicted (measured
+/// on 2 cores: spilled_bytes 0 and the loose run's peak, 5 runs of 5).
 #[test]
 fn deterministic_chain_spills_and_reloads_everything() {
     let (rows, cols) = (300, 200); // 480 KB per value
@@ -152,12 +156,12 @@ fn deterministic_chain_spills_and_reloads_everything() {
     let mut bindings = Bindings::new();
     bindings.insert("X".into(), generate::rand_dense(rows, cols, 0.9, 1.1, 7));
 
-    let loose = Engine::new(FusionMode::Base);
+    let loose = Engine::builder(FusionMode::Base).workers(1).build();
     let expect = loose.execute(&dag, &bindings).into_values();
     let loose_peak = loose.stats().scheduler_snapshot().peak_bytes;
 
     let budget = 2 * 8 * rows * cols + 8 * rows * cols / 2; // 2.5 values
-    let tight = Engine::builder(FusionMode::Base).memory_budget(budget).build();
+    let tight = Engine::builder(FusionMode::Base).memory_budget(budget).workers(1).build();
     let got = tight.execute(&dag, &bindings).into_values();
     assert_bitwise_eq(&got, &expect, FusionMode::Base, &[]);
 

@@ -26,7 +26,7 @@ use fusedml::hop::interp::bind;
 use fusedml::hop::DagBuilder;
 use fusedml::linalg::fault::{FaultPlan, FaultSite};
 use fusedml::linalg::generate;
-use fusedml::runtime::EngineBuilder;
+use fusedml::runtime::{CompiledScript, EngineBuilder};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -171,14 +171,15 @@ fn main() {
     let bulk_script = sharded.compile(&bulk);
     let batch_x = generate::rand_dense(n, m, -1.0, 1.0, 7);
     let model_v = generate::rand_dense(m, 1, -0.5, 0.5, 8);
+    let bulk_bindings = bind(&[("X", batch_x), ("v", model_v)]);
     let t1 = std::time::Instant::now();
-    let out = bulk_script.execute(&bind(&[("X", batch_x), ("v", model_v)]));
+    let out = bulk_script.execute(&bulk_bindings);
     let bulk_elapsed = t1.elapsed();
     let scores = out.matrix(0);
     assert_eq!((scores.rows(), scores.cols()), (n, 1));
     let snap = out.sched();
     println!(
-        "sharded scorer: {n} rows in {bulk_elapsed:?} across {} shard(s); {} sharded op(s), \
+        "sharded scorer: {n} rows in {bulk_elapsed:?} (cold) across {} shard(s); {} sharded op(s), \
          broadcast {:.1} KB, partials {:.2} MB, merge {} us, skew {:.2}x",
         sharded.shards(),
         snap.sharded_ops,
@@ -187,8 +188,40 @@ fn main() {
         snap.shard_merge_us,
         snap.shard_skew_milli as f64 / 1e3,
     );
+    let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
     assert_eq!(sharded.shards(), 4, "the builder knob spawns the requested pool");
-    assert!(snap.sharded_ops > 0, "the planner must shard a 200kx128 scorer");
-    assert_eq!(snap.shards_used, 4, "the bulk batch must use every shard");
-    assert!(snap.shard_partial_bytes > 0, "per-shard score blocks flow back to the driver");
+    if cores >= 2 {
+        assert!(snap.sharded_ops > 0, "the planner must shard a 200kx128 scorer");
+        assert_eq!(snap.shards_used, 4, "the bulk batch must use every shard");
+        assert!(snap.shard_partial_bytes > 0, "per-shard score blocks flow back to the driver");
+    } else {
+        assert_eq!(
+            snap.sharded_ops, 0,
+            "one core runs one shard at a time: the planner stays local"
+        );
+    }
+
+    // Warm medians, side by side: the same batch on the sharded engine (each
+    // shard scans its rows of X in place) and on a plain local engine using
+    // the same cores as kernel threads. Reported, not asserted: the ratio
+    // belongs to the machine.
+    let warm_median_ms = |script: &CompiledScript| {
+        let mut ms: Vec<f64> = (0..9)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                let _ = script.execute(&bulk_bindings);
+                t.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        ms.sort_by(f64::total_cmp);
+        ms[ms.len() / 2]
+    };
+    let local = EngineBuilder::new(FusionMode::Gen).build();
+    let local_script = local.compile(&bulk);
+    let _warmup = local_script.execute(&bulk_bindings);
+    let (sharded_ms, local_ms) = (warm_median_ms(&bulk_script), warm_median_ms(&local_script));
+    println!(
+        "bulk scorer warm median of 9 on {cores} core(s): sharded (4 shards x 1 thread) \
+         {sharded_ms:.1} ms, local {local_ms:.1} ms"
+    );
 }
