@@ -6,8 +6,9 @@
 //! The benchmark harness reproducing every table and figure of the paper's
 //! evaluation (§5). Each experiment is a library function printing the
 //! paper-style rows; the `repro` binary dispatches by experiment id
-//! (`fig8`…`fig13`, `table3`…`table6`), and the Criterion benches sample
-//! representative points of the same workloads.
+//! (`fig8`…`fig13`, `table3`…`table6`). `fusebench/` (a package of its
+//! own) imports the Figure 8 / Figure 12 DAG builders from here and is the
+//! harness whose run-to-run spread is known.
 //!
 //! Data sizes are scaled down from the paper by a documented factor (the
 //! harness runs on one machine); the reproduction target is the *shape* of
@@ -27,25 +28,6 @@ use std::time::Instant;
 pub const MODES: [FusionMode; 5] =
     [FusionMode::Base, FusionMode::Fused, FusionMode::Gen, FusionMode::GenFA, FusionMode::GenFNR];
 
-/// Median wall-clock seconds of `reps` executions of a DAG under a mode.
-/// The DAG is compiled once ([`Engine::compile`]); the warm-up execution
-/// fills the buffer pool, and the timed repetitions run the compiled script
-/// with zero re-optimization.
-pub fn time_dag(mode: FusionMode, dag: &HopDag, bindings: &Bindings, reps: usize) -> f64 {
-    let engine = Engine::new(mode);
-    let script = engine.compile(dag);
-    let _ = script.execute(bindings); // warm-up: fills pool + kernel caches
-    let mut times: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            let _ = script.execute(bindings);
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
 /// One timed run of a DAG under a mode, with the engine's fused-kernel
 /// classification counters for a single execution (see
 /// [`fusedml_runtime::ExecStats::mono_snapshot`]).
@@ -62,9 +44,12 @@ pub struct TimedStats {
     pub interp_fused_ops: usize,
 }
 
-/// Like [`time_dag`], but also reports how the fused operators executed:
-/// the per-run `fused`/`mono`/`interpreted` counters from the engine's
-/// [`fusedml_runtime::ExecStats`].
+/// Median wall-clock seconds of `reps` executions of a DAG under a mode,
+/// plus how the fused operators executed: the per-run
+/// `fused`/`mono`/`interpreted` counters from the engine's
+/// [`fusedml_runtime::ExecStats`]. The DAG is compiled once
+/// ([`Engine::compile`]); the warm-up execution fills the buffer pool, and
+/// the timed repetitions run the compiled script with zero re-optimization.
 pub fn time_dag_stats(
     mode: FusionMode,
     dag: &HopDag,

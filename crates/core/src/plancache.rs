@@ -276,8 +276,8 @@ impl std::ops::Deref for RowKernelCache {
 
 /// The lowered-kernel caches of one engine: the block kernels the
 /// Cell/MAgg/Outer skeletons dispatch and the band-lowered Row kernels,
-/// plus the engine's per-instance execution knobs (tile width, cell
-/// backend) that the skeletons read alongside the kernels.
+/// plus the tile width and cell backend the skeletons read alongside the
+/// kernels.
 /// Shared (via `Arc`) between the engine's [`PlanCache`] — which warms them
 /// at compile time — and its runtime skeletons, which look kernels up at
 /// execution time. There is deliberately no process-wide instance.
@@ -308,15 +308,16 @@ impl KernelCaches {
     }
 
     /// Kernel caches bounded at `capacity` lowered kernels each (the engine
-    /// builder passes its plan-cache capacity, so the compiled-state bound
-    /// covers operators *and* their kernels).
+    /// passes its plan-cache capacity, so the compiled-state bound covers
+    /// operators *and* their kernels), default tile width and backend.
     pub fn with_capacity(capacity: usize) -> Arc<KernelCaches> {
         Self::with_config(capacity, crate::spoof::block::DEFAULT_TILE_WIDTH, CellBackend::default())
     }
 
-    /// Kernel caches with per-engine execution knobs: `capacity` bounds each
-    /// cache, `tile_width` is clamped to the supported range, and `backend`
-    /// selects the Cell/MAgg/Outer execution path.
+    /// Kernel caches with an explicit tile width and backend, for the
+    /// differential suites: `capacity` bounds each cache, `tile_width` is
+    /// clamped to the supported range, and `backend` selects the
+    /// Cell/MAgg/Outer execution path.
     pub fn with_config(
         capacity: usize,
         tile_width: usize,

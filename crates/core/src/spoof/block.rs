@@ -5,9 +5,9 @@
 //! instruction-dispatch `match` per *cell*, which the paper's janino-compiled
 //! Java never does. This module amortizes that dispatch over fixed-width
 //! tiles: a scalar [`Program`] is lowered once into a [`BlockProgram`] whose
-//! registers are tiles of [`DEFAULT_TILE_WIDTH`] doubles (per-engine
-//! configurable), so each instruction becomes one tight, auto-vectorizable
-//! loop per tile instead of one `match` per cell.
+//! registers are tiles of [`DEFAULT_TILE_WIDTH`] doubles, so each instruction
+//! becomes one tight, auto-vectorizable loop per tile instead of one `match`
+//! per cell.
 //!
 //! Lowering classifies every scalar register by *variance*:
 //!
@@ -36,31 +36,29 @@ pub type TReg = u16;
 /// register: a handful of live registers stay comfortably inside L1.
 pub const DEFAULT_TILE_WIDTH: usize = 256;
 
-/// Clamps a tile width to the supported range (`8..=8192`). Engine
-/// configuration and the `tile_sweep` benchmark funnel through this so an
-/// out-of-range knob can never produce a degenerate evaluator.
+/// Clamps a tile width to the supported range (`8..=8192`), so an
+/// out-of-range `KernelCaches::with_config` width can never produce a
+/// degenerate evaluator.
 pub fn clamp_tile_width(w: usize) -> usize {
     w.clamp(8, 8192)
 }
 
-/// Which execution backend the Cell/MAgg/Outer skeletons use.
-///
-/// Selected per engine via `EngineBuilder::cell_backend` (the former
-/// process-global setter is gone; PR 5's no-global-state contract now
-/// covers the spoof knobs too).
+/// Which execution tier the Cell/MAgg/Outer skeletons use. Engines always
+/// run [`CellBackend::Mono`]; the differential suites reach the other two
+/// through the skeletons' `execute_with` and `KernelCaches::with_config`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CellBackend {
     /// The per-cell scalar interpreter (retained as the differential-test
     /// oracle and for the compressed-input skeleton).
     Scalar,
-    /// The generic tile evaluator.
+    /// The generic tile evaluator alone: the fallback every program that
+    /// does not classify takes in production, forced for all of them.
     Block,
-    /// Tile evaluator plus closure-specialized fast kernels (the analogue
-    /// of the paper's janino-compiled operators).
-    BlockFast,
-    /// BlockFast plus whole-program monomorphized kernels (default): tile
-    /// programs that classify into a [`super::mono`] shape template run as
-    /// static Rust loop instances over the SIMD primitive layer, bypassing
+    /// Tile evaluator plus the specialized static kernels (default):
+    /// product chains run as fused closures (the analogue of the paper's
+    /// janino-compiled operators), and every other tile program that
+    /// classifies into a [`super::mono`] shape template runs as a static
+    /// Rust loop instance over the SIMD primitive layer, bypassing
     /// per-instruction dispatch entirely.
     #[default]
     Mono,

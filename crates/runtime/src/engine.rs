@@ -51,10 +51,8 @@ use crate::handcoded;
 use crate::schedule::{self, TaskGraph};
 use crate::spoof;
 use fusedml_core::codegen::CodegenOptions;
-use fusedml_core::opt::{CostModel, EnumConfig};
 use fusedml_core::optimizer::{dag_structural_hash, FusionPlan, Optimizer};
 use fusedml_core::plancache::{KernelCaches, PlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
-use fusedml_core::spoof::block::CellBackend;
 use fusedml_core::util::LruMap;
 use fusedml_core::FusionMode;
 use fusedml_hop::interp::{self, Bindings};
@@ -68,33 +66,24 @@ use fusedml_linalg::Matrix;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Configures and builds an [`Engine`].
 ///
 /// Every knob that used to live in a per-call path or a process-wide static
-/// is set here, once, and owned by the built engine: the fusion mode,
-/// optimizer configuration (cost model, enumeration, codegen), the
-/// inter-operator worker count, the memory budget of the buffer pool, and
-/// the plan-cache capacity.
+/// is set here, once, and owned by the built engine: the fusion mode, the
+/// code-generation options, the inter-operator worker count, the memory
+/// budget, plan caching, and the shard pool.
 pub struct EngineBuilder {
     mode: FusionMode,
     workers: usize,
     memory_budget: usize,
-    pool_buffers_per_class: usize,
-    plan_cache_capacity: usize,
     cache_plans: bool,
-    model: Option<CostModel>,
     codegen: Option<CodegenOptions>,
-    enum_cfg: Option<EnumConfig>,
-    spill_threshold: Option<usize>,
     spill_dir: Option<PathBuf>,
-    prefetch_depth: usize,
     faults: Option<Arc<FaultPlan>>,
     verify_plans: bool,
-    tile_width: usize,
-    cell_backend: CellBackend,
     shards: usize,
     shard_threads: usize,
     force_shard: bool,
@@ -108,19 +97,11 @@ impl EngineBuilder {
             mode,
             workers: schedule::DEFAULT_MAX_WORKERS,
             memory_budget: 1 << 30,
-            pool_buffers_per_class: 32,
-            plan_cache_capacity: DEFAULT_PLAN_CACHE_CAPACITY,
             cache_plans: true,
-            model: None,
             codegen: None,
-            enum_cfg: None,
-            spill_threshold: None,
             spill_dir: None,
-            prefetch_depth: schedule::DEFAULT_PREFETCH_DEPTH,
             faults: None,
             verify_plans: cfg!(debug_assertions),
-            tile_width: fusedml_core::spoof::block::DEFAULT_TILE_WIDTH,
-            cell_backend: CellBackend::default(),
             shards: 1,
             shard_threads: 0,
             force_shard: false,
@@ -178,19 +159,10 @@ impl EngineBuilder {
     }
 
     /// The engine's memory budget in bytes: the retention cap of the buffer
-    /// pool *and* (unless overridden by [`EngineBuilder::spill_threshold`])
-    /// the resident-bytes budget the scheduler enforces by spilling cold
-    /// values to disk — a real contract, not advice.
+    /// pool *and* the resident-bytes budget the scheduler enforces by
+    /// spilling cold values to disk — a real contract, not advice.
     pub fn memory_budget(mut self, bytes: usize) -> Self {
         self.memory_budget = bytes;
-        self
-    }
-
-    /// Overrides the resident-bytes threshold above which the scheduler
-    /// evicts cold values to the spill tier (defaults to the memory budget;
-    /// `usize::MAX` disables spilling entirely).
-    pub fn spill_threshold(mut self, bytes: usize) -> Self {
-        self.spill_threshold = Some(bytes);
         self
     }
 
@@ -199,13 +171,6 @@ impl EngineBuilder {
     /// with any remaining files, when the engine drops.
     pub fn spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
-        self
-    }
-
-    /// Bounds queued/in-flight asynchronous spill-reload jobs per execution
-    /// (beyond it, consumers fault their inputs back synchronously).
-    pub fn prefetch_depth(mut self, n: usize) -> Self {
-        self.prefetch_depth = n;
         self
     }
 
@@ -219,44 +184,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Buffers retained per power-of-two size class in the pool.
-    pub fn pool_buffers_per_class(mut self, n: usize) -> Self {
-        self.pool_buffers_per_class = n.max(1);
-        self
-    }
-
-    /// Maximum distinct compiled operators retained by the plan cache.
-    pub fn plan_cache_capacity(mut self, n: usize) -> Self {
-        self.plan_cache_capacity = n.max(1);
-        self
-    }
-
     /// Enables or disables fusion-plan caching (disabled = re-optimize on
     /// every call, as in the compilation-overhead experiments).
     pub fn cache_plans(mut self, on: bool) -> Self {
         self.cache_plans = on;
-        self
-    }
-
-    /// Tile width of the block-vectorized cell backends (clamped to
-    /// 8..=8192). Per-engine configuration — formerly a process global.
-    pub fn tile_width(mut self, w: usize) -> Self {
-        self.tile_width = fusedml_core::spoof::block::clamp_tile_width(w);
-        self
-    }
-
-    /// Selects the cell-program execution backend for this engine's fused
-    /// operators: `Scalar` (interpreter oracle), `Block` (generic tiles),
-    /// `BlockFast` (closure-specialized product chains), or `Mono` (default:
-    /// closure specialization plus whole-program monomorphized kernels).
-    pub fn cell_backend(mut self, b: CellBackend) -> Self {
-        self.cell_backend = b;
-        self
-    }
-
-    /// Overrides the optimizer's cost model.
-    pub fn cost_model(mut self, model: CostModel) -> Self {
-        self.model = Some(model);
         self
     }
 
@@ -266,36 +197,19 @@ impl EngineBuilder {
         self
     }
 
-    /// Overrides the enumeration configuration (`MPSkipEnum` knobs).
-    pub fn enum_config(mut self, cfg: EnumConfig) -> Self {
-        self.enum_cfg = Some(cfg);
-        self
-    }
-
     /// Builds the engine: allocates its buffer pool, kernel caches, plan
     /// cache, optimizer, and statistics.
     pub fn build(self) -> Engine {
-        let kernels =
-            KernelCaches::with_config(self.plan_cache_capacity, self.tile_width, self.cell_backend);
+        let kernels = KernelCaches::with_capacity(DEFAULT_PLAN_CACHE_CAPACITY);
         let plan_cache =
-            Arc::new(PlanCache::with_kernels(Arc::clone(&kernels), self.plan_cache_capacity));
+            Arc::new(PlanCache::with_kernels(Arc::clone(&kernels), DEFAULT_PLAN_CACHE_CAPACITY));
         let mut optimizer = Optimizer::with_plan_cache(self.mode, plan_cache);
-        if let Some(m) = self.model {
-            optimizer.model = m;
-        }
         if let Some(c) = self.codegen {
             optimizer.codegen = c;
         }
-        if let Some(e) = self.enum_cfg {
-            optimizer.enum_cfg = e;
-        }
         let pool: PoolHandle =
-            Arc::new(BufferPool::with_limits(self.memory_budget, self.pool_buffers_per_class));
-        let mut store = TieredStore::new(
-            Arc::clone(&pool),
-            self.spill_threshold.unwrap_or(self.memory_budget),
-            self.spill_dir,
-        );
+            Arc::new(BufferPool::with_limits(self.memory_budget, POOL_BUFFERS_PER_CLASS));
+        let mut store = TieredStore::new(Arc::clone(&pool), self.memory_budget, self.spill_dir);
         if let Some(f) = &self.faults {
             store = store.with_faults(Arc::clone(f));
         }
@@ -324,19 +238,21 @@ impl EngineBuilder {
                 store,
                 stats: Arc::new(ExecStats::default()),
                 workers: self.workers,
-                prefetch_depth: self.prefetch_depth,
                 faults: self.faults,
                 verify_plans: self.verify_plans,
                 shard_pool,
                 force_shard: self.force_shard,
-                cache_plans: AtomicBool::new(self.cache_plans),
+                cache_plans: self.cache_plans,
                 compile_lock: Mutex::new(()),
-                plans: Mutex::new(LruMap::new(self.plan_cache_capacity)),
-                scripts: Mutex::new(LruMap::new(self.plan_cache_capacity)),
+                plans: Mutex::new(LruMap::new(DEFAULT_PLAN_CACHE_CAPACITY)),
+                scripts: Mutex::new(LruMap::new(DEFAULT_PLAN_CACHE_CAPACITY)),
             }),
         }
     }
 }
+
+/// Buffers the engine's pool retains per power-of-two size class.
+const POOL_BUFFERS_PER_CLASS: usize = 32;
 
 /// Maximum geometry-revalidation variants retained per compiled script;
 /// beyond this, the oldest variant is dropped (recompiled on demand if that
@@ -356,7 +272,6 @@ struct EngineInner {
     store: TieredStore,
     stats: Arc<ExecStats>,
     workers: usize,
-    prefetch_depth: usize,
     /// Deterministic chaos harness consulted at every injectable site;
     /// `None` in production engines.
     faults: Option<Arc<FaultPlan>>,
@@ -371,7 +286,9 @@ struct EngineInner {
     /// Shard every legally-shardable operator, skipping the cost comparison
     /// (`EngineBuilder::force_shard`; differential-test hook).
     force_shard: bool,
-    cache_plans: AtomicBool,
+    /// Cache fusion plans and compiled scripts by structural DAG hash
+    /// (`EngineBuilder::cache_plans`; off = re-optimize on every compile).
+    cache_plans: bool,
     /// Serializes cold script compilation so N threads racing on the same
     /// uncached DAG run the optimizer once (the "exactly once" contract
     /// holds even for a cold start; cached lookups never take this lock).
@@ -418,11 +335,6 @@ impl Engine {
     /// threads of this engine).
     pub fn stats(&self) -> &ExecStats {
         &self.inner.stats
-    }
-
-    /// A clonable handle to the shared statistics.
-    pub fn stats_handle(&self) -> Arc<ExecStats> {
-        Arc::clone(&self.inner.stats)
     }
 
     /// The optimizer (cost model, codegen options, codegen statistics).
@@ -488,16 +400,6 @@ impl Engine {
         self.inner.verify_plans
     }
 
-    /// Whether fusion plans (and compiled scripts) are cached.
-    pub fn plan_caching(&self) -> bool {
-        self.inner.cache_plans.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables fusion-plan caching at runtime.
-    pub fn set_plan_caching(&self, on: bool) {
-        self.inner.cache_plans.store(on, Ordering::Relaxed);
-    }
-
     /// Installs this engine's buffer pool and kernel caches on the current
     /// thread until the returned guard drops. Driver loops that recycle
     /// values or update buffers *between* `execute` calls (e.g. iterative
@@ -534,7 +436,7 @@ impl Engine {
     /// rejection — a rejected artifact can never execute.
     pub fn try_compile(&self, dag: &HopDag) -> Result<CompiledScript, ExecError> {
         let key = dag_structural_hash(dag);
-        if self.plan_caching() {
+        if self.inner.cache_plans {
             if let Some(s) = self.inner.scripts.lock().get(key) {
                 return Ok(CompiledScript { engine: self.clone(), inner: Arc::clone(s) });
             }
@@ -542,13 +444,13 @@ impl Engine {
         // Cold compile: serialize, and re-probe the cache once the lock is
         // held — a racing thread may have just compiled this DAG.
         let _cold = self.inner.compile_lock.lock();
-        if self.plan_caching() {
+        if self.inner.cache_plans {
             if let Some(s) = self.inner.scripts.lock().get(key) {
                 return Ok(CompiledScript { engine: self.clone(), inner: Arc::clone(s) });
             }
         }
         let inner = Arc::new(self.inner.compile_script(dag)?);
-        if self.plan_caching() {
+        if self.inner.cache_plans {
             self.inner.scripts.lock().insert(key, Arc::clone(&inner));
         }
         Ok(CompiledScript { engine: self.clone(), inner })
@@ -569,88 +471,21 @@ impl Engine {
         self.try_compile(dag)?.try_execute(bindings)
     }
 
-    /// Executes a DAG sequentially with the retained seed-era paths (the
-    /// reference interpreter for `Base`, the demand-driven hand-coded
-    /// interpreter for `Fused`, the recursive materializer for Gen modes) —
-    /// the oracle the scheduled engine is differentially tested against.
-    pub fn execute_sequential(&self, dag: &HopDag, bindings: &Bindings) -> Vec<Value> {
-        let inner = &self.inner;
-        let _pool = pool::enter(&inner.pool);
-        let _kern = spoof::enter_kernels(&inner.kernels);
-        match inner.mode {
-            FusionMode::Base => interp::interpret(dag, bindings),
-            FusionMode::Fused => handcoded::interpret(dag, bindings, &inner.stats),
-            _ => {
-                let plan = self.plan_for(dag);
-                exec::plan_sequential(dag, &plan, bindings, &inner.stats)
-            }
-        }
-    }
-
     /// Returns the (possibly cached) fusion plan for a DAG.
     pub fn plan_for(&self, dag: &HopDag) -> Arc<FusionPlan> {
         self.inner.plan_for(dag)
-    }
-
-    /// Executes a DAG under an explicit fusion plan through the scheduled
-    /// engine. The plan is revalidated: when it was optimized for a
-    /// different DAG geometry, it is discarded and the DAG re-optimized —
-    /// the costed operators' iteration spaces would otherwise be stale.
-    pub fn execute_with_plan(
-        &self,
-        dag: &HopDag,
-        plan: &FusionPlan,
-        bindings: &Bindings,
-    ) -> Vec<Value> {
-        self.try_execute_with_plan(dag, plan, bindings).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Engine::execute_with_plan`]: binding defects and
-    /// runtime failures come back as a typed [`ExecError`] instead of
-    /// panicking, and the engine stays reusable after any of them.
-    pub fn try_execute_with_plan(
-        &self,
-        dag: &HopDag,
-        plan: &FusionPlan,
-        bindings: &Bindings,
-    ) -> Result<Vec<Value>, ExecError> {
-        interp::validate_bindings(dag, bindings)?;
-        let replacement = self.inner.revalidate(dag, plan);
-        let plan: &FusionPlan = replacement.as_deref().unwrap_or(plan);
-        let graph = schedule::prepare(dag, Some(plan), None);
-        let inner = &self.inner;
-        let result = schedule::run(&graph, dag, Some(plan), bindings, &inner.exec_ctx());
-        inner.pool.advance_epoch();
-        Ok(result?.0)
-    }
-
-    /// The sequential twin of [`Engine::execute_with_plan`] (same
-    /// revalidation guard, seed-era recursive materializer).
-    pub fn execute_with_plan_sequential(
-        &self,
-        dag: &HopDag,
-        plan: &FusionPlan,
-        bindings: &Bindings,
-    ) -> Vec<Value> {
-        let replacement = self.inner.revalidate(dag, plan);
-        let plan: &FusionPlan = replacement.as_deref().unwrap_or(plan);
-        let inner = &self.inner;
-        let _pool = pool::enter(&inner.pool);
-        let _kern = spoof::enter_kernels(&inner.kernels);
-        exec::plan_sequential(dag, plan, bindings, &inner.stats)
     }
 }
 
 impl EngineInner {
     /// The execution context handed to the scheduler: this engine's stats,
-    /// two-tier store, kernel caches, and worker/prefetch limits.
+    /// two-tier store, kernel caches, and worker limit.
     fn exec_ctx(&self) -> schedule::ExecCtx<'_> {
         schedule::ExecCtx {
             stats: &self.stats,
             max_workers: self.workers,
             store: &self.store,
             kernels: &self.kernels,
-            prefetch_depth: self.prefetch_depth,
             faults: self.faults.as_ref(),
             shards: self.shard_pool.as_ref(),
         }
@@ -662,7 +497,7 @@ impl EngineInner {
     }
 
     fn plan_for(&self, dag: &HopDag) -> Arc<FusionPlan> {
-        if !self.cache_plans.load(Ordering::Relaxed) {
+        if !self.cache_plans {
             return Arc::new(self.optimizer.optimize(dag));
         }
         let key = dag_structural_hash(dag);
@@ -672,18 +507,6 @@ impl EngineInner {
         let p = Arc::new(self.optimizer.optimize(dag));
         self.plans.lock().insert(key, Arc::clone(&p));
         p
-    }
-
-    /// The shape-revalidation guard for explicitly supplied plans: `None`
-    /// when the plan matches the DAG's geometry (use it as-is, no copy),
-    /// otherwise the re-optimized replacement (counted as a recompile).
-    fn revalidate(&self, dag: &HopDag, plan: &FusionPlan) -> Option<Arc<FusionPlan>> {
-        if plan.matches(dag) {
-            None
-        } else {
-            self.stats.plan_recompiles.fetch_add(1, Ordering::Relaxed);
-            Some(self.plan_for(dag))
-        }
     }
 
     /// Compiles one geometry variant: plan / patterns / task graph /
@@ -791,23 +614,12 @@ impl CompiledScript {
     /// afterwards, and concurrent executions on sibling threads are never
     /// affected.
     pub fn try_execute(&self, bindings: &Bindings) -> Result<Outputs, ExecError> {
-        for name in &self.inner.input_names {
-            if bindings.get(name).is_none() {
-                return Err(ExecError::UnboundInput { name: name.clone() });
-            }
-        }
-        // Geometry revalidation recompiles for reshaped inputs; a geometry
-        // the size propagator rejects outright (mutually inconsistent
-        // shapes) panics inside compilation — contain that too. A verifier
-        // rejection of the recompiled variant surfaces as a typed error.
-        let v =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.variant_for(bindings)))
-                .map_err(|p| ExecError::WorkerPanic {
-                    op: "geometry revalidation".to_string(),
-                    message: panic_message(p.as_ref()),
-                })??;
-        interp::validate_bindings(&v.dag, bindings)?;
         let e = &self.engine.inner;
+        // A binding the script cannot run under never reaches the scheduler
+        // (which counts its own failures), so it is counted here.
+        let v = self.bind_variant(bindings).inspect_err(|_| {
+            e.stats.failed_executions.fetch_add(1, Ordering::Relaxed);
+        })?;
         let result = schedule::run(&v.graph, &v.dag, v.plan.as_deref(), bindings, &e.exec_ctx());
         // Epoch-bound the engine pool: buffers unused for a few DAGs retire.
         e.pool.advance_epoch();
@@ -815,23 +627,36 @@ impl CompiledScript {
         Ok(Outputs { values, sched })
     }
 
-    /// Executes sequentially with the retained seed-era oracle paths (same
-    /// revalidation guard; used by differential tests).
+    /// Checks the bindings and resolves the variant compiled for their
+    /// geometry. Geometry revalidation recompiles for reshaped inputs; a
+    /// panic inside that compilation is contained here, and a verifier
+    /// rejection of the recompiled variant surfaces as a typed error.
+    fn bind_variant(&self, bindings: &Bindings) -> Result<Arc<ScriptVariant>, ExecError> {
+        for name in &self.inner.input_names {
+            if bindings.get(name).is_none() {
+                return Err(ExecError::UnboundInput { name: name.clone() });
+            }
+        }
+        let v =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.variant_for(bindings)))
+                .map_err(|p| ExecError::WorkerPanic {
+                    op: "geometry revalidation".to_string(),
+                    message: panic_message(p.as_ref()),
+                })??;
+        interp::validate_bindings(&v.dag, bindings)?;
+        Ok(v)
+    }
+
+    /// Executes sequentially with the retained seed-era materializer (same
+    /// revalidation guard): the oracle the scheduled engine is
+    /// differentially tested against, bitwise, in every fusion mode.
     pub fn execute_sequential(&self, bindings: &Bindings) -> Vec<Value> {
         let v = self.variant_for(bindings).unwrap_or_else(|e| panic!("{e}"));
         let e = &self.engine.inner;
         let _pool = pool::enter(&e.pool);
         let _kern = spoof::enter_kernels(&e.kernels);
-        match e.mode {
-            FusionMode::Base => interp::interpret(&v.dag, bindings),
-            FusionMode::Fused => handcoded::interpret(&v.dag, bindings, &e.stats),
-            _ => exec::plan_sequential(
-                &v.dag,
-                v.plan.as_deref().expect("codegen mode implies a plan"),
-                bindings,
-                &e.stats,
-            ),
-        }
+        let patterns = (e.mode == FusionMode::Fused).then(|| handcoded::match_patterns(&v.dag));
+        exec::sequential(&v.dag, v.plan.as_deref(), patterns.as_ref(), bindings, &e.stats)
     }
 
     /// The engine this script was compiled by.
@@ -876,12 +701,11 @@ impl CompiledScript {
 
     /// Resolves the variant matching the bound geometry: the base plan when
     /// shapes agree, a cached recompile otherwise — compiling one on first
-    /// divergence (the shape-revalidation guard). Errs only when the plan
-    /// verifier rejects a freshly recompiled variant.
-    fn variant_for(
-        &self,
-        bindings: &Bindings,
-    ) -> Result<Arc<ScriptVariant>, crate::verify::VerifyError> {
+    /// divergence (the shape-revalidation guard). Errs when the size
+    /// propagator rejects the bound geometry (mutually inconsistent shapes)
+    /// or the plan verifier rejects the freshly recompiled variant; neither
+    /// caches anything.
+    fn variant_for(&self, bindings: &Bindings) -> Result<Arc<ScriptVariant>, ExecError> {
         // Fast path: compare the bound geometry against the costed shapes
         // in place — zero allocation on the (overwhelmingly common) case
         // that nothing changed. A missing binding falls through to
@@ -918,7 +742,17 @@ impl CompiledScript {
                 geometry.insert(name.clone(), (*brows, *bcols, sp));
             }
         }
-        let reshaped = base.dag.with_read_geometry(&geometry);
+        // `with_read_geometry` panics, with the builder's message, on shapes
+        // no DAG of this structure can have: that is the caller's binding
+        // defect, reported as the declared-shape check reports it (the first
+        // input that left its declared shape).
+        let reshaped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            base.dag.with_read_geometry(&geometry)
+        }))
+        .map_err(|_| {
+            interp::validate_bindings(&base.dag, bindings)
+                .expect_err("a diverged geometry differs from the declared one")
+        })?;
         let v = Arc::new(self.engine.inner.compile_variant(reshaped)?);
         let mut variants = self.inner.variants.lock();
         if let Some(existing) = variants.iter().find(|x| x.shapes == shapes) {

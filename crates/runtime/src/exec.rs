@@ -4,9 +4,10 @@
 //! [`crate::engine::CompiledScript`] (compile once, execute concurrently).
 //! This module keeps the shared [`ExecStats`] counters, the per-call
 //! [`SchedSnapshot`] delta, and the seed's recursive materializer
-//! (`plan_sequential`) that the scheduled engine is differentially tested
+//! (`sequential`) that the scheduled engine is differentially tested
 //! against.
 
+use crate::handcoded::{self, HcOperator};
 use crate::side::SideInput;
 use crate::spoof;
 pub use fusedml_core::optimizer::dag_structural_hash;
@@ -312,76 +313,89 @@ impl ExecStats {
 }
 
 /// The seed's recursive lazy materializer: every intermediate stays alive
-/// for the whole DAG and operators run one at a time. Backs the engine's
-/// `execute_sequential` oracle.
-pub(crate) fn plan_sequential(
+/// for the whole DAG and operators run one at a time. Takes the same
+/// `(plan, patterns)` pair as [`crate::schedule::prepare`] — generated
+/// operators (Gen modes), hand-coded instances (`Fused`), neither (`Base`) —
+/// and backs `CompiledScript::execute_sequential`, the oracle the scheduled
+/// engine is compared against.
+pub(crate) fn sequential(
     dag: &HopDag,
-    plan: &FusionPlan,
+    plan: Option<&FusionPlan>,
+    patterns: Option<&FxHashMap<HopId, HcOperator>>,
     bindings: &Bindings,
     stats: &ExecStats,
 ) -> Vec<Value> {
-    // Map root hop → (operator, output slot).
-    let mut op_roots: FxHashMap<HopId, (usize, usize)> = FxHashMap::default();
-    for (i, f) in plan.operators.iter().enumerate() {
-        for (slot, &r) in f.roots.iter().enumerate() {
-            op_roots.insert(r, (i, slot));
+    let operators = plan.map_or(&[][..], |p| &p.operators[..]);
+    // Map root hop → generated operator.
+    let mut op_roots: FxHashMap<HopId, &FusedOperator> = FxHashMap::default();
+    for f in operators {
+        for &r in &f.roots {
+            op_roots.insert(r, f);
         }
     }
+    let cx = Sequential { dag, op_roots, patterns, bindings, stats };
     let mut vals: Vec<Option<Value>> = vec![None; dag.len()];
     for &root in dag.roots() {
-        materialize(dag, plan, &op_roots, bindings, stats, &mut vals, root);
+        cx.materialize(&mut vals, root);
     }
     dag.roots().iter().map(|r| vals[r.index()].take().expect("root computed")).collect()
 }
 
-/// Lazily computes the value of `hop`, preferring its fused operator.
-fn materialize(
-    dag: &HopDag,
-    plan: &FusionPlan,
-    op_roots: &FxHashMap<HopId, (usize, usize)>,
-    bindings: &Bindings,
-    stats: &ExecStats,
-    vals: &mut Vec<Option<Value>>,
-    hop: HopId,
-) {
-    if vals[hop.index()].is_some() {
-        return;
-    }
-    if let Some(&(op_ix, _)) = op_roots.get(&hop) {
-        let f = &plan.operators[op_ix];
-        // Gather operator inputs.
-        for &m in f.cplan.main.iter() {
-            materialize(dag, plan, op_roots, bindings, stats, vals, m);
+/// What one [`sequential`] run reads while it recurses.
+struct Sequential<'a> {
+    dag: &'a HopDag,
+    op_roots: FxHashMap<HopId, &'a FusedOperator>,
+    patterns: Option<&'a FxHashMap<HopId, HcOperator>>,
+    bindings: &'a Bindings,
+    stats: &'a ExecStats,
+}
+
+impl Sequential<'_> {
+    /// Lazily computes the value of `hop`: through the generated or
+    /// hand-coded operator rooted there (whose interior hops then never
+    /// run), as a basic operator otherwise.
+    fn materialize(&self, vals: &mut Vec<Option<Value>>, hop: HopId) {
+        if vals[hop.index()].is_some() {
+            return;
         }
-        for &s in &f.cplan.sides {
-            materialize(dag, plan, op_roots, bindings, stats, vals, s);
+        if let Some(f) = self.op_roots.get(&hop) {
+            for &i in f.cplan.main.iter().chain(&f.cplan.sides).chain(&f.cplan.scalars) {
+                self.materialize(vals, i);
+            }
+            let outs = run_operator(f, vals, self.stats);
+            self.stats.fused_ops.fetch_add(1, Ordering::Relaxed);
+            for (slot, &r) in f.roots.iter().enumerate() {
+                let m = &outs[slot];
+                let v = if self.dag.hop(r).is_scalar() && m.is_scalar_shaped() {
+                    Value::Scalar(m.get(0, 0))
+                } else {
+                    Value::Matrix(m.clone())
+                };
+                vals[r.index()] = Some(v);
+            }
+            return;
         }
-        for &s in &f.cplan.scalars {
-            materialize(dag, plan, op_roots, bindings, stats, vals, s);
+        if let Some(hc) = self.patterns.and_then(|p| p.get(&hop)) {
+            for &i in &hc.inputs {
+                self.materialize(vals, i);
+            }
+            let inputs: Vec<Value> = hc
+                .inputs
+                .iter()
+                .map(|&i| vals[i.index()].clone().expect("input computed"))
+                .collect();
+            self.stats.handcoded_ops.fetch_add(1, Ordering::Relaxed);
+            vals[hop.index()] = Some(handcoded::exec_operator(hc, &inputs));
+            return;
         }
-        let outs = run_operator(f, vals, stats);
-        stats.fused_ops.fetch_add(1, Ordering::Relaxed);
-        for (slot, &r) in f.roots.iter().enumerate() {
-            let m = &outs[slot];
-            let v = if dag.hop(r).is_scalar() && m.is_scalar_shaped() {
-                Value::Scalar(m.get(0, 0))
-            } else {
-                Value::Matrix(m.clone())
-            };
-            vals[r.index()] = Some(v);
+        for &i in &self.dag.hop(hop).inputs {
+            self.materialize(vals, i);
         }
-        return;
+        if !self.dag.hop(hop).kind.is_leaf() {
+            self.stats.basic_ops.fetch_add(1, Ordering::Relaxed);
+        }
+        vals[hop.index()] = Some(interp::eval_op(self.dag, hop, vals, self.bindings));
     }
-    // Basic operator: compute inputs then evaluate.
-    let inputs = dag.hop(hop).inputs.clone();
-    for &i in &inputs {
-        materialize(dag, plan, op_roots, bindings, stats, vals, i);
-    }
-    if !dag.hop(hop).kind.is_leaf() {
-        stats.basic_ops.fetch_add(1, Ordering::Relaxed);
-    }
-    let v = interp::eval_op(dag, hop, vals, bindings);
-    vals[hop.index()] = Some(v);
 }
 
 /// Runs one fused operator with bound inputs.
@@ -583,33 +597,5 @@ mod tests {
                 assert!(fusedml_linalg::approx_eq(o.as_scalar(), e.as_scalar(), 1e-9), "{mode:?}");
             }
         }
-    }
-
-    /// The revalidation guard: a plan optimized for one geometry must not be
-    /// trusted on a reshaped DAG (the stale-plan bug).
-    #[test]
-    fn stale_plan_is_revalidated() {
-        let build = |n: usize| {
-            let mut b = fusedml_hop::DagBuilder::new();
-            let x = b.read("X", n, 64, 1.0);
-            let y = b.read("Y", n, 64, 1.0);
-            let m = b.mult(x, y);
-            let s = b.sum(m);
-            b.build(vec![s])
-        };
-        let exec = Engine::new(FusionMode::Gen);
-        let small = build(64);
-        let plan = exec.plan_for(&small);
-        // Reshaped DAG with the *stale* plan: the guard must re-optimize.
-        let big = build(512);
-        let bindings = bind(&[
-            ("X", generate::rand_dense(512, 64, 0.0, 1.0, 21)),
-            ("Y", generate::rand_dense(512, 64, 0.0, 1.0, 22)),
-        ]);
-        let expect = run(FusionMode::Base, &big, &bindings)[0].as_scalar();
-        let got = exec.execute_with_plan(&big, &plan, &bindings)[0].as_scalar();
-        assert!(fusedml_linalg::approx_eq(got, expect, 1e-9));
-        let got_seq = exec.execute_with_plan_sequential(&big, &plan, &bindings)[0].as_scalar();
-        assert!(fusedml_linalg::approx_eq(got_seq, expect, 1e-9));
     }
 }

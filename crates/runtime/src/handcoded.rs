@@ -16,17 +16,14 @@
 //! Matching ([`match_patterns`]) is purely structural and value-free, so the
 //! scheduled executor can treat each matched instance as one task with
 //! explicit input dependencies; execution ([`exec_operator`]) receives the
-//! materialized input values. The demand-driven sequential [`interpret`] is
-//! retained as the differential-test oracle for the `Fused` mode.
+//! materialized input values. The sequential oracle (`exec::sequential`)
+//! dispatches the same two functions demand-driven.
 
-use crate::exec::ExecStats;
 use fusedml_core::util::FxHashMap;
-use fusedml_hop::interp::{self, Bindings};
 use fusedml_hop::{HopDag, HopId, OpKind};
 use fusedml_linalg::matrix::Value;
 use fusedml_linalg::ops::{AggDir, AggOp, BinaryOp, UnaryOp};
 use fusedml_linalg::{par, pool, primitives as prim, DenseMatrix, Matrix};
-use std::sync::atomic::Ordering;
 
 /// The concrete hand-coded kernel a matched pattern executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,50 +63,6 @@ pub fn match_patterns(dag: &HopDag) -> FxHashMap<HopId, HcOperator> {
         }
     }
     out
-}
-
-/// Interprets a DAG with hand-coded fused operators applied where patterns
-/// match; everything else executes as basic operators. Demand-driven and
-/// sequential — this is the `Fused`-mode oracle for the scheduled executor.
-pub fn interpret(dag: &HopDag, bindings: &Bindings, stats: &ExecStats) -> Vec<Value> {
-    let patterns = match_patterns(dag);
-    let mut vals: Vec<Option<Value>> = vec![None; dag.len()];
-    for &root in dag.roots() {
-        materialize(dag, &patterns, bindings, &mut vals, stats, root);
-    }
-    dag.roots().iter().map(|r| vals[r.index()].take().expect("root computed")).collect()
-}
-
-fn materialize(
-    dag: &HopDag,
-    patterns: &FxHashMap<HopId, HcOperator>,
-    bindings: &Bindings,
-    vals: &mut Vec<Option<Value>>,
-    stats: &ExecStats,
-    hop: HopId,
-) {
-    if vals[hop.index()].is_some() {
-        return;
-    }
-    if let Some(hc) = patterns.get(&hop) {
-        for &i in &hc.inputs {
-            materialize(dag, patterns, bindings, vals, stats, i);
-        }
-        let inputs: Vec<Value> =
-            hc.inputs.iter().map(|&i| vals[i.index()].clone().expect("input computed")).collect();
-        stats.handcoded_ops.fetch_add(1, Ordering::Relaxed);
-        vals[hop.index()] = Some(exec_operator(hc, &inputs));
-        return;
-    }
-    let inputs = dag.hop(hop).inputs.clone();
-    for &i in &inputs {
-        materialize(dag, patterns, bindings, vals, stats, i);
-    }
-    if !dag.hop(hop).kind.is_leaf() {
-        stats.basic_ops.fetch_add(1, Ordering::Relaxed);
-    }
-    let v = interp::eval_op(dag, hop, vals, bindings);
-    vals[hop.index()] = Some(v);
 }
 
 /// Structural helpers.
@@ -407,8 +360,16 @@ fn exec_wdivmm(inputs: &[Value], left: bool) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{self, ExecStats};
+    use fusedml_hop::interp::{self, Bindings};
     use fusedml_hop::DagBuilder;
     use fusedml_linalg::generate;
+
+    /// The `Fused`-mode sequential oracle: hand-coded operators where the
+    /// patterns match, basic operators everywhere else.
+    fn interpret(dag: &HopDag, bindings: &Bindings, stats: &ExecStats) -> Vec<Value> {
+        exec::sequential(dag, None, Some(&match_patterns(dag)), bindings, stats)
+    }
 
     fn bind(pairs: &[(&str, Matrix)]) -> Bindings {
         pairs.iter().map(|(n, m)| (n.to_string(), m.clone())).collect()

@@ -38,8 +38,8 @@
 //!
 //! When a task becomes ready with spilled inputs, **reload jobs** are pushed
 //! onto the same ready queue, so the worker pool overlaps those reads with
-//! execution of the rest of the level (async prefetch, bounded by the
-//! engine's prefetch depth); a consumer that outruns its prefetch faults the
+//! execution of the rest of the level (async prefetch, bounded by
+//! `PREFETCH_DEPTH`); a consumer that outruns its prefetch faults the
 //! input back synchronously. Leaf bindings larger than the whole budget are
 //! not charged against it at all (`Slot::Streamed`): they are caller-owned
 //! `Arc` clones that kernels already walk band-by-band by reference, so
@@ -55,7 +55,7 @@
 //! `spill_vs_resident_property` differential test).
 //!
 //! The seed's sequential materializer survives as
-//! `Engine::execute_with_plan_sequential`, the oracle the differential
+//! `CompiledScript::execute_sequential`, the oracle the differential
 //! property tests compare against (results must be *bitwise* equal).
 //!
 //! ## Failure semantics
@@ -109,9 +109,9 @@ use std::time::{Duration, Instant};
 /// oversubscribes. Engines can override via `EngineBuilder::workers`.
 pub const DEFAULT_MAX_WORKERS: usize = 4;
 
-/// Default bound on queued/in-flight asynchronous reload jobs. Beyond this,
+/// Bound on queued/in-flight asynchronous reload jobs per run. Beyond this,
 /// consumers fault their spilled inputs back synchronously.
-pub const DEFAULT_PREFETCH_DEPTH: usize = 4;
+const PREFETCH_DEPTH: usize = 4;
 
 /// Retries (beyond the first attempt) for a failing spill-tier read or
 /// write, with exponential backoff, before the failure is treated as
@@ -127,15 +127,14 @@ fn backoff(attempt: usize) {
 }
 
 /// The engine-owned execution context threaded through [`run`]: statistics,
-/// the two-tier store (pool + spill files), kernel caches, and the worker /
-/// prefetch limits. Bundling these keeps the `run` signature stable as the
+/// the two-tier store (pool + spill files), kernel caches, and the worker
+/// limit. Bundling these keeps the `run` signature stable as the
 /// engine grows.
 pub struct ExecCtx<'a> {
     pub stats: &'a ExecStats,
     pub max_workers: usize,
     pub store: &'a TieredStore,
     pub kernels: &'a Arc<KernelCaches>,
-    pub prefetch_depth: usize,
     /// Engine-level fault-injection plan (chaos testing); `None` in
     /// production. The scheduler draws its `Alloc`/`TaskExec`/`TaskPanic`/
     /// `ShardExec` decisions here; the store draws the spill-I/O sites
@@ -976,7 +975,7 @@ fn worker_loop(cx: &Ctx<'_>) {
                         // the pool overlap them with other execution.
                         if cx.exec.store.enabled() {
                             for &d in &cx.graph.tasks[c].deps {
-                                if st.reloads_queued < cx.exec.prefetch_depth
+                                if st.reloads_queued < PREFETCH_DEPTH
                                     && matches!(st.slots[d.index()], Slot::Spilled(_))
                                 {
                                     st.reloads_queued += 1;

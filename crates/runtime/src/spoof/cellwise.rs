@@ -79,22 +79,17 @@ fn finalize(op: AggOp, acc: f64, count: usize) -> f64 {
 // Block backend
 // ===========================================================================
 
-/// Per-engine backend selection the block paths thread through: which
-/// specializations may run and the configured tile width.
+/// Backend selection the block paths thread through: whether the
+/// specialized static kernels may run and the configured tile width.
 #[derive(Clone, Copy)]
 struct Select {
-    fast_ok: bool,
-    mono_ok: bool,
+    specialized: bool,
     width: usize,
 }
 
 impl Select {
     fn new(backend: CellBackend, width: usize) -> Select {
-        Select {
-            fast_ok: matches!(backend, CellBackend::BlockFast | CellBackend::Mono),
-            mono_ok: backend == CellBackend::Mono,
-            width,
-        }
+        Select { specialized: backend == CellBackend::Mono, width }
     }
 
     /// The closure-specialized fast kernel for `r`, if enabled + available.
@@ -103,11 +98,7 @@ impl Select {
         kernel: &'k fusedml_core::spoof::block::BlockKernel,
         r: Reg,
     ) -> Option<&'k FastKernel> {
-        if self.fast_ok {
-            kernel.fast_for(r)
-        } else {
-            None
-        }
+        kernel.fast_for(r).filter(|_| self.specialized)
     }
 
     /// The monomorphized kernel for `r`, if enabled + available.
@@ -116,11 +107,7 @@ impl Select {
         kernel: &'k fusedml_core::spoof::block::BlockKernel,
         r: Reg,
     ) -> Option<&'k MonoKernel> {
-        if self.mono_ok {
-            kernel.mono_for(r)
-        } else {
-            None
-        }
+        kernel.mono_for(r).filter(|_| self.specialized)
     }
 }
 
@@ -931,7 +918,7 @@ mod tests {
         let x = generate::rand_dense(rows, cols, 0.5, 1.5, 10);
         let y = generate::rand_dense(rows, cols, 0.5, 1.5, 11);
         let prod = fusedml_linalg::ops::binary(&x, &y, BinaryOp::Mult);
-        for backend in [CellBackend::Scalar, CellBackend::Block, CellBackend::BlockFast] {
+        for backend in [CellBackend::Scalar, CellBackend::Block, CellBackend::Mono] {
             for (agg, dir, count) in [
                 (CellAgg::FullAgg(AggOp::Mean), fusedml_linalg::ops::AggDir::Full, rows * cols),
                 (CellAgg::RowAgg(AggOp::Mean), fusedml_linalg::ops::AggDir::Row, cols),
@@ -977,7 +964,7 @@ mod tests {
                 let sides = [SideInput::bind(&y)];
                 let oracle =
                     execute_with(&spec, Some(main), &sides, &[], rows, cols, CellBackend::Scalar);
-                for backend in [CellBackend::Block, CellBackend::BlockFast] {
+                for backend in [CellBackend::Block, CellBackend::Mono] {
                     let out = execute_with(&spec, Some(main), &sides, &[], rows, cols, backend);
                     assert!(
                         out.approx_eq(&oracle, 1e-12),

@@ -102,24 +102,16 @@ fn block_class(
     prog: &Program,
     regs: &[Reg],
 ) -> ShapeClass {
-    if backend == CellBackend::Scalar || regs.is_empty() {
+    if backend != CellBackend::Mono || regs.is_empty() {
         return ShapeClass::Interpreted;
     }
     let kernel = caches.block.get_or_lower(prog);
     if !tiles::supported(&kernel) {
         return ShapeClass::Interpreted;
     }
-    let fast_ok = matches!(backend, CellBackend::BlockFast | CellBackend::Mono);
-    let mono_ok = backend == CellBackend::Mono;
     let mut first: Option<ShapeClass> = None;
     for &r in regs {
-        let class = if fast_ok && kernel.fast_for(r).is_some() {
-            kernel.shape_class(r)
-        } else if mono_ok {
-            kernel.mono_for(r).map_or(ShapeClass::Interpreted, |m| m.class())
-        } else {
-            ShapeClass::Interpreted
-        };
+        let class = kernel.shape_class(r);
         if !class.is_specialized() {
             return ShapeClass::Interpreted;
         }

@@ -90,30 +90,14 @@ fn block_fold(
     rows: usize,
     cols: usize,
 ) -> Vec<f64> {
-    let fast_ok = matches!(backend, CellBackend::BlockFast | CellBackend::Mono);
-    let mono_ok = backend == CellBackend::Mono;
+    let specialized = backend == CellBackend::Mono;
     let bp = &kernel.block;
     let k = spec.results.len();
     let identities: Vec<f64> = spec.results.iter().map(|&(_, op)| op.identity()).collect();
-    let fasts: Vec<Option<&FastKernel>> = spec
-        .results
-        .iter()
-        .map(|&(reg, _)| if fast_ok { kernel.fast_for(reg) } else { None })
-        .collect();
-    let monos: Vec<Option<&MonoKernel>> = spec
-        .results
-        .iter()
-        .zip(&fasts)
-        .map(
-            |(&(reg, _), fast)| {
-                if mono_ok && fast.is_none() {
-                    kernel.mono_for(reg)
-                } else {
-                    None
-                }
-            },
-        )
-        .collect();
+    let fasts: Vec<Option<&FastKernel>> =
+        spec.results.iter().map(|&(reg, _)| kernel.fast_for(reg).filter(|_| specialized)).collect();
+    let monos: Vec<Option<&MonoKernel>> =
+        spec.results.iter().map(|&(reg, _)| kernel.mono_for(reg).filter(|_| specialized)).collect();
     // The generic body only needs to run when some aggregate lacks a fused
     // fast kernel or a monomorphized kernel.
     let need_body = fasts.iter().zip(&monos).any(|(f, m)| f.is_none() && m.is_none());
@@ -342,7 +326,7 @@ mod tests {
             for main in [&dx, &sx] {
                 let oracle =
                     execute_with(&spec, Some(main), &sides, &[], rows, cols, CellBackend::Scalar);
-                for backend in [CellBackend::Block, CellBackend::BlockFast] {
+                for backend in [CellBackend::Block, CellBackend::Mono] {
                     let outs = execute_with(&spec, Some(main), &sides, &[], rows, cols, backend);
                     for (o, e) in outs.iter().zip(&oracle) {
                         assert!(

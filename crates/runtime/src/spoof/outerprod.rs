@@ -934,7 +934,7 @@ mod tests {
             for main in [&sx, &dx] {
                 let oracle =
                     execute_with(&spec, Some(main), &sides, &[], n, m, CellBackend::Scalar);
-                for backend in [CellBackend::Block, CellBackend::BlockFast, CellBackend::Mono] {
+                for backend in [CellBackend::Block, CellBackend::Mono] {
                     let got = execute_with(&spec, Some(main), &sides, &[], n, m, backend);
                     assert!(
                         got.approx_eq(&oracle, 1e-11),

@@ -177,7 +177,7 @@ fn cell_block_backends_match_scalar_oracle_on_random_programs() {
                 inputs.cols,
                 CellBackend::Scalar,
             );
-            for backend in [CellBackend::Block, CellBackend::BlockFast, CellBackend::Mono] {
+            for backend in [CellBackend::Block, CellBackend::Mono] {
                 let got = cellwise::execute_with(
                     &spec,
                     Some(main),
@@ -223,7 +223,7 @@ fn multiagg_block_backends_match_scalar_oracle_on_random_programs() {
                 inputs.cols,
                 CellBackend::Scalar,
             );
-            for backend in [CellBackend::Block, CellBackend::BlockFast, CellBackend::Mono] {
+            for backend in [CellBackend::Block, CellBackend::Mono] {
                 let got = multiagg::execute_with(
                     &spec,
                     Some(main),
@@ -275,7 +275,7 @@ fn tile_width_sweep_preserves_results() {
         CellBackend::Scalar,
     );
     for width in [8, 33, 100, 256, 1024] {
-        for backend in [CellBackend::BlockFast, CellBackend::Mono] {
+        for backend in [CellBackend::Block, CellBackend::Mono] {
             let caches = KernelCaches::with_config(16, width, backend);
             let _scope = fusedml_runtime::spoof::enter_kernels(&caches);
             let got = cellwise::execute_with(

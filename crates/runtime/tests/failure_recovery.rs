@@ -219,26 +219,36 @@ fn binding_defects_are_typed() {
         other => panic!("expected UnboundInput, got {other:?}"),
     }
 
-    // The explicit-plan path validates shapes against the DAG as given.
-    let plan = engine.plan_for(&dag);
+    // Mutually inconsistent shapes (`X ⊙ Y` admits no 32×16 with 8×4):
+    // geometry revalidation rejects them, typed against the first input
+    // that left its declared shape, and caches no variant for them.
+    let script = engine.compile(&dag);
     let wrong_shape = bind(&[
         ("X", generate::rand_dense(32, 16, 0.0, 1.0, 1)),
         ("Y", generate::rand_dense(8, 4, 0.0, 1.0, 2)),
     ]);
-    match engine.try_execute_with_plan(&dag, &plan, &wrong_shape) {
-        Err(ExecError::ShapeMismatch { name, expected, bound }) => {
-            assert_eq!(name, "Y");
-            assert_eq!(expected, (32, 16));
-            assert_eq!(bound, (8, 4));
+    for _ in 0..2 {
+        match engine.try_execute(&dag, &wrong_shape) {
+            Err(ExecError::ShapeMismatch { name, expected, bound }) => {
+                assert_eq!(name, "Y");
+                assert_eq!(expected, (32, 16));
+                assert_eq!(bound, (8, 4));
+            }
+            other => panic!("expected ShapeMismatch, got {other:?}"),
         }
-        other => panic!("expected ShapeMismatch, got {other:?}"),
     }
+    assert_eq!(script.recompiled_variants(), 0, "a rejected geometry caches no variant");
+    assert_eq!(engine.stats().plan_recompiles(), 0);
+    assert_eq!(engine.stats().failed_executions(), 3, "every rejected binding is counted");
 
-    // Neither defect perturbed the engine.
+    // Neither defect perturbed the engine: it serves the declared shapes
+    // bitwise-equal to an engine that never saw a bad binding.
     let good = bind(&[
         ("X", generate::rand_dense(32, 16, 0.0, 1.0, 1)),
         ("Y", generate::rand_dense(32, 16, 0.0, 1.0, 2)),
     ]);
     let out = engine.try_execute(&dag, &good).expect("engine unaffected by rejected bindings");
-    assert_eq!(out.len(), 1);
+    let reference = Engine::new(FusionMode::Gen).execute(&dag, &good).into_values();
+    assert_bitwise_eq(out.values(), &reference, "after rejected bindings");
+    assert_eq!(script.recompiled_variants(), 0);
 }

@@ -112,8 +112,9 @@ proptest! {
             FusionMode::GenFNR,
         ] {
             let exec = Engine::new(mode);
-            let expect = exec.execute_sequential(&dag, &bindings);
-            let got = exec.execute(&dag, &bindings).into_values();
+            let script = exec.compile(&dag);
+            let expect = script.execute_sequential(&bindings);
+            let got = script.execute(&bindings).into_values();
             assert_bitwise_eq(&got, &expect, mode, &e.ops);
             // The liveness-tracked peak can never exceed the hold-everything
             // resident set (inputs + every materialized intermediate).
@@ -180,8 +181,9 @@ fn independent_branches_run_in_parallel() {
     bindings.insert("X".into(), generate::rand_dense(300, 300, 0.0, 1.0, 4));
     bindings.insert("Y".into(), generate::rand_dense(300, 300, 0.0, 1.0, 5));
     let exec = Engine::new(FusionMode::Base);
-    let base = exec.execute_sequential(&dag, &bindings);
-    let got = exec.execute(&dag, &bindings).into_values();
+    let script = exec.compile(&dag);
+    let base = script.execute_sequential(&bindings);
+    let got = script.execute(&bindings).into_values();
     assert_bitwise_eq(&got, &base, FusionMode::Base, &[]);
     let sched = exec.stats().scheduler_snapshot();
     assert!(sched.parallel_ops > 0, "independent branches must overlap");
@@ -199,8 +201,9 @@ fn sparse_roots_keep_format() {
     bindings.insert("X".into(), generate::rand_matrix(200, 200, 1.0, 2.0, 0.02, 6));
     bindings.insert("Y".into(), generate::rand_dense(200, 200, 1.0, 2.0, 7));
     let exec = Engine::new(FusionMode::Base);
-    let seq = exec.execute_sequential(&dag, &bindings);
-    let got = exec.execute(&dag, &bindings).into_values();
+    let script = exec.compile(&dag);
+    let seq = script.execute_sequential(&bindings);
+    let got = script.execute(&bindings).into_values();
     assert_bitwise_eq(&got, &seq, FusionMode::Base, &[]);
     match (&got[0], &seq[0]) {
         (Value::Matrix(a), Value::Matrix(b)) => assert_eq!(a.is_sparse(), b.is_sparse()),

@@ -21,8 +21,7 @@ use fusedml_runtime::side::SideInput;
 use fusedml_runtime::spoof::cellwise;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-const ALL_BACKENDS: [CellBackend; 4] =
-    [CellBackend::Scalar, CellBackend::Block, CellBackend::BlockFast, CellBackend::Mono];
+const ALL_BACKENDS: [CellBackend; 3] = [CellBackend::Scalar, CellBackend::Block, CellBackend::Mono];
 
 /// `main * exp(side + scalar)` — classifies as the `MulUnBin` shape family
 /// (the Figure 8(h) inner expression).
@@ -95,7 +94,7 @@ fn assert_close(a: &Matrix, b: &Matrix, tol: f64, what: &str) {
     }
 }
 
-/// Map-class results are bitwise identical across all four backends for
+/// Map-class results are bitwise identical across all three backends for
 /// every tail length `cols % 8 ∈ {0..7}` — the maskload/gather tail paths
 /// must not diverge from the full-lane paths.
 #[test]
@@ -192,7 +191,7 @@ fn sparse_banded_mains_agree_across_backends() {
 }
 
 /// Random programs: map-class (NoAgg) bitwise, reductions to 1e-11, across
-/// all four backends, with column counts that sweep the tail residues.
+/// all three backends, with column counts that sweep the tail residues.
 #[test]
 fn random_programs_agree_across_backends() {
     for seed in 0..60u64 {

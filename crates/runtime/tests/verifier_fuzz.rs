@@ -222,8 +222,9 @@ fn verified_plans_execute_bitwise_equal() {
         let (dag, bindings) = random_dag(seed);
         for mode in MODES {
             let engine = EngineBuilder::new(mode).verify_plans(true).build();
-            let expect = engine.execute_sequential(&dag, &bindings);
-            let got = engine.execute(&dag, &bindings).into_values();
+            let script = engine.compile(&dag);
+            let expect = script.execute_sequential(&bindings);
+            let got = script.execute(&bindings).into_values();
             assert_eq!(got.len(), expect.len(), "seed {seed} {mode:?}");
             for (i, (g, x)) in got.iter().zip(&expect).enumerate() {
                 match (g, x) {
