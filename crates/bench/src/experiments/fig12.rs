@@ -138,17 +138,29 @@ pub fn algorithm_dags() -> Vec<(&'static str, Vec<HopDag>)> {
     ]
 }
 
-/// Runs the enumeration-count comparison.
+/// Runs the enumeration-count comparison. The two columns beside the paper's
+/// say what a costed plan costs here (`MPSkipEnum` wall time over the plans
+/// it costed, costing table included) and how many partitions ran into
+/// `EnumConfig::max_eval`.
 pub fn run() {
     let mut t = Table::new(
         "Figure 12: # of evaluated plans (all vs partition vs partition+prune)",
-        &["algorithm", "all (2^Σ|M'|)", "partition (Σ2^|M'i|)", "partition+prune"],
+        &[
+            "algorithm",
+            "all (2^Σ|M'|)",
+            "partition (Σ2^|M'i|)",
+            "partition+prune",
+            "µs / costed plan",
+            "capped",
+        ],
     );
     let model = CostModel::default();
     for (name, dags) in algorithm_dags() {
         let mut all: f64 = 0.0;
         let mut part_count: f64 = 0.0;
         let mut pruned: u64 = 0;
+        let mut capped = 0;
+        let mut enum_s = 0.0;
         for dag in &dags {
             let memo = explore(dag);
             let parts = partitions(dag, &memo);
@@ -157,8 +169,11 @@ pub fn run() {
             all += 2f64.powi(total_points as i32);
             for p in &parts {
                 part_count += 2f64.powi(p.interesting.len() as i32);
+                let t0 = std::time::Instant::now();
                 let r = mpskip_enum(dag, &memo, p, &compute, &model, &EnumConfig::default());
+                enum_s += t0.elapsed().as_secs_f64();
                 pruned += r.evaluated;
+                capped += usize::from(r.capped);
             }
         }
         t.row(vec![
@@ -166,6 +181,8 @@ pub fn run() {
             format!("{all:.0}"),
             format!("{part_count:.0}"),
             pruned.to_string(),
+            format!("{:.2}", enum_s * 1e6 / pruned as f64),
+            capped.to_string(),
         ]);
     }
     t.print();

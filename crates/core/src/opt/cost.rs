@@ -14,7 +14,7 @@
 use crate::memo::{MemoEntry, MemoTable};
 use crate::opt::partition::{InterestingPoint, PlanPartition};
 use crate::templates::TemplateType;
-use crate::util::{FxHashMap, FxHashSet};
+use crate::util::FxHashSet;
 use fusedml_hop::{HopDag, HopId, OpKind};
 use fusedml_linalg::ops::UnaryOp;
 
@@ -198,72 +198,251 @@ fn unary_weight(op: UnaryOp) -> f64 {
     }
 }
 
+/// An assignment over `part.interesting` as a bit mask: bit `i` set means
+/// point `i` is materialized. `MPSkipEnum` falls back to fuse-all from 63
+/// points on, so every assignment it costs fits; of a longer heuristic
+/// assignment the points past the 64th stay fused.
+pub fn assignment_mask(assignment: &[bool]) -> u64 {
+    assignment.iter().take(64).enumerate().fold(0, |m, (i, &on)| m | u64::from(on) << i)
+}
+
+/// One hop of a [`CostTable`] under its dense local id (partition nodes in
+/// `part.nodes` order, then `part.inputs`): the size terms Eq. (4) reads.
+#[derive(Clone, Copy)]
+struct Node {
+    bytes: f64,
+    sparsity: f64,
+    cells: f64,
+    rows: f64,
+    compute: f64,
+    scalar: bool,
+    leaf: bool,
+    transpose: bool,
+    /// Range of [`CostTable::inputs`] (empty outside the partition, where
+    /// the walk never descends).
+    inputs: (u32, u32),
+    /// Range of [`CostTable::entries`].
+    entries: (u32, u32),
+}
+
+/// One memo entry of a partition node, stored in pick order.
+struct Entry<'a> {
+    ttype: TemplateType,
+    /// Bit `j` set: input `j` is a fusion reference into the partition.
+    fused: u32,
+    /// The bits of the interesting points `(hop → ref)` the entry
+    /// references: an assignment that sets one of them invalidates it
+    /// (paper §4.2).
+    invalid_if: u64,
+    memo: &'a MemoEntry,
+}
+
+/// `getMPCost` row of one distinct materialization target: every assignment
+/// that sets one of `points` pays at least one write and one read of it.
+struct MatRow {
+    write_s: f64,
+    read_s: f64,
+    points: u64,
+}
+
 /// A cost vector: the running description of one opened fused operator
-/// (paper §4.3 "Cost Computation via Cost Vectors").
-#[derive(Clone, Debug)]
-pub struct CostVector {
-    pub id: u32,
-    pub ttype: TemplateType,
-    pub out_bytes: f64,
-    pub compute: f64,
-    /// Distinct inputs: hop → (bytes, sparsity, cells, rows).
-    pub inputs: FxHashMap<HopId, (f64, f64, f64, f64)>,
+/// (paper §4.3 "Cost Computation via Cost Vectors"). Vectors are scratch of
+/// the table, one per nesting depth, reused by every plan it costs.
+struct CostVector {
+    /// Unique per opened operator over the table's lifetime: the memo tag of
+    /// `(operator, cost vector)` pairs.
+    id: u64,
+    ttype: TemplateType,
+    out_bytes: f64,
+    compute: f64,
+    /// Distinct inputs, a bitset over local ids.
+    inputs: Vec<u64>,
+    /// Per partition node: `== id` once visited under this vector.
+    seen: Vec<u64>,
 }
 
-impl CostVector {
-    fn new(id: u32, ttype: TemplateType, out_bytes: f64) -> Self {
-        CostVector { id, ttype, out_bytes, compute: 0.0, inputs: FxHashMap::default() }
-    }
-
-    fn add_input(&mut self, dag: &HopDag, h: HopId) {
-        let s = dag.hop(h).size;
-        self.inputs.insert(h, (s.bytes(), s.sparsity, s.cells() as f64, s.rows as f64));
-    }
+/// The set bits of a bitset, ascending.
+fn bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let rest = |x: &u64| Some(x & (x - 1)).filter(|&y| y != 0);
+        std::iter::successors(Some(word).filter(|&x| x != 0), rest)
+            .map(move |x| w * 64 + x.trailing_zeros() as usize)
+    })
 }
 
-/// The plan-costing engine for one partition under an assignment.
-pub struct PlanCoster<'a> {
-    pub dag: &'a HopDag,
-    pub memo: &'a MemoTable,
-    pub part: &'a PlanPartition,
-    pub compute: &'a [f64],
-    pub model: &'a CostModel,
-    /// Interesting points assigned `true` (materialize).
-    pub materialized: &'a FxHashSet<InterestingPoint>,
-    part_set: FxHashSet<HopId>,
-    visited: FxHashSet<(HopId, u32)>,
-    next_id: u32,
+/// The per-partition costing table: everything Eq. (4) and the memo lookups
+/// need, gathered once so that costing one assignment is a walk over dense
+/// arrays and `u64` masks — no hashing, no allocation.
+pub struct CostTable<'a> {
+    part: &'a PlanPartition,
+    model: &'a CostModel,
+    nodes: Vec<Node>,
+    /// Local ids of `part.roots`.
+    roots: Vec<usize>,
+    /// Local ids of every partition node's inputs, flattened.
+    inputs: Vec<u32>,
+    /// Every partition node's memo entries, flattened, each node's sorted
+    /// descending by `(ref_count, preference)` (stable, so the first of
+    /// equals in memo order still wins): the best valid entry is the first
+    /// valid one.
+    entries: Vec<Entry<'a>>,
+    mat_rows: Vec<MatRow>,
+    stat: StaticCosts,
+    // Scratch of the plan being costed.
+    mask: u64,
+    /// Source of cost-vector ids and plan stamps; never reset, so a stale
+    /// `seen` mark can never match.
+    next_id: u64,
+    /// `== stamp` once a node was visited outside any open operator.
+    seen: Vec<u64>,
+    stamp: u64,
+    /// Open cost vectors: `vectors[..open]`, innermost last.
+    open: usize,
+    vectors: Vec<CostVector>,
 }
 
-impl<'a> PlanCoster<'a> {
+impl<'a> CostTable<'a> {
+    /// Builds the table. `part` must come from [`partitions`] over `memo`
+    /// (sorted `nodes`, `inputs` and `interesting`; every fusion reference of
+    /// a partition node stays inside the partition).
+    ///
+    /// [`partitions`]: crate::opt::partition::partitions
     pub fn new(
-        dag: &'a HopDag,
+        dag: &HopDag,
         memo: &'a MemoTable,
         part: &'a PlanPartition,
-        compute: &'a [f64],
+        compute: &[f64],
         model: &'a CostModel,
-        materialized: &'a FxHashSet<InterestingPoint>,
     ) -> Self {
-        PlanCoster {
-            dag,
-            memo,
+        let n_part = part.nodes.len();
+        let local = |h: HopId| -> u32 {
+            let id = part.nodes.binary_search(&h).unwrap_or_else(|_| {
+                n_part + part.inputs.binary_search(&h).expect("input of a partition node")
+            });
+            id as u32
+        };
+        let point_bit = |consumer: HopId, target: HopId| -> u64 {
+            let i = part.interesting.binary_search(&InterestingPoint { consumer, target });
+            i.map_or(0, |i| 1u64.checked_shl(i as u32).unwrap_or(0))
+        };
+        let mut nodes = Vec::with_capacity(n_part + part.inputs.len());
+        let (mut inputs, mut entries) = (Vec::new(), Vec::new());
+        for (id, &h) in part.nodes.iter().chain(&part.inputs).enumerate() {
+            let hop = dag.hop(h);
+            let (in0, en0) = (inputs.len() as u32, entries.len() as u32);
+            if id < n_part {
+                inputs.extend(hop.inputs.iter().map(|&i| local(i)));
+                let mut group: Vec<&MemoEntry> = memo.entries(h).iter().collect();
+                group.sort_by_key(|e| std::cmp::Reverse((e.ref_count(), e.ttype.preference())));
+                entries.extend(group.into_iter().map(|e| {
+                    let in_part = |r: &HopId| part.nodes.binary_search(r).is_ok();
+                    let fused = e.inputs.iter().enumerate().fold(0, |m, (j, i)| {
+                        m | u32::from(i.fused_id().as_ref().is_some_and(in_part)) << j
+                    });
+                    let invalid_if = e.refs().fold(0, |m, r| m | point_bit(h, r));
+                    Entry { ttype: e.ttype, fused, invalid_if, memo: e }
+                }));
+            }
+            nodes.push(Node {
+                bytes: hop.size.bytes(),
+                sparsity: hop.size.sparsity,
+                cells: hop.size.cells() as f64,
+                rows: hop.size.rows as f64,
+                compute: compute[h.index()],
+                scalar: hop.is_scalar(),
+                leaf: hop.kind.is_leaf(),
+                transpose: hop.kind == OpKind::Transpose,
+                inputs: (in0, inputs.len() as u32),
+                entries: (en0, entries.len() as u32),
+            });
+        }
+        let mut targets: Vec<HopId> = Vec::new();
+        let mut mat_rows: Vec<MatRow> = Vec::new();
+        for (i, p) in part.interesting.iter().enumerate().take(64) {
+            let row = targets.iter().position(|&t| t == p.target).unwrap_or_else(|| {
+                let b = dag.hop(p.target).size.bytes();
+                targets.push(p.target);
+                mat_rows.push(MatRow {
+                    write_s: b / model.write_bw,
+                    read_s: b / model.read_bw,
+                    points: 0,
+                });
+                mat_rows.len() - 1
+            });
+            mat_rows[row].points |= 1 << i;
+        }
+        let root = |r| part.nodes.binary_search(r).expect("partition root is a partition node");
+        CostTable {
             part,
-            compute,
             model,
-            materialized,
-            part_set: part.nodes.iter().copied().collect(),
-            visited: FxHashSet::default(),
-            next_id: 1,
+            nodes,
+            roots: part.roots.iter().map(root).collect(),
+            inputs,
+            entries,
+            mat_rows,
+            stat: static_parts(dag, part, compute, model),
+            mask: 0,
+            next_id: 0,
+            seen: vec![0; n_part],
+            stamp: 0,
+            open: 0,
+            vectors: Vec::new(),
         }
     }
 
-    /// Costs the partition under the assignment; aborts early returning
-    /// `f64::INFINITY` once the running cost exceeds `upper_bound` (partial
-    /// costing, paper §4.4).
-    pub fn partition_cost(mut self, upper_bound: f64) -> f64 {
+    /// The partition this table costs.
+    pub fn part(&self) -> &'a PlanPartition {
+        self.part
+    }
+
+    /// The best valid memo entry at partition node `hop` (paper: query the
+    /// memo table "for the best fusion plan regarding template type and
+    /// fusion references"): maximal references first, then template
+    /// preference. Entries referencing a point that `mask` materializes are
+    /// invalid and ignored (paper §4.2); `current` restricts to
+    /// merge-compatible types when extending an open operator.
+    pub fn best_entry(
+        &self,
+        hop: HopId,
+        current: Option<TemplateType>,
+        mask: u64,
+    ) -> Option<&'a MemoEntry> {
+        let n = self.part.nodes.binary_search(&hop).ok()?;
+        self.pick(n, current, mask).map(|e| e.memo)
+    }
+
+    fn pick(&self, n: usize, current: Option<TemplateType>, mask: u64) -> Option<&Entry<'a>> {
+        let (lo, hi) = self.nodes[n].entries;
+        self.entries[lo as usize..hi as usize].iter().find(|e| {
+            e.invalid_if & mask == 0 && current.is_none_or(|t| t.merge_compatible(e.ttype))
+        })
+    }
+
+    /// A lower bound on [`CostTable::partition_cost`] of `mask` (paper §4.4):
+    /// the static costs plus `getMPCost`, one write and one read of every
+    /// distinct target the assignment materializes.
+    pub fn lower_bound(&self, mask: u64) -> f64 {
+        let (mut w, mut r) = (0.0, 0.0);
+        for row in &self.mat_rows {
+            if row.points & mask != 0 {
+                w += row.write_s;
+                r += row.read_s;
+            }
+        }
+        self.stat.lower_bound(w, r)
+    }
+
+    /// Costs the partition under the assignment `mask`; aborts early
+    /// returning `f64::INFINITY` once the running cost reaches `upper_bound`
+    /// (partial costing, paper §4.4).
+    pub fn partition_cost(&mut self, mask: u64, upper_bound: f64) -> f64 {
+        self.mask = mask;
+        self.next_id += 1;
+        self.stamp = self.next_id;
+        self.open = 0;
         let mut total = 0.0;
-        for &root in &self.part.roots {
-            total += self.r_cost(root, &mut None);
+        for i in 0..self.roots.len() {
+            total += self.r_cost(self.roots[i], None);
             if total >= upper_bound {
                 return f64::INFINITY;
             }
@@ -271,71 +450,80 @@ impl<'a> PlanCoster<'a> {
         total
     }
 
-    /// Picks the best valid memo entry at `hop`; see [`pick_best_entry`].
-    pub fn pick_best(&self, hop: HopId, current: Option<TemplateType>) -> Option<MemoEntry> {
-        pick_best_entry(self.memo, hop, current, self.materialized)
+    /// Opens a cost vector at the current nesting depth and returns its slot.
+    fn open_vector(&mut self, ttype: TemplateType, out_bytes: f64) -> usize {
+        let slot = self.open;
+        if slot == self.vectors.len() {
+            let (inputs, seen) = (vec![0; self.nodes.len().div_ceil(64)], vec![0; self.seen.len()]);
+            self.vectors.push(CostVector { id: 0, ttype, out_bytes, compute: 0.0, inputs, seen });
+        }
+        self.open += 1;
+        self.next_id += 1;
+        let v = &mut self.vectors[slot];
+        (v.id, v.ttype, v.out_bytes, v.compute) = (self.next_id, ttype, out_bytes, 0.0);
+        v.inputs.fill(0);
+        slot
     }
 
-    fn r_cost(&mut self, hop: HopId, current: &mut Option<CostVector>) -> f64 {
-        let tag = (hop, current.as_ref().map(|c| c.id).unwrap_or(0));
-        if !self.visited.insert(tag) {
+    /// Costs partition node `n`, reached inside the open operator of slot
+    /// `current` (or outside any). Memoized per `(node, cost vector)`: a
+    /// re-visit returns zero, while overlapping operators still pay their
+    /// redundant compute.
+    fn r_cost(&mut self, n: usize, current: Option<usize>) -> f64 {
+        let (seen, tag) = match current {
+            Some(slot) => {
+                let v = &mut self.vectors[slot];
+                (&mut v.seen[n], v.id)
+            }
+            None => (&mut self.seen[n], self.stamp),
+        };
+        if *seen == tag {
             return 0.0;
         }
-        let cur_type = current.as_ref().map(|c| c.ttype);
-        let in_part = self.part_set.contains(&hop);
-        let best = if in_part { self.pick_best(hop, cur_type) } else { None };
-        let opened = cur_type.is_none();
+        *seen = tag;
+        let node = self.nodes[n];
+        let cur_type = current.map(|slot| self.vectors[slot].ttype);
+        let best = self.pick(n, cur_type, self.mask).map(|e| (e.ttype, e.fused));
 
-        // The cost vector this hop contributes to.
-        let mut fresh: Option<CostVector> = None;
-        let cv: &mut Option<CostVector> = if opened {
-            if let Some(b) = &best {
-                let out_bytes = self.dag.hop(hop).size.bytes();
-                fresh = Some(CostVector::new(self.next_id, b.ttype, out_bytes));
-                self.next_id += 1;
-            }
-            &mut fresh // stays None for basic operators
-        } else {
-            current
+        // The cost vector this hop contributes to (none for basic operators).
+        let cv = match (current, best) {
+            (None, Some((ttype, _))) => Some(self.open_vector(ttype, node.bytes)),
+            _ => current,
         };
-
         // Add this operator's compute workload (skipping transposes fused
         // into Row operators, which read rows directly).
-        if in_part {
-            if let Some(v) = cv.as_mut() {
-                let skip =
-                    v.ttype == TemplateType::Row && self.dag.hop(hop).kind == OpKind::Transpose;
-                if !skip {
-                    v.compute += self.compute[hop.index()];
-                }
+        if let Some(slot) = cv {
+            let v = &mut self.vectors[slot];
+            if !(v.ttype == TemplateType::Row && node.transpose) {
+                v.compute += node.compute;
             }
         }
 
-        // Children.
-        let inputs = self.dag.hop(hop).inputs.clone();
+        let fused = best.map_or(0, |(_, fused)| fused);
         let mut costs = 0.0;
-        for (j, &input) in inputs.iter().enumerate() {
-            let fused = best.as_ref().is_some_and(|b| b.inputs[j].is_fused());
-            if fused {
+        for (j, at) in (node.inputs.0..node.inputs.1).enumerate() {
+            let input = self.inputs[at as usize] as usize;
+            if fused >> j & 1 == 1 {
                 costs += self.r_cost(input, cv);
             } else {
-                if self.part_set.contains(&input) {
-                    costs += self.r_cost(input, &mut None);
+                if input < self.part.nodes.len() {
+                    costs += self.r_cost(input, None);
                 }
-                if let Some(v) = cv.as_mut() {
-                    if !self.dag.hop(input).is_scalar() {
-                        v.add_input(self.dag, input);
+                if let Some(slot) = cv {
+                    if !self.nodes[input].scalar {
+                        self.vectors[slot].inputs[input / 64] |= 1 << (input % 64);
                     }
-                } else if opened {
-                    // Basic operator input: charged in basic_cost below.
                 }
             }
         }
 
-        if opened {
-            costs += match fresh {
-                Some(v) => self.close_cost(&v),
-                None => self.basic_cost(hop, in_part),
+        if current.is_none() {
+            costs += match cv {
+                Some(slot) => {
+                    self.open -= 1;
+                    self.close_cost(&self.vectors[slot])
+                }
+                None => self.basic_cost(&node),
             };
         }
         costs
@@ -344,21 +532,15 @@ impl<'a> PlanCoster<'a> {
     /// Eq. (4) contribution of a closed fused operator.
     fn close_cost(&self, v: &CostVector) -> f64 {
         let mut compute = v.compute;
-        let max_cells = v.inputs.values().map(|&(_, _, c, _)| c).fold(0.0f64, f64::max);
+        let inputs = || bits(&v.inputs).map(|i| &self.nodes[i]);
+        let max_cells = inputs().map(|n| n.cells).fold(0.0f64, f64::max);
         // The driver (main) input: the largest bound matrix. Its sparsity
         // and row count steer sparsity exploitation and per-row overheads.
-        let driver_sp = v
-            .inputs
-            .values()
-            .filter(|&&(_, _, c, _)| c >= 0.5 * max_cells)
-            .map(|&(_, sp, _, _)| sp)
-            .fold(1.0f64, f64::min);
-        let driver_rows = v
-            .inputs
-            .values()
-            .filter(|&&(_, _, c, _)| c >= 0.5 * max_cells)
-            .map(|&(_, _, _, r)| r)
-            .fold(0.0f64, f64::max);
+        let (mut driver_sp, mut driver_rows) = (1.0f64, 0.0f64);
+        for n in inputs().filter(|n| n.cells >= 0.5 * max_cells) {
+            driver_sp = driver_sp.min(n.sparsity);
+            driver_rows = driver_rows.max(n.rows);
+        }
         let iter_cells = match v.ttype {
             // Sparsity exploitation: Outer operators iterate non-zeros of
             // the sparse driver. The covered `UVᵀ` product is estimated
@@ -386,39 +568,40 @@ impl<'a> PlanCoster<'a> {
             compute += self.model.fused_dispatch_flops * iter_cells;
         }
         let t_c = compute / self.model.compute_bw;
-        self.io_cost(v.out_bytes, v.inputs.values().map(|&(b, _, _, _)| b), t_c)
+        self.io_cost(v.out_bytes, inputs().map(|n| n.bytes), t_c)
     }
 
-    /// Eq. (4) contribution of a basic (unfused) operator. Compute is
-    /// charged regardless of partition membership: basic operators always
-    /// run exactly once.
-    fn basic_cost(&self, hop: HopId, in_part: bool) -> f64 {
-        let _ = in_part;
-        let h = self.dag.hop(hop);
-        if h.kind.is_leaf() {
+    /// Eq. (4) contribution of a basic (unfused) operator, which always runs
+    /// exactly once.
+    fn basic_cost(&self, node: &Node) -> f64 {
+        if node.leaf {
             return 0.0;
         }
-        let t_c = self.compute[hop.index()] / self.model.compute_bw;
-        let inputs: Vec<f64> = h.inputs.iter().map(|&i| self.dag.hop(i).size.bytes()).collect();
-        self.io_cost(h.size.bytes(), inputs.into_iter(), t_c)
+        let t_c = node.compute / self.model.compute_bw;
+        let inputs = &self.inputs[node.inputs.0 as usize..node.inputs.1 as usize];
+        self.io_cost(node.bytes, inputs.iter().map(|&i| self.nodes[i as usize].bytes), t_c)
     }
 
     /// `T̂w + max(T̂r, T̂c)` with local/distributed bandwidth selection.
     fn io_cost(&self, out_bytes: f64, inputs: impl Iterator<Item = f64>, t_c: f64) -> f64 {
-        let inputs: Vec<f64> = inputs.collect();
-        let max_in = inputs.iter().copied().fold(0.0f64, f64::max);
-        match self.model.dist {
+        // One pass: the local read volume, the largest input, and the read
+        // time were the operator distributed (large inputs scan at aggregate
+        // bandwidth; small inputs are broadcast to every executor).
+        let dist = self.model.dist;
+        let (mut sum_in, mut max_in, mut dist_r) = (0.0, 0.0f64, 0.0);
+        for b in inputs {
+            sum_in += b;
+            max_in = max_in.max(b);
+            if let Some(d) = dist {
+                dist_r += if b > d.local_budget {
+                    b / d.exec_read_bw
+                } else {
+                    b * d.executors as f64 / d.net_bw
+                };
+            }
+        }
+        match dist {
             Some(d) if max_in > d.local_budget => {
-                // Distributed operator: large inputs scan at aggregate
-                // bandwidth; small inputs are broadcast to every executor.
-                let mut t_r = 0.0;
-                for b in &inputs {
-                    if *b > d.local_budget {
-                        t_r += b / d.exec_read_bw;
-                    } else {
-                        t_r += b * d.executors as f64 / d.net_bw;
-                    }
-                }
                 let t_w = if out_bytes > d.local_budget {
                     out_bytes / (d.exec_read_bw / 2.0)
                 } else {
@@ -427,10 +610,10 @@ impl<'a> PlanCoster<'a> {
                         + out_bytes / self.model.write_bw
                 };
                 let t_c_dist = t_c / d.executors as f64;
-                t_w + t_r.max(t_c_dist)
+                t_w + dist_r.max(t_c_dist)
             }
             _ => {
-                let t_r: f64 = inputs.iter().sum::<f64>() / self.model.read_bw;
+                let t_r = sum_in / self.model.read_bw;
                 let t_w = out_bytes / self.model.write_bw;
                 t_w + t_r.max(t_c)
             }
@@ -438,41 +621,36 @@ impl<'a> PlanCoster<'a> {
     }
 }
 
-/// Picks the best valid memo entry at `hop` (paper: query the memo table
-/// "for the best fusion plan regarding template type and fusion
-/// references"): maximal references first, then template preference.
-/// Entries referencing a materialized interesting point are invalid and
-/// ignored (paper §4.2); `current` restricts to merge-compatible types when
-/// extending an open operator.
-pub fn pick_best_entry(
-    memo: &MemoTable,
-    hop: HopId,
-    current: Option<TemplateType>,
-    materialized: &FxHashSet<InterestingPoint>,
-) -> Option<MemoEntry> {
-    let mut best: Option<&MemoEntry> = None;
-    for e in memo.entries(hop) {
-        let type_ok = match current {
-            None => true,
-            Some(t) => t.merge_compatible(e.ttype),
-        };
-        let valid = e
-            .refs()
-            .all(|r| !materialized.contains(&InterestingPoint { consumer: hop, target: r }));
-        if !type_ok || !valid {
-            continue;
-        }
-        let better = match best {
-            None => true,
-            Some(b) => {
-                (e.ref_count(), e.ttype.preference()) > (b.ref_count(), b.ttype.preference())
-            }
-        };
-        if better {
-            best = Some(e);
+/// One-shot costing of one assignment: builds the partition's [`CostTable`]
+/// and walks it once. Enumerators keep the table and call
+/// [`CostTable::partition_cost`] per candidate instead.
+pub struct PlanCoster<'a> {
+    table: CostTable<'a>,
+    mask: u64,
+}
+
+impl<'a> PlanCoster<'a> {
+    /// `materialized`: the interesting points assigned `true`.
+    pub fn new(
+        dag: &HopDag,
+        memo: &'a MemoTable,
+        part: &'a PlanPartition,
+        compute: &[f64],
+        model: &'a CostModel,
+        materialized: &FxHashSet<InterestingPoint>,
+    ) -> Self {
+        let on: Vec<bool> = part.interesting.iter().map(|p| materialized.contains(p)).collect();
+        PlanCoster {
+            table: CostTable::new(dag, memo, part, compute, model),
+            mask: assignment_mask(&on),
         }
     }
-    best.cloned()
+
+    /// Costs the partition under the assignment; see
+    /// [`CostTable::partition_cost`].
+    pub fn partition_cost(mut self, upper_bound: f64) -> f64 {
+        self.table.partition_cost(self.mask, upper_bound)
+    }
 }
 
 /// The components of a partition's static lower bound (paper §4.4).
@@ -526,33 +704,6 @@ pub fn static_parts(
     let root_writes: f64 =
         part.roots.iter().map(|&r| dag.hop(r).size.bytes()).sum::<f64>() / model.write_bw;
     StaticCosts { root_writes, input_reads, min_compute }
-}
-
-/// Convenience: the assignment-independent part of the lower bound.
-pub fn static_costs(dag: &HopDag, part: &PlanPartition, compute: &[f64], model: &CostModel) -> f64 {
-    static_parts(dag, part, compute, model).lower_bound(0.0, 0.0)
-}
-
-/// Minimal materialization costs of an assignment (`getMPCost`): every
-/// distinct materialized target requires at least one write and one read.
-/// Returns `(write_seconds, read_seconds)` so the lower bound can overlap
-/// the reads with computation.
-pub fn mp_cost(
-    dag: &HopDag,
-    points: &[InterestingPoint],
-    assignment: &[bool],
-    model: &CostModel,
-) -> (f64, f64) {
-    let mut seen: FxHashSet<HopId> = FxHashSet::default();
-    let (mut w, mut r) = (0.0, 0.0);
-    for (p, &on) in points.iter().zip(assignment) {
-        if on && seen.insert(p.target) {
-            let b = dag.hop(p.target).size.bytes();
-            w += b / model.write_bw;
-            r += b / model.read_bw;
-        }
-    }
-    (w, r)
 }
 
 #[cfg(test)]
@@ -750,20 +901,11 @@ mod tests {
         let part = &parts[0];
         let compute = compute_costs(&dag);
         let model = CostModel::default();
-        let stat = static_parts(&dag, part, &compute, &model);
-        for assignment in [vec![false; part.interesting.len()], vec![true; part.interesting.len()]]
-        {
-            let mat: FxHashSet<InterestingPoint> = part
-                .interesting
-                .iter()
-                .zip(&assignment)
-                .filter(|(_, &on)| on)
-                .map(|(p, _)| *p)
-                .collect();
-            let (mw, mr) = mp_cost(&dag, &part.interesting, &assignment, &model);
-            let lb = stat.lower_bound(mw, mr);
-            let actual = PlanCoster::new(&dag, &memo, part, &compute, &model, &mat)
-                .partition_cost(f64::INFINITY);
+        let mut table = CostTable::new(&dag, &memo, part, &compute, &model);
+        for on in [false, true] {
+            let mask = assignment_mask(&vec![on; part.interesting.len()]);
+            let lb = table.lower_bound(mask);
+            let actual = table.partition_cost(mask, f64::INFINITY);
             assert!(lb <= actual * 1.0001, "lower bound {lb} must not exceed actual {actual}");
         }
     }

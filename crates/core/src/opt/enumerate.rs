@@ -9,8 +9,8 @@
 //! (structural pruning).
 
 use crate::memo::MemoTable;
-use crate::opt::cost::{self, CostModel, PlanCoster};
-use crate::opt::partition::{InterestingPoint, PlanPartition};
+use crate::opt::cost::{CostModel, CostTable};
+use crate::opt::partition::PlanPartition;
 use crate::util::FxHashSet;
 use fusedml_hop::{HopDag, HopId};
 
@@ -48,6 +48,9 @@ pub struct EnumResult {
     pub evaluated: u64,
     /// Size of the full search space (2^|M′|).
     pub search_space: f64,
+    /// True when the scan stopped at `EnumConfig::max_eval` with candidates
+    /// left: the assignment is the best found so far, not the optimum.
+    pub capped: bool,
 }
 
 /// Enumerates the optimal assignment for one partition.
@@ -59,165 +62,113 @@ pub fn mpskip_enum(
     model: &CostModel,
     cfg: &EnumConfig,
 ) -> EnumResult {
+    enumerate_table(&mut CostTable::new(dag, memo, part, compute, model), dag, cfg)
+}
+
+/// [`mpskip_enum`] over a partition's costing table, which the caller keeps
+/// to extract the chosen plan from.
+pub(crate) fn enumerate_table(table: &mut CostTable, dag: &HopDag, cfg: &EnumConfig) -> EnumResult {
+    let part = table.part();
     // Order: cut-set points first (structural pruning), then the rest.
     let (order, cutset) = if cfg.structural_prune {
         plan_order(dag, part)
     } else {
         ((0..part.interesting.len()).collect(), None)
     };
-    let mut state = EnumState {
-        dag,
-        memo,
-        part,
-        compute,
-        model,
-        cfg,
-        evaluated: 0,
-        static_cost: cost::static_parts(dag, part, compute, model),
-    };
-    let best = state.enumerate(&order, cutset.as_ref(), &[]);
-    let mut assignment = vec![false; part.interesting.len()];
-    for (&pt_ix, &on) in order.iter().zip(best.0.iter()) {
-        assignment[pt_ix] = on;
-    }
+    let mut state = EnumState { table, cfg, evaluated: 0, capped: false };
+    let (best, cost) = state.enumerate(&order, cutset.as_ref(), 0);
     EnumResult {
-        assignment,
-        cost: best.1,
+        assignment: (0..part.interesting.len()).map(|i| i < 64 && best >> i & 1 == 1).collect(),
+        cost,
         evaluated: state.evaluated,
         search_space: 2f64.powi(part.interesting.len() as i32),
+        capped: state.capped,
     }
 }
 
-/// A cut set over point indices (into `part.interesting`) with its
-/// sub-problems.
+/// A cut set with its sub-problems, all as indices into `part.interesting`.
 #[derive(Clone, Debug)]
 struct CutSet {
-    /// Positions (in the enumeration `order`) forming the cut set — always a
-    /// prefix of the order by construction.
+    /// Size of the cut set — always a prefix of the enumeration order by
+    /// construction.
     len: usize,
-    /// Sub-problem point positions (in `order`, relative to the suffix).
     s1: Vec<usize>,
     s2: Vec<usize>,
 }
 
-struct EnumState<'a> {
-    dag: &'a HopDag,
-    memo: &'a MemoTable,
-    part: &'a PlanPartition,
-    compute: &'a [f64],
-    model: &'a CostModel,
-    cfg: &'a EnumConfig,
+struct EnumState<'t, 'a> {
+    table: &'t mut CostTable<'a>,
+    cfg: &'t EnumConfig,
     evaluated: u64,
-    static_cost: cost::StaticCosts,
+    capped: bool,
 }
 
-impl<'a> EnumState<'a> {
-    /// Costs one assignment (given in `order` space along with any fixed
-    /// points), with partial-costing abort at `upper`.
-    fn cost_assignment(
-        &mut self,
-        order: &[usize],
-        q: &[bool],
-        fixed: &[(usize, bool)],
-        upper: f64,
-    ) -> f64 {
-        let mut materialized: FxHashSet<InterestingPoint> = FxHashSet::default();
-        for (&pt_ix, &on) in order.iter().zip(q.iter()) {
-            if on {
-                materialized.insert(self.part.interesting[pt_ix]);
-            }
-        }
-        for &(pt_ix, on) in fixed {
-            if on {
-                materialized.insert(self.part.interesting[pt_ix]);
-            }
-        }
+/// createAssignment: bit `len-1-i` of scan position `j` drives point
+/// `order[i]`, so `j = 0` is fuse-all and increments flip from the back.
+fn scan_mask(order: &[usize], j: u64) -> u64 {
+    let (mut mask, mut rest) = (0, j);
+    while rest != 0 {
+        mask |= 1 << order[order.len() - 1 - rest.trailing_zeros() as usize];
+        rest &= rest - 1;
+    }
+    mask
+}
+
+impl EnumState<'_, '_> {
+    /// Costs one assignment, with partial-costing abort at `upper`.
+    fn cost_assignment(&mut self, mask: u64, upper: f64) -> f64 {
         self.evaluated += 1;
-        PlanCoster::new(self.dag, self.memo, self.part, self.compute, self.model, &materialized)
-            .partition_cost(upper)
+        self.table.partition_cost(mask, upper)
     }
 
-    /// The core linearized scan with skip-ahead (Algorithm 2). `fixed`
-    /// carries assignments of points outside `order` (used by recursive
-    /// sub-problem calls). Returns (assignment in `order` space, cost).
-    fn enumerate(
-        &mut self,
-        order: &[usize],
-        cutset: Option<&CutSet>,
-        fixed: &[(usize, bool)],
-    ) -> (Vec<bool>, f64) {
+    /// The core linearized scan with skip-ahead (Algorithm 2) over the
+    /// points of `order`. `fixed` carries the materialized points outside
+    /// `order` (used by recursive sub-problem calls). Returns the best
+    /// assignment of the `order` points and its cost.
+    fn enumerate(&mut self, order: &[usize], cutset: Option<&CutSet>, fixed: u64) -> (u64, f64) {
         let len = order.len();
-        let mut best_q = vec![false; len];
-        let mut best_c = f64::INFINITY;
-        if len == 0 {
-            let c = self.cost_assignment(order, &[], fixed, f64::INFINITY);
-            return (best_q, c);
+        if len == 0 || len >= 63 {
+            // Nothing to decide — or, from 63 points on, the degenerate
+            // safeguard: fall back to fuse-all (practically unreachable
+            // thanks to partitioning).
+            return (0, self.cost_assignment(fixed, f64::INFINITY));
         }
-        if len >= 63 {
-            // Degenerate safeguard: fall back to fuse-all (practically
-            // unreachable thanks to partitioning).
-            let c = self.cost_assignment(order, &best_q, fixed, f64::INFINITY);
-            return (best_q, c);
-        }
+        let (mut best_q, mut best_c) = (0, f64::INFINITY);
         let total: u64 = 1u64 << len;
         let mut j: u64 = 0;
         while j < total {
             if self.evaluated >= self.cfg.max_eval {
+                self.capped = true;
                 break;
             }
-            // createAssignment: bit (len-1-i) of j drives point i, so j=0 is
-            // fuse-all and increments flip from the back.
-            let q: Vec<bool> = (0..len).map(|i| (j >> (len - 1 - i)) & 1 == 1).collect();
+            let q = scan_mask(order, j);
 
-            // Structural pruning via cut-set decomposition (lines 6-10).
-            if let Some(cs) = cutset {
-                let cs_all_true = q[..cs.len].iter().all(|&b| b);
-                let rest_all_false = q[cs.len..].iter().all(|&b| !b);
-                if cs_all_true && rest_all_false && !cs.s1.is_empty() && !cs.s2.is_empty() {
-                    let mut combined = q.clone();
-                    let cs_fixed: Vec<(usize, bool)> = order[..cs.len]
-                        .iter()
-                        .map(|&p| (p, true))
-                        .chain(fixed.iter().copied())
-                        .collect();
-                    // Solve the sub-problems independently (no nested
-                    // structural pruning, as in the paper: RG = null).
-                    let s1_order: Vec<usize> = cs.s1.iter().map(|&i| order[i]).collect();
-                    let s2_order: Vec<usize> = cs.s2.iter().map(|&i| order[i]).collect();
-                    let (q1, _) = self.enumerate(&s1_order, None, &cs_fixed);
-                    let (q2, _) = self.enumerate(&s2_order, None, &cs_fixed);
-                    for (k, &i) in cs.s1.iter().enumerate() {
-                        combined[i] = q1[k];
-                    }
-                    for (k, &i) in cs.s2.iter().enumerate() {
-                        combined[i] = q2[k];
-                    }
-                    let c = self.cost_assignment(order, &combined, fixed, best_c);
-                    if c < best_c {
-                        best_c = c;
-                        best_q = combined;
-                    }
-                    // Skip the whole subtree below the cut set.
-                    j += (1u64 << (len - cs.len)).saturating_sub(1);
-                    j += 1;
-                    continue;
+            // Structural pruning via cut-set decomposition (lines 6-10): at
+            // the position with the cut set materialized and the rest fused.
+            if let Some(cs) = cutset.filter(|cs| j == ((1u64 << cs.len) - 1) << (len - cs.len)) {
+                // Solve the sub-problems independently (no nested
+                // structural pruning, as in the paper: RG = null).
+                let (q1, _) = self.enumerate(&cs.s1, None, q | fixed);
+                let (q2, _) = self.enumerate(&cs.s2, None, q | fixed);
+                let combined = q | q1 | q2;
+                let c = self.cost_assignment(combined | fixed, best_c);
+                if c < best_c {
+                    best_c = c;
+                    best_q = combined;
                 }
+                // Skip the whole subtree below the cut set.
+                j += 1u64 << (len - cs.len);
+                continue;
             }
 
-            // Cost-based pruning (lines 11-15).
-            if self.cfg.cost_prune && j > 0 {
-                let (mw, mr) = mp_cost_ordered(self.dag, self.part, order, &q, fixed, self.model);
-                let lb = self.static_cost.lower_bound(mw, mr);
-                if lb >= best_c {
-                    let x = q.iter().rposition(|&b| b).unwrap_or(0);
-                    let skip = 1u64 << (len - x - 1);
-                    j += skip.saturating_sub(1);
-                    j += 1;
-                    continue;
-                }
+            // Cost-based pruning (lines 11-15): skip every assignment that
+            // shares the prefix up to the last materialized point.
+            if self.cfg.cost_prune && j > 0 && self.table.lower_bound(q | fixed) >= best_c {
+                j += 1u64 << j.trailing_zeros();
+                continue;
             }
 
-            let c = self.cost_assignment(order, &q, fixed, best_c);
+            let c = self.cost_assignment(q | fixed, best_c);
             if c < best_c {
                 best_c = c;
                 best_q = q;
@@ -226,38 +177,6 @@ impl<'a> EnumState<'a> {
         }
         (best_q, best_c)
     }
-}
-
-/// `getMPCost` over an order-space assignment plus fixed points; returns
-/// `(write_seconds, read_seconds)`.
-fn mp_cost_ordered(
-    dag: &HopDag,
-    part: &PlanPartition,
-    order: &[usize],
-    q: &[bool],
-    fixed: &[(usize, bool)],
-    model: &CostModel,
-) -> (f64, f64) {
-    let mut seen: FxHashSet<HopId> = FxHashSet::default();
-    let (mut w, mut r) = (0.0, 0.0);
-    let mut add = |pt: InterestingPoint| {
-        if seen.insert(pt.target) {
-            let b = dag.hop(pt.target).size.bytes();
-            w += b / model.write_bw;
-            r += b / model.read_bw;
-        }
-    };
-    for (&ix, &on) in order.iter().zip(q.iter()) {
-        if on {
-            add(part.interesting[ix]);
-        }
-    }
-    for &(ix, on) in fixed {
-        if on {
-            add(part.interesting[ix]);
-        }
-    }
-    (w, r)
 }
 
 /// Builds the enumeration order: the best-scoring valid cut set first (if
@@ -312,14 +231,9 @@ fn plan_order(dag: &HopDag, part: &PlanPartition) -> (Vec<usize>, Option<CutSet>
     match best {
         None => (default, None),
         Some((_, cs, s1, s2)) => {
-            // Order: cut set, then S1, then S2 (relative positions recorded).
-            let mut order: Vec<usize> = cs.clone();
-            let s1_pos: Vec<usize> = (0..s1.len()).map(|k| cs.len() + k).collect();
-            order.extend(s1.iter().copied());
-            let s2_pos: Vec<usize> = (0..s2.len()).map(|k| cs.len() + s1.len() + k).collect();
-            order.extend(s2.iter().copied());
-            let cut = CutSet { len: cs.len(), s1: s1_pos, s2: s2_pos };
-            (order, Some(cut))
+            // Order: cut set, then S1, then S2.
+            let order = [cs.as_slice(), &s1, &s2].concat();
+            (order, Some(CutSet { len: cs.len(), s1, s2 }))
         }
     }
 }

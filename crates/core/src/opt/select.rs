@@ -4,11 +4,11 @@
 //! full-aggregate Cell plans sharing inputs into MultiAgg candidates.
 
 use crate::cplan::OperatorPlan;
-use crate::memo::{MemoEntry, MemoTable};
-use crate::opt::cost::{self, pick_best_entry, CostModel};
-use crate::opt::enumerate::{mpskip_enum, EnumConfig};
+use crate::memo::{InputRef, MemoEntry, MemoTable};
+use crate::opt::cost::{self, CostModel, CostTable};
+use crate::opt::enumerate::{enumerate_table, EnumConfig};
 use crate::opt::heuristics;
-use crate::opt::partition::{partitions, InterestingPoint, PlanPartition};
+use crate::opt::partition::partitions;
 use crate::templates::TemplateType;
 use crate::util::{FxHashMap, FxHashSet};
 use fusedml_hop::{HopDag, HopId, OpKind};
@@ -41,6 +41,11 @@ pub struct SelectionResult {
     pub partitions: usize,
     /// Total interesting points.
     pub interesting_points: usize,
+    /// Partitions whose enumeration stopped at `EnumConfig::max_eval`: their
+    /// plan is the best found so far, not the optimum.
+    pub partitions_capped: usize,
+    /// The largest |M'| among the capped partitions.
+    pub capped_points: usize,
 }
 
 /// Runs candidate selection over a populated memo table.
@@ -63,11 +68,16 @@ pub fn select_plans(
     let mut result = SelectionResult { partitions: parts.len(), ..Default::default() };
     for part in &parts {
         result.interesting_points += part.interesting.len();
+        let mut table = CostTable::new(dag, memo, part, &compute, model);
         let assignment: Vec<bool> = match policy {
             SelectionPolicy::CostBased(cfg) => {
-                let r = mpskip_enum(dag, memo, part, &compute, model, &cfg);
+                let r = enumerate_table(&mut table, dag, &cfg);
                 result.plans_evaluated += r.evaluated;
                 result.search_space += r.search_space;
+                if r.capped {
+                    result.partitions_capped += 1;
+                    result.capped_points = result.capped_points.max(part.interesting.len());
+                }
                 r.assignment
             }
             SelectionPolicy::FuseAll => {
@@ -81,43 +91,31 @@ pub fn select_plans(
                 heuristics::fuse_no_redundancy(dag, part)
             }
         };
-        let materialized: FxHashSet<InterestingPoint> = part
-            .interesting
-            .iter()
-            .zip(&assignment)
-            .filter(|(_, &on)| on)
-            .map(|(p, _)| *p)
-            .collect();
-        extract_operators(dag, memo, part, &materialized, &mut result.operators);
+        let mask = cost::assignment_mask(&assignment);
+        extract_operators(dag, &table, mask, &mut result.operators);
     }
     result.magg_groups = group_multi_aggregates(dag, &result.operators);
     result
 }
 
-/// Extracts operator plans for one partition under an assignment, mirroring
-/// the cost model's traversal (open at roots/materialized boundaries, follow
-/// fusion references of the best entries).
-fn extract_operators(
-    dag: &HopDag,
-    memo: &MemoTable,
-    part: &PlanPartition,
-    materialized: &FxHashSet<InterestingPoint>,
-    out: &mut Vec<OperatorPlan>,
-) {
-    let part_set: FxHashSet<HopId> = part.nodes.iter().copied().collect();
+/// Extracts operator plans for one partition under the assignment `mask`,
+/// mirroring the cost model's traversal (open at roots/materialized
+/// boundaries, follow fusion references of the best entries).
+fn extract_operators(dag: &HopDag, table: &CostTable, mask: u64, out: &mut Vec<OperatorPlan>) {
+    let part = table.part();
+    let in_part = |h: &HopId| part.nodes.binary_search(h).is_ok();
     let mut opened: FxHashSet<HopId> = FxHashSet::default();
     let mut queue: Vec<HopId> = part.roots.clone();
     while let Some(root) = queue.pop() {
         if !opened.insert(root) {
             continue;
         }
-        let best = pick_best_entry(memo, root, None, materialized);
-        match best {
+        match table.best_entry(root, None, mask) {
             Some(entry) if entry.ref_count() > 0 => {
                 let mut plan =
                     OperatorPlan { root, ttype: entry.ttype, entries: FxHashMap::default() };
                 let mut frontier: Vec<HopId> = Vec::new();
-                collect(dag, memo, root, entry, materialized, &mut plan, &mut frontier);
+                collect(dag, table, mask, root, entry, &mut plan, &mut frontier);
                 // Refs can degrade to materialized when the assignment
                 // invalidated all compatible sub-plans; a fused operator
                 // covering a single op is pointless — execute it basic.
@@ -125,27 +123,13 @@ fn extract_operators(
                 if has_refs && plan.entries.len() > 1 {
                     out.push(plan);
                 } else {
-                    for &i in &dag.hop(root).inputs {
-                        if part_set.contains(&i) {
-                            queue.push(i);
-                        }
-                    }
+                    queue.extend(dag.hop(root).inputs.iter().copied().filter(in_part));
                 }
-                for f in frontier {
-                    if part_set.contains(&f) {
-                        queue.push(f);
-                    }
-                }
+                queue.extend(frontier.into_iter().filter(in_part));
             }
-            _ => {
-                // Basic operator (or single-op plan not worth fusing):
-                // recurse into partition inputs.
-                for &i in &dag.hop(root).inputs {
-                    if part_set.contains(&i) {
-                        queue.push(i);
-                    }
-                }
-            }
+            // Basic operator (or single-op plan not worth fusing): recurse
+            // into partition inputs.
+            _ => queue.extend(dag.hop(root).inputs.iter().copied().filter(in_part)),
         }
     }
 }
@@ -156,26 +140,25 @@ fn extract_operators(
 /// input.
 fn collect(
     dag: &HopDag,
-    memo: &MemoTable,
+    table: &CostTable,
+    mask: u64,
     hop: HopId,
-    entry: MemoEntry,
-    materialized: &FxHashSet<InterestingPoint>,
+    entry: &MemoEntry,
     plan: &mut OperatorPlan,
     frontier: &mut Vec<HopId>,
 ) {
     if plan.entries.contains_key(&hop) {
         return;
     }
-    let inputs = dag.hop(hop).inputs.clone();
-    let mut resolved = entry;
+    let mut resolved = entry.clone();
     // Placeholder guards against diamond re-entry within this operator.
     plan.entries.insert(hop, resolved.clone());
-    for (j, &input) in inputs.iter().enumerate() {
+    for (j, &input) in dag.hop(hop).inputs.iter().enumerate() {
         if resolved.inputs[j].is_fused() {
-            match pick_best_entry(memo, input, Some(plan.ttype), materialized) {
-                Some(se) => collect(dag, memo, input, se, materialized, plan, frontier),
+            match table.best_entry(input, Some(plan.ttype), mask) {
+                Some(se) => collect(dag, table, mask, input, se, plan, frontier),
                 None => {
-                    resolved.inputs[j] = crate::memo::InputRef::Materialized;
+                    resolved.inputs[j] = InputRef::Materialized;
                     frontier.push(input);
                 }
             }

@@ -62,6 +62,30 @@ pub struct FusionPlan {
     pub dag_hash: u64,
 }
 
+/// Reported beside a [`FusionPlan`] when `MPSkipEnum` stopped at
+/// `EnumConfig::max_eval` in at least one partition: the plan is the best
+/// found so far, not the cost optimum. Displays as the closing line of
+/// `CompiledScript::explain`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EnumCap {
+    /// The cap the enumeration ran into.
+    pub max_eval: u64,
+    /// Interesting points |M′| of the largest capped partition.
+    pub points: usize,
+    /// Number of capped partitions.
+    pub partitions: usize,
+}
+
+impl std::fmt::Display for EnumCap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "enumeration capped at {} of 2^{} plans in {} partition(s): plan is best-so-far",
+            self.max_eval, self.points, self.partitions
+        )
+    }
+}
+
 impl FusionPlan {
     /// True when this plan was optimized for exactly this DAG (same
     /// structure and sizes).
@@ -164,8 +188,16 @@ impl Optimizer {
 
     /// Optimizes one HOP DAG into a fusion plan.
     pub fn optimize(&self, dag: &HopDag) -> FusionPlan {
+        self.optimize_reporting_cap(dag).0
+    }
+
+    /// [`Optimizer::optimize`], also reporting whether the enumeration ran
+    /// into its cap (`FusionPlan` itself cannot carry it: its fields are
+    /// part of the surface `fusebench` builds plans through).
+    pub fn optimize_reporting_cap(&self, dag: &HopDag) -> (FusionPlan, Option<EnumCap>) {
         if !self.mode.uses_codegen() {
-            return FusionPlan { dag_hash: dag_structural_hash(dag), ..FusionPlan::default() };
+            let plan = FusionPlan { dag_hash: dag_structural_hash(dag), ..FusionPlan::default() };
+            return (plan, None);
         }
         let t0 = Instant::now();
         self.stats.dags_optimized.fetch_add(1, Ordering::Relaxed);
@@ -184,6 +216,12 @@ impl Optimizer {
         self.stats.add_plans_evaluated(sel.plans_evaluated);
         self.stats.partitions.fetch_add(sel.partitions, Ordering::Relaxed);
         self.stats.interesting_points.fetch_add(sel.interesting_points, Ordering::Relaxed);
+        self.stats.partitions_capped.fetch_add(sel.partitions_capped, Ordering::Relaxed);
+        let cap = (sel.partitions_capped > 0).then_some(EnumCap {
+            max_eval: self.enum_cfg.max_eval,
+            points: sel.capped_points,
+            partitions: sel.partitions_capped,
+        });
         self.stats.optimize_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
         // Phases 3-4: CPlan construction + code generation (plan cache).
@@ -228,7 +266,7 @@ impl Optimizer {
             }
         }
         self.stats.codegen_nanos.fetch_add(t1.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        plan
+        (plan, cap)
     }
 
     fn push_operator(&self, plan: &mut FusionPlan, roots: Vec<HopId>, cp: CPlan) {

@@ -28,6 +28,9 @@ pub struct CodegenStats {
     pub partitions: AtomicUsize,
     /// Total number of interesting points across partitions.
     pub interesting_points: AtomicUsize,
+    /// Partitions whose enumeration stopped at `EnumConfig::max_eval` (their
+    /// plan is the best found so far, not the optimum).
+    pub partitions_capped: AtomicUsize,
 }
 
 impl CodegenStats {
@@ -52,6 +55,7 @@ impl CodegenStats {
             codegen_seconds: self.codegen_nanos.load(Ordering::Relaxed) as f64 / 1e9,
             partitions: self.partitions.load(Ordering::Relaxed),
             interesting_points: self.interesting_points.load(Ordering::Relaxed),
+            partitions_capped: self.partitions_capped.load(Ordering::Relaxed),
         }
     }
 
@@ -67,6 +71,7 @@ impl CodegenStats {
         self.codegen_nanos.store(0, Ordering::Relaxed);
         self.partitions.store(0, Ordering::Relaxed);
         self.interesting_points.store(0, Ordering::Relaxed);
+        self.partitions_capped.store(0, Ordering::Relaxed);
     }
 }
 
@@ -84,6 +89,7 @@ pub struct StatsSnapshot {
     pub codegen_seconds: f64,
     pub partitions: usize,
     pub interesting_points: usize,
+    pub partitions_capped: usize,
 }
 
 #[cfg(test)]

@@ -7,14 +7,20 @@
 //!   enumeration on randomly generated DAGs,
 //! * selected operator plans are well-formed (covered sets are connected
 //!   along fusion references; entries match HOP arities),
+//! * the costing table's assignment masks preserve the best-entry pick, the
+//!   lower bound and partial costing,
+//! * an enumeration that runs into `max_eval` says so,
 //! * code generation is deterministic and the structural hash is stable.
 
 use fusedml_core::codegen::{compile_spec, CodegenOptions};
 use fusedml_core::explore::explore;
 use fusedml_core::opt::{
-    cost, mpskip_enum, partitions, select_plans, CostModel, EnumConfig, SelectionPolicy,
+    cost, mpskip_enum, partitions, select_plans, CostModel, EnumConfig, PlanPartition,
+    SelectionPolicy,
 };
+use fusedml_core::{FusionMode, MemoEntry, Optimizer, TemplateType};
 use fusedml_hop::{DagBuilder, HopDag, HopId};
+use fusedml_linalg::ops::UnaryOp;
 use proptest::prelude::*;
 
 /// A small random DAG generator: layered cell-wise ops, aggregates, and
@@ -63,6 +69,113 @@ fn build(spec: &RandomDag) -> HopDag {
         roots.push(b.sum(t));
     }
     b.build(roots)
+}
+
+/// The best memo entry by definition (paper §4.2): the first maximum of
+/// `(ref_count, preference)` over the type-compatible entries none of whose
+/// `(hop → ref)` interesting points the assignment sets.
+fn best_by_definition<'m>(
+    entries: &'m [MemoEntry],
+    hop: HopId,
+    current: Option<TemplateType>,
+    part: &PlanPartition,
+    mask: u64,
+) -> Option<&'m MemoEntry> {
+    let set = |r: HopId| {
+        let point = part.interesting.iter().position(|p| p.consumer == hop && p.target == r);
+        point.is_some_and(|i| mask >> i & 1 == 1)
+    };
+    let key = |e: &MemoEntry| (e.ref_count(), e.ttype.preference());
+    let mut best: Option<&MemoEntry> = None;
+    for e in entries {
+        let type_ok = current.is_none_or(|t| t.merge_compatible(e.ttype));
+        if type_ok && !e.refs().any(set) && best.is_none_or(|b| key(e) > key(b)) {
+            best = Some(e);
+        }
+    }
+    best
+}
+
+/// An autoencoder's per-batch forward + backward DAG with `hidden` sigmoid
+/// layers: 3 is the four-weight DAG `algos::autoencoder` builds, 2 the
+/// three-weight cousin in fusebench's `compile_cold` corpus (both builders
+/// are private to their crates, so the shape is restated).
+fn autoencoder_dag(bsz: usize, m: usize, h1: usize, h2: usize, hidden: usize) -> HopDag {
+    let mut b = DagBuilder::new();
+    let x = b.read("Xb", bsz, m, 1.0);
+    let widths: Vec<usize> = if hidden == 3 { vec![m, h1, h2, h1, m] } else { vec![m, h1, h2, m] };
+    let ws: Vec<HopId> = widths
+        .windows(2)
+        .enumerate()
+        .map(|(i, w)| b.read(&format!("W{}", i + 1), w[0], w[1], 1.0))
+        .collect();
+    let mut zs = vec![x];
+    for &w in &ws[..hidden] {
+        let a = b.mm(zs[zs.len() - 1], w);
+        zs.push(b.sigmoid(a));
+    }
+    let xhat = b.mm(zs[hidden], ws[hidden]);
+    let diff = b.sub(xhat, x);
+    let sq = b.sq(diff);
+    let se = b.sum(sq);
+    let scale = b.lit(0.5 / bsz as f64);
+    let loss = b.mult(scale, se);
+    let dscale = b.lit(1.0 / bsz as f64);
+    let mut delta = b.mult(diff, dscale);
+    let mut grads = Vec::new();
+    for layer in (0..=hidden).rev() {
+        let zt = b.t(zs[layer]);
+        grads.push(b.mm(zt, delta));
+        if layer > 0 {
+            let wt = b.t(ws[layer]);
+            let dz = b.mm(delta, wt);
+            let s = b.unary(UnaryOp::Sprop, zs[layer]);
+            delta = b.mult(dz, s);
+        }
+    }
+    grads.reverse();
+    let mut roots = vec![loss];
+    roots.extend(grads);
+    b.build(roots)
+}
+
+/// fusebench's `compile_cold` reports `correct: false` when its
+/// `autoencoder_batch` DAG costs fewer than 10^4 plans
+/// (`fusebench/src/workloads/compile.rs:262`), so a pruning improvement that
+/// is right can still fail the benchmark. This restates that coupling where
+/// tier-1 sees it; delete when that assertion moves to the search space.
+#[test]
+fn three_weight_autoencoder_still_costs_ten_thousand_plans() {
+    let opt = Optimizer::new(FusionMode::Gen);
+    let (_, cap) = opt.optimize_reporting_cap(&autoencoder_dag(512, 100, 64, 2, 2));
+    let stats = opt.stats.snapshot();
+    assert!(stats.plans_evaluated >= 10_000, "costed {} plans", stats.plans_evaluated);
+    assert_eq!((stats.partitions_capped, cap), (0, None), "enumerates to the end");
+}
+
+/// The four-weight DAG has 2^20 assignments in one partition: the scan stops
+/// at `max_eval`, and every layer that reports on the plan says so.
+#[test]
+fn capped_enumeration_is_reported() {
+    let dag = autoencoder_dag(512, 100, 64, 2, 3);
+    let memo = explore(&dag);
+    let cfg = EnumConfig::default();
+    let sel = select_plans(&dag, &memo, SelectionPolicy::CostBased(cfg), &CostModel::default());
+    assert_eq!((sel.partitions_capped, sel.capped_points), (1, 20));
+    // The cap counts costed plans, so the one partition that hit it costed
+    // exactly `max_eval`; the other partitions have nothing to decide.
+    assert_eq!(sel.plans_evaluated, cfg.max_eval + sel.partitions as u64 - 1);
+
+    let opt = Optimizer::new(FusionMode::Gen);
+    let (_, cap) = opt.optimize_reporting_cap(&dag);
+    assert_eq!(opt.stats.snapshot().partitions_capped, 1);
+    assert_eq!(
+        cap.expect("capped").to_string(),
+        "enumeration capped at 32768 of 2^20 plans in 1 partition(s): plan is best-so-far"
+    );
+    // The heuristics cost one plan per partition: nothing to cap.
+    let (_, cap) = Optimizer::new(FusionMode::GenFA).optimize_reporting_cap(&dag);
+    assert_eq!(cap, None);
 }
 
 proptest! {
@@ -116,6 +229,53 @@ proptest! {
             // tiny spaces (sub-problem enumerations are counted too); it must
             // never blow past the exhaustive count asymptotically.
             prop_assert!(pruned.evaluated <= 2 * full.evaluated + 4);
+        }
+    }
+
+    /// What the assignment masks of the costing table must preserve, for
+    /// fuse-all, materialize-all and random assignments of every partition:
+    /// (i) the best-entry pick equals its definition for every `(hop,
+    /// current type)`; (ii) the lower bound never exceeds the cost; (iii)
+    /// partial costing returns the uncapped cost or `INFINITY`, the latter
+    /// only when the uncapped cost reaches the upper bound.
+    #[test]
+    fn cost_table_masks_preserve_the_definitions(spec in dag_strategy(), seed in 0u64..u64::MAX) {
+        use TemplateType::{Cell, MAgg, Outer, Row};
+        let dag = build(&spec);
+        let memo = explore(&dag);
+        let parts = partitions(&dag, &memo);
+        let compute = cost::compute_costs(&dag);
+        let model = CostModel::default();
+        for part in &parts {
+            let n = part.interesting.len();
+            prop_assert!(n < 64, "{n} interesting points");
+            let all = (1u64 << n) - 1;
+            let mut table = cost::CostTable::new(&dag, &memo, part, &compute, &model);
+            let mut state = seed;
+            for draw in 0..6 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let mask = [0, all, state >> 20 & all][draw.min(2)];
+                for &hop in &part.nodes {
+                    for current in [None, Some(Row), Some(Cell), Some(MAgg), Some(Outer)] {
+                        prop_assert_eq!(
+                            table.best_entry(hop, current, mask),
+                            best_by_definition(memo.entries(hop), hop, current, part, mask),
+                            "best entry at {} under {:?}, assignment {:#b}", hop, current, mask
+                        );
+                    }
+                }
+                let cost = table.partition_cost(mask, f64::INFINITY);
+                let bound = table.lower_bound(mask);
+                prop_assert!(cost.is_finite() && bound <= cost * (1.0 + 1e-9),
+                    "lower bound {} above cost {} of assignment {:#b}", bound, cost, mask);
+                for upper in [0.5 * cost, cost, 2.0 * cost] {
+                    let partial = table.partition_cost(mask, upper);
+                    prop_assert!(
+                        partial == cost || (partial == f64::INFINITY && cost >= upper),
+                        "partial costing at {}: {} (uncapped {})", upper, partial, cost
+                    );
+                }
+            }
         }
     }
 

@@ -51,7 +51,7 @@ use crate::handcoded;
 use crate::schedule::{self, TaskGraph};
 use crate::spoof;
 use fusedml_core::codegen::CodegenOptions;
-use fusedml_core::optimizer::{dag_structural_hash, FusionPlan, Optimizer};
+use fusedml_core::optimizer::{dag_structural_hash, EnumCap, FusionPlan, Optimizer};
 use fusedml_core::plancache::{KernelCaches, PlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
 use fusedml_core::util::LruMap;
 use fusedml_core::FusionMode;
@@ -295,8 +295,9 @@ struct EngineInner {
     compile_lock: Mutex<()>,
     /// Fusion plans per structural DAG hash (SystemML's runtime-program
     /// cache across dynamic recompilations) — per engine, not per process,
-    /// and bounded by the plan-cache capacity.
-    plans: Mutex<LruMap<Arc<FusionPlan>>>,
+    /// and bounded by the plan-cache capacity. Each with the optimizer's
+    /// report of an enumeration that ran into its cap.
+    plans: Mutex<LruMap<(Arc<FusionPlan>, Option<EnumCap>)>>,
     /// Compiled scripts per structural DAG hash (bounded likewise), so the
     /// convenience [`Engine::execute`] also amortizes task-graph
     /// construction.
@@ -473,7 +474,7 @@ impl Engine {
 
     /// Returns the (possibly cached) fusion plan for a DAG.
     pub fn plan_for(&self, dag: &HopDag) -> Arc<FusionPlan> {
-        self.inner.plan_for(dag)
+        self.inner.plan_for(dag).0
     }
 }
 
@@ -496,16 +497,20 @@ impl EngineInner {
         self.shard_pool.as_ref().map_or(1, crate::shard::ShardPool::len)
     }
 
-    fn plan_for(&self, dag: &HopDag) -> Arc<FusionPlan> {
+    fn plan_for(&self, dag: &HopDag) -> (Arc<FusionPlan>, Option<EnumCap>) {
+        let optimize = || {
+            let (plan, cap) = self.optimizer.optimize_reporting_cap(dag);
+            (Arc::new(plan), cap)
+        };
         if !self.cache_plans {
-            return Arc::new(self.optimizer.optimize(dag));
+            return optimize();
         }
         let key = dag_structural_hash(dag);
         if let Some(p) = self.plans.lock().get(key) {
-            return Arc::clone(p);
+            return p.clone();
         }
-        let p = Arc::new(self.optimizer.optimize(dag));
-        self.plans.lock().insert(key, Arc::clone(&p));
+        let p = optimize();
+        self.plans.lock().insert(key, p.clone());
         p
     }
 
@@ -515,10 +520,13 @@ impl EngineInner {
     /// artifact is statically verified before it is allowed to exist —
     /// cold compiles and geometry recompiles only, never the execute path.
     fn compile_variant(&self, dag: HopDag) -> Result<ScriptVariant, crate::verify::VerifyError> {
-        let (plan, patterns) = match self.mode {
-            FusionMode::Base => (None, None),
-            FusionMode::Fused => (None, Some(handcoded::match_patterns(&dag))),
-            _ => (Some(self.plan_for(&dag)), None),
+        let (plan, enum_cap, patterns) = match self.mode {
+            FusionMode::Base => (None, None, None),
+            FusionMode::Fused => (None, None, Some(handcoded::match_patterns(&dag))),
+            _ => {
+                let (plan, cap) = self.plan_for(&dag);
+                (Some(plan), cap, None)
+            }
         };
         let mut graph = schedule::prepare(&dag, plan.as_deref(), patterns.as_ref());
         if let (Some(pool), Some(plan)) = (&self.shard_pool, plan.as_deref()) {
@@ -536,7 +544,7 @@ impl EngineInner {
         if self.verify_plans {
             crate::verify::verify_compiled(&dag, plan.as_deref(), &graph, &liveness)?;
         }
-        Ok(ScriptVariant { shapes, dag, plan, graph, liveness })
+        Ok(ScriptVariant { shapes, dag, plan, enum_cap, graph, liveness })
     }
 
     fn compile_script(&self, dag: &HopDag) -> Result<ScriptInner, crate::verify::VerifyError> {
@@ -559,6 +567,8 @@ struct ScriptVariant {
     shapes: Vec<(String, usize, usize)>,
     dag: HopDag,
     plan: Option<Arc<FusionPlan>>,
+    /// Set when the plan's enumeration ran into its cap (best-so-far plan).
+    enum_cap: Option<EnumCap>,
     graph: TaskGraph,
     /// Liveness facts for this variant's DAG, computed once at compile.
     liveness: Liveness,
@@ -691,10 +701,13 @@ impl CompiledScript {
         self.inner.recompiles.load(Ordering::Relaxed)
     }
 
-    /// An explain-style rendering of the compiled plan.
+    /// An explain-style rendering of the compiled plan; ends with a line
+    /// saying so when the enumeration behind it ran into its cap.
     pub fn explain(&self) -> String {
-        match &self.inner.base.plan {
-            Some(p) => p.explain(),
+        let base = &self.inner.base;
+        let cap = base.enum_cap.map_or(String::new(), |cap| format!("{cap}\n"));
+        match &base.plan {
+            Some(p) => p.explain() + &cap,
             None => format!("{:?} (no generated operators)\n", self.engine.mode()),
         }
     }
