@@ -31,7 +31,7 @@ impl Default for AeConfig {
 /// Builds the per-batch forward+backward DAG. Outputs: loss, dW1..dW4.
 /// Architecture: X → sigmoid(XW1) → sigmoid(H1W2) → sigmoid(H2W3) →
 /// (H3W4 = X̂), squared reconstruction error.
-fn build_batch_dag(bsz: usize, m: usize, h1: usize, h2: usize) -> HopDag {
+pub fn build_batch_dag(bsz: usize, m: usize, h1: usize, h2: usize) -> HopDag {
     let mut b = DagBuilder::new();
     let x = b.read("Xb", bsz, m, 1.0);
     let w1 = b.read("W1", m, h1, 1.0);

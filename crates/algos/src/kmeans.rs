@@ -27,7 +27,7 @@ impl Default for KMeansConfig {
 
 /// Per-iteration DAG: assignment matrix `A`, within-cluster sum of squares,
 /// and the new centroid numerator `t(A) %*% X` plus counts `colSums(A)`.
-fn build_iter_dag(n: usize, m: usize, k: usize, sp: f64) -> HopDag {
+pub fn build_iter_dag(n: usize, m: usize, k: usize, sp: f64) -> HopDag {
     let mut b = DagBuilder::new();
     let x = b.read("X", n, m, sp);
     let c = b.read("C", k, m, 1.0);

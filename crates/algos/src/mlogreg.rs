@@ -61,7 +61,7 @@ fn build_grad_dag(n: usize, m: usize, k1: usize, sp: f64) -> HopDag {
 }
 
 /// The Hessian-vector product DAG — paper Expression (2) / Figure 5.
-fn build_hvp_dag(n: usize, m: usize, k1: usize, sp: f64) -> HopDag {
+pub fn build_hvp_dag(n: usize, m: usize, k1: usize, sp: f64) -> HopDag {
     let mut b = DagBuilder::new();
     let x = b.read("X", n, m, sp);
     let p = b.read("P", n, k1 + 1, 1.0);

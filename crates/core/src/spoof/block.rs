@@ -533,7 +533,8 @@ macro_rules! with_unop {
 // when instantiating its shape templates.
 pub(crate) use {with_binop, with_unop};
 
-pub(crate) fn un_loop(op: UnaryOp, a: OpRef<'_>, dst: &mut [f64]) {
+/// `dst[i] = op(a[i])`, one monomorphized loop per operator.
+pub fn un_loop(op: UnaryOp, a: OpRef<'_>, dst: &mut [f64]) {
     let n = dst.len();
     match a {
         OpRef::S(a) => {
@@ -551,7 +552,9 @@ pub(crate) fn un_loop(op: UnaryOp, a: OpRef<'_>, dst: &mut [f64]) {
     }
 }
 
-pub(crate) fn bin_loop(op: BinaryOp, a: OpRef<'_>, b: OpRef<'_>, dst: &mut [f64]) {
+/// `dst[i] = op(a[i], b[i])`, one monomorphized loop per operator and
+/// slice/uniform operand combination.
+pub fn bin_loop(op: BinaryOp, a: OpRef<'_>, b: OpRef<'_>, dst: &mut [f64]) {
     let n = dst.len();
     match (a, b) {
         (OpRef::S(a), OpRef::S(b)) => {
@@ -897,7 +900,7 @@ pub fn program_hash(p: &Program) -> u64 {
 /// *variance* into an invocation-invariant prologue (run once per row band)
 /// and a per-row body, main-row reads become virtual (resolved against the
 /// skeleton's dense or sparse row view instead of a densified copy), and the
-/// dominant `Xᵀ(Xv)` mv-chain shape is closure-specialized.
+/// dominant `Xᵀ(Xv)` mv-chain shape is recognized.
 ///
 /// Lowering depends on the side-input geometry (a `LoadSideRow` of a whole
 /// column vector is invariant, a row-aligned slice is not), so kernels are
@@ -919,39 +922,23 @@ pub struct RowKernel {
     /// output — can consume a sparse row directly over its non-zeros, so
     /// sparse mains execute without densification.
     pub sparse_main_ok: bool,
-    /// Closure-specialized fast path, where the program matches one.
+    /// The dominant shape the program matches, where it matches one.
     pub fast: Option<RowFastKernel>,
 }
 
-/// A closure-specialized kernel for a dominant Row program shape.
+/// A dominant Row program shape the skeleton schedules specially.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RowFastKernel {
     /// `acc += g(dot(x_row, v)) · x_row` — the `Xᵀ(Xv)` / mlogreg
     /// `Xᵀ(w ⊙ (Xv))` family: a single dot of the main row against an
     /// invariant vector, an arbitrary scalar-only tail computing the
-    /// multiplier, and a `ColAggMultAdd` output over the main row. Executes
-    /// as one dot + one axpy per row (sparse rows over their non-zeros).
+    /// multiplier, and a `ColAggMultAdd` output over the main row. Every
+    /// main row is read twice in a row — by the dot, then by the axpy — and
+    /// by nothing else, so the skeleton keeps its tiles small enough that
+    /// the second read finds the rows in L1.
     MvChain {
         /// The invariant vector register dotted with the main row.
         v: VReg,
-        /// Register receiving the dot result.
-        dot_out: Reg,
-        /// Scalar-only per-row instructions computing the multiplier.
-        scalar_tail: Vec<Instr>,
-        /// Register holding the final multiplier (the output's `scalar`).
-        scalar_src: Reg,
-    },
-    /// `acc += x_row ⊗ (x_rowᵀ·S)` — the `t(X) %*% (X %*% V)` PCA/DDC shape
-    /// (fig 8g): one `VecMatMult` of the main row against a side matrix,
-    /// consumed by an `OuterColAgg` with the main row on the left. Executes
-    /// as one sparse-aware side-row accumulation plus one outer axpy per
-    /// row, no per-instruction dispatch.
-    MatVecOuter {
-        /// Side-input index multiplied from the right.
-        side: usize,
-        /// Vector register receiving the mat-vec product (the output's
-        /// `right` operand).
-        t: VReg,
     },
 }
 
@@ -1079,68 +1066,44 @@ fn row_sparse_main_ok(per_row: &[Instr], mains: &[VReg]) -> bool {
     })
 }
 
-/// Tries to specialize the per-row body into a [`RowFastKernel`].
+/// Tries to recognize the per-row body as a [`RowFastKernel`] shape.
 fn specialize_row(
     per_row: &[Instr],
     mains: &[VReg],
     v_inv: &[bool],
     out: &RowOut,
 ) -> Option<RowFastKernel> {
-    if let RowOut::OuterColAgg { left, right } = *out {
-        // x_row ⊗ (x_rowᵀ·S): the body must be exactly the main-row load(s)
-        // plus one VecMatMult of the main row producing the right operand.
-        if !mains.contains(&left) || mains.contains(&right) {
-            return None;
-        }
-        let mut vmm: Option<usize> = None;
-        for ins in per_row {
-            match *ins {
-                Instr::LoadMainRow { .. } => {}
-                Instr::VecMatMult { out, a, side } if out == right && mains.contains(&a) => {
-                    if vmm.is_some() {
-                        return None;
-                    }
-                    vmm = Some(side);
-                }
-                _ => return None,
-            }
-        }
-        return Some(RowFastKernel::MatVecOuter { side: vmm?, t: right });
-    }
-    let RowOut::ColAggMultAdd { vec, scalar } = *out else { return None };
+    let RowOut::ColAggMultAdd { vec, .. } = *out else { return None };
     if !mains.contains(&vec) {
         return None;
     }
     let is_main = |v: VReg| mains.contains(&v);
-    let mut dot: Option<(Reg, VReg)> = None;
-    let mut tail = Vec::new();
+    let mut dot: Option<VReg> = None;
     for ins in per_row {
         match *ins {
             Instr::LoadMainRow { .. } => {}
-            Instr::Dot { out, a, b } => {
+            Instr::Dot { a, b, .. } => {
                 if dot.is_some() {
                     return None;
                 }
-                let v = if is_main(a) && !is_main(b) && v_inv[b as usize] {
+                dot = Some(if is_main(a) && !is_main(b) && v_inv[b as usize] {
                     b
                 } else if is_main(b) && !is_main(a) && v_inv[a as usize] {
                     a
                 } else {
                     return None;
-                };
-                dot = Some((out, v));
+                });
             }
             Instr::LoadSide { .. }
             | Instr::LoadScalar { .. }
             | Instr::LoadConst { .. }
             | Instr::Unary { .. }
             | Instr::Binary { .. }
-            | Instr::Ternary { .. } => tail.push(ins.clone()),
-            _ => return None, // other vector work: stay on the generic body
+            | Instr::Ternary { .. } => {}
+            _ => return None, // other vector work: not this shape
         }
     }
-    let (dot_out, v) = dot?;
-    Some(RowFastKernel::MvChain { v, dot_out, scalar_tail: tail, scalar_src: scalar })
+    Some(RowFastKernel::MvChain { v: dot? })
 }
 
 /// Structural hash of a Row operator under its side geometry (row-kernel
@@ -1380,15 +1343,7 @@ mod tests {
         assert!(k.invariant_vregs[1] && !k.invariant_vregs[0]);
         // Sparse mains execute over non-zeros: no densification anywhere.
         assert!(k.sparse_main_ok, "mv-chain must not densify the sparse main");
-        match k.fast {
-            Some(RowFastKernel::MvChain { v, dot_out, ref scalar_tail, scalar_src }) => {
-                assert_eq!(v, 1);
-                assert_eq!(dot_out, 0);
-                assert_eq!(scalar_tail.len(), 2, "w load + multiply");
-                assert_eq!(scalar_src, 2);
-            }
-            ref other => panic!("expected MvChain, got {other:?}"),
-        }
+        assert_eq!(k.fast, Some(RowFastKernel::MvChain { v: 1 }));
     }
 
     #[test]

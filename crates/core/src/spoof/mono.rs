@@ -50,10 +50,13 @@ const CHUNK: usize = 64;
 pub enum ShapeClass {
     /// Closure-specialized multiply chain (`FastKernel::ProductChain`).
     ProductChain,
-    /// Closure-specialized row mv-chain (`RowFastKernel::MvChain`).
+    /// Row mv-chain (`RowFastKernel::MvChain`): the tile body at an L1-sized
+    /// tile height, a dot and an axpy per row.
     MvChain,
-    /// Closure-specialized row mat-vec outer (`RowFastKernel::MatVecOuter`).
-    MatVecOuter,
+    /// Row tile body whose matrix-shaped work (a `VecMatMult`, an
+    /// `OuterColAgg` output) runs in the register-blocked `simd::gemm`
+    /// micro-kernel, a tile of rows per instruction dispatch.
+    RowTile,
     /// Monomorphized single unary map.
     Map1,
     /// Monomorphized single binary map.
@@ -81,7 +84,7 @@ impl ShapeClass {
         match self {
             ShapeClass::ProductChain => "product_chain",
             ShapeClass::MvChain => "mv_chain",
-            ShapeClass::MatVecOuter => "mat_vec_outer",
+            ShapeClass::RowTile => "row_tile",
             ShapeClass::Map1 => "map1",
             ShapeClass::Map2 => "map2",
             ShapeClass::Map3 => "map3",

@@ -1,11 +1,13 @@
-//! Matrix multiplication kernels: dense×dense (ikj order, parallel over row
-//! bands), sparse×dense, dense×sparse, sparse×sparse, and the fused
+//! Matrix multiplication kernels: dense×dense and sparse×dense (the
+//! register-blocked [`simd::gemm`] / [`simd::sparse_row_gemm`] kernels over a
+//! packed right operand, parallel over row bands; one dot per row against a
+//! vector), dense×sparse, sparse×sparse, and the fused
 //! `t(X) %*% Y` (tsmm-style) kernel that avoids materializing the transpose.
 
 use crate::dense::DenseMatrix;
 use crate::matrix::Matrix;
-use crate::par;
 use crate::sparse::SparseMatrix;
+use crate::{par, pool, simd};
 
 /// `C = A %*% B`. Panics on an inner-dimension mismatch.
 pub fn matmult(a: &Matrix, b: &Matrix) -> Matrix {
@@ -36,9 +38,9 @@ pub fn tsmm_left(x: &Matrix, y: &Matrix) -> Matrix {
     let acc = par::par_map_reduce(
         rows,
         m * n,
-        crate::pool::take_zeroed(m * n),
+        pool::take_zeroed(m * n),
         |lo, hi| {
-            let mut c = crate::pool::take_zeroed(m * n);
+            let mut c = pool::take_zeroed(m * n);
             match (x, y) {
                 (Matrix::Dense(xd), Matrix::Dense(yd)) => {
                     for r in lo..hi {
@@ -84,48 +86,57 @@ pub fn tsmm_left(x: &Matrix, y: &Matrix) -> Matrix {
             for (av, bv) in a.iter_mut().zip(b.iter()) {
                 *av += bv;
             }
-            crate::pool::give(b);
+            pool::give(b);
             a
         },
     );
     Matrix::dense(DenseMatrix::new(m, n, acc))
 }
 
+/// `b` in the packed-panel form [`simd::gemm`] and [`simd::sparse_row_gemm`]
+/// read, in a pooled buffer the caller gives back.
+fn packed(b: &DenseMatrix) -> Vec<f64> {
+    let (k, n) = (b.rows(), b.cols());
+    let mut bp = pool::take_zeroed(simd::packed_len(k, n));
+    simd::pack_panels(b.values(), n, (k, n), &mut bp);
+    bp
+}
+
 fn dense_dense(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = crate::pool::take_zeroed(m * n);
-    par::par_rows_mut(&mut out, m, n.max(1), k * n.max(1), |r, crow| {
-        let arow = a.row(r);
-        // ikj loop order: stream through B rows, accumulate into the C row.
-        for (ki, &av) in arow.iter().enumerate() {
-            if av != 0.0 {
-                let brow = b.row(ki);
-                for (j, &bv) in brow.iter().enumerate() {
-                    crow[j] += av * bv;
-                }
-            }
-        }
-    });
+    let mut out = pool::take_zeroed(m * n);
+    if n == 1 {
+        // Matrix-vector: one dot per row, `b`'s values are the vector.
+        par::par_rows_mut(&mut out, m, 1, k, |r, c| c[0] = simd::dot(a.row(r), b.values()));
+    } else if m * n > 0 {
+        // The register-blocked kernel the fused Row operators run, over row
+        // bands that share one packed copy of `b`.
+        let bp = packed(b);
+        par::par_row_bands_mut(&mut out, m, n, k * n, |r0, band| {
+            let lhs = simd::Lhs { data: &a.values()[r0 * k..], rs: k, cs: 1 };
+            simd::gemm(band, n, (band.len() / n, n, k), lhs, simd::Rhs::Packed(&bp), false);
+        });
+        pool::give(bp);
+    }
     DenseMatrix::new(m, n, out)
 }
 
 fn sparse_dense(a: &SparseMatrix, b: &DenseMatrix) -> DenseMatrix {
-    let (m, n) = (a.rows(), b.cols());
-    let mut out = crate::pool::take_zeroed(m * n);
-    par::par_rows_mut(&mut out, m, n.max(1), n.max(1).max(a.nnz() / m.max(1)), |r, crow| {
-        for (ki, av) in a.row_iter(r) {
-            let brow = b.row(ki);
-            for (j, &bv) in brow.iter().enumerate() {
-                crow[j] += av * bv;
-            }
-        }
-    });
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let mut out = pool::take_zeroed(m * n);
+    if m * n > 0 {
+        let bp = packed(b);
+        par::par_rows_mut(&mut out, m, n, n.max(a.nnz() / m), |r, crow| {
+            simd::sparse_row_gemm(a.row_values(r), a.row_cols(r), &bp, k, crow);
+        });
+        pool::give(bp);
+    }
     DenseMatrix::new(m, n, out)
 }
 
 fn dense_sparse(a: &DenseMatrix, b: &SparseMatrix) -> DenseMatrix {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = crate::pool::take_zeroed(m * n);
+    let mut out = pool::take_zeroed(m * n);
     par::par_rows_mut(&mut out, m, n.max(1), k.max(1), |r, crow| {
         let arow = a.row(r);
         for (ki, &av) in arow.iter().enumerate() {

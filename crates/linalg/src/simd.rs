@@ -18,7 +18,12 @@
 //! `sum_sq`, `axpy` accumulation order per element is preserved but lane
 //! association differs and FMA is permitted), so reduction results are
 //! backend-defined within ~1e-12 relative error; differential tests pin
-//! that bound against the scalar oracle. `min`/`max` folds are deliberately
+//! that bound against the scalar oracle. The register-blocked matrix kernels
+//! ([`gemm`], [`sparse_row_gemm`], [`scatter_axpy`]) are reduction class with
+//! a fixed order: every output element accumulates over the inner index
+//! ascending, one FMA per step on AVX2 and a multiply then an add in the
+//! scalar twin — bitwise what a chain of [`axpy`] calls gives on the same
+//! backend, whatever the tile shape. `min`/`max` folds are deliberately
 //! *not* implemented here: `_mm256_min_pd` does not match Rust's
 //! `f64::min` on NaN and ±0.0, and the portable fold in `primitives` is
 //! already cheap.
@@ -223,6 +228,60 @@ fn gather_scalar(dst: &mut [f64], src: &[f64], idx: &[usize]) {
     }
 }
 
+/// One `mr×nr` tile of [`gemm`]: `c`, `a` and `b` start at the tile's first
+/// element. Same loop nest as the AVX2 body — the accumulator tile lives in
+/// locals across the whole `p` loop, `p` ascends — with a separate multiply
+/// and add where the vector body fuses them.
+fn gemm_tile_scalar(
+    c: &mut [f64],
+    c_rs: usize,
+    (mr, nr, kc): (usize, usize, usize),
+    a: Lhs<'_>,
+    (b, b_rs): (&[f64], usize),
+    accumulate: bool,
+) {
+    let mut acc = [[0.0f64; NR]; MR];
+    if accumulate {
+        for (i, row) in acc.iter_mut().enumerate().take(mr) {
+            row[..nr].copy_from_slice(&c[i * c_rs..i * c_rs + nr]);
+        }
+    }
+    for p in 0..kc {
+        let brow = &b[p * b_rs..p * b_rs + nr];
+        for (i, row) in acc.iter_mut().enumerate().take(mr) {
+            let av = a.data[i * a.rs + p * a.cs];
+            for (x, &bv) in row.iter_mut().zip(brow) {
+                *x += av * bv;
+            }
+        }
+    }
+    for (i, row) in acc.iter().enumerate().take(mr) {
+        c[i * c_rs..i * c_rs + nr].copy_from_slice(&row[..nr]);
+    }
+}
+
+fn sparse_row_gemm_scalar(vals: &[f64], cols: &[usize], bp: &[f64], kc: usize, dst: &mut [f64]) {
+    for (jp, out) in dst.chunks_mut(NR).enumerate() {
+        let panel = &bp[jp * kc * NR..(jp + 1) * kc * NR];
+        let mut acc = [0.0f64; NR];
+        for (&v, &c) in vals.iter().zip(cols) {
+            for (x, &bv) in acc.iter_mut().zip(&panel[c * NR..(c + 1) * NR]) {
+                *x += v * bv;
+            }
+        }
+        out.copy_from_slice(&acc[..out.len()]);
+    }
+}
+
+fn scatter_axpy_scalar(vals: &[f64], cols: &[usize], t: &[f64], acc: &mut [f64]) {
+    let ld = padded_cols(t.len());
+    for (&v, &c) in vals.iter().zip(cols) {
+        for (x, &tv) in acc[c * ld..c * ld + t.len()].iter_mut().zip(t) {
+            *x += v * tv;
+        }
+    }
+}
+
 // ===========================================================================
 // AVX2 + FMA kernels
 // ===========================================================================
@@ -232,9 +291,19 @@ mod avx2 {
     use std::arch::x86_64::*;
 
     /// Lane masks for ragged tails: entry `r` activates the first `r` lanes
-    /// of a 256-bit masked load (high bit of each 64-bit lane selects).
-    const TAIL_MASKS: [[i64; 4]; 4] =
-        [[0, 0, 0, 0], [-1, 0, 0, 0], [-1, -1, 0, 0], [-1, -1, -1, 0]];
+    /// of a 256-bit masked load or store (high bit of each 64-bit lane
+    /// selects).
+    const TAIL_MASKS: [[i64; 4]; 5] =
+        [[0, 0, 0, 0], [-1, 0, 0, 0], [-1, -1, 0, 0], [-1, -1, -1, 0], [-1, -1, -1, -1]];
+
+    /// The mask activating the first `r ≤ 4` lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn lane_mask(r: usize) -> __m256i {
+        // SAFETY: TAIL_MASKS[r] is 32 readable bytes; loadu has no alignment
+        // requirement (an `r > 4` panics on the index before the load).
+        unsafe { _mm256_loadu_si256(TAIL_MASKS[r].as_ptr().cast()) }
+    }
 
     /// Masked load of the `r`-element tail at `p` (`r < 4`): inactive lanes
     /// read as +0.0, which is the identity for the add/mul-add reductions
@@ -246,13 +315,9 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     unsafe fn tail_load(p: *const f64, r: usize) -> __m256d {
         debug_assert!(r < 4);
-        // SAFETY: TAIL_MASKS[r] is 32 aligned-enough bytes (loadu); the
-        // masked load touches only the first `r` lanes of `p`, which the
-        // caller guarantees are readable.
-        unsafe {
-            let m = _mm256_loadu_si256(TAIL_MASKS[r].as_ptr().cast());
-            _mm256_maskload_pd(p, m)
-        }
+        // SAFETY: the masked load touches only the first `r` lanes of `p`,
+        // which the caller guarantees are readable.
+        unsafe { _mm256_maskload_pd(p, lane_mask(r)) }
     }
 
     #[inline]
@@ -469,6 +534,173 @@ mod avx2 {
         }
     }
 
+    /// The signature every [`gemm_tile`] instance shares.
+    pub type GemmTile = unsafe fn(
+        *mut f64,
+        usize,
+        (usize, usize, usize),
+        *const f64,
+        (usize, usize),
+        *const f64,
+        usize,
+        bool,
+    );
+
+    /// One register tile of [`super::gemm`]: `C[mr×nr] (+)= Σ_p A(·,p)·B(p,·)`
+    /// with the `MR × W` accumulator vectors held in registers across the
+    /// whole `p` loop (`W` = 256-bit vectors per tile row: 2 for a full
+    /// `NR`-column panel, 1 when `nr ≤ 4`), `p` ascending with one FMA per
+    /// element per `p` — the association `axpy(B(p,·), A(i,p), C(i,·))` over
+    /// ascending `p` produces. Rows `mr..MR` recompute row `mr − 1` and are
+    /// not stored, so edge tiles run the same body. `B_FULL` promises that
+    /// every `B` row is readable over all `4·W` lanes (a zero-padded packed
+    /// panel); otherwise lanes at and beyond `nr` are masked off the loads.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2 and FMA, `1 ≤ mr ≤ MR`,
+    /// `1 ≤ nr ≤ 4·W`, and that for all `i < mr`, `p < kc`:
+    /// `a[i·a_rs + p·a_cs]` is readable, `b[p·b_rs + j]` is readable for
+    /// `j < nr` (`j < 4·W` under `B_FULL`), and `c[i·c_rs + j]` is writable
+    /// (and readable) for `j < nr`, with `c` overlapping neither input.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)] // a BLAS-style micro-kernel: three operands, their strides, the tile extents
+    pub unsafe fn gemm_tile<const W: usize, const B_FULL: bool>(
+        c: *mut f64,
+        c_rs: usize,
+        (mr, nr, kc): (usize, usize, usize),
+        a: *const f64,
+        (a_rs, a_cs): (usize, usize),
+        b: *const f64,
+        b_rs: usize,
+        accumulate: bool,
+    ) {
+        debug_assert!((1..=super::MR).contains(&mr) && (1..=4 * W).contains(&nr));
+        let masks: [__m256i; W] =
+            std::array::from_fn(|w| lane_mask(nr.saturating_sub(4 * w).min(4)));
+        let rows: [usize; super::MR] = std::array::from_fn(|i| i.min(mr - 1));
+        let mut acc = [[_mm256_setzero_pd(); W]; super::MR];
+        if accumulate {
+            for (i, row) in acc.iter_mut().enumerate().take(mr) {
+                for w in 0..W {
+                    // SAFETY: row `i < mr` of `c` is readable over its first
+                    // `nr` columns; the mask keeps lane `4w + l` off unless
+                    // `4w + l < nr`.
+                    row[w] = unsafe { _mm256_maskload_pd(c.add(i * c_rs + 4 * w), masks[w]) };
+                }
+            }
+        }
+        for p in 0..kc {
+            let mut bv = [_mm256_setzero_pd(); W];
+            for w in 0..W {
+                // SAFETY: `p < kc`; under `B_FULL` all `4·W` lanes of the row
+                // are readable, otherwise the mask stops at column `nr`.
+                bv[w] = unsafe {
+                    let bp = b.add(p * b_rs + 4 * w);
+                    if B_FULL {
+                        _mm256_loadu_pd(bp)
+                    } else {
+                        _mm256_maskload_pd(bp, masks[w])
+                    }
+                };
+            }
+            for i in 0..super::MR {
+                // SAFETY: `rows[i] < mr` and `p < kc`, so the element is one
+                // the caller guarantees readable.
+                let av = unsafe { _mm256_set1_pd(*a.add(rows[i] * a_rs + p * a_cs)) };
+                for w in 0..W {
+                    acc[i][w] = _mm256_fmadd_pd(av, bv[w], acc[i][w]);
+                }
+            }
+        }
+        for (i, row) in acc.iter().enumerate().take(mr) {
+            for w in 0..W {
+                // SAFETY: row `i < mr` of `c` is writable over its first `nr`
+                // columns; the mask keeps every other lane untouched.
+                unsafe { _mm256_maskstore_pd(c.add(i * c_rs + 4 * w), masks[w], row[w]) };
+            }
+        }
+    }
+
+    /// `dst[j] = Σ_k vals[k]·B(cols[k], j)` against packed panels: the `NR`
+    /// output columns of one panel accumulate in two registers across the
+    /// non-zeros (one for a last panel of at most four columns).
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2 and FMA, every `cols[k] <
+    /// kc`, and `bp` holds `dst.len().div_ceil(NR)` panels of `kc·NR`.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn sparse_row_gemm(
+        vals: &[f64],
+        cols: &[usize],
+        bp: &[f64],
+        kc: usize,
+        dst: &mut [f64],
+    ) {
+        const NR: usize = super::NR;
+        let nnz = vals.len().min(cols.len());
+        for (jp, out) in dst.chunks_mut(NR).enumerate() {
+            let nr = out.len();
+            // SAFETY: panel `jp` lies inside `bp` per the caller contract.
+            let panel = unsafe { bp.as_ptr().add(jp * kc * NR) };
+            let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+            for k in 0..nnz {
+                // SAFETY: `k < nnz` bounds both reads; `cols[k] < kc`, so row
+                // `cols[k]` of the panel holds NR readable values.
+                unsafe {
+                    let v = _mm256_set1_pd(*vals.get_unchecked(k));
+                    let row = panel.add(*cols.get_unchecked(k) * NR);
+                    lo = _mm256_fmadd_pd(v, _mm256_loadu_pd(row), lo);
+                    if nr > 4 {
+                        hi = _mm256_fmadd_pd(v, _mm256_loadu_pd(row.add(4)), hi);
+                    }
+                }
+            }
+            // SAFETY: `out` has `nr` writable elements; the masks keep the
+            // stores inside them.
+            unsafe {
+                _mm256_maskstore_pd(out.as_mut_ptr(), lane_mask(nr.min(4)), lo);
+                if nr > 4 {
+                    _mm256_maskstore_pd(out.as_mut_ptr().add(4), lane_mask(nr - 4), hi);
+                }
+            }
+        }
+    }
+
+    /// `acc[cols[k]·ld + j] += vals[k]·t[j]` for `j < t.len()`, rows `ld =
+    /// padded_cols(t.len())` apart; the padding columns of a touched row
+    /// receive `+0.0`.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2 and FMA and
+    /// `(cols[k] + 1)·ld ≤ acc.len()` for every `k`.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn scatter_axpy(vals: &[f64], cols: &[usize], t: &[f64], acc: &mut [f64]) {
+        let k = t.len();
+        let ld = super::padded_cols(k);
+        let nnz = vals.len().min(cols.len());
+        for z in 0..nnz {
+            // SAFETY: `z < nnz` bounds both reads; row `cols[z]` of `acc`
+            // holds `ld` = `k` rounded up to whole vectors, so every full
+            // load/store of a chunk starting below `k` stays inside it; `t`
+            // is read in full vectors below `k` and masked at its tail.
+            unsafe {
+                let v = _mm256_set1_pd(*vals.get_unchecked(z));
+                let row = acc.as_mut_ptr().add(*cols.get_unchecked(z) * ld);
+                let mut q = 0;
+                while q < k {
+                    let tv = if q + 4 <= k {
+                        _mm256_loadu_pd(t.as_ptr().add(q))
+                    } else {
+                        tail_load(t.as_ptr().add(q), k - q)
+                    };
+                    let x = _mm256_loadu_pd(row.add(q));
+                    _mm256_storeu_pd(row.add(q), _mm256_fmadd_pd(v, tv, x));
+                    q += 4;
+                }
+            }
+        }
+    }
+
     /// CSR-band gather: `dst[k] = src[idx[k]]` via `vgatherqpd`.
     ///
     /// # Safety
@@ -613,9 +845,196 @@ pub fn gather_into(dst: &mut [f64], src: &[f64], idx: &[usize]) {
     gather_scalar(dst, src, idx)
 }
 
+// ===========================================================================
+// Register-blocked matrix kernel
+// ===========================================================================
+
+/// Rows of `C` one micro-kernel call keeps in registers.
+const MR: usize = 4;
+/// Columns of `C` one micro-kernel call keeps in registers (two 256-bit
+/// vectors per row), and the width of a packed `B` panel.
+const NR: usize = 8;
+/// Rows of `A` swept against one `B` panel before moving to the next panel,
+/// so a panel is reused from L1 across `MC / MR` tiles.
+const MC: usize = 32;
+
+/// The left operand of [`gemm`]: element `(i, p)` is `data[i·rs + p·cs]`, so
+/// a row-major block (`cs == 1`) and the transpose of one (`rs == 1`) run
+/// the same code.
+#[derive(Clone, Copy, Debug)]
+pub struct Lhs<'a> {
+    pub data: &'a [f64],
+    pub rs: usize,
+    pub cs: usize,
+}
+
+/// The right operand of [`gemm`].
+#[derive(Clone, Copy, Debug)]
+pub enum Rhs<'a> {
+    /// Zero-padded column panels written by [`pack_panels`] (or element by
+    /// element through [`packed_index`]).
+    Packed(&'a [f64]),
+    /// Row-major rows `rs` apart: element `(p, j)` is `data[p·rs + j]`.
+    Rows { data: &'a [f64], rs: usize },
+}
+
+/// Length of the packed form of a `kc×n` right operand.
+#[inline]
+pub fn packed_len(kc: usize, n: usize) -> usize {
+    n.div_ceil(NR) * NR * kc
+}
+
+/// Where element `(p, j)` of a `kc`-row right operand lives in its packed
+/// form: panels of `NR` consecutive columns, each `kc` rows of `NR` values.
+#[inline]
+pub fn packed_index(kc: usize, p: usize, j: usize) -> usize {
+    (j / NR) * kc * NR + p * NR + j % NR
+}
+
+/// Packs the row-major `kc×n` matrix `b` (rows `rs` apart) into `dst`, which
+/// must arrive zeroed with [`packed_len`]`(kc, n)` elements: the last
+/// panel's missing columns stay `0.0`, so kernels read every panel row at
+/// full width.
+pub fn pack_panels(b: &[f64], rs: usize, (kc, n): (usize, usize), dst: &mut [f64]) {
+    assert_eq!(dst.len(), packed_len(kc, n), "packed buffer length");
+    for (jp, panel) in dst.chunks_exact_mut((kc * NR).max(1)).enumerate() {
+        let (j0, nr) = (jp * NR, NR.min(n - jp * NR));
+        for (p, row) in panel.chunks_exact_mut(NR).enumerate() {
+            row[..nr].copy_from_slice(&b[p * rs + j0..p * rs + j0 + nr]);
+        }
+    }
+}
+
+/// `C (+)= A·B` over the row-major `m×n` block `c` (rows `c_rs` apart), the
+/// inner dimension `kc` ascending for every output element: with
+/// `accumulate` the sums continue from the values already in `c`, without it
+/// they start from `0.0` and overwrite. Each `MR×NR` tile of `c` is held in
+/// registers across the whole inner loop (reduction class: one FMA per
+/// element per `p` on AVX2, multiply then add in the scalar twin — the same
+/// results, bitwise, as `axpy(B(p,·), A(i,p), C(i,·))` for ascending `p` on
+/// the respective backend).
+pub fn gemm(
+    c: &mut [f64],
+    c_rs: usize,
+    (m, n, kc): (usize, usize, usize),
+    a: Lhs<'_>,
+    b: Rhs<'_>,
+    accumulate: bool,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    assert!(c_rs >= n && c.len() >= (m - 1) * c_rs + n, "gemm: C out of bounds");
+    // `b_ps` steps from one NR-column panel to the next, `b_rs` from one
+    // inner index to the next.
+    let (b_data, b_ps, b_rs, b_full) = match b {
+        Rhs::Packed(d) => {
+            assert!(d.len() >= packed_len(kc, n), "gemm: packed B out of bounds");
+            (d, kc * NR, NR, true)
+        }
+        Rhs::Rows { data, rs } => {
+            assert!(kc == 0 || data.len() >= (kc - 1) * rs + n, "gemm: B out of bounds");
+            (data, NR, rs, false)
+        }
+    };
+    assert!(kc == 0 || a.data.len() > (m - 1) * a.rs + (kc - 1) * a.cs, "gemm: A out of bounds");
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = level() == SimdLevel::Avx2;
+    for ic in (0..m).step_by(MC) {
+        for jp in 0..n.div_ceil(NR) {
+            let nr = NR.min(n - jp * NR);
+            #[cfg(target_arch = "x86_64")]
+            let tile: avx2::GemmTile = match (nr > 4, b_full) {
+                (true, true) => avx2::gemm_tile::<2, true>,
+                (true, false) => avx2::gemm_tile::<2, false>,
+                (false, true) => avx2::gemm_tile::<1, true>,
+                (false, false) => avx2::gemm_tile::<1, false>,
+            };
+            for i0 in (ic..m.min(ic + MC)).step_by(MR) {
+                let dims = (MR.min(m - i0), nr, kc);
+                let (c_off, a_off, b_off) = (i0 * c_rs + jp * NR, i0 * a.rs, jp * b_ps);
+                #[cfg(target_arch = "x86_64")]
+                if avx2 {
+                    // The asserts above bound every element the tile
+                    // addresses: rows `i0..i0+mr` × columns `jp·NR..+nr` of
+                    // `c`, rows `i0..i0+mr` × inner `0..kc` of `a`, and inner
+                    // `0..kc` × the same columns of `b` — all NR of them in a
+                    // packed panel, which is what `B_FULL` reads.
+                    //
+                    // SAFETY: level() == Avx2 implies runtime AVX2+FMA
+                    // support; `tile` was instantiated for this `nr` (`W = 2`
+                    // iff `nr > 4`); every address is in bounds per the
+                    // asserts (see above); `c` is a `&mut`, so it overlaps
+                    // neither input.
+                    unsafe {
+                        let cp = c.as_mut_ptr().add(c_off);
+                        let ap = a.data.as_ptr().wrapping_add(a_off);
+                        let bp = b_data.as_ptr().wrapping_add(b_off);
+                        tile(cp, c_rs, dims, ap, (a.rs, a.cs), bp, b_rs, accumulate);
+                    }
+                    continue;
+                }
+                let a_tile = Lhs { data: a.data.get(a_off..).unwrap_or(&[]), ..a };
+                let b_tile = (b_data.get(b_off..).unwrap_or(&[]), b_rs);
+                gemm_tile_scalar(&mut c[c_off..], c_rs, dims, a_tile, b_tile, accumulate);
+            }
+        }
+    }
+}
+
+/// One sparse row against a packed right operand:
+/// `dst[j] = Σ_k vals[k]·B(cols[k], j)` for `j < dst.len()`, non-zeros in
+/// storage order, `bp` the [`pack_panels`] form of a `kc`-row matrix with at
+/// least `dst.len()` columns (reduction class, like [`gemm`]).
+pub fn sparse_row_gemm(vals: &[f64], cols: &[usize], bp: &[f64], kc: usize, dst: &mut [f64]) {
+    assert!(bp.len() >= packed_len(kc, dst.len()), "sparse_row_gemm: packed B out of bounds");
+    assert!(cols.iter().all(|&c| c < kc), "sparse_row_gemm: column index out of bounds");
+    #[cfg(target_arch = "x86_64")]
+    if level() == SimdLevel::Avx2 {
+        // SAFETY: level() == Avx2 implies runtime AVX2+FMA support; the
+        // panel count and every column index were just checked.
+        unsafe { avx2::sparse_row_gemm(vals, cols, bp, kc, dst) };
+        return;
+    }
+    sparse_row_gemm_scalar(vals, cols, bp, kc, dst)
+}
+
+/// Row length of an accumulator [`scatter_axpy`] updates for `k` logical
+/// columns: `k` rounded up to whole 256-bit vectors.
+#[inline]
+pub fn padded_cols(k: usize) -> usize {
+    k.next_multiple_of(4)
+}
+
+/// The rank-1 update of a sparse row: `acc[cols[z]·ld + j] += vals[z]·t[j]`
+/// for `j < t.len()`, where `acc` is row-major with rows `ld =`
+/// [`padded_cols`]`(t.len())` apart so a row updates in whole vectors with no
+/// tail (reduction class). Padding columns only ever receive `+0.0`.
+pub fn scatter_axpy(vals: &[f64], cols: &[usize], t: &[f64], acc: &mut [f64]) {
+    let ld = padded_cols(t.len());
+    assert!(cols.iter().all(|&c| (c + 1) * ld <= acc.len()), "scatter_axpy: row out of bounds");
+    #[cfg(target_arch = "x86_64")]
+    if level() == SimdLevel::Avx2 {
+        // SAFETY: level() == Avx2 implies runtime AVX2+FMA support; every
+        // touched row was just checked.
+        unsafe { avx2::scatter_axpy(vals, cols, t, acc) };
+        return;
+    }
+    scatter_axpy_scalar(vals, cols, t, acc)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// `force_scalar` is process-wide and the harness runs tests on parallel
+    /// threads: every test that flips it holds this lock, so a bitwise
+    /// comparison never straddles another test's flip.
+    fn path_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn naive_dot(a: &[f64], b: &[f64]) -> f64 {
         a.iter().zip(b).map(|(x, y)| x * y).sum()
@@ -641,6 +1060,7 @@ mod tests {
     /// through both dispatch paths.
     #[test]
     fn reductions_match_naive_across_ragged_lengths() {
+        let _paths = path_lock();
         for force in [false, true] {
             force_scalar(force);
             for n in 0..40usize {
@@ -663,6 +1083,7 @@ mod tests {
 
     #[test]
     fn axpy_matches_scalar_within_rounding() {
+        let _paths = path_lock();
         for force in [false, true] {
             force_scalar(force);
             for n in [0usize, 1, 3, 4, 7, 33] {
@@ -684,6 +1105,7 @@ mod tests {
     /// Map-class kernels are pinned *bitwise* across both dispatch paths.
     #[test]
     fn map_kernels_bitwise_identical_across_paths() {
+        let _paths = path_lock();
         for n in [0usize, 1, 5, 8, 13, 31] {
             let a = data(n, 7);
             let b = data(n, 8);
@@ -706,6 +1128,7 @@ mod tests {
 
     #[test]
     fn gather_matches_indexing() {
+        let _paths = path_lock();
         let src = data(50, 10);
         let idx: Vec<usize> = vec![0, 7, 49, 3, 3, 21, 48, 9, 11];
         for force in [false, true] {
@@ -719,10 +1142,191 @@ mod tests {
         force_scalar(false);
     }
 
+    /// `C (+)= A·B` by the textbook triple loop; `a_t` stores `A` transposed
+    /// (`kc×m` row-major), which [`gemm`] addresses with swapped strides.
+    fn naive_gemm(
+        c0: &[f64],
+        (m, n, kc): (usize, usize, usize),
+        a: &[f64],
+        a_t: bool,
+        b: &[f64],
+        accumulate: bool,
+    ) -> Vec<f64> {
+        let mut c = if accumulate { c0.to_vec() } else { vec![0.0; m * n] };
+        for i in 0..m {
+            for j in 0..n {
+                for p in 0..kc {
+                    let av = if a_t { a[p * m + i] } else { a[i * kc + p] };
+                    c[i * n + j] += av * b[p * n + j];
+                }
+            }
+        }
+        c
+    }
+
+    fn lhs(a: &[f64], (m, kc): (usize, usize), a_t: bool) -> Lhs<'_> {
+        if a_t {
+            Lhs { data: a, rs: 1, cs: m }
+        } else {
+            Lhs { data: a, rs: kc, cs: 1 }
+        }
+    }
+
+    /// Every edge tile (`mr ≤ MR`, `nr ≤ NR`), inner lengths 0/1/7/100, both
+    /// `A` orientations, assign and accumulate, packed and row-addressed
+    /// `B`, on both dispatch paths — against the triple loop, and AVX2
+    /// against its scalar twin within the module's pinned bound.
+    #[test]
+    fn gemm_edge_tiles_match_naive_on_both_paths() {
+        let _paths = path_lock();
+        for mr in 1..=MR {
+            for nr in 1..=NR {
+                for kc in [0usize, 1, 7, 100] {
+                    for a_t in [false, true] {
+                        for accumulate in [false, true] {
+                            let a = data(mr * kc, 11);
+                            let b = data(kc * nr, 12);
+                            let c0 = data(mr * nr, 13);
+                            let dims = (mr, nr, kc);
+                            let expect = naive_gemm(&c0, dims, &a, a_t, &b, accumulate);
+                            let mut bp = vec![0.0; packed_len(kc, nr)];
+                            pack_panels(&b, nr, (kc, nr), &mut bp);
+                            let mut per_path = Vec::new();
+                            for force in [false, true] {
+                                force_scalar(force);
+                                for rhs in [Rhs::Packed(&bp), Rhs::Rows { data: &b, rs: nr }] {
+                                    let mut c = c0.clone();
+                                    gemm(&mut c, nr, dims, lhs(&a, (mr, kc), a_t), rhs, accumulate);
+                                    for (g, e) in c.iter().zip(&expect) {
+                                        assert!(
+                                            close(*g, *e),
+                                            "{dims:?} a_t={a_t} acc={accumulate} force={force}"
+                                        );
+                                    }
+                                    per_path.push(c);
+                                }
+                            }
+                            // Packed and row-addressed B agree bitwise per
+                            // path; the two paths agree within the bound.
+                            assert!(per_path[0] == per_path[1] && per_path[2] == per_path[3]);
+                            for (v, s) in per_path[0].iter().zip(&per_path[2]) {
+                                assert!(close(*v, *s), "avx2 vs scalar twin {dims:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        force_scalar(false);
+    }
+
+    /// Blocks spanning many tiles, with row strides wider than the block
+    /// (the register-file and output-band layouts): untouched columns of `c`
+    /// stay untouched.
+    #[test]
+    fn gemm_multi_tile_blocks_with_wide_strides() {
+        let _paths = path_lock();
+        for force in [false, true] {
+            force_scalar(force);
+            for (m, n, kc) in [(9, 5, 100), (MC + 3, 2 * NR + 1, 13), (2, 100, 64), (11, 64, 3)] {
+                let a = data(m * kc, 21);
+                let b = data(kc * n, 22);
+                let expect = naive_gemm(&[], (m, n, kc), &a, false, &b, false);
+                let c_rs = n + 3;
+                let mut c = vec![7.0; m * c_rs];
+                let mut bp = vec![0.0; packed_len(kc, n)];
+                pack_panels(&b, n, (kc, n), &mut bp);
+                gemm(&mut c, c_rs, (m, n, kc), lhs(&a, (m, kc), false), Rhs::Packed(&bp), false);
+                for i in 0..m {
+                    for j in 0..n {
+                        assert!(
+                            close(c[i * c_rs + j], expect[i * n + j]),
+                            "({m},{n},{kc}) [{i},{j}]"
+                        );
+                    }
+                    assert!(i == m - 1 || c[i * c_rs + n..(i + 1) * c_rs] == [7.0; 3]);
+                }
+            }
+        }
+        force_scalar(false);
+    }
+
+    /// The summation-order guarantee: each output element is the chain
+    /// `axpy(B(p,·), A(i,p), C(i,·))` for ascending `p` builds on the same
+    /// backend — bitwise, which is what lets the tile backend replace that
+    /// idiom without moving a result.
+    #[test]
+    fn gemm_is_bitwise_the_axpy_per_element_order() {
+        let _paths = path_lock();
+        for force in [false, true] {
+            force_scalar(force);
+            for (m, n, kc) in [(1, 5, 100), (6, 3, 40), (5, 9, 17), (7, 64, 100)] {
+                let a = data(m * kc, 31);
+                let b = data(kc * n, 32);
+                let mut expect = vec![0.0; m * n];
+                for i in 0..m {
+                    for p in 0..kc {
+                        axpy(
+                            &b[p * n..(p + 1) * n],
+                            a[i * kc + p],
+                            &mut expect[i * n..(i + 1) * n],
+                        );
+                    }
+                }
+                let mut c = vec![0.0; m * n];
+                let rhs = Rhs::Rows { data: &b, rs: n };
+                gemm(&mut c, n, (m, n, kc), lhs(&a, (m, kc), false), rhs, false);
+                assert!(c == expect, "({m},{n},{kc}) force={force}");
+            }
+        }
+        force_scalar(false);
+    }
+
+    #[test]
+    fn sparse_row_gemm_and_scatter_axpy_match_dense_forms() {
+        let _paths = path_lock();
+        let kc = 37;
+        let cols: Vec<usize> = vec![0, 3, 4, 11, 20, 36];
+        let vals = data(cols.len(), 41);
+        for force in [false, true] {
+            force_scalar(force);
+            for n in [1usize, 3, 4, 5, 8, 9, 17] {
+                let b = data(kc * n, 42);
+                let mut bp = vec![0.0; packed_len(kc, n)];
+                pack_panels(&b, n, (kc, n), &mut bp);
+                for (p, j) in [(0, 0), (kc - 1, n - 1), (5, n / 2)] {
+                    assert_eq!(bp[packed_index(kc, p, j)], b[p * n + j]);
+                }
+                let mut dst = vec![9.0; n];
+                sparse_row_gemm(&vals, &cols, &bp, kc, &mut dst);
+                // Bitwise the per-non-zero axpy chain it replaces.
+                let mut expect = vec![0.0; n];
+                for (&v, &c) in vals.iter().zip(&cols) {
+                    axpy(&b[c * n..(c + 1) * n], v, &mut expect);
+                }
+                assert!(dst == expect, "sparse_row_gemm n={n} force={force}");
+
+                let t = data(n, 43);
+                let ld = padded_cols(n);
+                let mut acc = data(kc * ld, 44);
+                let mut expect = acc.clone();
+                for (&v, &c) in vals.iter().zip(&cols) {
+                    axpy(&t, v, &mut expect[c * ld..c * ld + n]);
+                }
+                scatter_axpy(&vals, &cols, &t, &mut acc);
+                for r in 0..kc {
+                    assert_eq!(acc[r * ld..r * ld + n], expect[r * ld..r * ld + n], "n={n} r={r}");
+                }
+            }
+        }
+        force_scalar(false);
+    }
+
     /// NaN and signed zeros flow through unchanged: map kernels propagate
     /// them bitwise; reductions poison the sum like the scalar twin.
     #[test]
     fn nan_and_signed_zero_semantics() {
+        let _paths = path_lock();
         let a = [1.0, f64::NAN, -0.0, 0.0, 2.0];
         let b = [2.0, 1.0, 5.0, -3.0, 0.5];
         for force in [false, true] {

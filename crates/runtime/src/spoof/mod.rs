@@ -9,7 +9,8 @@
 //!
 //! Cell/MAgg/Outer skeletons drive the tile-vectorized block backend
 //! (`tiles::TileRunner`); the Row skeleton drives the band-lowered
-//! `RowKernel` with per-band register contexts and sparse-aware row views.
+//! `RowKernel` a tile of rows per instruction, with per-band register
+//! contexts and sparse-aware row views.
 
 pub mod cellwise;
 pub mod compressed;
@@ -22,7 +23,7 @@ use crate::side::SideInput;
 use fusedml_core::plancache::KernelCaches;
 use fusedml_core::spoof::block::{CellBackend, RowFastKernel};
 use fusedml_core::spoof::mono::ShapeClass;
-use fusedml_core::spoof::{FusedSpec, Program, Reg, RowExecMode, RowOut};
+use fusedml_core::spoof::{FusedSpec, Instr, Program, Reg, RowExecMode, RowOut};
 use fusedml_linalg::{scoped, Matrix};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -79,14 +80,12 @@ pub fn kernel_class(spec: &FusedSpec, side_dims: &[(usize, usize)]) -> ShapeClas
                 return ShapeClass::Interpreted;
             }
             let kernel = caches.row.get_or_lower(r, side_dims);
-            match (&kernel.fast, &r.out) {
-                (Some(RowFastKernel::MvChain { .. }), RowOut::ColAggMultAdd { .. }) => {
-                    ShapeClass::MvChain
-                }
-                (Some(RowFastKernel::MatVecOuter { .. }), RowOut::OuterColAgg { .. }) => {
-                    ShapeClass::MatVecOuter
-                }
-                _ => ShapeClass::Interpreted,
+            let matrix_shaped = matches!(r.out, RowOut::OuterColAgg { .. })
+                || kernel.per_row.iter().any(|i| matches!(i, Instr::VecMatMult { .. }));
+            match kernel.fast {
+                Some(RowFastKernel::MvChain { .. }) => ShapeClass::MvChain,
+                None if matrix_shaped => ShapeClass::RowTile,
+                None => ShapeClass::Interpreted,
             }
         }
     }

@@ -3,30 +3,48 @@
 //! (paper Table 1, Figure 3(c)).
 //!
 //! Two backends share every output variant. The **block backend** (default)
-//! executes the band-lowered [`RowKernel`]: worker threads own one context
-//! per contiguous *row band* (register files allocated once, the kernel's
-//! invariant prologue — constants, whole-vector side loads, derivations —
-//! replayed once per band), dense side rows are borrowed zero-copy through
-//! the [`SideInput`] row-view API, sparse sides feed `VecMatMult` through
-//! their CSR rows without densification, and sparse main rows execute
-//! directly over their non-zeros whenever the kernel is
-//! [`RowKernel::sparse_main_ok`] (the paper's `genexecSparse` split, §2.2).
-//! The `Xᵀ(Xv)`-style mv-chain shape additionally takes the
-//! [`RowFastKernel::MvChain`] closure-specialized path: one dot + one axpy
-//! per row. The **interpreter backend** is the original per-row evaluator,
-//! retained as the differential-test oracle.
+//! executes the band-lowered [`RowKernel`] a **tile of `RB` consecutive main
+//! rows per instruction dispatch**: worker threads own one context per
+//! contiguous *row band* (one pooled register file, the kernel's invariant
+//! prologue — constants, whole-vector side loads, derivations — replayed
+//! once per band), a vector register is an `RB × len` row-major tile and a
+//! scalar register `RB` lanes, main rows and row-aligned dense side rows
+//! are zero-copy `(slice, row stride)` views, and an invariant register is
+//! one row at stride 0. Element-wise instructions run once over a tile
+//! whose rows are adjacent in memory. The matrix-shaped work goes through
+//! the register-blocked `simd::gemm` micro-kernel: `VecMatMult` is
+//! `tile(h×m) · side(m×k)` against the side packed once per band into
+//! zero-padded panels (dense or sparse side alike), and an `OuterColAgg`
+//! output is the rank-`h` update `acc += leftᵀ · right` with `left` read
+//! through swapped strides. Every output element still sums over the inner
+//! index in ascending order, so tiling moves no result beyond what FMA
+//! contraction already allowed. Sparse main rows execute directly over
+//! their non-zeros whenever the kernel is [`RowKernel::sparse_main_ok`]
+//! (the paper's `genexecSparse` split, §2.2): `VecMatMult` accumulates a
+//! panel's columns in registers across the non-zeros
+//! (`simd::sparse_row_gemm`), and a sparse left operand of the outer update
+//! scatters whole vectors into a column-padded accumulator
+//! (`simd::scatter_axpy`). A ragged band tail is a shorter tile, and a tile
+//! of one row is the per-row evaluation this replaced. The `Xᵀ(Xv)`-style
+//! mv-chain shape ([`RowFastKernel::MvChain`](block::RowFastKernel)) runs the
+//! same body at a tile height cut to what keeps its rows in L1 between the
+//! dot and the axpy that reads them again — a row or two of a 1000-column
+//! dense main, the full `RB` of short or sparse rows. The **interpreter
+//! backend** is the original per-row evaluator, retained as the
+//! differential-test oracle.
 //!
 //! Three vector-execution modes implement the Figure 10 instruction-
 //! footprint experiment (DESIGN.md substitution X4): `Vectorized` calls the
 //! shared primitives; `Inlined` dispatches per element (inlined generated
 //! code); `InterpretedNoJit` adds per-element re-resolution overhead (code
-//! too large to JIT).
+//! too large to JIT). The two per-element modes run the block backend over
+//! tiles of one row.
 
 use crate::side::SideInput;
-use fusedml_core::spoof::block::{self, RowFastKernel, RowKernel};
+use fusedml_core::spoof::block::{self, OpRef, RowKernel};
 use fusedml_core::spoof::{Instr, Program, Reg, RowExecMode, RowOut, RowSpec};
 use fusedml_linalg::ops::{AggOp, BinaryOp, UnaryOp};
-use fusedml_linalg::{par, pool, primitives as prim, DenseMatrix, Matrix};
+use fusedml_linalg::{par, pool, primitives as prim, simd, DenseMatrix, Matrix, SparseMatrix};
 use std::borrow::Cow;
 
 /// Which execution backend the Row skeleton uses.
@@ -36,7 +54,8 @@ pub enum RowBackend {
     /// oracle).
     Interp,
     /// Band-lowered execution over the [`RowKernel`] (default): per-band
-    /// contexts, invariant hoisting, sparse-aware rows, mv-chain fast path.
+    /// contexts, invariant hoisting, a tile of rows per instruction,
+    /// sparse-aware rows.
     Block,
 }
 
@@ -74,19 +93,67 @@ fn work_per_row(spec: &RowSpec, main: &Matrix) -> usize {
 }
 
 // ===========================================================================
-// Block backend: band contexts over the lowered RowKernel
+// Block backend: band contexts over the lowered RowKernel, a tile at a time
 // ===========================================================================
 
-/// The current main row: a zero-copy dense slice or the raw CSR non-zeros.
+/// Main rows one instruction dispatch covers. Picked from the sweep recorded
+/// in BENCH_NOTES.md "PR 20": tall enough that a rank-`RB` accumulator update
+/// amortizes its loads and stores of `C`, short enough that `RB` rows of a
+/// 1000-column main still sit in L2 between the instructions that reread it.
+const RB: usize = 16;
+
+/// Bytes of main rows a tile of an mv-chain kernel (`RowFastKernel::MvChain`:
+/// a dot over the rows, then an axpy of the same rows) may span, so the axpy
+/// still finds them in L1: half of a 32 KB L1d.
+const L1_TILE_BYTES: usize = 16 << 10;
+
+/// `h` rows of one vector operand: row `i` is `data[i·stride..][..len]`.
+/// Main rows and row-aligned dense side rows are views into their matrix
+/// (`stride` = its column count), owned registers are adjacent rows
+/// (`stride == len`), and an invariant register is one row every tile row
+/// reads (`stride == 0`).
 #[derive(Clone, Copy)]
-enum RowView<'a> {
-    Dense(&'a [f64]),
-    Sparse { cols: &'a [usize], vals: &'a [f64] },
+struct Tile<'a> {
+    data: &'a [f64],
+    stride: usize,
+    len: usize,
 }
 
-/// Resolves main rows for a band: dense rows are borrowed, sparse rows pass
+impl<'a> Tile<'a> {
+    #[inline]
+    fn row(self, i: usize) -> &'a [f64] {
+        &self.data[i * self.stride..i * self.stride + self.len]
+    }
+
+    /// The `h` rows as one slice when they are adjacent in memory.
+    #[inline]
+    fn flat(self, h: usize) -> Option<&'a [f64]> {
+        (h == 1 || self.stride == self.len).then(|| &self.data[..h * self.len])
+    }
+}
+
+/// The current tile of main rows `r0..r0 + h`: zero-copy dense rows or the
+/// raw CSR rows.
+#[derive(Clone, Copy)]
+enum MainTile<'a> {
+    Dense(Tile<'a>),
+    Sparse { rows: &'a SparseMatrix, r0: usize },
+}
+
+impl<'a> MainTile<'a> {
+    /// The non-zeros `(cols, vals)` of tile row `i` of a sparse tile.
+    #[inline]
+    fn nonzeros(self, i: usize) -> Option<(&'a [usize], &'a [f64])> {
+        match self {
+            MainTile::Sparse { rows, r0 } => Some((rows.row_cols(r0 + i), rows.row_values(r0 + i))),
+            MainTile::Dense(_) => None,
+        }
+    }
+}
+
+/// Resolves main tiles for a band: dense rows are borrowed, sparse rows pass
 /// through as non-zeros when the kernel allows, and densify into band-owned
-/// scratch otherwise (allocated once per band, not once per row).
+/// pooled scratch otherwise (taken once per band, not once per tile).
 struct RowReader<'a> {
     main: &'a Matrix,
     scratch: Vec<f64>,
@@ -94,73 +161,159 @@ struct RowReader<'a> {
 }
 
 impl<'a> RowReader<'a> {
-    fn new(main: &'a Matrix, sparse_ok: bool) -> Self {
+    fn new(main: &'a Matrix, sparse_ok: bool, rb: usize) -> Self {
         let scratch = match main {
-            Matrix::Sparse(_) if !sparse_ok => vec![0.0; main.cols()],
+            Matrix::Sparse(_) if !sparse_ok => pool::take_zeroed(rb * main.cols()),
             _ => Vec::new(),
         };
         RowReader { main, scratch, sparse_ok }
     }
 
-    fn view(&mut self, r: usize) -> RowView<'_> {
+    fn tile(&mut self, r0: usize, h: usize) -> MainTile<'_> {
+        let m = self.main.cols();
         match self.main {
-            Matrix::Dense(d) => RowView::Dense(d.row(r)),
-            Matrix::Sparse(s) if self.sparse_ok => {
-                RowView::Sparse { cols: s.row_cols(r), vals: s.row_values(r) }
+            Matrix::Dense(d) => {
+                MainTile::Dense(Tile { data: &d.values()[r0 * m..], stride: m, len: m })
             }
+            Matrix::Sparse(s) if self.sparse_ok => MainTile::Sparse { rows: s, r0 },
             Matrix::Sparse(s) => {
-                self.scratch.fill(0.0);
-                for (c, v) in s.row_iter(r) {
-                    self.scratch[c] = v;
+                self.scratch[..h * m].fill(0.0);
+                for (i, row) in self.scratch.chunks_exact_mut(m.max(1)).take(h).enumerate() {
+                    for (c, v) in s.row_iter(r0 + i) {
+                        row[c] = v;
+                    }
                 }
-                RowView::Dense(&self.scratch)
+                MainTile::Dense(Tile { data: &self.scratch, stride: m, len: m })
             }
         }
     }
 }
 
-/// Where a vector register's current value lives: an owned band buffer, the
-/// (virtual) main row, or a zero-copy borrow of a dense side.
-#[derive(Clone, Copy)]
-enum VSlot {
-    Owned,
-    Main,
-    /// Slice of a dense side's row-major values (whole-vector loads).
-    SideVals {
-        side: u16,
-        cl: u32,
-        cu: u32,
-    },
-    /// A dense side's row `row`, columns `cl..cu` (broadcast-aware).
-    SideRow {
-        side: u16,
-        row: u32,
-        cl: u32,
-        cu: u32,
-    },
+impl Drop for RowReader<'_> {
+    fn drop(&mut self) {
+        pool::give(std::mem::take(&mut self.scratch));
+    }
 }
 
-/// Per-band execution context: the register files (the paper's preallocated
-/// per-thread ring buffer), allocated once per band with the kernel's
-/// invariant prologue replayed at construction.
+/// Where a vector register's current tile lives.
+#[derive(Clone, Copy)]
+enum VSlot {
+    /// In the band's register file from `off`: one row per tile row, or a
+    /// single row when the register is invariant (`uniform`).
+    Owned { off: usize, uniform: bool },
+    /// The (virtual) main tile.
+    Main,
+    /// A zero-copy view of a dense side: tile row `i` over main row `r`
+    /// starts at `values[r·stride + base]` — `stride` is the side's column
+    /// count for a row-aligned slice, `0` for a whole-vector or broadcast
+    /// load.
+    Side { side: u16, base: usize, stride: usize },
+}
+
+/// Per-band execution context: the tile register files (the paper's
+/// preallocated per-thread ring buffer) and the packed `VecMatMult`
+/// operands, drawn from the pool once per band and given back when it ends,
+/// with the kernel's invariant prologue replayed at construction.
 struct BandCtx<'a> {
     kernel: &'a RowKernel,
     spec: &'a RowSpec,
     sides: &'a [SideInput],
     scalars: &'a [f64],
-    sregs: Vec<f64>,
-    vregs: Vec<Vec<f64>>,
+    /// Tile height the register files are sized for.
+    rb: usize,
+    /// `n_regs × rb` scalar lanes (register `r`, tile row `l` at
+    /// `r·rb + l`), then every [`VSlot::Owned`] vector register.
+    file: Vec<f64>,
+    /// Where the vector registers start in `file`.
+    vbase: usize,
     vslots: Vec<VSlot>,
+    /// The packed-panel form (`simd::pack_panels`) of each side a
+    /// `VecMatMult` multiplies by; empty for the others.
+    panels: Vec<Vec<f64>>,
 }
 
-/// `dst += alpha * side[i, :]` — dense rows via the shared axpy primitive,
-/// sparse rows over their CSR non-zeros (no densification).
-fn side_row_axpy(s: &SideInput, i: usize, alpha: f64, dst: &mut [f64]) {
-    match s {
-        SideInput::Dense(d) => prim::vect_mult_add(d.row(i), alpha, dst, 0, 0, dst.len()),
-        SideInput::Sparse(sp) => {
-            for (j, v) in sp.row_iter(i) {
-                dst[j] += alpha * v;
+/// What a tile's instructions read besides the register file: the slots, the
+/// dense sides and the main tile at `r0`.
+#[derive(Clone, Copy)]
+struct Env<'s> {
+    vslots: &'s [VSlot],
+    lens: &'s [usize],
+    sides: &'s [SideInput],
+    main: MainTile<'s>,
+    r0: usize,
+}
+
+/// Read access to a tile's vector registers: the register file on either
+/// side of the output register an instruction holds mutably (all of it in
+/// `lo` when there is none).
+struct Srcs<'s> {
+    env: Env<'s>,
+    lo: &'s [f64],
+    hi: &'s [f64],
+    hi_off: usize,
+}
+
+impl<'s> Env<'s> {
+    /// Every register, read-only.
+    fn read(self, vfile: &'s [f64]) -> Srcs<'s> {
+        Srcs { env: self, lo: vfile, hi: &[], hi_off: usize::MAX }
+    }
+
+    /// The `h` rows of output register `out`, mutably, and every other
+    /// register to read (registers are SSA-allocated: an instruction never
+    /// reads its own output).
+    fn write(self, vfile: &'s mut [f64], out: u16, h: usize) -> (&'s mut [f64], Srcs<'s>) {
+        let VSlot::Owned { off, .. } = self.vslots[out as usize] else {
+            unreachable!("vector instruction writes an owned register")
+        };
+        let (lo, rest) = vfile.split_at_mut(off);
+        let (dst, hi) = rest.split_at_mut(self.lens[out as usize] * h);
+        let hi_off = off + dst.len();
+        (dst, Srcs { env: self, lo, hi, hi_off })
+    }
+}
+
+impl<'s> Srcs<'s> {
+    /// The non-zeros of tile row `i` when `v` is the main register of a
+    /// sparse tile.
+    #[inline]
+    fn nonzeros(&self, v: u16, i: usize) -> Option<(&'s [usize], &'s [f64])> {
+        match self.env.vslots[v as usize] {
+            VSlot::Main => self.env.main.nonzeros(i),
+            _ => None,
+        }
+    }
+
+    /// Resolves a vector register to its tile. Panics on a dense read of a
+    /// sparse main tile — lowering guarantees that never happens.
+    fn tile(&self, v: u16) -> Tile<'s> {
+        let len = self.env.lens[v as usize];
+        match self.env.vslots[v as usize] {
+            VSlot::Owned { off, uniform } => {
+                let data =
+                    if off < self.hi_off { &self.lo[off..] } else { &self.hi[off - self.hi_off..] };
+                Tile { data, stride: if uniform { 0 } else { len }, len }
+            }
+            VSlot::Main => match self.env.main {
+                MainTile::Dense(t) => t,
+                MainTile::Sparse { .. } => unreachable!("dense read of sparse main tile"),
+            },
+            VSlot::Side { side, base, stride } => {
+                let vals = self.env.sides[side as usize].dense_values().expect("dense side");
+                Tile { data: &vals[self.env.r0 * stride + base..], stride, len }
+            }
+        }
+    }
+}
+
+/// Runs `f(a, dst)` once over the whole tile when `a`'s rows are adjacent in
+/// memory, else once per tile row.
+fn map_tile(h: usize, a: Tile<'_>, dst: &mut [f64], mut f: impl FnMut(&[f64], &mut [f64])) {
+    match a.flat(h) {
+        Some(src) => f(src, dst),
+        None => {
+            for (i, d) in dst.chunks_exact_mut(a.len.max(1)).enumerate() {
+                f(a.row(i), d);
             }
         }
     }
@@ -172,29 +325,54 @@ impl<'a> BandCtx<'a> {
         spec: &'a RowSpec,
         sides: &'a [SideInput],
         scalars: &'a [f64],
+        rb: usize,
     ) -> Self {
-        let mut vslots = vec![VSlot::Owned; spec.prog.vreg_lens.len()];
+        let prog = &spec.prog;
+        let mut slots: Vec<Option<VSlot>> = vec![None; prog.vreg_lens.len()];
         for &m in &kernel.main_vregs {
-            vslots[m as usize] = VSlot::Main;
+            slots[m as usize] = Some(VSlot::Main);
         }
-        let vregs = spec
-            .prog
-            .vreg_lens
-            .iter()
+        let mut panels: Vec<Vec<f64>> = sides.iter().map(|_| Vec::new()).collect();
+        for ins in kernel.invariant.iter().chain(&kernel.per_row) {
+            match *ins {
+                Instr::LoadSideRow { out, side, cl, .. } => {
+                    if let SideInput::Dense(d) = &sides[side] {
+                        let stride =
+                            if kernel.invariant_vregs[out as usize] { 0 } else { d.cols() };
+                        slots[out as usize] =
+                            Some(VSlot::Side { side: side as u16, base: cl, stride });
+                    }
+                }
+                Instr::VecMatMult { side, .. } if panels[side].is_empty() => {
+                    panels[side] = pack_side(&sides[side]);
+                }
+                _ => {}
+            }
+        }
+        let vbase = prog.n_regs as usize * rb;
+        let mut end = 0;
+        let vslots = slots
+            .into_iter()
             .enumerate()
-            .map(|(i, &l)| if matches!(vslots[i], VSlot::Main) { Vec::new() } else { vec![0.0; l] })
+            .map(|(v, slot)| {
+                slot.unwrap_or_else(|| {
+                    let uniform = kernel.invariant_vregs[v];
+                    let off = end;
+                    end += prog.vreg_lens[v] * if uniform { 1 } else { rb };
+                    VSlot::Owned { off, uniform }
+                })
+            })
             .collect();
-        let mut ctx = BandCtx {
-            kernel,
-            spec,
-            sides,
-            scalars,
-            sregs: vec![0.0; spec.prog.n_regs as usize],
-            vregs,
-            vslots,
-        };
+        let file = pool::take_zeroed(vbase + end);
+        let mut ctx = BandCtx { kernel, spec, sides, scalars, rb, file, vbase, vslots, panels };
+        // The prologue runs as a tile of one row; its scalars then fill
+        // every lane, its vectors are single rows every tile row reads.
+        let no_main = MainTile::Dense(Tile { data: &[], stride: 0, len: 0 });
         for ins in &kernel.invariant {
-            ctx.exec_instr(ins, 0, RowView::Dense(&[]));
+            ctx.exec_instr(ins, 0, 1, no_main);
+        }
+        for lanes in ctx.file[..vbase].chunks_exact_mut(rb) {
+            lanes.fill(lanes[0]);
         }
         ctx
     }
@@ -204,257 +382,313 @@ impl<'a> BandCtx<'a> {
         matches!(self.vslots[v as usize], VSlot::Main)
     }
 
+    /// Scalar register `r` of tile row `l`.
     #[inline]
-    fn scalar(&self, r: Reg) -> f64 {
-        self.sregs[r as usize]
+    fn scalar(&self, r: Reg, l: usize) -> f64 {
+        self.file[r as usize * self.rb + l]
     }
 
-    /// Resolves a vector register to a slice: owned buffer, the dense main
-    /// row, or a zero-copy dense side borrow. Panics on a dense read of a
-    /// sparse main row — lowering guarantees that never happens.
-    fn vref<'s>(&'s self, v: u16, view: RowView<'s>) -> &'s [f64] {
-        match self.vslots[v as usize] {
-            VSlot::Owned => &self.vregs[v as usize],
-            VSlot::Main => match view {
-                RowView::Dense(d) => d,
-                RowView::Sparse { .. } => unreachable!("dense read of sparse main row"),
-            },
-            VSlot::SideVals { side, cl, cu } => &self.sides[side as usize]
-                .dense_values()
-                .expect("dense side")[cl as usize..cu as usize],
-            VSlot::SideRow { side, row, cl, cu } => self.sides[side as usize]
-                .dense_row(row as usize, cl as usize, cu as usize)
-                .expect("dense side"),
-        }
+    /// Read access to every register of the tile at `r0`.
+    fn srcs<'s>(&'s self, r0: usize, main: MainTile<'s>) -> Srcs<'s> {
+        let env = Env {
+            vslots: &self.vslots,
+            lens: &self.spec.prog.vreg_lens,
+            sides: self.sides,
+            main,
+            r0,
+        };
+        env.read(&self.file[self.vbase..])
     }
 
-    fn run_row(&mut self, rix: usize, view: RowView<'_>) {
+    /// Evaluates the per-row body for main rows `r0..r0 + h`, one dispatch
+    /// per instruction.
+    fn run_tile(&mut self, r0: usize, h: usize, main: MainTile<'_>) {
         let kernel = self.kernel;
         for ins in &kernel.per_row {
-            self.exec_instr(ins, rix, view);
+            self.exec_instr(ins, r0, h, main);
         }
     }
 
-    fn exec_instr(&mut self, ins: &Instr, rix: usize, view: RowView<'_>) {
-        let mode = self.spec.exec_mode;
+    fn exec_instr(&mut self, ins: &Instr, r0: usize, h: usize, main: MainTile<'_>) {
+        let (mode, rb, sides) = (self.spec.exec_mode, self.rb, self.sides);
+        let lens = &self.spec.prog.vreg_lens;
+        let env = Env { vslots: &self.vslots, lens, sides, main, r0 };
+        let (sregs, vfile) = self.file.split_at_mut(self.vbase);
         match *ins {
-            // ---- scalar instructions -------------------------------------
+            // ---- scalar instructions: one lane per tile row --------------
             Instr::LoadMain { out } => {
                 // Degenerate scalar main (not used by Row plans): the first
-                // cell of the current row.
-                self.sregs[out as usize] = match view {
-                    RowView::Dense(d) => d.first().copied().unwrap_or(0.0),
-                    RowView::Sparse { cols, vals } => {
-                        if cols.first() == Some(&0) {
-                            vals[0]
-                        } else {
-                            0.0
-                        }
-                    }
+                // cell of each row.
+                for (l, lane) in sregs[out as usize * rb..][..h].iter_mut().enumerate() {
+                    *lane = match main {
+                        MainTile::Dense(t) => t.row(l).first().copied().unwrap_or(0.0),
+                        MainTile::Sparse { rows, r0 } => rows.get(r0 + l, 0),
+                    };
                 }
             }
             Instr::LoadUVDot { .. } => panic!("UVDot in Row program"),
             Instr::LoadSide { out, side, access } => {
-                self.sregs[out as usize] = self.sides[side].value_at(access, rix, 0)
+                for (l, lane) in sregs[out as usize * rb..][..h].iter_mut().enumerate() {
+                    *lane = sides[side].value_at(access, r0 + l, 0);
+                }
             }
-            Instr::LoadScalar { out, idx } => self.sregs[out as usize] = self.scalars[idx],
-            Instr::LoadConst { out, value } => self.sregs[out as usize] = value,
+            Instr::LoadScalar { out, idx } => {
+                sregs[out as usize * rb..][..h].fill(self.scalars[idx]);
+            }
+            Instr::LoadConst { out, value } => sregs[out as usize * rb..][..h].fill(value),
             Instr::Unary { out, op, a } => {
-                self.sregs[out as usize] = op.apply(self.sregs[a as usize])
+                for l in 0..h {
+                    sregs[out as usize * rb + l] = op.apply(sregs[a as usize * rb + l]);
+                }
             }
             Instr::Binary { out, op, a, b } => {
-                self.sregs[out as usize] = op.apply(self.sregs[a as usize], self.sregs[b as usize])
+                for l in 0..h {
+                    sregs[out as usize * rb + l] =
+                        op.apply(sregs[a as usize * rb + l], sregs[b as usize * rb + l]);
+                }
             }
             Instr::Ternary { out, op, a, b, c } => {
-                self.sregs[out as usize] =
-                    op.apply(self.sregs[a as usize], self.sregs[b as usize], self.sregs[c as usize])
+                for l in 0..h {
+                    sregs[out as usize * rb + l] = op.apply(
+                        sregs[a as usize * rb + l],
+                        sregs[b as usize * rb + l],
+                        sregs[c as usize * rb + l],
+                    );
+                }
             }
             // ---- vector loads --------------------------------------------
-            Instr::LoadMainRow { .. } => {} // virtual: reads resolve via the view
+            Instr::LoadMainRow { .. } => {} // virtual: reads resolve via the main tile
             Instr::LoadSideRow { out, side, cl, cu } => {
-                let s = &self.sides[side];
-                // A col-vector side read at full length is a whole-vector
-                // view (`v` in `X %*% v`), not a row slice.
-                if block::whole_vector_load(s.rows(), s.cols(), cl, cu) {
-                    if s.dense_values().is_some() {
-                        self.vslots[out as usize] =
-                            VSlot::SideVals { side: side as u16, cl: cl as u32, cu: cu as u32 };
+                // Dense sides were bound as zero-copy views at construction;
+                // a sparse side densifies the tile's rows into the register.
+                if let VSlot::Owned { off, .. } = self.vslots[out as usize] {
+                    let s = &sides[side];
+                    let len = cu - cl;
+                    let dst = &mut vfile[off..off + len * h];
+                    // A col-vector side read at full length is a
+                    // whole-vector view (`v` in `X %*% v`), not a row slice.
+                    if block::whole_vector_load(s.rows(), s.cols(), cl, cu) {
+                        s.read_vector_into(dst);
                     } else {
-                        let mut dst = std::mem::take(&mut self.vregs[out as usize]);
-                        s.read_vector_into(&mut dst);
-                        self.vregs[out as usize] = dst;
+                        for (i, row) in dst.chunks_exact_mut(len.max(1)).enumerate() {
+                            s.read_row_into(r0 + i, cl, cu, row);
+                        }
                     }
-                } else if s.dense_row(rix, cl, cu).is_some() {
-                    let row = if s.rows() == 1 { 0 } else { rix };
-                    self.vslots[out as usize] = VSlot::SideRow {
-                        side: side as u16,
-                        row: row as u32,
-                        cl: cl as u32,
-                        cu: cu as u32,
-                    };
-                } else {
-                    let mut dst = std::mem::take(&mut self.vregs[out as usize]);
-                    s.read_row_into(rix, cl, cu, &mut dst);
-                    self.vregs[out as usize] = dst;
                 }
             }
             // ---- vector compute ------------------------------------------
             Instr::VecUnary { out, op, a } => {
-                let mut dst = std::mem::take(&mut self.vregs[out as usize]);
-                vec_unary(mode, op, self.vref(a, view), &mut dst);
-                self.vregs[out as usize] = dst;
+                let (dst, srcs) = env.write(vfile, out, h);
+                map_tile(h, srcs.tile(a), dst, |src, d| vec_unary(mode, op, src, d));
             }
             Instr::VecBinaryVV { out, op, a, b } => {
-                let mut dst = std::mem::take(&mut self.vregs[out as usize]);
-                vec_binary_vv(mode, op, self.vref(a, view), self.vref(b, view), &mut dst);
-                self.vregs[out as usize] = dst;
+                let (dst, srcs) = env.write(vfile, out, h);
+                let (ta, tb) = (srcs.tile(a), srcs.tile(b));
+                match (ta.flat(h), tb.flat(h)) {
+                    (Some(x), Some(y)) => vec_binary_vv(mode, op, x, y, dst),
+                    _ => {
+                        for (i, d) in dst.chunks_exact_mut(ta.len.max(1)).enumerate() {
+                            vec_binary_vv(mode, op, ta.row(i), tb.row(i), d);
+                        }
+                    }
+                }
             }
             Instr::VecBinaryVS { out, op, a, b, scalar_left } => {
-                let s = self.sregs[b as usize];
-                let mut dst = std::mem::take(&mut self.vregs[out as usize]);
-                vec_binary_vs(mode, op, self.vref(a, view), s, scalar_left, &mut dst);
-                self.vregs[out as usize] = dst;
+                let (dst, srcs) = env.write(vfile, out, h);
+                let ta = srcs.tile(a);
+                for (i, d) in dst.chunks_exact_mut(ta.len.max(1)).enumerate() {
+                    let s = sregs[b as usize * rb + i];
+                    vec_binary_vs(mode, op, ta.row(i), s, scalar_left, d);
+                }
             }
             Instr::VecMatMult { out, a, side } => {
-                let mut dst = std::mem::take(&mut self.vregs[out as usize]);
-                dst.fill(0.0);
-                let s = &self.sides[side];
-                match view {
-                    RowView::Sparse { cols, vals } if self.is_main(a) => {
-                        for (&c, &v) in cols.iter().zip(vals) {
-                            side_row_axpy(s, c, v, &mut dst);
-                        }
+                let (kc, k) = (sides[side].rows(), sides[side].cols());
+                let bp = &self.panels[side];
+                let (dst, srcs) = env.write(vfile, out, h);
+                debug_assert_eq!((kc, k), (lens[a as usize], lens[out as usize]));
+                if srcs.nonzeros(a, 0).is_some() {
+                    for (i, d) in dst.chunks_exact_mut(k.max(1)).enumerate() {
+                        let (cols, vals) = srcs.nonzeros(a, i).expect("sparse tile");
+                        simd::sparse_row_gemm(vals, cols, bp, kc, d);
                     }
-                    _ => {
-                        let src = self.vref(a, view);
-                        for (i, &av) in src.iter().enumerate() {
-                            if av != 0.0 {
-                                side_row_axpy(s, i, av, &mut dst);
-                            }
-                        }
-                    }
+                } else {
+                    let ta = srcs.tile(a);
+                    let lhs = simd::Lhs { data: ta.data, rs: ta.stride, cs: 1 };
+                    simd::gemm(dst, k, (h, k, kc), lhs, simd::Rhs::Packed(bp), false);
                 }
-                self.vregs[out as usize] = dst;
             }
             Instr::Dot { out, a, b } => {
-                let val = match view {
-                    RowView::Sparse { cols, vals } if self.is_main(a) || self.is_main(b) => {
-                        match (self.is_main(a), self.is_main(b)) {
-                            (true, true) => prim::vect_sum_sq(vals, 0, vals.len()),
-                            (true, false) => {
-                                prim::dot_product_sparse(vals, cols, self.vref(b, view), 0)
-                            }
-                            _ => prim::dot_product_sparse(vals, cols, self.vref(a, view), 0),
+                let srcs = env.read(vfile);
+                let lanes = &mut sregs[out as usize * rb..][..h];
+                // Which operand is the sparse main tile is one decision per
+                // tile; the dense operand resolves once.
+                match (srcs.nonzeros(a, 0).is_some(), srcs.nonzeros(b, 0).is_some()) {
+                    (false, false) => {
+                        let (ta, tb) = (srcs.tile(a), srcs.tile(b));
+                        for (l, lane) in lanes.iter_mut().enumerate() {
+                            *lane = prim::dot_product(ta.row(l), tb.row(l), 0, 0, ta.len);
                         }
                     }
-                    _ => {
-                        let x = self.vref(a, view);
-                        let y = self.vref(b, view);
-                        prim::dot_product(x, y, 0, 0, x.len())
+                    (true, true) => {
+                        for (l, lane) in lanes.iter_mut().enumerate() {
+                            let (_, vals) = main.nonzeros(l).expect("sparse tile");
+                            *lane = prim::vect_sum_sq(vals, 0, vals.len());
+                        }
                     }
-                };
-                self.sregs[out as usize] = val;
+                    (sparse_a, _) => {
+                        let dense = srcs.tile(if sparse_a { b } else { a });
+                        for (l, lane) in lanes.iter_mut().enumerate() {
+                            let (cols, vals) = main.nonzeros(l).expect("sparse tile");
+                            *lane = prim::dot_product_sparse(vals, cols, dense.row(l), 0);
+                        }
+                    }
+                }
             }
             Instr::VecAgg { out, op, a } => {
-                let val = match view {
-                    RowView::Sparse { vals, .. } if self.is_main(a) => {
-                        let len = self.spec.prog.vreg_lens[a as usize];
-                        sparse_agg(op, vals, len)
-                    }
-                    _ => {
-                        let v = self.vref(a, view);
-                        dense_agg(op, v)
-                    }
-                };
-                self.sregs[out as usize] = val;
+                let srcs = env.read(vfile);
+                for l in 0..h {
+                    sregs[out as usize * rb + l] = match srcs.nonzeros(a, l) {
+                        Some((_, vals)) => sparse_agg(op, vals, lens[a as usize]),
+                        None => dense_agg(op, srcs.tile(a).row(l)),
+                    };
+                }
             }
             Instr::VecCumsum { out, a } => {
-                let mut dst = std::mem::take(&mut self.vregs[out as usize]);
-                dst.copy_from_slice(self.vref(a, view));
-                prim::vect_cumsum_inplace(&mut dst);
-                self.vregs[out as usize] = dst;
-            }
-        }
-    }
-
-    // ---- output emission -----------------------------------------------
-
-    /// `dst = vregs[src]` (scatter over non-zeros for the sparse main row;
-    /// `dst` arrives zeroed).
-    fn write_vec(&self, src: u16, view: RowView<'_>, dst: &mut [f64]) {
-        if self.is_main(src) {
-            if let RowView::Sparse { cols, vals } = view {
-                for (&c, &v) in cols.iter().zip(vals) {
-                    dst[c] = v;
+                let (dst, srcs) = env.write(vfile, out, h);
+                let ta = srcs.tile(a);
+                for (i, d) in dst.chunks_exact_mut(ta.len.max(1)).enumerate() {
+                    d.copy_from_slice(ta.row(i));
+                    prim::vect_cumsum_inplace(d);
                 }
-                return;
             }
         }
-        dst.copy_from_slice(self.vref(src, view));
     }
 
-    /// `acc += vregs[src]`.
-    fn add_vec(&self, src: u16, view: RowView<'_>, acc: &mut [f64]) {
-        if self.is_main(src) {
-            if let RowView::Sparse { cols, vals } = view {
-                prim::vect_add_sparse(vals, cols, acc, 0);
-                return;
+    // ---- output emission -------------------------------------------------
+
+    /// `dst = vregs[src]` for the tile's `h` rows of `dst` (scatter over
+    /// non-zeros for a sparse main tile; `dst` arrives zeroed).
+    fn write_tile(&self, src: u16, r0: usize, h: usize, main: MainTile<'_>, dst: &mut [f64]) {
+        let srcs = self.srcs(r0, main);
+        let k = dst.len() / h;
+        if srcs.nonzeros(src, 0).is_some() {
+            for (i, d) in dst.chunks_exact_mut(k.max(1)).enumerate() {
+                let (cols, vals) = srcs.nonzeros(src, i).expect("sparse tile");
+                for (&c, &v) in cols.iter().zip(vals) {
+                    d[c] = v;
+                }
+            }
+        } else {
+            map_tile(h, srcs.tile(src), dst, |s, d| d.copy_from_slice(s));
+        }
+    }
+
+    /// `acc += scale_i · vregs[src]` over the tile's rows in order, `scale_i`
+    /// the lane of scalar register `scale` (or 1 for a plain column sum).
+    fn add_tile(
+        &self,
+        src: u16,
+        scale: Option<Reg>,
+        r0: usize,
+        h: usize,
+        main: MainTile<'_>,
+        acc: &mut [f64],
+    ) {
+        let srcs = self.srcs(r0, main);
+        let dense = srcs.nonzeros(src, 0).is_none().then(|| srcs.tile(src));
+        for i in 0..h {
+            match (dense, main.nonzeros(i), scale.map(|s| self.scalar(s, i))) {
+                (Some(t), _, None) => prim::vect_add(t.row(i), acc, 0, 0, acc.len()),
+                (Some(t), _, Some(s)) => prim::vect_mult_add(t.row(i), s, acc, 0, 0, acc.len()),
+                (None, Some((cols, vals)), None) => prim::vect_add_sparse(vals, cols, acc, 0),
+                (None, Some((cols, vals)), Some(s)) => {
+                    prim::vect_mult_add_sparse(vals, cols, s, acc, 0)
+                }
+                (None, None, _) => unreachable!("a sparse tile is sparse in every row"),
             }
         }
-        prim::vect_add(self.vref(src, view), acc, 0, 0, acc.len());
     }
 
-    /// `acc += scale * vregs[src]`.
-    fn mult_add_vec(&self, src: u16, scale: f64, view: RowView<'_>, acc: &mut [f64]) {
-        if self.is_main(src) {
-            if let RowView::Sparse { cols, vals } = view {
-                prim::vect_mult_add_sparse(vals, cols, scale, acc, 0);
-                return;
-            }
-        }
-        prim::vect_mult_add(self.vref(src, view), scale, acc, 0, 0, acc.len());
+    /// Whether [`outer_add`](Self::outer_add) wants the accumulator's rows
+    /// padded to [`simd::padded_cols`]: the left operand is a sparse main
+    /// tile, so each non-zero updates one accumulator row in whole vectors.
+    fn outer_pads(&self, left: u16, right: u16, main: &Matrix) -> bool {
+        self.is_main(left) && !self.is_main(right) && self.kernel.sparse_main_ok && main.is_sparse()
     }
 
-    /// `acc[i, j] += left[i] * right[j]` over the row-major `orows×ocols`
-    /// accumulator, iterating main-row non-zeros where possible.
+    /// `acc[i, j] += Σ_l left_l[i] · right_l[j]` over the tile's rows `l` in
+    /// order — a rank-`h` update of the row-major accumulator (`orows` rows
+    /// `ld` apart), iterating main-row non-zeros where possible.
+    #[allow(clippy::too_many_arguments)] // two registers, the tile, the accumulator and its geometry
     fn outer_add(
         &self,
         left: u16,
         right: u16,
-        view: RowView<'_>,
+        r0: usize,
+        h: usize,
+        main: MainTile<'_>,
         acc: &mut [f64],
-        orows: usize,
-        ocols: usize,
+        (orows, ocols, ld): (usize, usize, usize),
     ) {
-        let (lmain, rmain) = (self.is_main(left), self.is_main(right));
-        match view {
-            RowView::Sparse { cols, vals } if lmain || rmain => {
-                if lmain && rmain {
+        let srcs = self.srcs(r0, main);
+        if srcs.nonzeros(left, 0).is_none() && srcs.nonzeros(right, 0).is_none() {
+            // Dense on both sides: the whole tile in one update, `left` read
+            // as its own transpose.
+            let (l, r) = (srcs.tile(left), srcs.tile(right));
+            let lhs = simd::Lhs { data: l.data, rs: 1, cs: l.stride };
+            let rhs = simd::Rhs::Rows { data: r.data, rs: r.stride };
+            return simd::gemm(acc, ld, (orows, ocols, h), lhs, rhs, true);
+        }
+        for i in 0..h {
+            match (srcs.nonzeros(left, i), srcs.nonzeros(right, i)) {
+                (Some((cols, vals)), None) => {
+                    debug_assert_eq!(ld, simd::padded_cols(ocols), "see outer_pads");
+                    simd::scatter_axpy(vals, cols, srcs.tile(right).row(i), acc);
+                }
+                (Some((cols, vals)), Some(_)) => {
                     // x ⊗ x (per-row gram): nnz² updates.
                     for (&ci, &vi) in cols.iter().zip(vals) {
-                        prim::vect_mult_add_sparse(vals, cols, vi, acc, ci * ocols);
+                        prim::vect_mult_add_sparse(vals, cols, vi, acc, ci * ld);
                     }
-                } else if lmain {
-                    let r = self.vref(right, view);
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        prim::vect_mult_add(r, v, acc, 0, c * ocols, ocols);
-                    }
-                } else {
-                    let l = self.vref(left, view);
-                    for (i, &lv) in l.iter().enumerate().take(orows) {
+                }
+                (None, Some((cols, vals))) => {
+                    for (j, &lv) in srcs.tile(left).row(i).iter().enumerate().take(orows) {
                         if lv != 0.0 {
-                            prim::vect_mult_add_sparse(vals, cols, lv, acc, i * ocols);
+                            prim::vect_mult_add_sparse(vals, cols, lv, acc, j * ld);
                         }
                     }
                 }
-            }
-            _ => {
-                let l = self.vref(left, view);
-                let r = self.vref(right, view);
-                prim::vect_outer_mult_add(l, r, acc, 0, 0, 0, orows, ocols);
+                (None, None) => unreachable!("a sparse tile is sparse in every row"),
             }
         }
     }
+}
+
+impl Drop for BandCtx<'_> {
+    fn drop(&mut self) {
+        pool::give(std::mem::take(&mut self.file));
+        for p in self.panels.drain(..) {
+            pool::give(p);
+        }
+    }
+}
+
+/// The packed-panel form of a `VecMatMult` side, in a pooled buffer: dense
+/// sides copy row by row, sparse sides scatter their non-zeros.
+fn pack_side(s: &SideInput) -> Vec<f64> {
+    let (kc, k) = (s.rows(), s.cols());
+    let mut bp = pool::take_zeroed(simd::packed_len(kc, k));
+    match s {
+        SideInput::Dense(d) => simd::pack_panels(d.values(), k, (kc, k), &mut bp),
+        SideInput::Sparse(sp) => {
+            for p in 0..kc {
+                for (j, v) in sp.row_iter(p) {
+                    bp[simd::packed_index(kc, p, j)] = v;
+                }
+            }
+        }
+    }
+    bp
 }
 
 fn dense_agg(op: AggOp, v: &[f64]) -> f64 {
@@ -487,11 +721,36 @@ fn sparse_agg(op: AggOp, vals: &[f64], len: usize) -> f64 {
     v
 }
 
+/// The tiles `(r0, h)` covering rows `lo..hi`, `rb` rows each and a ragged
+/// last one.
+fn tiles(lo: usize, hi: usize, rb: usize) -> impl Iterator<Item = (usize, usize)> {
+    (lo..hi).step_by(rb).map(move |r0| (r0, rb.min(hi - r0)))
+}
+
 fn block_exec(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f64]) -> Matrix {
     let side_dims: Vec<(usize, usize)> = sides.iter().map(|s| (s.rows(), s.cols())).collect();
     let kernel = super::kernels().row.get_or_lower(spec, &side_dims);
     let n = main.rows();
     let work = work_per_row(spec, main);
+    // An mv-chain rereads its tile's main rows at once: keep them in L1. The
+    // Figure 10 modes model per-element dispatch: tiles of one row.
+    let rb = match spec.exec_mode {
+        RowExecMode::Vectorized if kernel.fast.is_some() => {
+            let row_bytes = match main {
+                Matrix::Sparse(s) => 16 * s.nnz() / s.rows().max(1),
+                Matrix::Dense(d) => 8 * d.cols(),
+            };
+            (L1_TILE_BYTES / row_bytes.max(1)).clamp(1, RB)
+        }
+        RowExecMode::Vectorized => RB,
+        _ => 1,
+    };
+    let band = || {
+        (
+            BandCtx::new(&kernel, spec, sides, scalars, rb),
+            RowReader::new(main, kernel.sparse_main_ok, rb),
+        )
+    };
     let add_reduce = |mut a: Vec<f64>, b: Vec<f64>| {
         for (x, y) in a.iter_mut().zip(b.iter()) {
             *x += y;
@@ -503,28 +762,26 @@ fn block_exec(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f64
         RowOut::NoAgg { src } => {
             let k = spec.out_cols;
             let mut out = pool::take_zeroed(n * k);
-            par::par_row_bands_mut(&mut out, n, k, work, |r0, band| {
-                let mut ctx = BandCtx::new(&kernel, spec, sides, scalars);
-                let mut rr = RowReader::new(main, kernel.sparse_main_ok);
-                for (i, orow) in band.chunks_exact_mut(k).enumerate() {
-                    let r = r0 + i;
-                    let view = rr.view(r);
-                    ctx.run_row(r, view);
-                    ctx.write_vec(*src, view, orow);
+            par::par_row_bands_mut(&mut out, n, k, work, |b0, rows| {
+                let (mut ctx, mut rr) = band();
+                for (r0, h) in tiles(0, rows.len() / k.max(1), rb) {
+                    let view = rr.tile(b0 + r0, h);
+                    ctx.run_tile(b0 + r0, h, view);
+                    ctx.write_tile(*src, b0 + r0, h, view, &mut rows[r0 * k..(r0 + h) * k]);
                 }
             });
             Matrix::dense(DenseMatrix::new(n, k, out))
         }
         RowOut::RowAgg { src } => {
             let mut out = pool::take_zeroed(n);
-            par::par_row_bands_mut(&mut out, n, 1, work, |r0, band| {
-                let mut ctx = BandCtx::new(&kernel, spec, sides, scalars);
-                let mut rr = RowReader::new(main, kernel.sparse_main_ok);
-                for (i, slot) in band.iter_mut().enumerate() {
-                    let r = r0 + i;
-                    let view = rr.view(r);
-                    ctx.run_row(r, view);
-                    *slot = ctx.scalar(*src);
+            par::par_row_bands_mut(&mut out, n, 1, work, |b0, rows| {
+                let (mut ctx, mut rr) = band();
+                for (r0, h) in tiles(0, rows.len(), rb) {
+                    let view = rr.tile(b0 + r0, h);
+                    ctx.run_tile(b0 + r0, h, view);
+                    for (l, slot) in rows[r0..r0 + h].iter_mut().enumerate() {
+                        *slot = ctx.scalar(*src, l);
+                    }
                 }
             });
             Matrix::dense(DenseMatrix::new(n, 1, out))
@@ -536,13 +793,12 @@ fn block_exec(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f64
                 work,
                 pool::take_zeroed(k),
                 |lo, hi| {
-                    let mut ctx = BandCtx::new(&kernel, spec, sides, scalars);
-                    let mut rr = RowReader::new(main, kernel.sparse_main_ok);
+                    let (mut ctx, mut rr) = band();
                     let mut acc = pool::take_zeroed(k);
-                    for r in lo..hi {
-                        let view = rr.view(r);
-                        ctx.run_row(r, view);
-                        ctx.add_vec(*src, view, &mut acc);
+                    for (r0, h) in tiles(lo, hi, rb) {
+                        let view = rr.tile(r0, h);
+                        ctx.run_tile(r0, h, view);
+                        ctx.add_tile(*src, None, r0, h, view, &mut acc);
                     }
                     acc
                 },
@@ -556,13 +812,13 @@ fn block_exec(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f64
                 work,
                 0.0f64,
                 |lo, hi| {
-                    let mut ctx = BandCtx::new(&kernel, spec, sides, scalars);
-                    let mut rr = RowReader::new(main, kernel.sparse_main_ok);
+                    let (mut ctx, mut rr) = band();
                     let mut acc = 0.0;
-                    for r in lo..hi {
-                        let view = rr.view(r);
-                        ctx.run_row(r, view);
-                        acc += ctx.scalar(*src);
+                    for (r0, h) in tiles(lo, hi, rb) {
+                        ctx.run_tile(r0, h, rr.tile(r0, h));
+                        for l in 0..h {
+                            acc += ctx.scalar(*src, l);
+                        }
                     }
                     acc
                 },
@@ -572,56 +828,26 @@ fn block_exec(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f64
         }
         RowOut::OuterColAgg { left, right } => {
             let (orows, ocols) = (spec.out_rows, spec.out_cols);
-            // Closure-specialized `t(X) %*% (X %*% S)` chain: compute the
-            // per-row mat-vec product directly and scatter the outer update,
-            // skipping the per-row instruction dispatch entirely. Like the
-            // mv-chain path, this only stands in for the vectorized mode.
-            let fast = match (&kernel.fast, spec.exec_mode) {
-                (Some(f @ RowFastKernel::MatVecOuter { .. }), RowExecMode::Vectorized) => Some(f),
-                _ => None,
-            };
             let acc = par::par_map_reduce(
                 n,
                 work,
                 pool::take_zeroed(orows * ocols),
                 |lo, hi| {
-                    let mut rr = RowReader::new(main, kernel.sparse_main_ok);
-                    let mut acc = pool::take_zeroed(orows * ocols);
-                    if let Some(RowFastKernel::MatVecOuter { side, .. }) = fast {
-                        let s = &sides[*side];
-                        let mut t = vec![0.0f64; ocols];
-                        for r in lo..hi {
-                            match rr.view(r) {
-                                RowView::Dense(x) => {
-                                    t.fill(0.0);
-                                    for (c, &v) in x.iter().enumerate() {
-                                        if v != 0.0 {
-                                            side_row_axpy(s, c, v, &mut t);
-                                        }
-                                    }
-                                    prim::vect_outer_mult_add(
-                                        x, &t, &mut acc, 0, 0, 0, orows, ocols,
-                                    );
-                                }
-                                RowView::Sparse { cols, vals } => {
-                                    t.fill(0.0);
-                                    for (&c, &v) in cols.iter().zip(vals) {
-                                        side_row_axpy(s, c, v, &mut t);
-                                    }
-                                    for (&c, &v) in cols.iter().zip(vals) {
-                                        prim::vect_mult_add(&t, v, &mut acc, 0, c * ocols, ocols);
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        let mut ctx = BandCtx::new(&kernel, spec, sides, scalars);
-                        for r in lo..hi {
-                            let view = rr.view(r);
-                            ctx.run_row(r, view);
-                            ctx.outer_add(*left, *right, view, &mut acc, orows, ocols);
-                        }
+                    let (mut ctx, mut rr) = band();
+                    let pad = ctx.outer_pads(*left, *right, main);
+                    let ld = if pad { simd::padded_cols(ocols) } else { ocols };
+                    let mut acc = pool::take_zeroed(orows * ld);
+                    for (r0, h) in tiles(lo, hi, rb) {
+                        let view = rr.tile(r0, h);
+                        ctx.run_tile(r0, h, view);
+                        ctx.outer_add(*left, *right, r0, h, view, &mut acc, (orows, ocols, ld));
                     }
+                    // Close the padding up in place: row `i` moves down to
+                    // `i·ocols`, never onto a row not yet moved.
+                    for i in 1..if ld == ocols { 0 } else { orows } {
+                        acc.copy_within(i * ld..i * ld + ocols, i * ocols);
+                    }
+                    acc.truncate(orows * ocols);
                     acc
                 },
                 add_reduce,
@@ -630,56 +856,17 @@ fn block_exec(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f64
         }
         RowOut::ColAggMultAdd { vec, scalar } => {
             let orows = spec.out_rows;
-            // The closure-specialized mv-chain path only stands in for the
-            // default vectorized mode; the Figure 10 modes keep per-element
-            // dispatch semantics through the generic body.
-            let fast = match (&kernel.fast, spec.exec_mode) {
-                (Some(f @ RowFastKernel::MvChain { .. }), RowExecMode::Vectorized) => Some(f),
-                _ => None,
-            };
             let acc = par::par_map_reduce(
                 n,
                 work,
                 pool::take_zeroed(orows),
                 |lo, hi| {
-                    let mut ctx = BandCtx::new(&kernel, spec, sides, scalars);
-                    let mut rr = RowReader::new(main, kernel.sparse_main_ok);
+                    let (mut ctx, mut rr) = band();
                     let mut acc = pool::take_zeroed(orows);
-                    if let Some(RowFastKernel::MvChain { v, dot_out, scalar_tail, scalar_src }) =
-                        fast
-                    {
-                        for r in lo..hi {
-                            let view = rr.view(r);
-                            let d = {
-                                let vv = ctx.vref(*v, view);
-                                match view {
-                                    RowView::Dense(x) => prim::dot_product(x, vv, 0, 0, x.len()),
-                                    RowView::Sparse { cols, vals } => {
-                                        prim::dot_product_sparse(vals, cols, vv, 0)
-                                    }
-                                }
-                            };
-                            ctx.sregs[*dot_out as usize] = d;
-                            for ins in scalar_tail {
-                                ctx.exec_instr(ins, r, view);
-                            }
-                            let s = ctx.scalar(*scalar_src);
-                            match view {
-                                RowView::Dense(x) => {
-                                    prim::vect_mult_add(x, s, &mut acc, 0, 0, orows)
-                                }
-                                RowView::Sparse { cols, vals } => {
-                                    prim::vect_mult_add_sparse(vals, cols, s, &mut acc, 0)
-                                }
-                            }
-                        }
-                    } else {
-                        for r in lo..hi {
-                            let view = rr.view(r);
-                            ctx.run_row(r, view);
-                            let s = ctx.scalar(*scalar);
-                            ctx.mult_add_vec(*vec, s, view, &mut acc);
-                        }
+                    for (r0, h) in tiles(lo, hi, rb) {
+                        let view = rr.tile(r0, h);
+                        ctx.run_tile(r0, h, view);
+                        ctx.add_tile(*vec, Some(*scalar), r0, h, view, &mut acc);
                     }
                     acc
                 },
@@ -994,11 +1181,7 @@ fn two_vregs(vregs: &mut [Vec<f64>], out: u16, a: u16) -> (&mut [f64], &[f64]) {
 
 fn vec_unary(mode: RowExecMode, op: UnaryOp, src: &[f64], dst: &mut [f64]) {
     match mode {
-        RowExecMode::Vectorized => {
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = op.apply(s);
-            }
-        }
+        RowExecMode::Vectorized => block::un_loop(op, OpRef::S(src), dst),
         RowExecMode::Inlined => {
             for i in 0..src.len() {
                 dst[i] = apply_unary_inlined(op, src[i]);
@@ -1014,17 +1197,7 @@ fn vec_unary(mode: RowExecMode, op: UnaryOp, src: &[f64], dst: &mut [f64]) {
 
 fn vec_binary_vv(mode: RowExecMode, op: BinaryOp, a: &[f64], b: &[f64], dst: &mut [f64]) {
     match mode {
-        RowExecMode::Vectorized => match op {
-            BinaryOp::Add => dst.copy_from_slice(&prim::vect_add_write(a, b, 0, 0, a.len())),
-            BinaryOp::Sub => dst.copy_from_slice(&prim::vect_minus_write(a, b, 0, 0, a.len())),
-            BinaryOp::Mult => dst.copy_from_slice(&prim::vect_mult_write(a, b, 0, 0, a.len())),
-            BinaryOp::Div => dst.copy_from_slice(&prim::vect_div_write(a, b, 0, 0, a.len())),
-            _ => {
-                for i in 0..a.len() {
-                    dst[i] = op.apply(a[i], b[i]);
-                }
-            }
-        },
+        RowExecMode::Vectorized => block::bin_loop(op, OpRef::S(a), OpRef::S(b), dst),
         RowExecMode::Inlined => {
             for i in 0..a.len() {
                 dst[i] = apply_binary_inlined(op, a[i], b[i]);
@@ -1048,15 +1221,9 @@ fn vec_binary_vs(
 ) {
     match mode {
         RowExecMode::Vectorized => {
-            if scalar_left {
-                for (d, &x) in dst.iter_mut().zip(a) {
-                    *d = op.apply(s, x);
-                }
-            } else {
-                for (d, &x) in dst.iter_mut().zip(a) {
-                    *d = op.apply(x, s);
-                }
-            }
+            let (a, s) = (OpRef::S(a), OpRef::C(s));
+            let (x, y) = if scalar_left { (s, a) } else { (a, s) };
+            block::bin_loop(op, x, y, dst)
         }
         RowExecMode::Inlined => {
             for i in 0..a.len() {
@@ -1319,6 +1486,75 @@ mod tests {
         let oracle = execute_with(&spec, &x, &sides, &[], RowBackend::Interp);
         let got = execute_with(&spec, &x, &sides, &[], RowBackend::Block);
         assert!(got.approx_eq(&oracle, 1e-9));
+    }
+
+    /// The per-band buffers — tile register file, packed `VecMatMult`
+    /// panels, densify scratch, padded outer accumulator — come from the
+    /// pool and go back when the band ends: a warm operator executes again
+    /// in its engine's scope without one fresh allocation.
+    #[test]
+    fn warm_execute_allocates_no_new_pool_buffer() {
+        let (n, m, k) = (300, 40, 3);
+        let v = generate::rand_dense(m, k, -1.0, 1.0, 21);
+        // x_row ⊗ (abs(x_row)·V): the `abs` densifies sparse rows into
+        // scratch, the dense tile feeds the panel kernel and the outer update.
+        let densifying = RowSpec {
+            prog: Program {
+                instrs: vec![
+                    Instr::LoadMainRow { out: 0 },
+                    Instr::VecUnary { out: 1, op: UnaryOp::Abs, a: 0 },
+                    Instr::VecMatMult { out: 2, a: 1, side: 0 },
+                ],
+                n_regs: 0,
+                vreg_lens: vec![m, m, k],
+            },
+            out: RowOut::OuterColAgg { left: 1, right: 2 },
+            out_rows: m,
+            out_cols: k,
+            exec_mode: RowExecMode::Vectorized,
+        };
+        // x_row ⊗ (x_row·V) over non-zeros: the padded accumulator.
+        let sparse_left = RowSpec {
+            prog: Program {
+                instrs: vec![
+                    Instr::LoadMainRow { out: 0 },
+                    Instr::VecMatMult { out: 1, a: 0, side: 0 },
+                ],
+                n_regs: 0,
+                vreg_lens: vec![m, k],
+            },
+            out: RowOut::OuterColAgg { left: 0, right: 1 },
+            ..densifying.clone()
+        };
+        let engine = crate::Engine::new(crate::FusionMode::Gen);
+        let _scope = engine.scope();
+        // One band per execute, whatever other tests do to the global
+        // thread count meanwhile: the same buffers every time.
+        let _one = par::limit_current_thread(1);
+        let sides = [SideInput::bind(&v)];
+        for x in [
+            generate::rand_dense(n, m, -1.0, 1.0, 22),
+            generate::rand_matrix(n, m, -1.0, 1.0, 0.2, 23),
+        ] {
+            for spec in [&densifying, &sparse_left] {
+                // The pool hands out by size class, not exact fit: a few
+                // rounds settle which retired buffer serves which request.
+                let expect = execute(spec, &x, &sides, &[]);
+                for _ in 0..3 {
+                    execute(spec, &x, &sides, &[]).recycle();
+                }
+                let warm = engine.pool_stats();
+                for _ in 0..3 {
+                    let again = execute(spec, &x, &sides, &[]);
+                    assert!(again.approx_eq(&expect, 0.0));
+                    again.recycle();
+                }
+                let after = engine.pool_stats();
+                assert_eq!(after.misses, warm.misses, "sparse={}", x.is_sparse());
+                assert!(after.hits >= warm.hits + 9, "the band buffers are pooled at all");
+                expect.recycle();
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! (row counts that don't divide the thread-band size) — mirroring
 //! `block_vs_scalar_property.rs` for the Cell/MAgg templates.
 //!
+//! The block backend runs a tile of rows per instruction and its
+//! matrix-shaped work through `simd::gemm`'s packed panels, so the grid
+//! tests below walk what tiling can break: row counts on every side of a
+//! tile boundary, `VecMatMult` widths on every side of a panel boundary,
+//! `VecMatMult` over a computed (non-main) register, and row-aligned side
+//! slices that start past column 0.
+//!
 //! Aggregating outputs reassociate across non-zeros and bands, so results
 //! agree to 1e-9; elementwise (NoAgg) rows agree to 1e-11.
 
@@ -260,9 +267,9 @@ fn row_block_backend_matches_interpreter_on_random_programs() {
         // Row counts straddle thread-band boundaries (ragged tails); m is
         // kept moderate so nnz²-style outputs stay cheap.
         let sh = Shape {
-            n: *[2, 7, 61, 64, 127, 350].get(rng.gen_range(0..6usize)).unwrap(),
+            n: *[1, 2, 7, 17, 35, 61, 64, 127, 350].get(rng.gen_range(0..9usize)).unwrap(),
             m: *[3, 17, 40, 97].get(rng.gen_range(0..4usize)).unwrap(),
-            k: rng.gen_range(1..6usize),
+            k: *[1, 2, 3, 4, 5, 8, 9].get(rng.gen_range(0..7usize)).unwrap(),
         };
         let g = random_row_program(&mut rng, &sh);
         let (out, out_rows, out_cols) = random_out(&mut rng, &g, &sh);
@@ -344,6 +351,171 @@ fn mlogreg_pattern_all_modes_and_densities_agree() {
                     v.is_sparse()
                 );
             }
+        }
+    }
+}
+
+// ---- what tiling can break ------------------------------------------------
+
+/// The block backend's tile height (`rowwise::RB`, private to the runtime).
+const RB: usize = 16;
+
+/// Row counts on every side of a tile boundary for `RB` and for the other
+/// heights of its sweep, so the edges stay covered if the constant moves.
+fn tile_edge_row_counts() -> Vec<usize> {
+    let mut ns: Vec<usize> =
+        [RB, 4, 8, 32].iter().flat_map(|&rb| [1, rb - 1, rb, rb + 1, 2 * rb + 3]).collect();
+    ns.sort_unstable();
+    ns.dedup();
+    ns
+}
+
+const MODES: [RowExecMode; 3] =
+    [RowExecMode::Vectorized, RowExecMode::Inlined, RowExecMode::InterpretedNoJit];
+
+/// `X %*% V` per row (`V` is side 0, `m×k`) under each output variant; the
+/// last two read a row-aligned `n×(k+2)` side 1 from column 2 on.
+fn vmm_spec(m: usize, k: usize, out: usize, mode: RowExecMode) -> RowSpec {
+    let mut instrs =
+        vec![Instr::LoadMainRow { out: 0 }, Instr::VecMatMult { out: 1, a: 0, side: 0 }];
+    let mut vreg_lens = vec![m, k];
+    let agg = Instr::VecAgg { out: 0, op: AggOp::Sum, a: 1 };
+    let (out, out_rows, out_cols, n_regs) = match out {
+        0 => (RowOut::NoAgg { src: 1 }, 0, k, 0),
+        1 => (RowOut::ColAgg { src: 1 }, 1, k, 0),
+        2 => {
+            instrs.push(agg);
+            (RowOut::RowAgg { src: 0 }, 0, 1, 1)
+        }
+        3 => {
+            instrs.push(agg);
+            (RowOut::FullAgg { src: 0 }, 1, 1, 1)
+        }
+        4 => (RowOut::OuterColAgg { left: 0, right: 1 }, m, k, 0),
+        5 => {
+            instrs.push(agg);
+            (RowOut::ColAggMultAdd { vec: 0, scalar: 0 }, m, 1, 1)
+        }
+        // t(P[, 2:]) %*% X — the KMeans centroid update, the side slice on
+        // the left.
+        6 => {
+            instrs.push(Instr::LoadSideRow { out: 2, side: 1, cl: 2, cu: k + 2 });
+            vreg_lens.push(k);
+            (RowOut::OuterColAgg { left: 2, right: 0 }, k, m, 0)
+        }
+        // (X V) ⊙ P[, 2:], written per row.
+        _ => {
+            instrs.push(Instr::LoadSideRow { out: 2, side: 1, cl: 2, cu: k + 2 });
+            instrs.push(Instr::VecBinaryVV { out: 3, op: BinaryOp::Mult, a: 1, b: 2 });
+            vreg_lens.extend([k, k]);
+            (RowOut::NoAgg { src: 3 }, 0, k, 0)
+        }
+    };
+    RowSpec {
+        prog: Program { instrs, n_regs, vreg_lens },
+        out,
+        out_rows,
+        out_cols,
+        exec_mode: mode,
+    }
+}
+
+const VMM_OUTS: usize = 8;
+
+fn check_vmm(n: usize, m: usize, k: usize, out: usize, mode: RowExecMode) {
+    let mut spec = vmm_spec(m, k, out, mode);
+    if spec.out_rows == 0 {
+        spec.out_rows = n;
+    }
+    let seed = (n * 131 + k * 7 + out) as u64;
+    let p = generate::rand_dense(n, k + 2, -1.5, 1.5, seed + 3);
+    for x in [
+        generate::rand_dense(n, m, -1.5, 1.5, seed),
+        generate::rand_matrix(n, m, -1.5, 1.5, 0.25, seed + 1),
+    ] {
+        for v in [
+            generate::rand_dense(m, k, -1.5, 1.5, seed + 2),
+            generate::rand_matrix(m, k, -1.5, 1.5, 0.4, seed + 2),
+        ] {
+            let sides = [SideInput::bind(&v), SideInput::bind(&p)];
+            let oracle = rowwise::execute_with(&spec, &x, &sides, &[], RowBackend::Interp);
+            let got = rowwise::execute_with(&spec, &x, &sides, &[], RowBackend::Block);
+            let tol = if matches!(spec.out, RowOut::NoAgg { .. }) { 1e-11 } else { 1e-9 };
+            assert!(
+                got.approx_eq(&oracle, tol),
+                "n={n} m={m} k={k} out={:?} mode={mode:?} sparse_x={} sparse_v={}",
+                spec.out,
+                x.is_sparse(),
+                v.is_sparse()
+            );
+        }
+    }
+}
+
+/// Every output variant at every tile-edge row count, dense and sparse main
+/// × dense and sparse `VecMatMult` side, the three modes in rotation.
+#[test]
+fn tile_edges_agree_for_every_output_and_format() {
+    for (i, &n) in tile_edge_row_counts().iter().enumerate() {
+        for out in 0..VMM_OUTS {
+            check_vmm(n, 13, 3, out, MODES[(i + out) % 3]);
+        }
+    }
+}
+
+/// `VecMatMult` widths on every side of a packed-panel boundary (one
+/// vector, one panel, one panel and a column, many panels) at a single row,
+/// a ragged tile and two tiles and a tail.
+#[test]
+fn panel_widths_agree_across_tile_heights() {
+    for (i, k) in [1, 2, 3, 4, 5, 8, 9, 64, 100].into_iter().enumerate() {
+        for n in [1, RB + 1, 2 * RB + 3] {
+            for out in [0, 4, 6, 7] {
+                check_vmm(n, 11, k, out, MODES[(i + out) % 3]);
+            }
+        }
+    }
+}
+
+/// The AutoEncoder chain `σ(σ(X W₁) W₂) W₃ − X`: `VecMatMult` over computed
+/// registers (never the main row), a 64-column and a 2-column panel set in
+/// one program, dense and sparse weights, every tile-edge row count.
+#[test]
+fn autoencoder_chain_multiplies_non_main_registers() {
+    let (m, h1, h2) = (10, 64, 2);
+    let sig = |out, a| Instr::VecUnary { out, op: UnaryOp::Sigmoid, a };
+    let spec = |n, mode| RowSpec {
+        prog: Program {
+            instrs: vec![
+                Instr::LoadMainRow { out: 0 },
+                Instr::VecMatMult { out: 1, a: 0, side: 0 },
+                sig(2, 1),
+                Instr::VecMatMult { out: 3, a: 2, side: 1 },
+                sig(4, 3),
+                Instr::VecMatMult { out: 5, a: 4, side: 2 },
+                Instr::VecBinaryVV { out: 6, op: BinaryOp::Sub, a: 5, b: 0 },
+            ],
+            n_regs: 0,
+            vreg_lens: vec![m, h1, h1, h2, h2, m, m],
+        },
+        out: RowOut::NoAgg { src: 6 },
+        out_rows: n,
+        out_cols: m,
+        exec_mode: mode,
+    };
+    for (i, &n) in tile_edge_row_counts().iter().enumerate() {
+        let x = generate::rand_dense(n, m, 0.0, 1.0, n as u64);
+        for sparse_w in [false, true] {
+            let w = |r, c, s| match sparse_w {
+                true => generate::rand_matrix(r, c, -1.0, 1.0, 0.5, s),
+                false => generate::rand_dense(r, c, -1.0, 1.0, s),
+            };
+            let ws = [w(m, h1, 1), w(h1, h2, 2), w(h2, m, 3)];
+            let sides: Vec<SideInput> = ws.iter().map(SideInput::bind).collect();
+            let mode = MODES[(i + usize::from(sparse_w)) % 3];
+            let oracle = rowwise::execute_with(&spec(n, mode), &x, &sides, &[], RowBackend::Interp);
+            let got = rowwise::execute_with(&spec(n, mode), &x, &sides, &[], RowBackend::Block);
+            assert!(got.approx_eq(&oracle, 1e-11), "n={n} mode={mode:?} sparse_w={sparse_w}");
         }
     }
 }

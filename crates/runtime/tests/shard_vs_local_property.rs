@@ -26,6 +26,7 @@ use fusedml_hop::interp::Bindings;
 use fusedml_hop::{DagBuilder, HopDag, HopId};
 use fusedml_linalg::generate;
 use fusedml_linalg::matrix::Value;
+use fusedml_linalg::{AggDir, AggOp};
 use fusedml_runtime::{shard, Engine, ExecError, FaultPlan, FaultSite, FusionMode};
 use std::sync::Arc;
 
@@ -223,6 +224,70 @@ fn sparse_mains_and_partitioned_sides_equal_local() {
     }
     assert!(sharded_runs > 0, "no operator ever ran sharded — the property was vacuous");
     assert!(partitioned_sides > 0, "no side was ever row-partitioned — the leg was vacuous");
+}
+
+/// The KMeans distance DAG `D = −2·X %*% t(C) + t(rowSums(C²))` with `k = 5`
+/// centroids: a Row operator whose `VecMatMult` runs a tile of rows at a
+/// time, with a map-class matrix root, a map-class row aggregate and a
+/// reduction.
+fn kmeans_distance_dag(n: usize, m: usize, k: usize, seed: u64) -> (HopDag, Bindings) {
+    let mut b = DagBuilder::new();
+    let x = b.read("X", n, m, 1.0);
+    let c = b.read("C", k, m, 1.0);
+    let ct = b.t(c);
+    let xc = b.mm(x, ct);
+    let neg2 = b.lit(-2.0);
+    let xc2 = b.mult(xc, neg2);
+    let csq = b.sq(c);
+    let cn = b.row_sums(csq);
+    let cnt = b.t(cn);
+    let d = b.add(xc2, cnt); // map-class: n×k, concat merge
+    let dmin = b.agg(AggOp::Min, AggDir::Row, d); // map-class: per-row aggregate
+    let wcss = b.sum(dmin); // reduction
+    let dag = b.build(vec![d, dmin, wcss]);
+    let mut bindings = Bindings::new();
+    bindings.insert("X".into(), generate::rand_dense(n, m, 0.0, 1.0, seed + 1));
+    bindings.insert("C".into(), generate::rand_dense(k, m, 0.0, 1.0, seed + 2));
+    (dag, bindings)
+}
+
+/// A tiled `VecMatMult` operator through the shard path: 203 rows split
+/// 102/101 over two shards and 51/51/51/50 over four, so every shard ends
+/// on a ragged tile (none of those is a multiple of 4, let alone of the
+/// tile height), and a row's position within its tile differs between the
+/// sharded and the local run. Map-class roots stay bitwise all the same.
+#[test]
+fn tiled_vec_mat_mult_operator_equals_local_with_ragged_shard_tiles() {
+    use fusedml_core::spoof::{FusedSpec, Instr};
+    let (rows, cols, k) = (203, 24, 5);
+    let (dag, bindings) = kmeans_distance_dag(rows, cols, k, 7);
+    let mut sharded_runs = 0usize;
+    for mode in [FusionMode::Gen, FusionMode::GenFA, FusionMode::GenFNR] {
+        let local_engine = Engine::new(mode);
+        let has_vmm = local_engine.plan_for(&dag).operators.iter().any(|f| match &f.op.spec {
+            FusedSpec::Row(r) => {
+                r.prog.instrs.iter().any(|i| matches!(i, Instr::VecMatMult { .. }))
+            }
+            _ => false,
+        });
+        assert!(has_vmm, "{mode:?}: the distance DAG must compile to a VecMatMult Row operator");
+        let local = local_engine.execute(&dag, &bindings).into_values();
+        for shards in [2usize, 4] {
+            let tag = format!("kmeans distance mode {mode:?} shards {shards}");
+            let engine = Engine::builder(mode)
+                .shards(shards)
+                .shard_threads(1)
+                .force_shard(true)
+                .verify_plans(true)
+                .build();
+            let out = engine
+                .try_execute(&dag, &bindings)
+                .unwrap_or_else(|e| panic!("{tag}: sharded execution failed: {e}"));
+            sharded_runs += out.sched().sharded_ops;
+            assert_shard_eq(out.values(), &local, rows, &tag);
+        }
+    }
+    assert!(sharded_runs > 0, "no operator ever ran sharded — the property was vacuous");
 }
 
 /// Chaos leg: a seeded `ShardExec` fault panics one shard worker

@@ -1,10 +1,13 @@
 #![allow(clippy::disallowed_methods)] // test/example code may unwrap freely
 //! Property test: fused execution must equal unfused execution on randomly
-//! generated DAGs of cell-wise operations, aggregates, and matrix products.
+//! generated DAGs of cell-wise operations, aggregates, and matrix products,
+//! and on the algorithm DAGs whose Row operators run `VecMatMult` and outer
+//! accumulations a tile of rows at a time.
 
+use fusedml::algos::{autoencoder, kmeans, mlogreg};
 use fusedml::core::FusionMode;
 use fusedml::hop::interp::Bindings;
-use fusedml::hop::{DagBuilder, HopId};
+use fusedml::hop::{DagBuilder, HopDag, HopId};
 use fusedml::linalg::generate;
 use fusedml::runtime::Engine;
 use proptest::prelude::*;
@@ -73,6 +76,77 @@ proptest! {
                 prop_assert!(
                     fusedml::linalg::approx_eq(*g, *x, 1e-7),
                     "{mode:?}: {g} vs {x} (ops {:?})", e.ops
+                );
+            }
+        }
+    }
+}
+
+/// Rows of the algorithm cases: two full Row tiles (16 rows each — 8 and 4
+/// divide it, should the height move) and a ragged tail of three.
+const TILE_RAGGED_ROWS: usize = 2 * 16 + 3;
+
+/// The KMeans distance/update DAG (k = 5), the MLogreg Hessian-vector DAG
+/// with its `Q`/`H` pair (k = 3, sparse `X`) and an AutoEncoder batch DAG.
+fn tiled_row_cases() -> Vec<(&'static str, HopDag, Bindings)> {
+    let n = TILE_RAGGED_ROWS;
+    let bind = |pairs: Vec<(&str, fusedml::linalg::Matrix)>| {
+        let mut b = Bindings::new();
+        for (name, m) in pairs {
+            b.insert(name.into(), m);
+        }
+        b
+    };
+    let (m, k, k1, h1, h2) = (23, 5, 3, 9, 2);
+    let x_sparse = generate::rand_matrix(n, m, -1.0, 1.0, 0.25, 11);
+    assert!(x_sparse.is_sparse());
+    vec![
+        (
+            "kmeans",
+            kmeans::build_iter_dag(n, m, k, 1.0),
+            bind(vec![
+                ("X", generate::rand_dense(n, m, 0.0, 1.0, 1)),
+                ("C", generate::rand_dense(k, m, 0.0, 1.0, 2)),
+            ]),
+        ),
+        (
+            "mlogreg_hvp",
+            mlogreg::build_hvp_dag(n, m, k1, 0.25),
+            bind(vec![
+                ("X", x_sparse),
+                ("P", generate::rand_dense(n, k1 + 1, 0.05, 0.3, 12)),
+                ("v", generate::rand_dense(m, k1, -1.0, 1.0, 13)),
+                ("lambda", generate::rand_dense(1, 1, 0.4, 0.6, 14)),
+            ]),
+        ),
+        (
+            "autoencoder",
+            autoencoder::build_batch_dag(n, m, h1, h2),
+            bind(vec![
+                ("Xb", generate::rand_dense(n, m, 0.0, 1.0, 21)),
+                ("W1", generate::rand_dense(m, h1, -0.5, 0.5, 22)),
+                ("W2", generate::rand_dense(h1, h2, -0.5, 0.5, 23)),
+                ("W3", generate::rand_dense(h2, h1, -0.5, 0.5, 24)),
+                ("W4", generate::rand_dense(h1, m, -0.5, 0.5, 25)),
+            ]),
+        ),
+    ]
+}
+
+#[test]
+fn fused_equals_unfused_on_tiled_row_algorithm_dags() {
+    for (name, dag, bindings) in tiled_row_cases() {
+        let expect = Engine::new(FusionMode::Base).execute(&dag, &bindings).into_values();
+        for mode in [FusionMode::Gen, FusionMode::GenFA, FusionMode::GenFNR] {
+            let engine = Engine::new(mode);
+            let out = engine.execute(&dag, &bindings);
+            // Every case has a `VecMatMult` or an outer accumulation, which
+            // the Row skeleton reports as its tile class.
+            assert!(engine.stats().mono_snapshot().0 > 0, "{name} {mode:?}: no tiled Row operator");
+            for (i, (g, x)) in out.values().iter().zip(&expect).enumerate() {
+                assert!(
+                    g.as_matrix().approx_eq(&x.as_matrix(), 1e-7),
+                    "{name} {mode:?}: root {i} diverges from Base"
                 );
             }
         }
