@@ -1,17 +1,16 @@
-//! Figure 10: impact of the instruction footprint — `sum(f(X/rowSums(X)))`
-//! with `f` a sequence of `n` row operations `X ⊙ i`, comparing the default
-//! primitive-calling operators (`Gen`) against inlined per-element code
-//! (`Gen inlined`), which falls off a cliff once the code size exceeds the
-//! compiler's budget (DESIGN.md substitution X4).
+//! Figure 10: footprint of `sum(f(X/rowSums(X)))` with `f` a sequence of `n`
+//! row operations `X ⊙ i`. The paper's panel is about the JVM refusing to
+//! JIT large inlined methods; an ahead-of-time-compiled engine has no such
+//! cliff (DESIGN.md substitution X4), so what is measured here is the chain's
+//! *memory* footprint.
 //!
-//! A second table reports the *memory* footprint of the same
-//! multi-intermediate chain under the scheduled executor: tracked peak
-//! resident bytes (frees at last use + pooled buffers) against the
-//! hold-everything bytes the seed runtime kept, plus buffer-pool hit rates
-//! and scheduler parallelism. In `--smoke` mode the Base-mode reduction is a
-//! CI regression gate (must stay ≥ 2×).
+//! The first table reports the multi-intermediate chain under the scheduled
+//! executor: tracked peak resident bytes (frees at last use + pooled buffers)
+//! against the hold-everything bytes the seed runtime kept, plus buffer-pool
+//! hit rates and scheduler parallelism. In `--smoke` mode the Base-mode
+//! reduction is a CI regression gate (must stay ≥ 2×).
 //!
-//! A third table exercises the *out-of-core* path: a chain whose live
+//! The second table exercises the *out-of-core* path: a chain whose live
 //! working set is ~4× the engine's memory budget, forcing the spill tier to
 //! evict farthest-next-use anchors and fault them back during the fold. In
 //! `--smoke` mode this is a second CI gate: the bounded run must keep its
@@ -20,7 +19,6 @@
 
 use super::Scale;
 use crate::report::Table;
-use fusedml_core::codegen::CodegenOptions;
 use fusedml_hop::interp::Bindings;
 use fusedml_hop::DagBuilder;
 use fusedml_linalg::generate;
@@ -238,67 +236,10 @@ fn run_out_of_core(scale: Scale) {
     }
 }
 
-/// Runs the sweep; returns rows of (n_ops, gen_s, inlined_s, code_size).
+/// Runs both tables (and, under `--smoke`, both gates).
 pub fn run(scale: Scale) {
     run_footprint(scale);
     run_out_of_core(scale);
-    let (rows, cols) = scale.pick3((2_000, 256), (10_000, 256), (100_000, 1_000));
-    let sweep: Vec<usize> = scale.pick3(
-        vec![8, 64],
-        vec![1, 2, 4, 8, 16, 32, 48, 64, 96, 128],
-        vec![1, 2, 4, 8, 16, 32, 48, 64, 96, 128],
-    );
-    let reps = scale.pick(2, 3);
-    let budget = 8192;
-    let x = generate::rand_dense(rows, cols, 0.5, 2.0, 1);
-    let mut bindings = Bindings::new();
-    bindings.insert("X".to_string(), x);
-    let mut t = Table::new(
-        &format!("Figure 10: sum(f(X/rowSums(X))), X {rows}x{cols}, code budget {budget}"),
-        &["#row ops", "Gen", "Gen inlined", "inlined code size", "mode"],
-    );
-    for n_ops in sweep {
-        let dag = footprint_dag(rows, cols, n_ops);
-        let time_with = |opts: CodegenOptions| -> (f64, usize, String) {
-            let exec = Engine::builder(FusionMode::Gen).codegen_options(opts).build();
-            let _ = exec.execute(&dag, &bindings); // warm-up/compile
-            let plan = exec.plan_for(&dag);
-            let code = plan.operators.iter().map(|o| o.op.code_size).max().unwrap_or(0);
-            let mode = plan
-                .operators
-                .iter()
-                .filter_map(|o| match &o.op.spec {
-                    fusedml_core::spoof::FusedSpec::Row(r) => Some(format!("{:?}", r.exec_mode)),
-                    _ => None,
-                })
-                .next()
-                .unwrap_or_else(|| "-".into());
-            let mut times: Vec<f64> = (0..reps)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    let _ = exec.execute(&dag, &bindings);
-                    t0.elapsed().as_secs_f64()
-                })
-                .collect();
-            times.sort_by(f64::total_cmp);
-            (times[times.len() / 2], code, mode)
-        };
-        let (gen_s, _, _) =
-            time_with(CodegenOptions { code_size_budget: budget, ..Default::default() });
-        let (inl_s, code, mode) = time_with(CodegenOptions {
-            inline_primitives: true,
-            code_size_budget: budget,
-            ..Default::default()
-        });
-        t.row(vec![
-            n_ops.to_string(),
-            Table::secs(gen_s),
-            Table::secs(inl_s),
-            code.to_string(),
-            mode,
-        ]);
-    }
-    t.print();
 }
 
 #[cfg(test)]

@@ -334,7 +334,7 @@ pub fn run(scale: Scale) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusedml_core::spoof::block::{compile_row_kernel, RowFastKernel};
+    use fusedml_core::spoof::block::{compile_row_kernel, RowShape};
     use fusedml_core::spoof::FusedSpec;
     use fusedml_runtime::{Engine, FusionMode};
 
@@ -358,9 +358,9 @@ mod tests {
         let kernel = compile_row_kernel(spec, &cplan.side_dims);
         assert!(kernel.sparse_main_ok, "sparse X must execute over non-zeros");
         assert!(
-            matches!(kernel.fast, Some(RowFastKernel::MvChain { .. })),
+            matches!(kernel.shape, Some(RowShape::MvChain { .. })),
             "expected the mv-chain fast path, got {:?}",
-            kernel.fast
+            kernel.shape
         );
         // The whole-vector load of `v` must be hoisted out of the row loop.
         assert!(!kernel.invariant.is_empty());

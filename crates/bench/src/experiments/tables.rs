@@ -7,7 +7,6 @@ use crate::MODES;
 use fusedml_algos::{alscg, autoencoder, glm, kmeans, l2svm, mlogreg};
 use fusedml_hop::interp::Bindings;
 use fusedml_linalg::{generate, par, Matrix};
-use fusedml_runtime::dist::{execute_dist, SimCluster};
 use fusedml_runtime::{shard, Engine, FusionMode};
 use std::time::Instant;
 
@@ -238,83 +237,24 @@ pub fn table5(scale: Scale) {
     t.print();
 }
 
-/// Table 6: distributed algorithms on the simulated cluster — per-iteration
-/// DAGs executed with broadcast/shuffle accounting (substitution X2).
-pub fn table6(scale: Scale) {
-    let (n, m) = scale.pick((200_000, 100), (2_000_000, 100));
-    let iters = 5usize;
-    // Budget below X's size so X-ops run distributed.
-    let x_bytes = 8.0 * n as f64 * m as f64;
-    let cluster = SimCluster { local_budget: x_bytes / 4.0, ..SimCluster::default() };
-    let mut t = Table::new(
-        &format!(
-            "Table 6: simulated distributed runtime [s] (D-like {n}x{m}, {iters} iterations, 6 executors; \
-             no Fused column: the simulator runs no hand-coded operators, it would repeat Base)"
-        ),
-        &["algorithm", "Base", "Gen", "Gen-FA", "Gen-FNR", "Gen broadcasts"],
-    );
-    let run_iters = |mode: FusionMode, dag: &fusedml_hop::HopDag, bindings: &Bindings| {
-        let exec = Engine::new(mode);
-        let _warmup = execute_dist(&exec, dag, bindings, &cluster);
-        let mut total = 0.0;
-        let mut bc = 0;
-        for _ in 0..iters {
-            let (_, rep) = execute_dist(&exec, dag, bindings, &cluster);
-            total += rep.sim_seconds;
-            bc = rep.broadcasts;
-        }
-        (total, bc)
-    };
-    // L2SVM gradient iteration.
-    let (x, y) = l2svm::synthetic_data(n, m, 1.0, 31);
-    let dag = {
-        let mut b = fusedml_hop::DagBuilder::new();
-        let xx = b.read("X", n, m, 1.0);
-        let yy = b.read("y", n, 1, 1.0);
-        let ww = b.read("w", m, 1, 1.0);
-        let xw = b.mm(xx, ww);
-        let yxw = b.mult(yy, xw);
-        let one = b.lit(1.0);
-        let out = b.sub(one, yxw);
-        let zero = b.lit(0.0);
-        let ind = b.gt(out, zero);
-        let mask = b.mult(ind, out);
-        let d = b.mult(yy, mask);
-        let xt = b.t(xx);
-        let g = b.mm(xt, d);
-        b.build(vec![g])
-    };
-    let mut bindings = Bindings::new();
-    bindings.insert("X".into(), x);
-    bindings.insert("y".into(), y);
-    bindings.insert("w".into(), Matrix::zeros(m, 1));
-    push_dist_row(&mut t, "L2SVM", &dag, &bindings, &run_iters);
-
-    // KMeans distance iteration.
-    let xk = kmeans::synthetic_data(n, m, 1.0, 32);
-    let dag = {
-        let k = 5;
-        let mut b = fusedml_hop::DagBuilder::new();
-        let xx = b.read("X", n, m, 1.0);
-        let c = b.read("C", k, m, 1.0);
-        let ct = b.t(c);
-        let xc = b.mm(xx, ct);
-        let neg2 = b.lit(-2.0);
-        let xc2 = b.mult(xc, neg2);
-        let csq = b.sq(c);
-        let cn = b.agg(fusedml_linalg::ops::AggOp::Sum, fusedml_linalg::ops::AggDir::Row, csq);
-        let cnt = b.t(cn);
-        let d = b.add(xc2, cnt);
-        let dmin = b.agg(fusedml_linalg::ops::AggOp::Min, fusedml_linalg::ops::AggDir::Row, d);
-        let wcss = b.sum(dmin);
-        b.build(vec![wcss])
-    };
-    let mut bindings = Bindings::new();
-    bindings.insert("X".into(), xk);
-    bindings.insert("C".into(), generate::rand_dense(5, m, 0.0, 1.0, 33));
-    push_dist_row(&mut t, "KMeans", &dag, &bindings, &run_iters);
-    t.print();
-    table6_sharded(scale);
+/// Builds the L2SVM gradient-iteration DAG `t(X) %*% (y ⊙ max(0, 1 − y ⊙ Xw))`
+/// with the hinge written as indicator times margin.
+fn l2svm_iteration_dag(n: usize, m: usize) -> fusedml_hop::HopDag {
+    let mut b = fusedml_hop::DagBuilder::new();
+    let xx = b.read("X", n, m, 1.0);
+    let yy = b.read("y", n, 1, 1.0);
+    let ww = b.read("w", m, 1, 1.0);
+    let xw = b.mm(xx, ww);
+    let yxw = b.mult(yy, xw);
+    let one = b.lit(1.0);
+    let out = b.sub(one, yxw);
+    let zero = b.lit(0.0);
+    let ind = b.gt(out, zero);
+    let mask = b.mult(ind, out);
+    let d = b.mult(yy, mask);
+    let xt = b.t(xx);
+    let g = b.mm(xt, d);
+    b.build(vec![g])
 }
 
 /// Builds the mlogreg CG inner-iteration DAG `t(X) %*% (w ⊙ (X %*% v))` —
@@ -350,42 +290,62 @@ fn kmeans_iteration_dag(n: usize, m: usize, k: usize) -> fusedml_hop::HopDag {
     b.build(vec![wcss])
 }
 
-/// Table 6b: the same per-iteration DAGs on the **real** sharded runtime
-/// ([`fusedml_runtime::shard`], DESIGN.md substitution X11), with the cost
-/// model's per-plan estimate and the measured wall time side by side —
-/// modeled and measured share one estimator
+/// Table 6: the per-iteration DAGs of the distributed algorithms on the
+/// sharded runtime ([`fusedml_runtime::shard`], DESIGN.md substitution X11),
+/// one engine of `shards` single-threaded workers per fusion mode. Per mode it
+/// reports the measured median iteration and the bytes the driver broadcast
+/// to the shards in it, **measured**
+/// ([`SchedSnapshot::shard_broadcast_bytes`](fusedml_runtime::SchedSnapshot)):
+/// the paper's Table 6 point — eager fusion pulls more vectors into a
+/// distributed operator and so broadcasts more — is read off a counter, not a
+/// model. `Base` has no fused operators, so nothing of it shards.
+///
+/// For `Gen` the cost model's per-plan estimate stands beside the measured
+/// wall time — modeled and measured share one estimator
 /// ([`shard::estimate_plan`]), so the table is the drift detector for the
-/// distributed cost model that `dist::simulate` also prices plans with.
+/// cost model the planner shards with.
 ///
 /// The local baseline runs kernels at one thread (a single shard's compute),
-/// so "speedup" is shards-vs-one-shard on identical kernels; both columns are
-/// the median iteration. A modeled-vs-measured ratio beyond 3x in either
-/// direction is flagged in the last column. The shard count follows the
-/// machine — `min(4, cores)`, at least 2 — so under `--smoke` the gate
-/// measures something everywhere and checks what the planner promises: it
-/// shards at least one operator, and no row's sharded iteration is slower
-/// than 0.9x its local one.
-fn table6_sharded(scale: Scale) {
+/// so "speedup" is shards-vs-one-shard on identical kernels. A
+/// modeled-vs-measured ratio beyond 3x in either direction is flagged in the
+/// last column. The shard count follows the machine — `min(4, cores)`, at
+/// least 2 — so under `--smoke` the gate measures something everywhere and
+/// checks what the planner promises: it shards at least one operator, and no
+/// row's sharded `Gen` iteration is slower than 0.9x its local one.
+pub fn table6(scale: Scale) {
     let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
     let shards = cores.clamp(2, 4);
     let (n, m) = scale.pick((200_000, 100), (1_000_000, 100));
     let iters = 5usize;
+    let modes = MODES.into_iter().filter(|&m| m != FusionMode::Fused);
+    let mode_names: Vec<String> = modes.clone().map(|m| format!("{m:?}")).collect();
     let mut t = Table::new(
         &format!(
-            "Table 6b: real sharded runtime (X {n}x{m}, {shards} shards x 1 thread vs 1-thread local, {iters} iterations)"
+            "Table 6: sharded runtime (X {n}x{m}, {shards} shards x 1 thread, {iters} iterations; \
+             per-mode columns in the order {})",
+            mode_names.join(" / ")
         ),
         &[
             "algorithm",
-            "modeled local [s]",
-            "modeled sharded [s]",
-            "measured local [s]",
             "measured sharded [s]",
-            "speedup",
-            "sharded ops (plan/run)",
-            "model vs measured",
+            "broadcast [KB/iter]",
+            "Gen modeled local [s]",
+            "Gen modeled sharded [s]",
+            "Gen measured local [s]",
+            "Gen speedup",
+            "Gen sharded ops (plan/run)",
+            "Gen model vs measured",
         ],
     );
     let mut cases: Vec<(&str, fusedml_hop::HopDag, Bindings)> = Vec::new();
+    {
+        let (x, y) = l2svm::synthetic_data(n, m, 1.0, 31);
+        let mut bindings = Bindings::new();
+        bindings.insert("X".into(), x);
+        bindings.insert("y".into(), y);
+        bindings.insert("w".into(), Matrix::zeros(m, 1));
+        cases.push(("L2SVM", l2svm_iteration_dag(n, m), bindings));
+    }
     {
         let dag = mlogreg_iteration_dag(n, m);
         let mut bindings = Bindings::new();
@@ -402,20 +362,20 @@ fn table6_sharded(scale: Scale) {
         bindings.insert("C".into(), generate::rand_dense(k, m, 0.0, 1.0, 45));
         cases.push(("KMeans", dag, bindings));
     }
-    // Median iteration (after one warm-up) and the sharded-operator count of
-    // the last one.
+    // Median iteration (after one warm-up) and the scheduler delta of the
+    // last one.
     let median_iteration = |script: &fusedml_runtime::CompiledScript, bindings: &Bindings| {
         let _warmup = script.execute(bindings);
-        let mut sharded_ops = 0usize;
+        let mut sched = fusedml_runtime::SchedSnapshot::default();
         let mut secs: Vec<f64> = (0..iters)
             .map(|_| {
                 let t0 = Instant::now();
-                sharded_ops = script.execute(bindings).sched().sharded_ops;
+                sched = script.execute(bindings).sched();
                 t0.elapsed().as_secs_f64()
             })
             .collect();
         secs.sort_by(f64::total_cmp);
-        (secs[iters / 2], sharded_ops)
+        (secs[iters / 2], sched)
     };
     let mut total_sharded_ops = 0usize;
     for (name, dag, bindings) in &cases {
@@ -428,18 +388,25 @@ fn table6_sharded(scale: Scale) {
         let (local_secs, _) = median_iteration(&local.compile(dag), bindings);
         par::set_num_threads(0);
 
-        let sharded_engine =
-            Engine::builder(FusionMode::Gen).shards(shards).shard_threads(1).build();
-        let (sharded_secs, sharded_ops) = median_iteration(&sharded_engine.compile(dag), bindings);
-        total_sharded_ops += sharded_ops;
+        let (mut secs_cells, mut bcast_cells) = (Vec::new(), Vec::new());
+        let (mut gen_secs, mut gen_ops) = (0.0, 0usize);
+        for mode in modes.clone() {
+            let engine = Engine::builder(mode).shards(shards).shard_threads(1).build();
+            let (secs, sched) = median_iteration(&engine.compile(dag), bindings);
+            secs_cells.push(Table::secs(secs));
+            bcast_cells.push(format!("{:.1}", sched.shard_broadcast_bytes as f64 / 1e3));
+            if mode == FusionMode::Gen {
+                (gen_secs, gen_ops) = (secs, sched.sharded_ops);
+            }
+        }
+        total_sharded_ops += gen_ops;
 
-        let speedup = local_secs / sharded_secs.max(1e-12);
+        let speedup = local_secs / gen_secs.max(1e-12);
         let ratio = |modeled: f64, measured: f64| {
             let (a, b) = (modeled.max(1e-12), measured.max(1e-12));
             (a / b).max(b / a)
         };
-        let drift =
-            ratio(est.chosen_seconds, sharded_secs).max(ratio(est.local_seconds, local_secs));
+        let drift = ratio(est.chosen_seconds, gen_secs).max(ratio(est.local_seconds, local_secs));
         let flag = if drift > 3.0 {
             format!("DIVERGES {drift:.1}x (>3x)")
         } else {
@@ -447,12 +414,13 @@ fn table6_sharded(scale: Scale) {
         };
         t.row(vec![
             name.to_string(),
+            secs_cells.join(" / "),
+            bcast_cells.join(" / "),
             Table::secs(est.local_seconds),
             Table::secs(est.chosen_seconds),
             Table::secs(local_secs),
-            Table::secs(sharded_secs),
             format!("{speedup:.2}x"),
-            format!("{}/{}", est.sharded_ops, sharded_ops),
+            format!("{}/{}", est.sharded_ops, gen_ops),
             flag,
         ]);
         if scale == Scale::Smoke {
@@ -470,24 +438,4 @@ fn table6_sharded(scale: Scale) {
             "the planner sharded no operator at {shards} shards on {n}x{m}"
         );
     }
-}
-
-fn push_dist_row(
-    t: &mut Table,
-    name: &str,
-    dag: &fusedml_hop::HopDag,
-    bindings: &Bindings,
-    run_iters: &dyn Fn(FusionMode, &fusedml_hop::HopDag, &Bindings) -> (f64, usize),
-) {
-    let mut row = vec![name.to_string()];
-    let mut gen_bc = 0usize;
-    for mode in MODES.into_iter().filter(|&m| m != FusionMode::Fused) {
-        let (secs, bc) = run_iters(mode, dag, bindings);
-        if mode == FusionMode::Gen {
-            gen_bc = bc;
-        }
-        row.push(Table::secs(secs));
-    }
-    row.push(gen_bc.to_string());
-    t.row(row);
 }

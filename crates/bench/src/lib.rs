@@ -37,8 +37,8 @@ pub struct TimedStats {
     pub secs: f64,
     /// Fused operators executed in one run.
     pub fused_ops: usize,
-    /// Fused operators that ran as a specialized (monomorphized or
-    /// closure-specialized) static kernel.
+    /// Fused operators that ran as a specialized (monomorphized) static
+    /// kernel.
     pub mono_ops: usize,
     /// Fused operators that fell back to the generic tile interpreter.
     pub interp_fused_ops: usize,

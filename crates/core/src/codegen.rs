@@ -1,53 +1,24 @@
 //! Code generation: CPlan → rendered operator source + compiled register
-//! program (paper §2.1 step 4; DESIGN.md substitution X1).
-//!
-//! Two compiler backends model the paper's janino/javac comparison
-//! (Figure 11): [`CompilerBackend::Janino`] compiles the register program
-//! directly from the CPlan; [`CompilerBackend::Javac`] additionally renders
-//! the operator source, tokenizes and validates it, re-builds the program
-//! from scratch in multiple verification passes, and cross-checks the
-//! result — modelling a heavyweight standard compiler.
+//! program (paper §2.1 step 4; DESIGN.md substitution X1). There is one
+//! compiler: the register program is built directly from the CPlan, and the
+//! rendered source is for reading (`explain`, the examples), not an input to
+//! anything.
 
 use crate::cplan::{CNode, CPlan, CellAggKind, NodeId, OuterOutKind, OutputSpec, RowOutKind};
 use crate::spoof::block::{self, BlockKernel};
 use crate::spoof::{
-    CellAgg, CellSpec, FusedSpec, Instr, MAggSpec, OuterOut, OuterSpec, Program, Reg, RowExecMode,
-    RowOut, RowSpec,
+    CellAgg, CellSpec, FusedSpec, Instr, MAggSpec, OuterOut, OuterSpec, Program, Reg, RowOut,
+    RowSpec,
 };
-use crate::templates::TemplateType;
 use crate::util::FxHashMap;
 use std::fmt::Write as _;
 
-/// Compiler backend choice (paper §2.1: "By default, we use the fast janino
-/// compiler but also support the standard javac compiler").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum CompilerBackend {
-    #[default]
-    Janino,
-    Javac,
-}
-
-/// Codegen options.
-#[derive(Clone, Copy, Debug)]
-pub struct CodegenOptions {
-    pub backend: CompilerBackend,
-    /// Inline vector primitives into per-element code (Figure 10's
-    /// `Gen inlined` configuration).
-    pub inline_primitives: bool,
-    /// Code-size budget in "instructions" above which inlined operators fall
-    /// back to the non-JIT path (the analogue of the JVM's 8 KB JIT limit).
-    pub code_size_budget: usize,
-}
-
-impl Default for CodegenOptions {
-    fn default() -> Self {
-        CodegenOptions {
-            backend: CompilerBackend::Janino,
-            inline_primitives: false,
-            code_size_budget: 8192,
-        }
-    }
-}
+/// Codegen options: none. The struct and the `opts` parameter of
+/// [`generate`] exist because `fusebench/src/layers.rs:262,326` (frozen with
+/// the benchmark) constructs and passes one; both go with the next
+/// `benchmark` PR.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CodegenOptions {}
 
 /// A generated fused operator: source text, compiled program, identity.
 #[derive(Clone, Debug)]
@@ -60,47 +31,13 @@ pub struct GeneratedOperator {
     pub spec: FusedSpec,
     /// Structural CPlan hash (plan-cache key).
     pub plan_hash: u64,
-    /// Effective code size in instructions (inlined size when inlining).
-    pub code_size: usize,
 }
 
 /// Compiles a CPlan into a generated operator.
-pub fn generate(cplan: &CPlan, name: &str, opts: &CodegenOptions) -> GeneratedOperator {
-    let spec = compile_spec(cplan, opts);
+pub fn generate(cplan: &CPlan, name: &str, _opts: &CodegenOptions) -> GeneratedOperator {
+    let spec = compile_spec(cplan);
     let source = render_source(cplan, name, &spec);
-    if opts.backend == CompilerBackend::Javac {
-        // Heavyweight path: tokenize + validate + rebuild + cross-check.
-        javac_like_verification(cplan, &source, &spec, opts);
-    }
-    let code_size = effective_code_size(cplan, &spec, opts);
-    GeneratedOperator {
-        name: name.to_string(),
-        source,
-        spec,
-        plan_hash: cplan.structural_hash(),
-        code_size,
-    }
-}
-
-/// Effective code size: vector instructions count 1 when calling primitives,
-/// or their vector length when inlined (Figure 10's footprint model).
-fn effective_code_size(cplan: &CPlan, spec: &FusedSpec, opts: &CodegenOptions) -> usize {
-    let prog = spec.program();
-    if !opts.inline_primitives || cplan.ttype != TemplateType::Row {
-        return prog.instrs.len();
-    }
-    prog.instrs
-        .iter()
-        .map(|i| match i {
-            Instr::VecUnary { out, .. }
-            | Instr::VecBinaryVV { out, .. }
-            | Instr::VecBinaryVS { out, .. }
-            | Instr::VecMatMult { out, .. }
-            | Instr::VecCumsum { out, .. } => prog.vreg_lens[*out as usize].max(1),
-            Instr::Dot { a, .. } | Instr::VecAgg { a, .. } => prog.vreg_lens[*a as usize].max(1),
-            _ => 1,
-        })
-        .sum()
+    GeneratedOperator { name: name.to_string(), source, spec, plan_hash: cplan.structural_hash() }
 }
 
 // ===========================================================================
@@ -294,7 +231,7 @@ impl<'a> ProgCompiler<'a> {
 }
 
 /// Compiles the CPlan into the template-specific [`FusedSpec`].
-pub fn compile_spec(cplan: &CPlan, opts: &CodegenOptions) -> FusedSpec {
+pub fn compile_spec(cplan: &CPlan) -> FusedSpec {
     let (prog, classes) = ProgCompiler::new(cplan).compile();
     let scalar = |n: NodeId| match classes[&n] {
         Class::Scalar(r) => r,
@@ -321,36 +258,23 @@ pub fn compile_spec(cplan: &CPlan, opts: &CodegenOptions) -> FusedSpec {
             results: results.iter().map(|(n, op)| (scalar(*n), *op)).collect(),
             sparse_safe: cplan.sparse_safe(),
         }),
-        OutputSpec::Row { out } => {
-            let mode = if opts.inline_primitives {
-                let size = effective_code_size_raw(cplan, &prog);
-                if size > opts.code_size_budget {
-                    RowExecMode::InterpretedNoJit
-                } else {
-                    RowExecMode::Inlined
+        OutputSpec::Row { out } => FusedSpec::Row(RowSpec {
+            out: match out {
+                RowOutKind::NoAgg { src } => RowOut::NoAgg { src: vector(*src) },
+                RowOutKind::RowAgg { src } => RowOut::RowAgg { src: scalar(*src) },
+                RowOutKind::ColAgg { src } => RowOut::ColAgg { src: vector(*src) },
+                RowOutKind::FullAgg { src } => RowOut::FullAgg { src: scalar(*src) },
+                RowOutKind::OuterColAgg { left, right } => {
+                    RowOut::OuterColAgg { left: vector(*left), right: vector(*right) }
                 }
-            } else {
-                RowExecMode::Vectorized
-            };
-            FusedSpec::Row(RowSpec {
-                out: match out {
-                    RowOutKind::NoAgg { src } => RowOut::NoAgg { src: vector(*src) },
-                    RowOutKind::RowAgg { src } => RowOut::RowAgg { src: scalar(*src) },
-                    RowOutKind::ColAgg { src } => RowOut::ColAgg { src: vector(*src) },
-                    RowOutKind::FullAgg { src } => RowOut::FullAgg { src: scalar(*src) },
-                    RowOutKind::OuterColAgg { left, right } => {
-                        RowOut::OuterColAgg { left: vector(*left), right: vector(*right) }
-                    }
-                    RowOutKind::ColAggMultAdd { vec, scalar: s } => {
-                        RowOut::ColAggMultAdd { vec: vector(*vec), scalar: scalar(*s) }
-                    }
-                },
-                prog,
-                out_rows: cplan.out_rows,
-                out_cols: cplan.out_cols,
-                exec_mode: mode,
-            })
-        }
+                RowOutKind::ColAggMultAdd { vec, scalar: s } => {
+                    RowOut::ColAggMultAdd { vec: vector(*vec), scalar: scalar(*s) }
+                }
+            },
+            prog,
+            out_rows: cplan.out_rows,
+            out_cols: cplan.out_cols,
+        }),
         OutputSpec::Outer { result, out } => {
             let (u_side, v_side, rank) = cplan.outer_uv.expect("outer plan has UV binding");
             FusedSpec::Outer(OuterSpec {
@@ -371,9 +295,9 @@ pub fn compile_spec(cplan: &CPlan, opts: &CodegenOptions) -> FusedSpec {
     }
 }
 
-/// Backend selection for the compiled spec: Cell/MAgg/Outer programs lower
-/// to the tile-vectorized block backend (generic body plus closure-
-/// specialized fast kernels, DESIGN.md X1). Row programs lower separately
+/// Lowering of the compiled spec: Cell/MAgg/Outer programs lower to the
+/// tile-vectorized block backend (generic body plus the per-register mono
+/// kernel table, DESIGN.md X1). Row programs lower separately
 /// through [`block::compile_row_kernel`], which needs the CPlan's side
 /// geometry (see `plancache::row_cache`).
 pub fn lower_block_kernel(spec: &FusedSpec) -> Option<BlockKernel> {
@@ -383,23 +307,6 @@ pub fn lower_block_kernel(spec: &FusedSpec) -> Option<BlockKernel> {
         }
         FusedSpec::Row(_) => None,
     }
-}
-
-/// Raw code size before inlining decisions (vector instrs expanded).
-fn effective_code_size_raw(cplan: &CPlan, prog: &Program) -> usize {
-    let _ = cplan;
-    prog.instrs
-        .iter()
-        .map(|i| match i {
-            Instr::VecUnary { out, .. }
-            | Instr::VecBinaryVV { out, .. }
-            | Instr::VecBinaryVS { out, .. }
-            | Instr::VecMatMult { out, .. }
-            | Instr::VecCumsum { out, .. } => prog.vreg_lens[*out as usize].max(1),
-            Instr::Dot { a, .. } | Instr::VecAgg { a, .. } => prog.vreg_lens[*a as usize].max(1),
-            _ => 1,
-        })
-        .sum()
 }
 
 // ===========================================================================
@@ -424,8 +331,8 @@ pub fn render_source(cplan: &CPlan, name: &str, spec: &FusedSpec) -> String {
         cplan.sparse_safe()
     );
     let _ = writeln!(s, "  protected genexec(...) {{");
-    for (i, ins) in spec.program().instrs.iter().enumerate() {
-        let _ = writeln!(s, "    {}", render_instr(i, ins));
+    for ins in &spec.program().instrs {
+        let _ = writeln!(s, "    {}", render_instr(ins));
     }
     let _ = writeln!(s, "    // output: {:?}", cplan.output);
     let _ = writeln!(s, "  }}");
@@ -433,8 +340,7 @@ pub fn render_source(cplan: &CPlan, name: &str, spec: &FusedSpec) -> String {
     s
 }
 
-fn render_instr(i: usize, ins: &Instr) -> String {
-    let _ = i;
+fn render_instr(ins: &Instr) -> String {
     match ins {
         Instr::LoadMain { out } => format!("double t{out} = a;"),
         Instr::LoadUVDot { out } => format!("double t{out} = dotProduct(a1, a2, a1i, a2i, len);"),
@@ -495,51 +401,4 @@ fn camel(name: &str) -> String {
             }
         }
     }
-}
-
-// ===========================================================================
-// Heavyweight "javac" verification path (Figure 11 model)
-// ===========================================================================
-
-/// Models a standard compiler: tokenize the rendered source, validate its
-/// structure, re-compile the program from the CPlan in several passes, and
-/// cross-check the results. All work is real (proportional to operator
-/// size), making the backend comparison meaningful.
-fn javac_like_verification(cplan: &CPlan, source: &str, spec: &FusedSpec, opts: &CodegenOptions) {
-    const PASSES: usize = 12;
-    let mut token_count = 0usize;
-    for _ in 0..PASSES {
-        // Lexing pass.
-        token_count += source
-            .split(|c: char| c.is_whitespace() || "(){};,".contains(c))
-            .filter(|t| !t.is_empty())
-            .count();
-        // Brace balance validation.
-        let mut depth: i64 = 0;
-        for ch in source.chars() {
-            match ch {
-                '{' => depth += 1,
-                '}' => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0, "unbalanced braces in generated source");
-        }
-        assert_eq!(depth, 0, "unbalanced braces in generated source");
-        // Re-compilation + structural equivalence check.
-        let respec =
-            compile_spec(cplan, &CodegenOptions { backend: CompilerBackend::Janino, ..*opts });
-        assert_eq!(&respec, spec, "recompilation must be deterministic");
-        // The heavyweight backend also re-lowers the block/row kernel per
-        // pass (cache bypassed), modelling javac's redundant backend work.
-        match &respec {
-            FusedSpec::Row(r) => {
-                std::hint::black_box(block::compile_row_kernel(r, &cplan.side_dims));
-            }
-            _ => {
-                std::hint::black_box(lower_block_kernel(&respec));
-            }
-        }
-    }
-    // The token count is intentionally unused beyond forcing the work.
-    std::hint::black_box(token_count);
 }

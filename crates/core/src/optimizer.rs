@@ -1,7 +1,7 @@
 //! The top-level fusion optimizer façade: exploration → selection → CPlan
 //! construction → code generation → fusion plan (paper Figure 2).
 
-use crate::codegen::{CodegenOptions, GeneratedOperator};
+use crate::codegen::GeneratedOperator;
 use crate::cplan::{self, CPlan};
 use crate::explore::explore;
 use crate::opt::{select_plans, CostModel, EnumConfig, SelectionPolicy};
@@ -160,7 +160,6 @@ impl FusionPlan {
 pub struct Optimizer {
     pub mode: FusionMode,
     pub model: CostModel,
-    pub codegen: CodegenOptions,
     pub enum_cfg: EnumConfig,
     pub plan_cache: Arc<PlanCache>,
     pub stats: Arc<CodegenStats>,
@@ -179,7 +178,6 @@ impl Optimizer {
         Optimizer {
             mode,
             model: CostModel::default(),
-            codegen: CodegenOptions::default(),
             enum_cfg: EnumConfig::default(),
             plan_cache,
             stats: Arc::new(CodegenStats::new()),
@@ -271,7 +269,7 @@ impl Optimizer {
 
     fn push_operator(&self, plan: &mut FusionPlan, roots: Vec<HopId>, cp: CPlan) {
         let (h0, m0) = self.plan_cache.stats();
-        let op = self.plan_cache.get_or_compile(&cp, &self.codegen);
+        let op = self.plan_cache.get_or_compile(&cp);
         let (h1, m1) = self.plan_cache.stats();
         self.stats.cache_hits.fetch_add(h1 - h0, Ordering::Relaxed);
         self.stats.operators_compiled.fetch_add(m1 - m0, Ordering::Relaxed);

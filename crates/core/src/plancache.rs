@@ -15,8 +15,7 @@
 use crate::codegen::{generate, CodegenOptions, GeneratedOperator};
 use crate::cplan::CPlan;
 use crate::spoof::block::{
-    compile_kernel, compile_row_kernel, program_hash, row_kernel_hash, BlockKernel, CellBackend,
-    RowKernel,
+    compile_kernel, compile_row_kernel, program_hash, row_kernel_hash, BlockKernel, RowKernel,
 };
 use crate::spoof::{FusedSpec, Program, RowSpec};
 use crate::util::LruMap;
@@ -86,7 +85,7 @@ impl PlanCache {
     }
 
     /// Looks up or compiles the operator for a CPlan.
-    pub fn get_or_compile(&self, cplan: &CPlan, opts: &CodegenOptions) -> Arc<GeneratedOperator> {
+    pub fn get_or_compile(&self, cplan: &CPlan) -> Arc<GeneratedOperator> {
         let key = cplan.structural_hash();
         if self.enabled.load(Ordering::Relaxed) {
             if let Some(op) = self.state.lock().get(key) {
@@ -97,7 +96,7 @@ impl PlanCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let n = self.name_counter.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
-        let op = Arc::new(generate(cplan, &format!("TMP{n}"), opts));
+        let op = Arc::new(generate(cplan, &format!("TMP{n}"), &CodegenOptions::default()));
         // Lower the tile-vectorized block kernel (Cell/MAgg/Outer) or the
         // band-lowered row kernel (Row) eagerly so its cost is part of the
         // measured compile time (Figure 11) and the first execution hits the
@@ -224,7 +223,7 @@ impl<V> KernelCache<V> {
 /// A concurrent cache of tile-vectorized block kernels keyed by the
 /// *structural program hash*, so equivalent register programs — whether they
 /// came through the operator plan cache or were constructed directly —
-/// lower and specialize exactly once (the block-backend analogue of the
+/// lower and classify exactly once (the block-backend analogue of the
 /// operator plan cache above).
 #[derive(Default)]
 pub struct BlockProgramCache {
@@ -276,8 +275,7 @@ impl std::ops::Deref for RowKernelCache {
 
 /// The lowered-kernel caches of one engine: the block kernels the
 /// Cell/MAgg/Outer skeletons dispatch and the band-lowered Row kernels,
-/// plus the tile width and cell backend the skeletons read alongside the
-/// kernels.
+/// plus the tile width the skeletons evaluate them with.
 /// Shared (via `Arc`) between the engine's [`PlanCache`] — which warms them
 /// at compile time — and its runtime skeletons, which look kernels up at
 /// execution time. There is deliberately no process-wide instance.
@@ -286,8 +284,6 @@ pub struct KernelCaches {
     pub row: RowKernelCache,
     /// Tile width (elements per tile register) the skeletons evaluate with.
     pub tile_width: usize,
-    /// Backend the Cell/MAgg/Outer skeletons execute through.
-    pub backend: CellBackend,
 }
 
 impl Default for KernelCaches {
@@ -296,7 +292,6 @@ impl Default for KernelCaches {
             block: BlockProgramCache::default(),
             row: RowKernelCache::default(),
             tile_width: crate::spoof::block::DEFAULT_TILE_WIDTH,
-            backend: CellBackend::default(),
         }
     }
 }
@@ -309,25 +304,19 @@ impl KernelCaches {
 
     /// Kernel caches bounded at `capacity` lowered kernels each (the engine
     /// passes its plan-cache capacity, so the compiled-state bound covers
-    /// operators *and* their kernels), default tile width and backend.
+    /// operators *and* their kernels), default tile width.
     pub fn with_capacity(capacity: usize) -> Arc<KernelCaches> {
-        Self::with_config(capacity, crate::spoof::block::DEFAULT_TILE_WIDTH, CellBackend::default())
+        Self::with_config(capacity, crate::spoof::block::DEFAULT_TILE_WIDTH)
     }
 
-    /// Kernel caches with an explicit tile width and backend, for the
-    /// differential suites: `capacity` bounds each cache, `tile_width` is
-    /// clamped to the supported range, and `backend` selects the
-    /// Cell/MAgg/Outer execution path.
-    pub fn with_config(
-        capacity: usize,
-        tile_width: usize,
-        backend: CellBackend,
-    ) -> Arc<KernelCaches> {
+    /// Kernel caches with an explicit tile width, for the differential
+    /// suites: `capacity` bounds each cache, `tile_width` is clamped to the
+    /// supported range.
+    pub fn with_config(capacity: usize, tile_width: usize) -> Arc<KernelCaches> {
         Arc::new(KernelCaches {
             block: BlockProgramCache { cache: KernelCache::with_capacity(capacity) },
             row: RowKernelCache { cache: KernelCache::with_capacity(capacity) },
             tile_width: crate::spoof::block::clamp_tile_width(tile_width),
-            backend,
         })
     }
 }
@@ -365,9 +354,8 @@ mod tests {
     #[test]
     fn cache_hits_on_equivalent_plans() {
         let cache = PlanCache::new();
-        let opts = CodegenOptions::default();
-        let a = cache.get_or_compile(&tiny_cplan(2.0), &opts);
-        let b = cache.get_or_compile(&tiny_cplan(2.0), &opts);
+        let a = cache.get_or_compile(&tiny_cplan(2.0));
+        let b = cache.get_or_compile(&tiny_cplan(2.0));
         assert!(Arc::ptr_eq(&a, &b), "equivalent CPlans share one operator");
         assert_eq!(cache.stats(), (1, 1));
     }
@@ -375,9 +363,8 @@ mod tests {
     #[test]
     fn cache_misses_on_different_plans() {
         let cache = PlanCache::new();
-        let opts = CodegenOptions::default();
-        let _ = cache.get_or_compile(&tiny_cplan(2.0), &opts);
-        let _ = cache.get_or_compile(&tiny_cplan(3.0), &opts);
+        let _ = cache.get_or_compile(&tiny_cplan(2.0));
+        let _ = cache.get_or_compile(&tiny_cplan(3.0));
         assert_eq!(cache.stats(), (0, 2));
         assert_eq!(cache.len(), 2);
     }
@@ -386,18 +373,16 @@ mod tests {
     fn disabled_cache_always_compiles() {
         let cache = PlanCache::new();
         cache.set_enabled(false);
-        let opts = CodegenOptions::default();
-        let _ = cache.get_or_compile(&tiny_cplan(2.0), &opts);
-        let _ = cache.get_or_compile(&tiny_cplan(2.0), &opts);
+        let _ = cache.get_or_compile(&tiny_cplan(2.0));
+        let _ = cache.get_or_compile(&tiny_cplan(2.0));
         assert_eq!(cache.stats(), (0, 2));
     }
 
     #[test]
     fn operator_names_are_unique() {
         let cache = PlanCache::new();
-        let opts = CodegenOptions::default();
-        let a = cache.get_or_compile(&tiny_cplan(2.0), &opts);
-        let b = cache.get_or_compile(&tiny_cplan(3.0), &opts);
+        let a = cache.get_or_compile(&tiny_cplan(2.0));
+        let b = cache.get_or_compile(&tiny_cplan(3.0));
         assert_ne!(a.name, b.name);
     }
 
@@ -424,7 +409,7 @@ mod tests {
     #[test]
     fn get_or_compile_warms_kernel_caches() {
         let cache = PlanCache::new();
-        let op = cache.get_or_compile(&tiny_cplan(41.5), &CodegenOptions::default());
+        let op = cache.get_or_compile(&tiny_cplan(41.5));
         // The engine-owned kernel cache must now resolve the same program
         // without lowering again (a hit on the first lookup after warming).
         let k1 = cache.kernels().block.get_or_lower(op.spec.program());
@@ -436,20 +421,19 @@ mod tests {
     #[test]
     fn capacity_evicts_oldest_inserted() {
         let cache = PlanCache::with_kernels(KernelCaches::shared(), 2);
-        let opts = CodegenOptions::default();
-        let _ = cache.get_or_compile(&tiny_cplan(1.0), &opts);
-        let _ = cache.get_or_compile(&tiny_cplan(2.0), &opts);
-        let _ = cache.get_or_compile(&tiny_cplan(3.0), &opts); // evicts 1.0
+        let _ = cache.get_or_compile(&tiny_cplan(1.0));
+        let _ = cache.get_or_compile(&tiny_cplan(2.0));
+        let _ = cache.get_or_compile(&tiny_cplan(3.0)); // evicts 1.0
         assert_eq!(cache.len(), 2);
-        let _ = cache.get_or_compile(&tiny_cplan(2.0), &opts); // still cached
+        let _ = cache.get_or_compile(&tiny_cplan(2.0)); // still cached
         assert_eq!(cache.stats().0, 1, "2.0 survives eviction");
-        let _ = cache.get_or_compile(&tiny_cplan(1.0), &opts); // recompiles
+        let _ = cache.get_or_compile(&tiny_cplan(1.0)); // recompiles
         assert_eq!(cache.stats().1, 4, "1.0 was evicted and compiles again");
     }
 
     #[test]
     fn row_cache_dedups_by_program_and_side_dims() {
-        use crate::spoof::{Instr, RowExecMode, RowOut, RowSpec};
+        use crate::spoof::{Instr, RowOut, RowSpec};
         let cache = RowKernelCache::default();
         let spec = || RowSpec {
             prog: crate::spoof::Program {
@@ -464,7 +448,6 @@ mod tests {
             out: RowOut::ColAggMultAdd { vec: 0, scalar: 0 },
             out_rows: 8,
             out_cols: 1,
-            exec_mode: RowExecMode::Vectorized,
         };
         let a = cache.get_or_lower(&spec(), &[(8, 1)]);
         let b = cache.get_or_lower(&spec(), &[(8, 1)]);
@@ -494,12 +477,11 @@ mod tests {
         // LRU (touch-on-hit): a plan that is looked up between every insert
         // must never be evicted, no matter how many cold plans churn through.
         let cache = PlanCache::with_kernels(KernelCaches::shared(), 2);
-        let opts = CodegenOptions::default();
-        let hot = cache.get_or_compile(&tiny_cplan(0.5), &opts);
+        let hot = cache.get_or_compile(&tiny_cplan(0.5));
         for i in 1..16 {
-            let again = cache.get_or_compile(&tiny_cplan(0.5), &opts);
+            let again = cache.get_or_compile(&tiny_cplan(0.5));
             assert!(Arc::ptr_eq(&hot, &again), "hot plan cached at round {i}");
-            let _ = cache.get_or_compile(&tiny_cplan(i as f64), &opts); // cold churn
+            let _ = cache.get_or_compile(&tiny_cplan(i as f64)); // cold churn
         }
         let (hits, misses) = cache.stats();
         assert_eq!(hits, 15, "every hot lookup hits");
@@ -509,8 +491,7 @@ mod tests {
     #[test]
     fn compile_time_recorded() {
         let cache = PlanCache::new();
-        let opts = CodegenOptions::default();
-        let _ = cache.get_or_compile(&tiny_cplan(2.0), &opts);
+        let _ = cache.get_or_compile(&tiny_cplan(2.0));
         assert!(cache.compile_seconds() >= 0.0);
     }
 }

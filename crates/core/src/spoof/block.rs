@@ -20,9 +20,9 @@
 //!
 //! Only varying computations reach the per-tile body; uniform work is hoisted
 //! into prologues replayed through the existing scalar evaluator. On top of
-//! the generic body, [`specialize`] pattern-matches the dominant program
-//! shapes (multiply chains like `X⊙Y⊙Z`) into monomorphic fused loops — the
-//! analogue of the paper's fast janino backend emitting straight-line code.
+//! the generic body, [`compile_kernel`] classifies every result register
+//! into a [`super::mono::MonoKernel`] where its shape allows — static loops
+//! that replace the per-instruction dispatch altogether.
 
 use super::{Instr, Program, Reg, SideAccess};
 use fusedml_linalg::ops::{AggOp, BinaryOp, TernaryOp, UnaryOp};
@@ -43,10 +43,10 @@ pub fn clamp_tile_width(w: usize) -> usize {
     w.clamp(8, 8192)
 }
 
-/// Which execution tier the Cell/MAgg/Outer skeletons use. Engines always
-/// run [`CellBackend::Mono`]; the differential suites reach the other two
-/// through the skeletons' `execute_with` and `KernelCaches::with_config`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// The argument of the Cell/MAgg/Outer skeletons' `execute_with`. `execute`
+/// always passes [`CellBackend::Mono`]; the differential suites pass the
+/// other two.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CellBackend {
     /// The per-cell scalar interpreter (retained as the differential-test
     /// oracle and for the compressed-input skeleton).
@@ -54,13 +54,10 @@ pub enum CellBackend {
     /// The generic tile evaluator alone: the fallback every program that
     /// does not classify takes in production, forced for all of them.
     Block,
-    /// Tile evaluator plus the specialized static kernels (default):
-    /// product chains run as fused closures (the analogue of the paper's
-    /// janino-compiled operators), and every other tile program that
-    /// classifies into a [`super::mono`] shape template runs as a static
-    /// Rust loop instance over the SIMD primitive layer, bypassing
-    /// per-instruction dispatch entirely.
-    #[default]
+    /// Production: a result register that classifies into a
+    /// [`super::mono::MonoKernel`] runs as a static Rust loop instance over
+    /// the SIMD primitive layer, bypassing per-instruction dispatch; the
+    /// others run the tile evaluator.
     Mono,
 }
 
@@ -450,7 +447,7 @@ impl BlockEval {
         }
     }
 
-    /// Resolves a gather/main source without evaluating (fast kernels).
+    /// Resolves a gather/main source without evaluating (mono kernels).
     pub fn opnd<'a>(&'a self, o: Opnd, ctx: &TileCtx<'a>, n: usize) -> OpRef<'a> {
         resolve(o, &self.tiles, self.width, n, ctx, &self.u)
     }
@@ -655,75 +652,8 @@ pub fn write_result(r: OpRef<'_>, dst: &mut [f64]) {
 }
 
 // ===========================================================================
-// Closure specialization (the "fast janino" path)
+// Product-chain loops (`MonoKernel::Product`)
 // ===========================================================================
-
-/// A closure-specialized kernel for a dominant program shape.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FastKernel {
-    /// `r = Π factors`: some number of main-input uses times `Cell`/`Row`
-    /// side gathers — `sum(X⊙Y⊙Z)`, `sum(X⊙Y)`, `X⊙b` and friends.
-    ProductChain {
-        /// How many times the main input participates in the product.
-        mains: u8,
-        /// Gather slots (indices into [`BlockProgram::gathers`]).
-        slots: Vec<u16>,
-    },
-}
-
-/// Tries to specialize the value of `result` into a [`FastKernel`].
-///
-/// Requires single-assignment form (the compiler always emits it); bails on
-/// programs that rewrite registers, chains longer than four factors, or any
-/// non-multiply operation on the path.
-pub fn specialize(prog: &Program, bp: &BlockProgram, result: Reg) -> Option<FastKernel> {
-    // Single-assignment check + definition map.
-    let mut def: Vec<Option<usize>> = vec![None; prog.n_regs as usize];
-    for (i, ins) in prog.instrs.iter().enumerate() {
-        let out = match *ins {
-            Instr::LoadMain { out }
-            | Instr::LoadUVDot { out }
-            | Instr::LoadSide { out, .. }
-            | Instr::LoadScalar { out, .. }
-            | Instr::LoadConst { out, .. }
-            | Instr::Unary { out, .. }
-            | Instr::Binary { out, .. }
-            | Instr::Ternary { out, .. } => out,
-            _ => return None,
-        };
-        if def[out as usize].is_some() {
-            return None; // register reuse: reaching defs are ambiguous
-        }
-        def[out as usize] = Some(i);
-    }
-    let mut mains = 0u8;
-    let mut slots = Vec::new();
-    let mut stack = vec![result];
-    while let Some(r) = stack.pop() {
-        let ins = &prog.instrs[def[r as usize]?];
-        match *ins {
-            Instr::LoadMain { .. } => mains = mains.checked_add(1)?,
-            Instr::LoadSide { side, access, .. }
-                if matches!(access, SideAccess::Cell | SideAccess::Row) =>
-            {
-                let slot = bp.gathers.iter().position(|&g| g == (side, access))? as u16;
-                slots.push(slot);
-            }
-            Instr::Binary { op: BinaryOp::Mult, a, b, .. } => {
-                stack.push(a);
-                stack.push(b);
-            }
-            _ => return None,
-        }
-        if mains as usize + slots.len() > 4 {
-            return None;
-        }
-    }
-    if mains as usize + slots.len() == 0 {
-        return None;
-    }
-    Some(FastKernel::ProductChain { mains, slots })
-}
 
 /// Product-chain factors resolved for one tile: a uniform prefactor plus up
 /// to four slice factors.
@@ -735,6 +665,30 @@ pub struct Factors<'a> {
 }
 
 impl<'a> Factors<'a> {
+    /// The factors of a [`super::mono::MonoKernel::Product`] for the current
+    /// tile: the main input `mains` times, then the gather slots in order.
+    pub(crate) fn resolve(
+        mains: u8,
+        slots: &[u16],
+        ev: &'a BlockEval,
+        ctx: &TileCtx<'a>,
+        n: usize,
+    ) -> Factors<'a> {
+        let refs = std::iter::repeat_n(Opnd::Main, mains as usize)
+            .chain(slots.iter().map(|&s| Opnd::Gather(s)))
+            .map(|o| ev.opnd(o, ctx, n));
+        Factors::from_refs(refs).expect("classify caps product chains at four factors")
+    }
+
+    /// The same factors narrowed to elements `base..base + m`.
+    pub(crate) fn window(&self, base: usize, m: usize) -> Factors<'a> {
+        let mut w = *self;
+        for s in &mut w.s[..self.len] {
+            *s = &s[base..base + m];
+        }
+        w
+    }
+
     /// Builds the factor list from resolved operand references.
     pub fn from_refs(refs: impl Iterator<Item = OpRef<'a>>) -> Option<Factors<'a>> {
         let mut f = Factors { k: 1.0, s: [&[]; 4], len: 0 };
@@ -820,29 +774,21 @@ impl<'a> Factors<'a> {
 }
 
 // ===========================================================================
-// Compiled kernel: block program + specializations
+// Compiled kernel: block program + per-register mono kernels
 // ===========================================================================
 
-/// A fully compiled block kernel: the lowered program plus per-register
-/// fast-path specializations (cached by the plan cache, keyed by
-/// [`program_hash`]).
+/// A fully compiled block kernel: the lowered program plus the per-register
+/// kernel table (cached by the plan cache, keyed by [`program_hash`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct BlockKernel {
     pub block: BlockProgram,
-    /// Fast kernel per scalar register (indexed by `Reg`), where one exists.
-    pub fast: Vec<Option<FastKernel>>,
-    /// Monomorphized whole-program kernel per scalar register, where the
-    /// body classifies into a [`super::mono`] shape template.
+    /// Monomorphized whole-program kernel per scalar register (indexed by
+    /// `Reg`), where the body classifies into a [`super::mono`] shape
+    /// template; `None` runs the tile interpreter.
     pub mono: Vec<Option<super::mono::MonoKernel>>,
 }
 
 impl BlockKernel {
-    /// The fast kernel for a result register, if specialized.
-    #[inline]
-    pub fn fast_for(&self, r: Reg) -> Option<&FastKernel> {
-        self.fast.get(r as usize).and_then(|f| f.as_ref())
-    }
-
     /// The monomorphized kernel for a result register, if classified.
     #[inline]
     pub fn mono_for(&self, r: Reg) -> Option<&super::mono::MonoKernel> {
@@ -852,37 +798,17 @@ impl BlockKernel {
     /// The shape class a result register executes under (for stats and the
     /// plan verifier's re-audit).
     pub fn shape_class(&self, r: Reg) -> super::mono::ShapeClass {
-        if let Some(f) = self.fast_for(r) {
-            return match f {
-                FastKernel::ProductChain { .. } => super::mono::ShapeClass::ProductChain,
-            };
-        }
-        if let Some(m) = self.mono_for(r) {
-            return m.class();
-        }
-        super::mono::ShapeClass::Interpreted
+        self.mono_for(r).map_or(super::mono::ShapeClass::Interpreted, |m| m.class())
     }
 }
 
-/// Lowers and specializes a scalar program into a [`BlockKernel`].
+/// Lowers a scalar program and classifies every register into a
+/// [`BlockKernel`] (only varying results classify: a uniform one is a
+/// prologue scalar, not a loop).
 pub fn compile_kernel(prog: &Program) -> BlockKernel {
     let block = lower(prog);
-    let fast: Vec<Option<FastKernel>> = (0..prog.n_regs)
-        .map(|r| match block.src_of(r) {
-            // Only varying results benefit from a fused loop.
-            ValSrc::Varying(_) => specialize(prog, &block, r),
-            ValSrc::Uniform(_) => None,
-        })
-        .collect();
-    let mono = (0..prog.n_regs)
-        .map(|r| match (block.src_of(r), &fast[r as usize]) {
-            // Product chains already run as fused closures; monomorphize
-            // everything else that classifies.
-            (ValSrc::Varying(_), None) => super::mono::classify(&block, r),
-            _ => None,
-        })
-        .collect();
-    BlockKernel { block, fast, mono }
+    let mono = (0..prog.n_regs).map(|r| super::mono::classify(&block, r)).collect();
+    BlockKernel { block, mono }
 }
 
 /// Structural hash of a scalar program (block-kernel cache key).
@@ -923,12 +849,12 @@ pub struct RowKernel {
     /// sparse mains execute without densification.
     pub sparse_main_ok: bool,
     /// The dominant shape the program matches, where it matches one.
-    pub fast: Option<RowFastKernel>,
+    pub shape: Option<RowShape>,
 }
 
 /// A dominant Row program shape the skeleton schedules specially.
 #[derive(Clone, Debug, PartialEq)]
-pub enum RowFastKernel {
+pub enum RowShape {
     /// `acc += g(dot(x_row, v)) · x_row` — the `Xᵀ(Xv)` / mlogreg
     /// `Xᵀ(w ⊙ (Xv))` family: a single dot of the main row against an
     /// invariant vector, an arbitrary scalar-only tail computing the
@@ -1048,8 +974,8 @@ pub fn compile_row_kernel(spec: &RowSpec, side_dims: &[(usize, usize)]) -> RowKe
         }
     }
     let sparse_main_ok = row_sparse_main_ok(&per_row, &main_vregs);
-    let fast = specialize_row(&per_row, &main_vregs, &v_inv, &spec.out);
-    RowKernel { invariant, per_row, main_vregs, invariant_vregs: v_inv, sparse_main_ok, fast }
+    let shape = specialize_row(&per_row, &main_vregs, &v_inv, &spec.out);
+    RowKernel { invariant, per_row, main_vregs, invariant_vregs: v_inv, sparse_main_ok, shape }
 }
 
 /// True when every per-row use of the main row can iterate non-zeros
@@ -1066,13 +992,13 @@ fn row_sparse_main_ok(per_row: &[Instr], mains: &[VReg]) -> bool {
     })
 }
 
-/// Tries to recognize the per-row body as a [`RowFastKernel`] shape.
+/// Tries to recognize the per-row body as a [`RowShape`] shape.
 fn specialize_row(
     per_row: &[Instr],
     mains: &[VReg],
     v_inv: &[bool],
     out: &RowOut,
-) -> Option<RowFastKernel> {
+) -> Option<RowShape> {
     let RowOut::ColAggMultAdd { vec, .. } = *out else { return None };
     if !mains.contains(&vec) {
         return None;
@@ -1103,14 +1029,14 @@ fn specialize_row(
             _ => return None, // other vector work: not this shape
         }
     }
-    Some(RowFastKernel::MvChain { v: dot? })
+    Some(RowShape::MvChain { v: dot? })
 }
 
 /// Structural hash of a Row operator under its side geometry (row-kernel
 /// cache key): covers the program, output variant, and the per-load
 /// invariance bits derived from the side dims — NOT the raw dimensions, so
 /// the same operator over varying row counts (mini-batches, growing data)
-/// maps to one cached kernel. The execution mode also shares one lowering.
+/// maps to one cached kernel.
 pub fn row_kernel_hash(spec: &RowSpec, side_dims: &[(usize, usize)]) -> u64 {
     let bits = side_row_invariance(&spec.prog, side_dims);
     crate::util::fx_hash(&(&spec.prog, &spec.out, bits))
@@ -1226,39 +1152,84 @@ mod tests {
         assert_eq!(fold_result(AggOp::Sum, 0.0, OpRef::C(21.0), 4), 84.0);
     }
 
+    /// `r = Π leaves`, multiplied left to right.
+    fn chain(leaves: &[Instr]) -> (Program, Reg) {
+        let mut instrs: Vec<Instr> = leaves.to_vec();
+        let n = leaves.len() as Reg;
+        let mut acc = 0;
+        for (i, leaf) in (1..n).enumerate() {
+            let out = n + i as Reg;
+            instrs.push(Instr::Binary { out, op: BinaryOp::Mult, a: acc, b: leaf });
+            acc = out;
+        }
+        (Program { n_regs: acc.max(n - 1) + 1, instrs, vreg_lens: vec![] }, acc)
+    }
+
+    fn side(out: Reg, side: usize, access: SideAccess) -> Instr {
+        Instr::LoadSide { out, side, access }
+    }
+
     #[test]
     fn specializes_product_chains() {
-        // r = a * s0 * s1 (the fig8a shape).
-        let prog = Program {
-            instrs: vec![
-                Instr::LoadMain { out: 0 },
-                Instr::LoadSide { out: 1, side: 0, access: SideAccess::Cell },
-                Instr::Binary { out: 2, op: BinaryOp::Mult, a: 0, b: 1 },
-                Instr::LoadSide { out: 3, side: 1, access: SideAccess::Cell },
-                Instr::Binary { out: 4, op: BinaryOp::Mult, a: 2, b: 3 },
-            ],
-            n_regs: 5,
-            vreg_lens: vec![],
-        };
-        let k = compile_kernel(&prog);
-        match k.fast_for(4) {
-            Some(FastKernel::ProductChain { mains, slots }) => {
-                assert_eq!(*mains, 1);
-                assert_eq!(slots.len(), 2);
-            }
-            other => panic!("expected product chain, got {other:?}"),
+        use crate::spoof::mono::{classify, MonoKernel};
+        let product =
+            |mains, slots: &[u16]| Some(MonoKernel::Product { mains, slots: slots.into() });
+        let main = |out| Instr::LoadMain { out };
+        // One to four factors: X, X⊙Y, X⊙Y⊙Z (fig8a), X⊙X⊙Y (the main twice),
+        // and X⊙Y⊙Z⊙b with a `Row`-access gather.
+        for (leaves, expect) in [
+            (vec![main(0)], product(1, &[])),
+            (vec![side(0, 0, SideAccess::Cell)], product(0, &[0])),
+            (vec![main(0), side(1, 0, SideAccess::Cell)], product(1, &[0])),
+            (
+                vec![main(0), side(1, 0, SideAccess::Cell), side(2, 1, SideAccess::Cell)],
+                product(1, &[0, 1]),
+            ),
+            (vec![main(0), main(1), side(2, 0, SideAccess::Cell)], product(2, &[0])),
+            (
+                vec![
+                    main(0),
+                    side(1, 0, SideAccess::Cell),
+                    side(2, 1, SideAccess::Cell),
+                    side(3, 2, SideAccess::Row),
+                ],
+                product(1, &[0, 1, 2]),
+            ),
+        ] {
+            let (prog, result) = chain(&leaves);
+            let k = compile_kernel(&prog);
+            assert_eq!(classify(&k.block, result), expect, "{leaves:?}");
+            assert_eq!(k.mono_for(result), expect.as_ref());
+            assert_eq!(k.shape_class(result), crate::spoof::mono::ShapeClass::ProductChain);
         }
-        // Intermediate register 2 is also a (shorter) chain.
-        assert!(k.fast_for(2).is_some());
-        // Loads themselves specialize trivially but harmlessly.
-        assert!(k.fast_for(0).is_some());
+        // Every intermediate of a chain is a (shorter) chain of its own.
+        let (prog, _) =
+            chain(&[main(0), side(1, 0, SideAccess::Cell), side(2, 1, SideAccess::Cell)]);
+        assert_eq!(compile_kernel(&prog).mono_for(3), product(1, &[0]).as_ref());
     }
 
     #[test]
     fn does_not_specialize_non_products() {
-        // r = log(uv + eps) * a — the fig8h shape: has Add + Log + UVDot,
-        // so the product-chain closure bails; the monomorphizer picks the
-        // shape up instead (covered in `super::super::mono::tests`).
+        use crate::spoof::mono::MonoKernel;
+        let main = |out| Instr::LoadMain { out };
+        let cell = |out, s| side(out, s, SideAccess::Cell);
+        let not_product = |prog: &Program, result: Reg, why: &str| {
+            let k = compile_kernel(prog);
+            assert!(!matches!(k.mono_for(result), Some(MonoKernel::Product { .. })), "{why}");
+            k
+        };
+        // A constant factor: the two-leaf map template, not a product.
+        let (prog, r) = chain(&[main(0), Instr::LoadConst { out: 1, value: 2.0 }]);
+        let k = not_product(&prog, r, "constant factor");
+        assert!(matches!(k.mono_for(r), Some(MonoKernel::Map2 { op: BinaryOp::Mult, .. })));
+        // The Outer template's dot(U, V) tile is not a gather.
+        let (prog, r) = chain(&[main(0), Instr::LoadUVDot { out: 1 }]);
+        not_product(&prog, r, "uv leaf");
+        // Five factors exceed the fused loops' arity; the tree evaluator runs it.
+        let (prog, r) = chain(&[main(0), cell(1, 0), cell(2, 1), cell(3, 2), cell(4, 3)]);
+        let k = not_product(&prog, r, "five factors");
+        assert!(matches!(k.mono_for(r), Some(MonoKernel::Tree { .. })));
+        // r = log(uv + eps) * a — the fig8h shape: Add and Log on the path.
         let prog = Program {
             instrs: vec![
                 Instr::LoadMain { out: 0 },
@@ -1271,9 +1242,8 @@ mod tests {
             n_regs: 6,
             vreg_lens: vec![],
         };
-        let k = compile_kernel(&prog);
-        assert!(k.fast_for(5).is_none());
-        assert!(k.mono_for(5).is_some());
+        let k = not_product(&prog, 5, "non-Mult node");
+        assert!(matches!(k.mono_for(5), Some(MonoKernel::MulUnBin { .. })));
     }
 
     #[test]
@@ -1302,10 +1272,10 @@ mod tests {
         assert_eq!(clamp_tile_width(1), 8);
         assert_eq!(clamp_tile_width(64), 64);
         assert_eq!(clamp_tile_width(1 << 20), 8192);
-        assert_eq!(CellBackend::default(), CellBackend::Mono);
+        assert_eq!(clamp_tile_width(DEFAULT_TILE_WIDTH), DEFAULT_TILE_WIDTH);
     }
 
-    use crate::spoof::{RowExecMode, RowOut, RowSpec};
+    use crate::spoof::{RowOut, RowSpec};
 
     /// `t(X) %*% (w ⊙ (X %*% v))` — the mlogreg-style sparse row pattern:
     /// v0 = main row; v1 = v (whole-vector side 0, m×1); r0 = dot(v0, v1);
@@ -1326,7 +1296,6 @@ mod tests {
             out: RowOut::ColAggMultAdd { vec: 0, scalar: 2 },
             out_rows: m,
             out_cols: 1,
-            exec_mode: RowExecMode::Vectorized,
         }
     }
 
@@ -1343,7 +1312,7 @@ mod tests {
         assert!(k.invariant_vregs[1] && !k.invariant_vregs[0]);
         // Sparse mains execute over non-zeros: no densification anywhere.
         assert!(k.sparse_main_ok, "mv-chain must not densify the sparse main");
-        assert_eq!(k.fast, Some(RowFastKernel::MvChain { v: 1 }));
+        assert_eq!(k.shape, Some(RowShape::MvChain { v: 1 }));
     }
 
     #[test]
@@ -1361,11 +1330,10 @@ mod tests {
             out: RowOut::NoAgg { src: 1 },
             out_rows: 4,
             out_cols: 8,
-            exec_mode: RowExecMode::Vectorized,
         };
         let k = compile_row_kernel(&spec, &[]);
         assert!(!k.sparse_main_ok);
-        assert!(k.fast.is_none());
+        assert!(k.shape.is_none());
         assert!(k.invariant.is_empty());
     }
 

@@ -6,12 +6,12 @@
 //! flat register programs whose instructions call the same vector-primitive
 //! library (`fusedml_linalg::primitives`) the generated Java calls
 //! (DESIGN.md substitution X1). Cell/MAgg/Outer programs execute through
-//! the tile-vectorized [`block`] backend by default (dispatch amortized
-//! over whole tiles, with closure-specialized fast paths); the per-cell
+//! the tile-vectorized [`block`] backend (dispatch amortized over whole
+//! tiles, and none at all for the shapes [`mono`] classifies); the per-cell
 //! scalar interpreter below is retained as the differential-test oracle.
 //! Row programs lower to a band-level [`block::RowKernel`] — invariant
 //! work hoisted out of the per-row loop, sparse rows consumed over their
-//! non-zeros, the `Xᵀ(Xv)` mv-chain closure-specialized — executed by the
+//! non-zeros, the `Xᵀ(Xv)` mv-chain shape recognized — executed by the
 //! skeleton that owns data access, multi-threading and aggregation.
 
 use fusedml_linalg::ops::{AggOp, BinaryOp, TernaryOp, UnaryOp};
@@ -177,14 +177,6 @@ pub struct Program {
     pub vreg_lens: Vec<usize>,
 }
 
-impl Program {
-    /// Total instruction count (proxy for generated-code size; Figure 10's
-    /// instruction-footprint experiment keys off this).
-    pub fn code_size(&self) -> usize {
-        self.instrs.len()
-    }
-}
-
 /// Specification of a compiled Cell-template operator.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellSpec {
@@ -206,24 +198,6 @@ pub struct MAggSpec {
     pub sparse_safe: bool,
 }
 
-/// How a Row program executes its vector instructions (DESIGN.md
-/// substitution X4 — the instruction-footprint experiment of Figure 10).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum RowExecMode {
-    /// Vector instructions call the shared vector-primitive library
-    /// (the paper's default: small instruction footprint).
-    #[default]
-    Vectorized,
-    /// Vector instructions are "inlined": executed element-at-a-time with
-    /// per-element dispatch, modelling generated code whose primitives were
-    /// inlined into `genexec`.
-    Inlined,
-    /// The inlined code exceeded the compiler's code-size budget and fell
-    /// back to a non-compiled evaluator (the JVM's refusal to JIT methods
-    /// over 8 KB): per-element dispatch plus per-instruction re-resolution.
-    InterpretedNoJit,
-}
-
 /// Specification of a compiled Row-template operator.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RowSpec {
@@ -232,8 +206,6 @@ pub struct RowSpec {
     /// Output geometry (rows, cols) as inferred from the covered HOPs.
     pub out_rows: usize,
     pub out_cols: usize,
-    /// Execution mode of vector instructions.
-    pub exec_mode: RowExecMode,
 }
 
 /// Specification of a compiled Outer-template operator.

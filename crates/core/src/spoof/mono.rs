@@ -1,19 +1,22 @@
 //! Whole-program kernel monomorphization (DESIGN.md substitution X10,
 //! "mono backend") — the Rust answer to the paper's fast-janino codegen.
 //!
-//! The tile evaluator in [`super::block`] still pays one dispatch `match`
-//! per *instruction* per tile, and its closure-specialized fast kernels
-//! ([`super::block::FastKernel`]) cover only multiply chains. This module
-//! closes the gap for everything else with a bounded family of *shape
-//! templates*: [`classify`] pattern-matches a lowered [`BlockProgram`]
-//! body into a [`MonoKernel`], whose loops are instantiated statically —
-//! one `#[inline]` loop instance per operator combination, expanded via
-//! the same `with_unop!`/`with_binop!` dispatch tables the tile evaluator
-//! uses — so an entire register program executes as straight-line native
-//! code over the SIMD primitive layer with zero per-instruction dispatch.
+//! The tile evaluator in [`super::block`] pays one dispatch `match` per
+//! *instruction* per tile. This module removes it for a bounded family of
+//! *shape templates*: [`classify`] pattern-matches a lowered
+//! [`BlockProgram`] body into a [`MonoKernel`], whose loops are
+//! instantiated statically — one `#[inline]` loop instance per operator
+//! combination, expanded via the same `with_unop!`/`with_binop!` dispatch
+//! tables the tile evaluator uses — so an entire register program executes
+//! as straight-line native code over the SIMD primitive layer with zero
+//! per-instruction dispatch. It is the only kernel table: a result register
+//! has a `MonoKernel` or runs the tile interpreter.
 //!
 //! The shape taxonomy (see DESIGN.md §4 X10):
 //!
+//! * [`MonoKernel::Product`] — multiply chains of up to four main-input and
+//!   `Cell`/`Row` side-gather factors (`sum(X⊙Y⊙Z)`, `X⊙b`), summed by the
+//!   fused `dot`/`dot3_sum`/`dot4_sum` reductions;
 //! * [`MonoKernel::Map1`]/[`MonoKernel::Map2`]/[`MonoKernel::Map3`] —
 //!   single unary/binary/ternary maps over non-tile leaves;
 //! * [`MonoKernel::MulUnBin`] — `outer(a, un(inner(b, c)))` with
@@ -24,14 +27,13 @@
 //!   nodes, ≤ [`MAX_DEPTH`] depth) that runs arbitrary remaining bodies
 //!   in chunked stack buffers, one monomorphized loop per node.
 //!
-//! Programs that exceed the bounds (or whose roots the closure-specialized
-//! fast kernels already cover) fall back to the tile interpreter; the
+//! Programs that exceed the bounds fall back to the tile interpreter; the
 //! chosen class is surfaced per operator through [`ShapeClass`] into
 //! `ExecStats` and re-audited by `runtime::verify`.
 
 use super::block::{
     bin_loop, fold_result, ter_loop, un_loop, with_binop, with_unop, BlockEval, BlockInstr,
-    BlockProgram, OpRef, Opnd, TileCtx, ValSrc,
+    BlockProgram, Factors, OpRef, Opnd, TReg, TileCtx, ValSrc,
 };
 use super::Reg;
 use fusedml_linalg::ops::{AggOp, BinaryOp, TernaryOp, UnaryOp};
@@ -48,9 +50,10 @@ const CHUNK: usize = 64;
 /// `ExecStats` and re-audited by the plan verifier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShapeClass {
-    /// Closure-specialized multiply chain (`FastKernel::ProductChain`).
+    /// Multiply chain over main-input and side-gather factors
+    /// ([`MonoKernel::Product`]).
     ProductChain,
-    /// Row mv-chain (`RowFastKernel::MvChain`): the tile body at an L1-sized
+    /// Row mv-chain (`RowShape::MvChain`): the tile body at an L1-sized
     /// tile height, a dot and an axpy per row.
     MvChain,
     /// Row tile body whose matrix-shaped work (a `VecMatMult`, an
@@ -72,8 +75,8 @@ pub enum ShapeClass {
 }
 
 impl ShapeClass {
-    /// True when the class executes through a specialized (closure- or
-    /// template-monomorphized) kernel rather than the interpreter.
+    /// True when the class executes through a specialized (statically
+    /// instantiated) kernel rather than the interpreter.
     #[inline]
     pub fn is_specialized(self) -> bool {
         !matches!(self, ShapeClass::Interpreted)
@@ -127,6 +130,10 @@ pub struct TreeNode {
 /// or writes the tile register file.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MonoKernel {
+    /// `dst[i] = Π factors[i]`: the main input `mains` times and one factor
+    /// per gather slot (an index into [`BlockProgram::gathers`]), one to
+    /// four factors in all.
+    Product { mains: u8, slots: Vec<u16> },
     /// `dst[i] = op(a[i])`.
     Map1 { op: UnaryOp, a: Opnd },
     /// `dst[i] = op(a[i], b[i])`.
@@ -161,7 +168,6 @@ fn mul_un_bin_inner(op: BinaryOp) -> bool {
 /// deterministic — `runtime::verify` re-runs it to audit cached kernels.
 pub fn classify(bp: &BlockProgram, r: Reg) -> Option<MonoKernel> {
     let ValSrc::Varying(root) = bp.src_of(r) else { return None };
-    let Opnd::Tile(t) = root else { return None };
 
     // Definition map over the body; bail on register reuse (reaching
     // definitions would be ambiguous — the compiler emits single-assignment
@@ -178,6 +184,13 @@ pub fn classify(bp: &BlockProgram, r: Reg) -> Option<MonoKernel> {
         }
         def[out as usize] = Some(i);
     }
+
+    // Multiply chains first: a two-factor chain is also a `Map2`, and only
+    // the product kernel sums through the fused `dot` reductions.
+    if let Some(product) = product_chain(root, bp, &def) {
+        return Some(product);
+    }
+    let Opnd::Tile(t) = root else { return None };
 
     let mut nodes: Vec<TreeNode> = Vec::new();
     let mut memo: Vec<Option<u8>> = vec![None; bp.n_tiles as usize];
@@ -229,10 +242,36 @@ pub fn classify(bp: &BlockProgram, r: Reg) -> Option<MonoKernel> {
     Some(MonoKernel::Tree { nodes })
 }
 
+/// The [`MonoKernel::Product`] for `root` when it is a pure multiply chain
+/// over the main input and `Cell`/`Row` side gathers with at most four
+/// factors (a register reused on the path counts once per use). Anything else
+/// on the path — a uniform, the `Uv` tile, another operator — is not a
+/// product chain. Factors are collected left operand first, so a chain the
+/// compiler emitted main-first multiplies in the interpreter's order.
+fn product_chain(root: Opnd, bp: &BlockProgram, def: &[Option<usize>]) -> Option<MonoKernel> {
+    let (mut mains, mut slots) = (0u8, Vec::new());
+    let mut stack = vec![root];
+    while let Some(o) = stack.pop() {
+        match o {
+            Opnd::Main => mains += 1,
+            Opnd::Gather(g) => slots.push(g),
+            Opnd::Tile(t) => match bp.body[def[t as usize]?] {
+                BlockInstr::Binary { op: BinaryOp::Mult, a, b, .. } => stack.extend([b, a]),
+                _ => return None,
+            },
+            Opnd::Uv | Opnd::Uniform(_) => return None,
+        }
+        if mains as usize + slots.len() > 4 {
+            return None;
+        }
+    }
+    Some(MonoKernel::Product { mains, slots })
+}
+
 /// Recursively builds the topo-ordered node list for tile `t`. Memoized so
 /// DAG-shaped reuse of an intermediate costs one node, not a subtree copy.
 fn build_node(
-    t: super::block::TReg,
+    t: TReg,
     depth: usize,
     bp: &BlockProgram,
     def: &[Option<usize>],
@@ -309,6 +348,7 @@ impl MonoKernel {
     /// The shape class of this kernel (stats / verification).
     pub fn class(&self) -> ShapeClass {
         match self {
+            MonoKernel::Product { .. } => ShapeClass::ProductChain,
             MonoKernel::Map1 { .. } => ShapeClass::Map1,
             MonoKernel::Map2 { .. } => ShapeClass::Map2,
             MonoKernel::Map3 { .. } => ShapeClass::Map3,
@@ -323,6 +363,9 @@ impl MonoKernel {
     pub fn map_into(&self, ev: &BlockEval, ctx: &TileCtx<'_>, n: usize, dst: &mut [f64]) {
         let dst = &mut dst[..n];
         match *self {
+            MonoKernel::Product { mains, ref slots } => {
+                Factors::resolve(mains, slots, ev, ctx, n).product_into(dst)
+            }
             MonoKernel::Map1 { op, a } => un_loop(op, ev.opnd(a, ctx, n), dst),
             MonoKernel::Map2 { op, a, b } => {
                 bin_loop(op, ev.opnd(a, ctx, n), ev.opnd(b, ctx, n), dst)
@@ -351,9 +394,21 @@ impl MonoKernel {
     /// interpreter's `fold_result`, so backends agree within the documented
     /// FMA rounding policy (see `linalg::simd`).
     pub fn fold(&self, op: AggOp, acc: f64, ev: &BlockEval, ctx: &TileCtx<'_>, n: usize) -> f64 {
-        let mut buf = [0.0f64; CHUNK];
         let mut acc = acc;
         match *self {
+            MonoKernel::Product { mains, ref slots } => {
+                let f = Factors::resolve(mains, slots, ev, ctx, n);
+                if matches!(op, AggOp::Sum | AggOp::Mean) {
+                    acc += f.sum(n);
+                } else {
+                    let mut buf = [0.0f64; CHUNK];
+                    for base in (0..n).step_by(CHUNK) {
+                        let m = (n - base).min(CHUNK);
+                        f.window(base, m).product_into(&mut buf[..m]);
+                        acc = fold_result(op, acc, OpRef::S(&buf[..m]), m);
+                    }
+                }
+            }
             MonoKernel::Tree { ref nodes } => {
                 eval_tree(nodes, ev, ctx, n, |_, vals| {
                     acc = fold_result(op, acc, OpRef::S(vals), vals.len());
@@ -361,6 +416,7 @@ impl MonoKernel {
             }
             _ => {
                 // Map shapes: chunk through a stack buffer, fold per chunk.
+                let mut buf = [0.0f64; CHUNK];
                 let mut base = 0;
                 while base < n {
                     let m = (n - base).min(CHUNK);
@@ -405,7 +461,9 @@ impl MonoKernel {
                 let c = arg_ref(window(ev.opnd(c, ctx, n), base, m), &mut sc);
                 mul_un_bin_loop(outer, un, inner, a, b, c, out);
             }
-            MonoKernel::Tree { .. } => unreachable!("tree folds stream through eval_tree"),
+            MonoKernel::Product { .. } | MonoKernel::Tree { .. } => {
+                unreachable!("product and tree folds have their own arms")
+            }
         }
     }
 }

@@ -12,7 +12,7 @@
 //! * an enumeration that runs into `max_eval` says so,
 //! * code generation is deterministic and the structural hash is stable.
 
-use fusedml_core::codegen::{compile_spec, CodegenOptions};
+use fusedml_core::codegen::compile_spec;
 use fusedml_core::explore::explore;
 use fusedml_core::opt::{
     cost, mpskip_enum, partitions, select_plans, CostModel, EnumConfig, PlanPartition,
@@ -320,11 +320,10 @@ proptest! {
             SelectionPolicy::CostBased(EnumConfig::default()),
             &CostModel::default(),
         );
-        let opts = CodegenOptions::default();
         for op in &sel.operators {
             if let Ok(cp) = fusedml_core::cplan::construct(&dag, op) {
-                let s1 = compile_spec(&cp, &opts);
-                let s2 = compile_spec(&cp, &opts);
+                let s1 = compile_spec(&cp);
+                let s2 = compile_spec(&cp);
                 prop_assert_eq!(&s1, &s2);
                 prop_assert_eq!(cp.structural_hash(), cp.clone().structural_hash());
             }

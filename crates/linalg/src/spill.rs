@@ -15,11 +15,6 @@
 //! little-endian byte encoding, so an execution that spills is bitwise
 //! identical to one that never does — the property the
 //! `spill_vs_resident_property` differential test pins.
-//!
-//! The byte counts and cost constants here are also the model the simulated
-//! distributed backend charges its `disk_bw` eviction against
-//! ([`serialized_bytes`], [`SPILL_ROUNDTRIP_FACTOR`]), so modeled and
-//! measured spill costs cannot drift apart.
 
 // Spill I/O runs on scheduler workers; a stray unwrap here turns a
 // recoverable disk hiccup into a worker death. The workspace bans
@@ -40,11 +35,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Eviction writes a value and reads it back exactly once in the common
-/// case: the modeled cost of one spill is `roundtrip × bytes / disk_bw`.
-/// Shared with the simulated cluster so model and measurement agree.
-pub const SPILL_ROUNDTRIP_FACTOR: f64 = 2.0;
-
 /// Values below this in-memory size are never worth spilling: a file
 /// round-trip costs more than the bytes they would free.
 pub const MIN_SPILL_BYTES: usize = 4096;
@@ -54,8 +44,7 @@ const DENSE_TAG: u64 = 1;
 const SPARSE_TAG: u64 = 2;
 const HEADER_BYTES: usize = 3 * 8;
 
-/// The exact on-disk byte count of a spilled matrix — also the byte count
-/// the distributed simulation charges for modeled eviction.
+/// The exact on-disk byte count of a spilled matrix.
 pub fn serialized_bytes(m: &Matrix) -> usize {
     match m {
         Matrix::Dense(d) => HEADER_BYTES + 8 * d.len(),

@@ -50,7 +50,6 @@ use crate::exec::{self, ExecStats, SchedSnapshot};
 use crate::handcoded;
 use crate::schedule::{self, TaskGraph};
 use crate::spoof;
-use fusedml_core::codegen::CodegenOptions;
 use fusedml_core::optimizer::{dag_structural_hash, EnumCap, FusionPlan, Optimizer};
 use fusedml_core::plancache::{KernelCaches, PlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
 use fusedml_core::util::LruMap;
@@ -73,14 +72,13 @@ use std::sync::Arc;
 ///
 /// Every knob that used to live in a per-call path or a process-wide static
 /// is set here, once, and owned by the built engine: the fusion mode, the
-/// code-generation options, the inter-operator worker count, the memory
-/// budget, plan caching, and the shard pool.
+/// inter-operator worker count, the memory budget, plan caching, and the
+/// shard pool.
 pub struct EngineBuilder {
     mode: FusionMode,
     workers: usize,
     memory_budget: usize,
     cache_plans: bool,
-    codegen: Option<CodegenOptions>,
     spill_dir: Option<PathBuf>,
     faults: Option<Arc<FaultPlan>>,
     verify_plans: bool,
@@ -98,7 +96,6 @@ impl EngineBuilder {
             workers: schedule::DEFAULT_MAX_WORKERS,
             memory_budget: 1 << 30,
             cache_plans: true,
-            codegen: None,
             spill_dir: None,
             faults: None,
             verify_plans: cfg!(debug_assertions),
@@ -112,8 +109,8 @@ impl EngineBuilder {
     /// execution (DESIGN.md substitution X11). `1` (the default) disables
     /// sharding entirely; `>= 2` spawns that many NUMA-pinned shard workers
     /// at build time, and the planner then chooses local vs sharded per
-    /// fused operator with the same cost model `dist::simulate` uses. Small
-    /// operators keep running locally regardless of this knob.
+    /// fused operator with the estimator behind `shard::estimate_plan`.
+    /// Small operators keep running locally regardless of this knob.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
         self
@@ -191,22 +188,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Overrides code-generation options (inlining, code-size budget, …).
-    pub fn codegen_options(mut self, opts: CodegenOptions) -> Self {
-        self.codegen = Some(opts);
-        self
-    }
-
     /// Builds the engine: allocates its buffer pool, kernel caches, plan
     /// cache, optimizer, and statistics.
     pub fn build(self) -> Engine {
         let kernels = KernelCaches::with_capacity(DEFAULT_PLAN_CACHE_CAPACITY);
         let plan_cache =
             Arc::new(PlanCache::with_kernels(Arc::clone(&kernels), DEFAULT_PLAN_CACHE_CAPACITY));
-        let mut optimizer = Optimizer::with_plan_cache(self.mode, plan_cache);
-        if let Some(c) = self.codegen {
-            optimizer.codegen = c;
-        }
+        let optimizer = Optimizer::with_plan_cache(self.mode, plan_cache);
         let pool: PoolHandle =
             Arc::new(BufferPool::with_limits(self.memory_budget, POOL_BUFFERS_PER_CLASS));
         let mut store = TieredStore::new(Arc::clone(&pool), self.memory_budget, self.spill_dir);
@@ -338,7 +326,7 @@ impl Engine {
         &self.inner.stats
     }
 
-    /// The optimizer (cost model, codegen options, codegen statistics).
+    /// The optimizer (cost model, enumeration config, codegen statistics).
     pub fn optimizer(&self) -> &Optimizer {
         &self.inner.optimizer
     }
@@ -531,7 +519,7 @@ impl EngineInner {
         let mut graph = schedule::prepare(&dag, plan.as_deref(), patterns.as_ref());
         if let (Some(pool), Some(plan)) = (&self.shard_pool, plan.as_deref()) {
             // Per-operator local-vs-sharded choice, planned once at compile
-            // time with the same estimator `dist::simulate` uses.
+            // time with the estimator `shard::estimate_plan` reports.
             let specs = if self.force_shard {
                 crate::shard::force_shards(plan, pool.len())
             } else {

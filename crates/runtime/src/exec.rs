@@ -34,7 +34,7 @@ pub struct ExecStats {
     /// Generated fused operators executed.
     pub(crate) fused_ops: AtomicUsize,
     /// Fused operators whose inner loops ran as a specialized static kernel
-    /// (closure-specialized fast kernel or monomorphized shape kernel).
+    /// (a monomorphized Cell/MAgg/Outer kernel or a Row tile shape).
     pub(crate) mono_ops: AtomicUsize,
     /// Fused operators that fell back to the generic tile/band interpreter.
     pub(crate) interp_fused_ops: AtomicUsize,

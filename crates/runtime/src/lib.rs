@@ -26,9 +26,7 @@
 //!   independent ready operators, and out-of-core execution under a memory
 //!   budget (farthest-next-use eviction to the engine's spill tier, async
 //!   prefetch of spilled inputs),
-//! * [`dist`] — the simulated distributed (Spark-like) backend with
-//!   broadcast/shuffle time accounting (DESIGN.md substitution X2),
-//! * [`shard`] — the *real* sharded multi-worker runtime (DESIGN.md
+//! * [`shard`] — the sharded multi-worker runtime (DESIGN.md
 //!   substitution X11): persistent NUMA-pinned worker shards, row-partitioned
 //!   mains, broadcast side inputs, per-shard partial aggregation with
 //!   driver-side merge, and a cost-model-driven local-vs-sharded choice
@@ -39,7 +37,6 @@
 //!   scheduler replays its slot-transition traces against. Runs inside
 //!   [`Engine::compile`] behind `EngineBuilder::verify_plans`.
 
-pub mod dist;
 pub mod engine;
 pub mod error;
 pub mod exec;

@@ -1,5 +1,5 @@
-//! Sharded multi-worker execution: the real counterpart of the simulated
-//! cluster in [`crate::dist`] (DESIGN.md substitution X11).
+//! Sharded multi-worker execution: the engine's one distributed runtime
+//! and one cluster cost model (DESIGN.md substitution X11).
 //!
 //! A [`ShardPool`] owns `k` persistent worker shards — threads with their own
 //! kernel scope sharing the engine's buffer pool — pinned NUMA-aware where
@@ -766,7 +766,6 @@ mod tests {
                 sparse_safe: true,
             }),
             plan_hash: 0,
-            code_size: 1,
         })
     }
 
@@ -790,7 +789,6 @@ mod tests {
                 sparse_safe: true,
             }),
             plan_hash: 0,
-            code_size: 2,
         })
     }
 

@@ -5,23 +5,22 @@
 //!
 //! Two backends share every variant: the **block backend** (default)
 //! evaluates the tile-vectorized [`fusedml_core::spoof::block`] lowering of
-//! the program — amortizing instruction dispatch over whole tiles and taking
-//! closure-specialized fast paths for product chains — while the **scalar
-//! backend** interprets the program per cell and is retained as the
-//! differential-test oracle.
+//! the program — the result register's [`MonoKernel`] where it has one, the
+//! tile interpreter otherwise — while the **scalar backend** interprets the
+//! program per cell and is retained as the differential-test oracle.
 
 use crate::side::SideInput;
 use crate::spoof::tiles::{self, MainReader, TileRunner};
 use fusedml_core::spoof::block::{
-    fold_result, write_result, BlockProgram, CellBackend, FastKernel, OpRef, TileSrc,
+    fold_result, write_result, BlockKernel, BlockProgram, CellBackend, OpRef, TileSrc,
 };
 use fusedml_core::spoof::mono::MonoKernel;
 use fusedml_core::spoof::{eval_scalar_program, CellAgg, CellSpec, Reg, SideAccess};
 use fusedml_linalg::ops::AggOp;
 use fusedml_linalg::{par, pool, DenseMatrix, Matrix, SparseMatrix};
 
-/// Executes a Cell operator under the owning engine's configured backend
-/// (the innermost kernel scope; see the private `super::kernels` helper).
+/// Executes a Cell operator with the kernels of the owning engine (the
+/// innermost kernel scope; see the private `super::kernels` helper).
 pub fn execute(
     spec: &CellSpec,
     main: Option<&Matrix>,
@@ -30,11 +29,13 @@ pub fn execute(
     iter_rows: usize,
     iter_cols: usize,
 ) -> Matrix {
-    execute_with(spec, main, sides, scalars, iter_rows, iter_cols, super::kernels().backend)
+    execute_with(spec, main, sides, scalars, iter_rows, iter_cols, CellBackend::Mono)
 }
 
 /// Executes a Cell operator under an explicit backend (differential tests
-/// pin [`CellBackend::Scalar`] as the oracle for the tile paths).
+/// pin [`CellBackend::Scalar`] as the oracle for the tile paths and
+/// [`CellBackend::Block`] to run the interpreter fallback on programs that
+/// would classify).
 pub fn execute_with(
     spec: &CellSpec,
     main: Option<&Matrix>,
@@ -48,14 +49,15 @@ pub fn execute_with(
         let caches = super::kernels();
         let kernel = caches.block.get_or_lower(&spec.prog);
         if tiles::supported(&kernel) {
-            let sel = Select::new(backend, caches.tile_width);
+            let mono = kernel.mono_for(spec.result).filter(|_| backend == CellBackend::Mono);
+            let width = caches.tile_width;
             return match (main, spec.sparse_safe) {
                 (Some(Matrix::Sparse(s)), true) => {
-                    block_sparse_exec(spec, &kernel, sel, s, sides, scalars)
+                    block_sparse_exec(spec, &kernel, mono, width, s, sides, scalars)
                 }
-                (m, _) => {
-                    block_dense_exec(spec, &kernel, sel, m, sides, scalars, iter_rows, iter_cols)
-                }
+                (m, _) => block_dense_exec(
+                    spec, &kernel, mono, width, m, sides, scalars, iter_rows, iter_cols,
+                ),
             };
         }
     }
@@ -79,50 +81,16 @@ fn finalize(op: AggOp, acc: f64, count: usize) -> f64 {
 // Block backend
 // ===========================================================================
 
-/// Backend selection the block paths thread through: whether the
-/// specialized static kernels may run and the configured tile width.
-#[derive(Clone, Copy)]
-struct Select {
-    specialized: bool,
-    width: usize,
-}
-
-impl Select {
-    fn new(backend: CellBackend, width: usize) -> Select {
-        Select { specialized: backend == CellBackend::Mono, width }
-    }
-
-    /// The closure-specialized fast kernel for `r`, if enabled + available.
-    fn fast<'k>(
-        &self,
-        kernel: &'k fusedml_core::spoof::block::BlockKernel,
-        r: Reg,
-    ) -> Option<&'k FastKernel> {
-        kernel.fast_for(r).filter(|_| self.specialized)
-    }
-
-    /// The monomorphized kernel for `r`, if enabled + available.
-    fn mono<'k>(
-        &self,
-        kernel: &'k fusedml_core::spoof::block::BlockKernel,
-        r: Reg,
-    ) -> Option<&'k MonoKernel> {
-        kernel.mono_for(r).filter(|_| self.specialized)
-    }
-}
-
-/// Shared per-tile fold logic: fast product chain where available, then the
-/// monomorphized whole-program kernel, generic body evaluation otherwise.
+/// Shared per-tile fold logic: the result register's monomorphized kernel
+/// where it has one, generic body evaluation otherwise.
 struct CellFold<'k> {
     bp: &'k BlockProgram,
     result: Reg,
-    fast: Option<&'k FastKernel>,
     mono: Option<&'k MonoKernel>,
     op: AggOp,
 }
 
 impl<'k> CellFold<'k> {
-    #[allow(clippy::too_many_arguments)] // mirrors the skeleton calling convention
     fn dense(
         &self,
         tr: &mut TileRunner<'_, '_>,
@@ -131,23 +99,13 @@ impl<'k> CellFold<'k> {
         c0: usize,
         n: usize,
         acc: f64,
-        ptile: &mut [f64],
     ) -> f64 {
         let zero = TileSrc::Const(0.0);
-        match (self.fast, self.mono) {
-            (Some(fk), _) if matches!(self.op, AggOp::Sum | AggOp::Mean) => {
-                tr.dense_tile(m, zero, r, c0, n, false, |ev, ctx, n| {
-                    acc + tiles::factors(ev, fk, ctx, n).sum(n)
-                })
-            }
-            (Some(fk), _) => tr.dense_tile(m, zero, r, c0, n, false, |ev, ctx, n| {
-                tiles::factors(ev, fk, ctx, n).product_into(&mut ptile[..n]);
-                fold_result(self.op, acc, OpRef::S(&ptile[..n]), n)
-            }),
-            (None, Some(mk)) => tr.dense_tile(m, zero, r, c0, n, false, |ev, ctx, n| {
+        match self.mono {
+            Some(mk) => tr.dense_tile(m, zero, r, c0, n, false, |ev, ctx, n| {
                 mk.fold(self.op, acc, ev, ctx, n)
             }),
-            (None, None) => tr.dense_tile(m, zero, r, c0, n, true, |ev, ctx, n| {
+            None => tr.dense_tile(m, zero, r, c0, n, true, |ev, ctx, n| {
                 fold_result(self.op, acc, ev.value_of(self.bp, self.result, ctx, n), n)
             }),
         }
@@ -160,23 +118,13 @@ impl<'k> CellFold<'k> {
         r: usize,
         cols: &[usize],
         acc: f64,
-        ptile: &mut [f64],
     ) -> f64 {
         let (m, zero) = (TileSrc::Slice(vals), TileSrc::Const(0.0));
-        match (self.fast, self.mono) {
-            (Some(fk), _) if matches!(self.op, AggOp::Sum | AggOp::Mean) => {
-                tr.sparse_tile(m, zero, r, cols, false, |ev, ctx, n| {
-                    acc + tiles::factors(ev, fk, ctx, n).sum(n)
-                })
-            }
-            (Some(fk), _) => tr.sparse_tile(m, zero, r, cols, false, |ev, ctx, n| {
-                tiles::factors(ev, fk, ctx, n).product_into(&mut ptile[..n]);
-                fold_result(self.op, acc, OpRef::S(&ptile[..n]), n)
-            }),
-            (None, Some(mk)) => tr.sparse_tile(m, zero, r, cols, false, |ev, ctx, n| {
+        match self.mono {
+            Some(mk) => tr.sparse_tile(m, zero, r, cols, false, |ev, ctx, n| {
                 mk.fold(self.op, acc, ev, ctx, n)
             }),
-            (None, None) => tr.sparse_tile(m, zero, r, cols, true, |ev, ctx, n| {
+            None => tr.sparse_tile(m, zero, r, cols, true, |ev, ctx, n| {
                 fold_result(self.op, acc, ev.value_of(self.bp, self.result, ctx, n), n)
             }),
         }
@@ -189,7 +137,6 @@ fn eval_tile_into(
     tr: &mut TileRunner<'_, '_>,
     bp: &BlockProgram,
     result: Reg,
-    fast: Option<&FastKernel>,
     mono: Option<&MonoKernel>,
     m: TileSrc<'_>,
     r: usize,
@@ -197,35 +144,23 @@ fn eval_tile_into(
     dst: &mut [f64],
 ) {
     let zero = TileSrc::Const(0.0);
-    match (fast, mono, pos) {
-        (Some(fk), _, TilePos::Dense(c0)) => {
-            tr.dense_tile(m, zero, r, c0, dst.len(), false, |ev, ctx, n| {
-                tiles::factors(ev, fk, ctx, n).product_into(dst)
-            })
-        }
-        (None, Some(mk), TilePos::Dense(c0)) => {
+    match (mono, pos) {
+        (Some(mk), TilePos::Dense(c0)) => {
             tr.dense_tile(m, zero, r, c0, dst.len(), false, |ev, ctx, n| {
                 mk.map_into(ev, ctx, n, dst)
             })
         }
-        (None, None, TilePos::Dense(c0)) => {
+        (None, TilePos::Dense(c0)) => {
             tr.dense_tile(m, zero, r, c0, dst.len(), true, |ev, ctx, n| {
                 write_result(ev.value_of(bp, result, ctx, n), dst)
             })
         }
-        (Some(fk), _, TilePos::Sparse(cols)) => {
-            tr.sparse_tile(m, zero, r, cols, false, |ev, ctx, n| {
-                tiles::factors(ev, fk, ctx, n).product_into(dst)
-            })
-        }
-        (None, Some(mk), TilePos::Sparse(cols)) => {
+        (Some(mk), TilePos::Sparse(cols)) => {
             tr.sparse_tile(m, zero, r, cols, false, |ev, ctx, n| mk.map_into(ev, ctx, n, dst))
         }
-        (None, None, TilePos::Sparse(cols)) => {
-            tr.sparse_tile(m, zero, r, cols, true, |ev, ctx, n| {
-                write_result(ev.value_of(bp, result, ctx, n), dst)
-            })
-        }
+        (None, TilePos::Sparse(cols)) => tr.sparse_tile(m, zero, r, cols, true, |ev, ctx, n| {
+            write_result(ev.value_of(bp, result, ctx, n), dst)
+        }),
     }
 }
 
@@ -239,17 +174,15 @@ enum TilePos<'a> {
 #[allow(clippy::too_many_arguments)]
 fn block_dense_exec(
     spec: &CellSpec,
-    kernel: &fusedml_core::spoof::block::BlockKernel,
-    sel: Select,
+    kernel: &BlockKernel,
+    mono: Option<&MonoKernel>,
+    width: usize,
     main: Option<&Matrix>,
     sides: &[SideInput],
     scalars: &[f64],
     rows: usize,
     cols: usize,
 ) -> Matrix {
-    let width = sel.width;
-    let fast = sel.fast(kernel, spec.result);
-    let mono = sel.mono(kernel, spec.result);
     let bp = &kernel.block;
     match spec.agg {
         CellAgg::NoAgg => {
@@ -270,7 +203,6 @@ fn block_dense_exec(
                             &mut tr,
                             bp,
                             spec.result,
-                            fast,
                             mono,
                             m,
                             r,
@@ -284,12 +216,11 @@ fn block_dense_exec(
             Matrix::dense(DenseMatrix::new(rows, cols, out))
         }
         CellAgg::RowAgg(op) => {
-            let fold = CellFold { bp, result: spec.result, fast, mono, op };
+            let fold = CellFold { bp, result: spec.result, mono, op };
             let mut out = pool::take_zeroed(rows);
             par::par_row_bands_mut(&mut out, rows, 1, cols.max(1) * 4, |r0, band| {
                 let mut tr = TileRunner::new(kernel, sides, scalars, cols, width);
                 let mut mr = MainReader::new(main, cols);
-                let mut ptile = vec![0.0f64; width];
                 for (i, slot) in band.iter_mut().enumerate() {
                     let r = r0 + i;
                     tr.begin_row_dense(r);
@@ -299,7 +230,7 @@ fn block_dense_exec(
                     while c0 < cols {
                         let n = width.min(cols - c0);
                         let m = tiles::sub_tile(row_src, c0, n);
-                        acc = fold.dense(&mut tr, m, r, c0, n, acc, &mut ptile);
+                        acc = fold.dense(&mut tr, m, r, c0, n, acc);
                         c0 += n;
                     }
                     *slot = finalize(op, acc, cols);
@@ -328,7 +259,6 @@ fn block_dense_exec(
                                 &mut tr,
                                 bp,
                                 spec.result,
-                                fast,
                                 mono,
                                 m,
                                 r,
@@ -354,7 +284,7 @@ fn block_dense_exec(
             Matrix::dense(DenseMatrix::new(1, cols, acc))
         }
         CellAgg::FullAgg(op) => {
-            let fold = CellFold { bp, result: spec.result, fast, mono, op };
+            let fold = CellFold { bp, result: spec.result, mono, op };
             let acc = par::par_map_reduce(
                 rows,
                 cols.max(1) * 4,
@@ -362,7 +292,6 @@ fn block_dense_exec(
                 |lo, hi| {
                     let mut tr = TileRunner::new(kernel, sides, scalars, cols, width);
                     let mut mr = MainReader::new(main, cols);
-                    let mut ptile = vec![0.0f64; width];
                     let mut acc = op.identity();
                     for r in lo..hi {
                         tr.begin_row_dense(r);
@@ -371,7 +300,7 @@ fn block_dense_exec(
                         while c0 < cols {
                             let n = width.min(cols - c0);
                             let m = tiles::sub_tile(row_src, c0, n);
-                            acc = fold.dense(&mut tr, m, r, c0, n, acc, &mut ptile);
+                            acc = fold.dense(&mut tr, m, r, c0, n, acc);
                             c0 += n;
                         }
                     }
@@ -386,16 +315,14 @@ fn block_dense_exec(
 
 fn block_sparse_exec(
     spec: &CellSpec,
-    kernel: &fusedml_core::spoof::block::BlockKernel,
-    sel: Select,
+    kernel: &BlockKernel,
+    mono: Option<&MonoKernel>,
+    width: usize,
     main: &SparseMatrix,
     sides: &[SideInput],
     scalars: &[f64],
 ) -> Matrix {
     let (rows, cols) = (main.rows(), main.cols());
-    let width = sel.width;
-    let fast = sel.fast(kernel, spec.result);
-    let mono = sel.mono(kernel, spec.result);
     let bp = &kernel.block;
     let work = (main.nnz() / rows.max(1)).max(1) * 4;
     match spec.agg {
@@ -418,7 +345,6 @@ fn block_sparse_exec(
                                 &mut tr,
                                 bp,
                                 spec.result,
-                                fast,
                                 mono,
                                 TileSrc::Slice(vchunk),
                                 r,
@@ -442,11 +368,10 @@ fn block_sparse_exec(
             Matrix::sparse(SparseMatrix::from_triples(rows, cols, triples))
         }
         CellAgg::RowAgg(op) => {
-            let fold = CellFold { bp, result: spec.result, fast, mono, op };
+            let fold = CellFold { bp, result: spec.result, mono, op };
             let mut out = pool::take_zeroed(rows);
             par::par_row_bands_mut(&mut out, rows, 1, work, |r0, band| {
                 let mut tr = TileRunner::new(kernel, sides, scalars, cols, width);
-                let mut ptile = vec![0.0f64; width];
                 for (i, slot) in band.iter_mut().enumerate() {
                     let r = r0 + i;
                     tr.begin_row_sparse(r);
@@ -454,7 +379,7 @@ fn block_sparse_exec(
                     for (vchunk, cchunk) in
                         main.row_values(r).chunks(width).zip(main.row_cols(r).chunks(width))
                     {
-                        acc = fold.sparse(&mut tr, vchunk, r, cchunk, acc, &mut ptile);
+                        acc = fold.sparse(&mut tr, vchunk, r, cchunk, acc);
                     }
                     if !op.sparse_safe() && main.row_nnz(r) < cols {
                         acc = op.fold(acc, 0.0);
@@ -484,7 +409,6 @@ fn block_sparse_exec(
                                 &mut tr,
                                 bp,
                                 spec.result,
-                                fast,
                                 mono,
                                 TileSrc::Slice(vchunk),
                                 r,
@@ -518,21 +442,20 @@ fn block_sparse_exec(
             Matrix::dense(DenseMatrix::new(1, cols, acc))
         }
         CellAgg::FullAgg(op) => {
-            let fold = CellFold { bp, result: spec.result, fast, mono, op };
+            let fold = CellFold { bp, result: spec.result, mono, op };
             let acc = par::par_map_reduce(
                 rows,
                 work,
                 op.identity(),
                 |lo, hi| {
                     let mut tr = TileRunner::new(kernel, sides, scalars, cols, width);
-                    let mut ptile = vec![0.0f64; width];
                     let mut acc = op.identity();
                     for r in lo..hi {
                         tr.begin_row_sparse(r);
                         for (vchunk, cchunk) in
                             main.row_values(r).chunks(width).zip(main.row_cols(r).chunks(width))
                         {
-                            acc = fold.sparse(&mut tr, vchunk, r, cchunk, acc, &mut ptile);
+                            acc = fold.sparse(&mut tr, vchunk, r, cchunk, acc);
                         }
                     }
                     acc

@@ -21,9 +21,9 @@ pub mod tiles;
 
 use crate::side::SideInput;
 use fusedml_core::plancache::KernelCaches;
-use fusedml_core::spoof::block::{CellBackend, RowFastKernel};
+use fusedml_core::spoof::block::RowShape;
 use fusedml_core::spoof::mono::ShapeClass;
-use fusedml_core::spoof::{FusedSpec, Instr, Program, Reg, RowExecMode, RowOut};
+use fusedml_core::spoof::{FusedSpec, Instr, Program, Reg, RowOut};
 use fusedml_linalg::{scoped, Matrix};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -54,36 +54,28 @@ pub(crate) fn kernels() -> Arc<KernelCaches> {
     scoped::top(&CURRENT_KERNELS).unwrap_or_else(|| Arc::new(KernelCaches::default()))
 }
 
-/// Classifies the kernel family a fused operator executes under with the
-/// currently scoped kernel caches: a [`ShapeClass`] whose
+/// Classifies the kernel family `execute` runs a fused operator under with
+/// the currently scoped kernel caches: a [`ShapeClass`] whose
 /// [`is_specialized`](ShapeClass::is_specialized) is true means a static
-/// (closure-specialized or monomorphized) kernel carries the inner loops;
-/// `Interpreted` means the generic tile/band interpreter replays the
-/// register program per tile. `side_dims` follows the operator's side
-/// binding order (the Row kernel cache is keyed on side geometry).
+/// kernel carries the inner loops; `Interpreted` means the generic
+/// tile/band interpreter replays the register program per tile.
+/// `side_dims` follows the operator's side binding order (the Row kernel
+/// cache is keyed on side geometry).
 pub fn kernel_class(spec: &FusedSpec, side_dims: &[(usize, usize)]) -> ShapeClass {
     let caches = kernels();
-    let backend = caches.backend;
     match spec {
-        FusedSpec::Cell(c) => {
-            block_class(&caches, backend, &c.prog, std::slice::from_ref(&c.result))
-        }
+        FusedSpec::Cell(c) => block_class(&caches, &c.prog, std::slice::from_ref(&c.result)),
         FusedSpec::MAgg(m) => {
             let regs: Vec<Reg> = m.results.iter().map(|&(r, _)| r).collect();
-            block_class(&caches, backend, &m.prog, &regs)
+            block_class(&caches, &m.prog, &regs)
         }
-        FusedSpec::Outer(o) => {
-            block_class(&caches, backend, &o.prog, std::slice::from_ref(&o.result))
-        }
+        FusedSpec::Outer(o) => block_class(&caches, &o.prog, std::slice::from_ref(&o.result)),
         FusedSpec::Row(r) => {
-            if r.exec_mode != RowExecMode::Vectorized {
-                return ShapeClass::Interpreted;
-            }
             let kernel = caches.row.get_or_lower(r, side_dims);
             let matrix_shaped = matches!(r.out, RowOut::OuterColAgg { .. })
                 || kernel.per_row.iter().any(|i| matches!(i, Instr::VecMatMult { .. }));
-            match kernel.fast {
-                Some(RowFastKernel::MvChain { .. }) => ShapeClass::MvChain,
+            match kernel.shape {
+                Some(RowShape::MvChain { .. }) => ShapeClass::MvChain,
                 None if matrix_shaped => ShapeClass::RowTile,
                 None => ShapeClass::Interpreted,
             }
@@ -92,18 +84,10 @@ pub fn kernel_class(spec: &FusedSpec, side_dims: &[(usize, usize)]) -> ShapeClas
 }
 
 /// The block-template shape class: specialized only when *every* result
-/// register resolves to a fast or monomorphized kernel under `backend`
-/// (otherwise the generic tile body still runs and the operator counts as
-/// interpreted). Multi-result operators report the first register's class.
-fn block_class(
-    caches: &KernelCaches,
-    backend: CellBackend,
-    prog: &Program,
-    regs: &[Reg],
-) -> ShapeClass {
-    if backend != CellBackend::Mono || regs.is_empty() {
-        return ShapeClass::Interpreted;
-    }
+/// register has a monomorphized kernel (otherwise the generic tile body
+/// still runs and the operator counts as interpreted). Multi-result
+/// operators report the first register's class.
+fn block_class(caches: &KernelCaches, prog: &Program, regs: &[Reg]) -> ShapeClass {
     let kernel = caches.block.get_or_lower(prog);
     if !tiles::supported(&kernel) {
         return ShapeClass::Interpreted;

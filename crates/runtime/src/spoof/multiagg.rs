@@ -4,13 +4,13 @@
 //! read of `X`).
 //!
 //! Like the Cell skeleton, the default block backend evaluates the shared
-//! register program tile-at-a-time — with per-aggregate closure-specialized
-//! product chains where the shapes allow — and the scalar interpreter is
-//! retained as the differential-test oracle.
+//! register program tile-at-a-time — each aggregate through its result
+//! register's [`MonoKernel`] where it has one — and the scalar interpreter
+//! is retained as the differential-test oracle.
 
 use crate::side::SideInput;
 use crate::spoof::tiles::{self, MainReader, TileRunner};
-use fusedml_core::spoof::block::{self, fold_result, CellBackend, FastKernel, OpRef, TileSrc};
+use fusedml_core::spoof::block::{self, fold_result, CellBackend, TileSrc};
 use fusedml_core::spoof::mono::MonoKernel;
 use fusedml_core::spoof::{eval_scalar_program, MAggSpec, SideAccess};
 use fusedml_linalg::ops::AggOp;
@@ -25,7 +25,7 @@ pub fn execute(
     iter_rows: usize,
     iter_cols: usize,
 ) -> Vec<Matrix> {
-    execute_with(spec, main, sides, scalars, iter_rows, iter_cols, super::kernels().backend)
+    execute_with(spec, main, sides, scalars, iter_rows, iter_cols, CellBackend::Mono)
 }
 
 /// Executes under an explicit backend (differential tests pin `Scalar`).
@@ -94,13 +94,11 @@ fn block_fold(
     let bp = &kernel.block;
     let k = spec.results.len();
     let identities: Vec<f64> = spec.results.iter().map(|&(_, op)| op.identity()).collect();
-    let fasts: Vec<Option<&FastKernel>> =
-        spec.results.iter().map(|&(reg, _)| kernel.fast_for(reg).filter(|_| specialized)).collect();
     let monos: Vec<Option<&MonoKernel>> =
         spec.results.iter().map(|&(reg, _)| kernel.mono_for(reg).filter(|_| specialized)).collect();
-    // The generic body only needs to run when some aggregate lacks a fused
-    // fast kernel or a monomorphized kernel.
-    let need_body = fasts.iter().zip(&monos).any(|(f, m)| f.is_none() && m.is_none());
+    // The generic body only needs to run when some aggregate lacks a
+    // monomorphized kernel.
+    let need_body = monos.iter().any(Option::is_none);
     let sparse_main = match main {
         Some(Matrix::Sparse(s)) if spec.sparse_safe => Some(s),
         _ => None,
@@ -117,30 +115,17 @@ fn block_fold(
         |lo, hi| {
             let mut tr = TileRunner::new(kernel, sides, scalars, cols, width);
             let mut mr = MainReader::new(main, cols);
-            let mut ptile = vec![0.0f64; width];
             let mut accs = identities.clone();
             let zero = TileSrc::Const(0.0);
             for r in lo..hi {
                 let fold = |ev: &block::BlockEval,
                             ctx: &block::TileCtx<'_>,
                             n: usize,
-                            accs: &mut [f64],
-                            ptile: &mut [f64]| {
-                    for (j, (&(reg, op), (fast, mono))) in
-                        spec.results.iter().zip(fasts.iter().zip(&monos)).enumerate()
-                    {
-                        accs[j] = match (fast, mono) {
-                            (Some(fk), _) if matches!(op, AggOp::Sum | AggOp::Mean) => {
-                                accs[j] + tiles::factors(ev, fk, ctx, n).sum(n)
-                            }
-                            (Some(fk), _) => {
-                                tiles::factors(ev, fk, ctx, n).product_into(&mut ptile[..n]);
-                                fold_result(op, accs[j], OpRef::S(&ptile[..n]), n)
-                            }
-                            (None, Some(mk)) => mk.fold(op, accs[j], ev, ctx, n),
-                            (None, None) => {
-                                fold_result(op, accs[j], ev.value_of(bp, reg, ctx, n), n)
-                            }
+                            accs: &mut [f64]| {
+                    for (j, (&(reg, op), mono)) in spec.results.iter().zip(&monos).enumerate() {
+                        accs[j] = match mono {
+                            Some(mk) => mk.fold(op, accs[j], ev, ctx, n),
+                            None => fold_result(op, accs[j], ev.value_of(bp, reg, ctx, n), n),
                         };
                     }
                 };
@@ -156,7 +141,7 @@ fn block_fold(
                                 r,
                                 cchunk,
                                 need_body,
-                                |ev, ctx, n| fold(ev, ctx, n, &mut accs, &mut ptile),
+                                |ev, ctx, n| fold(ev, ctx, n, &mut accs),
                             );
                         }
                     }
@@ -168,7 +153,7 @@ fn block_fold(
                             let n = width.min(cols - c0);
                             let m = tiles::sub_tile(row_src, c0, n);
                             tr.dense_tile(m, zero, r, c0, n, need_body, |ev, ctx, n| {
-                                fold(ev, ctx, n, &mut accs, &mut ptile)
+                                fold(ev, ctx, n, &mut accs)
                             });
                             c0 += n;
                         }
@@ -298,8 +283,8 @@ mod tests {
 
     #[test]
     fn block_backends_match_scalar_oracle() {
-        // Mixed aggregates (one fast product chain, one generic via SumSq on
-        // a division) over ragged shapes.
+        // Mixed aggregates (a product chain and a `Max` map, three folds)
+        // over ragged shapes.
         let mixed = MAggSpec {
             prog: Program {
                 instrs: vec![

@@ -12,7 +12,7 @@ use fusedml_core::spoof::{eval_scalar_program, OuterOut, OuterSpec, SideAccess};
 use fusedml_linalg::ops::AggOp;
 use fusedml_linalg::{par, pool, primitives as prim, DenseMatrix, Matrix, SparseMatrix};
 
-/// Executes an Outer operator under the globally selected backend.
+/// Executes an Outer operator with the kernels of the owning engine.
 pub fn execute(
     spec: &OuterSpec,
     main: Option<&Matrix>,
@@ -21,7 +21,7 @@ pub fn execute(
     iter_rows: usize,
     iter_cols: usize,
 ) -> Matrix {
-    execute_with(spec, main, sides, scalars, iter_rows, iter_cols, super::kernels().backend)
+    execute_with(spec, main, sides, scalars, iter_rows, iter_cols, CellBackend::Mono)
 }
 
 /// Executes under an explicit backend (differential tests pin `Scalar`).

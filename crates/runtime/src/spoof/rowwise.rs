@@ -24,26 +24,18 @@
 //! panel's columns in registers across the non-zeros
 //! (`simd::sparse_row_gemm`), and a sparse left operand of the outer update
 //! scatters whole vectors into a column-padded accumulator
-//! (`simd::scatter_axpy`). A ragged band tail is a shorter tile, and a tile
-//! of one row is the per-row evaluation this replaced. The `Xᵀ(Xv)`-style
-//! mv-chain shape ([`RowFastKernel::MvChain`](block::RowFastKernel)) runs the
+//! (`simd::scatter_axpy`). A ragged band tail is a shorter tile. The
+//! `Xᵀ(Xv)`-style mv-chain shape ([`RowShape::MvChain`](block::RowShape)) runs the
 //! same body at a tile height cut to what keeps its rows in L1 between the
 //! dot and the axpy that reads them again — a row or two of a 1000-column
 //! dense main, the full `RB` of short or sparse rows. The **interpreter
 //! backend** is the original per-row evaluator, retained as the
 //! differential-test oracle.
-//!
-//! Three vector-execution modes implement the Figure 10 instruction-
-//! footprint experiment (DESIGN.md substitution X4): `Vectorized` calls the
-//! shared primitives; `Inlined` dispatches per element (inlined generated
-//! code); `InterpretedNoJit` adds per-element re-resolution overhead (code
-//! too large to JIT). The two per-element modes run the block backend over
-//! tiles of one row.
 
 use crate::side::SideInput;
 use fusedml_core::spoof::block::{self, OpRef, RowKernel};
-use fusedml_core::spoof::{Instr, Program, Reg, RowExecMode, RowOut, RowSpec};
-use fusedml_linalg::ops::{AggOp, BinaryOp, UnaryOp};
+use fusedml_core::spoof::{Instr, Program, Reg, RowOut, RowSpec};
+use fusedml_linalg::ops::{AggOp, BinaryOp};
 use fusedml_linalg::{par, pool, primitives as prim, simd, DenseMatrix, Matrix, SparseMatrix};
 use std::borrow::Cow;
 
@@ -102,7 +94,7 @@ fn work_per_row(spec: &RowSpec, main: &Matrix) -> usize {
 /// 1000-column main still sit in L2 between the instructions that reread it.
 const RB: usize = 16;
 
-/// Bytes of main rows a tile of an mv-chain kernel (`RowFastKernel::MvChain`:
+/// Bytes of main rows a tile of an mv-chain kernel (`RowShape::MvChain`:
 /// a dot over the rows, then an axpy of the same rows) may span, so the axpy
 /// still finds them in L1: half of a 32 KB L1d.
 const L1_TILE_BYTES: usize = 16 << 10;
@@ -410,7 +402,7 @@ impl<'a> BandCtx<'a> {
     }
 
     fn exec_instr(&mut self, ins: &Instr, r0: usize, h: usize, main: MainTile<'_>) {
-        let (mode, rb, sides) = (self.spec.exec_mode, self.rb, self.sides);
+        let (rb, sides) = (self.rb, self.sides);
         let lens = &self.spec.prog.vreg_lens;
         let env = Env { vslots: &self.vslots, lens, sides, main, r0 };
         let (sregs, vfile) = self.file.split_at_mut(self.vbase);
@@ -479,16 +471,16 @@ impl<'a> BandCtx<'a> {
             // ---- vector compute ------------------------------------------
             Instr::VecUnary { out, op, a } => {
                 let (dst, srcs) = env.write(vfile, out, h);
-                map_tile(h, srcs.tile(a), dst, |src, d| vec_unary(mode, op, src, d));
+                map_tile(h, srcs.tile(a), dst, |src, d| block::un_loop(op, OpRef::S(src), d));
             }
             Instr::VecBinaryVV { out, op, a, b } => {
                 let (dst, srcs) = env.write(vfile, out, h);
                 let (ta, tb) = (srcs.tile(a), srcs.tile(b));
                 match (ta.flat(h), tb.flat(h)) {
-                    (Some(x), Some(y)) => vec_binary_vv(mode, op, x, y, dst),
+                    (Some(x), Some(y)) => block::bin_loop(op, OpRef::S(x), OpRef::S(y), dst),
                     _ => {
                         for (i, d) in dst.chunks_exact_mut(ta.len.max(1)).enumerate() {
-                            vec_binary_vv(mode, op, ta.row(i), tb.row(i), d);
+                            block::bin_loop(op, OpRef::S(ta.row(i)), OpRef::S(tb.row(i)), d);
                         }
                     }
                 }
@@ -498,7 +490,7 @@ impl<'a> BandCtx<'a> {
                 let ta = srcs.tile(a);
                 for (i, d) in dst.chunks_exact_mut(ta.len.max(1)).enumerate() {
                     let s = sregs[b as usize * rb + i];
-                    vec_binary_vs(mode, op, ta.row(i), s, scalar_left, d);
+                    vec_binary_vs(op, ta.row(i), s, scalar_left, d);
                 }
             }
             Instr::VecMatMult { out, a, side } => {
@@ -732,18 +724,15 @@ fn block_exec(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f64
     let kernel = super::kernels().row.get_or_lower(spec, &side_dims);
     let n = main.rows();
     let work = work_per_row(spec, main);
-    // An mv-chain rereads its tile's main rows at once: keep them in L1. The
-    // Figure 10 modes model per-element dispatch: tiles of one row.
-    let rb = match spec.exec_mode {
-        RowExecMode::Vectorized if kernel.fast.is_some() => {
-            let row_bytes = match main {
-                Matrix::Sparse(s) => 16 * s.nnz() / s.rows().max(1),
-                Matrix::Dense(d) => 8 * d.cols(),
-            };
-            (L1_TILE_BYTES / row_bytes.max(1)).clamp(1, RB)
-        }
-        RowExecMode::Vectorized => RB,
-        _ => 1,
+    // An mv-chain rereads its tile's main rows at once: keep them in L1.
+    let rb = if kernel.shape.is_some() {
+        let row_bytes = match main {
+            Matrix::Sparse(s) => 16 * s.nnz() / s.rows().max(1),
+            Matrix::Dense(d) => 8 * d.cols(),
+        };
+        (L1_TILE_BYTES / row_bytes.max(1)).clamp(1, RB)
+    } else {
+        RB
     };
     let band = || {
         (
@@ -1070,7 +1059,6 @@ impl<'a> RowCtx<'a> {
     fn run_row(&mut self, rix: usize) {
         self.load_main_row(rix);
         let prog: &Program = &self.spec.prog;
-        let mode = self.spec.exec_mode;
         for ins in &prog.instrs {
             match *ins {
                 Instr::LoadMain { out } => {
@@ -1115,7 +1103,7 @@ impl<'a> RowCtx<'a> {
                 }
                 Instr::VecUnary { out, op, a } => {
                     let (dst, src) = two_vregs(&mut self.vregs, out, a);
-                    vec_unary(mode, op, src, dst);
+                    block::un_loop(op, OpRef::S(src), dst);
                 }
                 Instr::VecBinaryVV { out, op, a, b } => {
                     // Registers are SSA-allocated: `out` differs from both
@@ -1124,13 +1112,13 @@ impl<'a> RowCtx<'a> {
                     let b_vals = std::mem::take(&mut self.vregs[b as usize]);
                     let (dst, x) = two_vregs(&mut self.vregs, out, a);
                     let xs: &[f64] = if a == b { &b_vals } else { x };
-                    vec_binary_vv(mode, op, xs, &b_vals, dst);
+                    block::bin_loop(op, OpRef::S(xs), OpRef::S(&b_vals), dst);
                     self.vregs[b as usize] = b_vals;
                 }
                 Instr::VecBinaryVS { out, op, a, b, scalar_left } => {
                     let s = self.sregs[b as usize];
                     let (dst, src) = two_vregs(&mut self.vregs, out, a);
-                    vec_binary_vs(mode, op, src, s, scalar_left, dst);
+                    vec_binary_vs(op, src, s, scalar_left, dst);
                 }
                 Instr::VecMatMult { out, a, side } => {
                     let bvals =
@@ -1177,104 +1165,11 @@ fn two_vregs(vregs: &mut [Vec<f64>], out: u16, a: u16) -> (&mut [f64], &[f64]) {
     }
 }
 
-// ---- vector kernels per execution mode ------------------------------------
-
-fn vec_unary(mode: RowExecMode, op: UnaryOp, src: &[f64], dst: &mut [f64]) {
-    match mode {
-        RowExecMode::Vectorized => block::un_loop(op, OpRef::S(src), dst),
-        RowExecMode::Inlined => {
-            for i in 0..src.len() {
-                dst[i] = apply_unary_inlined(op, src[i]);
-            }
-        }
-        RowExecMode::InterpretedNoJit => {
-            for i in 0..src.len() {
-                dst[i] = apply_unary_nojit(op, src[i]);
-            }
-        }
-    }
-}
-
-fn vec_binary_vv(mode: RowExecMode, op: BinaryOp, a: &[f64], b: &[f64], dst: &mut [f64]) {
-    match mode {
-        RowExecMode::Vectorized => block::bin_loop(op, OpRef::S(a), OpRef::S(b), dst),
-        RowExecMode::Inlined => {
-            for i in 0..a.len() {
-                dst[i] = apply_binary_inlined(op, a[i], b[i]);
-            }
-        }
-        RowExecMode::InterpretedNoJit => {
-            for i in 0..a.len() {
-                dst[i] = apply_binary_nojit(op, a[i], b[i]);
-            }
-        }
-    }
-}
-
-fn vec_binary_vs(
-    mode: RowExecMode,
-    op: BinaryOp,
-    a: &[f64],
-    s: f64,
-    scalar_left: bool,
-    dst: &mut [f64],
-) {
-    match mode {
-        RowExecMode::Vectorized => {
-            let (a, s) = (OpRef::S(a), OpRef::C(s));
-            let (x, y) = if scalar_left { (s, a) } else { (a, s) };
-            block::bin_loop(op, x, y, dst)
-        }
-        RowExecMode::Inlined => {
-            for i in 0..a.len() {
-                dst[i] = if scalar_left {
-                    apply_binary_inlined(op, s, a[i])
-                } else {
-                    apply_binary_inlined(op, a[i], s)
-                };
-            }
-        }
-        RowExecMode::InterpretedNoJit => {
-            for i in 0..a.len() {
-                dst[i] = if scalar_left {
-                    apply_binary_nojit(op, s, a[i])
-                } else {
-                    apply_binary_nojit(op, a[i], s)
-                };
-            }
-        }
-    }
-}
-
-/// Per-element dispatch with inlining suppressed: models generated code
-/// whose primitives were inlined (larger instruction footprint, no
-/// vectorization across the row).
-#[inline(never)]
-fn apply_unary_inlined(op: UnaryOp, a: f64) -> f64 {
-    op.apply(a)
-}
-
-#[inline(never)]
-fn apply_binary_inlined(op: BinaryOp, a: f64, b: f64) -> f64 {
-    op.apply(a, b)
-}
-
-/// Per-element dispatch through a dynamically resolved function, modelling
-/// interpretation of code the JIT refused to compile.
-#[inline(never)]
-fn apply_unary_nojit(op: UnaryOp, a: f64) -> f64 {
-    let f: fn(UnaryOp, f64) -> f64 = apply_unary_inlined;
-    std::hint::black_box(f)(std::hint::black_box(op), std::hint::black_box(a))
-}
-
-#[inline(never)]
-fn apply_binary_nojit(op: BinaryOp, a: f64, b: f64) -> f64 {
-    let f: fn(BinaryOp, f64, f64) -> f64 = apply_binary_inlined;
-    std::hint::black_box(f)(
-        std::hint::black_box(op),
-        std::hint::black_box(a),
-        std::hint::black_box(b),
-    )
+/// `dst = op(a, s)`, or `op(s, a)` with the scalar on the left.
+fn vec_binary_vs(op: BinaryOp, a: &[f64], s: f64, scalar_left: bool, dst: &mut [f64]) {
+    let (a, s) = (OpRef::S(a), OpRef::C(s));
+    let (x, y) = if scalar_left { (s, a) } else { (a, s) };
+    block::bin_loop(op, x, y, dst)
 }
 
 #[cfg(test)]
@@ -1282,7 +1177,7 @@ mod tests {
     use super::*;
     use fusedml_core::spoof::Program;
     use fusedml_linalg::generate;
-    use fusedml_linalg::ops::{self, AggDir};
+    use fusedml_linalg::ops::{self, AggDir, UnaryOp};
 
     /// Spec for `t(X) %*% (X %*% v)` — Row with ColAggMultAdd output.
     fn mv_chain_spec(m: usize) -> RowSpec {
@@ -1299,7 +1194,6 @@ mod tests {
             out: RowOut::ColAggMultAdd { vec: 0, scalar: 0 },
             out_rows: m,
             out_cols: 1,
-            exec_mode: RowExecMode::Vectorized,
         }
     }
 
@@ -1343,44 +1237,6 @@ mod tests {
     }
 
     #[test]
-    fn exec_modes_agree_numerically() {
-        let (n, m) = (100, 40);
-        let x = generate::rand_dense(n, m, 0.5, 2.0, 5);
-        // X / rowSums(X), then row sums again: exercises VS + agg.
-        let spec = |mode| RowSpec {
-            prog: Program {
-                instrs: vec![
-                    Instr::LoadMainRow { out: 0 },
-                    Instr::VecAgg { out: 0, op: AggOp::Sum, a: 0 },
-                    Instr::VecBinaryVS {
-                        out: 1,
-                        op: BinaryOp::Div,
-                        a: 0,
-                        b: 0,
-                        scalar_left: false,
-                    },
-                    Instr::VecAgg { out: 1, op: AggOp::Sum, a: 1 },
-                ],
-                n_regs: 2,
-                vreg_lens: vec![m, m],
-            },
-            out: RowOut::RowAgg { src: 1 },
-            out_rows: n,
-            out_cols: 1,
-            exec_mode: mode,
-        };
-        let a = execute(&spec(RowExecMode::Vectorized), &x, &[], &[]);
-        let b = execute(&spec(RowExecMode::Inlined), &x, &[], &[]);
-        let c = execute(&spec(RowExecMode::InterpretedNoJit), &x, &[], &[]);
-        assert!(a.approx_eq(&b, 1e-12));
-        assert!(a.approx_eq(&c, 1e-12));
-        // Every row sums to 1 after normalization.
-        for r in 0..n {
-            assert!(fusedml_linalg::approx_eq(a.get(r, 0), 1.0, 1e-9));
-        }
-    }
-
-    #[test]
     fn no_agg_writes_rows() {
         let (n, m) = (50, 10);
         let x = generate::rand_dense(n, m, -1.0, 1.0, 7);
@@ -1403,7 +1259,6 @@ mod tests {
             out: RowOut::NoAgg { src: 1 },
             out_rows: n,
             out_cols: m,
-            exec_mode: RowExecMode::Vectorized,
         };
         for backend in [RowBackend::Interp, RowBackend::Block] {
             let out = execute_with(&spec, &x, &[], &[], backend);
@@ -1425,7 +1280,6 @@ mod tests {
             out: RowOut::ColAgg { src: 0 },
             out_rows: 1,
             out_cols: m,
-            exec_mode: RowExecMode::Vectorized,
         };
         for backend in [RowBackend::Interp, RowBackend::Block] {
             let out = execute_with(&spec, &x, &[], &[], backend);
@@ -1452,7 +1306,6 @@ mod tests {
             out: RowOut::OuterColAgg { left: 0, right: 1 },
             out_rows: m,
             out_cols: k,
-            exec_mode: RowExecMode::Vectorized,
         };
         for backend in [RowBackend::Interp, RowBackend::Block] {
             let out = execute_with(&spec, &x, &[SideInput::bind(&v)], &[], backend);
@@ -1480,7 +1333,6 @@ mod tests {
             out: RowOut::OuterColAgg { left: 0, right: 1 },
             out_rows: m,
             out_cols: k,
-            exec_mode: RowExecMode::Vectorized,
         };
         let sides = [SideInput::bind(&v)];
         let oracle = execute_with(&spec, &x, &sides, &[], RowBackend::Interp);
@@ -1511,7 +1363,6 @@ mod tests {
             out: RowOut::OuterColAgg { left: 1, right: 2 },
             out_rows: m,
             out_cols: k,
-            exec_mode: RowExecMode::Vectorized,
         };
         // x_row ⊗ (x_row·V) over non-zeros: the padded accumulator.
         let sparse_left = RowSpec {

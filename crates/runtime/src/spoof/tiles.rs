@@ -11,9 +11,7 @@ use crate::side::SideInput;
 use fusedml_linalg::pool;
 use fusedml_linalg::simd;
 
-use fusedml_core::spoof::block::{
-    BlockEval, BlockKernel, Factors, FastKernel, OpRef, Opnd, TileCtx, TileSrc,
-};
+use fusedml_core::spoof::block::{BlockEval, BlockKernel, OpRef, TileCtx, TileSrc};
 use fusedml_core::spoof::SideAccess;
 
 /// Maximum distinct `(side, access)` gathers the tile path supports; kernels
@@ -231,15 +229,6 @@ impl<'k, 's> TileRunner<'k, 's> {
         }
         f(&self.eval, &ctx, n)
     }
-}
-
-/// Resolves a product-chain fast kernel's factors for the current tile.
-pub fn factors<'a>(ev: &'a BlockEval, fk: &FastKernel, ctx: &TileCtx<'a>, n: usize) -> Factors<'a> {
-    let FastKernel::ProductChain { mains, slots } = fk;
-    let refs = std::iter::repeat_n(Opnd::Main, *mains as usize)
-        .chain(slots.iter().map(|&s| Opnd::Gather(s)))
-        .map(|o| ev.opnd(o, ctx, n));
-    Factors::from_refs(refs).expect("specialize caps chains at four factors")
 }
 
 /// Folds an evaluated tile result into a per-column accumulator slice

@@ -45,7 +45,7 @@ use crate::schedule::{TaskGraph, TaskKind};
 use fusedml_core::cplan::{CNode, CPlan, CellAggKind, NodeId, OutputSpec, RowOutKind};
 use fusedml_core::optimizer::{FusedOperator, FusionPlan};
 use fusedml_core::spoof::block::{
-    compile_kernel, compile_row_kernel, whole_vector_load, RowKernel,
+    compile_kernel, compile_row_kernel, whole_vector_load, BlockKernel, RowKernel,
 };
 use fusedml_core::spoof::mono;
 use fusedml_core::spoof::{eval_scalar_program, FusedSpec, Instr, Program, RowOut, SideAccess};
@@ -95,9 +95,8 @@ pub enum VerifyError {
     /// A task's output-byte estimate disagrees with the size estimator.
     TaskBytesMismatch { task: usize, expected: usize, stored: usize },
     /// A compiled block kernel's monomorphized shape classification does not
-    /// survive re-derivation from the register program, or violates the
-    /// backend's dispatch invariants (a fast kernel and a mono kernel on the
-    /// same result register, or a non-specialized mono class).
+    /// survive re-derivation from its block program, or carries a
+    /// non-specialized mono class.
     MonoShapeMismatch { op_ix: usize, detail: String },
     /// A spill-eligibility flag is unsound: a leaf or sub-threshold value
     /// marked eligible, or an eligible intermediate marked not.
@@ -1004,7 +1003,7 @@ fn check_spec(op_ix: usize, cp: &CPlan, spec: &FusedSpec) -> Result<(), VerifyEr
         FusedSpec::Cell(c) => {
             result_s(c.result, "cell result")?;
             check_sparse_claim(op_ix, cp, prog, &[c.result], c.sparse_safe)?;
-            check_mono_shapes(op_ix, prog, &[c.result])?;
+            check_mono_shapes(op_ix, &compile_kernel(prog), &[c.result])?;
         }
         FusedSpec::MAgg(m) => {
             if m.results.is_empty() {
@@ -1015,7 +1014,7 @@ fn check_spec(op_ix: usize, cp: &CPlan, spec: &FusedSpec) -> Result<(), VerifyEr
             }
             let regs: Vec<u16> = m.results.iter().map(|&(r, _)| r).collect();
             check_sparse_claim(op_ix, cp, prog, &regs, m.sparse_safe)?;
-            check_mono_shapes(op_ix, prog, &regs)?;
+            check_mono_shapes(op_ix, &compile_kernel(prog), &regs)?;
         }
         FusedSpec::Outer(o) => {
             result_s(o.result, "outer result")?;
@@ -1031,7 +1030,7 @@ fn check_spec(op_ix: usize, cp: &CPlan, spec: &FusedSpec) -> Result<(), VerifyEr
                 None => return Err(ill("Outer spec without a plan UV binding".into())),
             }
             check_sparse_claim(op_ix, cp, prog, &[o.result], o.sparse_safe)?;
-            check_mono_shapes(op_ix, prog, &[o.result])?;
+            check_mono_shapes(op_ix, &compile_kernel(prog), &[o.result])?;
         }
         FusedSpec::Row(r) => {
             if (r.out_rows, r.out_cols) != (cp.out_rows, cp.out_cols) {
@@ -1067,26 +1066,19 @@ fn check_spec(op_ix: usize, cp: &CPlan, spec: &FusedSpec) -> Result<(), VerifyEr
     Ok(())
 }
 
-/// Re-audits the monomorphizer's shape classification for a block-template
-/// program (DESIGN.md substitution X10): the kernel is re-lowered from the
-/// register program and, for every result register, the stored mono kernel
-/// must equal an independent re-derivation via [`mono::classify`], must
-/// never coexist with a closure-specialized fast kernel on the same
-/// register (dispatch priority would silently shadow it), and must carry a
-/// specialized shape class.
-pub fn check_mono_shapes(op_ix: usize, prog: &Program, results: &[u16]) -> Result<(), VerifyError> {
+/// Re-audits the monomorphizer's shape classification of a block kernel
+/// (DESIGN.md substitution X10): for every result register, the stored mono
+/// kernel must equal an independent re-derivation via [`mono::classify`]
+/// over the kernel's own block program and must carry a specialized shape
+/// class.
+pub fn check_mono_shapes(
+    op_ix: usize,
+    kernel: &BlockKernel,
+    results: &[u16],
+) -> Result<(), VerifyError> {
     let err = |detail: String| VerifyError::MonoShapeMismatch { op_ix, detail };
-    let kernel = compile_kernel(prog);
     for &r in results {
         let stored = kernel.mono_for(r);
-        if kernel.fast_for(r).is_some() {
-            if stored.is_some() {
-                return Err(err(format!(
-                    "register {r} holds both a fast kernel and a mono kernel"
-                )));
-            }
-            continue;
-        }
         let rederived = mono::classify(&kernel.block, r);
         if stored != rederived.as_ref() {
             return Err(err(format!(

@@ -7,11 +7,13 @@
 //! width).
 //!
 //! Elementwise (NoAgg) results agree to 1e-12 (bitwise in the generic path;
-//! the closure-specialized product chains may hoist constant factors);
-//! aggregates are reassociated tile-wise, so they agree to a slightly looser
-//! 1e-11.
+//! a product kernel multiplies its main factors first); aggregates are
+//! reassociated tile-wise, so they agree to a slightly looser 1e-11.
 
-use fusedml_core::spoof::block::CellBackend;
+mod common;
+
+use fusedml_core::spoof::block::{compile_kernel, CellBackend};
+use fusedml_core::spoof::mono::ShapeClass;
 use fusedml_core::spoof::{CellAgg, CellSpec, Instr, MAggSpec, Program, SideAccess};
 use fusedml_linalg::ops::{AggOp, BinaryOp, TernaryOp, UnaryOp};
 use fusedml_linalg::{generate, Matrix};
@@ -248,6 +250,83 @@ fn multiagg_block_backends_match_scalar_oracle_on_random_programs() {
     }
 }
 
+/// Multiply chains are the one shape with a kernel of their own
+/// (`MonoKernel::Product`: `dot`-family sums, `mul2`/`mul3` maps), so `Mono`
+/// and the tile interpreter (`Block`) share no loop on them: one to four
+/// factors, the main input once or twice, `Cell` and `Row` gathers, dense
+/// and CSR mains, every aggregation. Written main-first and left-deep — the
+/// order the compiler emits and the product kernel multiplies in — the maps
+/// are bitwise; folds reassociate within the file's tolerance.
+#[test]
+fn product_chains_agree_between_mono_and_tile_interpreter() {
+    let main = |out| Instr::LoadMain { out };
+    let side = |out, side, access| Instr::LoadSide { out, side, access };
+    let chains = [
+        vec![main(0)],
+        vec![main(0), side(1, 0, SideAccess::Cell)],
+        vec![main(0), side(1, 0, SideAccess::Cell), side(2, 1, SideAccess::Cell)],
+        vec![main(0), main(1), side(2, 0, SideAccess::Cell)],
+        vec![
+            main(0),
+            side(1, 0, SideAccess::Cell),
+            side(2, 1, SideAccess::Cell),
+            side(3, 2, SideAccess::Row),
+        ],
+    ];
+    let mut aggs = vec![CellAgg::NoAgg];
+    for op in [AggOp::Sum, AggOp::Min, AggOp::Max, AggOp::SumSq] {
+        aggs.extend([CellAgg::RowAgg(op), CellAgg::ColAgg(op), CellAgg::FullAgg(op)]);
+    }
+    for (ci, leaves) in chains.iter().enumerate() {
+        let n = leaves.len() as u16;
+        let mut instrs = leaves.clone();
+        let mut result = 0;
+        for leaf in 1..n {
+            instrs.push(Instr::Binary {
+                out: n + leaf - 1,
+                op: BinaryOp::Mult,
+                a: result,
+                b: leaf,
+            });
+            result = n + leaf - 1;
+        }
+        let prog = Program { instrs, n_regs: result.max(n - 1) + 1, vreg_lens: vec![] };
+        assert_eq!(compile_kernel(&prog).shape_class(result), ShapeClass::ProductChain);
+        for seed in [7u64, 8, 9] {
+            let inputs = random_inputs(&mut StdRng::seed_from_u64(seed + ci as u64), seed);
+            let sides: Vec<SideInput> = inputs.sides.iter().map(SideInput::bind).collect();
+            for (main, sparse_safe) in [(&inputs.dense_main, false), (&inputs.sparse_main, true)] {
+                for &agg in &aggs {
+                    let spec = CellSpec { prog: prog.clone(), result, agg, sparse_safe };
+                    let run = |backend| {
+                        cellwise::execute_with(
+                            &spec,
+                            Some(main),
+                            &sides,
+                            &inputs.scalars,
+                            inputs.rows,
+                            inputs.cols,
+                            backend,
+                        )
+                    };
+                    let (mono, block) = (run(CellBackend::Mono), run(CellBackend::Block));
+                    let what = format!(
+                        "chain {ci} {agg:?} sparse={} {}x{}",
+                        main.is_sparse(),
+                        inputs.rows,
+                        inputs.cols
+                    );
+                    if agg == CellAgg::NoAgg {
+                        common::assert_bitwise(&mono, &block, &what);
+                    } else {
+                        assert!(mono.approx_eq(&block, 1e-11), "{what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Sweeping the tile width (including widths far from the default and ones
 /// that never divide the column counts) must not change results. Widths are
 /// per-engine configuration now: each sweep point installs a fresh
@@ -276,7 +355,7 @@ fn tile_width_sweep_preserves_results() {
     );
     for width in [8, 33, 100, 256, 1024] {
         for backend in [CellBackend::Block, CellBackend::Mono] {
-            let caches = KernelCaches::with_config(16, width, backend);
+            let caches = KernelCaches::with_config(16, width);
             let _scope = fusedml_runtime::spoof::enter_kernels(&caches);
             let got = cellwise::execute_with(
                 &spec,

@@ -14,11 +14,13 @@
 //! The fault schedules are deterministic in the plan seed (decisions hash
 //! `(seed, site, draw-index)`), so a failing seed reproduces.
 
+mod common;
+
+use common::assert_roots_bitwise;
 use fusedml_hop::interp::Bindings;
 use fusedml_hop::{DagBuilder, HopDag, HopId};
 use fusedml_linalg::fault::{FaultPlan, FaultSite};
 use fusedml_linalg::generate;
-use fusedml_linalg::matrix::Value;
 use fusedml_runtime::{Engine, ExecError, FusionMode};
 use std::sync::Arc;
 
@@ -76,24 +78,6 @@ fn random_dag(seed: u64) -> (HopDag, Bindings, usize, usize) {
     (dag, bindings, rows, cols)
 }
 
-fn assert_bitwise_eq(got: &[Value], expect: &[Value], tag: &str) {
-    assert_eq!(got.len(), expect.len(), "{tag}");
-    for (i, (g, x)) in got.iter().zip(expect).enumerate() {
-        let (gm, xm) = (g.as_matrix(), x.as_matrix());
-        assert_eq!((gm.rows(), gm.cols()), (xm.rows(), xm.cols()), "{tag} root {i}");
-        for r in 0..gm.rows() {
-            for c in 0..gm.cols() {
-                assert!(
-                    gm.get(r, c).to_bits() == xm.get(r, c).to_bits(),
-                    "{tag} root {i} at ({r},{c}): {} vs {}",
-                    gm.get(r, c),
-                    xm.get(r, c)
-                );
-            }
-        }
-    }
-}
-
 /// The headline property over a fixed seed matrix: 20 fault schedules × 3
 /// fusion modes, each under a tight budget (so the spill sites actually get
 /// visited) with two workers (so panic isolation crosses threads).
@@ -130,7 +114,7 @@ fn chaos_matrix_ok_is_bitwise_err_is_clean_and_engine_survives() {
             match engine.try_execute(&dag, &bindings) {
                 Ok(out) => {
                     successes += 1;
-                    assert_bitwise_eq(out.values(), &reference, &tag);
+                    assert_roots_bitwise(out.values(), &reference, &tag);
                 }
                 Err(e) => {
                     failures += 1;
@@ -154,7 +138,7 @@ fn chaos_matrix_ok_is_bitwise_err_is_clean_and_engine_survives() {
                 let out = engine
                     .try_execute(&dag, &bindings)
                     .unwrap_or_else(|e| panic!("{tag}: fault-free re-execute {round} failed: {e}"));
-                assert_bitwise_eq(out.values(), &reference, &format!("{tag} re-exec {round}"));
+                assert_roots_bitwise(out.values(), &reference, &format!("{tag} re-exec {round}"));
                 assert_eq!(engine.store().spill_file_count(), 0, "{tag} re-exec {round}");
             }
             injected_total += plan.total_injected();
@@ -184,7 +168,7 @@ fn saturated_task_faults_always_err() {
     plan.disarm();
     let reference = Engine::new(FusionMode::Gen).execute(&dag, &bindings).into_values();
     let out = engine.try_execute(&dag, &bindings).expect("disarmed engine executes");
-    assert_bitwise_eq(out.values(), &reference, "post-saturation recovery");
+    assert_roots_bitwise(out.values(), &reference, "post-saturation recovery");
 }
 
 /// An armed plan whose rates are all zero must be invisible: `Ok`, bitwise
@@ -200,7 +184,7 @@ fn zero_rate_plan_is_invisible() {
         .build();
     let reference = Engine::new(FusionMode::Gen).execute(&dag, &bindings).into_values();
     let out = engine.try_execute(&dag, &bindings).expect("zero rates never fail");
-    assert_bitwise_eq(out.values(), &reference, "zero-rate plan");
+    assert_roots_bitwise(out.values(), &reference, "zero-rate plan");
     assert_eq!(plan.total_injected(), 0);
     assert_eq!(engine.stats().scheduler_snapshot().injected_faults, 0);
 }

@@ -10,10 +10,12 @@
 //! * two engines with different configurations coexist without sharing
 //!   pools or caches.
 
+mod common;
+
+use common::assert_roots_bitwise;
 use fusedml_hop::interp::{bind, Bindings};
 use fusedml_hop::{DagBuilder, HopDag};
 use fusedml_linalg::generate;
-use fusedml_linalg::matrix::Value;
 use fusedml_runtime::{Engine, EngineBuilder, FusionMode};
 
 /// The MLogreg-core expression (paper Expression 2) — compiles to a Row
@@ -42,25 +44,6 @@ fn mlogreg_bindings(n: usize, m: usize, k: usize, seed: u64) -> Bindings {
     ])
 }
 
-/// Bitwise equality (NaN bit patterns included).
-fn assert_bitwise_eq(got: &[Value], expect: &[Value], what: &str) {
-    assert_eq!(got.len(), expect.len(), "{what}: root count");
-    for (i, (g, x)) in got.iter().zip(expect).enumerate() {
-        let (gm, xm) = (g.as_matrix(), x.as_matrix());
-        assert_eq!((gm.rows(), gm.cols()), (xm.rows(), xm.cols()), "{what} root {i}");
-        for r in 0..gm.rows() {
-            for c in 0..gm.cols() {
-                assert!(
-                    gm.get(r, c).to_bits() == xm.get(r, c).to_bits(),
-                    "{what} root {i} at ({r},{c}): {} vs {}",
-                    gm.get(r, c),
-                    xm.get(r, c)
-                );
-            }
-        }
-    }
-}
-
 /// N threads hammer one compiled script with *distinct* bindings; every
 /// result must be bitwise-equal to the sequential oracle, and the optimizer
 /// must have run exactly once.
@@ -81,7 +64,7 @@ fn concurrent_executes_agree_bitwise_with_sequential() {
                     let expect = script.execute_sequential(&bindings);
                     for round in 0..3 {
                         let got = script.execute(&bindings);
-                        assert_bitwise_eq(
+                        assert_roots_bitwise(
                             got.values(),
                             &expect,
                             &format!("{mode:?} thread {t} round {round}"),
@@ -156,7 +139,7 @@ fn shape_revalidation_recompiles_once_per_geometry() {
     // Declared geometry: no recompile.
     let b0 = mlogreg_bindings(n, m, k, 1);
     let expect0 = script.execute_sequential(&b0);
-    assert_bitwise_eq(script.execute(&b0).values(), &expect0, "declared geometry");
+    assert_roots_bitwise(script.execute(&b0).values(), &expect0, "declared geometry");
     assert_eq!(engine.stats().plan_recompiles(), 0);
 
     // New row count: the costed plan's iteration spaces are stale — the
@@ -165,13 +148,13 @@ fn shape_revalidation_recompiles_once_per_geometry() {
     let b1 = mlogreg_bindings(big, m, k, 2);
     let expect1 = script.execute_sequential(&b1);
     for _ in 0..4 {
-        assert_bitwise_eq(script.execute(&b1).values(), &expect1, "reshaped geometry");
+        assert_roots_bitwise(script.execute(&b1).values(), &expect1, "reshaped geometry");
     }
     assert_eq!(engine.stats().plan_recompiles(), 1, "one recompile per new geometry");
     assert_eq!(script.recompiled_variants(), 1);
 
     // The original geometry still runs against the base plan.
-    assert_bitwise_eq(script.execute(&b0).values(), &expect0, "declared geometry again");
+    assert_roots_bitwise(script.execute(&b0).values(), &expect0, "declared geometry again");
     assert_eq!(engine.stats().plan_recompiles(), 1);
 }
 
@@ -195,7 +178,7 @@ fn shape_revalidation_ignores_dead_nodes() {
         ("A", generate::rand_dense(3, 8, 0.0, 1.0, 12)),
     ]);
     let expect = script.execute_sequential(&bindings);
-    assert_bitwise_eq(script.execute(&bindings).values(), &expect, "dead-node reshape");
+    assert_roots_bitwise(script.execute(&bindings).values(), &expect, "dead-node reshape");
     assert_eq!(engine.stats().plan_recompiles(), 1);
 }
 
@@ -222,7 +205,7 @@ fn engines_are_isolated() {
     // B still works independently, with its own budget.
     let out_a = a.execute(&mlogreg_dag(n, m, k), &bindings);
     let out_b = b.execute(&mlogreg_dag(n, m, k), &bindings);
-    assert_bitwise_eq(out_b.values(), out_a.values(), "engines agree on results");
+    assert_roots_bitwise(out_b.values(), out_a.values(), "engines agree on results");
     assert!(a.pool().max_bytes() != b.pool().max_bytes());
 }
 

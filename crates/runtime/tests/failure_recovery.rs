@@ -6,11 +6,13 @@
 //! results — and a poisoned request must never take down sibling serving
 //! threads.
 
+mod common;
+
+use common::assert_roots_bitwise;
 use fusedml_hop::interp::{bind, Bindings};
 use fusedml_hop::{DagBuilder, HopDag};
 use fusedml_linalg::fault::{FaultPlan, FaultSite};
 use fusedml_linalg::generate;
-use fusedml_linalg::matrix::Value;
 use fusedml_runtime::{Engine, EngineBuilder, ExecError, FusionMode};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -32,22 +34,6 @@ fn spilling_workload(rows: usize, cols: usize) -> (HopDag, Bindings) {
     let mut bindings = Bindings::new();
     bindings.insert("X".into(), generate::rand_dense(rows, cols, 0.9, 1.1, 7));
     (dag, bindings)
-}
-
-fn assert_bitwise_eq(got: &[Value], expect: &[Value], tag: &str) {
-    assert_eq!(got.len(), expect.len(), "{tag}");
-    for (i, (g, x)) in got.iter().zip(expect).enumerate() {
-        let (gm, xm) = (g.as_matrix(), x.as_matrix());
-        assert_eq!((gm.rows(), gm.cols()), (xm.rows(), xm.cols()), "{tag} root {i}");
-        for r in 0..gm.rows() {
-            for c in 0..gm.cols() {
-                assert!(
-                    gm.get(r, c).to_bits() == xm.get(r, c).to_bits(),
-                    "{tag} root {i} at ({r},{c})"
-                );
-            }
-        }
-    }
 }
 
 /// A worker panic becomes `ExecError::WorkerPanic` naming the op, and the
@@ -76,7 +62,7 @@ fn worker_panic_leaves_engine_reusable() {
 
     // The fault budget is spent: no disarm needed, the engine just works.
     let out = engine.try_execute(&dag, &bindings).expect("engine reusable after a panic");
-    assert_bitwise_eq(out.values(), &reference, "post-panic");
+    assert_roots_bitwise(out.values(), &reference, "post-panic");
     assert_eq!(engine.store().spill_file_count(), 0);
 }
 
@@ -108,7 +94,7 @@ fn spill_read_failure_leaves_engine_reusable() {
 
     plan.disarm();
     let out = engine.try_execute(&dag, &bindings).expect("engine reusable after spill I/O loss");
-    assert_bitwise_eq(out.values(), &reference, "post-spill-failure");
+    assert_roots_bitwise(out.values(), &reference, "post-spill-failure");
     assert_eq!(engine.store().spill_file_count(), 0);
 }
 
@@ -129,7 +115,7 @@ fn spill_write_failure_degrades_to_resident() {
         .verify_plans(true)
         .build();
     let out = engine.try_execute(&dag, &bindings).expect("write loss degrades, not fails");
-    assert_bitwise_eq(out.values(), &reference, "degraded run");
+    assert_roots_bitwise(out.values(), &reference, "degraded run");
     let sched = engine.stats().scheduler_snapshot();
     assert!(sched.spill_retries > 0, "writes must retry before degrading");
     assert_eq!(sched.degraded, 1, "the run records its degrade to resident-only");
@@ -178,7 +164,7 @@ fn poisoned_request_spares_sibling_threads() {
                     match script.try_execute(&bindings) {
                         Ok(out) => {
                             let expect = reference_engine.execute(dag, &bindings).into_values();
-                            assert_bitwise_eq(
+                            assert_roots_bitwise(
                                 out.values(),
                                 &expect,
                                 &format!("thread {t} request {r}"),
@@ -249,6 +235,6 @@ fn binding_defects_are_typed() {
     ]);
     let out = engine.try_execute(&dag, &good).expect("engine unaffected by rejected bindings");
     let reference = Engine::new(FusionMode::Gen).execute(&dag, &good).into_values();
-    assert_bitwise_eq(out.values(), &reference, "after rejected bindings");
+    assert_roots_bitwise(out.values(), &reference, "after rejected bindings");
     assert_eq!(script.recompiled_variants(), 0);
 }

@@ -4,7 +4,7 @@
 //! contexts, invariant hoisting, zero-copy dense side views, sparse rows
 //! over non-zeros, mv-chain fast path) must agree with the per-row
 //! interpreter (the oracle) across dense/sparse mains and sides, every
-//! `RowOut` variant, all three `RowExecMode`s, and ragged band tails
+//! `RowOut` variant, and ragged band tails
 //! (row counts that don't divide the thread-band size) — mirroring
 //! `block_vs_scalar_property.rs` for the Cell/MAgg templates.
 //!
@@ -18,7 +18,7 @@
 //! Aggregating outputs reassociate across non-zeros and bands, so results
 //! agree to 1e-9; elementwise (NoAgg) rows agree to 1e-11.
 
-use fusedml_core::spoof::{Instr, Program, RowExecMode, RowOut, RowSpec, SideAccess};
+use fusedml_core::spoof::{Instr, Program, RowOut, RowSpec, SideAccess};
 use fusedml_linalg::ops::{AggOp, BinaryOp, TernaryOp, UnaryOp};
 use fusedml_linalg::{generate, Matrix};
 use fusedml_runtime::side::SideInput;
@@ -277,9 +277,7 @@ fn row_block_backend_matches_interpreter_on_random_programs() {
         let prog =
             Program { instrs: g.instrs.clone(), n_regs: g.n_sregs, vreg_lens: g.vreg_lens.clone() };
         let sides: Vec<SideInput> = inputs.sides.iter().map(SideInput::bind).collect();
-        let mode = [RowExecMode::Vectorized, RowExecMode::Inlined, RowExecMode::InterpretedNoJit]
-            [seed as usize % 3];
-        let spec = RowSpec { prog, out, out_rows, out_cols, exec_mode: mode };
+        let spec = RowSpec { prog, out, out_rows, out_cols };
         let tol = if matches!(spec.out, RowOut::NoAgg { .. }) { 1e-11 } else { 1e-9 };
         for main in [&inputs.dense_main, &inputs.sparse_main] {
             let oracle =
@@ -288,10 +286,9 @@ fn row_block_backend_matches_interpreter_on_random_programs() {
                 rowwise::execute_with(&spec, main, &sides, &inputs.scalars, RowBackend::Block);
             assert!(
                 got.approx_eq(&oracle, tol),
-                "seed {seed}: block diverges from interpreter (out {:?}, mode {:?}, \
+                "seed {seed}: block diverges from interpreter (out {:?}, \
                  sparse={}, {}x{}, prog {:?})",
                 spec.out,
-                mode,
                 main.is_sparse(),
                 sh.n,
                 sh.m,
@@ -301,13 +298,13 @@ fn row_block_backend_matches_interpreter_on_random_programs() {
     }
 }
 
-/// The mv-chain fast path (Vectorized) and the generic body (other modes)
-/// must agree with each other and the oracle on the mlogreg-style pattern
-/// `t(X) %*% (w ⊙ (X %*% v))` — dense and sparse X, dense and sparse v.
+/// The mv-chain shape must agree with the oracle on the mlogreg-style
+/// pattern `t(X) %*% (w ⊙ (X %*% v))` — dense and sparse X, dense and
+/// sparse v.
 #[test]
 fn mlogreg_pattern_all_modes_and_densities_agree() {
     let (n, m) = (211, 37); // ragged everywhere
-    let spec = |mode| RowSpec {
+    let spec = RowSpec {
         prog: Program {
             instrs: vec![
                 Instr::LoadMainRow { out: 0 },
@@ -322,7 +319,6 @@ fn mlogreg_pattern_all_modes_and_densities_agree() {
         out: RowOut::ColAggMultAdd { vec: 0, scalar: 2 },
         out_rows: m,
         out_cols: 1,
-        exec_mode: mode,
     };
     let w = generate::rand_dense(n, 1, 0.1, 1.0, 3);
     for x in
@@ -333,24 +329,14 @@ fn mlogreg_pattern_all_modes_and_densities_agree() {
             generate::rand_matrix(m, 1, -1.0, 1.0, 0.5, 5),
         ] {
             let sides = [SideInput::bind(&v), SideInput::bind(&w)];
-            let oracle = rowwise::execute_with(
-                &spec(RowExecMode::Vectorized),
-                &x,
-                &sides,
-                &[],
-                RowBackend::Interp,
+            let oracle = rowwise::execute_with(&spec, &x, &sides, &[], RowBackend::Interp);
+            let got = rowwise::execute_with(&spec, &x, &sides, &[], RowBackend::Block);
+            assert!(
+                got.approx_eq(&oracle, 1e-9),
+                "sparse_x={}, sparse_v={}",
+                x.is_sparse(),
+                v.is_sparse()
             );
-            for mode in
-                [RowExecMode::Vectorized, RowExecMode::Inlined, RowExecMode::InterpretedNoJit]
-            {
-                let got = rowwise::execute_with(&spec(mode), &x, &sides, &[], RowBackend::Block);
-                assert!(
-                    got.approx_eq(&oracle, 1e-9),
-                    "mode {mode:?}, sparse_x={}, sparse_v={}",
-                    x.is_sparse(),
-                    v.is_sparse()
-                );
-            }
         }
     }
 }
@@ -370,12 +356,9 @@ fn tile_edge_row_counts() -> Vec<usize> {
     ns
 }
 
-const MODES: [RowExecMode; 3] =
-    [RowExecMode::Vectorized, RowExecMode::Inlined, RowExecMode::InterpretedNoJit];
-
 /// `X %*% V` per row (`V` is side 0, `m×k`) under each output variant; the
 /// last two read a row-aligned `n×(k+2)` side 1 from column 2 on.
-fn vmm_spec(m: usize, k: usize, out: usize, mode: RowExecMode) -> RowSpec {
+fn vmm_spec(m: usize, k: usize, out: usize) -> RowSpec {
     let mut instrs =
         vec![Instr::LoadMainRow { out: 0 }, Instr::VecMatMult { out: 1, a: 0, side: 0 }];
     let mut vreg_lens = vec![m, k];
@@ -411,19 +394,13 @@ fn vmm_spec(m: usize, k: usize, out: usize, mode: RowExecMode) -> RowSpec {
             (RowOut::NoAgg { src: 3 }, 0, k, 0)
         }
     };
-    RowSpec {
-        prog: Program { instrs, n_regs, vreg_lens },
-        out,
-        out_rows,
-        out_cols,
-        exec_mode: mode,
-    }
+    RowSpec { prog: Program { instrs, n_regs, vreg_lens }, out, out_rows, out_cols }
 }
 
 const VMM_OUTS: usize = 8;
 
-fn check_vmm(n: usize, m: usize, k: usize, out: usize, mode: RowExecMode) {
-    let mut spec = vmm_spec(m, k, out, mode);
+fn check_vmm(n: usize, m: usize, k: usize, out: usize) {
+    let mut spec = vmm_spec(m, k, out);
     if spec.out_rows == 0 {
         spec.out_rows = n;
     }
@@ -443,7 +420,7 @@ fn check_vmm(n: usize, m: usize, k: usize, out: usize, mode: RowExecMode) {
             let tol = if matches!(spec.out, RowOut::NoAgg { .. }) { 1e-11 } else { 1e-9 };
             assert!(
                 got.approx_eq(&oracle, tol),
-                "n={n} m={m} k={k} out={:?} mode={mode:?} sparse_x={} sparse_v={}",
+                "n={n} m={m} k={k} out={:?} sparse_x={} sparse_v={}",
                 spec.out,
                 x.is_sparse(),
                 v.is_sparse()
@@ -453,12 +430,12 @@ fn check_vmm(n: usize, m: usize, k: usize, out: usize, mode: RowExecMode) {
 }
 
 /// Every output variant at every tile-edge row count, dense and sparse main
-/// × dense and sparse `VecMatMult` side, the three modes in rotation.
+/// × dense and sparse `VecMatMult` side.
 #[test]
 fn tile_edges_agree_for_every_output_and_format() {
-    for (i, &n) in tile_edge_row_counts().iter().enumerate() {
+    for n in tile_edge_row_counts() {
         for out in 0..VMM_OUTS {
-            check_vmm(n, 13, 3, out, MODES[(i + out) % 3]);
+            check_vmm(n, 13, 3, out);
         }
     }
 }
@@ -468,10 +445,10 @@ fn tile_edges_agree_for_every_output_and_format() {
 /// a ragged tile and two tiles and a tail.
 #[test]
 fn panel_widths_agree_across_tile_heights() {
-    for (i, k) in [1, 2, 3, 4, 5, 8, 9, 64, 100].into_iter().enumerate() {
+    for k in [1, 2, 3, 4, 5, 8, 9, 64, 100] {
         for n in [1, RB + 1, 2 * RB + 3] {
             for out in [0, 4, 6, 7] {
-                check_vmm(n, 11, k, out, MODES[(i + out) % 3]);
+                check_vmm(n, 11, k, out);
             }
         }
     }
@@ -484,7 +461,7 @@ fn panel_widths_agree_across_tile_heights() {
 fn autoencoder_chain_multiplies_non_main_registers() {
     let (m, h1, h2) = (10, 64, 2);
     let sig = |out, a| Instr::VecUnary { out, op: UnaryOp::Sigmoid, a };
-    let spec = |n, mode| RowSpec {
+    let spec = |n| RowSpec {
         prog: Program {
             instrs: vec![
                 Instr::LoadMainRow { out: 0 },
@@ -501,9 +478,8 @@ fn autoencoder_chain_multiplies_non_main_registers() {
         out: RowOut::NoAgg { src: 6 },
         out_rows: n,
         out_cols: m,
-        exec_mode: mode,
     };
-    for (i, &n) in tile_edge_row_counts().iter().enumerate() {
+    for n in tile_edge_row_counts() {
         let x = generate::rand_dense(n, m, 0.0, 1.0, n as u64);
         for sparse_w in [false, true] {
             let w = |r, c, s| match sparse_w {
@@ -512,10 +488,9 @@ fn autoencoder_chain_multiplies_non_main_registers() {
             };
             let ws = [w(m, h1, 1), w(h1, h2, 2), w(h2, m, 3)];
             let sides: Vec<SideInput> = ws.iter().map(SideInput::bind).collect();
-            let mode = MODES[(i + usize::from(sparse_w)) % 3];
-            let oracle = rowwise::execute_with(&spec(n, mode), &x, &sides, &[], RowBackend::Interp);
-            let got = rowwise::execute_with(&spec(n, mode), &x, &sides, &[], RowBackend::Block);
-            assert!(got.approx_eq(&oracle, 1e-11), "n={n} mode={mode:?} sparse_w={sparse_w}");
+            let oracle = rowwise::execute_with(&spec(n), &x, &sides, &[], RowBackend::Interp);
+            let got = rowwise::execute_with(&spec(n), &x, &sides, &[], RowBackend::Block);
+            assert!(got.approx_eq(&oracle, 1e-11), "n={n} sparse_w={sparse_w}");
         }
     }
 }

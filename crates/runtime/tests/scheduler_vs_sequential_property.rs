@@ -6,6 +6,9 @@
 //! `FusionMode` — and the tracked peak footprint must never exceed the
 //! hold-everything sum of all materialized values.
 
+mod common;
+
+use common::assert_roots_bitwise;
 use fusedml_hop::interp::Bindings;
 use fusedml_hop::{DagBuilder, HopDag, HopId};
 use fusedml_linalg::generate;
@@ -72,32 +75,6 @@ fn build(e: &RandomDag) -> (HopDag, Bindings) {
     (dag, bindings)
 }
 
-/// Bitwise equality of two value lists (NaNs must match bit patterns too).
-fn assert_bitwise_eq(got: &[Value], expect: &[Value], mode: FusionMode, ops: &[u8]) {
-    assert_eq!(got.len(), expect.len());
-    for (i, (g, x)) in got.iter().zip(expect).enumerate() {
-        match (g, x) {
-            (Value::Scalar(a), Value::Scalar(b)) => {
-                assert!(a.to_bits() == b.to_bits(), "{mode:?} root {i}: {a} vs {b} (ops {ops:?})");
-            }
-            _ => {
-                let (gm, xm) = (g.as_matrix(), x.as_matrix());
-                assert_eq!((gm.rows(), gm.cols()), (xm.rows(), xm.cols()), "{mode:?} root {i}");
-                for r in 0..gm.rows() {
-                    for c in 0..gm.cols() {
-                        assert!(
-                            gm.get(r, c).to_bits() == xm.get(r, c).to_bits(),
-                            "{mode:?} root {i} at ({r},{c}): {} vs {} (ops {ops:?})",
-                            gm.get(r, c),
-                            xm.get(r, c)
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -115,7 +92,7 @@ proptest! {
             let script = exec.compile(&dag);
             let expect = script.execute_sequential(&bindings);
             let got = script.execute(&bindings).into_values();
-            assert_bitwise_eq(&got, &expect, mode, &e.ops);
+            assert_roots_bitwise(&got, &expect, &format!("{mode:?} (ops {:?})", e.ops));
             // The liveness-tracked peak can never exceed the hold-everything
             // resident set (inputs + every materialized intermediate).
             let sched = exec.stats().scheduler_snapshot();
@@ -184,7 +161,7 @@ fn independent_branches_run_in_parallel() {
     let script = exec.compile(&dag);
     let base = script.execute_sequential(&bindings);
     let got = script.execute(&bindings).into_values();
-    assert_bitwise_eq(&got, &base, FusionMode::Base, &[]);
+    assert_roots_bitwise(&got, &base, "Base");
     let sched = exec.stats().scheduler_snapshot();
     assert!(sched.parallel_ops > 0, "independent branches must overlap");
 }
@@ -204,7 +181,7 @@ fn sparse_roots_keep_format() {
     let script = exec.compile(&dag);
     let seq = script.execute_sequential(&bindings);
     let got = script.execute(&bindings).into_values();
-    assert_bitwise_eq(&got, &seq, FusionMode::Base, &[]);
+    assert_roots_bitwise(&got, &seq, "Base");
     match (&got[0], &seq[0]) {
         (Value::Matrix(a), Value::Matrix(b)) => assert_eq!(a.is_sparse(), b.is_sparse()),
         _ => panic!("matrix roots expected"),

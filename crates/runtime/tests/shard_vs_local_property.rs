@@ -22,6 +22,9 @@
 //! * the planner picks **local for small** and **sharded for large**
 //!   operators (the plan-choice pin for the cost-model integration).
 
+mod common;
+
+use common::bits_eq;
 use fusedml_hop::interp::Bindings;
 use fusedml_hop::{DagBuilder, HopDag, HopId};
 use fusedml_linalg::generate;
@@ -101,7 +104,7 @@ fn assert_shard_eq(got: &[Value], expect: &[Value], main_rows: usize, tag: &str)
                 let (a, b) = (gm.get(r, c), xm.get(r, c));
                 if map_class {
                     assert!(
-                        a.to_bits() == b.to_bits(),
+                        bits_eq(a, b),
                         "{tag} map-class root {i} at ({r},{c}): {a} vs {b} must be bitwise"
                     );
                 } else {

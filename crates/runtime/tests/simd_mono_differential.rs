@@ -4,14 +4,18 @@
 //! `fusedml_linalg::simd` (DESIGN.md substitution X10):
 //!
 //! * **Map-class** work (elementwise NoAgg results) must be **bitwise
-//!   identical** across the scalar interpreter, the generic tile backend,
-//!   the closure-specialized backend, and the monomorphized backend — no
-//!   FMA contraction, no reassociation. This holds through NaN, ±0.0, and
-//!   ±∞ inputs and through every ragged tail length `n % 8 ∈ {0..7}`.
+//!   identical** across the scalar interpreter, the generic tile backend
+//!   and the monomorphized backend — no FMA contraction, no reassociation.
+//!   This holds through ±0.0 and ±∞ inputs, through NaN (any NaN equals any
+//!   NaN: `common::assert_bitwise`), and through every ragged tail length
+//!   `n % 8 ∈ {0..7}`.
 //! * **Reduction-class** work (aggregates) may reassociate lane/chunk sums
 //!   (backend-defined association), but must agree with the scalar oracle
 //!   to 1e-12 relative per tile chain; we assert 1e-11 end-to-end.
 
+mod common;
+
+use common::assert_bitwise;
 use fusedml_core::spoof::block::CellBackend;
 use fusedml_core::spoof::mono::{classify, ShapeClass};
 use fusedml_core::spoof::{block, CellAgg, CellSpec, Instr, Program, SideAccess};
@@ -75,15 +79,6 @@ fn run(
     backend: CellBackend,
 ) -> Matrix {
     cellwise::execute_with(spec, Some(main), sides, scalars, main.rows(), main.cols(), backend)
-}
-
-fn assert_bitwise(a: &Matrix, b: &Matrix, what: &str) {
-    let (ad, bd) = (a.to_dense(), b.to_dense());
-    assert_eq!(ad.rows(), bd.rows(), "{what}: row mismatch");
-    assert_eq!(ad.cols(), bd.cols(), "{what}: col mismatch");
-    for (i, (x, y)) in ad.values().iter().zip(bd.values()).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{what}: cell {i} differs bitwise ({x:?} vs {y:?})");
-    }
 }
 
 fn assert_close(a: &Matrix, b: &Matrix, tol: f64, what: &str) {

@@ -7,10 +7,12 @@
 //! exactly 0 under the loose one) and the engine-owned temp files must be
 //! gone when the `Engine` drops.
 
+mod common;
+
+use common::assert_roots_bitwise;
 use fusedml_hop::interp::Bindings;
 use fusedml_hop::{DagBuilder, HopDag, HopId};
 use fusedml_linalg::generate;
-use fusedml_linalg::matrix::Value;
 use fusedml_runtime::{Engine, FusionMode};
 use proptest::prelude::*;
 
@@ -78,31 +80,6 @@ fn tight_engine(mode: FusionMode, rows: usize, cols: usize) -> Engine {
     Engine::builder(mode).memory_budget(2 * 8 * rows * cols).workers(1).build()
 }
 
-fn assert_bitwise_eq(got: &[Value], expect: &[Value], mode: FusionMode, ops: &[u8]) {
-    assert_eq!(got.len(), expect.len());
-    for (i, (g, x)) in got.iter().zip(expect).enumerate() {
-        match (g, x) {
-            (Value::Scalar(a), Value::Scalar(b)) => {
-                assert!(a.to_bits() == b.to_bits(), "{mode:?} root {i}: {a} vs {b} (ops {ops:?})");
-            }
-            _ => {
-                let (gm, xm) = (g.as_matrix(), x.as_matrix());
-                assert_eq!((gm.rows(), gm.cols()), (xm.rows(), xm.cols()), "{mode:?} root {i}");
-                for r in 0..gm.rows() {
-                    for c in 0..gm.cols() {
-                        assert!(
-                            gm.get(r, c).to_bits() == xm.get(r, c).to_bits(),
-                            "{mode:?} root {i} at ({r},{c}): {} vs {} (ops {ops:?})",
-                            gm.get(r, c),
-                            xm.get(r, c)
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -120,7 +97,7 @@ proptest! {
 
             let tight = tight_engine(mode, e.rows, e.cols);
             let got = tight.execute(&dag, &bindings).into_values();
-            assert_bitwise_eq(&got, &expect, mode, &e.ops);
+            assert_roots_bitwise(&got, &expect, &format!("{mode:?} (ops {:?})", e.ops));
             if mode == FusionMode::Base {
                 // Every op materializes in Base mode, so the shared
                 // intermediate must have been evicted and faulted back.
@@ -163,7 +140,7 @@ fn deterministic_chain_spills_and_reloads_everything() {
     let budget = 2 * 8 * rows * cols + 8 * rows * cols / 2; // 2.5 values
     let tight = Engine::builder(FusionMode::Base).memory_budget(budget).workers(1).build();
     let got = tight.execute(&dag, &bindings).into_values();
-    assert_bitwise_eq(&got, &expect, FusionMode::Base, &[]);
+    assert_roots_bitwise(&got, &expect, "Base");
 
     let sched = tight.stats().scheduler_snapshot();
     assert!(sched.spilled_bytes > 0, "anchor must spill under a 2.5-value budget");

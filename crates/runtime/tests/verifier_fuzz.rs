@@ -7,10 +7,12 @@
 //! and spot-checks that verified plans still execute bitwise-identically to
 //! the sequential oracle.
 
+mod common;
+
+use common::assert_roots_bitwise;
 use fusedml_hop::interp::Bindings;
 use fusedml_hop::{DagBuilder, HopDag, HopId};
 use fusedml_linalg::generate;
-use fusedml_linalg::matrix::Value;
 use fusedml_runtime::{EngineBuilder, FusionMode};
 
 const MODES: [FusionMode; 5] =
@@ -225,29 +227,7 @@ fn verified_plans_execute_bitwise_equal() {
             let script = engine.compile(&dag);
             let expect = script.execute_sequential(&bindings);
             let got = script.execute(&bindings).into_values();
-            assert_eq!(got.len(), expect.len(), "seed {seed} {mode:?}");
-            for (i, (g, x)) in got.iter().zip(&expect).enumerate() {
-                match (g, x) {
-                    (Value::Scalar(a), Value::Scalar(b)) => {
-                        assert!(
-                            a.to_bits() == b.to_bits(),
-                            "seed {seed} {mode:?} root {i}: {a} vs {b}"
-                        );
-                    }
-                    _ => {
-                        let (gm, xm) = (g.as_matrix(), x.as_matrix());
-                        assert_eq!((gm.rows(), gm.cols()), (xm.rows(), xm.cols()));
-                        for r in 0..gm.rows() {
-                            for c in 0..gm.cols() {
-                                assert!(
-                                    gm.get(r, c).to_bits() == xm.get(r, c).to_bits(),
-                                    "seed {seed} {mode:?} root {i} at ({r},{c})"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
+            assert_roots_bitwise(&got, &expect, &format!("seed {seed} {mode:?}"));
         }
     }
 }

@@ -9,14 +9,16 @@
 use std::sync::Arc;
 
 use fusedml_core::optimizer::{optimize, FusionPlan};
-use fusedml_core::spoof::block::compile_row_kernel;
-use fusedml_core::spoof::{FusedSpec, Instr, Program, RowExecMode, RowOut, RowSpec};
+use fusedml_core::spoof::block::{compile_kernel, compile_row_kernel, Opnd};
+use fusedml_core::spoof::mono::MonoKernel;
+use fusedml_core::spoof::{FusedSpec, Instr, Program, RowOut, RowSpec, SideAccess};
 use fusedml_hop::liveness::{self, Liveness};
 use fusedml_hop::{DagBuilder, HopDag, HopId};
-use fusedml_linalg::ops::{AggOp, UnaryOp};
+use fusedml_linalg::ops::{AggOp, BinaryOp, UnaryOp};
 use fusedml_runtime::schedule::{self, TaskGraph};
 use fusedml_runtime::verify::{
-    check_residency_trace, check_row_kernel, verify_compiled, SlotState, SlotTransition,
+    check_mono_shapes, check_residency_trace, check_row_kernel, verify_compiled, SlotState,
+    SlotTransition,
 };
 use fusedml_runtime::{FusionMode, VerifyError};
 
@@ -260,7 +262,6 @@ fn dense_main_row_spec(n: usize, m: usize) -> RowSpec {
         out: RowOut::RowAgg { src: 0 },
         out_rows: n,
         out_cols: 1,
-        exec_mode: RowExecMode::Vectorized,
     }
 }
 
@@ -287,6 +288,30 @@ fn row_kernel_hoisted_main_load_rejected() {
     kernel.invariant.insert(0, Instr::LoadMainRow { out: 0 });
     let err = check_row_kernel(0, &spec, &[], &kernel).unwrap_err();
     assert!(matches!(err, VerifyError::NotLoopInvariant { .. }), "got {err:?}");
+}
+
+/// Corruption 16 — a block kernel whose stored mono kernel is not the one
+/// its block program classifies into: `X ⊙ Y` is a product chain, and the
+/// two-leaf map template stored in its place would run a different loop
+/// than the one the shape class reports.
+#[test]
+fn mono_shape_mismatch_rejected() {
+    let prog = Program {
+        instrs: vec![
+            Instr::LoadMain { out: 0 },
+            Instr::LoadSide { out: 1, side: 0, access: SideAccess::Cell },
+            Instr::Binary { out: 2, op: BinaryOp::Mult, a: 0, b: 1 },
+        ],
+        n_regs: 3,
+        vreg_lens: vec![],
+    };
+    let mut kernel = compile_kernel(&prog);
+    assert!(matches!(kernel.mono_for(2), Some(MonoKernel::Product { .. })));
+    check_mono_shapes(0, &kernel, &[2]).expect("honest kernel verifies");
+    kernel.mono[2] =
+        Some(MonoKernel::Map2 { op: BinaryOp::Mult, a: Opnd::Main, b: Opnd::Gather(0) });
+    let err = check_mono_shapes(0, &kernel, &[2]).unwrap_err();
+    assert!(matches!(err, VerifyError::MonoShapeMismatch { .. }), "got {err:?}");
 }
 
 /// The corrupted-artifact rejection also surfaces through the public

@@ -16,7 +16,7 @@
 //!   table, CPlans, code generation, cost model and `MPSkipEnum`,
 //! * [`runtime`] — the engine API (`EngineBuilder` → `Engine::compile` →
 //!   `CompiledScript`), fused-operator skeletons, the scheduled executor,
-//!   and the simulated distributed backend,
+//!   and the sharded multi-worker runtime,
 //! * [`algos`] — the six ML algorithms of the paper's evaluation.
 //!
 //! The README quickstart, compile-checked:

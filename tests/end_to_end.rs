@@ -152,26 +152,3 @@ fn cla_integration() {
     let cla = fusedml::cla::ops::sum_sq(&cm);
     assert!(fusedml::linalg::approx_eq(ula, cla, 1e-9));
 }
-
-/// Distributed simulation agrees numerically with local execution.
-#[test]
-fn distributed_simulation_integration() {
-    use fusedml::runtime::dist::{execute_dist, SimCluster};
-    let mut b = DagBuilder::new();
-    let x = b.read("X", 5_000, 100, 1.0);
-    let w = b.read("w", 100, 1, 1.0);
-    let xw = b.mm(x, w);
-    let sq = b.sq(xw);
-    let s = b.sum(sq);
-    let dag = b.build(vec![s]);
-    let bindings = bind(&[
-        ("X", generate::rand_dense(5_000, 100, -1.0, 1.0, 14)),
-        ("w", generate::rand_dense(100, 1, -1.0, 1.0, 15)),
-    ]);
-    let local = Engine::new(FusionMode::Gen).execute(&dag, &bindings)[0].as_scalar();
-    let exec = Engine::new(FusionMode::Gen);
-    let cluster = SimCluster { local_budget: 1e6, ..SimCluster::default() };
-    let (outs, report) = execute_dist(&exec, &dag, &bindings, &cluster);
-    assert!(fusedml::linalg::approx_eq(outs[0].as_scalar(), local, 1e-9));
-    assert!(report.sim_seconds > 0.0);
-}
