@@ -13,8 +13,8 @@
 //! Data sizes are scaled down from the paper by a documented factor (the
 //! harness runs on one machine); the reproduction target is the *shape* of
 //! each series — who wins, by roughly what factor, where crossovers fall.
-//! See BENCH_NOTES.md (repo root) for the recorded baseline and
-//! reproduction instructions.
+//! See BENCH_NOTES.md (repo root) for the recorded measurements and
+//! reproduction instructions (BENCH_NOTES_ARCHIVE.md for the first baseline).
 
 pub mod experiments;
 pub mod report;

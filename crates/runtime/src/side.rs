@@ -7,8 +7,9 @@
 use fusedml_core::spoof::SideAccess;
 use fusedml_linalg::{DenseMatrix, Matrix, SparseMatrix};
 
-/// A bound side input. Dense sides expose direct indexing; sparse sides use
-/// per-row binary search with a cursor cache for sequential scans.
+/// A bound side input. Dense sides expose direct indexing; a sparse side
+/// answers a point read with a binary search of its CSR row (the tile path
+/// densifies whole rows instead wherever it reads one more than once).
 pub enum SideInput {
     Dense(std::sync::Arc<DenseMatrix>),
     Sparse(std::sync::Arc<SparseMatrix>),

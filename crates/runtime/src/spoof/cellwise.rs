@@ -3,19 +3,14 @@
 //! register program, with no-agg / row-agg / col-agg / full-agg variants
 //! (paper Table 1, Figure 4).
 //!
-//! Two backends share every variant: the **block backend** (default)
-//! evaluates the tile-vectorized [`fusedml_core::spoof::block`] lowering of
-//! the program — the result register's [`MonoKernel`] where it has one, the
-//! tile interpreter otherwise — while the **scalar backend** interprets the
-//! program per cell and is retained as the differential-test oracle.
+//! The block backend (default) is one `tiles::CellPass` and the sink of the
+//! aggregation variant; the per-cell scalar interpreter below is retained as
+//! the differential-test oracle.
 
 use crate::side::SideInput;
-use crate::spoof::tiles::{self, MainReader, TileRunner};
-use fusedml_core::spoof::block::{
-    fold_result, write_result, BlockKernel, BlockProgram, CellBackend, OpRef, TileSrc,
-};
-use fusedml_core::spoof::mono::MonoKernel;
-use fusedml_core::spoof::{eval_scalar_program, CellAgg, CellSpec, Reg, SideAccess};
+use crate::spoof::tiles::CellPass;
+use fusedml_core::spoof::block::CellBackend;
+use fusedml_core::spoof::{eval_scalar_program, CellAgg, CellSpec, SideAccess};
 use fusedml_linalg::ops::AggOp;
 use fusedml_linalg::{par, pool, DenseMatrix, Matrix, SparseMatrix};
 
@@ -45,25 +40,57 @@ pub fn execute_with(
     iter_cols: usize,
     backend: CellBackend,
 ) -> Matrix {
-    if backend != CellBackend::Scalar {
-        let caches = super::kernels();
-        let kernel = caches.block.get_or_lower(&spec.prog);
-        if tiles::supported(&kernel) {
-            let mono = kernel.mono_for(spec.result).filter(|_| backend == CellBackend::Mono);
-            let width = caches.tile_width;
-            return match (main, spec.sparse_safe) {
-                (Some(Matrix::Sparse(s)), true) => {
-                    block_sparse_exec(spec, &kernel, mono, width, s, sides, scalars)
+    let (rows, cols) = (iter_rows, iter_cols);
+    let regs = [spec.result];
+    let Some(pass) = CellPass::new(
+        &spec.prog,
+        &regs,
+        backend,
+        main,
+        sides,
+        scalars,
+        rows,
+        cols,
+        spec.sparse_safe,
+        None,
+    ) else {
+        return match (main, spec.sparse_safe) {
+            (Some(Matrix::Sparse(s)), true) => sparse_safe_exec(spec, s, sides, scalars),
+            (m, _) => dense_exec(spec, m, sides, scalars, rows, cols),
+        };
+    };
+    // Pseudo-sparse-safe aggregation: a CSR pass has not folded the implicit
+    // zeros (which map to zero under sparse-safety) that min/max must observe.
+    let unseen_zeros = |op: AggOp, seen: usize, of: usize| !op.sparse_safe() && seen < of;
+    match spec.agg {
+        CellAgg::NoAgg => pass.no_agg(),
+        CellAgg::RowAgg(op) => {
+            let mut out = pass.row_agg(op);
+            for (r, slot) in out.iter_mut().enumerate() {
+                if pass.csr().is_some_and(|x| unseen_zeros(op, x.row_nnz(r), cols)) {
+                    *slot = op.fold(*slot, 0.0);
                 }
-                (m, _) => block_dense_exec(
-                    spec, &kernel, mono, width, m, sides, scalars, iter_rows, iter_cols,
-                ),
-            };
+                *slot = finalize(op, *slot, cols);
+            }
+            Matrix::dense(DenseMatrix::new(rows, 1, out))
         }
-    }
-    match (main, spec.sparse_safe) {
-        (Some(Matrix::Sparse(s)), true) => sparse_safe_exec(spec, s, sides, scalars),
-        (m, _) => dense_exec(spec, m, sides, scalars, iter_rows, iter_cols),
+        CellAgg::ColAgg(op) => {
+            let (mut acc, counts) = pass.col_agg(op);
+            for (slot, &seen) in acc.iter_mut().zip(&counts) {
+                if unseen_zeros(op, seen, rows) {
+                    *slot = op.fold(*slot, 0.0);
+                }
+                *slot = finalize(op, *slot, rows);
+            }
+            Matrix::dense(DenseMatrix::new(1, cols, acc))
+        }
+        CellAgg::FullAgg(op) => {
+            let mut acc = pass.full(&[op])[0];
+            if pass.csr().is_some_and(|x| unseen_zeros(op, x.nnz(), rows * cols)) {
+                acc = op.fold(acc, 0.0);
+            }
+            Matrix::dense(DenseMatrix::filled(1, 1, finalize(op, acc, rows * cols)))
+        }
     }
 }
 
@@ -74,398 +101,6 @@ fn finalize(op: AggOp, acc: f64, count: usize) -> f64 {
         acc / count as f64
     } else {
         acc
-    }
-}
-
-// ===========================================================================
-// Block backend
-// ===========================================================================
-
-/// Shared per-tile fold logic: the result register's monomorphized kernel
-/// where it has one, generic body evaluation otherwise.
-struct CellFold<'k> {
-    bp: &'k BlockProgram,
-    result: Reg,
-    mono: Option<&'k MonoKernel>,
-    op: AggOp,
-}
-
-impl<'k> CellFold<'k> {
-    fn dense(
-        &self,
-        tr: &mut TileRunner<'_, '_>,
-        m: TileSrc<'_>,
-        r: usize,
-        c0: usize,
-        n: usize,
-        acc: f64,
-    ) -> f64 {
-        let zero = TileSrc::Const(0.0);
-        match self.mono {
-            Some(mk) => tr.dense_tile(m, zero, r, c0, n, false, |ev, ctx, n| {
-                mk.fold(self.op, acc, ev, ctx, n)
-            }),
-            None => tr.dense_tile(m, zero, r, c0, n, true, |ev, ctx, n| {
-                fold_result(self.op, acc, ev.value_of(self.bp, self.result, ctx, n), n)
-            }),
-        }
-    }
-
-    fn sparse(
-        &self,
-        tr: &mut TileRunner<'_, '_>,
-        vals: &[f64],
-        r: usize,
-        cols: &[usize],
-        acc: f64,
-    ) -> f64 {
-        let (m, zero) = (TileSrc::Slice(vals), TileSrc::Const(0.0));
-        match self.mono {
-            Some(mk) => tr.sparse_tile(m, zero, r, cols, false, |ev, ctx, n| {
-                mk.fold(self.op, acc, ev, ctx, n)
-            }),
-            None => tr.sparse_tile(m, zero, r, cols, true, |ev, ctx, n| {
-                fold_result(self.op, acc, ev.value_of(self.bp, self.result, ctx, n), n)
-            }),
-        }
-    }
-}
-
-/// Evaluates one tile into `dst` (NoAgg outputs and scatter folds).
-#[allow(clippy::too_many_arguments)] // mirrors the skeleton calling convention
-fn eval_tile_into(
-    tr: &mut TileRunner<'_, '_>,
-    bp: &BlockProgram,
-    result: Reg,
-    mono: Option<&MonoKernel>,
-    m: TileSrc<'_>,
-    r: usize,
-    pos: TilePos<'_>,
-    dst: &mut [f64],
-) {
-    let zero = TileSrc::Const(0.0);
-    match (mono, pos) {
-        (Some(mk), TilePos::Dense(c0)) => {
-            tr.dense_tile(m, zero, r, c0, dst.len(), false, |ev, ctx, n| {
-                mk.map_into(ev, ctx, n, dst)
-            })
-        }
-        (None, TilePos::Dense(c0)) => {
-            tr.dense_tile(m, zero, r, c0, dst.len(), true, |ev, ctx, n| {
-                write_result(ev.value_of(bp, result, ctx, n), dst)
-            })
-        }
-        (Some(mk), TilePos::Sparse(cols)) => {
-            tr.sparse_tile(m, zero, r, cols, false, |ev, ctx, n| mk.map_into(ev, ctx, n, dst))
-        }
-        (None, TilePos::Sparse(cols)) => tr.sparse_tile(m, zero, r, cols, true, |ev, ctx, n| {
-            write_result(ev.value_of(bp, result, ctx, n), dst)
-        }),
-    }
-}
-
-/// Tile position: a dense column offset or scattered column indices.
-#[derive(Clone, Copy)]
-enum TilePos<'a> {
-    Dense(usize),
-    Sparse(&'a [usize]),
-}
-
-#[allow(clippy::too_many_arguments)]
-fn block_dense_exec(
-    spec: &CellSpec,
-    kernel: &BlockKernel,
-    mono: Option<&MonoKernel>,
-    width: usize,
-    main: Option<&Matrix>,
-    sides: &[SideInput],
-    scalars: &[f64],
-    rows: usize,
-    cols: usize,
-) -> Matrix {
-    let bp = &kernel.block;
-    match spec.agg {
-        CellAgg::NoAgg => {
-            let mut out = pool::take_zeroed(rows * cols);
-            par::par_row_bands_mut(&mut out, rows, cols.max(1), cols.max(1) * 4, |r0, band| {
-                let mut tr = TileRunner::new(kernel, sides, scalars, cols, width);
-                let mut mr = MainReader::new(main, cols);
-                for (i, orow) in band.chunks_exact_mut(cols.max(1)).enumerate() {
-                    let r = r0 + i;
-                    tr.begin_row_dense(r);
-                    let row_src = mr.row(r);
-                    let mut c0 = 0;
-                    while c0 < cols {
-                        let n = width.min(cols - c0);
-                        let m = tiles::sub_tile(row_src, c0, n);
-                        let dst = &mut orow[c0..c0 + n];
-                        eval_tile_into(
-                            &mut tr,
-                            bp,
-                            spec.result,
-                            mono,
-                            m,
-                            r,
-                            TilePos::Dense(c0),
-                            dst,
-                        );
-                        c0 += n;
-                    }
-                }
-            });
-            Matrix::dense(DenseMatrix::new(rows, cols, out))
-        }
-        CellAgg::RowAgg(op) => {
-            let fold = CellFold { bp, result: spec.result, mono, op };
-            let mut out = pool::take_zeroed(rows);
-            par::par_row_bands_mut(&mut out, rows, 1, cols.max(1) * 4, |r0, band| {
-                let mut tr = TileRunner::new(kernel, sides, scalars, cols, width);
-                let mut mr = MainReader::new(main, cols);
-                for (i, slot) in band.iter_mut().enumerate() {
-                    let r = r0 + i;
-                    tr.begin_row_dense(r);
-                    let row_src = mr.row(r);
-                    let mut acc = op.identity();
-                    let mut c0 = 0;
-                    while c0 < cols {
-                        let n = width.min(cols - c0);
-                        let m = tiles::sub_tile(row_src, c0, n);
-                        acc = fold.dense(&mut tr, m, r, c0, n, acc);
-                        c0 += n;
-                    }
-                    *slot = finalize(op, acc, cols);
-                }
-            });
-            Matrix::dense(DenseMatrix::new(rows, 1, out))
-        }
-        CellAgg::ColAgg(op) => {
-            let mut acc = par::par_map_reduce(
-                rows,
-                cols.max(1) * 4,
-                vec![op.identity(); cols],
-                |lo, hi| {
-                    let mut tr = TileRunner::new(kernel, sides, scalars, cols, width);
-                    let mut mr = MainReader::new(main, cols);
-                    let mut ptile = vec![0.0f64; width];
-                    let mut acc = vec![op.identity(); cols];
-                    for r in lo..hi {
-                        tr.begin_row_dense(r);
-                        let row_src = mr.row(r);
-                        let mut c0 = 0;
-                        while c0 < cols {
-                            let n = width.min(cols - c0);
-                            let m = tiles::sub_tile(row_src, c0, n);
-                            eval_tile_into(
-                                &mut tr,
-                                bp,
-                                spec.result,
-                                mono,
-                                m,
-                                r,
-                                TilePos::Dense(c0),
-                                &mut ptile[..n],
-                            );
-                            tiles::fold_cols(op, &mut acc[c0..c0 + n], OpRef::S(&ptile[..n]));
-                            c0 += n;
-                        }
-                    }
-                    acc
-                },
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x = op.combine(*x, y);
-                    }
-                    a
-                },
-            );
-            for slot in acc.iter_mut() {
-                *slot = finalize(op, *slot, rows);
-            }
-            Matrix::dense(DenseMatrix::new(1, cols, acc))
-        }
-        CellAgg::FullAgg(op) => {
-            let fold = CellFold { bp, result: spec.result, mono, op };
-            let acc = par::par_map_reduce(
-                rows,
-                cols.max(1) * 4,
-                op.identity(),
-                |lo, hi| {
-                    let mut tr = TileRunner::new(kernel, sides, scalars, cols, width);
-                    let mut mr = MainReader::new(main, cols);
-                    let mut acc = op.identity();
-                    for r in lo..hi {
-                        tr.begin_row_dense(r);
-                        let row_src = mr.row(r);
-                        let mut c0 = 0;
-                        while c0 < cols {
-                            let n = width.min(cols - c0);
-                            let m = tiles::sub_tile(row_src, c0, n);
-                            acc = fold.dense(&mut tr, m, r, c0, n, acc);
-                            c0 += n;
-                        }
-                    }
-                    acc
-                },
-                |a, b| op.combine(a, b),
-            );
-            Matrix::dense(DenseMatrix::filled(1, 1, finalize(op, acc, rows * cols)))
-        }
-    }
-}
-
-fn block_sparse_exec(
-    spec: &CellSpec,
-    kernel: &BlockKernel,
-    mono: Option<&MonoKernel>,
-    width: usize,
-    main: &SparseMatrix,
-    sides: &[SideInput],
-    scalars: &[f64],
-) -> Matrix {
-    let (rows, cols) = (main.rows(), main.cols());
-    let bp = &kernel.block;
-    let work = (main.nnz() / rows.max(1)).max(1) * 4;
-    match spec.agg {
-        CellAgg::NoAgg => {
-            let triples = par::par_map_reduce(
-                rows,
-                work,
-                Vec::new(),
-                |lo, hi| {
-                    let mut tr = TileRunner::new(kernel, sides, scalars, cols, width);
-                    let mut ptile = vec![0.0f64; width];
-                    let mut triples = Vec::new();
-                    for r in lo..hi {
-                        tr.begin_row_sparse(r);
-                        for (vchunk, cchunk) in
-                            main.row_values(r).chunks(width).zip(main.row_cols(r).chunks(width))
-                        {
-                            let n = cchunk.len();
-                            eval_tile_into(
-                                &mut tr,
-                                bp,
-                                spec.result,
-                                mono,
-                                TileSrc::Slice(vchunk),
-                                r,
-                                TilePos::Sparse(cchunk),
-                                &mut ptile[..n],
-                            );
-                            for (i, &c) in cchunk.iter().enumerate() {
-                                if ptile[i] != 0.0 {
-                                    triples.push((r, c, ptile[i]));
-                                }
-                            }
-                        }
-                    }
-                    triples
-                },
-                |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                },
-            );
-            Matrix::sparse(SparseMatrix::from_triples(rows, cols, triples))
-        }
-        CellAgg::RowAgg(op) => {
-            let fold = CellFold { bp, result: spec.result, mono, op };
-            let mut out = pool::take_zeroed(rows);
-            par::par_row_bands_mut(&mut out, rows, 1, work, |r0, band| {
-                let mut tr = TileRunner::new(kernel, sides, scalars, cols, width);
-                for (i, slot) in band.iter_mut().enumerate() {
-                    let r = r0 + i;
-                    tr.begin_row_sparse(r);
-                    let mut acc = op.identity();
-                    for (vchunk, cchunk) in
-                        main.row_values(r).chunks(width).zip(main.row_cols(r).chunks(width))
-                    {
-                        acc = fold.sparse(&mut tr, vchunk, r, cchunk, acc);
-                    }
-                    if !op.sparse_safe() && main.row_nnz(r) < cols {
-                        acc = op.fold(acc, 0.0);
-                    }
-                    *slot = finalize(op, acc, cols);
-                }
-            });
-            Matrix::dense(DenseMatrix::new(rows, 1, out))
-        }
-        CellAgg::ColAgg(op) => {
-            let (mut acc, counts) = par::par_map_reduce(
-                rows,
-                work,
-                (vec![op.identity(); cols], vec![0usize; cols]),
-                |lo, hi| {
-                    let mut tr = TileRunner::new(kernel, sides, scalars, cols, width);
-                    let mut ptile = vec![0.0f64; width];
-                    let mut acc = vec![op.identity(); cols];
-                    let mut counts = vec![0usize; cols];
-                    for r in lo..hi {
-                        tr.begin_row_sparse(r);
-                        for (vchunk, cchunk) in
-                            main.row_values(r).chunks(width).zip(main.row_cols(r).chunks(width))
-                        {
-                            let n = cchunk.len();
-                            eval_tile_into(
-                                &mut tr,
-                                bp,
-                                spec.result,
-                                mono,
-                                TileSrc::Slice(vchunk),
-                                r,
-                                TilePos::Sparse(cchunk),
-                                &mut ptile[..n],
-                            );
-                            for (i, &c) in cchunk.iter().enumerate() {
-                                acc[c] = op.fold(acc[c], ptile[i]);
-                                counts[c] += 1;
-                            }
-                        }
-                    }
-                    (acc, counts)
-                },
-                |(mut a, mut ca), (b, cb)| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x = op.combine(*x, y);
-                    }
-                    for (x, y) in ca.iter_mut().zip(cb) {
-                        *x += y;
-                    }
-                    (a, ca)
-                },
-            );
-            for c in 0..cols {
-                if !op.sparse_safe() && counts[c] < rows {
-                    acc[c] = op.fold(acc[c], 0.0);
-                }
-                acc[c] = finalize(op, acc[c], rows);
-            }
-            Matrix::dense(DenseMatrix::new(1, cols, acc))
-        }
-        CellAgg::FullAgg(op) => {
-            let fold = CellFold { bp, result: spec.result, mono, op };
-            let acc = par::par_map_reduce(
-                rows,
-                work,
-                op.identity(),
-                |lo, hi| {
-                    let mut tr = TileRunner::new(kernel, sides, scalars, cols, width);
-                    let mut acc = op.identity();
-                    for r in lo..hi {
-                        tr.begin_row_sparse(r);
-                        for (vchunk, cchunk) in
-                            main.row_values(r).chunks(width).zip(main.row_cols(r).chunks(width))
-                        {
-                            acc = fold.sparse(&mut tr, vchunk, r, cchunk, acc);
-                        }
-                    }
-                    acc
-                },
-                |a, b| op.combine(a, b),
-            );
-            let acc =
-                if !op.sparse_safe() && main.nnz() < rows * cols { op.fold(acc, 0.0) } else { acc };
-            Matrix::dense(DenseMatrix::filled(1, 1, finalize(op, acc, rows * cols)))
-        }
     }
 }
 

@@ -7,10 +7,11 @@
 //! values — of dense, sparse, or compressed matrices and calls an abstract
 //! genexec method for each value."
 //!
-//! Cell/MAgg/Outer skeletons drive the tile-vectorized block backend
-//! (`tiles::TileRunner`); the Row skeleton drives the band-lowered
-//! `RowKernel` a tile of rows per instruction, with per-band register
-//! contexts and sparse-aware row views.
+//! The Cell, MAgg and Outer skeletons are one driver — `tiles::CellPass`,
+//! the tile walk over dense rows or CSR non-zeros of the main input — and
+//! the output sink of their variant; the Row skeleton drives the
+//! band-lowered `RowKernel` a tile of rows per instruction, with per-band
+//! register contexts and sparse-aware row views.
 
 pub mod cellwise;
 pub mod compressed;

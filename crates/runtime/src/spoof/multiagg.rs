@@ -3,16 +3,14 @@
 //! Operations": `sum(X⊙Y), sum(X⊙Z)` compile to one operator with a shared
 //! read of `X`).
 //!
-//! Like the Cell skeleton, the default block backend evaluates the shared
-//! register program tile-at-a-time — each aggregate through its result
-//! register's [`MonoKernel`] where it has one — and the scalar interpreter
-//! is retained as the differential-test oracle.
+//! The block backend (default) is one `tiles::CellPass` into its `Full(k)` sink —
+//! Cell's `FullAgg` with `k` accumulators; the per-cell scalar interpreter is
+//! retained as the differential-test oracle.
 
 use crate::side::SideInput;
-use crate::spoof::tiles::{self, MainReader, TileRunner};
-use fusedml_core::spoof::block::{self, fold_result, CellBackend, TileSrc};
-use fusedml_core::spoof::mono::MonoKernel;
-use fusedml_core::spoof::{eval_scalar_program, MAggSpec, SideAccess};
+use crate::spoof::tiles::CellPass;
+use fusedml_core::spoof::block::CellBackend;
+use fusedml_core::spoof::{eval_scalar_program, MAggSpec, Reg, SideAccess};
 use fusedml_linalg::ops::AggOp;
 use fusedml_linalg::{par, DenseMatrix, Matrix};
 
@@ -38,26 +36,22 @@ pub fn execute_with(
     iter_cols: usize,
     backend: CellBackend,
 ) -> Vec<Matrix> {
-    let accs = if backend != CellBackend::Scalar {
-        let caches = super::kernels();
-        let kernel = caches.block.get_or_lower(&spec.prog);
-        if tiles::supported(&kernel) {
-            block_fold(
-                spec,
-                &kernel,
-                backend,
-                caches.tile_width,
-                main,
-                sides,
-                scalars,
-                iter_rows,
-                iter_cols,
-            )
-        } else {
-            scalar_fold(spec, main, sides, scalars, iter_rows, iter_cols)
-        }
-    } else {
-        scalar_fold(spec, main, sides, scalars, iter_rows, iter_cols)
+    let (regs, ops): (Vec<Reg>, Vec<AggOp>) = spec.results.iter().copied().unzip();
+    let pass = CellPass::new(
+        &spec.prog,
+        &regs,
+        backend,
+        main,
+        sides,
+        scalars,
+        iter_rows,
+        iter_cols,
+        spec.sparse_safe,
+        None,
+    );
+    let accs = match pass {
+        Some(pass) => pass.full(&ops),
+        None => scalar_fold(spec, main, sides, scalars, iter_rows, iter_cols),
     };
     // Shared finalization: min/max over sparse-safe iteration must still
     // observe the implicit zeros, and `Mean` divides by the cell count.
@@ -76,99 +70,6 @@ pub fn execute_with(
             Matrix::dense(DenseMatrix::filled(1, 1, v))
         })
         .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn block_fold(
-    spec: &MAggSpec,
-    kernel: &fusedml_core::spoof::block::BlockKernel,
-    backend: CellBackend,
-    width: usize,
-    main: Option<&Matrix>,
-    sides: &[SideInput],
-    scalars: &[f64],
-    rows: usize,
-    cols: usize,
-) -> Vec<f64> {
-    let specialized = backend == CellBackend::Mono;
-    let bp = &kernel.block;
-    let k = spec.results.len();
-    let identities: Vec<f64> = spec.results.iter().map(|&(_, op)| op.identity()).collect();
-    let monos: Vec<Option<&MonoKernel>> =
-        spec.results.iter().map(|&(reg, _)| kernel.mono_for(reg).filter(|_| specialized)).collect();
-    // The generic body only needs to run when some aggregate lacks a
-    // monomorphized kernel.
-    let need_body = monos.iter().any(Option::is_none);
-    let sparse_main = match main {
-        Some(Matrix::Sparse(s)) if spec.sparse_safe => Some(s),
-        _ => None,
-    };
-    let work = match sparse_main {
-        Some(s) => (s.nnz() / rows.max(1)).max(1) * 4 * k,
-        None => cols.max(1) * 4 * k,
-    };
-
-    par::par_map_reduce(
-        rows,
-        work,
-        identities.clone(),
-        |lo, hi| {
-            let mut tr = TileRunner::new(kernel, sides, scalars, cols, width);
-            let mut mr = MainReader::new(main, cols);
-            let mut accs = identities.clone();
-            let zero = TileSrc::Const(0.0);
-            for r in lo..hi {
-                let fold = |ev: &block::BlockEval,
-                            ctx: &block::TileCtx<'_>,
-                            n: usize,
-                            accs: &mut [f64]| {
-                    for (j, (&(reg, op), mono)) in spec.results.iter().zip(&monos).enumerate() {
-                        accs[j] = match mono {
-                            Some(mk) => mk.fold(op, accs[j], ev, ctx, n),
-                            None => fold_result(op, accs[j], ev.value_of(bp, reg, ctx, n), n),
-                        };
-                    }
-                };
-                match sparse_main {
-                    Some(s) => {
-                        tr.begin_row_sparse(r);
-                        for (vchunk, cchunk) in
-                            s.row_values(r).chunks(width).zip(s.row_cols(r).chunks(width))
-                        {
-                            tr.sparse_tile(
-                                TileSrc::Slice(vchunk),
-                                zero,
-                                r,
-                                cchunk,
-                                need_body,
-                                |ev, ctx, n| fold(ev, ctx, n, &mut accs),
-                            );
-                        }
-                    }
-                    None => {
-                        tr.begin_row_dense(r);
-                        let row_src = mr.row(r);
-                        let mut c0 = 0;
-                        while c0 < cols {
-                            let n = width.min(cols - c0);
-                            let m = tiles::sub_tile(row_src, c0, n);
-                            tr.dense_tile(m, zero, r, c0, n, need_body, |ev, ctx, n| {
-                                fold(ev, ctx, n, &mut accs)
-                            });
-                            c0 += n;
-                        }
-                    }
-                }
-            }
-            accs
-        },
-        |mut a, b| {
-            for (j, &(_, op)) in spec.results.iter().enumerate() {
-                a[j] = op.combine(a[j], b[j]);
-            }
-            a
-        },
-    )
 }
 
 fn scalar_fold(

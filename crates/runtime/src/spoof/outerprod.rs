@@ -3,11 +3,15 @@
 //! `dot(U[i,:], V[j,:])` per cell, evaluates the scalar program, and applies
 //! the output variant: full aggregation, left/right matrix multiply, or
 //! no-agg (paper Figure 3(a): the ALS-CG update rule).
+//!
+//! The block backend (default) is one `tiles::CellPass` carrying the factors —
+//! it batches the dots into a `uv` tile — and the sink of the output
+//! variant; the per-cell scalar interpreter is retained as the
+//! differential-test oracle.
 
 use crate::side::SideInput;
-use crate::spoof::tiles::{self, MainReader, TileRunner};
-use fusedml_core::spoof::block::{fold_result, write_result, CellBackend, OpRef, TileSrc};
-use fusedml_core::spoof::mono::MonoKernel;
+use crate::spoof::tiles::CellPass;
+use fusedml_core::spoof::block::CellBackend;
 use fusedml_core::spoof::{eval_scalar_program, OuterOut, OuterSpec, SideAccess};
 use fusedml_linalg::ops::AggOp;
 use fusedml_linalg::{par, pool, primitives as prim, DenseMatrix, Matrix, SparseMatrix};
@@ -34,504 +38,47 @@ pub fn execute_with(
     iter_cols: usize,
     backend: CellBackend,
 ) -> Matrix {
-    // U and V are dense row-major factor matrices.
-    let u = sides[spec.u_side].to_dense_values().into_owned();
-    let v = sides[spec.v_side].to_dense_values().into_owned();
+    // U and V are dense row-major factor matrices (borrowed when bound dense).
+    let u = sides[spec.u_side].to_dense_values();
+    let v = sides[spec.v_side].to_dense_values();
     let r = spec.rank;
+    let (n, m) = (iter_rows, iter_cols);
 
-    if backend != CellBackend::Scalar {
-        let kernel = super::kernels().block.get_or_lower(&spec.prog);
-        if tiles::supported(&kernel) {
-            return match main {
-                Some(Matrix::Sparse(s)) if spec.sparse_safe => {
-                    block_sparse_exec(spec, &kernel, s, &u, &v, r, sides, scalars, backend)
-                }
-                _ => block_dense_exec(
-                    spec, &kernel, main, &u, &v, r, sides, scalars, iter_rows, iter_cols, backend,
-                ),
-            };
-        }
-    }
-    match main {
-        Some(Matrix::Sparse(s)) if spec.sparse_safe => {
-            sparse_exec(spec, s, &u, &v, r, sides, scalars)
-        }
-        _ => dense_exec(spec, main, &u, &v, r, sides, scalars, iter_rows, iter_cols),
-    }
-}
-
-// ===========================================================================
-// Block backend: the skeleton batches `dot(U[i,:], V[j,:])` into a uv tile,
-// evaluates the program body tile-at-a-time, and scatters/folds per variant.
-// ===========================================================================
-
-/// Fills `buf[t] = dot(U[i,:], V[j_t,:])` for a dense column range.
-#[inline]
-fn uv_tile_dense(u: &[f64], v: &[f64], rank: usize, i: usize, c0: usize, buf: &mut [f64]) {
-    let urow = &u[i * rank..(i + 1) * rank];
-    for (t, slot) in buf.iter_mut().enumerate() {
-        *slot = prim::dot_product(urow, v, 0, (c0 + t) * rank, rank);
-    }
-}
-
-/// Fills `buf[t] = dot(U[i,:], V[cols[t],:])` for scattered columns.
-#[inline]
-fn uv_tile_sparse(u: &[f64], v: &[f64], rank: usize, i: usize, cols: &[usize], buf: &mut [f64]) {
-    let urow = &u[i * rank..(i + 1) * rank];
-    for (t, &j) in cols.iter().enumerate() {
-        buf[t] = prim::dot_product(urow, v, 0, j * rank, rank);
-    }
-}
-
-/// Applies `out_row += w_t * S[j_t,:]` for every non-zero `w_t` of a tile.
-#[inline]
-fn scatter_mult_add(
-    w: OpRef<'_>,
-    n: usize,
-    s: &[f64],
-    k: usize,
-    col_of: impl Fn(usize) -> usize,
-    out: &mut [f64],
-) {
-    for t in 0..n {
-        let wv = match w {
-            OpRef::S(ws) => ws[t],
-            OpRef::C(c) => c,
+    let regs = [spec.result];
+    let Some(pass) = CellPass::new(
+        &spec.prog,
+        &regs,
+        backend,
+        main,
+        sides,
+        scalars,
+        n,
+        m,
+        spec.sparse_safe,
+        Some((&u, &v, r)),
+    ) else {
+        return match main {
+            Some(Matrix::Sparse(s)) if spec.sparse_safe => {
+                sparse_exec(spec, s, &u, &v, r, sides, scalars)
+            }
+            _ => dense_exec(spec, main, &u, &v, r, sides, scalars, n, m),
         };
-        if wv != 0.0 {
-            let j = col_of(t);
-            prim::vect_mult_add(&s[j * k..(j + 1) * k], wv, out, 0, 0, k);
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn block_sparse_exec(
-    spec: &OuterSpec,
-    kernel: &fusedml_core::spoof::block::BlockKernel,
-    x: &SparseMatrix,
-    u: &[f64],
-    v: &[f64],
-    rank: usize,
-    sides: &[SideInput],
-    scalars: &[f64],
-    backend: CellBackend,
-) -> Matrix {
-    let n = x.rows();
-    let m = x.cols();
-    let width = super::kernels().tile_width;
-    let mono: Option<&MonoKernel> =
-        if backend == CellBackend::Mono { kernel.mono_for(spec.result) } else { None };
-    let run_body = mono.is_none();
-    let bp = &kernel.block;
-    let work = (x.nnz() / n.max(1)).max(1) * rank;
+    };
     match spec.out {
-        OuterOut::FullAgg => {
-            let acc = par::par_map_reduce(
-                n,
-                work,
-                0.0f64,
-                |lo, hi| {
-                    let mut tr = TileRunner::new(kernel, sides, scalars, m, width);
-                    let mut uvbuf = vec![0.0f64; width];
-                    let mut acc = 0.0;
-                    for i in lo..hi {
-                        tr.begin_row_sparse(i);
-                        for (vchunk, cchunk) in
-                            x.row_values(i).chunks(width).zip(x.row_cols(i).chunks(width))
-                        {
-                            let nt = cchunk.len();
-                            uv_tile_sparse(u, v, rank, i, cchunk, &mut uvbuf[..nt]);
-                            acc = tr.sparse_tile(
-                                TileSrc::Slice(vchunk),
-                                TileSrc::Slice(&uvbuf[..nt]),
-                                i,
-                                cchunk,
-                                run_body,
-                                |ev, ctx, nt| match mono {
-                                    Some(mk) => mk.fold(AggOp::Sum, acc, ev, ctx, nt),
-                                    None => fold_result(
-                                        AggOp::Sum,
-                                        acc,
-                                        ev.value_of(bp, spec.result, ctx, nt),
-                                        nt,
-                                    ),
-                                },
-                            );
-                        }
-                    }
-                    acc
-                },
-                |a, b| a + b,
-            );
-            Matrix::dense(DenseMatrix::filled(1, 1, acc))
-        }
+        OuterOut::FullAgg => Matrix::dense(DenseMatrix::filled(1, 1, pass.full(&[AggOp::Sum])[0])),
         OuterOut::RightMM { side } => {
             // out (n×k) : out[i,:] += w_ij * S[j,:], row-parallel.
-            let s = sides[side].to_dense_values().into_owned();
             let k = sides[side].cols();
-            let mut out = pool::take_zeroed(n * k);
-            par::par_row_bands_mut(&mut out, n, k, work, |r0, band| {
-                let mut tr = TileRunner::new(kernel, sides, scalars, m, width);
-                let mut uvbuf = vec![0.0f64; width];
-                let mut wtile = vec![0.0f64; width];
-                for (bi, orow) in band.chunks_exact_mut(k).enumerate() {
-                    let i = r0 + bi;
-                    tr.begin_row_sparse(i);
-                    for (vchunk, cchunk) in
-                        x.row_values(i).chunks(width).zip(x.row_cols(i).chunks(width))
-                    {
-                        let nt = cchunk.len();
-                        uv_tile_sparse(u, v, rank, i, cchunk, &mut uvbuf[..nt]);
-                        tr.sparse_tile(
-                            TileSrc::Slice(vchunk),
-                            TileSrc::Slice(&uvbuf[..nt]),
-                            i,
-                            cchunk,
-                            run_body,
-                            |ev, ctx, nt| {
-                                let w = match mono {
-                                    Some(mk) => {
-                                        mk.map_into(ev, ctx, nt, &mut wtile[..nt]);
-                                        OpRef::S(&wtile[..nt])
-                                    }
-                                    None => ev.value_of(bp, spec.result, ctx, nt),
-                                };
-                                scatter_mult_add(w, nt, &s, k, |t| cchunk[t], orow);
-                            },
-                        );
-                    }
-                }
-            });
+            let out = pass.right_mm(&sides[side].to_dense_values(), k);
             Matrix::dense(DenseMatrix::new(n, k, out))
         }
         OuterOut::LeftMM { side } => {
             // out (m×k) : out[j,:] += w_ij * S[i,:]; per-thread partials.
-            let s = sides[side].to_dense_values().into_owned();
             let k = sides[side].cols();
-            let acc = par::par_map_reduce(
-                n,
-                work,
-                pool::take_zeroed(m * k),
-                |lo, hi| {
-                    let mut tr = TileRunner::new(kernel, sides, scalars, m, width);
-                    let mut uvbuf = vec![0.0f64; width];
-                    let mut wtile = vec![0.0f64; width];
-                    let mut acc = pool::take_zeroed(m * k);
-                    for i in lo..hi {
-                        tr.begin_row_sparse(i);
-                        for (vchunk, cchunk) in
-                            x.row_values(i).chunks(width).zip(x.row_cols(i).chunks(width))
-                        {
-                            let nt = cchunk.len();
-                            uv_tile_sparse(u, v, rank, i, cchunk, &mut uvbuf[..nt]);
-                            tr.sparse_tile(
-                                TileSrc::Slice(vchunk),
-                                TileSrc::Slice(&uvbuf[..nt]),
-                                i,
-                                cchunk,
-                                run_body,
-                                |ev, ctx, nt| {
-                                    let w = match mono {
-                                        Some(mk) => {
-                                            mk.map_into(ev, ctx, nt, &mut wtile[..nt]);
-                                            OpRef::S(&wtile[..nt])
-                                        }
-                                        None => ev.value_of(bp, spec.result, ctx, nt),
-                                    };
-                                    for t in 0..nt {
-                                        let wv = match w {
-                                            OpRef::S(ws) => ws[t],
-                                            OpRef::C(c) => c,
-                                        };
-                                        if wv != 0.0 {
-                                            let j = cchunk[t];
-                                            prim::vect_mult_add(
-                                                &s[i * k..(i + 1) * k],
-                                                wv,
-                                                &mut acc[j * k..(j + 1) * k],
-                                                0,
-                                                0,
-                                                k,
-                                            );
-                                        }
-                                    }
-                                },
-                            );
-                        }
-                    }
-                    acc
-                },
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b.iter()) {
-                        *x += y;
-                    }
-                    pool::give(b);
-                    a
-                },
-            );
-            Matrix::dense(DenseMatrix::new(m, k, acc))
+            let out = pass.left_mm(&sides[side].to_dense_values(), k);
+            Matrix::dense(DenseMatrix::new(m, k, out))
         }
-        OuterOut::NoAgg => {
-            let triples = par::par_map_reduce(
-                n,
-                work,
-                Vec::new(),
-                |lo, hi| {
-                    let mut tr = TileRunner::new(kernel, sides, scalars, m, width);
-                    let mut uvbuf = vec![0.0f64; width];
-                    let mut wtile = vec![0.0f64; width];
-                    let mut triples = Vec::new();
-                    for i in lo..hi {
-                        tr.begin_row_sparse(i);
-                        for (vchunk, cchunk) in
-                            x.row_values(i).chunks(width).zip(x.row_cols(i).chunks(width))
-                        {
-                            let nt = cchunk.len();
-                            uv_tile_sparse(u, v, rank, i, cchunk, &mut uvbuf[..nt]);
-                            tr.sparse_tile(
-                                TileSrc::Slice(vchunk),
-                                TileSrc::Slice(&uvbuf[..nt]),
-                                i,
-                                cchunk,
-                                run_body,
-                                |ev, ctx, nt| match mono {
-                                    Some(mk) => mk.map_into(ev, ctx, nt, &mut wtile[..nt]),
-                                    None => write_result(
-                                        ev.value_of(bp, spec.result, ctx, nt),
-                                        &mut wtile[..nt],
-                                    ),
-                                },
-                            );
-                            for (t, &j) in cchunk.iter().enumerate() {
-                                if wtile[t] != 0.0 {
-                                    triples.push((i, j, wtile[t]));
-                                }
-                            }
-                        }
-                    }
-                    triples
-                },
-                |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                },
-            );
-            Matrix::sparse(SparseMatrix::from_triples(n, m, triples))
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn block_dense_exec(
-    spec: &OuterSpec,
-    kernel: &fusedml_core::spoof::block::BlockKernel,
-    main: Option<&Matrix>,
-    u: &[f64],
-    v: &[f64],
-    rank: usize,
-    sides: &[SideInput],
-    scalars: &[f64],
-    n: usize,
-    m: usize,
-    backend: CellBackend,
-) -> Matrix {
-    let width = super::kernels().tile_width;
-    let mono: Option<&MonoKernel> =
-        if backend == CellBackend::Mono { kernel.mono_for(spec.result) } else { None };
-    let run_body = mono.is_none();
-    let bp = &kernel.block;
-    match spec.out {
-        OuterOut::FullAgg => {
-            let acc = par::par_map_reduce(
-                n,
-                m * rank,
-                0.0f64,
-                |lo, hi| {
-                    let mut tr = TileRunner::new(kernel, sides, scalars, m, width);
-                    let mut mr = MainReader::new(main, m);
-                    let mut uvbuf = vec![0.0f64; width];
-                    let mut acc = 0.0;
-                    for i in lo..hi {
-                        tr.begin_row_dense(i);
-                        let row_src = mr.row(i);
-                        let mut c0 = 0;
-                        while c0 < m {
-                            let nt = width.min(m - c0);
-                            uv_tile_dense(u, v, rank, i, c0, &mut uvbuf[..nt]);
-                            let mt = tiles::sub_tile(row_src, c0, nt);
-                            acc = tr.dense_tile(
-                                mt,
-                                TileSrc::Slice(&uvbuf[..nt]),
-                                i,
-                                c0,
-                                nt,
-                                run_body,
-                                |ev, ctx, nt| match mono {
-                                    Some(mk) => mk.fold(AggOp::Sum, acc, ev, ctx, nt),
-                                    None => fold_result(
-                                        AggOp::Sum,
-                                        acc,
-                                        ev.value_of(bp, spec.result, ctx, nt),
-                                        nt,
-                                    ),
-                                },
-                            );
-                            c0 += nt;
-                        }
-                    }
-                    acc
-                },
-                |a, b| a + b,
-            );
-            Matrix::dense(DenseMatrix::filled(1, 1, acc))
-        }
-        OuterOut::RightMM { side } => {
-            let s = sides[side].to_dense_values().into_owned();
-            let k = sides[side].cols();
-            let mut out = pool::take_zeroed(n * k);
-            par::par_row_bands_mut(&mut out, n, k, m * rank, |r0, band| {
-                let mut tr = TileRunner::new(kernel, sides, scalars, m, width);
-                let mut mr = MainReader::new(main, m);
-                let mut uvbuf = vec![0.0f64; width];
-                let mut wtile = vec![0.0f64; width];
-                for (bi, orow) in band.chunks_exact_mut(k).enumerate() {
-                    let i = r0 + bi;
-                    tr.begin_row_dense(i);
-                    let row_src = mr.row(i);
-                    let mut c0 = 0;
-                    while c0 < m {
-                        let nt = width.min(m - c0);
-                        uv_tile_dense(u, v, rank, i, c0, &mut uvbuf[..nt]);
-                        let mt = tiles::sub_tile(row_src, c0, nt);
-                        tr.dense_tile(
-                            mt,
-                            TileSrc::Slice(&uvbuf[..nt]),
-                            i,
-                            c0,
-                            nt,
-                            run_body,
-                            |ev, ctx, nt| {
-                                let w = match mono {
-                                    Some(mk) => {
-                                        mk.map_into(ev, ctx, nt, &mut wtile[..nt]);
-                                        OpRef::S(&wtile[..nt])
-                                    }
-                                    None => ev.value_of(bp, spec.result, ctx, nt),
-                                };
-                                scatter_mult_add(w, nt, &s, k, |t| c0 + t, orow);
-                            },
-                        );
-                        c0 += nt;
-                    }
-                }
-            });
-            Matrix::dense(DenseMatrix::new(n, k, out))
-        }
-        OuterOut::LeftMM { side } => {
-            let s = sides[side].to_dense_values().into_owned();
-            let k = sides[side].cols();
-            let acc = par::par_map_reduce(
-                n,
-                m * rank,
-                pool::take_zeroed(m * k),
-                |lo, hi| {
-                    let mut tr = TileRunner::new(kernel, sides, scalars, m, width);
-                    let mut mr = MainReader::new(main, m);
-                    let mut uvbuf = vec![0.0f64; width];
-                    let mut wtile = vec![0.0f64; width];
-                    let mut acc = pool::take_zeroed(m * k);
-                    for i in lo..hi {
-                        tr.begin_row_dense(i);
-                        let row_src = mr.row(i);
-                        let mut c0 = 0;
-                        while c0 < m {
-                            let nt = width.min(m - c0);
-                            uv_tile_dense(u, v, rank, i, c0, &mut uvbuf[..nt]);
-                            let mt = tiles::sub_tile(row_src, c0, nt);
-                            tr.dense_tile(
-                                mt,
-                                TileSrc::Slice(&uvbuf[..nt]),
-                                i,
-                                c0,
-                                nt,
-                                run_body,
-                                |ev, ctx, nt| {
-                                    let w = match mono {
-                                        Some(mk) => {
-                                            mk.map_into(ev, ctx, nt, &mut wtile[..nt]);
-                                            OpRef::S(&wtile[..nt])
-                                        }
-                                        None => ev.value_of(bp, spec.result, ctx, nt),
-                                    };
-                                    for t in 0..nt {
-                                        let wv = match w {
-                                            OpRef::S(ws) => ws[t],
-                                            OpRef::C(c) => c,
-                                        };
-                                        if wv != 0.0 {
-                                            let j = c0 + t;
-                                            prim::vect_mult_add(
-                                                &s[i * k..(i + 1) * k],
-                                                wv,
-                                                &mut acc[j * k..(j + 1) * k],
-                                                0,
-                                                0,
-                                                k,
-                                            );
-                                        }
-                                    }
-                                },
-                            );
-                            c0 += nt;
-                        }
-                    }
-                    acc
-                },
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b.iter()) {
-                        *x += y;
-                    }
-                    pool::give(b);
-                    a
-                },
-            );
-            Matrix::dense(DenseMatrix::new(m, k, acc))
-        }
-        OuterOut::NoAgg => {
-            let mut out = pool::take_zeroed(n * m);
-            par::par_row_bands_mut(&mut out, n, m, m * rank, |r0, band| {
-                let mut tr = TileRunner::new(kernel, sides, scalars, m, width);
-                let mut mr = MainReader::new(main, m);
-                let mut uvbuf = vec![0.0f64; width];
-                for (bi, orow) in band.chunks_exact_mut(m).enumerate() {
-                    let i = r0 + bi;
-                    tr.begin_row_dense(i);
-                    let row_src = mr.row(i);
-                    let mut c0 = 0;
-                    while c0 < m {
-                        let nt = width.min(m - c0);
-                        uv_tile_dense(u, v, rank, i, c0, &mut uvbuf[..nt]);
-                        let mt = tiles::sub_tile(row_src, c0, nt);
-                        let dst = &mut orow[c0..c0 + nt];
-                        tr.dense_tile(
-                            mt,
-                            TileSrc::Slice(&uvbuf[..nt]),
-                            i,
-                            c0,
-                            nt,
-                            run_body,
-                            |ev, ctx, nt| match mono {
-                                Some(mk) => mk.map_into(ev, ctx, nt, dst),
-                                None => write_result(ev.value_of(bp, spec.result, ctx, nt), dst),
-                            },
-                        );
-                        c0 += nt;
-                    }
-                }
-            });
-            Matrix::dense(DenseMatrix::new(n, m, out))
-        }
+        OuterOut::NoAgg => pass.no_agg(),
     }
 }
 
@@ -589,7 +136,7 @@ fn sparse_exec(
         }
         OuterOut::RightMM { side } => {
             // out (n×k) : out[i,:] += w_ij * S[j,:], row-parallel.
-            let s = sides[side].to_dense_values().into_owned();
+            let s = sides[side].to_dense_values();
             let k = sides[side].cols();
             let mut out = pool::take_zeroed(n * k);
             par::par_rows_mut(&mut out, n, k, (x.nnz() / n.max(1)).max(1) * r, |i, orow| {
@@ -605,7 +152,7 @@ fn sparse_exec(
         }
         OuterOut::LeftMM { side } => {
             // out (m×k) : out[j,:] += w_ij * S[i,:]; per-thread partials.
-            let s = sides[side].to_dense_values().into_owned();
+            let s = sides[side].to_dense_values();
             let k = sides[side].cols();
             let acc = par::par_map_reduce(
                 n,
@@ -702,7 +249,7 @@ fn dense_exec(
             Matrix::dense(DenseMatrix::filled(1, 1, acc))
         }
         OuterOut::RightMM { side } => {
-            let s = sides[side].to_dense_values().into_owned();
+            let s = sides[side].to_dense_values();
             let k = sides[side].cols();
             let mut out = pool::take_zeroed(n * k);
             par::par_rows_mut(&mut out, n, k, m * r, |i, orow| {
@@ -718,7 +265,7 @@ fn dense_exec(
             Matrix::dense(DenseMatrix::new(n, k, out))
         }
         OuterOut::LeftMM { side } => {
-            let s = sides[side].to_dense_values().into_owned();
+            let s = sides[side].to_dense_values();
             let k = sides[side].cols();
             let acc = par::par_map_reduce(
                 n,

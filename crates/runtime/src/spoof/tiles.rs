@@ -1,18 +1,29 @@
-//! Tile gathering for the block backend: resolves each of a
-//! [`fusedml_core::spoof::block::BlockProgram`]'s side gathers into per-tile slices — zero-copy for
-//! dense sides under dense iteration, densified-row or scatter-gather
-//! scratch otherwise — and drives the tile evaluator.
+//! The one cell-iteration driver under the Cell, MAgg and Outer skeletons.
 //!
-//! The skeletons own iteration order (dense row ranges or CSR non-zero
-//! batches) and aggregation; this module owns everything between "here is a
-//! tile worth of positions" and "here is the evaluated result tile".
+//! A `CellPass` is built once per operator run. It resolves the lowered
+//! [`BlockKernel`] from the owning engine's caches, decides whether the main
+//! input is walked by dense row ranges or by CSR non-zeros, gives each worker
+//! one set of pooled state, and hands every tile of positions to an output
+//! *sink* as a `Tile` view — the result registers' [`MonoKernel`]s where
+//! they have one, the tile interpreter otherwise, Outer's `dot(U_i, V_j)`
+//! tile filled on the way. The seven sinks (`full`, `row_agg`, `col_agg`,
+//! `no_agg` dense and CSR, `right_mm`, `left_mm`) are what is left of a
+//! template's output variant; the skeletons pick one and finalize.
+//!
+//! Below the driver, `TileRunner` resolves each of the program's side
+//! gathers into per-tile slices — zero-copy for dense sides under dense
+//! iteration, densified-row or scatter-gather scratch otherwise.
 
 use crate::side::SideInput;
-use fusedml_linalg::pool;
-use fusedml_linalg::simd;
+use fusedml_linalg::ops::AggOp;
+use fusedml_linalg::{par, pool, primitives as prim, simd, DenseMatrix, Matrix, SparseMatrix};
+use std::sync::Arc;
 
-use fusedml_core::spoof::block::{BlockEval, BlockKernel, OpRef, TileCtx, TileSrc};
-use fusedml_core::spoof::SideAccess;
+use fusedml_core::spoof::block::{
+    fold_result, write_result, BlockEval, BlockKernel, CellBackend, OpRef, TileCtx, TileSrc,
+};
+use fusedml_core::spoof::mono::MonoKernel;
+use fusedml_core::spoof::{Program, Reg, SideAccess};
 
 /// Maximum distinct `(side, access)` gathers the tile path supports; kernels
 /// beyond this fall back to the scalar interpreter.
@@ -23,9 +34,390 @@ pub fn supported(kernel: &BlockKernel) -> bool {
     kernel.block.gathers.len() <= MAX_GATHERS
 }
 
+/// The column positions of one tile: a contiguous range under dense
+/// iteration, the column indices of a run of non-zeros under CSR iteration.
+#[derive(Clone, Copy)]
+pub(crate) enum TileCols<'a> {
+    Range(usize),
+    Indices(&'a [usize]),
+}
+
+impl TileCols<'_> {
+    /// The column of the tile's `t`-th position.
+    #[inline]
+    pub(crate) fn at(self, t: usize) -> usize {
+        match self {
+            TileCols::Range(c0) => c0 + t,
+            TileCols::Indices(ix) => ix[t],
+        }
+    }
+}
+
+/// One tile of positions of one main row, as an output sink sees it.
+/// Results are addressed by their index `j` in the pass's register list.
+pub(crate) struct Tile<'t> {
+    pass: &'t CellPass<'t>,
+    ev: &'t BlockEval,
+    ctx: &'t TileCtx<'t>,
+    scratch: &'t mut [f64],
+    row: usize,
+    cols: TileCols<'t>,
+    n: usize,
+}
+
+impl<'t> Tile<'t> {
+    /// The main-input row this tile lies in.
+    pub(crate) fn row(&self) -> usize {
+        self.row
+    }
+
+    /// Where in that row (not tied to the borrow of the tile, so a sink can
+    /// hold it across [`Self::map`]).
+    pub(crate) fn cols(&self) -> TileCols<'t> {
+        self.cols
+    }
+
+    /// Folds result `j` over the tile into `acc` without materializing it.
+    pub(crate) fn fold(&self, j: usize, op: AggOp, acc: f64) -> f64 {
+        match self.pass.mono(j) {
+            Some(mk) => mk.fold(op, acc, self.ev, self.ctx, self.n),
+            None => fold_result(op, acc, self.value_of(j), self.n),
+        }
+    }
+
+    /// Writes result `j` into `dst`, which must hold one slot per position.
+    pub(crate) fn map_into(&self, j: usize, dst: &mut [f64]) {
+        match self.pass.mono(j) {
+            Some(mk) => mk.map_into(self.ev, self.ctx, self.n, dst),
+            None => write_result(self.value_of(j), dst),
+        }
+    }
+
+    /// Result `j`, materialized in the worker's scratch tile.
+    pub(crate) fn map(&mut self, j: usize) -> &[f64] {
+        let dst = std::mem::take(&mut self.scratch);
+        self.map_into(j, &mut dst[..self.n]);
+        self.scratch = dst;
+        &self.scratch[..self.n]
+    }
+
+    fn value_of(&self, j: usize) -> OpRef<'_> {
+        self.ev.value_of(&self.pass.kernel.block, self.pass.regs[j], self.ctx, self.n)
+    }
+}
+
+/// One pass over the cells (or, when the program is sparse-safe and the main
+/// is CSR, the non-zeros) of a main input; see the module docs.
+pub(crate) struct CellPass<'a> {
+    kernel: Arc<BlockKernel>,
+    width: usize,
+    main: Option<&'a Matrix>,
+    /// The main input when it is iterated non-zero by non-zero.
+    csr: Option<&'a SparseMatrix>,
+    sides: &'a [SideInput],
+    scalars: &'a [f64],
+    rows: usize,
+    cols: usize,
+    regs: &'a [Reg],
+    /// `Mono` backend: result registers run their `MonoKernel` if classified.
+    specialize: bool,
+    /// The interpreter body runs when any result lacks a mono kernel.
+    run_body: bool,
+    /// Outer's dense row-major `(U, V, rank)`.
+    factors: Option<(&'a [f64], &'a [f64], usize)>,
+    /// `par` work hint per main row.
+    work: usize,
+}
+
+impl<'a> CellPass<'a> {
+    /// Builds the pass for one operator run, or `None` when the operator
+    /// must run the per-cell interpreter (`Scalar` backend, or more gathers
+    /// than [`MAX_GATHERS`]).
+    #[allow(clippy::too_many_arguments)] // the skeletons' calling convention
+    pub(crate) fn new(
+        prog: &Program,
+        regs: &'a [Reg],
+        backend: CellBackend,
+        main: Option<&'a Matrix>,
+        sides: &'a [SideInput],
+        scalars: &'a [f64],
+        rows: usize,
+        cols: usize,
+        sparse_safe: bool,
+        factors: Option<(&'a [f64], &'a [f64], usize)>,
+    ) -> Option<Self> {
+        if backend == CellBackend::Scalar {
+            return None;
+        }
+        let caches = super::kernels();
+        let kernel = caches.block.get_or_lower(prog);
+        if !supported(&kernel) {
+            return None;
+        }
+        let csr = match main {
+            Some(Matrix::Sparse(s)) if sparse_safe => Some(&**s),
+            _ => None,
+        };
+        debug_assert!(csr.is_none_or(|x| (x.rows(), x.cols()) == (rows, cols)));
+        let specialize = backend == CellBackend::Mono;
+        let run_body = !specialize || regs.iter().any(|&r| kernel.mono_for(r).is_none());
+        let per_row = csr.map_or(cols, |x| x.nnz() / rows.max(1)).max(1);
+        let work = per_row * factors.map_or(4 * regs.len(), |(_, _, rank)| rank);
+        Some(CellPass {
+            kernel,
+            width: caches.tile_width,
+            main,
+            csr,
+            sides,
+            scalars,
+            rows,
+            cols,
+            regs,
+            specialize,
+            run_body,
+            factors,
+            work,
+        })
+    }
+
+    /// The main input if the pass iterates its non-zeros only — then the
+    /// folds have not seen the implicit zeros.
+    pub(crate) fn csr(&self) -> Option<&'a SparseMatrix> {
+        self.csr
+    }
+
+    fn mono(&self, j: usize) -> Option<&MonoKernel> {
+        self.kernel.mono_for(self.regs[j]).filter(|_| self.specialize)
+    }
+
+    /// Fills `buf[t] = dot(U[i,:], V[at(t),:])` for the `n` positions of a
+    /// tile when the pass has factors.
+    fn uv_tile<'b>(&self, i: usize, at: TileCols<'_>, n: usize, buf: &'b mut [f64]) -> TileSrc<'b> {
+        let Some((u, v, rank)) = self.factors else { return TileSrc::Const(0.0) };
+        let urow = &u[i * rank..(i + 1) * rank];
+        for (t, slot) in buf[..n].iter_mut().enumerate() {
+            *slot = prim::dot_product(urow, v, 0, at.at(t) * rank, rank);
+        }
+        TileSrc::Slice(&buf[..n])
+    }
+
+    /// Walks rows `lo..hi` on the calling thread, one `sink` call per tile.
+    fn walk(&self, lo: usize, hi: usize, mut sink: impl FnMut(&mut Tile<'_>)) {
+        let (width, cols) = (self.width, self.cols);
+        let mut tr = TileRunner::new(&self.kernel, self.sides, self.scalars, cols, width);
+        let mut uv = pool::take_zeroed(if self.factors.is_some() { width } else { 0 });
+        let mut scratch = pool::take_zeroed(width);
+        let mut emit = |ev: &BlockEval, ctx: &TileCtx<'_>, n, row, at| {
+            sink(&mut Tile { pass: self, ev, ctx, scratch: &mut scratch, row, cols: at, n })
+        };
+        match self.csr {
+            Some(x) => {
+                for r in lo..hi {
+                    tr.begin_row_sparse(r);
+                    for (vals, ix) in x.row_values(r).chunks(width).zip(x.row_cols(r).chunks(width))
+                    {
+                        let at = TileCols::Indices(ix);
+                        let dots = self.uv_tile(r, at, ix.len(), &mut uv);
+                        tr.sparse_tile(
+                            TileSrc::Slice(vals),
+                            dots,
+                            r,
+                            ix,
+                            self.run_body,
+                            |ev, ctx, n| emit(ev, ctx, n, r, at),
+                        );
+                    }
+                }
+            }
+            None => {
+                let mut mr = MainReader::new(self.main, cols);
+                for r in lo..hi {
+                    tr.begin_row_dense(r);
+                    let row = mr.row(r);
+                    let mut c0 = 0;
+                    while c0 < cols {
+                        let n = width.min(cols - c0);
+                        let at = TileCols::Range(c0);
+                        let dots = self.uv_tile(r, at, n, &mut uv);
+                        tr.dense_tile(
+                            sub_tile(row, c0, n),
+                            dots,
+                            r,
+                            c0,
+                            n,
+                            self.run_body,
+                            |ev, ctx, n| emit(ev, ctx, n, r, at),
+                        );
+                        c0 += n;
+                    }
+                }
+            }
+        }
+        pool::give(uv);
+        pool::give(scratch);
+    }
+
+    /// Sinks that accumulate: one `A` per worker, merged on the caller.
+    fn reduce<A: Send>(
+        &self,
+        identity: impl Fn() -> A + Sync,
+        tile: impl Fn(&mut A, &mut Tile<'_>) + Sync,
+        merge: impl Fn(A, A) -> A,
+    ) -> A {
+        let map = |lo, hi| {
+            let mut acc = identity();
+            self.walk(lo, hi, |t| tile(&mut acc, t));
+            acc
+        };
+        par::par_map_reduce(self.rows, self.work, identity(), map, merge)
+    }
+
+    /// Sinks that write `row_len` output slots per main row in place.
+    fn bands(
+        &self,
+        out: &mut [f64],
+        row_len: usize,
+        tile: impl Fn(&mut [f64], &mut Tile<'_>) + Sync,
+    ) {
+        // Nothing to write (no rows, or `row_len` = 0: a zero-column `NoAgg`,
+        // a zero-width `RightMM` side) — and `par` cannot band a 0-long row.
+        if out.is_empty() {
+            return;
+        }
+        par::par_row_bands_mut(out, self.rows, row_len, self.work, |r0, band| {
+            self.walk(r0, r0 + band.len() / row_len, |t| {
+                let o = (t.row() - r0) * row_len;
+                tile(&mut band[o..o + row_len], t)
+            })
+        });
+    }
+
+    /// `Full(k)`: result `j` folded under `ops[j]` over every position
+    /// (Cell and Outer `FullAgg` with `k` = 1, MAgg). Not finalized.
+    pub(crate) fn full(&self, ops: &[AggOp]) -> Vec<f64> {
+        self.reduce(
+            || ops.iter().map(|op| op.identity()).collect::<Vec<f64>>(),
+            |accs, t| {
+                for (j, (acc, &op)) in accs.iter_mut().zip(ops).enumerate() {
+                    *acc = t.fold(j, op, *acc);
+                }
+            },
+            |mut a, b| {
+                for ((x, y), op) in a.iter_mut().zip(b).zip(ops) {
+                    *x = op.combine(*x, y);
+                }
+                a
+            },
+        )
+    }
+
+    /// `RowAgg`: result 0 folded per main row. Not finalized.
+    pub(crate) fn row_agg(&self, op: AggOp) -> Vec<f64> {
+        let mut out = pool::take_zeroed(self.rows);
+        out.fill(op.identity());
+        self.bands(&mut out, 1, |slot, t| slot[0] = t.fold(0, op, slot[0]));
+        out
+    }
+
+    /// `ColAgg`: result 0 folded per column, with how many positions each
+    /// column was visited at (fewer than `rows` only under CSR iteration —
+    /// what the `Min` / `Max` implicit-zero fix-up asks). Not finalized.
+    pub(crate) fn col_agg(&self, op: AggOp) -> (Vec<f64>, Vec<usize>) {
+        let cols = self.cols;
+        self.reduce(
+            || (vec![op.identity(); cols], vec![0usize; cols]),
+            |(acc, counts), t| {
+                let at = t.cols();
+                for (i, &v) in t.map(0).iter().enumerate() {
+                    let c = at.at(i);
+                    acc[c] = op.fold(acc[c], v);
+                    counts[c] += 1;
+                }
+            },
+            |(mut a, mut ca), (b, cb)| {
+                for (x, y) in a.iter_mut().zip(b) {
+                    *x = op.combine(*x, y);
+                }
+                for (x, y) in ca.iter_mut().zip(cb) {
+                    *x += y;
+                }
+                (a, ca)
+            },
+        )
+    }
+
+    /// `NoAgg`: result 0 at every position — dense under dense iteration,
+    /// the non-zero results as CSR under CSR iteration.
+    pub(crate) fn no_agg(&self) -> Matrix {
+        let (rows, cols) = (self.rows, self.cols);
+        if self.csr.is_none() {
+            let mut out = pool::take_zeroed(rows * cols);
+            self.bands(&mut out, cols, |orow, t| {
+                let c0 = t.cols().at(0);
+                t.map_into(0, &mut orow[c0..c0 + t.n])
+            });
+            return Matrix::dense(DenseMatrix::new(rows, cols, out));
+        }
+        let triples = self.reduce(
+            Vec::new,
+            |triples, t| {
+                let (r, at) = (t.row(), t.cols());
+                for (i, &w) in t.map(0).iter().enumerate() {
+                    if w != 0.0 {
+                        triples.push((r, at.at(i), w));
+                    }
+                }
+            },
+            |mut a, mut b| {
+                a.append(&mut b);
+                a
+            },
+        );
+        Matrix::sparse(SparseMatrix::from_triples(rows, cols, triples))
+    }
+
+    /// `RightMM`: `out[i,:] += w_ij * S[j,:]` for the `rows × k` output,
+    /// `s` the row-major `cols × k` side.
+    pub(crate) fn right_mm(&self, s: &[f64], k: usize) -> Vec<f64> {
+        let mut out = pool::take_zeroed(self.rows * k);
+        self.bands(&mut out, k, |orow, t| {
+            let at = t.cols();
+            for (i, &w) in t.map(0).iter().enumerate() {
+                if w != 0.0 {
+                    prim::vect_mult_add(&s[at.at(i) * k..], w, orow, 0, 0, k);
+                }
+            }
+        });
+        out
+    }
+
+    /// `LeftMM`: `out[j,:] += w_ij * S[i,:]` for the `cols × k` output, `s`
+    /// the row-major `rows × k` side; per-worker partials, summed.
+    pub(crate) fn left_mm(&self, s: &[f64], k: usize) -> Vec<f64> {
+        self.reduce(
+            || pool::take_zeroed(self.cols * k),
+            |acc, t| {
+                let (srow, at) = (&s[t.row() * k..], t.cols());
+                for (i, &w) in t.map(0).iter().enumerate() {
+                    if w != 0.0 {
+                        prim::vect_mult_add(srow, w, &mut acc[at.at(i) * k..], 0, 0, k);
+                    }
+                }
+            },
+            |mut a, b| {
+                for (x, y) in a.iter_mut().zip(b.iter()) {
+                    *x += y;
+                }
+                pool::give(b);
+                a
+            },
+        )
+    }
+}
+
 /// Narrows a row-spanning tile source to one tile.
 #[inline]
-pub fn sub_tile<'a>(src: TileSrc<'a>, c0: usize, n: usize) -> TileSrc<'a> {
+fn sub_tile<'a>(src: TileSrc<'a>, c0: usize, n: usize) -> TileSrc<'a> {
     match src {
         TileSrc::Slice(s) => TileSrc::Slice(&s[c0..c0 + n]),
         TileSrc::Const(c) => TileSrc::Const(c),
@@ -34,8 +426,8 @@ pub fn sub_tile<'a>(src: TileSrc<'a>, c0: usize, n: usize) -> TileSrc<'a> {
 
 /// Reads main-input rows for dense (full row-range) iteration, densifying
 /// sparse rows into scratch.
-pub struct MainReader<'a> {
-    m: Option<&'a fusedml_linalg::Matrix>,
+struct MainReader<'a> {
+    m: Option<&'a Matrix>,
     scratch: Vec<f64>,
 }
 
@@ -46,19 +438,19 @@ impl Drop for MainReader<'_> {
 }
 
 impl<'a> MainReader<'a> {
-    pub fn new(m: Option<&'a fusedml_linalg::Matrix>, cols: usize) -> Self {
+    fn new(m: Option<&'a Matrix>, cols: usize) -> Self {
         let scratch = match m {
-            Some(fusedml_linalg::Matrix::Sparse(_)) => pool::take_zeroed(cols),
+            Some(Matrix::Sparse(_)) => pool::take_zeroed(cols),
             _ => Vec::new(),
         };
         MainReader { m, scratch }
     }
 
     /// The whole main row as a tile source (slice with `sub_tile`).
-    pub fn row(&mut self, r: usize) -> TileSrc<'_> {
+    fn row(&mut self, r: usize) -> TileSrc<'_> {
         match self.m {
-            Some(fusedml_linalg::Matrix::Dense(d)) => TileSrc::Slice(d.row(r)),
-            Some(fusedml_linalg::Matrix::Sparse(s)) => {
+            Some(Matrix::Dense(d)) => TileSrc::Slice(d.row(r)),
+            Some(Matrix::Sparse(s)) => {
                 self.scratch.fill(0.0);
                 for (c, v) in s.row_iter(r) {
                     self.scratch[c] = v;
@@ -72,9 +464,9 @@ impl<'a> MainReader<'a> {
 
 /// Per-thread tile-execution state: the evaluator register files plus
 /// per-gather-slot scratch.
-pub struct TileRunner<'k, 's> {
-    pub kernel: &'k BlockKernel,
-    pub eval: BlockEval,
+struct TileRunner<'k, 's> {
+    kernel: &'k BlockKernel,
+    eval: BlockEval,
     sides: &'s [SideInput],
     /// Densified side rows (sparse sides under dense iteration; row 0 of
     /// sparse `Row`-access sides, filled once).
@@ -95,7 +487,7 @@ impl Drop for TileRunner<'_, '_> {
 impl<'k, 's> TileRunner<'k, 's> {
     /// Builds a runner and runs the invocation-invariant prologue.
     /// `iter_cols` sizes the densified-row scratch for dense iteration.
-    pub fn new(
+    fn new(
         kernel: &'k BlockKernel,
         sides: &'s [SideInput],
         scalars: &[f64],
@@ -122,13 +514,9 @@ impl<'k, 's> TileRunner<'k, 's> {
         TileRunner { kernel, eval, sides, row_bufs, scatter_bufs, width }
     }
 
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Per-row prologue for dense iteration: runs the row-uniform program
     /// and densifies sparse `Cell`-access side rows.
-    pub fn begin_row_dense(&mut self, r: usize) {
+    fn begin_row_dense(&mut self, r: usize) {
         let bp = &self.kernel.block;
         self.eval.begin_row(bp, &|i, acc| self.sides[i].value_at(acc, r, 0));
         for (slot, &(side, access)) in bp.gathers.iter().enumerate() {
@@ -146,15 +534,15 @@ impl<'k, 's> TileRunner<'k, 's> {
 
     /// Per-row prologue for sparse (non-zero-batched) iteration: only the
     /// row-uniform program runs; gathers happen per batch.
-    pub fn begin_row_sparse(&mut self, r: usize) {
+    fn begin_row_sparse(&mut self, r: usize) {
         let bp = &self.kernel.block;
         self.eval.begin_row(bp, &|i, acc| self.sides[i].value_at(acc, r, 0));
     }
 
     /// Gathers side tiles for columns `[c0, c0+n)` of row `r`, optionally
     /// evaluates the body, and hands the evaluator + context to `f`.
-    #[allow(clippy::too_many_arguments)] // mirrors the skeleton calling convention
-    pub fn dense_tile<R>(
+    #[allow(clippy::too_many_arguments)] // one call site, in `CellPass::walk`
+    fn dense_tile<R>(
         &mut self,
         main: TileSrc<'_>,
         uv: TileSrc<'_>,
@@ -185,7 +573,7 @@ impl<'k, 's> TileRunner<'k, 's> {
 
     /// Gathers side tiles at the scattered column indices `cols` of row `r`
     /// (non-zero batching), optionally evaluates, and hands off to `f`.
-    pub fn sparse_tile<R>(
+    fn sparse_tile<R>(
         &mut self,
         main: TileSrc<'_>,
         uv: TileSrc<'_>,
@@ -211,10 +599,8 @@ impl<'k, 's> TileRunner<'k, 's> {
                         *b = s.get(r, c);
                     }
                 }
-                (SideInput::Sparse(s), SideAccess::Row) => {
-                    for (b, &c) in buf[..n].iter_mut().zip(cols) {
-                        *b = s.get(0, c);
-                    }
+                (SideInput::Sparse(_), SideAccess::Row) => {
+                    simd::gather_into(&mut buf[..n], &self.row_bufs[slot], cols);
                 }
                 _ => unreachable!("Col/Scalar accesses are hoisted out of gathers"),
             }
@@ -228,23 +614,5 @@ impl<'k, 's> TileRunner<'k, 's> {
             self.eval.eval_body(bp, &ctx, n);
         }
         f(&self.eval, &ctx, n)
-    }
-}
-
-/// Folds an evaluated tile result into a per-column accumulator slice
-/// (dense column aggregation).
-#[inline]
-pub fn fold_cols(op: fusedml_linalg::ops::AggOp, acc: &mut [f64], r: OpRef<'_>) {
-    match r {
-        OpRef::S(s) => {
-            for (a, &v) in acc.iter_mut().zip(s) {
-                *a = op.fold(*a, v);
-            }
-        }
-        OpRef::C(c) => {
-            for a in acc.iter_mut() {
-                *a = op.fold(*a, c);
-            }
-        }
     }
 }

@@ -1,10 +1,12 @@
 #![allow(clippy::disallowed_methods)] // test/bench code may unwrap freely
 //! Differential property tests for the tile-vectorized block backend:
-//! random scalar register programs executed through the Cell and MultiAgg
-//! skeletons must agree with the per-cell scalar interpreter (the oracle)
-//! across dense/sparse mains, every `SideAccess` kind, every aggregation
-//! variant, and ragged tail tiles (rows/cols not a multiple of the tile
-//! width).
+//! random scalar register programs executed through the Cell, MultiAgg and
+//! Outer skeletons must agree with the per-cell scalar interpreter (the
+//! oracle) across dense/sparse mains, every `SideAccess` kind, every
+//! aggregation variant, and ragged tail tiles (rows/cols not a multiple of
+//! the tile width). The three skeletons share one driver
+//! (`spoof::tiles::CellPass`); `every_sink_on_the_format_width_grid` walks
+//! each of its output sinks over the tile-edge shapes.
 //!
 //! Elementwise (NoAgg) results agree to 1e-12 (bitwise in the generic path;
 //! a product kernel multiplies its main factors first); aggregates are
@@ -14,11 +16,13 @@ mod common;
 
 use fusedml_core::spoof::block::{compile_kernel, CellBackend};
 use fusedml_core::spoof::mono::ShapeClass;
-use fusedml_core::spoof::{CellAgg, CellSpec, Instr, MAggSpec, Program, SideAccess};
+use fusedml_core::spoof::{
+    CellAgg, CellSpec, Instr, MAggSpec, OuterOut, OuterSpec, Program, SideAccess,
+};
 use fusedml_linalg::ops::{AggOp, BinaryOp, TernaryOp, UnaryOp};
-use fusedml_linalg::{generate, Matrix};
+use fusedml_linalg::{generate, par, DenseMatrix, Matrix, SparseMatrix};
 use fusedml_runtime::side::SideInput;
-use fusedml_runtime::spoof::{cellwise, multiagg};
+use fusedml_runtime::spoof::{cellwise, multiagg, outerprod};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const N_SIDES: usize = 3;
@@ -27,8 +31,9 @@ const N_SCALARS: usize = 2;
 /// Generates a random scalar program over the main input, `N_SIDES` sides
 /// with random access kinds, bound scalars, and constants. The operator set
 /// is restricted to operations whose NaN/∞ behaviour is order-independent,
-/// so the differential comparison stays exact-by-construction.
-fn random_program(rng: &mut StdRng) -> Program {
+/// so the differential comparison stays exact-by-construction. With `uv`, a
+/// fifth of the loads read Outer's `dot(U_i, V_j)` instead of the main.
+fn random_program(rng: &mut StdRng, uv: bool) -> Program {
     let n_instrs = rng.gen_range(1..14usize);
     let mut instrs: Vec<Instr> = Vec::with_capacity(n_instrs);
     let mut next = 0u16;
@@ -53,6 +58,7 @@ fn random_program(rng: &mut StdRng) -> Program {
                 }
                 2 => Instr::LoadScalar { out, idx: rng.gen_range(0..N_SCALARS) },
                 3 => Instr::LoadConst { out, value: rng.gen_range(-2.0..2.0) },
+                _ if uv => Instr::LoadUVDot { out },
                 _ => Instr::LoadMain { out },
             },
             // Unary over an existing register.
@@ -147,7 +153,7 @@ fn random_agg(rng: &mut StdRng) -> AggOp {
 fn cell_block_backends_match_scalar_oracle_on_random_programs() {
     for seed in 0..120u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let prog = random_program(&mut rng);
+        let prog = random_program(&mut rng, false);
         let inputs = random_inputs(&mut rng, seed);
         let result = prog.n_regs - 1;
         let agg = match rng.gen_range(0..4u32) {
@@ -206,7 +212,7 @@ fn cell_block_backends_match_scalar_oracle_on_random_programs() {
 fn multiagg_block_backends_match_scalar_oracle_on_random_programs() {
     for seed in 1000..1080u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let prog = random_program(&mut rng);
+        let prog = random_program(&mut rng, false);
         let inputs = random_inputs(&mut rng, seed);
         let k = rng.gen_range(1..4usize);
         let results: Vec<(u16, AggOp)> =
@@ -244,6 +250,77 @@ fn multiagg_block_backends_match_scalar_oracle_on_random_programs() {
                         o.get(0, 0),
                         prog
                     );
+                }
+            }
+        }
+    }
+}
+
+/// Outer legs: every `OuterOut` over {dense, CSR sparse-safe, CSR not
+/// sparse-safe} mains, `Block` and `Mono` against `Scalar`. Programs read
+/// `dot(U_i, V_j)` as well as the main and the sides; `U`/`V` are bound CSR
+/// on some seeds (the skeleton densifies them once). `RightMM` multiplies
+/// with `V`, `LeftMM` with `U`, as the ALS-CG update does.
+#[test]
+fn outer_block_backends_match_scalar_oracle_on_random_programs() {
+    for seed in 2000..2060u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let prog = random_program(&mut rng, true);
+        let inputs = random_inputs(&mut rng, seed);
+        let rank = rng.gen_range(1..9usize);
+        let mut bound = inputs.sides.clone();
+        for (i, len) in [inputs.rows, inputs.cols].into_iter().enumerate() {
+            let density = if rng.gen_bool(0.3) { 0.3 } else { 1.0 };
+            bound.push(generate::rand_matrix(len, rank, -1.0, 1.0, density, seed * 13 + i as u64));
+        }
+        let (u_side, v_side) = (N_SIDES, N_SIDES + 1);
+        let sides: Vec<SideInput> = bound.iter().map(SideInput::bind).collect();
+        for out in [
+            OuterOut::FullAgg,
+            OuterOut::RightMM { side: v_side },
+            OuterOut::LeftMM { side: u_side },
+            OuterOut::NoAgg,
+        ] {
+            for (main, sparse_safe) in [
+                (&inputs.dense_main, false),
+                (&inputs.sparse_main, true),
+                (&inputs.sparse_main, false),
+            ] {
+                let spec = OuterSpec {
+                    prog: prog.clone(),
+                    result: prog.n_regs - 1,
+                    out,
+                    u_side,
+                    v_side,
+                    rank,
+                    sparse_safe,
+                };
+                let run = |backend| {
+                    outerprod::execute_with(
+                        &spec,
+                        Some(main),
+                        &sides,
+                        &inputs.scalars,
+                        inputs.rows,
+                        inputs.cols,
+                        backend,
+                    )
+                };
+                let oracle = run(CellBackend::Scalar);
+                for backend in [CellBackend::Block, CellBackend::Mono] {
+                    let got = run(backend);
+                    let what = format!(
+                        "seed {seed}: {backend:?} {out:?} sparse={} sparse_safe {sparse_safe}, \
+                         {}x{} rank {rank}, prog {prog:?}",
+                        main.is_sparse(),
+                        inputs.rows,
+                        inputs.cols
+                    );
+                    if out == OuterOut::NoAgg {
+                        common::assert_bitwise(&got, &oracle, &what);
+                    } else {
+                        assert!(got.approx_eq(&oracle, 1e-11), "{what}");
+                    }
                 }
             }
         }
@@ -335,7 +412,7 @@ fn product_chains_agree_between_mono_and_tile_interpreter() {
 fn tile_width_sweep_preserves_results() {
     use fusedml_core::plancache::KernelCaches;
     let mut rng = StdRng::seed_from_u64(9000);
-    let prog = random_program(&mut rng);
+    let prog = random_program(&mut rng, false);
     let inputs = random_inputs(&mut rng, 9000);
     let spec = CellSpec {
         prog: prog.clone(),
@@ -367,6 +444,187 @@ fn tile_width_sweep_preserves_results() {
                 backend,
             );
             assert!(got.approx_eq(&oracle, 1e-11), "width {width} backend {backend:?}");
+        }
+    }
+}
+
+/// An operator of the grid: which skeleton, which output sink.
+#[derive(Clone, Copy, Debug)]
+enum GridOp {
+    Cell(CellAgg),
+    MAgg,
+    Outer(OuterOut),
+}
+
+/// `(X ⊙ (S0 + s1ᵀ)) − s2` with `S0` read per cell, `s1` per column (`Row`
+/// access) and `s2` per row (`Col` access, so every row has a row-uniform
+/// prologue); Outer multiplies by `dot(U_i, V_j)`. Not a product chain, so
+/// the map class is bitwise on every backend.
+fn grid_program() -> Program {
+    Program {
+        instrs: vec![
+            Instr::LoadMain { out: 0 },
+            Instr::LoadSide { out: 1, side: 0, access: SideAccess::Cell },
+            Instr::LoadSide { out: 2, side: 1, access: SideAccess::Row },
+            Instr::LoadSide { out: 3, side: 2, access: SideAccess::Col },
+            Instr::Binary { out: 4, op: BinaryOp::Add, a: 1, b: 2 },
+            Instr::Binary { out: 5, op: BinaryOp::Mult, a: 0, b: 4 },
+            Instr::Binary { out: 6, op: BinaryOp::Sub, a: 5, b: 3 },
+            Instr::LoadUVDot { out: 7 },
+            Instr::Binary { out: 8, op: BinaryOp::Mult, a: 6, b: 7 },
+        ],
+        n_regs: 9,
+        vreg_lens: vec![],
+    }
+}
+
+/// CSR with the cells of `d` kept where `keep(r, c)`.
+fn csr_where(d: &Matrix, keep: impl Fn(usize, usize) -> bool) -> Matrix {
+    let mut triples = Vec::new();
+    for r in 0..d.rows() {
+        for c in (0..d.cols()).filter(|&c| keep(r, c)) {
+            triples.push((r, c, d.get(r, c)));
+        }
+    }
+    Matrix::sparse(SparseMatrix::from_triples(d.rows(), d.cols(), triples))
+}
+
+/// One `rows × cols` point of the grid under the scoped tile width: every
+/// sink, every main format, `Block` and `Mono` on one and on two threads
+/// against the `Scalar` oracle.
+fn grid_point(width: usize, rows: usize, cols: usize) {
+    const RANK: usize = 3;
+    let seed = (width * 1000 + cols) as u64;
+    let dense = generate::rand_dense(rows, cols, -1.5, 1.5, seed);
+    // Row 0 is full (longer than one tile once `cols > width`), row 1 is
+    // empty, the rest hold three cells in ten.
+    let csr = csr_where(&dense, |r, c| r == 0 || (r != 1 && (r * 31 + c * 17) % 10 < 3));
+    // A CSR `Cell` side denser than the CSR main, a CSR `Row` side, a dense
+    // `Col` side, then Outer's factors.
+    let s0 = generate::rand_dense(rows, cols, -1.5, 1.5, seed + 1);
+    let s1 = generate::rand_dense(1, cols, -1.5, 1.5, seed + 2);
+    let bound = [
+        csr_where(&s0, |r, c| (r * 7 + c * 3) % 10 < 6),
+        csr_where(&s1, |_, c| c % 2 == 0),
+        generate::rand_dense(rows, 1, -1.5, 1.5, seed + 3),
+        generate::rand_dense(rows, RANK, -1.0, 1.0, seed + 4),
+        generate::rand_dense(cols, RANK, -1.0, 1.0, seed + 5),
+    ];
+    let sides: Vec<SideInput> = bound.iter().map(SideInput::bind).collect();
+    let prog = grid_program();
+    let cell_prog = Program { instrs: prog.instrs[..7].to_vec(), n_regs: 7, vreg_lens: vec![] };
+
+    let run = |op: GridOp, main: Option<&Matrix>, sparse_safe: bool, backend, threads| {
+        let _limit = par::limit_current_thread(threads);
+        match op {
+            GridOp::Cell(agg) => {
+                let spec = CellSpec { prog: cell_prog.clone(), result: 6, agg, sparse_safe };
+                vec![cellwise::execute_with(&spec, main, &sides, &[], rows, cols, backend)]
+            }
+            GridOp::MAgg => {
+                let results =
+                    vec![(5, AggOp::Sum), (6, AggOp::Max), (4, AggOp::Min), (6, AggOp::Mean)];
+                let spec = MAggSpec { prog: cell_prog.clone(), results, sparse_safe };
+                multiagg::execute_with(&spec, main, &sides, &[], rows, cols, backend)
+            }
+            GridOp::Outer(out) => {
+                let (result, u_side, v_side) = (8, 3, 4);
+                let spec = OuterSpec {
+                    prog: prog.clone(),
+                    result,
+                    out,
+                    u_side,
+                    v_side,
+                    rank: RANK,
+                    sparse_safe,
+                };
+                vec![outerprod::execute_with(&spec, main, &sides, &[], rows, cols, backend)]
+            }
+        }
+    };
+
+    let ops = [
+        GridOp::Cell(CellAgg::NoAgg),
+        GridOp::Cell(CellAgg::RowAgg(AggOp::Sum)),
+        GridOp::Cell(CellAgg::RowAgg(AggOp::Min)),
+        GridOp::Cell(CellAgg::ColAgg(AggOp::Sum)),
+        GridOp::Cell(CellAgg::ColAgg(AggOp::Max)),
+        GridOp::Cell(CellAgg::FullAgg(AggOp::SumSq)),
+        GridOp::Cell(CellAgg::FullAgg(AggOp::Mean)),
+        GridOp::MAgg,
+        GridOp::Outer(OuterOut::FullAgg),
+        GridOp::Outer(OuterOut::RightMM { side: 4 }),
+        GridOp::Outer(OuterOut::LeftMM { side: 3 }),
+        GridOp::Outer(OuterOut::NoAgg),
+    ];
+    let mains = [(Some(&dense), false), (Some(&csr), true), (Some(&csr), false), (None, false)];
+    for op in ops {
+        // Map-class sinks are bitwise against the oracle; sinks that keep a
+        // main row on one worker are bitwise across thread counts.
+        let map_class = matches!(op, GridOp::Cell(CellAgg::NoAgg) | GridOp::Outer(OuterOut::NoAgg));
+        let row_local = map_class
+            || matches!(
+                op,
+                GridOp::Cell(CellAgg::RowAgg(_)) | GridOp::Outer(OuterOut::RightMM { .. })
+            );
+        for (main, sparse_safe) in mains {
+            if main.is_none() && matches!(op, GridOp::Outer(_)) {
+                continue; // `main = None` is Cell / MAgg over sides only
+            }
+            let what = format!(
+                "width {width} {rows}x{cols} {op:?} main {} sparse_safe {sparse_safe}",
+                main.map_or("none", |m| if m.is_sparse() { "csr" } else { "dense" })
+            );
+            // The per-cell `NoAgg` oracle of Cell cannot split a zero-length
+            // row (`par_rows_mut` asserts); the answer is the empty matrix.
+            let oracle = if cols == 0 && matches!(op, GridOp::Cell(CellAgg::NoAgg)) && !sparse_safe
+            {
+                vec![Matrix::dense(DenseMatrix::new(rows, 0, vec![]))]
+            } else {
+                run(op, main, sparse_safe, CellBackend::Scalar, 1)
+            };
+            let check = |got: &[Matrix], want: &[Matrix], bitwise: bool, what: &str| {
+                assert_eq!(got.len(), want.len(), "{what}: result count");
+                for (g, w) in got.iter().zip(want) {
+                    if bitwise {
+                        common::assert_bitwise(g, w, what);
+                    } else {
+                        assert!(g.approx_eq(w, 1e-11), "{what}: {g:?} vs {w:?}");
+                    }
+                }
+            };
+            for backend in [CellBackend::Block, CellBackend::Mono] {
+                let one = run(op, main, sparse_safe, backend, 1);
+                let two = run(op, main, sparse_safe, backend, 2);
+                check(&one, &oracle, map_class, &format!("{what} {backend:?} 1 thread"));
+                check(&two, &oracle, map_class, &format!("{what} {backend:?} 2 threads"));
+                check(&two, &one, row_local, &format!("{what} {backend:?} 2 vs 1 threads"));
+            }
+        }
+    }
+}
+
+/// Drives every output sink of the shared driver through `execute_with` at
+/// the shapes its tile walk has edges at: tile widths 8 / 33 / 256, column
+/// counts around a tile boundary (none, one, `w−1`, `w`, `w+1`, three tiles
+/// and a ragged fourth), an empty CSR row and one longer than a tile, no
+/// main at all, a CSR side denser than the main, and row counts on either
+/// side of the `par` split under one and two threads. `limit_current_thread`
+/// is the thread-local cap: `set_num_threads` is process-wide and would race
+/// with the other tests of this binary.
+#[test]
+fn every_sink_on_the_format_width_grid() {
+    use fusedml_core::plancache::KernelCaches;
+    for width in [8usize, 33, 256] {
+        let caches = KernelCaches::with_config(16, width);
+        let _scope = fusedml_runtime::spoof::enter_kernels(&caches);
+        for cols in [0, 1, width - 1, width, width + 1, 3 * width + 5] {
+            // Three rows run inline; the second count clears the split
+            // threshold even under the CSR work hint (`nnz / rows · 4` at a
+            // density of 0.3).
+            for rows in [3, 2 * par::PAR_THRESHOLD / cols.max(1) + 3] {
+                grid_point(width, rows, cols);
+            }
         }
     }
 }
