@@ -23,7 +23,7 @@ use fusedml_core::util::FxHashMap;
 use fusedml_hop::{HopDag, HopId, OpKind};
 use fusedml_linalg::matrix::Value;
 use fusedml_linalg::ops::{AggDir, AggOp, BinaryOp, UnaryOp};
-use fusedml_linalg::{par, pool, primitives as prim, DenseMatrix, Matrix};
+use fusedml_linalg::{par, pool, primitives as prim, simd, DenseMatrix, Matrix};
 
 /// The concrete hand-coded kernel a matched pattern executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,27 +128,42 @@ fn match_tak_plus_mult(dag: &HopDag, hop: HopId) -> Option<HcOperator> {
 }
 
 fn exec_tak_plus_mult(inputs: &[Value]) -> Value {
-    let ma = inputs[0].as_matrix();
-    let mb = inputs[1].as_matrix();
-    let mc = inputs.get(2).map(|v| v.as_matrix());
-    let (rows, cols) = (ma.rows(), ma.cols());
+    let factors: Vec<Matrix> = inputs.iter().map(Value::as_matrix).collect();
+    let (rows, cols) = (factors[0].rows(), factors[0].cols());
     let acc = par::par_map_reduce(
         rows,
         cols.max(1) * 2,
         0.0f64,
-        |lo, hi| {
-            let mut acc = 0.0;
-            for r in lo..hi {
-                for c in 0..cols {
-                    let v = ma.get(r, c) * mb.get(r, c) * mc.as_ref().map_or(1.0, |m| m.get(r, c));
-                    acc += v;
-                }
-            }
-            acc
-        },
+        |lo, hi| (lo..hi).map(|r| tak_row(&factors, r)).sum(),
         |x, y| x + y,
     );
     Value::Scalar(acc)
+}
+
+/// Row `r` of `sum(A ⊙ B [⊙ C])`. All factors dense: one `dot` over the row
+/// slices. Otherwise the non-zeros of the CSR factor with the fewest in this
+/// row, the other factors read at those columns (an index into a dense row,
+/// a binary search of a CSR one).
+fn tak_row(factors: &[Matrix], r: usize) -> f64 {
+    let lead = factors.iter().enumerate().filter_map(|(i, m)| match m {
+        Matrix::Sparse(s) => Some((s.row_nnz(r), i, &**s)),
+        Matrix::Dense(_) => None,
+    });
+    let Some((_, lead, s)) = lead.min_by_key(|&(nnz, ..)| nnz) else {
+        return match factors {
+            [a, b] => simd::dot(a.as_dense().row(r), b.as_dense().row(r)),
+            [a, b, c] => {
+                simd::dot3_sum(a.as_dense().row(r), b.as_dense().row(r), c.as_dense().row(r))
+            }
+            _ => unreachable!("tak+* has two or three factors"),
+        };
+    };
+    s.row_iter(r)
+        .map(|(c, v)| {
+            let at = |(i, m): (usize, &Matrix)| if i == lead { v } else { m.get(r, c) };
+            factors.iter().enumerate().map(at).product::<f64>()
+        })
+        .sum()
 }
 
 // ---------------------------------------------------------------------------
@@ -401,6 +416,40 @@ mod tests {
         let (fused, base, hc) = run_both(&dag, &bindings);
         assert!(hc >= 1, "tak+* must match");
         assert!(fusedml_linalg::approx_eq(fused[0].as_scalar(), base[0].as_scalar(), 1e-9));
+    }
+
+    /// Every format mix of two and three factors: the sparsest CSR row leads,
+    /// whichever factor it is in, and the result is the base operators'.
+    #[test]
+    fn tak_over_csr_factors_matches_base() {
+        let (rows, cols) = (60, 90);
+        let formats = [
+            generate::rand_dense(rows, cols, -1.0, 1.0, 21),
+            generate::rand_matrix(rows, cols, -1.0, 1.0, 0.4, 22),
+            generate::rand_matrix(rows, cols, -1.0, 1.0, 0.05, 23),
+        ];
+        let names = ["X", "Y", "Z"];
+        for n in [2usize, 3] {
+            let mut b = DagBuilder::new();
+            let reads: Vec<_> = names[..n].iter().map(|v| b.read(v, rows, cols, 1.0)).collect();
+            let prod = reads[1..].iter().fold(reads[0], |p, &f| b.mult(p, f));
+            let s = b.sum(prod);
+            let dag = b.build(vec![s]);
+            for pick in 0..formats.len().pow(n as u32) {
+                let mix: Vec<(&str, Matrix)> = (0..n)
+                    .map(|i| (names[i], formats[pick / 3usize.pow(i as u32) % 3].clone()))
+                    .collect();
+                let bindings = bind(&mix);
+                let (fused, base, hc) = run_both(&dag, &bindings);
+                assert!(hc >= 1, "tak+* must match");
+                assert!(
+                    fusedml_linalg::approx_eq(fused[0].as_scalar(), base[0].as_scalar(), 1e-9),
+                    "{n} factors, mix {pick}: {} vs {}",
+                    fused[0].as_scalar(),
+                    base[0].as_scalar()
+                );
+            }
+        }
     }
 
     #[test]

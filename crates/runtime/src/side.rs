@@ -3,13 +3,22 @@
 //! behind a uniform interface (paper §5.2: "Gen handles such cases more
 //! efficiently via stateful iterators under the covers of the stateless
 //! getValue() abstraction").
+//!
+//! The stateless half is here: [`SideInput::value_at`] is a point read, which
+//! is all the per-cell `Scalar` interpreters (the differential oracle) use.
+//! The stateful half is in the tile layer (`spoof::tiles`): a sparse side's
+//! row is scattered once into a `cols`-wide scratch (`RowScratch`) and every
+//! tile of the main row gathers from it; only a main row far sparser than the
+//! side's keeps the point read.
 
 use fusedml_core::spoof::SideAccess;
 use fusedml_linalg::{DenseMatrix, Matrix, SparseMatrix};
 
 /// A bound side input. Dense sides expose direct indexing; a sparse side
-/// answers a point read with a binary search of its CSR row (the tile path
-/// densifies whole rows instead wherever it reads one more than once).
+/// answers a point read with a binary search of its CSR row. Point reads are
+/// for the `Scalar` oracle and for main rows with a handful of non-zeros
+/// against a long side row; everywhere else the tile path reads a sparse
+/// side through its scattered row.
 pub enum SideInput {
     Dense(std::sync::Arc<DenseMatrix>),
     Sparse(std::sync::Arc<SparseMatrix>),

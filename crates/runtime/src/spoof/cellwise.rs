@@ -135,6 +135,10 @@ fn dense_exec(
     let main_get = |r: usize, c: usize| main.map_or(0.0, |m| m.get(r, c));
     match spec.agg {
         CellAgg::NoAgg => {
+            if cols == 0 {
+                // `par` cannot split a 0-long row; the answer is `rows × 0`.
+                return Matrix::dense(DenseMatrix::new(rows, 0, Vec::new()));
+            }
             let mut out = pool::take_zeroed(rows * cols);
             par::par_rows_mut(&mut out, rows, cols.max(1), cols.max(1) * 4, |r, orow| {
                 let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
@@ -465,6 +469,13 @@ mod tests {
             50,
         );
         assert_eq!(out[0].get(0, 0), 0.0);
+    }
+
+    #[test]
+    fn scalar_no_agg_over_zero_columns_is_empty() {
+        let spec = mult_side_spec(CellAgg::NoAgg, false);
+        let out = execute_with(&spec, None, &[], &[], 3, 0, CellBackend::Scalar);
+        assert_eq!((out.rows(), out.cols()), (3, 0));
     }
 
     /// Regression for the dense/sparse `Mean` finalization asymmetry: the

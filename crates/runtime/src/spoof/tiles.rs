@@ -12,7 +12,11 @@
 //!
 //! Below the driver, `TileRunner` resolves each of the program's side
 //! gathers into per-tile slices — zero-copy for dense sides under dense
-//! iteration, densified-row or scatter-gather scratch otherwise.
+//! iteration, gathered by column index under CSR iteration. Wherever a CSR
+//! row (a sparse side's, or a CSR main walked densely) has to be addressed
+//! by column it is scattered into a `RowScratch`; the one exception is a
+//! main row far sparser than the side's, which keeps the point lookup
+//! (`lookup_is_cheaper`).
 
 use crate::side::SideInput;
 use fusedml_linalg::ops::AggOp;
@@ -213,7 +217,7 @@ impl<'a> CellPass<'a> {
         match self.csr {
             Some(x) => {
                 for r in lo..hi {
-                    tr.begin_row_sparse(r);
+                    tr.begin_row_sparse(r, x.row_nnz(r));
                     for (vals, ix) in x.row_values(r).chunks(width).zip(x.row_cols(r).chunks(width))
                     {
                         let at = TileCols::Indices(ix);
@@ -424,24 +428,71 @@ fn sub_tile<'a>(src: TileSrc<'a>, c0: usize, n: usize) -> TileSrc<'a> {
     }
 }
 
+/// One CSR row made addressable by column: a pooled, `cols`-wide buffer that
+/// is `+0.0` everywhere except at the stored cells of the row it holds.
+struct RowScratch {
+    buf: Vec<f64>,
+    /// Which row of its matrix is scattered into `buf`.
+    held: Option<usize>,
+}
+
+impl Drop for RowScratch {
+    fn drop(&mut self) {
+        pool::give(std::mem::take(&mut self.buf));
+    }
+}
+
+impl RowScratch {
+    /// A scratch for rows of `cols` columns, holding none (`cols` = 0: a
+    /// placeholder that is never loaded).
+    fn new(cols: usize) -> Self {
+        RowScratch { buf: pool::take_zeroed(cols), held: None }
+    }
+
+    /// Makes the buffer hold row `r` of `csr` — always the same matrix for
+    /// one scratch. The row held before is un-scattered through its own
+    /// column indices, so a load costs the two rows' non-zeros, not `cols`.
+    fn load(&mut self, csr: &SparseMatrix, r: usize) {
+        debug_assert_eq!(csr.cols(), self.buf.len());
+        if let Some(h) = self.held.replace(r) {
+            for &c in csr.row_cols(h) {
+                self.buf[c] = 0.0;
+            }
+        }
+        for (&c, &v) in csr.row_cols(r).iter().zip(csr.row_values(r)) {
+            self.buf[c] = v;
+        }
+    }
+
+    /// The densified row `r`, if that is the row held.
+    fn row(&self, r: usize) -> Option<&[f64]> {
+        (self.held == Some(r)).then_some(&self.buf[..])
+    }
+}
+
+/// The per-row rule of CSR iteration: whether a main row of `m` non-zeros
+/// reads a sparse side row of `s` non-zeros by point lookup rather than from
+/// a scattered row. Scattering, gathering and un-scattering cost about
+/// `2·s + m` plain memory operations at ≈ 0.65 ns each, the lookups
+/// `m · log2 s` mispredicted search steps at ≈ 1.5 ns each (both measured on
+/// fig8b's 4000×1000 inputs), so the lookup only wins where the main row is
+/// far sparser than the side's.
+fn lookup_is_cheaper(m: usize, s: usize) -> bool {
+    s > 0 && m * (s.ilog2() as usize + 1) < s
+}
+
 /// Reads main-input rows for dense (full row-range) iteration, densifying
 /// sparse rows into scratch.
 struct MainReader<'a> {
     m: Option<&'a Matrix>,
-    scratch: Vec<f64>,
-}
-
-impl Drop for MainReader<'_> {
-    fn drop(&mut self) {
-        pool::give(std::mem::take(&mut self.scratch));
-    }
+    scratch: RowScratch,
 }
 
 impl<'a> MainReader<'a> {
     fn new(m: Option<&'a Matrix>, cols: usize) -> Self {
         let scratch = match m {
-            Some(Matrix::Sparse(_)) => pool::take_zeroed(cols),
-            _ => Vec::new(),
+            Some(Matrix::Sparse(_)) => RowScratch::new(cols),
+            _ => RowScratch::new(0),
         };
         MainReader { m, scratch }
     }
@@ -451,11 +502,8 @@ impl<'a> MainReader<'a> {
         match self.m {
             Some(Matrix::Dense(d)) => TileSrc::Slice(d.row(r)),
             Some(Matrix::Sparse(s)) => {
-                self.scratch.fill(0.0);
-                for (c, v) in s.row_iter(r) {
-                    self.scratch[c] = v;
-                }
-                TileSrc::Slice(&self.scratch)
+                self.scratch.load(s, r);
+                TileSrc::Slice(&self.scratch.buf)
             }
             None => TileSrc::Const(0.0),
         }
@@ -468,9 +516,9 @@ struct TileRunner<'k, 's> {
     kernel: &'k BlockKernel,
     eval: BlockEval,
     sides: &'s [SideInput],
-    /// Densified side rows (sparse sides under dense iteration; row 0 of
-    /// sparse `Row`-access sides, filled once).
-    row_bufs: Vec<Vec<f64>>,
+    /// Per gather slot of a sparse side, the side row addressable by column:
+    /// loaded per main row for `Cell` access, once with row 0 for `Row`.
+    side_rows: Vec<RowScratch>,
     /// Scatter-gather scratch (sparse-main iteration), tile-width sized.
     scatter_bufs: Vec<Vec<f64>>,
     width: usize,
@@ -478,7 +526,7 @@ struct TileRunner<'k, 's> {
 
 impl Drop for TileRunner<'_, '_> {
     fn drop(&mut self) {
-        for buf in self.row_bufs.drain(..).chain(self.scatter_bufs.drain(..)) {
+        for buf in self.scatter_bufs.drain(..) {
             pool::give(buf);
         }
     }
@@ -486,7 +534,7 @@ impl Drop for TileRunner<'_, '_> {
 
 impl<'k, 's> TileRunner<'k, 's> {
     /// Builds a runner and runs the invocation-invariant prologue.
-    /// `iter_cols` sizes the densified-row scratch for dense iteration.
+    /// `iter_cols` sizes the row scratch of the sparse sides.
     fn new(
         kernel: &'k BlockKernel,
         sides: &'s [SideInput],
@@ -498,45 +546,52 @@ impl<'k, 's> TileRunner<'k, 's> {
         assert!(bp.gathers.len() <= MAX_GATHERS, "gather count exceeds tile path");
         let mut eval = BlockEval::new(bp, width);
         eval.set_invariants(bp, &|i, acc| sides[i].value_at(acc, 0, 0), scalars);
-        let mut row_bufs = vec![Vec::new(); bp.gathers.len()];
-        let mut scatter_bufs = vec![Vec::new(); bp.gathers.len()];
-        for (slot, &(side, access)) in bp.gathers.iter().enumerate() {
-            if matches!(sides[side], SideInput::Sparse(_)) {
-                let mut buf = pool::take_zeroed(iter_cols);
-                if access == SideAccess::Row {
-                    // Row access reads row 0 everywhere: densify once.
-                    sides[side].read_row_into(0, 0, iter_cols, &mut buf);
+        let mut side_rows = Vec::with_capacity(bp.gathers.len());
+        let mut scatter_bufs = Vec::with_capacity(bp.gathers.len());
+        for &(side, access) in &bp.gathers {
+            side_rows.push(match &sides[side] {
+                SideInput::Sparse(s) => {
+                    let mut row = RowScratch::new(iter_cols);
+                    if access == SideAccess::Row {
+                        // Row access reads row 0 everywhere: scatter it once.
+                        row.load(s, 0);
+                    }
+                    row
                 }
-                row_bufs[slot] = buf;
-            }
-            scatter_bufs[slot] = pool::take_zeroed(width);
+                SideInput::Dense(_) => RowScratch::new(0),
+            });
+            scatter_bufs.push(pool::take_zeroed(width));
         }
-        TileRunner { kernel, eval, sides, row_bufs, scatter_bufs, width }
+        TileRunner { kernel, eval, sides, side_rows, scatter_bufs, width }
     }
 
     /// Per-row prologue for dense iteration: runs the row-uniform program
-    /// and densifies sparse `Cell`-access side rows.
+    /// and scatters row `r` of every sparse `Cell`-access side.
     fn begin_row_dense(&mut self, r: usize) {
         let bp = &self.kernel.block;
         self.eval.begin_row(bp, &|i, acc| self.sides[i].value_at(acc, r, 0));
         for (slot, &(side, access)) in bp.gathers.iter().enumerate() {
-            if access == SideAccess::Cell {
-                if let SideInput::Sparse(s) = &self.sides[side] {
-                    let buf = &mut self.row_bufs[slot];
-                    buf.fill(0.0);
-                    for (c, v) in s.row_iter(r) {
-                        buf[c] = v;
-                    }
-                }
+            if let (SideInput::Sparse(s), SideAccess::Cell) = (&self.sides[side], access) {
+                self.side_rows[slot].load(s, r);
             }
         }
     }
 
-    /// Per-row prologue for sparse (non-zero-batched) iteration: only the
-    /// row-uniform program runs; gathers happen per batch.
-    fn begin_row_sparse(&mut self, r: usize) {
+    /// Per-row prologue for sparse (non-zero-batched) iteration over a main
+    /// row of `main_nnz` non-zeros: runs the row-uniform program and scatters
+    /// row `r` of every sparse `Cell`-access side, unless the row is sparse
+    /// enough to look the side up per non-zero (`lookup_is_cheaper`) — then
+    /// the scratch is left as it is, still holding an earlier row.
+    fn begin_row_sparse(&mut self, r: usize, main_nnz: usize) {
         let bp = &self.kernel.block;
         self.eval.begin_row(bp, &|i, acc| self.sides[i].value_at(acc, r, 0));
+        for (slot, &(side, access)) in bp.gathers.iter().enumerate() {
+            if let (SideInput::Sparse(s), SideAccess::Cell) = (&self.sides[side], access) {
+                if !lookup_is_cheaper(main_nnz, s.row_nnz(r)) {
+                    self.side_rows[slot].load(s, r);
+                }
+            }
+        }
     }
 
     /// Gathers side tiles for columns `[c0, c0+n)` of row `r`, optionally
@@ -559,7 +614,7 @@ impl<'k, 's> TileRunner<'k, 's> {
                 (SideInput::Dense(d), SideAccess::Cell) => TileSrc::Slice(&d.row(r)[c0..c0 + n]),
                 (SideInput::Dense(d), SideAccess::Row) => TileSrc::Slice(&d.row(0)[c0..c0 + n]),
                 (SideInput::Sparse(_), SideAccess::Cell | SideAccess::Row) => {
-                    TileSrc::Slice(&self.row_bufs[slot][c0..c0 + n])
+                    TileSrc::Slice(&self.side_rows[slot].buf[c0..c0 + n])
                 }
                 _ => unreachable!("Col/Scalar accesses are hoisted out of gathers"),
             };
@@ -586,24 +641,24 @@ impl<'k, 's> TileRunner<'k, 's> {
         let n = cols.len();
         debug_assert!(n <= self.width);
         for (slot, &(side, access)) in bp.gathers.iter().enumerate() {
-            let buf = &mut self.scatter_bufs[slot];
-            match (&self.sides[side], access) {
-                (SideInput::Dense(d), SideAccess::Cell) => {
-                    simd::gather_into(&mut buf[..n], d.row(r), cols);
-                }
-                (SideInput::Dense(d), SideAccess::Row) => {
-                    simd::gather_into(&mut buf[..n], d.row(0), cols);
-                }
-                (SideInput::Sparse(s), SideAccess::Cell) => {
-                    for (b, &c) in buf[..n].iter_mut().zip(cols) {
-                        *b = s.get(r, c);
+            let buf = &mut self.scatter_bufs[slot][..n];
+            let row = match (&self.sides[side], access) {
+                (SideInput::Dense(d), SideAccess::Cell) => d.row(r),
+                (SideInput::Dense(d), SideAccess::Row) => d.row(0),
+                (SideInput::Sparse(_), SideAccess::Row) => &self.side_rows[slot].buf,
+                (SideInput::Sparse(s), SideAccess::Cell) => match self.side_rows[slot].row(r) {
+                    Some(row) => row,
+                    None => {
+                        // `begin_row_sparse` kept the point lookup for row `r`.
+                        for (b, &c) in buf.iter_mut().zip(cols) {
+                            *b = s.get(r, c);
+                        }
+                        continue;
                     }
-                }
-                (SideInput::Sparse(_), SideAccess::Row) => {
-                    simd::gather_into(&mut buf[..n], &self.row_bufs[slot], cols);
-                }
+                },
                 _ => unreachable!("Col/Scalar accesses are hoisted out of gathers"),
-            }
+            };
+            simd::gather_into(buf, row, cols);
         }
         let mut g = [TileSrc::Const(0.0); MAX_GATHERS];
         for (slot, buf) in self.scatter_bufs[..bp.gathers.len()].iter().enumerate() {

@@ -6,7 +6,9 @@
 //! aggregation variant, and ragged tail tiles (rows/cols not a multiple of
 //! the tile width). The three skeletons share one driver
 //! (`spoof::tiles::CellPass`); `every_sink_on_the_format_width_grid` walks
-//! each of its output sinks over the tile-edge shapes.
+//! each of its output sinks over the tile-edge shapes, and
+//! `sparse_cell_sides_match_the_oracle_lookup` the ways a CSR side's
+//! scattered row can go stale.
 //!
 //! Elementwise (NoAgg) results agree to 1e-12 (bitwise in the generic path;
 //! a product kernel multiplies its main factors first); aggregates are
@@ -20,7 +22,7 @@ use fusedml_core::spoof::{
     CellAgg, CellSpec, Instr, MAggSpec, OuterOut, OuterSpec, Program, SideAccess,
 };
 use fusedml_linalg::ops::{AggOp, BinaryOp, TernaryOp, UnaryOp};
-use fusedml_linalg::{generate, par, DenseMatrix, Matrix, SparseMatrix};
+use fusedml_linalg::{generate, par, Matrix, SparseMatrix};
 use fusedml_runtime::side::SideInput;
 use fusedml_runtime::spoof::{cellwise, multiagg, outerprod};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -489,9 +491,100 @@ fn csr_where(d: &Matrix, keep: impl Fn(usize, usize) -> bool) -> Matrix {
     Matrix::sparse(SparseMatrix::from_triples(d.rows(), d.cols(), triples))
 }
 
+/// One set of inputs for the grid operators. Outer runs all of `prog`, which
+/// ends in `LoadUVDot` and a multiply by it, with `(U, V, rank)` at `uv`;
+/// Cell and MAgg run the instructions before those two.
+struct Grid<'a> {
+    prog: Program,
+    maggs: Vec<(u16, AggOp)>,
+    sides: &'a [SideInput],
+    uv: (usize, usize, usize),
+    rows: usize,
+    cols: usize,
+}
+
+impl Grid<'_> {
+    fn run(
+        &self,
+        op: GridOp,
+        main: Option<&Matrix>,
+        sparse_safe: bool,
+        backend: CellBackend,
+        threads: usize,
+    ) -> Vec<Matrix> {
+        let _limit = par::limit_current_thread(threads);
+        let (rows, cols, sides) = (self.rows, self.cols, self.sides);
+        let n_cell = self.prog.instrs.len() - 2;
+        let cell_prog = Program {
+            instrs: self.prog.instrs[..n_cell].to_vec(),
+            n_regs: n_cell as u16,
+            vreg_lens: vec![],
+        };
+        match op {
+            GridOp::Cell(agg) => {
+                let result = cell_prog.n_regs - 1;
+                let spec = CellSpec { prog: cell_prog, result, agg, sparse_safe };
+                vec![cellwise::execute_with(&spec, main, sides, &[], rows, cols, backend)]
+            }
+            GridOp::MAgg => {
+                let spec = MAggSpec { prog: cell_prog, results: self.maggs.clone(), sparse_safe };
+                multiagg::execute_with(&spec, main, sides, &[], rows, cols, backend)
+            }
+            GridOp::Outer(out) => {
+                let (u_side, v_side, rank) = self.uv;
+                let spec = OuterSpec {
+                    prog: self.prog.clone(),
+                    result: self.prog.n_regs - 1,
+                    out,
+                    u_side,
+                    v_side,
+                    rank,
+                    sparse_safe,
+                };
+                vec![outerprod::execute_with(&spec, main, sides, &[], rows, cols, backend)]
+            }
+        }
+    }
+
+    /// `Block` and `Mono` on one and on two threads against the `Scalar`
+    /// oracle. Map-class sinks are bitwise against the oracle; sinks that
+    /// keep a main row on one worker are bitwise across thread counts.
+    fn check(&self, what: &str, op: GridOp, main: Option<&Matrix>, sparse_safe: bool) {
+        let map_class = matches!(op, GridOp::Cell(CellAgg::NoAgg) | GridOp::Outer(OuterOut::NoAgg));
+        let row_local = map_class
+            || matches!(
+                op,
+                GridOp::Cell(CellAgg::RowAgg(_)) | GridOp::Outer(OuterOut::RightMM { .. })
+            );
+        let what = format!(
+            "{what} {}x{} {op:?} main {} sparse_safe {sparse_safe}",
+            self.rows,
+            self.cols,
+            main.map_or("none", |m| if m.is_sparse() { "csr" } else { "dense" })
+        );
+        let oracle = self.run(op, main, sparse_safe, CellBackend::Scalar, 1);
+        let check = |got: &[Matrix], want: &[Matrix], bitwise: bool, what: &str| {
+            assert_eq!(got.len(), want.len(), "{what}: result count");
+            for (g, w) in got.iter().zip(want) {
+                if bitwise {
+                    common::assert_bitwise(g, w, what);
+                } else {
+                    assert!(g.approx_eq(w, 1e-11), "{what}: {g:?} vs {w:?}");
+                }
+            }
+        };
+        for backend in [CellBackend::Block, CellBackend::Mono] {
+            let one = self.run(op, main, sparse_safe, backend, 1);
+            let two = self.run(op, main, sparse_safe, backend, 2);
+            check(&one, &oracle, map_class, &format!("{what} {backend:?} 1 thread"));
+            check(&two, &oracle, map_class, &format!("{what} {backend:?} 2 threads"));
+            check(&two, &one, row_local, &format!("{what} {backend:?} 2 vs 1 threads"));
+        }
+    }
+}
+
 /// One `rows × cols` point of the grid under the scoped tile width: every
-/// sink, every main format, `Block` and `Mono` on one and on two threads
-/// against the `Scalar` oracle.
+/// sink, every main format.
 fn grid_point(width: usize, rows: usize, cols: usize) {
     const RANK: usize = 3;
     let seed = (width * 1000 + cols) as u64;
@@ -511,38 +604,14 @@ fn grid_point(width: usize, rows: usize, cols: usize) {
         generate::rand_dense(cols, RANK, -1.0, 1.0, seed + 5),
     ];
     let sides: Vec<SideInput> = bound.iter().map(SideInput::bind).collect();
-    let prog = grid_program();
-    let cell_prog = Program { instrs: prog.instrs[..7].to_vec(), n_regs: 7, vreg_lens: vec![] };
-
-    let run = |op: GridOp, main: Option<&Matrix>, sparse_safe: bool, backend, threads| {
-        let _limit = par::limit_current_thread(threads);
-        match op {
-            GridOp::Cell(agg) => {
-                let spec = CellSpec { prog: cell_prog.clone(), result: 6, agg, sparse_safe };
-                vec![cellwise::execute_with(&spec, main, &sides, &[], rows, cols, backend)]
-            }
-            GridOp::MAgg => {
-                let results =
-                    vec![(5, AggOp::Sum), (6, AggOp::Max), (4, AggOp::Min), (6, AggOp::Mean)];
-                let spec = MAggSpec { prog: cell_prog.clone(), results, sparse_safe };
-                multiagg::execute_with(&spec, main, &sides, &[], rows, cols, backend)
-            }
-            GridOp::Outer(out) => {
-                let (result, u_side, v_side) = (8, 3, 4);
-                let spec = OuterSpec {
-                    prog: prog.clone(),
-                    result,
-                    out,
-                    u_side,
-                    v_side,
-                    rank: RANK,
-                    sparse_safe,
-                };
-                vec![outerprod::execute_with(&spec, main, &sides, &[], rows, cols, backend)]
-            }
-        }
+    let grid = Grid {
+        prog: grid_program(),
+        maggs: vec![(5, AggOp::Sum), (6, AggOp::Max), (4, AggOp::Min), (6, AggOp::Mean)],
+        sides: &sides,
+        uv: (3, 4, RANK),
+        rows,
+        cols,
     };
-
     let ops = [
         GridOp::Cell(CellAgg::NoAgg),
         GridOp::Cell(CellAgg::RowAgg(AggOp::Sum)),
@@ -559,47 +628,11 @@ fn grid_point(width: usize, rows: usize, cols: usize) {
     ];
     let mains = [(Some(&dense), false), (Some(&csr), true), (Some(&csr), false), (None, false)];
     for op in ops {
-        // Map-class sinks are bitwise against the oracle; sinks that keep a
-        // main row on one worker are bitwise across thread counts.
-        let map_class = matches!(op, GridOp::Cell(CellAgg::NoAgg) | GridOp::Outer(OuterOut::NoAgg));
-        let row_local = map_class
-            || matches!(
-                op,
-                GridOp::Cell(CellAgg::RowAgg(_)) | GridOp::Outer(OuterOut::RightMM { .. })
-            );
         for (main, sparse_safe) in mains {
             if main.is_none() && matches!(op, GridOp::Outer(_)) {
                 continue; // `main = None` is Cell / MAgg over sides only
             }
-            let what = format!(
-                "width {width} {rows}x{cols} {op:?} main {} sparse_safe {sparse_safe}",
-                main.map_or("none", |m| if m.is_sparse() { "csr" } else { "dense" })
-            );
-            // The per-cell `NoAgg` oracle of Cell cannot split a zero-length
-            // row (`par_rows_mut` asserts); the answer is the empty matrix.
-            let oracle = if cols == 0 && matches!(op, GridOp::Cell(CellAgg::NoAgg)) && !sparse_safe
-            {
-                vec![Matrix::dense(DenseMatrix::new(rows, 0, vec![]))]
-            } else {
-                run(op, main, sparse_safe, CellBackend::Scalar, 1)
-            };
-            let check = |got: &[Matrix], want: &[Matrix], bitwise: bool, what: &str| {
-                assert_eq!(got.len(), want.len(), "{what}: result count");
-                for (g, w) in got.iter().zip(want) {
-                    if bitwise {
-                        common::assert_bitwise(g, w, what);
-                    } else {
-                        assert!(g.approx_eq(w, 1e-11), "{what}: {g:?} vs {w:?}");
-                    }
-                }
-            };
-            for backend in [CellBackend::Block, CellBackend::Mono] {
-                let one = run(op, main, sparse_safe, backend, 1);
-                let two = run(op, main, sparse_safe, backend, 2);
-                check(&one, &oracle, map_class, &format!("{what} {backend:?} 1 thread"));
-                check(&two, &oracle, map_class, &format!("{what} {backend:?} 2 threads"));
-                check(&two, &one, row_local, &format!("{what} {backend:?} 2 vs 1 threads"));
-            }
+            grid.check(&format!("width {width}"), op, main, sparse_safe);
         }
     }
 }
@@ -626,5 +659,172 @@ fn every_sink_on_the_format_width_grid() {
                 grid_point(width, rows, cols);
             }
         }
+    }
+}
+
+/// `X ⊙ (S0 + S1) − S2` with all three sides read per cell; Outer multiplies
+/// by `dot(U_i, V_j)`. Sums rather than a product chain, so a wrong value
+/// gathered from any one side reaches the result whatever the other two hold,
+/// and the map class is bitwise on every backend.
+fn three_cell_sides_program() -> Program {
+    let cell = |out, side| Instr::LoadSide { out, side, access: SideAccess::Cell };
+    Program {
+        instrs: vec![
+            Instr::LoadMain { out: 0 },
+            cell(1, 0),
+            cell(2, 1),
+            cell(3, 2),
+            Instr::Binary { out: 4, op: BinaryOp::Add, a: 1, b: 2 },
+            Instr::Binary { out: 5, op: BinaryOp::Mult, a: 0, b: 4 },
+            Instr::Binary { out: 6, op: BinaryOp::Sub, a: 5, b: 3 },
+            Instr::LoadUVDot { out: 7 },
+            Instr::Binary { out: 8, op: BinaryOp::Mult, a: 6, b: 7 },
+        ],
+        n_regs: 9,
+        vreg_lens: vec![],
+    }
+}
+
+/// `X / S0`: the one program here that tells a stored `-0.0` (`-inf`) from a
+/// stored or absent `+0.0` (`+inf`) even where the output keeps no zeros.
+fn divide_by_side_program() -> Program {
+    Program {
+        instrs: vec![
+            Instr::LoadMain { out: 0 },
+            Instr::LoadSide { out: 1, side: 0, access: SideAccess::Cell },
+            Instr::Binary { out: 2, op: BinaryOp::Div, a: 0, b: 1 },
+            Instr::LoadUVDot { out: 3 },
+            Instr::Binary { out: 4, op: BinaryOp::Mult, a: 2, b: 3 },
+        ],
+        n_regs: 5,
+        vreg_lens: vec![],
+    }
+}
+
+/// Sparse `Cell` sides are read from a scattered row (`tiles::RowScratch`)
+/// or, on main rows far sparser than the side's, by point lookup; the oracle
+/// always looks up. Each case below is a way for a scratch to hold the wrong
+/// thing — a row it was not cleared of, a row it was never loaded with — run
+/// through every sink, under CSR iteration and (the same sides, densified per
+/// row) dense iteration, at a tile width every full row spans four tiles of,
+/// on row counts either side of the `par` split.
+#[test]
+fn sparse_cell_sides_match_the_oracle_lookup() {
+    use fusedml_core::plancache::KernelCaches;
+    const RANK: usize = 3;
+    let width = 16;
+    let caches = KernelCaches::with_config(16, width);
+    let _scope = fusedml_runtime::spoof::enter_kernels(&caches);
+    let cols = 3 * width + 5;
+    let every_sink = [
+        GridOp::Cell(CellAgg::NoAgg),
+        GridOp::Cell(CellAgg::RowAgg(AggOp::Sum)),
+        GridOp::Cell(CellAgg::RowAgg(AggOp::Max)),
+        GridOp::Cell(CellAgg::ColAgg(AggOp::Sum)),
+        GridOp::Cell(CellAgg::ColAgg(AggOp::Min)),
+        GridOp::Cell(CellAgg::FullAgg(AggOp::Sum)),
+        GridOp::Cell(CellAgg::FullAgg(AggOp::SumSq)),
+        GridOp::MAgg,
+        GridOp::Outer(OuterOut::FullAgg),
+        GridOp::Outer(OuterOut::NoAgg),
+    ];
+    // A `Min` / `Max` over NaNs depends on the fold order; sums do not.
+    let sums_and_maps = [
+        GridOp::Cell(CellAgg::NoAgg),
+        GridOp::Cell(CellAgg::RowAgg(AggOp::Sum)),
+        GridOp::Cell(CellAgg::ColAgg(AggOp::Sum)),
+        GridOp::Cell(CellAgg::FullAgg(AggOp::Sum)),
+        GridOp::MAgg,
+        GridOp::Outer(OuterOut::FullAgg),
+        GridOp::Outer(OuterOut::NoAgg),
+    ];
+    for rows in [9, 2 * par::PAR_THRESHOLD / cols + 3] {
+        let values = |seed| generate::rand_dense(rows, cols, 0.5, 1.5, seed);
+        let (x, s0, s1, s2) = (values(1), values(2), values(3), values(4));
+        let sixty = |r: usize, c: usize| (r * 7 + c * 3) % 10 < 6;
+        // Main rows cycle through two cells (the lookup branch against any
+        // side row of twelve or more), a full row of four tiles (the scatter
+        // branch) and one cell.
+        let alternating = csr_where(&x, |r, c| match r % 3 {
+            0 => c == 1 || c == cols - 2,
+            1 => true,
+            _ => c == cols / 2,
+        });
+        let factors = [
+            generate::rand_dense(rows, RANK, -1.0, 1.0, 5),
+            generate::rand_dense(cols, RANK, -1.0, 1.0, 6),
+        ];
+        // Every sink over the case's CSR main (sparse-safe, then walked
+        // densely) and over the dense main.
+        let check =
+            |name: &str, prog: Program, cell_sides: Vec<Matrix>, csr: &Matrix, ops: &[GridOp]| {
+                let n_sides = cell_sides.len();
+                // The Cell result and the register before it, both summed.
+                let result = prog.n_regs - 3;
+                let sides: Vec<SideInput> =
+                    cell_sides.iter().chain(&factors).map(SideInput::bind).collect();
+                let grid = Grid {
+                    prog,
+                    maggs: vec![(result, AggOp::Sum), (result - 1, AggOp::Sum)],
+                    sides: &sides,
+                    uv: (n_sides, n_sides + 1, RANK),
+                    rows,
+                    cols,
+                };
+                for &op in ops {
+                    for (main, sparse_safe) in [(csr, true), (csr, false), (&x, false)] {
+                        grid.check(name, op, Some(main), sparse_safe);
+                    }
+                }
+            };
+        // Side rows 60 % full on a support that shifts with the row; full and
+        // empty rows in turn; long / empty / two-cell rows, out of step with
+        // the main's cycle.
+        check(
+            "alternating rows",
+            three_cell_sides_program(),
+            vec![
+                csr_where(&s0, sixty),
+                csr_where(&s1, |r, _| r % 2 == 1),
+                csr_where(&s2, |r, c| match r % 4 {
+                    0 | 3 => c % 10 != 0,
+                    1 => false,
+                    _ => c == 1 || c == cols - 1,
+                }),
+            ],
+            &alternating,
+            &every_sink,
+        );
+        // Every gathered value is an implicit zero: a side cell that reads
+        // non-zero was left behind by another row or column.
+        check(
+            "disjoint supports",
+            three_cell_sides_program(),
+            vec![
+                csr_where(&s0, |_, c| c % 2 == 1),
+                csr_where(&s1, |r, c| c % 2 == 1 && (r + c) % 3 == 0),
+                csr_where(&s2, |r, c| c % 2 == 1 && r % 2 == 0),
+            ],
+            &csr_where(&x, |r, c| c % 2 == 0 && (r % 3 == 1 || c % 16 == 0)),
+            &every_sink,
+        );
+        // A gather returns the stored bits, an absent cell `+0.0`
+        // (`from_triples` drops zeros, so the CSR arrays are built here).
+        let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 2.0];
+        let (mut ptr, mut idx, mut vals) = (vec![0], Vec::new(), Vec::new());
+        for r in 0..rows {
+            for c in (0..cols).filter(|&c| sixty(r, c)) {
+                idx.push(c);
+                vals.push(specials[(r + idx.len()) % specials.len()]);
+            }
+            ptr.push(idx.len());
+        }
+        check(
+            "stored zeros, NaN and infinities",
+            divide_by_side_program(),
+            vec![Matrix::sparse(SparseMatrix::from_csr(rows, cols, ptr, idx, vals))],
+            &alternating,
+            &sums_and_maps,
+        );
     }
 }

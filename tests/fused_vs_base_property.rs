@@ -1,14 +1,16 @@
 #![allow(clippy::disallowed_methods)] // test/example code may unwrap freely
 //! Property test: fused execution must equal unfused execution on randomly
 //! generated DAGs of cell-wise operations, aggregates, and matrix products,
-//! and on the algorithm DAGs whose Row operators run `VecMatMult` and outer
-//! accumulations a tile of rows at a time.
+//! on the algorithm DAGs whose Row operators run `VecMatMult` and outer
+//! accumulations a tile of rows at a time, and on the Fig. 8(b)/(d) products
+//! of three CSR inputs, whose sides the Cell and MAgg operators read from a
+//! scattered row or by point lookup, row by row.
 
 use fusedml::algos::{autoencoder, kmeans, mlogreg};
 use fusedml::core::FusionMode;
 use fusedml::hop::interp::Bindings;
 use fusedml::hop::{DagBuilder, HopDag, HopId};
-use fusedml::linalg::generate;
+use fusedml::linalg::{generate, Matrix, SparseMatrix};
 use fusedml::runtime::Engine;
 use proptest::prelude::*;
 
@@ -149,6 +151,50 @@ fn fused_equals_unfused_on_tiled_row_algorithm_dags() {
                     "{name} {mode:?}: root {i} diverges from Base"
                 );
             }
+        }
+    }
+}
+
+/// `sum(X ⊙ Y ⊙ Z)` and `sum(X ⊙ Y), sum(X ⊙ Z)` over three CSR inputs: `Y`
+/// and `Z` are bound as sparse `Cell` sides. `X` alternates rows of two
+/// cells, which look the sides up, with full rows of three tiles, which
+/// gather them from the scattered side row.
+#[test]
+fn fused_equals_unfused_on_three_csr_inputs() {
+    let (rows, cols) = (40, 600);
+    let values = generate::rand_dense(rows, cols, 0.5, 1.5, 31);
+    let mut triples = Vec::new();
+    for r in 0..rows {
+        for c in (0..cols).filter(|&c| r % 2 == 1 || c == 7 || c == cols - 7) {
+            triples.push((r, c, values.get(r, c)));
+        }
+    }
+    let x = Matrix::sparse(SparseMatrix::from_triples(rows, cols, triples));
+    let mut bindings = Bindings::new();
+    bindings.insert("X".into(), x);
+    bindings.insert("Y".into(), generate::rand_matrix(rows, cols, -1.0, 1.0, 0.1, 32));
+    bindings.insert("Z".into(), generate::rand_matrix(rows, cols, -1.0, 1.0, 0.4, 33));
+    assert!(bindings.values().all(Matrix::is_sparse));
+
+    let mut b = DagBuilder::new();
+    let [x, y, z] = ["X", "Y", "Z"].map(|name| b.read(name, rows, cols, 0.1));
+    let (xy, xz) = (b.mult(x, y), b.mult(x, z));
+    let xyz = b.mult(xy, z);
+    let roots = vec![b.sum(xyz), b.sum(xy), b.sum(xz)];
+    let dag = b.build(roots);
+
+    let expect = Engine::new(FusionMode::Base).execute(&dag, &bindings).into_values();
+    for mode in [FusionMode::Gen, FusionMode::GenFA, FusionMode::GenFNR] {
+        let engine = Engine::new(mode);
+        let out = engine.execute(&dag, &bindings);
+        assert!(engine.stats().snapshot().0 > 0, "{mode:?}: nothing fused");
+        for (i, (g, x)) in out.values().iter().zip(&expect).enumerate() {
+            assert!(
+                fusedml::linalg::approx_eq(g.as_scalar(), x.as_scalar(), 1e-7),
+                "{mode:?}: root {i} is {} where Base has {}",
+                g.as_scalar(),
+                x.as_scalar()
+            );
         }
     }
 }
