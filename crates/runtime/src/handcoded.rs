@@ -143,7 +143,10 @@ fn exec_tak_plus_mult(inputs: &[Value]) -> Value {
 /// Row `r` of `sum(A ⊙ B [⊙ C])`. All factors dense: one `dot` over the row
 /// slices. Otherwise the non-zeros of the CSR factor with the fewest in this
 /// row, the other factors read at those columns (an index into a dense row,
-/// a binary search of a CSR one).
+/// a binary search of a CSR one). Sparse-safe like the fused operator: a
+/// column the leading CSR factor does not store contributes 0 even where a
+/// dense factor holds `inf` or `NaN`, so it matches the base `mult` + `sum`
+/// on finite inputs only.
 fn tak_row(factors: &[Matrix], r: usize) -> f64 {
     let lead = factors.iter().enumerate().filter_map(|(i, m)| match m {
         Matrix::Sparse(s) => Some((s.row_nnz(r), i, &**s)),

@@ -8,17 +8,15 @@
 //! is all the per-cell `Scalar` interpreters (the differential oracle) use.
 //! The stateful half is in the tile layer (`spoof::tiles`): a sparse side's
 //! row is scattered once into a `cols`-wide scratch (`RowScratch`) and every
-//! tile of the main row gathers from it; only a main row far sparser than the
-//! side's keeps the point read.
+//! tile of the main row gathers from it.
 
 use fusedml_core::spoof::SideAccess;
 use fusedml_linalg::{DenseMatrix, Matrix, SparseMatrix};
 
 /// A bound side input. Dense sides expose direct indexing; a sparse side
 /// answers a point read with a binary search of its CSR row. Point reads are
-/// for the `Scalar` oracle and for main rows with a handful of non-zeros
-/// against a long side row; everywhere else the tile path reads a sparse
-/// side through its scattered row.
+/// for the `Scalar` oracle; the tile path reads a sparse side through its
+/// scattered row.
 pub enum SideInput {
     Dense(std::sync::Arc<DenseMatrix>),
     Sparse(std::sync::Arc<SparseMatrix>),

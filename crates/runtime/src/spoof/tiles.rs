@@ -14,9 +14,7 @@
 //! gathers into per-tile slices — zero-copy for dense sides under dense
 //! iteration, gathered by column index under CSR iteration. Wherever a CSR
 //! row (a sparse side's, or a CSR main walked densely) has to be addressed
-//! by column it is scattered into a `RowScratch`; the one exception is a
-//! main row far sparser than the side's, which keeps the point lookup
-//! (`lookup_is_cheaper`).
+//! by column it is scattered into a `RowScratch`.
 
 use crate::side::SideInput;
 use fusedml_linalg::ops::AggOp;
@@ -217,7 +215,7 @@ impl<'a> CellPass<'a> {
         match self.csr {
             Some(x) => {
                 for r in lo..hi {
-                    tr.begin_row_sparse(r, x.row_nnz(r));
+                    tr.begin_row(r);
                     for (vals, ix) in x.row_values(r).chunks(width).zip(x.row_cols(r).chunks(width))
                     {
                         let at = TileCols::Indices(ix);
@@ -236,7 +234,7 @@ impl<'a> CellPass<'a> {
             None => {
                 let mut mr = MainReader::new(self.main, cols);
                 for r in lo..hi {
-                    tr.begin_row_dense(r);
+                    tr.begin_row(r);
                     let row = mr.row(r);
                     let mut c0 = 0;
                     while c0 < cols {
@@ -463,22 +461,6 @@ impl RowScratch {
             self.buf[c] = v;
         }
     }
-
-    /// The densified row `r`, if that is the row held.
-    fn row(&self, r: usize) -> Option<&[f64]> {
-        (self.held == Some(r)).then_some(&self.buf[..])
-    }
-}
-
-/// The per-row rule of CSR iteration: whether a main row of `m` non-zeros
-/// reads a sparse side row of `s` non-zeros by point lookup rather than from
-/// a scattered row. Scattering, gathering and un-scattering cost about
-/// `2·s + m` plain memory operations at ≈ 0.65 ns each, the lookups
-/// `m · log2 s` mispredicted search steps at ≈ 1.5 ns each (both measured on
-/// fig8b's 4000×1000 inputs), so the lookup only wins where the main row is
-/// far sparser than the side's.
-fn lookup_is_cheaper(m: usize, s: usize) -> bool {
-    s > 0 && m * (s.ilog2() as usize + 1) < s
 }
 
 /// Reads main-input rows for dense (full row-range) iteration, densifying
@@ -565,31 +547,14 @@ impl<'k, 's> TileRunner<'k, 's> {
         TileRunner { kernel, eval, sides, side_rows, scatter_bufs, width }
     }
 
-    /// Per-row prologue for dense iteration: runs the row-uniform program
-    /// and scatters row `r` of every sparse `Cell`-access side.
-    fn begin_row_dense(&mut self, r: usize) {
+    /// Per-row prologue of both iterations: runs the row-uniform program and
+    /// scatters row `r` of every sparse `Cell`-access side.
+    fn begin_row(&mut self, r: usize) {
         let bp = &self.kernel.block;
         self.eval.begin_row(bp, &|i, acc| self.sides[i].value_at(acc, r, 0));
         for (slot, &(side, access)) in bp.gathers.iter().enumerate() {
             if let (SideInput::Sparse(s), SideAccess::Cell) = (&self.sides[side], access) {
                 self.side_rows[slot].load(s, r);
-            }
-        }
-    }
-
-    /// Per-row prologue for sparse (non-zero-batched) iteration over a main
-    /// row of `main_nnz` non-zeros: runs the row-uniform program and scatters
-    /// row `r` of every sparse `Cell`-access side, unless the row is sparse
-    /// enough to look the side up per non-zero (`lookup_is_cheaper`) — then
-    /// the scratch is left as it is, still holding an earlier row.
-    fn begin_row_sparse(&mut self, r: usize, main_nnz: usize) {
-        let bp = &self.kernel.block;
-        self.eval.begin_row(bp, &|i, acc| self.sides[i].value_at(acc, r, 0));
-        for (slot, &(side, access)) in bp.gathers.iter().enumerate() {
-            if let (SideInput::Sparse(s), SideAccess::Cell) = (&self.sides[side], access) {
-                if !lookup_is_cheaper(main_nnz, s.row_nnz(r)) {
-                    self.side_rows[slot].load(s, r);
-                }
             }
         }
     }
@@ -645,17 +610,9 @@ impl<'k, 's> TileRunner<'k, 's> {
             let row = match (&self.sides[side], access) {
                 (SideInput::Dense(d), SideAccess::Cell) => d.row(r),
                 (SideInput::Dense(d), SideAccess::Row) => d.row(0),
-                (SideInput::Sparse(_), SideAccess::Row) => &self.side_rows[slot].buf,
-                (SideInput::Sparse(s), SideAccess::Cell) => match self.side_rows[slot].row(r) {
-                    Some(row) => row,
-                    None => {
-                        // `begin_row_sparse` kept the point lookup for row `r`.
-                        for (b, &c) in buf.iter_mut().zip(cols) {
-                            *b = s.get(r, c);
-                        }
-                        continue;
-                    }
-                },
+                (SideInput::Sparse(_), SideAccess::Cell | SideAccess::Row) => {
+                    &self.side_rows[slot].buf
+                }
                 _ => unreachable!("Col/Scalar accesses are hoisted out of gathers"),
             };
             simd::gather_into(buf, row, cols);

@@ -701,13 +701,12 @@ fn divide_by_side_program() -> Program {
     }
 }
 
-/// Sparse `Cell` sides are read from a scattered row (`tiles::RowScratch`)
-/// or, on main rows far sparser than the side's, by point lookup; the oracle
-/// always looks up. Each case below is a way for a scratch to hold the wrong
-/// thing — a row it was not cleared of, a row it was never loaded with — run
-/// through every sink, under CSR iteration and (the same sides, densified per
-/// row) dense iteration, at a tile width every full row spans four tiles of,
-/// on row counts either side of the `par` split.
+/// Sparse `Cell` sides are read from a scattered row (`tiles::RowScratch`);
+/// the oracle looks every cell up. Each case below is a way for a scratch to
+/// hold the wrong thing — a row it was not cleared of, a row it was never
+/// loaded with — run through every sink, under CSR iteration and (the same
+/// sides, densified per row) dense iteration, at a tile width every full row
+/// spans four tiles of, on row counts either side of the `par` split.
 #[test]
 fn sparse_cell_sides_match_the_oracle_lookup() {
     use fusedml_core::plancache::KernelCaches;
@@ -742,9 +741,8 @@ fn sparse_cell_sides_match_the_oracle_lookup() {
         let values = |seed| generate::rand_dense(rows, cols, 0.5, 1.5, seed);
         let (x, s0, s1, s2) = (values(1), values(2), values(3), values(4));
         let sixty = |r: usize, c: usize| (r * 7 + c * 3) % 10 < 6;
-        // Main rows cycle through two cells (the lookup branch against any
-        // side row of twelve or more), a full row of four tiles (the scatter
-        // branch) and one cell.
+        // Main rows cycle through two cells, a full row of four tiles (the
+        // scratch must survive across them) and one cell.
         let alternating = csr_where(&x, |r, c| match r % 3 {
             0 => c == 1 || c == cols - 2,
             1 => true,

@@ -4,7 +4,7 @@
 //! on the algorithm DAGs whose Row operators run `VecMatMult` and outer
 //! accumulations a tile of rows at a time, and on the Fig. 8(b)/(d) products
 //! of three CSR inputs, whose sides the Cell and MAgg operators read from a
-//! scattered row or by point lookup, row by row.
+//! scattered row.
 
 use fusedml::algos::{autoencoder, kmeans, mlogreg};
 use fusedml::core::FusionMode;
@@ -156,9 +156,8 @@ fn fused_equals_unfused_on_tiled_row_algorithm_dags() {
 }
 
 /// `sum(X ⊙ Y ⊙ Z)` and `sum(X ⊙ Y), sum(X ⊙ Z)` over three CSR inputs: `Y`
-/// and `Z` are bound as sparse `Cell` sides. `X` alternates rows of two
-/// cells, which look the sides up, with full rows of three tiles, which
-/// gather them from the scattered side row.
+/// and `Z` are bound as sparse `Cell` sides, gathered from their scattered
+/// rows. `X` alternates rows of two cells with full rows of three tiles.
 #[test]
 fn fused_equals_unfused_on_three_csr_inputs() {
     let (rows, cols) = (40, 600);
