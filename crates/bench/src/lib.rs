@@ -37,10 +37,9 @@ pub struct TimedStats {
     pub secs: f64,
     /// Fused operators executed in one run.
     pub fused_ops: usize,
-    /// Fused operators that ran as a specialized (monomorphized) static
-    /// kernel.
+    /// Fused operators that ran a product chain, mv-chain or row tile.
     pub mono_ops: usize,
-    /// Fused operators that fell back to the generic tile interpreter.
+    /// Fused operators that ran the tile/band interpreter.
     pub interp_fused_ops: usize,
 }
 

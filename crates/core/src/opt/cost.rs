@@ -61,9 +61,8 @@ pub struct CostModel {
     /// Per-cell dispatch overhead of generated Cell/MAgg/Outer operators in
     /// FLOP-equivalents. The scalar register interpreter paid ~10–20 here;
     /// the tile-vectorized block backend amortizes instruction dispatch over
-    /// whole tiles, leaving a small constant (re-measured by
-    /// `calibrate::calibrate`) so the optimizer's Gen-vs-Base tradeoff
-    /// reflects the faster backend.
+    /// whole tiles, leaving a small constant so the optimizer's Gen-vs-Base
+    /// tradeoff reflects the faster backend.
     pub fused_dispatch_flops: f64,
     /// Per-row dispatch overhead of generated Row operators in
     /// FLOP-equivalents: the band-lowered row kernel pays its instruction

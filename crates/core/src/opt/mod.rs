@@ -2,14 +2,12 @@
 //! analytical cost model, the `MPSkipEnum` enumeration algorithm, and the
 //! fuse-all / fuse-no-redundancy heuristics.
 
-pub mod calibrate;
 pub mod cost;
 pub mod enumerate;
 pub mod heuristics;
 pub mod partition;
 pub mod select;
 
-pub use calibrate::calibrate;
 pub use cost::{CostModel, DistConfig};
 pub use enumerate::{mpskip_enum, EnumConfig, EnumResult};
 pub use partition::{partitions, InterestingPoint, PlanPartition};

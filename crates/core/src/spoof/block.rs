@@ -20,10 +20,11 @@
 //!
 //! Only varying computations reach the per-tile body; uniform work is hoisted
 //! into prologues replayed through the existing scalar evaluator. On top of
-//! the generic body, [`compile_kernel`] classifies every result register
-//! into a [`super::mono::MonoKernel`] where its shape allows — static loops
-//! that replace the per-instruction dispatch altogether.
+//! the generic body, [`compile_kernel`] marks every result register that is a
+//! multiply chain as a [`super::mono::Product`] — the one shape whose
+//! reduction the per-instruction loops cannot fuse.
 
+use super::mono::Product;
 use super::{Instr, Program, Reg, SideAccess};
 use fusedml_linalg::ops::{AggOp, BinaryOp, TernaryOp, UnaryOp};
 use fusedml_linalg::primitives as prim;
@@ -51,13 +52,11 @@ pub enum CellBackend {
     /// The per-cell scalar interpreter (retained as the differential-test
     /// oracle and for the compressed-input skeleton).
     Scalar,
-    /// The generic tile evaluator alone: the fallback every program that
-    /// does not classify takes in production, forced for all of them.
+    /// The tile evaluator alone: what every result register that is not a
+    /// product chain runs in production, forced for all of them.
     Block,
-    /// Production: a result register that classifies into a
-    /// [`super::mono::MonoKernel`] runs as a static Rust loop instance over
-    /// the SIMD primitive layer, bypassing per-instruction dispatch; the
-    /// others run the tile evaluator.
+    /// Production: the tile evaluator, and a result register that is a
+    /// [`super::mono::Product`] runs the fused product loops instead.
     Mono,
 }
 
@@ -447,16 +446,9 @@ impl BlockEval {
         }
     }
 
-    /// Resolves a gather/main source without evaluating (mono kernels).
+    /// Resolves a gather/main source without evaluating (product chains).
     pub fn opnd<'a>(&'a self, o: Opnd, ctx: &TileCtx<'a>, n: usize) -> OpRef<'a> {
         resolve(o, &self.tiles, self.width, n, ctx, &self.u)
-    }
-
-    /// The current value of uniform register `i` (after the invariant and
-    /// row prologues). Monomorphized kernels read their scalar leaves here.
-    #[inline]
-    pub fn uniform(&self, i: u16) -> f64 {
-        self.u[i as usize]
     }
 }
 
@@ -526,10 +518,6 @@ macro_rules! with_unop {
     };
 }
 
-// The monomorphizer (`super::mono`) expands the same per-op dispatch tables
-// when instantiating its shape templates.
-pub(crate) use {with_binop, with_unop};
-
 /// `dst[i] = op(a[i])`, one monomorphized loop per operator.
 pub fn un_loop(op: UnaryOp, a: OpRef<'_>, dst: &mut [f64]) {
     let n = dst.len();
@@ -591,7 +579,7 @@ pub fn bin_loop(op: BinaryOp, a: OpRef<'_>, b: OpRef<'_>, dst: &mut [f64]) {
     }
 }
 
-pub(crate) fn ter_loop(op: TernaryOp, a: OpRef<'_>, b: OpRef<'_>, c: OpRef<'_>, dst: &mut [f64]) {
+fn ter_loop(op: TernaryOp, a: OpRef<'_>, b: OpRef<'_>, c: OpRef<'_>, dst: &mut [f64]) {
     // Ternaries are rare; the per-element operand resolution is a
     // predictable two-way branch.
     match op {
@@ -652,7 +640,7 @@ pub fn write_result(r: OpRef<'_>, dst: &mut [f64]) {
 }
 
 // ===========================================================================
-// Product-chain loops (`MonoKernel::Product`)
+// Product-chain loops (`mono::Product`)
 // ===========================================================================
 
 /// Product-chain factors resolved for one tile: a uniform prefactor plus up
@@ -665,8 +653,8 @@ pub struct Factors<'a> {
 }
 
 impl<'a> Factors<'a> {
-    /// The factors of a [`super::mono::MonoKernel::Product`] for the current
-    /// tile: the main input `mains` times, then the gather slots in order.
+    /// The factors of a [`super::mono::Product`] for the current tile: the
+    /// main input `mains` times, then the gather slots in order.
     pub(crate) fn resolve(
         mains: u8,
         slots: &[u16],
@@ -774,7 +762,7 @@ impl<'a> Factors<'a> {
 }
 
 // ===========================================================================
-// Compiled kernel: block program + per-register mono kernels
+// Compiled kernel: block program + per-register product chains
 // ===========================================================================
 
 /// A fully compiled block kernel: the lowered program plus the per-register
@@ -782,29 +770,22 @@ impl<'a> Factors<'a> {
 #[derive(Clone, Debug, PartialEq)]
 pub struct BlockKernel {
     pub block: BlockProgram,
-    /// Monomorphized whole-program kernel per scalar register (indexed by
-    /// `Reg`), where the body classifies into a [`super::mono`] shape
-    /// template; `None` runs the tile interpreter.
-    pub mono: Vec<Option<super::mono::MonoKernel>>,
+    /// The product chain of each scalar register (indexed by `Reg`) whose
+    /// value is one; `None` runs the tile interpreter.
+    pub mono: Vec<Option<Product>>,
 }
 
 impl BlockKernel {
-    /// The monomorphized kernel for a result register, if classified.
+    /// The product chain of a result register, if it is one.
     #[inline]
-    pub fn mono_for(&self, r: Reg) -> Option<&super::mono::MonoKernel> {
+    pub fn mono_for(&self, r: Reg) -> Option<&Product> {
         self.mono.get(r as usize).and_then(|m| m.as_ref())
-    }
-
-    /// The shape class a result register executes under (for stats and the
-    /// plan verifier's re-audit).
-    pub fn shape_class(&self, r: Reg) -> super::mono::ShapeClass {
-        self.mono_for(r).map_or(super::mono::ShapeClass::Interpreted, |m| m.class())
     }
 }
 
-/// Lowers a scalar program and classifies every register into a
-/// [`BlockKernel`] (only varying results classify: a uniform one is a
-/// prologue scalar, not a loop).
+/// Lowers a scalar program into a [`BlockKernel`], with the product chain of
+/// every register that is one (only varying results can be: a uniform one is
+/// a prologue scalar, not a loop).
 pub fn compile_kernel(prog: &Program) -> BlockKernel {
     let block = lower(prog);
     let mono = (0..prog.n_regs).map(|r| super::mono::classify(&block, r)).collect();
@@ -1171,9 +1152,8 @@ mod tests {
 
     #[test]
     fn specializes_product_chains() {
-        use crate::spoof::mono::{classify, MonoKernel};
-        let product =
-            |mains, slots: &[u16]| Some(MonoKernel::Product { mains, slots: slots.into() });
+        use crate::spoof::mono::classify;
+        let product = |mains, slots: &[u16]| Some(Product { mains, slots: slots.into() });
         let main = |out| Instr::LoadMain { out };
         // One to four factors: X, X⊙Y, X⊙Y⊙Z (fig8a), X⊙X⊙Y (the main twice),
         // and X⊙Y⊙Z⊙b with a `Row`-access gather.
@@ -1200,7 +1180,6 @@ mod tests {
             let k = compile_kernel(&prog);
             assert_eq!(classify(&k.block, result), expect, "{leaves:?}");
             assert_eq!(k.mono_for(result), expect.as_ref());
-            assert_eq!(k.shape_class(result), crate::spoof::mono::ShapeClass::ProductChain);
         }
         // Every intermediate of a chain is a (shorter) chain of its own.
         let (prog, _) =
@@ -1210,25 +1189,21 @@ mod tests {
 
     #[test]
     fn does_not_specialize_non_products() {
-        use crate::spoof::mono::MonoKernel;
         let main = |out| Instr::LoadMain { out };
         let cell = |out, s| side(out, s, SideAccess::Cell);
+        // Not a product is the tile interpreter: there is no other kernel.
         let not_product = |prog: &Program, result: Reg, why: &str| {
-            let k = compile_kernel(prog);
-            assert!(!matches!(k.mono_for(result), Some(MonoKernel::Product { .. })), "{why}");
-            k
+            assert_eq!(compile_kernel(prog).mono_for(result), None, "{why}");
         };
-        // A constant factor: the two-leaf map template, not a product.
+        // A constant factor is a uniform operand, not a slice factor.
         let (prog, r) = chain(&[main(0), Instr::LoadConst { out: 1, value: 2.0 }]);
-        let k = not_product(&prog, r, "constant factor");
-        assert!(matches!(k.mono_for(r), Some(MonoKernel::Map2 { op: BinaryOp::Mult, .. })));
+        not_product(&prog, r, "constant factor");
         // The Outer template's dot(U, V) tile is not a gather.
         let (prog, r) = chain(&[main(0), Instr::LoadUVDot { out: 1 }]);
         not_product(&prog, r, "uv leaf");
-        // Five factors exceed the fused loops' arity; the tree evaluator runs it.
+        // Five factors exceed the fused loops' arity.
         let (prog, r) = chain(&[main(0), cell(1, 0), cell(2, 1), cell(3, 2), cell(4, 3)]);
-        let k = not_product(&prog, r, "five factors");
-        assert!(matches!(k.mono_for(r), Some(MonoKernel::Tree { .. })));
+        not_product(&prog, r, "five factors");
         // r = log(uv + eps) * a — the fig8h shape: Add and Log on the path.
         let prog = Program {
             instrs: vec![
@@ -1242,8 +1217,7 @@ mod tests {
             n_regs: 6,
             vreg_lens: vec![],
         };
-        let k = not_product(&prog, 5, "non-Mult node");
-        assert!(matches!(k.mono_for(5), Some(MonoKernel::MulUnBin { .. })));
+        not_product(&prog, 5, "non-Mult node");
     }
 
     #[test]

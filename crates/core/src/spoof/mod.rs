@@ -7,8 +7,9 @@
 //! library (`fusedml_linalg::primitives`) the generated Java calls
 //! (DESIGN.md substitution X1). Cell/MAgg/Outer programs execute through
 //! the tile-vectorized [`block`] backend (dispatch amortized over whole
-//! tiles, and none at all for the shapes [`mono`] classifies); the per-cell
-//! scalar interpreter below is retained as the differential-test oracle.
+//! tiles; multiply chains run the fused product loops of [`mono`]); the
+//! per-cell scalar interpreter below is retained as the differential-test
+//! oracle.
 //! Row programs lower to a band-level [`block::RowKernel`] — invariant
 //! work hoisted out of the per-row loop, sparse rows consumed over their
 //! non-zeros, the `Xᵀ(Xv)` mv-chain shape recognized — executed by the

@@ -8,9 +8,12 @@
 //! `(&[f64], offset, len)` triples exactly like the Java originals; sparse
 //! primitives additionally take the non-zero index array `aix`.
 //!
-//! All loops are written with exact-size slices so the compiler elides bounds
-//! checks; the hot kernels use 4-fold manual unrolling like the originals'
-//! 8-fold unrolling (sized for typical row lengths in the benchmarks).
+//! This module is the calling convention, not a second implementation: the
+//! dense hot loops ([`dot_product`], [`vect_mult_add`], [`vect_sum`],
+//! [`vect_sum_sq`]) re-slice their arguments and call [`crate::simd`], which
+//! owns the AVX2 kernels and their scalar twins. What is written out here —
+//! `min` / `max` folds, the scatter loops over `aix`, `vect_outer_mult_add`,
+//! cumsum — has no explicit-SIMD form.
 
 /// `sum(a[ai..ai+len] * b[bi..bi+len])` — dispatches to the AVX2+FMA path
 /// when available (see [`crate::simd`]).
@@ -41,65 +44,6 @@ pub fn vect_mult_add_sparse(avals: &[f64], aix: &[usize], bval: f64, c: &mut [f6
     for (v, &ix) in avals.iter().zip(aix.iter()) {
         c[ci + ix] += v * bval;
     }
-}
-
-/// `out[i] = a[ai+i] * b[bi+i]` into a fresh vector.
-#[inline]
-pub fn vect_mult_write(a: &[f64], b: &[f64], ai: usize, bi: usize, len: usize) -> Vec<f64> {
-    let a = &a[ai..ai + len];
-    let b = &b[bi..bi + len];
-    let mut out = vec![0.0; len];
-    for i in 0..len {
-        out[i] = a[i] * b[i];
-    }
-    out
-}
-
-/// `out[i] = a[ai+i] * s` into a fresh vector.
-#[inline]
-pub fn vect_mult_scalar_write(a: &[f64], s: f64, ai: usize, len: usize) -> Vec<f64> {
-    let a = &a[ai..ai + len];
-    let mut out = vec![0.0; len];
-    for i in 0..len {
-        out[i] = a[i] * s;
-    }
-    out
-}
-
-/// `out[i] = a[i] + b[i]`.
-#[inline]
-pub fn vect_add_write(a: &[f64], b: &[f64], ai: usize, bi: usize, len: usize) -> Vec<f64> {
-    let a = &a[ai..ai + len];
-    let b = &b[bi..bi + len];
-    let mut out = vec![0.0; len];
-    for i in 0..len {
-        out[i] = a[i] + b[i];
-    }
-    out
-}
-
-/// `out[i] = a[i] - b[i]`.
-#[inline]
-pub fn vect_minus_write(a: &[f64], b: &[f64], ai: usize, bi: usize, len: usize) -> Vec<f64> {
-    let a = &a[ai..ai + len];
-    let b = &b[bi..bi + len];
-    let mut out = vec![0.0; len];
-    for i in 0..len {
-        out[i] = a[i] - b[i];
-    }
-    out
-}
-
-/// `out[i] = a[i] / b[i]`.
-#[inline]
-pub fn vect_div_write(a: &[f64], b: &[f64], ai: usize, bi: usize, len: usize) -> Vec<f64> {
-    let a = &a[ai..ai + len];
-    let b = &b[bi..bi + len];
-    let mut out = vec![0.0; len];
-    for i in 0..len {
-        out[i] = a[i] / b[i];
-    }
-    out
 }
 
 /// `sum(a[ai..ai+len])` — SIMD horizontal reduction (see [`crate::simd`]).
@@ -153,58 +97,6 @@ pub fn vect_outer_mult_add(
             }
         }
     }
-}
-
-/// Row-vector × matrix: `out[j] = sum_i a[ai+i] * b[i*n + j]` where `b` is a
-/// row-major `len×n` block (`vectMatrixMult` in the Java library).
-#[inline]
-pub fn vect_mat_mult(a: &[f64], b: &[f64], ai: usize, len: usize, n: usize) -> Vec<f64> {
-    let a = &a[ai..ai + len];
-    let mut out = vec![0.0f64; n];
-    for (i, &av) in a.iter().enumerate() {
-        if av != 0.0 {
-            let brow = &b[i * n..(i + 1) * n];
-            for (j, &bv) in brow.iter().enumerate() {
-                out[j] += av * bv;
-            }
-        }
-    }
-    out
-}
-
-/// Sparse row-vector × matrix over non-zeros of `a`.
-#[inline]
-pub fn vect_mat_mult_sparse(avals: &[f64], aix: &[usize], b: &[f64], n: usize) -> Vec<f64> {
-    let mut out = vec![0.0f64; n];
-    for (&av, &i) in avals.iter().zip(aix.iter()) {
-        let brow = &b[i * n..(i + 1) * n];
-        for (j, &bv) in brow.iter().enumerate() {
-            out[j] += av * bv;
-        }
-    }
-    out
-}
-
-/// Matrix × column-vector segment: `out[i] = dot(b_row_i, a)` where `b` is a
-/// row-major `m×len` block; used for `Xv` inside Row templates.
-#[inline]
-pub fn mat_vect_mult(b: &[f64], a: &[f64], m: usize, len: usize, ai: usize) -> Vec<f64> {
-    let mut out = vec![0.0f64; m];
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = dot_product(&b[i * len..(i + 1) * len], a, 0, ai, len);
-    }
-    out
-}
-
-/// Element-wise unary application into a fresh vector.
-#[inline]
-pub fn vect_unary_write(a: &[f64], ai: usize, len: usize, f: impl Fn(f64) -> f64) -> Vec<f64> {
-    let a = &a[ai..ai + len];
-    let mut out = vec![0.0; len];
-    for i in 0..len {
-        out[i] = f(a[i]);
-    }
-    out
 }
 
 /// `c[ci..] += a[ai..]` (accumulate a full vector).
@@ -276,17 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn write_variants() {
-        let a = [1.0, 2.0];
-        let b = [3.0, 4.0];
-        assert_eq!(vect_mult_write(&a, &b, 0, 0, 2), vec![3.0, 8.0]);
-        assert_eq!(vect_add_write(&a, &b, 0, 0, 2), vec![4.0, 6.0]);
-        assert_eq!(vect_minus_write(&a, &b, 0, 0, 2), vec![-2.0, -2.0]);
-        assert_eq!(vect_div_write(&b, &a, 0, 0, 2), vec![3.0, 2.0]);
-        assert_eq!(vect_mult_scalar_write(&a, 10.0, 0, 2), vec![10.0, 20.0]);
-    }
-
-    #[test]
     fn sums_and_extrema() {
         let a: Vec<f64> = (1..=10).map(|i| i as f64).collect();
         assert_eq!(vect_sum(&a, 0, 10), 55.0);
@@ -305,24 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn vect_mat_and_mat_vect() {
-        // b = [[1,2],[3,4],[5,6]] row-major, 3x2
-        let b = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let a = [1.0, 0.0, 2.0];
-        assert_eq!(vect_mat_mult(&a, &b, 0, 3, 2), vec![11.0, 14.0]);
-        let avals = [1.0, 2.0];
-        let aix = [0usize, 2];
-        assert_eq!(vect_mat_mult_sparse(&avals, &aix, &b, 2), vec![11.0, 14.0]);
-        // mat_vect: rows of 2x3 block dot a
-        let m = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; // 2x3
-        let v = [1.0, 1.0, 1.0];
-        assert_eq!(mat_vect_mult(&m, &v, 2, 3, 0), vec![6.0, 15.0]);
-    }
-
-    #[test]
     fn unary_and_cumsum() {
-        let a = [1.0, 4.0, 9.0];
-        assert_eq!(vect_unary_write(&a, 0, 3, f64::sqrt), vec![1.0, 2.0, 3.0]);
         let mut c = [1.0, 2.0, 3.0];
         vect_cumsum_inplace(&mut c);
         assert_eq!(c, [1.0, 3.0, 6.0]);

@@ -1,15 +1,17 @@
 //! Explicit SIMD tile primitives for the fused block engine (DESIGN.md
 //! substitution X10).
 //!
-//! The default x86-64 target only assumes SSE2, so the portable primitives
-//! in [`crate::primitives`] autovectorize to 128-bit code at best. The
-//! kernels here carry explicit `std::arch` AVX2+FMA paths behind runtime
-//! feature detection: 256-bit lanes, fused multiply-add chains for the
-//! reduction accumulators, and masked tail loads instead of scalar
-//! remainder loops. Every kernel has a portable scalar twin and the public
-//! entry points dispatch per call, so non-AVX2 hosts (and the
-//! `FUSEDML_FORCE_SCALAR` CI leg) run identical semantics through the
-//! fallback.
+//! The default x86-64 target only assumes SSE2, so a plain Rust loop
+//! autovectorizes to 128-bit code at best. The kernels here carry explicit
+//! `std::arch` AVX2+FMA paths behind runtime feature detection: 256-bit
+//! lanes, fused multiply-add chains for the reduction accumulators, and
+//! masked tail loads instead of scalar remainder loops. Every kernel has a
+//! portable scalar twin and the public entry points dispatch per call, so
+//! non-AVX2 hosts (and the `FUSEDML_FORCE_SCALAR` CI leg) run identical
+//! semantics through the fallback. [`crate::primitives`] is the
+//! `(array, offset, len)` calling convention over these kernels
+//! (`dot_product` → [`dot`], `vect_mult_add` → [`axpy`], `vect_sum` →
+//! [`sum`], `vect_sum_sq` → [`sum_sq`]), not a portable copy of them.
 //!
 //! **Rounding policy** (pinned; see DESIGN.md §4 X10): elementwise *map*
 //! kernels (`mul2_into`, `mul3_into`, `gather_into`) perform exactly the

@@ -33,10 +33,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub struct ExecStats {
     /// Generated fused operators executed.
     pub(crate) fused_ops: AtomicUsize,
-    /// Fused operators whose inner loops ran as a specialized static kernel
-    /// (a monomorphized Cell/MAgg/Outer kernel or a Row tile shape).
+    /// Fused operators whose inner loops ran a kernel of their own (a
+    /// Cell/MAgg/Outer product chain, a Row mv-chain or row tile).
     pub(crate) mono_ops: AtomicUsize,
-    /// Fused operators that fell back to the generic tile/band interpreter.
+    /// Fused operators that ran the tile/band interpreter.
     pub(crate) interp_fused_ops: AtomicUsize,
     /// Hand-coded fused operators executed.
     pub(crate) handcoded_ops: AtomicUsize,
@@ -187,22 +187,12 @@ impl ExecStats {
     }
 
     /// `(mono, interpreted)` fused-operator counts: how many fused operators
-    /// executed under a specialized static kernel versus the generic tile
-    /// interpreter. `mono + interpreted == fused` from [`Self::snapshot`].
+    /// executed a product chain, mv-chain or row tile versus the tile/band
+    /// interpreter — a label, not a speed proxy (the interpreter is the
+    /// faster of the two for every body that is not a product chain).
+    /// `mono + interpreted == fused` from [`Self::snapshot`].
     pub fn mono_snapshot(&self) -> (usize, usize) {
         (self.mono_ops.load(Ordering::Relaxed), self.interp_fused_ops.load(Ordering::Relaxed))
-    }
-
-    /// Fraction of fused operators that executed under a specialized static
-    /// kernel (0.0 when no fused operator has run).
-    pub fn mono_hit_rate(&self) -> f64 {
-        let (mono, interp) = self.mono_snapshot();
-        let total = mono + interp;
-        if total == 0 {
-            0.0
-        } else {
-            mono as f64 / total as f64
-        }
     }
 
     /// Records one fused-operator execution under the given shape class.

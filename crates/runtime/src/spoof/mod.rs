@@ -57,9 +57,10 @@ pub(crate) fn kernels() -> Arc<KernelCaches> {
 
 /// Classifies the kernel family `execute` runs a fused operator under with
 /// the currently scoped kernel caches: a [`ShapeClass`] whose
-/// [`is_specialized`](ShapeClass::is_specialized) is true means a static
-/// kernel carries the inner loops; `Interpreted` means the generic
-/// tile/band interpreter replays the register program per tile.
+/// [`is_specialized`](ShapeClass::is_specialized) is true means a kernel of
+/// its own carries the inner loops (product chain, mv-chain, row tile);
+/// `Interpreted` means the tile/band interpreter runs the register program
+/// per tile.
 /// `side_dims` follows the operator's side binding order (the Row kernel
 /// cache is keyed on side geometry).
 pub fn kernel_class(spec: &FusedSpec, side_dims: &[(usize, usize)]) -> ShapeClass {
@@ -84,24 +85,19 @@ pub fn kernel_class(spec: &FusedSpec, side_dims: &[(usize, usize)]) -> ShapeClas
     }
 }
 
-/// The block-template shape class: specialized only when *every* result
-/// register has a monomorphized kernel (otherwise the generic tile body
-/// still runs and the operator counts as interpreted). Multi-result
-/// operators report the first register's class.
+/// The block-template shape class: a product chain only when *every* result
+/// register is one (otherwise the tile body still runs and the operator
+/// counts as interpreted).
 fn block_class(caches: &KernelCaches, prog: &Program, regs: &[Reg]) -> ShapeClass {
     let kernel = caches.block.get_or_lower(prog);
-    if !tiles::supported(&kernel) {
-        return ShapeClass::Interpreted;
+    let all_products = tiles::supported(&kernel)
+        && !regs.is_empty()
+        && regs.iter().all(|&r| kernel.mono_for(r).is_some());
+    if all_products {
+        ShapeClass::ProductChain
+    } else {
+        ShapeClass::Interpreted
     }
-    let mut first: Option<ShapeClass> = None;
-    for &r in regs {
-        let class = kernel.shape_class(r);
-        if !class.is_specialized() {
-            return ShapeClass::Interpreted;
-        }
-        first.get_or_insert(class);
-    }
-    first.unwrap_or(ShapeClass::Interpreted)
 }
 
 /// Executes a compiled fused operator over bound inputs.

@@ -4,8 +4,8 @@
 //! [`BlockKernel`] from the owning engine's caches, decides whether the main
 //! input is walked by dense row ranges or by CSR non-zeros, gives each worker
 //! one set of pooled state, and hands every tile of positions to an output
-//! *sink* as a `Tile` view — the result registers' [`MonoKernel`]s where
-//! they have one, the tile interpreter otherwise, Outer's `dot(U_i, V_j)`
+//! *sink* as a `Tile` view — the tile interpreter's result registers, or the
+//! fused loops of a [`Product`] where a result is one, Outer's `dot(U_i, V_j)`
 //! tile filled on the way. The seven sinks (`full`, `row_agg`, `col_agg`,
 //! `no_agg` dense and CSR, `right_mm`, `left_mm`) are what is left of a
 //! template's output variant; the skeletons pick one and finalize.
@@ -24,7 +24,7 @@ use std::sync::Arc;
 use fusedml_core::spoof::block::{
     fold_result, write_result, BlockEval, BlockKernel, CellBackend, OpRef, TileCtx, TileSrc,
 };
-use fusedml_core::spoof::mono::MonoKernel;
+use fusedml_core::spoof::mono::Product;
 use fusedml_core::spoof::{Program, Reg, SideAccess};
 
 /// Maximum distinct `(side, access)` gathers the tile path supports; kernels
@@ -121,9 +121,9 @@ pub(crate) struct CellPass<'a> {
     rows: usize,
     cols: usize,
     regs: &'a [Reg],
-    /// `Mono` backend: result registers run their `MonoKernel` if classified.
+    /// `Mono` backend: a result register that is a `Product` runs as one.
     specialize: bool,
-    /// The interpreter body runs when any result lacks a mono kernel.
+    /// The interpreter body runs unless every result is a product.
     run_body: bool,
     /// Outer's dense row-major `(U, V, rank)`.
     factors: Option<(&'a [f64], &'a [f64], usize)>,
@@ -188,7 +188,7 @@ impl<'a> CellPass<'a> {
         self.csr
     }
 
-    fn mono(&self, j: usize) -> Option<&MonoKernel> {
+    fn mono(&self, j: usize) -> Option<&Product> {
         self.kernel.mono_for(self.regs[j]).filter(|_| self.specialize)
     }
 

@@ -94,9 +94,9 @@ pub enum VerifyError {
     RefcountMismatch { hop: u32, expected: u32, stored: u32 },
     /// A task's output-byte estimate disagrees with the size estimator.
     TaskBytesMismatch { task: usize, expected: usize, stored: usize },
-    /// A compiled block kernel's monomorphized shape classification does not
-    /// survive re-derivation from its block program, or carries a
-    /// non-specialized mono class.
+    /// A compiled block kernel's stored product chain is not the one its
+    /// block program re-derives (or one is stored where none re-derives,
+    /// or none where one does).
     MonoShapeMismatch { op_ix: usize, detail: String },
     /// A spill-eligibility flag is unsound: a leaf or sub-threshold value
     /// marked eligible, or an eligible intermediate marked not.
@@ -1066,11 +1066,10 @@ fn check_spec(op_ix: usize, cp: &CPlan, spec: &FusedSpec) -> Result<(), VerifyEr
     Ok(())
 }
 
-/// Re-audits the monomorphizer's shape classification of a block kernel
-/// (DESIGN.md substitution X10): for every result register, the stored mono
-/// kernel must equal an independent re-derivation via [`mono::classify`]
-/// over the kernel's own block program and must carry a specialized shape
-/// class.
+/// Re-audits the product-chain table of a block kernel (DESIGN.md
+/// substitution X10): for every result register, the stored product must
+/// equal an independent re-derivation via [`mono::classify`] over the
+/// kernel's own block program.
 pub fn check_mono_shapes(
     op_ix: usize,
     kernel: &BlockKernel,
@@ -1082,18 +1081,8 @@ pub fn check_mono_shapes(
         let rederived = mono::classify(&kernel.block, r);
         if stored != rederived.as_ref() {
             return Err(err(format!(
-                "register {r}: stored mono kernel {:?} != re-derived {:?}",
-                stored.map(|m| m.class()),
-                rederived.as_ref().map(|m| m.class())
+                "register {r}: stored product {stored:?} != re-derived {rederived:?}"
             )));
-        }
-        if let Some(m) = stored {
-            if !m.class().is_specialized() {
-                return Err(err(format!(
-                    "register {r}: mono kernel classified as {:?}",
-                    m.class()
-                )));
-            }
         }
     }
     Ok(())

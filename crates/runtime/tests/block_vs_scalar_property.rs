@@ -17,7 +17,6 @@
 mod common;
 
 use fusedml_core::spoof::block::{compile_kernel, CellBackend};
-use fusedml_core::spoof::mono::ShapeClass;
 use fusedml_core::spoof::{
     CellAgg, CellSpec, Instr, MAggSpec, OuterOut, OuterSpec, Program, SideAccess,
 };
@@ -330,7 +329,7 @@ fn outer_block_backends_match_scalar_oracle_on_random_programs() {
 }
 
 /// Multiply chains are the one shape with a kernel of their own
-/// (`MonoKernel::Product`: `dot`-family sums, `mul2`/`mul3` maps), so `Mono`
+/// (`mono::Product`: `dot`-family sums, `mul2`/`mul3` maps), so `Mono`
 /// and the tile interpreter (`Block`) share no loop on them: one to four
 /// factors, the main input once or twice, `Cell` and `Row` gathers, dense
 /// and CSR mains, every aggregation. Written main-first and left-deep — the
@@ -370,7 +369,7 @@ fn product_chains_agree_between_mono_and_tile_interpreter() {
             result = n + leaf - 1;
         }
         let prog = Program { instrs, n_regs: result.max(n - 1) + 1, vreg_lens: vec![] };
-        assert_eq!(compile_kernel(&prog).shape_class(result), ShapeClass::ProductChain);
+        assert!(compile_kernel(&prog).mono_for(result).is_some());
         for seed in [7u64, 8, 9] {
             let inputs = random_inputs(&mut StdRng::seed_from_u64(seed + ci as u64), seed);
             let sides: Vec<SideInput> = inputs.sides.iter().map(SideInput::bind).collect();
@@ -399,6 +398,66 @@ fn product_chains_agree_between_mono_and_tile_interpreter() {
                         common::assert_bitwise(&mono, &block, &what);
                     } else {
                         assert!(mono.approx_eq(&block, 1e-11), "{what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A MAgg operator folding `X ⊙ S0 ⊙ S1` (a product chain) and `X ⊙ (S0 + S1)`
+/// (not one) over the same inputs: the one kind of pass in which the tile
+/// body runs *and* a result bypasses it through the fused product fold, so
+/// the two must read the same gathered tiles. Dense and CSR mains (two tiles
+/// and a ragged tail per dense row), one and two workers, a summing and an
+/// order-statistic aggregate.
+#[test]
+fn magg_mixes_a_product_chain_with_an_interpreted_result() {
+    let cell = |out, side| Instr::LoadSide { out, side, access: SideAccess::Cell };
+    let bin = |out, op, a, b| Instr::Binary { out, op, a, b };
+    let prog = Program {
+        instrs: vec![
+            Instr::LoadMain { out: 0 },
+            cell(1, 0),
+            cell(2, 1),
+            bin(3, BinaryOp::Mult, 0, 1),
+            bin(4, BinaryOp::Mult, 3, 2),
+            bin(5, BinaryOp::Add, 1, 2),
+            bin(6, BinaryOp::Mult, 0, 5),
+        ],
+        n_regs: 7,
+        vreg_lens: vec![],
+    };
+    let kernel = compile_kernel(&prog);
+    assert!(kernel.mono_for(4).is_some() && kernel.mono_for(6).is_none());
+    let cols = 517;
+    let rows = 2 * par::PAR_THRESHOLD / cols + 3;
+    let dense = generate::rand_dense(rows, cols, -1.5, 1.5, 41);
+    let csr = generate::rand_matrix(rows, cols, -1.5, 1.5, 0.3, 42);
+    let bound = [
+        generate::rand_dense(rows, cols, -1.5, 1.5, 43),
+        generate::rand_matrix(rows, cols, -1.5, 1.5, 0.3, 44),
+    ];
+    let sides: Vec<SideInput> = bound.iter().map(SideInput::bind).collect();
+    for (main, sparse_safe) in [(&dense, false), (&csr, true)] {
+        for op in [AggOp::Sum, AggOp::Min] {
+            let spec =
+                MAggSpec { prog: prog.clone(), results: vec![(4, op), (6, op)], sparse_safe };
+            let run = |backend, threads| {
+                let _limit = par::limit_current_thread(threads);
+                multiagg::execute_with(&spec, Some(main), &sides, &[], rows, cols, backend)
+            };
+            let oracle = run(CellBackend::Scalar, 1);
+            for backend in [CellBackend::Block, CellBackend::Mono] {
+                for threads in [1, 2] {
+                    let got = run(backend, threads);
+                    assert_eq!(got.len(), 2);
+                    for (j, (g, o)) in got.iter().zip(&oracle).enumerate() {
+                        assert!(
+                            g.approx_eq(o, 1e-11),
+                            "result {j} {op:?} {backend:?} {threads} threads sparse={}: {g:?} vs {o:?}",
+                            main.is_sparse()
+                        );
                     }
                 }
             }

@@ -1,11 +1,12 @@
 #![allow(clippy::disallowed_methods)] // test code may unwrap freely
-//! Differential tests for the SIMD tile primitives and the monomorphized
-//! kernel backend, pinned to the rounding policy documented in
-//! `fusedml_linalg::simd` (DESIGN.md substitution X10):
+//! Differential tests for the SIMD tile primitives under the tile
+//! interpreter and the product-chain loops, pinned to the rounding policy
+//! documented in `fusedml_linalg::simd` (DESIGN.md substitution X10):
 //!
 //! * **Map-class** work (elementwise NoAgg results) must be **bitwise
-//!   identical** across the scalar interpreter, the generic tile backend
-//!   and the monomorphized backend — no FMA contraction, no reassociation.
+//!   identical** across the scalar interpreter, the tile interpreter alone
+//!   (`Block`) and the production backend (`Mono`) — no FMA contraction, no
+//!   reassociation.
 //!   This holds through ±0.0 and ±∞ inputs, through NaN (any NaN equals any
 //!   NaN: `common::assert_bitwise`), and through every ragged tail length
 //!   `n % 8 ∈ {0..7}`.
@@ -17,7 +18,7 @@ mod common;
 
 use common::assert_bitwise;
 use fusedml_core::spoof::block::CellBackend;
-use fusedml_core::spoof::mono::{classify, ShapeClass};
+use fusedml_core::spoof::mono::{classify, Product};
 use fusedml_core::spoof::{block, CellAgg, CellSpec, Instr, Program, SideAccess};
 use fusedml_linalg::ops::{AggOp, BinaryOp, TernaryOp, UnaryOp};
 use fusedml_linalg::{simd, DenseMatrix, Matrix, SparseMatrix};
@@ -27,8 +28,8 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const ALL_BACKENDS: [CellBackend; 3] = [CellBackend::Scalar, CellBackend::Block, CellBackend::Mono];
 
-/// `main * exp(side + scalar)` — classifies as the `MulUnBin` shape family
-/// (the Figure 8(h) inner expression).
+/// `main * exp(side + scalar)` — the shape of the Figure 8(h) inner
+/// expression: three dependent body instructions, a uniform operand.
 fn mul_un_bin_prog() -> Program {
     Program {
         instrs: vec![
@@ -44,8 +45,8 @@ fn mul_un_bin_prog() -> Program {
     }
 }
 
-/// `sigmoid(main * side0) +* (side1, main)` — a deeper body that classifies
-/// as a `TreeMap` (too irregular for the single-loop families).
+/// `sigmoid(main * side0) +* (side1, main)` — a deeper body: a ternary,
+/// the main input read by two instructions.
 fn tree_prog() -> Program {
     Program {
         instrs: vec![
@@ -95,12 +96,6 @@ fn assert_close(a: &Matrix, b: &Matrix, tol: f64, what: &str) {
 #[test]
 fn map_class_is_bitwise_across_backends_and_ragged_tails() {
     for (name, prog) in [("mul_un_bin", mul_un_bin_prog()), ("tree", tree_prog())] {
-        let bp = block::lower(&prog);
-        let class = classify(&bp, prog.n_regs - 1).map(|m| m.class());
-        assert!(
-            class.is_some_and(|c| c.is_specialized()),
-            "{name} must monomorphize, got {class:?}"
-        );
         for cols in 256..264usize {
             // cols % 8 covers 0..=7
             let rows = 5;
@@ -124,8 +119,8 @@ fn map_class_is_bitwise_across_backends_and_ragged_tails() {
 }
 
 /// NaN, ±0.0, and ±∞ flow through map-class kernels bit-for-bit: the SIMD
-/// lanes and the monomorphized loops apply IEEE semantics identically to
-/// the scalar interpreter.
+/// lanes and the per-instruction tile loops apply IEEE semantics identically
+/// to the scalar interpreter.
 #[test]
 fn nan_and_signed_zero_propagate_identically() {
     let specials = [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5, -2.25];
@@ -260,15 +255,25 @@ fn forced_scalar_fallback_matches_vector_paths() {
     }
 }
 
-/// The shape taxonomy covers the fixtures the fig8 panels rely on.
+/// The two fixtures above run the tile interpreter on every leg (neither is
+/// a multiply chain); the fig8a body `main ⊙ side0 ⊙ side1` is a product.
 #[test]
 fn fixture_programs_classify_as_expected() {
-    let p = mul_un_bin_prog();
-    let bp = block::lower(&p);
-    assert_eq!(classify(&bp, p.n_regs - 1).map(|m| m.class()), Some(ShapeClass::MulUnBin));
-    let t = tree_prog();
-    let bt = block::lower(&t);
-    assert_eq!(classify(&bt, t.n_regs - 1).map(|m| m.class()), Some(ShapeClass::TreeMap));
+    for p in [mul_un_bin_prog(), tree_prog()] {
+        assert_eq!(classify(&block::lower(&p), p.n_regs - 1), None);
+    }
+    let chain = Program {
+        instrs: vec![
+            Instr::LoadMain { out: 0 },
+            Instr::LoadSide { out: 1, side: 0, access: SideAccess::Cell },
+            Instr::LoadSide { out: 2, side: 1, access: SideAccess::Cell },
+            Instr::Binary { out: 3, op: BinaryOp::Mult, a: 0, b: 1 },
+            Instr::Binary { out: 4, op: BinaryOp::Mult, a: 3, b: 2 },
+        ],
+        n_regs: 5,
+        vreg_lens: vec![],
+    };
+    assert_eq!(classify(&block::lower(&chain), 4), Some(Product { mains: 1, slots: vec![0, 1] }));
 }
 
 /// Random scalar programs restricted to operations whose NaN/∞ behaviour is

@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use fusedml_core::optimizer::{optimize, FusionPlan};
-use fusedml_core::spoof::block::{compile_kernel, compile_row_kernel, Opnd};
-use fusedml_core::spoof::mono::MonoKernel;
+use fusedml_core::spoof::block::{compile_kernel, compile_row_kernel};
+use fusedml_core::spoof::mono::Product;
 use fusedml_core::spoof::{FusedSpec, Instr, Program, RowOut, RowSpec, SideAccess};
 use fusedml_hop::liveness::{self, Liveness};
 use fusedml_hop::{DagBuilder, HopDag, HopId};
@@ -290,10 +290,11 @@ fn row_kernel_hoisted_main_load_rejected() {
     assert!(matches!(err, VerifyError::NotLoopInvariant { .. }), "got {err:?}");
 }
 
-/// Corruption 16 — a block kernel whose stored mono kernel is not the one
-/// its block program classifies into: `X ⊙ Y` is a product chain, and the
-/// two-leaf map template stored in its place would run a different loop
-/// than the one the shape class reports.
+/// Corruption 16 — a block kernel whose stored product is not the one its
+/// block program classifies into: `X ⊙ Y` is the main input times gather
+/// slot 0, and the product stored in its place would multiply the main
+/// input by itself; a product stored for nothing, and none stored for a
+/// chain, are rejected the same way.
 #[test]
 fn mono_shape_mismatch_rejected() {
     let prog = Program {
@@ -306,12 +307,13 @@ fn mono_shape_mismatch_rejected() {
         vreg_lens: vec![],
     };
     let mut kernel = compile_kernel(&prog);
-    assert!(matches!(kernel.mono_for(2), Some(MonoKernel::Product { .. })));
+    assert_eq!(kernel.mono_for(2), Some(&Product { mains: 1, slots: vec![0] }));
     check_mono_shapes(0, &kernel, &[2]).expect("honest kernel verifies");
-    kernel.mono[2] =
-        Some(MonoKernel::Map2 { op: BinaryOp::Mult, a: Opnd::Main, b: Opnd::Gather(0) });
-    let err = check_mono_shapes(0, &kernel, &[2]).unwrap_err();
-    assert!(matches!(err, VerifyError::MonoShapeMismatch { .. }), "got {err:?}");
+    for corrupt in [Some(Product { mains: 2, slots: vec![] }), None] {
+        kernel.mono[2] = corrupt;
+        let err = check_mono_shapes(0, &kernel, &[2]).unwrap_err();
+        assert!(matches!(err, VerifyError::MonoShapeMismatch { .. }), "got {err:?}");
+    }
 }
 
 /// The corrupted-artifact rejection also surfaces through the public
