@@ -26,9 +26,13 @@
 
 use super::mono::Product;
 use super::{Instr, Program, Reg, SideAccess};
-use fusedml_linalg::ops::{AggOp, BinaryOp, TernaryOp, UnaryOp};
+use fusedml_linalg::ops::{bin_loop, un_loop, AggOp, BinaryOp, TernaryOp, UnaryOp};
 use fusedml_linalg::primitives as prim;
 use fusedml_linalg::simd;
+
+/// A resolved operand: a slice of exactly the tile length, or a value
+/// uniform across the tile.
+pub use fusedml_linalg::ops::OpRef;
 
 /// Tile register index.
 pub type TReg = u16;
@@ -306,23 +310,6 @@ impl<'a> TileCtx<'a> {
     }
 }
 
-/// A resolved operand: slice of exactly the tile length, or uniform value.
-#[derive(Clone, Copy, Debug)]
-pub enum OpRef<'a> {
-    S(&'a [f64]),
-    C(f64),
-}
-
-impl<'a> OpRef<'a> {
-    #[inline(always)]
-    pub(crate) fn get(self, i: usize) -> f64 {
-        match self {
-            OpRef::S(s) => s[i],
-            OpRef::C(c) => c,
-        }
-    }
-}
-
 /// Reusable evaluator state: the uniform scalar file plus the tile register
 /// file (one allocation per thread, reused across rows and tiles).
 pub struct BlockEval {
@@ -474,111 +461,6 @@ fn resolve<'a>(
     }
 }
 
-/// Expands to a `match` over every [`BinaryOp`] so each arm monomorphizes
-/// its loop (`$op.apply` constant-folds per arm under `inline(always)`).
-macro_rules! with_binop {
-    ($op:expr, $go:ident) => {
-        match $op {
-            BinaryOp::Add => $go!(BinaryOp::Add),
-            BinaryOp::Sub => $go!(BinaryOp::Sub),
-            BinaryOp::Mult => $go!(BinaryOp::Mult),
-            BinaryOp::Div => $go!(BinaryOp::Div),
-            BinaryOp::Min => $go!(BinaryOp::Min),
-            BinaryOp::Max => $go!(BinaryOp::Max),
-            BinaryOp::Pow => $go!(BinaryOp::Pow),
-            BinaryOp::Eq => $go!(BinaryOp::Eq),
-            BinaryOp::Neq => $go!(BinaryOp::Neq),
-            BinaryOp::Lt => $go!(BinaryOp::Lt),
-            BinaryOp::Le => $go!(BinaryOp::Le),
-            BinaryOp::Gt => $go!(BinaryOp::Gt),
-            BinaryOp::Ge => $go!(BinaryOp::Ge),
-            BinaryOp::And => $go!(BinaryOp::And),
-            BinaryOp::Or => $go!(BinaryOp::Or),
-        }
-    };
-}
-
-macro_rules! with_unop {
-    ($op:expr, $go:ident) => {
-        match $op {
-            UnaryOp::Exp => $go!(UnaryOp::Exp),
-            UnaryOp::Log => $go!(UnaryOp::Log),
-            UnaryOp::Sqrt => $go!(UnaryOp::Sqrt),
-            UnaryOp::Abs => $go!(UnaryOp::Abs),
-            UnaryOp::Sign => $go!(UnaryOp::Sign),
-            UnaryOp::Round => $go!(UnaryOp::Round),
-            UnaryOp::Floor => $go!(UnaryOp::Floor),
-            UnaryOp::Ceil => $go!(UnaryOp::Ceil),
-            UnaryOp::Neg => $go!(UnaryOp::Neg),
-            UnaryOp::Sigmoid => $go!(UnaryOp::Sigmoid),
-            UnaryOp::Pow2 => $go!(UnaryOp::Pow2),
-            UnaryOp::Sprop => $go!(UnaryOp::Sprop),
-            UnaryOp::Recip => $go!(UnaryOp::Recip),
-        }
-    };
-}
-
-/// `dst[i] = op(a[i])`, one monomorphized loop per operator.
-pub fn un_loop(op: UnaryOp, a: OpRef<'_>, dst: &mut [f64]) {
-    let n = dst.len();
-    match a {
-        OpRef::S(a) => {
-            let a = &a[..n];
-            macro_rules! go {
-                ($k:expr) => {
-                    for i in 0..n {
-                        dst[i] = $k.apply(a[i]);
-                    }
-                };
-            }
-            with_unop!(op, go)
-        }
-        OpRef::C(c) => dst.fill(op.apply(c)),
-    }
-}
-
-/// `dst[i] = op(a[i], b[i])`, one monomorphized loop per operator and
-/// slice/uniform operand combination.
-pub fn bin_loop(op: BinaryOp, a: OpRef<'_>, b: OpRef<'_>, dst: &mut [f64]) {
-    let n = dst.len();
-    match (a, b) {
-        (OpRef::S(a), OpRef::S(b)) => {
-            let (a, b) = (&a[..n], &b[..n]);
-            macro_rules! go {
-                ($k:expr) => {
-                    for i in 0..n {
-                        dst[i] = $k.apply(a[i], b[i]);
-                    }
-                };
-            }
-            with_binop!(op, go)
-        }
-        (OpRef::S(a), OpRef::C(c)) => {
-            let a = &a[..n];
-            macro_rules! go {
-                ($k:expr) => {
-                    for i in 0..n {
-                        dst[i] = $k.apply(a[i], c);
-                    }
-                };
-            }
-            with_binop!(op, go)
-        }
-        (OpRef::C(c), OpRef::S(b)) => {
-            let b = &b[..n];
-            macro_rules! go {
-                ($k:expr) => {
-                    for i in 0..n {
-                        dst[i] = $k.apply(c, b[i]);
-                    }
-                };
-            }
-            with_binop!(op, go)
-        }
-        (OpRef::C(x), OpRef::C(y)) => dst.fill(op.apply(x, y)),
-    }
-}
-
 fn ter_loop(op: TernaryOp, a: OpRef<'_>, b: OpRef<'_>, c: OpRef<'_>, dst: &mut [f64]) {
     // Ternaries are rare; the per-element operand resolution is a
     // predictable two-way branch.
@@ -653,6 +535,9 @@ pub struct Factors<'a> {
 }
 
 impl<'a> Factors<'a> {
+    /// The empty factor list (the product `1`), a placeholder slot.
+    pub(crate) const NONE: Factors<'static> = Factors { k: 1.0, s: [&[]; 4], len: 0 };
+
     /// The factors of a [`super::mono::Product`] for the current tile: the
     /// main input `mains` times, then the gather slots in order.
     pub(crate) fn resolve(
@@ -701,15 +586,8 @@ impl<'a> Factors<'a> {
         let k = self.k;
         match self.len {
             0 => k * n as f64,
-            1 => k * prim::vect_sum(self.s[0], 0, n),
-            2 => {
-                let d = prim::dot_product(self.s[0], self.s[1], 0, 0, n);
-                if k == 1.0 {
-                    d
-                } else {
-                    k * d
-                }
-            }
+            1 => self.scaled(prim::vect_sum(self.s[0], 0, n)),
+            2 => self.scaled(prim::dot_product(self.s[0], self.s[1], 0, 0, n)),
             3 => k * simd::dot3_sum(&self.s[0][..n], &self.s[1][..n], &self.s[2][..n]),
             _ => {
                 k * simd::dot4_sum(
@@ -719,6 +597,41 @@ impl<'a> Factors<'a> {
                     &self.s[3][..n],
                 )
             }
+        }
+    }
+
+    /// A one- or two-slice sum from the raw `sum` / `dot` of its slices.
+    #[inline]
+    fn scaled(&self, raw: f64) -> f64 {
+        if self.k == 1.0 {
+            raw
+        } else {
+            self.k * raw
+        }
+    }
+
+    /// `out[j] = fs[j].sum(n)`, bitwise, for at most [`simd::MAX_DOT_SUMS`]
+    /// factor lists: every list of one or two slices is summed in one
+    /// [`simd::dot_sums`] loop over the tile, so lists that share an input
+    /// read it once; any other list runs its own [`Self::sum`].
+    pub(crate) fn sums(fs: &[Factors<'_>], n: usize, out: &mut [f64]) {
+        const M: usize = simd::MAX_DOT_SUMS;
+        assert!(fs.len() <= M && out.len() == fs.len(), "Factors::sums: list count");
+        let (mut terms, mut at, mut m) = ([(&[][..], None); M], [0; M], 0);
+        for (j, f) in fs.iter().enumerate() {
+            match f.len {
+                1 | 2 => {
+                    terms[m] = (&f.s[0][..n], (f.len == 2).then(|| &f.s[1][..n]));
+                    at[m] = j;
+                    m += 1;
+                }
+                _ => out[j] = f.sum(n),
+            }
+        }
+        let mut raw = [0.0; M];
+        simd::dot_sums(n, &terms[..m], &mut raw[..m]);
+        for (&j, &r) in at[..m].iter().zip(&raw) {
+            out[j] = fs[j].scaled(r);
         }
     }
 

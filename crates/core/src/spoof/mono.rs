@@ -6,9 +6,11 @@
 //! chain under a sum (`sum(X⊙Y⊙Z)`, fig8a–d) that means writing every
 //! partial product to a tile register and reading it back to add it up; a
 //! [`Product`] reads the factors once and sums them in the fused
-//! `dot` / `dot3_sum` / `dot4_sum` reductions. That is the only reduction the
-//! interpreter cannot fuse, and the only specialization a bench row pays for:
-//! every other body — single maps, `a·f(b∘c)` chains, bounded DAGs — was
+//! `dot` / `dot3_sum` / `dot4_sum` reductions, and several products over
+//! shared inputs (a MAgg's `sum(X⊙Y), sum(X⊙Z)`) in one [`fold_sums`] loop.
+//! That is the only reduction the interpreter cannot fuse, and the only
+//! specialization a bench row pays for: every other body — single maps,
+//! `a·f(b∘c)` chains, bounded DAGs — was
 //! measured level with or slower under a kernel of its own than under the
 //! interpreter (BENCH_NOTES.md "PR 24"), so there is none.
 //!
@@ -20,6 +22,7 @@ use super::block::{
 };
 use super::Reg;
 use fusedml_linalg::ops::{AggOp, BinaryOp};
+use fusedml_linalg::simd;
 
 /// Elements per stack chunk when a product is folded under `Min` / `Max` /
 /// `SumSq` (no fused reduction: multiply a chunk, fold it).
@@ -134,6 +137,40 @@ impl Product {
     }
 }
 
+/// [`Product::fold`] under `Sum` (or `Mean`) of several products over one
+/// tile, each into its own accumulator — bitwise what the per-product folds
+/// give. The MAgg `sum(X⊙Y), sum(X⊙Z)` shape: the products of one or two
+/// factors are summed [`simd::MAX_DOT_SUMS`] at a time in one loop that
+/// reads every factor in the same iteration (`Factors::sums`), so a shared
+/// input streams once per tile instead of once per product.
+pub fn fold_sums<'p>(
+    sums: impl IntoIterator<Item = (&'p Product, &'p mut f64)>,
+    ev: &BlockEval,
+    ctx: &TileCtx<'_>,
+    n: usize,
+) {
+    const M: usize = simd::MAX_DOT_SUMS;
+    let mut sums = sums.into_iter();
+    loop {
+        let mut fs = [Factors::NONE; M];
+        let mut accs: [Option<&mut f64>; M] = Default::default();
+        let mut m = 0;
+        for ((p, acc), (f, slot)) in sums.by_ref().take(M).zip(fs.iter_mut().zip(&mut accs)) {
+            *f = Factors::resolve(p.mains, &p.slots, ev, ctx, n);
+            *slot = Some(acc);
+            m += 1;
+        }
+        if m == 0 {
+            return;
+        }
+        let mut out = [0.0; M];
+        Factors::sums(&fs[..m], n, &mut out[..m]);
+        for (acc, s) in accs.into_iter().flatten().zip(out) {
+            *acc += s;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::block::{compile_kernel, lower, TileSrc};
@@ -180,6 +217,62 @@ mod tests {
         for op in [AggOp::Min, AggOp::Max] {
             let expect = fold_result(op, op.identity(), OpRef::S(&out), out.len());
             assert_eq!(m.fold(op, op.identity(), &ev, &ctx, main.len()), expect, "{op:?}");
+        }
+    }
+
+    /// Two, three, four and six products folded together — over a shared main
+    /// `X`, with one three-factor product that keeps its own loop, and with a
+    /// uniform main that turns factors into a prefactor — land on exactly the
+    /// bits of one `Product::fold` each.
+    #[test]
+    fn fold_sums_are_bitwise_the_per_product_folds() {
+        let cell = |out, side| Instr::LoadSide { out, side, access: SideAccess::Cell };
+        let mult = |out, a, b| Instr::Binary { out, op: BinaryOp::Mult, a, b };
+        let prog = Program {
+            instrs: vec![
+                Instr::LoadMain { out: 0 },
+                cell(1, 0),
+                cell(2, 1),
+                cell(3, 2),
+                mult(4, 0, 1), // X⊙Y
+                mult(5, 0, 2), // X⊙Z
+                mult(6, 1, 2),
+                mult(7, 6, 3), // Y⊙Z⊙W
+                mult(8, 0, 3), // X⊙W
+            ],
+            n_regs: 9,
+            vreg_lens: vec![],
+        };
+        let k = compile_kernel(&prog);
+        let products: Vec<&Product> =
+            [4, 5, 7, 8, 0, 3].iter().map(|&r| k.mono_for(r).expect("a product")).collect();
+        let bp = &k.block;
+        let width = 300;
+        let col = |seed: usize| -> Vec<f64> {
+            (0..width).map(|i| (((i * 37 + seed * 11) % 101) as f64 - 50.0) / 7.0).collect()
+        };
+        let (x, y, z, w) = (col(1), col(2), col(3), col(4));
+        let mut ev = BlockEval::new(bp, width);
+        ev.set_invariants(bp, &|_, _| 0.0, &[]);
+        let g = [TileSrc::Slice(&y[..]), TileSrc::Slice(&z[..]), TileSrc::Slice(&w[..])];
+        for main in [TileSrc::Slice(&x[..]), TileSrc::Const(2.5)] {
+            let ctx = TileCtx { main, uv: TileSrc::Const(0.0), gathers: &g };
+            for n in [0, 1, 3, 4, 5, 256, 257, 300] {
+                for count in [2, 3, 4, 6] {
+                    let ps = &products[..count];
+                    let start: Vec<f64> = (0..count).map(|j| j as f64 - 1.5).collect();
+                    let want: Vec<f64> = ps
+                        .iter()
+                        .zip(&start)
+                        .map(|(p, &acc)| p.fold(AggOp::Sum, acc, &ev, &ctx, n))
+                        .collect();
+                    let mut got = start.clone();
+                    fold_sums(ps.iter().copied().zip(got.iter_mut()), &ev, &ctx, n);
+                    for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{count} products, n={n}, #{j}");
+                    }
+                }
+            }
         }
     }
 

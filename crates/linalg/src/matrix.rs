@@ -3,6 +3,7 @@
 
 use crate::dense::DenseMatrix;
 use crate::sparse::SparseMatrix;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Threshold below which matrices are kept dense regardless of sparsity.
@@ -98,11 +99,22 @@ impl Matrix {
         }
     }
 
-    /// Materializes a dense copy (no-op copy-out for dense inputs).
+    /// Materializes a dense copy (an owned dense payload is copied too; see
+    /// [`Matrix::dense_view`] to borrow it).
     pub fn to_dense(&self) -> DenseMatrix {
         match self {
             Matrix::Dense(m) => (**m).clone(),
             Matrix::Sparse(m) => m.to_dense(),
+        }
+    }
+
+    /// The cells as a dense matrix: the dense payload borrowed, a sparse one
+    /// densified. (Unlike [`Matrix::to_dense`], a dense operand is never
+    /// copied.)
+    pub(crate) fn dense_view(&self) -> Cow<'_, DenseMatrix> {
+        match self {
+            Matrix::Dense(m) => Cow::Borrowed(m),
+            Matrix::Sparse(m) => Cow::Owned(m.to_dense()),
         }
     }
 

@@ -50,7 +50,7 @@ fn agg_dense(a: &DenseMatrix, op: AggOp, dir: AggDir) -> Matrix {
             Matrix::dense(DenseMatrix::filled(1, 1, finalize_mean(op, acc, rows * cols)))
         }
         AggDir::Row => {
-            let mut out = crate::pool::take_zeroed(rows);
+            let mut out = crate::pool::take_unzeroed(rows);
             par::par_rows_mut(&mut out, rows, 1, cols.max(1), |r, slot| {
                 let mut acc = op.identity();
                 for &v in a.row(r) {
@@ -89,7 +89,7 @@ fn agg_sparse(a: &SparseMatrix, op: AggOp, dir: AggDir) -> Matrix {
             Matrix::dense(DenseMatrix::filled(1, 1, finalize_mean(op, acc, rows * cols)))
         }
         AggDir::Row => {
-            let mut out = crate::pool::take_zeroed(rows);
+            let mut out = crate::pool::take_unzeroed(rows);
             for (r, slot) in out.iter_mut().enumerate() {
                 let mut acc = op.identity();
                 for &v in a.row_values(r) {

@@ -1,10 +1,16 @@
 //! Element-wise binary operations with matrix/vector/scalar broadcasting.
+//!
+//! Dense rows run the monomorphized [`bin_loop`] / [`bin_loop_assign`]
+//! (one loop per operator, the dispatch hoisted out), dense operands are
+//! read in place and outputs are pool buffers written exactly once.
 
+use super::loops::{bin_loop, bin_loop_assign, OpRef};
 use super::{resolve_broadcast, BinaryOp, Broadcast};
 use crate::dense::DenseMatrix;
 use crate::matrix::Matrix;
-use crate::par;
 use crate::sparse::SparseMatrix;
+use crate::{par, pool};
+use std::borrow::Cow;
 
 /// `out = a op scalar`, preserving sparsity when the operator allows it.
 pub fn binary_scalar(a: &Matrix, s: f64, op: BinaryOp) -> Matrix {
@@ -18,19 +24,7 @@ pub fn binary_scalar(a: &Matrix, s: f64, op: BinaryOp) -> Matrix {
             out.compact();
             Matrix::sparse(out)
         }
-        _ => {
-            let (rows, cols) = (a.rows(), a.cols());
-            let mut data = match a {
-                Matrix::Dense(d) => crate::pool::take_copy(d.values()),
-                Matrix::Sparse(_) => a.to_dense().into_values(),
-            };
-            par::par_rows_mut(&mut data, rows, cols.max(1), cols.max(1), |_, row| {
-                for v in row.iter_mut() {
-                    *v = op.apply(*v, s);
-                }
-            });
-            Matrix::dense(DenseMatrix::new(rows, cols, data))
-        }
+        _ => dense_with_scalar(a, s, op, false),
     }
 }
 
@@ -45,20 +39,34 @@ pub fn scalar_binary(s: f64, a: &Matrix, op: BinaryOp) -> Matrix {
             out.compact();
             Matrix::sparse(out)
         }
-        _ => {
-            let (rows, cols) = (a.rows(), a.cols());
-            let mut data = match a {
-                Matrix::Dense(d) => crate::pool::take_copy(d.values()),
-                Matrix::Sparse(_) => a.to_dense().into_values(),
-            };
-            par::par_rows_mut(&mut data, rows, cols.max(1), cols.max(1), |_, row| {
-                for v in row.iter_mut() {
-                    *v = op.apply(s, *v);
-                }
-            });
-            Matrix::dense(DenseMatrix::new(rows, cols, data))
-        }
+        _ => dense_with_scalar(a, s, op, true),
     }
+}
+
+/// `a op s` (`s op a` with `scalar_left`) as a dense matrix: a dense row is
+/// one [`bin_loop`]; a CSR row is the image of `+0.0` with the images of its
+/// stored cells written over it — what densifying it first would give.
+fn dense_with_scalar(a: &Matrix, s: f64, op: BinaryOp, scalar_left: bool) -> Matrix {
+    let (rows, cols) = (a.rows(), a.cols());
+    let apply = |v| if scalar_left { op.apply(s, v) } else { op.apply(v, s) };
+    let mut out = pool::take_unzeroed(rows * cols);
+    par::par_rows_mut(&mut out, rows, cols.max(1), cols.max(1), |r, orow| match a {
+        Matrix::Dense(d) => {
+            let (x, y) = (OpRef::S(d.row(r)), OpRef::C(s));
+            if scalar_left {
+                bin_loop(op, y, x, orow)
+            } else {
+                bin_loop(op, x, y, orow)
+            }
+        }
+        Matrix::Sparse(sp) => {
+            orow.fill(apply(0.0));
+            for (c, v) in sp.row_iter(r) {
+                orow[c] = apply(v);
+            }
+        }
+    });
+    Matrix::dense(DenseMatrix::new(rows, cols, out))
 }
 
 /// General element-wise `a op b` with broadcasting of `b` (cellwise, column
@@ -83,7 +91,7 @@ pub fn binary(a: &Matrix, b: &Matrix, op: BinaryOp) -> Matrix {
         (Matrix::Sparse(sa), Broadcast::Cellwise) if b.is_sparse() && op.zero_zero_is_zero() => {
             sparse_sparse_merge(sa, b.as_sparse(), op)
         }
-        _ => dense_binary(&a.to_dense(), b, bc, op),
+        _ => dense_binary(&a.dense_view(), b, bc, op),
     }
 }
 
@@ -151,57 +159,19 @@ pub fn binary_assign(mut a: DenseMatrix, b: &Matrix, op: BinaryOp) -> Matrix {
     }
     if b.is_scalar_shaped() && !(rows == 1 && cols == 1) {
         // binary_scalar's dense path, in place.
-        let s = b.get(0, 0);
+        let s = OpRef::C(b.get(0, 0));
         par::par_rows_mut(a.values_mut(), rows, cols.max(1), cols.max(1), |_, row| {
-            for v in row.iter_mut() {
-                *v = op.apply(*v, s);
-            }
+            bin_loop_assign(op, row, s)
         });
         return Matrix::dense(a);
     }
     let bc = resolve_broadcast(rows, cols, b);
-    let bd;
-    let b_dense: Option<&DenseMatrix> = match b {
-        Matrix::Dense(d) => Some(d),
-        Matrix::Sparse(s) => {
-            if bc != Broadcast::Cellwise {
-                bd = s.to_dense();
-                Some(&bd)
-            } else {
-                None
-            }
-        }
-    };
-    par::par_rows_mut(a.values_mut(), rows, cols.max(1), cols.max(1), |r, row| {
-        match (b_dense, bc) {
-            (Some(bm), Broadcast::Cellwise) => {
-                let brow = bm.row(r);
-                for c in 0..cols {
-                    row[c] = op.apply(row[c], brow[c]);
-                }
-            }
-            (Some(bm), Broadcast::ColVector) => {
-                let bv = bm.get(r, 0);
-                for v in row.iter_mut() {
-                    *v = op.apply(*v, bv);
-                }
-            }
-            (Some(bm), Broadcast::RowVector) => {
-                let brow = bm.row(0);
-                for c in 0..cols {
-                    row[c] = op.apply(row[c], brow[c]);
-                }
-            }
-            (Some(bm), Broadcast::Scalar) => {
-                let bv = bm.get(0, 0);
-                for v in row.iter_mut() {
-                    *v = op.apply(*v, bv);
-                }
-            }
-            (None, _) => {
-                for (c, v) in row.iter_mut().enumerate() {
-                    *v = op.apply(*v, b.get(r, c));
-                }
+    let bd = dense_rhs(b, bc);
+    par::par_rows_mut(a.values_mut(), rows, cols.max(1), cols.max(1), |r, row| match &bd {
+        Some(bm) => bin_loop_assign(op, row, bcast_row(bm, bc, r)),
+        None => {
+            for (c, v) in row.iter_mut().enumerate() {
+                *v = op.apply(*v, b.get(r, c));
             }
         }
     });
@@ -211,59 +181,43 @@ pub fn binary_assign(mut a: DenseMatrix, b: &Matrix, op: BinaryOp) -> Matrix {
 /// Dense fallback; parallel over row bands.
 fn dense_binary(a: &DenseMatrix, b: &Matrix, bc: Broadcast, op: BinaryOp) -> Matrix {
     let (rows, cols) = (a.rows(), a.cols());
-    let mut out = crate::pool::take_zeroed(rows * cols);
-    let bd;
-    let b_dense: Option<&DenseMatrix> = match b {
-        Matrix::Dense(d) => Some(d),
-        Matrix::Sparse(s) => {
-            // Densify small broadcast operands; large cellwise sparse operands
-            // are handled cell-by-cell to avoid a big intermediate.
-            if bc != Broadcast::Cellwise {
-                bd = s.to_dense();
-                Some(&bd)
-            } else {
-                None
+    let mut out = pool::take_unzeroed(rows * cols);
+    let bd = dense_rhs(b, bc);
+    par::par_rows_mut(&mut out, rows, cols.max(1), cols.max(1), |r, orow| {
+        let arow = a.row(r);
+        match &bd {
+            Some(bm) => bin_loop(op, OpRef::S(arow), bcast_row(bm, bc, r), orow),
+            None => {
+                // A cellwise CSR operand: `+0.0` where it stores nothing.
+                bin_loop(op, OpRef::S(arow), OpRef::C(0.0), orow);
+                for (c, v) in b.as_sparse().row_iter(r) {
+                    orow[c] = op.apply(arow[c], v);
+                }
             }
         }
-    };
-    {
-        let out_slice = &mut out[..];
-        par::par_rows_mut(out_slice, rows, cols.max(1), cols.max(1), |r, orow| {
-            let arow = a.row(r);
-            match (b_dense, bc) {
-                (Some(bm), Broadcast::Cellwise) => {
-                    let brow = bm.row(r);
-                    for c in 0..cols {
-                        orow[c] = op.apply(arow[c], brow[c]);
-                    }
-                }
-                (Some(bm), Broadcast::ColVector) => {
-                    let bv = bm.get(r, 0);
-                    for c in 0..cols {
-                        orow[c] = op.apply(arow[c], bv);
-                    }
-                }
-                (Some(bm), Broadcast::RowVector) => {
-                    let brow = bm.row(0);
-                    for c in 0..cols {
-                        orow[c] = op.apply(arow[c], brow[c]);
-                    }
-                }
-                (Some(bm), Broadcast::Scalar) => {
-                    let bv = bm.get(0, 0);
-                    for c in 0..cols {
-                        orow[c] = op.apply(arow[c], bv);
-                    }
-                }
-                (None, _) => {
-                    for c in 0..cols {
-                        orow[c] = op.apply(arow[c], b.get(r, c));
-                    }
-                }
-            }
-        });
-    }
+    });
     Matrix::dense(DenseMatrix::new(rows, cols, out))
+}
+
+/// The right operand of a dense element-wise op as a dense matrix read by
+/// row — a CSR broadcast operand (a row, a column, a cell) densified — or
+/// `None` for a cellwise CSR operand, which is read cell by cell instead of
+/// being densified into a large intermediate.
+fn dense_rhs(b: &Matrix, bc: Broadcast) -> Option<Cow<'_, DenseMatrix>> {
+    match b {
+        Matrix::Sparse(_) if bc == Broadcast::Cellwise => None,
+        _ => Some(b.dense_view()),
+    }
+}
+
+/// Row `r` of the right operand under broadcast `bc`.
+fn bcast_row(bm: &DenseMatrix, bc: Broadcast, r: usize) -> OpRef<'_> {
+    match bc {
+        Broadcast::Cellwise => OpRef::S(bm.row(r)),
+        Broadcast::ColVector => OpRef::C(bm.get(r, 0)),
+        Broadcast::RowVector => OpRef::S(bm.row(0)),
+        Broadcast::Scalar => OpRef::C(bm.get(0, 0)),
+    }
 }
 
 #[cfg(test)]
@@ -392,6 +346,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Dense operands are read where they lie, owned or a row band of a
+    /// larger matrix (a window into its parent's buffer): both give the same
+    /// bits, as either operand of `binary` and under every broadcast, and as
+    /// operands of `ternary`, `cbind` and `rbind`.
+    #[test]
+    fn owned_and_row_band_operands_agree_bitwise() {
+        use crate::ops::{cbind, rbind, ternary, TernaryOp};
+        let parent = Matrix::dense(DenseMatrix::new(
+            6,
+            3,
+            (0..18).map(|i| f64::from(i) * 0.37 - 2.0).collect(),
+        ));
+        let band = parent.row_slice(2, 4);
+        let owned = Matrix::dense(DenseMatrix::new(2, 3, band.as_dense().values().to_vec()));
+        let bits =
+            |m: &Matrix| m.dense_view().values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let cell = dm(&[&[2.0, -3.0, 0.5], &[5.0, 0.0, -7.0]]);
+        let colv = dm(&[&[10.0], &[-20.0]]);
+        let rowv = dm(&[&[1.0, -2.0, 3.0]]);
+        let sc = dm(&[&[0.5]]);
+        let sp = Matrix::sparse(SparseMatrix::from_triples(2, 3, vec![(0, 1, 2.0), (1, 2, 3.0)]));
+        for op in [BinaryOp::Add, BinaryOp::Div, BinaryOp::Pow, BinaryOp::Max, BinaryOp::Lt] {
+            for b in [&cell, &colv, &rowv, &sc, &sp] {
+                assert_eq!(bits(&binary(&owned, b, op)), bits(&binary(&band, b, op)), "{op:?}");
+            }
+            for a in [&cell, &sc, &sp] {
+                assert_eq!(bits(&binary(a, &owned, op)), bits(&binary(a, &band, op)), "{op:?}");
+            }
+        }
+        for op in [TernaryOp::PlusMult, TernaryOp::IfElse] {
+            let (o, b) = (ternary(&owned, &cell, &owned, op), ternary(&band, &cell, &band, op));
+            assert_eq!(bits(&o), bits(&b), "{op:?}");
+        }
+        assert_eq!(bits(&cbind(&owned, &band)), bits(&cbind(&band, &owned)));
+        assert_eq!(bits(&rbind(&owned, &band)), bits(&rbind(&band, &owned)));
     }
 
     #[test]

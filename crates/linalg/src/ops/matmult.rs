@@ -104,7 +104,9 @@ fn packed(b: &DenseMatrix) -> Vec<f64> {
 
 fn dense_dense(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = pool::take_zeroed(m * n);
+    // Every element is written: one `dot` per row, or `gemm` without
+    // accumulation.
+    let mut out = pool::take_unzeroed(m * n);
     if n == 1 {
         // Matrix-vector: one dot per row, `b`'s values are the vector.
         par::par_rows_mut(&mut out, m, 1, k, |r, c| c[0] = simd::dot(a.row(r), b.values()));
@@ -123,7 +125,9 @@ fn dense_dense(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
 
 fn sparse_dense(a: &SparseMatrix, b: &DenseMatrix) -> DenseMatrix {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = pool::take_zeroed(m * n);
+    // `sparse_row_gemm` writes every element of its row (zero for an empty
+    // one).
+    let mut out = pool::take_unzeroed(m * n);
     if m * n > 0 {
         let bp = packed(b);
         par::par_rows_mut(&mut out, m, n, n.max(a.nnz() / m), |r, crow| {

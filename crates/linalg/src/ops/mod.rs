@@ -11,6 +11,7 @@ use crate::matrix::Matrix;
 
 pub mod agg;
 pub mod elementwise;
+pub mod loops;
 pub mod matmult;
 pub mod reorg;
 pub mod ternary;
@@ -18,6 +19,7 @@ pub mod unary;
 
 pub use agg::{agg, cum_agg};
 pub use elementwise::{binary, binary_assign, binary_scalar};
+pub use loops::{bin_loop, un_loop, OpRef};
 pub use matmult::{matmult, tsmm_left};
 pub use reorg::{cbind, diag, index_range, rbind, seq, transpose};
 pub use ternary::ternary;

@@ -18,7 +18,7 @@ const BLOCK: usize = 64;
 
 fn transpose_dense(a: &DenseMatrix) -> DenseMatrix {
     let (rows, cols) = (a.rows(), a.cols());
-    let mut out = crate::pool::take_zeroed(rows * cols);
+    let mut out = crate::pool::take_unzeroed(rows * cols);
     // Parallel over output row bands (output rows = input columns).
     let src = a.values();
     par::par_rows_mut(&mut out, cols, rows.max(1), rows.max(1), |oc, orow| {
@@ -69,9 +69,8 @@ pub fn index_range(
 pub fn cbind(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.rows(), b.rows(), "cbind row mismatch");
     let (rows, ac, bc) = (a.rows(), a.cols(), b.cols());
-    let ad = a.to_dense();
-    let bd = b.to_dense();
-    let mut out = Vec::with_capacity(rows * (ac + bc));
+    let (ad, bd) = (a.dense_view(), b.dense_view());
+    let mut out = crate::pool::take_values(rows * (ac + bc));
     for r in 0..rows {
         out.extend_from_slice(ad.row(r));
         out.extend_from_slice(bd.row(r));
@@ -82,9 +81,9 @@ pub fn cbind(a: &Matrix, b: &Matrix) -> Matrix {
 /// Row binding `rbind(a, b)` (dense output).
 pub fn rbind(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.cols(), "rbind col mismatch");
-    let ad = a.to_dense();
-    let bd = b.to_dense();
-    let mut out = ad.into_values();
+    let (ad, bd) = (a.dense_view(), b.dense_view());
+    let mut out = crate::pool::take_values(ad.len() + bd.len());
+    out.extend_from_slice(ad.values());
     out.extend_from_slice(bd.values());
     Matrix::dense(DenseMatrix::new(a.rows() + b.rows(), a.cols(), out))
 }

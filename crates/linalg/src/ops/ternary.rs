@@ -13,10 +13,8 @@ pub fn ternary(a: &Matrix, b: &Matrix, c: &Matrix, op: TernaryOp) -> Matrix {
     let (rows, cols) = (a.rows(), a.cols());
     let bcb = resolve_broadcast(rows, cols, b);
     let bcc = resolve_broadcast(rows, cols, c);
-    let ad = a.to_dense();
-    let bd = b.to_dense();
-    let cd = c.to_dense();
-    let mut out = crate::pool::take_zeroed(rows * cols);
+    let (ad, bd, cd) = (a.dense_view(), b.dense_view(), c.dense_view());
+    let mut out = crate::pool::take_unzeroed(rows * cols);
     par::par_rows_mut(&mut out, rows, cols.max(1), cols.max(1), |r, orow| {
         let arow = ad.row(r);
         for col in 0..cols {

@@ -192,6 +192,15 @@ impl PoolTally {
     }
 }
 
+/// What [`BufferPool::take_unzeroed`] hands out: the buffer as it is in
+/// release builds, NaN in every slot in debug builds.
+fn poisoned(mut buf: Vec<f64>) -> Vec<f64> {
+    if cfg!(debug_assertions) {
+        buf.fill(f64::NAN);
+    }
+    buf
+}
+
 fn bump(counter: &AtomicU64, tally: Option<&PoolTally>, hit: bool) {
     counter.fetch_add(1, Ordering::Relaxed);
     if let Some(t) = tally {
@@ -264,10 +273,23 @@ impl BufferPool {
     }
 
     fn take_zeroed_tallied(&self, len: usize, tally: Option<&PoolTally>) -> Vec<f64> {
-        if len < MIN_POOL_LEN {
-            return vec![0.0; len];
+        match self.pop_values(len, tally) {
+            Some(mut buf) => {
+                buf.clear();
+                buf.resize(len, 0.0);
+                buf
+            }
+            None => vec![0.0; len],
         }
-        let reused = {
+    }
+
+    /// A shelved value buffer with capacity ≥ `len`, counted as a hit, or
+    /// `None` (counted as a miss unless `len` is too small to pool).
+    fn pop_values(&self, len: usize, tally: Option<&PoolTally>) -> Option<Vec<f64>> {
+        if len < MIN_POOL_LEN {
+            return None;
+        }
+        let popped = {
             let mut st = self.state.lock();
             let popped = st.values.pop(len);
             if let Some(b) = &popped {
@@ -275,18 +297,33 @@ impl BufferPool {
             }
             popped
         };
-        match reused {
+        let hit = popped.is_some();
+        bump(if hit { &self.counters.hits } else { &self.counters.misses }, tally, hit);
+        popped
+    }
+
+    /// Takes a buffer of exactly `len` elements whose contents are
+    /// unspecified, for a caller that writes every one of them: a recycled
+    /// buffer keeps what it held (it is truncated, or extended by zeros past
+    /// its old length, never rewritten), a fresh one is zeroed. Debug builds
+    /// fill it with NaN instead, so a slot a caller fails to write shows up
+    /// in the differential suites rather than as a stale value.
+    pub fn take_unzeroed(&self, len: usize) -> Vec<f64> {
+        self.take_unzeroed_tallied(len, None)
+    }
+
+    fn take_unzeroed_tallied(&self, len: usize, tally: Option<&PoolTally>) -> Vec<f64> {
+        let buf = match self.pop_values(len, tally) {
             Some(mut buf) => {
-                bump(&self.counters.hits, tally, true);
-                buf.clear();
+                // Only the elements past the buffer's old length are written:
+                // the spare capacity of a shelved buffer need not hold
+                // initialized values.
                 buf.resize(len, 0.0);
                 buf
             }
-            None => {
-                bump(&self.counters.misses, tally, false);
-                vec![0.0; len]
-            }
-        }
+            None => vec![0.0; len],
+        };
+        poisoned(buf)
     }
 
     /// Takes a buffer initialized as a copy of `src` (pool-backed `to_vec`).
@@ -298,7 +335,7 @@ impl BufferPool {
         if src.len() < MIN_POOL_LEN {
             return src.to_vec();
         }
-        let mut buf = self.take_zeroed_tallied(src.len(), tally);
+        let mut buf = self.take_unzeroed_tallied(src.len(), tally);
         buf.copy_from_slice(src);
         buf
     }
@@ -333,27 +370,12 @@ impl BufferPool {
     }
 
     fn take_values_tallied(&self, cap: usize, tally: Option<&PoolTally>) -> Vec<f64> {
-        if cap < MIN_POOL_LEN {
-            return Vec::with_capacity(cap);
-        }
-        let reused = {
-            let mut st = self.state.lock();
-            let popped = st.values.pop(cap);
-            if let Some(b) = &popped {
-                st.retained_bytes -= b.capacity() * 8;
-            }
-            popped
-        };
-        match reused {
+        match self.pop_values(cap, tally) {
             Some(mut buf) => {
-                bump(&self.counters.hits, tally, true);
                 buf.clear();
                 buf
             }
-            None => {
-                bump(&self.counters.misses, tally, false);
-                Vec::with_capacity(cap)
-            }
+            None => Vec::with_capacity(cap),
         }
     }
 
@@ -515,6 +537,17 @@ pub fn take_zeroed(len: usize) -> Vec<f64> {
     }
 }
 
+/// Takes a buffer of `len` elements with unspecified contents from the
+/// current scope's pool, for a caller that writes every slot (see
+/// [`BufferPool::take_unzeroed`]; NaN-filled in debug builds, in or out of a
+/// scope).
+pub fn take_unzeroed(len: usize) -> Vec<f64> {
+    match current_scope() {
+        Some(s) => s.pool.take_unzeroed_tallied(len, s.tally.as_deref()),
+        None => poisoned(vec![0.0; len]),
+    }
+}
+
 /// Takes a pool-backed copy of `src` from the current scope's pool.
 pub fn take_copy(src: &[f64]) -> Vec<f64> {
     match current_scope() {
@@ -610,6 +643,36 @@ mod tests {
         p.give(a);
         let b = p.take_zeroed(100);
         assert!(b.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn unzeroed_buffers_are_reused_unwritten_and_poisoned_in_debug() {
+        let p = BufferPool::new();
+        let mut a = p.take_unzeroed(300);
+        assert_eq!(a.len(), 300);
+        a.iter_mut().for_each(|v| *v = 7.0);
+        let ptr = a.as_ptr();
+        p.give(a);
+        // A shorter request is a truncation of the same buffer, a longer one
+        // (still within its capacity) extends it.
+        for len in [200, 300] {
+            let b = p.take_unzeroed(len);
+            assert_eq!((b.len(), b.as_ptr()), (len, ptr), "the shelved buffer is reused");
+            if cfg!(debug_assertions) {
+                assert!(b.iter().all(|v| v.is_nan()), "debug builds poison every slot");
+            } else {
+                assert!(b[..200].iter().all(|&v| v == 7.0), "release builds write nothing");
+            }
+            p.give(b);
+        }
+        assert_eq!((p.stats().hits, p.stats().misses), (2, 1));
+        // A zeroed take of the same buffer is zeroed whatever it held.
+        assert!(p.take_zeroed(300).iter().all(|&v| v == 0.0));
+        // Tiny and unscoped requests: poisoned the same way, never pooled.
+        let tiny = p.take_unzeroed(8);
+        assert_eq!(tiny.len(), 8);
+        assert_eq!(tiny.iter().all(|v| v.is_nan()), cfg!(debug_assertions));
+        assert_eq!(take_unzeroed(100).iter().all(|v| v.is_nan()), cfg!(debug_assertions));
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! `sum_sq`, `axpy` accumulation order per element is preserved but lane
 //! association differs and FMA is permitted), so reduction results are
 //! backend-defined within ~1e-12 relative error; differential tests pin
-//! that bound against the scalar oracle. The register-blocked matrix kernels
+//! that bound against the scalar oracle. [`dot_sums`] runs several `dot` /
+//! `sum` terms in one loop and is bitwise each single-term kernel on the
+//! same backend. The register-blocked matrix kernels
 //! ([`gemm`], [`sparse_row_gemm`], [`scatter_axpy`]) are reduction class with
 //! a fixed order: every output element accumulates over the inner index
 //! ascending, one FMA per step on AVX2 and a multiply then an add in the
@@ -203,6 +205,34 @@ fn sum_sq_scalar(a: &[f64]) -> f64 {
         s += v * v;
     }
     s
+}
+
+/// [`dot_scalar`] / [`sum_scalar`] for every term at once: the same four
+/// accumulators per term, the same pairwise combination and sequential tail.
+fn dot_sums_scalar(n: usize, terms: &[DotTerm<'_>], out: &mut [f64]) {
+    let mut acc = [[0.0f64; 4]; MAX_DOT_SUMS];
+    let chunks = n / 4;
+    for i in 0..chunks {
+        let k = i * 4;
+        for (acc, &(a, b)) in acc.iter_mut().zip(terms) {
+            for (l, x) in acc.iter_mut().enumerate() {
+                *x += match b {
+                    Some(b) => a[k + l] * b[k + l],
+                    None => a[k + l],
+                };
+            }
+        }
+    }
+    for ((o, acc), &(a, b)) in out.iter_mut().zip(&acc).zip(terms) {
+        let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+        for i in chunks * 4..n {
+            s += match b {
+                Some(b) => a[i] * b[i],
+                None => a[i],
+            };
+        }
+        *o = s;
+    }
 }
 
 fn axpy_scalar(a: &[f64], alpha: f64, c: &mut [f64]) {
@@ -461,6 +491,52 @@ mod avx2 {
             }
         }
         hsum(acc)
+    }
+
+    /// [`dot`] (or [`sum`] where a term has no `b`) of `R` terms in one loop:
+    /// every term's chunk is loaded in the same iteration into its own
+    /// accumulator, which sees exactly the operations of the single-term
+    /// kernel — FMA (or add) per chunk, the masked tail, [`hsum`].
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2 and FMA and that every slice
+    /// of `terms` holds at least `n` elements.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn dot_sums<const R: usize>(n: usize, terms: [super::DotTerm<'_>; R]) -> [f64; R] {
+        let chunks = n / 4;
+        let r = n % 4;
+        let mut acc = [_mm256_setzero_pd(); R];
+        for i in 0..chunks {
+            for (acc, (a, b)) in acc.iter_mut().zip(terms) {
+                // SAFETY: i*4 + 4 <= n bounds both loads (every slice holds
+                // n elements per the caller contract).
+                unsafe {
+                    let va = _mm256_loadu_pd(a.as_ptr().add(i * 4));
+                    *acc = match b {
+                        Some(b) => {
+                            _mm256_fmadd_pd(va, _mm256_loadu_pd(b.as_ptr().add(i * 4)), *acc)
+                        }
+                        None => _mm256_add_pd(*acc, va),
+                    };
+                }
+            }
+        }
+        if r != 0 {
+            for (acc, (a, b)) in acc.iter_mut().zip(terms) {
+                // SAFETY: the masked tails read exactly the last `r` of the
+                // `n` elements every slice holds.
+                unsafe {
+                    let va = tail_load(a.as_ptr().add(chunks * 4), r);
+                    *acc = match b {
+                        Some(b) => {
+                            _mm256_fmadd_pd(va, tail_load(b.as_ptr().add(chunks * 4), r), *acc)
+                        }
+                        None => _mm256_add_pd(*acc, va),
+                    };
+                }
+            }
+        }
+        acc.map(hsum)
     }
 
     /// `c += alpha * a`. The vector body uses FMA; the stored values match
@@ -788,6 +864,46 @@ pub fn sum_sq(a: &[f64]) -> f64 {
     sum_sq_scalar(a)
 }
 
+/// Most terms one [`dot_sums`] call folds.
+pub const MAX_DOT_SUMS: usize = 4;
+
+/// One term of [`dot_sums`]: `Σ a[i]·b[i]`, or `Σ a[i]` without a `b`.
+pub type DotTerm<'a> = (&'a [f64], Option<&'a [f64]>);
+
+/// `out[j] = dot(&a_j[..n], &b_j[..n])` — `sum(&a_j[..n])` where `b_j` is
+/// `None` — for up to [`MAX_DOT_SUMS`] terms, in one loop that loads every
+/// term's 4-lane chunk in the same iteration, so terms over shared inputs
+/// stream them once. Each term keeps the accumulator, masked tail and
+/// horizontal sum of its single-term kernel: `out[j]` is *bitwise* what
+/// [`dot`] / [`sum`] return on the same backend.
+pub fn dot_sums(n: usize, terms: &[DotTerm<'_>], out: &mut [f64]) {
+    assert!(terms.len() <= MAX_DOT_SUMS && out.len() == terms.len(), "dot_sums: term count");
+    assert!(
+        terms.iter().all(|(a, b)| a.len() >= n && b.is_none_or(|b| b.len() >= n)),
+        "dot_sums: term shorter than n"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if level() == SimdLevel::Avx2 {
+        macro_rules! go {
+            ($r:literal) => {{
+                // SAFETY: level() == Avx2 implies runtime AVX2+FMA support;
+                // every slice was just checked to hold `n` elements.
+                let sums = unsafe { avx2::dot_sums::<$r>(n, std::array::from_fn(|j| terms[j])) };
+                out.copy_from_slice(&sums);
+            }};
+        }
+        match terms.len() {
+            0 => {}
+            1 => go!(1),
+            2 => go!(2),
+            3 => go!(3),
+            _ => go!(4),
+        }
+        return;
+    }
+    dot_sums_scalar(n, terms, out)
+}
+
 /// `c[i] += alpha·a[i]` over `min(a.len, c.len)` (reduction class: `c`
 /// accumulates).
 #[inline]
@@ -1078,6 +1194,42 @@ mod tests {
                 assert!(close(sum(&a), a.iter().sum()), "sum n={n} force={force}");
                 let esq: f64 = a.iter().map(|v| v * v).sum();
                 assert!(close(sum_sq(&a), esq), "sum_sq n={n} force={force}");
+            }
+        }
+        force_scalar(false);
+    }
+
+    /// One to four terms over shared inputs, with and without a `b`, at every
+    /// tail length and across tile-sized and larger lengths: each result is
+    /// bitwise the single-term kernel on the same path.
+    #[test]
+    fn dot_sums_are_bitwise_the_single_term_kernels() {
+        let _paths = path_lock();
+        for force in [false, true] {
+            force_scalar(force);
+            for n in (0..10).chain([255, 256, 257, 1000]) {
+                let x = data(n, 51);
+                let ys: Vec<Vec<f64>> = (0..4).map(|s| data(n, 52 + s)).collect();
+                for k in 1..=MAX_DOT_SUMS {
+                    for with_sum in [false, true] {
+                        let terms: Vec<DotTerm<'_>> = (0..k)
+                            .map(|j| match j {
+                                1 if with_sum => (&ys[1][..], None),
+                                _ => (&x[..], Some(&ys[j][..])),
+                            })
+                            .collect();
+                        let mut out = vec![f64::NAN; k];
+                        dot_sums(n, &terms, &mut out);
+                        for (j, (&(a, b), got)) in terms.iter().zip(&out).enumerate() {
+                            let want = b.map_or_else(|| sum(a), |b| dot(a, b));
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "n={n} k={k} j={j} force={force}"
+                            );
+                        }
+                    }
+                }
             }
         }
         force_scalar(false);

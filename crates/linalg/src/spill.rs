@@ -394,7 +394,8 @@ fn read_matrix(path: &Path, pool: &PoolHandle) -> io::Result<Matrix> {
     match tag {
         DENSE_TAG => {
             let len = rows * cols;
-            let mut values = pool.take_zeroed(len);
+            // `read_u64s` fills all `len` slots or fails the reload.
+            let mut values = pool.take_unzeroed(len);
             {
                 let mut i = 0;
                 read_u64s(&mut r, len, |v| {

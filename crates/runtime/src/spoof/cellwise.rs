@@ -139,7 +139,7 @@ fn dense_exec(
                 // `par` cannot split a 0-long row; the answer is `rows × 0`.
                 return Matrix::dense(DenseMatrix::new(rows, 0, Vec::new()));
             }
-            let mut out = pool::take_zeroed(rows * cols);
+            let mut out = pool::take_unzeroed(rows * cols);
             par::par_rows_mut(&mut out, rows, cols.max(1), cols.max(1) * 4, |r, orow| {
                 let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
                 for (c, slot) in orow.iter_mut().enumerate() {
@@ -149,7 +149,7 @@ fn dense_exec(
             Matrix::dense(DenseMatrix::new(rows, cols, out))
         }
         CellAgg::RowAgg(op) => {
-            let mut out = pool::take_zeroed(rows);
+            let mut out = pool::take_unzeroed(rows);
             par::par_rows_mut(&mut out, rows, 1, cols.max(1) * 4, |r, slot| {
                 let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
                 let mut acc = op.identity();
@@ -255,7 +255,7 @@ fn sparse_safe_exec(
             Matrix::sparse(SparseMatrix::from_triples(rows, cols, triples))
         }
         CellAgg::RowAgg(op) => {
-            let mut out = pool::take_zeroed(rows);
+            let mut out = pool::take_unzeroed(rows);
             par::par_rows_mut(&mut out, rows, 1, work, |r, slot| {
                 let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
                 let mut acc = op.identity();

@@ -55,13 +55,17 @@ pub fn execute_with(
     };
     // Shared finalization: min/max over sparse-safe iteration must still
     // observe the implicit zeros, and `Mean` divides by the cell count.
-    let sparse_iter = matches!(main, Some(Matrix::Sparse(_))) && spec.sparse_safe;
-    let nnz = main.map_or(0, |m| m.nnz());
+    // (Only a CSR main is asked its non-zeros: a dense one would count them
+    // in a scan as long as the pass.)
     let total = iter_rows * iter_cols;
+    let unseen_zeros = match main {
+        Some(Matrix::Sparse(s)) => spec.sparse_safe && s.nnz() < total,
+        _ => false,
+    };
     accs.into_iter()
         .zip(&spec.results)
         .map(|(mut v, &(_, op))| {
-            if sparse_iter && !op.sparse_safe() && nnz < total {
+            if unseen_zeros && !op.sparse_safe() {
                 v = op.fold(v, 0.0);
             }
             if op == AggOp::Mean {

@@ -313,7 +313,7 @@ fn dense_exec(
             Matrix::dense(DenseMatrix::new(m, k, acc))
         }
         OuterOut::NoAgg => {
-            let mut out = pool::take_zeroed(n * m);
+            let mut out = pool::take_unzeroed(n * m);
             par::par_rows_mut(&mut out, n, m, m * r, |i, orow| {
                 let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
                 for (j, slot) in orow.iter_mut().enumerate() {

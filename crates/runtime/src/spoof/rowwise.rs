@@ -33,9 +33,9 @@
 //! differential-test oracle.
 
 use crate::side::SideInput;
-use fusedml_core::spoof::block::{self, OpRef, RowKernel};
+use fusedml_core::spoof::block::{self, RowKernel};
 use fusedml_core::spoof::{Instr, Program, Reg, RowOut, RowSpec};
-use fusedml_linalg::ops::{AggOp, BinaryOp};
+use fusedml_linalg::ops::{bin_loop, un_loop, AggOp, BinaryOp, OpRef};
 use fusedml_linalg::{par, pool, primitives as prim, simd, DenseMatrix, Matrix, SparseMatrix};
 use std::borrow::Cow;
 
@@ -471,16 +471,16 @@ impl<'a> BandCtx<'a> {
             // ---- vector compute ------------------------------------------
             Instr::VecUnary { out, op, a } => {
                 let (dst, srcs) = env.write(vfile, out, h);
-                map_tile(h, srcs.tile(a), dst, |src, d| block::un_loop(op, OpRef::S(src), d));
+                map_tile(h, srcs.tile(a), dst, |src, d| un_loop(op, OpRef::S(src), d));
             }
             Instr::VecBinaryVV { out, op, a, b } => {
                 let (dst, srcs) = env.write(vfile, out, h);
                 let (ta, tb) = (srcs.tile(a), srcs.tile(b));
                 match (ta.flat(h), tb.flat(h)) {
-                    (Some(x), Some(y)) => block::bin_loop(op, OpRef::S(x), OpRef::S(y), dst),
+                    (Some(x), Some(y)) => bin_loop(op, OpRef::S(x), OpRef::S(y), dst),
                     _ => {
                         for (i, d) in dst.chunks_exact_mut(ta.len.max(1)).enumerate() {
-                            block::bin_loop(op, OpRef::S(ta.row(i)), OpRef::S(tb.row(i)), d);
+                            bin_loop(op, OpRef::S(ta.row(i)), OpRef::S(tb.row(i)), d);
                         }
                     }
                 }
@@ -1103,7 +1103,7 @@ impl<'a> RowCtx<'a> {
                 }
                 Instr::VecUnary { out, op, a } => {
                     let (dst, src) = two_vregs(&mut self.vregs, out, a);
-                    block::un_loop(op, OpRef::S(src), dst);
+                    un_loop(op, OpRef::S(src), dst);
                 }
                 Instr::VecBinaryVV { out, op, a, b } => {
                     // Registers are SSA-allocated: `out` differs from both
@@ -1112,7 +1112,7 @@ impl<'a> RowCtx<'a> {
                     let b_vals = std::mem::take(&mut self.vregs[b as usize]);
                     let (dst, x) = two_vregs(&mut self.vregs, out, a);
                     let xs: &[f64] = if a == b { &b_vals } else { x };
-                    block::bin_loop(op, OpRef::S(xs), OpRef::S(&b_vals), dst);
+                    bin_loop(op, OpRef::S(xs), OpRef::S(&b_vals), dst);
                     self.vregs[b as usize] = b_vals;
                 }
                 Instr::VecBinaryVS { out, op, a, b, scalar_left } => {
@@ -1169,7 +1169,7 @@ fn two_vregs(vregs: &mut [Vec<f64>], out: u16, a: u16) -> (&mut [f64], &[f64]) {
 fn vec_binary_vs(op: BinaryOp, a: &[f64], s: f64, scalar_left: bool, dst: &mut [f64]) {
     let (a, s) = (OpRef::S(a), OpRef::C(s));
     let (x, y) = if scalar_left { (s, a) } else { (a, s) };
-    block::bin_loop(op, x, y, dst)
+    bin_loop(op, x, y, dst)
 }
 
 #[cfg(test)]

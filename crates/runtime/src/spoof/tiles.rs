@@ -24,7 +24,7 @@ use std::sync::Arc;
 use fusedml_core::spoof::block::{
     fold_result, write_result, BlockEval, BlockKernel, CellBackend, OpRef, TileCtx, TileSrc,
 };
-use fusedml_core::spoof::mono::Product;
+use fusedml_core::spoof::mono::{self, Product};
 use fusedml_core::spoof::{Program, Reg, SideAccess};
 
 /// Maximum distinct `(side, access)` gathers the tile path supports; kernels
@@ -85,6 +85,13 @@ impl<'t> Tile<'t> {
             Some(mk) => mk.fold(op, acc, self.ev, self.ctx, self.n),
             None => fold_result(op, acc, self.value_of(j), self.n),
         }
+    }
+
+    /// Folds product results under `Sum` into their accumulators, sharing one
+    /// loop over the tile (`mono::fold_sums`) — bitwise what [`Self::fold`]
+    /// gives per result.
+    pub(crate) fn fold_sums<'p>(&self, sums: impl IntoIterator<Item = (&'p Product, &'p mut f64)>) {
+        mono::fold_sums(sums, self.ev, self.ctx, self.n)
     }
 
     /// Writes result `j` into `dst`, which must hold one slot per position.
@@ -295,13 +302,30 @@ impl<'a> CellPass<'a> {
     }
 
     /// `Full(k)`: result `j` folded under `ops[j]` over every position
-    /// (Cell and Outer `FullAgg` with `k` = 1, MAgg). Not finalized.
+    /// (Cell and Outer `FullAgg` with `k` = 1, MAgg). When two or more
+    /// results are product chains under `Sum` / `Mean`, their tile sums run
+    /// as one loop over the shared inputs ([`Tile::fold_sums`]); every other
+    /// result folds on its own. Not finalized.
     pub(crate) fn full(&self, ops: &[AggOp]) -> Vec<f64> {
+        let mut sums: Vec<Option<&Product>> = (0..ops.len())
+            .map(|j| self.mono(j).filter(|_| matches!(ops[j], AggOp::Sum | AggOp::Mean)))
+            .collect();
+        let fused = sums.iter().flatten().count() >= 2;
+        if !fused {
+            sums.fill(None);
+        }
         self.reduce(
             || ops.iter().map(|op| op.identity()).collect::<Vec<f64>>(),
             |accs, t| {
-                for (j, (acc, &op)) in accs.iter_mut().zip(ops).enumerate() {
-                    *acc = t.fold(j, op, *acc);
+                if fused {
+                    t.fold_sums(
+                        accs.iter_mut().zip(&sums).filter_map(|(acc, p)| Some(((*p)?, acc))),
+                    );
+                }
+                for (j, ((acc, &op), p)) in accs.iter_mut().zip(ops).zip(&sums).enumerate() {
+                    if p.is_none() {
+                        *acc = t.fold(j, op, *acc);
+                    }
                 }
             },
             |mut a, b| {
@@ -315,7 +339,7 @@ impl<'a> CellPass<'a> {
 
     /// `RowAgg`: result 0 folded per main row. Not finalized.
     pub(crate) fn row_agg(&self, op: AggOp) -> Vec<f64> {
-        let mut out = pool::take_zeroed(self.rows);
+        let mut out = pool::take_unzeroed(self.rows);
         out.fill(op.identity());
         self.bands(&mut out, 1, |slot, t| slot[0] = t.fold(0, op, slot[0]));
         out
@@ -353,7 +377,9 @@ impl<'a> CellPass<'a> {
     pub(crate) fn no_agg(&self) -> Matrix {
         let (rows, cols) = (self.rows, self.cols);
         if self.csr.is_none() {
-            let mut out = pool::take_zeroed(rows * cols);
+            // Dense iteration tiles every column of every row: each slot is
+            // written once.
+            let mut out = pool::take_unzeroed(rows * cols);
             self.bands(&mut out, cols, |orow, t| {
                 let c0 = t.cols().at(0);
                 t.map_into(0, &mut orow[c0..c0 + t.n])

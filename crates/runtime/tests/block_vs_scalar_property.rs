@@ -465,6 +465,144 @@ fn magg_mixes_a_product_chain_with_an_interpreted_result() {
     }
 }
 
+/// MAgg operators whose product sums share one loop over their inputs
+/// (`mono::fold_sums`): two, three and four product chains of one to three
+/// factors (`X`, `X⊙S0`, `X⊙S1`, `S0⊙S1`, `X⊙s2ᵀ` with a `Row` gather,
+/// `X⊙S0⊙S1`) under `Sum` / `Mean`, beside a `Min` over a product and a
+/// `Sum` / `Max` over a non-product. Dense and CSR mains (CSR both walked by
+/// non-zeros and densely), one and two workers: every backend agrees with
+/// the oracle, and under `Mono` each result is bitwise what the same result
+/// gives in an operator of its own, where it folds alone.
+#[test]
+fn magg_fuses_product_sums_bitwise_the_per_result_folds() {
+    let cell = |out, side| Instr::LoadSide { out, side, access: SideAccess::Cell };
+    let mult = |out, a, b| Instr::Binary { out, op: BinaryOp::Mult, a, b };
+    let prog = Program {
+        instrs: vec![
+            Instr::LoadMain { out: 0 },
+            cell(1, 0),
+            cell(2, 1),
+            Instr::LoadSide { out: 3, side: 2, access: SideAccess::Row },
+            mult(4, 0, 1),
+            mult(5, 0, 2),
+            mult(6, 1, 2),
+            mult(7, 0, 3),
+            mult(8, 4, 2),
+            Instr::Binary { out: 9, op: BinaryOp::Add, a: 1, b: 2 },
+            mult(10, 0, 9),
+        ],
+        n_regs: 11,
+        vreg_lens: vec![],
+    };
+    let kernel = compile_kernel(&prog);
+    assert!([0, 4, 5, 6, 7, 8].iter().all(|&r| kernel.mono_for(r).is_some()));
+    assert!(kernel.mono_for(10).is_none());
+    let (sum, mean) = (AggOp::Sum, AggOp::Mean);
+    let result_sets: [Vec<(u16, AggOp)>; 3] = [
+        vec![(4, sum), (10, sum), (5, sum), (4, AggOp::Min)],
+        vec![(4, sum), (5, mean), (10, AggOp::Max), (6, sum), (5, AggOp::Min)],
+        vec![(8, sum), (4, sum), (5, sum), (10, sum), (7, sum), (0, mean), (6, AggOp::Min)],
+    ];
+    let cols = 517;
+    let rows = 2 * par::PAR_THRESHOLD / cols + 3;
+    let dense = generate::rand_dense(rows, cols, -1.5, 1.5, 71);
+    let csr = generate::rand_matrix(rows, cols, -1.5, 1.5, 0.3, 72);
+    let bound = [
+        generate::rand_dense(rows, cols, -1.5, 1.5, 73),
+        generate::rand_matrix(rows, cols, -1.5, 1.5, 0.3, 74),
+        generate::rand_dense(1, cols, -1.5, 1.5, 75),
+    ];
+    let sides: Vec<SideInput> = bound.iter().map(SideInput::bind).collect();
+    for results in &result_sets {
+        for (main, sparse_safe) in [(&dense, false), (&csr, true), (&csr, false)] {
+            let run = |results: &[(u16, AggOp)], backend, threads| {
+                let _limit = par::limit_current_thread(threads);
+                let spec = MAggSpec { prog: prog.clone(), results: results.to_vec(), sparse_safe };
+                multiagg::execute_with(&spec, Some(main), &sides, &[], rows, cols, backend)
+            };
+            let oracle = run(results, CellBackend::Scalar, 1);
+            for threads in [1, 2] {
+                let what = format!(
+                    "{results:?} sparse={} safe={sparse_safe} {threads} threads",
+                    main.is_sparse()
+                );
+                for backend in [CellBackend::Block, CellBackend::Mono] {
+                    for (j, (g, o)) in
+                        run(results, backend, threads).iter().zip(&oracle).enumerate()
+                    {
+                        assert!(
+                            g.approx_eq(o, 1e-11),
+                            "{what} {backend:?} result {j}: {g:?} vs {o:?}"
+                        );
+                    }
+                }
+                let fused = run(results, CellBackend::Mono, threads);
+                for (j, (&result, got)) in results.iter().zip(&fused).enumerate() {
+                    let alone = run(&[result], CellBackend::Mono, threads);
+                    common::assert_bitwise(got, &alone[0], &format!("{what} result {j} alone"));
+                }
+            }
+        }
+    }
+}
+
+/// `no_agg` takes its dense output without zeroing it: the second of two runs
+/// on one engine writes into the buffer the first one recycled (NaN in every
+/// slot in debug builds, the first run's values in release) and must still
+/// match the oracle cell for cell — through a product chain's
+/// `Product::map_into` and through the tile interpreter, on one and two
+/// workers.
+#[test]
+fn no_agg_overwrites_every_slot_of_a_recycled_output() {
+    use fusedml_runtime::{Engine, FusionMode};
+    let engine = Engine::new(FusionMode::Gen);
+    let _scope = engine.scope();
+    let cols = 517;
+    let rows = 2 * par::PAR_THRESHOLD / cols + 3;
+    let side = generate::rand_dense(rows, cols, -1.5, 1.5, 81);
+    let sides = [SideInput::bind(&side)];
+    let (x1, x2) = (
+        generate::rand_dense(rows, cols, -1.5, 1.5, 82),
+        generate::rand_dense(rows, cols, -1.5, 1.5, 83),
+    );
+    let cell = Instr::LoadSide { out: 1, side: 0, access: SideAccess::Cell };
+    let bin = |op| Instr::Binary { out: 2, op, a: 0, b: 1 };
+    for (body, op) in [("product", BinaryOp::Mult), ("interpreted", BinaryOp::Add)] {
+        let prog = Program {
+            instrs: vec![Instr::LoadMain { out: 0 }, cell.clone(), bin(op)],
+            n_regs: 3,
+            vreg_lens: vec![],
+        };
+        assert_eq!(compile_kernel(&prog).mono_for(2).is_some(), op == BinaryOp::Mult);
+        let spec = CellSpec { prog, result: 2, agg: CellAgg::NoAgg, sparse_safe: false };
+        let run = |main: &Matrix, backend| {
+            cellwise::execute_with(&spec, Some(main), &sides, &[], rows, cols, backend)
+        };
+        let oracle = run(&x2, CellBackend::Scalar);
+        for backend in [CellBackend::Block, CellBackend::Mono] {
+            for threads in [1, 2] {
+                let _limit = par::limit_current_thread(threads);
+                let first = run(&x1, backend);
+                let buffer = first.as_dense().values().as_ptr();
+                first.recycle();
+                let hits = engine.pool_stats().hits;
+                let second = run(&x2, backend);
+                assert!(engine.pool_stats().hits > hits, "{body} {backend:?}: no pool hit");
+                assert_eq!(
+                    second.as_dense().values().as_ptr(),
+                    buffer,
+                    "{body} {backend:?} {threads} threads: the recycled buffer is reused"
+                );
+                common::assert_bitwise(
+                    &second,
+                    &oracle,
+                    &format!("{body} {backend:?} {threads} threads"),
+                );
+            }
+        }
+    }
+}
+
 /// Sweeping the tile width (including widths far from the default and ones
 /// that never divide the column counts) must not change results. Widths are
 /// per-engine configuration now: each sweep point installs a fresh
