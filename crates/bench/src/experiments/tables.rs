@@ -74,165 +74,115 @@ pub fn table3(scale: Scale) {
     t.print();
 }
 
+/// The regret column of Tables 4–5: `Gen ÷ min(Base, Gen-FA, Gen-FNR)` over
+/// one row's per-mode seconds (in [`MODES`] order, `INFINITY` where a mode
+/// did not run), flagged `REGRET` above 1.25 the way Table 6 flags
+/// `DIVERGES`. Paper §5 rests on the cost-based plan never losing to a
+/// heuristic or to `Base`; the column reports, it gates nothing.
+fn regret(secs: &[f64]) -> String {
+    let of = |mode| secs[MODES.iter().position(|&m| m == mode).expect("a table mode")];
+    let rival = [FusionMode::Base, FusionMode::GenFA, FusionMode::GenFNR]
+        .map(of)
+        .into_iter()
+        .fold(f64::INFINITY, f64::min);
+    let gen = of(FusionMode::Gen);
+    if !gen.is_finite() || !rival.is_finite() {
+        return "N/A".to_string();
+    }
+    match gen / rival.max(1e-12) {
+        r if r > 1.25 => format!("REGRET {r:.2}x (>1.25x)"),
+        r => format!("ok ({r:.2}x)"),
+    }
+}
+
+/// One row of Tables 4–5: the per-mode seconds, then their regret.
+fn mode_row(t: &mut Table, algo: &str, data: &str, secs: [f64; MODES.len()]) {
+    let mut row = vec![algo.to_string(), data.to_string()];
+    row.extend(secs.iter().map(|&s| Table::secs(s)));
+    row.push(regret(&secs));
+    t.row(row);
+}
+
+/// Seconds of `run` on a fresh engine per mode, in [`MODES`] order.
+fn per_mode(run: impl Fn(&Engine) -> f64) -> [f64; MODES.len()] {
+    MODES.map(|mode| run(&Engine::new(mode)))
+}
+
+const MODE_HEADER: [&str; 8] =
+    ["algorithm", "data", "Base", "Fused", "Gen", "Gen-FA", "Gen-FNR", "Gen regret"];
+
 /// Table 4: data-intensive algorithms end-to-end across modes.
 pub fn table4(scale: Scale) {
     let sizes: Vec<(usize, usize)> =
         scale.pick(vec![(50_000, 10), (200_000, 10)], vec![(1_000_000, 10), (10_000_000, 10)]);
-    let mut t = Table::new(
-        "Table 4: data-intensive algorithms [s]",
-        &["algorithm", "data", "Base", "Fused", "Gen", "Gen-FA", "Gen-FNR"],
-    );
+    let mut t = Table::new("Table 4: data-intensive algorithms [s]", &MODE_HEADER);
+    let l2 = l2svm::L2svmConfig { max_iter: 10, ..Default::default() };
     for &(n, m) in &sizes {
-        let data_label = format!("{n}x{m}");
+        let data = format!("{n}x{m}");
         let (x, y) = l2svm::synthetic_data(n, m, 1.0, 11);
-        let mut row = vec!["L2SVM".to_string(), data_label.clone()];
-        for mode in MODES {
-            let r = l2svm::run(
-                &Engine::new(mode),
-                &x,
-                &y,
-                &l2svm::L2svmConfig { max_iter: 10, ..Default::default() },
-            );
-            row.push(Table::secs(r.seconds));
-        }
-        t.row(row);
+        mode_row(&mut t, "L2SVM", &data, per_mode(|e| l2svm::run(e, &x, &y, &l2).seconds));
         let (xm, ym) = mlogreg::synthetic_data(n, m, 2, 1.0, 12);
-        let mut row = vec!["MLogreg".to_string(), data_label.clone()];
-        for mode in MODES {
-            let r = mlogreg::run(
-                &Engine::new(mode),
-                &xm,
-                &ym,
-                &mlogreg::MLogregConfig {
-                    classes: 2,
-                    max_outer: 3,
-                    max_inner: 3,
-                    ..Default::default()
-                },
-            );
-            row.push(Table::secs(r.seconds));
-        }
-        t.row(row);
+        let cfg =
+            mlogreg::MLogregConfig { classes: 2, max_outer: 3, max_inner: 3, ..Default::default() };
+        mode_row(&mut t, "MLogreg", &data, per_mode(|e| mlogreg::run(e, &xm, &ym, &cfg).seconds));
         let (xg, yg) = glm::synthetic_data(n, m, 1.0, 13);
-        let mut row = vec!["GLM".to_string(), data_label.clone()];
-        for mode in MODES {
-            let r = glm::run(
-                &Engine::new(mode),
-                &xg,
-                &yg,
-                &glm::GlmConfig { max_outer: 3, max_inner: 3, ..Default::default() },
-            );
-            row.push(Table::secs(r.seconds));
-        }
-        t.row(row);
+        let cfg = glm::GlmConfig { max_outer: 3, max_inner: 3, ..Default::default() };
+        mode_row(&mut t, "GLM", &data, per_mode(|e| glm::run(e, &xg, &yg, &cfg).seconds));
         let xk = kmeans::synthetic_data(n, m, 1.0, 14);
-        let mut row = vec!["KMeans".to_string(), data_label.clone()];
-        for mode in MODES {
-            let r = kmeans::run(
-                &Engine::new(mode),
-                &xk,
-                &kmeans::KMeansConfig { k: 5, max_iter: 5, ..Default::default() },
-            );
-            row.push(Table::secs(r.seconds));
-        }
-        t.row(row);
+        let cfg = kmeans::KMeansConfig { k: 5, max_iter: 5, ..Default::default() };
+        mode_row(&mut t, "KMeans", &data, per_mode(|e| kmeans::run(e, &xk, &cfg).seconds));
     }
     // Real-dataset substitutes.
     let (ar, ac) = scale.pick((50_000, 29), (500_000, 29));
     let airline = generate::airline_like(ar, ac, 20, 15);
     let (_, ya) = l2svm::synthetic_data(ar, ac, 1.0, 16);
-    let mut row = vec!["L2SVM".to_string(), "Airline78-like".to_string()];
-    for mode in MODES {
-        let r = l2svm::run(
-            &Engine::new(mode),
-            &airline,
-            &ya,
-            &l2svm::L2svmConfig { max_iter: 10, ..Default::default() },
-        );
-        row.push(Table::secs(r.seconds));
-    }
-    t.row(row);
+    let secs = per_mode(|e| l2svm::run(e, &airline, &ya, &l2).seconds);
+    mode_row(&mut t, "L2SVM", "Airline78-like", secs);
     let (mr, mc) = scale.pick((10_000, 784), (100_000, 784));
     let mnist = generate::mnist_like(mr, mc, 0.25, 17);
     let (_, ymn) = l2svm::synthetic_data(mr, mc, 1.0, 18);
-    let mut row = vec!["L2SVM".to_string(), "Mnist8m-like".to_string()];
-    for mode in MODES {
-        let r = l2svm::run(
-            &Engine::new(mode),
-            &mnist,
-            &ymn,
-            &l2svm::L2svmConfig { max_iter: 10, ..Default::default() },
-        );
-        row.push(Table::secs(r.seconds));
-    }
-    t.row(row);
+    let secs = per_mode(|e| l2svm::run(e, &mnist, &ymn, &l2).seconds);
+    mode_row(&mut t, "L2SVM", "Mnist8m-like", secs);
     t.print();
 }
 
 /// Table 5: compute-intensive algorithms (ALS-CG with the dense-plane OOM
 /// guard producing the paper's `N/A` entries, AutoEncoder).
 pub fn table5(scale: Scale) {
-    let mut t = Table::new(
-        "Table 5: compute-intensive algorithms [s]",
-        &["algorithm", "data", "Base", "Fused", "Gen", "Gen-FA", "Gen-FNR"],
-    );
+    let mut t = Table::new("Table 5: compute-intensive algorithms [s]", &MODE_HEADER);
     // The guard: modes without sparsity exploitation materialize the dense
     // n×m plane; refuse when it exceeds the budget (Table 5's N/A).
     let guard_bytes = scale.pick(0.4e9, 2.0e9);
+    let als = alscg::AlsConfig { rank: 20, max_iter: 2, ..Default::default() };
+    let als_row = |t: &mut Table, data: &str, x: &Matrix, (n, m): (usize, usize)| {
+        let secs = MODES.map(|mode| {
+            let materializes_plane =
+                matches!(mode, FusionMode::Base | FusionMode::GenFA | FusionMode::GenFNR);
+            if materializes_plane && alscg::dense_plane_bytes(n, m) > guard_bytes {
+                f64::INFINITY
+            } else {
+                alscg::run(&Engine::new(mode), x, &als).seconds
+            }
+        });
+        mode_row(t, "ALS-CG", data, secs);
+    };
     let als_sizes: Vec<(usize, usize)> =
         scale.pick(vec![(2_000, 2_000), (8_000, 8_000)], vec![(10_000, 10_000), (40_000, 40_000)]);
     for &(n, m) in &als_sizes {
         let x = alscg::synthetic_data(n, m, 0.01, 21);
-        let mut row = vec!["ALS-CG".to_string(), format!("{n}x{m} (0.01)")];
-        for mode in MODES {
-            let materializes_plane =
-                matches!(mode, FusionMode::Base | FusionMode::GenFA | FusionMode::GenFNR);
-            if materializes_plane && alscg::dense_plane_bytes(n, m) > guard_bytes {
-                row.push("N/A".to_string());
-                continue;
-            }
-            let r = alscg::run(
-                &Engine::new(mode),
-                &x,
-                &alscg::AlsConfig { rank: 20, max_iter: 2, ..Default::default() },
-            );
-            row.push(Table::secs(r.seconds));
-        }
-        t.row(row);
+        als_row(&mut t, &format!("{n}x{m} (0.01)"), &x, (n, m));
     }
     // Netflix-like / Amazon-like substitutes.
     let (nr, nc, nsp) = scale.pick((20_000, 2_000, 0.012), (480_000 / 4, 17_770 / 4, 0.012));
     let netflix = generate::ratings_like(nr, nc, nsp, 1.5, 22);
-    let mut row = vec!["ALS-CG".to_string(), "Netflix-like".to_string()];
-    for mode in MODES {
-        let materializes_plane =
-            matches!(mode, FusionMode::Base | FusionMode::GenFA | FusionMode::GenFNR);
-        if materializes_plane && alscg::dense_plane_bytes(nr, nc) > guard_bytes {
-            row.push("N/A".to_string());
-            continue;
-        }
-        let r = alscg::run(
-            &Engine::new(mode),
-            &netflix,
-            &alscg::AlsConfig { rank: 20, max_iter: 2, ..Default::default() },
-        );
-        row.push(Table::secs(r.seconds));
-    }
-    t.row(row);
+    als_row(&mut t, "Netflix-like", &netflix, (nr, nc));
     // AutoEncoder (dense).
     let sizes: Vec<(usize, usize)> = scale.pick(vec![(4_096, 100)], vec![(100_000, 784)]);
+    let ae = autoencoder::AeConfig { epochs: 1, ..Default::default() };
     for &(n, m) in &sizes {
         let x = autoencoder::synthetic_data(n, m, 23);
-        let mut row = vec!["AutoEncoder".to_string(), format!("{n}x{m}")];
-        for mode in MODES {
-            let r = autoencoder::run(
-                &Engine::new(mode),
-                &x,
-                &autoencoder::AeConfig { epochs: 1, ..Default::default() },
-            );
-            row.push(Table::secs(r.seconds));
-        }
-        t.row(row);
+        let secs = per_mode(|e| autoencoder::run(e, &x, &ae).seconds);
+        mode_row(&mut t, "AutoEncoder", &format!("{n}x{m}"), secs);
     }
     t.print();
 }

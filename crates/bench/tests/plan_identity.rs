@@ -4,9 +4,10 @@
 //! enumeration cap must enumerate to the assignments and costs recorded in
 //! `plan_identity.tsv`. That file was written by `dump` at the commit
 //! *before* the costing table replaced the hash-set coster (PR 18), so it
-//! does not depend on the code it checks. Regenerate it only from a commit
-//! whose plans are trusted: `cargo test -p fusedml-bench --test
-//! plan_identity -- --ignored --nocapture dump | grep '^@' | cut -c2-`.
+//! does not depend on the code it checks. One row, the capped one, was
+//! re-recorded later; the file's `#` lines say when and why. Regenerate it
+//! only from a commit whose plans are trusted: `cargo test -p fusedml-bench
+//! --test plan_identity -- --ignored --nocapture dump | grep '^@' | cut -c2-`.
 //!
 //! The same corpus pins who runs into the enumeration cap: the four-weight
 //! autoencoder and nobody else.

@@ -6,10 +6,14 @@
 //! initial upper bound), scanned with cost-based skip-ahead over subtrees
 //! whose lower bound exceeds the best known plan, and decomposed into
 //! independent sub-problems at valid cut sets of the reachability graph
-//! (structural pruning).
+//! (structural pruning). A partition whose space can outrun
+//! `EnumConfig::max_eval` starts from the cheaper of fuse-all and
+//! fuse-no-redundancy instead, so its plan never costs more than either
+//! heuristic's.
 
 use crate::memo::MemoTable;
-use crate::opt::cost::{CostModel, CostTable};
+use crate::opt::cost::{assignment_mask, CostModel, CostTable};
+use crate::opt::heuristics;
 use crate::opt::partition::PlanPartition;
 use crate::util::FxHashSet;
 use fusedml_hop::{HopDag, HopId};
@@ -22,7 +26,9 @@ pub struct EnumConfig {
     /// Structural pruning via cut sets of the reachability graph.
     pub structural_prune: bool,
     /// Safety cap on costed plans (enumeration returns the best plan found
-    /// so far once exceeded; `u64::MAX` disables).
+    /// so far once exceeded; `u64::MAX` disables). A partition it can cut
+    /// short costs its fuse-all and fuse-no-redundancy plans first, even
+    /// when the cap is below 2.
     pub max_eval: u64,
 }
 
@@ -30,8 +36,12 @@ impl Default for EnumConfig {
     fn default() -> Self {
         // The cap bounds worst-case optimization time on very wide DAGs
         // (SystemML similarly bounds its search space and falls back to the
-        // best plan found); partitions with <= 15 interesting points still
-        // enumerate exactly.
+        // best plan found). A partition whose search space can outrun the cap
+        // (2^|M′| >= max_eval: 15 points or more) is seeded with the cheaper
+        // of fuse-all and fuse-no-redundancy, so even a capped plan never
+        // costs more than either heuristic's. Smaller partitions are not
+        // seeded: their scan is exhaustive up to sound pruning, so a seed
+        // could change only how many plans it costs, not which plan wins.
         EnumConfig { cost_prune: true, structural_prune: true, max_eval: 32_768 }
     }
 }
@@ -69,19 +79,21 @@ pub fn mpskip_enum(
 /// to extract the chosen plan from.
 pub(crate) fn enumerate_table(table: &mut CostTable, dag: &HopDag, cfg: &EnumConfig) -> EnumResult {
     let part = table.part();
+    let n = part.interesting.len();
     // Order: cut-set points first (structural pruning), then the rest.
-    let (order, cutset) = if cfg.structural_prune {
-        plan_order(dag, part)
-    } else {
-        ((0..part.interesting.len()).collect(), None)
-    };
+    let (order, cutset) =
+        if cfg.structural_prune { plan_order(dag, part) } else { ((0..n).collect(), None) };
     let mut state = EnumState { table, cfg, evaluated: 0, capped: false };
-    let (best, cost) = state.enumerate(&order, cutset.as_ref(), 0);
+    // A search space the cap can cut short starts from the cheaper heuristic
+    // plan, so a capped scan never returns worse than `Gen-FA` or `Gen-FNR`
+    // and prunes against a tight bound from its first step.
+    let seed = (n > 0 && n < 63 && 1u64 << n >= cfg.max_eval).then(|| state.heuristic_seed(dag));
+    let (best, cost) = state.enumerate(&order, cutset.as_ref(), 0, seed);
     EnumResult {
-        assignment: (0..part.interesting.len()).map(|i| i < 64 && best >> i & 1 == 1).collect(),
+        assignment: (0..n).map(|i| i < 64 && best >> i & 1 == 1).collect(),
         cost,
         evaluated: state.evaluated,
-        search_space: 2f64.powi(part.interesting.len() as i32),
+        search_space: 2f64.powi(n as i32),
         capped: state.capped,
     }
 }
@@ -121,11 +133,35 @@ impl EnumState<'_, '_> {
         self.table.partition_cost(mask, upper)
     }
 
+    /// Costs fuse-all and then fuse-no-redundancy (partially, against
+    /// fuse-all's cost) and returns the cheaper as `(mask, cost)`.
+    fn heuristic_seed(&mut self, dag: &HopDag) -> (u64, f64) {
+        let fa = self.cost_assignment(0, f64::INFINITY);
+        let fnr = assignment_mask(&heuristics::fuse_no_redundancy(dag, self.table.part()));
+        if fnr == 0 {
+            return (0, fa);
+        }
+        let c = self.cost_assignment(fnr, fa);
+        if c < fa {
+            (fnr, c)
+        } else {
+            (0, fa)
+        }
+    }
+
     /// The core linearized scan with skip-ahead (Algorithm 2) over the
     /// points of `order`. `fixed` carries the materialized points outside
-    /// `order` (used by recursive sub-problem calls). Returns the best
-    /// assignment of the `order` points and its cost.
-    fn enumerate(&mut self, order: &[usize], cutset: Option<&CutSet>, fixed: u64) -> (u64, f64) {
+    /// `order` (used by recursive sub-problem calls). A `seed` is the best of
+    /// plans already costed, fuse-all (scan position 0) among them, so the
+    /// scan starts at position 1. Returns the best assignment of the `order`
+    /// points and its cost.
+    fn enumerate(
+        &mut self,
+        order: &[usize],
+        cutset: Option<&CutSet>,
+        fixed: u64,
+        seed: Option<(u64, f64)>,
+    ) -> (u64, f64) {
         let len = order.len();
         if len == 0 || len >= 63 {
             // Nothing to decide — or, from 63 points on, the degenerate
@@ -133,9 +169,9 @@ impl EnumState<'_, '_> {
             // thanks to partitioning).
             return (0, self.cost_assignment(fixed, f64::INFINITY));
         }
-        let (mut best_q, mut best_c) = (0, f64::INFINITY);
+        let (mut best_q, mut best_c) = seed.unwrap_or((0, f64::INFINITY));
         let total: u64 = 1u64 << len;
-        let mut j: u64 = 0;
+        let mut j = u64::from(seed.is_some());
         while j < total {
             if self.evaluated >= self.cfg.max_eval {
                 self.capped = true;
@@ -148,8 +184,8 @@ impl EnumState<'_, '_> {
             if let Some(cs) = cutset.filter(|cs| j == ((1u64 << cs.len) - 1) << (len - cs.len)) {
                 // Solve the sub-problems independently (no nested
                 // structural pruning, as in the paper: RG = null).
-                let (q1, _) = self.enumerate(&cs.s1, None, q | fixed);
-                let (q2, _) = self.enumerate(&cs.s2, None, q | fixed);
+                let (q1, _) = self.enumerate(&cs.s1, None, q | fixed, None);
+                let (q2, _) = self.enumerate(&cs.s2, None, q | fixed, None);
                 let combined = q | q1 | q2;
                 let c = self.cost_assignment(combined | fixed, best_c);
                 if c < best_c {

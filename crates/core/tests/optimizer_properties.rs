@@ -9,17 +9,18 @@
 //!   along fusion references; entries match HOP arities),
 //! * the costing table's assignment masks preserve the best-entry pick, the
 //!   lower bound and partial costing,
-//! * an enumeration that runs into `max_eval` says so,
+//! * an enumeration that runs into `max_eval` says so, and its plan never
+//!   costs more than fuse-all or fuse-no-redundancy,
 //! * code generation is deterministic and the structural hash is stable.
 
 use fusedml_core::codegen::compile_spec;
 use fusedml_core::explore::explore;
 use fusedml_core::opt::{
-    cost, mpskip_enum, partitions, select_plans, CostModel, EnumConfig, PlanPartition,
+    cost, heuristics, mpskip_enum, partitions, select_plans, CostModel, EnumConfig, PlanPartition,
     SelectionPolicy,
 };
 use fusedml_core::{FusionMode, MemoEntry, Optimizer, TemplateType};
-use fusedml_hop::{DagBuilder, HopDag, HopId};
+use fusedml_hop::{DagBuilder, HopDag, HopId, OpKind};
 use fusedml_linalg::ops::UnaryOp;
 use proptest::prelude::*;
 
@@ -178,6 +179,57 @@ fn capped_enumeration_is_reported() {
     assert_eq!(cap, None);
 }
 
+/// The capped four-weight partition starts from the cheaper heuristic plan,
+/// which materializes `Xb %*% W1`. The plans near fuse-all, all that a scan
+/// from fuse-all reaches within the cap, recompute it in four Row operators.
+#[test]
+fn capped_autoencoder_computes_its_forward_product_once() {
+    let dag = autoencoder_dag(512, 100, 64, 2, 3);
+    let first_mm = dag.iter().find(|h| h.kind == OpKind::MatMult).expect("Xb %*% W1").id;
+    let plan = Optimizer::new(FusionMode::Gen).optimize(&dag);
+    let covering = plan.operators.iter().filter(|f| f.cplan.covered.contains(&first_mm)).count();
+    assert!(covering <= 1, "{covering} operators compute hop {first_mm}:\n{}", plan.explain());
+}
+
+/// Checks every partition of `dag` at `max_eval`: the enumerated plan costs no
+/// more than fuse-all or fuse-no-redundancy on the same costing table, and
+/// its reported cost is the table's cost of its assignment.
+fn gen_within_heuristics(dag: &HopDag, max_eval: u64) -> Result<(), TestCaseError> {
+    let mut memo = explore(dag);
+    memo.prune_useless_row_plans(dag);
+    let compute = cost::compute_costs(dag);
+    let model = CostModel::default();
+    let cfg = EnumConfig { max_eval, ..EnumConfig::default() };
+    for (ix, part) in partitions(dag, &memo).iter().enumerate() {
+        let r = mpskip_enum(dag, &memo, part, &compute, &model, &cfg);
+        let mut table = cost::CostTable::new(dag, &memo, part, &compute, &model);
+        let mut cost_of =
+            |a: &[bool]| table.partition_cost(cost::assignment_mask(a), f64::INFINITY);
+        let fa = cost_of(&heuristics::fuse_all(part));
+        let fnr = cost_of(&heuristics::fuse_no_redundancy(dag, part));
+        let at = format!("partition {ix} ({} points, max_eval {max_eval})", part.interesting.len());
+        prop_assert!(r.cost <= fa && r.cost <= fnr, "{at}: Gen {} vs FA {fa}, FNR {fnr}", r.cost);
+        prop_assert_eq!(r.cost, cost_of(&r.assignment), "{}: reported vs assignment cost", at);
+    }
+    Ok(())
+}
+
+const MAX_EVALS: [u64; 5] = [1, 2, 8, 64, 32_768];
+
+/// Both autoencoder shapes: the three-weight one enumerates to the end, the
+/// four-weight one stops at the default cap.
+#[test]
+fn gen_never_costs_more_than_a_heuristic_on_autoencoders() {
+    for hidden in [2, 3] {
+        let dag = autoencoder_dag(512, 100, 64, 2, hidden);
+        for max_eval in MAX_EVALS {
+            if let Err(e) = gen_within_heuristics(&dag, max_eval) {
+                panic!("autoencoder with {hidden} hidden layers: {e}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -229,6 +281,16 @@ proptest! {
             // tiny spaces (sub-problem enumerations are counted too); it must
             // never blow past the exhaustive count asymptotically.
             prop_assert!(pruned.evaluated <= 2 * full.evaluated + 4);
+        }
+    }
+
+    /// Model-cost(`Gen`) ≤ min(model-cost(`Gen-FA`), model-cost(`Gen-FNR`))
+    /// per partition, capped or not.
+    #[test]
+    fn gen_never_costs_more_than_a_heuristic(spec in dag_strategy()) {
+        let dag = build(&spec);
+        for max_eval in MAX_EVALS {
+            gen_within_heuristics(&dag, max_eval)?;
         }
     }
 

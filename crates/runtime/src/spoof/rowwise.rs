@@ -89,9 +89,10 @@ fn work_per_row(spec: &RowSpec, main: &Matrix) -> usize {
 // ===========================================================================
 
 /// Main rows one instruction dispatch covers. Picked from the sweep recorded
-/// in BENCH_NOTES.md "PR 20": tall enough that a rank-`RB` accumulator update
-/// amortizes its loads and stores of `C`, short enough that `RB` rows of a
-/// 1000-column main still sit in L2 between the instructions that reread it.
+/// in BENCH_NOTES_ARCHIVE.md's tile-of-rows section: tall enough that a
+/// rank-`RB` accumulator update amortizes its loads and stores of `C`, short
+/// enough that `RB` rows of a 1000-column main still sit in L2 between the
+/// instructions that reread it.
 const RB: usize = 16;
 
 /// Bytes of main rows a tile of an mv-chain kernel (`RowShape::MvChain`:
