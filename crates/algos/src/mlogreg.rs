@@ -28,7 +28,7 @@ impl Default for MLogregConfig {
 
 /// Probability DAG: `P = cbind(E, 1) / (rowSums(E) + 1)` with
 /// `E = exp(X %*% B)` — n×k probabilities including the base class.
-fn build_prob_dag(n: usize, m: usize, k1: usize, sp: f64) -> HopDag {
+pub fn build_prob_dag(n: usize, m: usize, k1: usize, sp: f64) -> HopDag {
     let mut b = DagBuilder::new();
     let x = b.read("X", n, m, sp);
     let beta = b.read("B", m, k1, 1.0);

@@ -237,7 +237,9 @@ struct Entry<'a> {
 }
 
 /// `getMPCost` row of one distinct materialization target: every assignment
-/// that sets one of `points` pays at least one write and one read of it.
+/// that sets one of `points` pays at least one write and one read of it. A
+/// target that is a partition root charges its read only: its write is
+/// already in [`StaticCosts::root_writes`].
 struct MatRow {
     write_s: f64,
     read_s: f64,
@@ -360,9 +362,10 @@ impl<'a> CostTable<'a> {
         for (i, p) in part.interesting.iter().enumerate().take(64) {
             let row = targets.iter().position(|&t| t == p.target).unwrap_or_else(|| {
                 let b = dag.hop(p.target).size.bytes();
+                let root = part.roots.contains(&p.target);
                 targets.push(p.target);
                 mat_rows.push(MatRow {
-                    write_s: b / model.write_bw,
+                    write_s: if root { 0.0 } else { b / model.write_bw },
                     read_s: b / model.read_bw,
                     points: 0,
                 });

@@ -87,7 +87,7 @@ pub(crate) fn enumerate_table(table: &mut CostTable, dag: &HopDag, cfg: &EnumCon
     // A search space the cap can cut short starts from the cheaper heuristic
     // plan, so a capped scan never returns worse than `Gen-FA` or `Gen-FNR`
     // and prunes against a tight bound from its first step.
-    let seed = (n > 0 && n < 63 && 1u64 << n >= cfg.max_eval).then(|| state.heuristic_seed(dag));
+    let seed = (n > 0 && n < 63 && 1u64 << n >= cfg.max_eval).then(|| state.heuristic_seed());
     let (best, cost) = state.enumerate(&order, cutset.as_ref(), 0, seed);
     EnumResult {
         assignment: (0..n).map(|i| i < 64 && best >> i & 1 == 1).collect(),
@@ -135,9 +135,9 @@ impl EnumState<'_, '_> {
 
     /// Costs fuse-all and then fuse-no-redundancy (partially, against
     /// fuse-all's cost) and returns the cheaper as `(mask, cost)`.
-    fn heuristic_seed(&mut self, dag: &HopDag) -> (u64, f64) {
+    fn heuristic_seed(&mut self) -> (u64, f64) {
         let fa = self.cost_assignment(0, f64::INFINITY);
-        let fnr = assignment_mask(&heuristics::fuse_no_redundancy(dag, self.table.part()));
+        let fnr = assignment_mask(&heuristics::fuse_no_redundancy(self.table.part()));
         if fnr == 0 {
             return (0, fa);
         }

@@ -2,7 +2,6 @@
 //! fuse-all and fuse-no-redundancy.
 
 use crate::opt::partition::PlanPartition;
-use fusedml_hop::HopDag;
 
 /// Fuse-all (`Gen-FA`): maximal fusion, never materialize — redundant
 /// compute on CSEs. "Similar to lazy evaluation in Spark, delayed arrays in
@@ -12,10 +11,11 @@ pub fn fuse_all(part: &PlanPartition) -> Vec<bool> {
 }
 
 /// Fuse-no-redundancy (`Gen-FNR`): materialize every intermediate with
-/// multiple consumers. "Similar to caching policies in Emma."
-pub fn fuse_no_redundancy(dag: &HopDag, part: &PlanPartition) -> Vec<bool> {
-    let counts = dag.consumer_counts();
-    part.interesting.iter().map(|p| counts[p.target.index()] > 1).collect()
+/// multiple consumers, a DAG output counting one more — exactly the
+/// partition's materialization points. "Similar to caching policies in
+/// Emma."
+pub fn fuse_no_redundancy(part: &PlanPartition) -> Vec<bool> {
+    part.interesting.iter().map(|p| part.mat_points.contains(&p.target)).collect()
 }
 
 #[cfg(test)]
@@ -40,14 +40,31 @@ mod tests {
         let parts = partitions(&dag, &memo);
         let part = &parts[0];
         let fa = fuse_all(part);
-        let fnr = fuse_no_redundancy(&dag, part);
+        let fnr = fuse_no_redundancy(part);
         assert!(fa.iter().all(|&v| !v), "fuse-all never materializes");
-        assert!(fnr.iter().any(|&v| v), "fuse-no-redundancy materializes the shared node");
         // FNR materializes exactly the multi-consumer targets.
         for (p, &on) in part.interesting.iter().zip(&fnr) {
-            if p.target == shared {
-                assert!(on);
-            }
+            assert_eq!(on, p.target == shared, "{p:?}");
         }
+        assert!(fnr.iter().any(|&v| v), "fuse-no-redundancy materializes the shared node");
+
+        // A DAG output with one consumer inside the partition is written
+        // anyway, so fuse-no-redundancy materializes it too.
+        let mut b = DagBuilder::new();
+        let x = b.read("X", 64, 128, 1.0);
+        let w = b.read("W", 128, 10, 1.0);
+        let s = b.mm(x, w);
+        let m = b.row_maxs(s);
+        let dag = b.build(vec![s, m]);
+        let memo = explore(&dag);
+        let parts = partitions(&dag, &memo);
+        let part = parts.iter().find(|p| p.nodes.contains(&m)).expect("rowMaxs partition");
+        let fnr = fuse_no_redundancy(part);
+        let edge = part
+            .interesting
+            .iter()
+            .position(|p| (p.consumer, p.target) == (m, s))
+            .expect("rowMaxs -> S is interesting");
+        assert!(fnr[edge], "fuse-no-redundancy materializes the output S: {:?}", part.interesting);
     }
 }

@@ -21,11 +21,16 @@ pub struct InterestingPoint {
 pub struct PlanPartition {
     /// Nodes with fusion plans in this partition.
     pub nodes: Vec<HopId>,
-    /// Partition roots: nodes never referenced from within the partition.
+    /// Partition roots: nodes whose value leaves the partition — never
+    /// referenced from within it, or externally consumed (a DAG root, or
+    /// read by a live hop outside the partition). Each is materialized
+    /// whatever the plan, so the cost walk starts an operator at every one.
     pub roots: Vec<HopId>,
     /// Partition inputs: nodes outside whose output is read by the partition.
     pub inputs: Vec<HopId>,
-    /// Materialization points: non-root nodes with multiple consumers.
+    /// Materialization points: nodes referenced from within the partition
+    /// with multiple consumers, a DAG root counting one more. An externally
+    /// consumed point is also a root.
     pub mat_points: Vec<HopId>,
     /// Interesting points `M'`: materialization-point consumer edges plus
     /// template-switch edges.
@@ -70,13 +75,14 @@ pub fn partitions(dag: &HopDag, memo: &MemoTable) -> Vec<PlanPartition> {
         let root = find(&mut parent, index[&g]);
         comps.entry(root).or_default().push(g);
     }
-    let consumer_counts = dag.consumer_counts();
+    let consumers = dag.consumers();
+    let live = dag.live_set();
     let dag_roots: FxHashSet<HopId> = dag.roots().iter().copied().collect();
     let mut out: Vec<PlanPartition> = comps
         .into_values()
         .map(|mut nodes| {
             nodes.sort_unstable();
-            build_partition(dag, memo, nodes, &consumer_counts, &dag_roots)
+            build_partition(dag, memo, nodes, &consumers, &live, &dag_roots)
         })
         .collect();
     out.sort_by_key(|p| p.nodes[0]);
@@ -87,12 +93,13 @@ fn build_partition(
     dag: &HopDag,
     memo: &MemoTable,
     nodes: Vec<HopId>,
-    consumer_counts: &[u32],
+    consumers: &[Vec<HopId>],
+    live: &[bool],
     dag_roots: &FxHashSet<HopId>,
 ) -> PlanPartition {
     let node_set: FxHashSet<HopId> = nodes.iter().copied().collect();
 
-    // Referenced-from-within set → roots are the complement.
+    // Roots: nodes unreferenced from within, plus the externally consumed.
     let mut referenced: FxHashSet<HopId> = FxHashSet::default();
     for &g in &nodes {
         for e in memo.entries(g) {
@@ -103,8 +110,14 @@ fn build_partition(
             }
         }
     }
-    let roots: Vec<HopId> = nodes.iter().copied().filter(|n| !referenced.contains(n)).collect();
-    let root_set: FxHashSet<HopId> = roots.iter().copied().collect();
+    // A dead reader (unreachable from the DAG roots) never runs, so it does
+    // not make a node externally consumed.
+    let external = |n: HopId| {
+        dag_roots.contains(&n)
+            || consumers[n.index()].iter().any(|c| live[c.index()] && !node_set.contains(c))
+    };
+    let roots: Vec<HopId> =
+        nodes.iter().copied().filter(|&n| !referenced.contains(&n) || external(n)).collect();
 
     // Inputs: hop inputs of partition nodes outside the partition.
     let mut inputs: Vec<HopId> = Vec::new();
@@ -118,16 +131,14 @@ fn build_partition(
     }
     inputs.sort_unstable();
 
-    // Materialization points: non-root partition nodes with >1 consumers
+    // Materialization points: referenced partition nodes with >1 consumers
     // (DAG roots get one extra implicit consumer).
     let mat_points: Vec<HopId> = nodes
         .iter()
         .copied()
         .filter(|&n| {
-            !root_set.contains(&n) && {
-                let c = consumer_counts[n.index()] + u32::from(dag_roots.contains(&n));
-                c > 1
-            }
+            referenced.contains(&n)
+                && consumers[n.index()].len() + usize::from(dag_roots.contains(&n)) > 1
         })
         .collect();
     let mat_set: FxHashSet<HopId> = mat_points.iter().copied().collect();
@@ -246,6 +257,58 @@ mod tests {
             "template switch around the outer-product plane: {:?}",
             p.interesting
         );
+    }
+
+    /// A node whose value leaves the partition — a DAG output, or the input
+    /// of a live hop outside the partition — is a root even though a
+    /// partition entry fuses it, and stays a materialization point.
+    #[test]
+    fn externally_consumed_nodes_are_roots() {
+        // The serving scorer: S = X W is an output and rowMaxs(S) reads it.
+        let mut b = DagBuilder::new();
+        let x = b.read("X", 64, 128, 1.0);
+        let w = b.read("W", 128, 10, 1.0);
+        let s = b.mm(x, w);
+        let m = b.row_maxs(s);
+        let dag = b.build(vec![s, m]);
+        let memo = explore(&dag);
+        let parts = partitions(&dag, &memo);
+        let p = parts.iter().find(|p| p.nodes.contains(&m)).expect("rowMaxs partition");
+        assert!(p.nodes.contains(&s), "rowMaxs fuses S: {:?}", p.nodes);
+        assert!(p.roots.contains(&s) && p.roots.contains(&m), "roots {:?}", p.roots);
+        assert!(p.mat_points.contains(&s), "S stays a materialization point");
+        assert!(p.interesting.contains(&InterestingPoint { consumer: m, target: s }));
+
+        // E = exp(X B) feeds an unfusible cbind outside the partition and a
+        // fused rowSums inside it.
+        let mut b = DagBuilder::new();
+        let x = b.read("X", 1000, 50, 1.0);
+        let bm = b.read("B", 50, 4, 1.0);
+        let xb = b.mm(x, bm);
+        let e = b.exp(xb);
+        let r = b.row_sums(e);
+        let c = b.cbind(e, r);
+        let dag = b.build(vec![c]);
+        let memo = explore(&dag);
+        let parts = partitions(&dag, &memo);
+        let p = parts.iter().find(|p| p.nodes.contains(&r)).expect("rowSums partition");
+        assert!(p.nodes.contains(&e) && !p.nodes.contains(&c), "{:?}", p.nodes);
+        assert!(p.roots.contains(&e), "exp(X B) is read by cbind: roots {:?}", p.roots);
+        assert!(p.mat_points.contains(&e));
+
+        // The same cbind, dead (no root reaches it), never runs: E stays fused.
+        let mut b = DagBuilder::new();
+        let x = b.read("X", 1000, 50, 1.0);
+        let bm = b.read("B", 50, 4, 1.0);
+        let xb = b.mm(x, bm);
+        let e = b.exp(xb);
+        let r = b.row_sums(e);
+        b.cbind(e, r);
+        let dag = b.build(vec![r]);
+        let memo = explore(&dag);
+        let parts = partitions(&dag, &memo);
+        let p = parts.iter().find(|p| p.nodes.contains(&r)).expect("rowSums partition");
+        assert!(!p.roots.contains(&e), "only a dead hop reads exp(X B): roots {:?}", p.roots);
     }
 
     #[test]

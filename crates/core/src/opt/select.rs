@@ -88,7 +88,7 @@ pub fn select_plans(
             SelectionPolicy::FuseNoRedundancy => {
                 result.plans_evaluated += 1;
                 result.search_space += 1.0;
-                heuristics::fuse_no_redundancy(dag, part)
+                heuristics::fuse_no_redundancy(part)
             }
         };
         let mask = cost::assignment_mask(&assignment);

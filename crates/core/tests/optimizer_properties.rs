@@ -11,6 +11,8 @@
 //!   lower bound and partial costing,
 //! * an enumeration that runs into `max_eval` says so, and its plan never
 //!   costs more than fuse-all or fuse-no-redundancy,
+//! * a hop consumed outside the operator that fuses it is that operator's
+//!   root, so it is computed once,
 //! * code generation is deterministic and the structural hash is stable.
 
 use fusedml_core::codegen::compile_spec;
@@ -191,6 +193,61 @@ fn capped_autoencoder_computes_its_forward_product_once() {
     assert!(covering <= 1, "{covering} operators compute hop {first_mm}:\n{}", plan.explain());
 }
 
+/// fusebench's serving scorer: `S = X W` is an output, and `rowMaxs(S)`
+/// reads it.
+fn scorer_dag() -> HopDag {
+    let mut b = DagBuilder::new();
+    let x = b.read("X", 64, 128, 1.0);
+    let w = b.read("W", 128, 10, 1.0);
+    let s = b.mm(x, w);
+    let m = b.row_maxs(s);
+    b.build(vec![s, m])
+}
+
+/// MLogreg's probability DAG, `cbind(E, 1) / (rowSums(E) + 1)` with
+/// `E = exp(X B)`: `E` feeds the unfusible `cbind`.
+fn mlogreg_prob_dag() -> HopDag {
+    let mut b = DagBuilder::new();
+    let x = b.read("X", 2000, 50, 1.0);
+    let beta = b.read("B", 50, 4, 1.0);
+    let eta = b.mm(x, beta);
+    let e = b.exp(eta);
+    let rs = b.row_sums(e);
+    let one = b.lit(1.0);
+    let denom = b.add(rs, one);
+    let ones = b.read("ones", 2000, 1, 1.0);
+    let full = b.cbind(e, ones);
+    let p = b.div(full, denom);
+    b.build(vec![p])
+}
+
+/// A hop whose value leaves the operators that fuse it (a DAG output, or
+/// the input of a hop no operator covers with it) is materialized anyway:
+/// `Gen` and `Gen-FNR` fuse it only as an operator's root, so it is computed
+/// once.
+#[test]
+fn externally_consumed_hops_are_computed_once() {
+    for (name, dag) in [("scorer", scorer_dag()), ("mlogreg_prob", mlogreg_prob_dag())] {
+        let consumers = dag.consumers();
+        for mode in [FusionMode::Gen, FusionMode::GenFNR] {
+            let plan = Optimizer::new(mode).optimize(&dag);
+            for op in &plan.operators {
+                let covered = &op.cplan.covered;
+                for &h in covered.iter().filter(|h| !op.roots.contains(h)) {
+                    let external = dag.roots().contains(&h)
+                        || consumers[h.index()].iter().any(|c| !covered.contains(c));
+                    assert!(
+                        !external,
+                        "{name} {mode:?}: hop {h} is fused inside an operator and also consumed \
+                         outside it:\n{}",
+                        plan.explain()
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Checks every partition of `dag` at `max_eval`: the enumerated plan costs no
 /// more than fuse-all or fuse-no-redundancy on the same costing table, and
 /// its reported cost is the table's cost of its assignment.
@@ -206,7 +263,7 @@ fn gen_within_heuristics(dag: &HopDag, max_eval: u64) -> Result<(), TestCaseErro
         let mut cost_of =
             |a: &[bool]| table.partition_cost(cost::assignment_mask(a), f64::INFINITY);
         let fa = cost_of(&heuristics::fuse_all(part));
-        let fnr = cost_of(&heuristics::fuse_no_redundancy(dag, part));
+        let fnr = cost_of(&heuristics::fuse_no_redundancy(part));
         let at = format!("partition {ix} ({} points, max_eval {max_eval})", part.interesting.len());
         prop_assert!(r.cost <= fa && r.cost <= fnr, "{at}: Gen {} vs FA {fa}, FNR {fnr}", r.cost);
         prop_assert_eq!(r.cost, cost_of(&r.assignment), "{}: reported vs assignment cost", at);

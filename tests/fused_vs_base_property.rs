@@ -4,15 +4,21 @@
 //! on the algorithm DAGs whose Row operators run `VecMatMult` and outer
 //! accumulations a tile of rows at a time, and on the Fig. 8(b)/(d) products
 //! of three CSR inputs, whose sides the Cell and MAgg operators read from a
-//! scattered row.
+//! scattered row. DAGs that return an intermediate their fused consumers also
+//! read must match `Base` bitwise, and compute that intermediate once.
 
+use common::assert_roots_bitwise;
 use fusedml::algos::{autoencoder, kmeans, mlogreg};
 use fusedml::core::FusionMode;
 use fusedml::hop::interp::Bindings;
 use fusedml::hop::{DagBuilder, HopDag, HopId};
-use fusedml::linalg::{generate, Matrix, SparseMatrix};
+use fusedml::linalg::matrix::Value;
+use fusedml::linalg::{generate, DenseMatrix, Matrix, SparseMatrix};
 use fusedml::runtime::Engine;
 use proptest::prelude::*;
+
+#[path = "../crates/runtime/tests/common/mod.rs"]
+mod common;
 
 /// A random cell-wise expression over three inputs, closed by a full sum.
 #[derive(Debug, Clone)]
@@ -27,7 +33,9 @@ fn expr_strategy() -> impl Strategy<Value = RandomExpr> {
         .prop_map(|(ops, rows, cols)| RandomExpr { ops, rows, cols })
 }
 
-fn build(e: &RandomExpr) -> (fusedml::hop::HopDag, Bindings) {
+/// `e` closed by `sum(cur)` and `sum(rowSums(cur))`; with `output`, the
+/// intermediate `cur` is returned as well.
+fn build(e: &RandomExpr, output: bool) -> (fusedml::hop::HopDag, Bindings) {
     let mut b = DagBuilder::new();
     let x = b.read("X", e.rows, e.cols, 1.0);
     let y = b.read("Y", e.rows, e.cols, 1.0);
@@ -49,7 +57,7 @@ fn build(e: &RandomExpr) -> (fusedml::hop::HopDag, Bindings) {
     let s = b.sum(cur);
     let rs = b.row_sums(cur);
     let s2 = b.sum(rs);
-    let dag = b.build(vec![s, s2]);
+    let dag = b.build(if output { vec![cur, s, s2] } else { vec![s, s2] });
     let mut bindings = Bindings::new();
     bindings.insert("X".into(), generate::rand_dense(e.rows, e.cols, -1.0, 1.0, 1));
     bindings.insert("Y".into(), generate::rand_dense(e.rows, e.cols, -1.0, 1.0, 2));
@@ -62,7 +70,7 @@ proptest! {
 
     #[test]
     fn fused_equals_unfused_on_random_dags(e in expr_strategy()) {
-        let (dag, bindings) = build(&e);
+        let (dag, bindings) = build(&e, false);
         let expect: Vec<f64> = Engine::new(FusionMode::Base)
             .execute(&dag, &bindings)
             .iter()
@@ -82,6 +90,67 @@ proptest! {
             }
         }
     }
+
+    /// The intermediate is an output its fused consumers also read: `Gen`
+    /// materializes it once, bitwise `Base`'s; the sums over it reassociate.
+    #[test]
+    fn gen_equals_base_bitwise_when_an_output_is_also_consumed(e in expr_strategy()) {
+        let (dag, bindings) = build(&e, true);
+        let (expect, base_ops) = run(FusionMode::Base, &dag, &bindings);
+        let (got, gen_ops) = run(FusionMode::Gen, &dag, &bindings);
+        assert_roots_bitwise(&got[..1], &expect[..1], &format!("ops {:?}", e.ops));
+        for (g, x) in got[1..].iter().zip(&expect[1..]) {
+            let (g, x) = (g.as_scalar(), x.as_scalar());
+            prop_assert!(fusedml::linalg::approx_eq(g, x, 1e-7), "{g} vs {x} (ops {:?})", e.ops);
+        }
+        prop_assert!(gen_ops <= base_ops, "Gen runs {gen_ops} operators, Base {base_ops}");
+    }
+}
+
+/// Executes `dag` once under `mode`: the roots and how many operators ran.
+fn run(mode: FusionMode, dag: &HopDag, bindings: &Bindings) -> (Vec<Value>, usize) {
+    let engine = Engine::new(mode);
+    let out = engine.execute(dag, bindings).into_values();
+    let (fused, handcoded, basic) = engine.stats().snapshot();
+    (out, fused + handcoded + basic)
+}
+
+/// The serving scorer (`S = X W` is an output, `rowMaxs(S)` reads it) and
+/// MLogreg's probability DAG (`exp(X B)` feeds the unfusible `cbind` and a
+/// fused `rowSums`): `Gen` matches `Base` bitwise. On the scorer every fused
+/// operator `Gen` runs replaces at least two of `Base`'s, which a plan that
+/// recomputes `X W` inside `rowMaxs` does not.
+#[test]
+fn gen_computes_an_output_its_consumers_read_once() {
+    let mut b = DagBuilder::new();
+    let x = b.read("X", 64, 128, 1.0);
+    let w = b.read("W", 128, 10, 1.0);
+    let s = b.mm(x, w);
+    let best = b.row_maxs(s);
+    let scorer = b.build(vec![s, best]);
+    let mut bindings = Bindings::new();
+    bindings.insert("X".into(), generate::rand_dense(64, 128, -1.0, 1.0, 41));
+    bindings.insert("W".into(), generate::rand_dense(128, 10, -0.5, 0.5, 42));
+    let (expect, base_ops) = run(FusionMode::Base, &scorer, &bindings);
+    let engine = Engine::new(FusionMode::Gen);
+    let got = engine.execute(&scorer, &bindings).into_values();
+    assert_roots_bitwise(&got, &expect, "scorer");
+    let (fused, handcoded, basic) = engine.stats().snapshot();
+    assert!(
+        fused + handcoded + basic + fused <= base_ops,
+        "scorer: Gen runs {fused} fused and {basic} basic operators, Base {base_ops}:\n{}",
+        engine.compile(&scorer).explain()
+    );
+
+    let (n, m, k1) = (TILE_RAGGED_ROWS, 23, 3);
+    let prob = mlogreg::build_prob_dag(n, m, k1, 1.0);
+    let mut bindings = Bindings::new();
+    bindings.insert("X".into(), generate::rand_dense(n, m, -1.0, 1.0, 43));
+    bindings.insert("B".into(), generate::rand_dense(m, k1, -0.5, 0.5, 44));
+    bindings.insert("ones".into(), Matrix::dense(DenseMatrix::filled(n, 1, 1.0)));
+    let (expect, _) = run(FusionMode::Base, &prob, &bindings);
+    let (got, _) = run(FusionMode::Gen, &prob, &bindings);
+    assert_roots_bitwise(&got, &expect, "mlogreg probabilities");
 }
 
 /// Rows of the algorithm cases: two full Row tiles (16 rows each — 8 and 4
