@@ -95,9 +95,9 @@ impl Default for CostModel {
 }
 
 /// Fixed per-operator dispatch overhead of sharded execution in seconds:
-/// channel sends, reply collection, and merge bookkeeping across the shard
-/// pool. The local-vs-sharded break-even point this implies (~a few MB of
-/// input at 4 shards) is what the plan-choice tests pin.
+/// spawning and joining the band threads, and merge bookkeeping. The
+/// local-vs-sharded break-even point this implies (~a few MB of input at 4
+/// shards) is what the plan-choice tests pin.
 pub const SHARD_DISPATCH_S: f64 = 40e-6;
 
 impl CostModel {

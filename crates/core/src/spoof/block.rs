@@ -773,6 +773,15 @@ pub fn whole_vector_load(rows: usize, cols: usize, cl: usize, cu: usize) -> bool
     cols == 1 && cu - cl == rows && rows > 1
 }
 
+/// True when a `LoadSideRow` of side `side` sliced to `cl..cu` reads the same
+/// lanes for every row: the side is a single row, or the load is a
+/// [`whole_vector_load`]. A side outside `side_dims` is not invariant.
+/// Shared by Row lowering, the sharding rules and the plan verifier.
+#[inline]
+pub fn row_invariant_load(side_dims: &[(usize, usize)], side: usize, cl: usize, cu: usize) -> bool {
+    side_dims.get(side).is_some_and(|&(r, c)| r == 1 || whole_vector_load(r, c, cl, cu))
+}
+
 /// Per-`LoadSideRow` invariance bits under the given side dimensions — the
 /// only way side geometry enters Row lowering (whole-vector and broadcast
 /// loads are invariant), and therefore the only geometry the kernel cache
@@ -782,8 +791,7 @@ fn side_row_invariance(prog: &Program, side_dims: &[(usize, usize)]) -> Vec<bool
         .iter()
         .filter_map(|ins| match *ins {
             Instr::LoadSideRow { side, cl, cu, .. } => {
-                let (r, c) = side_dims.get(side).copied().unwrap_or((0, 0));
-                Some(whole_vector_load(r, c, cl, cu) || r == 1)
+                Some(row_invariant_load(side_dims, side, cl, cu))
             }
             _ => None,
         })
@@ -810,12 +818,9 @@ pub fn compile_row_kernel(spec: &RowSpec, side_dims: &[(usize, usize)]) -> RowKe
                 main_vregs.push(out);
                 false
             }
-            Instr::LoadSideRow { side, cl, cu, .. } => {
-                let (r, c) = side_dims.get(side).copied().unwrap_or((0, 0));
-                // Whole column vectors (`v` in `X %*% v`) and 1×m broadcast
-                // rows read the same data for every row: load once per band.
-                whole_vector_load(r, c, cl, cu) || r == 1
-            }
+            // Whole column vectors (`v` in `X %*% v`) and 1×m broadcast
+            // rows read the same data for every row: load once per band.
+            Instr::LoadSideRow { side, cl, cu, .. } => row_invariant_load(side_dims, side, cl, cu),
             Instr::Unary { a, .. } => sc_inv[a as usize],
             Instr::Binary { a, b, .. } => sc_inv[a as usize] && sc_inv[b as usize],
             Instr::Ternary { a, b, c, .. } => {

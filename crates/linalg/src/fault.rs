@@ -43,9 +43,8 @@ pub enum FaultSite {
     TaskExec,
     /// Task execution (panics mid-kernel, exercising panic isolation).
     TaskPanic,
-    /// A shard request's kernel execution panics mid-run (one worker shard of
-    /// a sharded fused operator), exercising first-failure-wins cancellation
-    /// across sibling shards.
+    /// A sharded operator's kernel panics mid-run (band 0 of a sharded fused
+    /// operator), exercising the cancellation of its sibling bands.
     ShardExec,
 }
 

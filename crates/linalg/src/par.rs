@@ -17,7 +17,7 @@ static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Per-thread override of the parallelism degree (0 = defer to the
-    /// global setting). Shard workers cap their internal band parallelism
+    /// global setting). Shard bands cap their internal band parallelism
     /// with this so `shards × shard_threads` threads never oversubscribe
     /// the machine, without perturbing the process-wide configuration.
     static THREAD_NUM_THREADS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };

@@ -49,6 +49,7 @@ use crate::error::{panic_message, ExecError};
 use crate::exec::{self, ExecStats, SchedSnapshot};
 use crate::handcoded;
 use crate::schedule::{self, TaskGraph};
+use crate::shard::Shards;
 use crate::spoof;
 use fusedml_core::optimizer::{dag_structural_hash, EnumCap, FusionPlan, Optimizer};
 use fusedml_core::plancache::{KernelCaches, PlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
@@ -73,7 +74,7 @@ use std::sync::Arc;
 /// Every knob that used to live in a per-call path or a process-wide static
 /// is set here, once, and owned by the built engine: the fusion mode, the
 /// inter-operator worker count, the memory budget, plan caching, and the
-/// shard pool.
+/// shard layout.
 pub struct EngineBuilder {
     mode: FusionMode,
     workers: usize,
@@ -105,19 +106,19 @@ impl EngineBuilder {
         }
     }
 
-    /// Number of persistent worker shards for sharded fused-operator
-    /// execution (DESIGN.md substitution X11). `1` (the default) disables
-    /// sharding entirely; `>= 2` spawns that many NUMA-pinned shard workers
-    /// at build time, and the planner then chooses local vs sharded per
-    /// fused operator with the estimator behind `shard::estimate_plan`.
-    /// Small operators keep running locally regardless of this knob.
+    /// Number of row bands a sharded fused operator runs as (DESIGN.md
+    /// substitution X11). `1` (the default) disables sharding entirely;
+    /// with `>= 2` the planner chooses local vs sharded per fused operator
+    /// with the estimator behind `shard::estimate_plan`, and each sharded
+    /// execute runs its bands on threads spawned for that call. Small
+    /// operators keep running locally regardless of this knob.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
         self
     }
 
-    /// Intra-shard kernel threads (row-band parallelism *inside* each worker
-    /// shard). `0` (the default) auto-sizes to `available_parallelism /
+    /// Intra-shard kernel threads (row-band parallelism *inside* each shard
+    /// band). `0` (the default) auto-sizes to `available_parallelism /
     /// shards`, floored at 1, so shards split the machine instead of
     /// oversubscribing it.
     pub fn shard_threads(mut self, n: usize) -> Self {
@@ -189,7 +190,8 @@ impl EngineBuilder {
     }
 
     /// Builds the engine: allocates its buffer pool, kernel caches, plan
-    /// cache, optimizer, and statistics.
+    /// cache, optimizer, and statistics. It starts no thread: scheduler
+    /// workers and shard bands are spawned per execute.
     pub fn build(self) -> Engine {
         let kernels = KernelCaches::with_capacity(DEFAULT_PLAN_CACHE_CAPACITY);
         let plan_cache =
@@ -201,22 +203,15 @@ impl EngineBuilder {
         if let Some(f) = &self.faults {
             store = store.with_faults(Arc::clone(f));
         }
-        let shard_pool = if self.shards >= 2 {
+        let shards = (self.shards >= 2).then(|| {
             let threads = if self.shard_threads == 0 {
                 let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
                 (avail / self.shards).max(1)
             } else {
                 self.shard_threads
             };
-            Some(crate::shard::ShardPool::new(
-                self.shards,
-                threads,
-                Arc::clone(&pool),
-                Arc::clone(&kernels),
-            ))
-        } else {
-            None
-        };
+            Shards { k: self.shards, threads }
+        });
         Engine {
             inner: Arc::new(EngineInner {
                 mode: self.mode,
@@ -228,7 +223,7 @@ impl EngineBuilder {
                 workers: self.workers,
                 faults: self.faults,
                 verify_plans: self.verify_plans,
-                shard_pool,
+                shards,
                 force_shard: self.force_shard,
                 cache_plans: self.cache_plans,
                 compile_lock: Mutex::new(()),
@@ -266,11 +261,10 @@ struct EngineInner {
     /// Run the static plan verifier on every cold compile (and geometry
     /// recompile). Compile-path-only cost; see `EngineBuilder::verify_plans`.
     verify_plans: bool,
-    /// Persistent sharded execution workers (`EngineBuilder::shards >= 2`),
-    /// or `None` when sharding is disabled. Shard workers live as long as
-    /// the engine; per-operator local-vs-sharded choices are planned at
-    /// compile time against this pool's size.
-    shard_pool: Option<crate::shard::ShardPool>,
+    /// The shard layout (`EngineBuilder::shards >= 2`), or `None` when
+    /// sharding is disabled. Per-operator local-vs-sharded choices are
+    /// planned at compile time against `Shards::k`.
+    shards: Option<Shards>,
     /// Shard every legally-shardable operator, skipping the cost comparison
     /// (`EngineBuilder::force_shard`; differential-test hook).
     force_shard: bool,
@@ -372,8 +366,8 @@ impl Engine {
         self.inner.workers
     }
 
-    /// The number of live worker shards (1 when sharding is disabled; see
-    /// [`EngineBuilder::shards`]).
+    /// The number of row bands a sharded operator runs as (1 when sharding
+    /// is disabled; see [`EngineBuilder::shards`]).
     pub fn shards(&self) -> usize {
         self.inner.shard_count()
     }
@@ -476,13 +470,13 @@ impl EngineInner {
             store: &self.store,
             kernels: &self.kernels,
             faults: self.faults.as_ref(),
-            shards: self.shard_pool.as_ref(),
+            shards: self.shards,
         }
     }
 
-    /// The engine's shard pool size (1 when sharding is disabled).
+    /// The engine's shard count (1 when sharding is disabled).
     fn shard_count(&self) -> usize {
-        self.shard_pool.as_ref().map_or(1, crate::shard::ShardPool::len)
+        self.shards.map_or(1, |s| s.k)
     }
 
     fn plan_for(&self, dag: &HopDag) -> (Arc<FusionPlan>, Option<EnumCap>) {
@@ -517,13 +511,13 @@ impl EngineInner {
             }
         };
         let mut graph = schedule::prepare(&dag, plan.as_deref(), patterns.as_ref());
-        if let (Some(pool), Some(plan)) = (&self.shard_pool, plan.as_deref()) {
+        if let (Some(shards), Some(plan)) = (self.shards, plan.as_deref()) {
             // Per-operator local-vs-sharded choice, planned once at compile
             // time with the estimator `shard::estimate_plan` reports.
             let specs = if self.force_shard {
-                crate::shard::force_shards(plan, pool.len())
+                crate::shard::force_shards(plan, shards.k)
             } else {
-                crate::shard::plan_shards(&dag, plan, pool.len(), &self.optimizer.model)
+                crate::shard::plan_shards(&dag, plan, shards.k, &self.optimizer.model)
             };
             graph.set_shard_specs(&specs);
         }

@@ -81,10 +81,10 @@ pub enum ExecError {
         /// The task it fired on.
         op: String,
     },
-    /// One worker shard of a sharded fused operator panicked. The panic was
-    /// caught on the shard, sibling shards were cancelled
-    /// (first-failure-wins), only the owning request fails, and the shard
-    /// pool keeps serving.
+    /// One band of a sharded fused operator panicked. The panic was caught
+    /// on the band's thread, sibling bands that had not started were
+    /// cancelled, and only the owning request fails: no shard thread
+    /// outlives its execute, so later ones run as if nothing happened.
     ShardFailure {
         /// Identity of the sharded operator.
         op: String,

@@ -82,7 +82,7 @@ pub struct ExecStats {
     /// Runs that degraded to resident-only execution after exhausting spill
     /// write retries.
     pub(crate) sched_degraded_runs: AtomicUsize,
-    /// Fused operators the planner executed across the shard pool.
+    /// Fused operators the planner executed as shard bands.
     pub(crate) sched_sharded_ops: AtomicUsize,
     /// High-water shard count used by any single sharded operator.
     pub(crate) sched_shards_used: AtomicUsize,
@@ -128,7 +128,7 @@ pub struct SchedSnapshot {
     /// 1 if this run degraded to resident-only execution after exhausting
     /// spill write retries, else 0.
     pub degraded: usize,
-    /// Fused operators executed across the shard pool.
+    /// Fused operators executed as shard bands.
     pub sharded_ops: usize,
     /// High-water shard count used by any single sharded operator.
     pub shards_used: usize,

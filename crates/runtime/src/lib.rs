@@ -1,6 +1,7 @@
 // Tests and assertions use unwrap/expect freely; the targeted failure-path
 // modules (`spill`, the runtime scheduler) re-deny at module level.
 #![allow(clippy::disallowed_methods)]
+#![forbid(unsafe_code)]
 //! # fusedml-runtime
 //!
 //! Execution runtime for fused and basic operators:
@@ -14,7 +15,7 @@
 //! * [`handcoded`] — SystemML-style hand-coded fused operators for the
 //!   `Fused` baseline (fixed patterns: tak+*, mmchain, wsloss, wdivmm),
 //! * [`engine`] — the public execution API: [`EngineBuilder`] → [`Engine`]
-//!   (owns the buffer pool, plan/kernel caches, worker pool, stats) →
+//!   (owns the buffer pool, plan/kernel caches, worker limit, stats) →
 //!   [`Engine::compile`] → [`CompiledScript`] (`Send + Sync`, executes from
 //!   many threads with zero re-optimization),
 //! * [`exec`] — execution statistics and the sequential oracle,
@@ -27,10 +28,10 @@
 //!   budget (farthest-next-use eviction to the engine's spill tier, async
 //!   prefetch of spilled inputs),
 //! * [`shard`] — the sharded multi-worker runtime (DESIGN.md
-//!   substitution X11): persistent NUMA-pinned worker shards, row-partitioned
-//!   mains, broadcast side inputs, per-shard partial aggregation with
-//!   driver-side merge, and a cost-model-driven local-vs-sharded choice
-//!   behind `EngineBuilder::shards`,
+//!   substitution X11): a sharded operator runs as row bands on scoped
+//!   threads spawned per call, over row-partitioned mains and broadcast side
+//!   inputs, with per-band partial aggregation, driver-side merge, and a
+//!   cost-model-driven local-vs-sharded choice behind `EngineBuilder::shards`,
 //! * [`verify`] — the static plan verifier (DESIGN.md substitution X9): an
 //!   IR-invariant checker across the hop, fusion-plan, register-program, and
 //!   task-graph layers, plus the residency state-machine spec the debug
@@ -52,5 +53,5 @@ pub use error::ExecError;
 pub use exec::{ExecStats, SchedSnapshot};
 pub use fusedml_core::FusionMode;
 pub use fusedml_linalg::fault::{FaultPlan, FaultSite};
-pub use shard::{MergeOp, MergePlan, ShardPool, ShardSpec, SideDisp};
+pub use shard::{MergeOp, MergePlan, ShardSpec, Shards, SideDisp};
 pub use verify::VerifyError;

@@ -88,6 +88,7 @@
 use crate::error::{panic_message, ExecError};
 use crate::exec::{ExecStats, SchedSnapshot};
 use crate::handcoded::{self, HcOperator};
+use crate::shard::Shards;
 use crate::side::SideInput;
 use crate::spoof;
 use fusedml_core::optimizer::FusionPlan;
@@ -140,10 +141,10 @@ pub struct ExecCtx<'a> {
     /// `ShardExec` decisions here; the store draws the spill-I/O sites
     /// itself.
     pub faults: Option<&'a Arc<FaultPlan>>,
-    /// The engine's shard pool; `None` runs every operator locally. Fused
+    /// The engine's shard layout; `None` runs every operator locally. Fused
     /// tasks whose graph entry carries a [`crate::shard::ShardSpec`] execute
-    /// across it.
-    pub shards: Option<&'a crate::shard::ShardPool>,
+    /// as its row bands.
+    pub shards: Option<Shards>,
 }
 
 /// What one task executes.
@@ -480,7 +481,7 @@ struct EngineState {
     spill_retries: usize,
     /// Faults the engine's `FaultPlan` injected into this run.
     injected_faults: usize,
-    /// Fused operators executed across the shard pool this run.
+    /// Fused operators executed as shard bands this run.
     sharded_ops: usize,
     /// High-water shards used by any single sharded operator this run.
     shards_used: usize,
@@ -560,8 +561,9 @@ pub fn run(
     cx: &ExecCtx<'_>,
 ) -> Result<(Vec<Value>, SchedSnapshot), ExecError> {
     // Per-call tally: pooled requests made by this call's workers (and their
-    // band threads) are attributed here, so the returned delta stays exact
-    // even when other executions run concurrently on the same engine pool.
+    // `par` and shard band threads) are attributed here, so the returned
+    // delta stays exact even when other executions run concurrently on the
+    // same engine pool.
     let tally = Arc::new(pool::PoolTally::default());
     let mut st = EngineState {
         slots: (0..dag.len()).map(|_| Slot::Empty).collect(),
@@ -864,18 +866,19 @@ fn worker_loop(cx: &Ctx<'_>) {
             ins.push(SlotIn { val, owned: dying });
         }
         // The planner's sharding decision for this task (fused tasks only,
-        // and only when the engine actually owns a shard pool).
+        // and only when the engine shards at all).
         let shard_ctx = match &task.kind {
-            TaskKind::Fused { .. } => {
-                cx.exec.shards.and_then(|pool| cx.graph.shard[t].as_ref().map(|spec| (spec, pool)))
-            }
+            TaskKind::Fused { .. } => cx
+                .exec
+                .shards
+                .and_then(|shards| cx.graph.shard[t].as_ref().map(|spec| (spec, shards))),
             _ => None,
         };
         // Fault sites: task execution. Decisions are drawn under the lock
         // (atomic with the per-site draw counters), the effects happen in
         // the execution below. `TaskPanic` exercises the full
         // panic-isolation path; `TaskExec` is the non-panicking variant;
-        // `ShardExec` (drawn only for sharded tasks) panics one worker shard
+        // `ShardExec` (drawn only for sharded tasks) panics shard band 0
         // mid-kernel, exercising cross-shard cancellation.
         let (inject_exec, inject_panic, inject_shard) = match cx.exec.faults {
             Some(f) if !aborted => {
@@ -916,7 +919,7 @@ fn worker_loop(cx: &Ctx<'_>) {
                 cx.plan,
                 cx.bindings,
                 cx.exec.stats,
-                shard_ctx.map(|(spec, pool)| ShardCtx { spec, pool, inject: inject_shard }),
+                shard_ctx.map(|(spec, shards)| ShardCtx { spec, shards, inject: inject_shard }),
                 &mut shard_stats,
             )
         }));
@@ -1218,17 +1221,17 @@ fn pick_victim(cx: &Ctx<'_>, st: &EngineState, keep: &[HopId]) -> Option<usize> 
     best.map(|(_, _, h)| h)
 }
 
-/// The planner's sharding decision for one fused task, resolved against the
-/// engine's live shard pool by the worker loop.
+/// The planner's sharding decision for one fused task, paired with the
+/// engine's shard layout by the worker loop.
 struct ShardCtx<'a> {
     spec: &'a crate::shard::ShardSpec,
-    pool: &'a crate::shard::ShardPool,
-    /// `ShardExec` fault-injection flag: panic one worker shard mid-kernel.
+    shards: Shards,
+    /// `ShardExec` fault-injection flag: panic shard band 0 mid-kernel.
     inject: bool,
 }
 
 /// Runs one task over its gathered inputs; returns `(hop, value)` stores, or
-/// a typed error when a sharded operator's worker shard fails.
+/// a typed error when a band of a sharded operator fails.
 #[allow(clippy::too_many_arguments)]
 fn run_task(
     task: &Task,
@@ -1278,7 +1281,8 @@ fn run_task(
                     // The planner chose sharded execution: row-partition the
                     // main, ship sides per the spec's dispositions, merge
                     // per-shard partials on this (driver) thread.
-                    let res = sc.pool.execute(
+                    let res = crate::shard::execute(
+                        sc.shards,
                         &f.op,
                         sc.spec,
                         main,

@@ -1,15 +1,14 @@
-//! Sharded multi-worker execution: the engine's one distributed runtime
-//! and one cluster cost model (DESIGN.md substitution X11).
+//! Sharded execution: the engine's one distributed runtime and one cluster
+//! cost model (DESIGN.md substitution X11).
 //!
-//! A [`ShardPool`] owns `k` persistent worker shards — threads with their own
-//! kernel scope sharing the engine's buffer pool — pinned NUMA-aware where
-//! the topology is detectable (`/sys/devices/system/node`), falling back to
-//! plain round-robin CPU pinning. The driver row-partitions a fused
-//! operator's bound inputs across the shards (each worker reads its rows in
-//! place through an O(1) [`Matrix::row_slice`] view; nothing is copied),
-//! broadcasts row-invariant side inputs (an `Arc` clone in-process), executes
-//! the *same* fused skeletons (`spoof::execute`) per shard, and merges the
-//! partial outputs:
+//! [`execute`] runs a fused operator as `k` row bands: the calling thread
+//! runs band 0 and scoped threads, spawned per call like every other
+//! parallel kernel's, run the rest, sharing the caller's buffer pool scope
+//! and kernel caches. The driver row-partitions the operator's bound inputs
+//! across the bands (each band reads its rows in place through an O(1)
+//! [`Matrix::row_slice`] view; nothing is copied), broadcasts row-invariant
+//! side inputs (an `Arc` clone in-process), executes the *same* fused
+//! skeletons (`spoof::execute`) per band, and merges the partial outputs:
 //!
 //! * map-class operators (`NoAgg`, `RowAgg`) concatenate partial rows, which
 //!   is bitwise-identical to local execution because every skeleton's output
@@ -24,11 +23,10 @@
 //! [`DistConfig::in_process`]) serves the planner and `table6`'s modeled
 //! column, so modeled and measured execution share one code path.
 //!
-//! Failure semantics: a panicking shard fails only its own request —
-//! first-failure-wins cancellation reaches sibling shards through a shared
-//! flag, every shard always replies (ok / panicked / cancelled), and the
-//! driver surfaces one typed [`ShardError`]. The shard threads survive and
-//! keep serving later requests.
+//! Failure semantics: a panicking band fails only its own request — it is
+//! caught on its thread, a shared flag cancels the bands that have not
+//! started yet, and the driver surfaces one typed [`ShardError`]. No thread
+//! outlives the call, so nothing is left to recover.
 
 use crate::error::panic_message;
 use crate::side::SideInput;
@@ -36,16 +34,13 @@ use crate::spoof;
 use fusedml_core::codegen::GeneratedOperator;
 use fusedml_core::opt::cost::{compute_costs, CostModel, DistConfig};
 use fusedml_core::optimizer::{FusedOperator, FusionPlan};
-use fusedml_core::plancache::KernelCaches;
+use fusedml_core::spoof::block::row_invariant_load;
 use fusedml_core::spoof::{CellAgg, FusedSpec, Instr, RowOut, SideAccess};
 use fusedml_hop::{HopDag, HopId};
 use fusedml_linalg::ops::AggOp;
-use fusedml_linalg::pool::PoolHandle;
 use fusedml_linalg::{par, pool, Matrix};
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -81,7 +76,8 @@ pub enum MergePlan {
 /// A verified sharding decision for one fused operator.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardSpec {
-    /// Number of shards the planner assumed (the driver clamps to the pool).
+    /// Number of shards the planner assumed (the driver clamps to the
+    /// engine's `Shards::k`).
     pub shards: usize,
     /// Disposition per side input, in CPlan binding order.
     pub sides: Vec<SideDisp>,
@@ -169,10 +165,7 @@ pub fn derive_spec(
                 // the same lanes for every rix and broadcast; everything
                 // else slices row rix of the side and must be partitioned
                 // with the main.
-                let invariant = cplan.side_dims.get(side).is_some_and(|&(r, c)| {
-                    r == 1 || fusedml_core::spoof::block::whole_vector_load(r, c, cl, cu)
-                });
-                if invariant {
+                if row_invariant_load(&cplan.side_dims, side, cl, cu) {
                     want(side, SideDisp::Broadcast)
                 } else {
                     want(side, SideDisp::Partition)
@@ -330,152 +323,23 @@ pub fn estimate_plan(
 }
 
 // ---------------------------------------------------------------------------
-// NUMA detection and CPU pinning
+// Sharded execution
 // ---------------------------------------------------------------------------
 
-/// Parses a kernel cpulist ("0-3,8,10-11") into CPU indices.
-fn parse_cpulist(s: &str) -> Vec<usize> {
-    let mut cpus = Vec::new();
-    for part in s.trim().split(',') {
-        if part.is_empty() {
-            continue;
-        }
-        match part.split_once('-') {
-            Some((lo, hi)) => {
-                if let (Ok(lo), Ok(hi)) = (lo.trim().parse::<usize>(), hi.trim().parse::<usize>()) {
-                    cpus.extend(lo..=hi.min(lo + 4096));
-                }
-            }
-            None => {
-                if let Ok(c) = part.trim().parse::<usize>() {
-                    cpus.push(c);
-                }
-            }
-        }
-    }
-    cpus
-}
-
-/// Per-NUMA-node CPU lists from sysfs; empty when the topology is not
-/// exposed (non-Linux, restricted container).
-fn numa_node_cpus() -> Vec<Vec<usize>> {
-    let mut nodes = Vec::new();
-    for ix in 0..64usize {
-        let path = format!("/sys/devices/system/node/node{ix}/cpulist");
-        match std::fs::read_to_string(&path) {
-            Ok(s) => {
-                let cpus = parse_cpulist(&s);
-                if !cpus.is_empty() {
-                    nodes.push(cpus);
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    nodes
-}
-
-/// The CPUs shard `ix` should pin to: a whole NUMA node round-robin when
-/// multiple nodes are detectable, else a plain contiguous block modulo the
-/// hardware thread count. Empty = leave scheduling to the OS.
-fn shard_cpus(nodes: &[Vec<usize>], ix: usize, threads: usize) -> Vec<usize> {
-    if nodes.len() > 1 {
-        return nodes[ix % nodes.len()].clone();
-    }
-    let total = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if total <= 1 {
-        return Vec::new();
-    }
-    let t = threads.max(1);
-    (0..t).map(|j| (ix * t + j) % total).collect()
-}
-
-#[cfg(target_os = "linux")]
-mod affinity {
-    /// Mirrors glibc's `cpu_set_t`: a 1024-bit CPU mask.
-    #[repr(C)]
-    struct CpuSet {
-        bits: [u64; 16],
-    }
-
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const CpuSet) -> i32;
-    }
-
-    /// Best-effort pin of the calling thread to `cpus`; never fails (a
-    /// denied or invalid mask just leaves OS scheduling in place).
-    pub fn pin_current_thread(cpus: &[usize]) {
-        let mut set = CpuSet { bits: [0; 16] };
-        let mut any = false;
-        for &c in cpus {
-            if c < 1024 {
-                set.bits[c / 64] |= 1u64 << (c % 64);
-                any = true;
-            }
-        }
-        if !any {
-            return;
-        }
-        // SAFETY: `set` is a properly initialized, repr(C) bitmask whose
-        // layout matches the kernel's sched_setaffinity ABI, passed by
-        // pointer with its exact size; pid 0 targets the calling thread
-        // only. The call writes nothing through the pointer and the return
-        // value is deliberately ignored (pinning is advisory).
-        let _ = unsafe { sched_setaffinity(0, std::mem::size_of::<CpuSet>(), &set) };
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod affinity {
-    pub fn pin_current_thread(_cpus: &[usize]) {}
-}
-
-// ---------------------------------------------------------------------------
-// The shard pool
-// ---------------------------------------------------------------------------
-
-/// What every shard of one [`ShardPool::execute`] reads: the operator and
-/// the full (Arc-shared) inputs. Each worker cuts its own row band out of
-/// them — an O(1) [`Matrix::row_slice`] view, scanned where it already lies.
-struct Job {
-    op: Arc<GeneratedOperator>,
-    main: Matrix,
-    sides: Vec<Matrix>,
-    /// Per side: `true` = this shard's rows of it, `false` = broadcast whole.
-    partition: Vec<bool>,
-    scalars: Vec<f64>,
-    iter_cols: usize,
-    cancel: AtomicBool,
-}
-
-/// One shard's share of a [`Job`].
-struct Request {
-    job: Arc<Job>,
-    /// This shard's half-open row range of the main (and partitioned sides).
-    rows: (usize, usize),
-    shard_ix: usize,
-    inject_panic: bool,
-    reply: mpsc::Sender<(usize, Reply, u64)>,
-}
-
-enum Reply {
-    Ok(Vec<Matrix>),
-    Panicked(String),
-    Cancelled,
-}
-
-struct Worker {
-    /// `mpsc::Sender` is `!Sync`; the mutex wrapper restores `Sync` so the
-    /// pool can live inside the engine's `Send + Sync` inner state. Taken
-    /// (dropped) on pool drop to hang up the worker.
-    sender: Mutex<Option<mpsc::Sender<Request>>>,
-    handle: Option<std::thread::JoinHandle<()>>,
+/// How an engine runs a sharded operator: `k` row bands, each capped at
+/// `threads` kernel threads (`EngineBuilder::shards` / `shard_threads`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Shards {
+    /// Row bands per sharded operator.
+    pub k: usize,
+    /// Kernel threads inside each band.
+    pub threads: usize,
 }
 
 /// Observed counters of one sharded operator execution.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardRunStats {
-    /// Shards that actually received a slice (≤ pool size, ≤ main rows).
+    /// Shards that actually received a slice (≤ `Shards::k`, ≤ main rows).
     pub shards_used: usize,
     /// Bytes of side inputs broadcast (counted once per receiving shard).
     pub broadcast_bytes: usize,
@@ -487,222 +351,118 @@ pub struct ShardRunStats {
     pub skew_milli: u64,
 }
 
-/// A failed sharded execution: which shard failed first, and why.
+/// A failed sharded execution: the lowest-numbered band that failed, and
+/// why.
 #[derive(Clone, Debug)]
 pub struct ShardError {
     pub shard: usize,
     pub message: String,
 }
 
-/// A pool of persistent worker shards (see the module docs).
-pub struct ShardPool {
-    workers: Vec<Worker>,
+/// What one band of a sharded execution came back with.
+enum Band {
+    Done(Vec<Matrix>),
+    Panicked(String),
+    /// Not started: a sibling band had already failed.
+    Cancelled,
 }
 
-impl ShardPool {
-    /// Spawns `shards` worker threads, each entering the engine's buffer
-    /// pool and kernel caches once for its lifetime and capping its internal
-    /// band parallelism at `shard_threads`.
-    pub fn new(
-        shards: usize,
-        shard_threads: usize,
-        pool: PoolHandle,
-        kernels: Arc<KernelCaches>,
-    ) -> ShardPool {
-        let shards = shards.max(1);
-        let nodes = numa_node_cpus();
-        let workers = (0..shards)
+/// Executes one fused operator across `shards.k` row bands: each band runs
+/// the skeleton over a balanced row range of the main input (and of the
+/// partitioned sides), reading it in place through [`Matrix::row_slice`],
+/// with the other sides broadcast whole. The calling thread runs band 0;
+/// the others run on scoped threads that re-enter the caller's pool scope
+/// (tally included) and kernel caches. The partials are then merged per the
+/// spec. A panicking band cancels the bands that have not started and
+/// surfaces as one [`ShardError`] naming the lowest failed band.
+#[allow(clippy::too_many_arguments)]
+pub fn execute(
+    shards: Shards,
+    op: &GeneratedOperator,
+    spec: &ShardSpec,
+    main: &Matrix,
+    sides: &[Matrix],
+    scalars: &[f64],
+    iter_cols: usize,
+    inject_panic: bool,
+) -> Result<(Vec<Matrix>, ShardRunStats), ShardError> {
+    let rows = main.rows();
+    let k = spec.shards.min(shards.k).min(rows).max(1);
+    let (base, rem) = (rows / k, rows % k);
+    let band_start = |ix: usize| ix * base + ix.min(rem);
+    let partition: Vec<bool> = spec.sides.iter().map(|d| *d == SideDisp::Partition).collect();
+    let broadcast_bytes: usize =
+        sides.iter().zip(&partition).map(|(s, &p)| if p { 0 } else { k * s.size_in_bytes() }).sum();
+    let cancel = AtomicBool::new(false);
+    let run_band = |ix: usize| -> (Band, u64) {
+        let started = Instant::now();
+        if cancel.load(Ordering::Relaxed) {
+            return (Band::Cancelled, 0);
+        }
+        let _limit = par::limit_current_thread(shards.threads.max(1));
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            if inject_panic && ix == 0 {
+                panic!("injected shard panic");
+            }
+            let (r0, r1) = (band_start(ix), band_start(ix + 1));
+            let main = main.row_slice(r0, r1);
+            let bind = |(s, &p): (&Matrix, &bool)| {
+                SideInput::bind(&if p { s.row_slice(r0, r1) } else { s.clone() })
+            };
+            let sides: Vec<SideInput> = sides.iter().zip(&partition).map(bind).collect();
+            spoof::execute(&op.spec, Some(&main), &sides, scalars, r1 - r0, iter_cols)
+        }));
+        let band = match ran {
+            Ok(outs) => Band::Done(outs),
+            Err(payload) => {
+                cancel.store(true, Ordering::Relaxed);
+                Band::Panicked(panic_message(&*payload))
+            }
+        };
+        (band, started.elapsed().as_nanos() as u64)
+    };
+    let scope = pool::current_scope();
+    let kernels = spoof::kernels();
+    let bands: Vec<(Band, u64)> = std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..k)
             .map(|ix| {
-                let (tx, rx) = mpsc::channel::<Request>();
-                let cpus = shard_cpus(&nodes, ix, shard_threads);
-                let pool = pool.clone();
-                let kernels = Arc::clone(&kernels);
-                let handle = std::thread::Builder::new()
-                    .name(format!("fusedml-shard-{ix}"))
-                    .spawn(move || {
-                        affinity::pin_current_thread(&cpus);
-                        let _limit = par::limit_current_thread(shard_threads.max(1));
-                        // Persistent scopes for the thread's lifetime: the
-                        // pool scope is entered plain (not tallied) because
-                        // the shard thread outlives any single engine run.
-                        let _pool = pool::enter(&pool);
-                        let _kernels = spoof::enter_kernels(&kernels);
-                        worker_loop(&rx);
-                    })
-                    .expect("spawn shard worker");
-                Worker { sender: Mutex::new(Some(tx)), handle: Some(handle) }
+                let (run_band, scope, kernels) = (&run_band, &scope, &kernels);
+                s.spawn(move || {
+                    let _pool = scope.as_ref().map(pool::reenter);
+                    let _kernels = spoof::enter_kernels(kernels);
+                    run_band(ix)
+                })
             })
             .collect();
-        ShardPool { workers }
-    }
-
-    /// Number of worker shards.
-    pub fn len(&self) -> usize {
-        self.workers.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.workers.is_empty()
-    }
-
-    /// Executes one fused operator across the shards: assigns each a balanced
-    /// row block of the main input (and partitioned sides), broadcasts the
-    /// rest, collects every shard's reply, and merges the partials per the
-    /// spec. First failure wins: one panicked shard cancels its siblings'
-    /// outstanding work and surfaces as a single [`ShardError`]; the pool
-    /// stays fully usable.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute(
-        &self,
-        op: &Arc<GeneratedOperator>,
-        spec: &ShardSpec,
-        main: &Matrix,
-        sides: &[Matrix],
-        scalars: &[f64],
-        iter_cols: usize,
-        inject_panic: bool,
-    ) -> Result<(Vec<Matrix>, ShardRunStats), ShardError> {
-        let rows = main.rows();
-        let k = spec.shards.min(self.workers.len()).min(rows).max(1);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let (base, rem) = (rows / k, rows % k);
-        let partition: Vec<bool> = spec.sides.iter().map(|d| *d == SideDisp::Partition).collect();
-        let broadcast_bytes: usize = sides
-            .iter()
-            .zip(&partition)
-            .map(|(s, &p)| if p { 0 } else { k * s.size_in_bytes() })
-            .sum();
-        let job = Arc::new(Job {
-            op: Arc::clone(op),
-            main: main.clone(),
-            sides: sides.to_vec(),
-            partition,
-            scalars: scalars.to_vec(),
-            iter_cols,
-            cancel: AtomicBool::new(false),
-        });
-        let mut start = 0usize;
-        let mut sent = 0usize;
-        let mut dead_shard: Option<usize> = None;
-        for ix in 0..k {
-            let end = start + base + usize::from(ix < rem);
-            let req = Request {
-                job: Arc::clone(&job),
-                rows: (start, end),
-                shard_ix: ix,
-                inject_panic: inject_panic && ix == 0,
-                reply: reply_tx.clone(),
-            };
-            let delivered = match self.workers[ix].sender.lock().as_ref() {
-                Some(tx) => tx.send(req).is_ok(),
-                None => false,
-            };
-            if !delivered {
-                job.cancel.store(true, Ordering::Relaxed);
-                dead_shard = Some(ix);
-                break;
+        let mut bands = vec![run_band(0)];
+        bands.extend(spawned.into_iter().map(|h| h.join().expect("a band catches its panics")));
+        bands
+    });
+    let times: Vec<u64> = bands.iter().map(|&(_, t)| t).collect();
+    let mut parts = Vec::with_capacity(k);
+    let mut failed: Option<ShardError> = None;
+    for (shard, (band, _)) in bands.into_iter().enumerate() {
+        match band {
+            Band::Done(outs) => parts.push(outs),
+            Band::Panicked(message) => {
+                failed.get_or_insert(ShardError { shard, message });
             }
-            sent += 1;
-            start = end;
-        }
-        drop(reply_tx);
-
-        let mut parts: Vec<Option<Vec<Matrix>>> = (0..k).map(|_| None).collect();
-        let mut times = vec![0u64; k];
-        let mut first_err: Option<ShardError> = None;
-        for _ in 0..sent {
-            let Ok((ix, reply, nanos)) = reply_rx.recv() else { break };
-            times[ix] = nanos;
-            match reply {
-                Reply::Ok(outs) => parts[ix] = Some(outs),
-                Reply::Panicked(message) => {
-                    job.cancel.store(true, Ordering::Relaxed);
-                    first_err.get_or_insert(ShardError { shard: ix, message });
-                }
-                Reply::Cancelled => {}
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        if let Some(ix) = dead_shard {
-            return Err(ShardError { shard: ix, message: "shard worker unavailable".into() });
-        }
-        let Some(parts) = parts.into_iter().collect::<Option<Vec<Vec<Matrix>>>>() else {
-            return Err(ShardError {
-                shard: 0,
-                message: "shard reply channel closed early".into(),
-            });
-        };
-        let partial_bytes: usize =
-            parts.iter().flat_map(|p| p.iter().map(Matrix::size_in_bytes)).sum();
-        // Every worker let go of the job before replying; with this last hold
-        // gone the caller's inputs are uniquely held again and can recycle.
-        drop(job);
-        let merge_start = Instant::now();
-        let outs = merge_parts(&spec.merge, parts);
-        let merge_nanos = merge_start.elapsed().as_nanos() as u64;
-        let max = times.iter().copied().max().unwrap_or(0);
-        let mean = times.iter().sum::<u64>() / k as u64;
-        let skew_milli = max.saturating_mul(1000).checked_div(mean).unwrap_or(1000);
-        let stats = ShardRunStats {
-            shards_used: k,
-            broadcast_bytes,
-            partial_bytes,
-            merge_nanos,
-            skew_milli,
-        };
-        Ok((outs, stats))
-    }
-}
-
-impl Drop for ShardPool {
-    fn drop(&mut self) {
-        for w in &self.workers {
-            w.sender.lock().take();
-        }
-        for w in &mut self.workers {
-            if let Some(h) = w.handle.take() {
-                let _ = h.join();
-            }
+            Band::Cancelled => {}
         }
     }
-}
-
-/// The shard worker body: serve requests until the channel hangs up. Every
-/// request is answered exactly once — ok, panicked (message captured under
-/// `catch_unwind`), or cancelled — so the driver can always count replies.
-fn worker_loop(rx: &mpsc::Receiver<Request>) {
-    while let Ok(Request { job, rows: (r0, r1), shard_ix, inject_panic, reply }) = rx.recv() {
-        let started = Instant::now();
-        let outcome = if job.cancel.load(Ordering::Relaxed) {
-            Reply::Cancelled
-        } else {
-            let ran = catch_unwind(AssertUnwindSafe(|| {
-                if inject_panic {
-                    panic!("injected shard panic");
-                }
-                // This shard's partition: row bands sharing the job's buffers.
-                let main = job.main.row_slice(r0, r1);
-                let bind = |(s, &p): (&Matrix, &bool)| {
-                    SideInput::bind(&if p { s.row_slice(r0, r1) } else { s.clone() })
-                };
-                let sides: Vec<SideInput> =
-                    job.sides.iter().zip(&job.partition).map(bind).collect();
-                let (spec, rows) = (&job.op.spec, main.rows());
-                spoof::execute(spec, Some(&main), &sides, &job.scalars, rows, job.iter_cols)
-            }));
-            match ran {
-                Ok(outs) => Reply::Ok(outs),
-                Err(payload) => Reply::Panicked(panic_message(&*payload)),
-            }
-        };
-        // Let go of the inputs first: once the driver has every reply,
-        // nothing but its own handle shares them.
-        drop(job);
-        let nanos = started.elapsed().as_nanos() as u64;
-        let _ = reply.send((shard_ix, outcome, nanos));
+    if let Some(e) = failed {
+        return Err(e);
     }
+    let partial_bytes: usize = parts.iter().flat_map(|p| p.iter().map(Matrix::size_in_bytes)).sum();
+    let merge_start = Instant::now();
+    let outs = merge_parts(&spec.merge, parts);
+    let merge_nanos = merge_start.elapsed().as_nanos() as u64;
+    let max = times.iter().copied().max().unwrap_or(0);
+    let mean = times.iter().sum::<u64>() / k as u64;
+    let skew_milli = max.saturating_mul(1000).checked_div(mean).unwrap_or(1000);
+    let stats =
+        ShardRunStats { shards_used: k, broadcast_bytes, partial_bytes, merge_nanos, skew_milli };
+    Ok((outs, stats))
 }
 
 /// Merges per-shard partial outputs, consuming them (their buffers go back
@@ -749,14 +509,13 @@ fn merge_parts(plan: &MergePlan, parts: Vec<Vec<Matrix>>) -> Vec<Matrix> {
 mod tests {
     use super::*;
     use fusedml_core::spoof::{CellSpec, Program};
-    use fusedml_linalg::pool::BufferPool;
     use fusedml_linalg::DenseMatrix;
 
-    fn sum_operator() -> Arc<GeneratedOperator> {
+    fn sum_operator() -> GeneratedOperator {
         // sum(X): LoadMain → FullAgg(Sum).
         let prog =
             Program { instrs: vec![Instr::LoadMain { out: 0 }], n_regs: 1, vreg_lens: Vec::new() };
-        Arc::new(GeneratedOperator {
+        GeneratedOperator {
             name: "TMPSUM".into(),
             source: String::new(),
             spec: FusedSpec::Cell(CellSpec {
@@ -766,10 +525,10 @@ mod tests {
                 sparse_safe: true,
             }),
             plan_hash: 0,
-        })
+        }
     }
 
-    fn square_operator() -> Arc<GeneratedOperator> {
+    fn square_operator() -> GeneratedOperator {
         // X^2 map-class: LoadMain, multiply by itself.
         let prog = Program {
             instrs: vec![
@@ -779,7 +538,7 @@ mod tests {
             n_regs: 2,
             vreg_lens: Vec::new(),
         };
-        Arc::new(GeneratedOperator {
+        GeneratedOperator {
             name: "TMPSQ".into(),
             source: String::new(),
             spec: FusedSpec::Cell(CellSpec {
@@ -789,11 +548,11 @@ mod tests {
                 sparse_safe: true,
             }),
             plan_hash: 0,
-        })
+        }
     }
 
-    fn test_pool(k: usize) -> ShardPool {
-        ShardPool::new(k, 1, BufferPool::handle(), Arc::new(KernelCaches::default()))
+    fn shards(k: usize) -> Shards {
+        Shards { k, threads: 1 }
     }
 
     fn seq_matrix(rows: usize, cols: usize) -> Matrix {
@@ -808,14 +567,13 @@ mod tests {
     fn sharded_full_agg_matches_local() {
         let op = sum_operator();
         let x = seq_matrix(1003, 8);
-        let pool = test_pool(4);
         let spec = ShardSpec {
             shards: 4,
             sides: Vec::new(),
             merge: MergePlan::Elementwise(vec![MergeOp::Add]),
         };
         let (outs, stats) =
-            pool.execute(&op, &spec, &x, &[], &[], 8, false).expect("sharded execute");
+            execute(shards(4), &op, &spec, &x, &[], &[], 8, false).expect("sharded execute");
         let local = spoof::execute(&op.spec, Some(&x), &[], &[], 1003, 8);
         assert_eq!(stats.shards_used, 4);
         assert_eq!(outs.len(), 1);
@@ -827,10 +585,9 @@ mod tests {
     fn sharded_map_class_is_bitwise_equal() {
         let op = square_operator();
         let x = seq_matrix(517, 5);
-        let pool = test_pool(3);
         let spec = ShardSpec { shards: 3, sides: Vec::new(), merge: MergePlan::ConcatRows };
         let (outs, stats) =
-            pool.execute(&op, &spec, &x, &[], &[], 5, false).expect("sharded execute");
+            execute(shards(3), &op, &spec, &x, &[], &[], 5, false).expect("sharded execute");
         let local = spoof::execute(&op.spec, Some(&x), &[], &[], 517, 5);
         assert_eq!(stats.shards_used, 3);
         assert_eq!(
@@ -844,19 +601,18 @@ mod tests {
     fn injected_shard_panic_fails_request_but_not_pool() {
         let op = sum_operator();
         let x = seq_matrix(64, 4);
-        let pool = test_pool(2);
         let spec = ShardSpec {
             shards: 2,
             sides: Vec::new(),
             merge: MergePlan::Elementwise(vec![MergeOp::Add]),
         };
-        let err = pool
-            .execute(&op, &spec, &x, &[], &[], 4, true)
+        let err = execute(shards(2), &op, &spec, &x, &[], &[], 4, true)
             .expect_err("injected panic must fail the request");
         assert_eq!(err.shard, 0);
         assert!(err.message.contains("injected shard panic"), "{}", err.message);
-        // The pool survives and serves the next request cleanly.
-        let (outs, _) = pool.execute(&op, &spec, &x, &[], &[], 4, false).expect("pool reusable");
+        // The failure is confined to its call: a later execute succeeds.
+        let (outs, _) =
+            execute(shards(2), &op, &spec, &x, &[], &[], 4, false).expect("later execute");
         let local = spoof::execute(&op.spec, Some(&x), &[], &[], 64, 4);
         assert_eq!(outs[0].as_dense().values()[0], local[0].as_dense().values()[0]);
     }
@@ -872,13 +628,6 @@ mod tests {
         assert_eq!(min[0].as_dense().values(), &[1.0, 2.0, -7.0]);
         let max = merge_parts(&MergePlan::Elementwise(vec![MergeOp::Max]), parts);
         assert_eq!(max[0].as_dense().values(), &[4.0, 5.0, -2.0]);
-    }
-
-    #[test]
-    fn parse_cpulist_handles_ranges_and_singles() {
-        assert_eq!(parse_cpulist("0-3,8,10-11\n"), vec![0, 1, 2, 3, 8, 10, 11]);
-        assert_eq!(parse_cpulist(""), Vec::<usize>::new());
-        assert_eq!(parse_cpulist("5"), vec![5]);
     }
 
     #[test]

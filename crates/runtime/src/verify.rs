@@ -45,7 +45,8 @@ use crate::schedule::{TaskGraph, TaskKind};
 use fusedml_core::cplan::{CNode, CPlan, CellAggKind, NodeId, OutputSpec, RowOutKind};
 use fusedml_core::optimizer::{FusedOperator, FusionPlan};
 use fusedml_core::spoof::block::{
-    compile_kernel, compile_row_kernel, whole_vector_load, BlockKernel, RowKernel,
+    compile_kernel, compile_row_kernel, row_invariant_load, whole_vector_load, BlockKernel,
+    RowKernel,
 };
 use fusedml_core::spoof::mono;
 use fusedml_core::spoof::{eval_scalar_program, FusedSpec, Instr, Program, RowOut, SideAccess};
@@ -461,6 +462,24 @@ fn check_cplan_inputs(dag: &HopDag, op_ix: usize, cp: &CPlan) -> Result<(), Veri
     Ok(())
 }
 
+/// The dims a side read with `access` must have under `iter_rows ×
+/// iter_cols` iteration.
+fn side_access_dims(access: SideAccess, iter_rows: usize, iter_cols: usize) -> (usize, usize) {
+    match access {
+        SideAccess::Cell => (iter_rows, iter_cols),
+        SideAccess::Col => (iter_rows, 1),
+        SideAccess::Row => (1, iter_cols),
+        SideAccess::Scalar => (1, 1),
+    }
+}
+
+/// Whether a side-row slice `cl..cu` of an `r × c` side is legal under
+/// `iter_rows`-row iteration: a whole-vector load, or an in-bounds,
+/// non-empty slice of a row-aligned or single-row side.
+fn side_row_slice_legal((r, c): (usize, usize), cl: usize, cu: usize, iter_rows: usize) -> bool {
+    whole_vector_load(r, c, cl, cu) || ((r == iter_rows || r == 1) && cl < cu && cu <= c)
+}
+
 /// CPlan node graph: operand ordering (acyclicity), side/scalar index
 /// bounds, and per-template side-access geometry (paper §4).
 fn check_cplan_nodes(op_ix: usize, cp: &CPlan) -> Result<(), VerifyError> {
@@ -495,12 +514,7 @@ fn check_cplan_nodes(op_ix: usize, cp: &CPlan) -> Result<(), VerifyError> {
             CNode::MainRow => {}
             CNode::Side { side, access } => {
                 let (r, c) = side_ok(side)?;
-                let want = match access {
-                    SideAccess::Cell => (cp.iter_rows, cp.iter_cols),
-                    SideAccess::Col => (cp.iter_rows, 1),
-                    SideAccess::Row => (1, cp.iter_cols),
-                    SideAccess::Scalar => (1, 1),
-                };
+                let want = side_access_dims(access, cp.iter_rows, cp.iter_cols);
                 if (r, c) != want {
                     return Err(ill(format!(
                         "side {side} accessed as {access:?} must be {}x{}, is {r}x{c}",
@@ -510,9 +524,7 @@ fn check_cplan_nodes(op_ix: usize, cp: &CPlan) -> Result<(), VerifyError> {
             }
             CNode::SideRow { side, cl, cu } => {
                 let (r, c) = side_ok(side)?;
-                let whole = whole_vector_load(r, c, cl, cu);
-                let aligned = (r == cp.iter_rows || r == 1) && cl < cu && cu <= c;
-                if !whole && !aligned {
+                if !side_row_slice_legal((r, c), cl, cu, cp.iter_rows) {
                     return Err(ill(format!(
                         "side-row slice {cl}..{cu} of a {r}x{c} side under {}-row iteration",
                         cp.iter_rows
@@ -830,12 +842,7 @@ fn check_program(cx: &ProgCx<'_>, prog: &Program) -> Result<Defs, VerifyError> {
             }
             Instr::LoadSide { out, side: s, access } => {
                 let (r, c) = side(s)?;
-                let want = match access {
-                    SideAccess::Cell => (cx.iter_rows, cx.iter_cols),
-                    SideAccess::Col => (cx.iter_rows, 1),
-                    SideAccess::Row => (1, cx.iter_cols),
-                    SideAccess::Scalar => (1, 1),
-                };
+                let want = side_access_dims(access, cx.iter_rows, cx.iter_cols);
                 if (r, c) != want {
                     return Err(template(format!(
                         "side {s} accessed as {access:?} must be {}x{}, is {r}x{c}",
@@ -878,9 +885,7 @@ fn check_program(cx: &ProgCx<'_>, prog: &Program) -> Result<Defs, VerifyError> {
             }
             Instr::LoadSideRow { out, side: s, cl, cu } => {
                 let (r, c) = side(s)?;
-                let whole = whole_vector_load(r, c, cl, cu);
-                let aligned = (r == cx.iter_rows || r == 1) && cl < cu && cu <= c;
-                if !whole && !aligned {
+                if !side_row_slice_legal((r, c), cl, cu, cx.iter_rows) {
                     return Err(template(format!(
                         "side-row slice {cl}..{cu} of a {r}x{c} side under {}-row iteration",
                         cx.iter_rows
@@ -1204,8 +1209,8 @@ pub fn check_row_kernel(
                 return Err(err("UVDot load in a Row kernel".into()));
             }
             Instr::LoadSideRow { out, side, cl, cu } => {
-                let (r, c) = side_dims.get(side).copied().unwrap_or((0, 0));
-                if !(whole_vector_load(r, c, cl, cu) || r == 1) {
+                if !row_invariant_load(side_dims, side, cl, cu) {
+                    let (r, c) = side_dims.get(side).copied().unwrap_or((0, 0));
                     return Err(err(format!(
                         "hoisted side-row slice {cl}..{cu} of a {r}x{c} side varies per row"
                     )));

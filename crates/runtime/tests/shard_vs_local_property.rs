@@ -14,11 +14,13 @@
 //!   shard partials) agree within **1e-11 relative** — only the f64 add
 //!   association changes, never the operand set;
 //! * the same holds for **CSR mains** (0.1 and 0.01) and a **row-partitioned
-//!   side** (`SideDisp::Partition`) at 2/3/4 shards — the workers read both
+//!   side** (`SideDisp::Partition`) at 2/3/4 shards — the bands read both
 //!   through zero-copy row views, so both view formats run the real path;
 //! * a seeded shard panic surfaces as the typed
-//!   [`ExecError::ShardFailure`], sibling requests on the same pool are
-//!   unaffected, no spill temp files leak, and the engine stays reusable;
+//!   [`ExecError::ShardFailure`], a concurrent sibling request on the same
+//!   engine is unaffected, no spill temp files leak, and the engine stays
+//!   reusable;
+//! * every band's pooled requests count in its execute's pool delta;
 //! * the planner picks **local for small** and **sharded for large**
 //!   operators (the plan-choice pin for the cost-model integration).
 
@@ -293,14 +295,13 @@ fn tiled_vec_mat_mult_operator_equals_local_with_ragged_shard_tiles() {
     assert!(sharded_runs > 0, "no operator ever ran sharded — the property was vacuous");
 }
 
-/// Chaos leg: a seeded `ShardExec` fault panics one shard worker
-/// mid-request. The run fails with the typed [`ExecError::ShardFailure`],
-/// a concurrent sibling run on the same pool completes correctly, no spill
-/// temp files survive, and the disarmed engine is bitwise-correct again —
-/// the worker that panicked is still serving.
+/// Chaos leg: a seeded `ShardExec` fault panics shard band 0 mid-request.
+/// The run fails with the typed [`ExecError::ShardFailure`], a concurrent
+/// sibling run on the same engine completes correctly, no spill temp files
+/// survive, and the disarmed engine is bitwise-correct again.
 #[test]
 fn shard_panic_is_typed_siblings_unaffected_and_engine_survives() {
-    // The injected panic fires inside the worker's catch; keep the default
+    // The injected panic fires inside the band's catch; keep the default
     // hook from spraying backtraces over the test output.
     std::panic::set_hook(Box::new(|_| {}));
     let (dag, bindings, rows) = random_dag(42);
@@ -316,8 +317,9 @@ fn shard_panic_is_typed_siblings_unaffected_and_engine_survives() {
         .build();
     let script = engine.compile(&dag);
 
-    // Two concurrent executions race on the shard pool; the single-fault
-    // budget fails exactly one of them. The sibling must not notice.
+    // Two concurrent executions each run their own shard bands; the
+    // single-fault budget fails exactly one of them. The sibling must not
+    // notice.
     let (a, b) = std::thread::scope(|s| {
         let ta = s.spawn(|| script.try_execute(&bindings));
         let tb = s.spawn(|| script.try_execute(&bindings));
@@ -337,7 +339,7 @@ fn shard_panic_is_typed_siblings_unaffected_and_engine_survives() {
     assert_eq!(plan.total_injected(), 1);
     assert_eq!(engine.store().spill_file_count(), 0, "no leaked spill files after the failure");
 
-    // Recovery: the pool's workers survived the panic; disarmed, the same
+    // Recovery: nothing outlived the failed execute; disarmed, the same
     // engine (and the same compiled script) is correct again — twice.
     plan.disarm();
     for round in 0..2 {
@@ -348,6 +350,42 @@ fn shard_panic_is_typed_siblings_unaffected_and_engine_survives() {
         assert_eq!(engine.store().spill_file_count(), 0, "re-exec {round}");
     }
     drop(std::panic::take_hook());
+}
+
+/// The per-call pool delta (`Outputs::sched()`) counts the pooled requests
+/// of every shard band, not only the driver's merge: a warm force-sharded
+/// `rowSums(exp(X ⊙ Y))` draws at least as many buffers as the same script
+/// run locally.
+#[test]
+fn sharded_execute_tallies_every_band() {
+    let (rows, cols) = (4001, 64);
+    let mut b = DagBuilder::new();
+    let x = b.read("X", rows, cols, 1.0);
+    let y = b.read("Y", rows, cols, 1.0);
+    let xy = b.mult(x, y);
+    let e = b.exp(xy);
+    let rs = b.row_sums(e);
+    let dag = b.build(vec![rs]);
+    let mut bindings = Bindings::new();
+    bindings.insert("X".into(), generate::rand_dense(rows, cols, -1.0, 1.0, 1));
+    bindings.insert("Y".into(), generate::rand_dense(rows, cols, -1.0, 1.0, 2));
+    let requests = |engine: Engine| {
+        let script = engine.compile(&dag);
+        script.execute(&bindings); // warm: the second run draws from the pool
+        let out = script.execute(&bindings);
+        let s = out.sched();
+        (s.pool_hits + s.pool_misses, s.sharded_ops)
+    };
+    let (local, _) = requests(Engine::builder(FusionMode::Gen).workers(1).build());
+    let sharded_engine =
+        Engine::builder(FusionMode::Gen).workers(1).shards(2).shard_threads(1).force_shard(true);
+    let (sharded, sharded_ops) = requests(sharded_engine.build());
+    assert!(sharded_ops > 0, "the operator must run sharded for the probe to mean anything");
+    assert!(
+        sharded >= local,
+        "a sharded execute tallied {sharded} pool requests, the local one {local}: \
+         the shard bands' requests are missing from the per-call delta"
+    );
 }
 
 /// `t(X) %*% (w ⊙ (X %*% v))` — the mv-chain the planner sees in MLogreg.

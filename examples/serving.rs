@@ -157,9 +157,9 @@ fn main() {
     // --- Sharded scoring (DESIGN.md substitution X11): the same pattern at
     // bulk scale. A nightly batch of 200k rows scores p = sigmoid(X v); the
     // cost model decides this operator is worth sharding, so the engine
-    // row-partitions X across 4 persistent worker shards, broadcasts v, and
-    // concatenates the per-shard score blocks — no code change in the
-    // serving loop, just `EngineBuilder::shards(4)`.
+    // row-partitions X into 4 bands run on threads spawned for the call,
+    // broadcasts v, and concatenates the per-shard score blocks — no code
+    // change in the serving loop, just `EngineBuilder::shards(4)`.
     let (n, m) = (200_000, 128);
     let mut b = DagBuilder::new();
     let x = b.read("X", n, m, 1.0);
@@ -189,7 +189,7 @@ fn main() {
         snap.shard_skew_milli as f64 / 1e3,
     );
     let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    assert_eq!(sharded.shards(), 4, "the builder knob spawns the requested pool");
+    assert_eq!(sharded.shards(), 4, "the builder knob sets the band count");
     if cores >= 2 {
         assert!(snap.sharded_ops > 0, "the planner must shard a 200kx128 scorer");
         assert_eq!(snap.shards_used, 4, "the bulk batch must use every shard");
