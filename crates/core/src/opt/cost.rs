@@ -14,7 +14,7 @@
 use crate::memo::{MemoEntry, MemoTable};
 use crate::opt::partition::{InterestingPoint, PlanPartition};
 use crate::templates::TemplateType;
-use crate::util::FxHashSet;
+use crate::util::{FxHashMap, FxHashSet};
 use fusedml_hop::{HopDag, HopId, OpKind};
 use fusedml_linalg::ops::UnaryOp;
 
@@ -273,7 +273,13 @@ fn bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 
 /// The per-partition costing table: everything Eq. (4) and the memo lookups
 /// need, gathered once so that costing one assignment is a walk over dense
-/// arrays and `u64` masks — no hashing, no allocation.
+/// arrays and `u64` masks — no allocation, and at most one hash lookup.
+///
+/// A walk reads its assignment only through `invalid_if & mask`, so its cost
+/// is a function of `mask & live`, `live` being the points some entry
+/// references. A table with a point no entry references (among its first
+/// 64) walks each distinct `mask & live` once and answers the other masks
+/// from `priced`.
 pub struct CostTable<'a> {
     part: &'a PlanPartition,
     model: &'a CostModel,
@@ -289,6 +295,14 @@ pub struct CostTable<'a> {
     entries: Vec<Entry<'a>>,
     mat_rows: Vec<MatRow>,
     stat: StaticCosts,
+    /// The OR of every entry's `invalid_if`.
+    live: u64,
+    /// Walks by `mask & live`: `(total, true)` for one that finished,
+    /// `(partial, false)` for one aborted at `partial ≥ upper_bound`. `None`
+    /// when every point is live: no two masks then share a walk.
+    priced: Option<FxHashMap<u64, (f64, bool)>>,
+    /// Walks over the table's lifetime.
+    walks: u64,
     // Scratch of the plan being costed.
     mask: u64,
     /// Source of cost-vector ids and plan stamps; never reset, so a stale
@@ -374,6 +388,8 @@ impl<'a> CostTable<'a> {
             mat_rows[row].points |= 1 << i;
         }
         let root = |r| part.nodes.binary_search(r).expect("partition root is a partition node");
+        let live = entries.iter().fold(0, |m, e| m | e.invalid_if);
+        let every_point = assignment_mask(&vec![true; part.interesting.len()]);
         CostTable {
             part,
             model,
@@ -383,6 +399,9 @@ impl<'a> CostTable<'a> {
             entries,
             mat_rows,
             stat: static_parts(dag, part, compute, model),
+            live,
+            priced: (live != every_point).then(FxHashMap::default),
+            walks: 0,
             mask: 0,
             next_id: 0,
             seen: vec![0; n_part],
@@ -437,7 +456,40 @@ impl<'a> CostTable<'a> {
     /// Costs the partition under the assignment `mask`; aborts early
     /// returning `f64::INFINITY` once the running cost reaches `upper_bound`
     /// (partial costing, paper §4.4).
+    ///
+    /// A mask whose `mask & live` was walked before is answered without a
+    /// walk when that walk finished, or aborted at or above `upper_bound`
+    /// (the running cost only grows, so this walk would abort too).
     pub fn partition_cost(&mut self, mask: u64, upper_bound: f64) -> f64 {
+        let key = mask & self.live;
+        let known = self.priced.as_ref().and_then(|p| p.get(&key).copied());
+        let cost = match known {
+            Some((cost, complete)) if complete || cost >= upper_bound => cost,
+            _ => {
+                let walk = self.walk(key, upper_bound);
+                if let Some(p) = &mut self.priced {
+                    p.insert(key, walk);
+                }
+                walk.0
+            }
+        };
+        if cost >= upper_bound {
+            f64::INFINITY
+        } else {
+            cost
+        }
+    }
+
+    /// Plans walked over the table's lifetime: [`CostTable::partition_cost`]
+    /// calls less those answered without a walk.
+    pub fn walks(&self) -> u64 {
+        self.walks
+    }
+
+    /// Walks the roots under `mask`: `(total, true)`, or `(partial, false)`
+    /// once the running cost reaches `upper_bound` with roots left.
+    fn walk(&mut self, mask: u64, upper_bound: f64) -> (f64, bool) {
+        self.walks += 1;
         self.mask = mask;
         self.next_id += 1;
         self.stamp = self.next_id;
@@ -445,11 +497,11 @@ impl<'a> CostTable<'a> {
         let mut total = 0.0;
         for i in 0..self.roots.len() {
             total += self.r_cost(self.roots[i], None);
-            if total >= upper_bound {
-                return f64::INFINITY;
+            if total >= upper_bound && i + 1 < self.roots.len() {
+                return (total, false);
             }
         }
-        total
+        (total, true)
     }
 
     /// Opens a cost vector at the current nesting depth and returns its slot.

@@ -54,8 +54,16 @@ pub struct EnumResult {
     pub assignment: Vec<bool>,
     /// Cost of the best plan.
     pub cost: f64,
-    /// Number of plans actually costed.
+    /// Number of plans priced (what `EnumConfig::max_eval` caps).
     pub evaluated: u64,
+    /// Of those, the plans the costing table walked: the others share their
+    /// referenced points with a plan walked before (`CostTable::partition_cost`).
+    pub walked: u64,
+    /// Scan positions cost-based skip-ahead jumped over, never priced.
+    pub pruned_cost: u64,
+    /// Scan positions a cut-set jump passed over, less the combined plan it
+    /// prices; the sub-problem scans count their own plans.
+    pub pruned_structural: u64,
     /// Size of the full search space (2^|M′|).
     pub search_space: f64,
     /// True when the scan stopped at `EnumConfig::max_eval` with candidates
@@ -83,7 +91,9 @@ pub(crate) fn enumerate_table(table: &mut CostTable, dag: &HopDag, cfg: &EnumCon
     // Order: cut-set points first (structural pruning), then the rest.
     let (order, cutset) =
         if cfg.structural_prune { plan_order(dag, part) } else { ((0..n).collect(), None) };
-    let mut state = EnumState { table, cfg, evaluated: 0, capped: false };
+    let walks = table.walks();
+    let mut state =
+        EnumState { table, cfg, evaluated: 0, pruned_cost: 0, pruned_structural: 0, capped: false };
     // A search space the cap can cut short starts from the cheaper heuristic
     // plan, so a capped scan never returns worse than `Gen-FA` or `Gen-FNR`
     // and prunes against a tight bound from its first step.
@@ -93,6 +103,9 @@ pub(crate) fn enumerate_table(table: &mut CostTable, dag: &HopDag, cfg: &EnumCon
         assignment: (0..n).map(|i| i < 64 && best >> i & 1 == 1).collect(),
         cost,
         evaluated: state.evaluated,
+        walked: state.table.walks() - walks,
+        pruned_cost: state.pruned_cost,
+        pruned_structural: state.pruned_structural,
         search_space: 2f64.powi(n as i32),
         capped: state.capped,
     }
@@ -112,6 +125,8 @@ struct EnumState<'t, 'a> {
     table: &'t mut CostTable<'a>,
     cfg: &'t EnumConfig,
     evaluated: u64,
+    pruned_cost: u64,
+    pruned_structural: u64,
     capped: bool,
 }
 
@@ -193,14 +208,18 @@ impl EnumState<'_, '_> {
                     best_q = combined;
                 }
                 // Skip the whole subtree below the cut set.
-                j += 1u64 << (len - cs.len);
+                let subtree = 1u64 << (len - cs.len);
+                self.pruned_structural += subtree - 1;
+                j += subtree;
                 continue;
             }
 
             // Cost-based pruning (lines 11-15): skip every assignment that
             // shares the prefix up to the last materialized point.
             if self.cfg.cost_prune && j > 0 && self.table.lower_bound(q | fixed) >= best_c {
-                j += 1u64 << j.trailing_zeros();
+                let skip = 1u64 << j.trailing_zeros();
+                self.pruned_cost += skip;
+                j += skip;
                 continue;
             }
 

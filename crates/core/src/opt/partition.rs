@@ -147,8 +147,7 @@ fn build_partition(
     let mut interesting: Vec<InterestingPoint> = Vec::new();
     let mut ip_seen: FxHashSet<InterestingPoint> = FxHashSet::default();
     for &g in &nodes {
-        for (j, &input) in dag.hop(g).inputs.iter().enumerate() {
-            let _ = j;
+        for &input in &dag.hop(g).inputs {
             if !node_set.contains(&input) {
                 continue;
             }

@@ -35,6 +35,14 @@ pub struct SelectionResult {
     pub magg_groups: Vec<Vec<usize>>,
     /// Total plans costed across partitions.
     pub plans_evaluated: u64,
+    /// Of those, the plans the costing tables walked (`EnumResult::walked`).
+    pub plans_walked: u64,
+    /// Scan positions cost-based skip-ahead jumped over
+    /// (`EnumResult::pruned_cost`).
+    pub plans_pruned_cost: u64,
+    /// Scan positions cut-set jumps passed over, less the plans they cost
+    /// (`EnumResult::pruned_structural`).
+    pub plans_pruned_structural: u64,
     /// Total search-space size across partitions (2^|M'| summed).
     pub search_space: f64,
     /// Number of partitions.
@@ -73,6 +81,9 @@ pub fn select_plans(
             SelectionPolicy::CostBased(cfg) => {
                 let r = enumerate_table(&mut table, dag, &cfg);
                 result.plans_evaluated += r.evaluated;
+                result.plans_walked += r.walked;
+                result.plans_pruned_cost += r.pruned_cost;
+                result.plans_pruned_structural += r.pruned_structural;
                 result.search_space += r.search_space;
                 if r.capped {
                     result.partitions_capped += 1;

@@ -212,6 +212,11 @@ impl Optimizer {
         };
         let sel = select_plans(dag, &memo, policy, &self.model);
         self.stats.add_plans_evaluated(sel.plans_evaluated);
+        self.stats.plans_walked.fetch_add(sel.plans_walked, Ordering::Relaxed);
+        self.stats.plans_pruned_cost.fetch_add(sel.plans_pruned_cost, Ordering::Relaxed);
+        self.stats
+            .plans_pruned_structural
+            .fetch_add(sel.plans_pruned_structural, Ordering::Relaxed);
         self.stats.partitions.fetch_add(sel.partitions, Ordering::Relaxed);
         self.stats.interesting_points.fetch_add(sel.interesting_points, Ordering::Relaxed);
         self.stats.partitions_capped.fetch_add(sel.partitions_capped, Ordering::Relaxed);

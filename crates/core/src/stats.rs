@@ -16,9 +16,13 @@ pub struct CodegenStats {
     pub cache_hits: AtomicUsize,
     /// Plans costed by the enumeration algorithm (Figure 12's y-axis).
     pub plans_evaluated: AtomicU64,
-    /// Plans skipped by cost-based pruning.
+    /// Of those, the plans a costing table walked; the others were answered
+    /// from a walk of the same referenced points (`CostTable::partition_cost`).
+    pub plans_walked: AtomicU64,
+    /// Scan positions cost-based skip-ahead jumped over, never costed.
     pub plans_pruned_cost: AtomicU64,
-    /// Plans skipped by structural pruning (cut sets).
+    /// Scan positions cut-set jumps passed over (structural pruning), less
+    /// the combined plan each jump costs.
     pub plans_pruned_structural: AtomicU64,
     /// Total optimizer time (exploration + selection), nanoseconds.
     pub optimize_nanos: AtomicU64,
@@ -49,6 +53,7 @@ impl CodegenStats {
             operators_compiled: self.operators_compiled.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             plans_evaluated: self.plans_evaluated.load(Ordering::Relaxed),
+            plans_walked: self.plans_walked.load(Ordering::Relaxed),
             plans_pruned_cost: self.plans_pruned_cost.load(Ordering::Relaxed),
             plans_pruned_structural: self.plans_pruned_structural.load(Ordering::Relaxed),
             optimize_seconds: self.optimize_nanos.load(Ordering::Relaxed) as f64 / 1e9,
@@ -65,6 +70,7 @@ impl CodegenStats {
         self.operators_compiled.store(0, Ordering::Relaxed);
         self.cache_hits.store(0, Ordering::Relaxed);
         self.plans_evaluated.store(0, Ordering::Relaxed);
+        self.plans_walked.store(0, Ordering::Relaxed);
         self.plans_pruned_cost.store(0, Ordering::Relaxed);
         self.plans_pruned_structural.store(0, Ordering::Relaxed);
         self.optimize_nanos.store(0, Ordering::Relaxed);
@@ -83,6 +89,7 @@ pub struct StatsSnapshot {
     pub operators_compiled: usize,
     pub cache_hits: usize,
     pub plans_evaluated: u64,
+    pub plans_walked: u64,
     pub plans_pruned_cost: u64,
     pub plans_pruned_structural: u64,
     pub optimize_seconds: f64,

@@ -9,6 +9,9 @@
 //!   along fusion references; entries match HOP arities),
 //! * the costing table's assignment masks preserve the best-entry pick, the
 //!   lower bound and partial costing,
+//! * a table that answers a mask from an earlier walk of the same
+//!   referenced points returns the cost a fresh walk returns, and the scan
+//!   counts every position it prices or prunes,
 //! * an enumeration that runs into `max_eval` says so, and its plan never
 //!   costs more than fuse-all or fuse-no-redundancy,
 //! * a hop consumed outside the operator that fuses it is that operator's
@@ -18,10 +21,10 @@
 use fusedml_core::codegen::compile_spec;
 use fusedml_core::explore::explore;
 use fusedml_core::opt::{
-    cost, heuristics, mpskip_enum, partitions, select_plans, CostModel, EnumConfig, PlanPartition,
-    SelectionPolicy,
+    cost, heuristics, mpskip_enum, partitions, select_plans, CostModel, EnumConfig,
+    InterestingPoint, PlanPartition, SelectionPolicy,
 };
-use fusedml_core::{FusionMode, MemoEntry, Optimizer, TemplateType};
+use fusedml_core::{FusionMode, MemoEntry, MemoTable, Optimizer, TemplateType};
 use fusedml_hop::{DagBuilder, HopDag, HopId, OpKind};
 use fusedml_linalg::ops::UnaryOp;
 use proptest::prelude::*;
@@ -191,6 +194,94 @@ fn capped_autoencoder_computes_its_forward_product_once() {
     let plan = Optimizer::new(FusionMode::Gen).optimize(&dag);
     let covering = plan.operators.iter().filter(|f| f.cplan.covered.contains(&first_mm)).count();
     assert!(covering <= 1, "{covering} operators compute hop {first_mm}:\n{}", plan.explain());
+}
+
+/// The interesting points of `part` no memo entry of their consumer
+/// references: no assignment of them changes which entries a walk picks.
+fn unreferenced_points(memo: &MemoTable, part: &PlanPartition) -> Vec<usize> {
+    let referenced = |p: &InterestingPoint| {
+        memo.entries(p.consumer).iter().any(|e| e.refs().any(|r| r == p.target))
+    };
+    (0..part.interesting.len().min(64)).filter(|&i| !referenced(&part.interesting[i])).collect()
+}
+
+/// The partitions `select_plans` enumerates: over the memo with its useless
+/// Row plans pruned.
+fn selected_partitions(dag: &HopDag) -> (MemoTable, Vec<PlanPartition>) {
+    let mut memo = explore(dag);
+    memo.prune_useless_row_plans(dag);
+    let parts = partitions(dag, &memo);
+    (memo, parts)
+}
+
+/// Each autoencoder's big partition (14 points with three weights, 20 with
+/// four) has two points no entry references, both `t(z) → z` for a sigmoid
+/// output `z`: added because `z` has several consumers, though the
+/// transpose never fuses it.
+#[test]
+fn autoencoder_has_two_unreferenced_transpose_points() {
+    for (hidden, points) in [(2, 14), (3, 20)] {
+        let dag = autoencoder_dag(512, 100, 64, 2, hidden);
+        let (memo, parts) = selected_partitions(&dag);
+        let part = parts.iter().max_by_key(|p| p.interesting.len()).unwrap();
+        assert_eq!(part.interesting.len(), points);
+        let unreferenced = unreferenced_points(&memo, part);
+        assert_eq!(unreferenced.len(), 2, "{hidden} hidden layers: {:?}", part.interesting);
+        for i in unreferenced {
+            let p = part.interesting[i];
+            assert_eq!(dag.hop(p.consumer).kind, OpKind::Transpose, "point {i}: {p:?}");
+            let target = &dag.hop(p.target).kind;
+            assert_eq!(*target, OpKind::Unary { op: UnaryOp::Sigmoid }, "point {i}: {p:?}");
+        }
+    }
+}
+
+/// Plans priced vs walked on both autoencoders: the two unreferenced points
+/// of each big partition make four priced plans share one walk. Every count
+/// but `plans_walked` is what a walk per plan gives.
+#[test]
+fn autoencoder_walks_a_quarter_of_its_plans() {
+    for (hidden, priced, walked) in [(2, 13_506, 3_378), (3, 32_771, 8_196)] {
+        let opt = Optimizer::new(FusionMode::Gen);
+        opt.optimize(&autoencoder_dag(512, 100, 64, 2, hidden));
+        let s = opt.stats.snapshot();
+        assert_eq!((s.plans_evaluated, s.plans_walked), (priced, walked), "{hidden} hidden layers");
+    }
+}
+
+/// Pruned scan positions are counted: an unseeded, uncapped scan without
+/// cut sets prices or skips every one of its 2^|M′| positions, and the
+/// optimizer's statistics carry the counts.
+#[test]
+fn every_scan_position_is_priced_or_pruned() {
+    let dag = autoencoder_dag(512, 100, 64, 2, 2);
+    let mut opt = Optimizer::new(FusionMode::Gen);
+    opt.enum_cfg = EnumConfig { cost_prune: true, structural_prune: false, max_eval: u64::MAX };
+    opt.optimize(&dag);
+    let s = opt.stats.snapshot();
+    let space: u64 = selected_partitions(&dag).1.iter().map(|p| 1 << p.interesting.len()).sum();
+    assert!(s.plans_pruned_cost > 0, "nothing pruned: {s:?}");
+    assert_eq!(s.plans_evaluated + s.plans_pruned_cost, space, "{s:?}");
+    assert_eq!(s.plans_pruned_structural, 0);
+}
+
+/// A mask aborted at a tight bound and re-priced at a looser one is walked
+/// again: an aborted walk's running cost is a prefix, not the plan's cost.
+#[test]
+fn an_aborted_walk_is_not_a_cost() {
+    let dag = autoencoder_dag(512, 100, 64, 2, 2);
+    let (memo, parts) = selected_partitions(&dag);
+    let part = parts.iter().max_by_key(|p| p.interesting.len()).unwrap();
+    assert!(part.roots.len() > 1, "a walk can abort with roots left");
+    let (compute, model) = (cost::compute_costs(&dag), CostModel::default());
+    let mut shared = cost::CostTable::new(&dag, &memo, part, &compute, &model);
+    for mask in [0, 0b1011, 0b1_0110_0101] {
+        let full = cost::CostTable::new(&dag, &memo, part, &compute, &model)
+            .partition_cost(mask, f64::INFINITY);
+        assert_eq!(shared.partition_cost(mask, 0.0), f64::INFINITY);
+        assert_eq!(shared.partition_cost(mask, 0.5 * full), f64::INFINITY);
+        assert_eq!(shared.partition_cost(mask, f64::INFINITY).to_bits(), full.to_bits());
+    }
 }
 
 /// fusebench's serving scorer: `S = X W` is an output, and `rowMaxs(S)`
@@ -394,6 +485,66 @@ proptest! {
                         "partial costing at {}: {} (uncapped {})", upper, partial, cost
                     );
                 }
+            }
+        }
+    }
+
+    /// A scan without a seed, a cap or cut sets prices or skips each of its
+    /// 2^|M′| positions exactly once.
+    #[test]
+    fn scan_positions_are_priced_or_pruned(spec in dag_strategy()) {
+        let dag = build(&spec);
+        let (memo, parts) = selected_partitions(&dag);
+        let (compute, model) = (cost::compute_costs(&dag), CostModel::default());
+        let cfg = EnumConfig { cost_prune: true, structural_prune: false, max_eval: u64::MAX };
+        for part in parts.iter().filter(|p| p.interesting.len() <= 12) {
+            let r = mpskip_enum(&dag, &memo, part, &compute, &model, &cfg);
+            prop_assert_eq!(r.evaluated + r.pruned_cost, 1 << part.interesting.len());
+            prop_assert_eq!(r.pruned_structural, 0);
+            prop_assert!(r.walked <= r.evaluated);
+        }
+    }
+
+    /// The walk memo is exact: on random partitions and on autoencoders of
+    /// random widths, one table shared by every query and a fresh table per
+    /// query cost random masks, with and without each point no entry
+    /// references, bitwise alike, uncapped and at bounds around the cost.
+    #[test]
+    fn a_shared_table_costs_what_a_fresh_one_costs(
+        spec in dag_strategy(),
+        widths in (8usize..64, 2usize..24, 1usize..4, 2usize..4),
+        seed in 0u64..u64::MAX,
+    ) {
+        let (m, h1, h2, hidden) = widths;
+        for dag in [build(&spec), autoencoder_dag(64, m, h1, h2, hidden)] {
+            let (memo, parts) = selected_partitions(&dag);
+            let (compute, model) = (cost::compute_costs(&dag), CostModel::default());
+            for part in &parts {
+                let n = part.interesting.len().min(64) as u32;
+                let all = u64::MAX.checked_shr(64 - n).unwrap_or(0);
+                let unreferenced = unreferenced_points(&memo, part);
+                let mut shared = cost::CostTable::new(&dag, &memo, part, &compute, &model);
+                let mut state = seed;
+                for _ in 0..4 {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let drawn = state >> 7 & all;
+                    let flips = unreferenced.iter().flat_map(|&b| [drawn | 1 << b, drawn & !(1 << b)]);
+                    for mask in std::iter::once(drawn).chain(flips) {
+                        let fresh = |upper| {
+                            cost::CostTable::new(&dag, &memo, part, &compute, &model)
+                                .partition_cost(mask, upper)
+                        };
+                        let full = fresh(f64::INFINITY);
+                        for upper in [0.5 * full, full, f64::INFINITY, 0.5 * full, full * (1.0 + 1e-9)] {
+                            prop_assert_eq!(
+                                shared.partition_cost(mask, upper).to_bits(),
+                                fresh(upper).to_bits(),
+                                "assignment {:#b} at bound {} (uncapped {})", mask, upper, full
+                            );
+                        }
+                    }
+                }
+                prop_assert!(shared.walks() > 0);
             }
         }
     }
