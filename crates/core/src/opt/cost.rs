@@ -18,34 +18,19 @@ use crate::util::{FxHashMap, FxHashSet};
 use fusedml_hop::{HopDag, HopId, OpKind};
 use fusedml_linalg::ops::UnaryOp;
 
-/// Distributed-execution cost parameters (paper §4.4 "Constraints and
-/// Distributed Operations"; DESIGN.md substitution X2).
+/// Sharded-execution cost parameters (paper §4.4 "Constraints and
+/// Distributed Operations"; DESIGN.md substitutions X2 and X11): the one
+/// cluster configuration, [`DistConfig::in_process`], read by
+/// [`CostModel::shard_op_seconds`].
 #[derive(Clone, Copy, Debug)]
 pub struct DistConfig {
     /// Number of executors.
     pub executors: usize,
     /// Aggregate executor scan bandwidth (bytes/s).
     pub exec_read_bw: f64,
-    /// Point-to-point network bandwidth for broadcasts (bytes/s).
+    /// Point-to-point transfer bandwidth for broadcasts and partials
+    /// (bytes/s).
     pub net_bw: f64,
-    /// Single-node memory budget: operators whose largest input exceeds
-    /// this execute distributed.
-    pub local_budget: f64,
-    /// Block size constraint: distributed Row templates require
-    /// `ncol(X) <= block_cols` (access to entire rows).
-    pub block_cols: usize,
-}
-
-impl Default for DistConfig {
-    fn default() -> Self {
-        DistConfig {
-            executors: 6,
-            exec_read_bw: 6.0 * 32e9,
-            net_bw: 1.25e9, // 10 Gb Ethernet
-            local_budget: fusedml_hop::memory::DEFAULT_LOCAL_BUDGET,
-            block_cols: 1000,
-        }
-    }
 }
 
 /// Bandwidth constants of the cost model. Defaults follow the paper's
@@ -69,8 +54,6 @@ pub struct CostModel {
     /// dispatch once per row (per-row scalar prologue + per-row body
     /// dispatch), not per cell.
     pub row_dispatch_flops: f64,
-    /// Distributed configuration (None = single-node only).
-    pub dist: Option<DistConfig>,
 }
 
 /// Default per-cell dispatch overhead of the block backend (FLOP-equivalents
@@ -89,7 +72,6 @@ impl Default for CostModel {
             compute_bw: 4e9,
             fused_dispatch_flops: DEFAULT_FUSED_DISPATCH_FLOPS,
             row_dispatch_flops: DEFAULT_ROW_DISPATCH_FLOPS,
-            dist: None,
         }
     }
 }
@@ -101,11 +83,6 @@ impl Default for CostModel {
 pub const SHARD_DISPATCH_S: f64 = 40e-6;
 
 impl CostModel {
-    /// A model with the distributed backend enabled.
-    pub fn with_distributed(dist: DistConfig) -> Self {
-        CostModel { dist: Some(dist), ..CostModel::default() }
-    }
-
     /// Estimated wall time of one operator executed locally (paper Eq. 4:
     /// write + max(read, compute), all single-node bandwidths).
     pub fn local_op_seconds(&self, in_bytes: f64, out_bytes: f64, flops: f64) -> f64 {
@@ -150,13 +127,7 @@ impl DistConfig {
     /// column, so modeled and measured execution share one estimator.
     pub fn in_process(shards: usize) -> Self {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        DistConfig {
-            executors: shards.clamp(1, cores),
-            exec_read_bw: 32e9,
-            net_bw: 8e9,
-            local_budget: fusedml_hop::memory::DEFAULT_LOCAL_BUDGET,
-            block_cols: usize::MAX,
-        }
+        DistConfig { executors: shards.clamp(1, cores), exec_read_bw: 32e9, net_bw: 8e9 }
     }
 }
 
@@ -636,42 +607,11 @@ impl<'a> CostTable<'a> {
         self.io_cost(node.bytes, inputs.iter().map(|&i| self.nodes[i as usize].bytes), t_c)
     }
 
-    /// `T̂w + max(T̂r, T̂c)` with local/distributed bandwidth selection.
+    /// `T̂w + max(T̂r, T̂c)` at the single-node bandwidths.
     fn io_cost(&self, out_bytes: f64, inputs: impl Iterator<Item = f64>, t_c: f64) -> f64 {
-        // One pass: the local read volume, the largest input, and the read
-        // time were the operator distributed (large inputs scan at aggregate
-        // bandwidth; small inputs are broadcast to every executor).
-        let dist = self.model.dist;
-        let (mut sum_in, mut max_in, mut dist_r) = (0.0, 0.0f64, 0.0);
-        for b in inputs {
-            sum_in += b;
-            max_in = max_in.max(b);
-            if let Some(d) = dist {
-                dist_r += if b > d.local_budget {
-                    b / d.exec_read_bw
-                } else {
-                    b * d.executors as f64 / d.net_bw
-                };
-            }
-        }
-        match dist {
-            Some(d) if max_in > d.local_budget => {
-                let t_w = if out_bytes > d.local_budget {
-                    out_bytes / (d.exec_read_bw / 2.0)
-                } else {
-                    // Collect to the driver.
-                    out_bytes * d.executors as f64 / d.net_bw / d.executors as f64
-                        + out_bytes / self.model.write_bw
-                };
-                let t_c_dist = t_c / d.executors as f64;
-                t_w + dist_r.max(t_c_dist)
-            }
-            _ => {
-                let t_r = sum_in / self.model.read_bw;
-                let t_w = out_bytes / self.model.write_bw;
-                t_w + t_r.max(t_c)
-            }
-        }
+        let t_r = inputs.fold(0.0, |sum, b| sum + b) / self.model.read_bw;
+        let t_w = out_bytes / self.model.write_bw;
+        t_w + t_r.max(t_c)
     }
 }
 
@@ -911,32 +851,6 @@ mod tests {
         let c_heavy = PlanCoster::new(&dag, &memo, part, &compute, &heavy, &fuse_all)
             .partition_cost(f64::INFINITY);
         assert!(c_heavy > c_cheap, "per-row dispatch overhead must be visible");
-    }
-
-    /// Distributed operators charge broadcast costs for small side inputs.
-    #[test]
-    fn distributed_broadcast_costs_vectors() {
-        let mut b = DagBuilder::new();
-        let x = b.read("X", 50_000_000, 100, 1.0); // 40 GB — distributed
-        let v = b.read("v", 50_000_000, 1, 1.0); // 400 MB vector
-        let m = b.mult(x, v);
-        let s = b.sum(m);
-        let dag = b.build(vec![s]);
-        let memo = explore(&dag);
-        let parts = partitions(&dag, &memo);
-        let part = parts.iter().max_by_key(|p| p.nodes.len()).unwrap();
-        let compute = compute_costs(&dag);
-        let fuse_all = FxHashSet::default();
-        let local_model = CostModel::default();
-        let dist_model = CostModel::with_distributed(DistConfig::default());
-        let c_local = PlanCoster::new(&dag, &memo, part, &compute, &local_model, &fuse_all)
-            .partition_cost(f64::INFINITY);
-        let c_dist = PlanCoster::new(&dag, &memo, part, &compute, &dist_model, &fuse_all)
-            .partition_cost(f64::INFINITY);
-        // The broadcast of the 400 MB vector to 6 executors over 1.25 GB/s
-        // must be visible in the distributed cost.
-        assert!(c_dist != c_local);
-        assert!(c_dist > 0.4e9 * 6.0 / 1.25e9 * 0.5, "broadcast term present: {c_dist}");
     }
 
     #[test]

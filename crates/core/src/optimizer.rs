@@ -6,9 +6,8 @@ use crate::cplan::{self, CPlan};
 use crate::explore::explore;
 use crate::opt::{select_plans, CostModel, EnumConfig, SelectionPolicy};
 use crate::plancache::PlanCache;
-use crate::stats::CodegenStats;
+use crate::stats::{CodegenStats, StatsSnapshot};
 use fusedml_hop::{HopDag, HopId};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -198,7 +197,7 @@ impl Optimizer {
             return (plan, None);
         }
         let t0 = Instant::now();
-        self.stats.dags_optimized.fetch_add(1, Ordering::Relaxed);
+        let mut run = StatsSnapshot { dags_optimized: 1, ..StatsSnapshot::default() };
 
         // Phase 1: candidate exploration.
         let memo = explore(dag);
@@ -211,21 +210,19 @@ impl Optimizer {
             _ => unreachable!(),
         };
         let sel = select_plans(dag, &memo, policy, &self.model);
-        self.stats.add_plans_evaluated(sel.plans_evaluated);
-        self.stats.plans_walked.fetch_add(sel.plans_walked, Ordering::Relaxed);
-        self.stats.plans_pruned_cost.fetch_add(sel.plans_pruned_cost, Ordering::Relaxed);
-        self.stats
-            .plans_pruned_structural
-            .fetch_add(sel.plans_pruned_structural, Ordering::Relaxed);
-        self.stats.partitions.fetch_add(sel.partitions, Ordering::Relaxed);
-        self.stats.interesting_points.fetch_add(sel.interesting_points, Ordering::Relaxed);
-        self.stats.partitions_capped.fetch_add(sel.partitions_capped, Ordering::Relaxed);
+        run.plans_evaluated = sel.plans_evaluated;
+        run.plans_walked = sel.plans_walked;
+        run.plans_pruned_cost = sel.plans_pruned_cost;
+        run.plans_pruned_structural = sel.plans_pruned_structural;
+        run.partitions = sel.partitions;
+        run.interesting_points = sel.interesting_points;
+        run.partitions_capped = sel.partitions_capped;
         let cap = (sel.partitions_capped > 0).then_some(EnumCap {
             max_eval: self.enum_cfg.max_eval,
             points: sel.capped_points,
             partitions: sel.partitions_capped,
         });
-        self.stats.optimize_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        run.optimize_seconds = t0.elapsed().as_secs_f64();
 
         // Phases 3-4: CPlan construction + code generation (plan cache).
         let t1 = Instant::now();
@@ -239,8 +236,8 @@ impl Optimizer {
             }
             match cplan::construct(dag, op_plan) {
                 Ok(cp) => {
-                    self.stats.cplans_constructed.fetch_add(1, Ordering::Relaxed);
-                    self.push_operator(&mut plan, vec![op_plan.root], cp);
+                    run.cplans_constructed += 1;
+                    self.push_operator(&mut plan, &mut run, vec![op_plan.root], cp);
                 }
                 Err(_) => { /* fall back to unfused execution of this subDAG */ }
             }
@@ -250,34 +247,41 @@ impl Optimizer {
             let mut roots: Vec<HopId> = Vec::new();
             for &i in group {
                 if let Ok(cp) = cplan::construct(dag, &sel.operators[i]) {
-                    self.stats.cplans_constructed.fetch_add(1, Ordering::Relaxed);
+                    run.cplans_constructed += 1;
                     members.push(cp);
                     roots.push(sel.operators[i].root);
                 }
             }
             match cplan::construct_multi_agg(&members) {
                 Ok(magg) => {
-                    self.stats.cplans_constructed.fetch_add(1, Ordering::Relaxed);
-                    self.push_operator(&mut plan, roots, magg);
+                    run.cplans_constructed += 1;
+                    self.push_operator(&mut plan, &mut run, roots, magg);
                 }
                 Err(_) => {
                     // Fall back to individual Cell operators.
                     for (cp, root) in members.into_iter().zip(roots) {
-                        self.push_operator(&mut plan, vec![root], cp);
+                        self.push_operator(&mut plan, &mut run, vec![root], cp);
                     }
                 }
             }
         }
-        self.stats.codegen_nanos.fetch_add(t1.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        run.codegen_seconds = t1.elapsed().as_secs_f64();
+        self.stats.absorb(&run);
         (plan, cap)
     }
 
-    fn push_operator(&self, plan: &mut FusionPlan, roots: Vec<HopId>, cp: CPlan) {
+    fn push_operator(
+        &self,
+        plan: &mut FusionPlan,
+        run: &mut StatsSnapshot,
+        roots: Vec<HopId>,
+        cp: CPlan,
+    ) {
         let (h0, m0) = self.plan_cache.stats();
         let op = self.plan_cache.get_or_compile(&cp);
         let (h1, m1) = self.plan_cache.stats();
-        self.stats.cache_hits.fetch_add(h1 - h0, Ordering::Relaxed);
-        self.stats.operators_compiled.fetch_add(m1 - m0, Ordering::Relaxed);
+        run.cache_hits += h1 - h0;
+        run.operators_compiled += m1 - m0;
         plan.operators.push(FusedOperator { roots, cplan: cp, op });
     }
 }

@@ -27,16 +27,44 @@ use std::time::Instant;
 /// Default bound on distinct compiled operators retained per plan cache.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 1024;
 
-/// A concurrent, capacity-bounded plan cache for generated operators
-/// (LRU eviction via [`LruMap`]: hits touch entries, so hot operators
-/// survive churn of cold ones).
+/// A capacity-bounded map and the hit / miss counts of its lookups, kept
+/// under one lock (LRU eviction via [`LruMap`]: hits touch entries, so hot
+/// entries survive churn of cold ones).
+struct Lookups<V> {
+    map: LruMap<Arc<V>>,
+    hits: usize,
+    misses: usize,
+}
+
+impl<V> Lookups<V> {
+    fn new(capacity: usize) -> Self {
+        Lookups { map: LruMap::new(capacity), hits: 0, misses: 0 }
+    }
+
+    /// The entry under `key`, counted as a hit, or `None`, counted as a miss.
+    fn get(&mut self, key: u64) -> Option<Arc<V>> {
+        let found = self.map.get(key).cloned();
+        if found.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        found
+    }
+
+    fn clear(&mut self) {
+        self.map.clear();
+        self.hits = 0;
+        self.misses = 0;
+    }
+}
+
+/// A concurrent, capacity-bounded plan cache for generated operators.
 pub struct PlanCache {
-    state: Mutex<LruMap<Arc<GeneratedOperator>>>,
+    state: Mutex<Lookups<GeneratedOperator>>,
     /// The kernel caches warmed on compilation (shared with the runtime
     /// skeletons of the owning engine).
     kernels: Arc<KernelCaches>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
     /// Cumulative compile time (nanoseconds) spent on cache misses.
     compile_nanos: AtomicU64,
     /// Monotonic operator name counter (TMP0, TMP1, …).
@@ -61,17 +89,13 @@ impl PlanCache {
     /// A plan cache warming the given (engine-owned) kernel caches, retaining
     /// at most `capacity` compiled operators.
     pub fn with_kernels(kernels: Arc<KernelCaches>, capacity: usize) -> Self {
-        let pc = PlanCache {
-            state: Mutex::new(LruMap::new(capacity)),
+        PlanCache {
+            state: Mutex::new(Lookups::new(capacity)),
             kernels,
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
             compile_nanos: AtomicU64::new(0),
             name_counter: AtomicUsize::new(0),
             enabled: std::sync::atomic::AtomicBool::new(true),
-        };
-        pc.enabled.store(true, Ordering::Relaxed);
-        pc
+        }
     }
 
     /// The kernel caches this plan cache warms.
@@ -87,13 +111,18 @@ impl PlanCache {
     /// Looks up or compiles the operator for a CPlan.
     pub fn get_or_compile(&self, cplan: &CPlan) -> Arc<GeneratedOperator> {
         let key = cplan.structural_hash();
-        if self.enabled.load(Ordering::Relaxed) {
-            if let Some(op) = self.state.lock().get(key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(op);
+        let found = {
+            let mut st = self.state.lock();
+            if self.enabled.load(Ordering::Relaxed) {
+                st.get(key)
+            } else {
+                st.misses += 1;
+                None
             }
+        };
+        if let Some(op) = found {
+            return op;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let n = self.name_counter.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
         let op = Arc::new(generate(cplan, &format!("TMP{n}"), &CodegenOptions::default()));
@@ -120,13 +149,14 @@ impl PlanCache {
             }
         }
         self.compile_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.state.lock().insert(key, Arc::clone(&op));
+        self.state.lock().map.insert(key, Arc::clone(&op));
         op
     }
 
     /// (hits, misses).
     pub fn stats(&self) -> (usize, usize) {
-        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
+        let st = self.state.lock();
+        (st.hits, st.misses)
     }
 
     /// Cumulative compile time in seconds.
@@ -136,7 +166,7 @@ impl PlanCache {
 
     /// Number of distinct compiled operators.
     pub fn len(&self) -> usize {
-        self.state.lock().len()
+        self.state.lock().map.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -146,8 +176,6 @@ impl PlanCache {
     /// Clears contents and statistics.
     pub fn clear(&self) {
         self.state.lock().clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
         self.compile_nanos.store(0, Ordering::Relaxed);
     }
 }
@@ -166,9 +194,7 @@ pub const DEFAULT_KERNEL_CACHE_CAPACITY: usize = 1024;
 /// LRU, like [`PlanCache`]; in-flight `Arc`s keep evicted kernels alive
 /// until their executions finish.
 pub struct KernelCache<V> {
-    state: Mutex<LruMap<Arc<V>>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
+    state: Mutex<Lookups<V>>,
 }
 
 impl<V> Default for KernelCache<V> {
@@ -180,32 +206,27 @@ impl<V> Default for KernelCache<V> {
 impl<V> KernelCache<V> {
     /// A cache retaining at most `capacity` lowered kernels.
     pub fn with_capacity(capacity: usize) -> Self {
-        KernelCache {
-            state: Mutex::new(LruMap::new(capacity)),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-        }
+        KernelCache { state: Mutex::new(Lookups::new(capacity)) }
     }
 
     fn get_or_insert_with(&self, key: u64, lower: impl FnOnce() -> V) -> Arc<V> {
         if let Some(k) = self.state.lock().get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(k);
+            return k;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let k = Arc::new(lower());
-        self.state.lock().insert(key, Arc::clone(&k));
+        self.state.lock().map.insert(key, Arc::clone(&k));
         k
     }
 
     /// (hits, misses).
     pub fn stats(&self) -> (usize, usize) {
-        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
+        let st = self.state.lock();
+        (st.hits, st.misses)
     }
 
     /// Number of distinct lowered kernels.
     pub fn len(&self) -> usize {
-        self.state.lock().len()
+        self.state.lock().map.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -215,8 +236,6 @@ impl<V> KernelCache<V> {
     /// Clears contents and statistics.
     pub fn clear(&self) {
         self.state.lock().clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
     }
 }
 

@@ -99,8 +99,8 @@ impl Matrix {
         }
     }
 
-    /// Materializes a dense copy (an owned dense payload is copied too; see
-    /// [`Matrix::dense_view`] to borrow it).
+    /// Materializes a dense copy (an owned dense payload is copied too; the
+    /// crate's kernels borrow it through `dense_view` instead).
     pub fn to_dense(&self) -> DenseMatrix {
         match self {
             Matrix::Dense(m) => (**m).clone(),

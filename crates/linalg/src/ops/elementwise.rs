@@ -1,6 +1,6 @@
 //! Element-wise binary operations with matrix/vector/scalar broadcasting.
 //!
-//! Dense rows run the monomorphized [`bin_loop`] / [`bin_loop_assign`]
+//! Dense rows run the monomorphized `bin_loop` / `bin_loop_assign`
 //! (one loop per operator, the dispatch hoisted out), dense operands are
 //! read in place and outputs are pool buffers written exactly once.
 

@@ -122,6 +122,23 @@ impl<T> Shelves<T> {
     }
 }
 
+/// The element types a pool shelves, each on shelves of its own.
+trait Pooled: Sized {
+    fn shelves(st: &mut PoolState) -> &mut Shelves<Self>;
+}
+
+impl Pooled for f64 {
+    fn shelves(st: &mut PoolState) -> &mut Shelves<f64> {
+        &mut st.values
+    }
+}
+
+impl Pooled for usize {
+    fn shelves(st: &mut PoolState) -> &mut Shelves<usize> {
+        &mut st.indices
+    }
+}
+
 #[derive(Default)]
 struct PoolState {
     /// Dense `f64` value buffers.
@@ -129,19 +146,11 @@ struct PoolState {
     /// CSR `usize` index buffers (column indices / row pointers).
     indices: Shelves<usize>,
     epoch: u64,
-    retained_bytes: usize,
+    /// Updated under the same lock as the shelves.
+    stats: PoolStats,
 }
 
-/// Counters describing pool behaviour (monotonic; see [`PoolStats`]).
-#[derive(Debug, Default)]
-struct PoolCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    returns: AtomicU64,
-    drops: AtomicU64,
-}
-
-/// A point-in-time snapshot of the pool counters.
+/// The pool's counters (monotonic, but for the retained bytes).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Requests served from a retired buffer.
@@ -157,6 +166,29 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
+    /// Counts one pooled request: a hit that took a shelved buffer of
+    /// `Some(bytes)`, or a miss.
+    fn count_take(&mut self, taken: Option<usize>) {
+        match taken {
+            Some(bytes) => {
+                self.hits += 1;
+                self.retained_bytes -= bytes;
+            }
+            None => self.misses += 1,
+        }
+    }
+
+    /// Counts one returned buffer: shelved with `Some(bytes)`, or dropped.
+    fn count_give(&mut self, shelved: Option<usize>) {
+        match shelved {
+            Some(bytes) => {
+                self.returns += 1;
+                self.retained_bytes += bytes;
+            }
+            None => self.drops += 1,
+        }
+    }
+
     /// Fraction of requests served from the pool, in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -172,8 +204,8 @@ impl PoolStats {
 /// `execute` call (see [`enter_tallied`]), and every pooled request made
 /// inside that scope — including from kernel band threads, which re-enter
 /// the caller's scope via [`crate::par`] — counts here as well as in the
-/// engine-wide pool counters. This is what makes per-call `SchedSnapshot`
-/// deltas exact under concurrent executions on one engine.
+/// pool's own [`PoolStats`]. This is what makes per-call `SchedSnapshot`
+/// pool counts exact under concurrent executions on one engine.
 #[derive(Debug, Default)]
 pub struct PoolTally {
     hits: AtomicU64,
@@ -190,6 +222,13 @@ impl PoolTally {
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
+
+    fn count(tally: Option<&PoolTally>, hit: bool) {
+        if let Some(t) = tally {
+            let c = if hit { &t.hits } else { &t.misses };
+            c.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// What [`BufferPool::take_unzeroed`] hands out: the buffer as it is in
@@ -201,19 +240,10 @@ fn poisoned(mut buf: Vec<f64>) -> Vec<f64> {
     buf
 }
 
-fn bump(counter: &AtomicU64, tally: Option<&PoolTally>, hit: bool) {
-    counter.fetch_add(1, Ordering::Relaxed);
-    if let Some(t) = tally {
-        let c = if hit { &t.hits } else { &t.misses };
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// A size-class keyed, epoch-bounded pool of dense `f64` value buffers and
 /// CSR `usize` index buffers.
 pub struct BufferPool {
     state: Mutex<PoolState>,
-    counters: PoolCounters,
     /// Maximum total bytes retained (beyond this, returns drop).
     max_bytes: usize,
     /// Maximum retained buffers per size class.
@@ -241,7 +271,6 @@ impl BufferPool {
     pub fn with_limits(max_bytes: usize, max_per_class: usize) -> Self {
         BufferPool {
             state: Mutex::new(PoolState::default()),
-            counters: PoolCounters::default(),
             max_bytes,
             max_per_class: max_per_class.max(1),
         }
@@ -273,7 +302,7 @@ impl BufferPool {
     }
 
     fn take_zeroed_tallied(&self, len: usize, tally: Option<&PoolTally>) -> Vec<f64> {
-        match self.pop_values(len, tally) {
+        match self.pop(len, tally) {
             Some(mut buf) => {
                 buf.clear();
                 buf.resize(len, 0.0);
@@ -283,22 +312,19 @@ impl BufferPool {
         }
     }
 
-    /// A shelved value buffer with capacity ≥ `len`, counted as a hit, or
-    /// `None` (counted as a miss unless `len` is too small to pool).
-    fn pop_values(&self, len: usize, tally: Option<&PoolTally>) -> Option<Vec<f64>> {
+    /// A shelved buffer with capacity ≥ `len`, counted as a hit, or `None`
+    /// (counted as a miss unless `len` is too small to pool).
+    fn pop<T: Pooled>(&self, len: usize, tally: Option<&PoolTally>) -> Option<Vec<T>> {
         if len < MIN_POOL_LEN {
             return None;
         }
         let popped = {
             let mut st = self.state.lock();
-            let popped = st.values.pop(len);
-            if let Some(b) = &popped {
-                st.retained_bytes -= b.capacity() * 8;
-            }
+            let popped = T::shelves(&mut st).pop(len);
+            st.stats.count_take(popped.as_ref().map(|b| b.capacity() * size_of::<T>()));
             popped
         };
-        let hit = popped.is_some();
-        bump(if hit { &self.counters.hits } else { &self.counters.misses }, tally, hit);
+        PoolTally::count(tally, popped.is_some());
         popped
     }
 
@@ -313,7 +339,7 @@ impl BufferPool {
     }
 
     fn take_unzeroed_tallied(&self, len: usize, tally: Option<&PoolTally>) -> Vec<f64> {
-        let buf = match self.pop_values(len, tally) {
+        let buf = match self.pop(len, tally) {
             Some(mut buf) => {
                 // Only the elements past the buffer's old length are written:
                 // the spare capacity of a shelved buffer need not hold
@@ -343,34 +369,30 @@ impl BufferPool {
     /// Returns a value buffer to the pool. Tiny buffers, overfull classes,
     /// and anything beyond the retention cap are dropped instead.
     pub fn give(&self, buf: Vec<f64>) {
+        self.shelve(buf);
+    }
+
+    fn shelve<T: Pooled>(&self, buf: Vec<T>) {
         if buf.capacity() < MIN_POOL_LEN {
             return;
         }
-        let bytes = buf.capacity() * 8;
+        let bytes = buf.capacity() * size_of::<T>();
         let mut st = self.state.lock();
-        if st.retained_bytes + bytes > self.max_bytes {
-            self.counters.drops.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
+        let fits = st.stats.retained_bytes + bytes <= self.max_bytes;
         let epoch = st.epoch;
-        let max_per_class = self.max_per_class;
-        if st.values.push(buf, epoch, max_per_class) {
-            st.retained_bytes += bytes;
-            self.counters.returns.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.counters.drops.fetch_add(1, Ordering::Relaxed);
-        }
+        let shelved = fits && T::shelves(&mut st).push(buf, epoch, self.max_per_class);
+        st.stats.count_give(shelved.then_some(bytes));
     }
 
     /// Takes an *empty* `f64` buffer with capacity ≥ `cap` for push-based
     /// construction (CSR values). The `f64` twin of
     /// [`BufferPool::take_indices`].
     pub fn take_values(&self, cap: usize) -> Vec<f64> {
-        self.take_values_tallied(cap, None)
+        self.take_empty(cap, None)
     }
 
-    fn take_values_tallied(&self, cap: usize, tally: Option<&PoolTally>) -> Vec<f64> {
-        match self.pop_values(cap, tally) {
+    fn take_empty<T: Pooled>(&self, cap: usize, tally: Option<&PoolTally>) -> Vec<T> {
+        match self.pop(cap, tally) {
             Some(mut buf) => {
                 buf.clear();
                 buf
@@ -384,54 +406,13 @@ impl BufferPool {
     /// it; return it with [`BufferPool::give_indices`] when the sparse value
     /// dies.
     pub fn take_indices(&self, cap: usize) -> Vec<usize> {
-        self.take_indices_tallied(cap, None)
-    }
-
-    fn take_indices_tallied(&self, cap: usize, tally: Option<&PoolTally>) -> Vec<usize> {
-        if cap < MIN_POOL_LEN {
-            return Vec::with_capacity(cap);
-        }
-        let reused = {
-            let mut st = self.state.lock();
-            let popped = st.indices.pop(cap);
-            if let Some(b) = &popped {
-                st.retained_bytes -= b.capacity() * std::mem::size_of::<usize>();
-            }
-            popped
-        };
-        match reused {
-            Some(mut buf) => {
-                bump(&self.counters.hits, tally, true);
-                buf.clear();
-                buf
-            }
-            None => {
-                bump(&self.counters.misses, tally, false);
-                Vec::with_capacity(cap)
-            }
-        }
+        self.take_empty(cap, None)
     }
 
     /// Returns an index buffer to the pool (the `usize` twin of
     /// [`BufferPool::give`]).
     pub fn give_indices(&self, buf: Vec<usize>) {
-        if buf.capacity() < MIN_POOL_LEN {
-            return;
-        }
-        let bytes = buf.capacity() * std::mem::size_of::<usize>();
-        let mut st = self.state.lock();
-        if st.retained_bytes + bytes > self.max_bytes {
-            self.counters.drops.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let epoch = st.epoch;
-        let max_per_class = self.max_per_class;
-        if st.indices.push(buf, epoch, max_per_class) {
-            st.retained_bytes += bytes;
-            self.counters.returns.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.counters.drops.fetch_add(1, Ordering::Relaxed);
-        }
+        self.shelve(buf);
     }
 
     /// Advances the pool epoch and releases buffers unused for more than
@@ -442,7 +423,7 @@ impl BufferPool {
         let cutoff = st.epoch.saturating_sub(Self::MAX_AGE);
         let freed = st.values.retire_older_than(cutoff) * 8
             + st.indices.retire_older_than(cutoff) * std::mem::size_of::<usize>();
-        st.retained_bytes -= freed;
+        st.stats.retained_bytes -= freed;
     }
 
     /// Releases every shelved buffer.
@@ -450,19 +431,12 @@ impl BufferPool {
         let mut st = self.state.lock();
         st.values.classes.clear();
         st.indices.classes.clear();
-        st.retained_bytes = 0;
+        st.stats.retained_bytes = 0;
     }
 
     /// Snapshot of the pool counters and retained bytes.
     pub fn stats(&self) -> PoolStats {
-        let retained = self.state.lock().retained_bytes;
-        PoolStats {
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            returns: self.counters.returns.load(Ordering::Relaxed),
-            drops: self.counters.drops.load(Ordering::Relaxed),
-            retained_bytes: retained,
-        }
+        self.state.lock().stats
     }
 }
 
@@ -568,7 +542,7 @@ pub fn give(buf: Vec<f64>) {
 /// scope's pool.
 pub fn take_values(cap: usize) -> Vec<f64> {
     match current_scope() {
-        Some(s) => s.pool.take_values_tallied(cap, s.tally.as_deref()),
+        Some(s) => s.pool.take_empty(cap, s.tally.as_deref()),
         None => Vec::with_capacity(cap),
     }
 }
@@ -577,7 +551,7 @@ pub fn take_values(cap: usize) -> Vec<f64> {
 /// current scope's pool.
 pub fn take_indices(cap: usize) -> Vec<usize> {
     match current_scope() {
-        Some(s) => s.pool.take_indices_tallied(cap, s.tally.as_deref()),
+        Some(s) => s.pool.take_empty(cap, s.tally.as_deref()),
         None => Vec::with_capacity(cap),
     }
 }

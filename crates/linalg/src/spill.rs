@@ -96,14 +96,15 @@ pub struct SpillStats {
     pub orphans_swept: u64,
 }
 
-#[derive(Debug, Default)]
-struct SpillCounters {
-    spill_events: AtomicU64,
-    reload_events: AtomicU64,
-    bytes_spilled: AtomicU64,
-    bytes_reloaded: AtomicU64,
-    discard_events: AtomicU64,
-    orphans_swept: AtomicU64,
+/// The spill files a store owns and its counters, under one lock.
+#[derive(Default)]
+struct Registry {
+    /// Sequence numbers of files owned by an outstanding [`SpillToken`].
+    /// A file in the spill dir whose sequence is *not* here is an orphan
+    /// (its run failed before discarding it) and is fair game for
+    /// [`TieredStore::sweep_orphans`].
+    live: HashSet<u64>,
+    stats: SpillStats,
 }
 
 /// Process-global sequence so two engines (or two test runs in one process)
@@ -121,12 +122,7 @@ pub struct TieredStore {
     parent: PathBuf,
     dir: Mutex<Option<PathBuf>>,
     file_seq: AtomicU64,
-    counters: SpillCounters,
-    /// Sequence numbers of files owned by an outstanding [`SpillToken`].
-    /// A file in the spill dir whose sequence is *not* here is an orphan
-    /// (its run failed before discarding it) and is fair game for
-    /// [`TieredStore::sweep_orphans`].
-    live: Mutex<HashSet<u64>>,
+    registry: Mutex<Registry>,
     /// Optional chaos harness: injects `io::Error`s at the
     /// [`FaultSite::SpillWrite`]/[`FaultSite::SpillRead`] sites.
     faults: Option<Arc<FaultPlan>>,
@@ -142,8 +138,7 @@ impl TieredStore {
             parent: dir.unwrap_or_else(std::env::temp_dir),
             dir: Mutex::new(None),
             file_seq: AtomicU64::new(0),
-            counters: SpillCounters::default(),
-            live: Mutex::new(HashSet::new()),
+            registry: Mutex::new(Registry::default()),
             faults: None,
         }
     }
@@ -182,14 +177,7 @@ impl TieredStore {
 
     /// Snapshot of the spill counters.
     pub fn stats(&self) -> SpillStats {
-        SpillStats {
-            spill_events: self.counters.spill_events.load(Ordering::Relaxed),
-            reload_events: self.counters.reload_events.load(Ordering::Relaxed),
-            bytes_spilled: self.counters.bytes_spilled.load(Ordering::Relaxed),
-            bytes_reloaded: self.counters.bytes_reloaded.load(Ordering::Relaxed),
-            discard_events: self.counters.discard_events.load(Ordering::Relaxed),
-            orphans_swept: self.counters.orphans_swept.load(Ordering::Relaxed),
-        }
+        self.registry.lock().stats
     }
 
     fn ensure_dir(&self) -> io::Result<PathBuf> {
@@ -224,17 +212,18 @@ impl TieredStore {
         let path = dir.join(format!("slot-{seq}.bin"));
         // Register before creating the file so a concurrent orphan sweep
         // never deletes a file that is still being written.
-        self.live.lock().insert(seq);
+        self.registry.lock().live.insert(seq);
         let file_bytes = match write_matrix(&path, m) {
             Ok(n) => n,
             Err(e) => {
-                self.live.lock().remove(&seq);
+                self.registry.lock().live.remove(&seq);
                 let _ = fs::remove_file(&path);
                 return Err(e);
             }
         };
-        self.counters.spill_events.fetch_add(1, Ordering::Relaxed);
-        self.counters.bytes_spilled.fetch_add(file_bytes as u64, Ordering::Relaxed);
+        let mut reg = self.registry.lock();
+        reg.stats.spill_events += 1;
+        reg.stats.bytes_spilled += file_bytes as u64;
         Ok(SpillToken { path, seq, mem_bytes: m.size_in_bytes(), file_bytes })
     }
 
@@ -250,10 +239,13 @@ impl TieredStore {
             return Err(io::Error::other("injected spill-read fault"));
         }
         let m = read_matrix(&token.path, &self.pool)?;
-        self.live.lock().remove(&token.seq);
+        {
+            let mut reg = self.registry.lock();
+            reg.live.remove(&token.seq);
+            reg.stats.reload_events += 1;
+            reg.stats.bytes_reloaded += token.file_bytes as u64;
+        }
         let _ = fs::remove_file(&token.path); // best-effort; Drop sweeps the dir
-        self.counters.reload_events.fetch_add(1, Ordering::Relaxed);
-        self.counters.bytes_reloaded.fetch_add(token.file_bytes as u64, Ordering::Relaxed);
         Ok(m)
     }
 
@@ -261,9 +253,12 @@ impl TieredStore {
     /// and the token's live-registry claim. Failed runs call this for every
     /// token they still hold, so an error leaves no temp files behind.
     pub fn discard(&self, token: &SpillToken) {
-        self.live.lock().remove(&token.seq);
+        {
+            let mut reg = self.registry.lock();
+            reg.live.remove(&token.seq);
+            reg.stats.discard_events += 1;
+        }
         let _ = fs::remove_file(&token.path);
-        self.counters.discard_events.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Deletes every file in the spill directory not owned by an outstanding
@@ -277,7 +272,7 @@ impl TieredStore {
         let Ok(entries) = fs::read_dir(&dir) else { return 0 };
         // Hold the registry lock across the scan so no spill can register
         // between the liveness check and the deletion.
-        let live = self.live.lock();
+        let mut reg = self.registry.lock();
         let mut swept = 0;
         for entry in entries.flatten() {
             let name = entry.file_name();
@@ -289,11 +284,11 @@ impl TieredStore {
             else {
                 continue;
             };
-            if !live.contains(&seq) && fs::remove_file(entry.path()).is_ok() {
+            if !reg.live.contains(&seq) && fs::remove_file(entry.path()).is_ok() {
                 swept += 1;
             }
         }
-        self.counters.orphans_swept.fetch_add(swept as u64, Ordering::Relaxed);
+        reg.stats.orphans_swept += swept as u64;
         swept
     }
 

@@ -589,7 +589,7 @@ pub struct CompiledScript {
 
 impl CompiledScript {
     /// Executes the compiled script over bound inputs, returning the root
-    /// values plus this call's scheduler delta. Thread-safe: `&self`, no
+    /// values plus this call's counters. Thread-safe: `&self`, no
     /// re-optimization. Panics on failure; see
     /// [`CompiledScript::try_execute`] for the fallible form.
     pub fn execute(&self, bindings: &Bindings) -> Outputs {
@@ -609,9 +609,8 @@ impl CompiledScript {
         let e = &self.engine.inner;
         // A binding the script cannot run under never reaches the scheduler
         // (which counts its own failures), so it is counted here.
-        let v = self.bind_variant(bindings).inspect_err(|_| {
-            e.stats.failed_executions.fetch_add(1, Ordering::Relaxed);
-        })?;
+        let v =
+            self.bind_variant(bindings).inspect_err(|_| e.stats.lock().failed_executions += 1)?;
         let result = schedule::run(&v.graph, &v.dag, v.plan.as_deref(), bindings, &e.exec_ctx());
         // Epoch-bound the engine pool: buffers unused for a few DAGs retire.
         e.pool.advance_epoch();
@@ -753,7 +752,7 @@ impl CompiledScript {
         if let Some(existing) = variants.iter().find(|x| x.shapes == shapes) {
             return Ok(Arc::clone(existing)); // lost the race; drop our copy
         }
-        self.engine.inner.stats.plan_recompiles.fetch_add(1, Ordering::Relaxed);
+        self.engine.inner.stats.lock().plan_recompiles += 1;
         self.inner.recompiles.fetch_add(1, Ordering::Relaxed);
         if variants.len() >= MAX_GEOMETRY_VARIANTS {
             variants.remove(0); // FIFO: oldest geometry recompiles if it returns
@@ -771,7 +770,7 @@ pub struct EngineScope {
 }
 
 /// The result of one `execute` call: the root values (in root order) plus
-/// the call's scheduler event delta.
+/// the call's counters.
 #[derive(Debug)]
 pub struct Outputs {
     values: Vec<Value>,
@@ -804,7 +803,8 @@ impl Outputs {
         self.values[i].as_matrix()
     }
 
-    /// This call's scheduler delta (peak bytes, pool hits, parallel ops, …).
+    /// This call's counters: operators run, peak bytes, pool hits, parallel
+    /// ops, spill and shard work.
     pub fn sched(&self) -> SchedSnapshot {
         self.sched
     }

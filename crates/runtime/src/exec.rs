@@ -2,110 +2,52 @@
 //!
 //! The executor API lives on [`crate::engine::Engine`] and
 //! [`crate::engine::CompiledScript`] (compile once, execute concurrently).
-//! This module keeps the shared [`ExecStats`] counters, the per-call
-//! [`SchedSnapshot`] delta, and the seed's recursive materializer
-//! (`sequential`) that the scheduled engine is differentially tested
-//! against.
+//! This module keeps the counter record of one run ([`SchedSnapshot`]), the
+//! engine-wide record every run is absorbed into ([`ExecStats`]), and the
+//! seed's recursive materializer (`sequential`) that the scheduled engine is
+//! differentially tested against.
 
 use crate::handcoded::{self, HcOperator};
 use crate::side::SideInput;
 use crate::spoof;
 pub use fusedml_core::optimizer::dag_structural_hash;
 use fusedml_core::optimizer::{FusedOperator, FusionPlan};
+use fusedml_core::spoof::mono::ShapeClass;
 use fusedml_core::util::FxHashMap;
 use fusedml_hop::interp::{self, Bindings};
 use fusedml_hop::{HopDag, HopId};
 use fusedml_linalg::matrix::Value;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use parking_lot::{Mutex, MutexGuard};
 
-/// Execution statistics, including scheduler events (operators executed
-/// while another was in flight, buffer-pool hits/misses, bytes freed before
-/// the DAG finished, and the tracked peak footprint of the last execution).
-///
-/// All counters are interior-mutable atomics behind a shared handle: one
-/// instance is owned by an [`crate::engine::Engine`] (as `Arc<ExecStats>`)
-/// and shared with
-/// every [`crate::engine::CompiledScript`] it compiles, so concurrent
-/// executions accumulate into the same counters without any `&mut` access.
-/// Read through [`ExecStats::snapshot`] / [`ExecStats::scheduler_snapshot`];
-/// per-call deltas come back on `Outputs::sched`.
-#[derive(Debug, Default)]
-pub struct ExecStats {
-    /// Generated fused operators executed.
-    pub(crate) fused_ops: AtomicUsize,
-    /// Fused operators whose inner loops ran a kernel of their own (a
-    /// Cell/MAgg/Outer product chain, a Row mv-chain or row tile).
-    pub(crate) mono_ops: AtomicUsize,
-    /// Fused operators that ran the tile/band interpreter.
-    pub(crate) interp_fused_ops: AtomicUsize,
-    /// Hand-coded fused operators executed.
-    pub(crate) handcoded_ops: AtomicUsize,
-    /// Basic operators executed.
-    pub(crate) basic_ops: AtomicUsize,
-    /// Operators that started while at least one other was still running.
-    pub(crate) sched_parallel_ops: AtomicUsize,
-    /// Bytes of intermediates freed before the end of their DAG.
-    pub(crate) sched_bytes_freed_early: AtomicUsize,
-    /// High-water tracked peak resident bytes over all executions since the
-    /// last reset (per-execution peaks come back on `Outputs::sched`; a
-    /// last-writer store here would be clobbered under concurrent runs).
-    pub(crate) sched_peak_bytes: AtomicUsize,
-    /// High-water hold-everything resident bytes (inputs + every
-    /// materialized value, nothing freed) — what the seed runtime kept.
-    pub(crate) sched_resident_all_bytes: AtomicUsize,
-    /// Buffer-pool hits attributed to this engine's runs.
-    pub(crate) pool_hits: AtomicUsize,
-    /// Buffer-pool misses attributed to this engine's runs.
-    pub(crate) pool_misses: AtomicUsize,
-    /// Compiled-script recompiles triggered by the shape-revalidation guard
-    /// (bound input geometry diverged from the costed plan).
-    pub(crate) plan_recompiles: AtomicUsize,
-    /// Serialized bytes written to the spill tier.
-    pub(crate) sched_spilled_bytes: AtomicUsize,
-    /// Serialized bytes read back from the spill tier.
-    pub(crate) sched_reloaded_bytes: AtomicUsize,
-    /// Synchronous reloads: a consumer found its input spilled at gather.
-    pub(crate) sched_spill_faults: AtomicUsize,
-    /// Asynchronous reloads completed by prefetch jobs ahead of the consumer.
-    pub(crate) sched_prefetch_hits: AtomicUsize,
-    /// Microseconds workers spent blocked on in-flight spill I/O.
-    pub(crate) sched_spill_stall_us: AtomicUsize,
-    /// High-water bytes of leaf bindings streamed (uncharged) in one run.
-    pub(crate) sched_streamed_leaf_bytes: AtomicUsize,
-    /// Executions that ended in a typed [`crate::error::ExecError`] (the
-    /// engine swept and stayed reusable after each).
-    pub(crate) failed_executions: AtomicUsize,
-    /// Spill I/O attempts that failed and were retried.
-    pub(crate) sched_spill_retries: AtomicUsize,
-    /// Faults injected by the engine's `FaultPlan` across all runs.
-    pub(crate) sched_injected_faults: AtomicUsize,
-    /// Runs that degraded to resident-only execution after exhausting spill
-    /// write retries.
-    pub(crate) sched_degraded_runs: AtomicUsize,
-    /// Fused operators the planner executed as shard bands.
-    pub(crate) sched_sharded_ops: AtomicUsize,
-    /// High-water shard count used by any single sharded operator.
-    pub(crate) sched_shards_used: AtomicUsize,
-    /// Bytes of side inputs broadcast to shards (counted per receiver).
-    pub(crate) sched_shard_broadcast_bytes: AtomicUsize,
-    /// Bytes of per-shard partial outputs merged on the driver.
-    pub(crate) sched_shard_partial_bytes: AtomicUsize,
-    /// Microseconds the driver spent merging shard partials.
-    pub(crate) sched_shard_merge_us: AtomicUsize,
-    /// High-water shard skew (slowest/mean shard time, ×1000) of any
-    /// sharded operator.
-    pub(crate) sched_shard_skew_milli: AtomicUsize,
-}
-
-/// Plain-data snapshot of the scheduler counters in [`ExecStats`] — also the
-/// per-`execute` delta returned on `Outputs`.
+/// The counters of one `execute` call: operators run, scheduler events,
+/// buffer-pool requests, spill traffic and shard work. A run fills its own
+/// record under the scheduler lock and returns it on `Outputs::sched`;
+/// [`SchedSnapshot::absorb`] adds it to the engine's [`ExecStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedSnapshot {
+    /// Generated fused operators executed.
+    pub fused_ops: usize,
+    /// Fused operators whose inner loops ran a kernel of their own (a
+    /// Cell/MAgg/Outer product chain, a Row mv-chain or row tile).
+    pub mono_ops: usize,
+    /// Fused operators that ran the tile/band interpreter.
+    pub interp_fused_ops: usize,
+    /// Hand-coded fused operators executed.
+    pub handcoded_ops: usize,
+    /// Basic operators executed.
+    pub basic_ops: usize,
+    /// Operators that started while at least one other was still running.
     pub parallel_ops: usize,
+    /// Bytes of intermediates freed before the end of their DAG.
     pub bytes_freed_early: usize,
+    /// Tracked peak resident bytes.
     pub peak_bytes: usize,
+    /// Hold-everything resident bytes (inputs + every materialized value,
+    /// nothing freed) — what the seed runtime kept.
     pub resident_all_bytes: usize,
+    /// Buffer-pool requests served from the pool.
     pub pool_hits: usize,
+    /// Buffer-pool requests that fell through to a fresh allocation.
     pub pool_misses: usize,
     /// Serialized bytes evicted to the spill tier.
     pub spilled_bytes: usize,
@@ -123,10 +65,10 @@ pub struct SchedSnapshot {
     /// Spill I/O attempts that failed and were retried (whether or not a
     /// later attempt succeeded).
     pub spill_retries: usize,
-    /// Faults the engine's `FaultPlan` injected into this run.
+    /// Faults the engine's `FaultPlan` injected.
     pub injected_faults: usize,
-    /// 1 if this run degraded to resident-only execution after exhausting
-    /// spill write retries, else 0.
+    /// Runs that degraded to resident-only execution after exhausting spill
+    /// write retries (0 or 1 for one run).
     pub degraded: usize,
     /// Fused operators executed as shard bands.
     pub sharded_ops: usize,
@@ -144,6 +86,80 @@ pub struct SchedSnapshot {
 }
 
 impl SchedSnapshot {
+    /// Adds `other` into `self`: a sharded operator's record into its run's,
+    /// a run's into its engine's. Event counts sum. The footprint figures
+    /// (`peak_bytes`, `resident_all_bytes`, `streamed_leaf_bytes`) and the
+    /// shard high-waters (`shards_used`, `shard_skew_milli`) keep the
+    /// maximum, so a small run finishing after a large one cannot clobber
+    /// the engine's reported peak.
+    pub fn absorb(&mut self, other: &SchedSnapshot) {
+        // Destructured, so a new field does not compile until it has a rule.
+        let SchedSnapshot {
+            fused_ops,
+            mono_ops,
+            interp_fused_ops,
+            handcoded_ops,
+            basic_ops,
+            parallel_ops,
+            bytes_freed_early,
+            peak_bytes,
+            resident_all_bytes,
+            pool_hits,
+            pool_misses,
+            spilled_bytes,
+            reloaded_bytes,
+            spill_faults,
+            prefetch_hits,
+            spill_stall_us,
+            streamed_leaf_bytes,
+            spill_retries,
+            injected_faults,
+            degraded,
+            sharded_ops,
+            shards_used,
+            shard_broadcast_bytes,
+            shard_partial_bytes,
+            shard_merge_us,
+            shard_skew_milli,
+        } = *other;
+        self.fused_ops += fused_ops;
+        self.mono_ops += mono_ops;
+        self.interp_fused_ops += interp_fused_ops;
+        self.handcoded_ops += handcoded_ops;
+        self.basic_ops += basic_ops;
+        self.parallel_ops += parallel_ops;
+        self.bytes_freed_early += bytes_freed_early;
+        self.peak_bytes = self.peak_bytes.max(peak_bytes);
+        self.resident_all_bytes = self.resident_all_bytes.max(resident_all_bytes);
+        self.pool_hits += pool_hits;
+        self.pool_misses += pool_misses;
+        self.spilled_bytes += spilled_bytes;
+        self.reloaded_bytes += reloaded_bytes;
+        self.spill_faults += spill_faults;
+        self.prefetch_hits += prefetch_hits;
+        self.spill_stall_us += spill_stall_us;
+        self.streamed_leaf_bytes = self.streamed_leaf_bytes.max(streamed_leaf_bytes);
+        self.spill_retries += spill_retries;
+        self.injected_faults += injected_faults;
+        self.degraded += degraded;
+        self.sharded_ops += sharded_ops;
+        self.shards_used = self.shards_used.max(shards_used);
+        self.shard_broadcast_bytes += shard_broadcast_bytes;
+        self.shard_partial_bytes += shard_partial_bytes;
+        self.shard_merge_us += shard_merge_us;
+        self.shard_skew_milli = self.shard_skew_milli.max(shard_skew_milli);
+    }
+
+    /// Counts one executed fused operator under its kernel shape class.
+    pub(crate) fn count_fused(&mut self, class: ShapeClass) {
+        self.fused_ops += 1;
+        if class.is_specialized() {
+            self.mono_ops += 1;
+        } else {
+            self.interp_fused_ops += 1;
+        }
+    }
+
     /// Fraction of pooled allocations served from the pool.
     pub fn pool_hit_rate(&self) -> f64 {
         let total = self.pool_hits + self.pool_misses;
@@ -176,14 +192,36 @@ impl SchedSnapshot {
     }
 }
 
+/// The engine-wide counters: one instance per [`crate::engine::Engine`] (as
+/// `Arc<ExecStats>`), shared with every [`crate::engine::CompiledScript`] it
+/// compiles. A run takes the lock once, when it ends, to absorb its record.
+/// Read through [`ExecStats::snapshot`] / [`ExecStats::scheduler_snapshot`];
+/// per-call records come back on `Outputs::sched`.
+#[derive(Debug, Default)]
+pub struct ExecStats(Mutex<EngineTotals>);
+
+/// What [`ExecStats`] guards.
+#[derive(Debug, Default)]
+pub(crate) struct EngineTotals {
+    /// Every run's record, absorbed.
+    pub(crate) sched: SchedSnapshot,
+    /// Compiled-script recompiles triggered by the shape-revalidation guard
+    /// (bound input geometry diverged from the costed plan).
+    pub(crate) plan_recompiles: usize,
+    /// Executions that ended in a typed [`crate::error::ExecError`] (the
+    /// engine swept and stayed reusable after each).
+    pub(crate) failed_executions: usize,
+}
+
 impl ExecStats {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, EngineTotals> {
+        self.0.lock()
+    }
+
     /// `(fused, handcoded, basic)` operator counts.
     pub fn snapshot(&self) -> (usize, usize, usize) {
-        (
-            self.fused_ops.load(Ordering::Relaxed),
-            self.handcoded_ops.load(Ordering::Relaxed),
-            self.basic_ops.load(Ordering::Relaxed),
-        )
+        let s = self.lock().sched;
+        (s.fused_ops, s.handcoded_ops, s.basic_ops)
     }
 
     /// `(mono, interpreted)` fused-operator counts: how many fused operators
@@ -192,113 +230,28 @@ impl ExecStats {
     /// faster of the two for every body that is not a product chain).
     /// `mono + interpreted == fused` from [`Self::snapshot`].
     pub fn mono_snapshot(&self) -> (usize, usize) {
-        (self.mono_ops.load(Ordering::Relaxed), self.interp_fused_ops.load(Ordering::Relaxed))
+        let s = self.lock().sched;
+        (s.mono_ops, s.interp_fused_ops)
     }
 
-    /// Records one fused-operator execution under the given shape class.
-    pub(crate) fn record_fused_class(&self, class: fusedml_core::spoof::mono::ShapeClass) {
-        if class.is_specialized() {
-            self.mono_ops.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.interp_fused_ops.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Scheduler-event counters (see [`SchedSnapshot`]).
+    /// Every run's [`SchedSnapshot`], absorbed.
     pub fn scheduler_snapshot(&self) -> SchedSnapshot {
-        SchedSnapshot {
-            parallel_ops: self.sched_parallel_ops.load(Ordering::Relaxed),
-            bytes_freed_early: self.sched_bytes_freed_early.load(Ordering::Relaxed),
-            peak_bytes: self.sched_peak_bytes.load(Ordering::Relaxed),
-            resident_all_bytes: self.sched_resident_all_bytes.load(Ordering::Relaxed),
-            pool_hits: self.pool_hits.load(Ordering::Relaxed),
-            pool_misses: self.pool_misses.load(Ordering::Relaxed),
-            spilled_bytes: self.sched_spilled_bytes.load(Ordering::Relaxed),
-            reloaded_bytes: self.sched_reloaded_bytes.load(Ordering::Relaxed),
-            spill_faults: self.sched_spill_faults.load(Ordering::Relaxed),
-            prefetch_hits: self.sched_prefetch_hits.load(Ordering::Relaxed),
-            spill_stall_us: self.sched_spill_stall_us.load(Ordering::Relaxed),
-            streamed_leaf_bytes: self.sched_streamed_leaf_bytes.load(Ordering::Relaxed),
-            spill_retries: self.sched_spill_retries.load(Ordering::Relaxed),
-            injected_faults: self.sched_injected_faults.load(Ordering::Relaxed),
-            degraded: self.sched_degraded_runs.load(Ordering::Relaxed),
-            sharded_ops: self.sched_sharded_ops.load(Ordering::Relaxed),
-            shards_used: self.sched_shards_used.load(Ordering::Relaxed),
-            shard_broadcast_bytes: self.sched_shard_broadcast_bytes.load(Ordering::Relaxed),
-            shard_partial_bytes: self.sched_shard_partial_bytes.load(Ordering::Relaxed),
-            shard_merge_us: self.sched_shard_merge_us.load(Ordering::Relaxed),
-            shard_skew_milli: self.sched_shard_skew_milli.load(Ordering::Relaxed),
-        }
+        self.lock().sched
     }
 
     /// Executions that returned a typed error (after which the engine swept
     /// itself and stayed reusable).
     pub fn failed_executions(&self) -> usize {
-        self.failed_executions.load(Ordering::Relaxed)
+        self.lock().failed_executions
     }
 
     /// Recompiles triggered by the shape-revalidation guard.
     pub fn plan_recompiles(&self) -> usize {
-        self.plan_recompiles.load(Ordering::Relaxed)
-    }
-
-    /// Accumulates one execution's scheduler delta into the shared counters.
-    /// Event counts sum; the footprint figures keep the high-water mark, so
-    /// a small run finishing after a large one cannot clobber the engine's
-    /// reported peak (per-run figures live on `Outputs::sched`).
-    pub(crate) fn record_sched(&self, s: &SchedSnapshot) {
-        self.sched_parallel_ops.fetch_add(s.parallel_ops, Ordering::Relaxed);
-        self.sched_bytes_freed_early.fetch_add(s.bytes_freed_early, Ordering::Relaxed);
-        self.sched_peak_bytes.fetch_max(s.peak_bytes, Ordering::Relaxed);
-        self.sched_resident_all_bytes.fetch_max(s.resident_all_bytes, Ordering::Relaxed);
-        self.pool_hits.fetch_add(s.pool_hits, Ordering::Relaxed);
-        self.pool_misses.fetch_add(s.pool_misses, Ordering::Relaxed);
-        self.sched_spilled_bytes.fetch_add(s.spilled_bytes, Ordering::Relaxed);
-        self.sched_reloaded_bytes.fetch_add(s.reloaded_bytes, Ordering::Relaxed);
-        self.sched_spill_faults.fetch_add(s.spill_faults, Ordering::Relaxed);
-        self.sched_prefetch_hits.fetch_add(s.prefetch_hits, Ordering::Relaxed);
-        self.sched_spill_stall_us.fetch_add(s.spill_stall_us, Ordering::Relaxed);
-        self.sched_streamed_leaf_bytes.fetch_max(s.streamed_leaf_bytes, Ordering::Relaxed);
-        self.sched_spill_retries.fetch_add(s.spill_retries, Ordering::Relaxed);
-        self.sched_injected_faults.fetch_add(s.injected_faults, Ordering::Relaxed);
-        self.sched_degraded_runs.fetch_add(s.degraded, Ordering::Relaxed);
-        self.sched_sharded_ops.fetch_add(s.sharded_ops, Ordering::Relaxed);
-        self.sched_shards_used.fetch_max(s.shards_used, Ordering::Relaxed);
-        self.sched_shard_broadcast_bytes.fetch_add(s.shard_broadcast_bytes, Ordering::Relaxed);
-        self.sched_shard_partial_bytes.fetch_add(s.shard_partial_bytes, Ordering::Relaxed);
-        self.sched_shard_merge_us.fetch_add(s.shard_merge_us, Ordering::Relaxed);
-        self.sched_shard_skew_milli.fetch_max(s.shard_skew_milli, Ordering::Relaxed);
+        self.lock().plan_recompiles
     }
 
     pub fn reset(&self) {
-        self.fused_ops.store(0, Ordering::Relaxed);
-        self.mono_ops.store(0, Ordering::Relaxed);
-        self.interp_fused_ops.store(0, Ordering::Relaxed);
-        self.handcoded_ops.store(0, Ordering::Relaxed);
-        self.basic_ops.store(0, Ordering::Relaxed);
-        self.sched_parallel_ops.store(0, Ordering::Relaxed);
-        self.sched_bytes_freed_early.store(0, Ordering::Relaxed);
-        self.sched_peak_bytes.store(0, Ordering::Relaxed);
-        self.sched_resident_all_bytes.store(0, Ordering::Relaxed);
-        self.pool_hits.store(0, Ordering::Relaxed);
-        self.pool_misses.store(0, Ordering::Relaxed);
-        self.plan_recompiles.store(0, Ordering::Relaxed);
-        self.sched_spilled_bytes.store(0, Ordering::Relaxed);
-        self.sched_reloaded_bytes.store(0, Ordering::Relaxed);
-        self.sched_spill_faults.store(0, Ordering::Relaxed);
-        self.sched_prefetch_hits.store(0, Ordering::Relaxed);
-        self.sched_spill_stall_us.store(0, Ordering::Relaxed);
-        self.sched_streamed_leaf_bytes.store(0, Ordering::Relaxed);
-        self.failed_executions.store(0, Ordering::Relaxed);
-        self.sched_spill_retries.store(0, Ordering::Relaxed);
-        self.sched_injected_faults.store(0, Ordering::Relaxed);
-        self.sched_degraded_runs.store(0, Ordering::Relaxed);
-        self.sched_sharded_ops.store(0, Ordering::Relaxed);
-        self.sched_shards_used.store(0, Ordering::Relaxed);
-        self.sched_shard_broadcast_bytes.store(0, Ordering::Relaxed);
-        self.sched_shard_partial_bytes.store(0, Ordering::Relaxed);
-        self.sched_shard_merge_us.store(0, Ordering::Relaxed);
-        self.sched_shard_skew_milli.store(0, Ordering::Relaxed);
+        *self.lock() = EngineTotals::default();
     }
 }
 
@@ -307,7 +260,8 @@ impl ExecStats {
 /// `(plan, patterns)` pair as [`crate::schedule::prepare`] — generated
 /// operators (Gen modes), hand-coded instances (`Fused`), neither (`Base`) —
 /// and backs `CompiledScript::execute_sequential`, the oracle the scheduled
-/// engine is compared against.
+/// engine is compared against. Its operator counts join `stats` once, at the
+/// end.
 pub(crate) fn sequential(
     dag: &HopDag,
     plan: Option<&FusionPlan>,
@@ -323,37 +277,38 @@ pub(crate) fn sequential(
             op_roots.insert(r, f);
         }
     }
-    let cx = Sequential { dag, op_roots, patterns, bindings, stats };
+    let mut cx = Sequential { dag, op_roots, patterns, bindings, counts: SchedSnapshot::default() };
     let mut vals: Vec<Option<Value>> = vec![None; dag.len()];
     for &root in dag.roots() {
         cx.materialize(&mut vals, root);
     }
+    stats.lock().sched.absorb(&cx.counts);
     dag.roots().iter().map(|r| vals[r.index()].take().expect("root computed")).collect()
 }
 
-/// What one [`sequential`] run reads while it recurses.
+/// What one [`sequential`] run reads while it recurses, and the operators it
+/// has counted.
 struct Sequential<'a> {
     dag: &'a HopDag,
     op_roots: FxHashMap<HopId, &'a FusedOperator>,
     patterns: Option<&'a FxHashMap<HopId, HcOperator>>,
     bindings: &'a Bindings,
-    stats: &'a ExecStats,
+    counts: SchedSnapshot,
 }
 
 impl Sequential<'_> {
     /// Lazily computes the value of `hop`: through the generated or
     /// hand-coded operator rooted there (whose interior hops then never
     /// run), as a basic operator otherwise.
-    fn materialize(&self, vals: &mut Vec<Option<Value>>, hop: HopId) {
+    fn materialize(&mut self, vals: &mut Vec<Option<Value>>, hop: HopId) {
         if vals[hop.index()].is_some() {
             return;
         }
-        if let Some(f) = self.op_roots.get(&hop) {
+        if let Some(f) = self.op_roots.get(&hop).copied() {
             for &i in f.cplan.main.iter().chain(&f.cplan.sides).chain(&f.cplan.scalars) {
                 self.materialize(vals, i);
             }
-            let outs = run_operator(f, vals, self.stats);
-            self.stats.fused_ops.fetch_add(1, Ordering::Relaxed);
+            let outs = run_operator(f, vals, &mut self.counts);
             for (slot, &r) in f.roots.iter().enumerate() {
                 let m = &outs[slot];
                 let v = if self.dag.hop(r).is_scalar() && m.is_scalar_shaped() {
@@ -374,25 +329,26 @@ impl Sequential<'_> {
                 .iter()
                 .map(|&i| vals[i.index()].clone().expect("input computed"))
                 .collect();
-            self.stats.handcoded_ops.fetch_add(1, Ordering::Relaxed);
+            self.counts.handcoded_ops += 1;
             vals[hop.index()] = Some(handcoded::exec_operator(hc, &inputs));
             return;
         }
-        for &i in &self.dag.hop(hop).inputs {
+        let dag = self.dag;
+        for &i in &dag.hop(hop).inputs {
             self.materialize(vals, i);
         }
-        if !self.dag.hop(hop).kind.is_leaf() {
-            self.stats.basic_ops.fetch_add(1, Ordering::Relaxed);
+        if !dag.hop(hop).kind.is_leaf() {
+            self.counts.basic_ops += 1;
         }
-        vals[hop.index()] = Some(interp::eval_op(self.dag, hop, vals, self.bindings));
+        vals[hop.index()] = Some(interp::eval_op(dag, hop, vals, self.bindings));
     }
 }
 
-/// Runs one fused operator with bound inputs.
+/// Runs one fused operator with bound inputs, counting it in `counts`.
 fn run_operator(
     f: &FusedOperator,
     vals: &[Option<Value>],
-    stats: &ExecStats,
+    counts: &mut SchedSnapshot,
 ) -> Vec<fusedml_linalg::Matrix> {
     let get_matrix = |h: HopId| -> fusedml_linalg::Matrix {
         vals[h.index()].as_ref().expect("operator input computed").as_matrix()
@@ -407,7 +363,7 @@ fn run_operator(
         .map(|&h| vals[h.index()].as_ref().expect("scalar computed").as_scalar())
         .collect();
     let side_dims: Vec<(usize, usize)> = sides.iter().map(|s| (s.rows(), s.cols())).collect();
-    stats.record_fused_class(spoof::kernel_class(&f.op.spec, &side_dims));
+    counts.count_fused(spoof::kernel_class(&f.op.spec, &side_dims));
     spoof::execute(
         &f.op.spec,
         main_val.as_ref(),

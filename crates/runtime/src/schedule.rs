@@ -101,7 +101,6 @@ use fusedml_linalg::matrix::Value;
 use fusedml_linalg::ops as lops;
 use fusedml_linalg::spill::{SpillToken, TieredStore, MIN_SPILL_BYTES};
 use fusedml_linalg::{par, pool, Matrix};
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -120,11 +119,22 @@ const PREFETCH_DEPTH: usize = 4;
 /// typed [`ExecError::SpillIo`].
 pub const SPILL_RETRIES: usize = 3;
 
-/// Sleeps briefly before spill-retry attempt `attempt` (1-based): 100µs,
-/// 200µs, 400µs, … — enough to ride out transient contention without
-/// stalling a run that is going to fail anyway.
-fn backoff(attempt: usize) {
-    std::thread::sleep(Duration::from_micros(50u64 << attempt.min(6)));
+/// Runs a spill-tier read or write, retrying a failure up to
+/// [`SPILL_RETRIES`] times; returns the last result and the retries taken.
+/// Retry `n` (1-based) first sleeps 100µs, 200µs, 400µs, … — enough to ride
+/// out transient contention without stalling a run that is going to fail
+/// anyway.
+fn retried<T>(mut io: impl FnMut() -> std::io::Result<T>) -> (std::io::Result<T>, usize) {
+    let mut retries = 0;
+    loop {
+        match io() {
+            Err(_) if retries < SPILL_RETRIES => {
+                retries += 1;
+                std::thread::sleep(Duration::from_micros(50u64 << retries.min(6)));
+            }
+            res => return (res, retries),
+        }
+    }
 }
 
 /// The engine-owned execution context threaded through [`run`]: statistics,
@@ -455,10 +465,6 @@ struct EngineState {
     remaining: usize,
     running: usize,
     resident_bytes: usize,
-    peak_bytes: usize,
-    resident_all_bytes: usize,
-    freed_early_bytes: usize,
-    parallel_ops: usize,
     /// The first failure of this run. Once set, `remaining` is zeroed and
     /// the ready queue cleared: workers drain in-flight tasks (discarding
     /// their outputs) and exit; condvar waiters observe it and bail.
@@ -470,29 +476,9 @@ struct EngineState {
     /// Set when a spill write fails (disk full): degrade to best-effort
     /// resident execution instead of failing the run.
     spill_disabled: bool,
-    spilled_bytes: usize,
-    reloaded_bytes: usize,
-    spill_faults: usize,
-    prefetch_hits: usize,
-    spill_stall_us: usize,
-    streamed_leaf_bytes: usize,
-    /// Spill I/O attempts that failed and were retried (whether or not a
-    /// later attempt succeeded).
-    spill_retries: usize,
-    /// Faults the engine's `FaultPlan` injected into this run.
-    injected_faults: usize,
-    /// Fused operators executed as shard bands this run.
-    sharded_ops: usize,
-    /// High-water shards used by any single sharded operator this run.
-    shards_used: usize,
-    /// Bytes of side inputs broadcast to shards this run.
-    shard_broadcast_bytes: usize,
-    /// Bytes of per-shard partial outputs merged this run.
-    shard_partial_bytes: usize,
-    /// Microseconds spent merging shard partials this run.
-    shard_merge_us: usize,
-    /// High-water shard skew (slowest/mean ×1000) this run.
-    shard_skew_milli: usize,
+    /// This run's counters, returned on `Outputs::sched` and absorbed into
+    /// the engine's [`ExecStats`] when the run ends.
+    sched: SchedSnapshot,
     /// Debug-build residency event trace: every slot transition, recorded
     /// under the scheduler lock (totally ordered), replayed against the
     /// state-machine spec ([`crate::verify::check_residency_trace`]) after
@@ -546,8 +532,8 @@ type Guard<'a> = MutexGuard<'a, EngineState>;
 /// Executes a prepared task graph over bound inputs: the run-time half of
 /// the scheduled engine. Workers draw buffers from the context's store
 /// (pool + spill tier) and resolve lowered kernels from its caches. Returns
-/// the root values in root order plus this call's [`SchedSnapshot`] delta;
-/// the same events are also accumulated into the context's stats.
+/// the root values in root order plus this call's [`SchedSnapshot`], which
+/// is also absorbed into the context's stats (a failed run's too).
 ///
 /// On failure (worker panic, exhausted spill-read retries, injected fault)
 /// returns the first [`ExecError`] — after sweeping every slot back to the
@@ -562,7 +548,7 @@ pub fn run(
 ) -> Result<(Vec<Value>, SchedSnapshot), ExecError> {
     // Per-call tally: pooled requests made by this call's workers (and their
     // `par` and shard band threads) are attributed here, so the returned
-    // delta stays exact even when other executions run concurrently on the
+    // record stays exact even when other executions run concurrently on the
     // same engine pool.
     let tally = Arc::new(pool::PoolTally::default());
     let mut st = EngineState {
@@ -573,28 +559,11 @@ pub fn run(
         remaining: graph.tasks.len(),
         running: 0,
         resident_bytes: 0,
-        peak_bytes: 0,
-        resident_all_bytes: 0,
-        freed_early_bytes: 0,
-        parallel_ops: 0,
         failure: None,
         tasks_done: vec![false; graph.tasks.len()],
         reloads_queued: 0,
         spill_disabled: false,
-        spilled_bytes: 0,
-        reloaded_bytes: 0,
-        spill_faults: 0,
-        prefetch_hits: 0,
-        spill_stall_us: 0,
-        streamed_leaf_bytes: 0,
-        spill_retries: 0,
-        injected_faults: 0,
-        sharded_ops: 0,
-        shards_used: 0,
-        shard_broadcast_bytes: 0,
-        shard_partial_bytes: 0,
-        shard_merge_us: 0,
-        shard_skew_milli: 0,
+        sched: SchedSnapshot::default(),
         trace: cfg!(debug_assertions).then(Vec::new),
     };
     // Materialize demanded leaves inline (cheap: Arc clones of bindings).
@@ -605,7 +574,7 @@ pub fn run(
         let v = interp::eval_op_inputs(dag, l, &[], bindings);
         let sz = v.size_in_bytes();
         if spill_on && sz > cx.store.threshold() {
-            st.streamed_leaf_bytes += sz;
+            st.sched.streamed_leaf_bytes += sz;
             st.note(l.index(), crate::verify::SlotState::Streamed);
             st.slots[l.index()] = Slot::Streamed(v);
         } else {
@@ -614,8 +583,8 @@ pub fn run(
             st.slots[l.index()] = Slot::Resident(v);
         }
     }
-    st.peak_bytes = st.resident_bytes;
-    st.resident_all_bytes = st.resident_bytes;
+    st.sched.peak_bytes = st.resident_bytes;
+    st.sched.resident_all_bytes = st.resident_bytes;
     for (t, &np) in graph.n_producers.iter().enumerate() {
         if np == 0 {
             st.ready.push(Job::Exec(t));
@@ -655,22 +624,12 @@ pub fn run(
             match std::mem::replace(&mut st.slots[r.index()], Slot::Empty) {
                 Slot::Resident(v) | Slot::Streamed(v) => roots.push(v),
                 Slot::Spilled(tok) => {
-                    let mut retries = 0usize;
-                    let loaded = loop {
-                        match cx.store.reload(&tok) {
-                            Ok(m) => break Ok(m),
-                            Err(_) if retries < SPILL_RETRIES => {
-                                retries += 1;
-                                backoff(retries);
-                            }
-                            Err(e) => break Err(e),
-                        }
-                    };
-                    st.spill_retries += retries;
+                    let (loaded, retries) = retried(|| cx.store.reload(&tok));
+                    st.sched.spill_retries += retries;
                     match loaded {
                         Ok(m) => {
-                            st.spill_faults += 1;
-                            st.reloaded_bytes += tok.file_bytes();
+                            st.sched.spill_faults += 1;
+                            st.sched.reloaded_bytes += tok.file_bytes();
                             roots.push(Value::Matrix(m));
                         }
                         Err(e) => {
@@ -717,36 +676,18 @@ pub fn run(
             panic!("residency trace violation: {e}");
         }
     }
-    let snapshot = SchedSnapshot {
-        parallel_ops: st.parallel_ops,
-        bytes_freed_early: st.freed_early_bytes,
-        peak_bytes: st.peak_bytes,
-        resident_all_bytes: st.resident_all_bytes,
-        pool_hits: tally.hits() as usize,
-        pool_misses: tally.misses() as usize,
-        spilled_bytes: st.spilled_bytes,
-        reloaded_bytes: st.reloaded_bytes,
-        spill_faults: st.spill_faults,
-        prefetch_hits: st.prefetch_hits,
-        spill_stall_us: st.spill_stall_us,
-        streamed_leaf_bytes: st.streamed_leaf_bytes,
-        spill_retries: st.spill_retries,
-        injected_faults: st.injected_faults,
-        degraded: usize::from(st.spill_disabled),
-        sharded_ops: st.sharded_ops,
-        shards_used: st.shards_used,
-        shard_broadcast_bytes: st.shard_broadcast_bytes,
-        shard_partial_bytes: st.shard_partial_bytes,
-        shard_merge_us: st.shard_merge_us,
-        shard_skew_milli: st.shard_skew_milli,
-    };
-    cx.stats.record_sched(&snapshot);
-    match st.failure.take() {
-        Some(err) => {
-            cx.stats.failed_executions.fetch_add(1, Ordering::Relaxed);
-            Err(err)
-        }
-        None => Ok((roots, snapshot)),
+    st.sched.pool_hits = tally.hits() as usize;
+    st.sched.pool_misses = tally.misses() as usize;
+    st.sched.degraded = usize::from(st.spill_disabled);
+    let failure = st.failure.take();
+    {
+        let mut totals = cx.stats.lock();
+        totals.sched.absorb(&st.sched);
+        totals.failed_executions += usize::from(failure.is_some());
+    }
+    match failure {
+        Some(err) => Err(err),
+        None => Ok((roots, st.sched)),
     }
 }
 
@@ -798,7 +739,7 @@ fn worker_loop(cx: &Ctx<'_>) {
         // reservation path degrades over budget instead of failing).
         if let Some(f) = cx.exec.faults {
             if f.should_inject(FaultSite::Alloc) {
-                st.injected_faults += 1;
+                st.sched.injected_faults += 1;
                 let err = ExecError::BudgetExhausted {
                     op: task_label(cx, task),
                     needed: cx.graph.task_out_bytes[t],
@@ -823,7 +764,7 @@ fn worker_loop(cx: &Ctx<'_>) {
         }
         st.running += 1;
         if st.running > 1 {
-            st.parallel_ops += 1;
+            st.sched.parallel_ops += 1;
         }
         // Gather inputs; the last reader takes the value owned and frees the
         // slot immediately (liveness-driven early free). The *bytes* of dying
@@ -886,7 +827,7 @@ fn worker_loop(cx: &Ctx<'_>) {
                 let x = !p && f.should_inject(FaultSite::TaskExec);
                 let s = shard_ctx.is_some() && !p && !x && f.should_inject(FaultSite::ShardExec);
                 if p || x || s {
-                    st.injected_faults += 1;
+                    st.sched.injected_faults += 1;
                 }
                 (x, p, s)
             }
@@ -907,7 +848,6 @@ fn worker_loop(cx: &Ctx<'_>) {
         }
         drop(st);
 
-        let mut shard_stats: Option<crate::shard::ShardRunStats> = None;
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if inject_panic {
                 panic!("injected task panic");
@@ -918,23 +858,14 @@ fn worker_loop(cx: &Ctx<'_>) {
                 cx.dag,
                 cx.plan,
                 cx.bindings,
-                cx.exec.stats,
                 shard_ctx.map(|(spec, shards)| ShardCtx { spec, shards, inject: inject_shard }),
-                &mut shard_stats,
             )
         }));
 
         st = lock(cx.shared);
         match result {
-            Ok(Ok(outs)) => {
-                if let Some(ss) = shard_stats {
-                    st.sharded_ops += 1;
-                    st.shards_used = st.shards_used.max(ss.shards_used);
-                    st.shard_broadcast_bytes += ss.broadcast_bytes;
-                    st.shard_partial_bytes += ss.partial_bytes;
-                    st.shard_merge_us += (ss.merge_nanos / 1000) as usize;
-                    st.shard_skew_milli = st.shard_skew_milli.max(ss.skew_milli as usize);
-                }
+            Ok(Ok((outs, counts))) => {
+                st.sched.absorb(&counts);
                 if st.failure.is_some() {
                     // The run failed while this task was executing: its
                     // outputs have no consumers anymore — recycle them.
@@ -955,9 +886,9 @@ fn worker_loop(cx: &Ctx<'_>) {
                         continue;
                     }
                     st.resident_bytes += v.size_in_bytes();
-                    st.resident_all_bytes += v.size_in_bytes();
-                    if st.resident_bytes > st.peak_bytes {
-                        st.peak_bytes = st.resident_bytes;
+                    st.sched.resident_all_bytes += v.size_in_bytes();
+                    if st.resident_bytes > st.sched.peak_bytes {
+                        st.sched.peak_bytes = st.resident_bytes;
                     }
                     st.note(h.index(), crate::verify::SlotState::Resident);
                     st.slots[h.index()] = Slot::Resident(v);
@@ -965,7 +896,7 @@ fn worker_loop(cx: &Ctx<'_>) {
                 // Now the dying inputs are really gone.
                 st.resident_bytes -= dying_bytes;
                 if st.remaining > 1 {
-                    st.freed_early_bytes += dying_bytes;
+                    st.sched.bytes_freed_early += dying_bytes;
                 }
                 st.tasks_done[t] = true;
                 for &c in &task.consumers {
@@ -1043,7 +974,7 @@ fn ensure_resident<'a>(cx: &Ctx<'a>, mut st: Guard<'a>, di: usize) -> Guard<'a> 
             Slot::Loading | Slot::Evicting => {
                 let t0 = Instant::now();
                 st = cx.cvar.wait(st).unwrap_or_else(|e| e.into_inner());
-                st.spill_stall_us += t0.elapsed().as_micros() as usize;
+                st.sched.spill_stall_us += t0.elapsed().as_micros() as usize;
             }
             Slot::Empty => unreachable!("input computed before its consumer"),
         }
@@ -1082,30 +1013,20 @@ fn fault_in<'a>(
     let file = tok.file_bytes();
     let mut st = reserve(cx, st, mem, &[]);
     drop(st);
-    let mut retries = 0usize;
-    let loaded = loop {
-        match cx.exec.store.reload(&tok) {
-            Ok(m) => break Ok(m),
-            Err(_) if retries < SPILL_RETRIES => {
-                retries += 1;
-                backoff(retries);
-            }
-            Err(e) => break Err(e),
-        }
-    };
+    let (loaded, retries) = retried(|| cx.exec.store.reload(&tok));
     st = lock(cx.shared);
-    st.spill_retries += retries;
+    st.sched.spill_retries += retries;
     match loaded {
         Ok(m) => {
             st.resident_bytes += mem;
-            if st.resident_bytes > st.peak_bytes {
-                st.peak_bytes = st.resident_bytes;
+            if st.resident_bytes > st.sched.peak_bytes {
+                st.sched.peak_bytes = st.resident_bytes;
             }
-            st.reloaded_bytes += file;
+            st.sched.reloaded_bytes += file;
             if prefetch {
-                st.prefetch_hits += 1;
+                st.sched.prefetch_hits += 1;
             } else {
-                st.spill_faults += 1;
+                st.sched.spill_faults += 1;
             }
             st.note(di, crate::verify::SlotState::Resident);
             st.slots[di] = Slot::Resident(Value::Matrix(m));
@@ -1148,22 +1069,12 @@ fn reserve<'a>(cx: &Ctx<'a>, mut st: Guard<'a>, need: usize, keep: &[HopId]) -> 
         // Transient write failures retry with backoff; nothing is lost
         // either way (the value is still in memory), so exhausted retries
         // degrade the run to resident-only instead of failing it.
-        let mut retries = 0usize;
-        let res = loop {
-            match store.spill(mat) {
-                Ok(tok) => break Ok(tok),
-                Err(_) if retries < SPILL_RETRIES => {
-                    retries += 1;
-                    backoff(retries);
-                }
-                Err(e) => break Err(e),
-            }
-        };
+        let (res, retries) = retried(|| store.spill(mat));
         st = lock(cx.shared);
-        st.spill_retries += retries;
+        st.sched.spill_retries += retries;
         match res {
             Ok(tok) => {
-                st.spilled_bytes += tok.file_bytes();
+                st.sched.spilled_bytes += tok.file_bytes();
                 st.note(h, crate::verify::SlotState::Spilled);
                 st.slots[h] = Slot::Spilled(tok);
                 // The slot held the only reference: recycling hands the
@@ -1230,37 +1141,35 @@ struct ShardCtx<'a> {
     inject: bool,
 }
 
-/// Runs one task over its gathered inputs; returns `(hop, value)` stores, or
-/// a typed error when a band of a sharded operator fails.
-#[allow(clippy::too_many_arguments)]
+/// Runs one task over its gathered inputs; returns `(hop, value)` stores and
+/// the task's counters (the operator it ran, a sharded operator's shard
+/// work), or a typed error when a band of a sharded operator fails.
 fn run_task(
     task: &Task,
     ins: Vec<SlotIn>,
     dag: &HopDag,
     plan: Option<&FusionPlan>,
     bindings: &Bindings,
-    stats: &ExecStats,
     shard_ctx: Option<ShardCtx<'_>>,
-    shard_stats: &mut Option<crate::shard::ShardRunStats>,
-) -> Result<Vec<(HopId, Value)>, ExecError> {
+) -> Result<(Vec<(HopId, Value)>, SchedSnapshot), ExecError> {
+    let mut counts = SchedSnapshot::default();
     match &task.kind {
         TaskKind::Basic(h) => {
-            stats.basic_ops.fetch_add(1, Ordering::Relaxed);
+            counts.basic_ops = 1;
             let v = eval_basic(dag, *h, ins, bindings);
-            Ok(vec![(*h, v)])
+            Ok((vec![(*h, v)], counts))
         }
         TaskKind::Handcoded(hc) => {
-            stats.handcoded_ops.fetch_add(1, Ordering::Relaxed);
+            counts.handcoded_ops = 1;
             let vals: Vec<Value> = ins.iter().map(|s| s.val.clone()).collect();
             let v = handcoded::exec_operator(hc, &vals);
             // Drop the clones first, or the owned inputs are never uniquely
             // held and recycling silently degrades to a plain drop.
             drop(vals);
             recycle_all(ins);
-            Ok(vec![(hc.root, v)])
+            Ok((vec![(hc.root, v)], counts))
         }
         TaskKind::Fused { op_ix } => {
-            stats.fused_ops.fetch_add(1, Ordering::Relaxed);
             // A fused task without a plan is a compile bug; the panic is
             // contained by the worker's catch_unwind and surfaces as a typed
             // WorkerPanic rather than a process abort.
@@ -1275,7 +1184,7 @@ fn run_task(
                 ins[n_main + n_sides..].iter().map(|s| s.val.as_scalar()).collect();
             let side_dims: Vec<(usize, usize)> =
                 side_mats.iter().map(|m| (m.rows(), m.cols())).collect();
-            stats.record_fused_class(spoof::kernel_class(&f.op.spec, &side_dims));
+            let class = spoof::kernel_class(&f.op.spec, &side_dims);
             let outs = match (shard_ctx, &main_val) {
                 (Some(sc), Some(main)) => {
                     // The planner chose sharded execution: row-partition the
@@ -1292,8 +1201,8 @@ fn run_task(
                         sc.inject,
                     );
                     match res {
-                        Ok((outs, ss)) => {
-                            *shard_stats = Some(ss);
+                        Ok((outs, shard_counts)) => {
+                            counts = shard_counts;
                             outs
                         }
                         Err(e) => {
@@ -1325,7 +1234,9 @@ fn run_task(
             drop(side_mats);
             drop(main_val);
             recycle_all(ins);
-            Ok(f.roots
+            counts.count_fused(class);
+            let stores = f
+                .roots
                 .iter()
                 .enumerate()
                 .map(|(slot, &r)| {
@@ -1337,7 +1248,8 @@ fn run_task(
                     };
                     (r, v)
                 })
-                .collect())
+                .collect();
+            Ok((stores, counts))
         }
     }
 }

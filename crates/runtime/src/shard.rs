@@ -29,6 +29,7 @@
 //! outlives the call, so nothing is left to recover.
 
 use crate::error::panic_message;
+use crate::exec::SchedSnapshot;
 use crate::side::SideInput;
 use crate::spoof;
 use fusedml_core::codegen::GeneratedOperator;
@@ -336,21 +337,6 @@ pub struct Shards {
     pub threads: usize,
 }
 
-/// Observed counters of one sharded operator execution.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ShardRunStats {
-    /// Shards that actually received a slice (≤ `Shards::k`, ≤ main rows).
-    pub shards_used: usize,
-    /// Bytes of side inputs broadcast (counted once per receiving shard).
-    pub broadcast_bytes: usize,
-    /// Bytes of per-shard partial outputs merged by the driver.
-    pub partial_bytes: usize,
-    /// Driver-side merge wall time.
-    pub merge_nanos: u64,
-    /// Skew: slowest shard time over mean shard time, ×1000.
-    pub skew_milli: u64,
-}
-
 /// A failed sharded execution: the lowest-numbered band that failed, and
 /// why.
 #[derive(Clone, Debug)]
@@ -373,8 +359,11 @@ enum Band {
 /// with the other sides broadcast whole. The calling thread runs band 0;
 /// the others run on scoped threads that re-enter the caller's pool scope
 /// (tally included) and kernel caches. The partials are then merged per the
-/// spec. A panicking band cancels the bands that have not started and
-/// surfaces as one [`ShardError`] naming the lowest failed band.
+/// spec, and the call's shard counters come back as a [`SchedSnapshot`]
+/// (`sharded_ops` 1, `shards_used` ≤ `Shards::k` and ≤ main rows, broadcast
+/// bytes once per receiving band, merged partial bytes, merge time, skew).
+/// A panicking band cancels the bands that have not started and surfaces as
+/// one [`ShardError`] naming the lowest failed band.
 #[allow(clippy::too_many_arguments)]
 pub fn execute(
     shards: Shards,
@@ -385,13 +374,13 @@ pub fn execute(
     scalars: &[f64],
     iter_cols: usize,
     inject_panic: bool,
-) -> Result<(Vec<Matrix>, ShardRunStats), ShardError> {
+) -> Result<(Vec<Matrix>, SchedSnapshot), ShardError> {
     let rows = main.rows();
     let k = spec.shards.min(shards.k).min(rows).max(1);
     let (base, rem) = (rows / k, rows % k);
     let band_start = |ix: usize| ix * base + ix.min(rem);
     let partition: Vec<bool> = spec.sides.iter().map(|d| *d == SideDisp::Partition).collect();
-    let broadcast_bytes: usize =
+    let shard_broadcast_bytes =
         sides.iter().zip(&partition).map(|(s, &p)| if p { 0 } else { k * s.size_in_bytes() }).sum();
     let cancel = AtomicBool::new(false);
     let run_band = |ix: usize| -> (Band, u64) {
@@ -453,16 +442,23 @@ pub fn execute(
     if let Some(e) = failed {
         return Err(e);
     }
-    let partial_bytes: usize = parts.iter().flat_map(|p| p.iter().map(Matrix::size_in_bytes)).sum();
+    let shard_partial_bytes = parts.iter().flat_map(|p| p.iter().map(Matrix::size_in_bytes)).sum();
     let merge_start = Instant::now();
     let outs = merge_parts(&spec.merge, parts);
-    let merge_nanos = merge_start.elapsed().as_nanos() as u64;
+    let shard_merge_us = merge_start.elapsed().as_micros() as usize;
     let max = times.iter().copied().max().unwrap_or(0);
     let mean = times.iter().sum::<u64>() / k as u64;
-    let skew_milli = max.saturating_mul(1000).checked_div(mean).unwrap_or(1000);
-    let stats =
-        ShardRunStats { shards_used: k, broadcast_bytes, partial_bytes, merge_nanos, skew_milli };
-    Ok((outs, stats))
+    let shard_skew_milli = max.saturating_mul(1000).checked_div(mean).unwrap_or(1000) as usize;
+    let counts = SchedSnapshot {
+        sharded_ops: 1,
+        shards_used: k,
+        shard_broadcast_bytes,
+        shard_partial_bytes,
+        shard_merge_us,
+        shard_skew_milli,
+        ..SchedSnapshot::default()
+    };
+    Ok((outs, counts))
 }
 
 /// Merges per-shard partial outputs, consuming them (their buffers go back

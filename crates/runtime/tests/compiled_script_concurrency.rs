@@ -8,7 +8,8 @@
 //! * the shape-revalidation guard recompiles exactly once per new input
 //!   geometry instead of trusting the stale plan;
 //! * two engines with different configurations coexist without sharing
-//!   pools or caches.
+//!   pools or caches;
+//! * the per-call records on `Outputs::sched` add up to the engine's.
 
 mod common;
 
@@ -16,7 +17,7 @@ use common::assert_roots_bitwise;
 use fusedml_hop::interp::{bind, Bindings};
 use fusedml_hop::{DagBuilder, HopDag};
 use fusedml_linalg::generate;
-use fusedml_runtime::{Engine, EngineBuilder, FusionMode};
+use fusedml_runtime::{Engine, EngineBuilder, FusionMode, SchedSnapshot};
 
 /// The MLogreg-core expression (paper Expression 2) — compiles to a Row
 /// operator under Gen.
@@ -233,4 +234,66 @@ fn per_call_sched_deltas_are_reported() {
     }
     // Warm call recycles through the engine pool.
     assert!(second.pool_hits > 0, "warm executions must hit the engine pool");
+}
+
+/// `t(X)`, a basic operator, beside `sum(exp(X) ⊙ X)`, a fused operator the
+/// tile interpreter runs (not a pure product chain).
+fn basic_and_interpreted_dag(n: usize, m: usize) -> HopDag {
+    let mut b = DagBuilder::new();
+    let x = b.read("X", n, m, 1.0);
+    let xt = b.t(x);
+    let e = b.exp(x);
+    let ex = b.mult(e, x);
+    let s = b.sum(ex);
+    b.build(vec![xt, s])
+}
+
+/// The parts add up: 8 threads execute two force-sharded `Gen` scripts, and
+/// the per-call records folded with `SchedSnapshot::absorb` equal the
+/// engine's record field by field — operator counts, pool requests and shard
+/// work included. A reset empties the engine's record.
+#[test]
+fn per_call_records_add_up_to_the_engine_record() {
+    const THREADS: usize = 8;
+    const ROUNDS: usize = 4;
+    let (n, m, k) = (120, 24, 3);
+    let engine =
+        EngineBuilder::new(FusionMode::Gen).shards(2).shard_threads(1).force_shard(true).build();
+    let scripts =
+        [engine.compile(&mlogreg_dag(n, m, k)), engine.compile(&basic_and_interpreted_dag(n, m))];
+    let records: Vec<SchedSnapshot> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let scripts = scripts.clone();
+                s.spawn(move || {
+                    let bindings = mlogreg_bindings(n, m, k, 100 * t as u64 + 1);
+                    let runs = (0..ROUNDS).flat_map(|_| scripts.iter());
+                    runs.map(|script| script.execute(&bindings).sched()).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+    });
+    let mut folded = SchedSnapshot::default();
+    for r in &records {
+        let mut alone = SchedSnapshot::default();
+        alone.absorb(r);
+        assert_eq!(&alone, r, "absorbing into an empty record copies every field");
+        folded.absorb(r);
+    }
+    assert_eq!(folded, engine.stats().scheduler_snapshot(), "the records add up to the engine's");
+    assert_eq!(engine.stats().snapshot(), (folded.fused_ops, 0, folded.basic_ops));
+    assert_eq!(engine.stats().mono_snapshot(), (folded.mono_ops, folded.interp_fused_ops));
+    // Not vacuous: every run counted its operators and sharded its fused
+    // operator, and warm runs hit the pool.
+    let runs = THREADS * ROUNDS;
+    assert_eq!(folded.fused_ops, 2 * runs, "{folded:?}");
+    assert!(folded.mono_ops >= runs && folded.interp_fused_ops >= runs, "{folded:?}");
+    assert!(folded.basic_ops >= runs, "{folded:?}");
+    assert!(folded.sharded_ops >= runs && folded.shards_used == 2, "{folded:?}");
+    assert!(folded.pool_hits > 0 && folded.peak_bytes > 0, "{folded:?}");
+
+    engine.stats().reset();
+    assert_eq!(engine.stats().scheduler_snapshot(), SchedSnapshot::default());
+    assert_eq!(engine.stats().snapshot(), (0, 0, 0));
 }
