@@ -148,26 +148,37 @@ fn ooc_dag(rows: usize, cols: usize, k: usize) -> fusedml_hop::HopDag {
     b.build(vec![total.expect("k >= 2")])
 }
 
-/// Median wall time plus the warm-run scheduler snapshot for one engine on
-/// the out-of-core chain.
+/// Per engine on the out-of-core chain: the median wall time over `reps`
+/// warm runs and the scheduler snapshot of its last run. The engines' runs
+/// interleave, each round in the opposite order to the last, so a slow
+/// stretch of the host lands on every engine alike.
 fn measure_ooc(
-    exec: &Engine,
+    engines: &[&Engine],
     dag: &fusedml_hop::HopDag,
     bindings: &Bindings,
     reps: usize,
-) -> (f64, fusedml_runtime::SchedSnapshot) {
-    let _ = exec.execute(dag, bindings); // cold run compiles + fills pool
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            exec.stats().reset();
+) -> Vec<(f64, fusedml_runtime::SchedSnapshot)> {
+    for exec in engines {
+        let _ = exec.execute(dag, bindings); // cold run compiles + fills pool
+    }
+    let mut times = vec![Vec::with_capacity(reps); engines.len()];
+    for rep in 0..reps {
+        for k in 0..engines.len() {
+            let k = if rep % 2 == 0 { k } else { engines.len() - 1 - k };
+            engines[k].stats().reset();
             let t0 = Instant::now();
-            let _ = exec.execute(dag, bindings);
-            t0.elapsed().as_secs_f64()
+            let _ = engines[k].execute(dag, bindings);
+            times[k].push(t0.elapsed().as_secs_f64());
+        }
+    }
+    engines
+        .iter()
+        .zip(times)
+        .map(|(exec, mut t)| {
+            t.sort_by(f64::total_cmp);
+            (t[t.len() / 2], exec.stats().scheduler_snapshot())
         })
-        .collect();
-    let snap = exec.stats().scheduler_snapshot();
-    times.sort_by(f64::total_cmp);
-    (times[times.len() / 2], snap)
+        .collect()
 }
 
 /// The out-of-core panel (and the smoke-mode CI gate): working set ≈ 4× the
@@ -180,14 +191,14 @@ fn run_out_of_core(scale: Scale) {
     // 4 KiB of headroom covers the scalar slots (fold partials and the
     // literal), which sit below `MIN_SPILL_BYTES` and can never evict.
     let budget = (k / 2 + 2) * val_bytes / 4 + 4096;
-    let reps = scale.pick(3, 5);
+    let reps = scale.pick(7, 5);
     let dag = ooc_dag(rows, cols, k);
     let mut bindings = Bindings::new();
     bindings.insert("X".to_string(), generate::rand_dense(rows, cols, 0.0, 0.5, 2));
     let loose = Engine::builder(FusionMode::Base).workers(1).build();
     let tight = Engine::builder(FusionMode::Base).memory_budget(budget).workers(1).build();
-    let (loose_s, loose_snap) = measure_ooc(&loose, &dag, &bindings, reps);
-    let (tight_s, tight_snap) = measure_ooc(&tight, &dag, &bindings, reps);
+    let [(loose_s, loose_snap), (tight_s, tight_snap)]: [_; 2] =
+        measure_ooc(&[&loose, &tight], &dag, &bindings, reps).try_into().expect("two engines");
     let mut t = Table::new(
         &format!(
             "Figure 10 (out-of-core): mirror-paired chain of {k} on X {rows}x{cols}, budget {} MB",
@@ -274,7 +285,7 @@ mod tests {
         let mut bindings = Bindings::new();
         bindings.insert("X".to_string(), generate::rand_dense(rows, cols, 0.0, 0.5, 2));
         let exec = Engine::builder(FusionMode::Base).memory_budget(budget).workers(1).build();
-        let (_, snap) = measure_ooc(&exec, &dag, &bindings, 1);
+        let (_, snap) = measure_ooc(&[&exec], &dag, &bindings, 1)[0];
         assert!(snap.spilled_bytes > 0, "4x working set must spill");
         assert!(snap.peak_bytes <= budget, "peak {} > budget {budget}", snap.peak_bytes);
         assert_eq!(snap.spilled_bytes, snap.reloaded_bytes, "every anchor faults back");

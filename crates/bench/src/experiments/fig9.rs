@@ -6,33 +6,31 @@ use super::Scale;
 use crate::report::Table;
 use crate::time_once;
 use fusedml_cla::{compress, ops as cops};
-use fusedml_core::spoof::{eval_scalar_program, Instr, Program};
+use fusedml_core::spoof::{CellSpec, FusedSpec};
+use fusedml_hop::DagBuilder;
 use fusedml_linalg::ops::{self, AggDir, AggOp, UnaryOp};
 use fusedml_linalg::{generate, Matrix};
+use fusedml_runtime::spoof::compressed::{execute_cell_over_compressed, qualifies};
+use fusedml_runtime::{Engine, FusionMode};
 
-/// `Gen` over CLA: the generated sparse-safe single-input operator runs
-/// per *distinct dictionary value*, scaled by counts (paper §5.2: the
-/// skeleton calls "the generated operator only for distinct values").
-fn gen_over_cla(cm: &fusedml_cla::CompressedMatrix) -> f64 {
-    // Generated program: f(a) = a * a.
-    let prog = Program {
-        instrs: vec![
-            Instr::LoadMain { out: 0 },
-            Instr::Binary { out: 1, op: fusedml_linalg::ops::BinaryOp::Mult, a: 0, b: 0 },
-        ],
-        n_regs: 2,
-        vreg_lens: vec![],
-    };
-    let mut regs = vec![0.0f64; 2];
-    let side = |_: usize, _: fusedml_core::spoof::SideAccess| 0.0;
-    let mut acc = 0.0;
-    for vc in cm.group_value_counts() {
-        for (v, n) in vc {
-            eval_scalar_program(&prog, &mut regs, v, 0.0, &side, &[]);
-            acc += regs[1] * n as f64;
-        }
-    }
-    acc
+/// The Cell operator `Gen` compiles for `sum(X^2)` over `x`'s geometry: a
+/// single-input, sparse-safe full aggregate, so over CLA the skeleton calls
+/// it only for the distinct dictionary values of each column group, scaled
+/// by their counts (paper §5.2).
+fn gen_cell_spec(x: &Matrix) -> CellSpec {
+    let mut b = DagBuilder::new();
+    let xr = b.read("X", x.rows(), x.cols(), x.sparsity());
+    let sq = b.sq(xr);
+    let total = b.sum(sq);
+    let script = Engine::new(FusionMode::Gen).compile(&b.build(vec![total]));
+    let plan = script.plan().expect("Gen compiles sum(X^2) to a fusion plan");
+    plan.operators
+        .iter()
+        .find_map(|o| match &o.op.spec {
+            FusedSpec::Cell(spec) if qualifies(spec, o.cplan.sides.len()) => Some(spec.clone()),
+            _ => None,
+        })
+        .expect("Gen fuses sum(X^2) into a Cell operator that runs over CLA")
 }
 
 fn run_dataset(name: &str, x: &Matrix, reps: usize) {
@@ -75,9 +73,11 @@ fn run_dataset(name: &str, x: &Matrix, reps: usize) {
     t.row(vec!["ULA".into(), Table::secs(ula_base), Table::secs(ula_gen), format!("{vref:.3e}")]);
     // CLA Base/Fused: dictionary-only sum of squares.
     let cla_fused = median((0..reps).map(|_| time_once(|| cops::sum_sq(&cm)).1).collect());
-    // CLA Gen: generated operator over distinct values.
-    let (vgen, _) = time_once(|| gen_over_cla(&cm));
-    let cla_gen = median((0..reps).map(|_| time_once(|| gen_over_cla(&cm)).1).collect());
+    // CLA Gen: the generated operator over distinct values.
+    let spec = gen_cell_spec(x);
+    let run_gen = || execute_cell_over_compressed(&spec, &cm).get(0, 0);
+    let (vgen, _) = time_once(run_gen);
+    let cla_gen = median((0..reps).map(|_| time_once(run_gen).1).collect());
     assert!(
         fusedml_linalg::approx_eq(vgen, vref, 1e-6),
         "CLA Gen result must match: {vgen} vs {vref}"

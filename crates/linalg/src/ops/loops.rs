@@ -87,6 +87,18 @@ pub fn un_loop(op: UnaryOp, a: OpRef<'_>, dst: &mut [f64]) {
     }
 }
 
+/// `dst[i] = op(dst[i])`: [`un_loop`] over the slice it writes.
+pub(crate) fn un_loop_assign(op: UnaryOp, dst: &mut [f64]) {
+    macro_rules! go {
+        ($k:expr) => {
+            for v in dst.iter_mut() {
+                *v = $k.apply(*v);
+            }
+        };
+    }
+    with_unop!(op, go)
+}
+
 /// `dst[i] = op(a[i], b[i])`, one monomorphized loop per operator and
 /// slice/uniform operand combination.
 pub fn bin_loop(op: BinaryOp, a: OpRef<'_>, b: OpRef<'_>, dst: &mut [f64]) {

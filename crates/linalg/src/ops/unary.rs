@@ -1,43 +1,14 @@
 //! Element-wise unary operations.
 
+use super::loops::{un_loop, un_loop_assign, OpRef};
 use super::UnaryOp;
 use crate::dense::DenseMatrix;
 use crate::matrix::Matrix;
-use crate::par;
-
-/// Applies `op` to every element of `row`, four elements per iteration.
-///
-/// The 4-wide manual unroll keeps four independent `op.apply` chains in
-/// flight, which matters for the cheap ops (`Neg`, `Abs`, `Pow2`) whose
-/// per-element latency is otherwise dominated by the loop-carried index
-/// update; the tail (< 4 elements) runs scalar.
-fn apply_unrolled(row: &mut [f64], op: UnaryOp) {
-    let n = row.len();
-    let base = row.as_mut_ptr();
-    let mut i = 0;
-    while i + 4 <= n {
-        // SAFETY: `base` points at `n` contiguous initialized f64s owned
-        // exclusively through `row`; the loop condition guarantees
-        // `i + 3 < n`, so all four offsets are in bounds and distinct.
-        unsafe {
-            let p0 = base.add(i);
-            let p1 = base.add(i + 1);
-            let p2 = base.add(i + 2);
-            let p3 = base.add(i + 3);
-            *p0 = op.apply(*p0);
-            *p1 = op.apply(*p1);
-            *p2 = op.apply(*p2);
-            *p3 = op.apply(*p3);
-        }
-        i += 4;
-    }
-    for v in &mut row[i..] {
-        *v = op.apply(*v);
-    }
-}
+use crate::{par, pool};
 
 /// `out = f(a)` cell-wise. Sparse-safe functions (`f(0)=0`) run over stored
-/// non-zeros only and keep the CSR format.
+/// non-zeros only and keep the CSR format; a dense `a` maps row by row into a
+/// pool buffer written exactly once.
 pub fn unary(a: &Matrix, op: UnaryOp) -> Matrix {
     match a {
         Matrix::Sparse(s) if op.sparse_safe() => {
@@ -48,14 +19,12 @@ pub fn unary(a: &Matrix, op: UnaryOp) -> Matrix {
             out.compact();
             Matrix::sparse(out)
         }
-        _ => {
-            let (rows, cols) = (a.rows(), a.cols());
-            let mut data = match a {
-                Matrix::Dense(d) => crate::pool::take_copy(d.values()),
-                Matrix::Sparse(_) => a.to_dense().into_values(),
-            };
-            par::par_rows_mut(&mut data, rows, cols.max(1), cols.max(1), |_, row| {
-                apply_unrolled(row, op);
+        Matrix::Sparse(_) => unary_assign(a.to_dense(), op),
+        Matrix::Dense(d) => {
+            let (rows, cols) = (d.rows(), d.cols());
+            let mut data = pool::take_unzeroed(rows * cols);
+            par::par_rows_mut(&mut data, rows, cols.max(1), cols.max(1), |r, row| {
+                un_loop(op, OpRef::S(d.row(r)), row)
             });
             Matrix::dense(DenseMatrix::new(rows, cols, data))
         }
@@ -67,7 +36,7 @@ pub fn unary(a: &Matrix, op: UnaryOp) -> Matrix {
 pub fn unary_assign(mut a: DenseMatrix, op: UnaryOp) -> Matrix {
     let (rows, cols) = (a.rows(), a.cols());
     par::par_rows_mut(a.values_mut(), rows, cols.max(1), cols.max(1), |_, row| {
-        apply_unrolled(row, op);
+        un_loop_assign(op, row)
     });
     Matrix::dense(a)
 }
@@ -113,10 +82,14 @@ mod tests {
 
     #[test]
     fn all_ops_match_scalar_semantics_on_dense() {
-        let vals = [-1.5, -0.3, 0.0, 0.4, 2.0];
-        let a = Matrix::dense(DenseMatrix::row_vector(&vals));
+        // Opaque to the optimizer, so `op.apply` below runs on the values at
+        // run time like the kernels do (a folded constant NaN may differ in
+        // its payload bits).
+        let vals = std::hint::black_box([-1.5, -0.3, -0.0, 0.0, 0.4, 2.0, f64::INFINITY, f64::NAN]);
+        let a = DenseMatrix::row_vector(&vals);
         for op in [
             UnaryOp::Exp,
+            UnaryOp::Log,
             UnaryOp::Sqrt,
             UnaryOp::Abs,
             UnaryOp::Sign,
@@ -127,15 +100,14 @@ mod tests {
             UnaryOp::Sigmoid,
             UnaryOp::Pow2,
             UnaryOp::Sprop,
+            UnaryOp::Recip,
         ] {
-            let r = unary(&a, op);
+            let mapped = unary(&Matrix::dense(a.clone()), op);
+            let assigned = unary_assign(a.clone(), op);
             for (i, &v) in vals.iter().enumerate() {
-                let expect = op.apply(v);
-                let got = r.get(0, i);
-                assert!(
-                    crate::approx_eq(expect, got, 1e-12),
-                    "{op:?}({v}) = {got}, expected {expect}"
-                );
+                let expect = op.apply(v).to_bits();
+                let got = [mapped.get(0, i).to_bits(), assigned.get(0, i).to_bits()];
+                assert_eq!(got, [expect; 2], "{op:?}({v})");
             }
         }
     }

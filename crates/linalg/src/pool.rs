@@ -352,20 +352,6 @@ impl BufferPool {
         poisoned(buf)
     }
 
-    /// Takes a buffer initialized as a copy of `src` (pool-backed `to_vec`).
-    pub fn take_copy(&self, src: &[f64]) -> Vec<f64> {
-        self.take_copy_tallied(src, None)
-    }
-
-    fn take_copy_tallied(&self, src: &[f64], tally: Option<&PoolTally>) -> Vec<f64> {
-        if src.len() < MIN_POOL_LEN {
-            return src.to_vec();
-        }
-        let mut buf = self.take_unzeroed_tallied(src.len(), tally);
-        buf.copy_from_slice(src);
-        buf
-    }
-
     /// Returns a value buffer to the pool. Tiny buffers, overfull classes,
     /// and anything beyond the retention cap are dropped instead.
     pub fn give(&self, buf: Vec<f64>) {
@@ -519,14 +505,6 @@ pub fn take_unzeroed(len: usize) -> Vec<f64> {
     match current_scope() {
         Some(s) => s.pool.take_unzeroed_tallied(len, s.tally.as_deref()),
         None => poisoned(vec![0.0; len]),
-    }
-}
-
-/// Takes a pool-backed copy of `src` from the current scope's pool.
-pub fn take_copy(src: &[f64]) -> Vec<f64> {
-    match current_scope() {
-        Some(s) => s.pool.take_copy_tallied(src, s.tally.as_deref()),
-        None => src.to_vec(),
     }
 }
 
@@ -698,14 +676,6 @@ mod tests {
         assert_eq!(s.returns, 1);
         assert_eq!(s.drops, 1);
         assert!(s.retained_bytes <= 4096);
-    }
-
-    #[test]
-    fn take_copy_matches_source() {
-        let p = BufferPool::new();
-        let src: Vec<f64> = (0..200).map(|i| i as f64).collect();
-        let c = p.take_copy(&src);
-        assert_eq!(c, src);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! This module is the calling convention, not a second implementation: the
 //! dense hot loops ([`dot_product`], [`vect_mult_add`], [`vect_sum`],
 //! [`vect_sum_sq`]) re-slice their arguments and call [`crate::simd`], which
-//! owns the AVX2 kernels and their scalar twins. What is written out here —
-//! `min` / `max` folds, the scatter loops over `aix`, `vect_outer_mult_add`,
-//! cumsum — has no explicit-SIMD form.
+//! compiles each kernel for AVX2+FMA and for the baseline target. What is
+//! written out here — `min` / `max` folds, the scatter loops over `aix`,
+//! `vect_outer_mult_add`, cumsum — has no explicit-SIMD form.
 
 /// `sum(a[ai..ai+len] * b[bi..bi+len])` — dispatches to the AVX2+FMA path
 /// when available (see [`crate::simd`]).

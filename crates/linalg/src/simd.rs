@@ -1,40 +1,45 @@
-//! Explicit SIMD tile primitives for the fused block engine (DESIGN.md
-//! substitution X10).
+//! SIMD tile primitives for the fused block engine (DESIGN.md substitution
+//! X10).
 //!
 //! The default x86-64 target only assumes SSE2, so a plain Rust loop
-//! autovectorizes to 128-bit code at best. The kernels here carry explicit
-//! `std::arch` AVX2+FMA paths behind runtime feature detection: 256-bit
-//! lanes, fused multiply-add chains for the reduction accumulators, and
-//! masked tail loads instead of scalar remainder loops. Every kernel has a
-//! portable scalar twin and the public entry points dispatch per call, so
-//! non-AVX2 hosts (and the `FUSEDML_FORCE_SCALAR` CI leg) run identical
-//! semantics through the fallback. [`crate::primitives`] is the
-//! `(array, offset, len)` calling convention over these kernels
-//! (`dot_product` → [`dot`], `vect_mult_add` → [`axpy`], `vect_sum` →
-//! [`sum`], `vect_sum_sq` → [`sum_sq`]), not a portable copy of them.
+//! autovectorizes to 128-bit code at best. Each primitive here has **one
+//! source**: a portable body generic over `const FMA: bool` — reductions
+//! over four lane accumulators in 4-element chunks, element-wise kernels a
+//! plain loop — which the `primitive!` macro compiles twice: under
+//! `#[target_feature(enable = "avx2,fma")]` with `FMA = true` (LLVM keeps the
+//! four lanes in one 256-bit register, vectorizes the loops to 256 bits and
+//! contracts `a·b + c` into one `vfmadd…pd`) and for the baseline target
+//! with `FMA = false` (a multiply then an add). The public entry points pick
+//! an instance per call, so non-AVX2 hosts and the `FUSEDML_FORCE_SCALAR` CI
+//! leg run the same body.
+//! Three kernels stay hand-written `std::arch` code in `mod avx2`, each
+//! with a scalar twin: the [`gemm`] micro-tile (masked edge tiles, the
+//! hottest kernel), [`dot_sums`] (a portable multi-term body only reaches
+//! 128-bit lanes) and [`gather_into`] (`vgatherqpd`).
+//! [`crate::primitives`] is the `(array, offset, len)` calling convention
+//! over these kernels (`dot_product` → [`dot`], `vect_mult_add` → [`axpy`],
+//! `vect_sum` → [`sum`], `vect_sum_sq` → [`sum_sq`]).
 //!
-//! **Rounding policy** (pinned; see DESIGN.md §4 X10): elementwise *map*
-//! kernels (`mul2_into`, `mul3_into`, `gather_into`) perform exactly the
-//! operations of their scalar twins in the same order — no FMA contraction,
-//! bitwise-identical output on every backend. *Reductions* (`dot*`, `sum`,
-//! `sum_sq`, `axpy` accumulation order per element is preserved but lane
-//! association differs and FMA is permitted), so reduction results are
-//! backend-defined within ~1e-12 relative error; differential tests pin
-//! that bound against the scalar oracle. [`dot_sums`] runs several `dot` /
-//! `sum` terms in one loop and is bitwise each single-term kernel on the
-//! same backend. The register-blocked matrix kernels
-//! ([`gemm`], [`sparse_row_gemm`], [`scatter_axpy`]) are reduction class with
-//! a fixed order: every output element accumulates over the inner index
-//! ascending, one FMA per step on AVX2 and a multiply then an add in the
-//! scalar twin — bitwise what a chain of [`axpy`] calls gives on the same
-//! backend, whatever the tile shape. `min`/`max` folds are deliberately
-//! *not* implemented here: `_mm256_min_pd` does not match Rust's
-//! `f64::min` on NaN and ±0.0, and the portable fold in `primitives` is
-//! already cheap.
+//! **Rounding policy** (pinned; see DESIGN.md §4 X10): the two instances of
+//! a primitive perform the same operations in the same order and differ only
+//! by FMA contraction. Elementwise *map* kernels (`mul2_into`, `mul3_into`,
+//! `gather_into`) contract nothing and are bitwise identical on every
+//! backend. *Reductions* (`dot*`, `sum`, `sum_sq`) keep four lane
+//! accumulators, fold a ragged tail into them as one zero-padded chunk and
+//! combine them as `(l0 + l1) + (l2 + l3)`; `axpy` and the register-blocked
+//! matrix kernels ([`gemm`], [`sparse_row_gemm`], [`scatter_axpy`])
+//! accumulate every output element over the inner index ascending — bitwise
+//! what a chain of [`axpy`] calls gives on the same backend, whatever the
+//! tile shape. Where every product is exact, both legs return the same bits.
+//! [`dot_sums`] runs several `dot` / `sum` terms in one loop and is bitwise
+//! each single-term kernel on the same backend. `min`/`max` folds are
+//! deliberately *not* implemented here: `_mm256_min_pd` does not match
+//! Rust's `f64::min` on NaN and ±0.0, and the portable fold in `primitives`
+//! is already cheap.
 //!
 //! Feature detection runs once (`std::arch::is_x86_feature_detected!`) and
 //! is cached; [`force_scalar`] flips a process-wide override so
-//! differential tests exercise the scalar twins in the same process, and
+//! differential tests exercise the baseline leg in the same process, and
 //! the `FUSEDML_FORCE_SCALAR` environment variable does the same for whole
 //! test-suite runs (the CI scalar-fallback leg).
 
@@ -43,9 +48,10 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// Instruction-set level the dispatchers select.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// Portable scalar twins (also the non-x86 and forced-fallback path).
+    /// The baseline instances and scalar twins (also the non-x86 and
+    /// forced-fallback path).
     Scalar,
-    /// 256-bit AVX2 + FMA kernels.
+    /// The AVX2+FMA instances and kernels.
     Avx2,
 }
 
@@ -95,7 +101,7 @@ pub fn level() -> SimdLevel {
     }
 }
 
-/// Forces every dispatcher onto the portable scalar twins (`true`) or
+/// Forces every dispatcher onto the baseline leg (`true`) or
 /// restores runtime detection (`false`). Process-wide; used by the
 /// differential property tests to compare both paths in one process.
 pub fn force_scalar(on: bool) {
@@ -109,148 +115,89 @@ pub fn forced_scalar() -> bool {
 }
 
 // ===========================================================================
-// Portable scalar twins
+// Portable bodies
 // ===========================================================================
-// 4-fold unrolled like the seed primitives: one accumulator per lane of a
-// 256-bit register, so scalar and AVX2 paths share the same association
-// shape (4 partial sums combined at the end) and stay within the pinned
-// 1e-12 differential bound.
 
-fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut acc = [0.0f64; 4];
-    let chunks = n / 4;
-    for i in 0..chunks {
-        let k = i * 4;
-        acc[0] += a[k] * b[k];
-        acc[1] += a[k + 1] * b[k + 1];
-        acc[2] += a[k + 2] * b[k + 2];
-        acc[3] += a[k + 3] * b[k + 3];
+/// `a·b + c`: one fused rounding on the FMA instance, a multiply then an add
+/// on the baseline one.
+#[inline(always)]
+fn madd<const FMA: bool>(a: f64, b: f64, c: f64) -> f64 {
+    if FMA {
+        a.mul_add(b, c)
+    } else {
+        a * b + c
     }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for i in chunks * 4..n {
-        s += a[i] * b[i];
-    }
-    s
 }
 
-fn dot3_scalar(a: &[f64], b: &[f64], c: &[f64]) -> f64 {
-    let n = a.len().min(b.len()).min(c.len());
+/// Folds `step(lane, x)` over the common length `n` of the inputs `xs` into
+/// four lane accumulators, one 4-element chunk at a time; a ragged tail is
+/// one more chunk, zero-padded, that updates all four lanes; the lanes then
+/// combine as `(l0 + l1) + (l2 + l3)` — the accumulator register and masked
+/// tail load of a 256-bit kernel. Under AVX2 the loop keeps the four lanes in
+/// one `ymm`.
+#[inline(always)]
+fn fold_lanes<const K: usize>(xs: [&[f64]; K], step: impl Fn(f64, [f64; K]) -> f64) -> f64 {
+    let n = xs.iter().map(|x| x.len()).min().unwrap_or(0);
+    let xs = xs.map(|x| &x[..n]);
+    let chunks = xs.map(|x| x.as_chunks::<4>().0);
     let mut acc = [0.0f64; 4];
-    let chunks = n / 4;
-    for i in 0..chunks {
-        let k = i * 4;
-        acc[0] += a[k] * b[k] * c[k];
-        acc[1] += a[k + 1] * b[k + 1] * c[k + 1];
-        acc[2] += a[k + 2] * b[k + 2] * c[k + 2];
-        acc[3] += a[k + 3] * b[k + 3] * c[k + 3];
+    for i in 0..n / 4 {
+        for (l, a) in acc.iter_mut().enumerate() {
+            *a = step(*a, std::array::from_fn(|j| chunks[j][i][l]));
+        }
     }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for i in chunks * 4..n {
-        s += a[i] * b[i] * c[i];
+    if n % 4 != 0 {
+        // Hidden from the optimizer, the tail's first index makes its four
+        // lanes look alike: knowing the last lane is padding, LLVM's SLP pass
+        // splits `sum`'s and `sum_sq`'s accumulator into 128-bit pairs.
+        let k = std::hint::black_box(n - n % 4);
+        for (l, a) in acc.iter_mut().enumerate() {
+            *a = step(*a, std::array::from_fn(|j| xs[j].get(k + l).copied().unwrap_or(0.0)));
+        }
     }
-    s
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
-fn dot4_scalar(a: &[f64], b: &[f64], c: &[f64], d: &[f64]) -> f64 {
-    let n = a.len().min(b.len()).min(c.len()).min(d.len());
-    let mut acc = [0.0f64; 4];
-    let chunks = n / 4;
-    for i in 0..chunks {
-        let k = i * 4;
-        acc[0] += a[k] * b[k] * c[k] * d[k];
-        acc[1] += a[k + 1] * b[k + 1] * c[k + 1] * d[k + 1];
-        acc[2] += a[k + 2] * b[k + 2] * c[k + 2] * d[k + 2];
-        acc[3] += a[k + 3] * b[k + 3] * c[k + 3] * d[k + 3];
-    }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for i in chunks * 4..n {
-        s += a[i] * b[i] * c[i] * d[i];
-    }
-    s
-}
-
-fn sum_scalar(a: &[f64]) -> f64 {
-    let n = a.len();
-    let mut acc = [0.0f64; 4];
-    let chunks = n / 4;
-    for i in 0..chunks {
-        let k = i * 4;
-        acc[0] += a[k];
-        acc[1] += a[k + 1];
-        acc[2] += a[k + 2];
-        acc[3] += a[k + 3];
-    }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for &v in &a[chunks * 4..] {
-        s += v;
-    }
-    s
-}
-
-fn sum_sq_scalar(a: &[f64]) -> f64 {
-    let n = a.len();
-    let mut acc = [0.0f64; 4];
-    let chunks = n / 4;
-    for i in 0..chunks {
-        let k = i * 4;
-        acc[0] += a[k] * a[k];
-        acc[1] += a[k + 1] * a[k + 1];
-        acc[2] += a[k + 2] * a[k + 2];
-        acc[3] += a[k + 3] * a[k + 3];
-    }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for &v in &a[chunks * 4..] {
-        s += v * v;
-    }
-    s
-}
-
-/// [`dot_scalar`] / [`sum_scalar`] for every term at once: the same four
-/// accumulators per term, the same pairwise combination and sequential tail.
-fn dot_sums_scalar(n: usize, terms: &[DotTerm<'_>], out: &mut [f64]) {
-    let mut acc = [[0.0f64; 4]; MAX_DOT_SUMS];
-    let chunks = n / 4;
-    for i in 0..chunks {
-        let k = i * 4;
-        for (acc, &(a, b)) in acc.iter_mut().zip(terms) {
-            for (l, x) in acc.iter_mut().enumerate() {
-                *x += match b {
-                    Some(b) => a[k + l] * b[k + l],
-                    None => a[k + l],
-                };
+/// Defines a public primitive from one body generic over `const FMA: bool`:
+/// a `target_feature(avx2,fma)` instance with `FMA = true`, chosen when
+/// [`level`] is [`SimdLevel::Avx2`], and the baseline instance with
+/// `FMA = false`.
+macro_rules! primitive {
+    (
+        $(#[$m:meta])*
+        pub fn $name:ident<$fma:ident>($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $body:block
+    ) => {
+        $(#[$m])*
+        #[inline]
+        pub fn $name($($arg: $ty),*) $(-> $ret)? {
+            #[inline(always)]
+            fn body<const $fma: bool>($($arg: $ty),*) $(-> $ret)? $body
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2,fma")]
+            fn fma($($arg: $ty),*) $(-> $ret)? {
+                body::<true>($($arg),*)
             }
+            fn baseline($($arg: $ty),*) $(-> $ret)? {
+                body::<false>($($arg),*)
+            }
+            #[cfg(target_arch = "x86_64")]
+            if level() == SimdLevel::Avx2 {
+                // SAFETY: level() == Avx2 implies runtime AVX2+FMA support.
+                return unsafe { fma($($arg),*) };
+            }
+            baseline($($arg),*)
         }
-    }
-    for ((o, acc), &(a, b)) in out.iter_mut().zip(&acc).zip(terms) {
-        let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-        for i in chunks * 4..n {
-            s += match b {
-                Some(b) => a[i] * b[i],
-                None => a[i],
-            };
-        }
-        *o = s;
-    }
+    };
 }
 
-fn axpy_scalar(a: &[f64], alpha: f64, c: &mut [f64]) {
-    let n = a.len().min(c.len());
-    for i in 0..n {
-        c[i] += a[i] * alpha;
-    }
-}
-
-fn mul2_scalar(dst: &mut [f64], a: &[f64], b: &[f64]) {
-    for (i, d) in dst.iter_mut().enumerate() {
-        *d = a[i] * b[i];
-    }
-}
-
-fn mul3_scalar(dst: &mut [f64], a: &[f64], b: &[f64], c: &[f64]) {
-    for (i, d) in dst.iter_mut().enumerate() {
-        *d = a[i] * b[i] * c[i];
+/// [`dot`] / [`sum`] of every term on the baseline instance, one term at a
+/// time (the AVX2 leg folds all terms in one loop).
+fn dot_sums_scalar(n: usize, terms: &[DotTerm<'_>], out: &mut [f64]) {
+    for (o, &(a, b)) in out.iter_mut().zip(terms) {
+        *o = match b {
+            Some(b) => fold_lanes([&a[..n], &b[..n]], |s, [a, b]| madd::<false>(a, b, s)),
+            None => fold_lanes([&a[..n]], |s, [a]| s + a),
+        };
     }
 }
 
@@ -289,28 +236,6 @@ fn gemm_tile_scalar(
     }
     for (i, row) in acc.iter().enumerate().take(mr) {
         c[i * c_rs..i * c_rs + nr].copy_from_slice(&row[..nr]);
-    }
-}
-
-fn sparse_row_gemm_scalar(vals: &[f64], cols: &[usize], bp: &[f64], kc: usize, dst: &mut [f64]) {
-    for (jp, out) in dst.chunks_mut(NR).enumerate() {
-        let panel = &bp[jp * kc * NR..(jp + 1) * kc * NR];
-        let mut acc = [0.0f64; NR];
-        for (&v, &c) in vals.iter().zip(cols) {
-            for (x, &bv) in acc.iter_mut().zip(&panel[c * NR..(c + 1) * NR]) {
-                *x += v * bv;
-            }
-        }
-        out.copy_from_slice(&acc[..out.len()]);
-    }
-}
-
-fn scatter_axpy_scalar(vals: &[f64], cols: &[usize], t: &[f64], acc: &mut [f64]) {
-    let ld = padded_cols(t.len());
-    for (&v, &c) in vals.iter().zip(cols) {
-        for (x, &tv) in acc[c * ld..c * ld + t.len()].iter_mut().zip(t) {
-            *x += v * tv;
-        }
     }
 }
 
@@ -354,143 +279,11 @@ mod avx2 {
 
     #[inline]
     fn hsum(v: __m256d) -> f64 {
-        // (lane0+lane2) + (lane1+lane3), matching the scalar twin's
-        // pairwise combination of its four accumulators.
+        // (lane0+lane1) + (lane2+lane3), as `fold_lanes` combines its lanes.
         let mut lanes = [0.0f64; 4];
         // SAFETY: `lanes` is 4 f64s; storeu has no alignment requirement.
         unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), v) };
         (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-    }
-
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot(a: &[f64], b: &[f64]) -> f64 {
-        let n = a.len().min(b.len());
-        let chunks = n / 4;
-        let r = n % 4;
-        let mut acc = _mm256_setzero_pd();
-        for i in 0..chunks {
-            // SAFETY: i*4 + 4 <= n bounds both loads.
-            unsafe {
-                let va = _mm256_loadu_pd(a.as_ptr().add(i * 4));
-                let vb = _mm256_loadu_pd(b.as_ptr().add(i * 4));
-                acc = _mm256_fmadd_pd(va, vb, acc);
-            }
-        }
-        if r != 0 {
-            // SAFETY: the masked tail reads exactly the last `r` elements.
-            unsafe {
-                let va = tail_load(a.as_ptr().add(chunks * 4), r);
-                let vb = tail_load(b.as_ptr().add(chunks * 4), r);
-                acc = _mm256_fmadd_pd(va, vb, acc);
-            }
-        }
-        hsum(acc)
-    }
-
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot3(a: &[f64], b: &[f64], c: &[f64]) -> f64 {
-        let n = a.len().min(b.len()).min(c.len());
-        let chunks = n / 4;
-        let r = n % 4;
-        let mut acc = _mm256_setzero_pd();
-        for i in 0..chunks {
-            // SAFETY: i*4 + 4 <= n bounds all three loads.
-            unsafe {
-                let va = _mm256_loadu_pd(a.as_ptr().add(i * 4));
-                let vb = _mm256_loadu_pd(b.as_ptr().add(i * 4));
-                let vc = _mm256_loadu_pd(c.as_ptr().add(i * 4));
-                acc = _mm256_fmadd_pd(_mm256_mul_pd(va, vb), vc, acc);
-            }
-        }
-        if r != 0 {
-            // SAFETY: masked tails read exactly the last `r` elements.
-            unsafe {
-                let va = tail_load(a.as_ptr().add(chunks * 4), r);
-                let vb = tail_load(b.as_ptr().add(chunks * 4), r);
-                let vc = tail_load(c.as_ptr().add(chunks * 4), r);
-                acc = _mm256_fmadd_pd(_mm256_mul_pd(va, vb), vc, acc);
-            }
-        }
-        hsum(acc)
-    }
-
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot4(a: &[f64], b: &[f64], c: &[f64], d: &[f64]) -> f64 {
-        let n = a.len().min(b.len()).min(c.len()).min(d.len());
-        let chunks = n / 4;
-        let r = n % 4;
-        let mut acc = _mm256_setzero_pd();
-        for i in 0..chunks {
-            // SAFETY: i*4 + 4 <= n bounds all four loads.
-            unsafe {
-                let va = _mm256_loadu_pd(a.as_ptr().add(i * 4));
-                let vb = _mm256_loadu_pd(b.as_ptr().add(i * 4));
-                let vc = _mm256_loadu_pd(c.as_ptr().add(i * 4));
-                let vd = _mm256_loadu_pd(d.as_ptr().add(i * 4));
-                acc = _mm256_fmadd_pd(_mm256_mul_pd(_mm256_mul_pd(va, vb), vc), vd, acc);
-            }
-        }
-        if r != 0 {
-            // SAFETY: masked tails read exactly the last `r` elements.
-            unsafe {
-                let va = tail_load(a.as_ptr().add(chunks * 4), r);
-                let vb = tail_load(b.as_ptr().add(chunks * 4), r);
-                let vc = tail_load(c.as_ptr().add(chunks * 4), r);
-                let vd = tail_load(d.as_ptr().add(chunks * 4), r);
-                acc = _mm256_fmadd_pd(_mm256_mul_pd(_mm256_mul_pd(va, vb), vc), vd, acc);
-            }
-        }
-        hsum(acc)
-    }
-
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sum(a: &[f64]) -> f64 {
-        let n = a.len();
-        let chunks = n / 4;
-        let r = n % 4;
-        let mut acc = _mm256_setzero_pd();
-        for i in 0..chunks {
-            // SAFETY: i*4 + 4 <= n bounds the load.
-            unsafe { acc = _mm256_add_pd(acc, _mm256_loadu_pd(a.as_ptr().add(i * 4))) };
-        }
-        if r != 0 {
-            // SAFETY: masked tail reads exactly the last `r` elements.
-            unsafe { acc = _mm256_add_pd(acc, tail_load(a.as_ptr().add(chunks * 4), r)) };
-        }
-        hsum(acc)
-    }
-
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sum_sq(a: &[f64]) -> f64 {
-        let n = a.len();
-        let chunks = n / 4;
-        let r = n % 4;
-        let mut acc = _mm256_setzero_pd();
-        for i in 0..chunks {
-            // SAFETY: i*4 + 4 <= n bounds the load.
-            unsafe {
-                let v = _mm256_loadu_pd(a.as_ptr().add(i * 4));
-                acc = _mm256_fmadd_pd(v, v, acc);
-            }
-        }
-        if r != 0 {
-            // SAFETY: masked tail reads exactly the last `r` elements.
-            unsafe {
-                let v = tail_load(a.as_ptr().add(chunks * 4), r);
-                acc = _mm256_fmadd_pd(v, v, acc);
-            }
-        }
-        hsum(acc)
     }
 
     /// [`dot`] (or [`sum`] where a term has no `b`) of `R` terms in one loop:
@@ -537,79 +330,6 @@ mod avx2 {
             }
         }
         acc.map(hsum)
-    }
-
-    /// `c += alpha * a`. The vector body uses FMA; the stored values match
-    /// the scalar twin within one rounding (reduction-class kernel: `c` is
-    /// an accumulator, not a map output).
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn axpy(a: &[f64], alpha: f64, c: &mut [f64]) {
-        let n = a.len().min(c.len());
-        let chunks = n / 4;
-        let va = _mm256_set1_pd(alpha);
-        for i in 0..chunks {
-            // SAFETY: i*4 + 4 <= n bounds the loads and the store.
-            unsafe {
-                let x = _mm256_loadu_pd(a.as_ptr().add(i * 4));
-                let y = _mm256_loadu_pd(c.as_ptr().add(i * 4));
-                _mm256_storeu_pd(c.as_mut_ptr().add(i * 4), _mm256_fmadd_pd(x, va, y));
-            }
-        }
-        for i in chunks * 4..n {
-            c[i] = a[i].mul_add(alpha, c[i]);
-        }
-    }
-
-    /// Elementwise `dst = a * b` — map-class kernel: plain multiply, no
-    /// contraction, bitwise equal to the scalar twin.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul2_into(dst: &mut [f64], a: &[f64], b: &[f64]) {
-        let n = dst.len();
-        debug_assert!(a.len() >= n && b.len() >= n);
-        let chunks = n / 4;
-        for i in 0..chunks {
-            // SAFETY: i*4 + 4 <= n ≤ len of every slice.
-            unsafe {
-                let va = _mm256_loadu_pd(a.as_ptr().add(i * 4));
-                let vb = _mm256_loadu_pd(b.as_ptr().add(i * 4));
-                _mm256_storeu_pd(dst.as_mut_ptr().add(i * 4), _mm256_mul_pd(va, vb));
-            }
-        }
-        for i in chunks * 4..n {
-            dst[i] = a[i] * b[i];
-        }
-    }
-
-    /// Elementwise `dst = a * b * c` — map-class kernel (no contraction).
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul3_into(dst: &mut [f64], a: &[f64], b: &[f64], c: &[f64]) {
-        let n = dst.len();
-        debug_assert!(a.len() >= n && b.len() >= n && c.len() >= n);
-        let chunks = n / 4;
-        for i in 0..chunks {
-            // SAFETY: i*4 + 4 <= n ≤ len of every slice.
-            unsafe {
-                let va = _mm256_loadu_pd(a.as_ptr().add(i * 4));
-                let vb = _mm256_loadu_pd(b.as_ptr().add(i * 4));
-                let vc = _mm256_loadu_pd(c.as_ptr().add(i * 4));
-                _mm256_storeu_pd(
-                    dst.as_mut_ptr().add(i * 4),
-                    _mm256_mul_pd(_mm256_mul_pd(va, vb), vc),
-                );
-            }
-        }
-        for i in chunks * 4..n {
-            dst[i] = a[i] * b[i] * c[i];
-        }
     }
 
     /// The signature every [`gemm_tile`] instance shares.
@@ -699,86 +419,6 @@ mod avx2 {
         }
     }
 
-    /// `dst[j] = Σ_k vals[k]·B(cols[k], j)` against packed panels: the `NR`
-    /// output columns of one panel accumulate in two registers across the
-    /// non-zeros (one for a last panel of at most four columns).
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and FMA, every `cols[k] <
-    /// kc`, and `bp` holds `dst.len().div_ceil(NR)` panels of `kc·NR`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sparse_row_gemm(
-        vals: &[f64],
-        cols: &[usize],
-        bp: &[f64],
-        kc: usize,
-        dst: &mut [f64],
-    ) {
-        const NR: usize = super::NR;
-        let nnz = vals.len().min(cols.len());
-        for (jp, out) in dst.chunks_mut(NR).enumerate() {
-            let nr = out.len();
-            // SAFETY: panel `jp` lies inside `bp` per the caller contract.
-            let panel = unsafe { bp.as_ptr().add(jp * kc * NR) };
-            let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-            for k in 0..nnz {
-                // SAFETY: `k < nnz` bounds both reads; `cols[k] < kc`, so row
-                // `cols[k]` of the panel holds NR readable values.
-                unsafe {
-                    let v = _mm256_set1_pd(*vals.get_unchecked(k));
-                    let row = panel.add(*cols.get_unchecked(k) * NR);
-                    lo = _mm256_fmadd_pd(v, _mm256_loadu_pd(row), lo);
-                    if nr > 4 {
-                        hi = _mm256_fmadd_pd(v, _mm256_loadu_pd(row.add(4)), hi);
-                    }
-                }
-            }
-            // SAFETY: `out` has `nr` writable elements; the masks keep the
-            // stores inside them.
-            unsafe {
-                _mm256_maskstore_pd(out.as_mut_ptr(), lane_mask(nr.min(4)), lo);
-                if nr > 4 {
-                    _mm256_maskstore_pd(out.as_mut_ptr().add(4), lane_mask(nr - 4), hi);
-                }
-            }
-        }
-    }
-
-    /// `acc[cols[k]·ld + j] += vals[k]·t[j]` for `j < t.len()`, rows `ld =
-    /// padded_cols(t.len())` apart; the padding columns of a touched row
-    /// receive `+0.0`.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and FMA and
-    /// `(cols[k] + 1)·ld ≤ acc.len()` for every `k`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn scatter_axpy(vals: &[f64], cols: &[usize], t: &[f64], acc: &mut [f64]) {
-        let k = t.len();
-        let ld = super::padded_cols(k);
-        let nnz = vals.len().min(cols.len());
-        for z in 0..nnz {
-            // SAFETY: `z < nnz` bounds both reads; row `cols[z]` of `acc`
-            // holds `ld` = `k` rounded up to whole vectors, so every full
-            // load/store of a chunk starting below `k` stays inside it; `t`
-            // is read in full vectors below `k` and masked at its tail.
-            unsafe {
-                let v = _mm256_set1_pd(*vals.get_unchecked(z));
-                let row = acc.as_mut_ptr().add(*cols.get_unchecked(z) * ld);
-                let mut q = 0;
-                while q < k {
-                    let tv = if q + 4 <= k {
-                        _mm256_loadu_pd(t.as_ptr().add(q))
-                    } else {
-                        tail_load(t.as_ptr().add(q), k - q)
-                    };
-                    let x = _mm256_loadu_pd(row.add(q));
-                    _mm256_storeu_pd(row.add(q), _mm256_fmadd_pd(v, tv, x));
-                    q += 4;
-                }
-            }
-        }
-    }
-
     /// CSR-band gather: `dst[k] = src[idx[k]]` via `vgatherqpd`.
     ///
     /// # Safety
@@ -809,59 +449,39 @@ mod avx2 {
 // Dispatchers
 // ===========================================================================
 
-/// `Σ a[i]·b[i]` (reduction class: lane association backend-defined).
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        // SAFETY: level() == Avx2 implies runtime AVX2+FMA support.
-        return unsafe { avx2::dot(a, b) };
+primitive! {
+    /// `Σ a[i]·b[i]` over `min(a.len, b.len)` (reduction class).
+    pub fn dot<FMA>(a: &[f64], b: &[f64]) -> f64 {
+        fold_lanes([a, b], |s, [a, b]| madd::<FMA>(a, b, s))
     }
-    dot_scalar(a, b)
 }
 
-/// `Σ a[i]·b[i]·c[i]` — the 3-factor product-chain sum (fig 8a).
-#[inline]
-pub fn dot3_sum(a: &[f64], b: &[f64], c: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        // SAFETY: level() == Avx2 implies runtime AVX2+FMA support.
-        return unsafe { avx2::dot3(a, b, c) };
+primitive! {
+    /// `Σ a[i]·b[i]·c[i]` — the 3-factor product-chain sum (fig 8a).
+    pub fn dot3_sum<FMA>(a: &[f64], b: &[f64], c: &[f64]) -> f64 {
+        fold_lanes([a, b, c], |s, [a, b, c]| madd::<FMA>(a * b, c, s))
     }
-    dot3_scalar(a, b, c)
 }
 
-/// `Σ a[i]·b[i]·c[i]·d[i]` — the 4-factor product-chain sum.
-#[inline]
-pub fn dot4_sum(a: &[f64], b: &[f64], c: &[f64], d: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        // SAFETY: level() == Avx2 implies runtime AVX2+FMA support.
-        return unsafe { avx2::dot4(a, b, c, d) };
+primitive! {
+    /// `Σ a[i]·b[i]·c[i]·d[i]` — the 4-factor product-chain sum.
+    pub fn dot4_sum<FMA>(a: &[f64], b: &[f64], c: &[f64], d: &[f64]) -> f64 {
+        fold_lanes([a, b, c, d], |s, [a, b, c, d]| madd::<FMA>(a * b * c, d, s))
     }
-    dot4_scalar(a, b, c, d)
 }
 
-/// `Σ a[i]` (reduction class).
-#[inline]
-pub fn sum(a: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        // SAFETY: level() == Avx2 implies runtime AVX2+FMA support.
-        return unsafe { avx2::sum(a) };
+primitive! {
+    /// `Σ a[i]` (reduction class).
+    pub fn sum<FMA>(a: &[f64]) -> f64 {
+        fold_lanes([a], |s, [a]| s + a)
     }
-    sum_scalar(a)
 }
 
-/// `Σ a[i]²` (reduction class).
-#[inline]
-pub fn sum_sq(a: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        // SAFETY: level() == Avx2 implies runtime AVX2+FMA support.
-        return unsafe { avx2::sum_sq(a) };
+primitive! {
+    /// `Σ a[i]²` (reduction class).
+    pub fn sum_sq<FMA>(a: &[f64]) -> f64 {
+        fold_lanes([a], |s, [a]| madd::<FMA>(a, a, s))
     }
-    sum_sq_scalar(a)
 }
 
 /// Most terms one [`dot_sums`] call folds.
@@ -904,46 +524,35 @@ pub fn dot_sums(n: usize, terms: &[DotTerm<'_>], out: &mut [f64]) {
     dot_sums_scalar(n, terms, out)
 }
 
-/// `c[i] += alpha·a[i]` over `min(a.len, c.len)` (reduction class: `c`
-/// accumulates).
-#[inline]
-pub fn axpy(a: &[f64], alpha: f64, c: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        // SAFETY: level() == Avx2 implies runtime AVX2+FMA support.
-        unsafe { avx2::axpy(a, alpha, c) };
-        return;
+primitive! {
+    /// `c[i] += alpha·a[i]` over `min(a.len, c.len)` (reduction class: `c`
+    /// accumulates).
+    pub fn axpy<FMA>(a: &[f64], alpha: f64, c: &mut [f64]) {
+        for (c, &a) in c.iter_mut().zip(a) {
+            *c = madd::<FMA>(a, alpha, *c);
+        }
     }
-    axpy_scalar(a, alpha, c)
 }
 
-/// `dst[i] = a[i]·b[i]` over `dst.len()` (map class: bitwise identical on
-/// every backend). `a` and `b` must be at least as long as `dst`.
-#[inline]
-pub fn mul2_into(dst: &mut [f64], a: &[f64], b: &[f64]) {
-    assert!(a.len() >= dst.len() && b.len() >= dst.len());
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        // SAFETY: level() == Avx2 implies runtime AVX2 support; lengths
-        // checked above.
-        unsafe { avx2::mul2_into(dst, a, b) };
-        return;
+primitive! {
+    /// `dst[i] = a[i]·b[i]` over `dst.len()` (map class: bitwise identical on
+    /// every backend). `a` and `b` must be at least as long as `dst`.
+    pub fn mul2_into<FMA>(dst: &mut [f64], a: &[f64], b: &[f64]) {
+        let n = dst.len();
+        for ((d, &a), &b) in dst.iter_mut().zip(&a[..n]).zip(&b[..n]) {
+            *d = a * b;
+        }
     }
-    mul2_scalar(dst, a, b)
 }
 
-/// `dst[i] = a[i]·b[i]·c[i]` over `dst.len()` (map class).
-#[inline]
-pub fn mul3_into(dst: &mut [f64], a: &[f64], b: &[f64], c: &[f64]) {
-    assert!(a.len() >= dst.len() && b.len() >= dst.len() && c.len() >= dst.len());
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        // SAFETY: level() == Avx2 implies runtime AVX2 support; lengths
-        // checked above.
-        unsafe { avx2::mul3_into(dst, a, b, c) };
-        return;
+primitive! {
+    /// `dst[i] = a[i]·b[i]·c[i]` over `dst.len()` (map class).
+    pub fn mul3_into<FMA>(dst: &mut [f64], a: &[f64], b: &[f64], c: &[f64]) {
+        let n = dst.len();
+        for (((d, &a), &b), &c) in dst.iter_mut().zip(&a[..n]).zip(&b[..n]).zip(&c[..n]) {
+            *d = a * b * c;
+        }
     }
-    mul3_scalar(dst, a, b, c)
 }
 
 /// Sparse gather over a CSR band: `dst[k] = src[idx[k]]` for
@@ -1100,45 +709,48 @@ pub fn gemm(
     }
 }
 
-/// One sparse row against a packed right operand:
-/// `dst[j] = Σ_k vals[k]·B(cols[k], j)` for `j < dst.len()`, non-zeros in
-/// storage order, `bp` the [`pack_panels`] form of a `kc`-row matrix with at
-/// least `dst.len()` columns (reduction class, like [`gemm`]).
-pub fn sparse_row_gemm(vals: &[f64], cols: &[usize], bp: &[f64], kc: usize, dst: &mut [f64]) {
-    assert!(bp.len() >= packed_len(kc, dst.len()), "sparse_row_gemm: packed B out of bounds");
-    assert!(cols.iter().all(|&c| c < kc), "sparse_row_gemm: column index out of bounds");
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        // SAFETY: level() == Avx2 implies runtime AVX2+FMA support; the
-        // panel count and every column index were just checked.
-        unsafe { avx2::sparse_row_gemm(vals, cols, bp, kc, dst) };
-        return;
+primitive! {
+    /// One sparse row against a packed right operand:
+    /// `dst[j] = Σ_k vals[k]·B(cols[k], j)` for `j < dst.len()`, non-zeros in
+    /// storage order, `bp` the [`pack_panels`] form of a `kc`-row matrix with
+    /// at least `dst.len()` columns (reduction class, like [`gemm`]). The
+    /// `NR` columns of one panel accumulate in registers across the non-zeros.
+    pub fn sparse_row_gemm<FMA>(vals: &[f64], cols: &[usize], bp: &[f64], kc: usize, dst: &mut [f64]) {
+        let panel = |jp: usize| {
+            let rows = bp[jp * kc * NR..(jp + 1) * kc * NR].as_chunks::<NR>().0;
+            let mut acc = [0.0f64; NR];
+            for (&v, &c) in vals.iter().zip(cols) {
+                for (x, &b) in acc.iter_mut().zip(&rows[c]) {
+                    *x = madd::<FMA>(v, b, *x);
+                }
+            }
+            acc
+        };
+        let (full, tail) = dst.as_chunks_mut::<NR>();
+        let jt = full.len();
+        for (jp, out) in full.iter_mut().enumerate() {
+            *out = panel(jp);
+        }
+        if !tail.is_empty() {
+            for (o, x) in tail.iter_mut().zip(panel(jt)) {
+                *o = x;
+            }
+        }
     }
-    sparse_row_gemm_scalar(vals, cols, bp, kc, dst)
 }
 
-/// Row length of an accumulator [`scatter_axpy`] updates for `k` logical
-/// columns: `k` rounded up to whole 256-bit vectors.
-#[inline]
-pub fn padded_cols(k: usize) -> usize {
-    k.next_multiple_of(4)
-}
-
-/// The rank-1 update of a sparse row: `acc[cols[z]·ld + j] += vals[z]·t[j]`
-/// for `j < t.len()`, where `acc` is row-major with rows `ld =`
-/// [`padded_cols`]`(t.len())` apart so a row updates in whole vectors with no
-/// tail (reduction class). Padding columns only ever receive `+0.0`.
-pub fn scatter_axpy(vals: &[f64], cols: &[usize], t: &[f64], acc: &mut [f64]) {
-    let ld = padded_cols(t.len());
-    assert!(cols.iter().all(|&c| (c + 1) * ld <= acc.len()), "scatter_axpy: row out of bounds");
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        // SAFETY: level() == Avx2 implies runtime AVX2+FMA support; every
-        // touched row was just checked.
-        unsafe { avx2::scatter_axpy(vals, cols, t, acc) };
-        return;
+primitive! {
+    /// The rank-1 update of a sparse row: `acc[cols[z]·k + j] += vals[z]·t[j]`
+    /// for `j < k = t.len()`, `acc` row-major with rows `k` apart (reduction
+    /// class).
+    pub fn scatter_axpy<FMA>(vals: &[f64], cols: &[usize], t: &[f64], acc: &mut [f64]) {
+        let k = t.len();
+        for (&v, &c) in vals.iter().zip(cols) {
+            for (x, &t) in acc[c * k..(c + 1) * k].iter_mut().zip(t) {
+                *x = madd::<FMA>(v, t, *x);
+            }
+        }
     }
-    scatter_axpy_scalar(vals, cols, t, acc)
 }
 
 #[cfg(test)]
@@ -1461,19 +1073,83 @@ mod tests {
                 assert!(dst == expect, "sparse_row_gemm n={n} force={force}");
 
                 let t = data(n, 43);
-                let ld = padded_cols(n);
-                let mut acc = data(kc * ld, 44);
+                let mut acc = data(kc * n, 44);
                 let mut expect = acc.clone();
                 for (&v, &c) in vals.iter().zip(&cols) {
-                    axpy(&t, v, &mut expect[c * ld..c * ld + n]);
+                    axpy(&t, v, &mut expect[c * n..(c + 1) * n]);
                 }
                 scatter_axpy(&vals, &cols, &t, &mut acc);
-                for r in 0..kc {
-                    assert_eq!(acc[r * ld..r * ld + n], expect[r * ld..r * ld + n], "n={n} r={r}");
-                }
+                assert!(acc == expect, "scatter_axpy n={n} force={force}");
             }
         }
         force_scalar(false);
+    }
+
+    /// The `i`-th draw of a 64-bit generator seeded with `seed`.
+    fn draw(seed: u64, i: u64) -> u64 {
+        (seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407)
+    }
+
+    fn signed(x: u64) -> f64 {
+        if x & 1 == 0 {
+            1.0
+        } else {
+            -1.0
+        }
+    }
+
+    /// Values with at most 26 significant bits over a spread of exponents,
+    /// so every product with another such value or a power of two is exact
+    /// while the sums still round.
+    fn short_mantissas(n: usize, seed: u64) -> Vec<f64> {
+        let v = |x: u64| signed(x) * (x >> 38) as f64 * 2f64.powi((x >> 8) as i32 % 21 - 10);
+        (0..n as u64).map(|i| v(draw(seed, i))).collect()
+    }
+
+    /// Signed powers of two between 2⁻⁴ and 2⁴.
+    fn powers_of_two(n: usize, seed: u64) -> Vec<f64> {
+        let v = |x: u64| signed(x) * 2f64.powi((x >> 8) as i32 % 9 - 4);
+        (0..n as u64).map(|i| v(draw(seed, i))).collect()
+    }
+
+    /// The two legs of every primitive with a multiply-add differ only by FMA
+    /// contraction: on inputs whose products are exact (so a fused and an
+    /// unfused multiply-add round alike) they return the same bits, ragged
+    /// tails included.
+    #[test]
+    fn legs_differ_only_by_contraction() {
+        let _paths = path_lock();
+        let kc = 37;
+        for n in (0..10).chain([255, 256, 257, 1000]) {
+            let a = short_mantissas(n, 1);
+            let [b, c, d] = [2, 3, 4].map(|s| powers_of_two(n, s));
+            let cols: Vec<usize> = (0..kc).filter(|j| j % 3 != 1).collect();
+            let vals = powers_of_two(cols.len(), 5);
+            let panels = short_mantissas(packed_len(kc, n), 6);
+            let legs = [false, true].map(|force| {
+                force_scalar(force);
+                let mut out = vec![dot(&a, &b), dot3_sum(&a, &b, &c), dot4_sum(&a, &b, &c, &d)];
+                out.extend([sum(&a), sum_sq(&a)]);
+                let terms: [DotTerm<'_>; 3] = [(&a, Some(&b)), (&a, None), (&a, Some(&d))];
+                let mut sums = [0.0; 3];
+                dot_sums(n, &terms, &mut sums);
+                out.extend(sums);
+                let mut y = short_mantissas(n, 7);
+                axpy(&a, 0.25, &mut y);
+                out.extend(y);
+                let mut dst = vec![0.0; n];
+                sparse_row_gemm(&vals, &cols, &panels, kc, &mut dst);
+                out.extend(dst);
+                let mut acc = short_mantissas(kc * n, 8);
+                scatter_axpy(&vals, &cols, &a, &mut acc);
+                out.extend(acc);
+                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            });
+            force_scalar(false);
+            assert!(legs[0] == legs[1], "n={n}");
+        }
     }
 
     /// NaN and signed zeros flow through unchanged: map kernels propagate

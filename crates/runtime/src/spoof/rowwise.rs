@@ -23,7 +23,7 @@
 //! (the paper's `genexecSparse` split, §2.2): `VecMatMult` accumulates a
 //! panel's columns in registers across the non-zeros
 //! (`simd::sparse_row_gemm`), and a sparse left operand of the outer update
-//! scatters whole vectors into a column-padded accumulator
+//! scatters the right operand's row into one accumulator row per non-zero
 //! (`simd::scatter_axpy`). A ragged band tail is a shorter tile. The
 //! `Xᵀ(Xv)`-style mv-chain shape ([`RowShape::MvChain`](block::RowShape)) runs the
 //! same body at a tile height cut to what keeps its rows in L1 between the
@@ -370,11 +370,6 @@ impl<'a> BandCtx<'a> {
         ctx
     }
 
-    #[inline]
-    fn is_main(&self, v: u16) -> bool {
-        matches!(self.vslots[v as usize], VSlot::Main)
-    }
-
     /// Scalar register `r` of tile row `l`.
     #[inline]
     fn scalar(&self, r: Reg, l: usize) -> f64 {
@@ -602,16 +597,9 @@ impl<'a> BandCtx<'a> {
         }
     }
 
-    /// Whether [`outer_add`](Self::outer_add) wants the accumulator's rows
-    /// padded to [`simd::padded_cols`]: the left operand is a sparse main
-    /// tile, so each non-zero updates one accumulator row in whole vectors.
-    fn outer_pads(&self, left: u16, right: u16, main: &Matrix) -> bool {
-        self.is_main(left) && !self.is_main(right) && self.kernel.sparse_main_ok && main.is_sparse()
-    }
-
     /// `acc[i, j] += Σ_l left_l[i] · right_l[j]` over the tile's rows `l` in
-    /// order — a rank-`h` update of the row-major accumulator (`orows` rows
-    /// `ld` apart), iterating main-row non-zeros where possible.
+    /// order — a rank-`h` update of the row-major `orows × ocols`
+    /// accumulator, iterating main-row non-zeros where possible.
     #[allow(clippy::too_many_arguments)] // two registers, the tile, the accumulator and its geometry
     fn outer_add(
         &self,
@@ -621,7 +609,7 @@ impl<'a> BandCtx<'a> {
         h: usize,
         main: MainTile<'_>,
         acc: &mut [f64],
-        (orows, ocols, ld): (usize, usize, usize),
+        (orows, ocols): (usize, usize),
     ) {
         let srcs = self.srcs(r0, main);
         if srcs.nonzeros(left, 0).is_none() && srcs.nonzeros(right, 0).is_none() {
@@ -630,24 +618,23 @@ impl<'a> BandCtx<'a> {
             let (l, r) = (srcs.tile(left), srcs.tile(right));
             let lhs = simd::Lhs { data: l.data, rs: 1, cs: l.stride };
             let rhs = simd::Rhs::Rows { data: r.data, rs: r.stride };
-            return simd::gemm(acc, ld, (orows, ocols, h), lhs, rhs, true);
+            return simd::gemm(acc, ocols, (orows, ocols, h), lhs, rhs, true);
         }
         for i in 0..h {
             match (srcs.nonzeros(left, i), srcs.nonzeros(right, i)) {
                 (Some((cols, vals)), None) => {
-                    debug_assert_eq!(ld, simd::padded_cols(ocols), "see outer_pads");
                     simd::scatter_axpy(vals, cols, srcs.tile(right).row(i), acc);
                 }
                 (Some((cols, vals)), Some(_)) => {
                     // x ⊗ x (per-row gram): nnz² updates.
                     for (&ci, &vi) in cols.iter().zip(vals) {
-                        prim::vect_mult_add_sparse(vals, cols, vi, acc, ci * ld);
+                        prim::vect_mult_add_sparse(vals, cols, vi, acc, ci * ocols);
                     }
                 }
                 (None, Some((cols, vals))) => {
                     for (j, &lv) in srcs.tile(left).row(i).iter().enumerate().take(orows) {
                         if lv != 0.0 {
-                            prim::vect_mult_add_sparse(vals, cols, lv, acc, j * ld);
+                            prim::vect_mult_add_sparse(vals, cols, lv, acc, j * ocols);
                         }
                     }
                 }
@@ -824,20 +811,12 @@ fn block_exec(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f64
                 pool::take_zeroed(orows * ocols),
                 |lo, hi| {
                     let (mut ctx, mut rr) = band();
-                    let pad = ctx.outer_pads(*left, *right, main);
-                    let ld = if pad { simd::padded_cols(ocols) } else { ocols };
-                    let mut acc = pool::take_zeroed(orows * ld);
+                    let mut acc = pool::take_zeroed(orows * ocols);
                     for (r0, h) in tiles(lo, hi, rb) {
                         let view = rr.tile(r0, h);
                         ctx.run_tile(r0, h, view);
-                        ctx.outer_add(*left, *right, r0, h, view, &mut acc, (orows, ocols, ld));
+                        ctx.outer_add(*left, *right, r0, h, view, &mut acc, (orows, ocols));
                     }
-                    // Close the padding up in place: row `i` moves down to
-                    // `i·ocols`, never onto a row not yet moved.
-                    for i in 1..if ld == ocols { 0 } else { orows } {
-                        acc.copy_within(i * ld..i * ld + ocols, i * ocols);
-                    }
-                    acc.truncate(orows * ocols);
                     acc
                 },
                 add_reduce,
@@ -1342,7 +1321,7 @@ mod tests {
     }
 
     /// The per-band buffers — tile register file, packed `VecMatMult`
-    /// panels, densify scratch, padded outer accumulator — come from the
+    /// panels, densify scratch, outer accumulator — come from the
     /// pool and go back when the band ends: a warm operator executes again
     /// in its engine's scope without one fresh allocation.
     #[test]
@@ -1365,7 +1344,7 @@ mod tests {
             out_rows: m,
             out_cols: k,
         };
-        // x_row ⊗ (x_row·V) over non-zeros: the padded accumulator.
+        // x_row ⊗ (x_row·V) over non-zeros: the scattered accumulator.
         let sparse_left = RowSpec {
             prog: Program {
                 instrs: vec![

@@ -217,7 +217,7 @@ fn random_programs_agree_across_backends() {
 
 /// Forcing the scalar tile primitives (the `FUSEDML_FORCE_SCALAR` path) must
 /// not change map-class results bitwise, and reductions stay within policy —
-/// the scalar twins mirror the AVX2 accumulator shapes exactly.
+/// both legs compile the same lane-accumulator body.
 #[test]
 fn forced_scalar_fallback_matches_vector_paths() {
     struct Restore(bool);
