@@ -138,10 +138,63 @@ pub fn algorithm_dags() -> Vec<(&'static str, Vec<HopDag>)> {
     ]
 }
 
+/// One algorithm's row of Figure 12, summed over its DAGs.
+#[derive(Debug, Default)]
+pub struct Counts {
+    /// `2^Σ|M'|`: joint enumeration without partitioning.
+    pub all: f64,
+    /// `Σ 2^|M'i|`: independent partitions.
+    pub partition: f64,
+    /// Plans `MPSkipEnum` costed (`EnumResult::evaluated`).
+    pub evaluated: u64,
+    /// Of those, the plans the costing tables walked.
+    pub walked: u64,
+    /// Scan positions cost-based skip-ahead jumped over.
+    pub pruned_cost: u64,
+    /// Scan positions cut-set jumps passed over.
+    pub pruned_structural: u64,
+    /// Operator summaries the costing tables built.
+    pub summaries: u64,
+    /// Partitions that ran into `EnumConfig::max_eval`.
+    pub capped: usize,
+    /// `MPSkipEnum` wall time, costing tables included.
+    pub enum_s: f64,
+}
+
+/// Enumerates every partition of `dags` as `select_plans` does under `Gen`:
+/// Row plans without row-wise operations pruned first, default `EnumConfig`.
+pub fn counts(dags: &[HopDag]) -> Counts {
+    let model = CostModel::default();
+    let mut c = Counts::default();
+    for dag in dags {
+        let mut memo = explore(dag);
+        memo.prune_useless_row_plans(dag);
+        let parts = partitions(dag, &memo);
+        let compute = cost::compute_costs(dag);
+        let total_points: usize = parts.iter().map(|p| p.interesting.len()).sum();
+        c.all += 2f64.powi(total_points as i32);
+        for p in &parts {
+            c.partition += 2f64.powi(p.interesting.len() as i32);
+            let t0 = std::time::Instant::now();
+            let r = mpskip_enum(dag, &memo, p, &compute, &model, &EnumConfig::default());
+            c.enum_s += t0.elapsed().as_secs_f64();
+            c.evaluated += r.evaluated;
+            c.walked += r.walked;
+            c.pruned_cost += r.pruned_cost;
+            c.pruned_structural += r.pruned_structural;
+            c.summaries += r.summaries;
+            c.capped += usize::from(r.capped);
+        }
+    }
+    c
+}
+
 /// Runs the enumeration-count comparison. The columns beside the paper's say
 /// how many of the costed plans the costing tables walked (the others were
-/// answered from a walk of the same referenced points), what a costed and a
-/// walked plan cost here (`MPSkipEnum` wall time over each count, costing
+/// answered from a walk of the same referenced points), how many scan
+/// positions each pruning skipped, how many operator summaries the walks
+/// built (every other operator they visited reused one), what a costed and
+/// a walked plan cost here (`MPSkipEnum` wall time over each count, costing
 /// table included) and how many partitions ran into `EnumConfig::max_eval`.
 pub fn run() {
     let mut t = Table::new(
@@ -152,44 +205,28 @@ pub fn run() {
             "partition (Σ2^|M'i|)",
             "partition+prune",
             "walked",
+            "pruned by cost",
+            "pruned by structure",
+            "summaries built",
             "µs / costed plan",
             "µs / walked plan",
             "capped",
         ],
     );
-    let model = CostModel::default();
     for (name, dags) in algorithm_dags() {
-        let mut all: f64 = 0.0;
-        let mut part_count: f64 = 0.0;
-        let mut pruned: u64 = 0;
-        let mut walked: u64 = 0;
-        let mut capped = 0;
-        let mut enum_s = 0.0;
-        for dag in &dags {
-            let memo = explore(dag);
-            let parts = partitions(dag, &memo);
-            let compute = cost::compute_costs(dag);
-            let total_points: usize = parts.iter().map(|p| p.interesting.len()).sum();
-            all += 2f64.powi(total_points as i32);
-            for p in &parts {
-                part_count += 2f64.powi(p.interesting.len() as i32);
-                let t0 = std::time::Instant::now();
-                let r = mpskip_enum(dag, &memo, p, &compute, &model, &EnumConfig::default());
-                enum_s += t0.elapsed().as_secs_f64();
-                pruned += r.evaluated;
-                walked += r.walked;
-                capped += usize::from(r.capped);
-            }
-        }
+        let c = counts(&dags);
         t.row(vec![
             name.to_string(),
-            format!("{all:.0}"),
-            format!("{part_count:.0}"),
-            pruned.to_string(),
-            walked.to_string(),
-            format!("{:.2}", enum_s * 1e6 / pruned as f64),
-            format!("{:.2}", enum_s * 1e6 / walked as f64),
-            capped.to_string(),
+            format!("{:.0}", c.all),
+            format!("{:.0}", c.partition),
+            c.evaluated.to_string(),
+            c.walked.to_string(),
+            c.pruned_cost.to_string(),
+            c.pruned_structural.to_string(),
+            c.summaries.to_string(),
+            format!("{:.2}", c.enum_s * 1e6 / c.evaluated as f64),
+            format!("{:.2}", c.enum_s * 1e6 / c.walked as f64),
+            c.capped.to_string(),
         ]);
     }
     t.print();

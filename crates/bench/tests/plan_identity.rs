@@ -248,3 +248,26 @@ fn explain_reports_the_cap() {
         }
     }
 }
+
+/// `repro fig12` counts the plans the engine's optimizer costs, on every
+/// Figure 12 algorithm and on a random DAG whose memo holds Row plans
+/// without row-wise operations: `select_plans` prunes those before it
+/// enumerates (23 plans costed unpruned, 32 pruned), and so must Figure 12.
+#[test]
+fn figure_12_counts_what_the_engine_costs() {
+    let mut sets = fig12::algorithm_dags();
+    sets.push(("random_38", vec![random_dag(38, 38)]));
+    for (name, dags) in sets {
+        let engine = EngineBuilder::new(FusionMode::Gen).workers(1).build();
+        for dag in &dags {
+            engine.compile(dag);
+        }
+        let s = engine.optimizer().stats.snapshot();
+        let c = fig12::counts(&dags);
+        assert_eq!(
+            (c.evaluated, c.walked, c.pruned_cost, c.pruned_structural),
+            (s.plans_evaluated, s.plans_walked, s.plans_pruned_cost, s.plans_pruned_structural),
+            "{name}"
+        );
+    }
+}

@@ -10,6 +10,12 @@
 //! returns zero on re-visits while still accounting for the redundant
 //! compute of overlapping operators. Sparsity-exploiting operators scale
 //! compute down by the main input's sparsity.
+//!
+//! [`CostTable`] prices one partition under many assignments. Its walk
+//! visits operators, each summarized once per assignment of the points its
+//! fused region can reference: the region's cost and the operators it reads.
+//! The summaries replay the per-hop recursion's sums in its order, so a cost
+//! is bitwise what walking every hop of every region gives.
 
 use crate::memo::{MemoEntry, MemoTable};
 use crate::opt::partition::{InterestingPoint, PlanPartition};
@@ -217,12 +223,12 @@ struct MatRow {
     points: u64,
 }
 
-/// A cost vector: the running description of one opened fused operator
-/// (paper §4.3 "Cost Computation via Cost Vectors"). Vectors are scratch of
-/// the table, one per nesting depth, reused by every plan it costs.
+/// A cost vector: the running description of the one fused operator being
+/// summarized (paper §4.3 "Cost Computation via Cost Vectors"), scratch of
+/// the table.
 struct CostVector {
-    /// Unique per opened operator over the table's lifetime: the memo tag of
-    /// `(operator, cost vector)` pairs.
+    /// Unique per summarized operator over the table's lifetime: the memo
+    /// tag of `(operator, cost vector)` pairs.
     id: u64,
     ttype: TemplateType,
     out_bytes: f64,
@@ -231,6 +237,31 @@ struct CostVector {
     inputs: Vec<u64>,
     /// Per partition node: `== id` once visited under this vector.
     seen: Vec<u64>,
+}
+
+/// One step of an operator summary's program: the cost of the operator is
+/// the sum its steps describe plus [`Summary::close`].
+#[derive(Clone, Copy)]
+enum Step {
+    /// Add the cost of the operator at this partition node, which the
+    /// summarized one reads unfused (zero once the walk has costed it).
+    Read(u32),
+    /// Add a nested sum: the reads below one fused input that holds two or
+    /// more of them, summed on their own as the recursive walk summed them.
+    Group,
+    /// End the innermost sum, or the program.
+    End,
+}
+
+/// The operator opened at a partition node under one assignment of the
+/// points its fused region can reference.
+#[derive(Clone, Copy)]
+struct Summary {
+    /// Start of its program in [`CostTable::steps`], ended by [`Step::End`].
+    steps: u32,
+    /// Eq. (4) of the operator itself: its fused region closed, or the
+    /// basic operator when no entry is valid.
+    close: f64,
 }
 
 /// The set bits of a bitset, ascending.
@@ -244,13 +275,23 @@ fn bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 
 /// The per-partition costing table: everything Eq. (4) and the memo lookups
 /// need, gathered once so that costing one assignment is a walk over dense
-/// arrays and `u64` masks — no allocation, and at most one hash lookup.
+/// arrays and `u64` masks — no allocation once warm.
 ///
 /// A walk reads its assignment only through `invalid_if & mask`, so its cost
 /// is a function of `mask & live`, `live` being the points some entry
 /// references. A table with a point no entry references (among its first
 /// 64) walks each distinct `mask & live` once and answers the other masks
 /// from `priced`.
+///
+/// A walk visits operators, not hops. The operator opened at partition node
+/// `n` — its template, its fused region and the partition nodes it reads
+/// unfused — depends only on the entries picked in `n`'s fused closure, that
+/// is on `mask & reach[n]`. Each `(n, mask & reach[n])` is summarized once:
+/// the region's Eq. (4) cost and a program over the operator's reads. A walk
+/// looks up one summary per operator and costs its reads in the order the
+/// recursive walk over hops visited them. The program keeps that walk's
+/// nested sums, so every cost has its bits: only a sum of at most one read
+/// is flattened, and adding `0.0` to a cost, or a cost to `0.0`, is exact.
 pub struct CostTable<'a> {
     part: &'a PlanPartition,
     model: &'a CostModel,
@@ -264,6 +305,9 @@ pub struct CostTable<'a> {
     /// equals in memo order still wins): the best valid entry is the first
     /// valid one.
     entries: Vec<Entry<'a>>,
+    /// Per partition node: the OR of `invalid_if` over its fused closure,
+    /// every entry of every node some entry's fused reference chain reaches.
+    reach: Vec<u64>,
     mat_rows: Vec<MatRow>,
     stat: StaticCosts,
     /// The OR of every entry's `invalid_if`.
@@ -274,17 +318,20 @@ pub struct CostTable<'a> {
     priced: Option<FxHashMap<u64, (f64, bool)>>,
     /// Walks over the table's lifetime.
     walks: u64,
+    /// Operator summaries by `(n, mask & reach[n])`.
+    summaries: FxHashMap<(u32, u64), Summary>,
+    /// Every summary's program, concatenated.
+    steps: Vec<Step>,
+    /// Scratch of the operator being summarized.
+    region: CostVector,
     // Scratch of the plan being costed.
     mask: u64,
     /// Source of cost-vector ids and plan stamps; never reset, so a stale
     /// `seen` mark can never match.
     next_id: u64,
-    /// `== stamp` once a node was visited outside any open operator.
+    /// `== stamp` once the walk costed the operator opened at a node.
     seen: Vec<u64>,
     stamp: u64,
-    /// Open cost vectors: `vectors[..open]`, innermost last.
-    open: usize,
-    vectors: Vec<CostVector>,
 }
 
 impl<'a> CostTable<'a> {
@@ -360,6 +407,20 @@ impl<'a> CostTable<'a> {
         }
         let root = |r| part.nodes.binary_search(r).expect("partition root is a partition node");
         let live = entries.iter().fold(0, |m, e| m | e.invalid_if);
+        // Hop ids are topological and local ids ascend with them, so every
+        // fused input's closure is complete before its consumer's.
+        let mut reach = vec![0u64; n_part];
+        for n in 0..n_part {
+            let (lo, hi) = nodes[n].entries;
+            let ins = &inputs[nodes[n].inputs.0 as usize..nodes[n].inputs.1 as usize];
+            for e in &entries[lo as usize..hi as usize] {
+                let fused = ins.iter().enumerate().filter(|&(j, _)| e.fused >> j & 1 == 1);
+                reach[n] |= fused.fold(e.invalid_if, |m, (_, &i)| {
+                    debug_assert!((i as usize) < n, "fused input after its consumer");
+                    m | reach[i as usize]
+                });
+            }
+        }
         let every_point = assignment_mask(&vec![true; part.interesting.len()]);
         CostTable {
             part,
@@ -368,17 +429,26 @@ impl<'a> CostTable<'a> {
             roots: part.roots.iter().map(root).collect(),
             inputs,
             entries,
+            reach,
             mat_rows,
             stat: static_parts(dag, part, compute, model),
             live,
             priced: (live != every_point).then(FxHashMap::default),
             walks: 0,
+            summaries: FxHashMap::default(),
+            steps: Vec::new(),
+            region: CostVector {
+                id: 0,
+                ttype: TemplateType::Cell,
+                out_bytes: 0.0,
+                compute: 0.0,
+                inputs: vec![0; (n_part + part.inputs.len()).div_ceil(64)],
+                seen: vec![0; n_part],
+            },
             mask: 0,
             next_id: 0,
             seen: vec![0; n_part],
             stamp: 0,
-            open: 0,
-            vectors: Vec::new(),
         }
     }
 
@@ -457,6 +527,12 @@ impl<'a> CostTable<'a> {
         self.walks
     }
 
+    /// Operator summaries built over the table's lifetime: distinct
+    /// `(node, referenced points)` pairs the walks opened an operator at.
+    pub fn summaries(&self) -> u64 {
+        self.summaries.len() as u64
+    }
+
     /// Walks the roots under `mask`: `(total, true)`, or `(partial, false)`
     /// once the running cost reaches `upper_bound` with roots left.
     fn walk(&mut self, mask: u64, upper_bound: f64) -> (f64, bool) {
@@ -464,10 +540,9 @@ impl<'a> CostTable<'a> {
         self.mask = mask;
         self.next_id += 1;
         self.stamp = self.next_id;
-        self.open = 0;
         let mut total = 0.0;
         for i in 0..self.roots.len() {
-            total += self.r_cost(self.roots[i], None);
+            total += self.op_cost(self.roots[i]);
             if total >= upper_bound && i + 1 < self.roots.len() {
                 return (total, false);
             }
@@ -475,83 +550,115 @@ impl<'a> CostTable<'a> {
         (total, true)
     }
 
-    /// Opens a cost vector at the current nesting depth and returns its slot.
-    fn open_vector(&mut self, ttype: TemplateType, out_bytes: f64) -> usize {
-        let slot = self.open;
-        if slot == self.vectors.len() {
-            let (inputs, seen) = (vec![0; self.nodes.len().div_ceil(64)], vec![0; self.seen.len()]);
-            self.vectors.push(CostVector { id: 0, ttype, out_bytes, compute: 0.0, inputs, seen });
-        }
-        self.open += 1;
-        self.next_id += 1;
-        let v = &mut self.vectors[slot];
-        (v.id, v.ttype, v.out_bytes, v.compute) = (self.next_id, ttype, out_bytes, 0.0);
-        v.inputs.fill(0);
-        slot
-    }
-
-    /// Costs partition node `n`, reached inside the open operator of slot
-    /// `current` (or outside any). Memoized per `(node, cost vector)`: a
-    /// re-visit returns zero, while overlapping operators still pay their
-    /// redundant compute.
-    fn r_cost(&mut self, n: usize, current: Option<usize>) -> f64 {
-        let (seen, tag) = match current {
-            Some(slot) => {
-                let v = &mut self.vectors[slot];
-                (&mut v.seen[n], v.id)
-            }
-            None => (&mut self.seen[n], self.stamp),
-        };
-        if *seen == tag {
+    /// Costs the operator opened at partition node `n` and, first, the ones
+    /// it reads. Memoized per walk: a re-visit returns zero, while a node
+    /// fused into several operators still pays its compute in each.
+    fn op_cost(&mut self, n: usize) -> f64 {
+        if self.seen[n] == self.stamp {
             return 0.0;
         }
-        *seen = tag;
-        let node = self.nodes[n];
-        let cur_type = current.map(|slot| self.vectors[slot].ttype);
-        let best = self.pick(n, cur_type, self.mask).map(|e| (e.ttype, e.fused));
-
-        // The cost vector this hop contributes to (none for basic operators).
-        let cv = match (current, best) {
-            (None, Some((ttype, _))) => Some(self.open_vector(ttype, node.bytes)),
-            _ => current,
+        self.seen[n] = self.stamp;
+        let key = (n as u32, self.mask & self.reach[n]);
+        let summary = match self.summaries.get(&key) {
+            Some(&s) => s,
+            None => {
+                let s = self.summarize(n);
+                self.summaries.insert(key, s);
+                s
+            }
         };
-        // Add this operator's compute workload (skipping transposes fused
-        // into Row operators, which read rows directly).
-        if let Some(slot) = cv {
-            let v = &mut self.vectors[slot];
-            if !(v.ttype == TemplateType::Row && node.transpose) {
-                v.compute += node.compute;
+        let mut at = summary.steps as usize;
+        self.sum_steps(&mut at) + summary.close
+    }
+
+    /// Runs the program from `at` to its [`Step::End`], leaving `at` past it.
+    fn sum_steps(&mut self, at: &mut usize) -> f64 {
+        let mut sum = 0.0;
+        loop {
+            let step = self.steps[*at];
+            *at += 1;
+            match step {
+                Step::Read(n) => sum += self.op_cost(n as usize),
+                Step::Group => sum += self.sum_steps(at),
+                Step::End => return sum,
             }
         }
+    }
 
-        let fused = best.map_or(0, |(_, fused)| fused);
-        let mut costs = 0.0;
+    /// Summarizes the operator opened at partition node `n` under the walk's
+    /// mask (of which it reads only the points in `reach[n]`) and appends
+    /// its program.
+    fn summarize(&mut self, n: usize) -> Summary {
+        let start = self.steps.len() as u32;
+        let node = self.nodes[n];
+        let close = match self.pick(n, None, self.mask).map(|e| e.ttype) {
+            Some(ttype) => {
+                self.next_id += 1;
+                let v = &mut self.region;
+                (v.id, v.ttype, v.out_bytes, v.compute) = (self.next_id, ttype, node.bytes, 0.0);
+                v.inputs.fill(0);
+                self.visit(n, None);
+                self.close_cost(&self.region)
+            }
+            None => {
+                for at in node.inputs.0..node.inputs.1 {
+                    let input = self.inputs[at as usize];
+                    if (input as usize) < self.part.nodes.len() {
+                        self.steps.push(Step::Read(input));
+                    }
+                }
+                self.basic_cost(&node)
+            }
+        };
+        self.steps.push(Step::End);
+        Summary { steps: start, close }
+    }
+
+    /// Adds partition node `n` to the region being summarized, its entry
+    /// picked among the types merge-compatible with `current` (any at the
+    /// operator's root), follows its fused inputs and appends the reads of
+    /// the others. Returns how many reads it appended.
+    fn visit(&mut self, n: usize, current: Option<TemplateType>) -> usize {
+        let node = self.nodes[n];
+        let fused = self.pick(n, current, self.mask).map_or(0, |e| e.fused);
+        // Add this hop's compute workload (skipping transposes fused into
+        // Row operators, which read rows directly).
+        if !(self.region.ttype == TemplateType::Row && node.transpose) {
+            self.region.compute += node.compute;
+        }
+        let mut reads = 0;
         for (j, at) in (node.inputs.0..node.inputs.1).enumerate() {
             let input = self.inputs[at as usize] as usize;
             if fused >> j & 1 == 1 {
-                costs += self.r_cost(input, cv);
+                if self.region.seen[input] == self.region.id {
+                    continue;
+                }
+                self.region.seen[input] = self.region.id;
+                let group = self.steps.len();
+                self.steps.push(Step::Group);
+                let inner = self.visit(input, Some(self.region.ttype));
+                // The input's reads are one sum, added to this one. A sum of
+                // one read is that read (`0.0 + x == x`) and a sum of none
+                // adds `0.0`: only two or more keep a group of their own.
+                match inner {
+                    0 => self.steps.truncate(group),
+                    1 => {
+                        self.steps.remove(group);
+                    }
+                    _ => self.steps.push(Step::End),
+                }
+                reads += inner;
             } else {
                 if input < self.part.nodes.len() {
-                    costs += self.r_cost(input, None);
+                    self.steps.push(Step::Read(input as u32));
+                    reads += 1;
                 }
-                if let Some(slot) = cv {
-                    if !self.nodes[input].scalar {
-                        self.vectors[slot].inputs[input / 64] |= 1 << (input % 64);
-                    }
+                if !self.nodes[input].scalar {
+                    self.region.inputs[input / 64] |= 1 << (input % 64);
                 }
             }
         }
-
-        if current.is_none() {
-            costs += match cv {
-                Some(slot) => {
-                    self.open -= 1;
-                    self.close_cost(&self.vectors[slot])
-                }
-                None => self.basic_cost(&node),
-            };
-        }
-        costs
+        reads
     }
 
     /// Eq. (4) contribution of a closed fused operator.

@@ -59,6 +59,9 @@ pub struct EnumResult {
     /// Of those, the plans the costing table walked: the others share their
     /// referenced points with a plan walked before (`CostTable::partition_cost`).
     pub walked: u64,
+    /// Operator summaries the costing table built for those walks
+    /// (`CostTable::summaries`); every other operator a walk visited reused one.
+    pub summaries: u64,
     /// Scan positions cost-based skip-ahead jumped over, never priced.
     pub pruned_cost: u64,
     /// Scan positions a cut-set jump passed over, less the combined plan it
@@ -91,7 +94,7 @@ pub(crate) fn enumerate_table(table: &mut CostTable, dag: &HopDag, cfg: &EnumCon
     // Order: cut-set points first (structural pruning), then the rest.
     let (order, cutset) =
         if cfg.structural_prune { plan_order(dag, part) } else { ((0..n).collect(), None) };
-    let walks = table.walks();
+    let (walks, summaries) = (table.walks(), table.summaries());
     let mut state =
         EnumState { table, cfg, evaluated: 0, pruned_cost: 0, pruned_structural: 0, capped: false };
     // A search space the cap can cut short starts from the cheaper heuristic
@@ -104,6 +107,7 @@ pub(crate) fn enumerate_table(table: &mut CostTable, dag: &HopDag, cfg: &EnumCon
         cost,
         evaluated: state.evaluated,
         walked: state.table.walks() - walks,
+        summaries: state.table.summaries() - summaries,
         pruned_cost: state.pruned_cost,
         pruned_structural: state.pruned_structural,
         search_space: 2f64.powi(n as i32),

@@ -505,10 +505,13 @@ proptest! {
         }
     }
 
-    /// The walk memo is exact: on random partitions and on autoencoders of
-    /// random widths, one table shared by every query and a fresh table per
-    /// query cost random masks, with and without each point no entry
-    /// references, bitwise alike, uncapped and at bounds around the cost.
+    /// The walk and summary memos are exact: on random partitions and on
+    /// autoencoders of random widths, one table shared by every query and a
+    /// fresh table per query cost random masks, with and without each point
+    /// no entry references and with each referenced point flipped, bitwise
+    /// alike, uncapped and at bounds around the cost. A flipped point that
+    /// a summary's key leaves out reuses that summary where a fresh table
+    /// builds another.
     #[test]
     fn a_shared_table_costs_what_a_fresh_one_costs(
         spec in dag_strategy(),
@@ -529,7 +532,9 @@ proptest! {
                     state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                     let drawn = state >> 7 & all;
                     let flips = unreferenced.iter().flat_map(|&b| [drawn | 1 << b, drawn & !(1 << b)]);
-                    for mask in std::iter::once(drawn).chain(flips) {
+                    let referenced = (0..n as usize).filter(|b| !unreferenced.contains(b));
+                    let flipped = referenced.map(|b| drawn ^ 1 << b);
+                    for mask in std::iter::once(drawn).chain(flips).chain(flipped) {
                         let fresh = |upper| {
                             cost::CostTable::new(&dag, &memo, part, &compute, &model)
                                 .partition_cost(mask, upper)
