@@ -125,9 +125,8 @@ pub fn eval_op(dag: &HopDag, id: HopId, vals: &[Option<Value>], bindings: &Bindi
 
 /// Evaluates a single operator over *positional* input values (the scheduled
 /// executor gathers inputs per task instead of holding a full value table).
-pub fn eval_op_inputs(dag: &HopDag, id: HopId, inputs: &[Value], bindings: &Bindings) -> Value {
-    let refs: Vec<&Value> = inputs.iter().collect();
-    eval_kind(dag, id, &refs, bindings)
+pub fn eval_op_inputs(dag: &HopDag, id: HopId, inputs: &[&Value], bindings: &Bindings) -> Value {
+    eval_kind(dag, id, inputs, bindings)
 }
 
 fn eval_kind(dag: &HopDag, id: HopId, input_refs: &[&Value], bindings: &Bindings) -> Value {

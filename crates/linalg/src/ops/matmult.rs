@@ -1,8 +1,9 @@
 //! Matrix multiplication kernels: dense×dense and sparse×dense (the
 //! register-blocked [`simd::gemm`] / [`simd::sparse_row_gemm`] kernels over a
-//! packed right operand, parallel over row bands; one dot per row against a
-//! vector), dense×sparse, sparse×sparse, and the fused
-//! `t(X) %*% Y` (tsmm-style) kernel that avoids materializing the transpose.
+//! packed right operand, which a small dense×dense product reads in place
+//! instead, parallel over row bands; one dot per row against a vector),
+//! dense×sparse, sparse×sparse, and the fused `t(X) %*% Y` (tsmm-style)
+//! kernel that avoids materializing the transpose.
 
 use crate::dense::DenseMatrix;
 use crate::matrix::Matrix;
@@ -102,6 +103,16 @@ fn packed(b: &DenseMatrix) -> Vec<f64> {
     bp
 }
 
+/// Whether [`dense_dense`] packs its `k×n` right operand for `m` rows of
+/// the left one, rather than reading it where it is. Packing zeroes and
+/// copies `b` once, and saves a little on every row that reads it: it is
+/// paid back only by more than 32 rows, and only by more than 128 when `b`
+/// fits in 32 KB (fitted to a sweep over `m`, `k`, `n` on AVX2+FMA, recorded
+/// in BENCH_NOTES.md).
+fn packs(m: usize, k: usize, n: usize) -> bool {
+    m > 32 && (m > 128 || k * n * 8 > 32 << 10)
+}
+
 fn dense_dense(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     // Every element is written: one `dot` per row, or `gemm` without
@@ -112,13 +123,20 @@ fn dense_dense(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
         par::par_rows_mut(&mut out, m, 1, k, |r, c| c[0] = simd::dot(a.row(r), b.values()));
     } else if m * n > 0 {
         // The register-blocked kernel the fused Row operators run, over row
-        // bands that share one packed copy of `b`.
-        let bp = packed(b);
+        // bands that share one packed copy of `b` — or that read a small `b`
+        // where it is, since `gemm` sums in the same order either way.
+        let bp = packs(m, k, n).then(|| packed(b));
+        let rhs = match &bp {
+            Some(bp) => simd::Rhs::Packed(bp),
+            None => simd::Rhs::Rows { data: b.values(), rs: n },
+        };
         par::par_row_bands_mut(&mut out, m, n, k * n, |r0, band| {
             let lhs = simd::Lhs { data: &a.values()[r0 * k..], rs: k, cs: 1 };
-            simd::gemm(band, n, (band.len() / n, n, k), lhs, simd::Rhs::Packed(&bp), false);
+            simd::gemm(band, n, (band.len() / n, n, k), lhs, rhs, false);
         });
-        pool::give(bp);
+        if let Some(bp) = bp {
+            pool::give(bp);
+        }
     }
     DenseMatrix::new(m, n, out)
 }
@@ -226,6 +244,47 @@ mod tests {
         let b = Matrix::dense(rnd_dense(5, 9, 2));
         let c = matmult(&a, &b);
         assert!(c.approx_eq(&Matrix::dense(naive(&a, &b)), 1e-10));
+    }
+
+    /// Whether the rule packs or not, `matmult` returns the packed kernel's
+    /// bits (`dot` per row for one column), on both SIMD legs: ragged widths
+    /// around the 8-column panel, every row count across the 32- and
+    /// 128-row edges, and right operands on both sides of 32 KB.
+    #[test]
+    fn in_place_rhs_is_bitwise_the_packed_path() {
+        let _paths = simd::tests::path_lock();
+        for force in [false, true] {
+            simd::force_scalar(force);
+            for n in 1..=17usize {
+                // 2 KB at most, and just over 32 KB.
+                for (k, ms) in [
+                    (15, (1..=130).collect::<Vec<_>>()),
+                    ((32 << 10) / (8 * n) + 1, vec![1, 2, 5, 31, 32, 33, 127, 128, 129, 130]),
+                ] {
+                    let b = rnd_dense(k, n, 11 + n as u64);
+                    let mut bp = vec![0.0; simd::packed_len(k, n)];
+                    simd::pack_panels(b.values(), n, (k, n), &mut bp);
+                    for &m in &ms {
+                        let a = rnd_dense(m, k, 13 + m as u64);
+                        let mut want = vec![0.0; m * n];
+                        if n == 1 {
+                            for (r, w) in want.iter_mut().enumerate() {
+                                *w = simd::dot(a.row(r), b.values());
+                            }
+                        } else {
+                            let lhs = simd::Lhs { data: a.values(), rs: k, cs: 1 };
+                            let rhs = simd::Rhs::Packed(&bp);
+                            simd::gemm(&mut want, n, (m, n, k), lhs, rhs, false);
+                        }
+                        let got = dense_dense(&a, &b);
+                        let same =
+                            got.values().iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits());
+                        assert!(same, "m={m} k={k} n={n} packs={} force={force}", packs(m, k, n));
+                    }
+                }
+            }
+        }
+        simd::force_scalar(false);
     }
 
     #[test]

@@ -715,24 +715,39 @@ primitive! {
     /// storage order, `bp` the [`pack_panels`] form of a `kc`-row matrix with
     /// at least `dst.len()` columns (reduction class, like [`gemm`]). The
     /// `NR` columns of one panel accumulate in registers across the non-zeros.
+    ///
+    /// A row of at most 4 columns accumulates only the first 4 lanes of its
+    /// one panel (MLogreg's 3-class rows): each column's sum is the same.
     pub fn sparse_row_gemm<FMA>(vals: &[f64], cols: &[usize], bp: &[f64], kc: usize, dst: &mut [f64]) {
-        let panel = |jp: usize| {
-            let rows = bp[jp * kc * NR..(jp + 1) * kc * NR].as_chunks::<NR>().0;
-            let mut acc = [0.0f64; NR];
+        /// The first `W` columns of one panel (`rows`: its `kc` rows).
+        #[inline(always)]
+        fn panel<const FMA: bool, const W: usize>(
+            vals: &[f64],
+            cols: &[usize],
+            rows: &[[f64; NR]],
+        ) -> [f64; W] {
+            let mut acc = [0.0f64; W];
             for (&v, &c) in vals.iter().zip(cols) {
-                for (x, &b) in acc.iter_mut().zip(&rows[c]) {
+                for (x, &b) in acc.iter_mut().zip(&rows[c][..W]) {
                     *x = madd::<FMA>(v, b, *x);
                 }
             }
             acc
-        };
+        }
+        let rows = |jp: usize| bp[jp * kc * NR..(jp + 1) * kc * NR].as_chunks::<NR>().0;
+        if (1..=4).contains(&dst.len()) {
+            for (o, x) in dst.iter_mut().zip(panel::<FMA, 4>(vals, cols, rows(0))) {
+                *o = x;
+            }
+            return;
+        }
         let (full, tail) = dst.as_chunks_mut::<NR>();
         let jt = full.len();
         for (jp, out) in full.iter_mut().enumerate() {
-            *out = panel(jp);
+            *out = panel::<FMA, NR>(vals, cols, rows(jp));
         }
         if !tail.is_empty() {
-            for (o, x) in tail.iter_mut().zip(panel(jt)) {
+            for (o, x) in tail.iter_mut().zip(panel::<FMA, NR>(vals, cols, rows(jt))) {
                 *o = x;
             }
         }
@@ -743,25 +758,57 @@ primitive! {
     /// The rank-1 update of a sparse row: `acc[cols[z]·k + j] += vals[z]·t[j]`
     /// for `j < k = t.len()`, `acc` row-major with rows `k` apart (reduction
     /// class).
+    ///
+    /// Rows of 1 to 8 columns run a body of that fixed width, whose inner
+    /// loop unrolls (MLogreg's 3-class Hessian-vector product); wider rows
+    /// loop over `k`. The sums are the same either way.
     pub fn scatter_axpy<FMA>(vals: &[f64], cols: &[usize], t: &[f64], acc: &mut [f64]) {
+        /// `scatter_axpy` at the fixed width `K = t.len()`.
+        #[inline(always)]
+        fn fixed<const FMA: bool, const K: usize>(
+            vals: &[f64],
+            cols: &[usize],
+            t: &[f64],
+            acc: &mut [f64],
+        ) {
+            let t: [f64; K] = std::array::from_fn(|j| t[j]);
+            let rows = acc.as_chunks_mut::<K>().0;
+            for (&v, &c) in vals.iter().zip(cols) {
+                for (x, &t) in rows[c].iter_mut().zip(&t) {
+                    *x = madd::<FMA>(v, t, *x);
+                }
+            }
+        }
         let k = t.len();
-        for (&v, &c) in vals.iter().zip(cols) {
-            for (x, &t) in acc[c * k..(c + 1) * k].iter_mut().zip(t) {
-                *x = madd::<FMA>(v, t, *x);
+        match k {
+            1 => fixed::<FMA, 1>(vals, cols, t, acc),
+            2 => fixed::<FMA, 2>(vals, cols, t, acc),
+            3 => fixed::<FMA, 3>(vals, cols, t, acc),
+            4 => fixed::<FMA, 4>(vals, cols, t, acc),
+            5 => fixed::<FMA, 5>(vals, cols, t, acc),
+            6 => fixed::<FMA, 6>(vals, cols, t, acc),
+            7 => fixed::<FMA, 7>(vals, cols, t, acc),
+            8 => fixed::<FMA, 8>(vals, cols, t, acc),
+            _ => {
+                for (&v, &c) in vals.iter().zip(cols) {
+                    for (x, &t) in acc[c * k..(c + 1) * k].iter_mut().zip(t) {
+                        *x = madd::<FMA>(v, t, *x);
+                    }
+                }
             }
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::{Mutex, MutexGuard};
 
     /// `force_scalar` is process-wide and the harness runs tests on parallel
     /// threads: every test that flips it holds this lock, so a bitwise
     /// comparison never straddles another test's flip.
-    fn path_lock() -> MutexGuard<'static, ()> {
+    pub(crate) fn path_lock() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -1056,7 +1103,7 @@ mod tests {
         let vals = data(cols.len(), 41);
         for force in [false, true] {
             force_scalar(force);
-            for n in [1usize, 3, 4, 5, 8, 9, 17] {
+            for n in (1usize..=9).chain([16, 17]) {
                 let b = data(kc * n, 42);
                 let mut bp = vec![0.0; packed_len(kc, n)];
                 pack_panels(&b, n, (kc, n), &mut bp);

@@ -622,7 +622,19 @@ impl CompiledScript {
     /// geometry. Geometry revalidation recompiles for reshaped inputs; a
     /// panic inside that compilation is contained here, and a verifier
     /// rejection of the recompiled variant surfaces as a typed error.
+    ///
+    /// Bindings of the declared geometry (every call of a serving loop) are
+    /// checked once, against the base variant's shapes: those are the shapes
+    /// of the same inputs `validate_bindings` would check, so the base is
+    /// returned without the name pass or that second check.
     fn bind_variant(&self, bindings: &Bindings) -> Result<Arc<ScriptVariant>, ExecError> {
+        let base = &self.inner.base;
+        let declared = base.shapes.iter().all(|(name, rows, cols)| {
+            bindings.get(name).is_some_and(|m| m.rows() == *rows && m.cols() == *cols)
+        });
+        if declared {
+            return Ok(Arc::clone(base));
+        }
         for name in &self.inner.input_names {
             if bindings.get(name).is_none() {
                 return Err(ExecError::UnboundInput { name: name.clone() });
@@ -642,7 +654,7 @@ impl CompiledScript {
     /// revalidation guard): the oracle the scheduled engine is
     /// differentially tested against, bitwise, in every fusion mode.
     pub fn execute_sequential(&self, bindings: &Bindings) -> Vec<Value> {
-        let v = self.variant_for(bindings).unwrap_or_else(|e| panic!("{e}"));
+        let v = self.bind_variant(bindings).unwrap_or_else(|e| panic!("{e}"));
         let e = &self.engine.inner;
         let _pool = pool::enter(&e.pool);
         let _kern = spoof::enter_kernels(&e.kernels);
@@ -693,24 +705,14 @@ impl CompiledScript {
         }
     }
 
-    /// Resolves the variant matching the bound geometry: the base plan when
-    /// shapes agree, a cached recompile otherwise — compiling one on first
-    /// divergence (the shape-revalidation guard). Errs when the size
-    /// propagator rejects the bound geometry (mutually inconsistent shapes)
-    /// or the plan verifier rejects the freshly recompiled variant; neither
-    /// caches anything.
+    /// Resolves the variant for a bound geometry that differs from the base
+    /// plan's (`bind_variant` returns the base itself): a cached recompile,
+    /// or one compiled on first divergence (the shape-revalidation guard).
+    /// Errs when the size propagator rejects the bound geometry (mutually
+    /// inconsistent shapes) or the plan verifier rejects the freshly
+    /// recompiled variant; neither caches anything.
     fn variant_for(&self, bindings: &Bindings) -> Result<Arc<ScriptVariant>, ExecError> {
-        // Fast path: compare the bound geometry against the costed shapes
-        // in place — zero allocation on the (overwhelmingly common) case
-        // that nothing changed. A missing binding falls through to
-        // `bound_shapes`, which panics with the interpreter's message.
         let base = &self.inner.base;
-        let matches_base = base.shapes.iter().all(|(name, rows, cols)| {
-            bindings.get(name).is_some_and(|m| m.rows() == *rows && m.cols() == *cols)
-        });
-        if matches_base {
-            return Ok(Arc::clone(base));
-        }
         let shapes = interp::bound_shapes(bindings, &self.inner.input_names);
         {
             let variants = self.inner.variants.lock();

@@ -476,6 +476,8 @@ struct EngineState {
     /// Set when a spill write fails (disk full): degrade to best-effort
     /// resident execution instead of failing the run.
     spill_disabled: bool,
+    /// Workers blocked on the condvar right now (see `wait` / `wake`).
+    waiters: usize,
     /// This run's counters, returned on `Outputs::sched` and absorbed into
     /// the engine's [`ExecStats`] when the run ends.
     sched: SchedSnapshot,
@@ -563,6 +565,7 @@ pub fn run(
         tasks_done: vec![false; graph.tasks.len()],
         reloads_queued: 0,
         spill_disabled: false,
+        waiters: 0,
         sched: SchedSnapshot::default(),
         trace: cfg!(debug_assertions).then(Vec::new),
     };
@@ -613,6 +616,7 @@ pub fn run(
         });
     }
     let mut st = lock(&shared);
+    debug_assert_eq!(st.waiters, 0, "a worker still waits after every worker returned");
     // Roots are moved out, never cloned — faulting back any that were
     // evicted (a held root's next use is "after the DAG", so under pressure
     // roots are the first victims). Root reloads retry like any other spill
@@ -700,7 +704,27 @@ fn fail(cx: &Ctx<'_>, st: &mut Guard<'_>, err: ExecError) {
     }
     st.remaining = 0;
     st.ready.clear();
-    cx.cvar.notify_all();
+    wake(cx, st);
+}
+
+/// Wakes every worker blocked in [`wait`], and makes no call at all when
+/// none is: a notify costs a futex syscall whether or not anyone waits, and
+/// a one-worker run (every small request) never has a waiter. The count is
+/// read under the scheduler lock the caller holds, which is also the lock a
+/// waiter holds while it counts itself in, so no wakeup is lost.
+fn wake(cx: &Ctx<'_>, st: &EngineState) {
+    if st.waiters > 0 {
+        cx.cvar.notify_all();
+    }
+}
+
+/// Blocks on the scheduler condvar until some [`wake`], counted in
+/// `waiters` while it sleeps.
+fn wait<'a>(cx: &Ctx<'a>, mut st: Guard<'a>) -> Guard<'a> {
+    st.waiters += 1;
+    let mut st = cx.cvar.wait(st).unwrap_or_else(|e| e.into_inner());
+    st.waiters -= 1;
+    st
 }
 
 /// Names a task's operator for error reports: enough identity to find the
@@ -722,7 +746,7 @@ fn worker_loop(cx: &Ctx<'_>) {
     loop {
         let t = loop {
             if st.remaining == 0 || st.failure.is_some() {
-                cx.cvar.notify_all();
+                wake(cx, &st);
                 return;
             }
             match st.ready.pop() {
@@ -730,7 +754,7 @@ fn worker_loop(cx: &Ctx<'_>) {
                 Some(Job::Reload(h)) => {
                     st = prefetch_reload(cx, st, h);
                 }
-                None => st = cx.cvar.wait(st).unwrap_or_else(|e| e.into_inner()),
+                None => st = wait(cx, st),
             }
         };
         let task = &cx.graph.tasks[t];
@@ -921,7 +945,7 @@ fn worker_loop(cx: &Ctx<'_>) {
                 }
                 st.running -= 1;
                 st.remaining -= 1;
-                cx.cvar.notify_all();
+                wake(cx, &st);
             }
             Ok(Err(err)) => {
                 // A typed task failure (a sharded operator's first-failing
@@ -973,7 +997,7 @@ fn ensure_resident<'a>(cx: &Ctx<'a>, mut st: Guard<'a>, di: usize) -> Guard<'a> 
             }
             Slot::Loading | Slot::Evicting => {
                 let t0 = Instant::now();
-                st = cx.cvar.wait(st).unwrap_or_else(|e| e.into_inner());
+                st = wait(cx, st);
                 st.sched.spill_stall_us += t0.elapsed().as_micros() as usize;
             }
             Slot::Empty => unreachable!("input computed before its consumer"),
@@ -1030,7 +1054,7 @@ fn fault_in<'a>(
             }
             st.note(di, crate::verify::SlotState::Resident);
             st.slots[di] = Slot::Resident(Value::Matrix(m));
-            cx.cvar.notify_all();
+            wake(cx, &st);
             st
         }
         Err(e) => {
@@ -1091,7 +1115,7 @@ fn reserve<'a>(cx: &Ctx<'a>, mut st: Guard<'a>, need: usize, keep: &[HopId]) -> 
                 st.spill_disabled = true;
             }
         }
-        cx.cvar.notify_all();
+        wake(cx, &st);
     }
     st
 }
@@ -1306,9 +1330,8 @@ fn eval_basic(dag: &HopDag, h: HopId, mut ins: Vec<SlotIn>, bindings: &Bindings)
             _ => {}
         }
     }
-    let vals: Vec<Value> = ins.iter().map(|s| s.val.clone()).collect();
+    let vals: Vec<&Value> = ins.iter().map(|s| &s.val).collect();
     let v = interp::eval_op_inputs(dag, h, &vals, bindings);
-    drop(vals);
     recycle_all(ins);
     v
 }

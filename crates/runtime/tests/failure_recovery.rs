@@ -238,3 +238,65 @@ fn binding_defects_are_typed() {
     assert_roots_bitwise(out.values(), &reference, "after rejected bindings");
     assert_eq!(script.recompiled_variants(), 0);
 }
+
+/// A compiled script compares the bound shapes with the compiled ones once
+/// and, on a match, runs without checking anything else; every other
+/// binding takes the full path with the errors and counters it always had:
+/// a missing input is `UnboundInput`, a consistent new geometry is one
+/// counted recompile, and mutually inconsistent shapes are the bind error of
+/// the first input that left its declared shape.
+#[test]
+fn compiled_script_binding_errors_are_unchanged() {
+    let mut b = DagBuilder::new();
+    let x = b.read("X", 64, 128, 1.0);
+    let w = b.read("W", 128, 10, 1.0);
+    let scores = b.mm(x, w);
+    let best = b.row_maxs(scores);
+    let dag = b.build(vec![scores, best]);
+    let engine = Engine::new(FusionMode::Gen);
+    let script = engine.compile(&dag);
+    let x0 = generate::rand_dense(64, 128, -1.0, 1.0, 1);
+
+    // The declared shapes, with and without an input the DAG does not read.
+    let good = bind(&[("X", x0.clone()), ("W", generate::rand_dense(128, 10, -1.0, 1.0, 2))]);
+    let want = script.execute_sequential(&good);
+    let mut extra = good.clone();
+    extra.insert("Z".into(), generate::rand_dense(3, 3, 0.0, 1.0, 3));
+    for bindings in [&good, &extra] {
+        let out = script.try_execute(bindings).expect("declared shapes execute");
+        assert_roots_bitwise(out.values(), &want, "declared shapes");
+    }
+
+    match script.try_execute(&bind(&[("X", x0.clone())])) {
+        Err(ExecError::UnboundInput { name }) => assert_eq!(name, "W"),
+        other => panic!("expected UnboundInput, got {other:?}"),
+    }
+
+    // A consistent new geometry: one counted recompile, then served from it.
+    let narrow = bind(&[("X", x0.clone()), ("W", generate::rand_dense(128, 3, -1.0, 1.0, 4))]);
+    let want_narrow = script.execute_sequential(&narrow);
+    for _ in 0..2 {
+        let out = script.try_execute(&narrow).expect("a consistent geometry recompiles");
+        assert_roots_bitwise(out.values(), &want_narrow, "reshaped W");
+    }
+    assert_eq!(script.recompiled_variants(), 1);
+    assert_eq!(engine.stats().plan_recompiles(), 1);
+
+    // `X %*% W` admits no 100-row `W` beside a 128-column `X`.
+    let inconsistent = bind(&[("X", x0), ("W", generate::rand_dense(100, 10, -1.0, 1.0, 5))]);
+    match script.try_execute(&inconsistent) {
+        Err(ExecError::ShapeMismatch { name, expected, bound }) => {
+            assert_eq!(name, "W");
+            assert_eq!(expected, (128, 10));
+            assert_eq!(bound, (100, 10));
+        }
+        other => panic!("expected ShapeMismatch, got {other:?}"),
+    }
+    assert_eq!(script.recompiled_variants(), 1, "a rejected geometry caches no variant");
+    assert_eq!(engine.stats().failed_executions(), 2, "both rejected bindings are counted");
+
+    // And the declared shapes still run against the base plan.
+    let out = script.try_execute(&good).expect("declared shapes execute");
+    assert_roots_bitwise(out.values(), &want, "declared shapes again");
+    assert_eq!(engine.stats().plan_recompiles(), 1);
+}
