@@ -7,8 +7,8 @@
 use crate::common::{bindv, retire, run1, AlgoResult, Stopwatch};
 use fusedml_hop::interp::Bindings;
 use fusedml_hop::{DagBuilder, HopDag};
-use fusedml_linalg::ops::{self, AggDir, AggOp, BinaryOp};
-use fusedml_linalg::{generate, DenseMatrix, Matrix};
+use fusedml_linalg::ops::{AggDir, AggOp, BinaryOp};
+use fusedml_linalg::{generate, simd, DenseMatrix, Matrix};
 use fusedml_runtime::Engine;
 
 /// Hyper-parameters (paper Table 2: ε=1e-12, 20 iterations, k centroids).
@@ -102,15 +102,22 @@ pub fn run(exec: &Engine, x: &Matrix, cfg: &KMeansConfig) -> AlgoResult {
         wcss = new_wcss;
     }
     // Full WCSS including the constant X term for reporting.
-    let xsq =
-        ops::agg(&ops::unary(x, fusedml_linalg::ops::UnaryOp::Pow2), AggOp::Sum, AggDir::Full)
-            .get(0, 0);
+    let xsq = sum_sq(x);
     let _ = run1; // (single-root helper unused here)
     AlgoResult {
         seconds: sw.seconds(),
         iterations: iters,
         objective: wcss + xsq,
         model: vec![centroids],
+    }
+}
+
+/// `sum(X^2)` over the stored values (a CSR matrix's unstored cells add
+/// nothing), without a squared copy of `X`.
+fn sum_sq(x: &Matrix) -> f64 {
+    match x {
+        Matrix::Dense(d) => simd::sum_sq(d.values()),
+        Matrix::Sparse(s) => simd::sum_sq(s.values()),
     }
 }
 
@@ -122,6 +129,7 @@ pub fn synthetic_data(n: usize, m: usize, sparsity: f64, seed: u64) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fusedml_linalg::ops;
     use fusedml_runtime::FusionMode;
 
     #[test]
@@ -132,6 +140,20 @@ mod tests {
         for mode in [FusionMode::Gen, FusionMode::GenFA, FusionMode::GenFNR] {
             let r = run(&Engine::new(mode), &x, &cfg);
             assert!(r.model[0].approx_eq(&base.model[0], 1e-6), "{mode:?}");
+        }
+    }
+
+    /// The reporting term equals the formula it replaced, `sum(X^2)` over a
+    /// squared copy, on a dense and on a CSR input.
+    #[test]
+    fn sum_sq_is_the_sum_of_the_squared_copy() {
+        let (dense, csr) = (synthetic_data(300, 7, 1.0, 17), synthetic_data(300, 7, 0.2, 18));
+        assert!(matches!((&dense, &csr), (Matrix::Dense(_), Matrix::Sparse(_))));
+        for x in [dense, csr] {
+            let squared = ops::unary(&x, fusedml_linalg::ops::UnaryOp::Pow2);
+            let want = ops::agg(&squared, AggOp::Sum, AggDir::Full).get(0, 0);
+            let got = sum_sq(&x);
+            assert!((got - want).abs() <= 1e-12 * want.abs(), "{got} vs {want}");
         }
     }
 

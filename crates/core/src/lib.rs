@@ -21,10 +21,15 @@
 //!    the [`plancache::PlanCache`],
 //! 5. **DAG modification** — the optimizer output maps covered HOPs to fused
 //!    operators ([`optimizer::FusionPlan`]), applied by the runtime executor.
+//!
+//! The `Fused` baseline runs the same pipeline over a fixed pattern table
+//! ([`handcoded`]): step 1's memo keeps only the matched instances, and
+//! step 2 fuses each of them whole.
 
 pub mod codegen;
 pub mod cplan;
 pub mod explore;
+pub mod handcoded;
 pub mod memo;
 pub mod opt;
 pub mod optimizer;

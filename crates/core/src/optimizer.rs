@@ -4,6 +4,7 @@
 use crate::codegen::GeneratedOperator;
 use crate::cplan::{self, CPlan};
 use crate::explore::explore;
+use crate::handcoded;
 use crate::opt::{select_plans, CostModel, EnumConfig, SelectionPolicy};
 use crate::plancache::PlanCache;
 use crate::stats::{CodegenStats, StatsSnapshot};
@@ -18,7 +19,8 @@ use std::time::Instant;
 pub enum FusionMode {
     /// Basic operators only.
     Base,
-    /// Hand-coded fused operators (fixed patterns, runtime-matched).
+    /// Hand-coded fused operators: one generated operator per instance of
+    /// the fixed pattern table ([`crate::handcoded`]), fused-all.
     Fused,
     /// Cost-based optimized fusion (the paper's contribution).
     Gen,
@@ -29,9 +31,9 @@ pub enum FusionMode {
 }
 
 impl FusionMode {
-    /// True for the modes that run the code generator.
+    /// True for the modes that run the code generator (all but `Base`).
     pub fn uses_codegen(self) -> bool {
-        matches!(self, FusionMode::Gen | FusionMode::GenFA | FusionMode::GenFNR)
+        self != FusionMode::Base
     }
 }
 
@@ -199,17 +201,25 @@ impl Optimizer {
         let t0 = Instant::now();
         let mut run = StatsSnapshot { dags_optimized: 1, ..StatsSnapshot::default() };
 
-        // Phase 1: candidate exploration.
-        let memo = explore(dag);
+        // Phase 1: candidate exploration (`Fused` keeps only the matched
+        // pattern instances).
+        let mut memo = explore(dag);
+        if self.mode == FusionMode::Fused {
+            memo = handcoded::restrict(dag, &memo);
+        }
 
         // Phase 2: candidate selection.
         let policy = match self.mode {
             FusionMode::Gen => SelectionPolicy::CostBased(self.enum_cfg),
-            FusionMode::GenFA => SelectionPolicy::FuseAll,
+            FusionMode::GenFA | FusionMode::Fused => SelectionPolicy::FuseAll,
             FusionMode::GenFNR => SelectionPolicy::FuseNoRedundancy,
-            _ => unreachable!(),
+            FusionMode::Base => unreachable!(),
         };
-        let sel = select_plans(dag, &memo, policy, &self.model);
+        let mut sel = select_plans(dag, &memo, policy, &self.model);
+        if self.mode == FusionMode::Fused {
+            // One hand-coded operator per instance: no multi-aggregates.
+            sel.magg_groups.clear();
+        }
         run.plans_evaluated = sel.plans_evaluated;
         run.plans_walked = sel.plans_walked;
         run.plans_pruned_cost = sel.plans_pruned_cost;

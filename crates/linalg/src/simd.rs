@@ -141,9 +141,9 @@ fn fold_lanes<const K: usize>(xs: [&[f64]; K], step: impl Fn(f64, [f64; K]) -> f
     let xs = xs.map(|x| &x[..n]);
     let chunks = xs.map(|x| x.as_chunks::<4>().0);
     let mut acc = [0.0f64; 4];
-    for i in 0..n / 4 {
+    for chunk in (0..n / 4).map(|i| chunks.map(|c| &c[i])) {
         for (l, a) in acc.iter_mut().enumerate() {
-            *a = step(*a, std::array::from_fn(|j| chunks[j][i][l]));
+            *a = step(*a, std::array::from_fn(|j| chunk[j][l]));
         }
     }
     if n % 4 != 0 {

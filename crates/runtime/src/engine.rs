@@ -47,7 +47,6 @@
 
 use crate::error::{panic_message, ExecError};
 use crate::exec::{self, ExecStats, SchedSnapshot};
-use crate::handcoded;
 use crate::schedule::{self, TaskGraph};
 use crate::shard::Shards;
 use crate::spoof;
@@ -402,10 +401,11 @@ impl Engine {
         v.recycle();
     }
 
-    /// Compiles a DAG into a [`CompiledScript`]: exploration, costing, code
-    /// generation, hand-coded pattern matching, liveness analysis, and task
-    /// graph construction all happen here — **exactly once**. The returned
-    /// script is `Send + Sync` and executes from any number of threads.
+    /// Compiles a DAG into a [`CompiledScript`]: exploration (under `Fused`,
+    /// restricted to the hand-coded pattern table), costing, code
+    /// generation, liveness analysis, and task graph construction all happen
+    /// here — **exactly once**. The returned script is `Send + Sync` and
+    /// executes from any number of threads.
     /// Panics if the plan verifier rejects the compiled artifact (see
     /// [`Engine::try_compile`] for the fallible form).
     pub fn compile(&self, dag: &HopDag) -> CompiledScript {
@@ -471,6 +471,7 @@ impl EngineInner {
             kernels: &self.kernels,
             faults: self.faults.as_ref(),
             shards: self.shards,
+            mode: self.mode,
         }
     }
 
@@ -496,31 +497,31 @@ impl EngineInner {
         p
     }
 
-    /// Compiles one geometry variant: plan / patterns / task graph /
-    /// liveness facts (per variant, so they always describe the geometry
-    /// that actually executes). With `verify_plans` on, the compiled
+    /// Compiles one geometry variant: plan / task graph / liveness facts
+    /// (per variant, so they always describe the geometry that actually
+    /// executes). With `verify_plans` on, the compiled
     /// artifact is statically verified before it is allowed to exist —
     /// cold compiles and geometry recompiles only, never the execute path.
     fn compile_variant(&self, dag: HopDag) -> Result<ScriptVariant, crate::verify::VerifyError> {
-        let (plan, enum_cap, patterns) = match self.mode {
-            FusionMode::Base => (None, None, None),
-            FusionMode::Fused => (None, None, Some(handcoded::match_patterns(&dag))),
+        let (plan, enum_cap) = match self.mode {
+            FusionMode::Base => (None, None),
             _ => {
                 let (plan, cap) = self.plan_for(&dag);
-                (Some(plan), cap, None)
+                (Some(plan), cap)
             }
         };
-        let mut graph = schedule::prepare(&dag, plan.as_deref(), patterns.as_ref());
-        if let (Some(shards), Some(plan)) = (self.shards, plan.as_deref()) {
-            // Per-operator local-vs-sharded choice, planned once at compile
-            // time with the estimator `shard::estimate_plan` reports.
-            let specs = if self.force_shard {
-                crate::shard::force_shards(plan, shards.k)
-            } else {
-                crate::shard::plan_shards(&dag, plan, shards.k, &self.optimizer.model)
-            };
-            graph.set_shard_specs(&specs);
-        }
+        // Per-operator local-vs-sharded choice, planned once at compile time
+        // with the estimator `shard::estimate_plan` reports.
+        let specs = match (self.shards, plan.as_deref()) {
+            (Some(shards), Some(plan)) if self.force_shard => {
+                Some(crate::shard::force_shards(plan, shards.k))
+            }
+            (Some(shards), Some(plan)) => {
+                Some(crate::shard::plan_shards(&dag, plan, shards.k, &self.optimizer.model))
+            }
+            _ => None,
+        };
+        let graph = schedule::prepare(&dag, plan.as_deref(), specs.as_deref());
         let shapes = dag.input_shapes();
         let liveness = liveness::analyze(&dag);
         if self.verify_plans {
@@ -542,7 +543,7 @@ impl EngineInner {
 }
 
 /// One compiled geometry of a script: the DAG (sizes as costed), its fusion
-/// plan or hand-coded patterns, and the prepared task graph.
+/// plan, and the prepared task graph.
 struct ScriptVariant {
     /// `(name, rows, cols)` of every live input, sorted — the geometry this
     /// variant was costed under.
@@ -658,8 +659,7 @@ impl CompiledScript {
         let e = &self.engine.inner;
         let _pool = pool::enter(&e.pool);
         let _kern = spoof::enter_kernels(&e.kernels);
-        let patterns = (e.mode == FusionMode::Fused).then(|| handcoded::match_patterns(&v.dag));
-        exec::sequential(&v.dag, v.plan.as_deref(), patterns.as_ref(), bindings, &e.stats)
+        exec::sequential(&v.dag, v.plan.as_deref(), e.mode, bindings, &e.stats)
     }
 
     /// The engine this script was compiled by.
@@ -672,7 +672,7 @@ impl CompiledScript {
         &self.inner.base.dag
     }
 
-    /// The fusion plan of the declared geometry (`None` for `Base`/`Fused`).
+    /// The fusion plan of the declared geometry (`None` for `Base`).
     pub fn plan(&self) -> Option<&Arc<FusionPlan>> {
         self.inner.base.plan.as_ref()
     }

@@ -7,13 +7,13 @@
 //! seed's recursive materializer (`sequential`) that the scheduled engine is
 //! differentially tested against.
 
-use crate::handcoded::{self, HcOperator};
 use crate::side::SideInput;
 use crate::spoof;
 pub use fusedml_core::optimizer::dag_structural_hash;
 use fusedml_core::optimizer::{FusedOperator, FusionPlan};
 use fusedml_core::spoof::mono::ShapeClass;
 use fusedml_core::util::FxHashMap;
+use fusedml_core::FusionMode;
 use fusedml_hop::interp::{self, Bindings};
 use fusedml_hop::{HopDag, HopId};
 use fusedml_linalg::matrix::Value;
@@ -32,7 +32,9 @@ pub struct SchedSnapshot {
     pub mono_ops: usize,
     /// Fused operators that ran the tile/band interpreter.
     pub interp_fused_ops: usize,
-    /// Hand-coded fused operators executed.
+    /// Hand-coded fused operators executed: the generated operators of a
+    /// `Fused` run, one per pattern instance (see
+    /// `SchedSnapshot::reported_for`).
     pub handcoded_ops: usize,
     /// Basic operators executed.
     pub basic_ops: usize,
@@ -86,6 +88,19 @@ pub struct SchedSnapshot {
 }
 
 impl SchedSnapshot {
+    /// The record as an engine of `mode` reports it. A `Fused` plan's
+    /// operators are the hand-coded pattern instances, so a `Fused` run
+    /// counts them as `handcoded_ops` (and as neither mono nor interpreted);
+    /// every other mode's record is returned as is.
+    pub(crate) fn reported_for(mut self, mode: FusionMode) -> SchedSnapshot {
+        if mode == FusionMode::Fused {
+            self.handcoded_ops += std::mem::take(&mut self.fused_ops);
+            self.mono_ops = 0;
+            self.interp_fused_ops = 0;
+        }
+        self
+    }
+
     /// Adds `other` into `self`: a sharded operator's record into its run's,
     /// a run's into its engine's. Event counts sum. The footprint figures
     /// (`peak_bytes`, `resident_all_bytes`, `streamed_leaf_bytes`) and the
@@ -256,16 +271,15 @@ impl ExecStats {
 }
 
 /// The seed's recursive lazy materializer: every intermediate stays alive
-/// for the whole DAG and operators run one at a time. Takes the same
-/// `(plan, patterns)` pair as [`crate::schedule::prepare`] — generated
-/// operators (Gen modes), hand-coded instances (`Fused`), neither (`Base`) —
-/// and backs `CompiledScript::execute_sequential`, the oracle the scheduled
-/// engine is compared against. Its operator counts join `stats` once, at the
-/// end.
+/// for the whole DAG and operators run one at a time. Runs the same `plan`
+/// as [`crate::schedule::prepare`] (`None` under `Base`) and backs
+/// `CompiledScript::execute_sequential`, the oracle the scheduled engine is
+/// compared against. Its operator counts join `stats` once, at the end, as
+/// an engine of `mode` reports them.
 pub(crate) fn sequential(
     dag: &HopDag,
     plan: Option<&FusionPlan>,
-    patterns: Option<&FxHashMap<HopId, HcOperator>>,
+    mode: FusionMode,
     bindings: &Bindings,
     stats: &ExecStats,
 ) -> Vec<Value> {
@@ -277,12 +291,12 @@ pub(crate) fn sequential(
             op_roots.insert(r, f);
         }
     }
-    let mut cx = Sequential { dag, op_roots, patterns, bindings, counts: SchedSnapshot::default() };
+    let mut cx = Sequential { dag, op_roots, bindings, counts: SchedSnapshot::default() };
     let mut vals: Vec<Option<Value>> = vec![None; dag.len()];
     for &root in dag.roots() {
         cx.materialize(&mut vals, root);
     }
-    stats.lock().sched.absorb(&cx.counts);
+    stats.lock().sched.absorb(&cx.counts.reported_for(mode));
     dag.roots().iter().map(|r| vals[r.index()].take().expect("root computed")).collect()
 }
 
@@ -291,15 +305,14 @@ pub(crate) fn sequential(
 struct Sequential<'a> {
     dag: &'a HopDag,
     op_roots: FxHashMap<HopId, &'a FusedOperator>,
-    patterns: Option<&'a FxHashMap<HopId, HcOperator>>,
     bindings: &'a Bindings,
     counts: SchedSnapshot,
 }
 
 impl Sequential<'_> {
-    /// Lazily computes the value of `hop`: through the generated or
-    /// hand-coded operator rooted there (whose interior hops then never
-    /// run), as a basic operator otherwise.
+    /// Lazily computes the value of `hop`: through the fused operator rooted
+    /// there (whose interior hops then never run), as a basic operator
+    /// otherwise.
     fn materialize(&mut self, vals: &mut Vec<Option<Value>>, hop: HopId) {
         if vals[hop.index()].is_some() {
             return;
@@ -318,19 +331,6 @@ impl Sequential<'_> {
                 };
                 vals[r.index()] = Some(v);
             }
-            return;
-        }
-        if let Some(hc) = self.patterns.and_then(|p| p.get(&hop)) {
-            for &i in &hc.inputs {
-                self.materialize(vals, i);
-            }
-            let inputs: Vec<Value> = hc
-                .inputs
-                .iter()
-                .map(|&i| vals[i.index()].clone().expect("input computed"))
-                .collect();
-            self.counts.handcoded_ops += 1;
-            vals[hop.index()] = Some(handcoded::exec_operator(hc, &inputs));
             return;
         }
         let dag = self.dag;

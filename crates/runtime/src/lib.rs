@@ -10,10 +10,9 @@
 //!   `SpoofRowwise`, `SpoofMultiAgg`, `SpoofOuterProduct`) that own data
 //!   access over dense/sparse/compressed matrices, multi-threading and
 //!   aggregation, and invoke the generated register programs per cell/row
-//!   (paper §2.2 "Runtime Integration", Figure 4),
+//!   (paper §2.2 "Runtime Integration", Figure 4); the `Fused` baseline's
+//!   hand-coded patterns (`fusedml_core::handcoded`) run through them too,
 //! * [`side`] — side-input access (`getValue(b[i], …)`),
-//! * [`handcoded`] — SystemML-style hand-coded fused operators for the
-//!   `Fused` baseline (fixed patterns: tak+*, mmchain, wsloss, wdivmm),
 //! * [`engine`] — the public execution API: [`EngineBuilder`] → [`Engine`]
 //!   (owns the buffer pool, plan/kernel caches, worker limit, stats) →
 //!   [`Engine::compile`] → [`CompiledScript`] (`Send + Sync`, executes from
@@ -41,7 +40,6 @@
 pub mod engine;
 pub mod error;
 pub mod exec;
-pub mod handcoded;
 pub mod schedule;
 pub mod shard;
 pub mod side;

@@ -87,13 +87,13 @@
 
 use crate::error::{panic_message, ExecError};
 use crate::exec::{ExecStats, SchedSnapshot};
-use crate::handcoded::{self, HcOperator};
-use crate::shard::Shards;
+use crate::shard::{ShardSpec, Shards};
 use crate::side::SideInput;
 use crate::spoof;
 use fusedml_core::optimizer::FusionPlan;
 use fusedml_core::plancache::KernelCaches;
 use fusedml_core::util::FxHashMap;
+use fusedml_core::FusionMode;
 use fusedml_hop::interp::{self, Bindings};
 use fusedml_hop::{HopDag, HopId, OpKind};
 use fusedml_linalg::fault::{FaultPlan, FaultSite};
@@ -155,6 +155,9 @@ pub struct ExecCtx<'a> {
     /// tasks whose graph entry carries a [`crate::shard::ShardSpec`] execute
     /// as its row bands.
     pub shards: Option<Shards>,
+    /// The engine's fusion mode, which names the plan's operators in the
+    /// run's record (see `SchedSnapshot::reported_for`).
+    pub mode: FusionMode,
 }
 
 /// What one task executes.
@@ -163,9 +166,6 @@ pub(crate) enum TaskKind {
     Basic(HopId),
     /// A generated fused operator (index into the plan's operator list).
     Fused { op_ix: usize },
-    /// A hand-coded fused pattern instance (owned, so the graph outlives the
-    /// match pass and can be reused across executions).
-    Handcoded(HcOperator),
 }
 
 /// One schedulable unit.
@@ -210,7 +210,7 @@ pub struct TaskGraph {
     /// Per task: the planner's sharding decision (`None` = run locally).
     /// Only ever `Some` for fused tasks; the verifier re-derives each spec
     /// from the operator to reject a corrupted plan.
-    pub(crate) shard: Vec<Option<crate::shard::ShardSpec>>,
+    pub(crate) shard: Vec<Option<ShardSpec>>,
 }
 
 impl TaskGraph {
@@ -233,31 +233,22 @@ impl TaskGraph {
         &mut self.spill_ok
     }
 
-    /// Installs the planner's sharding decisions, index-aligned with the
-    /// plan's operator list (see [`crate::shard::plan_shards`]); fused tasks
-    /// pick up their operator's spec, everything else stays local.
-    pub fn set_shard_specs(&mut self, per_op: &[Option<crate::shard::ShardSpec>]) {
-        for (t, task) in self.tasks.iter().enumerate() {
-            if let TaskKind::Fused { op_ix } = task.kind {
-                self.shard[t] = per_op.get(op_ix).cloned().flatten();
-            }
-        }
-    }
-
     /// The per-task sharding decisions (`None` = local execution).
-    pub fn shard_specs(&self) -> &[Option<crate::shard::ShardSpec>] {
+    pub fn shard_specs(&self) -> &[Option<ShardSpec>] {
         &self.shard
     }
 }
 
 /// Builds the task graph for a DAG: the compile-time half of the scheduled
-/// engine. `plan` carries generated fused operators (Gen modes); `patterns`
-/// carries hand-coded instances (`Fused` mode); with neither, every live hop
-/// schedules as a basic task (`Base`).
+/// engine. `plan` carries the generated fused operators (every mode but
+/// `Base`; without one, every live hop schedules as a basic task).
+/// `shard_specs` are the planner's sharding decisions, index-aligned with the
+/// plan's operator list (see [`crate::shard::plan_shards`]): fused tasks pick
+/// up their operator's spec, and everything runs locally without them.
 pub fn prepare(
     dag: &HopDag,
     plan: Option<&FusionPlan>,
-    patterns: Option<&FxHashMap<HopId, HcOperator>>,
+    shard_specs: Option<&[Option<ShardSpec>]>,
 ) -> TaskGraph {
     let plan_ops = plan.map_or(&[][..], |p| &p.operators[..]);
     let mut op_roots: FxHashMap<HopId, usize> = FxHashMap::default();
@@ -307,18 +298,6 @@ pub fn prepare(
             tasks.push(Task {
                 kind: TaskKind::Fused { op_ix },
                 deps,
-                consumers: Vec::new(),
-                level: 0,
-            });
-            continue;
-        }
-        if let Some(hc) = patterns.and_then(|p| p.get(&h)) {
-            let t = tasks.len();
-            producer[h.index()] = Some(t);
-            stack.extend(hc.inputs.iter().copied());
-            tasks.push(Task {
-                kind: TaskKind::Handcoded(hc.clone()),
-                deps: hc.inputs.clone(),
                 consumers: Vec::new(),
                 level: 0,
             });
@@ -399,7 +378,6 @@ pub fn prepare(
         .iter()
         .map(|t| match &t.kind {
             TaskKind::Basic(h) => est(*h),
-            TaskKind::Handcoded(hc) => est(hc.root),
             TaskKind::Fused { op_ix } => plan_ops[*op_ix].roots.iter().map(|&r| est(r)).sum(),
         })
         .collect();
@@ -407,7 +385,13 @@ pub fn prepare(
         .iter()
         .map(|h| !h.kind.is_leaf() && h.size.bytes().max(0.0) as usize >= MIN_SPILL_BYTES)
         .collect();
-    let shard = vec![None; n];
+    let shard = tasks
+        .iter()
+        .map(|t| match (&t.kind, shard_specs) {
+            (TaskKind::Fused { op_ix }, Some(specs)) => specs.get(*op_ix).cloned().flatten(),
+            _ => None,
+        })
+        .collect();
     TaskGraph {
         tasks,
         leaves,
@@ -684,6 +668,7 @@ pub fn run(
     st.sched.pool_misses = tally.misses() as usize;
     st.sched.degraded = usize::from(st.spill_disabled);
     let failure = st.failure.take();
+    st.sched = st.sched.reported_for(cx.mode);
     {
         let mut totals = cx.stats.lock();
         totals.sched.absorb(&st.sched);
@@ -732,7 +717,6 @@ fn wait<'a>(cx: &Ctx<'a>, mut st: Guard<'a>) -> Guard<'a> {
 fn task_label(cx: &Ctx<'_>, task: &Task) -> String {
     match &task.kind {
         TaskKind::Basic(h) => format!("basic {:?} (hop {})", cx.dag.hop(*h).kind, h.index()),
-        TaskKind::Handcoded(hc) => format!("handcoded pattern (hop {})", hc.root.index()),
         TaskKind::Fused { op_ix } => format!("fused operator #{op_ix}"),
     }
 }
@@ -1182,16 +1166,6 @@ fn run_task(
             counts.basic_ops = 1;
             let v = eval_basic(dag, *h, ins, bindings);
             Ok((vec![(*h, v)], counts))
-        }
-        TaskKind::Handcoded(hc) => {
-            counts.handcoded_ops = 1;
-            let vals: Vec<Value> = ins.iter().map(|s| s.val.clone()).collect();
-            let v = handcoded::exec_operator(hc, &vals);
-            // Drop the clones first, or the owned inputs are never uniquely
-            // held and recycling silently degrades to a plain drop.
-            drop(vals);
-            recycle_all(ins);
-            Ok((vec![(hc.root, v)], counts))
         }
         TaskKind::Fused { op_ix } => {
             // A fused task without a plan is a compile bug; the panic is

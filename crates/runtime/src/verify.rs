@@ -1347,7 +1347,6 @@ pub fn check_task_graph(
                     });
                 }
             }
-            TaskKind::Handcoded(_) => all_basic = false,
         }
     }
     // Refcounts: one read per task dependency occurrence, +1 per DAG root.
@@ -1389,7 +1388,6 @@ pub fn check_task_graph(
     for (t, task) in graph.tasks.iter().enumerate() {
         let exp = match &task.kind {
             TaskKind::Basic(h) => est(*h),
-            TaskKind::Handcoded(hc) => est(hc.root),
             TaskKind::Fused { op_ix } => match plan {
                 Some(p) => p.operators[*op_ix].roots.iter().map(|&r| est(r)).sum(),
                 None => {
@@ -1492,7 +1490,6 @@ fn task_outputs<'a>(
 ) -> Vec<fusedml_hop::HopId> {
     match &task.kind {
         TaskKind::Basic(h) => vec![*h],
-        TaskKind::Handcoded(hc) => vec![hc.root],
         TaskKind::Fused { op_ix } => {
             plan.map_or_else(Vec::new, |p| p.operators[*op_ix].roots.clone())
         }
