@@ -36,7 +36,7 @@ pub mod ops;
 pub use compress::{compress, CompressionPlan, CompressionStats};
 pub use groups::{ColumnGroup, Encoding};
 
-use fusedml_linalg::{DenseMatrix, Matrix};
+use fusedml_linalg::DenseMatrix;
 
 /// A column-compressed matrix.
 #[derive(Clone, Debug)]
@@ -119,13 +119,6 @@ impl CompressedMatrix {
     /// only (paper §5.2 "Compressed Linear Algebra").
     pub fn group_value_counts(&self) -> impl Iterator<Item = Vec<(f64, usize)>> + '_ {
         self.groups.iter().map(|g| g.value_counts())
-    }
-
-    /// Wraps into the format-polymorphic matrix world by decompressing.
-    /// (The runtime keeps compressed matrices compressed; this is for
-    /// validation only.)
-    pub fn to_matrix(&self) -> Matrix {
-        Matrix::dense(self.decompress())
     }
 }
 

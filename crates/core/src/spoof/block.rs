@@ -53,8 +53,9 @@ pub fn clamp_tile_width(w: usize) -> usize {
 /// other two.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CellBackend {
-    /// The per-cell scalar interpreter (retained as the differential-test
-    /// oracle and for the compressed-input skeleton).
+    /// The per-cell scalar interpreter: the differential-test oracle, and
+    /// what a kernel with more side gathers than the tile path supports
+    /// (more than 16) runs in production.
     Scalar,
     /// The tile evaluator alone: what every result register that is not a
     /// product chain runs in production, forced for all of them.

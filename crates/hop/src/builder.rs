@@ -207,9 +207,6 @@ impl DagBuilder {
     pub fn row_maxs(&mut self, a: HopId) -> HopId {
         self.agg(AggOp::Max, AggDir::Row, a)
     }
-    pub fn min_full(&mut self, a: HopId) -> HopId {
-        self.agg(AggOp::Min, AggDir::Full, a)
-    }
 
     /// Finalizes the DAG with the given roots.
     pub fn build(mut self, roots: Vec<HopId>) -> HopDag {
@@ -217,12 +214,6 @@ impl DagBuilder {
             self.dag.add_root(r);
         }
         self.dag
-    }
-
-    /// Finalizes with roots and applies static rewrites.
-    pub fn build_rewritten(self, roots: Vec<HopId>) -> HopDag {
-        let dag = self.build(roots);
-        crate::rewrite::apply_static_rewrites(&dag)
     }
 }
 

@@ -112,8 +112,8 @@ impl HopDag {
         out
     }
 
-    /// The set of nodes reachable from the roots (dead nodes can appear
-    /// after rewrites).
+    /// The set of nodes reachable from the roots (a builder may leave nodes
+    /// that no root reads).
     pub fn live_set(&self) -> Vec<bool> {
         let mut live = vec![false; self.hops.len()];
         let mut stack: Vec<HopId> = self.roots.clone();

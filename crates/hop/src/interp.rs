@@ -298,22 +298,4 @@ mod tests {
             Err(BindError::Shape { name: "Y".into(), expected: (2, 3), bound: (3, 2) })
         );
     }
-
-    #[test]
-    fn rewritten_dag_same_result() {
-        let mut b = DagBuilder::new();
-        let x = b.read("X", 5, 5, 1.0);
-        let one = b.lit(1.0);
-        let m = b.mult(x, one);
-        let t1 = b.t(m);
-        let t2 = b.t(t1);
-        let s = b.sum(t2);
-        let dag = b.build(vec![s]);
-        let rewritten = crate::rewrite::apply_static_rewrites(&dag);
-        let xm = generate::rand_dense(5, 5, -1.0, 1.0, 9);
-        let bindings = bind(&[("X", xm)]);
-        let a = interpret(&dag, &bindings)[0].as_scalar();
-        let bv = interpret(&rewritten, &bindings)[0].as_scalar();
-        assert!(fusedml_linalg::approx_eq(a, bv, 1e-12));
-    }
 }

@@ -17,7 +17,6 @@
 //! * [`liveness`] — consumer counts, last-use positions, ready sets of
 //!   independent operators, and tracked peak-footprint estimates for the
 //!   scheduled executor,
-//! * [`rewrite`] — static simplification rewrites and CSE,
 //! * [`interp`] — a reference interpreter executing a DAG operator-by-
 //!   operator with materialized intermediates (the `Base` mode of the
 //!   evaluation, and the correctness oracle for fused execution).
@@ -28,7 +27,6 @@ pub mod hop;
 pub mod interp;
 pub mod liveness;
 pub mod memory;
-pub mod rewrite;
 pub mod size;
 
 pub use builder::DagBuilder;

@@ -42,12 +42,6 @@ impl DenseMatrix {
         Self::new(rows, cols, vec![0.0; rows * cols])
     }
 
-    /// Creates an all-zero matrix whose buffer is drawn from the buffer pool
-    /// (and returns to it when the matrix is recycled).
-    pub fn zeros_pooled(rows: usize, cols: usize) -> Self {
-        Self::new(rows, cols, crate::pool::take_zeroed(rows * cols))
-    }
-
     /// Creates a matrix filled with a constant.
     pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
         Self::new(rows, cols, vec![value; rows * cols])

@@ -50,7 +50,7 @@ fn dense_with_scalar(a: &Matrix, s: f64, op: BinaryOp, scalar_left: bool) -> Mat
     let (rows, cols) = (a.rows(), a.cols());
     let apply = |v| if scalar_left { op.apply(s, v) } else { op.apply(v, s) };
     let mut out = pool::take_unzeroed(rows * cols);
-    par::par_rows_mut(&mut out, rows, cols.max(1), cols.max(1), |r, orow| match a {
+    par::par_rows_mut(&mut out, rows, cols, cols.max(1), |r, orow| match a {
         Matrix::Dense(d) => {
             let (x, y) = (OpRef::S(d.row(r)), OpRef::C(s));
             if scalar_left {
@@ -160,14 +160,14 @@ pub fn binary_assign(mut a: DenseMatrix, b: &Matrix, op: BinaryOp) -> Matrix {
     if b.is_scalar_shaped() && !(rows == 1 && cols == 1) {
         // binary_scalar's dense path, in place.
         let s = OpRef::C(b.get(0, 0));
-        par::par_rows_mut(a.values_mut(), rows, cols.max(1), cols.max(1), |_, row| {
+        par::par_rows_mut(a.values_mut(), rows, cols, cols.max(1), |_, row| {
             bin_loop_assign(op, row, s)
         });
         return Matrix::dense(a);
     }
     let bc = resolve_broadcast(rows, cols, b);
     let bd = dense_rhs(b, bc);
-    par::par_rows_mut(a.values_mut(), rows, cols.max(1), cols.max(1), |r, row| match &bd {
+    par::par_rows_mut(a.values_mut(), rows, cols, cols.max(1), |r, row| match &bd {
         Some(bm) => bin_loop_assign(op, row, bcast_row(bm, bc, r)),
         None => {
             for (c, v) in row.iter_mut().enumerate() {
@@ -183,7 +183,7 @@ fn dense_binary(a: &DenseMatrix, b: &Matrix, bc: Broadcast, op: BinaryOp) -> Mat
     let (rows, cols) = (a.rows(), a.cols());
     let mut out = pool::take_unzeroed(rows * cols);
     let bd = dense_rhs(b, bc);
-    par::par_rows_mut(&mut out, rows, cols.max(1), cols.max(1), |r, orow| {
+    par::par_rows_mut(&mut out, rows, cols, cols.max(1), |r, orow| {
         let arow = a.row(r);
         match &bd {
             Some(bm) => bin_loop(op, OpRef::S(arow), bcast_row(bm, bc, r), orow),

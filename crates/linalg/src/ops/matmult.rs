@@ -159,7 +159,7 @@ fn sparse_dense(a: &SparseMatrix, b: &DenseMatrix) -> DenseMatrix {
 fn dense_sparse(a: &DenseMatrix, b: &SparseMatrix) -> DenseMatrix {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let mut out = pool::take_zeroed(m * n);
-    par::par_rows_mut(&mut out, m, n.max(1), k.max(1), |r, crow| {
+    par::par_rows_mut(&mut out, m, n, k.max(1), |r, crow| {
         let arow = a.row(r);
         for (ki, &av) in arow.iter().enumerate() {
             if av != 0.0 {

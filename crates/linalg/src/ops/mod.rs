@@ -76,11 +76,6 @@ impl BinaryOp {
         matches!(self, BinaryOp::Mult | BinaryOp::And)
     }
 
-    /// True if `x op 0 == 0` for all finite `x` (right sparse driver).
-    pub fn sparse_safe_right(self) -> bool {
-        matches!(self, BinaryOp::Mult | BinaryOp::And)
-    }
-
     /// True if `0 op 0 == 0`, so a cell that is zero in *both* inputs stays
     /// zero (e.g. add/sub preserve joint sparsity even though a single-sided
     /// zero does not).
@@ -385,6 +380,27 @@ mod tests {
         assert_eq!(resolve_broadcast(4, 5, &row), Broadcast::RowVector);
         assert_eq!(resolve_broadcast(4, 5, &full), Broadcast::Cellwise);
         assert_eq!(resolve_broadcast(4, 5, &sc), Broadcast::Scalar);
+    }
+
+    /// Dense kernels over a matrix with no rows or no columns return the
+    /// empty result of the right shape.
+    #[test]
+    fn dense_kernels_accept_empty_shapes() {
+        use crate::dense::DenseMatrix;
+        for (r, c) in [(5, 0), (0, 5)] {
+            let a = Matrix::dense(DenseMatrix::zeros(r, c));
+            let shape = |m: Matrix| (m.rows(), m.cols());
+            assert_eq!(shape(unary(&a, UnaryOp::Exp)), (r, c));
+            assert_eq!(shape(unary_assign(a.to_dense(), UnaryOp::Exp)), (r, c));
+            assert_eq!(shape(binary(&a, &a, BinaryOp::Add)), (r, c));
+            assert_eq!(shape(binary_assign(a.to_dense(), &a, BinaryOp::Add)), (r, c));
+            assert_eq!(shape(binary_scalar(&a, 1.0, BinaryOp::Add)), (r, c));
+            assert_eq!(shape(ternary(&a, &a, &a, TernaryOp::PlusMult)), (r, c));
+            assert_eq!(shape(transpose(&a)), (c, r));
+            let b = Matrix::dense(DenseMatrix::zeros(c, 3));
+            assert_eq!(shape(matmult(&a, &b)), (r, 3));
+            assert_eq!(shape(agg(&a, AggOp::Sum, AggDir::Row)), (r, 1));
+        }
     }
 
     #[test]

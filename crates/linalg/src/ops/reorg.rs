@@ -21,7 +21,7 @@ fn transpose_dense(a: &DenseMatrix) -> DenseMatrix {
     let mut out = crate::pool::take_unzeroed(rows * cols);
     // Parallel over output row bands (output rows = input columns).
     let src = a.values();
-    par::par_rows_mut(&mut out, cols, rows.max(1), rows.max(1), |oc, orow| {
+    par::par_rows_mut(&mut out, cols, rows, rows.max(1), |oc, orow| {
         // orow is output row `oc`, i.e. input column `oc`, of length `rows`.
         let mut r = 0;
         while r < rows {

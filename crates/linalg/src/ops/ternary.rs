@@ -15,7 +15,7 @@ pub fn ternary(a: &Matrix, b: &Matrix, c: &Matrix, op: TernaryOp) -> Matrix {
     let bcc = resolve_broadcast(rows, cols, c);
     let (ad, bd, cd) = (a.dense_view(), b.dense_view(), c.dense_view());
     let mut out = crate::pool::take_unzeroed(rows * cols);
-    par::par_rows_mut(&mut out, rows, cols.max(1), cols.max(1), |r, orow| {
+    par::par_rows_mut(&mut out, rows, cols, cols.max(1), |r, orow| {
         let arow = ad.row(r);
         for col in 0..cols {
             let bv = bcast_get(&bd, bcb, r, col);

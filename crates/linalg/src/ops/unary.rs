@@ -23,7 +23,7 @@ pub fn unary(a: &Matrix, op: UnaryOp) -> Matrix {
         Matrix::Dense(d) => {
             let (rows, cols) = (d.rows(), d.cols());
             let mut data = pool::take_unzeroed(rows * cols);
-            par::par_rows_mut(&mut data, rows, cols.max(1), cols.max(1), |r, row| {
+            par::par_rows_mut(&mut data, rows, cols, cols.max(1), |r, row| {
                 un_loop(op, OpRef::S(d.row(r)), row)
             });
             Matrix::dense(DenseMatrix::new(rows, cols, data))
@@ -35,9 +35,7 @@ pub fn unary(a: &Matrix, op: UnaryOp) -> Matrix {
 /// input buffer as the output. Bitwise-identical to [`unary`]'s dense path.
 pub fn unary_assign(mut a: DenseMatrix, op: UnaryOp) -> Matrix {
     let (rows, cols) = (a.rows(), a.cols());
-    par::par_rows_mut(a.values_mut(), rows, cols.max(1), cols.max(1), |_, row| {
-        un_loop_assign(op, row)
-    });
+    par::par_rows_mut(a.values_mut(), rows, cols, cols.max(1), |_, row| un_loop_assign(op, row));
     Matrix::dense(a)
 }
 

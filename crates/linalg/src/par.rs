@@ -143,15 +143,19 @@ where
 }
 
 /// Splits a mutable slice into per-thread row bands and runs `f` on each band
-/// in parallel. `rows * row_len` must equal `data.len()`.
+/// in parallel. `rows * row_len` must equal `data.len()`; with `row_len` = 0
+/// there is nothing to write and `f` is not called.
 pub fn par_rows_mut<F>(data: &mut [f64], rows: usize, row_len: usize, work_per_row: usize, f: F)
 where
     F: Fn(usize, &mut [f64]) + Sync,
 {
     assert_eq!(data.len(), rows * row_len, "slice/row geometry mismatch");
+    if row_len == 0 {
+        return;
+    }
     let k = num_threads();
     if k <= 1 || rows * work_per_row.max(1) < PAR_THRESHOLD || rows < 2 {
-        for (r, row) in data.chunks_exact_mut(row_len.max(1)).enumerate() {
+        for (r, row) in data.chunks_exact_mut(row_len).enumerate() {
             f(r, row);
         }
         return;
@@ -176,7 +180,8 @@ where
 /// Splits a mutable slice into per-thread row bands and runs `f` once per
 /// band with `(first_row, band)` — unlike [`par_rows_mut`], workers see their
 /// whole contiguous band, so per-thread state (scratch buffers, evaluator
-/// register files) can be set up once per band instead of once per row.
+/// register files) can be set up once per band instead of once per row. With
+/// `row_len` = 0 there is nothing to write and `f` is not called.
 pub fn par_row_bands_mut<F>(
     data: &mut [f64],
     rows: usize,
@@ -187,6 +192,9 @@ pub fn par_row_bands_mut<F>(
     F: Fn(usize, &mut [f64]) + Sync,
 {
     assert_eq!(data.len(), rows * row_len, "slice/row geometry mismatch");
+    if row_len == 0 {
+        return;
+    }
     let k = num_threads();
     if k <= 1 || rows * work_per_row.max(1) < PAR_THRESHOLD || rows < 2 {
         f(0, data);
@@ -264,6 +272,20 @@ mod tests {
                 assert_eq!(data[r * cols + c], r as f64);
             }
         }
+    }
+
+    /// Zero-width rows hold nothing to write, on the split path as well.
+    #[test]
+    fn zero_width_rows_are_nothing_to_write() {
+        let _two = limit_current_thread(2);
+        let (calls, rows) = (AtomicUsize::new(0), 100_000);
+        par_rows_mut(&mut [], rows, 0, 100, |_, _| {
+            calls.fetch_add(1, Ordering::Relaxed);
+        });
+        par_row_bands_mut(&mut [], rows, 0, 100, |_, _| {
+            calls.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
     }
 
     #[test]

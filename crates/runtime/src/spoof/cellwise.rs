@@ -4,15 +4,14 @@
 //! (paper Table 1, Figure 4).
 //!
 //! The block backend (default) is one `tiles::CellPass` and the sink of the
-//! aggregation variant; the per-cell scalar interpreter below is retained as
+//! aggregation variant; the per-cell scalar pass (`CellBackend::Scalar`) is
 //! the differential-test oracle.
 
+use super::{finalize, full_aggs, with_pass, PassInput};
 use crate::side::SideInput;
-use crate::spoof::tiles::CellPass;
 use fusedml_core::spoof::block::CellBackend;
-use fusedml_core::spoof::{eval_scalar_program, CellAgg, CellSpec, SideAccess};
-use fusedml_linalg::ops::AggOp;
-use fusedml_linalg::{par, pool, DenseMatrix, Matrix, SparseMatrix};
+use fusedml_core::spoof::{CellAgg, CellSpec};
+use fusedml_linalg::{DenseMatrix, Matrix};
 
 /// Executes a Cell operator with the kernels of the owning engine (the
 /// innermost kernel scope; see the private `super::kernels` helper).
@@ -41,302 +40,47 @@ pub fn execute_with(
     backend: CellBackend,
 ) -> Matrix {
     let (rows, cols) = (iter_rows, iter_cols);
-    let regs = [spec.result];
-    let Some(pass) = CellPass::new(
-        &spec.prog,
-        &regs,
-        backend,
+    let input = PassInput {
+        prog: &spec.prog,
+        regs: &[spec.result],
         main,
         sides,
         scalars,
         rows,
         cols,
-        spec.sparse_safe,
-        None,
-    ) else {
-        return match (main, spec.sparse_safe) {
-            (Some(Matrix::Sparse(s)), true) => sparse_safe_exec(spec, s, sides, scalars),
-            (m, _) => dense_exec(spec, m, sides, scalars, rows, cols),
-        };
+        sparse_safe: spec.sparse_safe,
+        factors: None,
     };
-    // Pseudo-sparse-safe aggregation: a CSR pass has not folded the implicit
-    // zeros (which map to zero under sparse-safety) that min/max must observe.
-    let unseen_zeros = |op: AggOp, seen: usize, of: usize| !op.sparse_safe() && seen < of;
-    match spec.agg {
+    with_pass(input, backend, |pass| match spec.agg {
         CellAgg::NoAgg => pass.no_agg(),
         CellAgg::RowAgg(op) => {
-            let mut out = pass.row_agg(op);
+            let (mut out, csr) = (pass.row_agg(op), pass.csr());
             for (r, slot) in out.iter_mut().enumerate() {
-                if pass.csr().is_some_and(|x| unseen_zeros(op, x.row_nnz(r), cols)) {
-                    *slot = op.fold(*slot, 0.0);
-                }
-                *slot = finalize(op, *slot, cols);
+                let seen = csr.map_or(cols, |x| x.row_nnz(r));
+                *slot = finalize(op, *slot, seen, cols);
             }
             Matrix::dense(DenseMatrix::new(rows, 1, out))
         }
         CellAgg::ColAgg(op) => {
             let (mut acc, counts) = pass.col_agg(op);
             for (slot, &seen) in acc.iter_mut().zip(&counts) {
-                if unseen_zeros(op, seen, rows) {
-                    *slot = op.fold(*slot, 0.0);
-                }
-                *slot = finalize(op, *slot, rows);
+                *slot = finalize(op, *slot, seen, rows);
             }
             Matrix::dense(DenseMatrix::new(1, cols, acc))
         }
         CellAgg::FullAgg(op) => {
-            let mut acc = pass.full(&[op])[0];
-            if pass.csr().is_some_and(|x| unseen_zeros(op, x.nnz(), rows * cols)) {
-                acc = op.fold(acc, 0.0);
-            }
-            Matrix::dense(DenseMatrix::filled(1, 1, finalize(op, acc, rows * cols)))
+            Matrix::dense(DenseMatrix::filled(1, 1, full_aggs(pass, &[op], rows * cols)[0]))
         }
-    }
-}
-
-/// `Mean` divides the fold by the number of aggregated positions; shared by
-/// the dense and sparse paths of both backends.
-fn finalize(op: AggOp, acc: f64, count: usize) -> f64 {
-    if op == AggOp::Mean {
-        acc / count as f64
-    } else {
-        acc
-    }
-}
-
-// ===========================================================================
-// Scalar backend (the differential-test oracle)
-// ===========================================================================
-
-/// Evaluates the program for one (rix, cix) position.
-#[inline]
-fn exec_cell(
-    spec: &CellSpec,
-    regs: &mut [f64],
-    a: f64,
-    sides: &[SideInput],
-    scalars: &[f64],
-    rix: usize,
-    cix: usize,
-) -> f64 {
-    let side_at = |i: usize, acc: SideAccess| sides[i].value_at(acc, rix, cix);
-    eval_scalar_program(&spec.prog, regs, a, 0.0, &side_at, scalars);
-    regs[spec.result as usize]
-}
-
-fn dense_exec(
-    spec: &CellSpec,
-    main: Option<&Matrix>,
-    sides: &[SideInput],
-    scalars: &[f64],
-    rows: usize,
-    cols: usize,
-) -> Matrix {
-    let main_get = |r: usize, c: usize| main.map_or(0.0, |m| m.get(r, c));
-    match spec.agg {
-        CellAgg::NoAgg => {
-            if cols == 0 {
-                // `par` cannot split a 0-long row; the answer is `rows × 0`.
-                return Matrix::dense(DenseMatrix::new(rows, 0, Vec::new()));
-            }
-            let mut out = pool::take_unzeroed(rows * cols);
-            par::par_rows_mut(&mut out, rows, cols.max(1), cols.max(1) * 4, |r, orow| {
-                let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
-                for (c, slot) in orow.iter_mut().enumerate() {
-                    *slot = exec_cell(spec, &mut regs, main_get(r, c), sides, scalars, r, c);
-                }
-            });
-            Matrix::dense(DenseMatrix::new(rows, cols, out))
-        }
-        CellAgg::RowAgg(op) => {
-            let mut out = pool::take_unzeroed(rows);
-            par::par_rows_mut(&mut out, rows, 1, cols.max(1) * 4, |r, slot| {
-                let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
-                let mut acc = op.identity();
-                for c in 0..cols {
-                    acc = op.fold(
-                        acc,
-                        exec_cell(spec, &mut regs, main_get(r, c), sides, scalars, r, c),
-                    );
-                }
-                slot[0] = finalize(op, acc, cols);
-            });
-            Matrix::dense(DenseMatrix::new(rows, 1, out))
-        }
-        CellAgg::ColAgg(op) => {
-            let mut acc = par::par_map_reduce(
-                rows,
-                cols.max(1) * 4,
-                vec![op.identity(); cols],
-                |lo, hi| {
-                    let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
-                    let mut acc = vec![op.identity(); cols];
-                    for r in lo..hi {
-                        for (c, slot) in acc.iter_mut().enumerate() {
-                            *slot = op.fold(
-                                *slot,
-                                exec_cell(spec, &mut regs, main_get(r, c), sides, scalars, r, c),
-                            );
-                        }
-                    }
-                    acc
-                },
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x = op.combine(*x, y);
-                    }
-                    a
-                },
-            );
-            for slot in acc.iter_mut() {
-                *slot = finalize(op, *slot, rows);
-            }
-            Matrix::dense(DenseMatrix::new(1, cols, acc))
-        }
-        CellAgg::FullAgg(op) => {
-            let acc = par::par_map_reduce(
-                rows,
-                cols.max(1) * 4,
-                op.identity(),
-                |lo, hi| {
-                    let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
-                    let mut acc = op.identity();
-                    for r in lo..hi {
-                        for c in 0..cols {
-                            acc = op.fold(
-                                acc,
-                                exec_cell(spec, &mut regs, main_get(r, c), sides, scalars, r, c),
-                            );
-                        }
-                    }
-                    acc
-                },
-                |a, b| op.combine(a, b),
-            );
-            Matrix::dense(DenseMatrix::filled(1, 1, finalize(op, acc, rows * cols)))
-        }
-    }
-}
-
-/// Sparse-safe execution over non-zeros only (scalar backend). All variants
-/// parallelize over row ranges via the `linalg::par` helpers.
-fn sparse_safe_exec(
-    spec: &CellSpec,
-    main: &SparseMatrix,
-    sides: &[SideInput],
-    scalars: &[f64],
-) -> Matrix {
-    let (rows, cols) = (main.rows(), main.cols());
-    let work = (main.nnz() / rows.max(1)).max(1) * 4;
-    match spec.agg {
-        CellAgg::NoAgg => {
-            let triples = par::par_map_reduce(
-                rows,
-                work,
-                Vec::new(),
-                |lo, hi| {
-                    let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
-                    let mut triples = Vec::new();
-                    for r in lo..hi {
-                        for (c, v) in main.row_iter(r) {
-                            let out = exec_cell(spec, &mut regs, v, sides, scalars, r, c);
-                            if out != 0.0 {
-                                triples.push((r, c, out));
-                            }
-                        }
-                    }
-                    triples
-                },
-                |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                },
-            );
-            Matrix::sparse(SparseMatrix::from_triples(rows, cols, triples))
-        }
-        CellAgg::RowAgg(op) => {
-            let mut out = pool::take_unzeroed(rows);
-            par::par_rows_mut(&mut out, rows, 1, work, |r, slot| {
-                let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
-                let mut acc = op.identity();
-                for (c, v) in main.row_iter(r) {
-                    acc = op.fold(acc, exec_cell(spec, &mut regs, v, sides, scalars, r, c));
-                }
-                // Pseudo-sparse-safe aggregation: min/max must still observe
-                // the implicit zeros (which map to zero under sparse-safety).
-                if !op.sparse_safe() && main.row_nnz(r) < cols {
-                    acc = op.fold(acc, 0.0);
-                }
-                slot[0] = finalize(op, acc, cols);
-            });
-            Matrix::dense(DenseMatrix::new(rows, 1, out))
-        }
-        CellAgg::ColAgg(op) => {
-            let (mut acc, counts) = par::par_map_reduce(
-                rows,
-                work,
-                (vec![op.identity(); cols], vec![0usize; cols]),
-                |lo, hi| {
-                    let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
-                    let mut acc = vec![op.identity(); cols];
-                    let mut counts = vec![0usize; cols];
-                    for r in lo..hi {
-                        for (c, v) in main.row_iter(r) {
-                            acc[c] = op
-                                .fold(acc[c], exec_cell(spec, &mut regs, v, sides, scalars, r, c));
-                            counts[c] += 1;
-                        }
-                    }
-                    (acc, counts)
-                },
-                |(mut a, mut ca), (b, cb)| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x = op.combine(*x, y);
-                    }
-                    for (x, y) in ca.iter_mut().zip(cb) {
-                        *x += y;
-                    }
-                    (a, ca)
-                },
-            );
-            for c in 0..cols {
-                if !op.sparse_safe() && counts[c] < rows {
-                    acc[c] = op.fold(acc[c], 0.0);
-                }
-                acc[c] = finalize(op, acc[c], rows);
-            }
-            Matrix::dense(DenseMatrix::new(1, cols, acc))
-        }
-        CellAgg::FullAgg(op) => {
-            let acc = par::par_map_reduce(
-                rows,
-                work,
-                op.identity(),
-                |lo, hi| {
-                    let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
-                    let mut acc = op.identity();
-                    for r in lo..hi {
-                        for (c, v) in main.row_iter(r) {
-                            acc = op.fold(acc, exec_cell(spec, &mut regs, v, sides, scalars, r, c));
-                        }
-                    }
-                    acc
-                },
-                |a, b| op.combine(a, b),
-            );
-            let acc =
-                if !op.sparse_safe() && main.nnz() < rows * cols { op.fold(acc, 0.0) } else { acc };
-            Matrix::dense(DenseMatrix::filled(1, 1, finalize(op, acc, rows * cols)))
-        }
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusedml_core::spoof::{Instr, Program};
+    use fusedml_core::spoof::{Instr, Program, SideAccess};
     use fusedml_linalg::generate;
-    use fusedml_linalg::ops::BinaryOp;
+    use fusedml_linalg::ops::{AggOp, BinaryOp};
+    use fusedml_linalg::SparseMatrix;
 
     /// Builds a spec for `f(a, b0) = a * b0` with the given agg.
     fn mult_side_spec(agg: CellAgg, sparse_safe: bool) -> CellSpec {

@@ -3,16 +3,16 @@
 //! Operations": `sum(X⊙Y), sum(X⊙Z)` compile to one operator with a shared
 //! read of `X`).
 //!
-//! The block backend (default) is one `tiles::CellPass` into its `Full(k)` sink —
-//! Cell's `FullAgg` with `k` accumulators; the per-cell scalar interpreter is
-//! retained as the differential-test oracle.
+//! The block backend (default) is one `tiles::CellPass` into its `Full(k)`
+//! sink — Cell's `FullAgg` with `k` accumulators; the per-cell scalar pass
+//! (`CellBackend::Scalar`) is the differential-test oracle.
 
+use super::{full_aggs, with_pass, PassInput};
 use crate::side::SideInput;
-use crate::spoof::tiles::CellPass;
 use fusedml_core::spoof::block::CellBackend;
-use fusedml_core::spoof::{eval_scalar_program, MAggSpec, Reg, SideAccess};
+use fusedml_core::spoof::{MAggSpec, Reg};
 use fusedml_linalg::ops::AggOp;
-use fusedml_linalg::{par, DenseMatrix, Matrix};
+use fusedml_linalg::{DenseMatrix, Matrix};
 
 /// Executes a MultiAgg operator, returning one 1×1 matrix per aggregate.
 pub fn execute(
@@ -37,104 +37,25 @@ pub fn execute_with(
     backend: CellBackend,
 ) -> Vec<Matrix> {
     let (regs, ops): (Vec<Reg>, Vec<AggOp>) = spec.results.iter().copied().unzip();
-    let pass = CellPass::new(
-        &spec.prog,
-        &regs,
-        backend,
+    let input = PassInput {
+        prog: &spec.prog,
+        regs: &regs,
         main,
         sides,
         scalars,
-        iter_rows,
-        iter_cols,
-        spec.sparse_safe,
-        None,
-    );
-    let accs = match pass {
-        Some(pass) => pass.full(&ops),
-        None => scalar_fold(spec, main, sides, scalars, iter_rows, iter_cols),
+        rows: iter_rows,
+        cols: iter_cols,
+        sparse_safe: spec.sparse_safe,
+        factors: None,
     };
-    // Shared finalization: min/max over sparse-safe iteration must still
-    // observe the implicit zeros, and `Mean` divides by the cell count.
-    // (Only a CSR main is asked its non-zeros: a dense one would count them
-    // in a scan as long as the pass.)
-    let total = iter_rows * iter_cols;
-    let unseen_zeros = match main {
-        Some(Matrix::Sparse(s)) => spec.sparse_safe && s.nnz() < total,
-        _ => false,
-    };
-    accs.into_iter()
-        .zip(&spec.results)
-        .map(|(mut v, &(_, op))| {
-            if unseen_zeros && !op.sparse_safe() {
-                v = op.fold(v, 0.0);
-            }
-            if op == AggOp::Mean {
-                v /= total as f64;
-            }
-            Matrix::dense(DenseMatrix::filled(1, 1, v))
-        })
-        .collect()
-}
-
-fn scalar_fold(
-    spec: &MAggSpec,
-    main: Option<&Matrix>,
-    sides: &[SideInput],
-    scalars: &[f64],
-    iter_rows: usize,
-    iter_cols: usize,
-) -> Vec<f64> {
-    let k = spec.results.len();
-    let identities: Vec<f64> = spec.results.iter().map(|&(_, op)| op.identity()).collect();
-
-    let fold_row_range = |lo: usize, hi: usize| -> Vec<f64> {
-        let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
-        let mut accs = identities.clone();
-        let mut fold_cell = |a: f64, r: usize, c: usize, accs: &mut Vec<f64>| {
-            let side_at = |i: usize, acc: SideAccess| sides[i].value_at(acc, r, c);
-            eval_scalar_program(&spec.prog, &mut regs, a, 0.0, &side_at, scalars);
-            for (j, &(reg, op)) in spec.results.iter().enumerate() {
-                accs[j] = op.fold(accs[j], regs[reg as usize]);
-            }
-        };
-        match (main, spec.sparse_safe) {
-            (Some(Matrix::Sparse(s)), true) => {
-                for r in lo..hi {
-                    for (c, v) in s.row_iter(r) {
-                        fold_cell(v, r, c, &mut accs);
-                    }
-                }
-            }
-            (m, _) => {
-                for r in lo..hi {
-                    for c in 0..iter_cols {
-                        let a = m.map_or(0.0, |mm| mm.get(r, c));
-                        fold_cell(a, r, c, &mut accs);
-                    }
-                }
-            }
-        }
-        accs
-    };
-
-    par::par_map_reduce(
-        iter_rows,
-        iter_cols.max(1) * 4 * k,
-        identities.clone(),
-        fold_row_range,
-        |mut a, b| {
-            for (j, &(_, op)) in spec.results.iter().enumerate() {
-                a[j] = op.combine(a[j], b[j]);
-            }
-            a
-        },
-    )
+    let accs = with_pass(input, backend, |pass| full_aggs(pass, &ops, iter_rows * iter_cols));
+    accs.into_iter().map(|v| Matrix::dense(DenseMatrix::filled(1, 1, v))).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusedml_core::spoof::{Instr, Program};
+    use fusedml_core::spoof::{Instr, Program, SideAccess};
     use fusedml_linalg::generate;
     use fusedml_linalg::ops::{self, AggDir, AggOp, BinaryOp};
 

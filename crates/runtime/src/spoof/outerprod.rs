@@ -6,15 +6,15 @@
 //!
 //! The block backend (default) is one `tiles::CellPass` carrying the factors —
 //! it batches the dots into a `uv` tile — and the sink of the output
-//! variant; the per-cell scalar interpreter is retained as the
+//! variant; the per-cell scalar pass (`CellBackend::Scalar`) is the
 //! differential-test oracle.
 
+use super::{with_pass, PassInput};
 use crate::side::SideInput;
-use crate::spoof::tiles::CellPass;
 use fusedml_core::spoof::block::CellBackend;
-use fusedml_core::spoof::{eval_scalar_program, OuterOut, OuterSpec, SideAccess};
+use fusedml_core::spoof::{OuterOut, OuterSpec};
 use fusedml_linalg::ops::AggOp;
-use fusedml_linalg::{par, pool, primitives as prim, DenseMatrix, Matrix, SparseMatrix};
+use fusedml_linalg::{DenseMatrix, Matrix};
 
 /// Executes an Outer operator with the kernels of the owning engine.
 pub fn execute(
@@ -41,30 +41,19 @@ pub fn execute_with(
     // U and V are dense row-major factor matrices (borrowed when bound dense).
     let u = sides[spec.u_side].to_dense_values();
     let v = sides[spec.v_side].to_dense_values();
-    let r = spec.rank;
     let (n, m) = (iter_rows, iter_cols);
-
-    let regs = [spec.result];
-    let Some(pass) = CellPass::new(
-        &spec.prog,
-        &regs,
-        backend,
+    let input = PassInput {
+        prog: &spec.prog,
+        regs: &[spec.result],
         main,
         sides,
         scalars,
-        n,
-        m,
-        spec.sparse_safe,
-        Some((&u, &v, r)),
-    ) else {
-        return match main {
-            Some(Matrix::Sparse(s)) if spec.sparse_safe => {
-                sparse_exec(spec, s, &u, &v, r, sides, scalars)
-            }
-            _ => dense_exec(spec, main, &u, &v, r, sides, scalars, n, m),
-        };
+        rows: n,
+        cols: m,
+        sparse_safe: spec.sparse_safe,
+        factors: Some((&u, &v, spec.rank)),
     };
-    match spec.out {
+    with_pass(input, backend, |pass| match spec.out {
         OuterOut::FullAgg => Matrix::dense(DenseMatrix::filled(1, 1, pass.full(&[AggOp::Sum])[0])),
         OuterOut::RightMM { side } => {
             // out (n×k) : out[i,:] += w_ij * S[j,:], row-parallel.
@@ -79,251 +68,7 @@ pub fn execute_with(
             Matrix::dense(DenseMatrix::new(m, k, out))
         }
         OuterOut::NoAgg => pass.no_agg(),
-    }
-}
-
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn exec_value(
-    spec: &OuterSpec,
-    regs: &mut [f64],
-    a: f64,
-    u: &[f64],
-    v: &[f64],
-    r: usize,
-    sides: &[SideInput],
-    scalars: &[f64],
-    i: usize,
-    j: usize,
-) -> f64 {
-    let uv = prim::dot_product(&u[i * r..(i + 1) * r], &v[j * r..(j + 1) * r], 0, 0, r);
-    let side_at = |s: usize, acc: SideAccess| sides[s].value_at(acc, i, j);
-    eval_scalar_program(&spec.prog, regs, a, uv, &side_at, scalars);
-    regs[spec.result as usize]
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sparse_exec(
-    spec: &OuterSpec,
-    x: &SparseMatrix,
-    u: &[f64],
-    v: &[f64],
-    r: usize,
-    sides: &[SideInput],
-    scalars: &[f64],
-) -> Matrix {
-    let n = x.rows();
-    let m = x.cols();
-    match spec.out {
-        OuterOut::FullAgg => {
-            let acc = par::par_map_reduce(
-                n,
-                (x.nnz() / n.max(1)).max(1) * r,
-                0.0f64,
-                |lo, hi| {
-                    let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
-                    let mut acc = 0.0;
-                    for i in lo..hi {
-                        for (j, a) in x.row_iter(i) {
-                            acc += exec_value(spec, &mut regs, a, u, v, r, sides, scalars, i, j);
-                        }
-                    }
-                    acc
-                },
-                |a, b| a + b,
-            );
-            Matrix::dense(DenseMatrix::filled(1, 1, acc))
-        }
-        OuterOut::RightMM { side } => {
-            // out (n×k) : out[i,:] += w_ij * S[j,:], row-parallel.
-            let s = sides[side].to_dense_values();
-            let k = sides[side].cols();
-            let mut out = pool::take_zeroed(n * k);
-            par::par_rows_mut(&mut out, n, k, (x.nnz() / n.max(1)).max(1) * r, |i, orow| {
-                let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
-                for (j, a) in x.row_iter(i) {
-                    let w = exec_value(spec, &mut regs, a, u, v, r, sides, scalars, i, j);
-                    if w != 0.0 {
-                        prim::vect_mult_add(&s[j * k..(j + 1) * k], w, orow, 0, 0, k);
-                    }
-                }
-            });
-            Matrix::dense(DenseMatrix::new(n, k, out))
-        }
-        OuterOut::LeftMM { side } => {
-            // out (m×k) : out[j,:] += w_ij * S[i,:]; per-thread partials.
-            let s = sides[side].to_dense_values();
-            let k = sides[side].cols();
-            let acc = par::par_map_reduce(
-                n,
-                (x.nnz() / n.max(1)).max(1) * r,
-                pool::take_zeroed(m * k),
-                |lo, hi| {
-                    let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
-                    let mut acc = pool::take_zeroed(m * k);
-                    for i in lo..hi {
-                        for (j, a) in x.row_iter(i) {
-                            let w = exec_value(spec, &mut regs, a, u, v, r, sides, scalars, i, j);
-                            if w != 0.0 {
-                                prim::vect_mult_add(
-                                    &s[i * k..(i + 1) * k],
-                                    w,
-                                    &mut acc[j * k..(j + 1) * k],
-                                    0,
-                                    0,
-                                    k,
-                                );
-                            }
-                        }
-                    }
-                    acc
-                },
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b.iter()) {
-                        *x += y;
-                    }
-                    pool::give(b);
-                    a
-                },
-            );
-            Matrix::dense(DenseMatrix::new(m, k, acc))
-        }
-        OuterOut::NoAgg => {
-            let mut triples = Vec::with_capacity(x.nnz());
-            let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
-            for i in 0..n {
-                for (j, a) in x.row_iter(i) {
-                    let w = exec_value(spec, &mut regs, a, u, v, r, sides, scalars, i, j);
-                    if w != 0.0 {
-                        triples.push((i, j, w));
-                    }
-                }
-            }
-            Matrix::sparse(SparseMatrix::from_triples(n, m, triples))
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dense_exec(
-    spec: &OuterSpec,
-    main: Option<&Matrix>,
-    u: &[f64],
-    v: &[f64],
-    r: usize,
-    sides: &[SideInput],
-    scalars: &[f64],
-    n: usize,
-    m: usize,
-) -> Matrix {
-    let main_get = |i: usize, j: usize| main.map_or(0.0, |x| x.get(i, j));
-    match spec.out {
-        OuterOut::FullAgg => {
-            let acc = par::par_map_reduce(
-                n,
-                m * r,
-                0.0f64,
-                |lo, hi| {
-                    let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
-                    let mut acc = 0.0;
-                    for i in lo..hi {
-                        for j in 0..m {
-                            acc += exec_value(
-                                spec,
-                                &mut regs,
-                                main_get(i, j),
-                                u,
-                                v,
-                                r,
-                                sides,
-                                scalars,
-                                i,
-                                j,
-                            );
-                        }
-                    }
-                    acc
-                },
-                |a, b| a + b,
-            );
-            Matrix::dense(DenseMatrix::filled(1, 1, acc))
-        }
-        OuterOut::RightMM { side } => {
-            let s = sides[side].to_dense_values();
-            let k = sides[side].cols();
-            let mut out = pool::take_zeroed(n * k);
-            par::par_rows_mut(&mut out, n, k, m * r, |i, orow| {
-                let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
-                for j in 0..m {
-                    let w =
-                        exec_value(spec, &mut regs, main_get(i, j), u, v, r, sides, scalars, i, j);
-                    if w != 0.0 {
-                        prim::vect_mult_add(&s[j * k..(j + 1) * k], w, orow, 0, 0, k);
-                    }
-                }
-            });
-            Matrix::dense(DenseMatrix::new(n, k, out))
-        }
-        OuterOut::LeftMM { side } => {
-            let s = sides[side].to_dense_values();
-            let k = sides[side].cols();
-            let acc = par::par_map_reduce(
-                n,
-                m * r,
-                pool::take_zeroed(m * k),
-                |lo, hi| {
-                    let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
-                    let mut acc = pool::take_zeroed(m * k);
-                    for i in lo..hi {
-                        for j in 0..m {
-                            let w = exec_value(
-                                spec,
-                                &mut regs,
-                                main_get(i, j),
-                                u,
-                                v,
-                                r,
-                                sides,
-                                scalars,
-                                i,
-                                j,
-                            );
-                            if w != 0.0 {
-                                prim::vect_mult_add(
-                                    &s[i * k..(i + 1) * k],
-                                    w,
-                                    &mut acc[j * k..(j + 1) * k],
-                                    0,
-                                    0,
-                                    k,
-                                );
-                            }
-                        }
-                    }
-                    acc
-                },
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b.iter()) {
-                        *x += y;
-                    }
-                    pool::give(b);
-                    a
-                },
-            );
-            Matrix::dense(DenseMatrix::new(m, k, acc))
-        }
-        OuterOut::NoAgg => {
-            let mut out = pool::take_unzeroed(n * m);
-            par::par_rows_mut(&mut out, n, m, m * r, |i, orow| {
-                let mut regs = vec![0.0f64; spec.prog.n_regs as usize];
-                for (j, slot) in orow.iter_mut().enumerate() {
-                    *slot =
-                        exec_value(spec, &mut regs, main_get(i, j), u, v, r, sides, scalars, i, j);
-                }
-            });
-            Matrix::dense(DenseMatrix::new(n, m, out))
-        }
-    }
+    })
 }
 
 #[cfg(test)]
@@ -332,6 +77,7 @@ mod tests {
     use fusedml_core::spoof::{Instr, Program};
     use fusedml_linalg::generate;
     use fusedml_linalg::ops::{self, AggDir, AggOp, BinaryOp, UnaryOp};
+    use fusedml_linalg::SparseMatrix;
 
     /// Reference: the unfused expression `sum(X ⊙ log(UV^T + eps))`.
     fn reference_loss(x: &Matrix, u: &Matrix, v: &Matrix, eps: f64) -> f64 {

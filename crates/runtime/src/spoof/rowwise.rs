@@ -850,9 +850,10 @@ fn block_exec(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f64
 // Interpreter backend (the differential-test oracle)
 // ===========================================================================
 
+/// One sequential loop over the main rows: run the row's program, then fold
+/// its `RowOut` into the one output buffer.
 fn interp_exec(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f64]) -> Matrix {
     let n = main.rows();
-    let work = work_per_row(spec, main);
     // Side matrices used by VecMatMult need row-major access: dense sides
     // are borrowed (the Cow stays Borrowed), sparse sides densify once.
     let dense_sides: Vec<Option<Cow<'_, [f64]>>> = (0..sides.len())
@@ -865,132 +866,36 @@ fn interp_exec(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f6
             used.then(|| sides[s].to_dense_values())
         })
         .collect();
-
-    match &spec.out {
-        RowOut::NoAgg { src } => {
-            let k = spec.out_cols;
-            let mut out = pool::take_zeroed(n * k);
-            par::par_row_bands_mut(&mut out, n, k, work, |r0, band| {
-                let mut ctx = RowCtx::new(spec, main, sides, scalars, &dense_sides);
-                for (i, orow) in band.chunks_exact_mut(k).enumerate() {
-                    ctx.run_row(r0 + i);
-                    orow.copy_from_slice(&ctx.vregs[*src as usize]);
-                }
-            });
-            Matrix::dense(DenseMatrix::new(n, k, out))
-        }
-        RowOut::RowAgg { src } => {
-            let mut out = pool::take_zeroed(n);
-            par::par_row_bands_mut(&mut out, n, 1, work, |r0, band| {
-                let mut ctx = RowCtx::new(spec, main, sides, scalars, &dense_sides);
-                for (i, slot) in band.iter_mut().enumerate() {
-                    ctx.run_row(r0 + i);
-                    *slot = ctx.sregs[*src as usize];
-                }
-            });
-            Matrix::dense(DenseMatrix::new(n, 1, out))
-        }
-        RowOut::ColAgg { src } => {
-            let k = spec.out_cols;
-            let acc = par::par_map_reduce(
-                n,
-                work,
-                pool::take_zeroed(k),
-                |lo, hi| {
-                    let mut ctx = RowCtx::new(spec, main, sides, scalars, &dense_sides);
-                    let mut acc = pool::take_zeroed(k);
-                    for r in lo..hi {
-                        ctx.run_row(r);
-                        prim::vect_add(&ctx.vregs[*src as usize], &mut acc, 0, 0, k);
-                    }
-                    acc
-                },
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b.iter()) {
-                        *x += y;
-                    }
-                    pool::give(b);
-                    a
-                },
-            );
-            Matrix::dense(DenseMatrix::new(1, k, acc))
-        }
-        RowOut::FullAgg { src } => {
-            let acc = par::par_map_reduce(
-                n,
-                work,
-                0.0f64,
-                |lo, hi| {
-                    let mut ctx = RowCtx::new(spec, main, sides, scalars, &dense_sides);
-                    let mut acc = 0.0;
-                    for r in lo..hi {
-                        ctx.run_row(r);
-                        acc += ctx.sregs[*src as usize];
-                    }
-                    acc
-                },
-                |a, b| a + b,
-            );
-            Matrix::dense(DenseMatrix::filled(1, 1, acc))
-        }
-        RowOut::OuterColAgg { left, right } => {
-            let (orows, ocols) = (spec.out_rows, spec.out_cols);
-            let acc = par::par_map_reduce(
-                n,
-                work,
-                pool::take_zeroed(orows * ocols),
-                |lo, hi| {
-                    let mut ctx = RowCtx::new(spec, main, sides, scalars, &dense_sides);
-                    let mut acc = pool::take_zeroed(orows * ocols);
-                    for r in lo..hi {
-                        ctx.run_row(r);
-                        let l = &ctx.vregs[*left as usize];
-                        let rv = &ctx.vregs[*right as usize];
-                        prim::vect_outer_mult_add(l, rv, &mut acc, 0, 0, 0, orows, ocols);
-                    }
-                    acc
-                },
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b.iter()) {
-                        *x += y;
-                    }
-                    pool::give(b);
-                    a
-                },
-            );
-            Matrix::dense(DenseMatrix::new(orows, ocols, acc))
-        }
-        RowOut::ColAggMultAdd { vec, scalar } => {
-            let orows = spec.out_rows;
-            let acc = par::par_map_reduce(
-                n,
-                work,
-                pool::take_zeroed(orows),
-                |lo, hi| {
-                    let mut ctx = RowCtx::new(spec, main, sides, scalars, &dense_sides);
-                    let mut acc = pool::take_zeroed(orows);
-                    for r in lo..hi {
-                        ctx.run_row(r);
-                        let v = &ctx.vregs[*vec as usize];
-                        let s = ctx.sregs[*scalar as usize];
-                        prim::vect_mult_add(v, s, &mut acc, 0, 0, orows);
-                    }
-                    acc
-                },
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b.iter()) {
-                        *x += y;
-                    }
-                    pool::give(b);
-                    a
-                },
-            );
-            Matrix::dense(DenseMatrix::new(orows, 1, acc))
+    let (orows, ocols) = match spec.out {
+        RowOut::NoAgg { .. } => (n, spec.out_cols),
+        RowOut::RowAgg { .. } => (n, 1),
+        RowOut::ColAgg { .. } => (1, spec.out_cols),
+        RowOut::FullAgg { .. } => (1, 1),
+        RowOut::OuterColAgg { .. } => (spec.out_rows, spec.out_cols),
+        RowOut::ColAggMultAdd { .. } => (spec.out_rows, 1),
+    };
+    let mut out = vec![0.0; orows * ocols];
+    let mut ctx = RowCtx::new(spec, main, sides, scalars, &dense_sides);
+    for r in 0..n {
+        ctx.run_row(r);
+        let (v, s) = (|x: u16| &ctx.vregs[x as usize], |x: u16| ctx.sregs[x as usize]);
+        match spec.out {
+            RowOut::NoAgg { src } => out[r * ocols..(r + 1) * ocols].copy_from_slice(v(src)),
+            RowOut::RowAgg { src } => out[r] = s(src),
+            RowOut::ColAgg { src } => prim::vect_add(v(src), &mut out, 0, 0, ocols),
+            RowOut::FullAgg { src } => out[0] += s(src),
+            RowOut::OuterColAgg { left, right } => {
+                prim::vect_outer_mult_add(v(left), v(right), &mut out, 0, 0, 0, orows, ocols)
+            }
+            RowOut::ColAggMultAdd { vec, scalar } => {
+                prim::vect_mult_add(v(vec), s(scalar), &mut out, 0, 0, orows)
+            }
         }
     }
+    Matrix::dense(DenseMatrix::new(orows, ocols, out))
 }
 
-/// Per-thread execution context of the interpreter backend.
+/// Execution context of the interpreter backend.
 struct RowCtx<'a> {
     spec: &'a RowSpec,
     main: &'a Matrix,

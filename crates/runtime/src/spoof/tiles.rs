@@ -1,14 +1,13 @@
 //! The one cell-iteration driver under the Cell, MAgg and Outer skeletons.
 //!
 //! A `CellPass` is built once per operator run. It resolves the lowered
-//! [`BlockKernel`] from the owning engine's caches, decides whether the main
-//! input is walked by dense row ranges or by CSR non-zeros, gives each worker
-//! one set of pooled state, and hands every tile of positions to an output
-//! *sink* as a `Tile` view — the tile interpreter's result registers, or the
-//! fused loops of a [`Product`] where a result is one, Outer's `dot(U_i, V_j)`
-//! tile filled on the way. The seven sinks (`full`, `row_agg`, `col_agg`,
-//! `no_agg` dense and CSR, `right_mm`, `left_mm`) are what is left of a
-//! template's output variant; the skeletons pick one and finalize.
+//! [`BlockKernel`] from the owning engine's caches, walks the main input by
+//! dense row ranges or by CSR non-zeros, gives each worker one set of pooled
+//! state, and hands every tile of positions to an output sink
+//! (`super::CellSinks`) as a `Tile` view — the tile interpreter's result
+//! registers, or the fused loops of a [`Product`] where a result is one,
+//! Outer's `dot(U_i, V_j)` tile filled on the way. The skeletons pick a sink
+//! and finalize.
 //!
 //! Below the driver, `TileRunner` resolves each of the program's side
 //! gathers into per-tile slices — zero-copy for dense sides under dense
@@ -16,6 +15,7 @@
 //! row (a sparse side's, or a CSR main walked densely) has to be addressed
 //! by column it is scattered into a `RowScratch`.
 
+use super::{CellSinks, PassInput};
 use crate::side::SideInput;
 use fusedml_linalg::ops::AggOp;
 use fusedml_linalg::{par, pool, primitives as prim, simd, DenseMatrix, Matrix, SparseMatrix};
@@ -25,10 +25,10 @@ use fusedml_core::spoof::block::{
     fold_result, write_result, BlockEval, BlockKernel, CellBackend, OpRef, TileCtx, TileSrc,
 };
 use fusedml_core::spoof::mono::{self, Product};
-use fusedml_core::spoof::{Program, Reg, SideAccess};
+use fusedml_core::spoof::{Reg, SideAccess};
 
 /// Maximum distinct `(side, access)` gathers the tile path supports; kernels
-/// beyond this fall back to the scalar interpreter.
+/// beyond this run the per-cell scalar pass.
 pub const MAX_GATHERS: usize = 16;
 
 /// True if the kernel's gather list fits the tile path.
@@ -140,38 +140,23 @@ pub(crate) struct CellPass<'a> {
 
 impl<'a> CellPass<'a> {
     /// Builds the pass for one operator run, or `None` when the operator
-    /// must run the per-cell interpreter (`Scalar` backend, or more gathers
+    /// must run the per-cell scalar pass (`Scalar` backend, or more gathers
     /// than [`MAX_GATHERS`]).
-    #[allow(clippy::too_many_arguments)] // the skeletons' calling convention
-    pub(crate) fn new(
-        prog: &Program,
-        regs: &'a [Reg],
-        backend: CellBackend,
-        main: Option<&'a Matrix>,
-        sides: &'a [SideInput],
-        scalars: &'a [f64],
-        rows: usize,
-        cols: usize,
-        sparse_safe: bool,
-        factors: Option<(&'a [f64], &'a [f64], usize)>,
-    ) -> Option<Self> {
+    pub(crate) fn new(input: PassInput<'a>, backend: CellBackend) -> Option<Self> {
         if backend == CellBackend::Scalar {
             return None;
         }
         let caches = super::kernels();
-        let kernel = caches.block.get_or_lower(prog);
+        let kernel = caches.block.get_or_lower(input.prog);
         if !supported(&kernel) {
             return None;
         }
-        let csr = match main {
-            Some(Matrix::Sparse(s)) if sparse_safe => Some(&**s),
-            _ => None,
-        };
+        let PassInput { regs, main, sides, scalars, rows, cols, factors, .. } = input;
+        let csr = input.csr();
         debug_assert!(csr.is_none_or(|x| (x.rows(), x.cols()) == (rows, cols)));
         let specialize = backend == CellBackend::Mono;
         let run_body = !specialize || regs.iter().any(|&r| kernel.mono_for(r).is_none());
-        let per_row = csr.map_or(cols, |x| x.nnz() / rows.max(1)).max(1);
-        let work = per_row * factors.map_or(4 * regs.len(), |(_, _, rank)| rank);
+        let work = input.work();
         Some(CellPass {
             kernel,
             width: caches.tile_width,
@@ -187,12 +172,6 @@ impl<'a> CellPass<'a> {
             factors,
             work,
         })
-    }
-
-    /// The main input if the pass iterates its non-zeros only — then the
-    /// folds have not seen the implicit zeros.
-    pub(crate) fn csr(&self) -> Option<&'a SparseMatrix> {
-        self.csr
     }
 
     fn mono(&self, j: usize) -> Option<&Product> {
@@ -288,11 +267,6 @@ impl<'a> CellPass<'a> {
         row_len: usize,
         tile: impl Fn(&mut [f64], &mut Tile<'_>) + Sync,
     ) {
-        // Nothing to write (no rows, or `row_len` = 0: a zero-column `NoAgg`,
-        // a zero-width `RightMM` side) — and `par` cannot band a 0-long row.
-        if out.is_empty() {
-            return;
-        }
         par::par_row_bands_mut(out, self.rows, row_len, self.work, |r0, band| {
             self.walk(r0, r0 + band.len() / row_len, |t| {
                 let o = (t.row() - r0) * row_len;
@@ -300,13 +274,17 @@ impl<'a> CellPass<'a> {
             })
         });
     }
+}
 
-    /// `Full(k)`: result `j` folded under `ops[j]` over every position
-    /// (Cell and Outer `FullAgg` with `k` = 1, MAgg). When two or more
-    /// results are product chains under `Sum` / `Mean`, their tile sums run
-    /// as one loop over the shared inputs ([`Tile::fold_sums`]); every other
-    /// result folds on its own. Not finalized.
-    pub(crate) fn full(&self, ops: &[AggOp]) -> Vec<f64> {
+impl CellSinks for CellPass<'_> {
+    fn csr(&self) -> Option<&SparseMatrix> {
+        self.csr
+    }
+
+    /// When two or more results are product chains under `Sum` / `Mean`,
+    /// their tile sums run as one loop over the shared inputs
+    /// ([`Tile::fold_sums`]); every other result folds on its own.
+    fn full(&self, ops: &[AggOp]) -> Vec<f64> {
         let mut sums: Vec<Option<&Product>> = (0..ops.len())
             .map(|j| self.mono(j).filter(|_| matches!(ops[j], AggOp::Sum | AggOp::Mean)))
             .collect();
@@ -337,18 +315,14 @@ impl<'a> CellPass<'a> {
         )
     }
 
-    /// `RowAgg`: result 0 folded per main row. Not finalized.
-    pub(crate) fn row_agg(&self, op: AggOp) -> Vec<f64> {
+    fn row_agg(&self, op: AggOp) -> Vec<f64> {
         let mut out = pool::take_unzeroed(self.rows);
         out.fill(op.identity());
         self.bands(&mut out, 1, |slot, t| slot[0] = t.fold(0, op, slot[0]));
         out
     }
 
-    /// `ColAgg`: result 0 folded per column, with how many positions each
-    /// column was visited at (fewer than `rows` only under CSR iteration —
-    /// what the `Min` / `Max` implicit-zero fix-up asks). Not finalized.
-    pub(crate) fn col_agg(&self, op: AggOp) -> (Vec<f64>, Vec<usize>) {
+    fn col_agg(&self, op: AggOp) -> (Vec<f64>, Vec<usize>) {
         let cols = self.cols;
         self.reduce(
             || (vec![op.identity(); cols], vec![0usize; cols]),
@@ -372,9 +346,7 @@ impl<'a> CellPass<'a> {
         )
     }
 
-    /// `NoAgg`: result 0 at every position — dense under dense iteration,
-    /// the non-zero results as CSR under CSR iteration.
-    pub(crate) fn no_agg(&self) -> Matrix {
+    fn no_agg(&self) -> Matrix {
         let (rows, cols) = (self.rows, self.cols);
         if self.csr.is_none() {
             // Dense iteration tiles every column of every row: each slot is
@@ -404,9 +376,7 @@ impl<'a> CellPass<'a> {
         Matrix::sparse(SparseMatrix::from_triples(rows, cols, triples))
     }
 
-    /// `RightMM`: `out[i,:] += w_ij * S[j,:]` for the `rows × k` output,
-    /// `s` the row-major `cols × k` side.
-    pub(crate) fn right_mm(&self, s: &[f64], k: usize) -> Vec<f64> {
+    fn right_mm(&self, s: &[f64], k: usize) -> Vec<f64> {
         let mut out = pool::take_zeroed(self.rows * k);
         self.bands(&mut out, k, |orow, t| {
             let at = t.cols();
@@ -419,9 +389,8 @@ impl<'a> CellPass<'a> {
         out
     }
 
-    /// `LeftMM`: `out[j,:] += w_ij * S[i,:]` for the `cols × k` output, `s`
-    /// the row-major `rows × k` side; per-worker partials, summed.
-    pub(crate) fn left_mm(&self, s: &[f64], k: usize) -> Vec<f64> {
+    /// Per-worker partials, summed.
+    fn left_mm(&self, s: &[f64], k: usize) -> Vec<f64> {
         self.reduce(
             || pool::take_zeroed(self.cols * k),
             |acc, t| {

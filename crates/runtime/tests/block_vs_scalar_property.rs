@@ -1,14 +1,18 @@
 #![allow(clippy::disallowed_methods)] // test/bench code may unwrap freely
 //! Differential property tests for the tile-vectorized block backend:
 //! random scalar register programs executed through the Cell, MultiAgg and
-//! Outer skeletons must agree with the per-cell scalar interpreter (the
-//! oracle) across dense/sparse mains, every `SideAccess` kind, every
-//! aggregation variant, and ragged tail tiles (rows/cols not a multiple of
-//! the tile width). The three skeletons share one driver
-//! (`spoof::tiles::CellPass`); `every_sink_on_the_format_width_grid` walks
-//! each of its output sinks over the tile-edge shapes, and
-//! `sparse_cell_sides_match_the_oracle_lookup` the ways a CSR side's
-//! scattered row can go stale.
+//! Outer skeletons must agree with the per-cell scalar pass (the oracle:
+//! one walk, one `eval_scalar_program` per position, point reads only)
+//! across dense/sparse mains, every `SideAccess` kind, every aggregation
+//! variant, and ragged tail tiles (rows/cols not a multiple of the tile
+//! width). The three skeletons share one tile driver
+//! (`spoof::tiles::CellPass`) and one oracle walk, each under the same
+//! output sinks; `every_sink_on_the_format_width_grid` walks each sink over
+//! the tile-edge shapes, and `sparse_cell_sides_match_the_oracle_lookup` the
+//! ways a CSR side's scattered row can go stale.
+//! `seventeen_gathers_run_the_scalar_pass_against_base` checks the oracle
+//! where it runs in production, a kernel past the tile path's gather limit,
+//! against the `Base` kernels.
 //!
 //! Elementwise (NoAgg) results agree to 1e-12 (bitwise in the generic path;
 //! a product kernel multiplies its main factors first); aggregates are
@@ -1021,5 +1025,76 @@ fn sparse_cell_sides_match_the_oracle_lookup() {
             &alternating,
             &sums_and_maps,
         );
+    }
+}
+
+/// A kernel with more side gathers than the tile path supports runs the
+/// per-cell scalar pass in production: `main ⊙ (S0 + … + S16)` over 17
+/// `Cell` sides (every other one CSR) through the default `execute` entry
+/// points, against the `Base` kernels.
+#[test]
+fn seventeen_gathers_run_the_scalar_pass_against_base() {
+    use fusedml_linalg::ops::{self, AggDir};
+    use fusedml_runtime::spoof::tiles;
+    const SIDES: usize = tiles::MAX_GATHERS + 1;
+    let (rows, cols) = (120, 40);
+    let mut instrs = vec![Instr::LoadMain { out: 0 }];
+    for side in 0..SIDES {
+        instrs.push(Instr::LoadSide { out: side as u16 + 1, side, access: SideAccess::Cell });
+    }
+    let mut sum = 1;
+    for b in 2..=SIDES as u16 {
+        let out = SIDES as u16 + b - 1;
+        instrs.push(Instr::Binary { out, op: BinaryOp::Add, a: sum, b });
+        sum = out;
+    }
+    let result = sum + 1;
+    instrs.push(Instr::Binary { out: result, op: BinaryOp::Mult, a: 0, b: sum });
+    let prog = Program { instrs, n_regs: result + 1, vreg_lens: vec![] };
+    assert!(!tiles::supported(&compile_kernel(&prog)), "{SIDES} gathers fit the tile path");
+
+    let side_mats: Vec<Matrix> = (0..SIDES)
+        .map(|i| {
+            let d = generate::rand_matrix(rows, cols, -1.0, 1.0, 0.5, 700 + i as u64).to_dense();
+            if i % 2 == 0 {
+                Matrix::dense(d)
+            } else {
+                Matrix::sparse(SparseMatrix::from_dense(&d))
+            }
+        })
+        .collect();
+    let sides: Vec<SideInput> = side_mats.iter().map(SideInput::bind).collect();
+    let side_sum = side_mats[1..]
+        .iter()
+        .fold(side_mats[0].clone(), |acc, s| ops::binary(&acc, s, BinaryOp::Add));
+    let dense = generate::rand_matrix(rows, cols, -1.0, 1.0, 0.5, 699).to_dense();
+    let csr = Matrix::sparse(SparseMatrix::from_dense(&dense));
+    for main in [Matrix::dense(dense), csr] {
+        let prod = ops::binary(&main, &side_sum, BinaryOp::Mult);
+        let cases = [
+            (CellAgg::NoAgg, prod.clone()),
+            (CellAgg::RowAgg(AggOp::Min), ops::agg(&prod, AggOp::Min, AggDir::Row)),
+            (CellAgg::FullAgg(AggOp::Sum), ops::agg(&prod, AggOp::Sum, AggDir::Full)),
+        ];
+        let magg = MAggSpec {
+            prog: prog.clone(),
+            results: vec![(result, AggOp::Sum), (result, AggOp::Min)],
+            sparse_safe: true,
+        };
+        let magg_expect =
+            [AggOp::Sum, AggOp::Min].map(|op| ops::agg(&prod, op, AggDir::Full).get(0, 0));
+        for threads in [1, 2] {
+            let _limit = par::limit_current_thread(threads);
+            let what = format!("csr main {} on {threads} threads", main.is_sparse());
+            for (agg, expect) in &cases {
+                let spec = CellSpec { prog: prog.clone(), result, agg: *agg, sparse_safe: true };
+                let out = cellwise::execute(&spec, Some(&main), &sides, &[], rows, cols);
+                assert!(out.approx_eq(expect, 1e-11), "{agg:?} {what}");
+            }
+            let outs = multiagg::execute(&magg, Some(&main), &sides, &[], rows, cols);
+            for (out, expect) in outs.iter().zip(magg_expect) {
+                assert!(fusedml_linalg::approx_eq(out.get(0, 0), expect, 1e-11), "MAgg {what}");
+            }
+        }
     }
 }

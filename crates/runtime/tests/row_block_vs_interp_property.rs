@@ -3,8 +3,9 @@
 //! Row register programs executed through the block path (per-band
 //! contexts, invariant hoisting, zero-copy dense side views, sparse rows
 //! over non-zeros, mv-chain fast path) must agree with the per-row
-//! interpreter (the oracle) across dense/sparse mains and sides, every
-//! `RowOut` variant, and ragged band tails
+//! interpreter (the oracle: one sequential loop over the main rows, each
+//! row's `RowOut` folded into one output buffer) across dense/sparse mains
+//! and sides, every `RowOut` variant, and ragged band tails
 //! (row counts that don't divide the thread-band size) — mirroring
 //! `block_vs_scalar_property.rs` for the Cell/MAgg templates.
 //!
