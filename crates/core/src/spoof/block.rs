@@ -26,7 +26,7 @@
 
 use super::mono::Product;
 use super::{Instr, Program, Reg, SideAccess};
-use fusedml_linalg::ops::{bin_loop, un_loop, AggOp, BinaryOp, TernaryOp, UnaryOp};
+use fusedml_linalg::ops::{bin_loop, ter_loop, un_loop, AggOp, BinaryOp, TernaryOp, UnaryOp};
 use fusedml_linalg::primitives as prim;
 use fusedml_linalg::simd;
 
@@ -459,28 +459,6 @@ fn resolve<'a>(
         Opnd::Uv => from_src(ctx.uv),
         Opnd::Gather(g) => from_src(ctx.gathers[g as usize]),
         Opnd::Uniform(s) => OpRef::C(u[s as usize]),
-    }
-}
-
-fn ter_loop(op: TernaryOp, a: OpRef<'_>, b: OpRef<'_>, c: OpRef<'_>, dst: &mut [f64]) {
-    // Ternaries are rare; the per-element operand resolution is a
-    // predictable two-way branch.
-    match op {
-        TernaryOp::PlusMult => {
-            for (i, d) in dst.iter_mut().enumerate() {
-                *d = a.get(i) + b.get(i) * c.get(i);
-            }
-        }
-        TernaryOp::MinusMult => {
-            for (i, d) in dst.iter_mut().enumerate() {
-                *d = a.get(i) - b.get(i) * c.get(i);
-            }
-        }
-        TernaryOp::IfElse => {
-            for (i, d) in dst.iter_mut().enumerate() {
-                *d = if a.get(i) != 0.0 { b.get(i) } else { c.get(i) };
-            }
-        }
     }
 }
 

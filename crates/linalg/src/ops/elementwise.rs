@@ -96,24 +96,45 @@ pub fn binary(a: &Matrix, b: &Matrix, op: BinaryOp) -> Matrix {
 }
 
 /// Sparse left input with a sparse-safe operator: output non-zeros are a
-/// subset of `a`'s non-zeros.
+/// subset of `a`'s non-zeros, emitted row by row in `a`'s order straight
+/// into CSR (outputs `== 0.0` dropped). A cellwise CSR `b` is walked
+/// alongside `a`'s row; a broadcast `b` is read densely.
 fn sparse_left_driver(a: &SparseMatrix, b: &Matrix, bc: Broadcast, op: BinaryOp) -> Matrix {
-    let mut triples = Vec::with_capacity(a.nnz());
-    for r in 0..a.rows() {
-        for (c, v) in a.row_iter(r) {
-            let bv = match bc {
-                Broadcast::Cellwise => b.get(r, c),
-                Broadcast::ColVector => b.get(r, 0),
-                Broadcast::RowVector => b.get(0, c),
-                Broadcast::Scalar => b.get(0, 0),
-            };
+    let (rows, cols) = (a.rows(), a.cols());
+    let mut row_ptr = Vec::with_capacity(rows + 1);
+    row_ptr.push(0);
+    let mut col_idx = pool::take_indices(a.nnz());
+    let mut values = pool::take_values(a.nnz());
+    let bd = dense_rhs(b, bc);
+    for r in 0..rows {
+        let mut emit = |c: usize, v: f64, bv: f64| {
             let out = op.apply(v, bv);
             if out != 0.0 {
-                triples.push((r, c, out));
+                col_idx.push(c);
+                values.push(out);
+            }
+        };
+        match &bd {
+            Some(bm) => match bcast_row(bm, bc, r) {
+                OpRef::S(brow) => a.row_iter(r).for_each(|(c, v)| emit(c, v, brow[c])),
+                OpRef::C(bv) => a.row_iter(r).for_each(|(c, v)| emit(c, v, bv)),
+            },
+            None => {
+                let sb = b.as_sparse();
+                let (bcols, bvals) = (sb.row_cols(r), sb.row_values(r));
+                let mut j = 0;
+                for (c, v) in a.row_iter(r) {
+                    while j < bcols.len() && bcols[j] < c {
+                        j += 1;
+                    }
+                    let bv = if bcols.get(j) == Some(&c) { bvals[j] } else { 0.0 };
+                    emit(c, v, bv);
+                }
             }
         }
+        row_ptr.push(values.len());
     }
-    Matrix::sparse(SparseMatrix::from_triples(a.rows(), a.cols(), triples))
+    Matrix::sparse(SparseMatrix::from_csr(rows, cols, row_ptr, col_idx, values))
 }
 
 /// Row-wise merge join of two aligned CSR matrices for ops where `0 op 0 == 0`.
@@ -170,9 +191,15 @@ pub fn binary_assign(mut a: DenseMatrix, b: &Matrix, op: BinaryOp) -> Matrix {
     par::par_rows_mut(a.values_mut(), rows, cols, cols.max(1), |r, row| match &bd {
         Some(bm) => bin_loop_assign(op, row, bcast_row(bm, bc, r)),
         None => {
-            for (c, v) in row.iter_mut().enumerate() {
-                *v = op.apply(*v, b.get(r, c));
+            // A cellwise CSR operand, its row walked once: `+0.0` between
+            // its stored cells.
+            let mut c0 = 0;
+            for (c, v) in b.as_sparse().row_iter(r) {
+                bin_loop_assign(op, &mut row[c0..c], OpRef::C(0.0));
+                row[c] = op.apply(row[c], v);
+                c0 = c + 1;
             }
+            bin_loop_assign(op, &mut row[c0..], OpRef::C(0.0));
         }
     });
     Matrix::dense(a)
@@ -383,6 +410,86 @@ mod tests {
         }
         assert_eq!(bits(&cbind(&owned, &band)), bits(&cbind(&band, &owned)));
         assert_eq!(bits(&rbind(&owned, &band)), bits(&rbind(&band, &owned)));
+    }
+
+    /// A CSR `a` with stored ±0 / NaN / ±inf and an empty row, against right
+    /// operands that overlap its pattern and miss it.
+    fn csr(rows: usize, cols: usize, entries: &[&[(usize, f64)]]) -> Matrix {
+        let mut ptr = vec![0];
+        let (mut ix, mut vals) = (Vec::new(), Vec::new());
+        for row in entries {
+            ix.extend(row.iter().map(|&(c, _)| c));
+            vals.extend(row.iter().map(|&(_, v)| v));
+            ptr.push(ix.len());
+        }
+        Matrix::sparse(SparseMatrix::from_csr(rows, cols, ptr, ix, vals))
+    }
+
+    /// The sparse-left driver and `binary_assign`'s cellwise CSR arm against
+    /// the dense formula, bitwise (any NaN equals any NaN): a sparse-safe
+    /// `a ⊙ b` is `a(r,c) op b(r,c)` where `a` stores a cell and nothing
+    /// elsewhere, with outputs `== 0.0` not stored; `binary_assign` is
+    /// `a(r,c) op b(r,c)` everywhere, `b`'s unstored cells `+0.0`.
+    #[test]
+    fn csr_right_operands_match_the_dense_formula() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let a = csr(
+            4,
+            6,
+            &[
+                &[(0, 1.5), (2, nan), (3, -0.0), (5, 2.0)],
+                &[],
+                &[(1, inf), (4, -3.0)],
+                &[(0, 0.0), (1, -inf), (2, 0.5), (3, 4.0), (4, -2.5), (5, 1.0)],
+            ],
+        );
+        let b_cell = csr(
+            4,
+            6,
+            &[&[(2, 2.0), (3, inf), (4, 7.0)], &[(0, 5.0)], &[], &[(1, -0.0), (3, nan), (5, 0.0)]],
+        );
+        let b_col = csr(4, 1, &[&[(0, -2.0)], &[], &[(0, inf)], &[(0, 0.5)]]);
+        let b_row = csr(1, 6, &[&[(0, 3.0), (2, -0.0), (3, nan), (5, -1.0)]]);
+        let same = |x: f64, y: f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        let ad = a.dense_view().into_owned();
+        for b in [&b_cell, &b_col, &b_row, &Matrix::dense(b_cell.dense_view().into_owned())] {
+            let bc = resolve_broadcast(4, 6, b);
+            let bd = b.dense_view().into_owned();
+            let bv = |r, c| match bc {
+                Broadcast::Cellwise => bd.get(r, c),
+                Broadcast::ColVector => bd.get(r, 0),
+                Broadcast::RowVector => bd.get(0, c),
+                Broadcast::Scalar => bd.get(0, 0),
+            };
+            for op in [BinaryOp::Mult, BinaryOp::And] {
+                let got = binary(&a, b, op);
+                let g = got.as_sparse();
+                for r in 0..4 {
+                    let want: Vec<(usize, f64)> = a
+                        .as_sparse()
+                        .row_iter(r)
+                        .map(|(c, v)| (c, op.apply(v, bv(r, c))))
+                        .filter(|&(_, w)| w != 0.0)
+                        .collect();
+                    assert_eq!(g.row_cols(r), want.iter().map(|w| w.0).collect::<Vec<_>>());
+                    for (&x, &(c, y)) in g.row_values(r).iter().zip(&want) {
+                        assert!(same(x, y), "{op:?} {bc:?} ({r},{c}): {x} vs {y}");
+                    }
+                }
+            }
+            if bc != Broadcast::Cellwise {
+                continue;
+            }
+            for op in [BinaryOp::Add, BinaryOp::Mult, BinaryOp::Div, BinaryOp::Max, BinaryOp::Lt] {
+                let got = binary_assign(ad.clone(), b, op);
+                for r in 0..4 {
+                    for c in 0..6 {
+                        let (x, y) = (got.get(r, c), op.apply(ad.get(r, c), bv(r, c)));
+                        assert!(same(x, y), "assign {op:?} ({r},{c}): {x} vs {y}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! once per element. The tile interpreter (`core::spoof::block`), the Row
 //! band kernels and the basic element-wise operators all run these.
 
-use super::{BinaryOp, UnaryOp};
+use super::{BinaryOp, TernaryOp, UnaryOp};
 
 /// A resolved operand: a slice of at least the loop's length, or a value
 /// uniform across it.
@@ -138,6 +138,75 @@ pub fn bin_loop(op: BinaryOp, a: OpRef<'_>, b: OpRef<'_>, dst: &mut [f64]) {
             with_binop!(op, go)
         }
         (OpRef::C(x), OpRef::C(y)) => dst.fill(op.apply(x, y)),
+    }
+}
+
+/// One operand of [`bin_rows`]: rows `stride` apart in a slice (row `i` is
+/// `data[i·stride..][..len]`; stride 0 repeats one row), or one value per row.
+#[derive(Clone, Copy, Debug)]
+pub enum RowsRef<'a> {
+    Rows(&'a [f64], usize),
+    Lanes(&'a [f64]),
+}
+
+/// `dst` row `i` = `op(a row i, b row i)` element by element, over the
+/// `dst.len() / len` rows of `len` values of `dst`: [`bin_loop`] for a batch
+/// of rows, the operator matched once per batch.
+pub fn bin_rows(op: BinaryOp, a: RowsRef<'_>, b: RowsRef<'_>, len: usize, dst: &mut [f64]) {
+    use RowsRef::{Lanes, Rows};
+    if len == 0 {
+        return;
+    }
+    macro_rules! go {
+        ($k:expr) => {
+            for (i, d) in dst.chunks_exact_mut(len).enumerate() {
+                match (a, b) {
+                    (Rows(x, xs), Rows(y, ys)) => {
+                        let (x, y) = (&x[i * xs..][..len], &y[i * ys..][..len]);
+                        for j in 0..len {
+                            d[j] = $k.apply(x[j], y[j]);
+                        }
+                    }
+                    (Rows(x, xs), Lanes(y)) => {
+                        let (x, y) = (&x[i * xs..][..len], y[i]);
+                        for j in 0..len {
+                            d[j] = $k.apply(x[j], y);
+                        }
+                    }
+                    (Lanes(x), Rows(y, ys)) => {
+                        let (x, y) = (x[i], &y[i * ys..][..len]);
+                        for j in 0..len {
+                            d[j] = $k.apply(x, y[j]);
+                        }
+                    }
+                    (Lanes(x), Lanes(y)) => d.fill($k.apply(x[i], y[i])),
+                }
+            }
+        };
+    }
+    with_binop!(op, go)
+}
+
+/// `dst[i] = op(a[i], b[i], c[i])`, one loop per operator.
+pub fn ter_loop(op: TernaryOp, a: OpRef<'_>, b: OpRef<'_>, c: OpRef<'_>, dst: &mut [f64]) {
+    // Ternaries are rare; the per-element operand resolution is a
+    // predictable two-way branch.
+    match op {
+        TernaryOp::PlusMult => {
+            for (i, d) in dst.iter_mut().enumerate() {
+                *d = a.get(i) + b.get(i) * c.get(i);
+            }
+        }
+        TernaryOp::MinusMult => {
+            for (i, d) in dst.iter_mut().enumerate() {
+                *d = a.get(i) - b.get(i) * c.get(i);
+            }
+        }
+        TernaryOp::IfElse => {
+            for (i, d) in dst.iter_mut().enumerate() {
+                *d = if a.get(i) != 0.0 { b.get(i) } else { c.get(i) };
+            }
+        }
     }
 }
 

@@ -148,8 +148,8 @@ fn sparse_dense(a: &SparseMatrix, b: &DenseMatrix) -> DenseMatrix {
     let mut out = pool::take_unzeroed(m * n);
     if m * n > 0 {
         let bp = packed(b);
-        par::par_rows_mut(&mut out, m, n, n.max(a.nnz() / m), |r, crow| {
-            simd::sparse_row_gemm(a.row_values(r), a.row_cols(r), &bp, k, crow);
+        par::par_row_bands_mut(&mut out, m, n, n.max(a.nnz() / m), |r0, band| {
+            simd::sparse_row_gemm(a.csr_rows(r0, band.len() / n), &bp, k, band);
         });
         pool::give(bp);
     }

@@ -19,7 +19,7 @@ pub mod unary;
 
 pub use agg::{agg, cum_agg};
 pub use elementwise::{binary, binary_assign, binary_scalar};
-pub use loops::{bin_loop, un_loop, OpRef};
+pub use loops::{bin_loop, bin_rows, ter_loop, un_loop, OpRef, RowsRef};
 pub use matmult::{matmult, tsmm_left};
 pub use reorg::{cbind, diag, index_range, rbind, seq, transpose};
 pub use ternary::ternary;

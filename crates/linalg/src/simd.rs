@@ -32,7 +32,11 @@
 //! what a chain of [`axpy`] calls gives on the same backend, whatever the
 //! tile shape. Where every product is exact, both legs return the same bits.
 //! [`dot_sums`] runs several `dot` / `sum` terms in one loop and is bitwise
-//! each single-term kernel on the same backend. `min`/`max` folds are
+//! each single-term kernel on the same backend. The row-batch kernels
+//! ([`dot_rows`], [`dot_rows_at`], [`sum_rows`], [`axpy_gather`],
+//! [`axpy_scatter`]) run a tile's short rows through the single-row body in
+//! one call, each result bitwise what the per-row `dot` / `sum` / `sum_sq` /
+//! `axpy` call gives on the same backend. `min`/`max` folds are
 //! deliberately *not* implemented here: `_mm256_min_pd` does not match
 //! Rust's `f64::min` on NaN and ±0.0, and the portable fold in `primitives`
 //! is already cheap.
@@ -535,6 +539,110 @@ primitive! {
 }
 
 primitive! {
+    /// `out[i] = dot(&a[i·a_rs..][..len], &b[i·b_rs..][..len])` for
+    /// `i < out.len()` (a stride of 0 repeats one row): a tile's short dots in
+    /// one call, each bitwise [`dot`] on the same backend.
+    pub fn dot_rows<FMA>(a: &[f64], a_rs: usize, b: &[f64], b_rs: usize, len: usize, out: &mut [f64]) {
+        for (i, o) in out.iter_mut().enumerate() {
+            let (x, y) = (&a[i * a_rs..][..len], &b[i * b_rs..][..len]);
+            *o = fold_lanes([x, y], |s, [a, b]| madd::<FMA>(a, b, s));
+        }
+    }
+}
+
+primitive! {
+    /// `out[t] = dot(a, B(ix[t]))`, `B(j)` row `j` of the row-major `b`
+    /// (rows `a.len()` apart): one row against scattered rows, each bitwise
+    /// [`dot`] on the same backend.
+    pub fn dot_rows_at<FMA>(a: &[f64], b: &[f64], ix: &[usize], out: &mut [f64]) {
+        let k = a.len();
+        for (o, &j) in out.iter_mut().zip(ix) {
+            *o = fold_lanes([a, &b[j * k..][..k]], |s, [a, b]| madd::<FMA>(a, b, s));
+        }
+    }
+}
+
+primitive! {
+    /// `out[i] = sum(&a[i·rs..][..len])`, or [`sum_sq`] of it with `squares`,
+    /// for `i < out.len()`: each bitwise the single-row kernel on the same
+    /// backend.
+    pub fn sum_rows<FMA>(a: &[f64], rs: usize, len: usize, squares: bool, out: &mut [f64]) {
+        for (i, o) in out.iter_mut().enumerate() {
+            let x = &a[i * rs..][..len];
+            *o = if squares {
+                fold_lanes([x], |s, [a]| madd::<FMA>(a, a, s))
+            } else {
+                fold_lanes([x], |s, [a]| s + a)
+            };
+        }
+    }
+}
+
+/// `dst += w[t]·B(r_t)` for `t` ascending where `w[t] != 0`, `B(j)` row `j`
+/// of the row-major `b` (rows `k = dst.len()` apart), `r_t = ix[t]` or `t`.
+#[inline(always)]
+fn axpy_gather_body<const FMA: bool>(
+    w: &[f64],
+    b: &[f64],
+    row: impl Fn(usize) -> usize,
+    dst: &mut [f64],
+) {
+    let k = dst.len();
+    for (t, &wt) in w.iter().enumerate() {
+        if wt != 0.0 {
+            for (c, &x) in dst.iter_mut().zip(&b[row(t) * k..][..k]) {
+                *c = madd::<FMA>(x, wt, *c);
+            }
+        }
+    }
+}
+
+/// `A(r_t) += w[t]·x` for `t` ascending where `w[t] != 0`, `A(j)` row `j` of
+/// the row-major `acc` (rows `k = x.len()` apart), `r_t = ix[t]` or `t`.
+#[inline(always)]
+fn axpy_scatter_body<const FMA: bool>(
+    w: &[f64],
+    x: &[f64],
+    row: impl Fn(usize) -> usize,
+    acc: &mut [f64],
+) {
+    let k = x.len();
+    for (t, &wt) in w.iter().enumerate() {
+        if wt != 0.0 {
+            for (c, &x) in acc[row(t) * k..][..k].iter_mut().zip(x) {
+                *c = madd::<FMA>(x, wt, *c);
+            }
+        }
+    }
+}
+
+primitive! {
+    /// `dst += w[t]·B(r_t)` over `t` ascending, skipping `w[t] == 0`: `B(j)`
+    /// is row `j` of the row-major `b` (rows `dst.len()` apart), `r_t` is
+    /// `ix[t]` (`ix` at least as long as `w`), or `t` without `ix`
+    /// (reduction class: bitwise the chain of [`axpy`] calls it replaces).
+    pub fn axpy_gather<FMA>(w: &[f64], b: &[f64], ix: Option<&[usize]>, dst: &mut [f64]) {
+        match ix {
+            Some(ix) => axpy_gather_body::<FMA>(w, b, |t| ix[t], dst),
+            None => axpy_gather_body::<FMA>(w, b, |t| t, dst),
+        }
+    }
+}
+
+primitive! {
+    /// `A(r_t) += w[t]·x` over `t` ascending, skipping `w[t] == 0`: `A(j)`
+    /// is row `j` of the row-major `acc` (rows `x.len()` apart), `r_t` is
+    /// `ix[t]` (`ix` at least as long as `w`), or `t` without `ix`
+    /// (reduction class: bitwise the chain of [`axpy`] calls it replaces).
+    pub fn axpy_scatter<FMA>(w: &[f64], x: &[f64], ix: Option<&[usize]>, acc: &mut [f64]) {
+        match ix {
+            Some(ix) => axpy_scatter_body::<FMA>(w, x, |t| ix[t], acc),
+            None => axpy_scatter_body::<FMA>(w, x, |t| t, acc),
+        }
+    }
+}
+
+primitive! {
     /// `dst[i] = a[i]·b[i]` over `dst.len()` (map class: bitwise identical on
     /// every backend). `a` and `b` must be at least as long as `dst`.
     pub fn mul2_into<FMA>(dst: &mut [f64], a: &[f64], b: &[f64]) {
@@ -709,90 +817,145 @@ pub fn gemm(
     }
 }
 
-primitive! {
-    /// One sparse row against a packed right operand:
-    /// `dst[j] = Σ_k vals[k]·B(cols[k], j)` for `j < dst.len()`, non-zeros in
-    /// storage order, `bp` the [`pack_panels`] form of a `kc`-row matrix with
-    /// at least `dst.len()` columns (reduction class, like [`gemm`]). The
-    /// `NR` columns of one panel accumulate in registers across the non-zeros.
-    ///
-    /// A row of at most 4 columns accumulates only the first 4 lanes of its
-    /// one panel (MLogreg's 3-class rows): each column's sum is the same.
-    pub fn sparse_row_gemm<FMA>(vals: &[f64], cols: &[usize], bp: &[f64], kc: usize, dst: &mut [f64]) {
-        /// The first `W` columns of one panel (`rows`: its `kc` rows).
-        #[inline(always)]
-        fn panel<const FMA: bool, const W: usize>(
-            vals: &[f64],
-            cols: &[usize],
-            rows: &[[f64; NR]],
-        ) -> [f64; W] {
-            let mut acc = [0.0f64; W];
-            for (&v, &c) in vals.iter().zip(cols) {
-                for (x, &b) in acc.iter_mut().zip(&rows[c][..W]) {
-                    *x = madd::<FMA>(v, b, *x);
-                }
+/// Consecutive rows of a CSR matrix, as the sparse kernels take them: row
+/// `i` holds the non-zeros `ptr[i]..ptr[i + 1]` of `cols` / `vals`.
+#[derive(Clone, Copy, Debug)]
+pub struct CsrRows<'a> {
+    pub ptr: &'a [usize],
+    pub cols: &'a [usize],
+    pub vals: &'a [f64],
+}
+
+impl<'a> CsrRows<'a> {
+    /// How many rows.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.ptr.len().saturating_sub(1)
+    }
+
+    /// Whether there are no rows.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The column indices and values of row `i`.
+    #[inline]
+    pub fn row(self, i: usize) -> (&'a [usize], &'a [f64]) {
+        let (lo, hi) = (self.ptr[i], self.ptr[i + 1]);
+        (&self.cols[lo..hi], &self.vals[lo..hi])
+    }
+}
+
+/// `dst[j] = Σ_z vals[z]·B(cols[z], j)` for one sparse row (see
+/// [`sparse_row_gemm`]).
+#[inline(always)]
+fn sparse_row_gemm_one<const FMA: bool>(
+    (cols, vals): (&[usize], &[f64]),
+    bp: &[f64],
+    kc: usize,
+    dst: &mut [f64],
+) {
+    /// The first `W` columns of one panel (`rows`: its `kc` rows).
+    #[inline(always)]
+    fn panel<const FMA: bool, const W: usize>(
+        vals: &[f64],
+        cols: &[usize],
+        rows: &[[f64; NR]],
+    ) -> [f64; W] {
+        let mut acc = [0.0f64; W];
+        for (&v, &c) in vals.iter().zip(cols) {
+            for (x, &b) in acc.iter_mut().zip(&rows[c][..W]) {
+                *x = madd::<FMA>(v, b, *x);
             }
-            acc
         }
-        let rows = |jp: usize| bp[jp * kc * NR..(jp + 1) * kc * NR].as_chunks::<NR>().0;
-        if (1..=4).contains(&dst.len()) {
-            for (o, x) in dst.iter_mut().zip(panel::<FMA, 4>(vals, cols, rows(0))) {
-                *o = x;
-            }
-            return;
+        acc
+    }
+    let rows = |jp: usize| bp[jp * kc * NR..(jp + 1) * kc * NR].as_chunks::<NR>().0;
+    if (1..=4).contains(&dst.len()) {
+        for (o, x) in dst.iter_mut().zip(panel::<FMA, 4>(vals, cols, rows(0))) {
+            *o = x;
         }
-        let (full, tail) = dst.as_chunks_mut::<NR>();
-        let jt = full.len();
-        for (jp, out) in full.iter_mut().enumerate() {
-            *out = panel::<FMA, NR>(vals, cols, rows(jp));
-        }
-        if !tail.is_empty() {
-            for (o, x) in tail.iter_mut().zip(panel::<FMA, NR>(vals, cols, rows(jt))) {
-                *o = x;
-            }
+        return;
+    }
+    let (full, tail) = dst.as_chunks_mut::<NR>();
+    let jt = full.len();
+    for (jp, out) in full.iter_mut().enumerate() {
+        *out = panel::<FMA, NR>(vals, cols, rows(jp));
+    }
+    if !tail.is_empty() {
+        for (o, x) in tail.iter_mut().zip(panel::<FMA, NR>(vals, cols, rows(jt))) {
+            *o = x;
         }
     }
 }
 
 primitive! {
-    /// The rank-1 update of a sparse row: `acc[cols[z]·k + j] += vals[z]·t[j]`
-    /// for `j < k = t.len()`, `acc` row-major with rows `k` apart (reduction
-    /// class).
+    /// Sparse rows against a packed right operand: row `i` of the row-major
+    /// `dst` (rows `k = dst.len() / a.len()` apart) is
+    /// `dst[i, j] = Σ_z vals[z]·B(cols[z], j)` over row `i`'s non-zeros in
+    /// storage order, `bp` the [`pack_panels`] form of a `kc`-row matrix with
+    /// at least `k` columns (reduction class, like [`gemm`]). The `NR`
+    /// columns of one panel accumulate in registers across the non-zeros.
+    ///
+    /// A row of at most 4 columns accumulates only the first 4 lanes of its
+    /// one panel (MLogreg's 3-class rows): each column's sum is the same.
+    pub fn sparse_row_gemm<FMA>(a: CsrRows<'_>, bp: &[f64], kc: usize, dst: &mut [f64]) {
+        let k = if a.is_empty() { 0 } else { dst.len() / a.len() };
+        if k == 0 {
+            return;
+        }
+        for (i, d) in dst.chunks_exact_mut(k).enumerate().take(a.len()) {
+            sparse_row_gemm_one::<FMA>(a.row(i), bp, kc, d);
+        }
+    }
+}
+
+primitive! {
+    /// The rank-1 updates of sparse rows: for each row `i` of `a`,
+    /// `acc[cols[z]·k + j] += vals[z]·t_i[j]` over its non-zeros, `t_i` the
+    /// row `t[i·t_rs..][..k]` and `acc` row-major with rows `k` apart
+    /// (reduction class).
     ///
     /// Rows of 1 to 8 columns run a body of that fixed width, whose inner
     /// loop unrolls (MLogreg's 3-class Hessian-vector product); wider rows
     /// loop over `k`. The sums are the same either way.
-    pub fn scatter_axpy<FMA>(vals: &[f64], cols: &[usize], t: &[f64], acc: &mut [f64]) {
-        /// `scatter_axpy` at the fixed width `K = t.len()`.
+    pub fn scatter_axpy<FMA>(a: CsrRows<'_>, t: &[f64], t_rs: usize, k: usize, acc: &mut [f64]) {
+        /// `scatter_axpy` at the fixed width `K = k`.
         #[inline(always)]
         fn fixed<const FMA: bool, const K: usize>(
-            vals: &[f64],
-            cols: &[usize],
+            a: CsrRows<'_>,
             t: &[f64],
+            t_rs: usize,
             acc: &mut [f64],
         ) {
-            let t: [f64; K] = std::array::from_fn(|j| t[j]);
             let rows = acc.as_chunks_mut::<K>().0;
-            for (&v, &c) in vals.iter().zip(cols) {
-                for (x, &t) in rows[c].iter_mut().zip(&t) {
-                    *x = madd::<FMA>(v, t, *x);
+            for i in 0..a.len() {
+                let t: [f64; K] = std::array::from_fn(|j| t[i * t_rs + j]);
+                let (cols, vals) = a.row(i);
+                for (&v, &c) in vals.iter().zip(cols) {
+                    for (x, &t) in rows[c].iter_mut().zip(&t) {
+                        *x = madd::<FMA>(v, t, *x);
+                    }
                 }
             }
         }
-        let k = t.len();
         match k {
-            1 => fixed::<FMA, 1>(vals, cols, t, acc),
-            2 => fixed::<FMA, 2>(vals, cols, t, acc),
-            3 => fixed::<FMA, 3>(vals, cols, t, acc),
-            4 => fixed::<FMA, 4>(vals, cols, t, acc),
-            5 => fixed::<FMA, 5>(vals, cols, t, acc),
-            6 => fixed::<FMA, 6>(vals, cols, t, acc),
-            7 => fixed::<FMA, 7>(vals, cols, t, acc),
-            8 => fixed::<FMA, 8>(vals, cols, t, acc),
+            1 => fixed::<FMA, 1>(a, t, t_rs, acc),
+            2 => fixed::<FMA, 2>(a, t, t_rs, acc),
+            3 => fixed::<FMA, 3>(a, t, t_rs, acc),
+            4 => fixed::<FMA, 4>(a, t, t_rs, acc),
+            5 => fixed::<FMA, 5>(a, t, t_rs, acc),
+            6 => fixed::<FMA, 6>(a, t, t_rs, acc),
+            7 => fixed::<FMA, 7>(a, t, t_rs, acc),
+            8 => fixed::<FMA, 8>(a, t, t_rs, acc),
             _ => {
-                for (&v, &c) in vals.iter().zip(cols) {
-                    for (x, &t) in acc[c * k..(c + 1) * k].iter_mut().zip(t) {
-                        *x = madd::<FMA>(v, t, *x);
+                for i in 0..a.len() {
+                    let (t, (cols, vals)) = (&t[i * t_rs..][..k], a.row(i));
+                    for (&v, &c) in vals.iter().zip(cols) {
+                        for (x, &t) in acc[c * k..(c + 1) * k].iter_mut().zip(t) {
+                            *x = madd::<FMA>(v, t, *x);
+                        }
                     }
                 }
             }
@@ -1095,12 +1258,22 @@ pub(crate) mod tests {
         force_scalar(false);
     }
 
+    /// Three CSR rows (one of them empty) over `kc` columns.
+    fn three_rows(kc: usize) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        let cols: Vec<usize> = vec![0, 3, 4, 11, 20, kc - 1, 2, 5];
+        let vals = data(cols.len(), 41);
+        (vec![0, 6, 6, 8], cols, vals)
+    }
+
+    /// Each row of a batch is bitwise the per-non-zero `axpy` chain it
+    /// replaces, at widths on both sides of the fixed-width bodies and of a
+    /// panel, an empty row and a strided right operand included.
     #[test]
     fn sparse_row_gemm_and_scatter_axpy_match_dense_forms() {
         let _paths = path_lock();
         let kc = 37;
-        let cols: Vec<usize> = vec![0, 3, 4, 11, 20, 36];
-        let vals = data(cols.len(), 41);
+        let (ptr, cols, vals) = three_rows(kc);
+        let a = CsrRows { ptr: &ptr, cols: &cols, vals: &vals };
         for force in [false, true] {
             force_scalar(force);
             for n in (1usize..=9).chain([16, 17]) {
@@ -1110,23 +1283,102 @@ pub(crate) mod tests {
                 for (p, j) in [(0, 0), (kc - 1, n - 1), (5, n / 2)] {
                     assert_eq!(bp[packed_index(kc, p, j)], b[p * n + j]);
                 }
-                let mut dst = vec![9.0; n];
-                sparse_row_gemm(&vals, &cols, &bp, kc, &mut dst);
-                // Bitwise the per-non-zero axpy chain it replaces.
-                let mut expect = vec![0.0; n];
-                for (&v, &c) in vals.iter().zip(&cols) {
-                    axpy(&b[c * n..(c + 1) * n], v, &mut expect);
+                let mut dst = vec![9.0; a.len() * n];
+                sparse_row_gemm(a, &bp, kc, &mut dst);
+                let mut expect = vec![0.0; a.len() * n];
+                for (i, e) in expect.chunks_exact_mut(n).enumerate() {
+                    let (cols, vals) = a.row(i);
+                    for (&v, &c) in vals.iter().zip(cols) {
+                        axpy(&b[c * n..(c + 1) * n], v, e);
+                    }
                 }
                 assert!(dst == expect, "sparse_row_gemm n={n} force={force}");
 
-                let t = data(n, 43);
+                let t_rs = n + 2;
+                let t = data(a.len() * t_rs, 43);
                 let mut acc = data(kc * n, 44);
                 let mut expect = acc.clone();
-                for (&v, &c) in vals.iter().zip(&cols) {
-                    axpy(&t, v, &mut expect[c * n..(c + 1) * n]);
+                for i in 0..a.len() {
+                    let (cols, vals) = a.row(i);
+                    for (&v, &c) in vals.iter().zip(cols) {
+                        axpy(&t[i * t_rs..][..n], v, &mut expect[c * n..(c + 1) * n]);
+                    }
                 }
-                scatter_axpy(&vals, &cols, &t, &mut acc);
+                scatter_axpy(a, &t, t_rs, n, &mut acc);
                 assert!(acc == expect, "scatter_axpy n={n} force={force}");
+            }
+        }
+        force_scalar(false);
+    }
+
+    /// The row-batch kernels against the per-call ones they replace, on both
+    /// legs: each `dot_rows` / `dot_rows_at` / `sum_rows` result is bitwise
+    /// one `dot` / `sum` / `sum_sq`, and `axpy_gather` / `axpy_scatter` are
+    /// bitwise the chain of `axpy` calls over the non-zero weights — at row
+    /// lengths across the 4-lane chunk, strides of 0 and wider than a row,
+    /// zero weights between stored ones, NaN / ±0 / ±inf values.
+    #[test]
+    fn row_batch_kernels_are_bitwise_the_per_call_ones() {
+        let _paths = path_lock();
+        let special = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY];
+        for force in [false, true] {
+            force_scalar(force);
+            for len in [0usize, 1, 2, 3, 4, 5, 7, 10, 16, 17] {
+                let h = 6;
+                for (a_rs, b_rs) in [(len, len), (0, len + 3), (len + 2, 0)] {
+                    let mut a = data(h * (len + 3) + 1, 61 + len as u64);
+                    let b = data(h * (len + 3) + 1, 62);
+                    a[len / 2] = special[len % special.len()];
+                    let mut out = vec![f64::NAN; h];
+                    dot_rows(&a, a_rs, &b, b_rs, len, &mut out);
+                    for (i, got) in out.iter().enumerate() {
+                        let want = dot(&a[i * a_rs..][..len], &b[i * b_rs..][..len]);
+                        assert!(got.to_bits() == want.to_bits() || want.is_nan() && got.is_nan());
+                    }
+                    for squares in [false, true] {
+                        sum_rows(&a, a_rs, len, squares, &mut out);
+                        for (i, got) in out.iter().enumerate() {
+                            let x = &a[i * a_rs..][..len];
+                            let want = if squares { sum_sq(x) } else { sum(x) };
+                            assert!(
+                                got.to_bits() == want.to_bits() || want.is_nan() && got.is_nan()
+                            );
+                        }
+                    }
+                }
+                let rows = 9;
+                let v = data(rows * len, 63);
+                let u = data(len, 64);
+                let ix = [4usize, 0, 8, 8, 3];
+                let mut out = vec![f64::NAN; ix.len()];
+                dot_rows_at(&u, &v, &ix, &mut out);
+                for (&j, got) in ix.iter().zip(&out) {
+                    assert_eq!(got.to_bits(), dot(&u, &v[j * len..][..len]).to_bits());
+                }
+                let mut w = data(ix.len(), 65);
+                w[1] = 0.0;
+                w[3] = -0.0;
+                let mut b = data(rows * len, 66);
+                if len > 0 {
+                    b[len] = f64::INFINITY; // row 1, read only through a zero weight
+                }
+                for at in [None, Some(&ix[..])] {
+                    let row = |t: usize| at.map_or(t, |ix| ix[t]);
+                    let mut dst = data(len, 67);
+                    let mut want = dst.clone();
+                    for (t, &wt) in w.iter().enumerate().filter(|(_, &wt)| wt != 0.0) {
+                        axpy(&b[row(t) * len..][..len], wt, &mut want);
+                    }
+                    axpy_gather(&w, &b, at, &mut dst);
+                    assert!(dst.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()));
+                    let mut acc = data(rows * len, 68);
+                    let mut want = acc.clone();
+                    for (t, &wt) in w.iter().enumerate().filter(|(_, &wt)| wt != 0.0) {
+                        axpy(&u, wt, &mut want[row(t) * len..][..len]);
+                    }
+                    axpy_scatter(&w, &u, at, &mut acc);
+                    assert!(acc.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()));
+                }
             }
         }
         force_scalar(false);
@@ -1187,10 +1439,11 @@ pub(crate) mod tests {
                 axpy(&a, 0.25, &mut y);
                 out.extend(y);
                 let mut dst = vec![0.0; n];
-                sparse_row_gemm(&vals, &cols, &panels, kc, &mut dst);
+                let one = CsrRows { ptr: &[0, cols.len()], cols: &cols, vals: &vals };
+                sparse_row_gemm(one, &panels, kc, &mut dst);
                 out.extend(dst);
                 let mut acc = short_mantissas(kc * n, 8);
-                scatter_axpy(&vals, &cols, &a, &mut acc);
+                scatter_axpy(one, &a, 0, n, &mut acc);
                 out.extend(acc);
                 out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             });

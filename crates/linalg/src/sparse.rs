@@ -278,6 +278,16 @@ impl SparseMatrix {
         self.values.make_mut()
     }
 
+    /// Rows `r0..r0 + h` as the sparse `simd` kernels take them.
+    #[inline]
+    pub fn csr_rows(&self, r0: usize, h: usize) -> crate::simd::CsrRows<'_> {
+        crate::simd::CsrRows {
+            ptr: &self.row_ptr[r0..=r0 + h],
+            cols: self.col_indices(),
+            vals: self.values(),
+        }
+    }
+
     /// Raw CSR row pointer array.
     #[inline]
     pub fn row_ptr(&self) -> &[usize] {

@@ -34,9 +34,10 @@
 
 use crate::side::SideInput;
 use fusedml_core::spoof::block::{self, RowKernel};
-use fusedml_core::spoof::{Instr, Program, Reg, RowOut, RowSpec};
-use fusedml_linalg::ops::{bin_loop, un_loop, AggOp, BinaryOp, OpRef};
-use fusedml_linalg::{par, pool, primitives as prim, simd, DenseMatrix, Matrix, SparseMatrix};
+use fusedml_core::spoof::{Instr, Program, Reg, RowOut, RowSpec, SideAccess};
+use fusedml_linalg::ops::{bin_loop, bin_rows, ter_loop, un_loop, AggOp, BinaryOp, OpRef, RowsRef};
+use fusedml_linalg::simd::CsrRows;
+use fusedml_linalg::{par, pool, primitives as prim, simd, DenseMatrix, Matrix};
 use std::borrow::Cow;
 
 /// Which execution backend the Row skeleton uses.
@@ -118,6 +119,12 @@ impl<'a> Tile<'a> {
         &self.data[i * self.stride..i * self.stride + self.len]
     }
 
+    /// The rows as a [`bin_rows`] operand.
+    #[inline]
+    fn rows(self) -> RowsRef<'a> {
+        RowsRef::Rows(self.data, self.stride)
+    }
+
     /// The `h` rows as one slice when they are adjacent in memory.
     #[inline]
     fn flat(self, h: usize) -> Option<&'a [f64]> {
@@ -126,22 +133,11 @@ impl<'a> Tile<'a> {
 }
 
 /// The current tile of main rows `r0..r0 + h`: zero-copy dense rows or the
-/// raw CSR rows.
+/// raw CSR rows, their `h + 1` row pointers resolved once per tile.
 #[derive(Clone, Copy)]
 enum MainTile<'a> {
     Dense(Tile<'a>),
-    Sparse { rows: &'a SparseMatrix, r0: usize },
-}
-
-impl<'a> MainTile<'a> {
-    /// The non-zeros `(cols, vals)` of tile row `i` of a sparse tile.
-    #[inline]
-    fn nonzeros(self, i: usize) -> Option<(&'a [usize], &'a [f64])> {
-        match self {
-            MainTile::Sparse { rows, r0 } => Some((rows.row_cols(r0 + i), rows.row_values(r0 + i))),
-            MainTile::Dense(_) => None,
-        }
-    }
+    Sparse(CsrRows<'a>),
 }
 
 /// Resolves main tiles for a band: dense rows are borrowed, sparse rows pass
@@ -168,7 +164,7 @@ impl<'a> RowReader<'a> {
             Matrix::Dense(d) => {
                 MainTile::Dense(Tile { data: &d.values()[r0 * m..], stride: m, len: m })
             }
-            Matrix::Sparse(s) if self.sparse_ok => MainTile::Sparse { rows: s, r0 },
+            Matrix::Sparse(s) if self.sparse_ok => MainTile::Sparse(s.csr_rows(r0, h)),
             Matrix::Sparse(s) => {
                 self.scratch[..h * m].fill(0.0);
                 for (i, row) in self.scratch.chunks_exact_mut(m.max(1)).take(h).enumerate() {
@@ -267,12 +263,11 @@ impl<'s> Env<'s> {
 }
 
 impl<'s> Srcs<'s> {
-    /// The non-zeros of tile row `i` when `v` is the main register of a
-    /// sparse tile.
+    /// The tile's CSR rows when `v` is the main register of a sparse tile.
     #[inline]
-    fn nonzeros(&self, v: u16, i: usize) -> Option<(&'s [usize], &'s [f64])> {
-        match self.env.vslots[v as usize] {
-            VSlot::Main => self.env.main.nonzeros(i),
+    fn sparse(&self, v: u16) -> Option<CsrRows<'s>> {
+        match (self.env.vslots[v as usize], self.env.main) {
+            (VSlot::Main, MainTile::Sparse(rows)) => Some(rows),
             _ => None,
         }
     }
@@ -289,7 +284,7 @@ impl<'s> Srcs<'s> {
             }
             VSlot::Main => match self.env.main {
                 MainTile::Dense(t) => t,
-                MainTile::Sparse { .. } => unreachable!("dense read of sparse main tile"),
+                MainTile::Sparse(_) => unreachable!("dense read of sparse main tile"),
             },
             VSlot::Side { side, base, stride } => {
                 let vals = self.env.sides[side as usize].dense_values().expect("dense side");
@@ -410,14 +405,30 @@ impl<'a> BandCtx<'a> {
                 for (l, lane) in sregs[out as usize * rb..][..h].iter_mut().enumerate() {
                     *lane = match main {
                         MainTile::Dense(t) => t.row(l).first().copied().unwrap_or(0.0),
-                        MainTile::Sparse { rows, r0 } => rows.get(r0 + l, 0),
+                        MainTile::Sparse(rows) => match rows.row(l) {
+                            ([0, ..], vals) => vals[0],
+                            _ => 0.0,
+                        },
                     };
                 }
             }
             Instr::LoadUVDot { .. } => panic!("UVDot in Row program"),
             Instr::LoadSide { out, side, access } => {
-                for (l, lane) in sregs[out as usize * rb..][..h].iter_mut().enumerate() {
-                    *lane = sides[side].value_at(access, r0 + l, 0);
+                let lanes = &mut sregs[out as usize * rb..][..h];
+                match &sides[side] {
+                    // An `n×1` column read down the rows: the tile's lanes
+                    // are adjacent.
+                    SideInput::Dense(d)
+                        if d.cols() == 1
+                            && matches!(access, SideAccess::Col | SideAccess::Cell) =>
+                    {
+                        lanes.copy_from_slice(&d.values()[r0..r0 + h]);
+                    }
+                    s => {
+                        for (l, lane) in lanes.iter_mut().enumerate() {
+                            *lane = s.value_at(access, r0 + l, 0);
+                        }
+                    }
                 }
             }
             Instr::LoadScalar { out, idx } => {
@@ -425,24 +436,17 @@ impl<'a> BandCtx<'a> {
             }
             Instr::LoadConst { out, value } => sregs[out as usize * rb..][..h].fill(value),
             Instr::Unary { out, op, a } => {
-                for l in 0..h {
-                    sregs[out as usize * rb + l] = op.apply(sregs[a as usize * rb + l]);
-                }
+                let x = copy_lanes(sregs, rb, a, h);
+                un_loop(op, OpRef::S(&x), &mut sregs[out as usize * rb..][..h]);
             }
             Instr::Binary { out, op, a, b } => {
-                for l in 0..h {
-                    sregs[out as usize * rb + l] =
-                        op.apply(sregs[a as usize * rb + l], sregs[b as usize * rb + l]);
-                }
+                let (x, y) = (copy_lanes(sregs, rb, a, h), copy_lanes(sregs, rb, b, h));
+                bin_loop(op, OpRef::S(&x), OpRef::S(&y), &mut sregs[out as usize * rb..][..h]);
             }
             Instr::Ternary { out, op, a, b, c } => {
-                for l in 0..h {
-                    sregs[out as usize * rb + l] = op.apply(
-                        sregs[a as usize * rb + l],
-                        sregs[b as usize * rb + l],
-                        sregs[c as usize * rb + l],
-                    );
-                }
+                let [x, y, z] = [a, b, c].map(|r| copy_lanes(sregs, rb, r, h));
+                let dst = &mut sregs[out as usize * rb..][..h];
+                ter_loop(op, OpRef::S(&x), OpRef::S(&y), OpRef::S(&z), dst);
             }
             // ---- vector loads --------------------------------------------
             Instr::LoadMainRow { .. } => {} // virtual: reads resolve via the main tile
@@ -474,31 +478,23 @@ impl<'a> BandCtx<'a> {
                 let (ta, tb) = (srcs.tile(a), srcs.tile(b));
                 match (ta.flat(h), tb.flat(h)) {
                     (Some(x), Some(y)) => bin_loop(op, OpRef::S(x), OpRef::S(y), dst),
-                    _ => {
-                        for (i, d) in dst.chunks_exact_mut(ta.len.max(1)).enumerate() {
-                            bin_loop(op, OpRef::S(ta.row(i)), OpRef::S(tb.row(i)), d);
-                        }
-                    }
+                    _ => bin_rows(op, ta.rows(), tb.rows(), ta.len, dst),
                 }
             }
             Instr::VecBinaryVS { out, op, a, b, scalar_left } => {
                 let (dst, srcs) = env.write(vfile, out, h);
                 let ta = srcs.tile(a);
-                for (i, d) in dst.chunks_exact_mut(ta.len.max(1)).enumerate() {
-                    let s = sregs[b as usize * rb + i];
-                    vec_binary_vs(op, ta.row(i), s, scalar_left, d);
-                }
+                let s = RowsRef::Lanes(&sregs[b as usize * rb..][..h]);
+                let (x, y) = if scalar_left { (s, ta.rows()) } else { (ta.rows(), s) };
+                bin_rows(op, x, y, ta.len, dst);
             }
             Instr::VecMatMult { out, a, side } => {
                 let (kc, k) = (sides[side].rows(), sides[side].cols());
                 let bp = &self.panels[side];
                 let (dst, srcs) = env.write(vfile, out, h);
                 debug_assert_eq!((kc, k), (lens[a as usize], lens[out as usize]));
-                if srcs.nonzeros(a, 0).is_some() {
-                    for (i, d) in dst.chunks_exact_mut(k.max(1)).enumerate() {
-                        let (cols, vals) = srcs.nonzeros(a, i).expect("sparse tile");
-                        simd::sparse_row_gemm(vals, cols, bp, kc, d);
-                    }
+                if let Some(rows) = srcs.sparse(a) {
+                    simd::sparse_row_gemm(rows, bp, kc, dst);
                 } else {
                     let ta = srcs.tile(a);
                     let lhs = simd::Lhs { data: ta.data, rs: ta.stride, cs: 1 };
@@ -510,23 +506,21 @@ impl<'a> BandCtx<'a> {
                 let lanes = &mut sregs[out as usize * rb..][..h];
                 // Which operand is the sparse main tile is one decision per
                 // tile; the dense operand resolves once.
-                match (srcs.nonzeros(a, 0).is_some(), srcs.nonzeros(b, 0).is_some()) {
-                    (false, false) => {
+                match (srcs.sparse(a), srcs.sparse(b)) {
+                    (None, None) => {
                         let (ta, tb) = (srcs.tile(a), srcs.tile(b));
-                        for (l, lane) in lanes.iter_mut().enumerate() {
-                            *lane = prim::dot_product(ta.row(l), tb.row(l), 0, 0, ta.len);
-                        }
+                        simd::dot_rows(ta.data, ta.stride, tb.data, tb.stride, ta.len, lanes);
                     }
-                    (true, true) => {
+                    (Some(rows), Some(_)) => {
                         for (l, lane) in lanes.iter_mut().enumerate() {
-                            let (_, vals) = main.nonzeros(l).expect("sparse tile");
+                            let (_, vals) = rows.row(l);
                             *lane = prim::vect_sum_sq(vals, 0, vals.len());
                         }
                     }
-                    (sparse_a, _) => {
-                        let dense = srcs.tile(if sparse_a { b } else { a });
+                    (Some(rows), None) | (None, Some(rows)) => {
+                        let dense = srcs.tile(if srcs.sparse(a).is_some() { b } else { a });
                         for (l, lane) in lanes.iter_mut().enumerate() {
-                            let (cols, vals) = main.nonzeros(l).expect("sparse tile");
+                            let (cols, vals) = rows.row(l);
                             *lane = prim::dot_product_sparse(vals, cols, dense.row(l), 0);
                         }
                     }
@@ -534,11 +528,14 @@ impl<'a> BandCtx<'a> {
             }
             Instr::VecAgg { out, op, a } => {
                 let srcs = env.read(vfile);
-                for l in 0..h {
-                    sregs[out as usize * rb + l] = match srcs.nonzeros(a, l) {
-                        Some((_, vals)) => sparse_agg(op, vals, lens[a as usize]),
-                        None => dense_agg(op, srcs.tile(a).row(l)),
-                    };
+                let lanes = &mut sregs[out as usize * rb..][..h];
+                match srcs.sparse(a) {
+                    None => dense_aggs(op, srcs.tile(a), lanes),
+                    Some(rows) => {
+                        for (l, lane) in lanes.iter_mut().enumerate() {
+                            *lane = sparse_agg(op, rows.row(l).1, lens[a as usize]);
+                        }
+                    }
                 }
             }
             Instr::VecCumsum { out, a } => {
@@ -559,9 +556,9 @@ impl<'a> BandCtx<'a> {
     fn write_tile(&self, src: u16, r0: usize, h: usize, main: MainTile<'_>, dst: &mut [f64]) {
         let srcs = self.srcs(r0, main);
         let k = dst.len() / h;
-        if srcs.nonzeros(src, 0).is_some() {
+        if let Some(rows) = srcs.sparse(src) {
             for (i, d) in dst.chunks_exact_mut(k.max(1)).enumerate() {
-                let (cols, vals) = srcs.nonzeros(src, i).expect("sparse tile");
+                let (cols, vals) = rows.row(i);
                 for (&c, &v) in cols.iter().zip(vals) {
                     d[c] = v;
                 }
@@ -583,16 +580,17 @@ impl<'a> BandCtx<'a> {
         acc: &mut [f64],
     ) {
         let srcs = self.srcs(r0, main);
-        let dense = srcs.nonzeros(src, 0).is_none().then(|| srcs.tile(src));
+        let sparse = srcs.sparse(src);
+        let dense = sparse.is_none().then(|| srcs.tile(src));
         for i in 0..h {
-            match (dense, main.nonzeros(i), scale.map(|s| self.scalar(s, i))) {
+            match (dense, sparse.map(|rows| rows.row(i)), scale.map(|s| self.scalar(s, i))) {
                 (Some(t), _, None) => prim::vect_add(t.row(i), acc, 0, 0, acc.len()),
                 (Some(t), _, Some(s)) => prim::vect_mult_add(t.row(i), s, acc, 0, 0, acc.len()),
                 (None, Some((cols, vals)), None) => prim::vect_add_sparse(vals, cols, acc, 0),
                 (None, Some((cols, vals)), Some(s)) => {
                     prim::vect_mult_add_sparse(vals, cols, s, acc, 0)
                 }
-                (None, None, _) => unreachable!("a sparse tile is sparse in every row"),
+                (None, None, _) => unreachable!("a tile is dense or sparse"),
             }
         }
     }
@@ -612,33 +610,37 @@ impl<'a> BandCtx<'a> {
         (orows, ocols): (usize, usize),
     ) {
         let srcs = self.srcs(r0, main);
-        if srcs.nonzeros(left, 0).is_none() && srcs.nonzeros(right, 0).is_none() {
-            // Dense on both sides: the whole tile in one update, `left` read
-            // as its own transpose.
-            let (l, r) = (srcs.tile(left), srcs.tile(right));
-            let lhs = simd::Lhs { data: l.data, rs: 1, cs: l.stride };
-            let rhs = simd::Rhs::Rows { data: r.data, rs: r.stride };
-            return simd::gemm(acc, ocols, (orows, ocols, h), lhs, rhs, true);
-        }
-        for i in 0..h {
-            match (srcs.nonzeros(left, i), srcs.nonzeros(right, i)) {
-                (Some((cols, vals)), None) => {
-                    simd::scatter_axpy(vals, cols, srcs.tile(right).row(i), acc);
-                }
-                (Some((cols, vals)), Some(_)) => {
-                    // x ⊗ x (per-row gram): nnz² updates.
+        match (srcs.sparse(left), srcs.sparse(right)) {
+            (None, None) => {
+                // Dense on both sides: the whole tile in one update, `left`
+                // read as its own transpose.
+                let (l, r) = (srcs.tile(left), srcs.tile(right));
+                let lhs = simd::Lhs { data: l.data, rs: 1, cs: l.stride };
+                let rhs = simd::Rhs::Rows { data: r.data, rs: r.stride };
+                simd::gemm(acc, ocols, (orows, ocols, h), lhs, rhs, true);
+            }
+            (Some(rows), None) => {
+                let t = srcs.tile(right);
+                simd::scatter_axpy(rows, t.data, t.stride, ocols, acc);
+            }
+            (Some(rows), Some(_)) => {
+                // x ⊗ x (per-row gram): nnz² updates.
+                for i in 0..h {
+                    let (cols, vals) = rows.row(i);
                     for (&ci, &vi) in cols.iter().zip(vals) {
                         prim::vect_mult_add_sparse(vals, cols, vi, acc, ci * ocols);
                     }
                 }
-                (None, Some((cols, vals))) => {
+            }
+            (None, Some(rows)) => {
+                for i in 0..h {
+                    let (cols, vals) = rows.row(i);
                     for (j, &lv) in srcs.tile(left).row(i).iter().enumerate().take(orows) {
                         if lv != 0.0 {
                             prim::vect_mult_add_sparse(vals, cols, lv, acc, j * ocols);
                         }
                     }
                 }
-                (None, None) => unreachable!("a sparse tile is sparse in every row"),
             }
         }
     }
@@ -669,6 +671,33 @@ fn pack_side(s: &SideInput) -> Vec<f64> {
         }
     }
     bp
+}
+
+/// Scalar register `r`'s `h` lanes, copied out of the register file the
+/// instruction writes.
+#[inline]
+fn copy_lanes(sregs: &[f64], rb: usize, r: Reg, h: usize) -> [f64; RB] {
+    let mut x = [0.0; RB];
+    x[..h].copy_from_slice(&sregs[r as usize * rb..][..h]);
+    x
+}
+
+/// `out[i] = dense_agg(op, t.row(i))` for the tile's `out.len()` rows, the
+/// sums in one `simd::sum_rows` call.
+fn dense_aggs(op: AggOp, t: Tile<'_>, out: &mut [f64]) {
+    match op {
+        AggOp::Sum | AggOp::SumSq | AggOp::Mean => {
+            simd::sum_rows(t.data, t.stride, t.len, op == AggOp::SumSq, out);
+            if op == AggOp::Mean {
+                out.iter_mut().for_each(|o| *o /= t.len as f64);
+            }
+        }
+        AggOp::Min | AggOp::Max => {
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = dense_agg(op, t.row(i));
+            }
+        }
+    }
 }
 
 fn dense_agg(op: AggOp, v: &[f64]) -> f64 {

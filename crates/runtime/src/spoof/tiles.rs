@@ -18,7 +18,7 @@
 use super::{CellSinks, PassInput};
 use crate::side::SideInput;
 use fusedml_linalg::ops::AggOp;
-use fusedml_linalg::{par, pool, primitives as prim, simd, DenseMatrix, Matrix, SparseMatrix};
+use fusedml_linalg::{par, pool, simd, DenseMatrix, Matrix, SparseMatrix};
 use std::sync::Arc;
 
 use fusedml_core::spoof::block::{
@@ -44,13 +44,23 @@ pub(crate) enum TileCols<'a> {
     Indices(&'a [usize]),
 }
 
-impl TileCols<'_> {
+impl<'a> TileCols<'a> {
     /// The column of the tile's `t`-th position.
     #[inline]
     pub(crate) fn at(self, t: usize) -> usize {
         match self {
             TileCols::Range(c0) => c0 + t,
             TileCols::Indices(ix) => ix[t],
+        }
+    }
+
+    /// The columns as the `simd` row-batch kernels address rows: the first
+    /// column of a range, or `0` and the scattered indices.
+    #[inline]
+    fn split(self) -> (usize, Option<&'a [usize]>) {
+        match self {
+            TileCols::Range(c0) => (c0, None),
+            TileCols::Indices(ix) => (0, Some(ix)),
         }
     }
 }
@@ -183,8 +193,11 @@ impl<'a> CellPass<'a> {
     fn uv_tile<'b>(&self, i: usize, at: TileCols<'_>, n: usize, buf: &'b mut [f64]) -> TileSrc<'b> {
         let Some((u, v, rank)) = self.factors else { return TileSrc::Const(0.0) };
         let urow = &u[i * rank..(i + 1) * rank];
-        for (t, slot) in buf[..n].iter_mut().enumerate() {
-            *slot = prim::dot_product(urow, v, 0, at.at(t) * rank, rank);
+        match at {
+            TileCols::Range(c0) => {
+                simd::dot_rows(urow, 0, &v[c0 * rank..], rank, rank, &mut buf[..n])
+            }
+            TileCols::Indices(ix) => simd::dot_rows_at(urow, v, ix, &mut buf[..n]),
         }
         TileSrc::Slice(&buf[..n])
     }
@@ -379,12 +392,8 @@ impl CellSinks for CellPass<'_> {
     fn right_mm(&self, s: &[f64], k: usize) -> Vec<f64> {
         let mut out = pool::take_zeroed(self.rows * k);
         self.bands(&mut out, k, |orow, t| {
-            let at = t.cols();
-            for (i, &w) in t.map(0).iter().enumerate() {
-                if w != 0.0 {
-                    prim::vect_mult_add(&s[at.at(i) * k..], w, orow, 0, 0, k);
-                }
-            }
+            let (c0, ix) = t.cols().split();
+            simd::axpy_gather(t.map(0), &s[c0 * k..], ix, orow);
         });
         out
     }
@@ -394,12 +403,8 @@ impl CellSinks for CellPass<'_> {
         self.reduce(
             || pool::take_zeroed(self.cols * k),
             |acc, t| {
-                let (srow, at) = (&s[t.row() * k..], t.cols());
-                for (i, &w) in t.map(0).iter().enumerate() {
-                    if w != 0.0 {
-                        prim::vect_mult_add(srow, w, &mut acc[at.at(i) * k..], 0, 0, k);
-                    }
-                }
+                let ((c0, ix), srow) = (t.cols().split(), &s[t.row() * k..][..k]);
+                simd::axpy_scatter(t.map(0), srow, ix, &mut acc[c0 * k..]);
             },
             |mut a, b| {
                 for (x, y) in a.iter_mut().zip(b.iter()) {

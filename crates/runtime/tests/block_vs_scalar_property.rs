@@ -1098,3 +1098,94 @@ fn seventeen_gathers_run_the_scalar_pass_against_base() {
         }
     }
 }
+
+/// `n` pseudo-random multiples of 1/8 in [-4, 4]: a rank-17 `U_i·V_j`, its
+/// products with the main and every sum of those below 2⁴⁰ are exact, so
+/// any summation order gives the same bits.
+fn eighths(n: usize, seed: u64) -> Vec<f64> {
+    (0..n as u64)
+        .map(|i| {
+            let x = (seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 33) % 65) as f64 / 8.0 - 4.0
+        })
+        .collect()
+}
+
+/// Outer's per-tile `U_i·V_j` (one `simd::dot_rows` / `dot_rows_at` call per
+/// tile) and its `right_mm` / `left_mm` sinks (one `simd::axpy_gather` /
+/// `axpy_scatter` call per tile) against the scalar pass, bitwise: ranks
+/// around the 4-lane chunk and the 16-value line, CSR rows of 1–3 and of
+/// ≈ 20 non-zeros, one row with none, and a dense main, under `full`,
+/// `right_mm`, `left_mm` and `no_agg`. The program is ALS-CG's
+/// `(X ≠ 0) ⊙ (U Vᵀ − X)`; its values are exact (see [`eighths`]), so the
+/// scalar pass's per-cell order and the tiles' per-tile order agree to the
+/// bit, and a dot or an axpy of the wrong row does not.
+#[test]
+fn outer_tiles_are_bitwise_the_scalar_pass_at_every_rank() {
+    let (rows, cols) = (19, 70);
+    let prog = Program {
+        instrs: vec![
+            Instr::LoadMain { out: 0 },
+            Instr::LoadUVDot { out: 1 },
+            Instr::Binary { out: 2, op: BinaryOp::Sub, a: 1, b: 0 },
+            Instr::LoadConst { out: 3, value: 0.0 },
+            Instr::Binary { out: 4, op: BinaryOp::Neq, a: 0, b: 3 },
+            Instr::Binary { out: 5, op: BinaryOp::Mult, a: 4, b: 2 },
+        ],
+        n_regs: 6,
+        vreg_lens: vec![],
+    };
+    let dense =
+        Matrix::dense(fusedml_linalg::DenseMatrix::new(rows, cols, eighths(rows * cols, 1)));
+    // Short rows of one to three cells, rows of about twenty, one empty.
+    let short_and_long = csr_where(&dense, |r, c| match r % 3 {
+        _ if r == 7 => false,
+        0 => c % 23 == r % 23 || (r % 2 == 0 && c == 69),
+        1 => c % 7 == 1 || c % 11 == 0,
+        _ => c == (r * 5) % cols,
+    });
+    for rank in [1, 3, 4, 5, 10, 16, 17] {
+        let u =
+            Matrix::dense(fusedml_linalg::DenseMatrix::new(rows, rank, eighths(rows * rank, 2)));
+        let v =
+            Matrix::dense(fusedml_linalg::DenseMatrix::new(cols, rank, eighths(cols * rank, 3)));
+        let sides = [SideInput::bind(&u), SideInput::bind(&v)];
+        for out in [
+            OuterOut::FullAgg,
+            OuterOut::RightMM { side: 1 },
+            OuterOut::LeftMM { side: 0 },
+            OuterOut::NoAgg,
+        ] {
+            for (main, sparse_safe) in
+                [(&short_and_long, true), (&short_and_long, false), (&dense, false)]
+            {
+                let spec = OuterSpec {
+                    prog: prog.clone(),
+                    result: 5,
+                    out,
+                    u_side: 0,
+                    v_side: 1,
+                    rank,
+                    sparse_safe,
+                };
+                for threads in [1, 2] {
+                    let run = |backend| {
+                        let _limit = par::limit_current_thread(threads);
+                        outerprod::execute_with(&spec, Some(main), &sides, &[], rows, cols, backend)
+                    };
+                    let oracle = run(CellBackend::Scalar);
+                    for backend in [CellBackend::Block, CellBackend::Mono] {
+                        let what = format!(
+                            "rank {rank} {out:?} {backend:?} sparse={} sparse_safe={sparse_safe} \
+                             threads={threads}",
+                            main.is_sparse()
+                        );
+                        common::assert_bitwise(&run(backend), &oracle, &what);
+                    }
+                }
+            }
+        }
+    }
+}

@@ -18,6 +18,14 @@
 //!
 //! Aggregating outputs reassociate across non-zeros and bands, so results
 //! agree to 1e-9; elementwise (NoAgg) rows agree to 1e-11.
+//! `row_tiles_are_bitwise_the_interpreter_on_the_lane_grid` holds the block
+//! backend's one-loop-per-tile instructions to the oracle's bits instead:
+//! on values with few mantissa bits every product and every sum an order
+//! could change is exact, so a sparse row folded over its non-zeros and a
+//! dense one folded over every cell agree to the bit, and a result that
+//! differs is a lane or a row read from the wrong place.
+
+mod common;
 
 use fusedml_core::spoof::{Instr, Program, RowOut, RowSpec, SideAccess};
 use fusedml_linalg::ops::{AggOp, BinaryOp, TernaryOp, UnaryOp};
@@ -492,6 +500,189 @@ fn autoencoder_chain_multiplies_non_main_registers() {
             let oracle = rowwise::execute_with(&spec(n), &x, &sides, &[], RowBackend::Interp);
             let got = rowwise::execute_with(&spec(n), &x, &sides, &[], RowBackend::Block);
             assert!(got.approx_eq(&oracle, 1e-11), "n={n} sparse_w={sparse_w}");
+        }
+    }
+}
+
+// ---- one loop per tile, bitwise ---------------------------------------------
+
+/// `n` pseudo-random multiples of 1/8 in [-4, 4] with NaN, ±0 and ±inf at
+/// every `special`-th position (none when 0): sums of up to 17 products of
+/// them are exact.
+fn eighths(n: usize, seed: u64, special: usize) -> Vec<f64> {
+    let odd = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY];
+    (0..n as u64)
+        .map(|i| {
+            let x = (seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            match special {
+                s if s > 0 && i as usize % s == s - 1 => odd[(x >> 40) as usize % odd.len()],
+                _ => ((x >> 33) % 65) as f64 / 8.0 - 4.0,
+            }
+        })
+        .collect()
+}
+
+/// A CSR `rows×cols` matrix storing the values of `dense` where `keep`
+/// holds — explicit ±0 included.
+fn csr_of(
+    dense: &[f64],
+    (rows, cols): (usize, usize),
+    keep: impl Fn(usize, usize) -> bool,
+) -> Matrix {
+    let mut ptr = vec![0];
+    let (mut ix, mut vals) = (Vec::new(), Vec::new());
+    for r in 0..rows {
+        for c in (0..cols).filter(|&c| keep(r, c)) {
+            ix.push(c);
+            vals.push(dense[r * cols + c]);
+        }
+        ptr.push(ix.len());
+    }
+    Matrix::sparse(fusedml_linalg::SparseMatrix::from_csr(rows, cols, ptr, ix, vals))
+}
+
+const UNARY: [UnaryOp; 13] = [
+    UnaryOp::Exp,
+    UnaryOp::Log,
+    UnaryOp::Sqrt,
+    UnaryOp::Abs,
+    UnaryOp::Sign,
+    UnaryOp::Round,
+    UnaryOp::Floor,
+    UnaryOp::Ceil,
+    UnaryOp::Neg,
+    UnaryOp::Sigmoid,
+    UnaryOp::Pow2,
+    UnaryOp::Sprop,
+    UnaryOp::Recip,
+];
+const BINARY: [BinaryOp; 15] = [
+    BinaryOp::Add,
+    BinaryOp::Sub,
+    BinaryOp::Mult,
+    BinaryOp::Div,
+    BinaryOp::Min,
+    BinaryOp::Max,
+    BinaryOp::Pow,
+    BinaryOp::Eq,
+    BinaryOp::Neq,
+    BinaryOp::Lt,
+    BinaryOp::Le,
+    BinaryOp::Gt,
+    BinaryOp::Ge,
+    BinaryOp::And,
+    BinaryOp::Or,
+];
+const TERNARY: [TernaryOp; 3] = [TernaryOp::PlusMult, TernaryOp::MinusMult, TernaryOp::IfElse];
+const AGGS: [AggOp; 5] = [AggOp::Sum, AggOp::SumSq, AggOp::Min, AggOp::Max, AggOp::Mean];
+
+/// Runs `prog` under every `RowAgg` of a scalar register and every `NoAgg`
+/// of a listed vector register, block against interpreter, bitwise.
+fn check_bits(prog: &Program, vecs: &[u16], main: &Matrix, sides: &[SideInput], what: &str) {
+    let n = main.rows();
+    let outs = (0..prog.n_regs)
+        .map(|src| (RowOut::RowAgg { src }, 1))
+        .chain(vecs.iter().map(|&src| (RowOut::NoAgg { src }, prog.vreg_lens[src as usize])));
+    for (out, out_cols) in outs {
+        let spec = RowSpec { prog: prog.clone(), out, out_rows: n, out_cols };
+        let scalars = [0.75, -1.5];
+        let oracle = rowwise::execute_with(&spec, main, sides, &scalars, RowBackend::Interp);
+        let got = rowwise::execute_with(&spec, main, sides, &scalars, RowBackend::Block);
+        common::assert_bitwise(&got, &oracle, &format!("{what}, {:?}", spec.out));
+    }
+}
+
+/// Every instruction the block backend runs as one loop per tile, at
+/// register widths 1–17 (both sides of the 16-value line, every 4-lane
+/// tail) and tiles of 1, `RB − 1` and `RB` rows and a ragged second one:
+/// scalar `Unary` / `Binary` / `Ternary` lanes over every operator, `Col`
+/// loads of a dense and a CSR `n×1` side, `VecBinaryVV` over a row-aligned
+/// side view (rows wider than the register), `VecBinaryVS` with the scalar
+/// on either side, `VecAgg` under every `AggOp` and `Dot` over dense tiles,
+/// both over the non-zeros of a CSR main, and the densified CSR main; NaN,
+/// ±0 and ±inf in the main, the sides and the lanes.
+#[test]
+fn row_tiles_are_bitwise_the_interpreter_on_the_lane_grid() {
+    let mut case = 0usize;
+    for w in 1..=17usize {
+        for n in [1, RB - 1, RB, RB + 1] {
+            let seed = (w * 100 + n) as u64;
+            let main_vals = eighths(n * w, seed, 7);
+            let dense_main =
+                Matrix::dense(fusedml_linalg::DenseMatrix::new(n, w, main_vals.clone()));
+            // No stored ±0: `Min` / `Max` over a row's non-zeros meet its
+            // implicit zeros last, the interpreter in column order, and
+            // `f64::min(-0.0, 0.0)` depends on the order.
+            let stored = |r, c| (r * 3 + c) % 4 != 1 && r % 6 != 4 && main_vals[r * w + c] != 0.0;
+            let csr_main = csr_of(&main_vals, (n, w), stored);
+            let col_vals = eighths(n, seed + 1, 3);
+            let cols = [
+                Matrix::dense(fusedml_linalg::DenseMatrix::new(n, 1, col_vals.clone())),
+                csr_of(&col_vals, (n, 1), |r, _| r % 2 == 0),
+            ];
+            // Row-aligned side, read from column 1: a view whose rows are
+            // two values wider than the register.
+            let wide = Matrix::dense(fusedml_linalg::DenseMatrix::new(
+                n,
+                w + 2,
+                eighths(n * (w + 2), seed + 2, 5),
+            ));
+            // An invariant row with no special values: a CSR main's dot
+            // skips its implicit zeros, so an inf here would not meet them.
+            let row =
+                Matrix::dense(fusedml_linalg::DenseMatrix::new(1, w, eighths(w, seed + 3, 0)));
+            for col in &cols {
+                let sides: Vec<SideInput> =
+                    [col, &wide, &row].into_iter().map(SideInput::bind).collect();
+                let (u, b, t) = (UNARY[case % 13], BINARY[case % 15], TERNARY[case % 3]);
+                let (vv, vs) = (BINARY[(case + 7) % 15], BINARY[(case + 11) % 15]);
+                let agg = AGGS[case % 5];
+                let scalar_left = case.is_multiple_of(2);
+                case += 1;
+                // Densifies a CSR main: the element-wise ops read it.
+                let lanes = Program {
+                    instrs: vec![
+                        Instr::LoadMainRow { out: 0 },
+                        Instr::LoadSide { out: 0, side: 0, access: SideAccess::Col },
+                        Instr::LoadScalar { out: 1, idx: case % 2 },
+                        Instr::Unary { out: 2, op: u, a: 0 },
+                        Instr::Binary { out: 3, op: b, a: 2, b: 1 },
+                        Instr::Ternary { out: 4, op: t, a: 0, b: 3, c: 2 },
+                        Instr::LoadSideRow { out: 1, side: 1, cl: 1, cu: w + 1 },
+                        Instr::VecBinaryVV { out: 2, op: vv, a: 1, b: 0 },
+                        Instr::VecBinaryVS { out: 3, op: vs, a: 2, b: 4, scalar_left },
+                        Instr::VecAgg { out: 5, op: agg, a: 3 },
+                        Instr::Dot { out: 6, a: 3, b: 1 },
+                        Instr::VecAgg { out: 7, op: AGGS[(case + 2) % 5], a: 1 },
+                    ],
+                    n_regs: 8,
+                    vreg_lens: vec![w; 4],
+                };
+                // Runs a CSR main over its non-zeros.
+                let over_main = Program {
+                    instrs: vec![
+                        Instr::LoadMainRow { out: 0 },
+                        Instr::LoadSideRow { out: 1, side: 2, cl: 0, cu: w },
+                        Instr::Dot { out: 0, a: 0, b: 1 },
+                        Instr::VecAgg { out: 1, op: agg, a: 0 },
+                        Instr::LoadSide { out: 2, side: 0, access: SideAccess::Col },
+                        Instr::Binary { out: 3, op: b, a: 1, b: 2 },
+                    ],
+                    n_regs: 4,
+                    vreg_lens: vec![w; 2],
+                };
+                for main in [&dense_main, &csr_main] {
+                    let what = format!(
+                        "w={w} n={n} sparse_main={} sparse_col={}",
+                        main.is_sparse(),
+                        col.is_sparse()
+                    );
+                    check_bits(&lanes, &[2, 3], main, &sides, &what);
+                    check_bits(&over_main, &[], main, &sides, &what);
+                }
+            }
         }
     }
 }

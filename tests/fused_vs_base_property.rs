@@ -266,3 +266,42 @@ fn fused_equals_unfused_on_three_csr_inputs() {
         }
     }
 }
+
+/// `Base`'s element-wise kernels on the arms that read a CSR right operand:
+/// `|X ⊙ Y|` and `(X ⊙ v)²` over a CSR `X` run the sparse-left driver for
+/// the product (a cellwise CSR `Y` walked alongside each row of `X`, a
+/// broadcast CSR column), and `D² + Y`, `D²` a dense intermediate that dies
+/// there, runs `binary_assign` in place with a cellwise CSR operand. `X` has
+/// empty rows and cells `Y` misses; `Gen` fuses each root into one operator
+/// and must match bitwise.
+#[test]
+fn fused_equals_unfused_on_csr_right_operands() {
+    let (rows, cols) = (37, 45);
+    let x = generate::rand_matrix(rows, cols, -1.0, 1.0, 0.2, 51);
+    let x = {
+        let xs = x.as_sparse();
+        let triples = (0..rows)
+            .filter(|r| r % 5 != 2)
+            .flat_map(|r| xs.row_iter(r).map(move |(c, v)| (r, c, v)))
+            .collect();
+        Matrix::sparse(SparseMatrix::from_triples(rows, cols, triples))
+    };
+    let mut bindings = Bindings::new();
+    bindings.insert("X".into(), x);
+    bindings.insert("Y".into(), generate::rand_matrix(rows, cols, -1.0, 1.0, 0.3, 52));
+    bindings.insert("v".into(), generate::rand_matrix(rows, 1, -1.0, 1.0, 0.25, 53));
+    bindings.insert("D".into(), generate::rand_dense(rows, cols, -1.0, 1.0, 54));
+    assert!(["X", "Y", "v"].iter().all(|n| bindings[*n].is_sparse()));
+
+    let mut b = DagBuilder::new();
+    let [x, y] = ["X", "Y"].map(|name| b.read(name, rows, cols, 0.2));
+    let v = b.read("v", rows, 1, 0.25);
+    let d = b.read("D", rows, cols, 1.0);
+    let (xy, xv, d2) = (b.mult(x, y), b.mult(x, v), b.sq(d));
+    let (xy, xv, d2y) = (b.abs(xy), b.sq(xv), b.add(d2, y));
+    let dag = b.build(vec![xy, xv, d2y]);
+
+    let (expect, _) = run(FusionMode::Base, &dag, &bindings);
+    let (got, _) = run(FusionMode::Gen, &dag, &bindings);
+    assert_roots_bitwise(&got, &expect, "CSR right operands");
+}
