@@ -322,8 +322,7 @@ pub fn run(scale: Scale) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusedml_core::spoof::block::{compile_row_kernel, RowShape};
-    use fusedml_core::spoof::FusedSpec;
+    use fusedml_core::spoof::block::{Kernel, RowShape};
     use fusedml_runtime::{Engine, FusionMode};
 
     /// The mlogreg-style bench pattern must select a Row operator whose
@@ -334,16 +333,14 @@ mod tests {
         let (dag, _) = row_sparse_dag(500, 80, 0.01);
         let exec = Engine::new(FusionMode::Gen);
         let plan = exec.plan_for(&dag);
-        let row = plan
+        let kernel = plan
             .operators
             .iter()
-            .find_map(|o| match &o.op.spec {
-                FusedSpec::Row(r) => Some((r, &o.cplan)),
-                _ => None,
+            .find_map(|o| match &o.op.kernel {
+                Kernel::Row(k) => Some(k),
+                Kernel::Block(_) => None,
             })
             .expect("Gen must fuse the pattern into a Row operator");
-        let (spec, cplan) = row;
-        let kernel = compile_row_kernel(spec, &cplan.side_dims);
         assert!(kernel.sparse_main_ok, "sparse X must execute over non-zeros");
         assert!(
             matches!(kernel.shape, Some(RowShape::MvChain { .. })),

@@ -57,7 +57,7 @@ pub fn time_dag_stats(
 ) -> TimedStats {
     let engine = Engine::new(mode);
     let script = engine.compile(dag);
-    let _ = script.execute(bindings); // warm-up: fills pool + kernel caches
+    let _ = script.execute(bindings); // warm-up: fills the pool
     engine.stats().reset();
     let _ = script.execute(bindings);
     let (fused_ops, _, _) = engine.stats().snapshot();

@@ -5,7 +5,8 @@
 //! anything.
 
 use crate::cplan::{CNode, CPlan, CellAggKind, NodeId, OuterOutKind, OutputSpec, RowOutKind};
-use crate::spoof::block::{self, BlockKernel};
+use crate::spoof::block::{self, BlockKernel, Kernel, RowKernel, RowShape};
+use crate::spoof::mono::ShapeClass;
 use crate::spoof::{
     CellAgg, CellSpec, FusedSpec, Instr, MAggSpec, OuterOut, OuterSpec, Program, Reg, RowOut,
     RowSpec,
@@ -20,7 +21,8 @@ use std::fmt::Write as _;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CodegenOptions {}
 
-/// A generated fused operator: source text, compiled program, identity.
+/// A generated fused operator: source text, compiled program, the kernel it
+/// runs, identity.
 #[derive(Clone, Debug)]
 pub struct GeneratedOperator {
     /// Class-style name (`TMP4`).
@@ -31,13 +33,83 @@ pub struct GeneratedOperator {
     pub spec: FusedSpec,
     /// Structural CPlan hash (plan-cache key).
     pub plan_hash: u64,
+    /// The lowered kernel the skeletons run: lowered once, here, under the
+    /// CPlan's side geometry; every plan the plan cache hands this operator
+    /// to runs this kernel.
+    pub kernel: Kernel,
+    /// The kernel family `kernel` runs under.
+    pub class: ShapeClass,
 }
 
 /// Compiles a CPlan into a generated operator.
 pub fn generate(cplan: &CPlan, name: &str, _opts: &CodegenOptions) -> GeneratedOperator {
     let spec = compile_spec(cplan);
     let source = render_source(cplan, name, &spec);
-    GeneratedOperator { name: name.to_string(), source, spec, plan_hash: cplan.structural_hash() }
+    GeneratedOperator::new(
+        name.to_string(),
+        source,
+        spec,
+        cplan.structural_hash(),
+        &cplan.side_dims,
+    )
+}
+
+impl GeneratedOperator {
+    /// An operator over a compiled spec, lowered under `side_dims` (`(rows,
+    /// cols)` per side; only Row lowering reads them): the Row template to
+    /// a band kernel, the others to a block kernel.
+    pub fn new(
+        name: String,
+        source: String,
+        spec: FusedSpec,
+        plan_hash: u64,
+        side_dims: &[(usize, usize)],
+    ) -> Self {
+        let (kernel, class) = match &spec {
+            FusedSpec::Row(r) => {
+                let k = block::compile_row_kernel(r, side_dims);
+                let class = row_class(r, &k);
+                (Kernel::Row(k), class)
+            }
+            FusedSpec::Cell(CellSpec { result, .. })
+            | FusedSpec::Outer(OuterSpec { result, .. }) => {
+                let k = block::compile_kernel(spec.program());
+                let class = block_class(&k, std::slice::from_ref(result));
+                (Kernel::Block(k), class)
+            }
+            FusedSpec::MAgg(m) => {
+                let k = block::compile_kernel(&m.prog);
+                let regs: Vec<Reg> = m.results.iter().map(|&(r, _)| r).collect();
+                let class = block_class(&k, &regs);
+                (Kernel::Block(k), class)
+            }
+        };
+        GeneratedOperator { name, source, spec, plan_hash, kernel, class }
+    }
+}
+
+/// A block template's class: a product chain only when *every* result
+/// register is one (otherwise the tile body still runs and the operator
+/// counts as interpreted).
+fn block_class(kernel: &BlockKernel, regs: &[Reg]) -> ShapeClass {
+    if kernel.tiled() && !regs.is_empty() && regs.iter().all(|&r| kernel.mono_for(r).is_some()) {
+        ShapeClass::ProductChain
+    } else {
+        ShapeClass::Interpreted
+    }
+}
+
+/// A Row operator's class: the mv-chain shape, a row tile whose
+/// matrix-shaped work runs in the gemm micro-kernel, or the band
+/// interpreter.
+fn row_class(spec: &RowSpec, kernel: &RowKernel) -> ShapeClass {
+    let matrix_shaped = matches!(spec.out, RowOut::OuterColAgg { .. })
+        || kernel.per_row.iter().any(|i| matches!(i, Instr::VecMatMult { .. }));
+    match kernel.shape {
+        Some(RowShape::MvChain { .. }) => ShapeClass::MvChain,
+        None if matrix_shaped => ShapeClass::RowTile,
+        None => ShapeClass::Interpreted,
+    }
 }
 
 // ===========================================================================
@@ -127,27 +199,11 @@ impl<'a> ProgCompiler<'a> {
                     self.prog.instrs.push(Instr::LoadMainRow { out: v });
                     Class::Vector(v, self.cplan.iter_cols)
                 }
-                CNode::SideRow { side, cl, cu } => {
+                CNode::SideRow { .. } | CNode::SideVector { .. } => {
+                    let (side, cl, cu) = self.cplan.side_row_lanes(node).expect("a side-row node");
                     let v = self.vreg(cu - cl);
-                    self.prog.instrs.push(Instr::LoadSideRow {
-                        out: v,
-                        side: *side,
-                        cl: *cl,
-                        cu: *cu,
-                    });
+                    self.prog.instrs.push(Instr::LoadSideRow { out: v, side, cl, cu });
                     Class::Vector(v, cu - cl)
-                }
-                CNode::SideVector { side } => {
-                    let (r, c) = self.cplan.side_dims[*side];
-                    let len = r.max(c);
-                    let v = self.vreg(len);
-                    self.prog.instrs.push(Instr::LoadSideRow {
-                        out: v,
-                        side: *side,
-                        cl: 0,
-                        cu: len,
-                    });
-                    Class::Vector(v, len)
                 }
                 CNode::Unary { op, a } => match self.classes[a] {
                     Class::Scalar(ra) => {
@@ -299,7 +355,7 @@ pub fn compile_spec(cplan: &CPlan) -> FusedSpec {
 /// tile-vectorized block backend (generic body plus the per-register mono
 /// kernel table, DESIGN.md X1). Row programs lower separately
 /// through [`block::compile_row_kernel`], which needs the CPlan's side
-/// geometry (see `plancache::row_cache`).
+/// geometry ([`GeneratedOperator::new`] does both).
 pub fn lower_block_kernel(spec: &FusedSpec) -> Option<BlockKernel> {
     match spec {
         FusedSpec::Cell(_) | FusedSpec::MAgg(_) | FusedSpec::Outer(_) => {

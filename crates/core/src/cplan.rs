@@ -8,6 +8,7 @@
 //! references of the selected memo entries.
 
 use crate::memo::MemoEntry;
+use crate::spoof::block::row_invariant_load;
 use crate::spoof::SideAccess;
 use crate::templates::TemplateType;
 use crate::util::{FxHashMap, FxHashSet};
@@ -135,14 +136,36 @@ impl CPlan {
     /// structure, and output spec — independent of HOP ids, so equivalent
     /// operators from different DAGs share one compiled class (paper §2.1:
     /// the plan cache "identifies equivalent CPlans via hashing").
+    /// A Row side-row load also hashes its lanes and whether it reads the
+    /// same lanes every row (a broadcast row, a whole vector): that bit is
+    /// the only side geometry Row lowering sees, so equal keys lower to
+    /// equal kernels while the raw side dims (mini-batch row counts) stay
+    /// out of the key.
     pub fn structural_hash(&self) -> u64 {
         let mut s = String::with_capacity(256);
         s.push_str(self.ttype.tag());
         for n in &self.nodes {
             s.push_str(&format!("{n:?};"));
+            if let Some((side, cl, cu)) = self.side_row_lanes(n) {
+                let invariant = row_invariant_load(&self.side_dims, side, cl, cu);
+                s.push_str(&format!("{cl}..{cu}:{invariant};"));
+            }
         }
         s.push_str(&format!("|{:?}|{}x{}", self.output, self.iter_cols, self.out_cols));
         crate::util::fx_hash(&s)
+    }
+
+    /// The side and the lanes `cl..cu` a Row side-row node loads: a
+    /// [`CNode::SideVector`] loads its whole n×1 / 1×n side.
+    pub fn side_row_lanes(&self, n: &CNode) -> Option<(usize, usize, usize)> {
+        match *n {
+            CNode::SideRow { side, cl, cu } => Some((side, cl, cu)),
+            CNode::SideVector { side } => {
+                let (r, c) = self.side_dims[side];
+                Some((side, 0, r.max(c)))
+            }
+            _ => None,
+        }
     }
 
     /// True if the plan's scalar function is zero-preserving in the main

@@ -173,8 +173,7 @@ impl Optimizer {
         Self::with_plan_cache(mode, Arc::new(PlanCache::new()))
     }
 
-    /// Creates an optimizer over an engine-owned plan cache (which in turn
-    /// warms the engine's kernel caches).
+    /// Creates an optimizer over an engine-owned plan cache.
     pub fn with_plan_cache(mode: FusionMode, plan_cache: Arc<PlanCache>) -> Self {
         Optimizer {
             mode,

@@ -41,9 +41,9 @@ pub type TReg = u16;
 /// register: a handful of live registers stay comfortably inside L1.
 pub const DEFAULT_TILE_WIDTH: usize = 256;
 
-/// Clamps a tile width to the supported range (`8..=8192`), so an
-/// out-of-range `KernelCaches::with_config` width can never produce a
-/// degenerate evaluator.
+/// Clamps a tile width to the supported range (`8..=8192`): the Cell / MAgg
+/// / Outer pass evaluates a kernel at its clamped [`BlockKernel::width`], so
+/// no width set on a kernel produces a degenerate evaluator.
 pub fn clamp_tile_width(w: usize) -> usize {
     w.clamp(8, 8192)
 }
@@ -657,14 +657,22 @@ impl<'a> Factors<'a> {
 // Compiled kernel: block program + per-register product chains
 // ===========================================================================
 
+/// Maximum distinct `(side, access)` gathers the tile path supports; a
+/// kernel with more runs the per-cell scalar pass.
+pub const MAX_GATHERS: usize = 16;
+
 /// A fully compiled block kernel: the lowered program plus the per-register
-/// kernel table (cached by the plan cache, keyed by [`program_hash`]).
+/// kernel table. `codegen::generate` lowers one per Cell / MAgg / Outer
+/// operator and the operator carries it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BlockKernel {
     pub block: BlockProgram,
     /// The product chain of each scalar register (indexed by `Reg`) whose
     /// value is one; `None` runs the tile interpreter.
     pub mono: Vec<Option<Product>>,
+    /// Tile width (elements per tile register) the skeletons evaluate with:
+    /// [`DEFAULT_TILE_WIDTH`]; the differential suites sweep others.
+    pub width: usize,
 }
 
 impl BlockKernel {
@@ -672,6 +680,11 @@ impl BlockKernel {
     #[inline]
     pub fn mono_for(&self, r: Reg) -> Option<&Product> {
         self.mono.get(r as usize).and_then(|m| m.as_ref())
+    }
+
+    /// True if the gather list fits the tile path ([`MAX_GATHERS`]).
+    pub fn tiled(&self) -> bool {
+        self.block.gathers.len() <= MAX_GATHERS
     }
 }
 
@@ -681,14 +694,15 @@ impl BlockKernel {
 pub fn compile_kernel(prog: &Program) -> BlockKernel {
     let block = lower(prog);
     let mono = (0..prog.n_regs).map(|r| super::mono::classify(&block, r)).collect();
-    BlockKernel { block, mono }
+    BlockKernel { block, mono, width: DEFAULT_TILE_WIDTH }
 }
 
-/// Structural hash of a scalar program (block-kernel cache key).
-/// Allocation-free: the skeletons hash on every execute, so Debug-format
-/// round-trips would sit on the hot path.
-pub fn program_hash(p: &Program) -> u64 {
-    crate::util::fx_hash(p)
+/// The lowered form of a generated operator: a block kernel for the Cell,
+/// MAgg and Outer templates, a band kernel for Row.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Kernel {
+    Block(BlockKernel),
+    Row(RowKernel),
 }
 
 // ===========================================================================
@@ -702,8 +716,9 @@ pub fn program_hash(p: &Program) -> u64 {
 /// dominant `Xᵀ(Xv)` mv-chain shape is recognized.
 ///
 /// Lowering depends on the side-input geometry (a `LoadSideRow` of a whole
-/// column vector is invariant, a row-aligned slice is not), so kernels are
-/// cached by [`row_kernel_hash`] which covers program, output, and side dims.
+/// column vector is invariant, a row-aligned slice is not), so the plan-cache
+/// key covers each side-row load's invariance bit
+/// (`CPlan::structural_hash`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RowKernel {
     /// Invocation-invariant instructions: constants, bound scalars,
@@ -759,22 +774,6 @@ pub fn whole_vector_load(rows: usize, cols: usize, cl: usize, cu: usize) -> bool
 #[inline]
 pub fn row_invariant_load(side_dims: &[(usize, usize)], side: usize, cl: usize, cu: usize) -> bool {
     side_dims.get(side).is_some_and(|&(r, c)| r == 1 || whole_vector_load(r, c, cl, cu))
-}
-
-/// Per-`LoadSideRow` invariance bits under the given side dimensions — the
-/// only way side geometry enters Row lowering (whole-vector and broadcast
-/// loads are invariant), and therefore the only geometry the kernel cache
-/// key needs.
-fn side_row_invariance(prog: &Program, side_dims: &[(usize, usize)]) -> Vec<bool> {
-    prog.instrs
-        .iter()
-        .filter_map(|ins| match *ins {
-            Instr::LoadSideRow { side, cl, cu, .. } => {
-                Some(row_invariant_load(side_dims, side, cl, cu))
-            }
-            _ => None,
-        })
-        .collect()
 }
 
 /// Lowers a Row program into a [`RowKernel`] under the given side-input
@@ -908,16 +907,6 @@ fn specialize_row(
         }
     }
     Some(RowShape::MvChain { v: dot? })
-}
-
-/// Structural hash of a Row operator under its side geometry (row-kernel
-/// cache key): covers the program, output variant, and the per-load
-/// invariance bits derived from the side dims — NOT the raw dimensions, so
-/// the same operator over varying row counts (mini-batches, growing data)
-/// maps to one cached kernel.
-pub fn row_kernel_hash(spec: &RowSpec, side_dims: &[(usize, usize)]) -> u64 {
-    let bits = side_row_invariance(&spec.prog, side_dims);
-    crate::util::fx_hash(&(&spec.prog, &spec.out, bits))
 }
 
 #[cfg(test)]
@@ -1206,37 +1195,5 @@ mod tests {
         assert!(!k.sparse_main_ok);
         assert!(k.shape.is_none());
         assert!(k.invariant.is_empty());
-    }
-
-    #[test]
-    fn row_kernel_hash_covers_side_dims() {
-        let spec = mlogreg_row_spec(16);
-        // Same program, different side geometry (row slice vs whole vector)
-        // must lower and cache separately.
-        assert_ne!(
-            row_kernel_hash(&spec, &[(16, 1), (100, 1)]),
-            row_kernel_hash(&spec, &[(100, 16), (100, 1)])
-        );
-        assert_eq!(
-            row_kernel_hash(&spec, &[(16, 1), (100, 1)]),
-            row_kernel_hash(&mlogreg_row_spec(16), &[(16, 1), (100, 1)])
-        );
-        // Dims that don't change any load's invariance share one kernel:
-        // varying main row counts (side 1 is the n×1 `w`, read via `Col`
-        // access, not `LoadSideRow`) must not grow the cache.
-        assert_eq!(
-            row_kernel_hash(&spec, &[(16, 1), (100, 1)]),
-            row_kernel_hash(&spec, &[(16, 1), (100_000, 1)])
-        );
-    }
-
-    #[test]
-    fn program_hash_is_structural() {
-        let p1 = indicator_prog();
-        let p2 = indicator_prog();
-        assert_eq!(program_hash(&p1), program_hash(&p2));
-        let mut p3 = indicator_prog();
-        p3.instrs[1] = Instr::LoadConst { out: 1, value: 4.0 };
-        assert_ne!(program_hash(&p1), program_hash(&p3));
     }
 }

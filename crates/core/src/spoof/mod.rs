@@ -103,7 +103,7 @@ pub enum CellAgg {
 }
 
 /// Output behaviour of a Row operator (paper Table 1, Row variants).
-#[derive(Clone, Debug, PartialEq, Hash)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum RowOut {
     /// `out[r, :] = v` — no aggregation, n×k output.
     NoAgg { src: VReg },
@@ -137,38 +137,8 @@ pub enum OuterOut {
     NoAgg,
 }
 
-/// Structural hashing for cache keys: like the derived impl, but `f64`
-/// constants hash by bit pattern. Kept manual only because `f64` blocks
-/// `#[derive(Hash)]`; the kernel caches key off this, so it must stay in
-/// sync with the instruction set.
-impl std::hash::Hash for Instr {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        std::mem::discriminant(self).hash(state);
-        match *self {
-            Instr::LoadMain { out } | Instr::LoadUVDot { out } => out.hash(state),
-            Instr::LoadSide { out, side, access } => (out, side, access).hash(state),
-            Instr::LoadScalar { out, idx } => (out, idx).hash(state),
-            Instr::LoadConst { out, value } => (out, value.to_bits()).hash(state),
-            Instr::Unary { out, op, a } => (out, op, a).hash(state),
-            Instr::Binary { out, op, a, b } => (out, op, a, b).hash(state),
-            Instr::Ternary { out, op, a, b, c } => (out, op, a, b, c).hash(state),
-            Instr::LoadMainRow { out } => out.hash(state),
-            Instr::LoadSideRow { out, side, cl, cu } => (out, side, cl, cu).hash(state),
-            Instr::VecUnary { out, op, a } => (out, op, a).hash(state),
-            Instr::VecBinaryVV { out, op, a, b } => (out, op, a, b).hash(state),
-            Instr::VecBinaryVS { out, op, a, b, scalar_left } => {
-                (out, op, a, b, scalar_left).hash(state)
-            }
-            Instr::VecMatMult { out, a, side } => (out, a, side).hash(state),
-            Instr::Dot { out, a, b } => (out, a, b).hash(state),
-            Instr::VecAgg { out, op, a } => (out, op, a).hash(state),
-            Instr::VecCumsum { out, a } => (out, a).hash(state),
-        }
-    }
-}
-
 /// A compiled scalar/vector register program with static register geometry.
-#[derive(Clone, Debug, PartialEq, Default, Hash)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct Program {
     /// Instructions in execution order (already topologically sorted).
     pub instrs: Vec<Instr>,

@@ -1,7 +1,6 @@
 //! A scoped thread-local stack: the one RAII push/pop-with-LIFO-check
-//! mechanism shared by every "install a handle around this region" pattern
-//! (the buffer-pool scope here in `linalg`, the kernel-cache scope in the
-//! runtime). Callers own the `thread_local!` storage and pass its
+//! mechanism for "install a handle around this region" patterns (the
+//! buffer-pool scope). Callers own the `thread_local!` storage and pass its
 //! `LocalKey`; this module owns the guard discipline so the semantics can
 //! never drift between copies.
 

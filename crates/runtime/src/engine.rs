@@ -7,8 +7,9 @@
 //! the shape of the public API:
 //!
 //! * an [`Engine`] (built via [`EngineBuilder`]) owns everything that used
-//!   to be implicit or process-wide — the buffer pool, the plan and kernel
-//!   caches, scheduler worker limits, optimizer knobs — so two engines with
+//!   to be implicit or process-wide — the buffer pool, the plan cache (whose
+//!   generated operators carry their lowered kernels), scheduler worker
+//!   limits, optimizer knobs — so two engines with
 //!   different configurations coexist in one process;
 //! * [`Engine::compile`] runs candidate exploration, costing, code
 //!   generation, and task-graph/liveness construction **exactly once**,
@@ -49,9 +50,8 @@ use crate::error::{panic_message, ExecError};
 use crate::exec::{self, ExecStats, SchedSnapshot};
 use crate::schedule::{self, TaskGraph};
 use crate::shard::Shards;
-use crate::spoof;
 use fusedml_core::optimizer::{dag_structural_hash, EnumCap, FusionPlan, Optimizer};
-use fusedml_core::plancache::{KernelCaches, PlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
+use fusedml_core::plancache::{PlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
 use fusedml_core::util::LruMap;
 use fusedml_core::FusionMode;
 use fusedml_hop::interp::{self, Bindings};
@@ -188,13 +188,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Builds the engine: allocates its buffer pool, kernel caches, plan
-    /// cache, optimizer, and statistics. It starts no thread: scheduler
+    /// Builds the engine: allocates its buffer pool, plan cache, optimizer,
+    /// and statistics. It starts no thread: scheduler
     /// workers and shard bands are spawned per execute.
     pub fn build(self) -> Engine {
-        let kernels = KernelCaches::with_capacity(DEFAULT_PLAN_CACHE_CAPACITY);
-        let plan_cache =
-            Arc::new(PlanCache::with_kernels(Arc::clone(&kernels), DEFAULT_PLAN_CACHE_CAPACITY));
+        let plan_cache = Arc::new(PlanCache::new());
         let optimizer = Optimizer::with_plan_cache(self.mode, plan_cache);
         let pool: PoolHandle =
             Arc::new(BufferPool::with_limits(self.memory_budget, POOL_BUFFERS_PER_CLASS));
@@ -215,7 +213,6 @@ impl EngineBuilder {
             inner: Arc::new(EngineInner {
                 mode: self.mode,
                 optimizer,
-                kernels,
                 pool,
                 store,
                 stats: Arc::new(ExecStats::default()),
@@ -247,7 +244,6 @@ const MAX_GEOMETRY_VARIANTS: usize = 16;
 struct EngineInner {
     mode: FusionMode,
     optimizer: Optimizer,
-    kernels: Arc<KernelCaches>,
     pool: PoolHandle,
     /// The two-tier store: the buffer pool above plus the engine-owned spill
     /// tier (budgeted temp files; the directory dies with the engine).
@@ -288,7 +284,7 @@ struct EngineInner {
 /// A thread-safe, cheaply clonable handle to an execution engine.
 ///
 /// The engine owns what was previously implicit global state: the buffer
-/// pool, the plan/kernel caches, the optimizer and its statistics, and the
+/// pool, the plan cache, the optimizer and its statistics, and the
 /// scheduler worker limit. Two engines with different configurations
 /// coexist in one process without sharing anything.
 #[derive(Clone)]
@@ -327,11 +323,6 @@ impl Engine {
     /// The engine-owned plan cache (generated operators keyed by CPlan).
     pub fn plan_cache(&self) -> &Arc<PlanCache> {
         &self.inner.optimizer.plan_cache
-    }
-
-    /// The engine-owned lowered-kernel caches.
-    pub fn kernel_caches(&self) -> &Arc<KernelCaches> {
-        &self.inner.kernels
     }
 
     /// The engine-owned buffer pool.
@@ -382,16 +373,13 @@ impl Engine {
         self.inner.verify_plans
     }
 
-    /// Installs this engine's buffer pool and kernel caches on the current
-    /// thread until the returned guard drops. Driver loops that recycle
-    /// values or update buffers *between* `execute` calls (e.g. iterative
-    /// algorithms retiring dead intermediates) hold a scope so those
-    /// buffers land back in — and are served from — this engine's pool.
+    /// Installs this engine's buffer pool on the current thread until the
+    /// returned guard drops. Driver loops that recycle values or update
+    /// buffers *between* `execute` calls (e.g. iterative algorithms retiring
+    /// dead intermediates) hold a scope so those buffers land back in — and
+    /// are served from — this engine's pool.
     pub fn scope(&self) -> EngineScope {
-        EngineScope {
-            _pool: pool::enter(&self.inner.pool),
-            _kernels: spoof::enter_kernels(&self.inner.kernels),
-        }
+        EngineScope { _pool: pool::enter(&self.inner.pool) }
     }
 
     /// Returns a dying value's buffers to this engine's pool (shorthand for
@@ -462,13 +450,12 @@ impl Engine {
 
 impl EngineInner {
     /// The execution context handed to the scheduler: this engine's stats,
-    /// two-tier store, kernel caches, and worker limit.
+    /// two-tier store, and worker limit.
     fn exec_ctx(&self) -> schedule::ExecCtx<'_> {
         schedule::ExecCtx {
             stats: &self.stats,
             max_workers: self.workers,
             store: &self.store,
-            kernels: &self.kernels,
             faults: self.faults.as_ref(),
             shards: self.shards,
             mode: self.mode,
@@ -658,7 +645,6 @@ impl CompiledScript {
         let v = self.bind_variant(bindings).unwrap_or_else(|e| panic!("{e}"));
         let e = &self.engine.inner;
         let _pool = pool::enter(&e.pool);
-        let _kern = spoof::enter_kernels(&e.kernels);
         exec::sequential(&v.dag, v.plan.as_deref(), e.mode, bindings, &e.stats)
     }
 
@@ -764,11 +750,10 @@ impl CompiledScript {
     }
 }
 
-/// RAII guard installing an engine's pool and kernel caches on the current
-/// thread (see [`Engine::scope`]).
+/// RAII guard installing an engine's pool on the current thread (see
+/// [`Engine::scope`]).
 pub struct EngineScope {
     _pool: pool::PoolScope,
-    _kernels: spoof::KernelScope,
 }
 
 /// The result of one `execute` call: the root values (in root order) plus

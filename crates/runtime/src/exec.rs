@@ -362,16 +362,8 @@ fn run_operator(
         .iter()
         .map(|&h| vals[h.index()].as_ref().expect("scalar computed").as_scalar())
         .collect();
-    let side_dims: Vec<(usize, usize)> = sides.iter().map(|s| (s.rows(), s.cols())).collect();
-    counts.count_fused(spoof::kernel_class(&f.op.spec, &side_dims));
-    spoof::execute(
-        &f.op.spec,
-        main_val.as_ref(),
-        &sides,
-        &scalars,
-        f.cplan.iter_rows,
-        f.cplan.iter_cols,
-    )
+    counts.count_fused(f.op.class);
+    spoof::execute(&f.op, main_val.as_ref(), &sides, &scalars, f.cplan.iter_rows, f.cplan.iter_cols)
 }
 
 #[cfg(test)]

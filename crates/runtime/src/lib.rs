@@ -14,7 +14,7 @@
 //!   hand-coded patterns (`fusedml_core::handcoded`) run through them too,
 //! * [`side`] — side-input access (`getValue(b[i], …)`),
 //! * [`engine`] — the public execution API: [`EngineBuilder`] → [`Engine`]
-//!   (owns the buffer pool, plan/kernel caches, worker limit, stats) →
+//!   (owns the buffer pool, plan cache, worker limit, stats) →
 //!   [`Engine::compile`] → [`CompiledScript`] (`Send + Sync`, executes from
 //!   many threads with zero re-optimization),
 //! * [`exec`] — execution statistics and the sequential oracle,

@@ -91,7 +91,6 @@ use crate::shard::{ShardSpec, Shards};
 use crate::side::SideInput;
 use crate::spoof;
 use fusedml_core::optimizer::FusionPlan;
-use fusedml_core::plancache::KernelCaches;
 use fusedml_core::util::FxHashMap;
 use fusedml_core::FusionMode;
 use fusedml_hop::interp::{self, Bindings};
@@ -138,14 +137,12 @@ fn retried<T>(mut io: impl FnMut() -> std::io::Result<T>) -> (std::io::Result<T>
 }
 
 /// The engine-owned execution context threaded through [`run`]: statistics,
-/// the two-tier store (pool + spill files), kernel caches, and the worker
-/// limit. Bundling these keeps the `run` signature stable as the
-/// engine grows.
+/// the two-tier store (pool + spill files), and the worker limit. Bundling
+/// these keeps the `run` signature stable as the engine grows.
 pub struct ExecCtx<'a> {
     pub stats: &'a ExecStats,
     pub max_workers: usize,
     pub store: &'a TieredStore,
-    pub kernels: &'a Arc<KernelCaches>,
     /// Engine-level fault-injection plan (chaos testing); `None` in
     /// production. The scheduler draws its `Alloc`/`TaskExec`/`TaskPanic`/
     /// `ShardExec` decisions here; the store draws the spill-I/O sites
@@ -517,7 +514,7 @@ type Guard<'a> = MutexGuard<'a, EngineState>;
 
 /// Executes a prepared task graph over bound inputs: the run-time half of
 /// the scheduled engine. Workers draw buffers from the context's store
-/// (pool + spill tier) and resolve lowered kernels from its caches. Returns
+/// (pool + spill tier) and run the kernels the plan's operators carry. Returns
 /// the root values in root order plus this call's [`SchedSnapshot`], which
 /// is also absorbed into the context's stats (a failed run's too).
 ///
@@ -587,7 +584,6 @@ pub fn run(
     let wcx = Ctx { shared: &shared, cvar: &cvar, graph, dag, plan, bindings, exec: cx };
     let run_worker = || {
         let _pool = pool::enter_tallied(cx.store.pool(), &tally);
-        let _kern = spoof::enter_kernels(cx.kernels);
         worker_loop(&wcx);
     };
     if workers <= 1 {
@@ -1180,9 +1176,6 @@ fn run_task(
                 ins[n_main..n_main + n_sides].iter().map(|s| s.val.as_matrix()).collect();
             let scalars: Vec<f64> =
                 ins[n_main + n_sides..].iter().map(|s| s.val.as_scalar()).collect();
-            let side_dims: Vec<(usize, usize)> =
-                side_mats.iter().map(|m| (m.rows(), m.cols())).collect();
-            let class = spoof::kernel_class(&f.op.spec, &side_dims);
             let outs = match (shard_ctx, &main_val) {
                 (Some(sc), Some(main)) => {
                     // The planner chose sharded execution: row-partition the
@@ -1218,7 +1211,7 @@ fn run_task(
                 _ => {
                     let sides: Vec<SideInput> = side_mats.iter().map(SideInput::bind).collect();
                     let outs = spoof::execute(
-                        &f.op.spec,
+                        &f.op,
                         main_val.as_ref(),
                         &sides,
                         &scalars,
@@ -1232,7 +1225,7 @@ fn run_task(
             drop(side_mats);
             drop(main_val);
             recycle_all(ins);
-            counts.count_fused(class);
+            counts.count_fused(f.op.class);
             let stores = f
                 .roots
                 .iter()

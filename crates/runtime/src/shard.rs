@@ -4,11 +4,12 @@
 //! [`execute`] runs a fused operator as `k` row bands: the calling thread
 //! runs band 0 and scoped threads, spawned per call like every other
 //! parallel kernel's, run the rest, sharing the caller's buffer pool scope
-//! and kernel caches. The driver row-partitions the operator's bound inputs
-//! across the bands (each band reads its rows in place through an O(1)
-//! [`Matrix::row_slice`] view; nothing is copied), broadcasts row-invariant
-//! side inputs (an `Arc` clone in-process), executes the *same* fused
-//! skeletons (`spoof::execute`) per band, and merges the partial outputs:
+//! and running the kernel the operator carries. The driver row-partitions
+//! the operator's bound inputs across the bands (each band reads its rows
+//! in place through an O(1) [`Matrix::row_slice`] view; nothing is copied),
+//! broadcasts row-invariant side inputs (an `Arc` clone in-process),
+//! executes the *same* fused skeletons (`spoof::execute`) per band, and
+//! merges the partial outputs:
 //!
 //! * map-class operators (`NoAgg`, `RowAgg`) concatenate partial rows, which
 //!   is bitwise-identical to local execution because every skeleton's output
@@ -358,7 +359,7 @@ enum Band {
 /// partitioned sides), reading it in place through [`Matrix::row_slice`],
 /// with the other sides broadcast whole. The calling thread runs band 0;
 /// the others run on scoped threads that re-enter the caller's pool scope
-/// (tally included) and kernel caches. The partials are then merged per the
+/// (tally included). The partials are then merged per the
 /// spec, and the call's shard counters come back as a [`SchedSnapshot`]
 /// (`sharded_ops` 1, `shards_used` ≤ `Shards::k` and ≤ main rows, broadcast
 /// bytes once per receiving band, merged partial bytes, merge time, skew).
@@ -399,7 +400,7 @@ pub fn execute(
                 SideInput::bind(&if p { s.row_slice(r0, r1) } else { s.clone() })
             };
             let sides: Vec<SideInput> = sides.iter().zip(&partition).map(bind).collect();
-            spoof::execute(&op.spec, Some(&main), &sides, scalars, r1 - r0, iter_cols)
+            spoof::execute(op, Some(&main), &sides, scalars, r1 - r0, iter_cols)
         }));
         let band = match ran {
             Ok(outs) => Band::Done(outs),
@@ -411,14 +412,12 @@ pub fn execute(
         (band, started.elapsed().as_nanos() as u64)
     };
     let scope = pool::current_scope();
-    let kernels = spoof::kernels();
     let bands: Vec<(Band, u64)> = std::thread::scope(|s| {
         let spawned: Vec<_> = (1..k)
             .map(|ix| {
-                let (run_band, scope, kernels) = (&run_band, &scope, &kernels);
+                let (run_band, scope) = (&run_band, &scope);
                 s.spawn(move || {
                     let _pool = scope.as_ref().map(pool::reenter);
-                    let _kernels = spoof::enter_kernels(kernels);
                     run_band(ix)
                 })
             })
@@ -511,17 +510,12 @@ mod tests {
         // sum(X): LoadMain → FullAgg(Sum).
         let prog =
             Program { instrs: vec![Instr::LoadMain { out: 0 }], n_regs: 1, vreg_lens: Vec::new() };
-        GeneratedOperator {
-            name: "TMPSUM".into(),
-            source: String::new(),
-            spec: FusedSpec::Cell(CellSpec {
-                prog,
-                result: 0,
-                agg: CellAgg::FullAgg(AggOp::Sum),
-                sparse_safe: true,
-            }),
-            plan_hash: 0,
-        }
+        spoof::operator(FusedSpec::Cell(CellSpec {
+            prog,
+            result: 0,
+            agg: CellAgg::FullAgg(AggOp::Sum),
+            sparse_safe: true,
+        }))
     }
 
     fn square_operator() -> GeneratedOperator {
@@ -534,17 +528,12 @@ mod tests {
             n_regs: 2,
             vreg_lens: Vec::new(),
         };
-        GeneratedOperator {
-            name: "TMPSQ".into(),
-            source: String::new(),
-            spec: FusedSpec::Cell(CellSpec {
-                prog,
-                result: 1,
-                agg: CellAgg::NoAgg,
-                sparse_safe: true,
-            }),
-            plan_hash: 0,
-        }
+        spoof::operator(FusedSpec::Cell(CellSpec {
+            prog,
+            result: 1,
+            agg: CellAgg::NoAgg,
+            sparse_safe: true,
+        }))
     }
 
     fn shards(k: usize) -> Shards {
@@ -570,7 +559,7 @@ mod tests {
         };
         let (outs, stats) =
             execute(shards(4), &op, &spec, &x, &[], &[], 8, false).expect("sharded execute");
-        let local = spoof::execute(&op.spec, Some(&x), &[], &[], 1003, 8);
+        let local = spoof::execute(&op, Some(&x), &[], &[], 1003, 8);
         assert_eq!(stats.shards_used, 4);
         assert_eq!(outs.len(), 1);
         let (got, want) = (outs[0].as_dense().values()[0], local[0].as_dense().values()[0]);
@@ -584,7 +573,7 @@ mod tests {
         let spec = ShardSpec { shards: 3, sides: Vec::new(), merge: MergePlan::ConcatRows };
         let (outs, stats) =
             execute(shards(3), &op, &spec, &x, &[], &[], 5, false).expect("sharded execute");
-        let local = spoof::execute(&op.spec, Some(&x), &[], &[], 517, 5);
+        let local = spoof::execute(&op, Some(&x), &[], &[], 517, 5);
         assert_eq!(stats.shards_used, 3);
         assert_eq!(
             outs[0].as_dense().values(),
@@ -609,7 +598,7 @@ mod tests {
         // The failure is confined to its call: a later execute succeeds.
         let (outs, _) =
             execute(shards(2), &op, &spec, &x, &[], &[], 4, false).expect("later execute");
-        let local = spoof::execute(&op.spec, Some(&x), &[], &[], 64, 4);
+        let local = spoof::execute(&op, Some(&x), &[], &[], 64, 4);
         assert_eq!(outs[0].as_dense().values()[0], local[0].as_dense().values()[0]);
     }
 

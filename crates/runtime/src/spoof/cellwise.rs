@@ -9,29 +9,19 @@
 
 use super::{finalize, full_aggs, with_pass, PassInput};
 use crate::side::SideInput;
-use fusedml_core::spoof::block::CellBackend;
+use fusedml_core::spoof::block::{BlockKernel, CellBackend};
 use fusedml_core::spoof::{CellAgg, CellSpec};
 use fusedml_linalg::{DenseMatrix, Matrix};
 
-/// Executes a Cell operator with the kernels of the owning engine (the
-/// innermost kernel scope; see the private `super::kernels` helper).
-pub fn execute(
-    spec: &CellSpec,
-    main: Option<&Matrix>,
-    sides: &[SideInput],
-    scalars: &[f64],
-    iter_rows: usize,
-    iter_cols: usize,
-) -> Matrix {
-    execute_with(spec, main, sides, scalars, iter_rows, iter_cols, CellBackend::Mono)
-}
-
-/// Executes a Cell operator under an explicit backend (differential tests
-/// pin [`CellBackend::Scalar`] as the oracle for the tile paths and
-/// [`CellBackend::Block`] to run the interpreter fallback on programs that
-/// would classify).
+/// Executes a Cell operator with its lowered `kernel` under an explicit
+/// backend: [`super::execute`] passes the operator's kernel and
+/// [`CellBackend::Mono`]; differential tests pin [`CellBackend::Scalar`] as
+/// the oracle for the tile paths and [`CellBackend::Block`] to run the
+/// interpreter fallback on programs that would classify.
+#[allow(clippy::too_many_arguments)]
 pub fn execute_with(
     spec: &CellSpec,
+    kernel: &BlockKernel,
     main: Option<&Matrix>,
     sides: &[SideInput],
     scalars: &[f64],
@@ -42,6 +32,7 @@ pub fn execute_with(
     let (rows, cols) = (iter_rows, iter_cols);
     let input = PassInput {
         prog: &spec.prog,
+        kernel,
         regs: &[spec.result],
         main,
         sides,
@@ -77,6 +68,20 @@ pub fn execute_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fusedml_core::spoof::block::compile_kernel;
+    use fusedml_core::spoof::FusedSpec;
+
+    /// Runs `backend` over a freshly lowered kernel.
+    fn run(
+        spec: &CellSpec,
+        main: Option<&Matrix>,
+        sides: &[SideInput],
+        rows: usize,
+        cols: usize,
+        backend: CellBackend,
+    ) -> Matrix {
+        execute_with(spec, &compile_kernel(&spec.prog), main, sides, &[], rows, cols, backend)
+    }
     use fusedml_core::spoof::{Instr, Program, SideAccess};
     use fusedml_linalg::generate;
     use fusedml_linalg::ops::{AggOp, BinaryOp};
@@ -106,7 +111,7 @@ mod tests {
         let y = generate::rand_dense(50, 40, -1.0, 1.0, 2);
         let spec = mult_side_spec(CellAgg::FullAgg(AggOp::Sum), true);
         let out = crate::spoof::execute(
-            &fusedml_core::spoof::FusedSpec::Cell(spec),
+            &crate::spoof::operator(FusedSpec::Cell(spec)),
             Some(&x),
             &[SideInput::bind(&y)],
             &[],
@@ -127,7 +132,7 @@ mod tests {
         let y = generate::rand_dense(100, 100, 1.0, 2.0, 4);
         let spec = mult_side_spec(CellAgg::NoAgg, true);
         let out = crate::spoof::execute(
-            &fusedml_core::spoof::FusedSpec::Cell(spec),
+            &crate::spoof::operator(FusedSpec::Cell(spec)),
             Some(&x),
             &[SideInput::bind(&y)],
             &[],
@@ -150,7 +155,7 @@ mod tests {
         ] {
             let spec = mult_side_spec(agg, true);
             let out = crate::spoof::execute(
-                &fusedml_core::spoof::FusedSpec::Cell(spec),
+                &crate::spoof::operator(FusedSpec::Cell(spec)),
                 Some(&x),
                 &[SideInput::bind(&y)],
                 &[],
@@ -171,7 +176,7 @@ mod tests {
         let sx = Matrix::sparse(SparseMatrix::from_dense(&xd));
         let dx = Matrix::dense(xd);
         let a = crate::spoof::execute(
-            &fusedml_core::spoof::FusedSpec::Cell(spec_sparse),
+            &crate::spoof::operator(FusedSpec::Cell(spec_sparse)),
             Some(&sx),
             &[SideInput::bind(&y)],
             &[],
@@ -179,7 +184,7 @@ mod tests {
             40,
         );
         let b = crate::spoof::execute(
-            &fusedml_core::spoof::FusedSpec::Cell(spec_dense),
+            &crate::spoof::operator(FusedSpec::Cell(spec_dense)),
             Some(&dx),
             &[SideInput::bind(&y)],
             &[],
@@ -205,7 +210,7 @@ mod tests {
         };
         let x = generate::rand_matrix(50, 50, 1.0, 2.0, 0.1, 9);
         let out = crate::spoof::execute(
-            &fusedml_core::spoof::FusedSpec::Cell(spec),
+            &crate::spoof::operator(FusedSpec::Cell(spec)),
             Some(&x),
             &[],
             &[],
@@ -218,7 +223,7 @@ mod tests {
     #[test]
     fn scalar_no_agg_over_zero_columns_is_empty() {
         let spec = mult_side_spec(CellAgg::NoAgg, false);
-        let out = execute_with(&spec, None, &[], &[], 3, 0, CellBackend::Scalar);
+        let out = run(&spec, None, &[], 3, 0, CellBackend::Scalar);
         assert_eq!((out.rows(), out.cols()), (3, 0));
     }
 
@@ -238,8 +243,7 @@ mod tests {
                 (CellAgg::ColAgg(AggOp::Mean), fusedml_linalg::ops::AggDir::Col, rows),
             ] {
                 let spec = mult_side_spec(agg, true);
-                let out =
-                    execute_with(&spec, Some(&x), &[SideInput::bind(&y)], &[], rows, cols, backend);
+                let out = run(&spec, Some(&x), &[SideInput::bind(&y)], rows, cols, backend);
                 let sums = fusedml_linalg::ops::agg(&prod, AggOp::Sum, dir);
                 for r in 0..out.rows() {
                     for c in 0..out.cols() {
@@ -275,10 +279,9 @@ mod tests {
             let spec = mult_side_spec(agg, true);
             for main in [&dx, &sx] {
                 let sides = [SideInput::bind(&y)];
-                let oracle =
-                    execute_with(&spec, Some(main), &sides, &[], rows, cols, CellBackend::Scalar);
+                let oracle = run(&spec, Some(main), &sides, rows, cols, CellBackend::Scalar);
                 for backend in [CellBackend::Block, CellBackend::Mono] {
-                    let out = execute_with(&spec, Some(main), &sides, &[], rows, cols, backend);
+                    let out = run(&spec, Some(main), &sides, rows, cols, backend);
                     assert!(
                         out.approx_eq(&oracle, 1e-12),
                         "{agg:?} {backend:?} sparse={}",

@@ -13,6 +13,10 @@
 //! sink of their variant (`CellSinks`); the Row skeleton drives the
 //! band-lowered `RowKernel` a tile of rows per instruction, with per-band
 //! register contexts and sparse-aware row views.
+//!
+//! Every skeleton runs the kernel it is handed: [`execute`] passes the one
+//! `codegen::generate` lowered onto the operator, the differential suites
+//! lower their own.
 
 pub mod cellwise;
 pub mod compressed;
@@ -23,92 +27,20 @@ mod scalar;
 pub mod tiles;
 
 use crate::side::SideInput;
-use fusedml_core::plancache::KernelCaches;
-use fusedml_core::spoof::block::{CellBackend, RowShape};
-use fusedml_core::spoof::mono::ShapeClass;
-use fusedml_core::spoof::{FusedSpec, Instr, Program, Reg, RowOut};
+use fusedml_core::codegen::GeneratedOperator;
+use fusedml_core::spoof::block::{BlockKernel, CellBackend, Kernel};
+use fusedml_core::spoof::{FusedSpec, Program, Reg};
 use fusedml_linalg::ops::AggOp;
-use fusedml_linalg::{scoped, Matrix, SparseMatrix};
-use std::cell::RefCell;
-use std::sync::Arc;
+use fusedml_linalg::{Matrix, SparseMatrix};
+use rowwise::RowBackend;
 
-thread_local! {
-    static CURRENT_KERNELS: scoped::Stack<Arc<KernelCaches>> = const { RefCell::new(Vec::new()) };
-}
-
-/// RAII guard for an installed kernel-cache scope (see [`enter_kernels`]);
-/// the shared [`scoped`] machinery debug-asserts LIFO drop order.
-pub struct KernelScope {
-    _guard: scoped::Guard<Arc<KernelCaches>>,
-}
-
-/// Installs an engine's kernel caches as the current thread's lowering cache
-/// until the returned guard drops. The executor enters a scope around each
-/// task, so the skeletons resolve lowered block/row kernels from the engine
-/// that compiled them — there is no process-wide kernel cache. Outside any
-/// scope the skeletons lower uncached (correct, just slower; only exercised
-/// by direct skeleton tests).
-pub fn enter_kernels(caches: &Arc<KernelCaches>) -> KernelScope {
-    KernelScope { _guard: scoped::push(&CURRENT_KERNELS, Arc::clone(caches)) }
-}
-
-/// The kernel caches the skeletons should lower through: the innermost
-/// installed scope, or a fresh empty set when executing outside any engine.
-pub(crate) fn kernels() -> Arc<KernelCaches> {
-    scoped::top(&CURRENT_KERNELS).unwrap_or_else(|| Arc::new(KernelCaches::default()))
-}
-
-/// Classifies the kernel family `execute` runs a fused operator under with
-/// the currently scoped kernel caches: a [`ShapeClass`] whose
-/// [`is_specialized`](ShapeClass::is_specialized) is true means a kernel of
-/// its own carries the inner loops (product chain, mv-chain, row tile);
-/// `Interpreted` means the tile/band interpreter runs the register program
-/// per tile.
-/// `side_dims` follows the operator's side binding order (the Row kernel
-/// cache is keyed on side geometry).
-pub fn kernel_class(spec: &FusedSpec, side_dims: &[(usize, usize)]) -> ShapeClass {
-    let caches = kernels();
-    match spec {
-        FusedSpec::Cell(c) => block_class(&caches, &c.prog, std::slice::from_ref(&c.result)),
-        FusedSpec::MAgg(m) => {
-            let regs: Vec<Reg> = m.results.iter().map(|&(r, _)| r).collect();
-            block_class(&caches, &m.prog, &regs)
-        }
-        FusedSpec::Outer(o) => block_class(&caches, &o.prog, std::slice::from_ref(&o.result)),
-        FusedSpec::Row(r) => {
-            let kernel = caches.row.get_or_lower(r, side_dims);
-            let matrix_shaped = matches!(r.out, RowOut::OuterColAgg { .. })
-                || kernel.per_row.iter().any(|i| matches!(i, Instr::VecMatMult { .. }));
-            match kernel.shape {
-                Some(RowShape::MvChain { .. }) => ShapeClass::MvChain,
-                None if matrix_shaped => ShapeClass::RowTile,
-                None => ShapeClass::Interpreted,
-            }
-        }
-    }
-}
-
-/// The block-template shape class: a product chain only when *every* result
-/// register is one (otherwise the tile body still runs and the operator
-/// counts as interpreted).
-fn block_class(caches: &KernelCaches, prog: &Program, regs: &[Reg]) -> ShapeClass {
-    let kernel = caches.block.get_or_lower(prog);
-    let all_products = tiles::supported(&kernel)
-        && !regs.is_empty()
-        && regs.iter().all(|&r| kernel.mono_for(r).is_some());
-    if all_products {
-        ShapeClass::ProductChain
-    } else {
-        ShapeClass::Interpreted
-    }
-}
-
-/// What one Cell / MAgg / Outer pass runs over: the register program, its
-/// result registers (a sink addresses result `j` as `regs[j]`) and the bound
-/// inputs of a `rows × cols` iteration space.
+/// What one Cell / MAgg / Outer pass runs over: the register program and
+/// its lowered kernel, its result registers (a sink addresses result `j` as
+/// `regs[j]`) and the bound inputs of a `rows × cols` iteration space.
 #[derive(Clone, Copy)]
 pub(crate) struct PassInput<'a> {
     pub prog: &'a Program,
+    pub kernel: &'a BlockKernel,
     pub regs: &'a [Reg],
     pub main: Option<&'a Matrix>,
     pub sides: &'a [SideInput],
@@ -198,35 +130,43 @@ pub(crate) fn full_aggs(pass: &dyn CellSinks, ops: &[AggOp], of: usize) -> Vec<f
     pass.full(ops).into_iter().zip(ops).map(|(acc, &op)| finalize(op, acc, seen, of)).collect()
 }
 
-/// Executes a compiled fused operator over bound inputs.
+/// Executes a generated operator's kernel over bound inputs.
 ///
 /// `main` is the template's main input (Cell/MAgg/Outer iterate its
 /// cells/non-zeros; Row iterates its rows); `sides` and `scalars` follow the
 /// CPlan's binding order. Returns the operator output(s): one matrix except
 /// for MultiAgg, which returns one 1×1 matrix per aggregate.
 pub fn execute(
-    spec: &FusedSpec,
+    op: &GeneratedOperator,
     main: Option<&Matrix>,
     sides: &[SideInput],
     scalars: &[f64],
     iter_rows: usize,
     iter_cols: usize,
 ) -> Vec<Matrix> {
-    match spec {
-        FusedSpec::Cell(c) => {
-            vec![cellwise::execute(c, main, sides, scalars, iter_rows, iter_cols)]
+    let (rows, cols, mono) = (iter_rows, iter_cols, CellBackend::Mono);
+    match (&op.spec, &op.kernel) {
+        (FusedSpec::Cell(c), Kernel::Block(k)) => {
+            vec![cellwise::execute_with(c, k, main, sides, scalars, rows, cols, mono)]
         }
-        FusedSpec::MAgg(m) => multiagg::execute(m, main, sides, scalars, iter_rows, iter_cols),
-        FusedSpec::Row(r) => {
-            vec![rowwise::execute(
-                r,
-                main.expect("Row template requires a main input"),
-                sides,
-                scalars,
-            )]
+        (FusedSpec::MAgg(m), Kernel::Block(k)) => {
+            multiagg::execute_with(m, k, main, sides, scalars, rows, cols, mono)
         }
-        FusedSpec::Outer(o) => {
-            vec![outerprod::execute(o, main, sides, scalars, iter_rows, iter_cols)]
+        (FusedSpec::Row(r), Kernel::Row(k)) => {
+            let main = main.expect("Row template requires a main input");
+            vec![rowwise::execute_with(r, k, main, sides, scalars, RowBackend::Block)]
+        }
+        (FusedSpec::Outer(o), Kernel::Block(k)) => {
+            vec![outerprod::execute_with(o, k, main, sides, scalars, rows, cols, mono)]
+        }
+        _ => {
+            unreachable!("generate lowers a Row spec to a row kernel, the others to block kernels")
         }
     }
+}
+
+/// A generated operator over a hand-built spec, lowered with no side rows.
+#[cfg(test)]
+pub(crate) fn operator(spec: FusedSpec) -> GeneratedOperator {
+    GeneratedOperator::new(String::new(), String::new(), spec, 0, &[])
 }

@@ -9,26 +9,17 @@
 
 use super::{full_aggs, with_pass, PassInput};
 use crate::side::SideInput;
-use fusedml_core::spoof::block::CellBackend;
+use fusedml_core::spoof::block::{BlockKernel, CellBackend};
 use fusedml_core::spoof::{MAggSpec, Reg};
 use fusedml_linalg::ops::AggOp;
 use fusedml_linalg::{DenseMatrix, Matrix};
 
-/// Executes a MultiAgg operator, returning one 1×1 matrix per aggregate.
-pub fn execute(
-    spec: &MAggSpec,
-    main: Option<&Matrix>,
-    sides: &[SideInput],
-    scalars: &[f64],
-    iter_rows: usize,
-    iter_cols: usize,
-) -> Vec<Matrix> {
-    execute_with(spec, main, sides, scalars, iter_rows, iter_cols, CellBackend::Mono)
-}
-
-/// Executes under an explicit backend (differential tests pin `Scalar`).
+/// Executes with the lowered `kernel` under an explicit backend
+/// ([`super::execute`] passes `Mono`; differential tests pin `Scalar`).
+#[allow(clippy::too_many_arguments)]
 pub fn execute_with(
     spec: &MAggSpec,
+    kernel: &BlockKernel,
     main: Option<&Matrix>,
     sides: &[SideInput],
     scalars: &[f64],
@@ -39,6 +30,7 @@ pub fn execute_with(
     let (regs, ops): (Vec<Reg>, Vec<AggOp>) = spec.results.iter().copied().unzip();
     let input = PassInput {
         prog: &spec.prog,
+        kernel,
         regs: &regs,
         main,
         sides,
@@ -55,6 +47,20 @@ pub fn execute_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fusedml_core::spoof::block::compile_kernel;
+
+    /// Runs the production backend over a freshly lowered kernel.
+    fn execute(
+        spec: &MAggSpec,
+        main: Option<&Matrix>,
+        sides: &[SideInput],
+        scalars: &[f64],
+        rows: usize,
+        cols: usize,
+    ) -> Vec<Matrix> {
+        let kernel = compile_kernel(&spec.prog);
+        execute_with(spec, &kernel, main, sides, scalars, rows, cols, CellBackend::Mono)
+    }
     use fusedml_core::spoof::{Instr, Program, SideAccess};
     use fusedml_linalg::generate;
     use fusedml_linalg::ops::{self, AggDir, AggOp, BinaryOp};
@@ -135,10 +141,27 @@ mod tests {
         let dx = Matrix::dense(xd);
         for spec in [spec(), mixed] {
             for main in [&dx, &sx] {
-                let oracle =
-                    execute_with(&spec, Some(main), &sides, &[], rows, cols, CellBackend::Scalar);
+                let oracle = execute_with(
+                    &spec,
+                    &compile_kernel(&spec.prog),
+                    Some(main),
+                    &sides,
+                    &[],
+                    rows,
+                    cols,
+                    CellBackend::Scalar,
+                );
                 for backend in [CellBackend::Block, CellBackend::Mono] {
-                    let outs = execute_with(&spec, Some(main), &sides, &[], rows, cols, backend);
+                    let outs = execute_with(
+                        &spec,
+                        &compile_kernel(&spec.prog),
+                        Some(main),
+                        &sides,
+                        &[],
+                        rows,
+                        cols,
+                        backend,
+                    );
                     for (o, e) in outs.iter().zip(&oracle) {
                         assert!(
                             fusedml_linalg::approx_eq(o.get(0, 0), e.get(0, 0), 1e-12),

@@ -11,26 +11,17 @@
 
 use super::{with_pass, PassInput};
 use crate::side::SideInput;
-use fusedml_core::spoof::block::CellBackend;
+use fusedml_core::spoof::block::{BlockKernel, CellBackend};
 use fusedml_core::spoof::{OuterOut, OuterSpec};
 use fusedml_linalg::ops::AggOp;
 use fusedml_linalg::{DenseMatrix, Matrix};
 
-/// Executes an Outer operator with the kernels of the owning engine.
-pub fn execute(
-    spec: &OuterSpec,
-    main: Option<&Matrix>,
-    sides: &[SideInput],
-    scalars: &[f64],
-    iter_rows: usize,
-    iter_cols: usize,
-) -> Matrix {
-    execute_with(spec, main, sides, scalars, iter_rows, iter_cols, CellBackend::Mono)
-}
-
-/// Executes under an explicit backend (differential tests pin `Scalar`).
+/// Executes with the lowered `kernel` under an explicit backend
+/// ([`super::execute`] passes `Mono`; differential tests pin `Scalar`).
+#[allow(clippy::too_many_arguments)]
 pub fn execute_with(
     spec: &OuterSpec,
+    kernel: &BlockKernel,
     main: Option<&Matrix>,
     sides: &[SideInput],
     scalars: &[f64],
@@ -44,6 +35,7 @@ pub fn execute_with(
     let (n, m) = (iter_rows, iter_cols);
     let input = PassInput {
         prog: &spec.prog,
+        kernel,
         regs: &[spec.result],
         main,
         sides,
@@ -74,6 +66,20 @@ pub fn execute_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fusedml_core::spoof::block::compile_kernel;
+
+    /// Runs the production backend over a freshly lowered kernel.
+    fn execute(
+        spec: &OuterSpec,
+        main: Option<&Matrix>,
+        sides: &[SideInput],
+        scalars: &[f64],
+        rows: usize,
+        cols: usize,
+    ) -> Matrix {
+        let kernel = compile_kernel(&spec.prog);
+        execute_with(spec, &kernel, main, sides, scalars, rows, cols, CellBackend::Mono)
+    }
     use fusedml_core::spoof::{Instr, Program};
     use fusedml_linalg::generate;
     use fusedml_linalg::ops::{self, AggDir, AggOp, BinaryOp, UnaryOp};
@@ -208,7 +214,6 @@ mod tests {
     /// variant over sparse and dense mains (ragged tile tails included).
     #[test]
     fn block_backends_match_scalar_oracle() {
-        use fusedml_core::spoof::block::CellBackend;
         let (n, m, r) = (90, 70, 6);
         let xd = generate::rand_matrix(n, m, 1.0, 5.0, 0.07, 21).to_dense();
         let u = generate::rand_dense(n, r, 0.1, 1.0, 22);
@@ -225,10 +230,27 @@ mod tests {
         for out_variant in variants {
             let spec = OuterSpec { out: out_variant, rank: r, ..update_spec() };
             for main in [&sx, &dx] {
-                let oracle =
-                    execute_with(&spec, Some(main), &sides, &[], n, m, CellBackend::Scalar);
+                let oracle = execute_with(
+                    &spec,
+                    &compile_kernel(&spec.prog),
+                    Some(main),
+                    &sides,
+                    &[],
+                    n,
+                    m,
+                    CellBackend::Scalar,
+                );
                 for backend in [CellBackend::Block, CellBackend::Mono] {
-                    let got = execute_with(&spec, Some(main), &sides, &[], n, m, backend);
+                    let got = execute_with(
+                        &spec,
+                        &compile_kernel(&spec.prog),
+                        Some(main),
+                        &sides,
+                        &[],
+                        n,
+                        m,
+                        backend,
+                    );
                     assert!(
                         got.approx_eq(&oracle, 1e-11),
                         "{out_variant:?} {backend:?} sparse={}",

@@ -52,22 +52,20 @@ pub enum RowBackend {
     Block,
 }
 
-/// Executes a Row operator over the main input's rows (block backend).
-pub fn execute(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f64]) -> Matrix {
-    execute_with(spec, main, sides, scalars, RowBackend::Block)
-}
-
-/// Executes a Row operator under an explicit backend (differential tests pin
-/// [`RowBackend::Interp`] as the oracle for the band-lowered path).
+/// Executes a Row operator over the main input's rows with its band-lowered
+/// `kernel` under an explicit backend ([`super::execute`] passes
+/// [`RowBackend::Block`]; differential tests pin [`RowBackend::Interp`] as
+/// the oracle for the band-lowered path).
 pub fn execute_with(
     spec: &RowSpec,
+    kernel: &RowKernel,
     main: &Matrix,
     sides: &[SideInput],
     scalars: &[f64],
     backend: RowBackend,
 ) -> Matrix {
     match backend {
-        RowBackend::Block => block_exec(spec, main, sides, scalars),
+        RowBackend::Block => block_exec(spec, kernel, main, sides, scalars),
         RowBackend::Interp => interp_exec(spec, main, sides, scalars),
     }
 }
@@ -736,9 +734,13 @@ fn tiles(lo: usize, hi: usize, rb: usize) -> impl Iterator<Item = (usize, usize)
     (lo..hi).step_by(rb).map(move |r0| (r0, rb.min(hi - r0)))
 }
 
-fn block_exec(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f64]) -> Matrix {
-    let side_dims: Vec<(usize, usize)> = sides.iter().map(|s| (s.rows(), s.cols())).collect();
-    let kernel = super::kernels().row.get_or_lower(spec, &side_dims);
+fn block_exec(
+    spec: &RowSpec,
+    kernel: &RowKernel,
+    main: &Matrix,
+    sides: &[SideInput],
+    scalars: &[f64],
+) -> Matrix {
     let n = main.rows();
     let work = work_per_row(spec, main);
     // An mv-chain rereads its tile's main rows at once: keep them in L1.
@@ -753,7 +755,7 @@ fn block_exec(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f64
     };
     let band = || {
         (
-            BandCtx::new(&kernel, spec, sides, scalars, rb),
+            BandCtx::new(kernel, spec, sides, scalars, rb),
             RowReader::new(main, kernel.sparse_main_ok, rb),
         )
     };
@@ -1093,6 +1095,23 @@ mod tests {
     use fusedml_linalg::generate;
     use fusedml_linalg::ops::{self, AggDir, UnaryOp};
 
+    /// Runs `backend` over a kernel lowered under the bound sides' geometry.
+    fn run(
+        spec: &RowSpec,
+        main: &Matrix,
+        sides: &[SideInput],
+        scalars: &[f64],
+        backend: RowBackend,
+    ) -> Matrix {
+        let dims: Vec<(usize, usize)> = sides.iter().map(|s| (s.rows(), s.cols())).collect();
+        let kernel = block::compile_row_kernel(spec, &dims);
+        execute_with(spec, &kernel, main, sides, scalars, backend)
+    }
+
+    fn execute(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f64]) -> Matrix {
+        run(spec, main, sides, scalars, RowBackend::Block)
+    }
+
     /// Spec for `t(X) %*% (X %*% v)` — Row with ColAggMultAdd output.
     fn mv_chain_spec(m: usize) -> RowSpec {
         RowSpec {
@@ -1117,7 +1136,7 @@ mod tests {
         let x = generate::rand_dense(n, m, -1.0, 1.0, 1);
         let v = generate::rand_dense(m, 1, -1.0, 1.0, 2);
         for backend in [RowBackend::Interp, RowBackend::Block] {
-            let out = execute_with(&mv_chain_spec(m), &x, &[SideInput::bind(&v)], &[], backend);
+            let out = run(&mv_chain_spec(m), &x, &[SideInput::bind(&v)], &[], backend);
             let xv = ops::matmult(&x, &v);
             let expect = ops::matmult(&ops::transpose(&x), &xv);
             assert!(out.approx_eq(&expect, 1e-9), "{backend:?}: X^T(Xv) fused vs reference");
@@ -1130,7 +1149,7 @@ mod tests {
         let xs = generate::rand_matrix(n, m, -1.0, 1.0, 0.1, 3);
         let v = generate::rand_dense(m, 1, -1.0, 1.0, 4);
         for backend in [RowBackend::Interp, RowBackend::Block] {
-            let out = execute_with(&mv_chain_spec(m), &xs, &[SideInput::bind(&v)], &[], backend);
+            let out = run(&mv_chain_spec(m), &xs, &[SideInput::bind(&v)], &[], backend);
             let expect = ops::matmult(&ops::transpose(&xs), &ops::matmult(&xs, &v));
             assert!(out.approx_eq(&expect, 1e-9), "{backend:?}");
         }
@@ -1143,10 +1162,8 @@ mod tests {
         let (n, m) = (300, 25);
         let xs = generate::rand_matrix(n, m, -1.0, 1.0, 0.1, 5);
         let vs = generate::rand_matrix(m, 1, -1.0, 1.0, 0.4, 6);
-        let oracle =
-            execute_with(&mv_chain_spec(m), &xs, &[SideInput::bind(&vs)], &[], RowBackend::Interp);
-        let got =
-            execute_with(&mv_chain_spec(m), &xs, &[SideInput::bind(&vs)], &[], RowBackend::Block);
+        let oracle = run(&mv_chain_spec(m), &xs, &[SideInput::bind(&vs)], &[], RowBackend::Interp);
+        let got = run(&mv_chain_spec(m), &xs, &[SideInput::bind(&vs)], &[], RowBackend::Block);
         assert!(got.approx_eq(&oracle, 1e-9));
     }
 
@@ -1175,7 +1192,7 @@ mod tests {
             out_cols: m,
         };
         for backend in [RowBackend::Interp, RowBackend::Block] {
-            let out = execute_with(&spec, &x, &[], &[], backend);
+            let out = run(&spec, &x, &[], &[], backend);
             let expect = ops::binary_scalar(&x, 2.0, BinaryOp::Mult);
             assert!(out.approx_eq(&expect, 1e-12), "{backend:?}");
         }
@@ -1196,7 +1213,7 @@ mod tests {
             out_cols: m,
         };
         for backend in [RowBackend::Interp, RowBackend::Block] {
-            let out = execute_with(&spec, &x, &[], &[], backend);
+            let out = run(&spec, &x, &[], &[], backend);
             let expect = ops::agg(&x, AggOp::Sum, AggDir::Col);
             assert!(out.approx_eq(&expect, 1e-9), "{backend:?}");
         }
@@ -1222,7 +1239,7 @@ mod tests {
             out_cols: k,
         };
         for backend in [RowBackend::Interp, RowBackend::Block] {
-            let out = execute_with(&spec, &x, &[SideInput::bind(&v)], &[], backend);
+            let out = run(&spec, &x, &[SideInput::bind(&v)], &[], backend);
             let expect = ops::matmult(&ops::transpose(&x), &ops::matmult(&x, &v));
             assert!(out.approx_eq(&expect, 1e-9), "{backend:?}");
         }
@@ -1249,8 +1266,8 @@ mod tests {
             out_cols: k,
         };
         let sides = [SideInput::bind(&v)];
-        let oracle = execute_with(&spec, &x, &sides, &[], RowBackend::Interp);
-        let got = execute_with(&spec, &x, &sides, &[], RowBackend::Block);
+        let oracle = run(&spec, &x, &sides, &[], RowBackend::Interp);
+        let got = run(&spec, &x, &sides, &[], RowBackend::Block);
         assert!(got.approx_eq(&oracle, 1e-9));
     }
 

@@ -1,7 +1,7 @@
 //! The one cell-iteration driver under the Cell, MAgg and Outer skeletons.
 //!
-//! A `CellPass` is built once per operator run. It resolves the lowered
-//! [`BlockKernel`] from the owning engine's caches, walks the main input by
+//! A `CellPass` is built once per operator run over the lowered
+//! [`BlockKernel`] the operator carries. It walks the main input by
 //! dense row ranges or by CSR non-zeros, gives each worker one set of pooled
 //! state, and hands every tile of positions to an output sink
 //! (`super::CellSinks`) as a `Tile` view — the tile interpreter's result
@@ -19,22 +19,15 @@ use super::{CellSinks, PassInput};
 use crate::side::SideInput;
 use fusedml_linalg::ops::AggOp;
 use fusedml_linalg::{par, pool, simd, DenseMatrix, Matrix, SparseMatrix};
-use std::sync::Arc;
 
 use fusedml_core::spoof::block::{
-    fold_result, write_result, BlockEval, BlockKernel, CellBackend, OpRef, TileCtx, TileSrc,
+    clamp_tile_width, fold_result, write_result, BlockEval, BlockKernel, CellBackend, OpRef,
+    TileCtx, TileSrc,
 };
 use fusedml_core::spoof::mono::{self, Product};
 use fusedml_core::spoof::{Reg, SideAccess};
 
-/// Maximum distinct `(side, access)` gathers the tile path supports; kernels
-/// beyond this run the per-cell scalar pass.
-pub const MAX_GATHERS: usize = 16;
-
-/// True if the kernel's gather list fits the tile path.
-pub fn supported(kernel: &BlockKernel) -> bool {
-    kernel.block.gathers.len() <= MAX_GATHERS
-}
+pub use fusedml_core::spoof::block::MAX_GATHERS;
 
 /// The column positions of one tile: a contiguous range under dense
 /// iteration, the column indices of a run of non-zeros under CSR iteration.
@@ -128,7 +121,7 @@ impl<'t> Tile<'t> {
 /// One pass over the cells (or, when the program is sparse-safe and the main
 /// is CSR, the non-zeros) of a main input; see the module docs.
 pub(crate) struct CellPass<'a> {
-    kernel: Arc<BlockKernel>,
+    kernel: &'a BlockKernel,
     width: usize,
     main: Option<&'a Matrix>,
     /// The main input when it is iterated non-zero by non-zero.
@@ -156,12 +149,10 @@ impl<'a> CellPass<'a> {
         if backend == CellBackend::Scalar {
             return None;
         }
-        let caches = super::kernels();
-        let kernel = caches.block.get_or_lower(input.prog);
-        if !supported(&kernel) {
+        let PassInput { kernel, regs, main, sides, scalars, rows, cols, factors, .. } = input;
+        if !kernel.tiled() {
             return None;
         }
-        let PassInput { regs, main, sides, scalars, rows, cols, factors, .. } = input;
         let csr = input.csr();
         debug_assert!(csr.is_none_or(|x| (x.rows(), x.cols()) == (rows, cols)));
         let specialize = backend == CellBackend::Mono;
@@ -169,7 +160,7 @@ impl<'a> CellPass<'a> {
         let work = input.work();
         Some(CellPass {
             kernel,
-            width: caches.tile_width,
+            width: clamp_tile_width(kernel.width),
             main,
             csr,
             sides,
@@ -205,7 +196,7 @@ impl<'a> CellPass<'a> {
     /// Walks rows `lo..hi` on the calling thread, one `sink` call per tile.
     fn walk(&self, lo: usize, hi: usize, mut sink: impl FnMut(&mut Tile<'_>)) {
         let (width, cols) = (self.width, self.cols);
-        let mut tr = TileRunner::new(&self.kernel, self.sides, self.scalars, cols, width);
+        let mut tr = TileRunner::new(self.kernel, self.sides, self.scalars, cols, width);
         let mut uv = pool::take_zeroed(if self.factors.is_some() { width } else { 0 });
         let mut scratch = pool::take_zeroed(width);
         let mut emit = |ev: &BlockEval, ctx: &TileCtx<'_>, n, row, at| {
@@ -525,7 +516,7 @@ impl<'k, 's> TileRunner<'k, 's> {
         width: usize,
     ) -> Self {
         let bp = &kernel.block;
-        assert!(bp.gathers.len() <= MAX_GATHERS, "gather count exceeds tile path");
+        assert!(kernel.tiled(), "gather count exceeds tile path");
         let mut eval = BlockEval::new(bp, width);
         eval.set_invariants(bp, &|i, acc| sides[i].value_at(acc, 0, 0), scalars);
         let mut side_rows = Vec::with_capacity(bp.gathers.len());

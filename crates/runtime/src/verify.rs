@@ -23,7 +23,8 @@
 //!    agreement, vector instructions confined to the Row template, hoisted
 //!    Row invariants provably loop-invariant, and `sparse_safe` /
 //!    `sparse_main_ok` claims re-derived (structurally and by a numeric
-//!    zero-probe of the compiled program).
+//!    zero-probe of the compiled program), and the kernel the operator
+//!    carries audited, then compared with a fresh lowering.
 //! 4. **Task-graph layer** ([`check_task_graph`]): read-occurrence refcounts
 //!    recomputed from the task dependencies (and cross-checked against the
 //!    liveness consumer counts in `Base` mode), per-task output-byte
@@ -42,11 +43,11 @@
 //! script never re-verifies.
 
 use crate::schedule::{TaskGraph, TaskKind};
+use fusedml_core::codegen::GeneratedOperator;
 use fusedml_core::cplan::{CNode, CPlan, CellAggKind, NodeId, OutputSpec, RowOutKind};
 use fusedml_core::optimizer::{FusedOperator, FusionPlan};
 use fusedml_core::spoof::block::{
-    compile_kernel, compile_row_kernel, row_invariant_load, whole_vector_load, BlockKernel,
-    RowKernel,
+    row_invariant_load, whole_vector_load, BlockKernel, Kernel, RowKernel,
 };
 use fusedml_core::spoof::mono;
 use fusedml_core::spoof::{eval_scalar_program, FusedSpec, Instr, Program, RowOut, SideAccess};
@@ -99,6 +100,10 @@ pub enum VerifyError {
     /// block program re-derives (or one is stored where none re-derives,
     /// or none where one does).
     MonoShapeMismatch { op_ix: usize, detail: String },
+    /// A generated operator's stored kernel or kernel class is not what
+    /// lowering its program under the plan's side geometry gives, so the
+    /// kernel that would run is not the one the audits vouched for.
+    StaleKernel { op_ix: usize, detail: String },
     /// A spill-eligibility flag is unsound: a leaf or sub-threshold value
     /// marked eligible, or an eligible intermediate marked not.
     SpillEligibility { hop: u32, detail: String },
@@ -158,6 +163,9 @@ impl fmt::Display for VerifyError {
             ),
             VerifyError::MonoShapeMismatch { op_ix, detail } => {
                 write!(f, "operator #{op_ix}: mono shape audit failed: {detail}")
+            }
+            VerifyError::StaleKernel { op_ix, detail } => {
+                write!(f, "operator #{op_ix}: stored kernel is stale: {detail}")
             }
             VerifyError::TaskBytesMismatch { task, expected, stored } => write!(
                 f,
@@ -348,7 +356,7 @@ fn check_operator(dag: &HopDag, op_ix: usize, f: &FusedOperator) -> Result<(), V
     check_cplan_inputs(dag, op_ix, cp)?;
     check_cplan_nodes(op_ix, cp)?;
     check_output_spec(dag, op_ix, f)?;
-    check_spec(op_ix, cp, &f.op.spec)?;
+    check_spec(op_ix, cp, &f.op)?;
     Ok(())
 }
 
@@ -957,10 +965,16 @@ fn check_program(cx: &ProgCx<'_>, prog: &Program) -> Result<Defs, VerifyError> {
     Ok(Defs { scalar: sdef, vector: vdef })
 }
 
-/// Spec ↔ CPlan agreement plus program soundness and sparse-claim
-/// re-derivation for one compiled operator.
-fn check_spec(op_ix: usize, cp: &CPlan, spec: &FusedSpec) -> Result<(), VerifyError> {
+/// Spec ↔ CPlan agreement, program soundness, sparse-claim re-derivation and
+/// the audit of the stored kernel for one compiled operator.
+fn check_spec(op_ix: usize, cp: &CPlan, op: &GeneratedOperator) -> Result<(), VerifyError> {
+    let spec = &op.spec;
     let ill = |detail: String| VerifyError::IllegalTemplate { op_ix, detail };
+    let stale = |detail: &str| VerifyError::StaleKernel { op_ix, detail: detail.to_string() };
+    let block_kernel = || match &op.kernel {
+        Kernel::Block(k) => Ok(k),
+        Kernel::Row(_) => Err(stale("a row kernel on a block template")),
+    };
     let spec_ttype = match spec {
         FusedSpec::Cell(_) => TemplateType::Cell,
         FusedSpec::MAgg(_) => TemplateType::MAgg,
@@ -1008,7 +1022,7 @@ fn check_spec(op_ix: usize, cp: &CPlan, spec: &FusedSpec) -> Result<(), VerifyEr
         FusedSpec::Cell(c) => {
             result_s(c.result, "cell result")?;
             check_sparse_claim(op_ix, cp, prog, &[c.result], c.sparse_safe)?;
-            check_mono_shapes(op_ix, &compile_kernel(prog), &[c.result])?;
+            check_mono_shapes(op_ix, block_kernel()?, &[c.result])?;
         }
         FusedSpec::MAgg(m) => {
             if m.results.is_empty() {
@@ -1019,7 +1033,7 @@ fn check_spec(op_ix: usize, cp: &CPlan, spec: &FusedSpec) -> Result<(), VerifyEr
             }
             let regs: Vec<u16> = m.results.iter().map(|&(r, _)| r).collect();
             check_sparse_claim(op_ix, cp, prog, &regs, m.sparse_safe)?;
-            check_mono_shapes(op_ix, &compile_kernel(prog), &regs)?;
+            check_mono_shapes(op_ix, block_kernel()?, &regs)?;
         }
         FusedSpec::Outer(o) => {
             result_s(o.result, "outer result")?;
@@ -1035,7 +1049,7 @@ fn check_spec(op_ix: usize, cp: &CPlan, spec: &FusedSpec) -> Result<(), VerifyEr
                 None => return Err(ill("Outer spec without a plan UV binding".into())),
             }
             check_sparse_claim(op_ix, cp, prog, &[o.result], o.sparse_safe)?;
-            check_mono_shapes(op_ix, &compile_kernel(prog), &[o.result])?;
+            check_mono_shapes(op_ix, block_kernel()?, &[o.result])?;
         }
         FusedSpec::Row(r) => {
             if (r.out_rows, r.out_cols) != (cp.out_rows, cp.out_cols) {
@@ -1062,11 +1076,23 @@ fn check_spec(op_ix: usize, cp: &CPlan, spec: &FusedSpec) -> Result<(), VerifyEr
                     result_s(scalar, "row output")?;
                 }
             }
-            // Re-lower the kernel under the plan's side geometry and audit
-            // the hoisting + sparse-row classification.
-            let kernel = compile_row_kernel(r, &cp.side_dims);
-            check_row_kernel(op_ix, r, &cp.side_dims, &kernel)?;
+            // Audit the stored kernel's hoisting + sparse-row classification.
+            let Kernel::Row(kernel) = &op.kernel else {
+                return Err(stale("a block kernel on a Row template"));
+            };
+            check_row_kernel(op_ix, r, &cp.side_dims, kernel)?;
         }
+    }
+    // The audits above see only what a kernel claims of itself; a kernel
+    // lowered for another program or under other side dims passes them.
+    // What runs must be what lowering gives now.
+    let fresh =
+        GeneratedOperator::new(String::new(), String::new(), spec.clone(), 0, &cp.side_dims);
+    if op.kernel != fresh.kernel {
+        return Err(stale("not the lowering of its program under the plan's side dims"));
+    }
+    if op.class != fresh.class {
+        return Err(stale(&format!("class {:?}, lowering gives {:?}", op.class, fresh.class)));
     }
     Ok(())
 }

@@ -20,7 +20,7 @@
 
 mod common;
 
-use fusedml_core::spoof::block::{compile_kernel, CellBackend};
+use fusedml_core::spoof::block::{compile_kernel, BlockKernel, CellBackend};
 use fusedml_core::spoof::{
     CellAgg, CellSpec, Instr, MAggSpec, OuterOut, OuterSpec, Program, SideAccess,
 };
@@ -159,6 +159,7 @@ fn cell_block_backends_match_scalar_oracle_on_random_programs() {
     for seed in 0..120u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let prog = random_program(&mut rng, false);
+        let kernel = compile_kernel(&prog);
         let inputs = random_inputs(&mut rng, seed);
         let result = prog.n_regs - 1;
         let agg = match rng.gen_range(0..4u32) {
@@ -183,6 +184,7 @@ fn cell_block_backends_match_scalar_oracle_on_random_programs() {
             let sides: Vec<SideInput> = inputs.sides.iter().map(SideInput::bind).collect();
             let oracle = cellwise::execute_with(
                 &spec,
+                &kernel,
                 Some(main),
                 &sides,
                 &inputs.scalars,
@@ -193,6 +195,7 @@ fn cell_block_backends_match_scalar_oracle_on_random_programs() {
             for backend in [CellBackend::Block, CellBackend::Mono] {
                 let got = cellwise::execute_with(
                     &spec,
+                    &kernel,
                     Some(main),
                     &sides,
                     &inputs.scalars,
@@ -218,6 +221,7 @@ fn multiagg_block_backends_match_scalar_oracle_on_random_programs() {
     for seed in 1000..1080u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let prog = random_program(&mut rng, false);
+        let kernel = compile_kernel(&prog);
         let inputs = random_inputs(&mut rng, seed);
         let k = rng.gen_range(1..4usize);
         let results: Vec<(u16, AggOp)> =
@@ -229,6 +233,7 @@ fn multiagg_block_backends_match_scalar_oracle_on_random_programs() {
             let sides: Vec<SideInput> = inputs.sides.iter().map(SideInput::bind).collect();
             let oracle = multiagg::execute_with(
                 &spec,
+                &kernel,
                 Some(main),
                 &sides,
                 &inputs.scalars,
@@ -239,6 +244,7 @@ fn multiagg_block_backends_match_scalar_oracle_on_random_programs() {
             for backend in [CellBackend::Block, CellBackend::Mono] {
                 let got = multiagg::execute_with(
                     &spec,
+                    &kernel,
                     Some(main),
                     &sides,
                     &inputs.scalars,
@@ -271,6 +277,7 @@ fn outer_block_backends_match_scalar_oracle_on_random_programs() {
     for seed in 2000..2060u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let prog = random_program(&mut rng, true);
+        let kernel = compile_kernel(&prog);
         let inputs = random_inputs(&mut rng, seed);
         let rank = rng.gen_range(1..9usize);
         let mut bound = inputs.sides.clone();
@@ -303,6 +310,7 @@ fn outer_block_backends_match_scalar_oracle_on_random_programs() {
                 let run = |backend| {
                     outerprod::execute_with(
                         &spec,
+                        &kernel,
                         Some(main),
                         &sides,
                         &inputs.scalars,
@@ -373,7 +381,8 @@ fn product_chains_agree_between_mono_and_tile_interpreter() {
             result = n + leaf - 1;
         }
         let prog = Program { instrs, n_regs: result.max(n - 1) + 1, vreg_lens: vec![] };
-        assert!(compile_kernel(&prog).mono_for(result).is_some());
+        let kernel = compile_kernel(&prog);
+        assert!(kernel.mono_for(result).is_some());
         for seed in [7u64, 8, 9] {
             let inputs = random_inputs(&mut StdRng::seed_from_u64(seed + ci as u64), seed);
             let sides: Vec<SideInput> = inputs.sides.iter().map(SideInput::bind).collect();
@@ -383,6 +392,7 @@ fn product_chains_agree_between_mono_and_tile_interpreter() {
                     let run = |backend| {
                         cellwise::execute_with(
                             &spec,
+                            &kernel,
                             Some(main),
                             &sides,
                             &inputs.scalars,
@@ -449,7 +459,7 @@ fn magg_mixes_a_product_chain_with_an_interpreted_result() {
                 MAggSpec { prog: prog.clone(), results: vec![(4, op), (6, op)], sparse_safe };
             let run = |backend, threads| {
                 let _limit = par::limit_current_thread(threads);
-                multiagg::execute_with(&spec, Some(main), &sides, &[], rows, cols, backend)
+                multiagg::execute_with(&spec, &kernel, Some(main), &sides, &[], rows, cols, backend)
             };
             let oracle = run(CellBackend::Scalar, 1);
             for backend in [CellBackend::Block, CellBackend::Mono] {
@@ -522,7 +532,7 @@ fn magg_fuses_product_sums_bitwise_the_per_result_folds() {
             let run = |results: &[(u16, AggOp)], backend, threads| {
                 let _limit = par::limit_current_thread(threads);
                 let spec = MAggSpec { prog: prog.clone(), results: results.to_vec(), sparse_safe };
-                multiagg::execute_with(&spec, Some(main), &sides, &[], rows, cols, backend)
+                multiagg::execute_with(&spec, &kernel, Some(main), &sides, &[], rows, cols, backend)
             };
             let oracle = run(results, CellBackend::Scalar, 1);
             for threads in [1, 2] {
@@ -577,10 +587,11 @@ fn no_agg_overwrites_every_slot_of_a_recycled_output() {
             n_regs: 3,
             vreg_lens: vec![],
         };
-        assert_eq!(compile_kernel(&prog).mono_for(2).is_some(), op == BinaryOp::Mult);
+        let kernel = compile_kernel(&prog);
+        assert_eq!(kernel.mono_for(2).is_some(), op == BinaryOp::Mult);
         let spec = CellSpec { prog, result: 2, agg: CellAgg::NoAgg, sparse_safe: false };
         let run = |main: &Matrix, backend| {
-            cellwise::execute_with(&spec, Some(main), &sides, &[], rows, cols, backend)
+            cellwise::execute_with(&spec, &kernel, Some(main), &sides, &[], rows, cols, backend)
         };
         let oracle = run(&x2, CellBackend::Scalar);
         for backend in [CellBackend::Block, CellBackend::Mono] {
@@ -608,14 +619,13 @@ fn no_agg_overwrites_every_slot_of_a_recycled_output() {
 }
 
 /// Sweeping the tile width (including widths far from the default and ones
-/// that never divide the column counts) must not change results. Widths are
-/// per-engine configuration now: each sweep point installs a fresh
-/// [`KernelCaches`] scope instead of mutating process globals.
+/// that never divide the column counts) must not change results. Each sweep
+/// point sets the width on the kernel it lowers.
 #[test]
 fn tile_width_sweep_preserves_results() {
-    use fusedml_core::plancache::KernelCaches;
     let mut rng = StdRng::seed_from_u64(9000);
     let prog = random_program(&mut rng, false);
+    let mut kernel = compile_kernel(&prog);
     let inputs = random_inputs(&mut rng, 9000);
     let spec = CellSpec {
         prog: prog.clone(),
@@ -626,6 +636,7 @@ fn tile_width_sweep_preserves_results() {
     let sides: Vec<SideInput> = inputs.sides.iter().map(SideInput::bind).collect();
     let oracle = cellwise::execute_with(
         &spec,
+        &kernel,
         Some(&inputs.dense_main),
         &sides,
         &inputs.scalars,
@@ -634,11 +645,11 @@ fn tile_width_sweep_preserves_results() {
         CellBackend::Scalar,
     );
     for width in [8, 33, 100, 256, 1024] {
+        kernel.width = width;
         for backend in [CellBackend::Block, CellBackend::Mono] {
-            let caches = KernelCaches::with_config(16, width);
-            let _scope = fusedml_runtime::spoof::enter_kernels(&caches);
             let got = cellwise::execute_with(
                 &spec,
+                &kernel,
                 Some(&inputs.dense_main),
                 &sides,
                 &inputs.scalars,
@@ -694,9 +705,11 @@ fn csr_where(d: &Matrix, keep: impl Fn(usize, usize) -> bool) -> Matrix {
 
 /// One set of inputs for the grid operators. Outer runs all of `prog`, which
 /// ends in `LoadUVDot` and a multiply by it, with `(U, V, rank)` at `uv`;
-/// Cell and MAgg run the instructions before those two.
+/// Cell and MAgg run the instructions before those two, every kernel at tile
+/// width `width`.
 struct Grid<'a> {
     prog: Program,
+    width: usize,
     maggs: Vec<(u16, AggOp)>,
     sides: &'a [SideInput],
     uv: (usize, usize, usize),
@@ -721,15 +734,20 @@ impl Grid<'_> {
             n_regs: n_cell as u16,
             vreg_lens: vec![],
         };
+        let kernel = compile_kernel(match op {
+            GridOp::Outer(_) => &self.prog,
+            _ => &cell_prog,
+        });
+        let kernel = BlockKernel { width: self.width, ..kernel };
         match op {
             GridOp::Cell(agg) => {
                 let result = cell_prog.n_regs - 1;
                 let spec = CellSpec { prog: cell_prog, result, agg, sparse_safe };
-                vec![cellwise::execute_with(&spec, main, sides, &[], rows, cols, backend)]
+                vec![cellwise::execute_with(&spec, &kernel, main, sides, &[], rows, cols, backend)]
             }
             GridOp::MAgg => {
                 let spec = MAggSpec { prog: cell_prog, results: self.maggs.clone(), sparse_safe };
-                multiagg::execute_with(&spec, main, sides, &[], rows, cols, backend)
+                multiagg::execute_with(&spec, &kernel, main, sides, &[], rows, cols, backend)
             }
             GridOp::Outer(out) => {
                 let (u_side, v_side, rank) = self.uv;
@@ -742,7 +760,7 @@ impl Grid<'_> {
                     rank,
                     sparse_safe,
                 };
-                vec![outerprod::execute_with(&spec, main, sides, &[], rows, cols, backend)]
+                vec![outerprod::execute_with(&spec, &kernel, main, sides, &[], rows, cols, backend)]
             }
         }
     }
@@ -784,8 +802,8 @@ impl Grid<'_> {
     }
 }
 
-/// One `rows × cols` point of the grid under the scoped tile width: every
-/// sink, every main format.
+/// One `rows × cols` point of the grid at tile width `width`: every sink,
+/// every main format.
 fn grid_point(width: usize, rows: usize, cols: usize) {
     const RANK: usize = 3;
     let seed = (width * 1000 + cols) as u64;
@@ -807,6 +825,7 @@ fn grid_point(width: usize, rows: usize, cols: usize) {
     let sides: Vec<SideInput> = bound.iter().map(SideInput::bind).collect();
     let grid = Grid {
         prog: grid_program(),
+        width,
         maggs: vec![(5, AggOp::Sum), (6, AggOp::Max), (4, AggOp::Min), (6, AggOp::Mean)],
         sides: &sides,
         uv: (3, 4, RANK),
@@ -848,10 +867,7 @@ fn grid_point(width: usize, rows: usize, cols: usize) {
 /// with the other tests of this binary.
 #[test]
 fn every_sink_on_the_format_width_grid() {
-    use fusedml_core::plancache::KernelCaches;
     for width in [8usize, 33, 256] {
-        let caches = KernelCaches::with_config(16, width);
-        let _scope = fusedml_runtime::spoof::enter_kernels(&caches);
         for cols in [0, 1, width - 1, width, width + 1, 3 * width + 5] {
             // Three rows run inline; the second count clears the split
             // threshold even under the CSR work hint (`nnz / rows · 4` at a
@@ -910,11 +926,8 @@ fn divide_by_side_program() -> Program {
 /// spans four tiles of, on row counts either side of the `par` split.
 #[test]
 fn sparse_cell_sides_match_the_oracle_lookup() {
-    use fusedml_core::plancache::KernelCaches;
     const RANK: usize = 3;
     let width = 16;
-    let caches = KernelCaches::with_config(16, width);
-    let _scope = fusedml_runtime::spoof::enter_kernels(&caches);
     let cols = 3 * width + 5;
     let every_sink = [
         GridOp::Cell(CellAgg::NoAgg),
@@ -964,6 +977,7 @@ fn sparse_cell_sides_match_the_oracle_lookup() {
                     cell_sides.iter().chain(&factors).map(SideInput::bind).collect();
                 let grid = Grid {
                     prog,
+                    width,
                     maggs: vec![(result, AggOp::Sum), (result - 1, AggOp::Sum)],
                     sides: &sides,
                     uv: (n_sides, n_sides + 1, RANK),
@@ -1030,12 +1044,14 @@ fn sparse_cell_sides_match_the_oracle_lookup() {
 
 /// A kernel with more side gathers than the tile path supports runs the
 /// per-cell scalar pass in production: `main ⊙ (S0 + … + S16)` over 17
-/// `Cell` sides (every other one CSR) through the default `execute` entry
-/// points, against the `Base` kernels.
+/// `Cell` sides (every other one CSR) through `spoof::execute` on generated
+/// operators, against the `Base` kernels.
 #[test]
 fn seventeen_gathers_run_the_scalar_pass_against_base() {
+    use fusedml_core::codegen::GeneratedOperator;
+    use fusedml_core::spoof::FusedSpec;
     use fusedml_linalg::ops::{self, AggDir};
-    use fusedml_runtime::spoof::tiles;
+    use fusedml_runtime::spoof::{self, tiles};
     const SIDES: usize = tiles::MAX_GATHERS + 1;
     let (rows, cols) = (120, 40);
     let mut instrs = vec![Instr::LoadMain { out: 0 }];
@@ -1051,7 +1067,8 @@ fn seventeen_gathers_run_the_scalar_pass_against_base() {
     let result = sum + 1;
     instrs.push(Instr::Binary { out: result, op: BinaryOp::Mult, a: 0, b: sum });
     let prog = Program { instrs, n_regs: result + 1, vreg_lens: vec![] };
-    assert!(!tiles::supported(&compile_kernel(&prog)), "{SIDES} gathers fit the tile path");
+    assert!(!compile_kernel(&prog).tiled(), "{SIDES} gathers fit the tile path");
+    let operator = |spec| GeneratedOperator::new(String::new(), String::new(), spec, 0, &[]);
 
     let side_mats: Vec<Matrix> = (0..SIDES)
         .map(|i| {
@@ -1076,11 +1093,11 @@ fn seventeen_gathers_run_the_scalar_pass_against_base() {
             (CellAgg::RowAgg(AggOp::Min), ops::agg(&prod, AggOp::Min, AggDir::Row)),
             (CellAgg::FullAgg(AggOp::Sum), ops::agg(&prod, AggOp::Sum, AggDir::Full)),
         ];
-        let magg = MAggSpec {
+        let magg = operator(FusedSpec::MAgg(MAggSpec {
             prog: prog.clone(),
             results: vec![(result, AggOp::Sum), (result, AggOp::Min)],
             sparse_safe: true,
-        };
+        }));
         let magg_expect =
             [AggOp::Sum, AggOp::Min].map(|op| ops::agg(&prod, op, AggDir::Full).get(0, 0));
         for threads in [1, 2] {
@@ -1088,10 +1105,11 @@ fn seventeen_gathers_run_the_scalar_pass_against_base() {
             let what = format!("csr main {} on {threads} threads", main.is_sparse());
             for (agg, expect) in &cases {
                 let spec = CellSpec { prog: prog.clone(), result, agg: *agg, sparse_safe: true };
-                let out = cellwise::execute(&spec, Some(&main), &sides, &[], rows, cols);
+                let cell = operator(FusedSpec::Cell(spec));
+                let out = &spoof::execute(&cell, Some(&main), &sides, &[], rows, cols)[0];
                 assert!(out.approx_eq(expect, 1e-11), "{agg:?} {what}");
             }
-            let outs = multiagg::execute(&magg, Some(&main), &sides, &[], rows, cols);
+            let outs = spoof::execute(&magg, Some(&main), &sides, &[], rows, cols);
             for (out, expect) in outs.iter().zip(magg_expect) {
                 assert!(fusedml_linalg::approx_eq(out.get(0, 0), expect, 1e-11), "MAgg {what}");
             }
@@ -1137,6 +1155,7 @@ fn outer_tiles_are_bitwise_the_scalar_pass_at_every_rank() {
         n_regs: 6,
         vreg_lens: vec![],
     };
+    let kernel = compile_kernel(&prog);
     let dense =
         Matrix::dense(fusedml_linalg::DenseMatrix::new(rows, cols, eighths(rows * cols, 1)));
     // Short rows of one to three cells, rows of about twenty, one empty.
@@ -1173,7 +1192,16 @@ fn outer_tiles_are_bitwise_the_scalar_pass_at_every_rank() {
                 for threads in [1, 2] {
                     let run = |backend| {
                         let _limit = par::limit_current_thread(threads);
-                        outerprod::execute_with(&spec, Some(main), &sides, &[], rows, cols, backend)
+                        outerprod::execute_with(
+                            &spec,
+                            &kernel,
+                            Some(main),
+                            &sides,
+                            &[],
+                            rows,
+                            cols,
+                            backend,
+                        )
                     };
                     let oracle = run(CellBackend::Scalar);
                     for backend in [CellBackend::Block, CellBackend::Mono] {

@@ -91,7 +91,8 @@ fn concurrent_executes_agree_bitwise_with_sequential() {
 /// Repeated `execute` calls (including through freshly rebuilt DAGs, as an
 /// iterative algorithm would issue) hit the engine's plan/script caches with
 /// a 100% hit rate after the first call: zero re-optimization, zero new
-/// codegen, zero new kernel lowering.
+/// codegen, and so zero new kernel lowering (an operator is lowered where it
+/// is generated, on a plan-cache miss).
 #[test]
 fn repeated_execute_is_compile_free() {
     let (n, m, k) = (90, 16, 3);
@@ -100,8 +101,6 @@ fn repeated_execute_is_compile_free() {
     let _ = engine.execute(&mlogreg_dag(n, m, k), &bindings); // cold: compiles
     let opt_after_first = engine.optimizer().stats.snapshot();
     let plan_cache_after_first = engine.plan_cache().stats();
-    let block_after_first = engine.kernel_caches().block.stats();
-    let row_after_first = engine.kernel_caches().row.stats();
     assert_eq!(opt_after_first.dags_optimized, 1);
 
     for round in 0..10 {
@@ -115,16 +114,6 @@ fn repeated_execute_is_compile_free() {
         engine.plan_cache().stats().1,
         plan_cache_after_first.1,
         "no new operator compilations after the first call (100% hit rate)"
-    );
-    assert_eq!(
-        engine.kernel_caches().block.stats().1,
-        block_after_first.1,
-        "no new block-kernel lowering after the first call"
-    );
-    assert_eq!(
-        engine.kernel_caches().row.stats().1,
-        row_after_first.1,
-        "no new row-kernel lowering after the first call"
     );
 }
 
@@ -183,6 +172,37 @@ fn shape_revalidation_ignores_dead_nodes() {
     assert_eq!(engine.stats().plan_recompiles(), 1);
 }
 
+/// Two DAGs whose Row operators have equal nodes and differ only in a
+/// side's geometry (a row-aligned `n×8` side, a broadcast `1×8` row)
+/// compile to two operators, since the plan-cache key covers the side
+/// load's invariance, and each runs its own kernel: both agree with `Base`.
+#[test]
+fn side_geometry_gets_its_own_row_operator() {
+    let dag = |s_rows| {
+        let mut b = DagBuilder::new();
+        let x = b.read("X", 200, 30, 1.0);
+        let w = b.read("W", 30, 8, 1.0);
+        let s = b.read("S", s_rows, 8, 1.0);
+        let xw = b.mm(x, w);
+        let p = b.mult(xw, s);
+        let e = b.exp(p);
+        let r = b.row_sums(e);
+        b.build(vec![r])
+    };
+    let (gen, base) = (Engine::new(FusionMode::Gen), Engine::new(FusionMode::Base));
+    for s_rows in [200, 1] {
+        let bindings = bind(&[
+            ("X", generate::rand_dense(200, 30, -0.3, 0.3, 1)),
+            ("W", generate::rand_dense(30, 8, -0.3, 0.3, 2)),
+            ("S", generate::rand_dense(s_rows, 8, -1.0, 1.0, 3)),
+        ]);
+        let got = gen.execute(&dag(s_rows), &bindings).values()[0].as_matrix();
+        let want = base.execute(&dag(s_rows), &bindings).values()[0].as_matrix();
+        assert!(got.approx_eq(&want, 1e-9), "S is {s_rows}x8");
+    }
+    assert_eq!(gen.plan_cache().stats(), (0, 2), "one operator per side geometry");
+}
+
 /// Two engines with different configurations coexist in one process with
 /// fully isolated pools and caches.
 #[test]
@@ -197,8 +217,6 @@ fn engines_are_isolated() {
     assert_eq!(a.optimizer().stats.snapshot().dags_optimized, 1);
     assert_eq!(b.optimizer().stats.snapshot().dags_optimized, 0);
     assert_eq!(b.plan_cache().stats(), (0, 0));
-    assert_eq!(b.kernel_caches().block.stats(), (0, 0));
-    assert_eq!(b.kernel_caches().row.stats(), (0, 0));
     let bp = b.pool_stats();
     assert_eq!((bp.hits, bp.misses, bp.returns), (0, 0, 0), "pools are engine-owned");
     assert_eq!(b.stats().snapshot(), (0, 0, 0));

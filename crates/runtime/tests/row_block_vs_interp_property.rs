@@ -27,12 +27,25 @@
 
 mod common;
 
+use fusedml_core::spoof::block::compile_row_kernel;
 use fusedml_core::spoof::{Instr, Program, RowOut, RowSpec, SideAccess};
 use fusedml_linalg::ops::{AggOp, BinaryOp, TernaryOp, UnaryOp};
 use fusedml_linalg::{generate, Matrix};
 use fusedml_runtime::side::SideInput;
 use fusedml_runtime::spoof::rowwise::{self, RowBackend};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+/// Runs `backend` over a kernel lowered under the bound sides' geometry.
+fn run(
+    spec: &RowSpec,
+    main: &Matrix,
+    sides: &[SideInput],
+    scalars: &[f64],
+    backend: RowBackend,
+) -> Matrix {
+    let dims: Vec<(usize, usize)> = sides.iter().map(|s| (s.rows(), s.cols())).collect();
+    rowwise::execute_with(spec, &compile_row_kernel(spec, &dims), main, sides, scalars, backend)
+}
 
 /// Side layout (fixed across cases; densities vary):
 /// 0: m×k matrix (VecMatMult), 1: m×1 column vector (whole-vector loads),
@@ -289,10 +302,8 @@ fn row_block_backend_matches_interpreter_on_random_programs() {
         let spec = RowSpec { prog, out, out_rows, out_cols };
         let tol = if matches!(spec.out, RowOut::NoAgg { .. }) { 1e-11 } else { 1e-9 };
         for main in [&inputs.dense_main, &inputs.sparse_main] {
-            let oracle =
-                rowwise::execute_with(&spec, main, &sides, &inputs.scalars, RowBackend::Interp);
-            let got =
-                rowwise::execute_with(&spec, main, &sides, &inputs.scalars, RowBackend::Block);
+            let oracle = run(&spec, main, &sides, &inputs.scalars, RowBackend::Interp);
+            let got = run(&spec, main, &sides, &inputs.scalars, RowBackend::Block);
             assert!(
                 got.approx_eq(&oracle, tol),
                 "seed {seed}: block diverges from interpreter (out {:?}, \
@@ -338,8 +349,8 @@ fn mlogreg_pattern_all_modes_and_densities_agree() {
             generate::rand_matrix(m, 1, -1.0, 1.0, 0.5, 5),
         ] {
             let sides = [SideInput::bind(&v), SideInput::bind(&w)];
-            let oracle = rowwise::execute_with(&spec, &x, &sides, &[], RowBackend::Interp);
-            let got = rowwise::execute_with(&spec, &x, &sides, &[], RowBackend::Block);
+            let oracle = run(&spec, &x, &sides, &[], RowBackend::Interp);
+            let got = run(&spec, &x, &sides, &[], RowBackend::Block);
             assert!(
                 got.approx_eq(&oracle, 1e-9),
                 "sparse_x={}, sparse_v={}",
@@ -424,8 +435,8 @@ fn check_vmm(n: usize, m: usize, k: usize, out: usize) {
             generate::rand_matrix(m, k, -1.5, 1.5, 0.4, seed + 2),
         ] {
             let sides = [SideInput::bind(&v), SideInput::bind(&p)];
-            let oracle = rowwise::execute_with(&spec, &x, &sides, &[], RowBackend::Interp);
-            let got = rowwise::execute_with(&spec, &x, &sides, &[], RowBackend::Block);
+            let oracle = run(&spec, &x, &sides, &[], RowBackend::Interp);
+            let got = run(&spec, &x, &sides, &[], RowBackend::Block);
             let tol = if matches!(spec.out, RowOut::NoAgg { .. }) { 1e-11 } else { 1e-9 };
             assert!(
                 got.approx_eq(&oracle, tol),
@@ -497,8 +508,8 @@ fn autoencoder_chain_multiplies_non_main_registers() {
             };
             let ws = [w(m, h1, 1), w(h1, h2, 2), w(h2, m, 3)];
             let sides: Vec<SideInput> = ws.iter().map(SideInput::bind).collect();
-            let oracle = rowwise::execute_with(&spec(n), &x, &sides, &[], RowBackend::Interp);
-            let got = rowwise::execute_with(&spec(n), &x, &sides, &[], RowBackend::Block);
+            let oracle = run(&spec(n), &x, &sides, &[], RowBackend::Interp);
+            let got = run(&spec(n), &x, &sides, &[], RowBackend::Block);
             assert!(got.approx_eq(&oracle, 1e-11), "n={n} sparse_w={sparse_w}");
         }
     }
@@ -588,8 +599,8 @@ fn check_bits(prog: &Program, vecs: &[u16], main: &Matrix, sides: &[SideInput], 
     for (out, out_cols) in outs {
         let spec = RowSpec { prog: prog.clone(), out, out_rows: n, out_cols };
         let scalars = [0.75, -1.5];
-        let oracle = rowwise::execute_with(&spec, main, sides, &scalars, RowBackend::Interp);
-        let got = rowwise::execute_with(&spec, main, sides, &scalars, RowBackend::Block);
+        let oracle = run(&spec, main, sides, &scalars, RowBackend::Interp);
+        let got = run(&spec, main, sides, &scalars, RowBackend::Block);
         common::assert_bitwise(&got, &oracle, &format!("{what}, {:?}", spec.out));
     }
 }

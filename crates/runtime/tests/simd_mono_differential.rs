@@ -79,7 +79,9 @@ fn run(
     scalars: &[f64],
     backend: CellBackend,
 ) -> Matrix {
-    cellwise::execute_with(spec, Some(main), sides, scalars, main.rows(), main.cols(), backend)
+    let kernel = block::compile_kernel(&spec.prog);
+    let (rows, cols) = (main.rows(), main.cols());
+    cellwise::execute_with(spec, &kernel, Some(main), sides, scalars, rows, cols, backend)
 }
 
 fn assert_close(a: &Matrix, b: &Matrix, tol: f64, what: &str) {

@@ -8,9 +8,10 @@
 
 use std::sync::Arc;
 
+use fusedml_core::codegen::GeneratedOperator;
 use fusedml_core::optimizer::{optimize, FusionPlan};
-use fusedml_core::spoof::block::{compile_kernel, compile_row_kernel};
-use fusedml_core::spoof::mono::Product;
+use fusedml_core::spoof::block::{compile_kernel, compile_row_kernel, BlockKernel, Kernel};
+use fusedml_core::spoof::mono::{Product, ShapeClass};
 use fusedml_core::spoof::{FusedSpec, Instr, Program, RowOut, RowSpec, SideAccess};
 use fusedml_hop::liveness::{self, Liveness};
 use fusedml_hop::{DagBuilder, HopDag, HopId};
@@ -314,6 +315,31 @@ fn mono_shape_mismatch_rejected() {
         let err = check_mono_shapes(0, &kernel, &[2]).unwrap_err();
         assert!(matches!(err, VerifyError::MonoShapeMismatch { .. }), "got {err:?}");
     }
+}
+
+/// Corruption 17 — the kernel an operator carries is not the one its
+/// program lowers to. A product stored for the `exp` result fails the mono
+/// audit of the stored kernel; a kernel at another tile width, or a stored
+/// class the kernel does not run under, passes the audits and fails the
+/// comparison with a fresh lowering.
+#[test]
+fn stored_kernel_mutations_rejected() {
+    let corrupt = |mutate: &dyn Fn(&mut GeneratedOperator)| {
+        let mut a = artifacts(FusionMode::Gen);
+        mutate(Arc::make_mut(&mut a.plan.as_mut().unwrap().operators[0].op));
+        verify(&a).unwrap_err()
+    };
+    let block = |op: &mut GeneratedOperator, mutate: &dyn Fn(&mut BlockKernel)| match &mut op.kernel
+    {
+        Kernel::Block(k) => mutate(k),
+        Kernel::Row(_) => panic!("sum(exp(X)) must not compile as a Row operator"),
+    };
+    let err = corrupt(&|op| block(op, &|k| k.mono[1] = Some(Product { mains: 1, slots: vec![] })));
+    assert!(matches!(err, VerifyError::MonoShapeMismatch { .. }), "got {err:?}");
+    let err = corrupt(&|op| block(op, &|k| k.width = 8));
+    assert!(matches!(err, VerifyError::StaleKernel { .. }), "got {err:?}");
+    let err = corrupt(&|op| op.class = ShapeClass::RowTile);
+    assert!(matches!(err, VerifyError::StaleKernel { .. }), "got {err:?}");
 }
 
 /// The corrupted-artifact rejection also surfaces through the public

@@ -7,8 +7,8 @@
 //! workload: one optimized program, millions of requests. This example
 //! compiles the MLogreg scoring expression into a [`CompiledScript`] and
 //! drives it from a multi-threaded request loop; every worker shares the
-//! engine's buffer pool and kernel caches, and none of them ever re-runs
-//! the optimizer.
+//! engine's buffer pool and the script's compiled operators (each carrying
+//! its lowered kernel), and none of them ever re-runs the optimizer.
 //!
 //! The failure half: a deterministic fault plan injects a worker panic into
 //! exactly one request (`TaskPanic` at rate 1.0, fault budget 1). That
