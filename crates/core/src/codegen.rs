@@ -328,8 +328,6 @@ pub fn compile_spec(cplan: &CPlan) -> FusedSpec {
                 }
             },
             prog,
-            out_rows: cplan.out_rows,
-            out_cols: cplan.out_cols,
         }),
         OutputSpec::Outer { result, out } => {
             let (u_side, v_side, rank) = cplan.outer_uv.expect("outer plan has UV binding");

@@ -140,7 +140,9 @@ impl CPlan {
     /// same lanes every row (a broadcast row, a whole vector): that bit is
     /// the only side geometry Row lowering sees, so equal keys lower to
     /// equal kernels while the raw side dims (mini-batch row counts) stay
-    /// out of the key.
+    /// out of the key. The other side geometry codegen bakes into the spec
+    /// is hashed too: a vector-matrix product's width (its side's column
+    /// count, a register length) and the Outer UV binding with its rank.
     pub fn structural_hash(&self) -> u64 {
         let mut s = String::with_capacity(256);
         s.push_str(self.ttype.tag());
@@ -150,8 +152,14 @@ impl CPlan {
                 let invariant = row_invariant_load(&self.side_dims, side, cl, cu);
                 s.push_str(&format!("{cl}..{cu}:{invariant};"));
             }
+            if let CNode::VectMatMult { side, .. } = *n {
+                s.push_str(&format!("x{};", self.side_dims[side].1));
+            }
         }
-        s.push_str(&format!("|{:?}|{}x{}", self.output, self.iter_cols, self.out_cols));
+        s.push_str(&format!(
+            "|{:?}|{:?}|{}x{}",
+            self.output, self.outer_uv, self.iter_cols, self.out_cols
+        ));
         crate::util::fx_hash(&s)
     }
 
@@ -889,10 +897,13 @@ impl<'a> RowBuilder<'a> {
                         (RowOutKind::RowAgg { src: s }, self.n, 1)
                     }
                     AggDir::Col => {
+                        summed_over_rows(op)?;
                         let v = self.as_vector_node(inner)?;
+                        let v = if op == AggOp::SumSq { self.square(v) } else { v };
                         (RowOutKind::ColAgg { src: v }, 1, root.size.cols)
                     }
                     AggDir::Full => {
+                        summed_over_rows(op)?;
                         let s = self.scalarize_agg(inner, op)?;
                         (RowOutKind::FullAgg { src: s }, 1, 1)
                     }
@@ -977,6 +988,14 @@ impl<'a> RowBuilder<'a> {
         self.classes.insert(n, c);
     }
 
+    /// `n²`, of `n`'s class.
+    fn square(&mut self, n: NodeId) -> NodeId {
+        let cls = self.class(n);
+        let id = self.st.push(CNode::Unary { op: UnaryOp::Pow2, a: n });
+        self.set_class(id, cls);
+        id
+    }
+
     fn as_vector_node(&mut self, n: NodeId) -> Result<NodeId, ConstructError> {
         match self.class(n) {
             RClass::Vector(_) => Ok(n),
@@ -984,8 +1003,12 @@ impl<'a> RowBuilder<'a> {
         }
     }
 
+    /// The per-row scalar a row aggregate `op` gives: a vector reduces
+    /// through `VecAgg`, and a per-row scalar is a one-element row, its own
+    /// aggregate but under `SumSq`.
     fn scalarize_agg(&mut self, n: NodeId, op: AggOp) -> Result<NodeId, ConstructError> {
         match self.class(n) {
+            RClass::Scalar if op == AggOp::SumSq => Ok(self.square(n)),
             RClass::Scalar => Ok(n),
             RClass::Vector(_) => {
                 let id = self.st.push(CNode::VecAgg { op, a: n });
@@ -1194,5 +1217,15 @@ impl<'a> RowBuilder<'a> {
             "Row side input {id} of shape {r}x{c} not row-alignable to n={}",
             self.n
         )))
+    }
+}
+
+/// A column or full aggregate a Row operator computes must be a sum over
+/// rows of per-row terms: its `ColAgg` / `FullAgg` outputs add rows up, so
+/// `Min`, `Max` and `Mean` across rows have no Row form.
+fn summed_over_rows(op: AggOp) -> Result<(), ConstructError> {
+    match op {
+        AggOp::Sum | AggOp::SumSq => Ok(()),
+        _ => Err(ConstructError(format!("a {op:?} across rows is not a sum of per-row terms"))),
     }
 }

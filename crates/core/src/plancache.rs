@@ -7,8 +7,8 @@
 //! cumulative compilation time, which the Figure 11 and Table 3 harnesses
 //! report. A generated operator carries its lowered kernel (lowered by
 //! `codegen::generate`), so this is the one cache of compiled state: the
-//! key covers everything lowering reads, and a hit is also a kernel that is
-//! not lowered again.
+//! key covers everything codegen and lowering read but the row count, and
+//! a hit is also a kernel that is not lowered again.
 //!
 //! The cache is not process-wide: each `fusedml_runtime::Engine` owns one,
 //! so engines with different configurations never share compiled state.

@@ -1154,8 +1154,6 @@ mod tests {
                 vreg_lens: vec![m, m],
             },
             out: RowOut::ColAggMultAdd { vec: 0, scalar: 2 },
-            out_rows: m,
-            out_cols: 1,
         }
     }
 
@@ -1188,8 +1186,6 @@ mod tests {
                 vreg_lens: vec![8, 8],
             },
             out: RowOut::NoAgg { src: 1 },
-            out_rows: 4,
-            out_cols: 8,
         };
         let k = compile_row_kernel(&spec, &[]);
         assert!(!k.sparse_main_ok);

@@ -174,9 +174,6 @@ pub struct MAggSpec {
 pub struct RowSpec {
     pub prog: Program,
     pub out: RowOut,
-    /// Output geometry (rows, cols) as inferred from the covered HOPs.
-    pub out_rows: usize,
-    pub out_cols: usize,
 }
 
 /// Specification of a compiled Outer-template operator.

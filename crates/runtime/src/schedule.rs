@@ -158,6 +158,7 @@ pub struct ExecCtx<'a> {
 }
 
 /// What one task executes.
+#[derive(PartialEq)]
 pub(crate) enum TaskKind {
     /// A single basic operator.
     Basic(HopId),
@@ -166,6 +167,7 @@ pub(crate) enum TaskKind {
 }
 
 /// One schedulable unit.
+#[derive(PartialEq)]
 pub(crate) struct Task {
     pub(crate) kind: TaskKind,
     /// Input hops in gather order (for fused ops: main, sides, scalars).
@@ -183,13 +185,13 @@ pub(crate) struct Task {
 pub struct TaskGraph {
     pub(crate) tasks: Vec<Task>,
     /// Demanded leaf hops, materialized inline before scheduling.
-    leaves: Vec<HopId>,
+    pub(crate) leaves: Vec<HopId>,
     /// Per hop: total read occurrences across tasks, +1 for DAG roots.
     pub(crate) reads: Vec<u32>,
     /// Per task: number of distinct producer tasks that must finish first.
     pub(crate) n_producers: Vec<u32>,
     /// Widest set of same-level tasks (parallelism upper bound).
-    max_width: usize,
+    pub(crate) max_width: usize,
     /// Per hop: the tasks reading it. Victim scoring derives a value's next
     /// use from the levels of its unfinished consumers.
     pub(crate) consumers_of: Vec<Vec<usize>>,
@@ -201,8 +203,7 @@ pub struct TaskGraph {
     /// are caller-owned `Arc` clones (spilling frees nothing), and
     /// sub-threshold values churn the spill tier for no relief. The victim
     /// picker re-checks the dynamic conditions (unique ownership, actual
-    /// size) at eviction time; this flag is the static precondition the
-    /// verifier re-derives.
+    /// size) at eviction time; this flag is their static precondition.
     pub(crate) spill_ok: Vec<bool>,
     /// Per task: the planner's sharding decision (`None` = run locally).
     /// Only ever `Some` for fused tasks; the verifier re-derives each spec

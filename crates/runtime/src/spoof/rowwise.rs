@@ -734,6 +734,20 @@ fn tiles(lo: usize, hi: usize, rb: usize) -> impl Iterator<Item = (usize, usize)
     (lo..hi).step_by(rb).map(move |r0| (r0, rb.min(hi - r0)))
 }
 
+/// The output dims over an `n`-row main input: the variant's shape, its
+/// vector widths the lengths of the registers it writes.
+fn out_dims(spec: &RowSpec, n: usize) -> (usize, usize) {
+    let len = |v: u16| spec.prog.vreg_lens[v as usize];
+    match spec.out {
+        RowOut::NoAgg { src } => (n, len(src)),
+        RowOut::RowAgg { .. } => (n, 1),
+        RowOut::ColAgg { src } => (1, len(src)),
+        RowOut::FullAgg { .. } => (1, 1),
+        RowOut::OuterColAgg { left, right } => (len(left), len(right)),
+        RowOut::ColAggMultAdd { vec, .. } => (len(vec), 1),
+    }
+}
+
 fn block_exec(
     spec: &RowSpec,
     kernel: &RowKernel,
@@ -742,6 +756,7 @@ fn block_exec(
     scalars: &[f64],
 ) -> Matrix {
     let n = main.rows();
+    let (orows, ocols) = out_dims(spec, n);
     let work = work_per_row(spec, main);
     // An mv-chain rereads its tile's main rows at once: keep them in L1.
     let rb = if kernel.shape.is_some() {
@@ -768,17 +783,16 @@ fn block_exec(
     };
     match &spec.out {
         RowOut::NoAgg { src } => {
-            let k = spec.out_cols;
-            let mut out = pool::take_zeroed(n * k);
-            par::par_row_bands_mut(&mut out, n, k, work, |b0, rows| {
+            let mut out = pool::take_zeroed(n * ocols);
+            par::par_row_bands_mut(&mut out, n, ocols, work, |b0, rows| {
                 let (mut ctx, mut rr) = band();
-                for (r0, h) in tiles(0, rows.len() / k.max(1), rb) {
+                for (r0, h) in tiles(0, rows.len() / ocols.max(1), rb) {
                     let view = rr.tile(b0 + r0, h);
                     ctx.run_tile(b0 + r0, h, view);
-                    ctx.write_tile(*src, b0 + r0, h, view, &mut rows[r0 * k..(r0 + h) * k]);
+                    ctx.write_tile(*src, b0 + r0, h, view, &mut rows[r0 * ocols..(r0 + h) * ocols]);
                 }
             });
-            Matrix::dense(DenseMatrix::new(n, k, out))
+            Matrix::dense(DenseMatrix::new(n, ocols, out))
         }
         RowOut::RowAgg { src } => {
             let mut out = pool::take_zeroed(n);
@@ -795,14 +809,13 @@ fn block_exec(
             Matrix::dense(DenseMatrix::new(n, 1, out))
         }
         RowOut::ColAgg { src } => {
-            let k = spec.out_cols;
             let acc = par::par_map_reduce(
                 n,
                 work,
-                pool::take_zeroed(k),
+                pool::take_zeroed(ocols),
                 |lo, hi| {
                     let (mut ctx, mut rr) = band();
-                    let mut acc = pool::take_zeroed(k);
+                    let mut acc = pool::take_zeroed(ocols);
                     for (r0, h) in tiles(lo, hi, rb) {
                         let view = rr.tile(r0, h);
                         ctx.run_tile(r0, h, view);
@@ -812,7 +825,7 @@ fn block_exec(
                 },
                 add_reduce,
             );
-            Matrix::dense(DenseMatrix::new(1, k, acc))
+            Matrix::dense(DenseMatrix::new(1, ocols, acc))
         }
         RowOut::FullAgg { src } => {
             let acc = par::par_map_reduce(
@@ -835,7 +848,6 @@ fn block_exec(
             Matrix::dense(DenseMatrix::filled(1, 1, acc))
         }
         RowOut::OuterColAgg { left, right } => {
-            let (orows, ocols) = (spec.out_rows, spec.out_cols);
             let acc = par::par_map_reduce(
                 n,
                 work,
@@ -855,7 +867,6 @@ fn block_exec(
             Matrix::dense(DenseMatrix::new(orows, ocols, acc))
         }
         RowOut::ColAggMultAdd { vec, scalar } => {
-            let orows = spec.out_rows;
             let acc = par::par_map_reduce(
                 n,
                 work,
@@ -897,14 +908,7 @@ fn interp_exec(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f6
             used.then(|| sides[s].to_dense_values())
         })
         .collect();
-    let (orows, ocols) = match spec.out {
-        RowOut::NoAgg { .. } => (n, spec.out_cols),
-        RowOut::RowAgg { .. } => (n, 1),
-        RowOut::ColAgg { .. } => (1, spec.out_cols),
-        RowOut::FullAgg { .. } => (1, 1),
-        RowOut::OuterColAgg { .. } => (spec.out_rows, spec.out_cols),
-        RowOut::ColAggMultAdd { .. } => (spec.out_rows, 1),
-    };
+    let (orows, ocols) = out_dims(spec, n);
     let mut out = vec![0.0; orows * ocols];
     let mut ctx = RowCtx::new(spec, main, sides, scalars, &dense_sides);
     for r in 0..n {
@@ -1125,8 +1129,6 @@ mod tests {
                 vreg_lens: vec![m, m],
             },
             out: RowOut::ColAggMultAdd { vec: 0, scalar: 0 },
-            out_rows: m,
-            out_cols: 1,
         }
     }
 
@@ -1188,8 +1190,6 @@ mod tests {
                 vreg_lens: vec![m, m],
             },
             out: RowOut::NoAgg { src: 1 },
-            out_rows: n,
-            out_cols: m,
         };
         for backend in [RowBackend::Interp, RowBackend::Block] {
             let out = run(&spec, &x, &[], &[], backend);
@@ -1209,8 +1209,6 @@ mod tests {
                 vreg_lens: vec![m],
             },
             out: RowOut::ColAgg { src: 0 },
-            out_rows: 1,
-            out_cols: m,
         };
         for backend in [RowBackend::Interp, RowBackend::Block] {
             let out = run(&spec, &x, &[], &[], backend);
@@ -1235,8 +1233,6 @@ mod tests {
                 vreg_lens: vec![m, k],
             },
             out: RowOut::OuterColAgg { left: 0, right: 1 },
-            out_rows: m,
-            out_cols: k,
         };
         for backend in [RowBackend::Interp, RowBackend::Block] {
             let out = run(&spec, &x, &[SideInput::bind(&v)], &[], backend);
@@ -1262,8 +1258,6 @@ mod tests {
                 vreg_lens: vec![m, k],
             },
             out: RowOut::OuterColAgg { left: 0, right: 1 },
-            out_rows: m,
-            out_cols: k,
         };
         let sides = [SideInput::bind(&v)];
         let oracle = run(&spec, &x, &sides, &[], RowBackend::Interp);
@@ -1292,8 +1286,6 @@ mod tests {
                 vreg_lens: vec![m, m, k],
             },
             out: RowOut::OuterColAgg { left: 1, right: 2 },
-            out_rows: m,
-            out_cols: k,
         };
         // x_row ⊗ (x_row·V) over non-zeros: the scattered accumulator.
         let sparse_left = RowSpec {
@@ -1306,7 +1298,6 @@ mod tests {
                 vreg_lens: vec![m, k],
             },
             out: RowOut::OuterColAgg { left: 0, right: 1 },
-            ..densifying.clone()
         };
         let engine = crate::Engine::new(crate::FusionMode::Gen);
         let _scope = engine.scope();

@@ -18,18 +18,19 @@
 //!    it will execute against, no hop is written by two fused operators, and
 //!    every operator's CPlan is legal for its template — side-access
 //!    geometry, node acyclicity, output arity/shape per paper Table 1.
-//! 3. **Register-program layer** (`check_program` / [`check_row_kernel`]):
-//!    def-before-use over scalar and vector registers, vector-width
-//!    agreement, vector instructions confined to the Row template, hoisted
-//!    Row invariants provably loop-invariant, and `sparse_safe` /
-//!    `sparse_main_ok` claims re-derived (structurally and by a numeric
-//!    zero-probe of the compiled program), and the kernel the operator
-//!    carries audited, then compared with a fresh lowering.
-//! 4. **Task-graph layer** ([`check_task_graph`]): read-occurrence refcounts
-//!    recomputed from the task dependencies (and cross-checked against the
-//!    liveness consumer counts in `Base` mode), per-task output-byte
-//!    estimates consistent with the size estimator, and spill-eligibility
-//!    flags sound (no leaf eligible, no sub-threshold value eligible).
+//! 3. **Operator layer** (`check_spec`): def-before-use over scalar and
+//!    vector registers, vector-width agreement, vector instructions confined
+//!    to the Row template, defined result registers, and `sparse_safe`
+//!    claims re-derived (structurally and by a numeric zero-probe of the
+//!    compiled program). Then the stored operator is compared with a fresh
+//!    derivation from its CPlan: the spec with
+//!    [`codegen::compile_spec`], the kernel and its class with
+//!    [`GeneratedOperator::new`] under the plan's side dims, the plan hash
+//!    with [`CPlan::structural_hash`].
+//! 4. **Task-graph layer** ([`check_task_graph`]): the stored graph is
+//!    compared with what [`schedule::prepare`] builds from the same DAG and
+//!    plan, and in `Base` mode its refcounts are cross-checked against the
+//!    liveness consumer counts.
 //! 5. **Residency state machine** ([`check_residency_trace`]): an explicit
 //!    transition table for the scheduler's slot lifecycle
 //!    (`Empty/Resident/Streamed/Spilled/Loading/Evicting`). Debug builds
@@ -42,19 +43,15 @@
 //! unless requested), on the compile-once path only — executing a compiled
 //! script never re-verifies.
 
-use crate::schedule::{TaskGraph, TaskKind};
-use fusedml_core::codegen::GeneratedOperator;
+use crate::schedule::{self, TaskGraph, TaskKind};
+use fusedml_core::codegen::{self, GeneratedOperator};
 use fusedml_core::cplan::{CNode, CPlan, CellAggKind, NodeId, OutputSpec, RowOutKind};
 use fusedml_core::optimizer::{FusedOperator, FusionPlan};
-use fusedml_core::spoof::block::{
-    row_invariant_load, whole_vector_load, BlockKernel, Kernel, RowKernel,
-};
-use fusedml_core::spoof::mono;
+use fusedml_core::spoof::block::whole_vector_load;
 use fusedml_core::spoof::{eval_scalar_program, FusedSpec, Instr, Program, RowOut, SideAccess};
 use fusedml_core::templates::TemplateType;
 use fusedml_hop::liveness::{self, Liveness};
 use fusedml_hop::{size, HopDag};
-use fusedml_linalg::spill::MIN_SPILL_BYTES;
 use std::cell::Cell;
 use std::fmt;
 
@@ -85,30 +82,26 @@ pub enum VerifyError {
     DanglingRegister { op_ix: usize, instr: usize, detail: String },
     /// Vector-register widths disagree across an instruction.
     RegisterWidthMismatch { op_ix: usize, instr: usize, detail: String },
-    /// A Row-kernel instruction hoisted to the invariant section is not
-    /// provably loop-invariant.
-    NotLoopInvariant { op_ix: usize, instr: usize, detail: String },
-    /// A `sparse_safe` / `sparse_main_ok` claim the verifier cannot
-    /// re-derive (structurally or by numeric zero-probe).
+    /// A `sparse_safe` claim the verifier cannot re-derive (structurally or
+    /// by numeric zero-probe).
     SparseClaim { op_ix: usize, detail: String },
-    /// A task-graph read-occurrence refcount disagrees with the recomputed
-    /// count (or, in `Base` mode, with the liveness consumer counts).
+    /// A task-graph read-occurrence refcount disagrees with the one
+    /// `prepare` counts (or, in `Base` mode, with the liveness consumer
+    /// counts).
     RefcountMismatch { hop: u32, expected: u32, stored: u32 },
-    /// A task's output-byte estimate disagrees with the size estimator.
+    /// A task's output-byte estimate disagrees with the one `prepare` takes
+    /// from the size estimator.
     TaskBytesMismatch { task: usize, expected: usize, stored: usize },
-    /// A compiled block kernel's stored product chain is not the one its
-    /// block program re-derives (or one is stored where none re-derives,
-    /// or none where one does).
-    MonoShapeMismatch { op_ix: usize, detail: String },
-    /// A generated operator's stored kernel or kernel class is not what
-    /// lowering its program under the plan's side geometry gives, so the
-    /// kernel that would run is not the one the audits vouched for.
+    /// A generated operator is not what generating it from its CPlan gives
+    /// now: its spec, plan hash, stored kernel or kernel class differs, so
+    /// what would run is not what the plan describes.
     StaleKernel { op_ix: usize, detail: String },
-    /// A spill-eligibility flag is unsound: a leaf or sub-threshold value
-    /// marked eligible, or an eligible intermediate marked not.
+    /// A spill-eligibility flag disagrees with the one `prepare` derives (a
+    /// leaf or sub-threshold value marked eligible, or an eligible
+    /// intermediate marked not).
     SpillEligibility { hop: u32, detail: String },
-    /// The task graph is structurally inconsistent (field lengths, producer
-    /// counts, levels, or an operator index with no plan behind it).
+    /// The task graph is not the one `prepare` builds (tasks, leaves,
+    /// producer counts, consumers, width, or a field's length).
     TaskGraphMalformed { detail: String },
     /// A task's shard plan is unsound: a non-fused task carries one, the
     /// partitioning is illegal for the operator (no main, too few rows, a
@@ -151,9 +144,6 @@ impl fmt::Display for VerifyError {
             VerifyError::RegisterWidthMismatch { op_ix, instr, detail } => {
                 write!(f, "operator #{op_ix} instr {instr}: register width mismatch: {detail}")
             }
-            VerifyError::NotLoopInvariant { op_ix, instr, detail } => {
-                write!(f, "operator #{op_ix} invariant instr {instr} is not loop-invariant: {detail}")
-            }
             VerifyError::SparseClaim { op_ix, detail } => {
                 write!(f, "operator #{op_ix} over-claims sparse safety: {detail}")
             }
@@ -161,11 +151,8 @@ impl fmt::Display for VerifyError {
                 f,
                 "hop {hop} read-refcount is {stored} but recomputation gives {expected}"
             ),
-            VerifyError::MonoShapeMismatch { op_ix, detail } => {
-                write!(f, "operator #{op_ix}: mono shape audit failed: {detail}")
-            }
             VerifyError::StaleKernel { op_ix, detail } => {
-                write!(f, "operator #{op_ix}: stored kernel is stale: {detail}")
+                write!(f, "operator #{op_ix} is stale: {detail}")
             }
             VerifyError::TaskBytesMismatch { task, expected, stored } => write!(
                 f,
@@ -733,7 +720,7 @@ fn check_output_spec(dag: &HopDag, op_ix: usize, f: &FusedOperator) -> Result<()
 }
 
 // ===========================================================================
-// Layer 3: register programs
+// Layer 3: operators
 // ===========================================================================
 
 /// Register definedness after a [`check_program`] pass, used to validate the
@@ -965,29 +952,11 @@ fn check_program(cx: &ProgCx<'_>, prog: &Program) -> Result<Defs, VerifyError> {
     Ok(Defs { scalar: sdef, vector: vdef })
 }
 
-/// Spec ↔ CPlan agreement, program soundness, sparse-claim re-derivation and
-/// the audit of the stored kernel for one compiled operator.
+/// Program soundness, result-register definedness and sparse-claim
+/// re-derivation for one compiled operator, then its comparison with a
+/// fresh derivation from the CPlan.
 fn check_spec(op_ix: usize, cp: &CPlan, op: &GeneratedOperator) -> Result<(), VerifyError> {
     let spec = &op.spec;
-    let ill = |detail: String| VerifyError::IllegalTemplate { op_ix, detail };
-    let stale = |detail: &str| VerifyError::StaleKernel { op_ix, detail: detail.to_string() };
-    let block_kernel = || match &op.kernel {
-        Kernel::Block(k) => Ok(k),
-        Kernel::Row(_) => Err(stale("a row kernel on a block template")),
-    };
-    let spec_ttype = match spec {
-        FusedSpec::Cell(_) => TemplateType::Cell,
-        FusedSpec::MAgg(_) => TemplateType::MAgg,
-        FusedSpec::Row(_) => TemplateType::Row,
-        FusedSpec::Outer(_) => TemplateType::Outer,
-    };
-    if spec_ttype != cp.ttype {
-        return Err(ill(format!(
-            "compiled as {} but planned as {:?}",
-            spec.template_name(),
-            cp.ttype
-        )));
-    }
     let cx = ProgCx {
         op_ix,
         ttype: cp.ttype,
@@ -1022,99 +991,55 @@ fn check_spec(op_ix: usize, cp: &CPlan, op: &GeneratedOperator) -> Result<(), Ve
         FusedSpec::Cell(c) => {
             result_s(c.result, "cell result")?;
             check_sparse_claim(op_ix, cp, prog, &[c.result], c.sparse_safe)?;
-            check_mono_shapes(op_ix, block_kernel()?, &[c.result])?;
         }
         FusedSpec::MAgg(m) => {
-            if m.results.is_empty() {
-                return Err(ill("MAgg spec with no aggregates".into()));
-            }
-            for &(r, _) in &m.results {
+            let regs: Vec<u16> = m.results.iter().map(|&(r, _)| r).collect();
+            for &r in &regs {
                 result_s(r, "multi-agg result")?;
             }
-            let regs: Vec<u16> = m.results.iter().map(|&(r, _)| r).collect();
             check_sparse_claim(op_ix, cp, prog, &regs, m.sparse_safe)?;
-            check_mono_shapes(op_ix, block_kernel()?, &regs)?;
         }
         FusedSpec::Outer(o) => {
             result_s(o.result, "outer result")?;
-            match cp.outer_uv {
-                Some((u, v, rank)) => {
-                    if (o.u_side, o.v_side, o.rank) != (u, v, rank) {
-                        return Err(ill(format!(
-                            "spec UV binding ({}, {}, rank {}) disagrees with plan ({u}, {v}, rank {rank})",
-                            o.u_side, o.v_side, o.rank
-                        )));
-                    }
-                }
-                None => return Err(ill("Outer spec without a plan UV binding".into())),
-            }
             check_sparse_claim(op_ix, cp, prog, &[o.result], o.sparse_safe)?;
-            check_mono_shapes(op_ix, block_kernel()?, &[o.result])?;
         }
-        FusedSpec::Row(r) => {
-            if (r.out_rows, r.out_cols) != (cp.out_rows, cp.out_cols) {
-                return Err(VerifyError::PlanGeometryMismatch {
-                    detail: format!(
-                        "operator #{op_ix} spec writes {}x{} but the plan says {}x{}",
-                        r.out_rows, r.out_cols, cp.out_rows, cp.out_cols
-                    ),
-                });
+        FusedSpec::Row(r) => match r.out {
+            RowOut::NoAgg { src } | RowOut::ColAgg { src } => result_v(src, "row output")?,
+            RowOut::RowAgg { src } | RowOut::FullAgg { src } => result_s(src, "row output")?,
+            RowOut::OuterColAgg { left, right } => {
+                result_v(left, "row outer output")?;
+                result_v(right, "row outer output")?;
             }
-            match r.out {
-                RowOut::NoAgg { src } | RowOut::ColAgg { src } => {
-                    result_v(src, "row output")?;
-                }
-                RowOut::RowAgg { src } | RowOut::FullAgg { src } => {
-                    result_s(src, "row output")?;
-                }
-                RowOut::OuterColAgg { left, right } => {
-                    result_v(left, "row outer output")?;
-                    result_v(right, "row outer output")?;
-                }
-                RowOut::ColAggMultAdd { vec, scalar } => {
-                    result_v(vec, "row output")?;
-                    result_s(scalar, "row output")?;
-                }
+            RowOut::ColAggMultAdd { vec, scalar } => {
+                result_v(vec, "row output")?;
+                result_s(scalar, "row output")?;
             }
-            // Audit the stored kernel's hoisting + sparse-row classification.
-            let Kernel::Row(kernel) = &op.kernel else {
-                return Err(stale("a block kernel on a Row template"));
-            };
-            check_row_kernel(op_ix, r, &cp.side_dims, kernel)?;
-        }
+        },
     }
-    // The audits above see only what a kernel claims of itself; a kernel
-    // lowered for another program or under other side dims passes them.
-    // What runs must be what lowering gives now.
-    let fresh =
-        GeneratedOperator::new(String::new(), String::new(), spec.clone(), 0, &cp.side_dims);
+    // The audits above see only what the operator claims of itself; an
+    // operator generated from another CPlan (a plan-cache key that misses
+    // something codegen reads) or a kernel lowered under other side dims
+    // passes them. What runs must be what generating it from this CPlan
+    // gives now.
+    let stale = |detail: String| Err(VerifyError::StaleKernel { op_ix, detail });
+    let hash = cp.structural_hash();
+    if op.plan_hash != hash {
+        return stale(format!("plan hash {:#x}, the CPlan hashes to {hash:#x}", op.plan_hash));
+    }
+    // The hash covers what decides how a CPlan compiles, so this one
+    // compiles: its operator was generated from a CPlan with the same hash.
+    let fresh = codegen::compile_spec(cp);
+    if *spec != fresh {
+        return stale("the spec is not the compilation of its CPlan".into());
+    }
+    let fresh = GeneratedOperator::new(String::new(), String::new(), fresh, 0, &cp.side_dims);
     if op.kernel != fresh.kernel {
-        return Err(stale("not the lowering of its program under the plan's side dims"));
+        return stale(
+            "the kernel is not the lowering of its program under the plan's side dims".into(),
+        );
     }
     if op.class != fresh.class {
-        return Err(stale(&format!("class {:?}, lowering gives {:?}", op.class, fresh.class)));
-    }
-    Ok(())
-}
-
-/// Re-audits the product-chain table of a block kernel (DESIGN.md
-/// substitution X10): for every result register, the stored product must
-/// equal an independent re-derivation via [`mono::classify`] over the
-/// kernel's own block program.
-pub fn check_mono_shapes(
-    op_ix: usize,
-    kernel: &BlockKernel,
-    results: &[u16],
-) -> Result<(), VerifyError> {
-    let err = |detail: String| VerifyError::MonoShapeMismatch { op_ix, detail };
-    for &r in results {
-        let stored = kernel.mono_for(r);
-        let rederived = mono::classify(&kernel.block, r);
-        if stored != rederived.as_ref() {
-            return Err(err(format!(
-                "register {r}: stored product {stored:?} != re-derived {rederived:?}"
-            )));
-        }
+        return stale(format!("class {:?}, lowering gives {:?}", op.class, fresh.class));
     }
     Ok(())
 }
@@ -1174,229 +1099,90 @@ fn check_sparse_claim(
     Ok(())
 }
 
-/// Audits a lowered Row kernel: every instruction hoisted to the invariant
-/// section must be provably loop-invariant (its operands defined by earlier
-/// invariant instructions, no main-row dependence, no per-row side access),
-/// and the `sparse_main_ok` claim must re-derive from the per-row body.
-pub fn check_row_kernel(
-    op_ix: usize,
-    spec: &fusedml_core::spoof::RowSpec,
-    side_dims: &[(usize, usize)],
-    kernel: &RowKernel,
-) -> Result<(), VerifyError> {
-    let n_regs = spec.prog.n_regs as usize;
-    let n_vregs = spec.prog.vreg_lens.len();
-    let mut sdef = vec![false; n_regs];
-    let mut vdef = vec![false; n_vregs];
-    let is_main = |v: u16| kernel.main_vregs.contains(&v);
-    for (i, ins) in kernel.invariant.iter().enumerate() {
-        let err = |detail: String| VerifyError::NotLoopInvariant { op_ix, instr: i, detail };
-        let inv_s = |r: u16, sdef: &[bool]| -> Result<(), VerifyError> {
-            if (r as usize) >= n_regs || !sdef[r as usize] {
-                return Err(VerifyError::NotLoopInvariant {
-                    op_ix,
-                    instr: i,
-                    detail: format!("scalar operand {r} is not invariant-defined"),
-                });
-            }
-            Ok(())
-        };
-        let inv_v = |v: u16, vdef: &[bool]| -> Result<(), VerifyError> {
-            if (v as usize) >= n_vregs || !vdef[v as usize] {
-                return Err(VerifyError::NotLoopInvariant {
-                    op_ix,
-                    instr: i,
-                    detail: format!("vector operand {v} is not invariant-defined"),
-                });
-            }
-            if kernel.main_vregs.contains(&v) {
-                return Err(VerifyError::NotLoopInvariant {
-                    op_ix,
-                    instr: i,
-                    detail: format!("vector operand {v} aliases the main row"),
-                });
-            }
-            Ok(())
-        };
-        match *ins {
-            Instr::LoadConst { out, .. } | Instr::LoadScalar { out, .. } => {
-                sdef[out as usize] = true;
-            }
-            Instr::LoadSide { out, access, .. } => {
-                if access != SideAccess::Scalar {
-                    return Err(err(format!("hoisted {access:?} side load varies per row")));
-                }
-                sdef[out as usize] = true;
-            }
-            Instr::LoadMain { .. } | Instr::LoadMainRow { .. } => {
-                return Err(err("hoisted main-input load varies per row".into()));
-            }
-            Instr::LoadUVDot { .. } => {
-                return Err(err("UVDot load in a Row kernel".into()));
-            }
-            Instr::LoadSideRow { out, side, cl, cu } => {
-                if !row_invariant_load(side_dims, side, cl, cu) {
-                    let (r, c) = side_dims.get(side).copied().unwrap_or((0, 0));
-                    return Err(err(format!(
-                        "hoisted side-row slice {cl}..{cu} of a {r}x{c} side varies per row"
-                    )));
-                }
-                vdef[out as usize] = true;
-            }
-            Instr::Unary { out, a, .. } => {
-                inv_s(a, &sdef)?;
-                sdef[out as usize] = true;
-            }
-            Instr::Binary { out, a, b, .. } => {
-                inv_s(a, &sdef)?;
-                inv_s(b, &sdef)?;
-                sdef[out as usize] = true;
-            }
-            Instr::Ternary { out, a, b, c, .. } => {
-                inv_s(a, &sdef)?;
-                inv_s(b, &sdef)?;
-                inv_s(c, &sdef)?;
-                sdef[out as usize] = true;
-            }
-            Instr::VecUnary { out, a, .. } | Instr::VecCumsum { out, a } => {
-                inv_v(a, &vdef)?;
-                vdef[out as usize] = true;
-            }
-            Instr::VecBinaryVV { out, a, b, .. } => {
-                inv_v(a, &vdef)?;
-                inv_v(b, &vdef)?;
-                vdef[out as usize] = true;
-            }
-            Instr::VecBinaryVS { out, a, b, .. } => {
-                inv_v(a, &vdef)?;
-                inv_s(b, &sdef)?;
-                vdef[out as usize] = true;
-            }
-            Instr::VecMatMult { out, a, .. } => {
-                inv_v(a, &vdef)?;
-                vdef[out as usize] = true;
-            }
-            Instr::Dot { out, a, b } => {
-                inv_v(a, &vdef)?;
-                inv_v(b, &vdef)?;
-                sdef[out as usize] = true;
-            }
-            Instr::VecAgg { out, a, .. } => {
-                inv_v(a, &vdef)?;
-                sdef[out as usize] = true;
-            }
-        }
-    }
-    // The invariant-vreg bitmap must not claim a main-row register.
-    for &m in &kernel.main_vregs {
-        if kernel.invariant_vregs.get(m as usize).copied().unwrap_or(false) {
-            return Err(VerifyError::NotLoopInvariant {
-                op_ix,
-                instr: kernel.invariant.len(),
-                detail: format!("main-row register {m} is marked invariant"),
-            });
-        }
-    }
-    // Re-derive sparse_main_ok from the per-row body: element-wise vector
-    // ops and cumsum need the dense main row; everything else consumes
-    // sparse rows directly. A `true` claim the body does not support would
-    // execute sparse mains over a densified view's missing zeros.
-    if kernel.sparse_main_ok {
-        let dense_use = kernel.per_row.iter().position(|ins| match *ins {
-            Instr::VecUnary { a, .. } | Instr::VecCumsum { a, .. } => is_main(a),
-            Instr::VecBinaryVV { a, b, .. } => is_main(a) || is_main(b),
-            Instr::VecBinaryVS { a, .. } => is_main(a),
-            _ => false,
-        });
-        if let Some(i) = dense_use {
-            return Err(VerifyError::SparseClaim {
-                op_ix,
-                detail: format!(
-                    "kernel claims sparse_main_ok but per-row instr {i} consumes the main row element-wise"
-                ),
-            });
-        }
-    }
-    Ok(())
-}
-
 // ===========================================================================
 // Layer 4: task graph
 // ===========================================================================
 
-/// Task-graph consistency: refcounts, byte estimates, spill eligibility,
-/// producer counts, and levels — all recomputed from first principles.
+/// The first index at which two slices differ (a length difference counts at
+/// the shorter length).
+fn first_diff<T: PartialEq>(fresh: &[T], stored: &[T]) -> Option<usize> {
+    (0..fresh.len().max(stored.len())).find(|&i| fresh.get(i) != stored.get(i))
+}
+
+/// Task-graph consistency: the stored graph must be the one
+/// [`schedule::prepare`] builds from the same DAG and plan (every field but
+/// the shard plans, which [`check_shard_plan`] audits), and in `Base` mode
+/// its refcounts must equal the liveness consumer counts. Runs after
+/// [`check_hops`] and [`check_plan`], whose checks `prepare` relies on.
 pub fn check_task_graph(
     dag: &HopDag,
     plan: Option<&FusionPlan>,
     graph: &TaskGraph,
     facts: &Liveness,
 ) -> Result<(), VerifyError> {
-    let n_hops = dag.len();
-    let n_tasks = graph.tasks.len();
+    let TaskGraph {
+        tasks,
+        leaves,
+        reads,
+        n_producers,
+        max_width,
+        consumers_of,
+        task_out_bytes,
+        spill_ok,
+        shard: _,
+    } = schedule::prepare(dag, plan, None);
+    let malformed = |detail: String| Err(VerifyError::TaskGraphMalformed { detail });
     for (name, len, want) in [
-        ("reads", graph.reads.len(), n_hops),
-        ("consumers_of", graph.consumers_of.len(), n_hops),
-        ("spill_ok", graph.spill_ok.len(), n_hops),
-        ("n_producers", graph.n_producers.len(), n_tasks),
-        ("task_out_bytes", graph.task_out_bytes.len(), n_tasks),
+        ("reads", graph.reads.len(), reads.len()),
+        ("spill_ok", graph.spill_ok.len(), spill_ok.len()),
+        ("task_out_bytes", graph.task_out_bytes.len(), task_out_bytes.len()),
     ] {
         if len != want {
-            return Err(VerifyError::TaskGraphMalformed {
-                detail: format!("{name} has {len} entries, expected {want}"),
-            });
+            return malformed(format!("{name} has {len} entries, prepare builds {want}"));
         }
     }
-    let mut all_basic = true;
-    for (t, task) in graph.tasks.iter().enumerate() {
-        for &d in &task.deps {
-            if d.index() >= n_hops {
-                return Err(VerifyError::TaskGraphMalformed {
-                    detail: format!("task {t} depends on out-of-range hop {d}"),
-                });
-            }
-        }
-        match &task.kind {
-            TaskKind::Basic(h) => {
-                if h.index() >= n_hops {
-                    return Err(VerifyError::TaskGraphMalformed {
-                        detail: format!("task {t} computes out-of-range hop {h}"),
-                    });
-                }
-            }
-            TaskKind::Fused { op_ix } => {
-                all_basic = false;
-                let ops = plan.map_or(0, |p| p.operators.len());
-                if *op_ix >= ops {
-                    return Err(VerifyError::TaskGraphMalformed {
-                        detail: format!("task {t} references fused operator #{op_ix} of {ops}"),
-                    });
-                }
-            }
+    if let Some(h) = first_diff(&reads, &graph.reads) {
+        return Err(VerifyError::RefcountMismatch {
+            hop: h as u32,
+            expected: reads[h],
+            stored: graph.reads[h],
+        });
+    }
+    if let Some(t) = first_diff(&task_out_bytes, &graph.task_out_bytes) {
+        return Err(VerifyError::TaskBytesMismatch {
+            task: t,
+            expected: task_out_bytes[t],
+            stored: graph.task_out_bytes[t],
+        });
+    }
+    if let Some(h) = first_diff(&spill_ok, &graph.spill_ok) {
+        let detail = match (graph.spill_ok[h], dag.hop(fusedml_hop::HopId(h as u32)).kind.is_leaf())
+        {
+            (true, true) => "leaf binding marked spill-eligible",
+            (true, false) => "sub-threshold value marked spill-eligible",
+            (false, _) => "eligible intermediate marked ineligible",
+        };
+        return Err(VerifyError::SpillEligibility { hop: h as u32, detail: detail.into() });
+    }
+    for (name, at) in [
+        ("task", first_diff(&tasks, &graph.tasks)),
+        ("leaf", first_diff(&leaves, &graph.leaves)),
+        ("producer count", first_diff(&n_producers, &graph.n_producers)),
+        ("consumer list", first_diff(&consumers_of, &graph.consumers_of)),
+    ] {
+        if let Some(i) = at {
+            return malformed(format!("{name} {i} is not the one prepare builds"));
         }
     }
-    // Refcounts: one read per task dependency occurrence, +1 per DAG root.
-    let mut expected_reads = vec![0u32; n_hops];
-    for task in &graph.tasks {
-        for &d in &task.deps {
-            expected_reads[d.index()] += 1;
-        }
-    }
-    for &r in dag.roots() {
-        expected_reads[r.index()] += 1;
-    }
-    for (h, (&exp, &got)) in expected_reads.iter().zip(graph.reads.iter()).enumerate() {
-        if exp != got {
-            return Err(VerifyError::RefcountMismatch {
-                hop: h as u32,
-                expected: exp,
-                stored: got,
-            });
-        }
+    if max_width != graph.max_width {
+        return malformed(format!("width {}, prepare builds {max_width}", graph.max_width));
     }
     // In Base mode (every task basic) the demanded set is exactly the live
-    // set, so refcounts must equal the liveness consumer counts plus the
-    // root bonus. Fused operators legitimately collapse reads.
+    // set, so refcounts must also equal the liveness consumer counts plus
+    // the root bonus: an analysis `prepare` does not use. Fused operators
+    // legitimately collapse reads.
+    let n_hops = dag.len();
+    let all_basic = tasks.iter().all(|t| matches!(t.kind, TaskKind::Basic(_)));
     if all_basic && facts.consumers.len() == n_hops && facts.is_root.len() == n_hops {
         for h in 0..n_hops {
             let exp = facts.consumers[h] + u32::from(facts.is_root[h]);
@@ -1409,117 +1195,7 @@ pub fn check_task_graph(
             }
         }
     }
-    // Output-byte estimates straight from the hop size facts.
-    let est = |h: fusedml_hop::HopId| dag.hop(h).size.bytes().max(0.0) as usize;
-    for (t, task) in graph.tasks.iter().enumerate() {
-        let exp = match &task.kind {
-            TaskKind::Basic(h) => est(*h),
-            TaskKind::Fused { op_ix } => match plan {
-                Some(p) => p.operators[*op_ix].roots.iter().map(|&r| est(r)).sum(),
-                None => {
-                    return Err(VerifyError::TaskGraphMalformed {
-                        detail: format!("task {t} is fused but no plan is bound"),
-                    })
-                }
-            },
-        };
-        if graph.task_out_bytes[t] != exp {
-            return Err(VerifyError::TaskBytesMismatch {
-                task: t,
-                expected: exp,
-                stored: graph.task_out_bytes[t],
-            });
-        }
-    }
-    // Spill eligibility: leaves are caller-owned `Arc` clones (spilling them
-    // frees nothing), and sub-threshold values churn the spill tier.
-    for h in 0..n_hops {
-        let hop = dag.hop(fusedml_hop::HopId(h as u32));
-        let exp = !hop.kind.is_leaf() && hop.size.bytes().max(0.0) as usize >= MIN_SPILL_BYTES;
-        if graph.spill_ok[h] != exp {
-            let detail = if graph.spill_ok[h] && hop.kind.is_leaf() {
-                "leaf binding marked spill-eligible".to_string()
-            } else if graph.spill_ok[h] {
-                "sub-threshold value marked spill-eligible".to_string()
-            } else {
-                "eligible intermediate marked ineligible".to_string()
-            };
-            return Err(VerifyError::SpillEligibility { hop: h as u32, detail });
-        }
-    }
-    // Producer counts and levels, recomputed exactly as `prepare` derives
-    // them (distinct producer tasks; longest-path levels by fixpoint).
-    let mut producer: Vec<Option<usize>> = vec![None; n_hops];
-    for (t, task) in graph.tasks.iter().enumerate() {
-        for h in task_outputs(task, plan) {
-            producer[h.index()] = Some(t);
-        }
-    }
-    let mut n_producers = vec![0u32; n_tasks];
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n_tasks];
-    let mut seen: Vec<usize> = Vec::new();
-    for (t, task) in graph.tasks.iter().enumerate() {
-        seen.clear();
-        for &d in &task.deps {
-            if let Some(p) = producer[d.index()] {
-                if !seen.contains(&p) {
-                    seen.push(p);
-                    n_producers[t] += 1;
-                    consumers[p].push(t);
-                }
-            }
-        }
-    }
-    for (t, &expected) in n_producers.iter().enumerate() {
-        if graph.n_producers[t] != expected {
-            return Err(VerifyError::TaskGraphMalformed {
-                detail: format!(
-                    "task {t} claims {} producers, recomputation gives {expected}",
-                    graph.n_producers[t]
-                ),
-            });
-        }
-    }
-    let mut level = vec![0usize; n_tasks];
-    loop {
-        let mut changed = false;
-        for t in 0..n_tasks {
-            let lvl = level[t] + 1;
-            for &c in &consumers[t] {
-                if level[c] < lvl {
-                    level[c] = lvl;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    for (t, task) in graph.tasks.iter().enumerate() {
-        if task.level != level[t] {
-            return Err(VerifyError::TaskGraphMalformed {
-                detail: format!(
-                    "task {t} is at level {}, recomputation gives {}",
-                    task.level, level[t]
-                ),
-            });
-        }
-    }
     Ok(())
-}
-
-/// The hops a task writes (mirror of the scheduler's store step).
-fn task_outputs<'a>(
-    task: &'a crate::schedule::Task,
-    plan: Option<&'a FusionPlan>,
-) -> Vec<fusedml_hop::HopId> {
-    match &task.kind {
-        TaskKind::Basic(h) => vec![*h],
-        TaskKind::Fused { op_ix } => {
-            plan.map_or_else(Vec::new, |p| p.operators[*op_ix].roots.clone())
-        }
-    }
 }
 
 // ===========================================================================

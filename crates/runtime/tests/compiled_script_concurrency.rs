@@ -203,6 +203,95 @@ fn side_geometry_gets_its_own_row_operator() {
     assert_eq!(gen.plan_cache().stats(), (0, 2), "one operator per side geometry");
 }
 
+/// Runs each `(dag, bindings)` on one `Gen` engine (plan cache on) and on a
+/// `Base` engine; every result must agree to 1e-9. Returns the `Gen` engine.
+fn gen_agrees_with_base(cases: &[(HopDag, Bindings)]) -> Engine {
+    let (gen, base) = (Engine::new(FusionMode::Gen), Engine::new(FusionMode::Base));
+    for (i, (dag, bindings)) in cases.iter().enumerate() {
+        let got = gen.execute(dag, bindings).values()[0].as_matrix();
+        let want = base.execute(dag, bindings).values()[0].as_matrix();
+        assert!(got.approx_eq(&want, 1e-9), "case {i}");
+    }
+    gen
+}
+
+/// `rowSums(exp(X %*% W))` for W 30×8, then 30×5, then 30×12: the width of
+/// the vector-matrix product is a register length codegen bakes into the
+/// program, so the plan-cache key holds it and each W gets its own operator.
+#[test]
+fn vector_matrix_width_gets_its_own_row_operator() {
+    let case = |k| {
+        let mut b = DagBuilder::new();
+        let x = b.read("X", 200, 30, 1.0);
+        let w = b.read("W", 30, k, 1.0);
+        let xw = b.mm(x, w);
+        let e = b.exp(xw);
+        let r = b.row_sums(e);
+        let bindings = bind(&[
+            ("X", generate::rand_dense(200, 30, -0.3, 0.3, 1)),
+            ("W", generate::rand_dense(30, k, -0.3, 0.3, 2)),
+        ]);
+        (b.build(vec![r]), bindings)
+    };
+    let gen = gen_agrees_with_base(&[case(8), case(5), case(12)]);
+    assert_eq!(gen.plan_cache().stats(), (0, 3), "one operator per product width");
+}
+
+/// `sum(X * (U %*% t(V)))` over a sparse X at rank 8, then 4, then 12: the
+/// rank is Outer geometry codegen bakes into the spec, so the plan-cache key
+/// holds it and each rank gets its own operator.
+#[test]
+fn outer_rank_gets_its_own_operator() {
+    let (n, m) = (2000, 1500);
+    let case = |k| {
+        let mut b = DagBuilder::new();
+        let x = b.read("X", n, m, 0.01);
+        let u = b.read("U", n, k, 1.0);
+        let v = b.read("V", m, k, 1.0);
+        let vt = b.t(v);
+        let uv = b.mm(u, vt);
+        let p = b.mult(x, uv);
+        let s = b.sum(p);
+        let bindings = bind(&[
+            ("X", generate::rand_matrix(n, m, -1.0, 1.0, 0.01, 3)),
+            ("U", generate::rand_dense(n, k, -1.0, 1.0, 4)),
+            ("V", generate::rand_dense(m, k, -1.0, 1.0, 5)),
+        ]);
+        (b.build(vec![s]), bindings)
+    };
+    let cases = [case(8), case(4), case(12)];
+    let gen = gen_agrees_with_base(&cases);
+    assert_eq!(gen.plan_cache().stats(), (0, 3), "one operator per rank");
+    let plan = gen.plan_for(&cases[0].0);
+    assert!(plan.operators.iter().any(|f| f.op.spec.template_name() == "Outer"), "an Outer plan");
+}
+
+/// `rowSums(exp((X %*% W) * S))` at n = 200, then n = 100: the iteration
+/// row count is not codegen geometry (mini-batches reuse one operator), so
+/// the second DAG hits the plan cache and its result still agrees with
+/// `Base`.
+#[test]
+fn row_count_reuses_the_row_operator() {
+    let case = |n| {
+        let mut b = DagBuilder::new();
+        let x = b.read("X", n, 30, 1.0);
+        let w = b.read("W", 30, 8, 1.0);
+        let s = b.read("S", n, 8, 1.0);
+        let xw = b.mm(x, w);
+        let p = b.mult(xw, s);
+        let e = b.exp(p);
+        let r = b.row_sums(e);
+        let bindings = bind(&[
+            ("X", generate::rand_dense(n, 30, -0.3, 0.3, 1)),
+            ("W", generate::rand_dense(30, 8, -0.3, 0.3, 2)),
+            ("S", generate::rand_dense(n, 8, -1.0, 1.0, 3)),
+        ]);
+        (b.build(vec![r]), bindings)
+    };
+    let gen = gen_agrees_with_base(&[case(200), case(100)]);
+    assert_eq!(gen.plan_cache().stats(), (1, 1), "one operator for both row counts");
+}
+
 /// Two engines with different configurations coexist in one process with
 /// fully isolated pools and caches.
 #[test]

@@ -216,40 +216,40 @@ fn random_row_program(rng: &mut StdRng, sh: &Shape) -> Gen {
 }
 
 /// Picks a random output variant compatible with the generated registers.
-fn random_out(rng: &mut StdRng, g: &Gen, sh: &Shape) -> (RowOut, usize, usize) {
+fn random_out(rng: &mut StdRng, g: &Gen) -> RowOut {
     let m_vec = |rng: &mut StdRng| g.m_vecs[rng.gen_range(0..g.m_vecs.len())];
     loop {
         match rng.gen_range(0..6u32) {
             0 => {
                 let src = m_vec(rng);
-                return (RowOut::NoAgg { src }, sh.n, sh.m);
+                return RowOut::NoAgg { src };
             }
             1 if g.n_sregs > 0 => {
                 let src = rng.gen_range(0..g.n_sregs);
-                return (RowOut::RowAgg { src }, sh.n, 1);
+                return RowOut::RowAgg { src };
             }
             2 => {
                 let src = m_vec(rng);
-                return (RowOut::ColAgg { src }, 1, sh.m);
+                return RowOut::ColAgg { src };
             }
             3 if g.n_sregs > 0 => {
                 let src = rng.gen_range(0..g.n_sregs);
-                return (RowOut::FullAgg { src }, 1, 1);
+                return RowOut::FullAgg { src };
             }
             4 => {
                 // m×m outer, or m×k against a VecMatMult result.
                 let left = m_vec(rng);
                 if !g.k_vecs.is_empty() && rng.gen_bool(0.5) {
                     let right = g.k_vecs[rng.gen_range(0..g.k_vecs.len())];
-                    return (RowOut::OuterColAgg { left, right }, sh.m, sh.k);
+                    return RowOut::OuterColAgg { left, right };
                 }
                 let right = m_vec(rng);
-                return (RowOut::OuterColAgg { left, right }, sh.m, sh.m);
+                return RowOut::OuterColAgg { left, right };
             }
             5 if g.n_sregs > 0 => {
                 let vec = m_vec(rng);
                 let scalar = rng.gen_range(0..g.n_sregs);
-                return (RowOut::ColAggMultAdd { vec, scalar }, sh.m, 1);
+                return RowOut::ColAggMultAdd { vec, scalar };
             }
             _ => {}
         }
@@ -294,12 +294,12 @@ fn row_block_backend_matches_interpreter_on_random_programs() {
             k: *[1, 2, 3, 4, 5, 8, 9].get(rng.gen_range(0..7usize)).unwrap(),
         };
         let g = random_row_program(&mut rng, &sh);
-        let (out, out_rows, out_cols) = random_out(&mut rng, &g, &sh);
+        let out = random_out(&mut rng, &g);
         let inputs = random_inputs(&mut rng, &sh, seed);
         let prog =
             Program { instrs: g.instrs.clone(), n_regs: g.n_sregs, vreg_lens: g.vreg_lens.clone() };
         let sides: Vec<SideInput> = inputs.sides.iter().map(SideInput::bind).collect();
-        let spec = RowSpec { prog, out, out_rows, out_cols };
+        let spec = RowSpec { prog, out };
         let tol = if matches!(spec.out, RowOut::NoAgg { .. }) { 1e-11 } else { 1e-9 };
         for main in [&inputs.dense_main, &inputs.sparse_main] {
             let oracle = run(&spec, main, &sides, &inputs.scalars, RowBackend::Interp);
@@ -337,8 +337,6 @@ fn mlogreg_pattern_all_modes_and_densities_agree() {
             vreg_lens: vec![m, m],
         },
         out: RowOut::ColAggMultAdd { vec: 0, scalar: 2 },
-        out_rows: m,
-        out_cols: 1,
     };
     let w = generate::rand_dense(n, 1, 0.1, 1.0, 3);
     for x in
@@ -383,47 +381,44 @@ fn vmm_spec(m: usize, k: usize, out: usize) -> RowSpec {
         vec![Instr::LoadMainRow { out: 0 }, Instr::VecMatMult { out: 1, a: 0, side: 0 }];
     let mut vreg_lens = vec![m, k];
     let agg = Instr::VecAgg { out: 0, op: AggOp::Sum, a: 1 };
-    let (out, out_rows, out_cols, n_regs) = match out {
-        0 => (RowOut::NoAgg { src: 1 }, 0, k, 0),
-        1 => (RowOut::ColAgg { src: 1 }, 1, k, 0),
+    let (out, n_regs) = match out {
+        0 => (RowOut::NoAgg { src: 1 }, 0),
+        1 => (RowOut::ColAgg { src: 1 }, 0),
         2 => {
             instrs.push(agg);
-            (RowOut::RowAgg { src: 0 }, 0, 1, 1)
+            (RowOut::RowAgg { src: 0 }, 1)
         }
         3 => {
             instrs.push(agg);
-            (RowOut::FullAgg { src: 0 }, 1, 1, 1)
+            (RowOut::FullAgg { src: 0 }, 1)
         }
-        4 => (RowOut::OuterColAgg { left: 0, right: 1 }, m, k, 0),
+        4 => (RowOut::OuterColAgg { left: 0, right: 1 }, 0),
         5 => {
             instrs.push(agg);
-            (RowOut::ColAggMultAdd { vec: 0, scalar: 0 }, m, 1, 1)
+            (RowOut::ColAggMultAdd { vec: 0, scalar: 0 }, 1)
         }
         // t(P[, 2:]) %*% X — the KMeans centroid update, the side slice on
         // the left.
         6 => {
             instrs.push(Instr::LoadSideRow { out: 2, side: 1, cl: 2, cu: k + 2 });
             vreg_lens.push(k);
-            (RowOut::OuterColAgg { left: 2, right: 0 }, k, m, 0)
+            (RowOut::OuterColAgg { left: 2, right: 0 }, 0)
         }
         // (X V) ⊙ P[, 2:], written per row.
         _ => {
             instrs.push(Instr::LoadSideRow { out: 2, side: 1, cl: 2, cu: k + 2 });
             instrs.push(Instr::VecBinaryVV { out: 3, op: BinaryOp::Mult, a: 1, b: 2 });
             vreg_lens.extend([k, k]);
-            (RowOut::NoAgg { src: 3 }, 0, k, 0)
+            (RowOut::NoAgg { src: 3 }, 0)
         }
     };
-    RowSpec { prog: Program { instrs, n_regs, vreg_lens }, out, out_rows, out_cols }
+    RowSpec { prog: Program { instrs, n_regs, vreg_lens }, out }
 }
 
 const VMM_OUTS: usize = 8;
 
 fn check_vmm(n: usize, m: usize, k: usize, out: usize) {
-    let mut spec = vmm_spec(m, k, out);
-    if spec.out_rows == 0 {
-        spec.out_rows = n;
-    }
+    let spec = vmm_spec(m, k, out);
     let seed = (n * 131 + k * 7 + out) as u64;
     let p = generate::rand_dense(n, k + 2, -1.5, 1.5, seed + 3);
     for x in [
@@ -481,7 +476,7 @@ fn panel_widths_agree_across_tile_heights() {
 fn autoencoder_chain_multiplies_non_main_registers() {
     let (m, h1, h2) = (10, 64, 2);
     let sig = |out, a| Instr::VecUnary { out, op: UnaryOp::Sigmoid, a };
-    let spec = |n| RowSpec {
+    let spec = RowSpec {
         prog: Program {
             instrs: vec![
                 Instr::LoadMainRow { out: 0 },
@@ -496,8 +491,6 @@ fn autoencoder_chain_multiplies_non_main_registers() {
             vreg_lens: vec![m, h1, h1, h2, h2, m, m],
         },
         out: RowOut::NoAgg { src: 6 },
-        out_rows: n,
-        out_cols: m,
     };
     for n in tile_edge_row_counts() {
         let x = generate::rand_dense(n, m, 0.0, 1.0, n as u64);
@@ -508,8 +501,8 @@ fn autoencoder_chain_multiplies_non_main_registers() {
             };
             let ws = [w(m, h1, 1), w(h1, h2, 2), w(h2, m, 3)];
             let sides: Vec<SideInput> = ws.iter().map(SideInput::bind).collect();
-            let oracle = run(&spec(n), &x, &sides, &[], RowBackend::Interp);
-            let got = run(&spec(n), &x, &sides, &[], RowBackend::Block);
+            let oracle = run(&spec, &x, &sides, &[], RowBackend::Interp);
+            let got = run(&spec, &x, &sides, &[], RowBackend::Block);
             assert!(got.approx_eq(&oracle, 1e-11), "n={n} sparse_w={sparse_w}");
         }
     }
@@ -592,12 +585,11 @@ const AGGS: [AggOp; 5] = [AggOp::Sum, AggOp::SumSq, AggOp::Min, AggOp::Max, AggO
 /// Runs `prog` under every `RowAgg` of a scalar register and every `NoAgg`
 /// of a listed vector register, block against interpreter, bitwise.
 fn check_bits(prog: &Program, vecs: &[u16], main: &Matrix, sides: &[SideInput], what: &str) {
-    let n = main.rows();
     let outs = (0..prog.n_regs)
-        .map(|src| (RowOut::RowAgg { src }, 1))
-        .chain(vecs.iter().map(|&src| (RowOut::NoAgg { src }, prog.vreg_lens[src as usize])));
-    for (out, out_cols) in outs {
-        let spec = RowSpec { prog: prog.clone(), out, out_rows: n, out_cols };
+        .map(|src| RowOut::RowAgg { src })
+        .chain(vecs.iter().map(|&src| RowOut::NoAgg { src }));
+    for out in outs {
+        let spec = RowSpec { prog: prog.clone(), out };
         let scalars = [0.75, -1.5];
         let oracle = run(&spec, main, sides, &scalars, RowBackend::Interp);
         let got = run(&spec, main, sides, &scalars, RowBackend::Block);

@@ -4,8 +4,9 @@
 //! verifier's job is rejecting corrupted artifacts (see
 //! `verifier_mutation.rs`); this suite pins down the complementary property
 //! — zero false positives on everything the compiler actually produces —
-//! and spot-checks that verified plans still execute bitwise-identically to
-//! the sequential oracle.
+//! spot-checks that verified plans still execute bitwise-identically to
+//! the sequential oracle, and runs the whole corpus through long-lived
+//! engines whose plan caches hand operators from one DAG to the next.
 
 mod common;
 
@@ -13,7 +14,7 @@ use common::assert_roots_bitwise;
 use fusedml_hop::interp::Bindings;
 use fusedml_hop::{DagBuilder, HopDag, HopId};
 use fusedml_linalg::generate;
-use fusedml_runtime::{EngineBuilder, FusionMode};
+use fusedml_runtime::{Engine, EngineBuilder, FusionMode};
 
 const MODES: [FusionMode; 5] =
     [FusionMode::Base, FusionMode::Fused, FusionMode::Gen, FusionMode::GenFA, FusionMode::GenFNR];
@@ -230,6 +231,35 @@ fn verified_plans_execute_bitwise_equal() {
             assert_roots_bitwise(&got, &expect, &format!("seed {seed} {mode:?}"));
         }
     }
+}
+
+/// Reuse across DAGs: every seed runs through one long-lived engine per
+/// fused mode (plan cache on, verification on), so a DAG runs the operators
+/// an earlier DAG generated wherever their plan-cache keys agree. Each
+/// result must agree with a `Base` engine to 1e-9: checked against
+/// `execute_sequential`, which runs the same operators, a stale cached
+/// operator would agree with itself.
+#[test]
+fn plan_cache_reuse_across_dags_agrees_with_base() {
+    let base = Engine::new(FusionMode::Base);
+    let engines: Vec<Engine> =
+        MODES[1..].iter().map(|&m| EngineBuilder::new(m).verify_plans(true).build()).collect();
+    for seed in 0..40u64 {
+        let (dag, bindings) = random_dag(seed);
+        let want = base.execute(&dag, &bindings).into_values();
+        for engine in &engines {
+            let got = engine.execute(&dag, &bindings).into_values();
+            for (r, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    g.as_matrix().approx_eq(&w.as_matrix(), 1e-9),
+                    "seed {seed} {:?} root {r}",
+                    engine.mode()
+                );
+            }
+        }
+    }
+    let hits: usize = engines.iter().map(|e| e.plan_cache().stats().0).sum();
+    assert!(hits > 0, "no operator was reused across DAGs, so no reuse was checked");
 }
 
 /// The Outer template (sparsity-exploiting `sum(X * (U %*% t(V)))` family)

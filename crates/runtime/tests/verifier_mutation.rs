@@ -10,17 +10,14 @@ use std::sync::Arc;
 
 use fusedml_core::codegen::GeneratedOperator;
 use fusedml_core::optimizer::{optimize, FusionPlan};
-use fusedml_core::spoof::block::{compile_kernel, compile_row_kernel, BlockKernel, Kernel};
+use fusedml_core::spoof::block::{BlockKernel, Kernel, RowKernel};
 use fusedml_core::spoof::mono::{Product, ShapeClass};
-use fusedml_core::spoof::{FusedSpec, Instr, Program, RowOut, RowSpec, SideAccess};
+use fusedml_core::spoof::{FusedSpec, Instr, Program};
 use fusedml_hop::liveness::{self, Liveness};
 use fusedml_hop::{DagBuilder, HopDag, HopId};
-use fusedml_linalg::ops::{AggOp, BinaryOp, UnaryOp};
+use fusedml_linalg::ops::UnaryOp;
 use fusedml_runtime::schedule::{self, TaskGraph};
-use fusedml_runtime::verify::{
-    check_mono_shapes, check_residency_trace, check_row_kernel, verify_compiled, SlotState,
-    SlotTransition,
-};
+use fusedml_runtime::verify::{check_residency_trace, verify_compiled, SlotState, SlotTransition};
 use fusedml_runtime::{FusionMode, VerifyError};
 
 /// `sum(exp(X)) + sum(X^2)`-style artifact set: one fused operator in Gen
@@ -41,18 +38,61 @@ fn artifacts(mode: FusionMode) -> Artifacts {
     let e = b.exp(x);
     let s = b.sum(e);
     let q = b.sum_sq(x);
-    let dag = b.build(vec![s, q]);
+    compiled(b.build(vec![s, q]), mode, e)
+}
+
+/// The artifacts `Engine::compile` builds for `dag` under `mode`.
+fn compiled(dag: HopDag, mode: FusionMode, exp: HopId) -> Artifacts {
     let plan = match mode {
         FusionMode::Base => None,
         _ => Some(optimize(&dag, mode)),
     };
     let graph = schedule::prepare(&dag, plan.as_ref(), None);
     let facts = liveness::analyze(&dag);
-    Artifacts { dag, plan, graph, facts, exp: e }
+    Artifacts { dag, plan, graph, facts, exp }
+}
+
+/// `rowSums(exp(X) %*% W)` under `Gen`: one Row operator whose per-row body
+/// consumes the main row element-wise (`exp`), so its honest kernel is not
+/// `sparse_main_ok`.
+fn row_artifacts() -> Artifacts {
+    let mut b = DagBuilder::new();
+    let x = b.read("X", 40, 20, 1.0);
+    let w = b.read("W", 20, 5, 1.0);
+    let e = b.exp(x);
+    let m = b.mm(e, w);
+    let s = b.row_sums(m);
+    let a = compiled(b.build(vec![s]), FusionMode::Gen, e);
+    verify(&a).expect("the honest Row artifacts verify");
+    a
+}
+
+/// Operator 0 of `a`'s plan, for corruption.
+fn operator(a: &mut Artifacts) -> &mut GeneratedOperator {
+    Arc::make_mut(&mut a.plan.as_mut().unwrap().operators[0].op)
+}
+
+/// Corrupts the Row kernel operator 0 of `a` carries; returns the
+/// verifier's verdict.
+fn corrupt_row_kernel(mut a: Artifacts, mutate: impl Fn(&mut RowKernel)) -> VerifyError {
+    match &mut operator(&mut a).kernel {
+        Kernel::Row(k) => mutate(k),
+        Kernel::Block(_) => panic!("rowSums(exp(X) %*% W) must compile as a Row operator"),
+    }
+    verify(&a).unwrap_err()
 }
 
 fn verify(a: &Artifacts) -> Result<(), VerifyError> {
     verify_compiled(&a.dag, a.plan.as_ref(), &a.graph, &a.facts)
+}
+
+fn spec_program(spec: &mut FusedSpec) -> &mut Program {
+    match spec {
+        FusedSpec::Cell(c) => &mut c.prog,
+        FusedSpec::MAgg(m) => &mut m.prog,
+        FusedSpec::Row(r) => &mut r.prog,
+        FusedSpec::Outer(o) => &mut o.prog,
+    }
 }
 
 /// Baseline: the uncorrupted artifacts verify clean in both modes, so every
@@ -76,14 +116,7 @@ fn clean_artifacts_verify_ok() {
 fn dangling_register_rejected() {
     let mut a = artifacts(FusionMode::Gen);
     {
-        let plan = a.plan.as_mut().unwrap();
-        let op = Arc::make_mut(&mut plan.operators[0].op);
-        let prog = match &mut op.spec {
-            FusedSpec::Cell(c) => &mut c.prog,
-            FusedSpec::MAgg(m) => &mut m.prog,
-            FusedSpec::Row(r) => &mut r.prog,
-            FusedSpec::Outer(o) => &mut o.prog,
-        };
+        let prog = spec_program(&mut operator(&mut a).spec);
         // A brand-new register nothing defines, read immediately.
         let undefined = prog.n_regs;
         prog.n_regs += 1;
@@ -108,9 +141,7 @@ fn stale_liveness_rejected() {
 fn sparse_overclaim_rejected() {
     let mut a = artifacts(FusionMode::Gen);
     {
-        let plan = a.plan.as_mut().unwrap();
-        let op = Arc::make_mut(&mut plan.operators[0].op);
-        match &mut op.spec {
+        match &mut operator(&mut a).spec {
             FusedSpec::Cell(c) => c.sparse_safe = true,
             FusedSpec::MAgg(m) => m.sparse_safe = true,
             FusedSpec::Outer(o) => o.sparse_safe = true,
@@ -247,86 +278,61 @@ fn leaked_final_residency_rejected() {
     );
 }
 
-/// A hand-built Row spec whose per-row body consumes the main row
-/// element-wise: `rowSums(abs(X))`.
-fn dense_main_row_spec(n: usize, m: usize) -> RowSpec {
-    RowSpec {
-        prog: Program {
-            instrs: vec![
-                Instr::LoadMainRow { out: 0 },
-                Instr::VecUnary { out: 1, op: UnaryOp::Abs, a: 0 },
-                Instr::VecAgg { out: 0, op: AggOp::Sum, a: 1 },
-            ],
-            n_regs: 1,
-            vreg_lens: vec![m, m],
-        },
-        out: RowOut::RowAgg { src: 0 },
-        out_rows: n,
-        out_cols: 1,
-    }
-}
-
 /// Corruption 14 — a Row kernel claims `sparse_main_ok` although its
 /// per-row body consumes the main row element-wise (missing zeros would be
-/// skipped on sparse inputs).
+/// skipped on sparse inputs): not the kernel lowering gives.
 #[test]
 fn row_kernel_sparse_overclaim_rejected() {
-    let spec = dense_main_row_spec(8, 6);
-    let mut kernel = compile_row_kernel(&spec, &[]);
-    assert!(!kernel.sparse_main_ok, "abs consumes the main row densely");
-    check_row_kernel(0, &spec, &[], &kernel).expect("honest kernel verifies");
-    kernel.sparse_main_ok = true;
-    let err = check_row_kernel(0, &spec, &[], &kernel).unwrap_err();
-    assert!(matches!(err, VerifyError::SparseClaim { .. }), "got {err:?}");
+    let err = corrupt_row_kernel(row_artifacts(), |k| {
+        assert!(!k.sparse_main_ok, "exp consumes the main row densely");
+        k.sparse_main_ok = true;
+    });
+    assert!(matches!(err, VerifyError::StaleKernel { .. }), "got {err:?}");
 }
 
 /// Corruption 15 — a per-row instruction hoisted into the invariant
 /// section (a main-row load is never loop-invariant).
 #[test]
 fn row_kernel_hoisted_main_load_rejected() {
-    let spec = dense_main_row_spec(8, 6);
-    let mut kernel = compile_row_kernel(&spec, &[]);
-    kernel.invariant.insert(0, Instr::LoadMainRow { out: 0 });
-    let err = check_row_kernel(0, &spec, &[], &kernel).unwrap_err();
-    assert!(matches!(err, VerifyError::NotLoopInvariant { .. }), "got {err:?}");
+    let err = corrupt_row_kernel(row_artifacts(), |k| {
+        k.invariant.insert(0, Instr::LoadMainRow { out: 0 });
+    });
+    assert!(matches!(err, VerifyError::StaleKernel { .. }), "got {err:?}");
 }
 
 /// Corruption 16 — a block kernel whose stored product is not the one its
-/// block program classifies into: `X ⊙ Y` is the main input times gather
-/// slot 0, and the product stored in its place would multiply the main
-/// input by itself; a product stored for nothing, and none stored for a
-/// chain, are rejected the same way.
+/// block program classifies into: `sum(X ⊙ Y)` is the main input times
+/// gather slot 0, and the product stored in its place would multiply the
+/// main input by itself; none stored for the chain is rejected the same way.
 #[test]
 fn mono_shape_mismatch_rejected() {
-    let prog = Program {
-        instrs: vec![
-            Instr::LoadMain { out: 0 },
-            Instr::LoadSide { out: 1, side: 0, access: SideAccess::Cell },
-            Instr::Binary { out: 2, op: BinaryOp::Mult, a: 0, b: 1 },
-        ],
-        n_regs: 3,
-        vreg_lens: vec![],
-    };
-    let mut kernel = compile_kernel(&prog);
-    assert_eq!(kernel.mono_for(2), Some(&Product { mains: 1, slots: vec![0] }));
-    check_mono_shapes(0, &kernel, &[2]).expect("honest kernel verifies");
+    let mut b = DagBuilder::new();
+    let x = b.read("X", 40, 20, 1.0);
+    let y = b.read("Y", 40, 20, 1.0);
+    let xy = b.mult(x, y);
+    let s = b.sum(xy);
+    let dag = b.build(vec![s]);
     for corrupt in [Some(Product { mains: 2, slots: vec![] }), None] {
-        kernel.mono[2] = corrupt;
-        let err = check_mono_shapes(0, &kernel, &[2]).unwrap_err();
-        assert!(matches!(err, VerifyError::MonoShapeMismatch { .. }), "got {err:?}");
+        let mut a = compiled(dag.clone(), FusionMode::Gen, xy);
+        let Kernel::Block(k) = &mut operator(&mut a).kernel else {
+            panic!("sum(X * Y) must compile to a block kernel");
+        };
+        let chain = Some(Product { mains: 1, slots: vec![0] });
+        let r = k.mono.iter().position(|p| *p == chain).expect("X ⊙ Y is a product chain");
+        k.mono[r] = corrupt;
+        let err = verify(&a).unwrap_err();
+        assert!(matches!(err, VerifyError::StaleKernel { .. }), "got {err:?}");
     }
 }
 
 /// Corruption 17 — the kernel an operator carries is not the one its
-/// program lowers to. A product stored for the `exp` result fails the mono
-/// audit of the stored kernel; a kernel at another tile width, or a stored
-/// class the kernel does not run under, passes the audits and fails the
-/// comparison with a fresh lowering.
+/// program lowers to: a product stored for the `exp` result, a kernel at
+/// another tile width, or a stored class the kernel does not run under.
 #[test]
 fn stored_kernel_mutations_rejected() {
     let corrupt = |mutate: &dyn Fn(&mut GeneratedOperator)| {
         let mut a = artifacts(FusionMode::Gen);
-        mutate(Arc::make_mut(&mut a.plan.as_mut().unwrap().operators[0].op));
+        mutate(operator(&mut a));
         verify(&a).unwrap_err()
     };
     let block = |op: &mut GeneratedOperator, mutate: &dyn Fn(&mut BlockKernel)| match &mut op.kernel
@@ -335,10 +341,41 @@ fn stored_kernel_mutations_rejected() {
         Kernel::Row(_) => panic!("sum(exp(X)) must not compile as a Row operator"),
     };
     let err = corrupt(&|op| block(op, &|k| k.mono[1] = Some(Product { mains: 1, slots: vec![] })));
-    assert!(matches!(err, VerifyError::MonoShapeMismatch { .. }), "got {err:?}");
+    assert!(matches!(err, VerifyError::StaleKernel { .. }), "got {err:?}");
     let err = corrupt(&|op| block(op, &|k| k.width = 8));
     assert!(matches!(err, VerifyError::StaleKernel { .. }), "got {err:?}");
     let err = corrupt(&|op| op.class = ShapeClass::RowTile);
+    assert!(matches!(err, VerifyError::StaleKernel { .. }), "got {err:?}");
+}
+
+/// Corruption 18 — an operator whose program is not the compilation of its
+/// CPlan: a constant changed, and the operator rebuilt through
+/// `GeneratedOperator::new`, so its kernel is the honest lowering of the
+/// tampered program and every audit of the program itself passes.
+#[test]
+fn tampered_constant_rejected() {
+    let mut b = DagBuilder::new();
+    let x = b.read("X", 40, 20, 1.0);
+    let e = b.exp(x);
+    let half = b.lit(0.5);
+    let p = b.mult(e, half);
+    let s = b.sum(p);
+    let mut a = compiled(b.build(vec![s]), FusionMode::Gen, e);
+    verify(&a).expect("the honest artifacts verify");
+    let side_dims = a.plan.as_ref().unwrap().operators[0].cplan.side_dims.clone();
+    let op = operator(&mut a);
+    let mut spec = op.spec.clone();
+    let mut tampered = 0;
+    for ins in &mut spec_program(&mut spec).instrs {
+        if let Instr::LoadConst { value, .. } = ins {
+            *value += 1.0;
+            tampered += 1;
+        }
+    }
+    assert!(tampered > 0, "the program loads a constant: {:?}", op.spec);
+    *op =
+        GeneratedOperator::new(op.name.clone(), op.source.clone(), spec, op.plan_hash, &side_dims);
+    let err = verify(&a).unwrap_err();
     assert!(matches!(err, VerifyError::StaleKernel { .. }), "got {err:?}");
 }
 

@@ -224,6 +224,40 @@ fn fused_equals_unfused_on_tiled_row_algorithm_dags() {
     }
 }
 
+/// Every aggregate in every direction over a Row-fused input, `exp(X W)`
+/// (n×5) and `exp(X v)` (one scalar per row): `Gen` matches `Base`. A Row
+/// operator's column and full outputs add rows up, so a `Min`, `Max` or
+/// `Mean` across rows stays out of it, and a per-row scalar's `SumSq`
+/// squares it.
+#[test]
+fn fused_equals_unfused_on_every_row_aggregate() {
+    use fusedml::linalg::ops::{AggDir, AggOp};
+    let (n, m) = (TILE_RAGGED_ROWS, 23);
+    let mut bindings = Bindings::new();
+    bindings.insert("X".into(), generate::rand_dense(n, m, -0.3, 0.3, 51));
+    bindings.insert("W".into(), generate::rand_dense(m, 5, -0.5, 0.5, 52));
+    bindings.insert("v".into(), generate::rand_dense(m, 1, -0.5, 0.5, 53));
+    for side in ["W", "v"] {
+        for op in [AggOp::Sum, AggOp::SumSq, AggOp::Min, AggOp::Max, AggOp::Mean] {
+            for dir in [AggDir::Row, AggDir::Col, AggDir::Full] {
+                let mut b = DagBuilder::new();
+                let x = b.read("X", n, m, 1.0);
+                let w = b.read(side, m, if side == "W" { 5 } else { 1 }, 1.0);
+                let xw = b.mm(x, w);
+                let e = b.exp(xw);
+                let a = b.agg(op, dir, e);
+                let dag = b.build(vec![a]);
+                let (expect, _) = run(FusionMode::Base, &dag, &bindings);
+                let (got, _) = run(FusionMode::Gen, &dag, &bindings);
+                assert!(
+                    got[0].as_matrix().approx_eq(&expect[0].as_matrix(), 1e-9),
+                    "{op:?} {dir:?} over exp(X %*% {side})"
+                );
+            }
+        }
+    }
+}
+
 /// `sum(X ⊙ Y ⊙ Z)` and `sum(X ⊙ Y), sum(X ⊙ Z)` over three CSR inputs: `Y`
 /// and `Z` are bound as sparse `Cell` sides, gathered from their scattered
 /// rows. `X` alternates rows of two cells with full rows of three tiles.
