@@ -1221,11 +1221,12 @@ impl<'a> RowBuilder<'a> {
 }
 
 /// A column or full aggregate a Row operator computes must be a sum over
-/// rows of per-row terms: its `ColAgg` / `FullAgg` outputs add rows up, so
-/// `Min`, `Max` and `Mean` across rows have no Row form.
+/// rows of per-row terms (`templates::sums_over_rows`, the rule the Row
+/// template admits by).
 fn summed_over_rows(op: AggOp) -> Result<(), ConstructError> {
-    match op {
-        AggOp::Sum | AggOp::SumSq => Ok(()),
-        _ => Err(ConstructError(format!("a {op:?} across rows is not a sum of per-row terms"))),
+    if crate::templates::sums_over_rows(op) {
+        Ok(())
+    } else {
+        Err(ConstructError(format!("a {op:?} across rows is not a sum of per-row terms")))
     }
 }

@@ -15,6 +15,7 @@ mod row;
 
 pub use cell::CellTemplate;
 pub use outer::OuterTemplate;
+pub(crate) use row::sums_over_rows;
 pub use row::RowTemplate;
 
 use fusedml_hop::{Hop, HopDag};

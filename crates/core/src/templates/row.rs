@@ -4,7 +4,7 @@
 use super::shape;
 use super::{CloseDecision, FusionTemplate, TemplateType};
 use fusedml_hop::{Hop, HopDag, OpKind};
-use fusedml_linalg::ops::AggDir;
+use fusedml_linalg::ops::{AggDir, AggOp};
 
 /// Maximum number of columns of a matmult right-hand side that still counts
 /// as "skinny" for Row fusion (`X %*% V` with narrow `V`), mirroring
@@ -13,6 +13,14 @@ pub const ROW_NARROW_MAX: usize = 128;
 
 /// Row-wise template implementation.
 pub struct RowTemplate;
+
+/// Whether a column or full aggregate has a Row form: a Row operator's
+/// `ColAgg` / `FullAgg` outputs add rows up, so only a sum of per-row terms
+/// (`Sum`, `SumSq`) does; `Min`, `Max` and `Mean` across rows do not. The
+/// template admits what Row CPlan construction accepts, by this one rule.
+pub(crate) fn sums_over_rows(op: AggOp) -> bool {
+    matches!(op, AggOp::Sum | AggOp::SumSq)
+}
 
 /// Cell-wise map over a proper matrix (rows>1, cols>1): row-representable.
 fn is_rowwise_cellwise(h: &Hop) -> bool {
@@ -66,10 +74,11 @@ impl FusionTemplate for RowTemplate {
             // Transpose opens so that mm(t(X), D) can fuse its left input
             // (Figure 5 group 10 holds R(-1)).
             OpKind::Transpose => shape::is_matrix(h),
-            // Row/column aggregations over matrices (rowSums, colSums, …).
-            OpKind::Agg { dir: AggDir::Row, .. } | OpKind::Agg { dir: AggDir::Col, .. } => {
-                let input = dag.hop(h.inputs[0]);
-                shape::is_matrix(input)
+            // Row aggregations and column sums over matrices (rowSums,
+            // rowMaxs, colSums, …).
+            OpKind::Agg { dir: AggDir::Row, .. } => shape::is_matrix(dag.hop(h.inputs[0])),
+            OpKind::Agg { dir: AggDir::Col, op } => {
+                sums_over_rows(op) && shape::is_matrix(dag.hop(h.inputs[0]))
             }
             // Column slices (Figure 5 group 5 holds R(-1)).
             OpKind::RightIndex { .. } => {
@@ -87,8 +96,11 @@ impl FusionTemplate for RowTemplate {
             OpKind::Unary { .. } | OpKind::Binary { .. } | OpKind::Ternary { .. } => {
                 shape::is_non_scalar(h) && h.size.rows == input.size.rows && h.size.rows > 1
             }
-            // Aggregations over the covered input.
-            OpKind::Agg { .. } => input.size.rows > 1,
+            // Aggregations over the covered input: any per row, sums across
+            // rows.
+            OpKind::Agg { op, dir } => {
+                input.size.rows > 1 && (dir == AggDir::Row || sums_over_rows(op))
+            }
             OpKind::MatMult => {
                 let l = dag.hop(h.inputs[0]);
                 let r = dag.hop(h.inputs[1]);
@@ -127,8 +139,12 @@ impl FusionTemplate for RowTemplate {
     /// `t(X) %*% D` matmult produces a column-aggregated output and closes.
     fn close(&self, dag: &HopDag, h: &Hop) -> CloseDecision {
         match h.kind {
-            OpKind::Agg { dir: AggDir::Col, .. } | OpKind::Agg { dir: AggDir::Full, .. } => {
-                CloseDecision::ClosedValid
+            OpKind::Agg { dir: AggDir::Col | AggDir::Full, op } => {
+                if sums_over_rows(op) {
+                    CloseDecision::ClosedValid
+                } else {
+                    CloseDecision::ClosedInvalid
+                }
             }
             OpKind::MatMult => {
                 let l = dag.hop(h.inputs[0]);

@@ -33,13 +33,14 @@
 //! tile shape. Where every product is exact, both legs return the same bits.
 //! [`dot_sums`] runs several `dot` / `sum` terms in one loop and is bitwise
 //! each single-term kernel on the same backend. The row-batch kernels
-//! ([`dot_rows`], [`dot_rows_at`], [`sum_rows`], [`axpy_gather`],
-//! [`axpy_scatter`]) run a tile's short rows through the single-row body in
-//! one call, each result bitwise what the per-row `dot` / `sum` / `sum_sq` /
-//! `axpy` call gives on the same backend. `min`/`max` folds are
-//! deliberately *not* implemented here: `_mm256_min_pd` does not match
-//! Rust's `f64::min` on NaN and ±0.0, and the portable fold in `primitives`
-//! is already cheap.
+//! ([`dot_rows`], [`dot_rows_at`], [`dot_pairs`], [`sum_rows`],
+//! [`axpy_gather`], [`axpy_scatter`]) run a tile's short rows in one call,
+//! each result bitwise what the per-row `dot` / `sum` / `sum_sq` / `axpy`
+//! call gives on the same backend; `dot_rows_at` and `dot_pairs` run four
+//! dots per loop, each with its own lanes, tail and lane sum. `min`/`max`
+//! folds are deliberately *not* implemented here: `_mm256_min_pd` does not
+//! match Rust's `f64::min` on NaN and ±0.0, and the portable fold in
+//! `primitives` is already cheap.
 //!
 //! Feature detection runs once (`std::arch::is_x86_feature_detected!`) and
 //! is cached; [`force_scalar`] flips a process-wide override so
@@ -550,15 +551,103 @@ primitive! {
     }
 }
 
+/// Four [`dot`]s of length-`k` pairs in one chunk loop: each pair keeps its
+/// own four lanes, its own zero-padded tail chunk and its own
+/// `(l0 + l1) + (l2 + l3)` — the operations of [`fold_lanes`], so each result
+/// is bitwise one `dot` — while the four multiply-add chains run side by side
+/// instead of one after another.
+#[inline(always)]
+fn dot_lanes_x4<const FMA: bool>(k: usize, pairs: [(&[f64], &[f64]); 4]) -> [f64; 4] {
+    let m = k / 4;
+    let chunks =
+        pairs.map(|(a, b)| (&a[..k].as_chunks::<4>().0[..m], &b[..k].as_chunks::<4>().0[..m]));
+    let mut acc = [[0.0f64; 4]; 4];
+    for i in 0..m {
+        for (acc, (a, b)) in acc.iter_mut().zip(&chunks) {
+            for (l, s) in acc.iter_mut().enumerate() {
+                *s = madd::<FMA>(a[i][l], b[i][l], *s);
+            }
+        }
+    }
+    if !k.is_multiple_of(4) {
+        // Hidden from the optimizer as in `fold_lanes`.
+        let t = std::hint::black_box(k - k % 4);
+        for (acc, (a, b)) in acc.iter_mut().zip(pairs) {
+            for (l, s) in acc.iter_mut().enumerate() {
+                let at = |x: &[f64]| if t + l < k { x[t + l] } else { 0.0 };
+                *s = madd::<FMA>(at(a), at(b), *s);
+            }
+        }
+    }
+    acc.map(|l| (l[0] + l[1]) + (l[2] + l[3]))
+}
+
+/// Row `i` of the row-major `x` with rows `k` apart.
+#[inline(always)]
+fn row_of(x: &[f64], i: usize, k: usize) -> &[f64] {
+    &x[i * k..][..k]
+}
+
+/// `out[t] = dot(A(ia(t)), B(ib(t)))` over rows `k` apart, four dots per
+/// loop ([`dot_lanes_x4`]): within a run of equal `ia(t)` a group shares its
+/// `A` row (each step loads five chunks, not eight), and a run's last one to
+/// three positions wait for the next runs' to fill a group; the last one to
+/// three of all run one [`fold_lanes`] each.
+#[inline(always)]
+fn dots_by_four<const FMA: bool>(
+    (a, ia): (&[f64], impl Fn(usize) -> usize),
+    (b, ib): (&[f64], impl Fn(usize) -> usize),
+    k: usize,
+    out: &mut [f64],
+) {
+    let n = out.len();
+    let (mut wait, mut waiting) = ([0usize; 4], 0);
+    let mut t = 0;
+    while t < n {
+        let x = row_of(a, ia(t), k);
+        let end = t + (t..n).take_while(|&p| ia(p) == ia(t)).count();
+        while end - t >= 4 {
+            let pairs = std::array::from_fn(|d| (x, row_of(b, ib(t + d), k)));
+            out[t..t + 4].copy_from_slice(&dot_lanes_x4::<FMA>(k, pairs));
+            t += 4;
+        }
+        for p in t..end {
+            wait[waiting] = p;
+            waiting += 1;
+            if waiting == 4 {
+                let pairs = wait.map(|p| (row_of(a, ia(p), k), row_of(b, ib(p), k)));
+                for (&p, d) in wait.iter().zip(dot_lanes_x4::<FMA>(k, pairs)) {
+                    out[p] = d;
+                }
+                waiting = 0;
+            }
+        }
+        t = end;
+    }
+    for &p in &wait[..waiting] {
+        let (x, y) = (row_of(a, ia(p), k), row_of(b, ib(p), k));
+        out[p] = fold_lanes([x, y], |s, [a, b]| madd::<FMA>(a, b, s));
+    }
+}
+
 primitive! {
     /// `out[t] = dot(a, B(ix[t]))`, `B(j)` row `j` of the row-major `b`
-    /// (rows `a.len()` apart): one row against scattered rows, each bitwise
-    /// [`dot`] on the same backend.
+    /// (rows `a.len()` apart): one row against scattered rows, four dots per
+    /// loop, each bitwise [`dot`] on the same backend.
     pub fn dot_rows_at<FMA>(a: &[f64], b: &[f64], ix: &[usize], out: &mut [f64]) {
-        let k = a.len();
-        for (o, &j) in out.iter_mut().zip(ix) {
-            *o = fold_lanes([a, &b[j * k..][..k]], |s, [a, b]| madd::<FMA>(a, b, s));
-        }
+        let n = ix.len().min(out.len());
+        dots_by_four::<FMA>((a, |_| 0), (b, |t| ix[t]), a.len(), &mut out[..n]);
+    }
+}
+
+primitive! {
+    /// `out[t] = dot(A(ia[t]), B(ib[t]))`, `A(j)` / `B(j)` row `j` of the
+    /// row-major `a` / `b` (rows `k` apart): a tile whose positions lie in
+    /// different rows of both, four dots per loop (sharing the `A` row
+    /// within a run of equal `ia`), each bitwise [`dot`] on the same backend.
+    pub fn dot_pairs<FMA>(a: &[f64], ia: &[usize], b: &[f64], ib: &[usize], k: usize, out: &mut [f64]) {
+        let n = ia.len().min(ib.len()).min(out.len());
+        dots_by_four::<FMA>((a, |t| ia[t]), (b, |t| ib[t]), k, &mut out[..n]);
     }
 }
 
@@ -1378,6 +1467,53 @@ pub(crate) mod tests {
                     }
                     axpy_scatter(&w, &u, at, &mut acc);
                     assert!(acc.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()));
+                }
+            }
+        }
+        force_scalar(false);
+    }
+
+    /// `dot_rows_at` and `dot_pairs` run their dots four to a loop: each
+    /// result is bitwise one `dot` on both legs, at every remainder of a group
+    /// of four (0–9 dots), at lengths across the 4-lane chunk and the
+    /// rank-100 of fig8h, with NaN / ±0 / ±inf in the rows.
+    #[test]
+    fn four_way_dots_are_bitwise_dot() {
+        let _paths = path_lock();
+        let special = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY];
+        let same =
+            |got: f64, want: f64| got.to_bits() == want.to_bits() || got.is_nan() && want.is_nan();
+        for force in [false, true] {
+            force_scalar(force);
+            for k in (0..=10).chain([16, 17, 100]) {
+                let rows = 7;
+                let mut a = data(rows * k, 71 + k as u64);
+                let b = data(rows * k, 72);
+                if k > 2 {
+                    a[k + 2] = special[k % special.len()];
+                }
+                for count in 0..=9usize {
+                    let ia: Vec<usize> = (0..count).map(|t| (t * 5 + 1) % rows).collect();
+                    let ib: Vec<usize> = (0..count).map(|t| (t * 3 + count) % rows).collect();
+                    let mut out = vec![f64::NAN; count + 1];
+                    dot_rows_at(&a[k..2 * k], &b, &ib, &mut out);
+                    for (t, &j) in ib.iter().enumerate() {
+                        let want = dot(&a[k..2 * k], &b[j * k..][..k]);
+                        assert!(
+                            same(out[t], want),
+                            "dot_rows_at k={k} count={count} t={t} force={force}"
+                        );
+                    }
+                    assert!(out[count].is_nan(), "dot_rows_at wrote past its indices");
+                    dot_pairs(&a, &ia, &b, &ib, k, &mut out);
+                    for (t, (&i, &j)) in ia.iter().zip(&ib).enumerate() {
+                        let want = dot(&a[i * k..][..k], &b[j * k..][..k]);
+                        assert!(
+                            same(out[t], want),
+                            "dot_pairs k={k} count={count} t={t} force={force}"
+                        );
+                    }
+                    assert!(out[count].is_nan(), "dot_pairs wrote past its indices");
                 }
             }
         }

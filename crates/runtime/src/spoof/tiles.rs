@@ -9,6 +9,15 @@
 //! Outer's `dot(U_i, V_j)` tile filled on the way. The skeletons pick a sink
 //! and finalize.
 //!
+//! A tile lies in one main row, except where the `full` sink folds a CSR
+//! main by its non-zeros, under a program with no per-row prologue whose
+//! gathers all read dense sides: there a tile takes whole short rows while
+//! they fit its width (a longer row is chunked on its own, and no tile
+//! crosses a `par` band). Such a tile carries each position's row — Outer's
+//! dots are one `simd::dot_pairs` call, a dense `Cell` side is gathered at
+//! `r·cols + c` — and the sink sees each row's segment as that row's own
+//! tile, so every fold is bitwise the per-row walk's.
+//!
 //! Below the driver, `TileRunner` resolves each of the program's side
 //! gathers into per-tile slices — zero-copy for dense sides under dense
 //! iteration, gathered by column index under CSR iteration. Wherever a CSR
@@ -21,8 +30,8 @@ use fusedml_linalg::ops::AggOp;
 use fusedml_linalg::{par, pool, simd, DenseMatrix, Matrix, SparseMatrix};
 
 use fusedml_core::spoof::block::{
-    clamp_tile_width, fold_result, write_result, BlockEval, BlockKernel, CellBackend, OpRef,
-    TileCtx, TileSrc,
+    clamp_tile_width, fold_result, write_result, BlockEval, BlockKernel, CellBackend, OpRef, Opnd,
+    TileCtx, TileSrc, ValSrc,
 };
 use fusedml_core::spoof::mono::{self, Product};
 use fusedml_core::spoof::{Reg, SideAccess};
@@ -58,12 +67,24 @@ impl<'a> TileCols<'a> {
     }
 }
 
+/// The main rows of a CSR tile's positions: one row, or a row per position
+/// (a tile that batches short rows).
+#[derive(Clone, Copy)]
+enum TileRows<'a> {
+    One(usize),
+    Each(&'a [usize]),
+}
+
 /// One tile of positions of one main row, as an output sink sees it.
 /// Results are addressed by their index `j` in the pass's register list.
+/// In a tile that batches short rows, each row's segment is a `Tile` of its
+/// own: `ctx` holds the segment's inputs, the body registers the whole tile,
+/// from which the segment starts at `base`.
 pub(crate) struct Tile<'t> {
     pass: &'t CellPass<'t>,
     ev: &'t BlockEval,
     ctx: &'t TileCtx<'t>,
+    base: usize,
     scratch: &'t mut [f64],
     row: usize,
     cols: TileCols<'t>,
@@ -113,8 +134,17 @@ impl<'t> Tile<'t> {
         &self.scratch[..self.n]
     }
 
+    /// Result `j` over the tile: a body register is read at the tile's
+    /// offset `base` in the evaluated tile, any other operand through `ctx`.
     fn value_of(&self, j: usize) -> OpRef<'_> {
-        self.ev.value_of(&self.pass.kernel.block, self.pass.regs[j], self.ctx, self.n)
+        let (bp, reg) = (&self.pass.kernel.block, self.pass.regs[j]);
+        let ValSrc::Varying(Opnd::Tile(_)) = bp.src_of(reg) else {
+            return self.ev.value_of(bp, reg, self.ctx, self.n);
+        };
+        match self.ev.value_of(bp, reg, self.ctx, self.base + self.n) {
+            OpRef::S(s) => OpRef::S(&s[self.base..]),
+            c => c,
+        }
     }
 }
 
@@ -139,6 +169,11 @@ pub(crate) struct CellPass<'a> {
     factors: Option<(&'a [f64], &'a [f64], usize)>,
     /// `par` work hint per main row.
     work: usize,
+    /// Short CSR rows may share a tile (see [`Self::walk`]): the main is
+    /// walked by its non-zeros, no prologue runs per row and every gather
+    /// reads a dense side, so a position's inputs depend on its row and
+    /// column only.
+    batches: bool,
 }
 
 impl<'a> CellPass<'a> {
@@ -158,6 +193,9 @@ impl<'a> CellPass<'a> {
         let specialize = backend == CellBackend::Mono;
         let run_body = !specialize || regs.iter().any(|&r| kernel.mono_for(r).is_none());
         let work = input.work();
+        let batches = csr.is_some()
+            && kernel.block.row_uniform.is_empty()
+            && kernel.block.gathers.iter().all(|&(i, _)| matches!(sides[i], SideInput::Dense(_)));
         Some(CellPass {
             kernel,
             width: clamp_tile_width(kernel.width),
@@ -172,6 +210,7 @@ impl<'a> CellPass<'a> {
             run_body,
             factors,
             work,
+            batches,
         })
     }
 
@@ -179,46 +218,107 @@ impl<'a> CellPass<'a> {
         self.kernel.mono_for(self.regs[j]).filter(|_| self.specialize)
     }
 
-    /// Fills `buf[t] = dot(U[i,:], V[at(t),:])` for the `n` positions of a
-    /// tile when the pass has factors.
-    fn uv_tile<'b>(&self, i: usize, at: TileCols<'_>, n: usize, buf: &'b mut [f64]) -> TileSrc<'b> {
+    /// Fills `buf[t] = dot(U[r_t,:], V[at(t),:])` for the `n` positions of a
+    /// tile when the pass has factors, `r_t` the position's main row: one
+    /// row-batch call per tile, four dots per loop where the columns are
+    /// scattered.
+    fn uv_tile<'b>(
+        &self,
+        rows: TileRows<'_>,
+        at: TileCols<'_>,
+        n: usize,
+        buf: &'b mut [f64],
+    ) -> TileSrc<'b> {
         let Some((u, v, rank)) = self.factors else { return TileSrc::Const(0.0) };
-        let urow = &u[i * rank..(i + 1) * rank];
-        match at {
-            TileCols::Range(c0) => {
-                simd::dot_rows(urow, 0, &v[c0 * rank..], rank, rank, &mut buf[..n])
+        let out = &mut buf[..n];
+        match (rows, at) {
+            (TileRows::One(i), TileCols::Range(c0)) => {
+                simd::dot_rows(&u[i * rank..][..rank], 0, &v[c0 * rank..], rank, rank, out)
             }
-            TileCols::Indices(ix) => simd::dot_rows_at(urow, v, ix, &mut buf[..n]),
+            (TileRows::One(i), TileCols::Indices(ix)) => {
+                simd::dot_rows_at(&u[i * rank..][..rank], v, ix, out)
+            }
+            (TileRows::Each(rows), TileCols::Indices(ix)) => {
+                simd::dot_pairs(u, rows, v, ix, rank, out)
+            }
+            (TileRows::Each(_), TileCols::Range(_)) => unreachable!("only CSR tiles batch rows"),
         }
         TileSrc::Slice(&buf[..n])
     }
 
     /// Walks rows `lo..hi` on the calling thread, one `sink` call per tile.
-    fn walk(&self, lo: usize, hi: usize, mut sink: impl FnMut(&mut Tile<'_>)) {
+    ///
+    /// With `batch` (only where [`Self::batches`]) a CSR tile takes whole
+    /// rows while they fit within the tile width — a longer row is chunked on
+    /// its own — and the sink sees each row's segment as that row's own
+    /// tile, so its folds see the positions, the tile boundaries and the
+    /// order of the per-row walk.
+    fn walk(&self, lo: usize, hi: usize, batch: bool, mut sink: impl FnMut(&mut Tile<'_>)) {
+        debug_assert!(!batch || self.batches);
         let (width, cols) = (self.width, self.cols);
         let mut tr = TileRunner::new(self.kernel, self.sides, self.scalars, cols, width);
         let mut uv = pool::take_zeroed(if self.factors.is_some() { width } else { 0 });
         let mut scratch = pool::take_zeroed(width);
-        let mut emit = |ev: &BlockEval, ctx: &TileCtx<'_>, n, row, at| {
-            sink(&mut Tile { pass: self, ev, ctx, scratch: &mut scratch, row, cols: at, n })
+        let mut emit = |ev: &BlockEval, ctx: &TileCtx<'_>, base, n, row, at| {
+            sink(&mut Tile { pass: self, ev, ctx, base, scratch: &mut scratch, row, cols: at, n })
         };
         match self.csr {
             Some(x) => {
-                for r in lo..hi {
+                let ptr = x.row_ptr();
+                // Each position's row in a batched tile.
+                let mut pos_rows = vec![0; if batch { width } else { 0 }];
+                let mut r = lo;
+                while r < hi {
+                    // Rows `r..r1` fit one tile together.
+                    let mut r1 = r;
+                    while batch && r1 < hi && ptr[r1 + 1] - ptr[r] <= width {
+                        r1 += 1;
+                    }
+                    if r1 >= r + 2 {
+                        let (p0, p1) = (ptr[r], ptr[r1]);
+                        let (ix, n) = (&x.col_indices()[p0..p1], p1 - p0);
+                        for q in r..r1 {
+                            pos_rows[ptr[q] - p0..ptr[q + 1] - p0].fill(q);
+                        }
+                        let each = TileRows::Each(&pos_rows[..n]);
+                        let dots = self.uv_tile(each, TileCols::Indices(ix), n, &mut uv);
+                        let vals = TileSrc::Slice(&x.values()[p0..p1]);
+                        tr.sparse_tile(vals, dots, each, ix, self.run_body, |ev, ctx, _| {
+                            let mut g = [TileSrc::Const(0.0); MAX_GATHERS];
+                            for q in r..r1 {
+                                let (s, m) = (ptr[q] - p0, ptr[q + 1] - ptr[q]);
+                                if m == 0 {
+                                    continue;
+                                }
+                                for (w, &src) in g.iter_mut().zip(ctx.gathers) {
+                                    *w = sub_tile(src, s, m);
+                                }
+                                let seg = TileCtx {
+                                    main: sub_tile(ctx.main, s, m),
+                                    uv: sub_tile(ctx.uv, s, m),
+                                    gathers: &g[..ctx.gathers.len()],
+                                };
+                                emit(ev, &seg, s, m, q, TileCols::Indices(&ix[s..s + m]));
+                            }
+                        });
+                        r = r1;
+                        continue;
+                    }
                     tr.begin_row(r);
                     for (vals, ix) in x.row_values(r).chunks(width).zip(x.row_cols(r).chunks(width))
                     {
                         let at = TileCols::Indices(ix);
-                        let dots = self.uv_tile(r, at, ix.len(), &mut uv);
+                        let dots = self.uv_tile(TileRows::One(r), at, ix.len(), &mut uv);
                         tr.sparse_tile(
                             TileSrc::Slice(vals),
                             dots,
-                            r,
+                            TileRows::One(r),
                             ix,
                             self.run_body,
-                            |ev, ctx, n| emit(ev, ctx, n, r, at),
+                            |ev, ctx, n| emit(ev, ctx, 0, n, r, at),
                         );
                     }
+                    r += 1;
                 }
             }
             None => {
@@ -230,7 +330,7 @@ impl<'a> CellPass<'a> {
                     while c0 < cols {
                         let n = width.min(cols - c0);
                         let at = TileCols::Range(c0);
-                        let dots = self.uv_tile(r, at, n, &mut uv);
+                        let dots = self.uv_tile(TileRows::One(r), at, n, &mut uv);
                         tr.dense_tile(
                             sub_tile(row, c0, n),
                             dots,
@@ -238,7 +338,7 @@ impl<'a> CellPass<'a> {
                             c0,
                             n,
                             self.run_body,
-                            |ev, ctx, n| emit(ev, ctx, n, r, at),
+                            |ev, ctx, n| emit(ev, ctx, 0, n, r, at),
                         );
                         c0 += n;
                     }
@@ -249,16 +349,18 @@ impl<'a> CellPass<'a> {
         pool::give(scratch);
     }
 
-    /// Sinks that accumulate: one `A` per worker, merged on the caller.
+    /// Sinks that accumulate: one `A` per worker, merged on the caller;
+    /// `batch` lets short CSR rows share a tile ([`Self::walk`]).
     fn reduce<A: Send>(
         &self,
+        batch: bool,
         identity: impl Fn() -> A + Sync,
         tile: impl Fn(&mut A, &mut Tile<'_>) + Sync,
         merge: impl Fn(A, A) -> A,
     ) -> A {
         let map = |lo, hi| {
             let mut acc = identity();
-            self.walk(lo, hi, |t| tile(&mut acc, t));
+            self.walk(lo, hi, batch, |t| tile(&mut acc, t));
             acc
         };
         par::par_map_reduce(self.rows, self.work, identity(), map, merge)
@@ -272,7 +374,7 @@ impl<'a> CellPass<'a> {
         tile: impl Fn(&mut [f64], &mut Tile<'_>) + Sync,
     ) {
         par::par_row_bands_mut(out, self.rows, row_len, self.work, |r0, band| {
-            self.walk(r0, r0 + band.len() / row_len, |t| {
+            self.walk(r0, r0 + band.len() / row_len, false, |t| {
                 let o = (t.row() - r0) * row_len;
                 tile(&mut band[o..o + row_len], t)
             })
@@ -287,7 +389,9 @@ impl CellSinks for CellPass<'_> {
 
     /// When two or more results are product chains under `Sum` / `Mean`,
     /// their tile sums run as one loop over the shared inputs
-    /// ([`Tile::fold_sums`]); every other result folds on its own.
+    /// ([`Tile::fold_sums`]); every other result folds on its own. The only
+    /// sink whose tiles batch short CSR rows: it folds each row's segment as
+    /// the per-row walk folds that row's tile.
     fn full(&self, ops: &[AggOp]) -> Vec<f64> {
         let mut sums: Vec<Option<&Product>> = (0..ops.len())
             .map(|j| self.mono(j).filter(|_| matches!(ops[j], AggOp::Sum | AggOp::Mean)))
@@ -297,6 +401,7 @@ impl CellSinks for CellPass<'_> {
             sums.fill(None);
         }
         self.reduce(
+            self.batches,
             || ops.iter().map(|op| op.identity()).collect::<Vec<f64>>(),
             |accs, t| {
                 if fused {
@@ -329,6 +434,7 @@ impl CellSinks for CellPass<'_> {
     fn col_agg(&self, op: AggOp) -> (Vec<f64>, Vec<usize>) {
         let cols = self.cols;
         self.reduce(
+            false,
             || (vec![op.identity(); cols], vec![0usize; cols]),
             |(acc, counts), t| {
                 let at = t.cols();
@@ -363,6 +469,7 @@ impl CellSinks for CellPass<'_> {
             return Matrix::dense(DenseMatrix::new(rows, cols, out));
         }
         let triples = self.reduce(
+            false,
             Vec::new,
             |triples, t| {
                 let (r, at) = (t.row(), t.cols());
@@ -392,6 +499,7 @@ impl CellSinks for CellPass<'_> {
     /// Per-worker partials, summed.
     fn left_mm(&self, s: &[f64], k: usize) -> Vec<f64> {
         self.reduce(
+            false,
             || pool::take_zeroed(self.cols * k),
             |acc, t| {
                 let ((c0, ix), srow) = (t.cols().split(), &s[t.row() * k..][..k]);
@@ -494,6 +602,8 @@ struct TileRunner<'k, 's> {
     side_rows: Vec<RowScratch>,
     /// Scatter-gather scratch (sparse-main iteration), tile-width sized.
     scatter_bufs: Vec<Vec<f64>>,
+    /// A batched tile's flat side indices `r·cols + c`, sized on first use.
+    flat: Vec<usize>,
     width: usize,
 }
 
@@ -535,7 +645,7 @@ impl<'k, 's> TileRunner<'k, 's> {
             });
             scatter_bufs.push(pool::take_zeroed(width));
         }
-        TileRunner { kernel, eval, sides, side_rows, scatter_bufs, width }
+        TileRunner { kernel, eval, sides, side_rows, scatter_bufs, flat: Vec::new(), width }
     }
 
     /// Per-row prologue of both iterations: runs the row-uniform program and
@@ -582,13 +692,14 @@ impl<'k, 's> TileRunner<'k, 's> {
         f(&self.eval, &ctx, n)
     }
 
-    /// Gathers side tiles at the scattered column indices `cols` of row `r`
-    /// (non-zero batching), optionally evaluates, and hands off to `f`.
+    /// Gathers side tiles at the scattered column indices `cols` of `rows`
+    /// (non-zero batching), optionally evaluates, and hands off to `f`. A
+    /// tile with a row per position gathers dense sides only.
     fn sparse_tile<R>(
         &mut self,
         main: TileSrc<'_>,
         uv: TileSrc<'_>,
-        r: usize,
+        rows: TileRows<'_>,
         cols: &[usize],
         run_body: bool,
         f: impl FnOnce(&BlockEval, &TileCtx<'_>, usize) -> R,
@@ -598,10 +709,19 @@ impl<'k, 's> TileRunner<'k, 's> {
         debug_assert!(n <= self.width);
         for (slot, &(side, access)) in bp.gathers.iter().enumerate() {
             let buf = &mut self.scatter_bufs[slot][..n];
-            let row = match (&self.sides[side], access) {
-                (SideInput::Dense(d), SideAccess::Cell) => d.row(r),
-                (SideInput::Dense(d), SideAccess::Row) => d.row(0),
-                (SideInput::Sparse(_), SideAccess::Cell | SideAccess::Row) => {
+            let row = match (&self.sides[side], access, rows) {
+                (SideInput::Dense(d), SideAccess::Cell, TileRows::Each(rows)) => {
+                    // Each position reads its own row: gather by flat index.
+                    self.flat.resize(self.width, 0);
+                    for ((f, &r), &c) in self.flat.iter_mut().zip(rows).zip(cols) {
+                        *f = r * d.cols() + c;
+                    }
+                    simd::gather_into(buf, d.values(), &self.flat[..n]);
+                    continue;
+                }
+                (SideInput::Dense(d), SideAccess::Cell, TileRows::One(r)) => d.row(r),
+                (SideInput::Dense(d), SideAccess::Row, _) => d.row(0),
+                (SideInput::Sparse(_), SideAccess::Cell | SideAccess::Row, TileRows::One(_)) => {
                     &self.side_rows[slot].buf
                 }
                 _ => unreachable!("Col/Scalar accesses are hoisted out of gathers"),

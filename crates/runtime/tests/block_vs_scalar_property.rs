@@ -1217,3 +1217,160 @@ fn outer_tiles_are_bitwise_the_scalar_pass_at_every_rank() {
         }
     }
 }
+
+/// A `full` sink over a CSR main batches short rows into one tile when the
+/// program runs no per-row prologue and gathers dense sides only; every other
+/// walk takes one row per tile. Appending an unused `Col`-access load gives
+/// the same program a per-row prologue, so the two kernels below run the
+/// batched and the per-row walk over the same positions: their results must
+/// agree bitwise, on random values whose sums round. Outer `FullAgg` (with
+/// and without gathers), Cell `FullAgg` under `Sum` / `SumSq` / `Min` /
+/// `Mean` and a MAgg whose product sums fold together, over CSR rows of zero
+/// to three non-zeros, an empty row and a row longer than a tile, at tile
+/// widths 8, 33 and 256 on one, two and three threads.
+#[test]
+fn batched_short_rows_are_bitwise_the_per_row_tiles() {
+    const RANK: usize = 5;
+    let (rows, cols) = (1500, 300);
+    let cell = |out, side, access| Instr::LoadSide { out, side, access };
+    // `X ⊙ (S0 + s1ᵀ) ⊙ S0` over a dense `Cell` side and a dense `Row` side;
+    // `X ⊙ S0` and `X ⊙ s1ᵀ` are product chains.
+    let body = vec![
+        Instr::LoadMain { out: 0 },
+        cell(1, 0, SideAccess::Cell),
+        cell(2, 1, SideAccess::Row),
+        Instr::Binary { out: 3, op: BinaryOp::Add, a: 1, b: 2 },
+        Instr::Binary { out: 4, op: BinaryOp::Mult, a: 0, b: 3 },
+        Instr::Binary { out: 5, op: BinaryOp::Mult, a: 4, b: 1 },
+        Instr::Binary { out: 6, op: BinaryOp::Mult, a: 0, b: 1 },
+        Instr::Binary { out: 7, op: BinaryOp::Mult, a: 0, b: 2 },
+    ];
+    // Outer: `X ⊙ (S0 + s1ᵀ) ⊙ U Vᵀ`, and fig8h's `X ⊙ log(U Vᵀ + 1e-15)`.
+    let outer_gathers = [
+        &body[..5],
+        &[Instr::LoadUVDot { out: 5 }, Instr::Binary { out: 6, op: BinaryOp::Mult, a: 4, b: 5 }],
+    ]
+    .concat();
+    let fig8h = vec![
+        Instr::LoadMain { out: 0 },
+        Instr::LoadUVDot { out: 1 },
+        Instr::LoadConst { out: 2, value: 1e-15 },
+        Instr::Binary { out: 3, op: BinaryOp::Add, a: 1, b: 2 },
+        Instr::Unary { out: 4, op: UnaryOp::Log, a: 3 },
+        Instr::Binary { out: 5, op: BinaryOp::Mult, a: 0, b: 4 },
+    ];
+    // The program, and the same program with a per-row prologue.
+    let both = |instrs: &[Instr]| {
+        let n = instrs.len() as u16;
+        let plain = Program { instrs: instrs.to_vec(), n_regs: n, vreg_lens: vec![] };
+        let mut per_row = plain.clone();
+        per_row.instrs.push(cell(n, 2, SideAccess::Col));
+        per_row.n_regs += 1;
+        assert!(compile_kernel(&plain).block.row_uniform.is_empty());
+        assert!(!compile_kernel(&per_row).block.row_uniform.is_empty());
+        [plain, per_row]
+    };
+    let dense = generate::rand_dense(rows, cols, -1.5, 1.5, 41);
+    // Row 0 holds every column (longer than a tile at every width), row 1
+    // none, the others zero to three cells.
+    let csr =
+        csr_where(&dense, |r, c| r == 0 || (r != 1 && (c * 7 + r * 13) % cols < (r * 31) % 4));
+    let bound = [
+        generate::rand_dense(rows, cols, -1.5, 1.5, 42),
+        generate::rand_dense(1, cols, -1.5, 1.5, 43),
+        generate::rand_dense(rows, 1, -1.5, 1.5, 44),
+        generate::rand_dense(rows, RANK, 0.1, 1.0, 45),
+        generate::rand_dense(cols, RANK, 0.1, 1.0, 46),
+    ];
+    let sides: Vec<SideInput> = bound.iter().map(SideInput::bind).collect();
+    let (cell_progs, outer_progs) = (both(&body), [both(&outer_gathers), both(&fig8h)]);
+    for width in [8, 33, 256] {
+        for threads in [1, 2, 3] {
+            let run = |what: &str,
+                       exec: &dyn Fn(&Program, &BlockKernel) -> Vec<Matrix>,
+                       progs: &[Program; 2]| {
+                let _limit = par::limit_current_thread(threads);
+                let [batched, per_row] = progs.each_ref().map(|p| {
+                    let kernel = BlockKernel { width, ..compile_kernel(p) };
+                    exec(p, &kernel)
+                });
+                for (b, p) in batched.iter().zip(&per_row) {
+                    common::assert_bitwise(
+                        b,
+                        p,
+                        &format!("{what} width {width} threads {threads}"),
+                    );
+                }
+            };
+            for op in [AggOp::Sum, AggOp::SumSq, AggOp::Min, AggOp::Mean] {
+                let exec = |prog: &Program, kernel: &BlockKernel| {
+                    let spec = CellSpec {
+                        prog: prog.clone(),
+                        result: 5,
+                        agg: CellAgg::FullAgg(op),
+                        sparse_safe: true,
+                    };
+                    vec![cellwise::execute_with(
+                        &spec,
+                        kernel,
+                        Some(&csr),
+                        &sides,
+                        &[],
+                        rows,
+                        cols,
+                        CellBackend::Mono,
+                    )]
+                };
+                run(&format!("Cell {op:?}"), &exec, &cell_progs);
+            }
+            for backend in [CellBackend::Block, CellBackend::Mono] {
+                let exec = |prog: &Program, kernel: &BlockKernel| {
+                    let results = vec![
+                        (6, AggOp::Sum),
+                        (7, AggOp::Sum),
+                        (5, AggOp::Min),
+                        (4, AggOp::Mean),
+                        (3, AggOp::SumSq),
+                    ];
+                    let spec = MAggSpec { prog: prog.clone(), results, sparse_safe: true };
+                    multiagg::execute_with(
+                        &spec,
+                        kernel,
+                        Some(&csr),
+                        &sides,
+                        &[],
+                        rows,
+                        cols,
+                        backend,
+                    )
+                };
+                run(&format!("MAgg {backend:?}"), &exec, &cell_progs);
+                for progs in &outer_progs {
+                    let result = progs[0].n_regs - 1;
+                    let exec = |prog: &Program, kernel: &BlockKernel| {
+                        let spec = OuterSpec {
+                            prog: prog.clone(),
+                            result,
+                            out: OuterOut::FullAgg,
+                            u_side: 3,
+                            v_side: 4,
+                            rank: RANK,
+                            sparse_safe: true,
+                        };
+                        vec![outerprod::execute_with(
+                            &spec,
+                            kernel,
+                            Some(&csr),
+                            &sides,
+                            &[],
+                            rows,
+                            cols,
+                            backend,
+                        )]
+                    };
+                    run(&format!("Outer {backend:?}"), &exec, progs);
+                }
+            }
+        }
+    }
+}

@@ -615,10 +615,7 @@ fn row_tiles_are_bitwise_the_interpreter_on_the_lane_grid() {
             let main_vals = eighths(n * w, seed, 7);
             let dense_main =
                 Matrix::dense(fusedml_linalg::DenseMatrix::new(n, w, main_vals.clone()));
-            // No stored ±0: `Min` / `Max` over a row's non-zeros meet its
-            // implicit zeros last, the interpreter in column order, and
-            // `f64::min(-0.0, 0.0)` depends on the order.
-            let stored = |r, c| (r * 3 + c) % 4 != 1 && r % 6 != 4 && main_vals[r * w + c] != 0.0;
+            let stored = |r, c| (r * 3 + c) % 4 != 1 && r % 6 != 4;
             let csr_main = csr_of(&main_vals, (n, w), stored);
             let col_vals = eighths(n, seed + 1, 3);
             let cols = [

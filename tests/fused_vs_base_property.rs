@@ -258,6 +258,41 @@ fn fused_equals_unfused_on_every_row_aggregate() {
     }
 }
 
+/// `colMins`, `colMaxs`, `colMeans` and the full `min`, `max` and `mean` of
+/// `exp(X %*% W)`: aggregates across rows that no Row operator computes. The
+/// Row template refuses them by the rule Row construction rejects them by,
+/// so the optimizer costs plans that exist: `Gen` fuses at least one
+/// operator (a Row plan it could not build used to drop the whole sub-DAG
+/// to three basic operators) and matches `Base`.
+#[test]
+fn aggregates_across_rows_without_a_row_form_still_fuse() {
+    use fusedml::linalg::ops::{AggDir, AggOp};
+    let (n, m) = (200, 30);
+    let mut bindings = Bindings::new();
+    bindings.insert("X".into(), generate::rand_dense(n, m, -0.3, 0.3, 61));
+    bindings.insert("W".into(), generate::rand_dense(m, 5, -0.5, 0.5, 62));
+    for op in [AggOp::Min, AggOp::Max, AggOp::Mean] {
+        for dir in [AggDir::Col, AggDir::Full] {
+            let mut b = DagBuilder::new();
+            let x = b.read("X", n, m, 1.0);
+            let w = b.read("W", m, 5, 1.0);
+            let xw = b.mm(x, w);
+            let e = b.exp(xw);
+            let a = b.agg(op, dir, e);
+            let dag = b.build(vec![a]);
+            let (expect, _) = run(FusionMode::Base, &dag, &bindings);
+            let engine = Engine::new(FusionMode::Gen);
+            let got = engine.execute(&dag, &bindings).into_values();
+            let (fused, _, _) = engine.stats().snapshot();
+            assert!(fused >= 1, "{op:?} {dir:?} of exp(X %*% W): no fused operator under Gen");
+            assert!(
+                got[0].as_matrix().approx_eq(&expect[0].as_matrix(), 1e-9),
+                "{op:?} {dir:?} of exp(X %*% W)"
+            );
+        }
+    }
+}
+
 /// `sum(X ⊙ Y ⊙ Z)` and `sum(X ⊙ Y), sum(X ⊙ Z)` over three CSR inputs: `Y`
 /// and `Z` are bound as sparse `Cell` sides, gathered from their scattered
 /// rows. `X` alternates rows of two cells with full rows of three tiles.
