@@ -3,11 +3,16 @@
 //!
 //! The scalar interpreter in [`super::eval_scalar_program`] pays an
 //! instruction-dispatch `match` per *cell*, which the paper's janino-compiled
-//! Java never does. This module amortizes that dispatch over fixed-width
-//! tiles: a scalar [`Program`] is lowered once into a [`BlockProgram`] whose
-//! registers are tiles of [`DEFAULT_TILE_WIDTH`] doubles, so each instruction
-//! becomes one tight, auto-vectorizable loop per tile instead of one `match`
-//! per cell.
+//! Java never does. This module amortizes that dispatch over tiles: a scalar
+//! [`Program`] is lowered once into a [`BlockProgram`] whose registers are
+//! tiles of doubles, so each instruction becomes one tight,
+//! auto-vectorizable loop per tile instead of one `match` per cell. A dense
+//! row is one tile while a register file that wide fits [`TILE_FILE_BYTES`]
+//! ([`dense_tile_width`]), so a Cell / MAgg pass over short rows runs like
+//! one loop per instruction per row; CSR non-zeros run in tiles of
+//! [`CSR_TILE_WIDTH`]. Where a dense map's result is the body's last
+//! instruction, [`BlockEval::eval_last_into`] runs that instruction into the
+//! output row instead of a register, so no copy follows it.
 //!
 //! Lowering classifies every scalar register by *variance*:
 //!
@@ -37,15 +42,35 @@ pub use fusedml_linalg::ops::OpRef;
 /// Tile register index.
 pub type TReg = u16;
 
-/// Default tile width (elements per tile register). 256 doubles = 2 KB per
-/// register: a handful of live registers stay comfortably inside L1.
-pub const DEFAULT_TILE_WIDTH: usize = 256;
+/// The widest tile a pass evaluates: what [`compile_kernel`] sets as
+/// [`BlockKernel::width`], the cap every walk's width is clamped to.
+pub const MAX_TILE_WIDTH: usize = 8192;
 
-/// Clamps a tile width to the supported range (`8..=8192`): the Cell / MAgg
-/// / Outer pass evaluates a kernel at its clamped [`BlockKernel::width`], so
+/// The tile width of a CSR walk (and of Outer's walks), and the narrowest
+/// tile a dense walk splits a row into. 256 doubles = 2 KB per register.
+pub const CSR_TILE_WIDTH: usize = 256;
+
+/// The L1 share a dense walk's tile register file may take (`n_tiles` tiles
+/// of 8-byte elements); the rest of a 48 KB L1d holds the streamed rows.
+/// Sized by an in-binary sweep over 2–12 registers and 256–4000-wide tiles
+/// (BENCH_NOTES.md): the fastest width's file lay between 16 and 48 KB.
+pub const TILE_FILE_BYTES: usize = 24 << 10;
+
+/// Clamps a tile width to the supported range (`8..=`[`MAX_TILE_WIDTH`]), so
 /// no width set on a kernel produces a degenerate evaluator.
 pub fn clamp_tile_width(w: usize) -> usize {
-    w.clamp(8, 8192)
+    w.clamp(8, MAX_TILE_WIDTH)
+}
+
+/// The width a dense walk tiles rows of `cols` elements at, for a body that
+/// writes `n_tiles` tile registers (0: a body of uniforms only): the whole
+/// row while `n_tiles` registers that wide fit [`TILE_FILE_BYTES`], else the
+/// widest that fits but at least [`CSR_TILE_WIDTH`]; then at most `cap`
+/// (the kernel's [`BlockKernel::width`]) and clamped.
+pub fn dense_tile_width(n_tiles: usize, cols: usize, cap: usize) -> usize {
+    let fits = TILE_FILE_BYTES / 8 / n_tiles.max(1);
+    let w = if n_tiles == 0 || cols <= fits { cols } else { fits.max(CSR_TILE_WIDTH) };
+    clamp_tile_width(w.min(cap))
 }
 
 /// The argument of the Cell/MAgg/Outer skeletons' `execute_with`. `execute`
@@ -90,6 +115,18 @@ pub enum BlockInstr {
     Unary { out: TReg, op: UnaryOp, a: Opnd },
     Binary { out: TReg, op: BinaryOp, a: Opnd, b: Opnd },
     Ternary { out: TReg, op: TernaryOp, a: Opnd, b: Opnd, c: Opnd },
+}
+
+impl BlockInstr {
+    /// The tile register the instruction writes.
+    #[inline]
+    pub fn out(&self) -> TReg {
+        match *self {
+            BlockInstr::Unary { out, .. }
+            | BlockInstr::Binary { out, .. }
+            | BlockInstr::Ternary { out, .. } => out,
+        }
+    }
 }
 
 /// Where the final value of a scalar register of the source [`Program`]
@@ -386,37 +423,27 @@ impl BlockEval {
         }
     }
 
-    /// Evaluates the per-tile body for `n` elements (`n <= width`).
-    pub fn eval_body(&mut self, bp: &BlockProgram, ctx: &TileCtx<'_>, n: usize) {
+    /// Evaluates the first `k` instructions of the per-tile body for `n`
+    /// elements (`n <= width`): all of them before the results are read,
+    /// all but the last before [`Self::eval_last_into`].
+    pub fn eval_body(&mut self, bp: &BlockProgram, ctx: &TileCtx<'_>, n: usize, k: usize) {
         debug_assert!(n <= self.width);
         let w = self.width;
-        for ins in &bp.body {
-            let out = match *ins {
-                BlockInstr::Unary { out, .. }
-                | BlockInstr::Binary { out, .. }
-                | BlockInstr::Ternary { out, .. } => out,
-            };
-            let (head, tail) = self.tiles.split_at_mut(out as usize * w);
-            let dst = &mut tail[..n];
-            match *ins {
-                BlockInstr::Unary { op, a, .. } => {
-                    un_loop(op, resolve(a, head, w, n, ctx, &self.u), dst)
-                }
-                BlockInstr::Binary { op, a, b, .. } => bin_loop(
-                    op,
-                    resolve(a, head, w, n, ctx, &self.u),
-                    resolve(b, head, w, n, ctx, &self.u),
-                    dst,
-                ),
-                BlockInstr::Ternary { op, a, b, c, .. } => ter_loop(
-                    op,
-                    resolve(a, head, w, n, ctx, &self.u),
-                    resolve(b, head, w, n, ctx, &self.u),
-                    resolve(c, head, w, n, ctx, &self.u),
-                    dst,
-                ),
-            }
+        for ins in &bp.body[..k] {
+            // Lowering numbers registers in definition order: every operand
+            // lies below the register written.
+            let (head, tail) = self.tiles.split_at_mut(ins.out() as usize * w);
+            run_instr(ins, head, w, ctx, &self.u, &mut tail[..n]);
         }
+    }
+
+    /// Runs the body's last instruction over the tile into `dst` (one slot
+    /// per position) instead of its register, after [`Self::eval_body`] ran
+    /// the others: the same loop over the same operands, so `dst` holds
+    /// bitwise what [`write_result`] copies out of the register.
+    pub fn eval_last_into(&self, bp: &BlockProgram, ctx: &TileCtx<'_>, dst: &mut [f64]) {
+        let ins = bp.body.last().expect("a body to run");
+        run_instr(ins, &self.tiles, self.width, ctx, &self.u, dst)
     }
 
     /// Reads the final value of scalar register `reg` after [`Self::eval_body`]
@@ -437,6 +464,33 @@ impl BlockEval {
     /// Resolves a gather/main source without evaluating (product chains).
     pub fn opnd<'a>(&'a self, o: Opnd, ctx: &TileCtx<'a>, n: usize) -> OpRef<'a> {
         resolve(o, &self.tiles, self.width, n, ctx, &self.u)
+    }
+}
+
+/// Runs one body instruction over `dst.len()` elements into `dst`, its
+/// register operands read from `tiles` (registers `width` apart).
+#[inline(always)]
+fn run_instr(
+    ins: &BlockInstr,
+    tiles: &[f64],
+    w: usize,
+    ctx: &TileCtx<'_>,
+    u: &[f64],
+    dst: &mut [f64],
+) {
+    let n = dst.len();
+    match *ins {
+        BlockInstr::Unary { op, a, .. } => un_loop(op, resolve(a, tiles, w, n, ctx, u), dst),
+        BlockInstr::Binary { op, a, b, .. } => {
+            bin_loop(op, resolve(a, tiles, w, n, ctx, u), resolve(b, tiles, w, n, ctx, u), dst)
+        }
+        BlockInstr::Ternary { op, a, b, c, .. } => ter_loop(
+            op,
+            resolve(a, tiles, w, n, ctx, u),
+            resolve(b, tiles, w, n, ctx, u),
+            resolve(c, tiles, w, n, ctx, u),
+            dst,
+        ),
     }
 }
 
@@ -468,22 +522,15 @@ pub fn fold_result(op: AggOp, acc: f64, r: OpRef<'_>, n: usize) -> f64 {
         OpRef::S(s) => match op {
             AggOp::Sum | AggOp::Mean => acc + prim::vect_sum(s, 0, n),
             AggOp::SumSq => acc + prim::vect_sum_sq(s, 0, n),
-            AggOp::Min => acc.min(prim::vect_min(s, 0, n)),
-            AggOp::Max => acc.max(prim::vect_max(s, 0, n)),
+            AggOp::Min => op.combine(acc, prim::vect_min(s, 0, n)),
+            AggOp::Max => op.combine(acc, prim::vect_max(s, 0, n)),
         },
         OpRef::C(c) => match op {
             AggOp::Sum | AggOp::Mean => acc + c * n as f64,
             AggOp::SumSq => acc + c * c * n as f64,
-            AggOp::Min => {
+            AggOp::Min | AggOp::Max => {
                 if n > 0 {
-                    acc.min(c)
-                } else {
-                    acc
-                }
-            }
-            AggOp::Max => {
-                if n > 0 {
-                    acc.max(c)
+                    op.combine(acc, c)
                 } else {
                     acc
                 }
@@ -590,17 +637,17 @@ impl<'a> Factors<'a> {
     }
 
     /// `out[j] = fs[j].sum(n)`, bitwise, for at most [`simd::MAX_DOT_SUMS`]
-    /// factor lists: every list of one or two slices is summed in one
+    /// factor lists: every list of two slices is summed in one
     /// [`simd::dot_sums`] loop over the tile, so lists that share an input
     /// read it once; any other list runs its own [`Self::sum`].
     pub(crate) fn sums(fs: &[Factors<'_>], n: usize, out: &mut [f64]) {
         const M: usize = simd::MAX_DOT_SUMS;
         assert!(fs.len() <= M && out.len() == fs.len(), "Factors::sums: list count");
-        let (mut terms, mut at, mut m) = ([(&[][..], None); M], [0; M], 0);
+        let (mut terms, mut at, mut m) = ([(&[][..], &[][..]); M], [0; M], 0);
         for (j, f) in fs.iter().enumerate() {
             match f.len {
-                1 | 2 => {
-                    terms[m] = (&f.s[0][..n], (f.len == 2).then(|| &f.s[1][..n]));
+                2 => {
+                    terms[m] = (&f.s[0][..n], &f.s[1][..n]);
                     at[m] = j;
                     m += 1;
                 }
@@ -670,8 +717,9 @@ pub struct BlockKernel {
     /// The product chain of each scalar register (indexed by `Reg`) whose
     /// value is one; `None` runs the tile interpreter.
     pub mono: Vec<Option<Product>>,
-    /// Tile width (elements per tile register) the skeletons evaluate with:
-    /// [`DEFAULT_TILE_WIDTH`]; the differential suites sweep others.
+    /// The widest tile the skeletons evaluate with: [`MAX_TILE_WIDTH`], so a
+    /// walk takes [`CSR_TILE_WIDTH`] or [`dense_tile_width`]; the
+    /// differential suites set narrower caps to put tile edges in short rows.
     pub width: usize,
 }
 
@@ -694,7 +742,7 @@ impl BlockKernel {
 pub fn compile_kernel(prog: &Program) -> BlockKernel {
     let block = lower(prog);
     let mono = (0..prog.n_regs).map(|r| super::mono::classify(&block, r)).collect();
-    BlockKernel { block, mono, width: DEFAULT_TILE_WIDTH }
+    BlockKernel { block, mono, width: MAX_TILE_WIDTH }
 }
 
 /// The lowered form of a generated operator: a block kernel for the Cell,
@@ -954,7 +1002,7 @@ mod tests {
         ev.set_invariants(&bp, &no_sides, &[]);
         let main = [5.0, 0.0, -1.0, 0.0, 2.0];
         let ctx = TileCtx { main: TileSrc::Slice(&main), uv: TileSrc::Const(0.0), gathers: &[] };
-        ev.eval_body(&bp, &ctx, main.len());
+        ev.eval_body(&bp, &ctx, main.len(), bp.body.len());
         let out = ev.value_of(&bp, 6, &ctx, main.len());
         let mut regs = vec![0.0; 7];
         for (i, &m) in main.iter().enumerate() {
@@ -990,7 +1038,7 @@ mod tests {
         let side_tile = [1.0, 2.0, 4.0];
         let g = [TileSrc::Slice(&side_tile[..])];
         let ctx = TileCtx { main: TileSrc::Const(0.0), uv: TileSrc::Const(0.0), gathers: &g };
-        ev.eval_body(&bp, &ctx, 3);
+        ev.eval_body(&bp, &ctx, 3, bp.body.len());
         let out = ev.value_of(&bp, 4, &ctx, 3);
         assert_eq!([out.get(0), out.get(1), out.get(2)], [13.0, 16.0, 22.0]);
     }
@@ -1131,8 +1179,25 @@ mod tests {
     fn tile_width_clamps_and_backend_defaults() {
         assert_eq!(clamp_tile_width(1), 8);
         assert_eq!(clamp_tile_width(64), 64);
-        assert_eq!(clamp_tile_width(1 << 20), 8192);
-        assert_eq!(clamp_tile_width(DEFAULT_TILE_WIDTH), DEFAULT_TILE_WIDTH);
+        assert_eq!(clamp_tile_width(1 << 20), MAX_TILE_WIDTH);
+        assert_eq!(clamp_tile_width(CSR_TILE_WIDTH), CSR_TILE_WIDTH);
+    }
+
+    #[test]
+    fn dense_rows_are_one_tile_while_the_register_file_fits() {
+        let fits = TILE_FILE_BYTES / 8 / 2;
+        // Two registers: the whole row up to the budget, then the budget.
+        assert_eq!(dense_tile_width(2, 1000, MAX_TILE_WIDTH), 1000);
+        assert_eq!(dense_tile_width(2, fits, MAX_TILE_WIDTH), fits);
+        assert_eq!(dense_tile_width(2, fits + 1, MAX_TILE_WIDTH), fits);
+        // No tile register: the whole row, up to the clamp.
+        assert_eq!(dense_tile_width(0, 5000, MAX_TILE_WIDTH), 5000);
+        assert_eq!(dense_tile_width(0, 20_000, MAX_TILE_WIDTH), MAX_TILE_WIDTH);
+        // A large register file never goes below the CSR width.
+        assert_eq!(dense_tile_width(500, 1000, MAX_TILE_WIDTH), CSR_TILE_WIDTH);
+        // A kernel's cap wins; a zero-column row still gets a valid width.
+        assert_eq!(dense_tile_width(2, 1000, 33), 33);
+        assert_eq!(dense_tile_width(2, 0, MAX_TILE_WIDTH), 8);
     }
 
     use crate::spoof::{RowOut, RowSpec};

@@ -79,11 +79,7 @@ pub fn classify(bp: &BlockProgram, r: Reg) -> Option<Product> {
     // form, so this only trips on hand-built programs).
     let mut def: Vec<Option<usize>> = vec![None; bp.n_tiles as usize];
     for (i, ins) in bp.body.iter().enumerate() {
-        let out = match *ins {
-            BlockInstr::Unary { out, .. }
-            | BlockInstr::Binary { out, .. }
-            | BlockInstr::Ternary { out, .. } => out,
-        };
+        let out = ins.out();
         if def[out as usize].is_some() {
             return None;
         }
@@ -139,8 +135,8 @@ impl Product {
 
 /// [`Product::fold`] under `Sum` (or `Mean`) of several products over one
 /// tile, each into its own accumulator — bitwise what the per-product folds
-/// give. The MAgg `sum(X⊙Y), sum(X⊙Z)` shape: the products of one or two
-/// factors are summed [`simd::MAX_DOT_SUMS`] at a time in one loop that
+/// give. The MAgg `sum(X⊙Y), sum(X⊙Z)` shape: the products of two factors
+/// are summed [`simd::MAX_DOT_SUMS`] at a time in one loop that
 /// reads every factor in the same iteration (`Factors::sums`), so a shared
 /// input streams once per tile instead of once per product.
 pub fn fold_sums<'p>(

@@ -187,10 +187,29 @@ pub fn bin_rows(op: BinaryOp, a: RowsRef<'_>, b: RowsRef<'_>, len: usize, dst: &
     with_binop!(op, go)
 }
 
-/// `dst[i] = op(a[i], b[i], c[i])`, one loop per operator.
+/// `dst[i] = op(a[i], b[i], c[i])`, one loop per operator: a zipped loop
+/// over slices where all three operands are slices (`a + b·c` is not
+/// contracted, so it vectorizes to the same bits), else one that resolves
+/// each operand per element.
 pub fn ter_loop(op: TernaryOp, a: OpRef<'_>, b: OpRef<'_>, c: OpRef<'_>, dst: &mut [f64]) {
-    // Ternaries are rare; the per-element operand resolution is a
-    // predictable two-way branch.
+    if let (OpRef::S(a), OpRef::S(b), OpRef::S(c)) = (a, b, c) {
+        let n = dst.len();
+        let (a, b, c) = (&a[..n], &b[..n], &c[..n]);
+        macro_rules! go {
+            ($k:expr) => {
+                for i in 0..n {
+                    dst[i] = $k.apply(a[i], b[i], c[i]);
+                }
+            };
+        }
+        return match op {
+            TernaryOp::PlusMult => go!(TernaryOp::PlusMult),
+            TernaryOp::MinusMult => go!(TernaryOp::MinusMult),
+            TernaryOp::IfElse => go!(TernaryOp::IfElse),
+        };
+    }
+    // A uniform operand: the per-element resolution is a predictable
+    // two-way branch.
     match op {
         TernaryOp::PlusMult => {
             for (i, d) in dst.iter_mut().enumerate() {

@@ -25,6 +25,31 @@ pub use reorg::{cbind, diag, index_range, rbind, seq, transpose};
 pub use ternary::ternary;
 pub use unary::{unary, unary_assign};
 
+/// `min(a, b)` with `-0.0 < +0.0`: [`f64::min`] (the other operand where one
+/// is NaN) except that two zeros give `-0.0` whenever either is `-0.0`, so
+/// the result does not depend on the operand order. Every `Min` — the binary
+/// operator, the aggregate's fold and combine, [`crate::primitives::vect_min`]
+/// and the shard merge — goes through it.
+#[inline(always)]
+pub fn min(a: f64, b: f64) -> f64 {
+    if a == b {
+        f64::from_bits(a.to_bits() | b.to_bits())
+    } else {
+        a.min(b)
+    }
+}
+
+/// `max(a, b)` with `-0.0 < +0.0`, the twin of [`min`]: two zeros give
+/// `+0.0` whenever either is `+0.0`.
+#[inline(always)]
+pub fn max(a: f64, b: f64) -> f64 {
+    if a == b {
+        f64::from_bits(a.to_bits() & b.to_bits())
+    } else {
+        a.max(b)
+    }
+}
+
 /// Element-wise binary operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BinaryOp {
@@ -55,8 +80,8 @@ impl BinaryOp {
             BinaryOp::Sub => a - b,
             BinaryOp::Mult => a * b,
             BinaryOp::Div => a / b,
-            BinaryOp::Min => a.min(b),
-            BinaryOp::Max => a.max(b),
+            BinaryOp::Min => min(a, b),
+            BinaryOp::Max => max(a, b),
             BinaryOp::Pow => a.powf(b),
             BinaryOp::Eq => f64::from(a == b),
             BinaryOp::Neq => f64::from(a != b),
@@ -257,8 +282,8 @@ impl AggOp {
         match self {
             AggOp::Sum | AggOp::Mean => acc + v,
             AggOp::SumSq => acc + v * v,
-            AggOp::Min => acc.min(v),
-            AggOp::Max => acc.max(v),
+            AggOp::Min => min(acc, v),
+            AggOp::Max => max(acc, v),
         }
     }
 
@@ -267,8 +292,8 @@ impl AggOp {
     pub fn combine(self, a: f64, b: f64) -> f64 {
         match self {
             AggOp::Sum | AggOp::SumSq | AggOp::Mean => a + b,
-            AggOp::Min => a.min(b),
-            AggOp::Max => a.max(b),
+            AggOp::Min => min(a, b),
+            AggOp::Max => max(a, b),
         }
     }
 

@@ -62,14 +62,14 @@ pub fn vect_sum_sq(a: &[f64], ai: usize, len: usize) -> f64 {
 #[inline]
 pub fn vect_max(a: &[f64], ai: usize, len: usize) -> f64 {
     let a = &a[ai..ai + len];
-    a.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+    a.iter().copied().fold(f64::NEG_INFINITY, crate::ops::max)
 }
 
 /// `min(a)`.
 #[inline]
 pub fn vect_min(a: &[f64], ai: usize, len: usize) -> f64 {
     let a = &a[ai..ai + len];
-    a.iter().copied().fold(f64::INFINITY, f64::min)
+    a.iter().copied().fold(f64::INFINITY, crate::ops::min)
 }
 
 /// Outer-product accumulation `C[ci + i*n + j] += a[ai+i] * b[j]` for the

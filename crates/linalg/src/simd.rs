@@ -12,10 +12,9 @@
 //! with `FMA = false` (a multiply then an add). The public entry points pick
 //! an instance per call, so non-AVX2 hosts and the `FUSEDML_FORCE_SCALAR` CI
 //! leg run the same body.
-//! Three kernels stay hand-written `std::arch` code in `mod avx2`, each
-//! with a scalar twin: the [`gemm`] micro-tile (masked edge tiles, the
-//! hottest kernel), [`dot_sums`] (a portable multi-term body only reaches
-//! 128-bit lanes) and [`gather_into`] (`vgatherqpd`).
+//! One kernel stays hand-written `std::arch` code in `mod avx2`, with a
+//! scalar twin: the [`gemm`] micro-tile (masked edge tiles, the hottest
+//! kernel). [`gather_into`] is a plain indexed loop on every target.
 //! [`crate::primitives`] is the `(array, offset, len)` calling convention
 //! over these kernels (`dot_product` → [`dot`], `vect_mult_add` → [`axpy`],
 //! `vect_sum` → [`sum`], `vect_sum_sq` → [`sum_sq`]).
@@ -31,16 +30,16 @@
 //! accumulate every output element over the inner index ascending — bitwise
 //! what a chain of [`axpy`] calls gives on the same backend, whatever the
 //! tile shape. Where every product is exact, both legs return the same bits.
-//! [`dot_sums`] runs several `dot` / `sum` terms in one loop and is bitwise
-//! each single-term kernel on the same backend. The row-batch kernels
+//! [`dot_sums`] runs several `dot` terms in one loop and is bitwise each
+//! single-term kernel on the same backend. The row-batch kernels
 //! ([`dot_rows`], [`dot_rows_at`], [`dot_pairs`], [`sum_rows`],
 //! [`axpy_gather`], [`axpy_scatter`]) run a tile's short rows in one call,
 //! each result bitwise what the per-row `dot` / `sum` / `sum_sq` / `axpy`
 //! call gives on the same backend; `dot_rows_at` and `dot_pairs` run four
 //! dots per loop, each with its own lanes, tail and lane sum. `min`/`max`
 //! folds are deliberately *not* implemented here: `_mm256_min_pd` does not
-//! match Rust's `f64::min` on NaN and ±0.0, and the portable fold in
-//! `primitives` is already cheap.
+//! match `ops::min` on NaN and ±0.0, and the portable fold in `primitives`
+//! is already cheap.
 //!
 //! Feature detection runs once (`std::arch::is_x86_feature_detected!`) and
 //! is cached; [`force_scalar`] flips a process-wide override so
@@ -195,23 +194,6 @@ macro_rules! primitive {
     };
 }
 
-/// [`dot`] / [`sum`] of every term on the baseline instance, one term at a
-/// time (the AVX2 leg folds all terms in one loop).
-fn dot_sums_scalar(n: usize, terms: &[DotTerm<'_>], out: &mut [f64]) {
-    for (o, &(a, b)) in out.iter_mut().zip(terms) {
-        *o = match b {
-            Some(b) => fold_lanes([&a[..n], &b[..n]], |s, [a, b]| madd::<false>(a, b, s)),
-            None => fold_lanes([&a[..n]], |s, [a]| s + a),
-        };
-    }
-}
-
-fn gather_scalar(dst: &mut [f64], src: &[f64], idx: &[usize]) {
-    for (d, &i) in dst.iter_mut().zip(idx.iter()) {
-        *d = src[i];
-    }
-}
-
 /// One `mr×nr` tile of [`gemm`]: `c`, `a` and `b` start at the tile's first
 /// element. Same loop nest as the AVX2 body — the accumulator tile lives in
 /// locals across the whole `p` loop, `p` ascends — with a separate multiply
@@ -265,76 +247,6 @@ mod avx2 {
         // SAFETY: TAIL_MASKS[r] is 32 readable bytes; loadu has no alignment
         // requirement (an `r > 4` panics on the index before the load).
         unsafe { _mm256_loadu_si256(TAIL_MASKS[r].as_ptr().cast()) }
-    }
-
-    /// Masked load of the `r`-element tail at `p` (`r < 4`): inactive lanes
-    /// read as +0.0, which is the identity for the add/mul-add reductions
-    /// these tails feed.
-    ///
-    /// # Safety
-    /// Caller guarantees `p` points at `r` readable `f64`s and the CPU
-    /// supports AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn tail_load(p: *const f64, r: usize) -> __m256d {
-        debug_assert!(r < 4);
-        // SAFETY: the masked load touches only the first `r` lanes of `p`,
-        // which the caller guarantees are readable.
-        unsafe { _mm256_maskload_pd(p, lane_mask(r)) }
-    }
-
-    #[inline]
-    fn hsum(v: __m256d) -> f64 {
-        // (lane0+lane1) + (lane2+lane3), as `fold_lanes` combines its lanes.
-        let mut lanes = [0.0f64; 4];
-        // SAFETY: `lanes` is 4 f64s; storeu has no alignment requirement.
-        unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), v) };
-        (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-    }
-
-    /// [`dot`] (or [`sum`] where a term has no `b`) of `R` terms in one loop:
-    /// every term's chunk is loaded in the same iteration into its own
-    /// accumulator, which sees exactly the operations of the single-term
-    /// kernel — FMA (or add) per chunk, the masked tail, [`hsum`].
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and FMA and that every slice
-    /// of `terms` holds at least `n` elements.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot_sums<const R: usize>(n: usize, terms: [super::DotTerm<'_>; R]) -> [f64; R] {
-        let chunks = n / 4;
-        let r = n % 4;
-        let mut acc = [_mm256_setzero_pd(); R];
-        for i in 0..chunks {
-            for (acc, (a, b)) in acc.iter_mut().zip(terms) {
-                // SAFETY: i*4 + 4 <= n bounds both loads (every slice holds
-                // n elements per the caller contract).
-                unsafe {
-                    let va = _mm256_loadu_pd(a.as_ptr().add(i * 4));
-                    *acc = match b {
-                        Some(b) => {
-                            _mm256_fmadd_pd(va, _mm256_loadu_pd(b.as_ptr().add(i * 4)), *acc)
-                        }
-                        None => _mm256_add_pd(*acc, va),
-                    };
-                }
-            }
-        }
-        if r != 0 {
-            for (acc, (a, b)) in acc.iter_mut().zip(terms) {
-                // SAFETY: the masked tails read exactly the last `r` of the
-                // `n` elements every slice holds.
-                unsafe {
-                    let va = tail_load(a.as_ptr().add(chunks * 4), r);
-                    *acc = match b {
-                        Some(b) => {
-                            _mm256_fmadd_pd(va, tail_load(b.as_ptr().add(chunks * 4), r), *acc)
-                        }
-                        None => _mm256_add_pd(*acc, va),
-                    };
-                }
-            }
-        }
-        acc.map(hsum)
     }
 
     /// The signature every [`gemm_tile`] instance shares.
@@ -423,31 +335,6 @@ mod avx2 {
             }
         }
     }
-
-    /// CSR-band gather: `dst[k] = src[idx[k]]` via `vgatherqpd`.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and every `idx[k] <
-    /// src.len()` (checked by the dispatcher's debug assertion and by the
-    /// lowering invariants of gather operands).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gather_into(dst: &mut [f64], src: &[f64], idx: &[usize]) {
-        let n = dst.len().min(idx.len());
-        let chunks = n / 4;
-        for i in 0..chunks {
-            // SAFETY: idx holds usize == u64 on x86-64; loadu reads 4 of
-            // them, and every index is in bounds for `src` per the caller
-            // contract, so the gather touches only valid elements.
-            unsafe {
-                let vi = _mm256_loadu_si256(idx.as_ptr().add(i * 4).cast());
-                let v = _mm256_i64gather_pd::<8>(src.as_ptr(), vi);
-                _mm256_storeu_pd(dst.as_mut_ptr().add(i * 4), v);
-            }
-        }
-        for k in chunks * 4..n {
-            dst[k] = src[idx[k]];
-        }
-    }
 }
 
 // ===========================================================================
@@ -492,41 +379,56 @@ primitive! {
 /// Most terms one [`dot_sums`] call folds.
 pub const MAX_DOT_SUMS: usize = 4;
 
-/// One term of [`dot_sums`]: `Σ a[i]·b[i]`, or `Σ a[i]` without a `b`.
-pub type DotTerm<'a> = (&'a [f64], Option<&'a [f64]>);
+/// One term of [`dot_sums`]: `Σ a[i]·b[i]`.
+pub type DotTerm<'a> = (&'a [f64], &'a [f64]);
 
-/// `out[j] = dot(&a_j[..n], &b_j[..n])` — `sum(&a_j[..n])` where `b_j` is
-/// `None` — for up to [`MAX_DOT_SUMS`] terms, in one loop that loads every
-/// term's 4-lane chunk in the same iteration, so terms over shared inputs
-/// stream them once. Each term keeps the accumulator, masked tail and
-/// horizontal sum of its single-term kernel: `out[j]` is *bitwise* what
-/// [`dot`] / [`sum`] return on the same backend.
-pub fn dot_sums(n: usize, terms: &[DotTerm<'_>], out: &mut [f64]) {
-    assert!(terms.len() <= MAX_DOT_SUMS && out.len() == terms.len(), "dot_sums: term count");
-    assert!(
-        terms.iter().all(|(a, b)| a.len() >= n && b.is_none_or(|b| b.len() >= n)),
-        "dot_sums: term shorter than n"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        macro_rules! go {
-            ($r:literal) => {{
-                // SAFETY: level() == Avx2 implies runtime AVX2+FMA support;
-                // every slice was just checked to hold `n` elements.
-                let sums = unsafe { avx2::dot_sums::<$r>(n, std::array::from_fn(|j| terms[j])) };
-                out.copy_from_slice(&sums);
-            }};
-        }
+primitive! {
+    /// `out[j] = dot(&a_j[..n], &b_j[..n])` for up to [`MAX_DOT_SUMS`] terms,
+    /// in one loop that loads every term's 4-lane chunk in the same
+    /// iteration, so terms over shared inputs stream them once. Each term
+    /// keeps the four lanes, zero-padded tail and lane sum of `fold_lanes`:
+    /// `out[j]` is *bitwise* what [`dot`] returns on the same backend.
+    pub fn dot_sums<FMA>(n: usize, terms: &[DotTerm<'_>], out: &mut [f64]) {
+        assert!(terms.len() <= MAX_DOT_SUMS && out.len() == terms.len(), "dot_sums: term count");
         match terms.len() {
             0 => {}
-            1 => go!(1),
-            2 => go!(2),
-            3 => go!(3),
-            _ => go!(4),
+            1 => out.copy_from_slice(&fold_terms::<FMA, 1>(n, terms)),
+            2 => out.copy_from_slice(&fold_terms::<FMA, 2>(n, terms)),
+            3 => out.copy_from_slice(&fold_terms::<FMA, 3>(n, terms)),
+            _ => out.copy_from_slice(&fold_terms::<FMA, 4>(n, terms)),
         }
-        return;
     }
-    dot_sums_scalar(n, terms, out)
+}
+
+/// The body of [`dot_sums`] for `R` terms: [`fold_lanes`] with one set of
+/// four lanes per term. Every chunk slice is cut to the chunk count, so the
+/// loop indexes them without bounds checks and LLVM keeps each term's lanes
+/// in one `ymm`.
+#[inline(always)]
+fn fold_terms<const FMA: bool, const R: usize>(n: usize, terms: &[DotTerm<'_>]) -> [f64; R] {
+    let (m, terms) =
+        (n / 4, std::array::from_fn::<_, R, _>(|j| (&terms[j].0[..n], &terms[j].1[..n])));
+    let chunks = terms.map(|(a, b)| (&a.as_chunks::<4>().0[..m], &b.as_chunks::<4>().0[..m]));
+    let mut acc = [[0.0f64; 4]; R];
+    for i in 0..m {
+        for (acc, (a, b)) in acc.iter_mut().zip(&chunks) {
+            for (l, s) in acc.iter_mut().enumerate() {
+                *s = madd::<FMA>(a[i][l], b[i][l], *s);
+            }
+        }
+    }
+    if !n.is_multiple_of(4) {
+        // As in `fold_lanes`: a hidden first index keeps the tail's lanes
+        // alike.
+        let k = std::hint::black_box(n - n % 4);
+        for (acc, (a, b)) in acc.iter_mut().zip(terms) {
+            for (l, s) in acc.iter_mut().enumerate() {
+                let at = |x: &[f64]| x.get(k + l).copied().unwrap_or(0.0);
+                *s = madd::<FMA>(at(a), at(b), *s);
+            }
+        }
+    }
+    acc.map(|l| (l[0] + l[1]) + (l[2] + l[3]))
 }
 
 primitive! {
@@ -753,20 +655,14 @@ primitive! {
 }
 
 /// Sparse gather over a CSR band: `dst[k] = src[idx[k]]` for
-/// `min(dst.len, idx.len)` elements (map class).
+/// `min(dst.len, idx.len)` elements (map class). A plain indexed loop: in
+/// one binary it measured 3–7 % faster than `vgatherqpd` on the CSR tiles it
+/// serves (BENCH_NOTES.md).
 #[inline]
 pub fn gather_into(dst: &mut [f64], src: &[f64], idx: &[usize]) {
-    let n = dst.len().min(idx.len());
-    debug_assert!(idx[..n].iter().all(|&i| i < src.len()));
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        assert!(idx[..n].iter().all(|&i| i < src.len()), "gather index out of bounds");
-        // SAFETY: level() == Avx2 implies runtime AVX2 support; every index
-        // was just checked in bounds for `src`.
-        unsafe { avx2::gather_into(dst, src, idx) };
-        return;
+    for (d, &i) in dst.iter_mut().zip(idx) {
+        *d = src[i];
     }
-    gather_scalar(dst, src, idx)
 }
 
 // ===========================================================================
@@ -1110,7 +1006,7 @@ pub(crate) mod tests {
         force_scalar(false);
     }
 
-    /// One to four terms over shared inputs, with and without a `b`, at every
+    /// One to four terms over a shared input and over distinct ones, at every
     /// tail length and across tile-sized and larger lengths: each result is
     /// bitwise the single-term kernel on the same path.
     #[test]
@@ -1122,20 +1018,19 @@ pub(crate) mod tests {
                 let x = data(n, 51);
                 let ys: Vec<Vec<f64>> = (0..4).map(|s| data(n, 52 + s)).collect();
                 for k in 1..=MAX_DOT_SUMS {
-                    for with_sum in [false, true] {
+                    for shared in [true, false] {
                         let terms: Vec<DotTerm<'_>> = (0..k)
                             .map(|j| match j {
-                                1 if with_sum => (&ys[1][..], None),
-                                _ => (&x[..], Some(&ys[j][..])),
+                                1 if !shared => (&ys[1][..], &ys[0][..]),
+                                _ => (&x[..], &ys[j][..]),
                             })
                             .collect();
                         let mut out = vec![f64::NAN; k];
                         dot_sums(n, &terms, &mut out);
                         for (j, (&(a, b), got)) in terms.iter().zip(&out).enumerate() {
-                            let want = b.map_or_else(|| sum(a), |b| dot(a, b));
                             assert_eq!(
                                 got.to_bits(),
-                                want.to_bits(),
+                                dot(a, b).to_bits(),
                                 "n={n} k={k} j={j} force={force}"
                             );
                         }
@@ -1567,7 +1462,7 @@ pub(crate) mod tests {
                 force_scalar(force);
                 let mut out = vec![dot(&a, &b), dot3_sum(&a, &b, &c), dot4_sum(&a, &b, &c, &d)];
                 out.extend([sum(&a), sum_sq(&a)]);
-                let terms: [DotTerm<'_>; 3] = [(&a, Some(&b)), (&a, None), (&a, Some(&d))];
+                let terms: [DotTerm<'_>; 3] = [(&a, &b), (&c, &d), (&a, &d)];
                 let mut sums = [0.0; 3];
                 dot_sums(n, &terms, &mut sums);
                 out.extend(sums);

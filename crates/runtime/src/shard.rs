@@ -487,8 +487,8 @@ fn merge_parts(plan: &MergePlan, parts: Vec<Vec<Matrix>>) -> Vec<Matrix> {
                     for (a, &b) in acc.values_mut().iter_mut().zip(d.values()) {
                         *a = match op {
                             MergeOp::Add => *a + b,
-                            MergeOp::Min => a.min(b),
-                            MergeOp::Max => a.max(b),
+                            MergeOp::Min => AggOp::Min.combine(*a, b),
+                            MergeOp::Max => AggOp::Max.combine(*a, b),
                         };
                     }
                     pool::give(d.into_values());

@@ -40,8 +40,7 @@ pub fn execute_cell_over_compressed(spec: &CellSpec, cm: &CompressedMatrix) -> M
             match op {
                 AggOp::Sum | AggOp::Mean => acc += out * n as f64,
                 AggOp::SumSq => acc += out * out * n as f64,
-                AggOp::Min => acc = acc.min(out),
-                AggOp::Max => acc = acc.max(out),
+                AggOp::Min | AggOp::Max => acc = op.combine(acc, out),
             }
         }
     }

@@ -531,7 +531,7 @@ impl<'a> BandCtx<'a> {
                     None => dense_aggs(op, srcs.tile(a), lanes),
                     Some(rows) => {
                         for (l, lane) in lanes.iter_mut().enumerate() {
-                            *lane = sparse_agg(op, rows.row(l), lens[a as usize]);
+                            *lane = sparse_agg(op, rows.row(l).1, lens[a as usize]);
                         }
                     }
                 }
@@ -709,28 +709,21 @@ fn dense_agg(op: AggOp, v: &[f64]) -> f64 {
 }
 
 /// Aggregates a sparse main row of logical length `len` over its non-zeros
-/// `(cols, vals)`; `Mean` divides by the full length. `Min` / `Max` fold the
-/// implicit zeros in column order, one `0.0` where each run of unstored
-/// columns falls, as the dense fold meets them: `f64::min(-0.0, 0.0)`
-/// depends on the order.
-fn sparse_agg(op: AggOp, (cols, vals): (&[usize], &[f64]), len: usize) -> f64 {
+/// `vals`; `Mean` divides by the full length. `Min` / `Max` fold one `0.0`
+/// for the implicit zeros, if any: `ops::min` / `ops::max` order `-0.0`
+/// below `+0.0`, so where the zero falls does not matter.
+fn sparse_agg(op: AggOp, vals: &[f64], len: usize) -> f64 {
     match op {
         AggOp::Sum => prim::vect_sum(vals, 0, vals.len()),
         AggOp::SumSq => prim::vect_sum_sq(vals, 0, vals.len()),
         AggOp::Mean => prim::vect_sum(vals, 0, vals.len()) / len as f64,
         AggOp::Min | AggOp::Max => {
-            let (mut acc, mut next) = (op.identity(), 0);
-            for (&c, &v) in cols.iter().zip(vals) {
-                if c > next {
-                    acc = op.fold(acc, 0.0);
-                }
-                acc = op.fold(acc, v);
-                next = c + 1;
+            let acc = dense_agg(op, vals);
+            if vals.len() < len {
+                op.fold(acc, 0.0)
+            } else {
+                acc
             }
-            if next < len {
-                acc = op.fold(acc, 0.0);
-            }
-            acc
         }
     }
 }

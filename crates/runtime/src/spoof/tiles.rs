@@ -9,6 +9,12 @@
 //! Outer's `dot(U_i, V_j)` tile filled on the way. The skeletons pick a sink
 //! and finalize.
 //!
+//! A dense Cell / MAgg row is one tile while the body's register file that
+//! wide fits L1 ([`dense_tile_width`]); CSR non-zeros and Outer's walks run
+//! in tiles of [`CSR_TILE_WIDTH`]. The dense `no_agg` sink of a result that
+//! is the body's last instruction (and not a product) runs that instruction
+//! straight into the output row (`Walk::LastInSink`).
+//!
 //! A tile lies in one main row, except where the `full` sink folds a CSR
 //! main by its non-zeros, under a program with no per-row prologue whose
 //! gathers all read dense sides: there a tile takes whole short rows while
@@ -30,8 +36,8 @@ use fusedml_linalg::ops::AggOp;
 use fusedml_linalg::{par, pool, simd, DenseMatrix, Matrix, SparseMatrix};
 
 use fusedml_core::spoof::block::{
-    clamp_tile_width, fold_result, write_result, BlockEval, BlockKernel, CellBackend, OpRef, Opnd,
-    TileCtx, TileSrc, ValSrc,
+    clamp_tile_width, dense_tile_width, fold_result, write_result, BlockEval, BlockKernel,
+    CellBackend, OpRef, Opnd, TileCtx, TileSrc, ValSrc, CSR_TILE_WIDTH,
 };
 use fusedml_core::spoof::mono::{self, Product};
 use fusedml_core::spoof::{Reg, SideAccess};
@@ -134,6 +140,13 @@ impl<'t> Tile<'t> {
         &self.scratch[..self.n]
     }
 
+    /// Runs the body's last instruction, result 0 of a `Walk::LastInSink`
+    /// walk, into `dst` (one slot per position): bitwise [`Self::map_into`].
+    pub(crate) fn last_into(&self, dst: &mut [f64]) {
+        debug_assert_eq!(self.base, 0, "only dense tiles write in place");
+        self.ev.eval_last_into(&self.pass.kernel.block, self.ctx, &mut dst[..self.n])
+    }
+
     /// Result `j` over the tile: a body register is read at the tile's
     /// offset `base` in the evaluated tile, any other operand through `ctx`.
     fn value_of(&self, j: usize) -> OpRef<'_> {
@@ -146,6 +159,20 @@ impl<'t> Tile<'t> {
             c => c,
         }
     }
+}
+
+/// How a walk runs each tile's body before handing the tile to its sink.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Walk {
+    /// The whole body (none where every result is a product), one main row
+    /// per tile.
+    Rows,
+    /// As `Rows`, but short CSR rows share a tile (only where
+    /// [`CellPass::batches`]).
+    Batched,
+    /// All but the body's last instruction, which the sink runs into the
+    /// output ([`Tile::last_into`]); see [`CellPass::last_in_sink`].
+    LastInSink,
 }
 
 /// One pass over the cells (or, when the program is sparse-safe and the main
@@ -196,9 +223,16 @@ impl<'a> CellPass<'a> {
         let batches = csr.is_some()
             && kernel.block.row_uniform.is_empty()
             && kernel.block.gathers.iter().all(|&(i, _)| matches!(sides[i], SideInput::Dense(_)));
+        // The width depends on the kernel and the row length only, so every
+        // backend and every result set of one kernel tiles a row alike.
+        let width = if csr.is_some() || factors.is_some() {
+            clamp_tile_width(kernel.width.min(CSR_TILE_WIDTH))
+        } else {
+            dense_tile_width(kernel.block.n_tiles as usize, cols, kernel.width)
+        };
         Some(CellPass {
             kernel,
-            width: clamp_tile_width(kernel.width),
+            width,
             main,
             csr,
             sides,
@@ -216,6 +250,27 @@ impl<'a> CellPass<'a> {
 
     fn mono(&self, j: usize) -> Option<&Product> {
         self.kernel.mono_for(self.regs[j]).filter(|_| self.specialize)
+    }
+
+    /// True when the pass's one result is the register the body's last
+    /// instruction writes and not a product the pass runs as one: a dense
+    /// map then writes that instruction straight into its output.
+    fn last_in_sink(&self) -> bool {
+        let bp = &self.kernel.block;
+        self.mono(0).is_none()
+            && matches!(
+                (bp.src_of(self.regs[0]), bp.body.last()),
+                (ValSrc::Varying(Opnd::Tile(t)), Some(ins)) if ins.out() == t
+            )
+    }
+
+    /// How many body instructions a tile of a `walk` runs before its sink.
+    fn body_len(&self, walk: Walk) -> usize {
+        match (self.run_body, walk) {
+            (false, _) => 0,
+            (true, Walk::LastInSink) => self.kernel.block.body.len() - 1,
+            (true, Walk::Rows | Walk::Batched) => self.kernel.block.body.len(),
+        }
     }
 
     /// Fills `buf[t] = dot(U[r_t,:], V[at(t),:])` for the `n` positions of a
@@ -248,14 +303,16 @@ impl<'a> CellPass<'a> {
 
     /// Walks rows `lo..hi` on the calling thread, one `sink` call per tile.
     ///
-    /// With `batch` (only where [`Self::batches`]) a CSR tile takes whole
-    /// rows while they fit within the tile width — a longer row is chunked on
-    /// its own — and the sink sees each row's segment as that row's own
-    /// tile, so its folds see the positions, the tile boundaries and the
-    /// order of the per-row walk.
-    fn walk(&self, lo: usize, hi: usize, batch: bool, mut sink: impl FnMut(&mut Tile<'_>)) {
+    /// Under `Walk::Batched` (only where [`Self::batches`]) a CSR tile takes
+    /// whole rows while they fit within the tile width — a longer row is
+    /// chunked on its own — and the sink sees each row's segment as that
+    /// row's own tile, so its folds see the positions, the tile boundaries
+    /// and the order of the per-row walk.
+    fn walk(&self, lo: usize, hi: usize, walk: Walk, mut sink: impl FnMut(&mut Tile<'_>)) {
+        let batch = walk == Walk::Batched;
         debug_assert!(!batch || self.batches);
-        let (width, cols) = (self.width, self.cols);
+        debug_assert!(walk != Walk::LastInSink || (self.csr.is_none() && self.last_in_sink()));
+        let (width, cols, k) = (self.width, self.cols, self.body_len(walk));
         let mut tr = TileRunner::new(self.kernel, self.sides, self.scalars, cols, width);
         let mut uv = pool::take_zeroed(if self.factors.is_some() { width } else { 0 });
         let mut scratch = pool::take_zeroed(width);
@@ -283,7 +340,7 @@ impl<'a> CellPass<'a> {
                         let each = TileRows::Each(&pos_rows[..n]);
                         let dots = self.uv_tile(each, TileCols::Indices(ix), n, &mut uv);
                         let vals = TileSrc::Slice(&x.values()[p0..p1]);
-                        tr.sparse_tile(vals, dots, each, ix, self.run_body, |ev, ctx, _| {
+                        tr.sparse_tile(vals, dots, each, ix, k, |ev, ctx, _| {
                             let mut g = [TileSrc::Const(0.0); MAX_GATHERS];
                             for q in r..r1 {
                                 let (s, m) = (ptr[q] - p0, ptr[q + 1] - ptr[q]);
@@ -314,7 +371,7 @@ impl<'a> CellPass<'a> {
                             dots,
                             TileRows::One(r),
                             ix,
-                            self.run_body,
+                            k,
                             |ev, ctx, n| emit(ev, ctx, 0, n, r, at),
                         );
                     }
@@ -331,15 +388,9 @@ impl<'a> CellPass<'a> {
                         let n = width.min(cols - c0);
                         let at = TileCols::Range(c0);
                         let dots = self.uv_tile(TileRows::One(r), at, n, &mut uv);
-                        tr.dense_tile(
-                            sub_tile(row, c0, n),
-                            dots,
-                            r,
-                            c0,
-                            n,
-                            self.run_body,
-                            |ev, ctx, n| emit(ev, ctx, 0, n, r, at),
-                        );
+                        tr.dense_tile(sub_tile(row, c0, n), dots, r, c0, n, k, |ev, ctx, n| {
+                            emit(ev, ctx, 0, n, r, at)
+                        });
                         c0 += n;
                     }
                 }
@@ -350,17 +401,17 @@ impl<'a> CellPass<'a> {
     }
 
     /// Sinks that accumulate: one `A` per worker, merged on the caller;
-    /// `batch` lets short CSR rows share a tile ([`Self::walk`]).
+    /// `Walk::Batched` lets short CSR rows share a tile ([`Self::walk`]).
     fn reduce<A: Send>(
         &self,
-        batch: bool,
+        walk: Walk,
         identity: impl Fn() -> A + Sync,
         tile: impl Fn(&mut A, &mut Tile<'_>) + Sync,
         merge: impl Fn(A, A) -> A,
     ) -> A {
         let map = |lo, hi| {
             let mut acc = identity();
-            self.walk(lo, hi, batch, |t| tile(&mut acc, t));
+            self.walk(lo, hi, walk, |t| tile(&mut acc, t));
             acc
         };
         par::par_map_reduce(self.rows, self.work, identity(), map, merge)
@@ -371,10 +422,11 @@ impl<'a> CellPass<'a> {
         &self,
         out: &mut [f64],
         row_len: usize,
+        walk: Walk,
         tile: impl Fn(&mut [f64], &mut Tile<'_>) + Sync,
     ) {
         par::par_row_bands_mut(out, self.rows, row_len, self.work, |r0, band| {
-            self.walk(r0, r0 + band.len() / row_len, false, |t| {
+            self.walk(r0, r0 + band.len() / row_len, walk, |t| {
                 let o = (t.row() - r0) * row_len;
                 tile(&mut band[o..o + row_len], t)
             })
@@ -401,7 +453,7 @@ impl CellSinks for CellPass<'_> {
             sums.fill(None);
         }
         self.reduce(
-            self.batches,
+            if self.batches { Walk::Batched } else { Walk::Rows },
             || ops.iter().map(|op| op.identity()).collect::<Vec<f64>>(),
             |accs, t| {
                 if fused {
@@ -427,14 +479,14 @@ impl CellSinks for CellPass<'_> {
     fn row_agg(&self, op: AggOp) -> Vec<f64> {
         let mut out = pool::take_unzeroed(self.rows);
         out.fill(op.identity());
-        self.bands(&mut out, 1, |slot, t| slot[0] = t.fold(0, op, slot[0]));
+        self.bands(&mut out, 1, Walk::Rows, |slot, t| slot[0] = t.fold(0, op, slot[0]));
         out
     }
 
     fn col_agg(&self, op: AggOp) -> (Vec<f64>, Vec<usize>) {
         let cols = self.cols;
         self.reduce(
-            false,
+            Walk::Rows,
             || (vec![op.identity(); cols], vec![0usize; cols]),
             |(acc, counts), t| {
                 let at = t.cols();
@@ -462,14 +514,19 @@ impl CellSinks for CellPass<'_> {
             // Dense iteration tiles every column of every row: each slot is
             // written once.
             let mut out = pool::take_unzeroed(rows * cols);
-            self.bands(&mut out, cols, |orow, t| {
+            let walk = if self.last_in_sink() { Walk::LastInSink } else { Walk::Rows };
+            self.bands(&mut out, cols, walk, |orow, t| {
                 let c0 = t.cols().at(0);
-                t.map_into(0, &mut orow[c0..c0 + t.n])
+                let dst = &mut orow[c0..c0 + t.n];
+                match walk {
+                    Walk::LastInSink => t.last_into(dst),
+                    _ => t.map_into(0, dst),
+                }
             });
             return Matrix::dense(DenseMatrix::new(rows, cols, out));
         }
         let triples = self.reduce(
-            false,
+            Walk::Rows,
             Vec::new,
             |triples, t| {
                 let (r, at) = (t.row(), t.cols());
@@ -489,7 +546,7 @@ impl CellSinks for CellPass<'_> {
 
     fn right_mm(&self, s: &[f64], k: usize) -> Vec<f64> {
         let mut out = pool::take_zeroed(self.rows * k);
-        self.bands(&mut out, k, |orow, t| {
+        self.bands(&mut out, k, Walk::Rows, |orow, t| {
             let (c0, ix) = t.cols().split();
             simd::axpy_gather(t.map(0), &s[c0 * k..], ix, orow);
         });
@@ -499,7 +556,7 @@ impl CellSinks for CellPass<'_> {
     /// Per-worker partials, summed.
     fn left_mm(&self, s: &[f64], k: usize) -> Vec<f64> {
         self.reduce(
-            false,
+            Walk::Rows,
             || pool::take_zeroed(self.cols * k),
             |acc, t| {
                 let ((c0, ix), srow) = (t.cols().split(), &s[t.row() * k..][..k]);
@@ -660,8 +717,9 @@ impl<'k, 's> TileRunner<'k, 's> {
         }
     }
 
-    /// Gathers side tiles for columns `[c0, c0+n)` of row `r`, optionally
-    /// evaluates the body, and hands the evaluator + context to `f`.
+    /// Gathers side tiles for columns `[c0, c0+n)` of row `r`, runs the
+    /// body's first `k` instructions, and hands the evaluator + context to
+    /// `f`.
     #[allow(clippy::too_many_arguments)] // one call site, in `CellPass::walk`
     fn dense_tile<R>(
         &mut self,
@@ -670,7 +728,7 @@ impl<'k, 's> TileRunner<'k, 's> {
         r: usize,
         c0: usize,
         n: usize,
-        run_body: bool,
+        k: usize,
         f: impl FnOnce(&BlockEval, &TileCtx<'_>, usize) -> R,
     ) -> R {
         let bp = &self.kernel.block;
@@ -686,22 +744,20 @@ impl<'k, 's> TileRunner<'k, 's> {
             };
         }
         let ctx = TileCtx { main, uv, gathers: &g[..bp.gathers.len()] };
-        if run_body {
-            self.eval.eval_body(bp, &ctx, n);
-        }
+        self.eval.eval_body(bp, &ctx, n, k);
         f(&self.eval, &ctx, n)
     }
 
     /// Gathers side tiles at the scattered column indices `cols` of `rows`
-    /// (non-zero batching), optionally evaluates, and hands off to `f`. A
-    /// tile with a row per position gathers dense sides only.
+    /// (non-zero batching), runs the body's first `k` instructions, and hands
+    /// off to `f`. A tile with a row per position gathers dense sides only.
     fn sparse_tile<R>(
         &mut self,
         main: TileSrc<'_>,
         uv: TileSrc<'_>,
         rows: TileRows<'_>,
         cols: &[usize],
-        run_body: bool,
+        k: usize,
         f: impl FnOnce(&BlockEval, &TileCtx<'_>, usize) -> R,
     ) -> R {
         let bp = &self.kernel.block;
@@ -733,9 +789,7 @@ impl<'k, 's> TileRunner<'k, 's> {
             g[slot] = TileSrc::Slice(&buf[..n]);
         }
         let ctx = TileCtx { main, uv, gathers: &g[..bp.gathers.len()] };
-        if run_body {
-            self.eval.eval_body(bp, &ctx, n);
-        }
+        self.eval.eval_body(bp, &ctx, n, k);
         f(&self.eval, &ctx, n)
     }
 }

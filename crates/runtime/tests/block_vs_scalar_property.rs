@@ -1374,3 +1374,226 @@ fn batched_short_rows_are_bitwise_the_per_row_tiles() {
         }
     }
 }
+
+/// The Cell / MAgg part of [`grid_program`] (three tile registers) and a
+/// twelve-register chain over the same inputs, whose register file is past
+/// the L1 budget at every width above the floor, so its dense rows split at
+/// `CSR_TILE_WIDTH`.
+fn l1_width_programs() -> [Program; 2] {
+    let grid = grid_program();
+    let n_cell = grid.instrs.len() - 2;
+    let cell = Program { instrs: grid.instrs[..n_cell].to_vec(), n_regs: n_cell as u16, ..grid };
+    let mut instrs = cell.instrs.clone();
+    for i in 0..9u16 {
+        let (out, prev) = (7 + i, 6 + i);
+        instrs.push(match i % 3 {
+            0 => Instr::Binary { out, op: BinaryOp::Add, a: prev, b: 1 },
+            1 => Instr::Unary { out, op: UnaryOp::Sigmoid, a: prev },
+            _ => Instr::Ternary { out, op: TernaryOp::MinusMult, a: prev, b: 0, c: 2 },
+        });
+    }
+    let chain = Program { instrs, n_regs: 16, vreg_lens: vec![] };
+    [cell, chain]
+}
+
+/// Dense rows as the production kernel tiles them — one tile while the
+/// register file fits the L1 budget, `dense_tile_width` wide past it —
+/// shorter than, equal to and longer than that width (one and two tiles and a
+/// ragged third), through every Cell sink and a MAgg, on one, two and three
+/// threads: maps bitwise, aggregates within 1e-12 of the `Scalar` oracle.
+#[test]
+fn dense_rows_around_the_l1_width_match_the_oracle() {
+    use fusedml_core::spoof::block::{dense_tile_width, CSR_TILE_WIDTH, MAX_TILE_WIDTH};
+    for prog in l1_width_programs() {
+        let kernel = compile_kernel(&prog);
+        assert_eq!(kernel.width, MAX_TILE_WIDTH, "production kernels carry the cap");
+        let w = dense_tile_width(kernel.block.n_tiles as usize, usize::MAX, kernel.width);
+        assert!((CSR_TILE_WIDTH..MAX_TILE_WIDTH).contains(&w));
+        let result = prog.n_regs - 1;
+        for cols in [w - 1, w, w + 1, 2 * w + 5] {
+            let rows = 2 * par::PAR_THRESHOLD / cols + 3;
+            let seed = (w + cols) as u64;
+            let main = generate::rand_dense(rows, cols, -1.5, 1.5, seed);
+            let bound = [
+                generate::rand_dense(rows, cols, -1.5, 1.5, seed + 1),
+                generate::rand_dense(1, cols, -1.5, 1.5, seed + 2),
+                generate::rand_dense(rows, 1, -1.5, 1.5, seed + 3),
+            ];
+            let sides: Vec<SideInput> = bound.iter().map(SideInput::bind).collect();
+            let cells = [
+                CellAgg::NoAgg,
+                CellAgg::RowAgg(AggOp::Sum),
+                CellAgg::ColAgg(AggOp::Sum),
+                CellAgg::FullAgg(AggOp::SumSq),
+                CellAgg::FullAgg(AggOp::Min),
+            ];
+            let maggs = vec![(4, AggOp::Sum), (5, AggOp::Sum), (result, AggOp::Max)];
+            let run = |agg: Option<CellAgg>, backend, threads| {
+                let _limit = par::limit_current_thread(threads);
+                let main = Some(&main);
+                match agg {
+                    Some(agg) => {
+                        let spec = CellSpec { prog: prog.clone(), result, agg, sparse_safe: false };
+                        vec![cellwise::execute_with(
+                            &spec,
+                            &kernel,
+                            main,
+                            &sides,
+                            &[],
+                            rows,
+                            cols,
+                            backend,
+                        )]
+                    }
+                    None => {
+                        let spec = MAggSpec {
+                            prog: prog.clone(),
+                            results: maggs.clone(),
+                            sparse_safe: false,
+                        };
+                        multiagg::execute_with(
+                            &spec,
+                            &kernel,
+                            main,
+                            &sides,
+                            &[],
+                            rows,
+                            cols,
+                            backend,
+                        )
+                    }
+                }
+            };
+            for agg in cells.into_iter().map(Some).chain([None]) {
+                let oracle = run(agg, CellBackend::Scalar, 1);
+                for backend in [CellBackend::Block, CellBackend::Mono] {
+                    for threads in [1, 2, 3] {
+                        let what = format!(
+                            "n_tiles {} {rows}x{cols} {agg:?} {backend:?} {threads} threads",
+                            kernel.block.n_tiles
+                        );
+                        for (g, o) in run(agg, backend, threads).iter().zip(&oracle) {
+                            if agg == Some(CellAgg::NoAgg) {
+                                common::assert_bitwise(g, o, &what);
+                            } else {
+                                assert!(g.approx_eq(o, 1e-12), "{what}: {g:?} vs {o:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A dense map whose result is the body's last instruction runs that
+/// instruction straight into the output row; every other map copies its
+/// result register out. The two must give the same bits, here on the
+/// format/width grid (tile caps 8 / 33 / 256 and the production one, columns
+/// around a tile edge, a dense main, a CSR main walked densely, no main, one
+/// and two threads): bodies ending in a `Unary`, a `Binary` (a product under
+/// `Block`, the product loop under `Mono`), a `Ternary` over three slices and
+/// one over a uniform, each against itself with an unread instruction
+/// appended (the result is then not the last instruction), and results that
+/// are the main, a gather or a uniform, every one against the `Scalar` oracle.
+#[test]
+fn in_place_maps_are_bitwise_the_register_path() {
+    use fusedml_core::spoof::block::MAX_TILE_WIDTH;
+    let main = |out| Instr::LoadMain { out };
+    let cell = |out, side| Instr::LoadSide { out, side, access: SideAccess::Cell };
+    let row = |out, side| Instr::LoadSide { out, side, access: SideAccess::Row };
+    let bin = |out, op, a, b| Instr::Binary { out, op, a, b };
+    let ter = |out, op, a, b, c| Instr::Ternary { out, op, a, b, c };
+    let leaves = vec![main(0), cell(1, 0), row(2, 1), Instr::LoadScalar { out: 3, idx: 0 }];
+    let bodies: Vec<(&str, Vec<Instr>)> = vec![
+        (
+            "unary",
+            vec![bin(4, BinaryOp::Add, 0, 1), Instr::Unary { out: 5, op: UnaryOp::Sigmoid, a: 4 }],
+        ),
+        ("binary", vec![bin(4, BinaryOp::Mult, 0, 2), bin(5, BinaryOp::Sub, 4, 1)]),
+        ("product", vec![bin(4, BinaryOp::Mult, 0, 1), bin(5, BinaryOp::Mult, 4, 2)]),
+        ("ternary", vec![bin(4, BinaryOp::Max, 0, 2), ter(5, TernaryOp::PlusMult, 4, 1, 0)]),
+        (
+            "ternary uniform",
+            vec![ter(4, TernaryOp::MinusMult, 0, 3, 1), ter(5, TernaryOp::IfElse, 1, 4, 3)],
+        ),
+    ];
+    let program = |body: &[Instr], result: u16, unread: bool| {
+        let mut instrs = leaves.clone();
+        instrs.extend_from_slice(body);
+        if unread {
+            instrs.push(Instr::Unary { out: 6, op: UnaryOp::Neg, a: 0 });
+        }
+        (Program { instrs, n_regs: 7, vreg_lens: vec![] }, result)
+    };
+    // (name, the program and its result, the same with an unread instruction
+    // appended where the map writes in place).
+    type Case = (String, (Program, u16), Option<(Program, u16)>);
+    let mut cases: Vec<Case> = Vec::new();
+    for (name, body) in &bodies {
+        cases.push((name.to_string(), program(body, 5, false), Some(program(body, 5, true))));
+    }
+    // Results the sink copies or fills: the main, a gather, a uniform.
+    for (name, result) in [("main", 0), ("gather", 1), ("uniform", 3)] {
+        cases.push((name.to_string(), program(&bodies[1].1, result, false), None));
+    }
+    for width in [8usize, 33, 256, MAX_TILE_WIDTH] {
+        let edge = width.min(300);
+        for cols in [1, edge - 1, edge, edge + 1, 3 * edge + 5] {
+            for rows in [3, 2 * par::PAR_THRESHOLD / cols + 3] {
+                let seed = (width * 1000 + cols) as u64;
+                let dense = generate::rand_dense(rows, cols, -1.5, 1.5, seed);
+                let csr = csr_where(&dense, |r, c| r != 1 && (r * 31 + c * 17) % 10 < 3);
+                let bound = [
+                    generate::rand_dense(rows, cols, -1.5, 1.5, seed + 1),
+                    generate::rand_dense(1, cols, -1.5, 1.5, seed + 2),
+                ];
+                let sides: Vec<SideInput> = bound.iter().map(SideInput::bind).collect();
+                for (name, (prog, result), register) in &cases {
+                    let run = |prog: &Program, result, main, backend, threads| {
+                        let _limit = par::limit_current_thread(threads);
+                        let kernel = BlockKernel { width, ..compile_kernel(prog) };
+                        let spec = CellSpec {
+                            prog: prog.clone(),
+                            result,
+                            agg: CellAgg::NoAgg,
+                            sparse_safe: false,
+                        };
+                        cellwise::execute_with(
+                            &spec,
+                            &kernel,
+                            main,
+                            &sides,
+                            &[0.75],
+                            rows,
+                            cols,
+                            backend,
+                        )
+                    };
+                    for main in [Some(&dense), Some(&csr), None] {
+                        let what = format!(
+                            "{name} width {width} {rows}x{cols} main {}",
+                            main.map_or("none", |m| if m.is_sparse() { "csr" } else { "dense" })
+                        );
+                        let oracle = run(prog, *result, main, CellBackend::Scalar, 1);
+                        for backend in [CellBackend::Block, CellBackend::Mono] {
+                            for threads in [1, 2] {
+                                let what = format!("{what} {backend:?} {threads} threads");
+                                let got = run(prog, *result, main, backend, threads);
+                                common::assert_bitwise(&got, &oracle, &what);
+                                if let Some((reg_prog, reg_result)) = register {
+                                    let want = run(reg_prog, *reg_result, main, backend, threads);
+                                    common::assert_bitwise(
+                                        &got,
+                                        &want,
+                                        &format!("{what} vs register"),
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

@@ -597,6 +597,63 @@ fn check_bits(prog: &Program, vecs: &[u16], main: &Matrix, sides: &[SideInput], 
     }
 }
 
+/// The signed-zero leg of the lane grid, for release builds (where LLVM is
+/// free to pick either zero out of `f64::min(-0.0, 0.0)` by operand order):
+/// every row holds one zero of one sign among zeros of the other, at a
+/// column that walks every position of widths 1–17, in a dense main, a CSR
+/// main storing the odd zero only and one storing every zero. Row `Min` /
+/// `Max` (`VecAgg` and the lane-wise `Binary`) give `-0.0` / `+0.0` on both
+/// backends, wherever the odd zero sits and whether or not it is stored.
+#[test]
+fn signed_zeros_fold_alike_in_every_column_position() {
+    let prog = Program {
+        instrs: vec![
+            Instr::LoadMainRow { out: 0 },
+            Instr::VecAgg { out: 0, op: AggOp::Min, a: 0 },
+            Instr::VecAgg { out: 1, op: AggOp::Max, a: 0 },
+            Instr::Binary { out: 2, op: BinaryOp::Min, a: 1, b: 0 },
+            Instr::Binary { out: 3, op: BinaryOp::Max, a: 0, b: 1 },
+        ],
+        n_regs: 4,
+        vreg_lens: vec![],
+    };
+    for w in 1..=17usize {
+        let n = 2 * w + RB + 1;
+        let prog = Program { vreg_lens: vec![w], ..prog.clone() };
+        for odd in [-0.0f64, 0.0] {
+            // Row `r` holds `odd` at column `r % w`, the other zero elsewhere.
+            let vals: Vec<f64> =
+                (0..n * w).map(|i| if i % w == (i / w) % w { odd } else { -odd }).collect();
+            let mains = [
+                Matrix::dense(fusedml_linalg::DenseMatrix::new(n, w, vals.clone())),
+                csr_of(&vals, (n, w), |r, c| c == r % w),
+                csr_of(&vals, (n, w), |_, _| true),
+            ];
+            for main in &mains {
+                let what = format!("w={w} odd={odd:?} sparse_main={}", main.is_sparse());
+                check_bits(&prog, &[], main, &[], &what);
+                // `-0.0` is the minimum of a row holding one, `+0.0` the
+                // maximum of a row holding one (an implicit zero is `+0.0`).
+                let has = |r, z: f64| (0..w).any(|c| main.get(r, c).to_bits() == z.to_bits());
+                for src in 0..4u16 {
+                    let spec = RowSpec { prog: prog.clone(), out: RowOut::RowAgg { src } };
+                    let got = run(&spec, main, &[], &[], RowBackend::Block);
+                    for r in 0..n {
+                        let z = match src % 2 {
+                            0 if has(r, -0.0) => -0.0f64,
+                            0 => 0.0,
+                            _ if has(r, 0.0) => 0.0,
+                            _ => -0.0,
+                        };
+                        let g = got.get(r, 0);
+                        assert_eq!(g.to_bits(), z.to_bits(), "{what} r{src} row {r}: {g:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Every instruction the block backend runs as one loop per tile, at
 /// register widths 1–17 (both sides of the 16-value line, every 4-lane
 /// tail) and tiles of 1, `RB − 1` and `RB` rows and a ragged second one:
