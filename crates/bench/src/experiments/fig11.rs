@@ -4,6 +4,8 @@
 
 use super::Scale;
 use crate::report::Table;
+use fusedml_core::codegen::{generate, CodegenOptions};
+use fusedml_core::cplan::CPlan;
 use fusedml_core::explore::explore;
 use fusedml_core::opt::{select_plans, CostModel, EnumConfig, SelectionPolicy};
 use fusedml_core::plancache::PlanCache;
@@ -12,7 +14,7 @@ use fusedml_hop::DagBuilder;
 /// Builds a family of `n` structurally distinct fused-operator CPlans
 /// (cell chains of varying length/constants), mimicking the operator
 /// diversity of the six algorithms.
-fn cplan_family(n: usize) -> Vec<fusedml_core::cplan::CPlan> {
+fn cplan_family(n: usize) -> Vec<CPlan> {
     let mut out = Vec::new();
     for i in 0..n {
         let mut b = DagBuilder::new();
@@ -54,18 +56,27 @@ pub fn run(scale: Scale) {
         ),
         &["config", "compile time", "hits", "misses"],
     );
-    for (cache_on, cname) in [(false, "no cache"), (true, "plan cache")] {
-        let cache = PlanCache::new();
-        cache.set_enabled(cache_on);
+    // Times `rounds` compilations of the whole family through `compile`.
+    let time_rounds = |compile: &dyn Fn(&CPlan)| {
         let t0 = std::time::Instant::now();
         for _ in 0..rounds {
             for cp in &family {
-                let _ = cache.get_or_compile(cp);
+                compile(cp);
             }
         }
-        let secs = t0.elapsed().as_secs_f64();
-        let (h, m) = cache.stats();
-        t.row(vec![cname.to_string(), Table::secs(secs), h.to_string(), m.to_string()]);
-    }
+        Table::secs(t0.elapsed().as_secs_f64())
+    };
+    // Without a cache every lookup is a miss that generates and lowers anew.
+    let secs = time_rounds(&|cp| {
+        std::hint::black_box(generate(cp, "TMP", &CodegenOptions::default()));
+    });
+    let misses = rounds * family.len();
+    t.row(vec!["no cache".to_string(), secs, "0".to_string(), misses.to_string()]);
+    let cache = PlanCache::new();
+    let secs = time_rounds(&|cp| {
+        cache.get_or_compile(cp);
+    });
+    let (h, m) = cache.stats();
+    t.row(vec!["plan cache".to_string(), secs, h.to_string(), m.to_string()]);
     t.print();
 }

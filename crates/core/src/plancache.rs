@@ -3,9 +3,8 @@
 //!
 //! Generated operators are keyed by the structural CPlan hash, so equivalent
 //! CPlans — e.g. the same update rule recompiled every iteration — map to
-//! one compiled operator. The cache also tracks hit/miss statistics and the
-//! cumulative compilation time, which the Figure 11 and Table 3 harnesses
-//! report. A generated operator carries its lowered kernel (lowered by
+//! one compiled operator. The cache also tracks hit/miss statistics, which
+//! the Figure 11 and Table 3 harnesses report. A generated operator carries its lowered kernel (lowered by
 //! `codegen::generate`), so this is the one cache of compiled state: the
 //! key covers everything codegen and lowering read but the row count, and
 //! a hit is also a kernel that is not lowered again.
@@ -17,9 +16,8 @@ use crate::codegen::{generate, CodegenOptions, GeneratedOperator};
 use crate::cplan::CPlan;
 use crate::util::LruMap;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Default bound on distinct compiled operators retained per plan cache.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 1024;
@@ -59,13 +57,8 @@ impl Lookups {
 /// A concurrent, capacity-bounded plan cache for generated operators.
 pub struct PlanCache {
     state: Mutex<Lookups>,
-    /// Cumulative compile time (nanoseconds) spent on cache misses.
-    compile_nanos: AtomicU64,
     /// Monotonic operator name counter (TMP0, TMP1, …).
     name_counter: AtomicUsize,
-    /// Whether lookups are enabled (disabled = always compile; used by the
-    /// Figure 11 "without plan cache" configuration).
-    enabled: std::sync::atomic::AtomicBool,
 }
 
 impl Default for PlanCache {
@@ -82,40 +75,19 @@ impl PlanCache {
 
     /// A plan cache retaining at most `capacity` compiled operators.
     pub fn with_capacity(capacity: usize) -> Self {
-        PlanCache {
-            state: Mutex::new(Lookups::new(capacity)),
-            compile_nanos: AtomicU64::new(0),
-            name_counter: AtomicUsize::new(0),
-            enabled: std::sync::atomic::AtomicBool::new(true),
-        }
+        PlanCache { state: Mutex::new(Lookups::new(capacity)), name_counter: AtomicUsize::new(0) }
     }
 
-    /// Enables or disables cache lookups (compilation still records stats).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Looks up or compiles the operator for a CPlan. The measured compile
-    /// time (Figure 11) includes lowering, which `generate` does; with
-    /// lookups disabled every call pays it, like a cold JIT.
+    /// Looks up or compiles the operator for a CPlan; a miss pays code
+    /// generation and lowering, which `generate` does.
     pub fn get_or_compile(&self, cplan: &CPlan) -> Arc<GeneratedOperator> {
         let key = cplan.structural_hash();
-        let found = {
-            let mut st = self.state.lock();
-            if self.enabled.load(Ordering::Relaxed) {
-                st.get(key)
-            } else {
-                st.misses += 1;
-                None
-            }
-        };
+        let found = self.state.lock().get(key);
         if let Some(op) = found {
             return op;
         }
         let n = self.name_counter.fetch_add(1, Ordering::Relaxed);
-        let start = Instant::now();
         let op = Arc::new(generate(cplan, &format!("TMP{n}"), &CodegenOptions::default()));
-        self.compile_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.state.lock().map.insert(key, Arc::clone(&op));
         op
     }
@@ -124,11 +96,6 @@ impl PlanCache {
     pub fn stats(&self) -> (usize, usize) {
         let st = self.state.lock();
         (st.hits, st.misses)
-    }
-
-    /// Cumulative compile time in seconds.
-    pub fn compile_seconds(&self) -> f64 {
-        self.compile_nanos.load(Ordering::Relaxed) as f64 / 1e9
     }
 
     /// Number of distinct compiled operators.
@@ -143,7 +110,6 @@ impl PlanCache {
     /// Clears contents and statistics.
     pub fn clear(&self) {
         self.state.lock().clear();
-        self.compile_nanos.store(0, Ordering::Relaxed);
     }
 }
 
@@ -194,15 +160,6 @@ mod tests {
         let _ = cache.get_or_compile(&tiny_cplan(3.0));
         assert_eq!(cache.stats(), (0, 2));
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn disabled_cache_always_compiles() {
-        let cache = PlanCache::new();
-        cache.set_enabled(false);
-        let _ = cache.get_or_compile(&tiny_cplan(2.0));
-        let _ = cache.get_or_compile(&tiny_cplan(2.0));
-        assert_eq!(cache.stats(), (0, 2));
     }
 
     #[test]
@@ -299,12 +256,5 @@ mod tests {
         let (hits, misses) = cache.stats();
         assert_eq!(hits, 15, "every hot lookup hits");
         assert_eq!(misses, 16, "only the cold plans (and the first hot) compile");
-    }
-
-    #[test]
-    fn compile_time_recorded() {
-        let cache = PlanCache::new();
-        let _ = cache.get_or_compile(&tiny_cplan(2.0));
-        assert!(cache.compile_seconds() >= 0.0);
     }
 }

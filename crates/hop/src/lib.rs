@@ -12,11 +12,10 @@
 //!   (standing in for SystemML's R-like script parser),
 //! * [`size`] — dimension and sparsity propagation (the IPA analogue; the
 //!   fusion optimizer relies on known sizes for costing and validity),
-//! * [`memory`] — operation memory estimates driving local-vs-distributed
-//!   execution-type decisions,
-//! * [`liveness`] — consumer counts, last-use positions, ready sets of
-//!   independent operators, and tracked peak-footprint estimates for the
-//!   scheduled executor,
+//! * [`liveness`] — live read-occurrence counts and the root mask, which the
+//!   plan verifier checks the task graph's `Base`-mode refcounts against
+//!   (the runtime's task graph carries the refcounts and levels execution
+//!   runs on; its shard planner makes the local-vs-sharded choice),
 //! * [`interp`] — a reference interpreter executing a DAG operator-by-
 //!   operator with materialized intermediates (the `Base` mode of the
 //!   evaluation, and the correctness oracle for fused execution).
@@ -26,7 +25,6 @@ pub mod dag;
 pub mod hop;
 pub mod interp;
 pub mod liveness;
-pub mod memory;
 pub mod size;
 
 pub use builder::DagBuilder;

@@ -1,196 +1,22 @@
-//! Liveness analysis over HOP DAGs: per-hop consumer counts, last-use
-//! positions, a topological schedule with ready sets of independent
-//! operators, and a tracked peak-footprint simulation.
+//! Liveness analysis over HOP DAGs: per-hop counts of live read
+//! occurrences and the root mask.
 //!
-//! SystemML's buffer-pool-managed control program frees and reuses
-//! intermediates as the DAG executes ("Costing Generated Runtime Execution
-//! Plans", Boehm 2017 models exactly this buffer-pool/memory-estimate
-//! interplay). This pass computes the information the scheduled executor
-//! needs to do the same: when each value dies (so its buffer returns to the
-//! pool) and which operators are mutually independent (so they can execute
-//! in parallel).
+//! The scheduler's task graph (`runtime::schedule::prepare`) carries the
+//! refcounts, levels and widths execution runs on. This pass derives the
+//! read counts a second, independent way, straight from the DAG, so the plan
+//! verifier can cross-check the task graph's refcounts in `Base` mode.
 
-use crate::dag::{HopDag, HopId};
-use crate::memory::op_memory_estimate;
-use std::fmt;
+use crate::dag::HopDag;
 
 /// Liveness facts for one DAG.
 #[derive(Clone, Debug)]
 pub struct Liveness {
-    /// Reachable-from-roots mask.
-    pub live: Vec<bool>,
     /// Per-hop number of live consumer *read occurrences* (a consumer using
     /// the same input twice counts twice). Roots do not add to this count;
     /// see [`Liveness::is_root`].
     pub consumers: Vec<u32>,
     /// True for DAG roots (outputs that must survive the whole execution).
     pub is_root: Vec<bool>,
-    /// Topological position (index into [`Liveness::order`]) of the last
-    /// consumer of each hop; `None` for dead hops and unconsumed roots.
-    pub last_use: Vec<Option<usize>>,
-    /// Live hops in topological (creation) order.
-    pub order: Vec<HopId>,
-    /// Dependency depth per hop: leaves are 0, otherwise
-    /// `1 + max(level of inputs)`. Hops sharing a level are independent.
-    pub level: Vec<usize>,
-    /// Ready sets: `levels[d]` holds all live hops at depth `d`. All hops in
-    /// one set can execute in parallel once the previous sets completed.
-    pub levels: Vec<Vec<HopId>>,
-}
-
-impl Liveness {
-    /// The widest ready set — an upper bound on useful inter-operator
-    /// parallelism for this DAG.
-    pub fn max_width(&self) -> usize {
-        self.levels.iter().map(Vec::len).max().unwrap_or(0)
-    }
-}
-
-/// A divergence between cached [`Liveness`] facts and the facts recomputed
-/// from the DAG they claim to describe. Cached facts go stale when a DAG is
-/// mutated after analysis (or a compiled artifact is corrupted); every
-/// variant names the first field found to disagree.
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum LivenessError {
-    /// A per-hop fact vector has the wrong length for the DAG.
-    FieldLength {
-        /// Which vector (`"live"`, `"consumers"`, …).
-        field: &'static str,
-        /// Expected length (`dag.len()`).
-        expected: usize,
-        /// Stored length.
-        got: usize,
-    },
-    /// The reachable-from-roots mask disagrees at this hop.
-    LiveMask {
-        /// The hop whose liveness bit is wrong.
-        hop: u32,
-    },
-    /// A consumer (read-occurrence) count disagrees at this hop.
-    ConsumerCount {
-        /// The hop whose count is wrong.
-        hop: u32,
-        /// Recomputed count.
-        expected: u32,
-        /// Stored count.
-        got: u32,
-    },
-    /// The root mask disagrees at this hop.
-    RootMask {
-        /// The hop whose root bit is wrong.
-        hop: u32,
-    },
-    /// The last-use position disagrees at this hop.
-    LastUse {
-        /// The hop whose last-use fact is wrong.
-        hop: u32,
-    },
-    /// The topological order is not the live creation order.
-    Order {
-        /// Human-readable description of the divergence.
-        detail: String,
-    },
-    /// A dependency-depth level disagrees at this hop.
-    Level {
-        /// The hop whose level is wrong.
-        hop: u32,
-        /// Recomputed level.
-        expected: usize,
-        /// Stored level.
-        got: usize,
-    },
-}
-
-impl fmt::Display for LivenessError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LivenessError::FieldLength { field, expected, got } => {
-                write!(f, "liveness field '{field}' has length {got}, DAG has {expected} hops")
-            }
-            LivenessError::LiveMask { hop } => {
-                write!(f, "live mask disagrees with reachability at hop {hop}")
-            }
-            LivenessError::ConsumerCount { hop, expected, got } => {
-                write!(f, "hop {hop} has {expected} live read occurrences, facts claim {got}")
-            }
-            LivenessError::RootMask { hop } => {
-                write!(f, "root mask disagrees with DAG roots at hop {hop}")
-            }
-            LivenessError::LastUse { hop } => {
-                write!(f, "last-use position disagrees at hop {hop}")
-            }
-            LivenessError::Order { detail } => write!(f, "topological order invalid: {detail}"),
-            LivenessError::Level { hop, expected, got } => {
-                write!(f, "hop {hop} has dependency depth {expected}, facts claim {got}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for LivenessError {}
-
-/// Re-audits cached liveness facts against the DAG by recomputing them from
-/// scratch and comparing field by field; reports the first divergence. The
-/// plan verifier and any future recompilation path share this single auditor
-/// instead of trusting cached facts.
-pub fn check(dag: &HopDag, facts: &Liveness) -> Result<(), LivenessError> {
-    let fresh = analyze(dag);
-    let n = dag.len();
-    let lengths: [(&'static str, usize); 6] = [
-        ("live", facts.live.len()),
-        ("consumers", facts.consumers.len()),
-        ("is_root", facts.is_root.len()),
-        ("last_use", facts.last_use.len()),
-        ("level", facts.level.len()),
-        ("levels(flat)", facts.levels.iter().map(Vec::len).sum()),
-    ];
-    for (field, got) in lengths {
-        let expected = if field == "levels(flat)" { fresh.order.len() } else { n };
-        if got != expected {
-            return Err(LivenessError::FieldLength { field, expected, got });
-        }
-    }
-    for i in 0..n {
-        if facts.live[i] != fresh.live[i] {
-            return Err(LivenessError::LiveMask { hop: i as u32 });
-        }
-        if facts.is_root[i] != fresh.is_root[i] {
-            return Err(LivenessError::RootMask { hop: i as u32 });
-        }
-        if facts.consumers[i] != fresh.consumers[i] {
-            return Err(LivenessError::ConsumerCount {
-                hop: i as u32,
-                expected: fresh.consumers[i],
-                got: facts.consumers[i],
-            });
-        }
-    }
-    if facts.order != fresh.order {
-        return Err(LivenessError::Order {
-            detail: format!(
-                "expected live creation order of {} hops, facts list {}",
-                fresh.order.len(),
-                facts.order.len()
-            ),
-        });
-    }
-    for i in 0..n {
-        if facts.last_use[i] != fresh.last_use[i] {
-            return Err(LivenessError::LastUse { hop: i as u32 });
-        }
-        if facts.level[i] != fresh.level[i] {
-            return Err(LivenessError::Level {
-                hop: i as u32,
-                expected: fresh.level[i],
-                got: facts.level[i],
-            });
-        }
-    }
-    if facts.levels != fresh.levels {
-        return Err(LivenessError::Order { detail: "ready sets disagree with levels".to_string() });
-    }
-    Ok(())
 }
 
 /// Computes liveness facts for a DAG.
@@ -202,106 +28,12 @@ pub fn analyze(dag: &HopDag) -> Liveness {
         is_root[r.index()] = true;
     }
     let mut consumers = vec![0u32; n];
-    let mut level = vec![0usize; n];
-    let mut order = Vec::with_capacity(n);
-    for h in dag.iter() {
-        if !live[h.id.index()] {
-            continue;
-        }
-        order.push(h.id);
-        let mut lvl = 0;
+    for h in dag.iter().filter(|h| live[h.id.index()]) {
         for &i in &h.inputs {
             consumers[i.index()] += 1;
-            lvl = lvl.max(level[i.index()] + 1);
-        }
-        if !h.inputs.is_empty() {
-            level[h.id.index()] = lvl;
         }
     }
-    let mut last_use = vec![None; n];
-    for (pos, &id) in order.iter().enumerate() {
-        for &i in &dag.hop(id).inputs {
-            last_use[i.index()] = Some(pos);
-        }
-    }
-    let depth = order.iter().map(|&id| level[id.index()]).max().map_or(0, |d| d + 1);
-    let mut levels = vec![Vec::new(); depth];
-    for &id in &order {
-        levels[level[id.index()]].push(id);
-    }
-    Liveness { live, consumers, is_root, last_use, order, level, levels }
-}
-
-/// Estimated memory behaviour of one DAG execution, in bytes.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FootprintReport {
-    /// Peak resident bytes when dead intermediates are freed at last use
-    /// (inputs + simultaneously live values), per the memory estimates.
-    pub peak_bytes: f64,
-    /// Resident bytes of the hold-everything execution the seed runtime
-    /// performed: inputs plus *every* intermediate, none freed.
-    pub resident_all_bytes: f64,
-    /// Bytes the liveness-aware execution frees before the DAG finishes.
-    pub freed_early_bytes: f64,
-}
-
-impl FootprintReport {
-    /// Hold-everything peak over liveness-aware peak (≥ 1).
-    pub fn reduction_factor(&self) -> f64 {
-        if self.peak_bytes <= 0.0 {
-            1.0
-        } else {
-            self.resident_all_bytes / self.peak_bytes
-        }
-    }
-}
-
-/// Simulates a topological execution with frees at last use, using the
-/// (sparsity-aware) per-hop output sizes from the memory estimator, and
-/// reports the tracked peak against the hold-everything baseline.
-pub fn estimated_footprint(dag: &HopDag) -> FootprintReport {
-    let lv = analyze(dag);
-    let bytes_of = |id: HopId| dag.hop(id).size.bytes();
-    let mut reads_left = lv.consumers.clone();
-    let mut resident_now = 0.0f64;
-    let mut resident_all = 0.0f64;
-    let mut peak = 0.0f64;
-    let mut freed_early = 0.0f64;
-    let mut alive = vec![false; dag.len()];
-    for (pos, &id) in lv.order.iter().enumerate() {
-        // The operator's own working set (inputs + output + intermediate)
-        // spikes during execution; account the spike against the resident set
-        // without the operator's inputs/output counted twice.
-        let own = op_memory_estimate(dag, id);
-        let in_out: f64 = dag
-            .hop(id)
-            .inputs
-            .iter()
-            .map(|&i| bytes_of(i))
-            .chain(std::iter::once(bytes_of(id)))
-            .sum();
-        resident_now += bytes_of(id);
-        resident_all += bytes_of(id);
-        alive[id.index()] = true;
-        peak = peak.max(resident_now + (own - in_out).max(0.0));
-        // Free inputs whose last use this was.
-        for &i in &dag.hop(id).inputs {
-            let slot = &mut reads_left[i.index()];
-            *slot = slot.saturating_sub(1);
-            if *slot == 0 && !lv.is_root[i.index()] && alive[i.index()] {
-                alive[i.index()] = false;
-                resident_now -= bytes_of(i);
-                if pos + 1 < lv.order.len() {
-                    freed_early += bytes_of(i);
-                }
-            }
-        }
-    }
-    FootprintReport {
-        peak_bytes: peak,
-        resident_all_bytes: resident_all,
-        freed_early_bytes: freed_early,
-    }
+    Liveness { consumers, is_root }
 }
 
 #[cfg(test)]
@@ -309,41 +41,8 @@ mod tests {
     use super::*;
     use crate::builder::DagBuilder;
 
-    /// X → a=exp(X) → b=exp(a) → … chain: only two values are ever live at
-    /// once, so the tracked peak must be far below hold-everything.
     #[test]
-    fn chain_peak_is_constant() {
-        let mut b = DagBuilder::new();
-        let x = b.read("X", 1000, 1000, 1.0);
-        let mut cur = x;
-        for _ in 0..8 {
-            cur = b.exp(cur);
-        }
-        let dag = b.build(vec![cur]);
-        let fp = estimated_footprint(&dag);
-        // Hold-everything: X + 8 intermediates. Peak: X + 2 live values.
-        assert!(fp.resident_all_bytes >= 9.0 * 8e6);
-        assert!(fp.peak_bytes <= 3.0 * 8e6 + 1.0);
-        assert!(fp.reduction_factor() >= 2.0);
-        assert!(fp.freed_early_bytes > 0.0);
-    }
-
-    #[test]
-    fn peak_never_exceeds_hold_everything() {
-        let mut b = DagBuilder::new();
-        let x = b.read("X", 500, 400, 1.0);
-        let y = b.read("Y", 500, 400, 1.0);
-        let m = b.mult(x, y);
-        let e = b.exp(m);
-        let s1 = b.sum(e);
-        let s2 = b.sum(m);
-        let dag = b.build(vec![s1, s2]);
-        let fp = estimated_footprint(&dag);
-        assert!(fp.peak_bytes <= fp.resident_all_bytes);
-    }
-
-    #[test]
-    fn consumer_counts_and_last_use() {
+    fn consumer_counts_and_roots() {
         let mut b = DagBuilder::new();
         let x = b.read("X", 10, 10, 1.0);
         let a = b.mult(x, x); // x read twice
@@ -355,71 +54,18 @@ mod tests {
         assert_eq!(lv.consumers[a.index()], 1);
         assert_eq!(lv.consumers[s.index()], 0);
         assert!(lv.is_root[s.index()]);
-        // a's last use is exp's position in the order (position 2: x,a,e,s).
-        assert_eq!(lv.last_use[a.index()], Some(2));
-        assert_eq!(lv.last_use[s.index()], None);
-    }
-
-    #[test]
-    fn levels_group_independent_ops() {
-        let mut b = DagBuilder::new();
-        let x = b.read("X", 10, 10, 1.0);
-        let y = b.read("Y", 10, 10, 1.0);
-        let a = b.exp(x); // level 1
-        let c = b.exp(y); // level 1 — independent of a
-        let s = b.add(a, c); // level 2
-        let dag = b.build(vec![s]);
-        let lv = analyze(&dag);
-        assert_eq!(lv.level[a.index()], 1);
-        assert_eq!(lv.level[c.index()], 1);
-        assert_eq!(lv.level[s.index()], 2);
-        assert_eq!(lv.levels[1].len(), 2);
-        assert_eq!(lv.max_width(), 2);
-    }
-
-    #[test]
-    fn check_accepts_fresh_facts_and_rejects_stale_ones() {
-        let mut b = DagBuilder::new();
-        let x = b.read("X", 10, 10, 1.0);
-        let a = b.mult(x, x);
-        let s = b.sum(a);
-        let dag = b.build(vec![s]);
-        let mut lv = analyze(&dag);
-        assert_eq!(check(&dag, &lv), Ok(()));
-        lv.consumers[x.index()] += 1;
-        assert!(matches!(
-            check(&dag, &lv),
-            Err(LivenessError::ConsumerCount { hop, expected: 2, got: 3 }) if hop == x.0
-        ));
+        assert!(!lv.is_root[a.index()]);
     }
 
     #[test]
     fn dead_hops_are_excluded() {
         let mut b = DagBuilder::new();
         let x = b.read("X", 10, 10, 1.0);
-        let dead = b.exp(x);
+        let _dead = b.exp(x);
         let s = b.sum(x);
         let dag = b.build(vec![s]);
         let lv = analyze(&dag);
-        assert!(!lv.live[dead.index()]);
-        assert!(!lv.order.contains(&dead));
         // The dead consumer must not keep x's read count up.
         assert_eq!(lv.consumers[x.index()], 1);
-    }
-
-    /// Sparsity awareness: a sparse intermediate contributes nnz-proportional
-    /// bytes to the footprint, not dense bytes.
-    #[test]
-    fn sparse_hops_charge_nnz_bytes() {
-        let mut b = DagBuilder::new();
-        let x = b.read("X", 1000, 1000, 0.01);
-        let y = b.read("Y", 1000, 1000, 1.0);
-        let m = b.mult(x, y); // sparse-safe: output sparsity follows x
-        let s = b.sum(m);
-        let dag = b.build(vec![s]);
-        let fp = estimated_footprint(&dag);
-        // Dense-accounted X alone would be 8 MB; sparse X + product are far
-        // smaller, so the peak must sit well below X-dense + Y-dense + prod.
-        assert!(fp.peak_bytes < 8e6 + 8e6);
     }
 }

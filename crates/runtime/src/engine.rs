@@ -12,7 +12,7 @@
 //!   limits, optimizer knobs — so two engines with
 //!   different configurations coexist in one process;
 //! * [`Engine::compile`] runs candidate exploration, costing, code
-//!   generation, and task-graph/liveness construction **exactly once**,
+//!   generation, and task-graph construction **exactly once**,
 //!   returning a [`CompiledScript`];
 //! * [`CompiledScript::execute`] is `&self`, `Send + Sync`, and allocates
 //!   only per-call state — so one compiled script serves many threads
@@ -55,7 +55,6 @@ use fusedml_core::plancache::{PlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
 use fusedml_core::util::LruMap;
 use fusedml_core::FusionMode;
 use fusedml_hop::interp::{self, Bindings};
-use fusedml_hop::liveness::{self, Liveness};
 use fusedml_hop::HopDag;
 use fusedml_linalg::fault::FaultPlan;
 use fusedml_linalg::matrix::Value;
@@ -391,9 +390,9 @@ impl Engine {
 
     /// Compiles a DAG into a [`CompiledScript`]: exploration (under `Fused`,
     /// restricted to the hand-coded pattern table), costing, code
-    /// generation, liveness analysis, and task graph construction all happen
-    /// here — **exactly once**. The returned script is `Send + Sync` and
-    /// executes from any number of threads.
+    /// generation, and task graph construction all happen here — **exactly
+    /// once**. The returned script is `Send + Sync` and executes from any
+    /// number of threads.
     /// Panics if the plan verifier rejects the compiled artifact (see
     /// [`Engine::try_compile`] for the fallible form).
     pub fn compile(&self, dag: &HopDag) -> CompiledScript {
@@ -484,9 +483,9 @@ impl EngineInner {
         p
     }
 
-    /// Compiles one geometry variant: plan / task graph / liveness facts
-    /// (per variant, so they always describe the geometry that actually
-    /// executes). With `verify_plans` on, the compiled
+    /// Compiles one geometry variant: plan and task graph (per variant, so
+    /// they always describe the geometry that actually executes). With
+    /// `verify_plans` on, the compiled
     /// artifact is statically verified before it is allowed to exist —
     /// cold compiles and geometry recompiles only, never the execute path.
     fn compile_variant(&self, dag: HopDag) -> Result<ScriptVariant, crate::verify::VerifyError> {
@@ -510,11 +509,10 @@ impl EngineInner {
         };
         let graph = schedule::prepare(&dag, plan.as_deref(), specs.as_deref());
         let shapes = dag.input_shapes();
-        let liveness = liveness::analyze(&dag);
         if self.verify_plans {
-            crate::verify::verify_compiled(&dag, plan.as_deref(), &graph, &liveness)?;
+            crate::verify::verify_compiled(&dag, plan.as_deref(), &graph)?;
         }
-        Ok(ScriptVariant { shapes, dag, plan, enum_cap, graph, liveness })
+        Ok(ScriptVariant { shapes, dag, plan, enum_cap, graph })
     }
 
     fn compile_script(&self, dag: &HopDag) -> Result<ScriptInner, crate::verify::VerifyError> {
@@ -540,8 +538,6 @@ struct ScriptVariant {
     /// Set when the plan's enumeration ran into its cap (best-so-far plan).
     enum_cap: Option<EnumCap>,
     graph: TaskGraph,
-    /// Liveness facts for this variant's DAG, computed once at compile.
-    liveness: Liveness,
 }
 
 /// The shared immutable state of a compiled script.
@@ -661,12 +657,6 @@ impl CompiledScript {
     /// The fusion plan of the declared geometry (`None` for `Base`).
     pub fn plan(&self) -> Option<&Arc<FusionPlan>> {
         self.inner.base.plan.as_ref()
-    }
-
-    /// Liveness facts of the declared geometry, computed once at compile
-    /// time (consumer counts, last-use positions, ready-set levels).
-    pub fn liveness(&self) -> &Liveness {
-        &self.inner.base.liveness
     }
 
     /// The input geometry this script was costed under, sorted by name.

@@ -259,6 +259,40 @@ mod tests {
         }
     }
 
+    /// A dense walk takes no scatter buffers, which only CSR tiles gather
+    /// into: three dense side gathers ask the pool for what none do.
+    #[test]
+    fn dense_walk_takes_no_scatter_buffers() {
+        use fusedml_linalg::{par, pool};
+        use std::sync::Arc;
+        let (rows, cols) = (4, 2000);
+        let x = generate::rand_dense(rows, cols, -1.0, 1.0, 14);
+        let ys: Vec<Matrix> =
+            (0..3).map(|s| generate::rand_dense(rows, cols, -1.0, 1.0, 15 + s)).collect();
+        let sides: Vec<SideInput> = ys.iter().map(SideInput::bind).collect();
+        // sum(X * Y0 * Y1 * Y2) over `n` side gathers.
+        let requests = |n: usize| {
+            let mut instrs = vec![Instr::LoadMain { out: 0 }];
+            for side in 0..n {
+                let r = (2 * side + 1) as u16;
+                instrs.push(Instr::LoadSide { out: r, side, access: SideAccess::Cell });
+                instrs.push(Instr::Binary { out: r + 1, op: BinaryOp::Mult, a: r - 1, b: r });
+            }
+            let spec = CellSpec {
+                prog: Program { instrs, n_regs: (2 * n + 1) as u16, vreg_lens: vec![] },
+                result: (2 * n) as u16,
+                agg: CellAgg::FullAgg(AggOp::Sum),
+                sparse_safe: false,
+            };
+            let tally = Arc::new(pool::PoolTally::default());
+            let _pool = pool::enter_tallied(&pool::BufferPool::handle(), &tally);
+            let _one = par::limit_current_thread(1);
+            run(&spec, Some(&x), &sides[..n], rows, cols, CellBackend::Block);
+            tally.hits() + tally.misses()
+        };
+        assert_eq!(requests(3), requests(0));
+    }
+
     /// The block backends must agree with the scalar oracle across all agg
     /// variants, dense and sparse mains, and ragged (non-tile-multiple)
     /// shapes.

@@ -313,7 +313,8 @@ impl<'a> CellPass<'a> {
         debug_assert!(!batch || self.batches);
         debug_assert!(walk != Walk::LastInSink || (self.csr.is_none() && self.last_in_sink()));
         let (width, cols, k) = (self.width, self.cols, self.body_len(walk));
-        let mut tr = TileRunner::new(self.kernel, self.sides, self.scalars, cols, width);
+        let csr = self.csr.is_some();
+        let mut tr = TileRunner::new(self.kernel, self.sides, self.scalars, cols, width, csr);
         let mut uv = pool::take_zeroed(if self.factors.is_some() { width } else { 0 });
         let mut scratch = pool::take_zeroed(width);
         let mut emit = |ev: &BlockEval, ctx: &TileCtx<'_>, base, n, row, at| {
@@ -657,7 +658,8 @@ struct TileRunner<'k, 's> {
     /// Per gather slot of a sparse side, the side row addressable by column:
     /// loaded per main row for `Cell` access, once with row 0 for `Row`.
     side_rows: Vec<RowScratch>,
-    /// Scatter-gather scratch (sparse-main iteration), tile-width sized.
+    /// Scatter-gather scratch of a CSR walk, one tile-width buffer per
+    /// gather slot (a dense walk takes none).
     scatter_bufs: Vec<Vec<f64>>,
     /// A batched tile's flat side indices `r·cols + c`, sized on first use.
     flat: Vec<usize>,
@@ -674,20 +676,22 @@ impl Drop for TileRunner<'_, '_> {
 
 impl<'k, 's> TileRunner<'k, 's> {
     /// Builds a runner and runs the invocation-invariant prologue.
-    /// `iter_cols` sizes the row scratch of the sparse sides.
+    /// `iter_cols` sizes the row scratch of the sparse sides; only a `csr`
+    /// walk calls [`Self::sparse_tile`], which needs the scatter buffers.
     fn new(
         kernel: &'k BlockKernel,
         sides: &'s [SideInput],
         scalars: &[f64],
         iter_cols: usize,
         width: usize,
+        csr: bool,
     ) -> Self {
         let bp = &kernel.block;
         assert!(kernel.tiled(), "gather count exceeds tile path");
         let mut eval = BlockEval::new(bp, width);
         eval.set_invariants(bp, &|i, acc| sides[i].value_at(acc, 0, 0), scalars);
         let mut side_rows = Vec::with_capacity(bp.gathers.len());
-        let mut scatter_bufs = Vec::with_capacity(bp.gathers.len());
+        let mut scatter_bufs = Vec::with_capacity(if csr { bp.gathers.len() } else { 0 });
         for &(side, access) in &bp.gathers {
             side_rows.push(match &sides[side] {
                 SideInput::Sparse(s) => {
@@ -700,7 +704,9 @@ impl<'k, 's> TileRunner<'k, 's> {
                 }
                 SideInput::Dense(_) => RowScratch::new(0),
             });
-            scatter_bufs.push(pool::take_zeroed(width));
+            if csr {
+                scatter_bufs.push(pool::take_zeroed(width));
+            }
         }
         TileRunner { kernel, eval, sides, side_rows, scatter_bufs, flat: Vec::new(), width }
     }

@@ -11,9 +11,7 @@
 //!
 //! 1. **Hop layer** ([`check_hops`]): DAG well-formedness (arity, topological
 //!    input order, root validity), shape-inference consistency (every stored
-//!    size re-derived through [`fusedml_hop::size::try_infer`]), and a full
-//!    re-audit of the cached liveness facts via
-//!    [`fusedml_hop::liveness::check`].
+//!    size re-derived through [`fusedml_hop::size::try_infer`]).
 //! 2. **Fusion-plan layer** ([`check_plan`]): the plan still matches the DAG
 //!    it will execute against, no hop is written by two fused operators, and
 //!    every operator's CPlan is legal for its template — side-access
@@ -30,7 +28,7 @@
 //! 4. **Task-graph layer** ([`check_task_graph`]): the stored graph is
 //!    compared with what [`schedule::prepare`] builds from the same DAG and
 //!    plan, and in `Base` mode its refcounts are cross-checked against the
-//!    liveness consumer counts.
+//!    consumer counts [`fusedml_hop::liveness::analyze`] derives from the DAG.
 //! 5. **Residency state machine** ([`check_residency_trace`]): an explicit
 //!    transition table for the scheduler's slot lifecycle
 //!    (`Empty/Resident/Streamed/Spilled/Loading/Evicting`). Debug builds
@@ -50,7 +48,7 @@ use fusedml_core::optimizer::{FusedOperator, FusionPlan};
 use fusedml_core::spoof::block::whole_vector_load;
 use fusedml_core::spoof::{eval_scalar_program, FusedSpec, Instr, Program, RowOut, SideAccess};
 use fusedml_core::templates::TemplateType;
-use fusedml_hop::liveness::{self, Liveness};
+use fusedml_hop::liveness;
 use fusedml_hop::{size, HopDag};
 use std::cell::Cell;
 use std::fmt;
@@ -66,8 +64,6 @@ pub enum VerifyError {
     MalformedDag { hop: u32, detail: String },
     /// A stored hop size disagrees with re-inference from its input sizes.
     ShapeDrift { hop: u32, stored: (usize, usize), inferred: (usize, usize) },
-    /// The cached liveness facts disagree with a fresh analysis.
-    StaleLiveness { detail: String },
     /// Plan-level geometry disagrees with the DAG variant it is bound to
     /// (structural hash, side dims, iteration or output dims).
     PlanGeometryMismatch { detail: String },
@@ -125,9 +121,6 @@ impl fmt::Display for VerifyError {
                 "hop {hop} stores size {}x{} but re-inference gives {}x{}",
                 stored.0, stored.1, inferred.0, inferred.1
             ),
-            VerifyError::StaleLiveness { detail } => {
-                write!(f, "stale liveness facts: {detail}")
-            }
             VerifyError::PlanGeometryMismatch { detail } => {
                 write!(f, "plan geometry mismatch: {detail}")
             }
@@ -184,13 +177,12 @@ pub fn verify_compiled(
     dag: &HopDag,
     plan: Option<&FusionPlan>,
     graph: &TaskGraph,
-    facts: &Liveness,
 ) -> Result<(), VerifyError> {
-    check_hops(dag, facts)?;
+    check_hops(dag)?;
     if let Some(p) = plan {
         check_plan(dag, p)?;
     }
-    check_task_graph(dag, plan, graph, facts)?;
+    check_task_graph(dag, plan, graph)?;
     check_shard_plan(plan, graph)
 }
 
@@ -242,8 +234,8 @@ pub fn check_shard_plan(plan: Option<&FusionPlan>, graph: &TaskGraph) -> Result<
 // Layer 1: hop DAG
 // ===========================================================================
 
-/// DAG well-formedness + shape re-inference + liveness re-audit.
-pub fn check_hops(dag: &HopDag, facts: &Liveness) -> Result<(), VerifyError> {
+/// DAG well-formedness + shape re-inference.
+pub fn check_hops(dag: &HopDag) -> Result<(), VerifyError> {
     let live = dag.live_set();
     for (i, h) in dag.iter().enumerate() {
         if h.id.index() != i {
@@ -298,7 +290,7 @@ pub fn check_hops(dag: &HopDag, facts: &Liveness) -> Result<(), VerifyError> {
             });
         }
     }
-    liveness::check(dag, facts).map_err(|e| VerifyError::StaleLiveness { detail: e.to_string() })
+    Ok(())
 }
 
 // ===========================================================================
@@ -1112,13 +1104,13 @@ fn first_diff<T: PartialEq>(fresh: &[T], stored: &[T]) -> Option<usize> {
 /// Task-graph consistency: the stored graph must be the one
 /// [`schedule::prepare`] builds from the same DAG and plan (every field but
 /// the shard plans, which [`check_shard_plan`] audits), and in `Base` mode
-/// its refcounts must equal the liveness consumer counts. Runs after
+/// its refcounts must equal the consumer counts of
+/// [`fusedml_hop::liveness::analyze`]. Runs after
 /// [`check_hops`] and [`check_plan`], whose checks `prepare` relies on.
 pub fn check_task_graph(
     dag: &HopDag,
     plan: Option<&FusionPlan>,
     graph: &TaskGraph,
-    facts: &Liveness,
 ) -> Result<(), VerifyError> {
     let TaskGraph {
         tasks,
@@ -1181,10 +1173,9 @@ pub fn check_task_graph(
     // set, so refcounts must also equal the liveness consumer counts plus
     // the root bonus: an analysis `prepare` does not use. Fused operators
     // legitimately collapse reads.
-    let n_hops = dag.len();
-    let all_basic = tasks.iter().all(|t| matches!(t.kind, TaskKind::Basic(_)));
-    if all_basic && facts.consumers.len() == n_hops && facts.is_root.len() == n_hops {
-        for h in 0..n_hops {
+    if tasks.iter().all(|t| matches!(t.kind, TaskKind::Basic(_))) {
+        let facts = liveness::analyze(dag);
+        for h in 0..dag.len() {
             let exp = facts.consumers[h] + u32::from(facts.is_root[h]);
             if graph.reads[h] != exp {
                 return Err(VerifyError::RefcountMismatch {

@@ -13,7 +13,6 @@ use fusedml_core::optimizer::{optimize, FusionPlan};
 use fusedml_core::spoof::block::{BlockKernel, Kernel, RowKernel};
 use fusedml_core::spoof::mono::{Product, ShapeClass};
 use fusedml_core::spoof::{FusedSpec, Instr, Program};
-use fusedml_hop::liveness::{self, Liveness};
 use fusedml_hop::{DagBuilder, HopDag, HopId};
 use fusedml_linalg::ops::UnaryOp;
 use fusedml_runtime::schedule::{self, TaskGraph};
@@ -27,7 +26,6 @@ struct Artifacts {
     dag: HopDag,
     plan: Option<FusionPlan>,
     graph: TaskGraph,
-    facts: Liveness,
     /// The exp hop (live, non-leaf) for shape mutations.
     exp: HopId,
 }
@@ -48,8 +46,7 @@ fn compiled(dag: HopDag, mode: FusionMode, exp: HopId) -> Artifacts {
         _ => Some(optimize(&dag, mode)),
     };
     let graph = schedule::prepare(&dag, plan.as_ref(), None);
-    let facts = liveness::analyze(&dag);
-    Artifacts { dag, plan, graph, facts, exp }
+    Artifacts { dag, plan, graph, exp }
 }
 
 /// `rowSums(exp(X) %*% W)` under `Gen`: one Row operator whose per-row body
@@ -83,7 +80,7 @@ fn corrupt_row_kernel(mut a: Artifacts, mutate: impl Fn(&mut RowKernel)) -> Veri
 }
 
 fn verify(a: &Artifacts) -> Result<(), VerifyError> {
-    verify_compiled(&a.dag, a.plan.as_ref(), &a.graph, &a.facts)
+    verify_compiled(&a.dag, a.plan.as_ref(), &a.graph)
 }
 
 fn spec_program(spec: &mut FusedSpec) -> &mut Program {
@@ -126,16 +123,7 @@ fn dangling_register_rejected() {
     assert!(matches!(err, VerifyError::DanglingRegister { .. }), "got {err:?}");
 }
 
-/// Corruption 2 — cached liveness facts drift from the DAG they describe.
-#[test]
-fn stale_liveness_rejected() {
-    let mut a = artifacts(FusionMode::Base);
-    a.facts.consumers[0] += 1;
-    let err = verify(&a).unwrap_err();
-    assert!(matches!(err, VerifyError::StaleLiveness { .. }), "got {err:?}");
-}
-
-/// Corruption 3 — a fused operator claims sparse safety for a program that
+/// Corruption 2 — a fused operator claims sparse safety for a program that
 /// is not zero-preserving (`exp(0) = 1`).
 #[test]
 fn sparse_overclaim_rejected() {
@@ -152,7 +140,7 @@ fn sparse_overclaim_rejected() {
     assert!(matches!(err, VerifyError::SparseClaim { .. }), "got {err:?}");
 }
 
-/// Corruption 4 — a task-graph read-occurrence refcount is off by one.
+/// Corruption 3 — a task-graph read-occurrence refcount is off by one.
 #[test]
 fn refcount_mismatch_rejected() {
     let mut a = artifacts(FusionMode::Base);
@@ -161,7 +149,7 @@ fn refcount_mismatch_rejected() {
     assert!(matches!(err, VerifyError::RefcountMismatch { hop: 0, .. }), "got {err:?}");
 }
 
-/// Corruption 5 — a leaf input marked spill-eligible (leaves are pinned:
+/// Corruption 4 — a leaf input marked spill-eligible (leaves are pinned:
 /// they are caller-owned and must never enter the eviction pool).
 #[test]
 fn leaf_spill_eligibility_rejected() {
@@ -171,7 +159,7 @@ fn leaf_spill_eligibility_rejected() {
     assert!(matches!(err, VerifyError::SpillEligibility { hop: 0, .. }), "got {err:?}");
 }
 
-/// Corruption 6 — a task's output-byte estimate disagrees with the size
+/// Corruption 5 — a task's output-byte estimate disagrees with the size
 /// estimator the spill planner uses.
 #[test]
 fn task_bytes_mismatch_rejected() {
@@ -181,7 +169,7 @@ fn task_bytes_mismatch_rejected() {
     assert!(matches!(err, VerifyError::TaskBytesMismatch { task: 0, .. }), "got {err:?}");
 }
 
-/// Corruption 7 — a stored hop size drifts from what re-inference gives
+/// Corruption 6 — a stored hop size drifts from what re-inference gives
 /// (the compile-once/execute-many hazard `FusionPlan::matches` guards).
 #[test]
 fn shape_drift_rejected() {
@@ -192,7 +180,7 @@ fn shape_drift_rejected() {
     assert!(matches!(err, VerifyError::ShapeDrift { .. }), "got {err:?}");
 }
 
-/// Corruption 8 — two fused operators both claim the same output hop.
+/// Corruption 7 — two fused operators both claim the same output hop.
 #[test]
 fn overlapping_fused_write_rejected() {
     let mut a = artifacts(FusionMode::Gen);
@@ -205,7 +193,7 @@ fn overlapping_fused_write_rejected() {
     assert!(matches!(err, VerifyError::OverlappingFusedWrite { .. }), "got {err:?}");
 }
 
-/// Corruption 9 — the plan's structural hash no longer matches the DAG it
+/// Corruption 8 — the plan's structural hash no longer matches the DAG it
 /// is bound to (geometry changed after costing).
 #[test]
 fn plan_geometry_mismatch_rejected() {
@@ -215,7 +203,7 @@ fn plan_geometry_mismatch_rejected() {
     assert!(matches!(err, VerifyError::PlanGeometryMismatch { .. }), "got {err:?}");
 }
 
-/// Corruption 10 — task-graph side tables truncated (field-length drift).
+/// Corruption 9 — task-graph side tables truncated (field-length drift).
 #[test]
 fn truncated_reads_rejected() {
     let mut a = artifacts(FusionMode::Base);
@@ -224,7 +212,7 @@ fn truncated_reads_rejected() {
     assert!(matches!(err, VerifyError::TaskGraphMalformed { .. }), "got {err:?}");
 }
 
-/// Corruption 11 — a residency trace records a transition the slot state
+/// Corruption 10 — a residency trace records a transition the slot state
 /// machine forbids (`Resident → Loading` skips the eviction protocol).
 #[test]
 fn illegal_residency_transition_rejected() {
@@ -247,7 +235,7 @@ fn illegal_residency_transition_rejected() {
     );
 }
 
-/// Corruption 12 — a trace whose replayed state disagrees with a recorded
+/// Corruption 11 — a trace whose replayed state disagrees with a recorded
 /// from-state (the recorder lost an event).
 #[test]
 fn residency_state_drift_rejected() {
@@ -258,7 +246,7 @@ fn residency_state_drift_rejected() {
     assert!(matches!(err, VerifyError::ResidencyViolation { slot: 0, step: 0, .. }), "got {err:?}");
 }
 
-/// Corruption 13 — a trace that ends with a non-empty slot (a leaked
+/// Corruption 12 — a trace that ends with a non-empty slot (a leaked
 /// residency: the run finished but a value never left its slot).
 #[test]
 fn leaked_final_residency_rejected() {
@@ -278,7 +266,7 @@ fn leaked_final_residency_rejected() {
     );
 }
 
-/// Corruption 14 — a Row kernel claims `sparse_main_ok` although its
+/// Corruption 13 — a Row kernel claims `sparse_main_ok` although its
 /// per-row body consumes the main row element-wise (missing zeros would be
 /// skipped on sparse inputs): not the kernel lowering gives.
 #[test]
@@ -290,7 +278,7 @@ fn row_kernel_sparse_overclaim_rejected() {
     assert!(matches!(err, VerifyError::StaleKernel { .. }), "got {err:?}");
 }
 
-/// Corruption 15 — a per-row instruction hoisted into the invariant
+/// Corruption 14 — a per-row instruction hoisted into the invariant
 /// section (a main-row load is never loop-invariant).
 #[test]
 fn row_kernel_hoisted_main_load_rejected() {
@@ -300,7 +288,7 @@ fn row_kernel_hoisted_main_load_rejected() {
     assert!(matches!(err, VerifyError::StaleKernel { .. }), "got {err:?}");
 }
 
-/// Corruption 16 — a block kernel whose stored product is not the one its
+/// Corruption 15 — a block kernel whose stored product is not the one its
 /// block program classifies into: `sum(X ⊙ Y)` is the main input times
 /// gather slot 0, and the product stored in its place would multiply the
 /// main input by itself; none stored for the chain is rejected the same way.
@@ -325,7 +313,7 @@ fn mono_shape_mismatch_rejected() {
     }
 }
 
-/// Corruption 17 — the kernel an operator carries is not the one its
+/// Corruption 16 — the kernel an operator carries is not the one its
 /// program lowers to: a product stored for the `exp` result, a kernel at
 /// another tile width, or a stored class the kernel does not run under.
 #[test]
@@ -348,7 +336,7 @@ fn stored_kernel_mutations_rejected() {
     assert!(matches!(err, VerifyError::StaleKernel { .. }), "got {err:?}");
 }
 
-/// Corruption 18 — an operator whose program is not the compilation of its
+/// Corruption 17 — an operator whose program is not the compilation of its
 /// CPlan: a constant changed, and the operator rebuilt through
 /// `GeneratedOperator::new`, so its kernel is the honest lowering of the
 /// tampered program and every audit of the program itself passes.
