@@ -13,9 +13,11 @@
 //! The second table exercises the *out-of-core* path: a chain whose live
 //! working set is ~4× the engine's memory budget, forcing the spill tier to
 //! evict farthest-next-use anchors and fault them back during the fold. In
-//! `--smoke` mode this is a second CI gate: the bounded run must keep its
-//! tracked peak within the budget, actually spill, and finish within 3× of
-//! the unbounded run.
+//! `--smoke` mode this is a second CI gate: the bounded one-worker run must
+//! keep its tracked peak within the budget, actually spill, and finish
+//! within 3× of the unbounded run. A budgeted two-worker row is reported
+//! beside it, ungated: concurrent reservations overlap, so at more than one
+//! worker the budget is best effort.
 
 use super::Scale;
 use crate::report::Table;
@@ -182,7 +184,8 @@ fn measure_ooc(
 }
 
 /// The out-of-core panel (and the smoke-mode CI gate): working set ≈ 4× the
-/// budget, single worker so the budget reservation is exact.
+/// budget. The gate runs one worker, where the budget reservation is exact;
+/// the two-worker row is reported only.
 fn run_out_of_core(scale: Scale) {
     let (rows, cols, k) = scale.pick3((1_000, 256, 28), (4_000, 256, 28), (10_000, 512, 28));
     let val_bytes = 8 * rows * cols;
@@ -197,33 +200,29 @@ fn run_out_of_core(scale: Scale) {
     bindings.insert("X".to_string(), generate::rand_dense(rows, cols, 0.0, 0.5, 2));
     let loose = Engine::builder(FusionMode::Base).workers(1).build();
     let tight = Engine::builder(FusionMode::Base).memory_budget(budget).workers(1).build();
-    let [(loose_s, loose_snap), (tight_s, tight_snap)]: [_; 2] =
-        measure_ooc(&[&loose, &tight], &dag, &bindings, reps).try_into().expect("two engines");
+    let tight2 = Engine::builder(FusionMode::Base).memory_budget(budget).workers(2).build();
+    let [(loose_s, loose_snap), (tight_s, tight_snap), (tight2_s, tight2_snap)]: [_; 3] =
+        measure_ooc(&[&loose, &tight, &tight2], &dag, &bindings, reps)
+            .try_into()
+            .expect("three engines");
     let mut t = Table::new(
         &format!(
             "Figure 10 (out-of-core): mirror-paired chain of {k} on X {rows}x{cols}, budget {} MB",
             mb(budget)
         ),
-        &[
-            "engine",
-            "peak MB",
-            "spilled MB",
-            "reloaded MB",
-            "faults",
-            "prefetch",
-            "stall ms",
-            "time",
-        ],
+        &["engine", "peak MB", "spilled MB", "reloaded MB", "faults", "stall ms", "time"],
     );
-    for (name, s, secs) in [("unbounded", &loose_snap, loose_s), ("budgeted", &tight_snap, tight_s)]
-    {
+    for (name, s, secs) in [
+        ("unbounded", &loose_snap, loose_s),
+        ("budgeted", &tight_snap, tight_s),
+        ("budgeted, 2 workers", &tight2_snap, tight2_s),
+    ] {
         t.row(vec![
             name.to_string(),
             mb(s.peak_bytes),
             mb(s.spilled_bytes),
             mb(s.reloaded_bytes),
             s.spill_faults.to_string(),
-            s.prefetch_hits.to_string(),
             format!("{:.1}", s.spill_stall_us as f64 / 1e3),
             Table::secs(secs),
         ]);

@@ -12,8 +12,8 @@ use fusedml_core::plancache::PlanCache;
 use fusedml_hop::DagBuilder;
 
 /// Builds a family of `n` structurally distinct fused-operator CPlans
-/// (cell chains of varying length/constants), mimicking the operator
-/// diversity of the six algorithms.
+/// (cell chains of one to seven added constants, unique to each member),
+/// mimicking the operator diversity of the six algorithms.
 fn cplan_family(n: usize) -> Vec<CPlan> {
     let mut out = Vec::new();
     for i in 0..n {
@@ -21,7 +21,7 @@ fn cplan_family(n: usize) -> Vec<CPlan> {
         let x = b.read("X", 1000, 1000, 1.0);
         let y = b.read("Y", 1000, 1000, 1.0);
         let mut cur = b.mult(x, y);
-        for j in 0..(i % 7) {
+        for j in 0..=(i % 7) {
             let c = b.lit(1.0 + (i * 31 + j) as f64);
             cur = b.add(cur, c);
         }
@@ -79,4 +79,19 @@ pub fn run(scale: Scale) {
     let (h, m) = cache.stats();
     t.row(vec!["plan cache".to_string(), secs, h.to_string(), m.to_string()]);
     t.print();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn family_members_are_distinct_operators() {
+        for n in [30, 60] {
+            let family = cplan_family(n);
+            let hashes: std::collections::HashSet<u64> =
+                family.iter().map(CPlan::structural_hash).collect();
+            assert_eq!((family.len(), hashes.len()), (n, n), "n = {n}");
+        }
+    }
 }

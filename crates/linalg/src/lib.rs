@@ -22,7 +22,7 @@
 //!   to it, so steady-state iterations allocate near zero),
 //! * [`spill`] — the second tier under the pool: a budgeted [`spill::TieredStore`]
 //!   that serializes cold live values to engine-owned temp files and reloads
-//!   them bit-exactly, making the engine's memory budget a real contract.
+//!   them bit-exactly, so the engine's memory budget bounds live values too.
 
 // Every unsafe block in this crate must discharge its obligations locally:
 // `unsafe fn` bodies get no blanket license, and each block carries a
@@ -41,7 +41,6 @@ pub mod ops;
 pub mod par;
 pub mod pool;
 pub mod primitives;
-pub mod scoped;
 pub mod simd;
 pub mod sparse;
 pub mod spill;

@@ -118,6 +118,63 @@ impl Matrix {
         }
     }
 
+    /// Zero-copy borrow of a dense matrix's row-major values — for n×1 / 1×n
+    /// matrices this is exactly the vector. `None` for sparse matrices.
+    pub fn dense_values(&self) -> Option<&[f64]> {
+        match self {
+            Matrix::Dense(m) => Some(m.values()),
+            Matrix::Sparse(_) => None,
+        }
+    }
+
+    /// Dense row-major values, densifying once if sparse (a fused operator's
+    /// `vectMatMult` side, where repeated row access dominates).
+    pub fn to_dense_values(&self) -> Cow<'_, [f64]> {
+        match self {
+            Matrix::Dense(m) => Cow::Borrowed(m.values()),
+            Matrix::Sparse(m) => Cow::Owned(m.to_dense().into_values()),
+        }
+    }
+
+    /// Copies row `rix` columns `cl..cu` into `buf`, densifying a sparse
+    /// row; rows broadcast when the matrix has a single row.
+    pub fn read_row_into(&self, rix: usize, cl: usize, cu: usize, buf: &mut [f64]) {
+        let r = if self.rows() == 1 { 0 } else { rix };
+        debug_assert_eq!(buf.len(), cu - cl);
+        match self {
+            Matrix::Dense(m) => buf.copy_from_slice(&m.row(r)[cl..cu]),
+            Matrix::Sparse(m) => {
+                buf.fill(0.0);
+                for (c, v) in m.row_iter(r) {
+                    if c >= cl && c < cu {
+                        buf[c - cl] = v;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Copies an n×1 or 1×n matrix into `buf` as a flat vector.
+    pub fn read_vector_into(&self, buf: &mut [f64]) {
+        match self {
+            Matrix::Dense(m) => buf.copy_from_slice(m.values()),
+            Matrix::Sparse(m) => {
+                buf.fill(0.0);
+                if m.cols() == 1 {
+                    for (r, slot) in buf.iter_mut().enumerate().take(m.rows()) {
+                        for (_, v) in m.row_iter(r) {
+                            *slot = v;
+                        }
+                    }
+                } else {
+                    for (c, v) in m.row_iter(0) {
+                        buf[c] = v;
+                    }
+                }
+            }
+        }
+    }
+
     /// Borrows the dense payload, panicking for sparse matrices (used where
     /// the caller has already guaranteed density, e.g. side inputs of Outer).
     pub fn as_dense(&self) -> &DenseMatrix {
@@ -637,6 +694,38 @@ mod tests {
         assert_eq!((back.rows(), back.cols()), (5, 2));
         assert_eq!(back.get(0, 0), 1.0);
         assert_eq!(back.get(4, 1), 2.0);
+    }
+
+    #[test]
+    fn sparse_row_read_densifies() {
+        let sp = Matrix::sparse(SparseMatrix::from_triples(2, 4, vec![(0, 1, 5.0), (0, 3, 7.0)]));
+        let mut buf = vec![0.0; 3];
+        sp.read_row_into(0, 1, 4, &mut buf);
+        assert_eq!(buf, vec![5.0, 0.0, 7.0]);
+    }
+
+    #[test]
+    fn single_row_broadcast() {
+        let d = Matrix::dense(DenseMatrix::row_vector(&[1.0, 2.0, 3.0]));
+        let mut buf = vec![0.0; 3];
+        d.read_row_into(57, 0, 3, &mut buf);
+        assert_eq!(buf, vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn dense_values_borrows_whole_vector() {
+        let col = Matrix::dense(DenseMatrix::new(3, 1, vec![1.0, 2.0, 3.0]));
+        assert_eq!(col.dense_values().unwrap(), &[1.0, 2.0, 3.0]);
+        let sp = Matrix::sparse(SparseMatrix::from_triples(3, 1, vec![(1, 0, 9.0)]));
+        assert!(sp.dense_values().is_none());
+    }
+
+    #[test]
+    fn vector_reads() {
+        let col = Matrix::sparse(SparseMatrix::from_triples(4, 1, vec![(2, 0, 9.0)]));
+        let mut buf = vec![0.0; 4];
+        col.read_vector_into(&mut buf);
+        assert_eq!(buf, vec![0.0, 0.0, 9.0, 0.0]);
     }
 
     #[test]

@@ -31,7 +31,6 @@
 //!   bounds retained memory across workload changes without a background
 //!   thread.
 
-use crate::scoped;
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -442,19 +441,42 @@ pub struct ScopeHandle {
 }
 
 thread_local! {
-    static CURRENT: scoped::Stack<ScopeHandle> = const { RefCell::new(Vec::new()) };
+    /// The installed scopes, innermost last.
+    static CURRENT: RefCell<Vec<ScopeHandle>> = const { RefCell::new(Vec::new()) };
 }
 
 /// RAII guard for an installed pool scope (see [`enter`]). Dropping it
-/// uninstalls the pool from the current thread; the shared
-/// [`crate::scoped`] machinery debug-asserts LIFO drop order (an
-/// out-of-order drop would route requests to the wrong engine's pool).
+/// uninstalls the pool from the current thread. Guards must drop in LIFO
+/// order (the natural lexical-scope usage): an out-of-order drop would route
+/// requests to the wrong engine's pool, and a debug assertion catches it.
 pub struct PoolScope {
-    _guard: scoped::Guard<ScopeHandle>,
+    /// Stack depth right after this scope was pushed (the LIFO check).
+    depth: usize,
+    /// The scope lives on this thread's stack: the guard stays here too.
+    _not_send: std::marker::PhantomData<*const ()>,
 }
 
 fn push_scope(scope: ScopeHandle) -> PoolScope {
-    PoolScope { _guard: scoped::push(&CURRENT, scope) }
+    let depth = CURRENT.with(|c| {
+        let mut st = c.borrow_mut();
+        st.push(scope);
+        st.len()
+    });
+    PoolScope { depth, _not_send: std::marker::PhantomData }
+}
+
+impl Drop for PoolScope {
+    fn drop(&mut self) {
+        CURRENT.with(|c| {
+            let mut st = c.borrow_mut();
+            debug_assert_eq!(
+                st.len(),
+                self.depth,
+                "scopes must drop in LIFO order (a later scope is still alive)"
+            );
+            st.pop();
+        });
+    }
 }
 
 /// Installs `pool` as the current thread's buffer pool until the returned
@@ -480,7 +502,7 @@ pub fn reenter(scope: &ScopeHandle) -> PoolScope {
 
 /// The innermost scope installed on the current thread, if any.
 pub fn current_scope() -> Option<ScopeHandle> {
-    scoped::top(&CURRENT)
+    CURRENT.with(|c| c.borrow().last().cloned())
 }
 
 /// The pool installed on the current thread, if any.
@@ -721,5 +743,15 @@ mod tests {
         assert_eq!(outer.stats().misses, 0);
         give(take_zeroed(256));
         assert_eq!(outer.stats().misses, 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "LIFO order")]
+    fn out_of_order_drop_is_caught() {
+        let (outer, inner) = (BufferPool::handle(), BufferPool::handle());
+        let a = enter(&outer);
+        let _b = enter(&inner);
+        drop(a); // drops out of order: the debug assertion must fire
     }
 }

@@ -1,8 +1,8 @@
 //! The spill tier: engine-owned temp-file storage for cold live values.
 //!
 //! The buffer pool ([`crate::pool`]) recycles *free* buffers; this module
-//! adds the second tier that makes an engine's memory budget a real
-//! contract for *live* values. A [`TieredStore`] pairs the engine's
+//! adds the second tier that lets an engine's memory budget bound its
+//! *live* values too. A [`TieredStore`] pairs the engine's
 //! `BufferPool` with a spill directory: when the executor's resident bytes
 //! would exceed the budget, it serializes cold slots (dense and CSR) to
 //! engine-owned temp files through [`TieredStore::spill`] and faults them

@@ -155,8 +155,10 @@ impl EngineBuilder {
     }
 
     /// The engine's memory budget in bytes: the retention cap of the buffer
-    /// pool *and* the resident-bytes budget the scheduler enforces by
-    /// spilling cold values to disk — a real contract, not advice.
+    /// pool *and* the resident-bytes budget the scheduler keeps by spilling
+    /// cold values to disk. At one scheduler worker a run's tracked peak
+    /// stays within it; at more it is best effort, because concurrent
+    /// tasks' reservations overlap (`repro fig10` reports both).
     pub fn memory_budget(mut self, bytes: usize) -> Self {
         self.memory_budget = bytes;
         self
@@ -180,8 +182,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables or disables fusion-plan caching (disabled = re-optimize on
-    /// every call, as in the compilation-overhead experiments).
+    /// Enables or disables the cache of compiled scripts, and with them
+    /// their fusion plans (disabled = re-optimize on every call, as in the
+    /// compilation-overhead experiments).
     pub fn cache_plans(mut self, on: bool) -> Self {
         self.cache_plans = on;
         self
@@ -222,7 +225,6 @@ impl EngineBuilder {
                 force_shard: self.force_shard,
                 cache_plans: self.cache_plans,
                 compile_lock: Mutex::new(()),
-                plans: Mutex::new(LruMap::new(DEFAULT_PLAN_CACHE_CAPACITY)),
                 scripts: Mutex::new(LruMap::new(DEFAULT_PLAN_CACHE_CAPACITY)),
             }),
         }
@@ -262,21 +264,17 @@ struct EngineInner {
     /// Shard every legally-shardable operator, skipping the cost comparison
     /// (`EngineBuilder::force_shard`; differential-test hook).
     force_shard: bool,
-    /// Cache fusion plans and compiled scripts by structural DAG hash
+    /// Cache compiled scripts by structural DAG hash
     /// (`EngineBuilder::cache_plans`; off = re-optimize on every compile).
     cache_plans: bool,
     /// Serializes cold script compilation so N threads racing on the same
     /// uncached DAG run the optimizer once (the "exactly once" contract
     /// holds even for a cold start; cached lookups never take this lock).
     compile_lock: Mutex<()>,
-    /// Fusion plans per structural DAG hash (SystemML's runtime-program
-    /// cache across dynamic recompilations) — per engine, not per process,
-    /// and bounded by the plan-cache capacity. Each with the optimizer's
-    /// report of an enumeration that ran into its cap.
-    plans: Mutex<LruMap<(Arc<FusionPlan>, Option<EnumCap>)>>,
-    /// Compiled scripts per structural DAG hash (bounded likewise), so the
-    /// convenience [`Engine::execute`] also amortizes task-graph
-    /// construction.
+    /// Compiled scripts per structural DAG hash (SystemML's runtime-program
+    /// cache) — per engine, not per process, and bounded by the plan-cache
+    /// capacity — so the convenience [`Engine::execute`] amortizes the
+    /// optimizer and task-graph construction alike.
     scripts: Mutex<LruMap<Arc<ScriptInner>>>,
 }
 
@@ -441,9 +439,12 @@ impl Engine {
         self.try_compile(dag)?.try_execute(bindings)
     }
 
-    /// Returns the (possibly cached) fusion plan for a DAG.
+    /// The fusion plan of the (possibly cached) compiled script for a DAG;
+    /// an empty plan under `Base`.
     pub fn plan_for(&self, dag: &HopDag) -> Arc<FusionPlan> {
-        self.inner.plan_for(dag).0
+        self.compile(dag).plan().cloned().unwrap_or_else(|| {
+            Arc::new(FusionPlan { dag_hash: dag_structural_hash(dag), ..FusionPlan::default() })
+        })
     }
 }
 
@@ -466,23 +467,6 @@ impl EngineInner {
         self.shards.map_or(1, |s| s.k)
     }
 
-    fn plan_for(&self, dag: &HopDag) -> (Arc<FusionPlan>, Option<EnumCap>) {
-        let optimize = || {
-            let (plan, cap) = self.optimizer.optimize_reporting_cap(dag);
-            (Arc::new(plan), cap)
-        };
-        if !self.cache_plans {
-            return optimize();
-        }
-        let key = dag_structural_hash(dag);
-        if let Some(p) = self.plans.lock().get(key) {
-            return p.clone();
-        }
-        let p = optimize();
-        self.plans.lock().insert(key, p.clone());
-        p
-    }
-
     /// Compiles one geometry variant: plan and task graph (per variant, so
     /// they always describe the geometry that actually executes). With
     /// `verify_plans` on, the compiled
@@ -492,8 +476,8 @@ impl EngineInner {
         let (plan, enum_cap) = match self.mode {
             FusionMode::Base => (None, None),
             _ => {
-                let (plan, cap) = self.plan_for(&dag);
-                (Some(plan), cap)
+                let (plan, cap) = self.optimizer.optimize_reporting_cap(&dag);
+                (Some(Arc::new(plan)), cap)
             }
         };
         // Per-operator local-vs-sharded choice, planned once at compile time
@@ -698,10 +682,9 @@ impl CompiledScript {
         }
         // Geometry diverged from the costed plan: re-propagate sizes and
         // recompile for the bound shapes. Reads whose shape changed are
-        // re-probed for their *actual* bound sparsity (the structural hash
-        // includes sparsity, so the plan cache keeps data profiles apart);
-        // revalidation is deliberately shape-only — same-shape sparsity
-        // drift keeps the costed plan. Compilation runs *outside*
+        // re-probed for their *actual* bound sparsity, which the recompile
+        // costs under; revalidation is deliberately shape-only — same-shape
+        // sparsity drift keeps the costed plan. Compilation runs *outside*
         // the variants lock so concurrent executes on cached geometries are
         // never stalled behind an optimizer run; a racing thread may compile
         // the same variant, and the loser's copy is simply dropped below.

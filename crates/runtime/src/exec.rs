@@ -7,7 +7,6 @@
 //! seed's recursive materializer (`sequential`) that the scheduled engine is
 //! differentially tested against.
 
-use crate::side::SideInput;
 use crate::spoof;
 pub use fusedml_core::optimizer::dag_structural_hash;
 use fusedml_core::optimizer::{FusedOperator, FusionPlan};
@@ -55,10 +54,9 @@ pub struct SchedSnapshot {
     pub spilled_bytes: usize,
     /// Serialized bytes reloaded from the spill tier.
     pub reloaded_bytes: usize,
-    /// Synchronous reloads (consumer found its input on disk at gather).
+    /// Reloads from the spill tier (a task found its input on disk at
+    /// gather, or a root was on disk at the end of the run).
     pub spill_faults: usize,
-    /// Reloads completed by async prefetch jobs before the consumer asked.
-    pub prefetch_hits: usize,
     /// Microseconds workers spent blocked on in-flight spill I/O.
     pub spill_stall_us: usize,
     /// Bytes of leaf bindings streamed band-by-band instead of being charged
@@ -124,7 +122,6 @@ impl SchedSnapshot {
             spilled_bytes,
             reloaded_bytes,
             spill_faults,
-            prefetch_hits,
             spill_stall_us,
             streamed_leaf_bytes,
             spill_retries,
@@ -151,7 +148,6 @@ impl SchedSnapshot {
         self.spilled_bytes += spilled_bytes;
         self.reloaded_bytes += reloaded_bytes;
         self.spill_faults += spill_faults;
-        self.prefetch_hits += prefetch_hits;
         self.spill_stall_us += spill_stall_us;
         self.streamed_leaf_bytes = self.streamed_leaf_bytes.max(streamed_leaf_bytes);
         self.spill_retries += spill_retries;
@@ -192,17 +188,6 @@ impl SchedSnapshot {
             1.0
         } else {
             self.resident_all_bytes as f64 / self.peak_bytes as f64
-        }
-    }
-
-    /// Fraction of spill reloads that the async prefetcher finished before
-    /// the consumer asked (the rest were synchronous faults).
-    pub fn prefetch_hit_rate(&self) -> f64 {
-        let total = self.prefetch_hits + self.spill_faults;
-        if total == 0 {
-            0.0
-        } else {
-            self.prefetch_hits as f64 / total as f64
         }
     }
 }
@@ -354,8 +339,7 @@ fn run_operator(
         vals[h.index()].as_ref().expect("operator input computed").as_matrix()
     };
     let main_val = f.cplan.main.map(get_matrix);
-    let sides: Vec<SideInput> =
-        f.cplan.sides.iter().map(|&h| SideInput::bind(&get_matrix(h))).collect();
+    let sides: Vec<fusedml_linalg::Matrix> = f.cplan.sides.iter().map(|&h| get_matrix(h)).collect();
     let scalars: Vec<f64> = f
         .cplan
         .scalars

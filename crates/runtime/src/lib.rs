@@ -12,7 +12,6 @@
 //!   aggregation, and invoke the generated register programs per cell/row
 //!   (paper §2.2 "Runtime Integration", Figure 4); the `Fused` baseline's
 //!   hand-coded patterns (`fusedml_core::handcoded`) run through them too,
-//! * [`side`] — side-input access (`getValue(b[i], …)`),
 //! * [`engine`] — the public execution API: [`EngineBuilder`] → [`Engine`]
 //!   (owns the buffer pool, plan cache, worker limit, stats) →
 //!   [`Engine::compile`] → [`CompiledScript`] (`Send + Sync`, executes from
@@ -24,8 +23,8 @@
 //! * [`schedule`] — the liveness-aware scheduled engine: refcounted value
 //!   slots freed at last use, pool-backed buffers, parallel execution of
 //!   independent ready operators, and out-of-core execution under a memory
-//!   budget (farthest-next-use eviction to the engine's spill tier, async
-//!   prefetch of spilled inputs),
+//!   budget (farthest-next-use eviction to the engine's spill tier; the
+//!   task that gathers a spilled input reads it back),
 //! * [`shard`] — the sharded multi-worker runtime (DESIGN.md
 //!   substitution X11): a sharded operator runs as row bands on scoped
 //!   threads spawned per call, over row-partitioned mains and broadcast side
@@ -42,7 +41,6 @@ pub mod error;
 pub mod exec;
 pub mod schedule;
 pub mod shard;
-pub mod side;
 pub mod spoof;
 pub mod verify;
 

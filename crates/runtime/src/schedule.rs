@@ -13,7 +13,7 @@
 //!   takes the value owned, the slot is freed immediately, and uniquely
 //!   held dense buffers return to the engine's buffer pool (or are reused
 //!   *in place* as the output of same-shape element-wise operators);
-//! * a **ready set** of jobs with no unmet dependencies is drained by a
+//! * a **ready set** of tasks with no unmet dependencies is drained by a
 //!   small worker pool (scoped threads sharing the engine's buffer pool),
 //!   so independent DAG branches execute concurrently while each kernel
 //!   keeps its internal row-band parallelism;
@@ -36,14 +36,14 @@
 //! Only uniquely held values are victims — spilling a shared `Arc` (a leaf
 //! binding, an input some running task gathered) would free nothing.
 //!
-//! When a task becomes ready with spilled inputs, **reload jobs** are pushed
-//! onto the same ready queue, so the worker pool overlaps those reads with
-//! execution of the rest of the level (async prefetch, bounded by
-//! `PREFETCH_DEPTH`); a consumer that outruns its prefetch faults the
-//! input back synchronously. Leaf bindings larger than the whole budget are
-//! not charged against it at all (`Slot::Streamed`): they are caller-owned
-//! `Arc` clones that kernels already walk band-by-band by reference, so
-//! spilling them would double their footprint instead of shrinking it.
+//! A spilled input is read back by the task that gathers it, as an IO cost
+//! of that task, not by a background job: the task faults it in
+//! synchronously (`ensure_resident`), and a task that needs a value another
+//! worker is moving waits on the condvar. Leaf bindings larger than the
+//! whole budget are not charged against it at all (`Slot::Streamed`): they
+//! are caller-owned `Arc` clones that kernels already walk band-by-band by
+//! reference, so spilling them would double their footprint instead of
+//! shrinking it.
 //!
 //! The task graph is **built once at compile time** ([`prepare`]) and
 //! **executed many times** ([`run`]): `Engine::compile` prepares the graph
@@ -62,7 +62,7 @@
 //!
 //! [`run`] returns `Result`: a worker panic, an exhausted spill retry, or an
 //! injected fault becomes a typed [`ExecError`] instead of tearing down the
-//! process. The first failure wins (`fail`): it cancels every pending job,
+//! process. The first failure wins (`fail`): it cancels every pending task,
 //! zeroes `remaining`, and wakes all condvar waiters, who observe the
 //! failure and bail instead of blocking on I/O that will never complete.
 //! In-flight tasks drain normally (their outputs are recycled), and after
@@ -88,7 +88,6 @@
 use crate::error::{panic_message, ExecError};
 use crate::exec::{ExecStats, SchedSnapshot};
 use crate::shard::{ShardSpec, Shards};
-use crate::side::SideInput;
 use crate::spoof;
 use fusedml_core::optimizer::FusionPlan;
 use fusedml_core::util::FxHashMap;
@@ -107,10 +106,6 @@ use std::time::{Duration, Instant};
 /// over row bands, so inter-operator parallelism beyond a few ways
 /// oversubscribes. Engines can override via `EngineBuilder::workers`.
 pub const DEFAULT_MAX_WORKERS: usize = 4;
-
-/// Bound on queued/in-flight asynchronous reload jobs per run. Beyond this,
-/// consumers fault their spilled inputs back synchronously.
-const PREFETCH_DEPTH: usize = 4;
 
 /// Retries (beyond the first attempt) for a failing spill-tier read or
 /// write, with exponential backoff, before the failure is treated as
@@ -410,13 +405,6 @@ struct SlotIn {
     owned: bool,
 }
 
-/// One unit of work on the ready queue: execute a task, or reload a spilled
-/// slot ahead of its consumer (async prefetch on the same worker pool).
-enum Job {
-    Exec(usize),
-    Reload(usize),
-}
-
 /// The residency state machine of one value slot. File I/O (`Loading`,
 /// `Evicting`) always happens with the scheduler lock released; readers that
 /// hit an in-flight state wait on the condvar.
@@ -443,7 +431,8 @@ struct EngineState {
     slots: Vec<Slot>,
     reads_left: Vec<u32>,
     producers_left: Vec<u32>,
-    ready: Vec<Job>,
+    /// Tasks whose producers have all finished.
+    ready: Vec<usize>,
     remaining: usize,
     running: usize,
     resident_bytes: usize,
@@ -453,8 +442,6 @@ struct EngineState {
     failure: Option<ExecError>,
     /// Per task: completed (its outputs' next-use levels are settled).
     tasks_done: Vec<bool>,
-    /// Reload jobs queued or in flight (bounds prefetch).
-    reloads_queued: usize,
     /// Set when a spill write fails (disk full): degrade to best-effort
     /// resident execution instead of failing the run.
     spill_disabled: bool,
@@ -545,7 +532,6 @@ pub fn run(
         resident_bytes: 0,
         failure: None,
         tasks_done: vec![false; graph.tasks.len()],
-        reloads_queued: 0,
         spill_disabled: false,
         waiters: 0,
         sched: SchedSnapshot::default(),
@@ -572,7 +558,7 @@ pub fn run(
     st.sched.resident_all_bytes = st.resident_bytes;
     for (t, &np) in graph.n_producers.iter().enumerate() {
         if np == 0 {
-            st.ready.push(Job::Exec(t));
+            st.ready.push(t);
         }
     }
     let workers = graph
@@ -678,7 +664,7 @@ pub fn run(
 }
 
 /// Marks the run failed: records the first error, cancels every pending
-/// job, and wakes all waiters so workers exit and condvar waiters bail
+/// task, and wakes all waiters so workers exit and condvar waiters bail
 /// instead of blocking on movement that will never complete.
 fn fail(cx: &Ctx<'_>, st: &mut Guard<'_>, err: ExecError) {
     if st.failure.is_none() {
@@ -731,10 +717,7 @@ fn worker_loop(cx: &Ctx<'_>) {
                 return;
             }
             match st.ready.pop() {
-                Some(Job::Exec(t)) => break t,
-                Some(Job::Reload(h)) => {
-                    st = prefetch_reload(cx, st, h);
-                }
+                Some(t) => break t,
                 None => st = wait(cx, st),
             }
         };
@@ -907,21 +890,7 @@ fn worker_loop(cx: &Ctx<'_>) {
                 for &c in &task.consumers {
                     st.producers_left[c] -= 1;
                     if st.producers_left[c] == 0 {
-                        st.ready.push(Job::Exec(c));
-                        // Async prefetch: queue reloads for the newly ready
-                        // task's spilled inputs (pushed after the exec job,
-                        // so the LIFO queue starts the reads first) and let
-                        // the pool overlap them with other execution.
-                        if cx.exec.store.enabled() {
-                            for &d in &cx.graph.tasks[c].deps {
-                                if st.reloads_queued < PREFETCH_DEPTH
-                                    && matches!(st.slots[d.index()], Slot::Spilled(_))
-                                {
-                                    st.reloads_queued += 1;
-                                    st.ready.push(Job::Reload(d.index()));
-                                }
-                            }
-                        }
+                        st.ready.push(c);
                     }
                 }
                 st.running -= 1;
@@ -974,7 +943,7 @@ fn ensure_resident<'a>(cx: &Ctx<'a>, mut st: Guard<'a>, di: usize) -> Guard<'a> 
                     Slot::Spilled(t) => t,
                     _ => unreachable!("just matched"),
                 };
-                st = fault_in(cx, st, di, tok, false);
+                st = fault_in(cx, st, di, tok);
             }
             Slot::Loading | Slot::Evicting => {
                 let t0 = Instant::now();
@@ -986,34 +955,12 @@ fn ensure_resident<'a>(cx: &Ctx<'a>, mut st: Guard<'a>, di: usize) -> Guard<'a> 
     }
 }
 
-/// Services one queued reload job. The job may be stale — its consumer can
-/// have faulted the slot in (or taken it) before a worker got here — in
-/// which case it is a no-op.
-fn prefetch_reload<'a>(cx: &Ctx<'a>, mut st: Guard<'a>, di: usize) -> Guard<'a> {
-    st.reloads_queued -= 1;
-    if !matches!(st.slots[di], Slot::Spilled(_)) {
-        return st;
-    }
-    st.note(di, crate::verify::SlotState::Loading);
-    let tok = match std::mem::replace(&mut st.slots[di], Slot::Loading) {
-        Slot::Spilled(t) => t,
-        _ => unreachable!("just matched"),
-    };
-    fault_in(cx, st, di, tok, true)
-}
-
 /// Reads a spilled slot back into memory (lock released around the file
 /// read), reserving budget for the incoming bytes first. Transient read
 /// failures retry with backoff; exhausted retries fail the run with a typed
 /// error — a lost spill file is unrecoverable (the value exists nowhere
 /// else), but it is a *run* failure, not a process one.
-fn fault_in<'a>(
-    cx: &Ctx<'a>,
-    st: Guard<'a>,
-    di: usize,
-    tok: SpillToken,
-    prefetch: bool,
-) -> Guard<'a> {
+fn fault_in<'a>(cx: &Ctx<'a>, st: Guard<'a>, di: usize, tok: SpillToken) -> Guard<'a> {
     let mem = tok.mem_bytes();
     let file = tok.file_bytes();
     let mut st = reserve(cx, st, mem, &[]);
@@ -1028,11 +975,7 @@ fn fault_in<'a>(
                 st.sched.peak_bytes = st.resident_bytes;
             }
             st.sched.reloaded_bytes += file;
-            if prefetch {
-                st.sched.prefetch_hits += 1;
-            } else {
-                st.sched.spill_faults += 1;
-            }
+            st.sched.spill_faults += 1;
             st.note(di, crate::verify::SlotState::Resident);
             st.slots[di] = Slot::Resident(Value::Matrix(m));
             wake(cx, &st);
@@ -1209,19 +1152,14 @@ fn run_task(
                         }
                     }
                 }
-                _ => {
-                    let sides: Vec<SideInput> = side_mats.iter().map(SideInput::bind).collect();
-                    let outs = spoof::execute(
-                        &f.op,
-                        main_val.as_ref(),
-                        &sides,
-                        &scalars,
-                        f.cplan.iter_rows,
-                        f.cplan.iter_cols,
-                    );
-                    drop(sides);
-                    outs
-                }
+                _ => spoof::execute(
+                    &f.op,
+                    main_val.as_ref(),
+                    &side_mats,
+                    &scalars,
+                    f.cplan.iter_rows,
+                    f.cplan.iter_cols,
+                ),
             };
             drop(side_mats);
             drop(main_val);

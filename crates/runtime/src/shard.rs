@@ -31,7 +31,6 @@
 
 use crate::error::panic_message;
 use crate::exec::SchedSnapshot;
-use crate::side::SideInput;
 use crate::spoof;
 use fusedml_core::codegen::GeneratedOperator;
 use fusedml_core::opt::cost::{compute_costs, CostModel, DistConfig};
@@ -396,10 +395,9 @@ pub fn execute(
             }
             let (r0, r1) = (band_start(ix), band_start(ix + 1));
             let main = main.row_slice(r0, r1);
-            let bind = |(s, &p): (&Matrix, &bool)| {
-                SideInput::bind(&if p { s.row_slice(r0, r1) } else { s.clone() })
-            };
-            let sides: Vec<SideInput> = sides.iter().zip(&partition).map(bind).collect();
+            let band_side =
+                |(s, &p): (&Matrix, &bool)| if p { s.row_slice(r0, r1) } else { s.clone() };
+            let sides: Vec<Matrix> = sides.iter().zip(&partition).map(band_side).collect();
             spoof::execute(op, Some(&main), &sides, scalars, r1 - r0, iter_cols)
         }));
         let band = match ran {

@@ -8,7 +8,6 @@
 //! the differential-test oracle.
 
 use super::{finalize, full_aggs, with_pass, PassInput};
-use crate::side::SideInput;
 use fusedml_core::spoof::block::{BlockKernel, CellBackend};
 use fusedml_core::spoof::{CellAgg, CellSpec};
 use fusedml_linalg::{DenseMatrix, Matrix};
@@ -23,7 +22,7 @@ pub fn execute_with(
     spec: &CellSpec,
     kernel: &BlockKernel,
     main: Option<&Matrix>,
-    sides: &[SideInput],
+    sides: &[Matrix],
     scalars: &[f64],
     iter_rows: usize,
     iter_cols: usize,
@@ -75,7 +74,7 @@ mod tests {
     fn run(
         spec: &CellSpec,
         main: Option<&Matrix>,
-        sides: &[SideInput],
+        sides: &[Matrix],
         rows: usize,
         cols: usize,
         backend: CellBackend,
@@ -113,7 +112,7 @@ mod tests {
         let out = crate::spoof::execute(
             &crate::spoof::operator(FusedSpec::Cell(spec)),
             Some(&x),
-            &[SideInput::bind(&y)],
+            std::slice::from_ref(&y),
             &[],
             50,
             40,
@@ -134,7 +133,7 @@ mod tests {
         let out = crate::spoof::execute(
             &crate::spoof::operator(FusedSpec::Cell(spec)),
             Some(&x),
-            &[SideInput::bind(&y)],
+            std::slice::from_ref(&y),
             &[],
             100,
             100,
@@ -157,7 +156,7 @@ mod tests {
             let out = crate::spoof::execute(
                 &crate::spoof::operator(FusedSpec::Cell(spec)),
                 Some(&x),
-                &[SideInput::bind(&y)],
+                std::slice::from_ref(&y),
                 &[],
                 30,
                 20,
@@ -178,7 +177,7 @@ mod tests {
         let a = crate::spoof::execute(
             &crate::spoof::operator(FusedSpec::Cell(spec_sparse)),
             Some(&sx),
-            &[SideInput::bind(&y)],
+            std::slice::from_ref(&y),
             &[],
             40,
             40,
@@ -186,7 +185,7 @@ mod tests {
         let b = crate::spoof::execute(
             &crate::spoof::operator(FusedSpec::Cell(spec_dense)),
             Some(&dx),
-            &[SideInput::bind(&y)],
+            std::slice::from_ref(&y),
             &[],
             40,
             40,
@@ -243,7 +242,7 @@ mod tests {
                 (CellAgg::ColAgg(AggOp::Mean), fusedml_linalg::ops::AggDir::Col, rows),
             ] {
                 let spec = mult_side_spec(agg, true);
-                let out = run(&spec, Some(&x), &[SideInput::bind(&y)], rows, cols, backend);
+                let out = run(&spec, Some(&x), std::slice::from_ref(&y), rows, cols, backend);
                 let sums = fusedml_linalg::ops::agg(&prod, AggOp::Sum, dir);
                 for r in 0..out.rows() {
                     for c in 0..out.cols() {
@@ -269,7 +268,7 @@ mod tests {
         let x = generate::rand_dense(rows, cols, -1.0, 1.0, 14);
         let ys: Vec<Matrix> =
             (0..3).map(|s| generate::rand_dense(rows, cols, -1.0, 1.0, 15 + s)).collect();
-        let sides: Vec<SideInput> = ys.iter().map(SideInput::bind).collect();
+        let sides = &ys[..];
         // sum(X * Y0 * Y1 * Y2) over `n` side gathers.
         let requests = |n: usize| {
             let mut instrs = vec![Instr::LoadMain { out: 0 }];
@@ -312,7 +311,7 @@ mod tests {
         ] {
             let spec = mult_side_spec(agg, true);
             for main in [&dx, &sx] {
-                let sides = [SideInput::bind(&y)];
+                let sides = [y.clone()];
                 let oracle = run(&spec, Some(main), &sides, rows, cols, CellBackend::Scalar);
                 for backend in [CellBackend::Block, CellBackend::Mono] {
                     let out = run(&spec, Some(main), &sides, rows, cols, backend);

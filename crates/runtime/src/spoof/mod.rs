@@ -26,7 +26,6 @@ pub mod rowwise;
 mod scalar;
 pub mod tiles;
 
-use crate::side::SideInput;
 use fusedml_core::codegen::GeneratedOperator;
 use fusedml_core::spoof::block::{BlockKernel, CellBackend, Kernel};
 use fusedml_core::spoof::{FusedSpec, Program, Reg};
@@ -43,7 +42,7 @@ pub(crate) struct PassInput<'a> {
     pub kernel: &'a BlockKernel,
     pub regs: &'a [Reg],
     pub main: Option<&'a Matrix>,
-    pub sides: &'a [SideInput],
+    pub sides: &'a [Matrix],
     pub scalars: &'a [f64],
     pub rows: usize,
     pub cols: usize,
@@ -139,7 +138,7 @@ pub(crate) fn full_aggs(pass: &dyn CellSinks, ops: &[AggOp], of: usize) -> Vec<f
 pub fn execute(
     op: &GeneratedOperator,
     main: Option<&Matrix>,
-    sides: &[SideInput],
+    sides: &[Matrix],
     scalars: &[f64],
     iter_rows: usize,
     iter_cols: usize,

@@ -8,7 +8,6 @@
 //! (`CellBackend::Scalar`) is the differential-test oracle.
 
 use super::{full_aggs, with_pass, PassInput};
-use crate::side::SideInput;
 use fusedml_core::spoof::block::{BlockKernel, CellBackend};
 use fusedml_core::spoof::{MAggSpec, Reg};
 use fusedml_linalg::ops::AggOp;
@@ -21,7 +20,7 @@ pub fn execute_with(
     spec: &MAggSpec,
     kernel: &BlockKernel,
     main: Option<&Matrix>,
-    sides: &[SideInput],
+    sides: &[Matrix],
     scalars: &[f64],
     iter_rows: usize,
     iter_cols: usize,
@@ -53,7 +52,7 @@ mod tests {
     fn execute(
         spec: &MAggSpec,
         main: Option<&Matrix>,
-        sides: &[SideInput],
+        sides: &[Matrix],
         scalars: &[f64],
         rows: usize,
         cols: usize,
@@ -89,8 +88,7 @@ mod tests {
         let x = generate::rand_matrix(60, 50, -1.0, 1.0, 0.2, 1);
         let y = generate::rand_dense(60, 50, -1.0, 1.0, 2);
         let z = generate::rand_dense(60, 50, -1.0, 1.0, 3);
-        let outs =
-            execute(&spec(), Some(&x), &[SideInput::bind(&y), SideInput::bind(&z)], &[], 60, 50);
+        let outs = execute(&spec(), Some(&x), &[y.clone(), z.clone()], &[], 60, 50);
         assert_eq!(outs.len(), 2);
         let e1 = ops::agg(&ops::binary(&x, &y, BinaryOp::Mult), AggOp::Sum, AggDir::Full);
         let e2 = ops::agg(&ops::binary(&x, &z, BinaryOp::Mult), AggOp::Sum, AggDir::Full);
@@ -103,7 +101,7 @@ mod tests {
         let xd = generate::rand_matrix(40, 40, -1.0, 1.0, 0.3, 4).to_dense();
         let y = generate::rand_dense(40, 40, -1.0, 1.0, 5);
         let z = generate::rand_dense(40, 40, -1.0, 1.0, 6);
-        let sides = [SideInput::bind(&y), SideInput::bind(&z)];
+        let sides = [y.clone(), z.clone()];
         let sx = Matrix::sparse(fusedml_linalg::SparseMatrix::from_dense(&xd));
         let dx = Matrix::dense(xd);
         let a = execute(&spec(), Some(&sx), &sides, &[], 40, 40);
@@ -136,7 +134,7 @@ mod tests {
         let xd = generate::rand_matrix(rows, cols, -1.0, 1.0, 0.4, 7).to_dense();
         let y = generate::rand_dense(rows, cols, -1.0, 1.0, 8);
         let z = generate::rand_dense(rows, cols, -1.0, 1.0, 9);
-        let sides = [SideInput::bind(&y), SideInput::bind(&z)];
+        let sides = [y.clone(), z.clone()];
         let sx = Matrix::sparse(fusedml_linalg::SparseMatrix::from_dense(&xd));
         let dx = Matrix::dense(xd);
         for spec in [spec(), mixed] {

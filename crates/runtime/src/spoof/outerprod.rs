@@ -10,7 +10,6 @@
 //! differential-test oracle.
 
 use super::{with_pass, PassInput};
-use crate::side::SideInput;
 use fusedml_core::spoof::block::{BlockKernel, CellBackend};
 use fusedml_core::spoof::{OuterOut, OuterSpec};
 use fusedml_linalg::ops::AggOp;
@@ -23,7 +22,7 @@ pub fn execute_with(
     spec: &OuterSpec,
     kernel: &BlockKernel,
     main: Option<&Matrix>,
-    sides: &[SideInput],
+    sides: &[Matrix],
     scalars: &[f64],
     iter_rows: usize,
     iter_cols: usize,
@@ -72,7 +71,7 @@ mod tests {
     fn execute(
         spec: &OuterSpec,
         main: Option<&Matrix>,
-        sides: &[SideInput],
+        sides: &[Matrix],
         scalars: &[f64],
         rows: usize,
         cols: usize,
@@ -125,7 +124,7 @@ mod tests {
         let u = generate::rand_dense(n, r, 0.1, 1.0, 2);
         let v = generate::rand_dense(m, r, 0.1, 1.0, 3);
         let spec = loss_spec(1e-15, true);
-        let out = execute(&spec, Some(&x), &[SideInput::bind(&u), SideInput::bind(&v)], &[], n, m);
+        let out = execute(&spec, Some(&x), &[u.clone(), v.clone()], &[], n, m);
         let expect = reference_loss(&x, &u, &v, 1e-15);
         assert!(
             fusedml_linalg::approx_eq(out.get(0, 0), expect, 1e-9),
@@ -141,7 +140,7 @@ mod tests {
         let xd = generate::rand_matrix(n, m, 1.0, 5.0, 0.1, 4).to_dense();
         let u = generate::rand_dense(n, r, 0.1, 1.0, 5);
         let v = generate::rand_dense(m, r, 0.1, 1.0, 6);
-        let sides = [SideInput::bind(&u), SideInput::bind(&v)];
+        let sides = [u.clone(), v.clone()];
         let sx = Matrix::sparse(SparseMatrix::from_dense(&xd));
         let dx = Matrix::dense(xd);
         let a = execute(&loss_spec(1e-15, true), Some(&sx), &sides, &[], n, m);
@@ -178,14 +177,7 @@ mod tests {
         let x = generate::rand_matrix(n, m, 1.0, 5.0, 0.05, 7);
         let u = generate::rand_dense(n, r, 0.1, 1.0, 8);
         let v = generate::rand_dense(m, r, 0.1, 1.0, 9);
-        let out = execute(
-            &update_spec(),
-            Some(&x),
-            &[SideInput::bind(&u), SideInput::bind(&v)],
-            &[],
-            n,
-            m,
-        );
+        let out = execute(&update_spec(), Some(&x), &[u.clone(), v.clone()], &[], n, m);
         // Reference: ((X != 0) ⊙ (U V^T)) %*% V.
         let uvt = ops::matmult(&u, &ops::transpose(&v));
         let mask = ops::binary_scalar(&x, 0.0, BinaryOp::Neq);
@@ -201,7 +193,7 @@ mod tests {
         let u = generate::rand_dense(n, r, 0.1, 1.0, 11);
         let v = generate::rand_dense(m, r, 0.1, 1.0, 12);
         let spec = OuterSpec { out: OuterOut::LeftMM { side: 0 }, ..update_spec() };
-        let out = execute(&spec, Some(&x), &[SideInput::bind(&u), SideInput::bind(&v)], &[], n, m);
+        let out = execute(&spec, Some(&x), &[u.clone(), v.clone()], &[], n, m);
         // Reference: t((X != 0) ⊙ (U V^T)) %*% U.
         let uvt = ops::matmult(&u, &ops::transpose(&v));
         let mask = ops::binary_scalar(&x, 0.0, BinaryOp::Neq);
@@ -218,7 +210,7 @@ mod tests {
         let xd = generate::rand_matrix(n, m, 1.0, 5.0, 0.07, 21).to_dense();
         let u = generate::rand_dense(n, r, 0.1, 1.0, 22);
         let v = generate::rand_dense(m, r, 0.1, 1.0, 23);
-        let sides = [SideInput::bind(&u), SideInput::bind(&v)];
+        let sides = [u.clone(), v.clone()];
         let sx = Matrix::sparse(SparseMatrix::from_dense(&xd));
         let dx = Matrix::dense(xd);
         let variants = [
@@ -268,7 +260,7 @@ mod tests {
         let u = generate::rand_dense(n, r, 0.1, 1.0, 14);
         let v = generate::rand_dense(m, r, 0.1, 1.0, 15);
         let spec = OuterSpec { out: OuterOut::NoAgg, ..update_spec() };
-        let out = execute(&spec, Some(&x), &[SideInput::bind(&u), SideInput::bind(&v)], &[], n, m);
+        let out = execute(&spec, Some(&x), &[u.clone(), v.clone()], &[], n, m);
         assert!(out.is_sparse());
         assert_eq!(out.nnz(), x.nnz(), "W has X's sparsity pattern");
     }

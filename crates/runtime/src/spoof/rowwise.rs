@@ -32,7 +32,7 @@
 //! backend** is the original per-row evaluator, retained as the
 //! differential-test oracle.
 
-use crate::side::SideInput;
+use super::scalar::value_at;
 use fusedml_core::spoof::block::{self, RowKernel};
 use fusedml_core::spoof::{Instr, Program, Reg, RowOut, RowSpec, SideAccess};
 use fusedml_linalg::ops::{bin_loop, bin_rows, ter_loop, un_loop, AggOp, BinaryOp, OpRef, RowsRef};
@@ -60,7 +60,7 @@ pub fn execute_with(
     spec: &RowSpec,
     kernel: &RowKernel,
     main: &Matrix,
-    sides: &[SideInput],
+    sides: &[Matrix],
     scalars: &[f64],
     backend: RowBackend,
 ) -> Matrix {
@@ -204,7 +204,7 @@ enum VSlot {
 struct BandCtx<'a> {
     kernel: &'a RowKernel,
     spec: &'a RowSpec,
-    sides: &'a [SideInput],
+    sides: &'a [Matrix],
     scalars: &'a [f64],
     /// Tile height the register files are sized for.
     rb: usize,
@@ -225,7 +225,7 @@ struct BandCtx<'a> {
 struct Env<'s> {
     vslots: &'s [VSlot],
     lens: &'s [usize],
-    sides: &'s [SideInput],
+    sides: &'s [Matrix],
     main: MainTile<'s>,
     r0: usize,
 }
@@ -309,7 +309,7 @@ impl<'a> BandCtx<'a> {
     fn new(
         kernel: &'a RowKernel,
         spec: &'a RowSpec,
-        sides: &'a [SideInput],
+        sides: &'a [Matrix],
         scalars: &'a [f64],
         rb: usize,
     ) -> Self {
@@ -322,7 +322,7 @@ impl<'a> BandCtx<'a> {
         for ins in kernel.invariant.iter().chain(&kernel.per_row) {
             match *ins {
                 Instr::LoadSideRow { out, side, cl, .. } => {
-                    if let SideInput::Dense(d) = &sides[side] {
+                    if let Matrix::Dense(d) = &sides[side] {
                         let stride =
                             if kernel.invariant_vregs[out as usize] { 0 } else { d.cols() };
                         slots[out as usize] =
@@ -416,7 +416,7 @@ impl<'a> BandCtx<'a> {
                 match &sides[side] {
                     // An `n×1` column read down the rows: the tile's lanes
                     // are adjacent.
-                    SideInput::Dense(d)
+                    Matrix::Dense(d)
                         if d.cols() == 1
                             && matches!(access, SideAccess::Col | SideAccess::Cell) =>
                     {
@@ -424,7 +424,7 @@ impl<'a> BandCtx<'a> {
                     }
                     s => {
                         for (l, lane) in lanes.iter_mut().enumerate() {
-                            *lane = s.value_at(access, r0 + l, 0);
+                            *lane = value_at(s, access, r0 + l, 0);
                         }
                     }
                 }
@@ -655,12 +655,12 @@ impl Drop for BandCtx<'_> {
 
 /// The packed-panel form of a `VecMatMult` side, in a pooled buffer: dense
 /// sides copy row by row, sparse sides scatter their non-zeros.
-fn pack_side(s: &SideInput) -> Vec<f64> {
+fn pack_side(s: &Matrix) -> Vec<f64> {
     let (kc, k) = (s.rows(), s.cols());
     let mut bp = pool::take_zeroed(simd::packed_len(kc, k));
     match s {
-        SideInput::Dense(d) => simd::pack_panels(d.values(), k, (kc, k), &mut bp),
-        SideInput::Sparse(sp) => {
+        Matrix::Dense(d) => simd::pack_panels(d.values(), k, (kc, k), &mut bp),
+        Matrix::Sparse(sp) => {
             for p in 0..kc {
                 for (j, v) in sp.row_iter(p) {
                     bp[simd::packed_index(kc, p, j)] = v;
@@ -752,7 +752,7 @@ fn block_exec(
     spec: &RowSpec,
     kernel: &RowKernel,
     main: &Matrix,
-    sides: &[SideInput],
+    sides: &[Matrix],
     scalars: &[f64],
 ) -> Matrix {
     let n = main.rows();
@@ -894,7 +894,7 @@ fn block_exec(
 
 /// One sequential loop over the main rows: run the row's program, then fold
 /// its `RowOut` into the one output buffer.
-fn interp_exec(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f64]) -> Matrix {
+fn interp_exec(spec: &RowSpec, main: &Matrix, sides: &[Matrix], scalars: &[f64]) -> Matrix {
     let n = main.rows();
     // Side matrices used by VecMatMult need row-major access: dense sides
     // are borrowed (the Cow stays Borrowed), sparse sides densify once.
@@ -934,7 +934,7 @@ fn interp_exec(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f6
 struct RowCtx<'a> {
     spec: &'a RowSpec,
     main: &'a Matrix,
-    sides: &'a [SideInput],
+    sides: &'a [Matrix],
     scalars: &'a [f64],
     dense_sides: &'a [Option<Cow<'a, [f64]>>],
     sregs: Vec<f64>,
@@ -946,7 +946,7 @@ impl<'a> RowCtx<'a> {
     fn new(
         spec: &'a RowSpec,
         main: &'a Matrix,
-        sides: &'a [SideInput],
+        sides: &'a [Matrix],
         scalars: &'a [f64],
         dense_sides: &'a [Option<Cow<'a, [f64]>>],
     ) -> Self {
@@ -988,7 +988,7 @@ impl<'a> RowCtx<'a> {
                 }
                 Instr::LoadUVDot { .. } => panic!("UVDot in Row program"),
                 Instr::LoadSide { out, side, access } => {
-                    self.sregs[out as usize] = self.sides[side].value_at(access, rix, 0)
+                    self.sregs[out as usize] = value_at(&self.sides[side], access, rix, 0)
                 }
                 Instr::LoadScalar { out, idx } => self.sregs[out as usize] = self.scalars[idx],
                 Instr::LoadConst { out, value } => self.sregs[out as usize] = value,
@@ -1103,7 +1103,7 @@ mod tests {
     fn run(
         spec: &RowSpec,
         main: &Matrix,
-        sides: &[SideInput],
+        sides: &[Matrix],
         scalars: &[f64],
         backend: RowBackend,
     ) -> Matrix {
@@ -1112,7 +1112,7 @@ mod tests {
         execute_with(spec, &kernel, main, sides, scalars, backend)
     }
 
-    fn execute(spec: &RowSpec, main: &Matrix, sides: &[SideInput], scalars: &[f64]) -> Matrix {
+    fn execute(spec: &RowSpec, main: &Matrix, sides: &[Matrix], scalars: &[f64]) -> Matrix {
         run(spec, main, sides, scalars, RowBackend::Block)
     }
 
@@ -1138,7 +1138,7 @@ mod tests {
         let x = generate::rand_dense(n, m, -1.0, 1.0, 1);
         let v = generate::rand_dense(m, 1, -1.0, 1.0, 2);
         for backend in [RowBackend::Interp, RowBackend::Block] {
-            let out = run(&mv_chain_spec(m), &x, &[SideInput::bind(&v)], &[], backend);
+            let out = run(&mv_chain_spec(m), &x, std::slice::from_ref(&v), &[], backend);
             let xv = ops::matmult(&x, &v);
             let expect = ops::matmult(&ops::transpose(&x), &xv);
             assert!(out.approx_eq(&expect, 1e-9), "{backend:?}: X^T(Xv) fused vs reference");
@@ -1151,7 +1151,7 @@ mod tests {
         let xs = generate::rand_matrix(n, m, -1.0, 1.0, 0.1, 3);
         let v = generate::rand_dense(m, 1, -1.0, 1.0, 4);
         for backend in [RowBackend::Interp, RowBackend::Block] {
-            let out = run(&mv_chain_spec(m), &xs, &[SideInput::bind(&v)], &[], backend);
+            let out = run(&mv_chain_spec(m), &xs, std::slice::from_ref(&v), &[], backend);
             let expect = ops::matmult(&ops::transpose(&xs), &ops::matmult(&xs, &v));
             assert!(out.approx_eq(&expect, 1e-9), "{backend:?}");
         }
@@ -1164,8 +1164,9 @@ mod tests {
         let (n, m) = (300, 25);
         let xs = generate::rand_matrix(n, m, -1.0, 1.0, 0.1, 5);
         let vs = generate::rand_matrix(m, 1, -1.0, 1.0, 0.4, 6);
-        let oracle = run(&mv_chain_spec(m), &xs, &[SideInput::bind(&vs)], &[], RowBackend::Interp);
-        let got = run(&mv_chain_spec(m), &xs, &[SideInput::bind(&vs)], &[], RowBackend::Block);
+        let oracle =
+            run(&mv_chain_spec(m), &xs, std::slice::from_ref(&vs), &[], RowBackend::Interp);
+        let got = run(&mv_chain_spec(m), &xs, std::slice::from_ref(&vs), &[], RowBackend::Block);
         assert!(got.approx_eq(&oracle, 1e-9));
     }
 
@@ -1235,7 +1236,7 @@ mod tests {
             out: RowOut::OuterColAgg { left: 0, right: 1 },
         };
         for backend in [RowBackend::Interp, RowBackend::Block] {
-            let out = run(&spec, &x, &[SideInput::bind(&v)], &[], backend);
+            let out = run(&spec, &x, std::slice::from_ref(&v), &[], backend);
             let expect = ops::matmult(&ops::transpose(&x), &ops::matmult(&x, &v));
             assert!(out.approx_eq(&expect, 1e-9), "{backend:?}");
         }
@@ -1259,7 +1260,7 @@ mod tests {
             },
             out: RowOut::OuterColAgg { left: 0, right: 1 },
         };
-        let sides = [SideInput::bind(&v)];
+        let sides = [v.clone()];
         let oracle = run(&spec, &x, &sides, &[], RowBackend::Interp);
         let got = run(&spec, &x, &sides, &[], RowBackend::Block);
         assert!(got.approx_eq(&oracle, 1e-9));
@@ -1304,7 +1305,7 @@ mod tests {
         // One band per execute, whatever other tests do to the global
         // thread count meanwhile: the same buffers every time.
         let _one = par::limit_current_thread(1);
-        let sides = [SideInput::bind(&v)];
+        let sides = [v.clone()];
         for x in [
             generate::rand_dense(n, m, -1.0, 1.0, 22),
             generate::rand_matrix(n, m, -1.0, 1.0, 0.2, 23),

@@ -6,7 +6,7 @@
 //! iteration, the non-zeros when the program is sparse-safe over a CSR main
 //! — and runs `eval_scalar_program` once per position. It reads by point
 //! only: `Matrix::get` or the CSR row's non-zeros for the main,
-//! `SideInput::value_at` for the sides and `dot(U_i, V_j)` for Outer. The
+//! [`value_at`] for the sides and `dot(U_i, V_j)` for Outer. The
 //! sinks on top of it are those of the tile walk; the skeletons finalize
 //! either pass the same way.
 
@@ -14,6 +14,19 @@ use super::{CellSinks, PassInput};
 use fusedml_core::spoof::{eval_scalar_program, SideAccess};
 use fusedml_linalg::ops::AggOp;
 use fusedml_linalg::{par, primitives as prim, DenseMatrix, Matrix, SparseMatrix};
+
+/// The paper's `getValue(b[i], …)`: a side's value under a [`SideAccess`]
+/// pattern at position (rix, cix), a point read (a binary search of the
+/// CSR row for a sparse side).
+#[inline]
+pub(crate) fn value_at(side: &Matrix, access: SideAccess, rix: usize, cix: usize) -> f64 {
+    match access {
+        SideAccess::Cell => side.get(rix, cix),
+        SideAccess::Col => side.get(rix, 0),
+        SideAccess::Row => side.get(0, cix),
+        SideAccess::Scalar => side.get(0, 0),
+    }
+}
 
 /// One per-cell pass over the positions of a [`PassInput`].
 pub(crate) struct ScalarPass<'a> {
@@ -36,7 +49,7 @@ impl<'a> ScalarPass<'a> {
         let mut results = vec![0.0; regs.len()];
         let mut eval = |r: usize, c: usize, a: f64| {
             let uv = factors.map_or(0.0, |(u, v, k)| prim::dot_product(u, v, r * k, c * k, k));
-            let side_at = |i: usize, acc: SideAccess| sides[i].value_at(acc, r, c);
+            let side_at = |i: usize, acc: SideAccess| value_at(&sides[i], acc, r, c);
             eval_scalar_program(prog, &mut file, a, uv, &side_at, scalars);
             for (slot, &reg) in results.iter_mut().zip(regs) {
                 *slot = file[reg as usize];
@@ -175,5 +188,19 @@ impl CellSinks for ScalarPass<'_> {
                 a
             },
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn value_access_patterns() {
+        let s = Matrix::dense(DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
+        assert_eq!(value_at(&s, SideAccess::Cell, 1, 0), 3.0);
+        assert_eq!(value_at(&s, SideAccess::Col, 1, 99), 3.0);
+        assert_eq!(value_at(&s, SideAccess::Row, 99, 1), 2.0);
+        assert_eq!(value_at(&s, SideAccess::Scalar, 9, 9), 1.0);
     }
 }

@@ -30,8 +30,8 @@
 //! row (a sparse side's, or a CSR main walked densely) has to be addressed
 //! by column it is scattered into a `RowScratch`.
 
+use super::scalar::value_at;
 use super::{CellSinks, PassInput};
-use crate::side::SideInput;
 use fusedml_linalg::ops::AggOp;
 use fusedml_linalg::{par, pool, simd, DenseMatrix, Matrix, SparseMatrix};
 
@@ -183,7 +183,7 @@ pub(crate) struct CellPass<'a> {
     main: Option<&'a Matrix>,
     /// The main input when it is iterated non-zero by non-zero.
     csr: Option<&'a SparseMatrix>,
-    sides: &'a [SideInput],
+    sides: &'a [Matrix],
     scalars: &'a [f64],
     rows: usize,
     cols: usize,
@@ -222,7 +222,7 @@ impl<'a> CellPass<'a> {
         let work = input.work();
         let batches = csr.is_some()
             && kernel.block.row_uniform.is_empty()
-            && kernel.block.gathers.iter().all(|&(i, _)| matches!(sides[i], SideInput::Dense(_)));
+            && kernel.block.gathers.iter().all(|&(i, _)| matches!(sides[i], Matrix::Dense(_)));
         // The width depends on the kernel and the row length only, so every
         // backend and every result set of one kernel tiles a row alike.
         let width = if csr.is_some() || factors.is_some() {
@@ -654,7 +654,7 @@ impl<'a> MainReader<'a> {
 struct TileRunner<'k, 's> {
     kernel: &'k BlockKernel,
     eval: BlockEval,
-    sides: &'s [SideInput],
+    sides: &'s [Matrix],
     /// Per gather slot of a sparse side, the side row addressable by column:
     /// loaded per main row for `Cell` access, once with row 0 for `Row`.
     side_rows: Vec<RowScratch>,
@@ -680,7 +680,7 @@ impl<'k, 's> TileRunner<'k, 's> {
     /// walk calls [`Self::sparse_tile`], which needs the scatter buffers.
     fn new(
         kernel: &'k BlockKernel,
-        sides: &'s [SideInput],
+        sides: &'s [Matrix],
         scalars: &[f64],
         iter_cols: usize,
         width: usize,
@@ -689,12 +689,12 @@ impl<'k, 's> TileRunner<'k, 's> {
         let bp = &kernel.block;
         assert!(kernel.tiled(), "gather count exceeds tile path");
         let mut eval = BlockEval::new(bp, width);
-        eval.set_invariants(bp, &|i, acc| sides[i].value_at(acc, 0, 0), scalars);
+        eval.set_invariants(bp, &|i, acc| value_at(&sides[i], acc, 0, 0), scalars);
         let mut side_rows = Vec::with_capacity(bp.gathers.len());
         let mut scatter_bufs = Vec::with_capacity(if csr { bp.gathers.len() } else { 0 });
         for &(side, access) in &bp.gathers {
             side_rows.push(match &sides[side] {
-                SideInput::Sparse(s) => {
+                Matrix::Sparse(s) => {
                     let mut row = RowScratch::new(iter_cols);
                     if access == SideAccess::Row {
                         // Row access reads row 0 everywhere: scatter it once.
@@ -702,7 +702,7 @@ impl<'k, 's> TileRunner<'k, 's> {
                     }
                     row
                 }
-                SideInput::Dense(_) => RowScratch::new(0),
+                Matrix::Dense(_) => RowScratch::new(0),
             });
             if csr {
                 scatter_bufs.push(pool::take_zeroed(width));
@@ -715,9 +715,9 @@ impl<'k, 's> TileRunner<'k, 's> {
     /// scatters row `r` of every sparse `Cell`-access side.
     fn begin_row(&mut self, r: usize) {
         let bp = &self.kernel.block;
-        self.eval.begin_row(bp, &|i, acc| self.sides[i].value_at(acc, r, 0));
+        self.eval.begin_row(bp, &|i, acc| value_at(&self.sides[i], acc, r, 0));
         for (slot, &(side, access)) in bp.gathers.iter().enumerate() {
-            if let (SideInput::Sparse(s), SideAccess::Cell) = (&self.sides[side], access) {
+            if let (Matrix::Sparse(s), SideAccess::Cell) = (&self.sides[side], access) {
                 self.side_rows[slot].load(s, r);
             }
         }
@@ -741,9 +741,9 @@ impl<'k, 's> TileRunner<'k, 's> {
         let mut g = [TileSrc::Const(0.0); MAX_GATHERS];
         for (slot, &(side, access)) in bp.gathers.iter().enumerate() {
             g[slot] = match (&self.sides[side], access) {
-                (SideInput::Dense(d), SideAccess::Cell) => TileSrc::Slice(&d.row(r)[c0..c0 + n]),
-                (SideInput::Dense(d), SideAccess::Row) => TileSrc::Slice(&d.row(0)[c0..c0 + n]),
-                (SideInput::Sparse(_), SideAccess::Cell | SideAccess::Row) => {
+                (Matrix::Dense(d), SideAccess::Cell) => TileSrc::Slice(&d.row(r)[c0..c0 + n]),
+                (Matrix::Dense(d), SideAccess::Row) => TileSrc::Slice(&d.row(0)[c0..c0 + n]),
+                (Matrix::Sparse(_), SideAccess::Cell | SideAccess::Row) => {
                     TileSrc::Slice(&self.side_rows[slot].buf[c0..c0 + n])
                 }
                 _ => unreachable!("Col/Scalar accesses are hoisted out of gathers"),
@@ -772,7 +772,7 @@ impl<'k, 's> TileRunner<'k, 's> {
         for (slot, &(side, access)) in bp.gathers.iter().enumerate() {
             let buf = &mut self.scatter_bufs[slot][..n];
             let row = match (&self.sides[side], access, rows) {
-                (SideInput::Dense(d), SideAccess::Cell, TileRows::Each(rows)) => {
+                (Matrix::Dense(d), SideAccess::Cell, TileRows::Each(rows)) => {
                     // Each position reads its own row: gather by flat index.
                     self.flat.resize(self.width, 0);
                     for ((f, &r), &c) in self.flat.iter_mut().zip(rows).zip(cols) {
@@ -781,9 +781,9 @@ impl<'k, 's> TileRunner<'k, 's> {
                     simd::gather_into(buf, d.values(), &self.flat[..n]);
                     continue;
                 }
-                (SideInput::Dense(d), SideAccess::Cell, TileRows::One(r)) => d.row(r),
-                (SideInput::Dense(d), SideAccess::Row, _) => d.row(0),
-                (SideInput::Sparse(_), SideAccess::Cell | SideAccess::Row, TileRows::One(_)) => {
+                (Matrix::Dense(d), SideAccess::Cell, TileRows::One(r)) => d.row(r),
+                (Matrix::Dense(d), SideAccess::Row, _) => d.row(0),
+                (Matrix::Sparse(_), SideAccess::Cell | SideAccess::Row, TileRows::One(_)) => {
                     &self.side_rows[slot].buf
                 }
                 _ => unreachable!("Col/Scalar accesses are hoisted out of gathers"),

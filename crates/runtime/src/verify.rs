@@ -1226,7 +1226,7 @@ pub struct SlotTransition {
 /// | `Resident` | `Evicting` | eviction began (I/O outside the lock)        |
 /// | `Evicting` | `Spilled`  | spill write succeeded                        |
 /// | `Evicting` | `Resident` | spill write failed; run degrades resident    |
-/// | `Spilled`  | `Loading`  | fault-in or prefetch began                   |
+/// | `Spilled`  | `Loading`  | the gathering task's fault-in began          |
 /// | `Spilled`  | `Empty`    | root discarded / failure sweep               |
 /// | `Loading`  | `Resident` | reload succeeded                             |
 /// | `Loading`  | `Empty`    | reload failed; failure sweep reclaimed slot  |

@@ -26,7 +26,6 @@ use fusedml_core::spoof::{
 };
 use fusedml_linalg::ops::{AggOp, BinaryOp, TernaryOp, UnaryOp};
 use fusedml_linalg::{generate, par, Matrix, SparseMatrix};
-use fusedml_runtime::side::SideInput;
 use fusedml_runtime::spoof::{cellwise, multiagg, outerprod};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -181,12 +180,12 @@ fn cell_block_backends_match_scalar_oracle_on_random_programs() {
                 continue;
             }
             let spec = CellSpec { prog: prog.clone(), result, agg, sparse_safe };
-            let sides: Vec<SideInput> = inputs.sides.iter().map(SideInput::bind).collect();
+            let sides = &inputs.sides[..];
             let oracle = cellwise::execute_with(
                 &spec,
                 &kernel,
                 Some(main),
-                &sides,
+                sides,
                 &inputs.scalars,
                 inputs.rows,
                 inputs.cols,
@@ -197,7 +196,7 @@ fn cell_block_backends_match_scalar_oracle_on_random_programs() {
                     &spec,
                     &kernel,
                     Some(main),
-                    &sides,
+                    sides,
                     &inputs.scalars,
                     inputs.rows,
                     inputs.cols,
@@ -230,12 +229,12 @@ fn multiagg_block_backends_match_scalar_oracle_on_random_programs() {
             [(&inputs.dense_main, false), (&inputs.sparse_main, true), (&inputs.sparse_main, false)]
         {
             let spec = MAggSpec { prog: prog.clone(), results: results.clone(), sparse_safe };
-            let sides: Vec<SideInput> = inputs.sides.iter().map(SideInput::bind).collect();
+            let sides = &inputs.sides[..];
             let oracle = multiagg::execute_with(
                 &spec,
                 &kernel,
                 Some(main),
-                &sides,
+                sides,
                 &inputs.scalars,
                 inputs.rows,
                 inputs.cols,
@@ -246,7 +245,7 @@ fn multiagg_block_backends_match_scalar_oracle_on_random_programs() {
                     &spec,
                     &kernel,
                     Some(main),
-                    &sides,
+                    sides,
                     &inputs.scalars,
                     inputs.rows,
                     inputs.cols,
@@ -286,7 +285,7 @@ fn outer_block_backends_match_scalar_oracle_on_random_programs() {
             bound.push(generate::rand_matrix(len, rank, -1.0, 1.0, density, seed * 13 + i as u64));
         }
         let (u_side, v_side) = (N_SIDES, N_SIDES + 1);
-        let sides: Vec<SideInput> = bound.iter().map(SideInput::bind).collect();
+        let sides = &bound[..];
         for out in [
             OuterOut::FullAgg,
             OuterOut::RightMM { side: v_side },
@@ -312,7 +311,7 @@ fn outer_block_backends_match_scalar_oracle_on_random_programs() {
                         &spec,
                         &kernel,
                         Some(main),
-                        &sides,
+                        sides,
                         &inputs.scalars,
                         inputs.rows,
                         inputs.cols,
@@ -385,7 +384,7 @@ fn product_chains_agree_between_mono_and_tile_interpreter() {
         assert!(kernel.mono_for(result).is_some());
         for seed in [7u64, 8, 9] {
             let inputs = random_inputs(&mut StdRng::seed_from_u64(seed + ci as u64), seed);
-            let sides: Vec<SideInput> = inputs.sides.iter().map(SideInput::bind).collect();
+            let sides = &inputs.sides[..];
             for (main, sparse_safe) in [(&inputs.dense_main, false), (&inputs.sparse_main, true)] {
                 for &agg in &aggs {
                     let spec = CellSpec { prog: prog.clone(), result, agg, sparse_safe };
@@ -394,7 +393,7 @@ fn product_chains_agree_between_mono_and_tile_interpreter() {
                             &spec,
                             &kernel,
                             Some(main),
-                            &sides,
+                            sides,
                             &inputs.scalars,
                             inputs.rows,
                             inputs.cols,
@@ -452,14 +451,14 @@ fn magg_mixes_a_product_chain_with_an_interpreted_result() {
         generate::rand_dense(rows, cols, -1.5, 1.5, 43),
         generate::rand_matrix(rows, cols, -1.5, 1.5, 0.3, 44),
     ];
-    let sides: Vec<SideInput> = bound.iter().map(SideInput::bind).collect();
+    let sides = &bound[..];
     for (main, sparse_safe) in [(&dense, false), (&csr, true)] {
         for op in [AggOp::Sum, AggOp::Min] {
             let spec =
                 MAggSpec { prog: prog.clone(), results: vec![(4, op), (6, op)], sparse_safe };
             let run = |backend, threads| {
                 let _limit = par::limit_current_thread(threads);
-                multiagg::execute_with(&spec, &kernel, Some(main), &sides, &[], rows, cols, backend)
+                multiagg::execute_with(&spec, &kernel, Some(main), sides, &[], rows, cols, backend)
             };
             let oracle = run(CellBackend::Scalar, 1);
             for backend in [CellBackend::Block, CellBackend::Mono] {
@@ -526,13 +525,13 @@ fn magg_fuses_product_sums_bitwise_the_per_result_folds() {
         generate::rand_matrix(rows, cols, -1.5, 1.5, 0.3, 74),
         generate::rand_dense(1, cols, -1.5, 1.5, 75),
     ];
-    let sides: Vec<SideInput> = bound.iter().map(SideInput::bind).collect();
+    let sides = &bound[..];
     for results in &result_sets {
         for (main, sparse_safe) in [(&dense, false), (&csr, true), (&csr, false)] {
             let run = |results: &[(u16, AggOp)], backend, threads| {
                 let _limit = par::limit_current_thread(threads);
                 let spec = MAggSpec { prog: prog.clone(), results: results.to_vec(), sparse_safe };
-                multiagg::execute_with(&spec, &kernel, Some(main), &sides, &[], rows, cols, backend)
+                multiagg::execute_with(&spec, &kernel, Some(main), sides, &[], rows, cols, backend)
             };
             let oracle = run(results, CellBackend::Scalar, 1);
             for threads in [1, 2] {
@@ -574,7 +573,7 @@ fn no_agg_overwrites_every_slot_of_a_recycled_output() {
     let cols = 517;
     let rows = 2 * par::PAR_THRESHOLD / cols + 3;
     let side = generate::rand_dense(rows, cols, -1.5, 1.5, 81);
-    let sides = [SideInput::bind(&side)];
+    let sides = [side.clone()];
     let (x1, x2) = (
         generate::rand_dense(rows, cols, -1.5, 1.5, 82),
         generate::rand_dense(rows, cols, -1.5, 1.5, 83),
@@ -633,12 +632,12 @@ fn tile_width_sweep_preserves_results() {
         agg: CellAgg::FullAgg(AggOp::Sum),
         sparse_safe: false,
     };
-    let sides: Vec<SideInput> = inputs.sides.iter().map(SideInput::bind).collect();
+    let sides = &inputs.sides[..];
     let oracle = cellwise::execute_with(
         &spec,
         &kernel,
         Some(&inputs.dense_main),
-        &sides,
+        sides,
         &inputs.scalars,
         inputs.rows,
         inputs.cols,
@@ -651,7 +650,7 @@ fn tile_width_sweep_preserves_results() {
                 &spec,
                 &kernel,
                 Some(&inputs.dense_main),
-                &sides,
+                sides,
                 &inputs.scalars,
                 inputs.rows,
                 inputs.cols,
@@ -711,7 +710,7 @@ struct Grid<'a> {
     prog: Program,
     width: usize,
     maggs: Vec<(u16, AggOp)>,
-    sides: &'a [SideInput],
+    sides: &'a [Matrix],
     uv: (usize, usize, usize),
     rows: usize,
     cols: usize,
@@ -822,12 +821,12 @@ fn grid_point(width: usize, rows: usize, cols: usize) {
         generate::rand_dense(rows, RANK, -1.0, 1.0, seed + 4),
         generate::rand_dense(cols, RANK, -1.0, 1.0, seed + 5),
     ];
-    let sides: Vec<SideInput> = bound.iter().map(SideInput::bind).collect();
+    let sides = &bound[..];
     let grid = Grid {
         prog: grid_program(),
         width,
         maggs: vec![(5, AggOp::Sum), (6, AggOp::Max), (4, AggOp::Min), (6, AggOp::Mean)],
-        sides: &sides,
+        sides,
         uv: (3, 4, RANK),
         rows,
         cols,
@@ -973,8 +972,7 @@ fn sparse_cell_sides_match_the_oracle_lookup() {
                 let n_sides = cell_sides.len();
                 // The Cell result and the register before it, both summed.
                 let result = prog.n_regs - 3;
-                let sides: Vec<SideInput> =
-                    cell_sides.iter().chain(&factors).map(SideInput::bind).collect();
+                let sides: Vec<Matrix> = cell_sides.iter().chain(&factors).cloned().collect();
                 let grid = Grid {
                     prog,
                     width,
@@ -1080,7 +1078,7 @@ fn seventeen_gathers_run_the_scalar_pass_against_base() {
             }
         })
         .collect();
-    let sides: Vec<SideInput> = side_mats.iter().map(SideInput::bind).collect();
+    let sides = &side_mats[..];
     let side_sum = side_mats[1..]
         .iter()
         .fold(side_mats[0].clone(), |acc, s| ops::binary(&acc, s, BinaryOp::Add));
@@ -1106,10 +1104,10 @@ fn seventeen_gathers_run_the_scalar_pass_against_base() {
             for (agg, expect) in &cases {
                 let spec = CellSpec { prog: prog.clone(), result, agg: *agg, sparse_safe: true };
                 let cell = operator(FusedSpec::Cell(spec));
-                let out = &spoof::execute(&cell, Some(&main), &sides, &[], rows, cols)[0];
+                let out = &spoof::execute(&cell, Some(&main), sides, &[], rows, cols)[0];
                 assert!(out.approx_eq(expect, 1e-11), "{agg:?} {what}");
             }
-            let outs = spoof::execute(&magg, Some(&main), &sides, &[], rows, cols);
+            let outs = spoof::execute(&magg, Some(&main), sides, &[], rows, cols);
             for (out, expect) in outs.iter().zip(magg_expect) {
                 assert!(fusedml_linalg::approx_eq(out.get(0, 0), expect, 1e-11), "MAgg {what}");
             }
@@ -1170,7 +1168,7 @@ fn outer_tiles_are_bitwise_the_scalar_pass_at_every_rank() {
             Matrix::dense(fusedml_linalg::DenseMatrix::new(rows, rank, eighths(rows * rank, 2)));
         let v =
             Matrix::dense(fusedml_linalg::DenseMatrix::new(cols, rank, eighths(cols * rank, 3)));
-        let sides = [SideInput::bind(&u), SideInput::bind(&v)];
+        let sides = [u.clone(), v.clone()];
         for out in [
             OuterOut::FullAgg,
             OuterOut::RightMM { side: 1 },
@@ -1282,7 +1280,7 @@ fn batched_short_rows_are_bitwise_the_per_row_tiles() {
         generate::rand_dense(rows, RANK, 0.1, 1.0, 45),
         generate::rand_dense(cols, RANK, 0.1, 1.0, 46),
     ];
-    let sides: Vec<SideInput> = bound.iter().map(SideInput::bind).collect();
+    let sides = &bound[..];
     let (cell_progs, outer_progs) = (both(&body), [both(&outer_gathers), both(&fig8h)]);
     for width in [8, 33, 256] {
         for threads in [1, 2, 3] {
@@ -1314,7 +1312,7 @@ fn batched_short_rows_are_bitwise_the_per_row_tiles() {
                         &spec,
                         kernel,
                         Some(&csr),
-                        &sides,
+                        sides,
                         &[],
                         rows,
                         cols,
@@ -1337,7 +1335,7 @@ fn batched_short_rows_are_bitwise_the_per_row_tiles() {
                         &spec,
                         kernel,
                         Some(&csr),
-                        &sides,
+                        sides,
                         &[],
                         rows,
                         cols,
@@ -1361,7 +1359,7 @@ fn batched_short_rows_are_bitwise_the_per_row_tiles() {
                             &spec,
                             kernel,
                             Some(&csr),
-                            &sides,
+                            sides,
                             &[],
                             rows,
                             cols,
@@ -1419,7 +1417,7 @@ fn dense_rows_around_the_l1_width_match_the_oracle() {
                 generate::rand_dense(1, cols, -1.5, 1.5, seed + 2),
                 generate::rand_dense(rows, 1, -1.5, 1.5, seed + 3),
             ];
-            let sides: Vec<SideInput> = bound.iter().map(SideInput::bind).collect();
+            let sides = &bound[..];
             let cells = [
                 CellAgg::NoAgg,
                 CellAgg::RowAgg(AggOp::Sum),
@@ -1438,7 +1436,7 @@ fn dense_rows_around_the_l1_width_match_the_oracle() {
                             &spec,
                             &kernel,
                             main,
-                            &sides,
+                            sides,
                             &[],
                             rows,
                             cols,
@@ -1455,7 +1453,7 @@ fn dense_rows_around_the_l1_width_match_the_oracle() {
                             &spec,
                             &kernel,
                             main,
-                            &sides,
+                            sides,
                             &[],
                             rows,
                             cols,
@@ -1548,7 +1546,7 @@ fn in_place_maps_are_bitwise_the_register_path() {
                     generate::rand_dense(rows, cols, -1.5, 1.5, seed + 1),
                     generate::rand_dense(1, cols, -1.5, 1.5, seed + 2),
                 ];
-                let sides: Vec<SideInput> = bound.iter().map(SideInput::bind).collect();
+                let sides = &bound[..];
                 for (name, (prog, result), register) in &cases {
                     let run = |prog: &Program, result, main, backend, threads| {
                         let _limit = par::limit_current_thread(threads);
@@ -1563,7 +1561,7 @@ fn in_place_maps_are_bitwise_the_register_path() {
                             &spec,
                             &kernel,
                             main,
-                            &sides,
+                            sides,
                             &[0.75],
                             rows,
                             cols,

@@ -31,7 +31,6 @@ use fusedml_core::spoof::block::compile_row_kernel;
 use fusedml_core::spoof::{Instr, Program, RowOut, RowSpec, SideAccess};
 use fusedml_linalg::ops::{AggOp, BinaryOp, TernaryOp, UnaryOp};
 use fusedml_linalg::{generate, Matrix};
-use fusedml_runtime::side::SideInput;
 use fusedml_runtime::spoof::rowwise::{self, RowBackend};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -39,7 +38,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 fn run(
     spec: &RowSpec,
     main: &Matrix,
-    sides: &[SideInput],
+    sides: &[Matrix],
     scalars: &[f64],
     backend: RowBackend,
 ) -> Matrix {
@@ -298,12 +297,12 @@ fn row_block_backend_matches_interpreter_on_random_programs() {
         let inputs = random_inputs(&mut rng, &sh, seed);
         let prog =
             Program { instrs: g.instrs.clone(), n_regs: g.n_sregs, vreg_lens: g.vreg_lens.clone() };
-        let sides: Vec<SideInput> = inputs.sides.iter().map(SideInput::bind).collect();
+        let sides = &inputs.sides[..];
         let spec = RowSpec { prog, out };
         let tol = if matches!(spec.out, RowOut::NoAgg { .. }) { 1e-11 } else { 1e-9 };
         for main in [&inputs.dense_main, &inputs.sparse_main] {
-            let oracle = run(&spec, main, &sides, &inputs.scalars, RowBackend::Interp);
-            let got = run(&spec, main, &sides, &inputs.scalars, RowBackend::Block);
+            let oracle = run(&spec, main, sides, &inputs.scalars, RowBackend::Interp);
+            let got = run(&spec, main, sides, &inputs.scalars, RowBackend::Block);
             assert!(
                 got.approx_eq(&oracle, tol),
                 "seed {seed}: block diverges from interpreter (out {:?}, \
@@ -346,7 +345,7 @@ fn mlogreg_pattern_all_modes_and_densities_agree() {
             generate::rand_dense(m, 1, -1.0, 1.0, 4),
             generate::rand_matrix(m, 1, -1.0, 1.0, 0.5, 5),
         ] {
-            let sides = [SideInput::bind(&v), SideInput::bind(&w)];
+            let sides = [v.clone(), w.clone()];
             let oracle = run(&spec, &x, &sides, &[], RowBackend::Interp);
             let got = run(&spec, &x, &sides, &[], RowBackend::Block);
             assert!(
@@ -429,7 +428,7 @@ fn check_vmm(n: usize, m: usize, k: usize, out: usize) {
             generate::rand_dense(m, k, -1.5, 1.5, seed + 2),
             generate::rand_matrix(m, k, -1.5, 1.5, 0.4, seed + 2),
         ] {
-            let sides = [SideInput::bind(&v), SideInput::bind(&p)];
+            let sides = [v.clone(), p.clone()];
             let oracle = run(&spec, &x, &sides, &[], RowBackend::Interp);
             let got = run(&spec, &x, &sides, &[], RowBackend::Block);
             let tol = if matches!(spec.out, RowOut::NoAgg { .. }) { 1e-11 } else { 1e-9 };
@@ -500,9 +499,9 @@ fn autoencoder_chain_multiplies_non_main_registers() {
                 false => generate::rand_dense(r, c, -1.0, 1.0, s),
             };
             let ws = [w(m, h1, 1), w(h1, h2, 2), w(h2, m, 3)];
-            let sides: Vec<SideInput> = ws.iter().map(SideInput::bind).collect();
-            let oracle = run(&spec, &x, &sides, &[], RowBackend::Interp);
-            let got = run(&spec, &x, &sides, &[], RowBackend::Block);
+            let sides = &ws[..];
+            let oracle = run(&spec, &x, sides, &[], RowBackend::Interp);
+            let got = run(&spec, &x, sides, &[], RowBackend::Block);
             assert!(got.approx_eq(&oracle, 1e-11), "n={n} sparse_w={sparse_w}");
         }
     }
@@ -584,7 +583,7 @@ const AGGS: [AggOp; 5] = [AggOp::Sum, AggOp::SumSq, AggOp::Min, AggOp::Max, AggO
 
 /// Runs `prog` under every `RowAgg` of a scalar register and every `NoAgg`
 /// of a listed vector register, block against interpreter, bitwise.
-fn check_bits(prog: &Program, vecs: &[u16], main: &Matrix, sides: &[SideInput], what: &str) {
+fn check_bits(prog: &Program, vecs: &[u16], main: &Matrix, sides: &[Matrix], what: &str) {
     let outs = (0..prog.n_regs)
         .map(|src| RowOut::RowAgg { src })
         .chain(vecs.iter().map(|&src| RowOut::NoAgg { src }));
@@ -691,8 +690,7 @@ fn row_tiles_are_bitwise_the_interpreter_on_the_lane_grid() {
             let row =
                 Matrix::dense(fusedml_linalg::DenseMatrix::new(1, w, eighths(w, seed + 3, 0)));
             for col in &cols {
-                let sides: Vec<SideInput> =
-                    [col, &wide, &row].into_iter().map(SideInput::bind).collect();
+                let sides: Vec<Matrix> = [col, &wide, &row].into_iter().cloned().collect();
                 let (u, b, t) = (UNARY[case % 13], BINARY[case % 15], TERNARY[case % 3]);
                 let (vv, vs) = (BINARY[(case + 7) % 15], BINARY[(case + 11) % 15]);
                 let agg = AGGS[case % 5];

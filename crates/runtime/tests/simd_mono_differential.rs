@@ -22,7 +22,6 @@ use fusedml_core::spoof::mono::{classify, Product};
 use fusedml_core::spoof::{block, CellAgg, CellSpec, Instr, Program, SideAccess};
 use fusedml_linalg::ops::{AggOp, BinaryOp, TernaryOp, UnaryOp};
 use fusedml_linalg::{simd, DenseMatrix, Matrix, SparseMatrix};
-use fusedml_runtime::side::SideInput;
 use fusedml_runtime::spoof::cellwise;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -75,7 +74,7 @@ fn dense(rows: usize, cols: usize, f: impl Fn(usize, usize) -> f64) -> Matrix {
 fn run(
     spec: &CellSpec,
     main: &Matrix,
-    sides: &[SideInput],
+    sides: &[Matrix],
     scalars: &[f64],
     backend: CellBackend,
 ) -> Matrix {
@@ -104,7 +103,7 @@ fn map_class_is_bitwise_across_backends_and_ragged_tails() {
             let main = dense(rows, cols, |r, c| ((r * 31 + c) % 23) as f64 * 0.37 - 3.0);
             let s0 = dense(rows, cols, |r, c| ((r * 17 + c) % 19) as f64 * 0.21 - 1.5);
             let s1 = dense(rows, cols, |r, c| ((r * 13 + c) % 29) as f64 * 0.11 - 1.0);
-            let sides = [SideInput::bind(&s0), SideInput::bind(&s1)];
+            let sides = [s0.clone(), s1.clone()];
             let spec = CellSpec {
                 prog: prog.clone(),
                 result: prog.n_regs - 1,
@@ -130,7 +129,7 @@ fn nan_and_signed_zero_propagate_identically() {
     let main = dense(rows, cols, |r, c| specials[(r * cols + c) % specials.len()]);
     let s0 = dense(rows, cols, |r, c| specials[(r * cols + c * 3 + 1) % specials.len()]);
     let s1 = dense(rows, cols, |r, c| ((r + c) % 7) as f64 - 3.0);
-    let sides = [SideInput::bind(&s0), SideInput::bind(&s1)];
+    let sides = [s0.clone(), s1.clone()];
     for prog in [mul_un_bin_prog(), tree_prog()] {
         let spec = CellSpec {
             prog: prog.clone(),
@@ -164,7 +163,7 @@ fn sparse_banded_mains_agree_across_backends() {
     let main = Matrix::sparse(SparseMatrix::from_triples(rows, cols, triples));
     let s0 = dense(rows, cols, |r, c| ((r * 11 + c) % 17) as f64 * 0.3 - 1.2);
     let s1 = dense(rows, cols, |r, c| ((r * 5 + c) % 23) as f64 * 0.17 - 1.9);
-    let sides = [SideInput::bind(&s0), SideInput::bind(&s1)];
+    let sides = [s0.clone(), s1.clone()];
     for prog in [mul_un_bin_prog(), tree_prog()] {
         for agg in [AggOp::Sum, AggOp::SumSq, AggOp::Min, AggOp::Max] {
             let spec = CellSpec {
@@ -195,7 +194,7 @@ fn random_programs_agree_across_backends() {
         let main = dense(rows, cols, |r, c| ((r * 31 + c * 7) % 41) as f64 * 0.1 - 2.0);
         let s0 = dense(rows, cols, |r, c| ((r * 3 + c) % 31) as f64 * 0.13 - 2.0);
         let s1 = dense(rows, cols, |r, c| ((r * 23 + c) % 37) as f64 * 0.09 - 1.7);
-        let sides = [SideInput::bind(&s0), SideInput::bind(&s1)];
+        let sides = [s0.clone(), s1.clone()];
         let scalars = [rng.gen_range(-1.5..1.5), rng.gen_range(-1.5..1.5)];
         for (agg, tol) in [
             (CellAgg::NoAgg, 0.0),
@@ -234,7 +233,7 @@ fn forced_scalar_fallback_matches_vector_paths() {
     let main = dense(rows, cols, |r, c| ((r * 31 + c) % 23) as f64 * 0.37 - 3.0);
     let s0 = dense(rows, cols, |r, c| ((r * 17 + c) % 19) as f64 * 0.21 - 1.5);
     let s1 = dense(rows, cols, |r, c| ((r * 13 + c) % 29) as f64 * 0.11 - 1.0);
-    let sides = [SideInput::bind(&s0), SideInput::bind(&s1)];
+    let sides = [s0.clone(), s1.clone()];
     for prog in [mul_un_bin_prog(), tree_prog()] {
         let map_spec = CellSpec {
             prog: prog.clone(),

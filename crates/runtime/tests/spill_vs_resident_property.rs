@@ -104,7 +104,7 @@ proptest! {
                 let sched = tight.stats().scheduler_snapshot();
                 prop_assert!(sched.spilled_bytes > 0, "tight budget must evict (ops {:?})", e.ops);
                 prop_assert!(sched.reloaded_bytes > 0, "evicted values must fault back");
-                prop_assert!(sched.spill_faults + sched.prefetch_hits > 0);
+                prop_assert!(sched.spill_faults > 0);
             }
         }
     }
