@@ -1,14 +1,18 @@
-//! Minimal scoped-thread parallelization helpers.
+//! Scoped-thread parallelization: the engine's one spawn site.
 //!
 //! The fused-operator skeletons and the large dense kernels parallelize over
 //! row ranges. We deliberately avoid a work-stealing runtime: static row
 //! partitioning matches SystemML's executor model and keeps the
 //! time-measurement behaviour of the benchmarks deterministic.
 //!
-//! Every helper propagates the caller's scoped buffer pool
-//! ([`crate::pool::current`]) into its band threads, so kernels that draw
-//! per-band scratch from the pool keep hitting the engine's pool when they
-//! run under internal parallelism.
+//! [`run_bands`] is the only place the engine starts threads. It runs the
+//! first item on the calling thread and every other item on a scoped thread
+//! that re-enters the caller's buffer-pool scope ([`crate::pool::current`],
+//! tally included), so kernels that draw per-band scratch from the pool keep
+//! hitting the engine's pool under internal parallelism. The row-band helpers
+//! below cut `0..n` into at most [`num_threads`] contiguous bands and fan out
+//! through it; the runtime's shard bands and scheduler workers call it
+//! directly, each under its own thread-count limit.
 
 use crate::pool;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,9 +54,10 @@ impl Drop for ThreadLimitGuard {
 }
 
 /// Caps the parallelism seen by kernels on the *calling thread only* until
-/// the returned guard drops (0 removes the cap). Band threads spawned by the
-/// helpers below do not inherit the cap — they only run leaf work and never
-/// re-split — so the cap bounds fan-out where it matters: at the split point.
+/// the returned guard drops (0 removes the cap). The items [`run_bands`] fans
+/// out do not inherit the cap: they see the process-wide count unless they
+/// set a cap of their own (a shard band does), so the cap bounds fan-out at
+/// the split point it is set around.
 pub fn limit_current_thread(n: usize) -> ThreadLimitGuard {
     let prev = THREAD_NUM_THREADS.with(|c| c.replace(n));
     ThreadLimitGuard { prev }
@@ -67,41 +72,56 @@ pub fn set_num_threads(n: usize) {
 /// Minimum number of "work items" per thread before we bother spawning.
 pub const PAR_THRESHOLD: usize = 4096;
 
-/// Splits `0..n` into at most [`num_threads`] contiguous ranges and runs `f`
-/// on each range in parallel. `f(lo, hi)` must handle the half-open range
-/// `[lo, hi)`. Falls back to a single inline call for small `n`.
-pub fn par_range<F>(n: usize, work_per_item: usize, f: F)
+/// Runs `f` on every item and returns the results in item order: the first
+/// item on the calling thread, every other one on a scoped thread of its own
+/// that re-enters the caller's pool scope (tally included). This is the
+/// engine's one spawn site: `par`'s band helpers, the shard bands and the
+/// scheduler's workers all fan out through it, so the caller always works
+/// instead of waiting.
+///
+/// A spawned thread starts with no [`limit_current_thread`] cap, so when
+/// there is more than one item the first runs with the caller's cap lifted
+/// too: every item sees the same thread count, whichever thread runs it. A
+/// single item runs inline, cap and all. A panic in any item reaches the
+/// caller with its own payload once every thread has finished.
+pub fn run_bands<I, T, F>(items: I, f: F) -> Vec<T>
 where
-    F: Fn(usize, usize) + Sync,
+    I: IntoIterator,
+    I::Item: Send,
+    T: Send,
+    F: Fn(I::Item) -> T + Sync,
 {
-    let k = num_threads();
-    if k <= 1 || n * work_per_item.max(1) < PAR_THRESHOLD || n < 2 {
-        f(0, n);
-        return;
-    }
-    let k = k.min(n);
-    let chunk = n.div_ceil(k);
-    let cur = pool::current_scope();
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else { return Vec::new() };
+    let Some(second) = items.next() else { return vec![f(first)] };
+    let scope = pool::current_scope();
     std::thread::scope(|s| {
-        for t in 0..k {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            if lo >= hi {
-                break;
-            }
-            let fref = &f;
-            let cur = &cur;
-            s.spawn(move || {
-                let _pool = cur.as_ref().map(pool::reenter);
-                fref(lo, hi)
-            });
+        let spawned: Vec<_> = std::iter::once(second)
+            .chain(items)
+            .map(|item| {
+                let (f, scope) = (&f, &scope);
+                s.spawn(move || {
+                    let _pool = scope.as_ref().map(pool::reenter);
+                    f(item)
+                })
+            })
+            .collect();
+        let mut out = Vec::with_capacity(spawned.len() + 1);
+        out.push({
+            let _uncapped = limit_current_thread(0);
+            f(first)
+        });
+        for h in spawned {
+            out.push(h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
         }
-    });
+        out
+    })
 }
 
-/// Parallel map-reduce over `0..n`: each thread folds its range with `map`
-/// starting from `identity`, then the per-thread results are combined with
-/// `reduce` on the calling thread.
+/// Parallel map-reduce over `0..n`: each band folds its range with `map`,
+/// then the per-band results are combined in band order with `reduce`,
+/// starting from `identity`, on the calling thread. Falls back to a single
+/// inline call for small `n`.
 pub fn par_map_reduce<T, M, R>(n: usize, work_per_item: usize, identity: T, map: M, reduce: R) -> T
 where
     T: Send,
@@ -112,67 +132,22 @@ where
     if k <= 1 || n * work_per_item.max(1) < PAR_THRESHOLD || n < 2 {
         return reduce(identity, map(0, n));
     }
-    let k = k.min(n);
-    let chunk = n.div_ceil(k);
-    let cur = pool::current_scope();
-    let mut results: Vec<Option<T>> = Vec::new();
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(k);
-        for t in 0..k {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            if lo >= hi {
-                break;
-            }
-            let mref = &map;
-            let cur = &cur;
-            handles.push(s.spawn(move || {
-                let _pool = cur.as_ref().map(pool::reenter);
-                mref(lo, hi)
-            }));
-        }
-        for h in handles {
-            results.push(Some(h.join().expect("worker thread panicked")));
-        }
-    });
-    let mut acc = identity;
-    for r in results.iter_mut() {
-        acc = reduce(acc, r.take().expect("result present"));
-    }
-    acc
+    let chunk = n.div_ceil(k.min(n));
+    let bands = (0..n).step_by(chunk).map(|lo| (lo, (lo + chunk).min(n)));
+    run_bands(bands, |(lo, hi)| map(lo, hi)).into_iter().fold(identity, reduce)
 }
 
-/// Splits a mutable slice into per-thread row bands and runs `f` on each band
-/// in parallel. `rows * row_len` must equal `data.len()`; with `row_len` = 0
-/// there is nothing to write and `f` is not called.
+/// Splits a mutable slice into per-thread row bands and runs `f` once per
+/// row with `(row, row_slice)`: [`par_row_bands_mut`] with a per-row loop in
+/// each band. With `row_len` = 0 there is nothing to write and `f` is not
+/// called.
 pub fn par_rows_mut<F>(data: &mut [f64], rows: usize, row_len: usize, work_per_row: usize, f: F)
 where
     F: Fn(usize, &mut [f64]) + Sync,
 {
-    assert_eq!(data.len(), rows * row_len, "slice/row geometry mismatch");
-    if row_len == 0 {
-        return;
-    }
-    let k = num_threads();
-    if k <= 1 || rows * work_per_row.max(1) < PAR_THRESHOLD || rows < 2 {
-        for (r, row) in data.chunks_exact_mut(row_len).enumerate() {
-            f(r, row);
-        }
-        return;
-    }
-    let k = k.min(rows);
-    let band = rows.div_ceil(k);
-    let cur = pool::current_scope();
-    std::thread::scope(|s| {
-        for (t, chunk) in data.chunks_mut(band * row_len).enumerate() {
-            let fref = &f;
-            let cur = &cur;
-            s.spawn(move || {
-                let _pool = cur.as_ref().map(pool::reenter);
-                for (i, row) in chunk.chunks_exact_mut(row_len).enumerate() {
-                    fref(t * band + i, row);
-                }
-            });
+    par_row_bands_mut(data, rows, row_len, work_per_row, |r0, band| {
+        for (i, row) in band.chunks_exact_mut(row_len).enumerate() {
+            f(r0 + i, row);
         }
     });
 }
@@ -180,8 +155,9 @@ where
 /// Splits a mutable slice into per-thread row bands and runs `f` once per
 /// band with `(first_row, band)` — unlike [`par_rows_mut`], workers see their
 /// whole contiguous band, so per-thread state (scratch buffers, evaluator
-/// register files) can be set up once per band instead of once per row. With
-/// `row_len` = 0 there is nothing to write and `f` is not called.
+/// register files) can be set up once per band instead of once per row.
+/// `rows * row_len` must equal `data.len()`; with `row_len` = 0 there is
+/// nothing to write and `f` is not called.
 pub fn par_row_bands_mut<F>(
     data: &mut [f64],
     rows: usize,
@@ -200,35 +176,58 @@ pub fn par_row_bands_mut<F>(
         f(0, data);
         return;
     }
-    let k = k.min(rows);
-    let band = rows.div_ceil(k);
-    let cur = pool::current_scope();
-    std::thread::scope(|s| {
-        for (t, chunk) in data.chunks_mut(band * row_len).enumerate() {
-            let fref = &f;
-            let cur = &cur;
-            s.spawn(move || {
-                let _pool = cur.as_ref().map(pool::reenter);
-                fref(t * band, chunk)
-            });
-        }
-    });
+    let band = rows.div_ceil(k.min(rows));
+    run_bands(data.chunks_mut(band * row_len).enumerate(), |(t, chunk)| f(t * band, chunk));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The first item runs on the calling thread, the others on threads of
+    /// their own, and the results come back in item order.
     #[test]
-    fn par_range_covers_all_indices() {
-        let n = 100_000;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        par_range(n, 1, |lo, hi| {
-            for h in &hits[lo..hi] {
-                h.fetch_add(1, Ordering::Relaxed);
-            }
+    fn run_bands_runs_the_first_item_on_the_caller() {
+        let ids = run_bands(0..4, |i| (i, std::thread::current().id()));
+        assert_eq!(ids.iter().map(|&(i, _)| i).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert_eq!(ids[0].1, std::thread::current().id());
+        let distinct: std::collections::HashSet<_> = ids.iter().map(|&(_, id)| id).collect();
+        assert_eq!(distinct.len(), 4, "k items run on k distinct threads");
+    }
+
+    /// Every item sees the same thread count: the caller's cap is lifted
+    /// for the first item, as a spawned thread never had it.
+    #[test]
+    fn run_bands_items_see_one_thread_count() {
+        let _one = limit_current_thread(1);
+        let seen = run_bands(0..2, |_| num_threads());
+        assert_eq!(seen[0], seen[1]);
+        assert_eq!(run_bands(0..1, |_| num_threads()), [1], "one item runs inline, cap and all");
+        assert_eq!(num_threads(), 1, "the caller's cap is back");
+    }
+
+    /// A panic in a spawned band reaches the caller with its own payload.
+    #[test]
+    fn a_band_panic_reaches_the_caller_with_its_message() {
+        let _two = limit_current_thread(2);
+        let caught = std::panic::catch_unwind(|| {
+            par_map_reduce(
+                100_000,
+                1,
+                0usize,
+                |lo, hi| {
+                    assert!(lo == 0, "band at row {lo} failed");
+                    hi - lo
+                },
+                |a, b| a + b,
+            )
         });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        let payload = caught.expect_err("the second band panics");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("band at row 50000 failed"));
     }
 
     #[test]

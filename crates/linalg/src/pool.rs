@@ -15,8 +15,8 @@
 //!   different configurations coexist in one process without sharing
 //!   retention state. Kernels reach the pool through a *scoped* thread-local
 //!   handle ([`enter`]): the executor installs its engine's pool around each
-//!   task, and the parallel helpers in [`crate::par`] propagate the handle
-//!   into their band threads. Outside any scope the free functions degrade
+//!   task, and every thread [`crate::par::run_bands`] spawns re-enters the
+//!   caller's scope. Outside any scope the free functions degrade
 //!   to plain allocation — correct, just unpooled.
 //! * **Size-class keyed.** Buffers are binned by the power-of-two class of
 //!   their capacity (`⌊log2 cap⌋`, so a class-`k` shelf only holds buffers
@@ -201,8 +201,9 @@ impl PoolStats {
 
 /// Per-execution tally of pool requests: the scheduler installs one per
 /// `execute` call (see [`enter_tallied`]), and every pooled request made
-/// inside that scope — including from kernel band threads, which re-enter
-/// the caller's scope via [`crate::par`] — counts here as well as in the
+/// inside that scope — including from the band threads
+/// [`crate::par::run_bands`] spawns, which re-enter the caller's scope —
+/// counts here as well as in the
 /// pool's own [`PoolStats`]. This is what makes per-call `SchedSnapshot`
 /// pool counts exact under concurrent executions on one engine.
 #[derive(Debug, Default)]
@@ -431,11 +432,12 @@ impl BufferPool {
 // ---------------------------------------------------------------------------
 
 /// One installed scope: the pool plus the per-execution tally (if any)
-/// that requests inside the scope should be attributed to. Opaque; obtained
-/// from [`current_scope`] and re-installed with [`reenter`] (how
-/// [`crate::par`] band threads inherit the caller's scope, tally included).
+/// that requests inside the scope should be attributed to. Obtained from
+/// [`current_scope`] and re-installed with [`reenter`] — how the threads
+/// [`crate::par::run_bands`] spawns inherit the caller's scope, tally
+/// included.
 #[derive(Clone)]
-pub struct ScopeHandle {
+pub(crate) struct ScopeHandle {
     pool: PoolHandle,
     tally: Option<Arc<PoolTally>>,
 }
@@ -481,8 +483,8 @@ impl Drop for PoolScope {
 
 /// Installs `pool` as the current thread's buffer pool until the returned
 /// guard drops. Nested scopes stack; the innermost wins. The executor enters
-/// a scope around each task, and [`crate::par`] helpers re-enter the caller's
-/// scope inside their band threads, so kernels can keep calling the free
+/// a scope around each task, and every thread [`crate::par::run_bands`]
+/// spawns re-enters the caller's scope, so kernels can keep calling the free
 /// functions ([`take_zeroed`], [`give`], …) with no handle threading.
 pub fn enter(pool: &PoolHandle) -> PoolScope {
     push_scope(ScopeHandle { pool: Arc::clone(pool), tally: None })
@@ -496,12 +498,12 @@ pub fn enter_tallied(pool: &PoolHandle, tally: &Arc<PoolTally>) -> PoolScope {
 }
 
 /// Re-installs a scope captured with [`current_scope`] (tally included).
-pub fn reenter(scope: &ScopeHandle) -> PoolScope {
+pub(crate) fn reenter(scope: &ScopeHandle) -> PoolScope {
     push_scope(scope.clone())
 }
 
 /// The innermost scope installed on the current thread, if any.
-pub fn current_scope() -> Option<ScopeHandle> {
+pub(crate) fn current_scope() -> Option<ScopeHandle> {
     CURRENT.with(|c| c.borrow().last().cloned())
 }
 

@@ -108,8 +108,9 @@ impl EngineBuilder {
     /// substitution X11). `1` (the default) disables sharding entirely;
     /// with `>= 2` the planner chooses local vs sharded per fused operator
     /// with the estimator behind `shard::estimate_plan`, and each sharded
-    /// execute runs its bands on threads spawned for that call. Small
-    /// operators keep running locally regardless of this knob.
+    /// execute runs band 0 on the calling thread and the other bands on
+    /// threads spawned for that call ([`fusedml_linalg::par::run_bands`]).
+    /// Small operators keep running locally regardless of this knob.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
         self
@@ -156,9 +157,12 @@ impl EngineBuilder {
 
     /// The engine's memory budget in bytes: the retention cap of the buffer
     /// pool *and* the resident-bytes budget the scheduler keeps by spilling
-    /// cold values to disk. At one scheduler worker a run's tracked peak
-    /// stays within it; at more it is best effort, because concurrent
-    /// tasks' reservations overlap (`repro fig10` reports both).
+    /// cold values to disk. A run's tracked peak stays within it at every
+    /// worker count: each running task's reservation is charged until the
+    /// task finishes, and a task whose reservation does not fit waits for a
+    /// running one. Only with no task running and nothing left to evict does
+    /// a task proceed over budget (`repro fig10 --smoke` gates one and two
+    /// workers).
     pub fn memory_budget(mut self, bytes: usize) -> Self {
         self.memory_budget = bytes;
         self
@@ -191,8 +195,10 @@ impl EngineBuilder {
     }
 
     /// Builds the engine: allocates its buffer pool, plan cache, optimizer,
-    /// and statistics. It starts no thread: scheduler
-    /// workers and shard bands are spawned per execute.
+    /// and statistics. It starts no thread: each execute runs its first
+    /// scheduler worker and first shard band on the calling thread and
+    /// spawns the rest for that call, through
+    /// [`fusedml_linalg::par::run_bands`] like every kernel band.
     pub fn build(self) -> Engine {
         let plan_cache = Arc::new(PlanCache::new());
         let optimizer = Optimizer::with_plan_cache(self.mode, plan_cache);

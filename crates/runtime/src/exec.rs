@@ -57,7 +57,9 @@ pub struct SchedSnapshot {
     /// Reloads from the spill tier (a task found its input on disk at
     /// gather, or a root was on disk at the end of the run).
     pub spill_faults: usize,
-    /// Microseconds workers spent blocked on in-flight spill I/O.
+    /// Microseconds workers spent blocked on in-flight spill I/O, or waiting
+    /// for a running task to finish before their reservation fits the
+    /// budget.
     pub spill_stall_us: usize,
     /// Bytes of leaf bindings streamed band-by-band instead of being charged
     /// against the resident budget (each larger than the whole budget).

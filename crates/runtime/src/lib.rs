@@ -22,14 +22,18 @@
 //!   and degrades, and a failed execution leaves the engine fully reusable,
 //! * [`schedule`] — the liveness-aware scheduled engine: refcounted value
 //!   slots freed at last use, pool-backed buffers, parallel execution of
-//!   independent ready operators, and out-of-core execution under a memory
-//!   budget (farthest-next-use eviction to the engine's spill tier; the
-//!   task that gathers a spilled input reads it back),
+//!   independent ready operators (workers started by `par::run_bands`,
+//!   worker 0 on the calling thread), and out-of-core execution under a
+//!   memory budget kept at every worker count (farthest-next-use eviction
+//!   to the engine's spill tier; the task that gathers a spilled input
+//!   reads it back),
 //! * [`shard`] — the sharded multi-worker runtime (DESIGN.md
-//!   substitution X11): a sharded operator runs as row bands on scoped
-//!   threads spawned per call, over row-partitioned mains and broadcast side
-//!   inputs, with per-band partial aggregation, driver-side merge, and a
-//!   cost-model-driven local-vs-sharded choice behind `EngineBuilder::shards`,
+//!   substitution X11): a sharded operator runs as row bands through
+//!   `par::run_bands`, band 0 on the calling thread and the rest on scoped
+//!   threads spawned per call,
+//!   over row-partitioned mains and broadcast side inputs, with per-band
+//!   partial aggregation, driver-side merge, and a cost-model-driven
+//!   local-vs-sharded choice behind `EngineBuilder::shards`,
 //! * [`verify`] — the static plan verifier (DESIGN.md substitution X9): an
 //!   IR-invariant checker across the hop, fusion-plan, register-program, and
 //!   task-graph layers, plus the residency state-machine spec the debug

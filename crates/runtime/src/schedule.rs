@@ -13,10 +13,12 @@
 //!   takes the value owned, the slot is freed immediately, and uniquely
 //!   held dense buffers return to the engine's buffer pool (or are reused
 //!   *in place* as the output of same-shape element-wise operators);
-//! * a **ready set** of tasks with no unmet dependencies is drained by a
-//!   small worker pool (scoped threads sharing the engine's buffer pool),
-//!   so independent DAG branches execute concurrently while each kernel
-//!   keeps its internal row-band parallelism;
+//! * a **ready set** of tasks with no unmet dependencies is drained by up
+//!   to `EngineBuilder::workers` workers started through
+//!   [`fusedml_linalg::par::run_bands`] (worker 0 is the calling thread, the
+//!   others are scoped threads spawned per call, all sharing the engine's
+//!   buffer pool), so independent DAG branches execute concurrently while
+//!   each kernel keeps its internal row-band parallelism;
 //! * **roots are moved** (never cloned) out of their slots at the end;
 //! * resident bytes are tracked on every store/free, yielding the
 //!   per-execution peak footprint surfaced through [`ExecStats`] and the
@@ -30,9 +32,13 @@
 //! `Loading`/`Evicting` mark in-flight byte movement (file I/O never runs
 //! under the scheduler lock — waiters block on the condvar). Before a task
 //! dispatches, the scheduler **reserves** its output estimate plus any
-//! spilled inputs against the store's budget, evicting victims by
+//! spilled inputs against the store's budget, beside the reservations of
+//! the tasks still running, evicting victims by
 //! **farthest next use** (the compile-time ready-set level of the nearest
 //! unfinished consumer; DAG roots nothing will read again evict first).
+//! A reservation that still does not fit waits for a running task to
+//! finish, so two workers never spend the same headroom; only with nothing
+//! running and nothing left to evict does a task run over budget.
 //! Only uniquely held values are victims — spilling a shared `Arc` (a leaf
 //! binding, an input some running task gathered) would free nothing.
 //!
@@ -436,6 +442,10 @@ struct EngineState {
     remaining: usize,
     running: usize,
     resident_bytes: usize,
+    /// Bytes the running tasks have reserved and not yet stored (output
+    /// estimates, spilled inputs still to fault in): every reservation
+    /// charges them beside `resident_bytes`.
+    reserved_bytes: usize,
     /// The first failure of this run. Once set, `remaining` is zeroed and
     /// the ready queue cleared: workers drain in-flight tasks (discarding
     /// their outputs) and exit; condvar waiters observe it and bail.
@@ -530,6 +540,7 @@ pub fn run(
         remaining: graph.tasks.len(),
         running: 0,
         resident_bytes: 0,
+        reserved_bytes: 0,
         failure: None,
         tasks_done: vec![false; graph.tasks.len()],
         spill_disabled: false,
@@ -569,21 +580,14 @@ pub fn run(
     let shared = Mutex::new(st);
     let cvar = Condvar::new();
     let wcx = Ctx { shared: &shared, cvar: &cvar, graph, dag, plan, bindings, exec: cx };
-    let run_worker = || {
+    // Worker 0 is the calling thread; the others are spawned for this call.
+    par::run_bands(0..workers, |_| {
         let _pool = pool::enter_tallied(cx.store.pool(), &tally);
         worker_loop(&wcx);
-    };
-    if workers <= 1 {
-        run_worker();
-    } else {
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(run_worker);
-            }
-        });
-    }
+    });
     let mut st = lock(&shared);
     debug_assert_eq!(st.waiters, 0, "a worker still waits after every worker returned");
+    debug_assert_eq!(st.reserved_bytes, 0, "a finished task still holds a reservation");
     // Roots are moved out, never cloned — faulting back any that were
     // evicted (a held root's next use is "after the DAG", so under pressure
     // roots are the first victims). Root reloads retry like any other spill
@@ -737,18 +741,34 @@ fn worker_loop(cx: &Ctx<'_>) {
                 continue;
             }
         }
-        // Reserve budget for this task's output plus any spilled inputs it
-        // is about to fault back in, evicting colder slots to make room.
-        // (Best effort: concurrent reservations can overlap, and with no
-        // eligible victims the task proceeds over budget.)
+        // Reserve budget for this task's output and the spilled inputs it
+        // will fault back in, evicting colder slots; if that does not fit
+        // while another task runs, wait for one to finish (with none running
+        // the task proceeds over budget). The reservation is held until the
+        // task ends; `prepaid` moves to `resident_bytes` as the inputs load.
+        let (mut held, mut prepaid) = (0, 0);
         if cx.exec.store.enabled() {
-            let mut need = cx.graph.task_out_bytes[t];
+            held = cx.graph.task_out_bytes[t];
             for &d in &task.deps {
                 if let Slot::Spilled(tok) = &st.slots[d.index()] {
-                    need += tok.mem_bytes();
+                    prepaid += tok.mem_bytes();
                 }
             }
-            st = reserve(cx, st, need, &task.deps);
+            loop {
+                st = reserve(cx, st, held + prepaid, &task.deps);
+                let budget = cx.exec.store.threshold();
+                if st.running == 0
+                    || st.spill_disabled
+                    || st.failure.is_some()
+                    || st.resident_bytes + st.reserved_bytes + held + prepaid <= budget
+                {
+                    break;
+                }
+                let t0 = Instant::now();
+                st = wait(cx, st);
+                st.sched.spill_stall_us += t0.elapsed().as_micros() as usize;
+            }
+            st.reserved_bytes += held + prepaid;
         }
         st.running += 1;
         if st.running > 1 {
@@ -765,7 +785,7 @@ fn worker_loop(cx: &Ctx<'_>) {
         let mut aborted = false;
         for &d in &task.deps {
             let di = d.index();
-            st = ensure_resident(cx, st, di);
+            st = ensure_resident(cx, st, di, &mut prepaid);
             if st.failure.is_some() {
                 // The run failed while this task was gathering (possibly
                 // while it waited on a reload that will never finish): stop
@@ -821,43 +841,36 @@ fn worker_loop(cx: &Ctx<'_>) {
             }
             _ => (false, false, false),
         };
-        if aborted || inject_exec {
-            st.resident_bytes = st.resident_bytes.saturating_sub(dying_bytes);
-            st.running -= 1;
-            if inject_exec {
-                let err =
-                    ExecError::Injected { site: FaultSite::TaskExec, op: task_label(cx, task) };
-                fail(cx, &mut st, err);
-            }
-            drop(st);
-            recycle_all(ins);
-            st = lock(cx.shared);
-            continue;
+        held += prepaid;
+        if inject_exec {
+            let err = ExecError::Injected { site: FaultSite::TaskExec, op: task_label(cx, task) };
+            fail(cx, &mut st, err);
         }
         drop(st);
-
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if inject_panic {
-                panic!("injected task panic");
-            }
-            run_task(
-                task,
-                ins,
-                cx.dag,
-                cx.plan,
-                cx.bindings,
-                shard_ctx.map(|(spec, shards)| ShardCtx { spec, shards, inject: inject_shard }),
-            )
-        }));
+        let result = if aborted || inject_exec {
+            // The run has failed already: nothing runs, the inputs go back.
+            recycle_all(ins);
+            Ok(Ok((Vec::new(), SchedSnapshot::default())))
+        } else {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if inject_panic {
+                    panic!("injected task panic");
+                }
+                let shard =
+                    shard_ctx.map(|(spec, shards)| ShardCtx { spec, shards, inject: inject_shard });
+                run_task(task, ins, cx.dag, cx.plan, cx.bindings, shard)
+            }))
+        };
 
         st = lock(cx.shared);
-        match result {
+        st.reserved_bytes -= held;
+        st.running -= 1;
+        let err = match result {
             Ok(Ok((outs, counts))) => {
                 st.sched.absorb(&counts);
                 if st.failure.is_some() {
-                    // The run failed while this task was executing: its
+                    // The run failed before or while this task ran: its
                     // outputs have no consumers anymore — recycle them.
-                    st.running -= 1;
                     st.resident_bytes = st.resident_bytes.saturating_sub(dying_bytes);
                     drop(st);
                     for (_, v) in outs {
@@ -893,32 +906,25 @@ fn worker_loop(cx: &Ctx<'_>) {
                         st.ready.push(c);
                     }
                 }
-                st.running -= 1;
                 st.remaining -= 1;
                 wake(cx, &st);
+                continue;
             }
-            Ok(Err(err)) => {
-                // A typed task failure (a sharded operator's first-failing
-                // shard): inputs were already recycled inside `run_task`,
-                // siblings were cancelled, and the run fails with the typed
-                // error instead of a stringly panic.
-                st.running -= 1;
-                st.resident_bytes = st.resident_bytes.saturating_sub(dying_bytes);
-                fail(cx, &mut st, err);
-            }
-            Err(payload) => {
-                // Contain the panic on this worker: it becomes a typed task
-                // failure, never crosses to sibling threads, and the run's
-                // post-join sweep restores the engine.
-                st.running -= 1;
-                st.resident_bytes = st.resident_bytes.saturating_sub(dying_bytes);
-                let err = ExecError::WorkerPanic {
-                    op: task_label(cx, task),
-                    message: panic_message(payload.as_ref()),
-                };
-                fail(cx, &mut st, err);
-            }
-        }
+            // A typed task failure (a sharded operator's first-failing
+            // shard): inputs were already recycled inside `run_task`,
+            // siblings were cancelled, and the run fails with the typed
+            // error instead of a stringly panic.
+            Ok(Err(err)) => err,
+            // Contain the panic on this worker: it becomes a typed task
+            // failure, never crosses to sibling threads, and the run's
+            // post-join sweep restores the engine.
+            Err(payload) => ExecError::WorkerPanic {
+                op: task_label(cx, task),
+                message: panic_message(payload.as_ref()),
+            },
+        };
+        st.resident_bytes = st.resident_bytes.saturating_sub(dying_bytes);
+        fail(cx, &mut st, err);
     }
 }
 
@@ -930,21 +936,16 @@ fn worker_loop(cx: &Ctx<'_>) {
 /// the caller observes `st.failure` and aborts its gather. Waiters *must
 /// not* block forever on byte movement that will never complete, and must
 /// not panic either: the failure is the task's result, not the waiter's.
-fn ensure_resident<'a>(cx: &Ctx<'a>, mut st: Guard<'a>, di: usize) -> Guard<'a> {
+///
+/// `paid` is what the task's reservation still holds for spilled inputs.
+fn ensure_resident<'a>(cx: &Ctx<'a>, mut st: Guard<'a>, di: usize, paid: &mut usize) -> Guard<'a> {
     loop {
         if st.failure.is_some() {
             return st;
         }
         match &st.slots[di] {
             Slot::Resident(_) | Slot::Streamed(_) => return st,
-            Slot::Spilled(_) => {
-                st.note(di, crate::verify::SlotState::Loading);
-                let tok = match std::mem::replace(&mut st.slots[di], Slot::Loading) {
-                    Slot::Spilled(t) => t,
-                    _ => unreachable!("just matched"),
-                };
-                st = fault_in(cx, st, di, tok);
-            }
+            Slot::Spilled(_) => st = fault_in(cx, st, di, paid),
             Slot::Loading | Slot::Evicting => {
                 let t0 = Instant::now();
                 st = wait(cx, st);
@@ -955,21 +956,29 @@ fn ensure_resident<'a>(cx: &Ctx<'a>, mut st: Guard<'a>, di: usize) -> Guard<'a> 
     }
 }
 
-/// Reads a spilled slot back into memory (lock released around the file
-/// read), reserving budget for the incoming bytes first. Transient read
-/// failures retry with backoff; exhausted retries fail the run with a typed
-/// error — a lost spill file is unrecoverable (the value exists nowhere
-/// else), but it is a *run* failure, not a process one.
-fn fault_in<'a>(cx: &Ctx<'a>, st: Guard<'a>, di: usize, tok: SpillToken) -> Guard<'a> {
+/// Reads spilled slot `di` back into memory (lock released around the file
+/// read). The incoming bytes come out of what the task's reservation holds
+/// for its spilled inputs (`paid`); only the rest is reserved here.
+/// Transient read failures retry with backoff; exhausted retries fail the
+/// run with a typed error — a lost spill file is unrecoverable (the value
+/// exists nowhere else), but it is a *run* failure, not a process one.
+fn fault_in<'a>(cx: &Ctx<'a>, mut st: Guard<'a>, di: usize, paid: &mut usize) -> Guard<'a> {
+    st.note(di, crate::verify::SlotState::Loading);
+    let Slot::Spilled(tok) = std::mem::replace(&mut st.slots[di], Slot::Loading) else {
+        unreachable!("fault_in reads a spilled slot")
+    };
     let mem = tok.mem_bytes();
     let file = tok.file_bytes();
-    let mut st = reserve(cx, st, mem, &[]);
+    let covered = mem.min(*paid);
+    st = if covered < mem { reserve(cx, st, mem - covered, &[]) } else { st };
     drop(st);
     let (loaded, retries) = retried(|| cx.exec.store.reload(&tok));
     st = lock(cx.shared);
     st.sched.spill_retries += retries;
     match loaded {
         Ok(m) => {
+            *paid -= covered;
+            st.reserved_bytes -= covered;
             st.resident_bytes += mem;
             if st.resident_bytes > st.sched.peak_bytes {
                 st.sched.peak_bytes = st.resident_bytes;
@@ -992,15 +1001,16 @@ fn fault_in<'a>(cx: &Ctx<'a>, st: Guard<'a>, di: usize, tok: SpillToken) -> Guar
 }
 
 /// Evicts farthest-next-use victims until `need` more bytes fit under the
-/// store's budget (or no victim remains — the run then proceeds over
-/// budget, best effort). `keep` shields the reserving task's own inputs.
+/// store's budget beside the resident values and the running tasks'
+/// reservations (or no victim remains — the run then proceeds over budget).
+/// `keep` shields the reserving task's own inputs.
 fn reserve<'a>(cx: &Ctx<'a>, mut st: Guard<'a>, need: usize, keep: &[HopId]) -> Guard<'a> {
     let store = cx.exec.store;
     if !store.enabled() {
         return st;
     }
     let budget = store.threshold();
-    while !st.spill_disabled && st.resident_bytes.saturating_add(need) > budget {
+    while !st.spill_disabled && st.resident_bytes + st.reserved_bytes + need > budget {
         let Some(h) = pick_victim(cx, &st, keep) else { break };
         st.note(h, crate::verify::SlotState::Evicting);
         let v = match std::mem::replace(&mut st.slots[h], Slot::Evicting) {

@@ -1,10 +1,11 @@
 //! Sharded execution: the engine's one distributed runtime and one cluster
 //! cost model (DESIGN.md substitution X11).
 //!
-//! [`execute`] runs a fused operator as `k` row bands: the calling thread
-//! runs band 0 and scoped threads, spawned per call like every other
-//! parallel kernel's, run the rest, sharing the caller's buffer pool scope
-//! and running the kernel the operator carries. The driver row-partitions
+//! [`execute`] runs a fused operator as `k` row bands through
+//! [`par::run_bands`], the engine's one spawn site: the calling thread runs
+//! band 0 and scoped threads spawned for the call run the rest, sharing the
+//! caller's buffer pool scope and running the kernel the operator carries.
+//! The driver row-partitions
 //! the operator's bound inputs across the bands (each band reads its rows
 //! in place through an O(1) [`Matrix::row_slice`] view; nothing is copied),
 //! broadcasts row-invariant side inputs (an `Arc` clone in-process),
@@ -356,9 +357,9 @@ enum Band {
 /// Executes one fused operator across `shards.k` row bands: each band runs
 /// the skeleton over a balanced row range of the main input (and of the
 /// partitioned sides), reading it in place through [`Matrix::row_slice`],
-/// with the other sides broadcast whole. The calling thread runs band 0;
-/// the others run on scoped threads that re-enter the caller's pool scope
-/// (tally included). The partials are then merged per the
+/// with the other sides broadcast whole. [`par::run_bands`] runs band 0 on
+/// the calling thread and the others on scoped threads that re-enter the
+/// caller's pool scope (tally included). The partials are then merged per the
 /// spec, and the call's shard counters come back as a [`SchedSnapshot`]
 /// (`sharded_ops` 1, `shards_used` ≤ `Shards::k` and ≤ main rows, broadcast
 /// bytes once per receiving band, merged partial bytes, merge time, skew).
@@ -409,21 +410,7 @@ pub fn execute(
         };
         (band, started.elapsed().as_nanos() as u64)
     };
-    let scope = pool::current_scope();
-    let bands: Vec<(Band, u64)> = std::thread::scope(|s| {
-        let spawned: Vec<_> = (1..k)
-            .map(|ix| {
-                let (run_band, scope) = (&run_band, &scope);
-                s.spawn(move || {
-                    let _pool = scope.as_ref().map(pool::reenter);
-                    run_band(ix)
-                })
-            })
-            .collect();
-        let mut bands = vec![run_band(0)];
-        bands.extend(spawned.into_iter().map(|h| h.join().expect("a band catches its panics")));
-        bands
-    });
+    let bands = par::run_bands(0..k, run_band);
     let times: Vec<u64> = bands.iter().map(|&(_, t)| t).collect();
     let mut parts = Vec::with_capacity(k);
     let mut failed: Option<ShardError> = None;

@@ -808,25 +808,6 @@ fn block_exec(
             });
             Matrix::dense(DenseMatrix::new(n, 1, out))
         }
-        RowOut::ColAgg { src } => {
-            let acc = par::par_map_reduce(
-                n,
-                work,
-                pool::take_zeroed(ocols),
-                |lo, hi| {
-                    let (mut ctx, mut rr) = band();
-                    let mut acc = pool::take_zeroed(ocols);
-                    for (r0, h) in tiles(lo, hi, rb) {
-                        let view = rr.tile(r0, h);
-                        ctx.run_tile(r0, h, view);
-                        ctx.add_tile(*src, None, r0, h, view, &mut acc);
-                    }
-                    acc
-                },
-                add_reduce,
-            );
-            Matrix::dense(DenseMatrix::new(1, ocols, acc))
-        }
         RowOut::FullAgg { src } => {
             let acc = par::par_map_reduce(
                 n,
@@ -847,43 +828,40 @@ fn block_exec(
             );
             Matrix::dense(DenseMatrix::filled(1, 1, acc))
         }
-        RowOut::OuterColAgg { left, right } => {
+        // The accumulating outputs: one zeroed accumulator per band, summed
+        // in band order; only the per-tile update differs.
+        out @ (RowOut::ColAgg { .. }
+        | RowOut::OuterColAgg { .. }
+        | RowOut::ColAggMultAdd { .. }) => {
+            let len = orows * ocols;
             let acc = par::par_map_reduce(
                 n,
                 work,
-                pool::take_zeroed(orows * ocols),
+                pool::take_zeroed(len),
                 |lo, hi| {
                     let (mut ctx, mut rr) = band();
-                    let mut acc = pool::take_zeroed(orows * ocols);
+                    let mut acc = pool::take_zeroed(len);
                     for (r0, h) in tiles(lo, hi, rb) {
                         let view = rr.tile(r0, h);
                         ctx.run_tile(r0, h, view);
-                        ctx.outer_add(*left, *right, r0, h, view, &mut acc, (orows, ocols));
+                        match *out {
+                            RowOut::ColAgg { src } => {
+                                ctx.add_tile(src, None, r0, h, view, &mut acc)
+                            }
+                            RowOut::ColAggMultAdd { vec, scalar } => {
+                                ctx.add_tile(vec, Some(scalar), r0, h, view, &mut acc)
+                            }
+                            RowOut::OuterColAgg { left, right } => {
+                                ctx.outer_add(left, right, r0, h, view, &mut acc, (orows, ocols))
+                            }
+                            _ => unreachable!("an accumulating output"),
+                        }
                     }
                     acc
                 },
                 add_reduce,
             );
             Matrix::dense(DenseMatrix::new(orows, ocols, acc))
-        }
-        RowOut::ColAggMultAdd { vec, scalar } => {
-            let acc = par::par_map_reduce(
-                n,
-                work,
-                pool::take_zeroed(orows),
-                |lo, hi| {
-                    let (mut ctx, mut rr) = band();
-                    let mut acc = pool::take_zeroed(orows);
-                    for (r0, h) in tiles(lo, hi, rb) {
-                        let view = rr.tile(r0, h);
-                        ctx.run_tile(r0, h, view);
-                        ctx.add_tile(*vec, Some(*scalar), r0, h, view, &mut acc);
-                    }
-                    acc
-                },
-                add_reduce,
-            );
-            Matrix::dense(DenseMatrix::new(orows, 1, acc))
         }
     }
 }
