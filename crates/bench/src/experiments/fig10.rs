@@ -18,14 +18,15 @@
 //! within 3× of the unbounded run, and the budgeted two-worker run must keep
 //! its tracked peak within the budget too (a running task's reservation is
 //! charged until it completes, so two workers cannot spend the same
-//! headroom).
+//! headroom). The peaks gated, and printed, are each engine's highest over
+//! all its timed reps.
 
 use super::Scale;
 use crate::report::Table;
 use fusedml_hop::interp::Bindings;
 use fusedml_hop::DagBuilder;
 use fusedml_linalg::generate;
-use fusedml_runtime::{Engine, FusionMode};
+use fusedml_runtime::{Engine, FusionMode, SchedSnapshot};
 use std::time::Instant;
 
 fn footprint_dag(rows: usize, cols: usize, n_ops: usize) -> fusedml_hop::HopDag {
@@ -152,19 +153,22 @@ fn ooc_dag(rows: usize, cols: usize, k: usize) -> fusedml_hop::HopDag {
 }
 
 /// Per engine on the out-of-core chain: the median wall time over `reps`
-/// warm runs and the scheduler snapshot of its last run. The engines' runs
-/// interleave, each round in the opposite order to the last, so a slow
-/// stretch of the host lands on every engine alike.
+/// warm runs and the scheduler snapshot of its last run, whose
+/// `peak_bytes` is the highest peak of any of the `reps` runs (each run
+/// resets the counters, so the gate sees every run's peak this way). The
+/// engines' runs interleave, each round in the opposite order to the last,
+/// so a slow stretch of the host lands on every engine alike.
 fn measure_ooc(
     engines: &[&Engine],
     dag: &fusedml_hop::HopDag,
     bindings: &Bindings,
     reps: usize,
-) -> Vec<(f64, fusedml_runtime::SchedSnapshot)> {
+) -> Vec<(f64, SchedSnapshot)> {
     for exec in engines {
         let _ = exec.execute(dag, bindings); // cold run compiles + fills pool
     }
     let mut times = vec![Vec::with_capacity(reps); engines.len()];
+    let mut peaks = vec![0; engines.len()];
     for rep in 0..reps {
         for k in 0..engines.len() {
             let k = if rep % 2 == 0 { k } else { engines.len() - 1 - k };
@@ -172,14 +176,16 @@ fn measure_ooc(
             let t0 = Instant::now();
             let _ = engines[k].execute(dag, bindings);
             times[k].push(t0.elapsed().as_secs_f64());
+            peaks[k] = peaks[k].max(engines[k].stats().scheduler_snapshot().peak_bytes);
         }
     }
     engines
         .iter()
         .zip(times)
-        .map(|(exec, mut t)| {
+        .zip(peaks)
+        .map(|((exec, mut t), peak_bytes)| {
             t.sort_by(f64::total_cmp);
-            (t[t.len() / 2], exec.stats().scheduler_snapshot())
+            (t[t.len() / 2], SchedSnapshot { peak_bytes, ..exec.stats().scheduler_snapshot() })
         })
         .collect()
 }
@@ -244,7 +250,7 @@ fn run_out_of_core(scale: Scale) {
             "fig10 ooc gate: out-of-core slowdown {ratio:.2}x > 3x (tight {tight_s:.4}s vs loose {loose_s:.4}s)"
         );
         println!(
-            "fig10 ooc gate: ok (peak <= budget at 1 and 2 workers, spills > 0, slowdown {ratio:.2}x <= 3x)"
+            "fig10 ooc gate: ok (peak <= budget at 1 and 2 workers in every rep, spills > 0, slowdown {ratio:.2}x <= 3x)"
         );
     }
 }

@@ -107,8 +107,9 @@ fn packed(b: &DenseMatrix) -> Vec<f64> {
 /// the left one, rather than reading it where it is. Packing zeroes and
 /// copies `b` once, and saves a little on every row that reads it: it is
 /// paid back only by more than 32 rows, and only by more than 128 when `b`
-/// fits in 32 KB (fitted to a sweep over `m`, `k`, `n` on AVX2+FMA, recorded
-/// in BENCH_NOTES.md).
+/// fits in 32 KB (fitted to a sweep over `m`, `k`, `n` on AVX2+FMA, and
+/// re-checked against `gemm`'s per-block tiles; both sweeps are in
+/// BENCH_NOTES.md).
 fn packs(m: usize, k: usize, n: usize) -> bool {
     m > 32 && (m > 128 || k * n * 8 > 32 << 10)
 }

@@ -13,8 +13,15 @@
 //! an instance per call, so non-AVX2 hosts and the `FUSEDML_FORCE_SCALAR` CI
 //! leg run the same body.
 //! One kernel stays hand-written `std::arch` code in `mod avx2`, with a
-//! scalar twin: the [`gemm`] micro-tile (masked edge tiles, the hottest
-//! kernel). [`gather_into`] is a plain indexed loop on every target.
+//! scalar twin: the [`gemm`] register tile, the hottest kernel, generic over
+//! its row count and its width in 256-bit vectors. [`gemm`] picks each
+//! block's tile from a small table (`tile_shape`) so that it keeps 8–10
+//! independent FMA chains where the block allows: 4 × 8 over full panels,
+//! 3 × 12 over a 9–12-column tail, 8 × 4 over a block of at most 4 columns,
+//! 5 × 8 over 5 rows, 1 or 2 × 16 over 1 or 2 rows. A band's last tile takes
+//! the rows that are left, so no row is computed twice, and only the last
+//! vector of a tile row is masked. [`gather_into`] is a plain indexed loop
+//! on every target.
 //! [`crate::primitives`] is the `(array, offset, len)` calling convention
 //! over these kernels (`dot_product` → [`dot`], `vect_mult_add` → [`axpy`],
 //! `vect_sum` → [`sum`], `vect_sum_sq` → [`sum_sq`]).
@@ -195,28 +202,32 @@ macro_rules! primitive {
 }
 
 /// One `mr×nr` tile of [`gemm`]: `c`, `a` and `b` start at the tile's first
-/// element. Same loop nest as the AVX2 body — the accumulator tile lives in
-/// locals across the whole `p` loop, `p` ascends — with a separate multiply
-/// and add where the vector body fuses them.
+/// element, and column `j` of a `B` row sits `j / NR` panels (`b_ps`) and
+/// `j % NR` elements on. Same loop nest as the AVX2 body — the accumulator
+/// tile lives in locals across the whole `p` loop, `p` ascends — with a
+/// separate multiply and add where the vector body fuses them.
 fn gemm_tile_scalar(
     c: &mut [f64],
     c_rs: usize,
     (mr, nr, kc): (usize, usize, usize),
     a: Lhs<'_>,
-    (b, b_rs): (&[f64], usize),
+    (b, b_ps, b_rs): (&[f64], usize, usize),
     accumulate: bool,
 ) {
-    let mut acc = [[0.0f64; NR]; MR];
+    let mut acc = [[0.0f64; 4 * MAX_W]; MAX_MR];
     if accumulate {
         for (i, row) in acc.iter_mut().enumerate().take(mr) {
             row[..nr].copy_from_slice(&c[i * c_rs..i * c_rs + nr]);
         }
     }
     for p in 0..kc {
-        let brow = &b[p * b_rs..p * b_rs + nr];
+        let brow: [f64; 4 * MAX_W] =
+            std::array::from_fn(
+                |j| if j < nr { b[j / NR * b_ps + j % NR + p * b_rs] } else { 0.0 },
+            );
         for (i, row) in acc.iter_mut().enumerate().take(mr) {
             let av = a.data[i * a.rs + p * a.cs];
-            for (x, &bv) in row.iter_mut().zip(brow) {
+            for (x, &bv) in row[..nr].iter_mut().zip(&brow) {
                 *x += av * bv;
             }
         }
@@ -253,85 +264,100 @@ mod avx2 {
     pub type GemmTile = unsafe fn(
         *mut f64,
         usize,
-        (usize, usize, usize),
+        (usize, usize),
         *const f64,
         (usize, usize),
         *const f64,
-        usize,
+        (usize, usize),
         bool,
     );
 
-    /// One register tile of [`super::gemm`]: `C[mr×nr] (+)= Σ_p A(·,p)·B(p,·)`
+    /// One register tile of [`super::gemm`]: `C[MR×nr] (+)= Σ_p A(·,p)·B(p,·)`
     /// with the `MR × W` accumulator vectors held in registers across the
-    /// whole `p` loop (`W` = 256-bit vectors per tile row: 2 for a full
-    /// `NR`-column panel, 1 when `nr ≤ 4`), `p` ascending with one FMA per
-    /// element per `p` — the association `axpy(B(p,·), A(i,p), C(i,·))` over
-    /// ascending `p` produces. Rows `mr..MR` recompute row `mr − 1` and are
-    /// not stored, so edge tiles run the same body. `B_FULL` promises that
-    /// every `B` row is readable over all `4·W` lanes (a zero-padded packed
-    /// panel); otherwise lanes at and beyond `nr` are masked off the loads.
+    /// whole `p` loop (`W` = 256-bit vectors per tile row, `nr` in
+    /// `4(W−1)+1 ..= 4W`), `p` ascending with one FMA per element per `p` —
+    /// the association `axpy(B(p,·), A(i,p), C(i,·))` over ascending `p`
+    /// produces. Vector `w` of a `B` row sits `w / 2` panels (`b_ps`) and
+    /// `4·(w % 2)` elements on, so a tile wider than one `NR`-column panel
+    /// reads the next panel (a row-major `B` passes `b_ps = NR`). Only the
+    /// last vector of a row is ragged: `C` loads and stores mask it, and so
+    /// do `B` loads unless `B_FULL` promises that every `B` row is readable
+    /// over all `4·W` lanes (zero-padded packed panels).
     ///
     /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and FMA, `1 ≤ mr ≤ MR`,
-    /// `1 ≤ nr ≤ 4·W`, and that for all `i < mr`, `p < kc`:
-    /// `a[i·a_rs + p·a_cs]` is readable, `b[p·b_rs + j]` is readable for
-    /// `j < nr` (`j < 4·W` under `B_FULL`), and `c[i·c_rs + j]` is writable
-    /// (and readable) for `j < nr`, with `c` overlapping neither input.
+    /// Caller must ensure the CPU supports AVX2 and FMA,
+    /// `4(W−1) < nr ≤ 4·W`, and that for all `i < MR`, `p < kc`:
+    /// `a[i·a_rs + p·a_cs]` is readable, `B(p, j)` is readable for `j < nr`
+    /// (`j < 4·W` under `B_FULL`), and `c[i·c_rs + j]` is writable (and
+    /// readable) for `j < nr`, with `c` overlapping neither input.
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)] // a BLAS-style micro-kernel: three operands, their strides, the tile extents
-    pub unsafe fn gemm_tile<const W: usize, const B_FULL: bool>(
+    pub unsafe fn gemm_tile<const MR: usize, const W: usize, const B_FULL: bool>(
         c: *mut f64,
         c_rs: usize,
-        (mr, nr, kc): (usize, usize, usize),
+        (nr, kc): (usize, usize),
         a: *const f64,
         (a_rs, a_cs): (usize, usize),
         b: *const f64,
-        b_rs: usize,
+        (b_ps, b_rs): (usize, usize),
         accumulate: bool,
     ) {
-        debug_assert!((1..=super::MR).contains(&mr) && (1..=4 * W).contains(&nr));
-        let masks: [__m256i; W] =
-            std::array::from_fn(|w| lane_mask(nr.saturating_sub(4 * w).min(4)));
-        let rows: [usize; super::MR] = std::array::from_fn(|i| i.min(mr - 1));
-        let mut acc = [[_mm256_setzero_pd(); W]; super::MR];
+        debug_assert!(4 * (W - 1) < nr && nr <= 4 * W);
+        let tail = lane_mask(nr - 4 * (W - 1));
+        let mut acc = [[_mm256_setzero_pd(); W]; MR];
         if accumulate {
-            for (i, row) in acc.iter_mut().enumerate().take(mr) {
-                for w in 0..W {
-                    // SAFETY: row `i < mr` of `c` is readable over its first
-                    // `nr` columns; the mask keeps lane `4w + l` off unless
-                    // `4w + l < nr`.
-                    row[w] = unsafe { _mm256_maskload_pd(c.add(i * c_rs + 4 * w), masks[w]) };
+            for (i, row) in acc.iter_mut().enumerate() {
+                for (w, v) in row.iter_mut().enumerate() {
+                    // SAFETY: row `i < MR` of `c` is readable over its first
+                    // `nr` columns: vectors before the last are, and the mask
+                    // keeps lane `l` of the last off unless `4(W−1) + l < nr`.
+                    *v = unsafe {
+                        let cp = c.add(i * c_rs + 4 * w);
+                        if w + 1 < W {
+                            _mm256_loadu_pd(cp)
+                        } else {
+                            _mm256_maskload_pd(cp, tail)
+                        }
+                    };
                 }
             }
         }
         for p in 0..kc {
             let mut bv = [_mm256_setzero_pd(); W];
-            for w in 0..W {
-                // SAFETY: `p < kc`; under `B_FULL` all `4·W` lanes of the row
-                // are readable, otherwise the mask stops at column `nr`.
-                bv[w] = unsafe {
-                    let bp = b.add(p * b_rs + 4 * w);
-                    if B_FULL {
+            for (w, v) in bv.iter_mut().enumerate() {
+                // SAFETY: `p < kc`; the vector holds columns `4w..4w + 4` of
+                // row `p`: all readable under `B_FULL`, and before the last
+                // vector otherwise, where the mask stops at column `nr`.
+                *v = unsafe {
+                    let bp = b.add(w / 2 * b_ps + 4 * (w % 2) + p * b_rs);
+                    if B_FULL || w + 1 < W {
                         _mm256_loadu_pd(bp)
                     } else {
-                        _mm256_maskload_pd(bp, masks[w])
+                        _mm256_maskload_pd(bp, tail)
                     }
                 };
             }
-            for i in 0..super::MR {
-                // SAFETY: `rows[i] < mr` and `p < kc`, so the element is one
-                // the caller guarantees readable.
-                let av = unsafe { _mm256_set1_pd(*a.add(rows[i] * a_rs + p * a_cs)) };
-                for w in 0..W {
-                    acc[i][w] = _mm256_fmadd_pd(av, bv[w], acc[i][w]);
+            for (i, row) in acc.iter_mut().enumerate() {
+                // SAFETY: `i < MR` and `p < kc`, so the element is one the
+                // caller guarantees readable.
+                let av = unsafe { _mm256_set1_pd(*a.add(i * a_rs + p * a_cs)) };
+                for (x, &bw) in row.iter_mut().zip(&bv) {
+                    *x = _mm256_fmadd_pd(av, bw, *x);
                 }
             }
         }
-        for (i, row) in acc.iter().enumerate().take(mr) {
-            for w in 0..W {
-                // SAFETY: row `i < mr` of `c` is writable over its first `nr`
+        for (i, row) in acc.iter().enumerate() {
+            for (w, &v) in row.iter().enumerate() {
+                // SAFETY: row `i < MR` of `c` is writable over its first `nr`
                 // columns; the mask keeps every other lane untouched.
-                unsafe { _mm256_maskstore_pd(c.add(i * c_rs + 4 * w), masks[w], row[w]) };
+                unsafe {
+                    let cp = c.add(i * c_rs + 4 * w);
+                    if w + 1 < W {
+                        _mm256_storeu_pd(cp, v)
+                    } else {
+                        _mm256_maskstore_pd(cp, tail, v)
+                    }
+                }
             }
         }
     }
@@ -669,14 +695,63 @@ pub fn gather_into(dst: &mut [f64], src: &[f64], idx: &[usize]) {
 // Register-blocked matrix kernel
 // ===========================================================================
 
-/// Rows of `C` one micro-kernel call keeps in registers.
-const MR: usize = 4;
-/// Columns of `C` one micro-kernel call keeps in registers (two 256-bit
-/// vectors per row), and the width of a packed `B` panel.
+/// The width of a packed `B` panel: two 256-bit vectors.
 const NR: usize = 8;
-/// Rows of `A` swept against one `B` panel before moving to the next panel,
-/// so a panel is reused from L1 across `MC / MR` tiles.
+/// Rows of `A` swept against one column block of `B` before moving to the
+/// next block, so the block is reused from L1 across the band's tiles.
 const MC: usize = 32;
+/// The most rows a [`gemm`] register tile holds.
+const MAX_MR: usize = 8;
+/// The most 256-bit vectors per row a [`gemm`] register tile holds.
+const MAX_W: usize = 4;
+
+/// The register tile [`gemm`] runs from a panel boundary with `r` columns
+/// of `C` left, in a band of `mb` rows: `(rows, vectors per row)`, each
+/// clipped to what is left. Each shape keeps 8–10 independent FMA chains
+/// in registers where the block has the rows or columns for them:
+///
+/// | block | tile | chains |
+/// |---|---|---|
+/// | `r ≤ 4` | 8 × 4 | 8 |
+/// | 5 rows | 5 × 8 | 10 |
+/// | `r` = 9–12 | 3 × 12 | 9 |
+/// | 1 or 2 rows | `mb` × 16 | 4, 8 |
+/// | otherwise | 4 × 8 | 8 |
+///
+/// A 12-column tile ends the block, so every tile starts on a panel
+/// boundary. The band's last tile takes the rows that are left: no row is
+/// computed twice.
+fn tile_shape(mb: usize, r: usize) -> (usize, usize) {
+    match (mb, r) {
+        (_, ..=4) => (8, 1),
+        (5, _) => (5, 2),
+        (_, 9..=12) => (3, 3),
+        (..=2, _) => (mb, 4),
+        _ => (4, 2),
+    }
+}
+
+/// The AVX2 instance of the `mr`-row, `w`-vector register tile.
+#[cfg(target_arch = "x86_64")]
+fn avx2_tile(mr: usize, w: usize, b_full: bool) -> avx2::GemmTile {
+    macro_rules! tiles {
+        ($($mr:literal x $w:literal),*) => {
+            match (mr, w, b_full) {
+                $(
+                    ($mr, $w, true) => avx2::gemm_tile::<$mr, $w, true>,
+                    ($mr, $w, false) => avx2::gemm_tile::<$mr, $w, false>,
+                )*
+                _ => unreachable!("no {mr}×{w} register tile"),
+            }
+        };
+    }
+    tiles!(
+        1 x 1, 2 x 1, 3 x 1, 4 x 1, 5 x 1, 6 x 1, 7 x 1, 8 x 1,
+        1 x 2, 2 x 2, 3 x 2, 4 x 2, 5 x 2,
+        1 x 3, 2 x 3, 3 x 3,
+        1 x 4, 2 x 4
+    )
+}
 
 /// The left operand of [`gemm`]: element `(i, p)` is `data[i·rs + p·cs]`, so
 /// a row-major block (`cs == 1`) and the transpose of one (`rs == 1`) run
@@ -728,11 +803,12 @@ pub fn pack_panels(b: &[f64], rs: usize, (kc, n): (usize, usize), dst: &mut [f64
 /// `C (+)= A·B` over the row-major `m×n` block `c` (rows `c_rs` apart), the
 /// inner dimension `kc` ascending for every output element: with
 /// `accumulate` the sums continue from the values already in `c`, without it
-/// they start from `0.0` and overwrite. Each `MR×NR` tile of `c` is held in
-/// registers across the whole inner loop (reduction class: one FMA per
-/// element per `p` on AVX2, multiply then add in the scalar twin — the same
-/// results, bitwise, as `axpy(B(p,·), A(i,p), C(i,·))` for ascending `p` on
-/// the respective backend).
+/// they start from `0.0` and overwrite. Each register tile of `c` (its shape
+/// picked per block by `tile_shape`) is held in registers across the whole
+/// inner loop (reduction class: one FMA per element per `p` on AVX2,
+/// multiply then add in the scalar twin — the same results, bitwise, as
+/// `axpy(B(p,·), A(i,p), C(i,·))` for ascending `p` on the respective
+/// backend, whatever the tile).
 pub fn gemm(
     c: &mut [f64],
     c_rs: usize,
@@ -761,43 +837,43 @@ pub fn gemm(
     #[cfg(target_arch = "x86_64")]
     let avx2 = level() == SimdLevel::Avx2;
     for ic in (0..m).step_by(MC) {
-        for jp in 0..n.div_ceil(NR) {
-            let nr = NR.min(n - jp * NR);
-            #[cfg(target_arch = "x86_64")]
-            let tile: avx2::GemmTile = match (nr > 4, b_full) {
-                (true, true) => avx2::gemm_tile::<2, true>,
-                (true, false) => avx2::gemm_tile::<2, false>,
-                (false, true) => avx2::gemm_tile::<1, true>,
-                (false, false) => avx2::gemm_tile::<1, false>,
-            };
-            for i0 in (ic..m.min(ic + MC)).step_by(MR) {
-                let dims = (MR.min(m - i0), nr, kc);
-                let (c_off, a_off, b_off) = (i0 * c_rs + jp * NR, i0 * a.rs, jp * b_ps);
+        let mb = MC.min(m - ic);
+        let mut j0 = 0;
+        while j0 < n {
+            let (tr, tw) = tile_shape(mb, n - j0);
+            let nr = (4 * tw).min(n - j0);
+            debug_assert!(j0 % NR == 0 && (nr % NR == 0 || j0 + nr == n));
+            for i0 in (ic..ic + mb).step_by(tr) {
+                let dims = (tr.min(ic + mb - i0), nr, kc);
+                let (c_off, a_off, b_off) = (i0 * c_rs + j0, i0 * a.rs, j0 / NR * b_ps);
                 #[cfg(target_arch = "x86_64")]
                 if avx2 {
+                    let tile = avx2_tile(dims.0, nr.div_ceil(4), b_full);
                     // The asserts above bound every element the tile
-                    // addresses: rows `i0..i0+mr` × columns `jp·NR..+nr` of
+                    // addresses: rows `i0..i0+mr` × columns `j0..j0+nr` of
                     // `c`, rows `i0..i0+mr` × inner `0..kc` of `a`, and inner
-                    // `0..kc` × the same columns of `b` — all NR of them in a
-                    // packed panel, which is what `B_FULL` reads.
+                    // `0..kc` × the same columns of `b` — all `4·⌈nr/4⌉` of
+                    // them in zero-padded packed panels, which is what
+                    // `B_FULL` reads.
                     //
                     // SAFETY: level() == Avx2 implies runtime AVX2+FMA
-                    // support; `tile` was instantiated for this `nr` (`W = 2`
-                    // iff `nr > 4`); every address is in bounds per the
+                    // support; `tile` was instantiated for these `mr` rows and
+                    // `⌈nr/4⌉` vectors; every address is in bounds per the
                     // asserts (see above); `c` is a `&mut`, so it overlaps
                     // neither input.
                     unsafe {
                         let cp = c.as_mut_ptr().add(c_off);
                         let ap = a.data.as_ptr().wrapping_add(a_off);
                         let bp = b_data.as_ptr().wrapping_add(b_off);
-                        tile(cp, c_rs, dims, ap, (a.rs, a.cs), bp, b_rs, accumulate);
+                        tile(cp, c_rs, (nr, kc), ap, (a.rs, a.cs), bp, (b_ps, b_rs), accumulate);
                     }
                     continue;
                 }
                 let a_tile = Lhs { data: a.data.get(a_off..).unwrap_or(&[]), ..a };
-                let b_tile = (b_data.get(b_off..).unwrap_or(&[]), b_rs);
+                let b_tile = (b_data.get(b_off..).unwrap_or(&[]), b_ps, b_rs);
                 gemm_tile_scalar(&mut c[c_off..], c_rs, dims, a_tile, b_tile, accumulate);
             }
+            j0 += nr;
         }
     }
 }
@@ -1132,52 +1208,106 @@ pub(crate) mod tests {
         }
     }
 
-    /// Every edge tile (`mr ≤ MR`, `nr ≤ NR`), inner lengths 0/1/7/100, both
-    /// `A` orientations, assign and accumulate, packed and row-addressed
-    /// `B`, on both dispatch paths — against the triple loop, and AVX2
-    /// against its scalar twin within the module's pinned bound.
-    #[test]
-    fn gemm_edge_tiles_match_naive_on_both_paths() {
-        let _paths = path_lock();
-        for mr in 1..=MR {
-            for nr in 1..=NR {
-                for kc in [0usize, 1, 7, 100] {
+    /// The blocks the gemm tests sweep: every row count up to two 8-row
+    /// tiles and one more, and column counts that reach every tile
+    /// [`tile_shape`] picks — its 4-, 8-, 12- and 16-column tiles, each
+    /// ragged, and a wide block with a 12-column tail.
+    const GEMM_MS: std::ops::RangeInclusive<usize> = 1..=17;
+    const GEMM_NS: [usize; 15] = [1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 13, 16, 17, 100];
+    const GEMM_KCS: [usize; 4] = [0, 1, 7, 100];
+
+    /// `gemm` on the `m×n` block of a `c` whose rows are 3 wider than the
+    /// block, filled from `c0` (`m×n`) and `NAN` beside it; checks that the
+    /// columns outside the block are untouched and returns the block.
+    #[allow(clippy::too_many_arguments)] // the operands of one gemm call and how they are laid out
+    fn gemm_in_wide_c(
+        c0: &[f64],
+        dims: (usize, usize, usize),
+        a: &[f64],
+        a_t: bool,
+        b: &[f64],
+        bp: &[f64],
+        packed: bool,
+        accumulate: bool,
+    ) -> Vec<f64> {
+        let (m, n, kc) = dims;
+        let c_rs = n + 3;
+        let mut c = vec![f64::NAN; m * c_rs];
+        for (row, r0) in c.chunks_exact_mut(c_rs).zip(c0.chunks_exact(n)) {
+            row[..n].copy_from_slice(r0);
+        }
+        let rhs = if packed { Rhs::Packed(bp) } else { Rhs::Rows { data: b, rs: n } };
+        gemm(&mut c, c_rs, dims, lhs(a, (m, kc), a_t), rhs, accumulate);
+        assert!(c.chunks_exact(c_rs).all(|row| row[n..].iter().all(|x| x.is_nan())), "{dims:?}");
+        c.chunks_exact(c_rs).flat_map(|row| &row[..n]).copied().collect()
+    }
+
+    /// Calls `check(dims, a_t, accumulate, packed, c0, a, b, got)` for every
+    /// block of the sweep, both `A` orientations, assign and accumulate,
+    /// packed and row-addressed `B`, on the current dispatch path.
+    #[allow(clippy::type_complexity)] // one callback over a case's operands
+    fn for_each_gemm_case(
+        check: &mut dyn FnMut(
+            (usize, usize, usize),
+            bool,
+            bool,
+            bool,
+            &[f64],
+            &[f64],
+            &[f64],
+            &[f64],
+        ),
+    ) {
+        for m in GEMM_MS {
+            for n in GEMM_NS {
+                for kc in GEMM_KCS {
+                    let (dims, a, b, c0) =
+                        ((m, n, kc), data(m * kc, 11), data(kc * n, 12), data(m * n, 13));
+                    let mut bp = vec![0.0; packed_len(kc, n)];
+                    pack_panels(&b, n, (kc, n), &mut bp);
                     for a_t in [false, true] {
                         for accumulate in [false, true] {
-                            let a = data(mr * kc, 11);
-                            let b = data(kc * nr, 12);
-                            let c0 = data(mr * nr, 13);
-                            let dims = (mr, nr, kc);
-                            let expect = naive_gemm(&c0, dims, &a, a_t, &b, accumulate);
-                            let mut bp = vec![0.0; packed_len(kc, nr)];
-                            pack_panels(&b, nr, (kc, nr), &mut bp);
-                            let mut per_path = Vec::new();
-                            for force in [false, true] {
-                                force_scalar(force);
-                                for rhs in [Rhs::Packed(&bp), Rhs::Rows { data: &b, rs: nr }] {
-                                    let mut c = c0.clone();
-                                    gemm(&mut c, nr, dims, lhs(&a, (mr, kc), a_t), rhs, accumulate);
-                                    for (g, e) in c.iter().zip(&expect) {
-                                        assert!(
-                                            close(*g, *e),
-                                            "{dims:?} a_t={a_t} acc={accumulate} force={force}"
-                                        );
-                                    }
-                                    per_path.push(c);
-                                }
-                            }
-                            // Packed and row-addressed B agree bitwise per
-                            // path; the two paths agree within the bound.
-                            assert!(per_path[0] == per_path[1] && per_path[2] == per_path[3]);
-                            for (v, s) in per_path[0].iter().zip(&per_path[2]) {
-                                assert!(close(*v, *s), "avx2 vs scalar twin {dims:?}");
+                            for packed in [true, false] {
+                                let got =
+                                    gemm_in_wide_c(&c0, dims, &a, a_t, &b, &bp, packed, accumulate);
+                                check(dims, a_t, accumulate, packed, &c0, &a, &b, &got);
                             }
                         }
                     }
                 }
             }
         }
+    }
+
+    /// Every tile the selector can pick, every edge of it, inner lengths
+    /// 0/1/7/100, both `A` orientations, assign and accumulate, packed and
+    /// row-addressed `B`, in a `C` wider than the block, on both dispatch
+    /// paths — against the triple loop, and AVX2 against its scalar twin
+    /// within the module's pinned bound.
+    #[test]
+    fn gemm_edge_tiles_match_naive_on_both_paths() {
+        let _paths = path_lock();
+        let mut per_path: Vec<Vec<Vec<f64>>> = Vec::new();
+        for force in [false, true] {
+            force_scalar(force);
+            let mut results = Vec::new();
+            for_each_gemm_case(&mut |dims, a_t, accumulate, packed, c0, a, b, got| {
+                let expect = naive_gemm(c0, dims, a, a_t, b, accumulate);
+                for (g, e) in got.iter().zip(&expect) {
+                    assert!(close(*g, *e), "{dims:?} a_t={a_t} acc={accumulate} force={force}");
+                }
+                // Packed and row-addressed B agree bitwise per path.
+                if !packed {
+                    assert!(results.last() == Some(&got.to_vec()), "{dims:?} packed vs rows");
+                }
+                results.push(got.to_vec());
+            });
+            per_path.push(results);
+        }
         force_scalar(false);
+        for (v, s) in per_path[0].iter().zip(&per_path[1]) {
+            assert!(v.iter().zip(s).all(|(v, s)| close(*v, *s)), "avx2 vs scalar twin");
+        }
     }
 
     /// Blocks spanning many tiles, with row strides wider than the block
@@ -1213,31 +1343,23 @@ pub(crate) mod tests {
 
     /// The summation-order guarantee: each output element is the chain
     /// `axpy(B(p,·), A(i,p), C(i,·))` for ascending `p` builds on the same
-    /// backend — bitwise, which is what lets the tile backend replace that
-    /// idiom without moving a result.
+    /// backend — bitwise, for every tile the selector picks, which is what
+    /// lets the tile backend replace that idiom without moving a result.
     #[test]
     fn gemm_is_bitwise_the_axpy_per_element_order() {
         let _paths = path_lock();
         for force in [false, true] {
             force_scalar(force);
-            for (m, n, kc) in [(1, 5, 100), (6, 3, 40), (5, 9, 17), (7, 64, 100)] {
-                let a = data(m * kc, 31);
-                let b = data(kc * n, 32);
-                let mut expect = vec![0.0; m * n];
+            for_each_gemm_case(&mut |(m, n, kc), a_t, accumulate, _, c0, a, b, got| {
+                let mut expect = if accumulate { c0.to_vec() } else { vec![0.0; m * n] };
                 for i in 0..m {
                     for p in 0..kc {
-                        axpy(
-                            &b[p * n..(p + 1) * n],
-                            a[i * kc + p],
-                            &mut expect[i * n..(i + 1) * n],
-                        );
+                        let av = if a_t { a[p * m + i] } else { a[i * kc + p] };
+                        axpy(&b[p * n..(p + 1) * n], av, &mut expect[i * n..(i + 1) * n]);
                     }
                 }
-                let mut c = vec![0.0; m * n];
-                let rhs = Rhs::Rows { data: &b, rs: n };
-                gemm(&mut c, n, (m, n, kc), lhs(&a, (m, kc), false), rhs, false);
-                assert!(c == expect, "({m},{n},{kc}) force={force}");
-            }
+                assert!(got == expect, "({m},{n},{kc}) a_t={a_t} acc={accumulate} force={force}");
+            });
         }
         force_scalar(false);
     }

@@ -749,7 +749,11 @@ fn worker_loop(cx: &Ctx<'_>) {
         let (mut held, mut prepaid) = (0, 0);
         if cx.exec.store.enabled() {
             held = cx.graph.task_out_bytes[t];
-            for &d in &task.deps {
+            // A spilled input faults in once however often the task reads it.
+            for (i, &d) in task.deps.iter().enumerate() {
+                if task.deps[..i].contains(&d) {
+                    continue;
+                }
                 if let Slot::Spilled(tok) = &st.slots[d.index()] {
                     prepaid += tok.mem_bytes();
                 }

@@ -12,13 +12,16 @@
 //! are zero-copy `(slice, row stride)` views, and an invariant register is
 //! one row at stride 0. Element-wise instructions run once over a tile
 //! whose rows are adjacent in memory. The matrix-shaped work goes through
-//! the register-blocked `simd::gemm` micro-kernel: `VecMatMult` is
+//! the register-blocked `simd::gemm` kernel: `VecMatMult` is
 //! `tile(h×m) · side(m×k)` against the side packed once per band into
 //! zero-padded panels (dense or sparse side alike), and an `OuterColAgg`
 //! output is the rank-`h` update `acc += leftᵀ · right` with `left` read
-//! through swapped strides. Every output element still sums over the inner
-//! index in ascending order, so tiling moves no result beyond what FMA
-//! contraction already allowed. Sparse main rows execute directly over
+//! through swapped strides. `gemm` picks its register tile per block, so
+//! a narrow side (`k ≤ 4`: 8 tile rows at a time) and a short accumulator
+//! (1, 2 or 5 rows: exactly those rows, 8–10 FMA chains wide) keep the FMA
+//! ports busy like a wide one. Every output element still sums over the
+//! inner index in ascending order, so tiling moves no result beyond what
+//! FMA contraction already allowed. Sparse main rows execute directly over
 //! their non-zeros whenever the kernel is [`RowKernel::sparse_main_ok`]
 //! (the paper's `genexecSparse` split, §2.2): `VecMatMult` accumulates a
 //! panel's columns in registers across the non-zeros

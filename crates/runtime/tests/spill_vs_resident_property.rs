@@ -12,7 +12,7 @@ mod common;
 use common::assert_roots_bitwise;
 use fusedml_hop::interp::Bindings;
 use fusedml_hop::{DagBuilder, HopDag, HopId};
-use fusedml_linalg::generate;
+use fusedml_linalg::{generate, TernaryOp};
 use fusedml_runtime::{Engine, FusionMode};
 use proptest::prelude::*;
 
@@ -152,6 +152,41 @@ fn deterministic_chain_spills_and_reloads_everything() {
     let spill = tight.spill_stats();
     assert_eq!(spill.spill_events, spill.reload_events, "no orphan spill files after a run");
     assert!(spill.bytes_spilled > 0);
+}
+
+/// A task that reads one spilled input twice (`s + s ⊙ p` over a spilled
+/// `s`) faults it in once, so its dispatch reserves for one copy. A
+/// 4-value-wide `cbind` evicts `s` (V = one `X`-sized value; the budget is
+/// 4.5 V); when the ternary dispatches, `X`, `keep` and `p` are resident,
+/// and the output plus one copy of `s` fit beside them. Reserving `s` once
+/// per read would evict `keep` as well.
+#[test]
+fn an_input_read_twice_is_reserved_once() {
+    let (rows, cols) = (200, 100); // 160 KB per value
+    let mut b = DagBuilder::new();
+    let x = b.read("X", rows, cols, 1.0);
+    let s = b.exp(x);
+    let w2 = b.cbind(x, x);
+    let w4 = b.cbind(w2, w2);
+    let r = b.rix(w4, None, Some((0, cols)));
+    let keep = b.abs(x); // read by `p` and again after the ternary
+    let p = b.mult(r, keep);
+    let m = b.ternary(TernaryOp::PlusMult, s, s, p);
+    let z = b.mult(m, keep);
+    let sz = b.sum(z);
+    let dag = b.build(vec![sz]);
+    let mut bindings = Bindings::new();
+    bindings.insert("X".into(), generate::rand_dense(rows, cols, 0.9, 1.1, 5));
+
+    let expect = Engine::builder(FusionMode::Base).workers(1).build().execute(&dag, &bindings);
+    let budget = 9 * 8 * rows * cols / 2 + 4096; // 4.5 values and the scalar slots
+    let tight = Engine::builder(FusionMode::Base).memory_budget(budget).workers(1).build();
+    let got = tight.execute(&dag, &bindings);
+    assert_roots_bitwise(got.values(), expect.values(), "Base");
+    let sched = tight.stats().scheduler_snapshot();
+    assert_eq!(tight.spill_stats().spill_events, 1, "only `s` is evicted");
+    assert_eq!(sched.spill_faults, 1, "`s` faults in once for both reads");
+    assert_eq!(sched.spilled_bytes, sched.reloaded_bytes);
 }
 
 /// The engine-owned temp directory honors the `spill_dir` knob and is swept
