@@ -20,8 +20,9 @@
 //! 3 × 12 over a 9–12-column tail, 8 × 4 over a block of at most 4 columns,
 //! 5 × 8 over 5 rows, 1 or 2 × 16 over 1 or 2 rows. A band's last tile takes
 //! the rows that are left, so no row is computed twice, and only the last
-//! vector of a tile row is masked. [`gather_into`] is a plain indexed loop
-//! on every target.
+//! vector of a tile row is masked. The scalar twin walks 4 × 8 tiles, whose
+//! accumulators the baseline target's registers hold. [`gather_into`] is a
+//! plain indexed loop on every target.
 //! [`crate::primitives`] is the `(array, offset, len)` calling convention
 //! over these kernels (`dot_product` → [`dot`], `vect_mult_add` → [`axpy`],
 //! `vect_sum` → [`sum`], `vect_sum_sq` → [`sum_sq`]).
@@ -201,33 +202,30 @@ macro_rules! primitive {
     };
 }
 
-/// One `mr×nr` tile of [`gemm`]: `c`, `a` and `b` start at the tile's first
-/// element, and column `j` of a `B` row sits `j / NR` panels (`b_ps`) and
-/// `j % NR` elements on. Same loop nest as the AVX2 body — the accumulator
-/// tile lives in locals across the whole `p` loop, `p` ascends — with a
-/// separate multiply and add where the vector body fuses them.
+/// One `mr×nr` tile of [`gemm`]'s scalar leg, at most [`SCALAR_MR`] rows
+/// by one `NR`-column panel: `c`, `a` and `b` start at the tile's first
+/// element. Same loop nest as the AVX2 body — the accumulator tile lives in
+/// locals across the whole `p` loop, `p` ascends — with a separate multiply
+/// and add where the vector body fuses them.
 fn gemm_tile_scalar(
     c: &mut [f64],
     c_rs: usize,
     (mr, nr, kc): (usize, usize, usize),
     a: Lhs<'_>,
-    (b, b_ps, b_rs): (&[f64], usize, usize),
+    (b, b_rs): (&[f64], usize),
     accumulate: bool,
 ) {
-    let mut acc = [[0.0f64; 4 * MAX_W]; MAX_MR];
+    let mut acc = [[0.0f64; NR]; SCALAR_MR];
     if accumulate {
         for (i, row) in acc.iter_mut().enumerate().take(mr) {
             row[..nr].copy_from_slice(&c[i * c_rs..i * c_rs + nr]);
         }
     }
     for p in 0..kc {
-        let brow: [f64; 4 * MAX_W] =
-            std::array::from_fn(
-                |j| if j < nr { b[j / NR * b_ps + j % NR + p * b_rs] } else { 0.0 },
-            );
+        let brow = &b[p * b_rs..p * b_rs + nr];
         for (i, row) in acc.iter_mut().enumerate().take(mr) {
             let av = a.data[i * a.rs + p * a.cs];
-            for (x, &bv) in row[..nr].iter_mut().zip(&brow) {
+            for (x, &bv) in row.iter_mut().zip(brow) {
                 *x += av * bv;
             }
         }
@@ -700,14 +698,15 @@ const NR: usize = 8;
 /// Rows of `A` swept against one column block of `B` before moving to the
 /// next block, so the block is reused from L1 across the band's tiles.
 const MC: usize = 32;
-/// The most rows a [`gemm`] register tile holds.
-const MAX_MR: usize = 8;
-/// The most 256-bit vectors per row a [`gemm`] register tile holds.
-const MAX_W: usize = 4;
+/// Rows of the scalar leg's tile, which walks one `NR`-column panel at a
+/// time: its 32 accumulators fit the baseline target's sixteen 128-bit
+/// registers, where the taller and wider AVX2 tiles spill (a 3 × 12 scalar
+/// tile ran 1.3× slower than 4 × 8, BENCH_NOTES.md "PR 51").
+const SCALAR_MR: usize = 4;
 
-/// The register tile [`gemm`] runs from a panel boundary with `r` columns
-/// of `C` left, in a band of `mb` rows: `(rows, vectors per row)`, each
-/// clipped to what is left. Each shape keeps 8–10 independent FMA chains
+/// The AVX2 register tile [`gemm`] runs from a panel boundary with `r`
+/// columns of `C` left, in a band of `mb` rows: `(rows, vectors per row)`,
+/// each clipped to what is left. Each shape keeps 8–10 independent FMA chains
 /// in registers where the block has the rows or columns for them:
 ///
 /// | block | tile | chains |
@@ -718,6 +717,9 @@ const MAX_W: usize = 4;
 /// | 1 or 2 rows | `mb` × 16 | 4, 8 |
 /// | otherwise | 4 × 8 | 8 |
 ///
+/// The 5-row arm exists for kmeans's 5 centroids (`t(A) %*% X` updates a
+/// 5-row block); blocks of 3, 6 or 7 rows run the 4 × 8 tile and its
+/// remainder, and a 6 × 8 tile read no faster than 4 × 8 + 2 × 8.
 /// A 12-column tile ends the block, so every tile starts on a panel
 /// boundary. The band's last tile takes the rows that are left: no row is
 /// computed twice.
@@ -804,7 +806,8 @@ pub fn pack_panels(b: &[f64], rs: usize, (kc, n): (usize, usize), dst: &mut [f64
 /// inner dimension `kc` ascending for every output element: with
 /// `accumulate` the sums continue from the values already in `c`, without it
 /// they start from `0.0` and overwrite. Each register tile of `c` (its shape
-/// picked per block by `tile_shape`) is held in registers across the whole
+/// picked per block by `tile_shape` on AVX2; `SCALAR_MR` rows by one
+/// `NR`-column panel on the scalar leg) is held in registers across the whole
 /// inner loop (reduction class: one FMA per element per `p` on AVX2,
 /// multiply then add in the scalar twin — the same results, bitwise, as
 /// `axpy(B(p,·), A(i,p), C(i,·))` for ascending `p` on the respective
@@ -835,20 +838,18 @@ pub fn gemm(
     };
     assert!(kc == 0 || a.data.len() > (m - 1) * a.rs + (kc - 1) * a.cs, "gemm: A out of bounds");
     #[cfg(target_arch = "x86_64")]
-    let avx2 = level() == SimdLevel::Avx2;
-    for ic in (0..m).step_by(MC) {
-        let mb = MC.min(m - ic);
-        let mut j0 = 0;
-        while j0 < n {
-            let (tr, tw) = tile_shape(mb, n - j0);
-            let nr = (4 * tw).min(n - j0);
-            debug_assert!(j0 % NR == 0 && (nr % NR == 0 || j0 + nr == n));
-            for i0 in (ic..ic + mb).step_by(tr) {
-                let dims = (tr.min(ic + mb - i0), nr, kc);
-                let (c_off, a_off, b_off) = (i0 * c_rs + j0, i0 * a.rs, j0 / NR * b_ps);
-                #[cfg(target_arch = "x86_64")]
-                if avx2 {
-                    let tile = avx2_tile(dims.0, nr.div_ceil(4), b_full);
+    if level() == SimdLevel::Avx2 {
+        for ic in (0..m).step_by(MC) {
+            let mb = MC.min(m - ic);
+            let mut j0 = 0;
+            while j0 < n {
+                let (tr, tw) = tile_shape(mb, n - j0);
+                let nr = (4 * tw).min(n - j0);
+                debug_assert!(j0 % NR == 0 && (nr % NR == 0 || j0 + nr == n));
+                for i0 in (ic..ic + mb).step_by(tr) {
+                    let mr = tr.min(ic + mb - i0);
+                    let (c_off, a_off, b_off) = (i0 * c_rs + j0, i0 * a.rs, j0 / NR * b_ps);
+                    let tile = avx2_tile(mr, nr.div_ceil(4), b_full);
                     // The asserts above bound every element the tile
                     // addresses: rows `i0..i0+mr` × columns `j0..j0+nr` of
                     // `c`, rows `i0..i0+mr` × inner `0..kc` of `a`, and inner
@@ -867,13 +868,22 @@ pub fn gemm(
                         let bp = b_data.as_ptr().wrapping_add(b_off);
                         tile(cp, c_rs, (nr, kc), ap, (a.rs, a.cs), bp, (b_ps, b_rs), accumulate);
                     }
-                    continue;
                 }
+                j0 += nr;
+            }
+        }
+        return;
+    }
+    for ic in (0..m).step_by(MC) {
+        for jp in 0..n.div_ceil(NR) {
+            let nr = NR.min(n - jp * NR);
+            for i0 in (ic..m.min(ic + MC)).step_by(SCALAR_MR) {
+                let dims = (SCALAR_MR.min(m - i0), nr, kc);
+                let (c_off, a_off, b_off) = (i0 * c_rs + jp * NR, i0 * a.rs, jp * b_ps);
                 let a_tile = Lhs { data: a.data.get(a_off..).unwrap_or(&[]), ..a };
-                let b_tile = (b_data.get(b_off..).unwrap_or(&[]), b_ps, b_rs);
+                let b_tile = (b_data.get(b_off..).unwrap_or(&[]), b_rs);
                 gemm_tile_scalar(&mut c[c_off..], c_rs, dims, a_tile, b_tile, accumulate);
             }
-            j0 += nr;
         }
     }
 }
@@ -1211,9 +1221,10 @@ pub(crate) mod tests {
     /// The blocks the gemm tests sweep: every row count up to two 8-row
     /// tiles and one more, and column counts that reach every tile
     /// [`tile_shape`] picks — its 4-, 8-, 12- and 16-column tiles, each
-    /// ragged, and a wide block with a 12-column tail.
+    /// with a 1-, 2-, 3- and 0-lane tail in its last vector — and a wide
+    /// block with a 12-column tail.
     const GEMM_MS: std::ops::RangeInclusive<usize> = 1..=17;
-    const GEMM_NS: [usize; 15] = [1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 13, 16, 17, 100];
+    const GEMM_NS: [usize; 18] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 100];
     const GEMM_KCS: [usize; 4] = [0, 1, 7, 100];
 
     /// `gemm` on the `m×n` block of a `c` whose rows are 3 wider than the
